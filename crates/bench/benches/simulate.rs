@@ -9,7 +9,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use systolic_core::{compile, Options};
-use systolic_interp::{run_plan, ElabOptions};
+use systolic_interp::{
+    seeded_store, simulate, ElabOptions, ExecutorChoice, ModuleStore, SimSpec, SystolicRun,
+};
 use systolic_ir::{seq, HostStore};
 use systolic_math::Env;
 use systolic_runtime::ChannelPolicy;
@@ -26,10 +28,19 @@ fn setup(
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], n);
-    let mut store = HostStore::allocate(&p, &env);
-    store.fill_random("a", 1, -9, 9);
-    store.fill_random("b", 2, -9, 9);
+    let store = seeded_store(&plan, &env, &["a", "b"], 1);
     (plan, env, store)
+}
+
+/// One run on the plain engine `spec` refines (every caller starts from
+/// `SimSpec::plain()`: these benches time the rendezvous engines).
+fn run(
+    plan: &systolic_core::SystolicProgram,
+    env: &Env,
+    store: &HostStore,
+    spec: SimSpec,
+) -> SystolicRun {
+    simulate(ModuleStore::global(), plan, env, store, spec).unwrap()
 }
 
 fn bench_sequential_baseline(c: &mut Criterion) {
@@ -65,16 +76,7 @@ fn bench_simulated_designs(c: &mut Criterion) {
         for n in [4i64, 8] {
             let (plan, env, store) = setup(mk(), n);
             g.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    run_plan(
-                        black_box(&plan),
-                        &env,
-                        &store,
-                        ChannelPolicy::Rendezvous,
-                        &ElabOptions::default(),
-                    )
-                    .unwrap()
-                })
+                b.iter(|| run(black_box(&plan), &env, &store, SimSpec::plain()))
             });
         }
     }
@@ -92,7 +94,13 @@ fn bench_channel_policy_ablation(c: &mut Criterion) {
         ("buffered-4", ChannelPolicy::Buffered(4)),
     ] {
         g.bench_function(label, |b| {
-            b.iter(|| run_plan(&plan, &env, &store, policy, &ElabOptions::default()).unwrap())
+            b.iter(|| {
+                let spec = SimSpec {
+                    policy,
+                    ..SimSpec::plain()
+                };
+                run(&plan, &env, &store, spec)
+            })
         });
     }
     g.finish();
@@ -107,17 +115,15 @@ fn bench_internal_buffer_ablation(c: &mut Criterion) {
     for (label, buffers) in [("with", true), ("without", false)] {
         g.bench_function(label, |b| {
             b.iter(|| {
-                run_plan(
-                    &plan,
-                    &env,
-                    &store,
-                    ChannelPolicy::Rendezvous,
-                    &ElabOptions {
-                        internal_buffers: buffers,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
+                let elab = ElabOptions {
+                    internal_buffers: buffers,
+                    ..Default::default()
+                };
+                let spec = SimSpec {
+                    elab,
+                    ..SimSpec::plain()
+                };
+                run(&plan, &env, &store, spec)
             })
         });
     }
@@ -131,13 +137,12 @@ fn bench_threaded_executor(c: &mut Criterion) {
     let (plan, env, store) = setup(paper::matmul_e1(), 6);
     g.bench_function("matmul-E.1-n6", |b| {
         b.iter(|| {
-            systolic_interp::run_plan_threaded(
-                &plan,
-                &env,
-                &store,
-                std::time::Duration::from_secs(60),
-            )
-            .unwrap()
+            let spec = SimSpec {
+                executor: ExecutorChoice::Threaded,
+                deadline: std::time::Duration::from_secs(60),
+                ..SimSpec::plain()
+            };
+            run(&plan, &env, &store, spec)
         })
     });
     g.finish();
@@ -152,14 +157,12 @@ fn bench_partitioned_speedup(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
             b.iter(|| {
-                systolic_interp::run_plan_partitioned(
-                    black_box(&plan),
-                    &env,
-                    &store,
-                    w,
-                    std::time::Duration::from_secs(120),
-                )
-                .unwrap()
+                let spec = SimSpec {
+                    executor: ExecutorChoice::Partitioned { workers: w },
+                    deadline: std::time::Duration::from_secs(120),
+                    ..SimSpec::plain()
+                };
+                run(black_box(&plan), &env, &store, spec)
             })
         });
     }

@@ -8,11 +8,24 @@
 //! ```
 
 use systolic_core::{compile, theorems, Options, StreamKind};
-use systolic_interp::{run_plan, runtime_gen, verify_equivalence, ElabOptions};
+use systolic_interp::{
+    runtime_gen, seeded_store, simulate, simulate_verified, ElabOptions, ModuleStore, SimSpec,
+    VerifyError,
+};
 use systolic_ir::HostStore;
 use systolic_math::{point, Env};
-use systolic_runtime::ChannelPolicy;
+use systolic_runtime::{ChannelPolicy, RunStats};
 use systolic_synthesis::placement::paper;
+
+/// The equivalence experiment on the rendezvous reference engine.
+fn verify(
+    plan: &systolic_core::SystolicProgram,
+    env: &Env,
+    seed: u64,
+) -> Result<RunStats, VerifyError> {
+    let store = seeded_store(plan, env, &["a", "b"], seed);
+    simulate_verified(ModuleStore::global(), plan, env, &store, SimSpec::plain()).map(|r| r.stats)
+}
 
 fn env_at(p: &systolic_ir::SourceProgram, n: i64) -> Env {
     let mut env = Env::new();
@@ -100,7 +113,7 @@ fn section_equivalence() {
         for &n in sweep {
             for seed in [7u64, 1234] {
                 let env = env_at(&p, n);
-                match verify_equivalence(&plan, &env, &["a", "b"], seed) {
+                match verify(&plan, &env, seed) {
                     Ok(stats) => println!(
                         "{:<6} {:>4} {:>6} {:>8} {:>8} {:>10} {:>8}",
                         label, n, seed, stats.processes, stats.rounds, stats.messages, "OK"
@@ -129,7 +142,7 @@ fn section_makespan() {
             let env = env_at(&p, n);
             let seq_ops = p.index_space_size(&env);
             let schedule = a.makespan(&p, &env);
-            let stats = verify_equivalence(&plan, &env, &["a", "b"], 3).unwrap();
+            let stats = verify(&plan, &env, 3).unwrap();
             println!(
                 "{:<6} {:>4} {:>10} {:>10} {:>8} {:>12.2}",
                 label,
@@ -201,22 +214,18 @@ fn section_ablations() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let n = 8i64;
     let env = env_at(&p, n);
-    let mut store = HostStore::allocate(&p, &env);
-    store.fill_random("a", 1, -9, 9);
-    store.fill_random("b", 2, -9, 9);
+    let store = seeded_store(&plan, &env, &["a", "b"], 1);
     println!("B3a: D.1 internal buffers (stream b, flow 1/2) at n = {n}");
     for (label, buffers) in [("with buffers", true), ("without", false)] {
-        let run = run_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions {
-                internal_buffers: buffers,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let elab = ElabOptions {
+            internal_buffers: buffers,
+            ..Default::default()
+        };
+        let spec = SimSpec {
+            elab,
+            ..SimSpec::plain()
+        };
+        let run = simulate(ModuleStore::global(), &plan, &env, &store, spec).unwrap();
         println!(
             "  {label:<16} procs {:>4}  rounds {:>4}  messages {:>6}",
             run.stats.processes, run.stats.rounds, run.stats.messages
@@ -227,16 +236,18 @@ fn section_ablations() {
     let (p, a) = paper::polyprod_d2();
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let env = env_at(&p, n);
-    let mut store = HostStore::allocate(&p, &env);
-    store.fill_random("a", 3, -9, 9);
-    store.fill_random("b", 4, -9, 9);
+    let store = seeded_store(&plan, &env, &["a", "b"], 3);
     println!("B3b: D.2 channel policy at n = {n}");
     for (label, policy) in [
         ("rendezvous", ChannelPolicy::Rendezvous),
         ("buffered(1)", ChannelPolicy::Buffered(1)),
         ("buffered(4)", ChannelPolicy::Buffered(4)),
     ] {
-        let run = run_plan(&plan, &env, &store, policy, &ElabOptions::default()).unwrap();
+        let spec = SimSpec {
+            policy,
+            ..SimSpec::plain()
+        };
+        let run = simulate(ModuleStore::global(), &plan, &env, &store, spec).unwrap();
         println!(
             "  {label:<16} rounds {:>4}  messages {:>6}",
             run.stats.rounds, run.stats.messages
@@ -257,7 +268,7 @@ fn section_ablations() {
         let (p, a) = pair;
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let env = env_at(&p, 4);
-        let stats = verify_equivalence(&plan, &env, &["a", "b"], 5).unwrap();
+        let stats = verify(&plan, &env, 5).unwrap();
         println!(
             "  {label:<18} procs {:>4}  rounds {:>4}  messages {:>6}",
             stats.processes, stats.rounds, stats.messages
@@ -290,9 +301,7 @@ fn section_protocols() {
     for (label, p, a) in paper::all() {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let env = env_at(&p, 4);
-        let mut store = HostStore::allocate(&p, &env);
-        store.fill_random("a", 5, -9, 9);
-        store.fill_random("b", 6, -9, 9);
+        let store = seeded_store(&plan, &env, &["a", "b"], 5);
         let variants: [(&str, ElabOptions); 3] = [
             ("paper phases", ElabOptions::default()),
             (
@@ -310,8 +319,12 @@ fn section_protocols() {
                 },
             ),
         ];
-        for (name, opts) in variants {
-            match run_plan(&plan, &env, &store, ChannelPolicy::Rendezvous, &opts) {
+        for (name, elab) in variants {
+            let spec = SimSpec {
+                elab,
+                ..SimSpec::plain()
+            };
+            match simulate(ModuleStore::global(), &plan, &env, &store, spec) {
                 Ok(run) => println!(
                     "{:<6} {:<28} {:>8} {:>8} {:>10}",
                     label, name, run.stats.processes, run.stats.rounds, run.stats.messages

@@ -16,7 +16,7 @@
 //! estimator); rounds/messages/steps are deterministic and identical
 //! across runs.
 //!
-//! The timed runs go through `run_plan_batch` under an explicit FIFO
+//! The timed runs go through `simulate` under an explicit FIFO
 //! `SchedulePolicy`: since PR 5 the trajectory measures the steady-state
 //! batching fast path (see `docs/scheduler.md`), and since PR 6 the
 //! ProcIR optimizer rides along (`OptMode::Auto`, see
@@ -71,15 +71,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use systolic_core::{compile, Options};
-use systolic_interp::{
-    run_plan_batch_kernel, run_plan_recorded, run_plan_scheduled, ElabOptions, ModuleStore,
-    SystolicRun,
-};
+use systolic_interp::{seeded_store, simulate, ElabOptions, ModuleStore, SimSpec, SystolicRun};
 use systolic_ir::HostStore;
 use systolic_math::Env;
 use systolic_runtime::{
-    shared, BatchMode, ChannelPolicy, FifoPolicy, KernelMode, MetricsRecorder, OptMode, RunStats,
-    WavefrontMode,
+    shared, FifoPolicy, KernelMode, MetricsRecorder, OptMode, RunStats, WavefrontMode,
 };
 use systolic_synthesis::placement::paper;
 
@@ -134,15 +130,12 @@ fn prepare(label: &'static str, mk: DesignFn, n: i64) -> Prepared {
     for &sz in &p.sizes {
         env.bind(sz, n);
     }
-    let mut store = HostStore::allocate(&p, &env);
     let inputs: &[&str] = if p.name.starts_with("fir") {
         &["h", "x"]
     } else {
         &["a", "b"]
     };
-    for (i, name) in inputs.iter().enumerate() {
-        store.fill_random(name, i as u64 + 1, -9, 9);
-    }
+    let store = seeded_store(&plan, &env, inputs, 1);
     Prepared {
         label,
         n,
@@ -179,16 +172,11 @@ fn polyprod_sys() -> (
 /// (round counts comparable with every prior snapshot) and the reference
 /// store for the invariance assertion.
 fn baseline_run(c: &Prepared) -> (RunStats, HostStore) {
-    let run = run_plan_scheduled(
-        &c.plan,
-        &c.env,
-        &c.store,
-        ChannelPolicy::Rendezvous,
-        &ElabOptions::default(),
-        Some(Box::new(FifoPolicy)),
-        &[],
-    )
-    .unwrap();
+    let spec = SimSpec {
+        sched: Some(Box::new(FifoPolicy)),
+        ..SimSpec::plain()
+    };
+    let run = simulate(ModuleStore::global(), &c.plan, &c.env, &c.store, spec).unwrap();
     (run.stats, run.store)
 }
 
@@ -205,21 +193,15 @@ fn timed_run(
     wavefront: WavefrontMode,
     kernel: KernelMode,
 ) -> (f64, SystolicRun) {
-    let t0 = Instant::now();
-    let run = run_plan_batch_kernel(
-        &c.plan,
-        &c.env,
-        &c.store,
-        ChannelPolicy::Rendezvous,
-        &ElabOptions::default(),
-        BatchMode::Auto,
+    let spec = SimSpec {
         opt,
         wavefront,
         kernel,
-        Some(Box::new(FifoPolicy)),
-        &[],
-    )
-    .unwrap();
+        sched: Some(Box::new(FifoPolicy)),
+        ..SimSpec::default()
+    };
+    let t0 = Instant::now();
+    let run = simulate(ModuleStore::global(), &c.plan, &c.env, &c.store, spec).unwrap();
     let dt = t0.elapsed().as_secs_f64() * 1e3;
     assert!(run.batched, "{} n={}: batching must engage", c.label, c.n);
     assert_eq!(
@@ -284,15 +266,11 @@ fn observed_entry(
     // Observed pass, outside the timing loop: histograms for the
     // snapshot, plus the invariance check.
     let (metrics, erased) = shared(MetricsRecorder::new());
-    let observed = run_plan_recorded(
-        &c.plan,
-        &c.env,
-        &c.store,
-        ChannelPolicy::Rendezvous,
-        &ElabOptions::default(),
-        &[erased],
-    )
-    .unwrap();
+    let spec = SimSpec {
+        recorders: vec![erased],
+        ..SimSpec::plain()
+    };
+    let observed = simulate(ModuleStore::global(), &c.plan, &c.env, &c.store, spec).unwrap();
     assert_eq!(
         observed.stats, stats,
         "recorders must not perturb rounds/messages/steps"
@@ -424,7 +402,13 @@ fn quick_smoke() {
     // and the systolic-opt-v1 mapping report round-trips through JSON.
     let c = prepare("matmul-E.2", paper::matmul_e2, 8);
     let base = baseline_run(&c);
-    let (_, run) = timed_run(&c, &base, OptMode::Auto, WavefrontMode::Off, KernelMode::Off);
+    let (_, run) = timed_run(
+        &c,
+        &base,
+        OptMode::Auto,
+        WavefrontMode::Off,
+        KernelMode::Off,
+    );
     let report = run.opt.expect("E.2 n=8 must fuse relay chains");
     let j = report.to_json();
     assert!(j.contains("\"schema\": \"systolic-opt-v1\""), "{j}");

@@ -13,8 +13,10 @@
 //!   which every executor entry point goes through;
 //! - [`kernelize`] — the basic-statement → straight-line kernel compiler
 //!   behind the wavefront executor's vectorized wave path;
-//! - [`exec`] — running plans on any executor and verifying
-//!   observational equivalence with the sequential reference;
+//! - [`exec`] — [`simulate`]: the one function that runs a plan, on any
+//!   executor and rung of the fast-path ladder a [`SimSpec`] selects, and
+//!   [`simulate_verified`], the one comparison against the sequential
+//!   reference;
 //! - [`metrics`] — observed runs: metrics reports and Perfetto traces
 //!   with channels named by stream and process-space point.
 
@@ -22,7 +24,6 @@ pub mod cache;
 pub mod describe;
 pub mod elaborate;
 pub mod exec;
-pub mod facade;
 pub mod kernelize;
 pub mod metrics;
 pub mod runtime_gen;
@@ -34,17 +35,11 @@ pub use cache::{CacheStats, CachedModule, ModuleStore};
 pub use describe::describe;
 pub use elaborate::{elaborate, Census, ElabError, ElabOptions, Elaborated, OutputSpec};
 pub use exec::{
-    run_plan, run_plan_batch, run_plan_batch_in, run_plan_batch_kernel, run_plan_batch_kernel_in,
-    run_plan_partitioned, run_plan_partitioned_batch, run_plan_partitioned_batch_in,
-    run_plan_partitioned_recorded, run_plan_recorded, run_plan_scheduled, run_plan_scheduled_in,
-    run_plan_threaded, run_plan_threaded_batch, run_plan_threaded_batch_in,
-    run_plan_threaded_recorded, verify_equivalence, verify_equivalence_all,
-    verify_equivalence_batch, verify_equivalence_batch_kernel, verify_equivalence_with, ExecError,
-    SystolicRun, VerifyError,
+    seeded_store, simulate, simulate_verified, ExecError, ExecutorChoice, SimSpec, SystolicRun,
+    VerifyError,
 };
-pub use facade::{simulate, simulate_verified, ExecutorChoice, SimSpec};
 pub use kernelize::{kernelize, KERNEL_MAX_OPS};
-pub use metrics::{channel_names, observe_plan, observe_plan_in, Observed};
+pub use metrics::{channel_names, observe_plan_in, Observed};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
 pub use systolic_runtime::{
     analyze_kernels, channel_diagnostics, BatchMode, KernelMode, KernelPlan, KernelReport,

@@ -19,15 +19,15 @@
 //! `docs/observability.md`.
 
 use crate::cache::{CacheStats, ModuleStore};
-use crate::elaborate::{ElabOptions, Elaborated};
-use crate::exec::{writeback, ExecError, SystolicRun};
+use crate::elaborate::Elaborated;
+use crate::exec::{simulate, ExecError, SimSpec, SystolicRun};
 use std::sync::Arc;
 use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
 use systolic_runtime::{
-    shared, ChannelPolicy, KernelPlan, MetricsRecorder, MetricsReport, Network, OptMode,
-    OptReport, PerfettoRecorder, WavefrontPlan,
+    shared, KernelPlan, MetricsRecorder, MetricsReport, OptMode, OptReport, PerfettoRecorder,
+    WavefrontPlan,
 };
 
 /// One observed run: the ordinary execution outcome plus the two
@@ -45,9 +45,9 @@ pub struct Observed {
     /// the metrics above describe the unoptimized module; this report is
     /// the structural mapping an `--opt auto` run of the same plan uses.
     pub opt_report: Option<OptReport>,
-    /// Snapshot of the module-store counters
-    /// ([`ModuleStore::global`]`.stats()`) taken right after this run's
-    /// elaboration, so the report shows whether it was served warm.
+    /// Snapshot of the module-store counters ([`ModuleStore::stats`])
+    /// taken right after this run's elaboration, so the report shows
+    /// whether it was served warm.
     pub cache: CacheStats,
     /// The memoized wavefront staging this module would run under (see
     /// `systolic_runtime::wavefront`): observed runs execute the exact
@@ -149,65 +149,35 @@ pub fn channel_names(plan: &SystolicProgram, el: &Elaborated) -> Vec<String> {
     names
 }
 
-/// Run the plan on the cooperative scheduler with a [`MetricsRecorder`]
-/// and a [`PerfettoRecorder`] attached, returning the run outcome and
-/// both artifacts. Timing differs from an unobserved run only in wall
-/// clock — rounds, messages, steps, and the result store are identical.
-pub fn observe_plan(
-    plan: &SystolicProgram,
-    env: &Env,
-    store: &HostStore,
-    policy: ChannelPolicy,
-    opts: &ElabOptions,
-) -> Result<Observed, ExecError> {
-    observe_plan_in(ModuleStore::global(), plan, env, store, policy, opts)
-}
-
-/// [`observe_plan`] against an explicit [`ModuleStore`] — the entry
-/// point the service's metrics/trace outputs use so their cache
-/// counters describe the service's own store.
+/// Run the plan with a [`MetricsRecorder`] and a [`PerfettoRecorder`]
+/// attached — [`simulate`] with the two recorders added to `spec` —
+/// returning the run outcome and both artifacts. Recorders close the
+/// fast-path gate, so this is the plain engine of `spec.executor`;
+/// timing differs from an unobserved plain run only in wall clock —
+/// rounds, messages, steps, and the result store are identical. The
+/// cache counters describe `ms`.
 pub fn observe_plan_in(
     ms: &ModuleStore,
     plan: &SystolicProgram,
     env: &Env,
     store: &HostStore,
-    policy: ChannelPolicy,
-    opts: &ElabOptions,
+    mut spec: SimSpec,
 ) -> Result<Observed, ExecError> {
-    let cm = ms.module(plan, env, store, opts)?;
+    let cm = ms.module(plan, env, store, &spec.elab)?;
     let cache = ms.stats();
     let el = &cm.elab;
-    let names = channel_names(plan, el);
     let (metrics, m_erased) = shared(MetricsRecorder::new());
-    let (perfetto, p_erased) = shared(PerfettoRecorder::new().with_channel_names(names));
-    let recorders = vec![m_erased, p_erased];
-    let inst = el.module.instantiate_recorded(&recorders);
-    let mut net = Network::new(policy);
-    for r in &recorders {
-        net.add_recorder(r.clone());
-    }
-    for p in inst.procs {
-        net.add(p);
-    }
-    let stats = net.run()?;
-    let mut result = store.clone();
-    writeback(&el.outputs, &inst.outputs, &mut result)?;
+    let (perfetto, p_erased) =
+        shared(PerfettoRecorder::new().with_channel_names(channel_names(plan, el)));
+    spec.recorders.extend([m_erased, p_erased]);
+    let run = simulate(ms, plan, env, store, spec)?;
     let report = metrics.lock().report();
     let perfetto_json = perfetto.lock().to_json();
-    let opt_report = el.optimize(OptMode::Auto).map(|o| o.report);
     Ok(Observed {
-        run: SystolicRun {
-            store: result,
-            stats,
-            census: el.census.clone(),
-            batched: false,
-            wavefront: false,
-            opt: None,
-            kernel: None,
-        },
+        run,
         report,
         perfetto_json,
-        opt_report,
+        opt_report: el.optimize(OptMode::Auto).map(|o| o.report),
         cache,
         wavefront_plan: cm.wavefront_plan().clone(),
         kernel_plan: cm.kernel_plan().clone(),
@@ -217,7 +187,7 @@ pub fn observe_plan_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_plan;
+    use crate::elaborate::ElabOptions;
     use systolic_core::{compile, Options};
     use systolic_ir::seq;
     use systolic_synthesis::placement::paper;
@@ -236,22 +206,9 @@ mod tests {
     #[test]
     fn observation_does_not_perturb_the_run() {
         let (plan, env, store) = setup(4);
-        let plain = run_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .unwrap();
-        let obs = observe_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .unwrap();
+        let ms = ModuleStore::global();
+        let plain = simulate(ms, &plan, &env, &store, SimSpec::plain()).unwrap();
+        let obs = observe_plan_in(ms, &plan, &env, &store, SimSpec::default()).unwrap();
         assert_eq!(obs.run.stats, plain.stats);
         for name in plain.store.names() {
             assert_eq!(obs.run.store.get(name), plain.store.get(name), "{name}");
@@ -265,12 +222,12 @@ mod tests {
     #[test]
     fn report_reconciles_with_run_stats() {
         let (plan, env, store) = setup(5);
-        let obs = observe_plan(
+        let obs = observe_plan_in(
+            ModuleStore::global(),
             &plan,
             &env,
             &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
+            SimSpec::default(),
         )
         .unwrap();
         let stats = &obs.run.stats;
@@ -301,12 +258,12 @@ mod tests {
             assert!(names[*oc].starts_with(stream.as_str()), "{}", names[*oc]);
         }
         // Stream-and-coordinate names reach the Perfetto document.
-        let obs = observe_plan(
+        let obs = observe_plan_in(
+            ModuleStore::global(),
             &plan,
             &env,
             &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
+            SimSpec::default(),
         )
         .unwrap();
         assert!(obs.perfetto_json.contains("a@("), "{}", obs.perfetto_json);

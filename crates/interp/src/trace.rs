@@ -8,13 +8,13 @@
 //! designs) and per-round activity summaries for higher dimensions.
 
 use crate::cache::ModuleStore;
-use crate::elaborate::{ElabOptions, Elaborated};
-use crate::exec::ExecError;
+use crate::elaborate::ElabOptions;
+use crate::exec::{simulate, ExecError, SimSpec};
 use std::collections::HashMap;
 use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
-use systolic_runtime::{shared, ChannelPolicy, EventLogRecorder, Network};
+use systolic_runtime::{shared, EventLogRecorder};
 
 /// One located transfer: stream, receiving process coordinates, round.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,23 +38,18 @@ pub fn run_traced(
     env: &Env,
     store: &HostStore,
 ) -> Result<(Vec<LocatedEvent>, u64), ExecError> {
-    let cm = ModuleStore::global().module(plan, env, store, &ElabOptions::default())?;
-    let Elaborated {
-        module, endpoints, ..
-    } = &cm.elab;
+    let ms = ModuleStore::global();
+    let cm = ms.module(plan, env, store, &ElabOptions::default())?;
     let (log, erased) = shared(EventLogRecorder::new());
-    let recorders = [erased];
-    let inst = module.instantiate_recorded(&recorders);
-    let mut net = Network::new(ChannelPolicy::Rendezvous);
-    net.add_recorder(recorders[0].clone());
-    for p in inst.procs {
-        net.add(p);
-    }
-    let stats = net.run().map_err(ExecError::Run)?;
+    let spec = SimSpec {
+        recorders: vec![erased],
+        ..SimSpec::plain()
+    };
+    let stats = simulate(ms, plan, env, store, spec)?.stats;
     // chan -> (stream name, coords) for the *incoming* channel of each
     // process.
     let mut incoming: HashMap<usize, (String, Vec<i64>)> = HashMap::new();
-    for (sid, y, ic, _oc) in endpoints {
+    for (sid, y, ic, _oc) in &cm.elab.endpoints {
         incoming.insert(*ic, (plan.streams[*sid].name.clone(), y.clone()));
     }
     let located = log

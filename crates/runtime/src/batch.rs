@@ -22,7 +22,7 @@
 //! the whole module, falling back to the rendezvous engines. Rejection
 //! is a performance decision, never a correctness one: the batched and
 //! unbatched paths are pinned bit-identical (stores, `messages`,
-//! `steps`) by `tests/batching.rs`.
+//! `steps`) by `tests/ladder.rs` and `tests/batching.rs`.
 
 use crate::process::Value;
 use crate::procir::{ProcId, ProcIrModule, ProcOp};
@@ -45,8 +45,8 @@ pub enum BatchMode {
 }
 
 /// A bounded FIFO of in-flight values for one batched channel. Plain
-/// sequential code — the threaded executors serialize access under the
-/// engine lock, the cooperative one owns all rings outright.
+/// sequential code — the partitioned executor serializes access under
+/// its engine lock, the cooperative ones own all rings outright.
 pub struct Ring {
     q: VecDeque<Value>,
     cap: usize,

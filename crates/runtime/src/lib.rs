@@ -70,9 +70,7 @@ pub use record::{
     Recorder, SharedRecorder, Transfer, QUEUE_ENDPOINT,
 };
 pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, YieldInjector, YieldPlan, STARVATION_LIMIT};
-pub use threaded::{
-    run_threaded, run_threaded_batched, run_threaded_perturbed, run_threaded_recorded,
-};
+pub use threaded::{run_threaded, run_threaded_perturbed, run_threaded_recorded};
 pub use kernel::{
     analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport,
 };

@@ -449,8 +449,8 @@ fn check_partition(n: usize, groups: &[Vec<usize>]) -> Result<(), RunError> {
     Ok(())
 }
 
-/// Shared state of the batched partitioned executor (mirrors the
-/// threaded one: all rings under one lock, taken per macro-sweep).
+/// Shared state of the batched partitioned executor: all rings under
+/// one lock, taken once per macro-sweep of a worker's whole block.
 struct BatchState {
     rings: Vec<Ring>,
     failure: Option<RunError>,
@@ -461,6 +461,24 @@ struct BatchEngine {
     /// One wakeup per group.
     wakeups: Vec<Condvar>,
     aborted: AtomicBool,
+}
+
+/// Per-process neighbour sets from a plan's endpoint tables.
+fn neighbour_sets(plan: &BatchPlan, n_procs: usize) -> Vec<Vec<usize>> {
+    let mut neighbours: Vec<Vec<usize>> = vec![Vec::new(); n_procs];
+    for c in 0..plan.widths.len() {
+        if let (Some(p), Some(q)) = (plan.producer_of[c], plan.consumer_of[c]) {
+            if p != q {
+                neighbours[p].push(q);
+                neighbours[q].push(p);
+            }
+        }
+    }
+    for nb in &mut neighbours {
+        nb.sort_unstable();
+        nb.dedup();
+    }
+    neighbours
 }
 
 /// The batched partitioned executor: the Sec. 8 refinement over
@@ -490,7 +508,7 @@ pub fn run_partitioned_batched(
     }
     // Which other groups to wake when a member's macro-step moves
     // values, dense by pid.
-    let neighbours = crate::threaded::neighbour_sets(plan, n);
+    let neighbours = neighbour_sets(plan, n);
     let neighbour_groups: Arc<Vec<Vec<usize>>> = Arc::new(
         (0..n)
             .map(|pid| {

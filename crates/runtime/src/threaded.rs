@@ -16,10 +16,8 @@
 //! the run with a structured [`RunError`] diagnosis instead of panicking
 //! the offending thread.
 
-use crate::batch::{BatchPlan, Ring};
 use crate::coop::{ProtocolViolation, RunError, RunStats};
-use crate::process::{ChanId, CommReq, Process, SinkBuffer, Value};
-use crate::procir::ProcIrModule;
+use crate::process::{ChanId, CommReq, Process, Value};
 use crate::record::{SharedRecorder, Transfer};
 use crate::schedule::YieldPlan;
 use parking_lot::{Condvar, Mutex};
@@ -325,145 +323,6 @@ pub fn run_threaded_perturbed(
     })
 }
 
-/// Shared state of the batched threaded executor: all rings live under
-/// one lock (ring traffic is batched, so the lock is taken once per
-/// macro-step, not once per value — that is the entire point).
-struct BatchState {
-    rings: Vec<Ring>,
-    failure: Option<RunError>,
-}
-
-struct BatchEngine {
-    state: Mutex<BatchState>,
-    /// One wakeup per process.
-    wakeups: Vec<Condvar>,
-    /// Per process: the peers sharing a channel with it, so a thread
-    /// that moved values wakes exactly the threads that might now be
-    /// unblocked (derived from the plan's endpoint tables).
-    neighbours: Vec<Vec<usize>>,
-    labels: Vec<String>,
-    aborted: AtomicBool,
-}
-
-impl BatchEngine {
-    /// Record a fatal diagnosis, wake everyone, and return the error.
-    fn abort(&self, st: &mut BatchState, err: RunError) -> RunError {
-        self.aborted.store(true, Ordering::Relaxed);
-        if st.failure.is_none() {
-            st.failure = Some(err.clone());
-        }
-        for w in &self.wakeups {
-            w.notify_one();
-        }
-        err
-    }
-}
-
-/// Per-process neighbour sets from a plan's endpoint tables.
-pub(crate) fn neighbour_sets(plan: &BatchPlan, n_procs: usize) -> Vec<Vec<usize>> {
-    let mut neighbours: Vec<Vec<usize>> = vec![Vec::new(); n_procs];
-    for c in 0..plan.widths.len() {
-        if let (Some(p), Some(q)) = (plan.producer_of[c], plan.consumer_of[c]) {
-            if p != q {
-                neighbours[p].push(q);
-                neighbours[q].push(p);
-            }
-        }
-    }
-    for nb in &mut neighbours {
-        nb.sort_unstable();
-        nb.dedup();
-    }
-    neighbours
-}
-
-/// The batched threaded executor: one OS thread per process as in
-/// [`run_threaded`], but each thread drives `ProcVm::macro_step` over
-/// the plan's shared rings instead of offering rendezvous sets — one
-/// lock acquisition retires a whole batch of transfers. Semantics are
-/// pinned to the unbatched executor (`tests/batching.rs`): stores
-/// bit-identical, `messages`/`steps` the same logical counts, `rounds`
-/// reported as 0 (no virtual clock). As in [`run_threaded`], a blown
-/// `timeout` on any single wait reports instead of hanging.
-pub fn run_threaded_batched(
-    module: &Arc<ProcIrModule>,
-    plan: &BatchPlan,
-    timeout: Duration,
-) -> Result<(RunStats, Vec<SinkBuffer>), RunError> {
-    debug_assert!(plan.batchable(), "caller checks BatchPlan::batchable");
-    let (vms, outputs) = module.instantiate_vms();
-    let n = vms.len();
-    let labels: Vec<String> = (0..n).map(|pid| module.label_of(pid).to_string()).collect();
-    let engine = Arc::new(BatchEngine {
-        state: Mutex::new(BatchState {
-            rings: plan.rings(),
-            failure: None,
-        }),
-        wakeups: (0..n).map(|_| Condvar::new()).collect(),
-        neighbours: neighbour_sets(plan, n),
-        labels,
-        aborted: AtomicBool::new(false),
-    });
-    let mut handles = Vec::with_capacity(n);
-    for (pid, mut vm) in vms.into_iter().enumerate() {
-        let engine = engine.clone();
-        let h = std::thread::Builder::new()
-            .name(format!("systolic-batch-{pid}"))
-            .stack_size(128 * 1024)
-            .spawn(move || -> Result<RunStats, RunError> {
-                let mut stats = RunStats::default();
-                let mut st = engine.state.lock();
-                loop {
-                    let mut moved = 0u64;
-                    let done = vm.macro_step(&mut st.rings, &mut stats, &mut moved);
-                    if moved > 0 {
-                        for &nb in &engine.neighbours[pid] {
-                            engine.wakeups[nb].notify_one();
-                        }
-                    }
-                    if done {
-                        return Ok(stats);
-                    }
-                    if engine.aborted.load(Ordering::Relaxed) {
-                        return Err(RunError::Aborted);
-                    }
-                    if engine.wakeups[pid].wait_for(&mut st, timeout).timed_out() {
-                        let err = RunError::Timeout {
-                            scope: format!("process {pid} ({})", engine.labels[pid]),
-                        };
-                        return Err(engine.abort(&mut st, err));
-                    }
-                }
-            })
-            .expect("spawn systolic batch thread");
-        handles.push(h);
-    }
-    let mut total = RunStats {
-        rounds: 0,
-        messages: 0,
-        processes: n,
-        steps: 0,
-    };
-    let mut first_err = None;
-    for (pid, h) in handles.into_iter().enumerate() {
-        match h.join().map_err(|_| RunError::Panicked {
-            scope: format!("process {pid}"),
-        }) {
-            Ok(Ok(s)) => {
-                total.messages += s.messages;
-                total.steps += s.steps;
-            }
-            Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    if let Some(e) = first_err {
-        // The root cause, not whichever thread's abort joined first.
-        let st = engine.state.lock();
-        return Err(st.failure.clone().unwrap_or(e));
-    }
-    Ok((total, outputs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,57 +431,6 @@ mod tests {
             assert_eq!(*outs[0].lock(), vec![1, 2, 3, 4], "seed {seed}");
             assert_eq!(stats.messages, 8, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn batched_threaded_matches_unbatched_logical_stats() {
-        let build = || {
-            let mut b = ProcIrBuilder::new();
-            b.source(0, &(0..40).collect::<Vec<_>>(), "src");
-            b.relay(0, 1, 40, "relay");
-            b.sink(1, 40, "sink");
-            b.build(None)
-        };
-        let module = build();
-        let inst = module.instantiate();
-        let base = run_threaded(inst.procs, T).unwrap();
-        let base_out = inst.outputs[0].lock().clone();
-
-        let plan = crate::batch::analyze(&module);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let (stats, outs) = run_threaded_batched(&module, &plan, T).unwrap();
-        assert_eq!(*outs[0].lock(), base_out, "stores bit-identical");
-        assert_eq!(stats.messages, base.messages, "logical messages invariant");
-        assert_eq!(stats.steps, base.steps, "logical steps invariant");
-        assert_eq!(stats.rounds, 0, "no virtual clock");
-    }
-
-    #[test]
-    fn batched_threaded_cycle_times_out_instead_of_hanging() {
-        use crate::procir::ProcOp;
-        let mut b = ProcIrBuilder::new();
-        b.begin("fwd");
-        b.op(ProcOp::Pass {
-            inp: 0,
-            out: 1,
-            n: 2,
-        });
-        b.finish();
-        b.begin("bwd");
-        b.op(ProcOp::Pass {
-            inp: 1,
-            out: 0,
-            n: 2,
-        });
-        b.finish();
-        let module = b.build(None);
-        let plan = crate::batch::analyze(&module);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let err = run_threaded_batched(&module, &plan, Duration::from_millis(50)).unwrap_err();
-        assert!(
-            matches!(err, RunError::Timeout { .. } | RunError::Aborted),
-            "{err}"
-        );
     }
 
     #[test]

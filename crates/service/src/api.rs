@@ -174,7 +174,7 @@ pub struct RunRequest {
     pub sizes: Vec<i64>,
     /// Seed the named input variables are filled from
     /// (`HostStore::fill_random(name, seed + i)` in declaration order —
-    /// the same convention as `verify_equivalence`, so oracles can
+    /// `systolic_interp::seeded_store`'s convention, so oracles can
     /// reproduce the data exactly).
     pub seed: u64,
     /// Input variables to fill; `None` uses the design's registry
@@ -192,7 +192,7 @@ pub struct RunRequest {
     /// fail (naming the engine) on any store mismatch.
     pub verify: bool,
     /// Adversarial schedule `{policy, seed}`; non-FIFO policies run on
-    /// the cooperative engine (see `systolic_interp::facade`).
+    /// the cooperative engine (see `systolic_interp::SimSpec::sched`).
     pub schedule: Option<(String, u64)>,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The multi-tenant simulation service (ROADMAP item 1, "a service
 //! powering millions of users", `docs/service.md`): an HTTP/1.1 + JSON
-//! front end over the [`systolic_interp::facade`]. The engine treats
+//! front end over [`systolic_interp::simulate`]. The engine treats
 //! the systolic array the way Delaval et al. treat a distributed
 //! synchronous program — a long-lived shared resource, not a one-shot
 //! run: elaborated modules stay hot in a service-owned
@@ -34,11 +34,10 @@ use api::{ApiError, OutputKind, ProgramRef, RunRequest};
 use pool::Pool;
 use systolic_core::{compile, Options as CoreOptions, SystolicProgram};
 use systolic_interp::{
-    observe_plan_in, simulate, simulate_verified, ExecutorChoice, ModuleStore, SimSpec,
+    observe_plan_in, seeded_store, simulate, simulate_verified, ExecutorChoice, ModuleStore,
+    SimSpec,
 };
-use systolic_ir::HostStore;
 use systolic_math::Env;
-use systolic_runtime::ChannelPolicy;
 use systolic_sim::{policy_by_name, Json, PlanSubject, ScheduleFile};
 
 /// Capacity and policy knobs. Defaults suit a small box; `load_gen`'s
@@ -245,19 +244,22 @@ impl Service {
         for (&v, &val) in plan.source.sizes.iter().zip(&req.sizes) {
             env.bind(v, val);
         }
-        let mut store = HostStore::allocate(&plan.source, &env);
-        let inputs: Vec<String> = match &req.inputs {
-            Some(list) => list.clone(),
-            None => resolved.default_inputs.clone(),
-        };
-        for (i, name) in inputs.iter().enumerate() {
-            if store.try_get(name).is_none() {
-                return Err(ApiError::bad_request(format!(
-                    "unknown input variable '{name}'"
-                )));
-            }
-            store.fill_random(name, req.seed.wrapping_add(i as u64), -9, 9);
+        let inputs: Vec<&str> = req
+            .inputs
+            .as_ref()
+            .unwrap_or(&resolved.default_inputs)
+            .iter()
+            .map(String::as_str)
+            .collect();
+        if let Some(name) = inputs
+            .iter()
+            .find(|n| plan.source.variables.iter().all(|v| v.name != **n))
+        {
+            return Err(ApiError::bad_request(format!(
+                "unknown input variable '{name}'"
+            )));
         }
+        let store = seeded_store(plan, &env, &inputs, req.seed);
 
         match req.output {
             OutputKind::Stores => {
@@ -281,6 +283,7 @@ impl Service {
                     executor,
                     deadline: Duration::from_millis(deadline_ms),
                     sched,
+                    ..SimSpec::default()
                 };
                 let run = if req.verify {
                     simulate_verified(&self.modules, plan, &env, &store, spec)
@@ -289,35 +292,23 @@ impl Service {
                     simulate(&self.modules, plan, &env, &store, spec)
                         .map_err(|e| ApiError::from_exec_error(&e))?
                 };
+                // The engine that ran, which a non-FIFO schedule makes
+                // `coop` whatever the request named.
                 Ok(api::render_stores(
                     &resolved.label,
-                    executor.label(),
+                    run.engine,
                     &run,
                     req.verify,
                 ))
             }
             OutputKind::Metrics => {
-                let obs = observe_plan_in(
-                    &self.modules,
-                    plan,
-                    &env,
-                    &store,
-                    ChannelPolicy::Rendezvous,
-                    &Default::default(),
-                )
-                .map_err(|e| ApiError::from_exec_error(&e))?;
+                let obs = observe_plan_in(&self.modules, plan, &env, &store, SimSpec::default())
+                    .map_err(|e| ApiError::from_exec_error(&e))?;
                 Ok(obs.metrics_json())
             }
             OutputKind::Trace => {
-                let obs = observe_plan_in(
-                    &self.modules,
-                    plan,
-                    &env,
-                    &store,
-                    ChannelPolicy::Rendezvous,
-                    &Default::default(),
-                )
-                .map_err(|e| ApiError::from_exec_error(&e))?;
+                let obs = observe_plan_in(&self.modules, plan, &env, &store, SimSpec::default())
+                    .map_err(|e| ApiError::from_exec_error(&e))?;
                 Ok(obs.perfetto_json)
             }
         }

@@ -14,8 +14,7 @@ use crate::json::{parse, Json};
 use crate::policy::{policy_by_name, RecordingPolicy, ReplayPolicy, ScheduleLog, ScheduleRound};
 use std::sync::Arc;
 use systolic_core::SystolicProgram;
-use systolic_interp::{ElabOptions, ModuleStore};
-use systolic_ir::HostStore;
+use systolic_interp::{seeded_store, ElabOptions, ModuleStore};
 use systolic_math::Env;
 use systolic_runtime::{
     canonicalize_transfers, first_divergence, shared, sink_buffer, ChanId, ChannelPolicy, CommReq,
@@ -71,10 +70,7 @@ impl PlanSubject {
         for (&s, &v) in plan.source.sizes.iter().zip(sizes) {
             env.bind(s, v);
         }
-        let mut store = HostStore::allocate(&plan.source, &env);
-        for (i, name) in inputs.iter().enumerate() {
-            store.fill_random(name, input_seed.wrapping_add(i as u64), -9, 9);
-        }
+        let store = seeded_store(plan, &env, inputs, input_seed);
         let cm = ModuleStore::global()
             .module(plan, &env, &store, &ElabOptions::default())
             .map_err(|e| format!("elaboration failed: {e}"))?;
@@ -722,12 +718,12 @@ mod tests {
     #[test]
     fn adversarial_policies_close_the_wavefront_gate_without_changing_results() {
         // The DST policy matrix must also exercise the *engine selection*
-        // gate: attaching any non-FIFO policy to `run_plan_batch` under
-        // full-auto modes forces the run off both the batched and the
-        // wavefront fast paths (the policies permute a per-round worklist
-        // that those engines do not have), while the recovered store and
-        // the logical statistics stay bit-identical to the wavefront run.
-        use systolic_interp::{run_plan_batch, BatchMode, OptMode, WavefrontMode};
+        // gate: attaching any non-FIFO policy to a full-auto `simulate`
+        // forces the run off both the batched and the wavefront fast
+        // paths (the policies permute a per-round worklist that those
+        // engines do not have), while the recovered store and the
+        // logical statistics stay bit-identical to the wavefront run.
+        use systolic_interp::{simulate, SimSpec};
         let spec = registry().remove(2); // E.1
         let (_, p, a) = systolic_synthesis::placement::paper::all()
             .into_iter()
@@ -738,24 +734,13 @@ mod tests {
         for (&s, &v) in plan.source.sizes.iter().zip(&spec.sizes) {
             env.bind(s, v);
         }
-        let mut store = HostStore::allocate(&plan.source, &env);
-        for (i, name) in spec.inputs.iter().enumerate() {
-            store.fill_random(name, spec.input_seed.wrapping_add(i as u64), -9, 9);
-        }
+        let store = seeded_store(&plan, &env, &spec.inputs, spec.input_seed);
         let run_with = |sched: Option<Box<dyn SchedulePolicy>>| {
-            run_plan_batch(
-                &plan,
-                &env,
-                &store,
-                ChannelPolicy::Rendezvous,
-                &ElabOptions::default(),
-                BatchMode::Auto,
-                OptMode::Auto,
-                WavefrontMode::Auto,
+            let spec = SimSpec {
                 sched,
-                &[],
-            )
-            .unwrap()
+                ..SimSpec::default()
+            };
+            simulate(ModuleStore::global(), &plan, &env, &store, spec).unwrap()
         };
         let fast = run_with(None);
         assert!(fast.wavefront, "E.1 must take the wavefront fast path");

@@ -12,14 +12,13 @@
 //! ```
 
 use systolizer::core::{compile, Options};
-use systolizer::interp::{run_plan, ElabOptions};
+use systolizer::interp::{simulate, ElabOptions, ModuleStore, SimSpec};
 use systolizer::ir::expr::build::*;
 use systolizer::ir::{
     program::covering_bounds, seq, BasicStatement, HostStore, IndexedVar, Loop, SourceProgram,
     Stream,
 };
 use systolizer::math::{Affine, Env, Matrix, VarTable};
-use systolizer::runtime::ChannelPolicy;
 
 fn lockstep_program() -> SourceProgram {
     let mut vars = VarTable::new();
@@ -96,23 +95,22 @@ fn main() {
     seq::run(&p, &env, &mut expected);
 
     println!("--- the paper's sequential-phase protocol ---");
-    match run_plan(
-        &plan,
-        &env,
-        &store,
-        ChannelPolicy::Rendezvous,
-        &ElabOptions::default(),
-    ) {
+    let ms = ModuleStore::global();
+    match simulate(ms, &plan, &env, &store, SimSpec::plain()) {
         Ok(_) => println!("(completed — unexpected on this design)"),
         Err(d) => println!("{d}\n"),
     }
 
     println!("--- split-propagation protocol (per-stream escorts) ---");
-    let opts = ElabOptions {
+    let elab = ElabOptions {
         split_propagation: true,
         ..Default::default()
     };
-    let run = run_plan(&plan, &env, &store, ChannelPolicy::Rendezvous, &opts).unwrap();
+    let spec = SimSpec {
+        elab,
+        ..SimSpec::plain()
+    };
+    let run = simulate(ms, &plan, &env, &store, spec).unwrap();
     let ok = run.store.get("c") == expected.get("c");
     println!(
         "completed: {} processes ({} escorts), {} rounds; matches sequential: {ok}",

@@ -11,8 +11,8 @@
 //! ```
 
 use std::time::{Duration, Instant};
-use systolizer::interp::run_plan_partitioned;
-use systolizer::ir::{seq, HostStore};
+use systolizer::interp::{seeded_store, simulate, ExecutorChoice, ModuleStore, SimSpec};
+use systolizer::ir::seq;
 use systolizer::synthesis::placement::paper;
 use systolizer::{systolize, PlaceChoice, SystolizeOptions};
 
@@ -29,9 +29,7 @@ fn main() {
 
     let n = 8i64;
     let env = sys.size_env(&[n]);
-    let mut store = HostStore::allocate(&sys.source, &env);
-    store.fill_random("a", 11, -9, 9);
-    store.fill_random("b", 12, -9, 9);
+    let store = seeded_store(&sys.plan, &env, &["a", "b"], 11);
     let mut expected = store.clone();
     seq::run(&sys.source, &env, &mut expected);
 
@@ -41,8 +39,13 @@ fn main() {
         "workers", "procs", "wall", "agree"
     );
     for workers in [1usize, 2, 4, 8] {
+        let spec = SimSpec {
+            executor: ExecutorChoice::Partitioned { workers },
+            deadline: Duration::from_secs(120),
+            ..SimSpec::plain()
+        };
         let t0 = Instant::now();
-        let run = run_plan_partitioned(&sys.plan, &env, &store, workers, Duration::from_secs(120))
+        let run = simulate(ModuleStore::global(), &sys.plan, &env, &store, spec)
             .expect("partitioned run");
         let wall = t0.elapsed();
         let agree = run.store.get("c") == expected.get("c");

@@ -8,8 +8,8 @@
 //! ```
 
 use std::time::{Duration, Instant};
-use systolizer::interp;
-use systolizer::ir::{seq, HostStore};
+use systolizer::interp::{seeded_store, simulate, ExecutorChoice, ModuleStore, SimSpec};
+use systolizer::ir::seq;
 use systolizer::synthesis::placement::paper;
 use systolizer::{systolize, PlaceChoice, SystolizeOptions};
 
@@ -27,9 +27,7 @@ fn main() {
     );
     for n in [4i64, 6, 8] {
         let env = sys.size_env(&[n]);
-        let mut store = HostStore::allocate(&sys.source, &env);
-        store.fill_random("a", 1, -9, 9);
-        store.fill_random("b", 2, -9, 9);
+        let store = seeded_store(&sys.plan, &env, &["a", "b"], 1);
 
         let t0 = Instant::now();
         let mut expected = store.clone();
@@ -40,9 +38,13 @@ fn main() {
         let coop = sys.run(&[n], &store).unwrap();
         let t_coop = t0.elapsed();
 
+        let spec = SimSpec {
+            executor: ExecutorChoice::Threaded,
+            deadline: Duration::from_secs(60),
+            ..SimSpec::plain()
+        };
         let t0 = Instant::now();
-        let threaded =
-            interp::run_plan_threaded(&sys.plan, &env, &store, Duration::from_secs(60)).unwrap();
+        let threaded = simulate(ModuleStore::global(), &sys.plan, &env, &store, spec).unwrap();
         let t_thr = t0.elapsed();
 
         let agree = coop.store.get("c") == expected.get("c")

@@ -1,8 +1,13 @@
 //! The command-line driver's argument handling and command execution,
-//! factored out of `main` for testability.
+//! factored out of `main` for testability. One static table ([`FLAGS`])
+//! says which flag belongs to which subcommand and what it accepts;
+//! argument validation, [`build_sim_spec`] and [`usage`] all read it.
 
 use crate::{systolize_source, PlaceChoice, SystolizeOptions};
-use systolic_interp::ElabOptions;
+use systolic_interp::{
+    seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, KernelMode, ModuleStore,
+    OptMode, SimSpec, WavefrontMode,
+};
 
 /// Parsed command-line invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -12,38 +17,320 @@ pub struct Invocation {
     pub flags: Vec<(String, String)>,
 }
 
-/// Parse raw arguments (after the binary name). `None` on malformed
-/// input (flag without a value, missing command/file). `replay` takes no
-/// positional: its `--schedule <file>` value *is* the file to read.
-/// `serve` takes no file at all — the service compiles programs sent
-/// over the wire.
-pub fn parse_args(raw: &[String]) -> Option<Invocation> {
+/// The subcommands: name, positional argument, one-line help.
+const COMMANDS: &[(&str, &str, &str)] = &[
+    ("compile", "<file>", "print the derived distributed program"),
+    (
+        "run",
+        "<file>",
+        "simulate at --sizes and compare with the sequential result",
+    ),
+    ("verify", "<file>", "same as run"),
+    (
+        "describe",
+        "<file>",
+        "process layout and network map at --sizes",
+    ),
+    (
+        "explore",
+        "<file>",
+        "design-space table; with --schedules, adversarial schedule exploration; \
+         with --sweep-sizes, a size sweep",
+    ),
+    (
+        "replay",
+        "",
+        "replay the systolic-schedule-v1 counterexample named by --schedule",
+    ),
+    (
+        "serve",
+        "",
+        "run the HTTP simulation service (docs/service.md)",
+    ),
+];
+
+/// What a flag's value may be.
+enum Accepts {
+    /// One of a closed, `|`-separated set; where the flag has a default
+    /// it is the first.
+    OneOf(&'static str),
+    /// Free-form, checked by the command; the string is the placeholder.
+    Any(&'static str),
+}
+use Accepts::{Any, OneOf};
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    /// The subcommands that take it.
+    commands: &'static [&'static str],
+    accepts: Accepts,
+    help: &'static str,
+}
+
+const FRONT_END: &[&str] = &["compile", "run", "verify", "describe", "explore"];
+const SEEDED: &[&str] = &["compile", "run", "verify", "explore"];
+const RUNS: &[&str] = &["run", "verify"];
+/// `explore` takes the engine flags for interface uniformity; its runs
+/// always use the plain engine (schedule policies and the round recorder
+/// close the fast-path gate).
+const ENGINE: &[&str] = &["run", "verify", "explore"];
+const EXPLORE: &[&str] = &["explore"];
+const SERVE: &[&str] = &["serve"];
+
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "place",
+        commands: FRONT_END,
+        accepts: Any("auto|proj:C,C,.."),
+        help: "search, or project along a direction",
+    },
+    Flag {
+        name: "bound",
+        commands: FRONT_END,
+        accepts: Any("B"),
+        help: "coefficient bound of the schedule search (default 2)",
+    },
+    Flag {
+        name: "sample",
+        commands: FRONT_END,
+        accepts: Any("N"),
+        help: "sample size for validation and schedule ranking",
+    },
+    Flag {
+        name: "emit",
+        commands: &["compile"],
+        accepts: OneOf("paper|occam|c|report|rust"),
+        help: "notation; rust needs --sizes",
+    },
+    Flag {
+        name: "sizes",
+        commands: FRONT_END,
+        accepts: Any("N[,M..]"),
+        help: "problem sizes, in declaration order",
+    },
+    Flag {
+        name: "seed",
+        commands: SEEDED,
+        accepts: Any("S"),
+        help: "seed of the input data (default 42)",
+    },
+    Flag {
+        name: "protocol",
+        commands: RUNS,
+        accepts: OneOf("paper|split"),
+        help: "the paper's phases, or split propagation",
+    },
+    Flag {
+        name: "merge-io",
+        commands: RUNS,
+        accepts: OneOf("no|yes"),
+        help: "merge each stream's host i/o processes into one",
+    },
+    Flag {
+        name: "batch",
+        commands: ENGINE,
+        accepts: OneOf("auto|off"),
+        help: "steady-state batching (docs/scheduler.md)",
+    },
+    Flag {
+        name: "opt",
+        commands: &["compile", "run", "verify", "explore"],
+        accepts: OneOf("auto|off"),
+        help: "ProcIR optimizer; off by default for --emit rust",
+    },
+    Flag {
+        name: "wavefront",
+        commands: ENGINE,
+        accepts: OneOf("auto|off|par"),
+        help: "wavefront executor; par uses pool threads",
+    },
+    Flag {
+        name: "kernel",
+        commands: ENGINE,
+        accepts: OneOf("auto|off"),
+        help: "compiled wave kernels (docs/kernels.md)",
+    },
+    Flag {
+        name: "opt-report",
+        commands: RUNS,
+        accepts: Any("PATH"),
+        help: "write the systolic-opt-v1 optimizer report",
+    },
+    Flag {
+        name: "metrics",
+        commands: RUNS,
+        accepts: Any("PATH"),
+        help: "write a systolic-metrics-v1 report",
+    },
+    Flag {
+        name: "trace-out",
+        commands: RUNS,
+        accepts: Any("PATH"),
+        help: "write a Chrome trace_event file (ui.perfetto.dev)",
+    },
+    Flag {
+        name: "schedules",
+        commands: EXPLORE,
+        accepts: Any("N"),
+        help: "N seeds x 3 adversarial schedules (docs/testing.md)",
+    },
+    Flag {
+        name: "out",
+        commands: EXPLORE,
+        accepts: Any("PATH"),
+        help: "counterexample file (default counterexample.json)",
+    },
+    Flag {
+        name: "sweep-sizes",
+        commands: EXPLORE,
+        accepts: Any("LO:HI"),
+        help: "run every size in the range off one skeleton",
+    },
+    Flag {
+        name: "schedule",
+        commands: &["replay"],
+        accepts: Any("FILE"),
+        help: "the systolic-schedule-v1 file to replay",
+    },
+    Flag {
+        name: "addr",
+        commands: SERVE,
+        accepts: Any("HOST:PORT"),
+        help: "listen address (default 127.0.0.1:8077)",
+    },
+    Flag {
+        name: "workers",
+        commands: SERVE,
+        accepts: Any("N"),
+        help: "simulation worker threads",
+    },
+    Flag {
+        name: "queue-cap",
+        commands: SERVE,
+        accepts: Any("N"),
+        help: "backpressure queue depth",
+    },
+    Flag {
+        name: "max-size",
+        commands: SERVE,
+        accepts: Any("N"),
+        help: "largest accepted problem size",
+    },
+    Flag {
+        name: "deadline-ms",
+        commands: SERVE,
+        accepts: Any("MS"),
+        help: "default request deadline",
+    },
+];
+
+impl Flag {
+    /// `--name VALUES`, as usage and error messages print it.
+    fn synopsis(&self) -> String {
+        let (OneOf(values) | Any(values)) = self.accepts;
+        format!("--{} {values}", self.name)
+    }
+
+    /// Where `value` stands in a closed set (free-form values pass as 0).
+    fn index_of(&self, value: &str) -> Result<usize, String> {
+        let OneOf(values) = self.accepts else {
+            return Ok(0);
+        };
+        values
+            .split('|')
+            .position(|v| v == value)
+            .ok_or_else(|| format!("bad --{} value {value} (accepted: {values})", self.name))
+    }
+}
+
+/// The usage text: every subcommand and every row of the flag table.
+pub fn usage() -> String {
+    use std::fmt::Write as _;
+    let mut out =
+        String::from("usage: systolizer <command> [<file>] [--flag VALUE]...\n\ncommands:\n");
+    for (name, positional, help) in COMMANDS {
+        let _ = writeln!(out, "  {:<16} {help}", format!("{name} {positional}"));
+    }
+    out.push_str("\nflags (and the commands that take them):\n");
+    for f in FLAGS {
+        let on = f.commands.join(" ");
+        let _ = writeln!(out, "  {:<34} {} [{on}]", f.synopsis(), f.help);
+    }
+    out
+}
+
+/// The flags `command` takes, for error messages.
+fn flags_of(command: &str) -> String {
+    FLAGS
+        .iter()
+        .filter(|f| f.commands.contains(&command))
+        .map(|f| format!("--{}", f.name))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// Parse and validate raw arguments (after the binary name) against
+/// [`COMMANDS`] and [`FLAGS`]. The error names the offending command,
+/// flag or value and lists what is accepted. `replay` takes no
+/// positional: its `--schedule` value *is* the file to read. `serve`
+/// takes no file at all — the service compiles programs sent over the
+/// wire.
+pub fn parse_args(raw: &[String]) -> Result<Invocation, String> {
     let mut it = raw.iter();
-    let command = it.next()?.clone();
+    let command = it.next().ok_or("no command given")?.clone();
+    let positional = COMMANDS
+        .iter()
+        .find(|c| c.0 == command)
+        .map(|c| c.1)
+        .ok_or_else(|| {
+            let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+            format!("unknown command {command} (commands: {})", names.join(" "))
+        })?;
     let mut file = None;
     let mut flags = Vec::new();
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            flags.push((name.to_string(), it.next()?.clone()));
-        } else if file.is_none() {
+        let Some(name) = a.strip_prefix("--") else {
+            if positional.is_empty() || file.is_some() {
+                return Err(format!("unexpected argument {a}"));
+            }
             file = Some(a.clone());
-        } else {
-            return None; // extra positional argument
+            continue;
+        };
+        let flag = FLAGS.iter().find(|f| f.name == name).ok_or_else(|| {
+            format!(
+                "unknown flag --{name} ({command} takes: {})",
+                flags_of(&command)
+            )
+        })?;
+        if !flag.commands.contains(&command.as_str()) {
+            return Err(format!(
+                "--{name} belongs to {}, not to {command} ({command} takes: {})",
+                flag.commands.join("/"),
+                flags_of(&command)
+            ));
         }
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{} needs its value", flag.synopsis()))?;
+        flag.index_of(value)?;
+        flags.push((name.to_string(), value.clone()));
     }
-    let file = file
-        .or_else(|| {
-            flags
-                .iter()
-                .find(|(n, _)| n == "schedule")
-                .map(|(_, v)| v.clone())
-        })
-        .or_else(|| (command == "serve").then(String::new))?;
-    Some(Invocation {
+    let mut inv = Invocation {
         command,
-        file,
+        file: String::new(),
         flags,
-    })
+    };
+    inv.file = match (inv.command.as_str(), file) {
+        (_, Some(f)) => f,
+        ("replay", None) => inv
+            .flag("schedule")
+            .ok_or("replay needs --schedule FILE")?
+            .to_string(),
+        ("serve", None) => String::new(),
+        (c, None) => return Err(format!("{c} needs a <file>")),
+    };
+    Ok(inv)
 }
 
 impl Invocation {
@@ -52,6 +339,14 @@ impl Invocation {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
+    }
+
+    /// Which of a closed-set flag's accepted values was given: its index
+    /// in the table row, 0 (the default) when the flag is absent.
+    fn choice(&self, name: &str) -> Result<usize, String> {
+        let row = FLAGS.iter().find(|f| f.name == name);
+        let row = row.expect("a row of the flag table");
+        self.flag(name).map_or(Ok(0), |v| row.index_of(v))
     }
 }
 
@@ -81,74 +376,24 @@ pub fn build_options(inv: &Invocation) -> Option<SystolizeOptions> {
     Some(opts)
 }
 
-/// Build elaboration (protocol) options from flags: `--protocol
-/// paper|split`, `--merge-io yes|no`.
-pub fn build_elab_options(inv: &Invocation) -> Option<ElabOptions> {
-    let mut opts = ElabOptions::default();
-    match inv.flag("protocol") {
-        None | Some("paper") => {}
-        Some("split") => opts.split_propagation = true,
-        Some(_) => return None,
-    }
-    match inv.flag("merge-io") {
-        None | Some("no") => {}
-        Some("yes") => opts.merge_io = true,
-        Some(_) => return None,
-    }
-    Some(opts)
-}
-
-/// Parse `--batch auto|off` (default `auto`): whether the steady-state
-/// batching fast path may engage on eligible runs (see
-/// `docs/scheduler.md`). `None` on any other value.
-pub fn build_batch_mode(inv: &Invocation) -> Option<systolic_interp::BatchMode> {
-    match inv.flag("batch") {
-        None | Some("auto") => Some(systolic_interp::BatchMode::Auto),
-        Some("off") => Some(systolic_interp::BatchMode::Off),
-        Some(_) => None,
-    }
-}
-
-/// Parse `--opt auto|off` (default `auto`): whether the ProcIR optimizer
-/// (relay-chain fusion into delay rings, see `docs/process-ir.md`) may
-/// rewrite the module before a batched run. `--opt off` is the exactness
-/// oracle: stats keep the unfused message/step counts. `None` on any
-/// other value.
-pub fn build_opt_mode(inv: &Invocation) -> Option<systolic_interp::OptMode> {
-    match inv.flag("opt") {
-        None | Some("auto") => Some(systolic_interp::OptMode::Auto),
-        Some("off") => Some(systolic_interp::OptMode::Off),
-        Some(_) => None,
-    }
-}
-
-/// Parse `--wavefront auto|off|par` (default `auto`): whether the
-/// wavefront executor (topologically staged chunk sweeps, see
-/// `docs/wavefront.md`) may replace the batched macro-sweep on eligible
-/// runs, and whether its chunks run on scoped threads (`par`). The
-/// fallback ladder is wavefront → batched → plain; stores and logical
-/// message/step counts are invariant across all rungs. `None` on any
-/// other value.
-pub fn build_wavefront_mode(inv: &Invocation) -> Option<systolic_interp::WavefrontMode> {
-    match inv.flag("wavefront") {
-        None | Some("auto") => Some(systolic_interp::WavefrontMode::Auto),
-        Some("off") => Some(systolic_interp::WavefrontMode::Off),
-        Some("par") => Some(systolic_interp::WavefrontMode::Par),
-        Some(_) => None,
-    }
-}
-
-/// Parse `--kernel auto|off` (default `auto`): whether wavefront runs may
-/// execute eligible chunks through the compiled struct-of-arrays kernel
-/// (see `docs/kernels.md`) instead of scalar macro-steps. Stores and
-/// logical message/step counts are invariant either way; only wall clock
-/// changes. `None` on any other value.
-pub fn build_kernel_mode(inv: &Invocation) -> Option<systolic_interp::KernelMode> {
-    match inv.flag("kernel") {
-        None | Some("auto") => Some(systolic_interp::KernelMode::Auto),
-        Some("off") => Some(systolic_interp::KernelMode::Off),
-        Some(_) => None,
-    }
+/// The simulation spec of a `run`/`verify` invocation: the engine gates
+/// (`--batch`, `--opt`, `--wavefront`, `--kernel`, all default `auto`)
+/// and the protocol variant (`--protocol`, `--merge-io`), each value
+/// mapped by its position in its [`FLAGS`] row.
+pub fn build_sim_spec(inv: &Invocation) -> Result<SimSpec, String> {
+    Ok(SimSpec {
+        batch: [BatchMode::Auto, BatchMode::Off][inv.choice("batch")?],
+        opt: [OptMode::Auto, OptMode::Off][inv.choice("opt")?],
+        wavefront: [WavefrontMode::Auto, WavefrontMode::Off, WavefrontMode::Par]
+            [inv.choice("wavefront")?],
+        kernel: [KernelMode::Auto, KernelMode::Off][inv.choice("kernel")?],
+        elab: ElabOptions {
+            split_propagation: inv.choice("protocol")? == 1,
+            merge_io: inv.choice("merge-io")? == 1,
+            ..ElabOptions::default()
+        },
+        ..SimSpec::default()
+    })
 }
 
 /// Execute an invocation; returns the text to print, or an error message.
@@ -177,22 +422,19 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                     // `--opt auto` routes through the delay-ring back
                     // end; `off` (the default here — the generated
                     // program is the paper's hand translation) does not.
-                    match inv.flag("opt") {
-                        None | Some("off") => Ok(systolic_interp::rustgen::generate_rust(
-                            &sys.plan, &env, seed,
-                        )),
-                        Some("auto") => Ok(systolic_interp::rustgen::generate_rust_opt(
-                            &sys.plan, &env, seed,
-                        )),
-                        Some(_) => Err("bad --opt value (auto|off)".into()),
-                    }
+                    let generate = match inv.flag("opt") {
+                        Some("auto") => systolic_interp::rustgen::generate_rust_opt,
+                        _ => systolic_interp::rustgen::generate_rust,
+                    };
+                    Ok(generate(&sys.plan, &env, seed))
                 }
                 other => Err(format!("unknown --emit {other}")),
             }
         }
         "run" | "verify" => {
             let opts = build_options(inv).ok_or("bad options")?;
-            let elab = build_elab_options(inv).ok_or("bad protocol options")?;
+            let spec = build_sim_spec(inv)?;
+            let elab = spec.elab.clone();
             let sizes = inv
                 .flag("sizes")
                 .and_then(parse_sizes)
@@ -206,32 +448,22 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                     sizes.len()
                 ));
             }
-            let inputs: Vec<String> = sys
-                .source
-                .variables
-                .iter()
-                .map(|v| v.name.clone())
-                .collect();
-            let input_refs: Vec<&str> = inputs.iter().map(|s| s.as_str()).collect();
-            let batch = build_batch_mode(inv).ok_or("bad --batch value (auto|off)")?;
-            let opt = build_opt_mode(inv).ok_or("bad --opt value (auto|off)")?;
-            let wavefront =
-                build_wavefront_mode(inv).ok_or("bad --wavefront value (auto|off|par)")?;
-            let kernel = build_kernel_mode(inv).ok_or("bad --kernel value (auto|off)")?;
-            let (stats, batched, wavefronted, opt_report, kernel_report) = sys
-                .verify_batch_kernel(&sizes, &input_refs, seed, &elab, batch, opt, wavefront, kernel)
+            let env = sys.size_env(&sizes);
+            let store = seeded_store(&sys.plan, &env, &input_names(&sys), seed);
+            let ms = ModuleStore::global();
+            let run = simulate_verified(ms, &sys.plan, &env, &store, spec)
                 .map_err(|e| format!("FAILED: {e}"))?;
             // Kernels only show in the marker when they actually fused
             // waves — compiled-but-idle (or `--kernel off`) stays silent.
-            let kerneled = kernel_report.as_ref().is_some_and(|k| k.waves_fused > 0);
+            let kerneled = run.kernel.as_ref().is_some_and(|k| k.waves_fused > 0);
             let mut out = format!(
                 "OK: {} processes, {} scheduler rounds, {} logical messages, {} steps{}; \
                  systolic result == sequential result",
-                stats.processes,
-                stats.rounds,
-                stats.messages,
-                stats.steps,
-                match (wavefronted, kerneled, batched, &opt_report) {
+                run.stats.processes,
+                run.stats.rounds,
+                run.stats.messages,
+                run.stats.steps,
+                match (run.wavefront, kerneled, run.batched, &run.opt) {
                     (true, true, _, Some(_)) => " [wavefront+kernels+optimized]",
                     (true, true, _, None) => " [wavefront+kernels]",
                     (true, false, _, Some(_)) => " [wavefront+optimized]",
@@ -241,34 +473,31 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                     (false, _, false, _) => "",
                 }
             );
-            if let Some(report) = &opt_report {
+            if let Some(report) = &run.opt {
                 out.push_str(&format!("\noptimizer: {}", report.summary()));
             }
             if let Some(path) = inv.flag("opt-report") {
-                let base = opt_report
+                let base = run
+                    .opt
                     .as_ref()
                     .map(systolic_interp::OptReport::to_json)
                     .unwrap_or_else(|| "{\n  \"schema\": \"systolic-opt-v1\"\n}\n".to_string());
-                let json = splice_wavefront_section(&base, &sys, &sizes, seed, &input_refs, &elab)?;
+                let cm = ms
+                    .module(&sys.plan, &env, &store, &elab)
+                    .map_err(|e| e.to_string())?;
+                let json = splice_wavefront_section(&base, &cm)?;
                 std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
                 out.push_str(&format!("\noptimizer report: {path}"));
             }
             // Observability artifacts: re-run the same seeded problem
             // with recorders attached and write the requested files.
             if inv.flag("metrics").is_some() || inv.flag("trace-out").is_some() {
-                let env = sys.size_env(&sizes);
-                let mut store = systolic_ir::HostStore::allocate(&sys.source, &env);
-                for (i, name) in input_refs.iter().enumerate() {
-                    store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-                }
-                let obs = systolic_interp::observe_plan(
-                    &sys.plan,
-                    &env,
-                    &store,
-                    systolic_runtime::ChannelPolicy::Rendezvous,
-                    &elab,
-                )
-                .map_err(|e| format!("FAILED: {e}"))?;
+                let spec = SimSpec {
+                    elab,
+                    ..SimSpec::default()
+                };
+                let obs = systolic_interp::observe_plan_in(ms, &sys.plan, &env, &store, spec)
+                    .map_err(|e| format!("FAILED: {e}"))?;
                 if let Some(path) = inv.flag("metrics") {
                     std::fs::write(path, obs.metrics_json())
                         .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -303,16 +532,7 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
         "explore" => {
             // With --schedules N this is deterministic schedule
             // exploration (DST) of the compiled program; without it, the
-            // historical design-space exploration. `--batch` is accepted
-            // for interface uniformity but DST runs always take the
-            // unbatched engine: adversarial schedule policies and the
-            // round recorder both close the batching gate (and with it
-            // the optimizer and the wavefront executor, which ride the
-            // same gate).
-            let _ = build_batch_mode(inv).ok_or("bad --batch value (auto|off)")?;
-            let _ = build_opt_mode(inv).ok_or("bad --opt value (auto|off)")?;
-            let _ = build_wavefront_mode(inv).ok_or("bad --wavefront value (auto|off|par)")?;
-            let _ = build_kernel_mode(inv).ok_or("bad --kernel value (auto|off)")?;
+            // historical design-space exploration.
             if let Some(n) = inv.flag("schedules") {
                 let n: u64 = n.parse().map_err(|_| "--schedules needs a number")?;
                 return explore_schedules(inv, src, n);
@@ -354,6 +574,15 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
     }
 }
 
+/// Every variable of the source program: the CLI seeds them all.
+fn input_names(sys: &crate::Systolized) -> Vec<&str> {
+    sys.source
+        .variables
+        .iter()
+        .map(|v| v.name.as_str())
+        .collect()
+}
+
 /// Splice a `"wavefront"` section into an optimizer-report JSON document:
 /// whether the wavefront executor can take this module and, when it (or
 /// any channel) is disqualified, the per-channel ineligibility reasons
@@ -362,21 +591,9 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
 /// the written file exactly as before.
 fn splice_wavefront_section(
     base: &str,
-    sys: &crate::Systolized,
-    sizes: &[i64],
-    seed: u64,
-    inputs: &[&str],
-    elab: &ElabOptions,
+    cm: &systolic_interp::CachedModule,
 ) -> Result<String, String> {
     use std::fmt::Write as _;
-    let env = sys.size_env(sizes);
-    let mut store = systolic_ir::HostStore::allocate(&sys.source, &env);
-    for (i, name) in inputs.iter().enumerate() {
-        store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-    }
-    let cm = systolic_interp::ModuleStore::global()
-        .module(&sys.plan, &env, &store, elab)
-        .map_err(|e| e.to_string())?;
     let wp = cm.wavefront_plan();
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let mut sec = String::new();
@@ -439,19 +656,12 @@ fn explore_schedules(inv: &Invocation, src: &str, n_seeds: u64) -> Result<String
     if sizes.len() != sys.source.sizes.len() {
         return Err("size arity mismatch".into());
     }
-    let inputs: Vec<String> = sys
-        .source
-        .variables
-        .iter()
-        .map(|v| v.name.clone())
-        .collect();
-    let input_refs: Vec<&str> = inputs.iter().map(|s| s.as_str()).collect();
     let subject = systolic_sim::PlanSubject::from_plan(
         "source",
         Some(src.to_string()),
         &sys.plan,
         &sizes,
-        &input_refs,
+        &input_names(&sys),
         seed,
     )?;
     let cfg = systolic_sim::ExploreConfig::matrix(n_seeds);
@@ -503,13 +713,8 @@ fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, Stri
     if sys.source.sizes.len() != 1 {
         return Err("--sweep-sizes sweeps a single size parameter".into());
     }
-    let inputs: Vec<String> = sys
-        .source
-        .variables
-        .iter()
-        .map(|v| v.name.clone())
-        .collect();
-    let ms = systolic_interp::ModuleStore::global();
+    let inputs = input_names(&sys);
+    let ms = ModuleStore::global();
     let before = ms.stats();
     let mut out = String::new();
     let _ = writeln!(
@@ -524,23 +729,14 @@ fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, Stri
     let (mut elab_total, mut sim_total) = (0u128, 0u128);
     for n in lo..=hi {
         let env = sys.size_env(&[n]);
-        let mut store = systolic_ir::HostStore::allocate(&sys.source, &env);
-        for (i, name) in inputs.iter().enumerate() {
-            store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-        }
+        let store = seeded_store(&sys.plan, &env, &inputs, seed);
         let t = Instant::now();
         ms.module(&sys.plan, &env, &store, &ElabOptions::default())
             .map_err(|e| format!("n={n}: {e}"))?;
         let elab_us = t.elapsed().as_micros();
         let t = Instant::now();
-        let run = systolic_interp::run_plan(
-            &sys.plan,
-            &env,
-            &store,
-            systolic_runtime::ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .map_err(|e| format!("n={n}: {e}"))?;
+        let run = simulate(ms, &sys.plan, &env, &store, SimSpec::plain())
+            .map_err(|e| format!("n={n}: {e}"))?;
         let sim_us = t.elapsed().as_micros();
         elab_total += elab_us;
         sim_total += sim_us;
@@ -577,19 +773,12 @@ fn subject_from_schedule(
             .as_ref()
             .ok_or("schedule file has design \"source\" but no embedded program text")?;
         let sys = systolize_source(src, &SystolizeOptions::default()).map_err(|e| e.to_string())?;
-        let inputs: Vec<String> = sys
-            .source
-            .variables
-            .iter()
-            .map(|v| v.name.clone())
-            .collect();
-        let input_refs: Vec<&str> = inputs.iter().map(|s| s.as_str()).collect();
         Ok(Box::new(systolic_sim::PlanSubject::from_plan(
             "source",
             Some(src.clone()),
             &sys.plan,
             &file.sizes,
-            &input_refs,
+            &input_names(&sys),
             file.input_seed,
         )?))
     } else {
@@ -622,13 +811,19 @@ pub fn build_service_config(inv: &Invocation) -> Option<systolic_service::Servic
 /// running server. `main` blocks on the handle; tests shut it down.
 pub fn start_service(
     inv: &Invocation,
-) -> Result<(std::sync::Arc<systolic_service::Service>, systolic_service::http::ServerHandle), String>
-{
-    let cfg = build_service_config(inv)
-        .ok_or("bad serve flags (--workers/--queue-cap/--max-size/--deadline-ms take positive integers)")?;
+) -> Result<
+    (
+        std::sync::Arc<systolic_service::Service>,
+        systolic_service::http::ServerHandle,
+    ),
+    String,
+> {
+    let cfg = build_service_config(inv).ok_or(
+        "bad serve flags (--workers/--queue-cap/--max-size/--deadline-ms take positive integers)",
+    )?;
     let addr = inv.flag("addr").unwrap_or("127.0.0.1:8077");
-    let listener = std::net::TcpListener::bind(addr)
-        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let listener =
+        std::net::TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let service = systolic_service::Service::new(cfg);
     let handle = systolic_service::http::serve(std::sync::Arc::clone(&service), listener)
         .map_err(|e| format!("cannot serve: {e}"))?;
@@ -665,15 +860,52 @@ mod tests {
 
     #[test]
     fn rejects_malformed_args() {
-        assert!(parse_args(&args(&["compile"])).is_none(), "missing file");
+        let err = |raw: &[&str]| parse_args(&args(raw)).unwrap_err();
+        assert!(err(&["compile"]).contains("<file>"), "missing file");
+        assert!(err(&["compile", "f", "--emit"]).contains("--emit paper|"));
+        assert!(err(&["compile", "f", "g"]).contains("unexpected argument g"));
+        assert!(err(&["nonsense", "f"]).contains("unknown command nonsense"));
+    }
+
+    #[test]
+    fn flags_are_checked_against_the_table() {
+        let err = |raw: &[&str]| parse_args(&args(raw)).unwrap_err();
+        // A typo is an error that lists what the command takes.
+        let e = err(&["run", "f", "--sizes", "8", "--kernal", "off"]);
         assert!(
-            parse_args(&args(&["compile", "f", "--emit"])).is_none(),
-            "flag w/o value"
+            e.contains("unknown flag --kernal") && e.contains("--kernel"),
+            "{e}"
         );
-        assert!(
-            parse_args(&args(&["compile", "f", "g"])).is_none(),
-            "extra positional"
-        );
+        // A flag on the wrong subcommand says where it belongs.
+        let e = err(&["compile", "f", "--kernel", "off"]);
+        assert!(e.contains("--kernel belongs to run/verify/explore"), "{e}");
+        // A bad value names the flag and the accepted set, on every
+        // command that takes the flag.
+        for (flag, accepted) in [
+            ("batch", "auto|off"),
+            ("opt", "auto|off"),
+            ("wavefront", "auto|off|par"),
+            ("kernel", "auto|off"),
+            ("protocol", "paper|split"),
+        ] {
+            for command in ["verify", "explore"] {
+                if flag == "protocol" && command == "explore" {
+                    continue;
+                }
+                let e = err(&[command, "f", &format!("--{flag}"), "bogus"]);
+                assert!(e.contains(&format!("bad --{flag} value bogus")), "{e}");
+                assert!(e.contains(accepted), "{e}");
+            }
+        }
+        // The usage text is the table: every flag appears in it.
+        let text = usage();
+        for f in FLAGS {
+            assert!(
+                text.contains(&f.synopsis()),
+                "{} missing from usage",
+                f.name
+            );
+        }
     }
 
     #[test]
@@ -696,19 +928,9 @@ mod tests {
             "yes",
         ]))
         .unwrap();
-        let elab = build_elab_options(&inv).unwrap();
+        let elab = build_sim_spec(&inv).unwrap().elab;
         assert!(elab.split_propagation);
         assert!(elab.merge_io);
-        let inv = parse_args(&args(&[
-            "verify",
-            "f",
-            "--protocol",
-            "bogus",
-            "--sizes",
-            "3",
-        ]))
-        .unwrap();
-        assert!(build_elab_options(&inv).is_none());
     }
 
     #[test]
@@ -775,10 +997,6 @@ mod tests {
             t.split(" steps").next().unwrap().to_string()
         };
         assert_eq!(invariant(&auto), invariant(&off));
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--batch", "maybe"])).unwrap();
-        assert!(execute(&inv, SRC).unwrap_err().contains("--batch"));
-        let inv = parse_args(&args(&["explore", "f", "--batch", "bogus"])).unwrap();
-        assert!(execute(&inv, SRC).unwrap_err().contains("--batch"));
     }
 
     #[test]
@@ -815,11 +1033,6 @@ mod tests {
         let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--opt", "off"])).unwrap();
         let off = execute(&inv, SRC).unwrap();
         assert!(!off.contains("optimized"), "{off}");
-        // Bad values are messages on both commands.
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--opt", "max"])).unwrap();
-        assert!(execute(&inv, SRC).unwrap_err().contains("--opt"));
-        let inv = parse_args(&args(&["explore", "f", "--opt", "bogus"])).unwrap();
-        assert!(execute(&inv, SRC).unwrap_err().contains("--opt"));
     }
 
     #[test]
@@ -874,23 +1087,9 @@ mod tests {
         assert_eq!(invariant(&wf), invariant(&par));
         // With the optimizer on (kernels pinned off), the marker names
         // both engines.
-        let inv =
-            parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "off"])).unwrap();
+        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "off"])).unwrap();
         let both = execute(&inv, SRC).unwrap();
         assert!(both.contains("[wavefront+optimized]"), "{both}");
-        // Bad values are messages on both commands.
-        let inv = parse_args(&args(&[
-            "verify",
-            "f",
-            "--sizes",
-            "4",
-            "--wavefront",
-            "max",
-        ]))
-        .unwrap();
-        assert!(execute(&inv, SRC).unwrap_err().contains("--wavefront"));
-        let inv = parse_args(&args(&["explore", "f", "--wavefront", "bogus"])).unwrap();
-        assert!(execute(&inv, SRC).unwrap_err().contains("--wavefront"));
     }
 
     #[test]
@@ -921,11 +1120,6 @@ mod tests {
         let inv = parse_args(&args(&["verify", "f", "--sizes", "4"])).unwrap();
         let all = execute(&inv, SRC).unwrap();
         assert!(all.contains("[wavefront+kernels+optimized]"), "{all}");
-        // Bad values are messages on both commands.
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "max"])).unwrap();
-        assert!(execute(&inv, SRC).unwrap_err().contains("--kernel"));
-        let inv = parse_args(&args(&["explore", "f", "--kernel", "bogus"])).unwrap();
-        assert!(execute(&inv, SRC).unwrap_err().contains("--kernel"));
     }
 
     #[test]
@@ -1085,10 +1279,7 @@ mod tests {
         let inv = parse_args(&args(&["verify", "f", "--sizes", "3,4"])).unwrap();
         let err = execute(&inv, SRC).unwrap_err();
         assert!(err.contains("size parameter"));
-        let inv = parse_args(&args(&["compile", "f", "--emit", "brainfuck"])).unwrap();
-        assert!(execute(&inv, SRC).is_err());
-        let inv = parse_args(&args(&["nonsense", "f"])).unwrap();
-        assert!(execute(&inv, SRC).is_err());
+        assert!(parse_args(&args(&["compile", "f", "--emit", "brainfuck"])).is_err());
     }
 
     #[test]
@@ -1106,8 +1297,7 @@ mod tests {
     #[test]
     fn serve_boots_a_real_server_on_an_ephemeral_port() {
         use std::io::{Read as _, Write as _};
-        let inv = parse_args(&args(&["serve", "--addr", "127.0.0.1:0", "--workers", "1"]))
-            .unwrap();
+        let inv = parse_args(&args(&["serve", "--addr", "127.0.0.1:0", "--workers", "1"])).unwrap();
         let (_service, handle) = start_service(&inv).unwrap();
         let mut s = std::net::TcpStream::connect(handle.addr).unwrap();
         s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")

@@ -49,9 +49,13 @@ pub use systolic_synthesis as synthesis;
 
 use std::fmt;
 use systolic_core::{CompileError, Options as CoreOptions, SystolicProgram};
-use systolic_ir::{SourceProgram, StreamId};
+use systolic_interp::{
+    seeded_store, simulate, simulate_verified, ElabOptions, ExecError, ModuleStore, SimSpec,
+    SystolicRun,
+};
+use systolic_ir::{HostStore, SourceProgram, StreamId};
 use systolic_math::Env;
-use systolic_runtime::{ChannelPolicy, RunStats};
+use systolic_runtime::RunStats;
 use systolic_synthesis::SystolicArray;
 
 /// How to obtain the spatial distribution.
@@ -166,6 +170,14 @@ pub fn systolize(program: &SourceProgram, opts: &SystolizeOptions) -> Result<Sys
     })
 }
 
+/// The rendezvous reference engine under the given protocol variant.
+fn plain_spec(opts: &ElabOptions) -> SimSpec {
+    SimSpec {
+        elab: opts.clone(),
+        ..SimSpec::plain()
+    }
+}
+
 impl Systolized {
     /// Bind the problem-size symbols, in declaration order.
     pub fn size_env(&self, sizes: &[i64]) -> Env {
@@ -197,14 +209,10 @@ impl Systolized {
         systolic_ast::c_style(&systolic_ast::lower(&self.plan))
     }
 
-    /// Run the systolic program on the cooperative simulator with the
+    /// Run the systolic program on the plain cooperative engine with the
     /// given host data; returns the recovered store and statistics.
-    pub fn run(
-        &self,
-        sizes: &[i64],
-        store: &systolic_ir::HostStore,
-    ) -> Result<systolic_interp::SystolicRun, Error> {
-        self.run_with(sizes, store, &systolic_interp::ElabOptions::default())
+    pub fn run(&self, sizes: &[i64], store: &HostStore) -> Result<SystolicRun, Error> {
+        self.run_with(sizes, store, &ElabOptions::default())
     }
 
     /// [`Systolized::run`] under explicit elaboration options (protocol
@@ -212,30 +220,27 @@ impl Systolized {
     pub fn run_with(
         &self,
         sizes: &[i64],
-        store: &systolic_ir::HostStore,
-        opts: &systolic_interp::ElabOptions,
-    ) -> Result<systolic_interp::SystolicRun, Error> {
-        let env = self.size_env(sizes);
-        systolic_interp::run_plan(&self.plan, &env, store, ChannelPolicy::Rendezvous, opts).map_err(
-            |e| match e {
-                systolic_interp::ExecError::Elab(el) => Error::Elaborate(el),
-                systolic_interp::ExecError::Run(r) => Error::Deadlock(r.to_string()),
-                short @ systolic_interp::ExecError::ShortOutput { .. } => {
-                    Error::Mismatch(short.to_string())
-                }
-            },
+        store: &HostStore,
+        opts: &ElabOptions,
+    ) -> Result<SystolicRun, Error> {
+        simulate(
+            ModuleStore::global(),
+            &self.plan,
+            &self.size_env(sizes),
+            store,
+            plain_spec(opts),
         )
+        .map_err(|e| match e {
+            ExecError::Elab(el) => Error::Elaborate(el),
+            ExecError::Run(r) => Error::Deadlock(r.to_string()),
+            short @ ExecError::ShortOutput { .. } => Error::Mismatch(short.to_string()),
+        })
     }
 
     /// Verify observational equivalence with the sequential execution on
     /// seeded random inputs; returns the run statistics.
     pub fn verify(&self, sizes: &[i64], inputs: &[&str], seed: u64) -> Result<RunStats, Error> {
-        self.verify_with(
-            sizes,
-            inputs,
-            seed,
-            &systolic_interp::ElabOptions::default(),
-        )
+        self.verify_with(sizes, inputs, seed, &ElabOptions::default())
     }
 
     /// [`Systolized::verify`] under explicit elaboration options.
@@ -244,99 +249,14 @@ impl Systolized {
         sizes: &[i64],
         inputs: &[&str],
         seed: u64,
-        opts: &systolic_interp::ElabOptions,
+        opts: &ElabOptions,
     ) -> Result<RunStats, Error> {
         let env = self.size_env(sizes);
-        systolic_interp::verify_equivalence_with(&self.plan, &env, inputs, seed, opts)
-            .map_err(Error::Mismatch)
-    }
-
-    /// [`Systolized::verify_with`] through the steady-state batching gate
-    /// (see `systolic_runtime::batch`), the wavefront executor (see
-    /// `systolic_runtime::wavefront`), and the ProcIR optimizer (see
-    /// `systolic_runtime::opt`): identical experiment and result; the
-    /// returned flags say whether the batched fast path and the wavefront
-    /// executor actually engaged, and the report (if any) describes what
-    /// the optimizer fused. `--opt off` (`OptMode::Off`) is the exactness
-    /// oracle: stats then carry the unfused message/step counts.
-    #[allow(clippy::too_many_arguments)]
-    pub fn verify_batch(
-        &self,
-        sizes: &[i64],
-        inputs: &[&str],
-        seed: u64,
-        opts: &systolic_interp::ElabOptions,
-        batch: systolic_interp::BatchMode,
-        opt: systolic_interp::OptMode,
-        wavefront: systolic_interp::WavefrontMode,
-    ) -> Result<(RunStats, bool, bool, Option<systolic_interp::OptReport>), Error> {
-        let (stats, batched, wf, opt, _) = self.verify_batch_kernel(
-            sizes,
-            inputs,
-            seed,
-            opts,
-            batch,
-            opt,
-            wavefront,
-            systolic_interp::KernelMode::Auto,
-        )?;
-        Ok((stats, batched, wf, opt))
-    }
-
-    /// [`Systolized::verify_batch`] with an explicit
-    /// [`KernelMode`](systolic_interp::KernelMode) (`--kernel auto|off`)
-    /// and the kernel engagement report in the return — `None` when the
-    /// wavefront executor did not run.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    pub fn verify_batch_kernel(
-        &self,
-        sizes: &[i64],
-        inputs: &[&str],
-        seed: u64,
-        opts: &systolic_interp::ElabOptions,
-        batch: systolic_interp::BatchMode,
-        opt: systolic_interp::OptMode,
-        wavefront: systolic_interp::WavefrontMode,
-        kernel: systolic_interp::KernelMode,
-    ) -> Result<
-        (
-            RunStats,
-            bool,
-            bool,
-            Option<systolic_interp::OptReport>,
-            Option<systolic_interp::KernelReport>,
-        ),
-        Error,
-    > {
-        let env = self.size_env(sizes);
-        let mut store = systolic_ir::HostStore::allocate(&self.source, &env);
-        for (i, name) in inputs.iter().enumerate() {
-            store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-        }
-        let mut expected = store.clone();
-        systolic_ir::seq::run(&self.source, &env, &mut expected);
-        let run = systolic_interp::run_plan_batch_kernel(
-            &self.plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            opts,
-            batch,
-            opt,
-            wavefront,
-            kernel,
-            None,
-            &[],
-        )
-        .map_err(|e| Error::Mismatch(e.to_string()))?;
-        for name in expected.names() {
-            if run.store.get(name) != expected.get(name) {
-                return Err(Error::Mismatch(format!(
-                    "variable {name} differs between sequential and systolic execution"
-                )));
-            }
-        }
-        Ok((run.stats, run.batched, run.wavefront, run.opt, run.kernel))
+        let store = seeded_store(&self.plan, &env, inputs, seed);
+        let ms = ModuleStore::global();
+        simulate_verified(ms, &self.plan, &env, &store, plain_spec(opts))
+            .map(|run| run.stats)
+            .map_err(|e| Error::Mismatch(e.to_string()))
     }
 
     /// The schedule's makespan at a problem size (`max step - min step + 1`).

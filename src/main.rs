@@ -1,16 +1,6 @@
-//! The `systolizer` command-line compiler driver.
-//!
-//! ```text
-//! systolizer compile <file> [--place auto|proj:<c,c,..>] [--emit paper|occam|c|report]
-//! systolizer run     <file> --sizes <n[,m..]> [--seed S] [--protocol paper|split] [--merge-io yes|no]
-//!                           [--batch auto|off] [--metrics PATH] [--trace-out PATH]
-//! systolizer verify  <file> --sizes <n[,m..]> [--seed S] [--protocol paper|split] [--merge-io yes|no]
-//!                           [--batch auto|off]
-//! systolizer explore <file> [--bound B] [--sample N]
-//! systolizer explore <file> --schedules N --sizes <n[,m..]> [--seed S] [--out PATH]
-//! systolizer replay  --schedule <file>
-//! systolizer serve   [--addr HOST:PORT] [--workers N] [--queue-cap N] [--max-size N] [--deadline-ms MS]
-//! ```
+//! The `systolizer` command-line compiler driver. Run it with no
+//! arguments for the subcommands and flags (`cli::usage`, printed from
+//! the one flag table in `src/cli.rs`).
 //!
 //! `explore --schedules N` is deterministic schedule exploration: the
 //! compiled program is run under N seeds × 3 adversarial schedule
@@ -30,27 +20,14 @@
 use std::process::ExitCode;
 use systolizer::cli;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  \
-         systolizer compile <file> [--place auto|proj:C,C,..] [--emit paper|occam|c|report]\n  \
-         systolizer run     <file> --sizes N[,M..] [--seed S] [--protocol paper|split] [--merge-io yes|no]\n  \
-                            [--batch auto|off] [--metrics PATH] [--trace-out PATH]\n  \
-         systolizer verify  <file> --sizes N[,M..] [--seed S] [--protocol paper|split] [--merge-io yes|no]\n  \
-                            [--batch auto|off]\n  \
-         systolizer describe <file> --sizes N[,M..]\n  \
-         systolizer explore <file> [--bound B] [--sample N]\n  \
-         systolizer explore <file> --schedules N --sizes N[,M..] [--seed S] [--out PATH]\n  \
-         systolizer replay  --schedule <file>\n  \
-         systolizer serve   [--addr HOST:PORT] [--workers N] [--queue-cap N] [--max-size N] [--deadline-ms MS]"
-    );
-    ExitCode::from(2)
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(inv) = cli::parse_args(&raw) else {
-        return usage();
+    let inv = match cli::parse_args(&raw) {
+        Ok(inv) => inv,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{}", cli::usage());
+            return ExitCode::from(2);
+        }
     };
     if inv.command == "serve" {
         // The service reads no file: programs arrive over the wire

@@ -10,130 +10,22 @@
 //! legitimately changes them) has its own differential suite in
 //! `tests/optimizer.rs`.
 
+mod common;
+
+use common::{prepared, run as go};
 use proptest::prelude::*;
-use std::time::Duration;
-use systolizer::core::{compile, Options};
-use systolizer::interp::{
-    run_plan, run_plan_batch, run_plan_partitioned_batch, run_plan_threaded_batch, BatchMode,
-    ElabOptions, OptMode, WavefrontMode,
+use systolizer::interp::{BatchMode, ExecutorChoice, OptMode, SimSpec, WavefrontMode};
+use systolizer::runtime::{
+    shared, ChanId, ChannelPolicy, FifoPolicy, MetricsRecorder, SchedulePolicy,
 };
-use systolizer::ir::{gallery, HostStore, SourceProgram};
-use systolizer::math::Env;
-use systolizer::runtime::{shared, ChanId, ChannelPolicy, FifoPolicy, MetricsRecorder};
-use systolizer::synthesis::{derive_array, placement::paper};
 
-/// Compile one design from the corpus (the 4 paper appendix designs
-/// followed by the 5 gallery programs) at size `n`, with seeded inputs.
-fn prepared(
-    design: usize,
-    n: i64,
-    seed: u64,
-) -> (systolizer::core::SystolicProgram, Env, HostStore) {
-    let (p, a): (SourceProgram, _) = if design < 4 {
-        let (_, p, a) = paper::all().swap_remove(design);
-        (p, a)
-    } else {
-        let p = gallery::all().swap_remove(design - 4);
-        let a = derive_array(&p, 2, 4).unwrap();
-        (p, a)
-    };
-    let plan = compile(&p, &a, &Options::default()).unwrap();
-    let mut env = Env::new();
-    for &s in &p.sizes {
-        env.bind(s, n);
-    }
-    let mut store = HostStore::allocate(&p, &env);
-    let inputs: &[&str] = if p.name == "fir_filter" {
-        &["h", "x"]
-    } else {
-        &["a", "b"]
-    };
-    for (i, name) in inputs.iter().enumerate() {
-        store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-    }
-    (plan, env, store)
-}
-
-fn n_designs() -> usize {
-    paper::all().len() + gallery::all().len()
-}
-
-#[test]
-fn batched_coop_is_bit_identical_with_invariant_logical_stats() {
-    for design in 0..n_designs() {
-        let (plan, env, store) = prepared(design, 4, 11);
-        let base = run_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .unwrap();
-        let fast = run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-            BatchMode::Auto,
-            OptMode::Off,
-            WavefrontMode::Off,
-            None,
-            &[],
-        )
-        .unwrap();
-        assert!(fast.batched, "design {design}: gate should admit this run");
-        assert_eq!(fast.store, base.store, "design {design}: store differs");
-        assert_eq!(fast.stats.messages, base.stats.messages, "design {design}");
-        assert_eq!(fast.stats.steps, base.stats.steps, "design {design}");
-        assert_eq!(fast.stats.processes, base.stats.processes);
-        assert!(
-            fast.stats.rounds <= base.stats.rounds,
-            "design {design}: batching must not add scheduler rounds \
-             ({} vs {})",
-            fast.stats.rounds,
-            base.stats.rounds
-        );
-    }
-}
-
-#[test]
-fn batched_threaded_and_partitioned_agree_with_the_coop_baseline() {
-    let timeout = Duration::from_secs(30);
-    for design in 0..n_designs() {
-        let (plan, env, store) = prepared(design, 3, 7);
-        let base = run_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .unwrap();
-        let th =
-            run_plan_threaded_batch(&plan, &env, &store, timeout, BatchMode::Auto, OptMode::Off)
-                .unwrap();
-        assert!(th.batched, "design {design}");
-        assert_eq!(th.store, base.store, "design {design}: threaded store");
-        assert_eq!(th.stats.messages, base.stats.messages, "design {design}");
-        assert_eq!(th.stats.steps, base.stats.steps, "design {design}");
-        for workers in [1usize, 3] {
-            let pt = run_plan_partitioned_batch(
-                &plan,
-                &env,
-                &store,
-                workers,
-                timeout,
-                BatchMode::Auto,
-                OptMode::Off,
-            )
-            .unwrap();
-            assert!(pt.batched, "design {design} w={workers}");
-            assert_eq!(pt.store, base.store, "design {design} w={workers}: store");
-            assert_eq!(pt.stats.messages, base.stats.messages, "w={workers}");
-            assert_eq!(pt.stats.steps, base.stats.steps, "w={workers}");
-        }
+/// The spec every run here starts from: `OptMode::Off`, the wavefront
+/// rung shut, so a batched run lands on the batched rung.
+fn batched_rung() -> SimSpec {
+    SimSpec {
+        opt: OptMode::Off,
+        wavefront: WavefrontMode::Off,
+        ..SimSpec::default()
     }
 }
 
@@ -141,7 +33,7 @@ fn batched_threaded_and_partitioned_agree_with_the_coop_baseline() {
 /// firing order) and honestly reports `is_fifo() == false`.
 struct ReversePolicy;
 
-impl systolizer::runtime::SchedulePolicy for ReversePolicy {
+impl SchedulePolicy for ReversePolicy {
     fn schedule_round(&mut self, _round: u64, fire: &mut Vec<ChanId>, _defer: &mut Vec<ChanId>) {
         fire.reverse();
     }
@@ -155,54 +47,47 @@ impl systolizer::runtime::SchedulePolicy for ReversePolicy {
 /// still produces the correct store; only the `batched` flag may change.
 #[test]
 fn gate_closes_for_every_observable_feature() {
-    let (plan, env, store) = prepared(2, 3, 5); // E.1
-    let elab = ElabOptions::default();
-    let run = |policy, batch, sched, recorders: &[_]| {
-        run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            policy,
-            &elab,
-            batch,
-            OptMode::Off,
-            WavefrontMode::Off,
-            sched,
-            recorders,
-        )
-        .unwrap()
-    };
-    let base = run(ChannelPolicy::Rendezvous, BatchMode::Off, None, &[]);
+    let e1 = prepared(2, 3, 5);
+    let base = go(
+        &e1,
+        SimSpec {
+            batch: BatchMode::Off,
+            ..batched_rung()
+        },
+    );
     assert!(!base.batched, "--batch off forces the rendezvous engine");
 
-    let auto = run(ChannelPolicy::Rendezvous, BatchMode::Auto, None, &[]);
+    let auto = go(&e1, batched_rung());
     assert!(auto.batched, "plain Auto run engages");
     assert_eq!(auto.store, base.store);
 
-    let fifo = run(
-        ChannelPolicy::Rendezvous,
-        BatchMode::Auto,
-        Some(Box::new(FifoPolicy)),
-        &[],
+    let fifo = go(
+        &e1,
+        SimSpec {
+            sched: Some(Box::new(FifoPolicy)),
+            ..batched_rung()
+        },
     );
     assert!(fifo.batched, "the identity policy keeps the gate open");
     assert_eq!(fifo.store, base.store);
 
-    let perturbed = run(
-        ChannelPolicy::Rendezvous,
-        BatchMode::Auto,
-        Some(Box::new(ReversePolicy)),
-        &[],
+    let perturbed = go(
+        &e1,
+        SimSpec {
+            sched: Some(Box::new(ReversePolicy)),
+            ..batched_rung()
+        },
     );
     assert!(!perturbed.batched, "a non-FIFO policy closes the gate");
     assert_eq!(perturbed.store, base.store);
 
     let (metrics, recorder) = shared(MetricsRecorder::new());
-    let observed = run(
-        ChannelPolicy::Rendezvous,
-        BatchMode::Auto,
-        None,
-        &[recorder],
+    let observed = go(
+        &e1,
+        SimSpec {
+            recorders: vec![recorder],
+            ..batched_rung()
+        },
     );
     assert!(!observed.batched, "a recorder closes the gate");
     assert_eq!(observed.store, base.store);
@@ -211,9 +96,28 @@ fn gate_closes_for_every_observable_feature() {
         "the recorder really observed the run"
     );
 
-    let buffered = run(ChannelPolicy::Buffered(4), BatchMode::Auto, None, &[]);
+    let buffered = go(
+        &e1,
+        SimSpec {
+            policy: ChannelPolicy::Buffered(4),
+            ..batched_rung()
+        },
+    );
     assert!(!buffered.batched, "the buffered ablation closes the gate");
     assert_eq!(buffered.store, base.store);
+
+    let threaded = go(
+        &e1,
+        SimSpec {
+            executor: ExecutorChoice::Threaded,
+            ..batched_rung()
+        },
+    );
+    assert!(
+        !threaded.batched,
+        "the threaded engine has the plain rung only"
+    );
+    assert_eq!(threaded.store, base.store);
 }
 
 /// The wavefront executor's gate corners (see `docs/wavefront.md`): the
@@ -223,37 +127,16 @@ fn gate_closes_for_every_observable_feature() {
 /// still produces the correct store.
 #[test]
 fn wavefront_gate_corners() {
-    let elab = ElabOptions::default();
+    let wavefront_rung = || SimSpec {
+        opt: OptMode::Off,
+        ..SimSpec::default()
+    };
     // n=0 and n=1: one-iteration loop nests — trivial pipelines with
     // single-process waves. The wavefront path must engage and agree.
     for n in [0i64, 1, 2] {
-        let (plan, env, store) = prepared(0, n, 31); // D.1
-        let batched = run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &elab,
-            BatchMode::Auto,
-            OptMode::Off,
-            WavefrontMode::Off,
-            None,
-            &[],
-        )
-        .unwrap();
-        let wf = run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &elab,
-            BatchMode::Auto,
-            OptMode::Off,
-            WavefrontMode::Auto,
-            None,
-            &[],
-        )
-        .unwrap();
+        let d1 = prepared(0, n, 31);
+        let batched = go(&d1, batched_rung());
+        let wf = go(&d1, wavefront_rung());
         assert!(wf.wavefront, "n={n}: the wavefront gate should admit");
         assert!(wf.batched, "n={n}: wavefront implies batched");
         assert_eq!(wf.store, batched.store, "n={n}");
@@ -261,33 +144,30 @@ fn wavefront_gate_corners() {
         assert_eq!(wf.stats.steps, batched.stats.steps, "n={n}");
     }
 
-    let (plan, env, store) = prepared(2, 3, 5); // E.1
-    let run = |sched, recorders: &[_]| {
-        run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &elab,
-            BatchMode::Auto,
-            OptMode::Off,
-            WavefrontMode::Auto,
-            sched,
-            recorders,
-        )
-        .unwrap()
-    };
-    let base = run(None, &[]);
+    let e1 = prepared(2, 3, 5);
+    let base = go(&e1, wavefront_rung());
     assert!(base.wavefront, "plain Auto run takes the wavefront rung");
 
     let (metrics, recorder) = shared(MetricsRecorder::new());
-    let observed = run(None, &[recorder]);
+    let observed = go(
+        &e1,
+        SimSpec {
+            recorders: vec![recorder],
+            ..wavefront_rung()
+        },
+    );
     assert!(!observed.wavefront, "a recorder closes the wavefront gate");
     assert!(!observed.batched, "…and the batching gate beneath it");
     assert_eq!(observed.store, base.store);
     assert!(metrics.lock().report().transfers > 0);
 
-    let perturbed = run(Some(Box::new(ReversePolicy)), &[]);
+    let perturbed = go(
+        &e1,
+        SimSpec {
+            sched: Some(Box::new(ReversePolicy)),
+            ..wavefront_rung()
+        },
+    );
     assert!(!perturbed.wavefront, "a non-FIFO policy closes the gate");
     assert!(!perturbed.batched);
     assert_eq!(perturbed.store, base.store);
@@ -314,49 +194,19 @@ proptest! {
         seed in 0u64..1000,
         workers in 1usize..=4,
     ) {
-        let (plan, env, store) = prepared(design, n, seed);
-        let timeout = Duration::from_secs(30);
-        let base = run_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .unwrap();
-        let coop = run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-            BatchMode::Auto,
-            OptMode::Off,
-            WavefrontMode::Off,
-            None,
-            &[],
-        )
-        .unwrap();
-        prop_assert_eq!(&coop.store, &base.store);
-        prop_assert_eq!(coop.stats.messages, base.stats.messages);
-        prop_assert_eq!(coop.stats.steps, base.stats.steps);
-        let th = run_plan_threaded_batch(&plan, &env, &store, timeout, BatchMode::Auto, OptMode::Off).unwrap();
-        prop_assert_eq!(&th.store, &base.store);
-        prop_assert_eq!(th.stats.messages, base.stats.messages);
-        prop_assert_eq!(th.stats.steps, base.stats.steps);
-        let pt = run_plan_partitioned_batch(
-            &plan,
-            &env,
-            &store,
-            workers,
-            timeout,
-            BatchMode::Auto,
-            OptMode::Off,
-        )
-        .unwrap();
-        prop_assert_eq!(&pt.store, &base.store);
-        prop_assert_eq!(pt.stats.messages, base.stats.messages);
-        prop_assert_eq!(pt.stats.steps, base.stats.steps);
+        let d = prepared(design, n, seed);
+        let base = go(&d, SimSpec::plain());
+        for executor in [
+            ExecutorChoice::Coop,
+            ExecutorChoice::Threaded,
+            ExecutorChoice::Partitioned { workers },
+        ] {
+            let fast = go(&d, SimSpec { executor, ..batched_rung() });
+            prop_assert_eq!(fast.batched, executor != ExecutorChoice::Threaded);
+            prop_assert_eq!(&fast.store, &base.store);
+            prop_assert_eq!(fast.stats.messages, base.stats.messages);
+            prop_assert_eq!(fast.stats.steps, base.stats.steps);
+        }
     }
 
     /// The wavefront executor is differentially pinned against the
@@ -369,22 +219,8 @@ proptest! {
         n in 1i64..=4,
         seed in 0u64..1000,
     ) {
-        let (plan, env, store) = prepared(design, n, seed);
-        let go = |wavefront| {
-            run_plan_batch(
-                &plan,
-                &env,
-                &store,
-                ChannelPolicy::Rendezvous,
-                &ElabOptions::default(),
-                BatchMode::Auto,
-                OptMode::Off,
-                wavefront,
-                None,
-                &[],
-            )
-            .unwrap()
-        };
+        let d = prepared(design, n, seed);
+        let go = |wavefront| go(&d, SimSpec { wavefront, ..batched_rung() });
         let batched = go(WavefrontMode::Off);
         prop_assert!(batched.batched);
         prop_assert!(!batched.wavefront);

@@ -1,0 +1,76 @@
+//! Shared by the integration suites: the design corpus and the seeded
+//! equivalence experiment.
+#![allow(dead_code)]
+
+use systolizer::core::{compile, Options, SystolicProgram};
+use systolizer::interp::{
+    seeded_store, simulate, simulate_verified, ElabOptions, ModuleStore, SimSpec, SystolicRun,
+    VerifyError,
+};
+use systolizer::ir::{gallery, HostStore};
+use systolizer::math::Env;
+use systolizer::synthesis::{derive_array, placement::paper};
+
+/// Designs `0..CORPUS` of [`prepared`]: the 4 paper appendix designs
+/// followed by the 5 gallery programs on derived arrays. Index `CORPUS`
+/// is the shipped `programs/fir.sys` through the full front end — its
+/// long relay pipes make it a second witness for chain fusion.
+pub const CORPUS: usize = 9;
+
+/// A compiled design at one size with its seeded input data.
+pub type Prepared = (SystolicProgram, Env, HostStore);
+
+/// Compile one design of the corpus at size `n` (every size parameter),
+/// with seeded inputs.
+pub fn prepared(design: usize, n: i64, seed: u64) -> Prepared {
+    let plan = if design < 4 {
+        let (_, p, a) = paper::all().swap_remove(design);
+        compile(&p, &a, &Options::default()).unwrap()
+    } else if design < CORPUS {
+        let p = gallery::all().swap_remove(design - 4);
+        let a = derive_array(&p, 2, 4).unwrap();
+        compile(&p, &a, &Options::default()).unwrap()
+    } else {
+        let src = include_str!("../../programs/fir.sys");
+        systolizer::systolize_source(src, &Default::default())
+            .unwrap()
+            .plan
+    };
+    let mut env = Env::new();
+    for &s in &plan.source.sizes {
+        env.bind(s, n);
+    }
+    let inputs: &[&str] = if plan.source.name.starts_with("fir") {
+        &["h", "x"]
+    } else {
+        &["a", "b"]
+    };
+    let store = seeded_store(&plan, &env, inputs, seed);
+    (plan, env, store)
+}
+
+/// The rendezvous reference engine under a protocol variant.
+pub fn plain_under(elab: ElabOptions) -> SimSpec {
+    SimSpec {
+        elab,
+        ..SimSpec::plain()
+    }
+}
+
+/// Run a prepared design under `spec` on the process-wide module store.
+pub fn run((plan, env, store): &Prepared, spec: SimSpec) -> SystolicRun {
+    simulate(ModuleStore::global(), plan, env, store, spec).unwrap()
+}
+
+/// Fill `inputs` from `seed`, run `spec` on the process-wide module
+/// store, and compare with the sequential reference.
+pub fn verify(
+    plan: &SystolicProgram,
+    env: &Env,
+    inputs: &[&str],
+    seed: u64,
+    spec: SimSpec,
+) -> Result<SystolicRun, VerifyError> {
+    let store = seeded_store(plan, env, inputs, seed);
+    simulate_verified(ModuleStore::global(), plan, env, &store, spec)
+}

@@ -9,15 +9,14 @@
 //! captured from the seed (pre-event-driven) scheduler; the rewrite is
 //! required to preserve them exactly.
 
-use std::time::Duration;
+mod common;
+
+use common::verify;
 use systolizer::core::{compile, Options};
-use systolizer::interp::{
-    run_plan, run_plan_partitioned, run_plan_scheduled, run_plan_threaded, verify_equivalence,
-};
+use systolizer::interp::{seeded_store, simulate, ExecutorChoice, ModuleStore, SimSpec};
 use systolizer::ir::gallery;
-use systolizer::ir::HostStore;
 use systolizer::math::Env;
-use systolizer::runtime::{ChannelPolicy, FifoPolicy, RunStats};
+use systolizer::runtime::{FifoPolicy, RunStats};
 use systolizer::synthesis::{derive_array, placement::paper};
 
 fn golden(processes: usize, rounds: u64, messages: u64, steps: u64) -> RunStats {
@@ -41,8 +40,12 @@ fn paper_designs_are_deterministic_and_match_goldens() {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], 4);
-        let first = verify_equivalence(&plan, &env, &["a", "b"], 11).unwrap();
-        let second = verify_equivalence(&plan, &env, &["a", "b"], 11).unwrap();
+        let stats = || {
+            verify(&plan, &env, &["a", "b"], 11, SimSpec::plain())
+                .unwrap()
+                .stats
+        };
+        let (first, second) = (stats(), stats());
         assert_eq!(first, second, "{label}: two runs disagree");
         let want = &goldens
             .iter()
@@ -65,34 +68,32 @@ fn executors_agree_bit_for_bit_on_paper_designs() {
         ("E.1", golden(55, 36, 450, 705)),
         ("E.2", golden(191, 22, 710, 1111)),
     ];
-    let timeout = Duration::from_secs(20);
     for (label, p, a) in paper::all() {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], 4);
-        let mut store = HostStore::allocate(&p, &env);
-        store.fill_random("a", 11, -9, 9);
-        store.fill_random("b", 12, -9, 9);
+        let store = seeded_store(&plan, &env, &["a", "b"], 11);
 
-        let coop = run_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &Default::default(),
-        )
-        .unwrap();
+        let ms = ModuleStore::global();
+        let run = |executor| {
+            let spec = SimSpec {
+                executor,
+                ..SimSpec::plain()
+            };
+            simulate(ms, &plan, &env, &store, spec).unwrap()
+        };
+        let coop = run(ExecutorChoice::Coop);
         let want = &goldens.iter().find(|(l, _)| *l == label).unwrap().1;
         assert_eq!(&coop.stats, want, "{label}: cooperative stats drifted");
 
-        let threaded = run_plan_threaded(&plan, &env, &store, timeout).unwrap();
+        let threaded = run(ExecutorChoice::Threaded);
         assert_eq!(threaded.store, coop.store, "{label}: threaded store");
         assert_eq!(threaded.stats.messages, want.messages, "{label}");
         assert_eq!(threaded.stats.steps, want.steps, "{label}");
         assert_eq!(threaded.stats.rounds, 0, "{label}: no virtual clock");
 
         for workers in [1usize, 3] {
-            let part = run_plan_partitioned(&plan, &env, &store, workers, timeout).unwrap();
+            let part = run(ExecutorChoice::Partitioned { workers });
             assert_eq!(part.store, coop.store, "{label} w={workers}: store");
             assert_eq!(part.stats.messages, want.messages, "{label} w={workers}");
             assert_eq!(part.stats.steps, want.steps, "{label} w={workers}");
@@ -118,28 +119,15 @@ fn coop_under_explicit_fifo_policy_matches_pre_hook_goldens() {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], 4);
-        let mut store = HostStore::allocate(&p, &env);
-        store.fill_random("a", 11, -9, 9);
-        store.fill_random("b", 12, -9, 9);
+        let store = seeded_store(&plan, &env, &["a", "b"], 11);
 
-        let bare = run_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &Default::default(),
-        )
-        .unwrap();
-        let hooked = run_plan_scheduled(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &Default::default(),
-            Some(Box::new(FifoPolicy)),
-            &[],
-        )
-        .unwrap();
+        let ms = ModuleStore::global();
+        let bare = simulate(ms, &plan, &env, &store, SimSpec::plain()).unwrap();
+        let spec = SimSpec {
+            sched: Some(Box::new(FifoPolicy)),
+            ..SimSpec::plain()
+        };
+        let hooked = simulate(ms, &plan, &env, &store, spec).unwrap();
         assert_eq!(hooked.store, bare.store, "{label}: FIFO policy moved data");
         assert_eq!(hooked.stats, bare.stats, "{label}: FIFO policy cost stats");
         let want = &goldens.iter().find(|(l, _)| *l == label).unwrap().1;
@@ -156,7 +144,6 @@ fn coop_under_explicit_fifo_policy_matches_pre_hook_goldens() {
 /// here rather than as silently unobserved runs.
 #[test]
 fn recorder_and_non_fifo_runs_stay_on_the_unbatched_goldens() {
-    use systolizer::interp::{run_plan_batch, BatchMode, OptMode, WavefrontMode};
     use systolizer::runtime::{shared, ChanId, MetricsRecorder, SchedulePolicy};
 
     struct ReversePolicy;
@@ -181,42 +168,25 @@ fn recorder_and_non_fifo_runs_stay_on_the_unbatched_goldens() {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], 4);
-        let mut store = HostStore::allocate(&p, &env);
-        store.fill_random("a", 11, -9, 9);
-        store.fill_random("b", 12, -9, 9);
+        let store = seeded_store(&plan, &env, &["a", "b"], 11);
         let want = &goldens.iter().find(|(l, _)| *l == label).unwrap().1;
 
         let (_, recorder) = shared(MetricsRecorder::new());
-        let observed = run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &Default::default(),
-            BatchMode::Auto,
-            OptMode::Auto,
-            WavefrontMode::Auto,
-            None,
-            &[recorder],
-        )
-        .unwrap();
+        let ms = ModuleStore::global();
+        let spec = SimSpec {
+            recorders: vec![recorder],
+            ..SimSpec::default()
+        };
+        let observed = simulate(ms, &plan, &env, &store, spec).unwrap();
         assert!(!observed.batched, "{label}: recorder must close the gate");
         assert!(!observed.wavefront, "{label}: and the wavefront gate too");
         assert_eq!(&observed.stats, want, "{label}: observed run drifted");
 
-        let perturbed = run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &Default::default(),
-            BatchMode::Auto,
-            OptMode::Auto,
-            WavefrontMode::Auto,
-            Some(Box::new(ReversePolicy)),
-            &[],
-        )
-        .unwrap();
+        let spec = SimSpec {
+            sched: Some(Box::new(ReversePolicy)),
+            ..SimSpec::default()
+        };
+        let perturbed = simulate(ms, &plan, &env, &store, spec).unwrap();
         assert!(!perturbed.batched, "{label}: policy must close the gate");
         assert!(!perturbed.wavefront, "{label}: and the wavefront gate too");
         assert_eq!(
@@ -248,8 +218,12 @@ fn gallery_programs_are_deterministic_and_match_goldens() {
             "fir_filter" => vec!["h", "x"],
             _ => vec!["a", "b"],
         };
-        let first = verify_equivalence(&plan, &env, &inputs, 11).unwrap();
-        let second = verify_equivalence(&plan, &env, &inputs, 11).unwrap();
+        let stats = || {
+            verify(&plan, &env, &inputs, 11, SimSpec::plain())
+                .unwrap()
+                .stats
+        };
+        let (first, second) = (stats(), stats());
         assert_eq!(first, second, "{}: two runs disagree", p.name);
         let want = &goldens
             .iter()

@@ -1,8 +1,11 @@
 //! Edge-case integration tests: degenerate problem sizes, minimal
 //! arrays, asymmetric bounds, and failure surfaces.
 
+mod common;
+
+use common::verify;
 use systolizer::core::{compile, Options};
-use systolizer::interp::verify_equivalence;
+use systolizer::interp::{simulate, ModuleStore, SimSpec};
 use systolizer::math::Env;
 use systolizer::synthesis::placement::paper;
 
@@ -19,8 +22,9 @@ fn n_zero_degenerates_to_one_process() {
     for (label, p, a) in paper::all() {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let env = env1(&p, 0);
-        let stats = verify_equivalence(&plan, &env, &["a", "b"], 1)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let stats = verify(&plan, &env, &["a", "b"], 1, SimSpec::plain())
+            .unwrap_or_else(|e| panic!("{label}: {e}"))
+            .stats;
         assert!(stats.processes >= 3, "{label}: at least comp + i/o");
     }
 }
@@ -30,7 +34,8 @@ fn n_one_smallest_nontrivial() {
     for (label, p, a) in paper::all() {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let env = env1(&p, 1);
-        verify_equivalence(&plan, &env, &["a", "b"], 2).unwrap_or_else(|e| panic!("{label}: {e}"));
+        verify(&plan, &env, &["a", "b"], 2, SimSpec::plain())
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
 }
 
@@ -71,7 +76,7 @@ fn asymmetric_bounds_with_offsets() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     for n_val in [0i64, 1, 4, 7] {
         let env = env1(&p, n_val);
-        verify_equivalence(&plan, &env, &["a", "b"], 4)
+        verify(&plan, &env, &["a", "b"], 4, SimSpec::plain())
             .unwrap_or_else(|e| panic!("n={n_val}: {e}"));
     }
 }
@@ -85,7 +90,7 @@ fn rectangular_not_square_index_space() {
     for (n, m) in [(0i64, 0i64), (0, 9), (5, 0), (1, 20), (6, 2)] {
         let mut env = Env::new();
         env.bind(p.sizes[0], n).bind(p.sizes[1], m);
-        verify_equivalence(&plan, &env, &["h", "x"], 6)
+        verify(&plan, &env, &["h", "x"], 6, SimSpec::plain())
             .unwrap_or_else(|e| panic!("(n,m)=({n},{m}): {e}"));
     }
 }
@@ -97,7 +102,8 @@ fn tensor_r4_runs_at_small_sizes() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     for n in [0i64, 1, 2] {
         let env = env1(&p, n);
-        verify_equivalence(&plan, &env, &["a", "b"], 8).unwrap_or_else(|e| panic!("n={n}: {e}"));
+        verify(&plan, &env, &["a", "b"], 8, SimSpec::plain())
+            .unwrap_or_else(|e| panic!("n={n}: {e}"));
     }
 }
 
@@ -116,7 +122,7 @@ fn kung_leiserson_tensor_style_place_for_r4() {
     if let Some(a) = non_simple {
         let plan = compile(&p, a, &Options::default()).unwrap();
         let env = env1(&p, 1);
-        verify_equivalence(&plan, &env, &["a", "b"], 9).unwrap();
+        verify(&plan, &env, &["a", "b"], 9, SimSpec::plain()).unwrap();
     }
 }
 
@@ -128,14 +134,7 @@ fn all_zero_inputs_roundtrip() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let env = env1(&p, 3);
     let store = systolizer::ir::HostStore::allocate(&p, &env);
-    let run = systolizer::interp::run_plan(
-        &plan,
-        &env,
-        &store,
-        systolizer::runtime::ChannelPolicy::Rendezvous,
-        &systolizer::interp::ElabOptions::default(),
-    )
-    .unwrap();
+    let run = simulate(ModuleStore::global(), &plan, &env, &store, SimSpec::plain()).unwrap();
     assert_eq!(run.store, store, "all-zero store is a fixed point");
 }
 
@@ -240,7 +239,7 @@ fn repeated_runs_are_deterministic() {
     let (p, a) = paper::polyprod_d2();
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let env = env1(&p, 5);
-    let s1 = verify_equivalence(&plan, &env, &["a", "b"], 42).unwrap();
-    let s2 = verify_equivalence(&plan, &env, &["a", "b"], 42).unwrap();
-    assert_eq!(s1, s2, "cooperative scheduler is deterministic");
+    let s1 = verify(&plan, &env, &["a", "b"], 42, SimSpec::plain()).unwrap();
+    let s2 = verify(&plan, &env, &["a", "b"], 42, SimSpec::plain()).unwrap();
+    assert_eq!(s1.stats, s2.stats, "cooperative scheduler is deterministic");
 }

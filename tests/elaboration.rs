@@ -7,15 +7,13 @@
 //! path must never change a result, however warm.
 
 use proptest::prelude::*;
-use std::time::Duration;
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
-    elaborate, elaborate_skeleton, instantiate, run_plan, run_plan_batch, BatchMode, ElabOptions,
-    ModuleStore, OptMode, WavefrontMode,
+    elaborate, elaborate_skeleton, instantiate, simulate, BatchMode, ElabOptions, ExecutorChoice,
+    ModuleStore, OptMode, SimSpec, WavefrontMode,
 };
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
-use systolizer::runtime::ChannelPolicy;
 use systolizer::synthesis::placement::paper;
 
 /// The same gallery as `tests/oracle.rs`: the four appendix designs
@@ -73,11 +71,7 @@ fn size_env(plan: &SystolicProgram, vals: &[i64]) -> Env {
 }
 
 fn seeded_store(d: &Design, env: &Env, seed: u64) -> HostStore {
-    let mut store = HostStore::allocate(&d.plan.source, env);
-    for (i, name) in d.inputs.iter().enumerate() {
-        store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-    }
-    store
+    systolizer::interp::seeded_store(&d.plan, env, &d.inputs, seed)
 }
 
 /// Every elaboration-options variant the executors can request.
@@ -158,19 +152,14 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
                 d.label
             );
             let run_once = || {
-                run_plan_batch(
-                    &d.plan,
-                    &env,
-                    &store,
-                    ChannelPolicy::Rendezvous,
-                    &ElabOptions::default(),
+                let spec = SimSpec {
                     batch,
                     opt,
                     wavefront,
-                    None,
-                    &[],
-                )
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+                    ..SimSpec::default()
+                };
+                simulate(ModuleStore::global(), &d.plan, &env, &store, spec)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"))
             };
             let cold = run_once();
             let warm = run_once();
@@ -228,16 +217,14 @@ proptest! {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(plan.source.sizes[0], n);
-        let mut store = HostStore::allocate(&plan.source, &env);
-        for (i, name) in ["a", "b"].iter().enumerate() {
-            store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-        }
+        let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
-        let first = run_plan(&plan, &env, &store, ChannelPolicy::Rendezvous, &ElabOptions::default())
-            .map_err(|e| TestCaseError::fail(format!("{label} n={n}: {e}")))?;
-        let second = run_plan(&plan, &env, &store, ChannelPolicy::Rendezvous, &ElabOptions::default())
-            .map_err(|e| TestCaseError::fail(format!("{label} n={n}: {e}")))?;
+        let run = || {
+            simulate(ModuleStore::global(), &plan, &env, &store, SimSpec::plain())
+                .map_err(|e| TestCaseError::fail(format!("{label} n={n}: {e}")))
+        };
+        let (first, second) = (run()?, run()?);
         prop_assert_eq!(&first.stats, &second.stats);
         for name in expected.names() {
             prop_assert_eq!(first.store.get(name), expected.get(name), "{} n={} {}", label, n, name);
@@ -264,13 +251,20 @@ fn all_executors_share_one_cached_module() {
         std::sync::Arc::ptr_eq(&first.elab.module, &again.elab.module),
         "repeat lookups must share the very same Arc<ProcIrModule>"
     );
-    let _ = systolizer::interp::verify_equivalence_all(
-        &plan,
-        &env,
-        &["a", "b"],
-        3,
-        2,
-        Duration::from_secs(60),
-    )
-    .unwrap();
+    for executor in [
+        ExecutorChoice::Coop,
+        ExecutorChoice::Threaded,
+        ExecutorChoice::Partitioned { workers: 2 },
+    ] {
+        let spec = SimSpec {
+            executor,
+            ..SimSpec::default()
+        };
+        simulate(&ms, &plan, &env, &store, spec).unwrap();
+    }
+    assert_eq!(
+        ms.stats().module_misses,
+        1,
+        "one elaboration serves them all"
+    );
 }

@@ -6,8 +6,11 @@
 //! variables the sequential reference computes. This mechanizes the
 //! paper's Sec. 8 hardware experiments.
 
+mod common;
+
+use common::verify;
 use systolizer::core::{compile, Options};
-use systolizer::interp::verify_equivalence;
+use systolizer::interp::SimSpec;
 use systolizer::math::Env;
 use systolizer::synthesis::placement::paper;
 
@@ -31,7 +34,7 @@ fn appendix_designs_across_sizes_and_seeds() {
         for &n in sweep {
             for seed in [1u64, 99, 512] {
                 let env = env_for(&p.sizes, &[n]);
-                verify_equivalence(&plan, &env, &["a", "b"], seed)
+                verify(&plan, &env, &["a", "b"], seed, SimSpec::plain())
                     .unwrap_or_else(|e| panic!("{label} n={n} seed={seed}: {e}"));
             }
         }
@@ -51,7 +54,7 @@ fn gallery_kernels_with_derived_arrays() {
         };
         for vals in [[2i64, 3], [4, 6], [5, 9]] {
             let env = env_for(&p.sizes, &vals[..p.sizes.len()]);
-            verify_equivalence(&plan, &env, &inputs, 77)
+            verify(&plan, &env, &inputs, 77, SimSpec::plain())
                 .unwrap_or_else(|e| panic!("{} {vals:?}: {e}", p.name));
         }
     }
@@ -67,7 +70,7 @@ fn every_enumerated_place_for_matmul_executes_correctly() {
     for a in arrays {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let env = env_for(&p.sizes, &[3]);
-        verify_equivalence(&plan, &env, &["a", "b"], 5)
+        verify(&plan, &env, &["a", "b"], 5, SimSpec::plain())
             .unwrap_or_else(|e| panic!("projection {:?}: {e}", a.projection_direction()));
     }
 }
@@ -80,7 +83,7 @@ fn alternate_loading_vectors_work() {
         let opts = Options::default().with_loading_vector(StreamId(2), lv.clone());
         let plan = compile(&p, &a, &opts).unwrap();
         let env = env_for(&p.sizes, &[3]);
-        verify_equivalence(&plan, &env, &["a", "b"], 31)
+        verify(&plan, &env, &["a", "b"], 31, SimSpec::plain())
             .unwrap_or_else(|e| panic!("loading vector {lv:?}: {e}"));
     }
 }
@@ -94,7 +97,7 @@ fn reversed_loop_directions_still_compile_and_run() {
     let a = systolizer::synthesis::derive_array(&p, 2, 5).expect("array for reversed loop");
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let env = env_for(&p.sizes, &[5]);
-    verify_equivalence(&plan, &env, &["a", "b"], 3).unwrap();
+    verify(&plan, &env, &["a", "b"], 3, SimSpec::plain()).unwrap();
 }
 
 #[test]

@@ -70,19 +70,16 @@ fn c_code_snapshots() {
 /// fixture behind the observability snapshots below. Everything in the
 /// artifacts is virtual-time-based, so the bytes are deterministic.
 fn observed_d1() -> systolizer::interp::Observed {
-    use systolizer::interp::{observe_plan, ElabOptions};
-    use systolizer::runtime::ChannelPolicy;
+    use systolizer::interp::{observe_plan_in, seeded_store, ModuleStore, SimSpec};
     let sys = design(0);
     let env = sys.size_env(&[4]);
-    let mut store = systolizer::ir::HostStore::allocate(&sys.source, &env);
-    store.fill_random("a", 11, -9, 9);
-    store.fill_random("b", 12, -9, 9);
-    observe_plan(
+    let store = seeded_store(&sys.plan, &env, &["a", "b"], 11);
+    observe_plan_in(
+        ModuleStore::global(),
         &sys.plan,
         &env,
         &store,
-        ChannelPolicy::Rendezvous,
-        &ElabOptions::default(),
+        SimSpec::default(),
     )
     .unwrap()
 }

@@ -10,51 +10,13 @@
 //! on the scalar `macro_step` path, and the run still verifies.
 
 use proptest::prelude::*;
-use systolizer::core::{compile, Options};
-use systolizer::interp::{
-    run_plan_batch_kernel, BatchMode, ElabOptions, KernelMode, OptMode, WavefrontMode,
-};
-use systolizer::ir::{gallery, seq, HostStore, SourceProgram};
+mod common;
+
+use common::{prepared, verify, CORPUS};
+use systolizer::interp::{simulate, KernelMode, ModuleStore, OptMode, SimSpec, WavefrontMode};
+use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
-use systolizer::runtime::ChannelPolicy;
-use systolizer::synthesis::{derive_array, placement::paper};
 use systolizer::{systolize_source, SystolizeOptions};
-
-/// Compile one design from the corpus (the 4 paper appendix designs
-/// followed by the 5 gallery programs) at size `n`, with seeded inputs.
-fn prepared(
-    design: usize,
-    n: i64,
-    seed: u64,
-) -> (systolizer::core::SystolicProgram, Env, HostStore) {
-    let (p, a): (SourceProgram, _) = if design < 4 {
-        let (_, p, a) = paper::all().swap_remove(design);
-        (p, a)
-    } else {
-        let p = gallery::all().swap_remove(design - 4);
-        let a = derive_array(&p, 2, 4).unwrap();
-        (p, a)
-    };
-    let plan = compile(&p, &a, &Options::default()).unwrap();
-    let mut env = Env::new();
-    for &s in &p.sizes {
-        env.bind(s, n);
-    }
-    let mut store = HostStore::allocate(&p, &env);
-    let inputs: &[&str] = if p.name == "fir_filter" {
-        &["h", "x"]
-    } else {
-        &["a", "b"]
-    };
-    for (i, name) in inputs.iter().enumerate() {
-        store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-    }
-    (plan, env, store)
-}
-
-fn n_designs() -> usize {
-    paper::all().len() + gallery::all().len()
-}
 
 fn go(
     plan: &systolizer::core::SystolicProgram,
@@ -64,20 +26,13 @@ fn go(
     wavefront: WavefrontMode,
     kernel: KernelMode,
 ) -> systolizer::interp::SystolicRun {
-    run_plan_batch_kernel(
-        plan,
-        env,
-        store,
-        ChannelPolicy::Rendezvous,
-        &ElabOptions::default(),
-        BatchMode::Auto,
+    let spec = SimSpec {
         opt,
         wavefront,
         kernel,
-        None,
-        &[],
-    )
-    .unwrap()
+        ..SimSpec::default()
+    };
+    simulate(ModuleStore::global(), plan, env, store, spec).unwrap()
 }
 
 /// Every design in the corpus: the kernel path agrees bit-for-bit with
@@ -87,7 +42,7 @@ fn go(
 #[test]
 fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
     let mut engaged = 0usize;
-    for design in 0..n_designs() {
+    for design in 0..CORPUS {
         let (plan, env, store) = prepared(design, 4, 17);
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
@@ -141,7 +96,7 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
     assert!(
         engaged >= 5,
         "most of the acyclic corpus must take the kernel path, got {engaged}/{}",
-        n_designs()
+        CORPUS
     );
 }
 
@@ -150,7 +105,7 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
 /// wavefront staging, and stores remain bit-identical across the gate.
 #[test]
 fn kernel_path_is_invisible_on_the_optimized_module() {
-    for design in 0..n_designs() {
+    for design in 0..CORPUS {
         let (plan, env, store) = prepared(design, 4, 23);
         let off = go(&plan, &env, &store, OptMode::Auto, WavefrontMode::Auto, KernelMode::Off);
         let auto = go(&plan, &env, &store, OptMode::Auto, WavefrontMode::Auto, KernelMode::Auto);
@@ -176,20 +131,14 @@ fn guarded_bodies_fall_back_to_scalar_with_the_reject_reason() {
         }
     ";
     let sys = systolize_source(src, &SystolizeOptions::default()).unwrap();
-    let (_, _, wavefronted, _, kernel) = sys
-        .verify_batch_kernel(
-            &[4],
-            &["a", "b"],
-            13,
-            &ElabOptions::default(),
-            BatchMode::Auto,
-            OptMode::Off,
-            WavefrontMode::Auto,
-            KernelMode::Auto,
-        )
+    let spec = SimSpec {
+        opt: OptMode::Off,
+        ..SimSpec::default()
+    };
+    let run = verify(&sys.plan, &sys.size_env(&[4]), &["a", "b"], 13, spec)
         .expect("the scalar fallback still verifies");
-    assert!(wavefronted, "the wavefront gate is independent of kernels");
-    let k = kernel.expect("wavefront runs carry a report");
+    assert!(run.wavefront, "the wavefront gate is independent of kernels");
+    let k = run.kernel.expect("wavefront runs carry a report");
     assert!(k.enabled && !k.compiled);
     let reject = k.reject.as_deref().unwrap_or_default();
     assert!(

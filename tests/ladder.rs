@@ -1,0 +1,216 @@
+//! The ladder matrix: every rung `simulate` can take (see the diagram in
+//! `docs/scheduler.md`), on every design of the corpus, through
+//! `simulate_verified` — so each run is compared with the sequential
+//! reference — off one private `ModuleStore` per (design, size).
+//!
+//! Pinned per rung: the engine that ran; which of `batched` /
+//! `wavefront` / `kernel` / `opt` engaged; the logical `messages`/`steps`
+//! of the plain engine whenever the optimizer left the module alone, and
+//! the optimizer's own accounting when it did not; one elaboration per
+//! (design, size, data, protocol variant) however many rungs ran.
+
+mod common;
+
+use common::{prepared, CORPUS};
+use systolizer::interp::{
+    simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, OptMode,
+    SimSpec, WavefrontMode,
+};
+use systolizer::runtime::{ChanId, ChannelPolicy, FifoPolicy, SchedulePolicy};
+
+#[derive(Clone, Copy, Debug)]
+struct Rung {
+    executor: ExecutorChoice,
+    batch: BatchMode,
+    opt: OptMode,
+    wavefront: WavefrontMode,
+    kernel: KernelMode,
+}
+
+impl Rung {
+    fn spec(self) -> SimSpec {
+        SimSpec {
+            executor: self.executor,
+            batch: self.batch,
+            opt: self.opt,
+            wavefront: self.wavefront,
+            kernel: self.kernel,
+            ..SimSpec::default()
+        }
+    }
+}
+
+/// executor × batch × opt, and on the cooperative engine also
+/// × wavefront × kernel (inert on the other two).
+fn rungs() -> Vec<Rung> {
+    let mut out = Vec::new();
+    for batch in [BatchMode::Auto, BatchMode::Off] {
+        for opt in [OptMode::Auto, OptMode::Off] {
+            let rung = |executor, wavefront, kernel| Rung {
+                executor,
+                batch,
+                opt,
+                wavefront,
+                kernel,
+            };
+            for executor in [
+                ExecutorChoice::Threaded,
+                ExecutorChoice::Partitioned { workers: 1 },
+                ExecutorChoice::Partitioned { workers: 3 },
+            ] {
+                out.push(rung(executor, WavefrontMode::Auto, KernelMode::Auto));
+            }
+            for wavefront in [WavefrontMode::Off, WavefrontMode::Auto, WavefrontMode::Par] {
+                for kernel in [KernelMode::Auto, KernelMode::Off] {
+                    out.push(rung(ExecutorChoice::Coop, wavefront, kernel));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Reverses each round's firing order and honestly reports
+/// `is_fifo() == false`.
+struct ReversePolicy;
+
+impl SchedulePolicy for ReversePolicy {
+    fn schedule_round(&mut self, _round: u64, fire: &mut Vec<ChanId>, _defer: &mut Vec<ChanId>) {
+        fire.reverse();
+    }
+
+    fn label(&self) -> String {
+        "reverse".into()
+    }
+}
+
+#[test]
+fn every_rung_matches_the_oracle_with_the_documented_engagement() {
+    let mut fused_somewhere = false;
+    // `..=`: the shipped `fir.sys` too, the second chain-fusion witness.
+    for design in 0..=CORPUS {
+        for n in [2i64, 4] {
+            let (plan, env, store) = prepared(design, n, 23);
+            let ms = ModuleStore::new();
+            let verified = |ctx: &str, spec: SimSpec| {
+                simulate_verified(&ms, &plan, &env, &store, spec)
+                    .unwrap_or_else(|e| panic!("design {design} n={n} {ctx}: {e}"))
+            };
+            let base = verified("plain", SimSpec::plain());
+            assert_eq!(base.engine, "coop");
+            assert!(!base.batched && !base.wavefront && base.opt.is_none());
+            assert!(base.kernel.is_none());
+
+            // Whether the optimizer rewrites this module: the first
+            // rung that may say so decides, every later one must agree.
+            let mut fuses = None;
+            for rung in rungs() {
+                let ctx = format!("design {design} n={n} {rung:?}");
+                let run = verified(&format!("{rung:?}"), rung.spec());
+                let coop = rung.executor == ExecutorChoice::Coop;
+                let batched =
+                    rung.batch == BatchMode::Auto && rung.executor != ExecutorChoice::Threaded;
+                let wavefront = batched && coop && rung.wavefront != WavefrontMode::Off;
+                assert_eq!(run.engine, rung.executor.label(), "{ctx}");
+                assert_eq!(run.batched, batched, "{ctx}: batched");
+                assert_eq!(run.wavefront, wavefront, "{ctx}: wavefront");
+                assert_eq!(
+                    run.kernel.as_ref().map(|k| k.enabled),
+                    wavefront.then_some(rung.kernel == KernelMode::Auto),
+                    "{ctx}: kernel report"
+                );
+                if batched && rung.opt == OptMode::Auto {
+                    let fused = run.opt.is_some();
+                    assert_eq!(*fuses.get_or_insert(fused), fused, "{ctx}: opt flips");
+                } else {
+                    assert!(run.opt.is_none(), "{ctx}: the optimizer rides the gate");
+                }
+                match &run.opt {
+                    None => {
+                        assert_eq!(run.stats.messages, base.stats.messages, "{ctx}");
+                        assert_eq!(run.stats.steps, base.stats.steps, "{ctx}");
+                        assert_eq!(run.stats.processes, base.stats.processes, "{ctx}");
+                        if batched && coop {
+                            assert!(
+                                run.stats.rounds <= base.stats.rounds,
+                                "{ctx}: a fast path must not add scheduler rounds"
+                            );
+                        }
+                    }
+                    Some(r) => {
+                        fused_somewhere = true;
+                        assert!(r.processes_after <= r.processes_before, "{ctx}");
+                        assert_eq!(run.stats.processes, r.processes_after, "{ctx}");
+                        assert!(run.stats.messages <= base.stats.messages, "{ctx}");
+                    }
+                }
+            }
+
+            // What closes the gate besides `batch: Off`, and what does not.
+            let buffered = verified(
+                "buffered",
+                SimSpec {
+                    policy: ChannelPolicy::Buffered(4),
+                    ..SimSpec::default()
+                },
+            );
+            assert!(!buffered.batched, "a buffered policy closes the gate");
+            let adversarial = verified(
+                "reverse",
+                SimSpec {
+                    executor: ExecutorChoice::Threaded,
+                    sched: Some(Box::new(ReversePolicy)),
+                    ..SimSpec::default()
+                },
+            );
+            assert_eq!(adversarial.engine, "coop", "only coop has a worklist");
+            assert!(!adversarial.batched, "a non-FIFO schedule closes the gate");
+            assert_eq!(adversarial.stats.messages, base.stats.messages);
+            assert_eq!(adversarial.stats.steps, base.stats.steps);
+            let fifo = verified(
+                "fifo",
+                SimSpec {
+                    sched: Some(Box::new(FifoPolicy)),
+                    ..SimSpec::default()
+                },
+            );
+            assert!(fifo.wavefront, "the identity policy keeps the gate open");
+            assert_eq!(ms.stats().module_misses, 1, "design {design} n={n}");
+
+            // Protocol variants are different networks: one more
+            // elaboration each, shared by the plain and the default rung.
+            // Merged host i/o is pinned on the appendix designs only (the
+            // fuzz suite documents where it can deadlock elsewhere).
+            let split = ElabOptions {
+                split_propagation: true,
+                ..Default::default()
+            };
+            let merged = ElabOptions {
+                merge_io: true,
+                ..Default::default()
+            };
+            let variants = [Some(split), (design < 4).then_some(merged)];
+            for (i, elab) in variants.into_iter().flatten().enumerate() {
+                let plain = verified(
+                    "variant, plain",
+                    SimSpec {
+                        elab: elab.clone(),
+                        ..SimSpec::plain()
+                    },
+                );
+                let fast = verified(
+                    "variant, default",
+                    SimSpec {
+                        elab,
+                        opt: OptMode::Off,
+                        ..SimSpec::default()
+                    },
+                );
+                assert_eq!(fast.stats.messages, plain.stats.messages);
+                assert_eq!(fast.stats.steps, plain.stats.steps);
+                assert_eq!(ms.stats().module_misses, 2 + i as u64);
+            }
+        }
+    }
+    assert!(fused_somewhere, "no corpus design engaged the optimizer");
+}

@@ -7,8 +7,11 @@
 //! quadratic/cubic, and (b) the schedule search finds makespans at least
 //! as good as the paper's schedules.
 
+mod common;
+
+use common::verify;
 use systolizer::core::{compile, Options};
-use systolizer::interp::verify_equivalence;
+use systolizer::interp::SimSpec;
 use systolizer::math::Env;
 use systolizer::synthesis::placement::paper;
 use systolizer::synthesis::schedule::step_makespan;
@@ -16,8 +19,9 @@ use systolizer::synthesis::schedule::step_makespan;
 fn rounds_at(plan: &systolizer::core::SystolicProgram, n: i64) -> u64 {
     let mut env = Env::new();
     env.bind(plan.source.sizes[0], n);
-    verify_equivalence(plan, &env, &["a", "b"], 1)
+    verify(plan, &env, &["a", "b"], 1, SimSpec::plain())
         .unwrap()
+        .stats
         .rounds
 }
 
@@ -48,8 +52,9 @@ fn virtual_clock_tracks_the_schedule_range() {
         for n in [3i64, 5] {
             let mut env = Env::new();
             env.bind(p.sizes[0], n);
-            let rounds = verify_equivalence(&plan, &env, &["a", "b"], 2)
+            let rounds = verify(&plan, &env, &["a", "b"], 2, SimSpec::plain())
                 .unwrap()
+                .stats
                 .rounds as i64;
             let schedule = a.makespan(&p, &env);
             assert!(

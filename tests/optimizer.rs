@@ -2,154 +2,20 @@
 //! see `docs/process-ir.md`): `--opt auto` may fuse relay chains into
 //! delay rings and rewrite ops, but the recovered store must stay
 //! bit-identical to the `--opt off` exactness oracle on all three
-//! executors, over the whole design corpus and random configurations.
+//! executors, over random configurations of the design corpus (the
+//! whole-corpus sweep is the ladder matrix in `tests/ladder.rs`).
 //! A second proptest sweeps random synthetic transport networks through
 //! the fusion legality check: multi-producer/consumer topologies must
 //! reject chain fusion outright, and processes holding `Keep`/`Eject`
 //! endpoints (stationary stream ends) are never fused away.
 
+mod common;
+
+use common::{prepared, run};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
-use systolizer::core::{compile, Options};
-use systolizer::interp::{
-    run_plan_batch, run_plan_partitioned_batch, run_plan_threaded_batch, BatchMode, ElabOptions,
-    OptMode, WavefrontMode,
-};
-use systolizer::ir::{gallery, HostStore, SourceProgram};
-use systolizer::math::Env;
-use systolizer::runtime::{optimize, ChannelPolicy, MovingLink, ProcIrModule, ProcOp, ProcRecord};
-use systolizer::synthesis::{derive_array, placement::paper};
-
-/// The corpus: 4 appendix designs, 5 gallery programs, and the shipped
-/// `programs/fir.sys` through the full front end.
-fn prepared(
-    design: usize,
-    n: i64,
-    seed: u64,
-) -> (systolizer::core::SystolicProgram, Env, HostStore) {
-    let n_gallery = gallery::all().len();
-    let plan = if design < 4 {
-        let (_, p, a) = paper::all().swap_remove(design);
-        compile(&p, &a, &Options::default()).unwrap()
-    } else if design < 4 + n_gallery {
-        let p: SourceProgram = gallery::all().swap_remove(design - 4);
-        let a = derive_array(&p, 2, 4).unwrap();
-        compile(&p, &a, &Options::default()).unwrap()
-    } else {
-        systolizer::systolize_source(
-            include_str!("../programs/fir.sys"),
-            &systolizer::SystolizeOptions::default(),
-        )
-        .unwrap()
-        .plan
-    };
-    let mut env = Env::new();
-    for &s in &plan.source.sizes {
-        env.bind(s, n);
-    }
-    let mut store = HostStore::allocate(&plan.source, &env);
-    let inputs: &[&str] = if plan.source.name.starts_with("fir") {
-        &["h", "x"]
-    } else {
-        &["a", "b"]
-    };
-    for (i, name) in inputs.iter().enumerate() {
-        store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-    }
-    (plan, env, store)
-}
-
-fn n_designs() -> usize {
-    paper::all().len() + gallery::all().len() + 1
-}
-
-#[test]
-fn opt_auto_stores_are_bit_identical_to_the_oracle_on_all_executors() {
-    let timeout = Duration::from_secs(60);
-    let mut fused_somewhere = false;
-    for design in 0..n_designs() {
-        for n in [2i64, 4] {
-            let (plan, env, store) = prepared(design, n, 23);
-            let oracle = run_plan_batch(
-                &plan,
-                &env,
-                &store,
-                ChannelPolicy::Rendezvous,
-                &ElabOptions::default(),
-                BatchMode::Auto,
-                OptMode::Off,
-                WavefrontMode::Off,
-                None,
-                &[],
-            )
-            .unwrap();
-            assert!(
-                oracle.opt.is_none(),
-                "design {design}: --opt off leaks a report"
-            );
-            let auto = run_plan_batch(
-                &plan,
-                &env,
-                &store,
-                ChannelPolicy::Rendezvous,
-                &ElabOptions::default(),
-                BatchMode::Auto,
-                OptMode::Auto,
-                WavefrontMode::Off,
-                None,
-                &[],
-            )
-            .unwrap();
-            assert_eq!(
-                auto.store, oracle.store,
-                "design {design} n={n}: coop store"
-            );
-            if let Some(r) = &auto.opt {
-                fused_somewhere = true;
-                assert!(r.processes_after <= r.processes_before, "design {design}");
-                assert_eq!(
-                    auto.stats.processes as usize, r.processes_after,
-                    "design {design} n={n}: stats must describe the optimized module"
-                );
-                assert!(
-                    auto.stats.messages <= oracle.stats.messages,
-                    "design {design} n={n}: fusion must not add messages"
-                );
-            }
-            let th = run_plan_threaded_batch(
-                &plan,
-                &env,
-                &store,
-                timeout,
-                BatchMode::Auto,
-                OptMode::Auto,
-            )
-            .unwrap();
-            assert_eq!(
-                th.store, oracle.store,
-                "design {design} n={n}: threaded store"
-            );
-            for workers in [1usize, 3] {
-                let pt = run_plan_partitioned_batch(
-                    &plan,
-                    &env,
-                    &store,
-                    workers,
-                    timeout,
-                    BatchMode::Auto,
-                    OptMode::Auto,
-                )
-                .unwrap();
-                assert_eq!(
-                    pt.store, oracle.store,
-                    "design {design} n={n} w={workers}: partitioned store"
-                );
-            }
-        }
-    }
-    assert!(fused_somewhere, "no corpus design engaged the optimizer");
-}
+use systolizer::interp::{ElabOptions, ExecutorChoice, OptMode, SimSpec, WavefrontMode};
+use systolizer::runtime::{optimize, MovingLink, ProcIrModule, ProcOp, ProcRecord};
 
 /// Case count override (see `tests/random_programs.rs`).
 fn env_cases(default: u32) -> u32 {
@@ -170,45 +36,22 @@ proptest! {
         seed in 0u64..1000,
         workers in 1usize..=4,
     ) {
-        let (plan, env, store) = prepared(design, n, seed);
-        let timeout = Duration::from_secs(60);
-        let oracle = run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-            BatchMode::Auto,
-            OptMode::Off,
-            WavefrontMode::Off,
-            None,
-            &[],
-        )
-        .unwrap();
-        let auto = run_plan_batch(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-            BatchMode::Auto,
-            OptMode::Auto,
-            WavefrontMode::Off,
-            None,
-            &[],
-        )
-        .unwrap();
-        prop_assert_eq!(&auto.store, &oracle.store);
-        let th = run_plan_threaded_batch(
-            &plan, &env, &store, timeout, BatchMode::Auto, OptMode::Auto,
-        )
-        .unwrap();
-        prop_assert_eq!(&th.store, &oracle.store);
-        let pt = run_plan_partitioned_batch(
-            &plan, &env, &store, workers, timeout, BatchMode::Auto, OptMode::Auto,
-        )
-        .unwrap();
-        prop_assert_eq!(&pt.store, &oracle.store);
+        let d = prepared(design, n, seed);
+        let batched = |opt, executor| SimSpec {
+            opt,
+            wavefront: WavefrontMode::Off,
+            executor,
+            ..SimSpec::default()
+        };
+        let oracle = run(&d, batched(OptMode::Off, ExecutorChoice::Coop));
+        for executor in [
+            ExecutorChoice::Coop,
+            ExecutorChoice::Threaded,
+            ExecutorChoice::Partitioned { workers },
+        ] {
+            let auto = run(&d, batched(OptMode::Auto, executor));
+            prop_assert_eq!(&auto.store, &oracle.store);
+        }
     }
 }
 

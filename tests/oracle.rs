@@ -7,14 +7,13 @@
 //! bit-identical across all executions, and the executor-invariant
 //! statistics (messages, steps) must agree.
 
-use std::time::Duration;
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
-    run_plan, run_plan_partitioned, run_plan_threaded, ElabOptions, SystolicRun,
+    observe_plan_in, seeded_store, simulate, simulate_verified, ExecutorChoice, ModuleStore,
+    SimSpec, SystolicRun,
 };
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
-use systolizer::runtime::ChannelPolicy;
 use systolizer::synthesis::placement::paper;
 
 /// A gallery design: label, compiled plan, input variables, and the size
@@ -87,13 +86,20 @@ fn size_env(plan: &SystolicProgram, vals: &[i64]) -> Env {
 
 /// Seeded input store and the sequential-oracle result for a design.
 fn oracle(d: &Design, env: &Env, seed: u64) -> (HostStore, HostStore) {
-    let mut store = HostStore::allocate(&d.plan.source, env);
-    for (i, name) in d.inputs.iter().enumerate() {
-        store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
-    }
+    let store = seeded_store(&d.plan, env, &d.inputs, seed);
     let mut expected = store.clone();
     seq::run(&d.plan.source, env, &mut expected);
     (store, expected)
+}
+
+/// The plain engine of `executor` on the process-wide module store.
+fn run_on(d: &Design, env: &Env, store: &HostStore, executor: ExecutorChoice) -> SystolicRun {
+    let spec = SimSpec {
+        executor,
+        ..SimSpec::plain()
+    };
+    simulate(ModuleStore::global(), &d.plan, env, store, spec)
+        .unwrap_or_else(|e| panic!("{} on {}: {e}", d.label, executor.label()))
 }
 
 /// Every variable of the recovered store matches the oracle bit for bit.
@@ -113,14 +119,7 @@ fn coop_matches_the_sequential_oracle_on_every_design() {
         for sizes in &d.sizes {
             let env = size_env(&d.plan, sizes);
             let (store, expected) = oracle(&d, &env, 17);
-            let run = run_plan(
-                &d.plan,
-                &env,
-                &store,
-                ChannelPolicy::Rendezvous,
-                &ElabOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{} sizes={sizes:?}: {e}", d.label));
+            let run = run_on(&d, &env, &store, ExecutorChoice::Coop);
             assert_stores_identical(d.label, sizes, &run, &expected);
         }
     }
@@ -133,8 +132,7 @@ fn threaded_matches_the_sequential_oracle_on_every_design() {
         let sizes = &d.sizes[1];
         let env = size_env(&d.plan, sizes);
         let (store, expected) = oracle(&d, &env, 29);
-        let run = run_plan_threaded(&d.plan, &env, &store, Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("{} sizes={sizes:?}: {e}", d.label));
+        let run = run_on(&d, &env, &store, ExecutorChoice::Threaded);
         assert_stores_identical(d.label, sizes, &run, &expected);
     }
 }
@@ -146,8 +144,7 @@ fn partitioned_matches_the_sequential_oracle_on_every_design() {
         let env = size_env(&d.plan, sizes);
         let (store, expected) = oracle(&d, &env, 31);
         for workers in [1usize, 3, 7] {
-            let run = run_plan_partitioned(&d.plan, &env, &store, workers, Duration::from_secs(60))
-                .unwrap_or_else(|e| panic!("{} sizes={sizes:?} workers={workers}: {e}", d.label));
+            let run = run_on(&d, &env, &store, ExecutorChoice::Partitioned { workers });
             assert_stores_identical(d.label, sizes, &run, &expected);
         }
     }
@@ -156,33 +153,42 @@ fn partitioned_matches_the_sequential_oracle_on_every_design() {
 #[test]
 fn executors_agree_on_stores_and_invariant_statistics() {
     // Messages and steps are properties of the elaborated network, not of
-    // the executor; all four must report the same counts and stores.
-    // `verify_equivalence_all` runs the four engines off ONE shared
-    // elaboration (a single `Arc<ProcIrModule>` from the module store)
-    // and has already compared each against the sequential oracle. Every
+    // the executor; the three plain engines and the wavefront executor
+    // (kernels on, optimizer off so the counts stay the elaborated
+    // module's) must report the same counts and stores, each checked
+    // against the sequential oracle, off ONE shared elaboration. Every
     // size of every design is exercised: the wavefront executor's chunk
     // staging is size-dependent, so one mid-size point would not pin it.
+    let plain = |executor| SimSpec {
+        executor,
+        ..SimSpec::plain()
+    };
     for d in designs() {
         for sizes in &d.sizes {
             let env = size_env(&d.plan, sizes);
-            let runs = systolizer::interp::verify_equivalence_all(
-                &d.plan,
-                &env,
-                &d.inputs,
-                43,
-                4,
-                Duration::from_secs(60),
-            )
-            .unwrap_or_else(|e| panic!("{} sizes={sizes:?}: {e}", d.label));
-            let labels: Vec<&str> = runs.iter().map(|(l, _)| *l).collect();
-            assert_eq!(
-                labels,
-                ["coop", "threaded", "partitioned", "wavefront"],
-                "{}",
-                d.label
-            );
-            let (_, coop) = &runs[0];
-            for (label, other) in &runs[1..] {
+            let store = seeded_store(&d.plan, &env, &d.inputs, 43);
+            let ms = ModuleStore::new();
+            let runs: Vec<SystolicRun> = [
+                plain(ExecutorChoice::Coop),
+                plain(ExecutorChoice::Threaded),
+                plain(ExecutorChoice::Partitioned { workers: 4 }),
+                SimSpec {
+                    opt: systolizer::interp::OptMode::Off,
+                    ..SimSpec::default()
+                },
+            ]
+            .into_iter()
+            .map(|spec| {
+                simulate_verified(&ms, &d.plan, &env, &store, spec)
+                    .unwrap_or_else(|e| panic!("{} sizes={sizes:?}: {e}", d.label))
+            })
+            .collect();
+            assert_eq!(ms.stats().module_misses, 1, "{}: one elaboration", d.label);
+            let engines: Vec<&str> = runs.iter().map(|r| r.engine).collect();
+            assert_eq!(engines, ["coop", "threaded", "partitioned", "coop"]);
+            let coop = &runs[0];
+            for other in &runs[1..] {
+                let label = other.engine;
                 assert_eq!(
                     coop.stats.messages, other.stats.messages,
                     "{} {label}",
@@ -194,14 +200,7 @@ fn executors_agree_on_stores_and_invariant_statistics() {
                     "{} {label}",
                     d.label
                 );
-                for name in coop.store.names() {
-                    assert_eq!(
-                        coop.store.get(name),
-                        other.store.get(name),
-                        "{} {label}",
-                        d.label
-                    );
-                }
+                assert_eq!(coop.store, other.store, "{} {label}", d.label);
             }
         }
     }
@@ -237,24 +236,10 @@ fn polyprod_sys_golden_stores_are_pinned_at_three_sizes() {
     for (n, want) in goldens {
         let mut env = Env::new();
         env.bind(sys.plan.source.sizes[0], n);
-        let mut store = HostStore::allocate(&sys.plan.source, &env);
-        store.fill_random("a", 101, -9, 9);
-        store.fill_random("b", 102, -9, 9);
-        let mut expected = store.clone();
-        seq::run(&sys.plan.source, &env, &mut expected);
-        let run = run_plan(
-            &sys.plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("polyprod.sys n={n}: {e}"));
-        assert_eq!(
-            run.store.get("c"),
-            expected.get("c"),
-            "polyprod.sys n={n}: network diverges from the oracle"
-        );
+        let store = seeded_store(&sys.plan, &env, &["a", "b"], 101);
+        let ms = ModuleStore::global();
+        let run = simulate_verified(ms, &sys.plan, &env, &store, SimSpec::plain())
+            .unwrap_or_else(|e| panic!("polyprod.sys n={n}: {e}"));
         let got = checksum(run.store.get("c").raw());
         assert_eq!(
             got, want,
@@ -271,14 +256,9 @@ fn observed_runs_match_the_oracle_too() {
         let sizes = &d.sizes[1];
         let env = size_env(&d.plan, sizes);
         let (store, expected) = oracle(&d, &env, 59);
-        let obs = systolizer::interp::observe_plan(
-            &d.plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", d.label));
+        let ms = ModuleStore::global();
+        let obs = observe_plan_in(ms, &d.plan, &env, &store, SimSpec::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", d.label));
         assert_stores_identical(d.label, sizes, &obs.run, &expected);
         assert_eq!(obs.report.transfers, obs.run.stats.messages, "{}", d.label);
         assert_eq!(obs.report.end_time, obs.run.stats.rounds, "{}", d.label);

@@ -3,9 +3,12 @@
 //! every Appendix B theorem, the FIFO conservation law, and observational
 //! equivalence with the sequential reference.
 
+mod common;
+
+use common::{run, verify};
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options, StreamKind};
-use systolizer::interp::verify_equivalence;
+use systolizer::interp::{seeded_store, ExecutorChoice, SimSpec};
 use systolizer::math::{point, Env};
 use systolizer::synthesis::SystolicArray;
 
@@ -52,9 +55,17 @@ fn check_pair(
     let audit = theorems::audit(&plan, &env);
     prop_assert!(audit.ok(), "theorem failures: {:?}", audit.failures);
     // End-to-end equivalence.
-    let res = verify_equivalence(&plan, &env, inputs, seed);
+    let res = verify(&plan, &env, inputs, seed, SimSpec::plain());
     prop_assert!(res.is_ok(), "equivalence: {:?}", res.err());
     Ok(())
+}
+
+/// The plain engine of one executor.
+fn plain(executor: ExecutorChoice) -> SimSpec {
+    SimSpec {
+        executor,
+        ..SimSpec::plain()
+    }
 }
 
 /// Case count: default, overridable via PROPTEST_CASES for deep fuzzing.
@@ -113,7 +124,7 @@ proptest! {
         env.bind(p.sizes[0], n).bind(p.sizes[1], m);
         let audit = theorems::audit(&plan, &env);
         prop_assert!(audit.ok(), "theorem failures: {:?}", audit.failures);
-        let res = verify_equivalence(&plan, &env, &["h", "x"], seed);
+        let res = verify(&plan, &env, &["h", "x"], seed, SimSpec::plain());
         prop_assert!(res.is_ok(), "equivalence: {:?}", res.err());
     }
 
@@ -135,7 +146,7 @@ proptest! {
         prop_assert!(is_stationary);
         let mut env = Env::new();
         env.bind(p.sizes[0], n);
-        let res = verify_equivalence(&plan, &env, &["a", "b"], seed);
+        let res = verify(&plan, &env, &["a", "b"], seed, SimSpec::plain());
         prop_assert!(res.is_ok(), "loading ({lx},{ly}): {:?}", res.err());
     }
 
@@ -153,25 +164,19 @@ proptest! {
         workers in prop_oneof![Just(1usize), 2usize..=6, Just(64usize)],
         seed in 0u64..1000,
     ) {
-        use std::time::Duration;
-        use systolizer::interp::{run_plan, run_plan_partitioned, run_plan_threaded, ElabOptions};
-        use systolizer::runtime::ChannelPolicy;
         let paper = systolizer::synthesis::placement::paper::all();
         let (_, p, a) = &paper[design];
         let plan = compile(p, a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], n);
-        let mut store = systolizer::ir::HostStore::allocate(p, &env);
-        store.fill_random("a", seed, -9, 9);
-        store.fill_random("b", seed + 1, -9, 9);
+        let store = seeded_store(&plan, &env, &["a", "b"], seed);
         let mut expected = store.clone();
         systolizer::ir::seq::run(p, &env, &mut expected);
 
-        let coop = run_plan(&plan, &env, &store, ChannelPolicy::Rendezvous, &ElabOptions::default())
-            .unwrap();
-        let threaded = run_plan_threaded(&plan, &env, &store, Duration::from_secs(60)).unwrap();
-        let part = run_plan_partitioned(&plan, &env, &store, workers, Duration::from_secs(60))
-            .unwrap();
+        let d = (plan, env, store);
+        let coop = run(&d, plain(ExecutorChoice::Coop));
+        let threaded = run(&d, plain(ExecutorChoice::Threaded));
+        let part = run(&d, plain(ExecutorChoice::Partitioned { workers }));
         for name in expected.names() {
             prop_assert_eq!(coop.store.get(name), expected.get(name), "coop {}", name);
             prop_assert_eq!(threaded.store.get(name), expected.get(name), "threaded {}", name);
@@ -193,19 +198,19 @@ proptest! {
         n in 1i64..=4,
         seed in 0u64..1000,
     ) {
-        use systolizer::interp::{run_plan, ElabOptions};
         use systolizer::runtime::ChannelPolicy;
         let (p, a) = systolizer::synthesis::placement::paper::polyprod_d2();
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], n);
-        let mut store = systolizer::ir::HostStore::allocate(&p, &env);
-        store.fill_random("a", seed, -9, 9);
-        store.fill_random("b", seed + 1, -9, 9);
-        let r1 = run_plan(&plan, &env, &store, ChannelPolicy::Rendezvous, &ElabOptions::default())
-            .unwrap();
-        let r2 = run_plan(&plan, &env, &store, ChannelPolicy::Buffered(cap), &ElabOptions::default())
-            .unwrap();
+        let store = seeded_store(&plan, &env, &["a", "b"], seed);
+        let d = (plan, env, store);
+        let r1 = run(&d, SimSpec::plain());
+        let buffered = SimSpec {
+            policy: ChannelPolicy::Buffered(cap),
+            ..SimSpec::plain()
+        };
+        let r2 = run(&d, buffered);
         prop_assert_eq!(r1.store.get("c"), r2.store.get("c"));
         // Buffered transfers are counted twice (enqueue + dequeue).
         prop_assert_eq!(2 * r1.stats.messages, r2.stats.messages);
@@ -215,20 +220,11 @@ proptest! {
 /// Named regressions for the degenerate corners the proptest above only
 /// samples: they must stay pinned even when the fuzz budget is tiny.
 mod degenerate_corners {
-    use std::time::Duration;
+    use super::{common::run, plain};
     use systolizer::core::{compile, Options};
-    use systolizer::interp::{run_plan, run_plan_partitioned, run_plan_threaded, ElabOptions};
-    use systolizer::ir::HostStore;
+    use systolizer::interp::{seeded_store, ExecutorChoice, SimSpec};
     use systolizer::math::Env;
-    use systolizer::runtime::ChannelPolicy;
     use systolizer::synthesis::placement::paper;
-
-    fn seeded_store(p: &systolizer::ir::SourceProgram, env: &Env) -> HostStore {
-        let mut store = HostStore::allocate(p, env);
-        store.fill_random("a", 7, -9, 9);
-        store.fill_random("b", 8, -9, 9);
-        store
-    }
 
     /// A single worker serializes every process into one group; the
     /// partition must still agree with the cooperative engine bit for
@@ -239,17 +235,10 @@ mod degenerate_corners {
             let plan = compile(&p, &a, &Options::default()).unwrap();
             let mut env = Env::new();
             env.bind(p.sizes[0], 3);
-            let store = seeded_store(&p, &env);
-            let coop = run_plan(
-                &plan,
-                &env,
-                &store,
-                ChannelPolicy::Rendezvous,
-                &ElabOptions::default(),
-            )
-            .unwrap();
-            let part =
-                run_plan_partitioned(&plan, &env, &store, 1, Duration::from_secs(30)).unwrap();
+            let store = seeded_store(&plan, &env, &["a", "b"], 7);
+            let d = (plan, env, store);
+            let coop = run(&d, SimSpec::plain());
+            let part = run(&d, plain(ExecutorChoice::Partitioned { workers: 1 }));
             assert_eq!(part.store, coop.store, "{label}: one-worker store");
             assert_eq!(part.stats.messages, coop.stats.messages, "{label}");
             assert_eq!(part.stats.steps, coop.stats.steps, "{label}");
@@ -264,17 +253,11 @@ mod degenerate_corners {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], 2);
-        let store = seeded_store(&p, &env);
-        let coop = run_plan(
-            &plan,
-            &env,
-            &store,
-            ChannelPolicy::Rendezvous,
-            &ElabOptions::default(),
-        )
-        .unwrap();
+        let store = seeded_store(&plan, &env, &["a", "b"], 7);
+        let d = (plan, env, store);
+        let coop = run(&d, SimSpec::plain());
         assert!(coop.stats.processes < 64, "pick a size below worker count");
-        let part = run_plan_partitioned(&plan, &env, &store, 64, Duration::from_secs(30)).unwrap();
+        let part = run(&d, plain(ExecutorChoice::Partitioned { workers: 64 }));
         assert_eq!(part.store, coop.store, "oversubscribed store");
         assert_eq!(part.stats.messages, coop.stats.messages);
         assert_eq!(part.stats.steps, coop.stats.steps);
@@ -289,21 +272,14 @@ mod degenerate_corners {
             let plan = compile(&p, &a, &Options::default()).unwrap();
             let mut env = Env::new();
             env.bind(p.sizes[0], 0);
-            let store = seeded_store(&p, &env);
+            let store = seeded_store(&plan, &env, &["a", "b"], 7);
             let mut expected = store.clone();
             systolizer::ir::seq::run(&p, &env, &mut expected);
 
-            let coop = run_plan(
-                &plan,
-                &env,
-                &store,
-                ChannelPolicy::Rendezvous,
-                &ElabOptions::default(),
-            )
-            .unwrap();
-            let threaded = run_plan_threaded(&plan, &env, &store, Duration::from_secs(30)).unwrap();
-            let part =
-                run_plan_partitioned(&plan, &env, &store, 2, Duration::from_secs(30)).unwrap();
+            let d = (plan, env, store);
+            let coop = run(&d, SimSpec::plain());
+            let threaded = run(&d, plain(ExecutorChoice::Threaded));
+            let part = run(&d, plain(ExecutorChoice::Partitioned { workers: 2 }));
             for name in expected.names() {
                 assert_eq!(coop.store.get(name), expected.get(name), "{label} {name}");
                 assert_eq!(

@@ -11,8 +11,11 @@
 //!    within the paper's "only one of many possible choices" latitude)
 //!    executes the same plans deadlock-free.
 
+mod common;
+
+use common::{plain_under, verify};
 use systolizer::core::{compile, Options};
-use systolizer::interp::{verify_equivalence, verify_equivalence_with, ElabOptions};
+use systolizer::interp::{ElabOptions, SimSpec};
 use systolizer::ir::expr::build::*;
 use systolizer::ir::{
     program::covering_bounds, BasicStatement, IndexedVar, Loop, SourceProgram, Stream,
@@ -86,9 +89,10 @@ fn paper_protocol_deadlocks_on_the_lockstep_design() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], 2);
-    let err = verify_equivalence(&plan, &env, &["a", "b"], 0)
-        .expect_err("the sequential-phase protocol deadlocks here");
-    assert!(err.contains("deadlock"), "{err}");
+    let Err(err) = verify(&plan, &env, &["a", "b"], 0, SimSpec::plain()) else {
+        panic!("the sequential-phase protocol deadlocks here");
+    };
+    assert!(err.to_string().contains("deadlock"), "{err}");
 }
 
 #[test]
@@ -103,7 +107,7 @@ fn split_propagation_executes_the_lockstep_design_correctly() {
     for n in [1i64, 2, 4] {
         let mut env = Env::new();
         env.bind(p.sizes[0], n);
-        verify_equivalence_with(&plan, &env, &["a", "b"], 5, &opts)
+        verify(&plan, &env, &["a", "b"], 5, plain_under(opts.clone()))
             .unwrap_or_else(|e| panic!("n={n}: {e}"));
     }
 }
@@ -118,7 +122,7 @@ fn split_propagation_also_runs_all_paper_designs() {
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], 3);
-        verify_equivalence_with(&plan, &env, &["a", "b"], 21, &opts)
+        verify(&plan, &env, &["a", "b"], 21, plain_under(opts.clone()))
             .unwrap_or_else(|e| panic!("{label}: {e}"));
     }
 }
@@ -138,7 +142,7 @@ fn merged_io_runs_all_paper_designs() {
         for n in [1i64, 3] {
             let mut env = Env::new();
             env.bind(p.sizes[0], n);
-            verify_equivalence_with(&plan, &env, &["a", "b"], 33, &opts)
+            verify(&plan, &env, &["a", "b"], 33, plain_under(opts.clone()))
                 .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
         }
     }
@@ -173,23 +177,15 @@ fn deadlock_diagnosis_names_processes_and_channels() {
     // The structured error, not just its rendering: RunError::Deadlock
     // carries every blocked process label with the channel endpoints it
     // waits on ("label [recv@N,send@M]").
-    use systolizer::interp::{run_plan, ExecError};
-    use systolizer::runtime::{ChannelPolicy, RunError};
+    use systolizer::interp::{seeded_store, simulate, ExecError, ModuleStore};
+    use systolizer::runtime::RunError;
     let p = lockstep_program();
     let a = systolizer::synthesis::derive_array(&p, 1, 3).unwrap();
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], 2);
-    let mut store = systolizer::ir::HostStore::allocate(&p, &env);
-    store.fill_random("a", 1, -9, 9);
-    store.fill_random("b", 2, -9, 9);
-    let err = match run_plan(
-        &plan,
-        &env,
-        &store,
-        ChannelPolicy::Rendezvous,
-        &ElabOptions::default(),
-    ) {
+    let store = seeded_store(&plan, &env, &["a", "b"], 1);
+    let err = match simulate(ModuleStore::global(), &plan, &env, &store, SimSpec::plain()) {
         Err(e) => e,
         Ok(_) => panic!("the sequential-phase protocol deadlocks here"),
     };

@@ -4,14 +4,18 @@
 //! the Appendix B theorems, and execute equivalently to its own
 //! sequential semantics.
 
+mod common;
+
+use common::{plain_under, verify};
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options};
-use systolizer::interp::verify_equivalence;
+use systolizer::interp::{ElabOptions, SimSpec, VerifyError};
 use systolizer::ir::expr::build::*;
 use systolizer::ir::{
     program::covering_bounds, BasicStatement, IndexedVar, Loop, SourceProgram, Stream,
 };
 use systolizer::math::{Affine, Env, Matrix, VarTable};
+use systolizer::runtime::RunError;
 
 /// Candidate index-map rows for r = 2 (must be non-zero, constant-free).
 const ROWS2: &[[i64; 2]] = &[[1, 0], [0, 1], [1, 1], [1, -1], [-1, 1], [2, 1], [1, 2]];
@@ -141,6 +145,16 @@ fn env_cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
+fn is_deadlock(e: &VerifyError) -> bool {
+    matches!(
+        e,
+        VerifyError::Engine {
+            error: RunError::Deadlock(_),
+            ..
+        }
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(40), ..ProptestConfig::default() })]
 
@@ -170,16 +184,14 @@ proptest! {
         // every valid design (a reproduction finding; see EXPERIMENTS.md).
         // When it deadlocks, the split-propagation protocol must succeed
         // — and when it doesn't, the results must be correct.
-        match verify_equivalence(&plan, &env, &["a", "b"], seed) {
+        match verify(&plan, &env, &["a", "b"], seed, SimSpec::plain()) {
             Ok(_) => {}
-            Err(e) if e.contains("deadlock") => {
-                let opts = systolizer::interp::ElabOptions {
+            Err(e) if is_deadlock(&e) => {
+                let opts = ElabOptions {
                     split_propagation: true,
                     ..Default::default()
                 };
-                let res = systolizer::interp::verify_equivalence_with(
-                    &plan, &env, &["a", "b"], seed, &opts,
-                );
+                let res = verify(&plan, &env, &["a", "b"], seed, plain_under(opts));
                 prop_assert!(
                     res.is_ok(),
                     "split propagation also failed: {:?} (spec {spec:?})",
@@ -215,16 +227,16 @@ proptest! {
         };
         let mut env = Env::new();
         env.bind(program.sizes[0], nval);
-        let opts = systolizer::interp::ElabOptions {
+        let opts = ElabOptions {
             merge_io: true,
             split_propagation: true,
             ..Default::default()
         };
-        match systolizer::interp::verify_equivalence_with(&plan, &env, &["a", "b"], seed, &opts) {
+        match verify(&plan, &env, &["a", "b"], seed, plain_under(opts)) {
             Ok(_) => {}
             Err(e) => {
                 prop_assert!(
-                    e.contains("deadlock"),
+                    is_deadlock(&e),
                     "non-deadlock failure under merged io: {e} (spec {spec:?})"
                 );
             }
@@ -252,13 +264,11 @@ proptest! {
         };
         let mut env = Env::new();
         env.bind(program.sizes[0], nval);
-        let opts = systolizer::interp::ElabOptions {
+        let opts = ElabOptions {
             split_propagation: true,
             ..Default::default()
         };
-        let res = systolizer::interp::verify_equivalence_with(
-            &plan, &env, &["a", "b"], seed, &opts,
-        );
+        let res = verify(&plan, &env, &["a", "b"], seed, plain_under(opts));
         prop_assert!(res.is_ok(), "{:?} (spec {spec:?})", res.err());
     }
 

@@ -418,7 +418,10 @@ fn inline_source_requests_run_verified_end_to_end() {
 fn adversarial_schedules_change_no_stores_behind_the_service() {
     // Every policy × seed runs through `handle_run` (in-process — same
     // code path as the wire, no sockets) in differential mode; the
-    // response stores must still match the client-side oracle.
+    // response stores must still match the client-side oracle. The
+    // request names the threaded executor, which has no worklist to
+    // permute: the run is rerouted to the cooperative engine and the
+    // response must name the engine that ran, not the one asked for.
     let svc = Service::new(test_config());
     for (design, sizes) in &GALLERY[..3] {
         let expected = oracle_for(design, sizes, 42);
@@ -437,10 +440,12 @@ fn adversarial_schedules_change_no_stores_behind_the_service() {
                             ]),
                         ),
                         ("verify", Json::Bool(true)),
+                        ("executor", Json::Str("threaded".into())),
                     ],
                 );
                 let (status, resp) = svc.handle_run(&body);
                 assert_eq!(status, 200, "{design} under {policy}:{seed}: {resp}");
+                assert!(resp.contains(r#""executor":"coop""#), "{resp}");
                 assert_stores_match(&resp, &expected, &format!("{design}/{policy}:{seed}"));
             }
         }
