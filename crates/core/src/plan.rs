@@ -8,7 +8,6 @@
 use systolic_ir::{SourceProgram, StreamId};
 use systolic_math::{
     affine::{eval_point, AffinePoint},
-    speceval::{SpecCount, SpecPoint},
     Affine, Env, Piecewise, RatPoint, Var, VarTable,
 };
 use systolic_synthesis::SystolicArray;
@@ -137,27 +136,7 @@ impl SystolicProgram {
 
     /// All process-space points at a problem size, row-major.
     pub fn ps_points(&self, env: &Env) -> Vec<Vec<i64>> {
-        let bx = self.ps_box(env);
-        let mut out = Vec::new();
-        let mut p: Vec<i64> = bx.iter().map(|&(lo, _)| lo).collect();
-        if bx.iter().any(|&(lo, hi)| lo > hi) {
-            return out;
-        }
-        loop {
-            out.push(p.clone());
-            let mut d = bx.len();
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                p[d] += 1;
-                if p[d] <= bx[d].1 {
-                    break;
-                }
-                p[d] = bx[d].0;
-            }
-        }
+        systolic_math::point::box_points(&self.ps_box(env))
     }
 
     /// Evaluate `first` at a process position; `None` for null processes
@@ -165,14 +144,7 @@ impl SystolicProgram {
     pub fn first_at(&self, env_sizes: &Env, y: &[i64]) -> Option<Vec<i64>> {
         let mut env = env_sizes.clone();
         self.bind_coords(&mut env, y);
-        self.first_bound(&env)
-    }
-
-    /// [`SystolicProgram::first_at`] with the coordinates already bound —
-    /// the clone-free form for callers that sweep many points with one
-    /// scratch environment (elaboration's per-point loop).
-    pub fn first_bound(&self, env_y: &Env) -> Option<Vec<i64>> {
-        self.first.select(env_y).map(|p| eval_point(p, env_y))
+        self.first.select(&env).map(|p| eval_point(p, &env))
     }
 
     /// Evaluate `last` at a process position.
@@ -191,12 +163,7 @@ impl SystolicProgram {
     pub fn count_at(&self, env_sizes: &Env, y: &[i64]) -> i64 {
         let mut env = env_sizes.clone();
         self.bind_coords(&mut env, y);
-        self.count_bound(&env)
-    }
-
-    /// [`SystolicProgram::count_at`] with the coordinates already bound.
-    pub fn count_bound(&self, env_y: &Env) -> i64 {
-        self.count.select(env_y).map_or(0, |c| c.eval_int(env_y))
+        self.count.select(&env).map_or(0, |c| c.eval_int(&env))
     }
 
     /// The chord of index points process `y` executes, in step order.
@@ -219,13 +186,7 @@ impl SystolicProgram {
     pub fn stream_count_at(&self, which: &Piecewise<Affine>, env_sizes: &Env, y: &[i64]) -> i64 {
         let mut env = env_sizes.clone();
         self.bind_coords(&mut env, y);
-        Self::stream_count_bound(which, &env)
-    }
-
-    /// [`SystolicProgram::stream_count_at`] with the coordinates already
-    /// bound.
-    pub fn stream_count_bound(which: &Piecewise<Affine>, env_y: &Env) -> i64 {
-        which.select(env_y).map_or(0, |c| c.eval_int(env_y))
+        which.select(&env).map_or(0, |c| c.eval_int(&env))
     }
 
     /// Evaluate `first_s` / `last_s` at an i/o process position.
@@ -237,64 +198,7 @@ impl SystolicProgram {
     ) -> Option<Vec<i64>> {
         let mut env = env_sizes.clone();
         self.bind_coords(&mut env, y);
-        Self::stream_point_bound(which, &env)
-    }
-
-    /// [`SystolicProgram::stream_point_at`] with the coordinates already
-    /// bound.
-    pub fn stream_point_bound(which: &Piecewise<AffinePoint>, env_y: &Env) -> Option<Vec<i64>> {
-        which.select(env_y).map(|p| eval_point(p, env_y))
-    }
-
-    /// Partially evaluate the per-point schedule quantities at a problem
-    /// size (`env_sizes` binds every size symbol). The returned evaluators
-    /// answer the same questions as [`SystolicProgram::first_bound`],
-    /// [`SystolicProgram::count_bound`] and
-    /// [`SystolicProgram::stream_count_bound`] — identically, clause order
-    /// included — but in pure integer arithmetic over the coordinate
-    /// vector, which is what makes elaboration's sweep over every
-    /// process-space point cheap (see `systolic_math::speceval`).
-    pub fn specialize(&self, env_sizes: &Env) -> SpecSchedule {
-        let dims = &self.coords;
-        SpecSchedule {
-            first: SpecPoint::of_points(&self.first, dims, env_sizes),
-            count: SpecCount::of(&self.count, dims, env_sizes),
-            streams: self
-                .streams
-                .iter()
-                .map(|sp| SpecStream {
-                    soak: SpecCount::of(&sp.soak, dims, env_sizes),
-                    drain: SpecCount::of(&sp.drain, dims, env_sizes),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A stream's soak/drain counts, size-specialized.
-pub struct SpecStream {
-    pub soak: SpecCount,
-    pub drain: SpecCount,
-}
-
-/// The schedule quantities elaboration queries at every process-space
-/// point, size-specialized by [`SystolicProgram::specialize`].
-pub struct SpecSchedule {
-    first: SpecPoint,
-    count: SpecCount,
-    /// Indexed by `StreamId`.
-    pub streams: Vec<SpecStream>,
-}
-
-impl SpecSchedule {
-    /// `first` at `y`; `None` for null processes.
-    pub fn first_at(&self, y: &[i64]) -> Option<Vec<i64>> {
-        self.first.point_at(y)
-    }
-
-    /// The repeater length at `y`, 0 for null processes.
-    pub fn count_at(&self, y: &[i64]) -> i64 {
-        self.count.at(y)
+        which.select(&env).map(|p| eval_point(p, &env))
     }
 }
 

@@ -293,7 +293,7 @@ impl ModuleStore {
     /// plan; a miss runs whichever phases are cold and caches the
     /// result. Instantiation errors are returned (and not cached — a
     /// failing configuration re-diagnoses on every attempt, exactly
-    /// like direct elaboration).
+    /// like the uncached `elaborate`).
     pub fn module(
         &self,
         plan: &SystolicProgram,

@@ -3,14 +3,12 @@
 //! buffer, host source/sink — to the flat [`ProcIR`](ProcIrModule)
 //! bytecode shared by all executors and code generators.
 //!
-//! The construction follows Appendix C's channel discipline — stream `s`
-//! has a channel family along its flow, `s_chan[y]` connecting
-//! `y - flow.s -> y` — realized as one FIFO pipe per equivalence class of
-//! process-space points under translation by the stream's unit flow. Each
-//! pipe gets an input process at its upstream end, `d - 1` relay buffers
-//! ahead of every process for a flow of denominator `d` (Sec. 7.6,
-//! "inserted in between each computation process ... for the sake of
-//! regularity" also ahead of the first), and an output process downstream.
+//! This module holds the types every consumer of an elaboration shares
+//! (options, errors, census, the [`Elaborated`] result) and the uncached
+//! entry point [`elaborate`]. The construction itself — the one place a
+//! plan becomes channels and processes — is
+//! [`crate::skeleton::instantiate`], which documents the channel
+//! discipline and the process shapes.
 //!
 //! The result is an immutable [`Arc<ProcIrModule>`]: per-run state lives
 //! in the VMs that [`ProcIrModule::instantiate`] builds, so one
@@ -19,13 +17,10 @@
 
 use std::fmt;
 use std::sync::Arc;
-use systolic_core::{StreamKind, SystolicProgram};
+use systolic_core::SystolicProgram;
 use systolic_ir::{BasicStatement, HostStore};
 use systolic_math::{point, Env};
-use systolic_runtime::{
-    ChanId, ComputeBody, MovingLink, OptMode, OptimizedModule, ProcId, ProcIrBuilder, ProcIrModule,
-    ProcOp, Value,
-};
+use systolic_runtime::{ChanId, ComputeBody, ProcId, ProcIrModule, Value};
 
 /// Census of the elaborated network, for reports and experiments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -144,25 +139,9 @@ pub struct Elaborated {
     pub comp_at: Vec<(Vec<i64>, ProcId)>,
 }
 
-impl Elaborated {
-    /// Run the ProcIR optimizer (`systolic_runtime::opt`) over the
-    /// elaborated module: relay-chain fusion into delay rings plus the op
-    /// peepholes. `None` when the mode is [`OptMode::Off`] or the module
-    /// is left untouched. The optimized module executes only on the
-    /// batched engines — feed `chan_caps` to
-    /// [`systolic_runtime::analyze_with_caps`] so the surviving channels
-    /// get their delay-ring capacities.
-    pub fn optimize(&self, mode: OptMode) -> Option<OptimizedModule> {
-        if mode == OptMode::Off {
-            return None;
-        }
-        systolic_runtime::optimize(&self.module)
-    }
-}
-
 /// Adapts the plan's [`BasicStatement`] to the runtime's opaque
 /// [`ComputeBody`] (the runtime crate knows nothing about expression
-/// trees). Shared with the two-phase elaborator (`crate::skeleton`).
+/// trees).
 pub(crate) struct BodyAdapter(pub(crate) Arc<BasicStatement>);
 
 impl ComputeBody for BodyAdapter {
@@ -216,361 +195,23 @@ impl PsIndex {
 }
 
 /// Lower `plan` at the problem size bound in `env` to a [`ProcIrModule`],
-/// reading initial stream data from `store`.
+/// reading initial stream data from `store`: both phases of
+/// `crate::skeleton`, uncached (the module store in `crate::cache` keeps
+/// the skeleton across sizes and the module across runs).
 pub fn elaborate(
     plan: &SystolicProgram,
     env: &Env,
     store: &HostStore,
     opts: &ElabOptions,
 ) -> Result<Elaborated, ElabError> {
-    let ps = plan.ps_box(env);
-    let in_ps = |p: &[i64]| p.iter().zip(&ps).all(|(&x, &(lo, hi))| x >= lo && x <= hi);
-    let ps_points = plan.ps_points(env);
-    let psidx = PsIndex::new(&ps);
-    let n_streams = plan.streams.iter().map(|s| s.id.0 + 1).max().unwrap_or(0);
-    // One scratch environment for every per-point query below; each
-    // `bind_coords` overwrites the previous point's coordinates.
-    let mut env_y = env.clone();
-    // The basic statement is identical at every computation process, so
-    // the straight-line kernel compiles once per module; a rejection is
-    // recorded, not fatal (the scalar macro path still runs the body).
-    let body: Arc<dyn ComputeBody> = Arc::new(BodyAdapter(Arc::new(plan.source.body.clone())));
-    let (kernel, kernel_reject) = match crate::kernelize::kernelize(&plan.source.body) {
-        Ok(k) => (Some(Arc::new(k)), None),
-        Err(why) => (None, Some(why)),
-    };
-
-    let mut chans = ChanAlloc(0);
-    let mut b = ProcIrBuilder::new();
-    let mut outputs = Vec::new();
-    let mut census = Census::default();
-    // [stream][PS offset] -> (in_chan, out_chan); every in-PS point of
-    // every stream lies on exactly one pipe chain, so both tables are
-    // fully populated by the pipe walks below.
-    let mut endpoint: Vec<Vec<(ChanId, ChanId)>> =
-        vec![vec![(ChanId::MAX, ChanId::MAX); psidx.len()]; n_streams];
-    // [stream][PS offset] -> pipe element count
-    let mut pipe_n: Vec<Vec<i64>> = vec![vec![0; psidx.len()]; n_streams];
-
-    struct PipeIo {
-        entry: ChanId,
-        exit: ChanId,
-        head: Vec<i64>,
-        tail: Vec<i64>,
-        values: Vec<i64>,
-        elements: Vec<Vec<i64>>,
-    }
-
-    for sp in &plan.streams {
-        let u = &sp.unit_flow;
-        let relays = if opts.internal_buffers {
-            sp.denominator - 1
-        } else {
-            0
-        };
-        let var = store
-            .try_get(&sp.name)
-            .ok_or_else(|| ElabError::MissingVariable {
-                variable: sp.name.clone(),
-            })?;
-        let mut pipe_ios: Vec<PipeIo> = Vec::new();
-        for head in &ps_points {
-            if in_ps(&point::sub(head, u)) {
-                continue; // not the upstream end of a pipe
-            }
-            // Walk the chain.
-            let mut chain = Vec::new();
-            let mut z = head.clone();
-            while in_ps(&z) {
-                chain.push(z.clone());
-                z = point::add(&z, u);
-            }
-            // Pipe contents from first_s / last_s at the head.
-            plan.bind_coords(&mut env_y, head);
-            let first_s = SystolicProgram::stream_point_bound(&sp.first_s, &env_y);
-            let last_s = SystolicProgram::stream_point_bound(&sp.last_s, &env_y);
-            let (elements, n) = match (first_s, last_s) {
-                (Some(f), Some(l)) => {
-                    let k = point::exact_div(&point::sub(&l, &f), &sp.increment_s).ok_or_else(
-                        || ElabError::MisalignedPipe {
-                            stream: sp.name.clone(),
-                            head: head.clone(),
-                        },
-                    )?;
-                    if k < 0 {
-                        return Err(ElabError::ReversedPipe {
-                            stream: sp.name.clone(),
-                            head: head.clone(),
-                        });
-                    }
-                    let elems: Vec<Vec<i64>> = (0..=k)
-                        .map(|t| point::add(&f, &point::scale(t, &sp.increment_s)))
-                        .collect();
-                    let n = elems.len() as i64;
-                    (elems, n)
-                }
-                _ => (Vec::new(), 0),
-            };
-            for z in &chain {
-                pipe_n[sp.id.0][psidx.at(z)] = n;
-            }
-
-            // Pipe entry channel and chain with relays ahead of every
-            // process.
-            let entry = chans.next();
-            let mut prev = entry;
-            for z in &chain {
-                for r in 0..relays {
-                    let nxt = chans.next();
-                    b.relay(
-                        prev,
-                        nxt,
-                        n.max(0) as usize,
-                        format!("buf{r}:{}@{}", sp.name, point::fmt_point(z)),
-                    );
-                    census.internal_buffers += 1;
-                    prev = nxt;
-                }
-                let out = chans.next();
-                endpoint[sp.id.0][psidx.at(z)] = (prev, out);
-                prev = out;
-            }
-            let values = elements
-                .iter()
-                .map(|e| {
-                    var.checked_get(e)
-                        .ok_or_else(|| ElabError::ElementOutOfBounds {
-                            variable: sp.name.clone(),
-                            element: e.clone(),
-                        })
-                })
-                .collect::<Result<Vec<i64>, ElabError>>()?;
-            pipe_ios.push(PipeIo {
-                entry,
-                exit: prev,
-                head: head.clone(),
-                tail: chain.last().unwrap().clone(),
-                values,
-                elements,
-            });
-        }
-
-        // Emit i/o processes: one per pipe (the paper's abstract layout)
-        // or merged per stream (the deferred optimization).
-        if opts.merge_io {
-            let max_len = pipe_ios.iter().map(|p| p.values.len()).max().unwrap_or(0);
-            let mut sends = Vec::new();
-            let mut recvs = Vec::new();
-            let mut merged_elems = Vec::new();
-            for t in 0..max_len {
-                for p in &pipe_ios {
-                    if t < p.values.len() {
-                        sends.push((p.entry, p.values[t]));
-                        recvs.push(p.exit);
-                        merged_elems.push(p.elements[t].clone());
-                    }
-                }
-            }
-            b.scripted_source(&sends, format!("in:{}", sp.name));
-            let (_, out) = b.scripted_sink(&recvs, format!("out:{}", sp.name));
-            census.inputs += 1;
-            census.outputs += 1;
-            outputs.push(OutputSpec {
-                variable: sp.name.clone(),
-                elements: merged_elems,
-                output: out,
-            });
-        } else {
-            for p in pipe_ios {
-                b.source(
-                    p.entry,
-                    &p.values,
-                    format!("in:{}@{}", sp.name, point::fmt_point(&p.head)),
-                );
-                census.inputs += 1;
-                let (_, out) = b.sink(
-                    p.exit,
-                    p.elements.len(),
-                    format!("out:{}@{}", sp.name, point::fmt_point(&p.tail)),
-                );
-                census.outputs += 1;
-                outputs.push(OutputSpec {
-                    variable: sp.name.clone(),
-                    elements: p.elements,
-                    output: out,
-                });
-            }
-        }
-    }
-
-    // Processes at every PS point. The sweep asks the same symbolic
-    // questions at each of them, so the schedule quantities are partially
-    // evaluated at the bound problem size once up front and each point
-    // costs only integer arithmetic (`SystolicProgram::specialize`).
-    let spec = plan.specialize(env);
-    let mut comp_at = Vec::new();
-    for y in &ps_points {
-        let yi = psidx.at(y);
-        if let Some(first) = spec.first_at(y) {
-            // Computation process: the canonical load / soak / repeater /
-            // drain / recover shape of Appendix C–E.
-            let count = spec.count_at(y);
-            // Pre-pass over the moving streams: split propagation's escort
-            // relays are separate processes and lower before the
-            // computation process opens; the paper protocol's soaks are
-            // ops queued for it.
-            let mut moving: Vec<MovingLink> = Vec::new();
-            let mut soaks: Vec<ProcOp> = Vec::new();
-            for sp in &plan.streams {
-                if sp.kind == StreamKind::Moving {
-                    let (ic, oc) = endpoint[sp.id.0][yi];
-                    let soak = spec.streams[sp.id.0].soak.at(y);
-                    let drain = spec.streams[sp.id.0].drain.at(y);
-                    if opts.split_propagation {
-                        let cs = chans.next(); // splitter -> comp
-                        let cm = chans.next(); // comp -> merger
-                        let sm = chans.next(); // splitter -> merger
-                        b.segment_relay(
-                            &[
-                                (ic, sm, soak.max(0) as usize),
-                                (ic, cs, count.max(0) as usize),
-                                (ic, sm, drain.max(0) as usize),
-                            ],
-                            format!("split:{}@{}", sp.name, point::fmt_point(y)),
-                        );
-                        b.segment_relay(
-                            &[
-                                (sm, oc, soak.max(0) as usize),
-                                (cm, oc, count.max(0) as usize),
-                                (sm, oc, drain.max(0) as usize),
-                            ],
-                            format!("merge:{}@{}", sp.name, point::fmt_point(y)),
-                        );
-                        census.escorts += 2;
-                        moving.push(MovingLink {
-                            slot: sp.id.0 as u32,
-                            inp: cs,
-                            out: cm,
-                        });
-                    } else {
-                        soaks.push(ProcOp::Pass {
-                            inp: ic,
-                            out: oc,
-                            n: soak.max(0) as u64,
-                        });
-                        moving.push(MovingLink {
-                            slot: sp.id.0 as u32,
-                            inp: ic,
-                            out: oc,
-                        });
-                    }
-                }
-            }
-            b.begin(format!("comp@{}", point::fmt_point(y)));
-            // Loads.
-            for sp in &plan.streams {
-                if let StreamKind::Stationary { .. } = sp.kind {
-                    let (ic, oc) = endpoint[sp.id.0][yi];
-                    let drain = spec.streams[sp.id.0].drain.at(y);
-                    b.op(ProcOp::Keep {
-                        chan: ic,
-                        slot: sp.id.0 as u32,
-                    });
-                    b.op(ProcOp::Pass {
-                        inp: ic,
-                        out: oc,
-                        n: drain.max(0) as u64,
-                    });
-                }
-            }
-            // Soaks (paper protocol; escorts already handle them under
-            // split propagation).
-            for op in &soaks {
-                b.op(*op);
-            }
-            b.op(ProcOp::Compute {
-                count: count.max(0) as u64,
-            });
-            // Drains (paper protocol only; escorts already handle them).
-            if !opts.split_propagation {
-                for sp in &plan.streams {
-                    if sp.kind == StreamKind::Moving {
-                        let (ic, oc) = endpoint[sp.id.0][yi];
-                        let drain = spec.streams[sp.id.0].drain.at(y);
-                        b.op(ProcOp::Pass {
-                            inp: ic,
-                            out: oc,
-                            n: drain.max(0) as u64,
-                        });
-                    }
-                }
-            }
-            // Recoveries.
-            for sp in &plan.streams {
-                if let StreamKind::Stationary { .. } = sp.kind {
-                    let (ic, oc) = endpoint[sp.id.0][yi];
-                    let soak = spec.streams[sp.id.0].soak.at(y);
-                    b.op(ProcOp::Pass {
-                        inp: ic,
-                        out: oc,
-                        n: soak.max(0) as u64,
-                    });
-                    b.op(ProcOp::Eject {
-                        chan: oc,
-                        slot: sp.id.0 as u32,
-                    });
-                }
-            }
-            b.repeater(&moving, &first, &plan.increment, plan.streams.len() as u32);
-            let pid = b.finish();
-            comp_at.push((y.clone(), pid));
-            census.computation += 1;
-        } else {
-            // Null process: external buffer, one relay per stream
-            // (the paper composes the passes in `par`; independent relay
-            // processes are the same composition).
-            for sp in &plan.streams {
-                let (ic, oc) = endpoint[sp.id.0][yi];
-                let n = pipe_n[sp.id.0][yi];
-                b.relay(
-                    ic,
-                    oc,
-                    n.max(0) as usize,
-                    format!("extbuf:{}@{}", sp.name, point::fmt_point(y)),
-                );
-                census.external_buffers += 1;
-            }
-        }
-    }
-
-    census.channels = chans.0;
-    let endpoints = plan
-        .streams
-        .iter()
-        .flat_map(|sp| {
-            let row = &endpoint[sp.id.0];
-            let psidx = &psidx;
-            ps_points.iter().map(move |y| {
-                let (ic, oc) = row[psidx.at(y)];
-                (sp.id.0, y.clone(), ic, oc)
-            })
-        })
-        .collect();
-    b.set_kernel(kernel, kernel_reject);
-    let module = b.build(Some(body));
-    Ok(Elaborated {
-        module,
-        outputs,
-        census,
-        endpoints,
-        comp_at,
-    })
+    crate::skeleton::instantiate(&crate::skeleton::elaborate_skeleton(plan, opts), env, store)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use systolic_core::{compile, Options};
+    use systolic_core::{compile, Options, StreamKind};
+    use systolic_runtime::ProcOp;
     use systolic_synthesis::placement::paper;
 
     fn plan_of(

@@ -4,11 +4,13 @@
 //! between the symbolic plan (`systolic-core`) and the simulated
 //! distributed-memory machine (`systolic-runtime`).
 //!
-//! - [`elaborate`] — pipe construction, channel allocation, buffer
-//!   insertion at a concrete problem size, lowering every process to the
-//!   flat `ProcIR` bytecode (`systolic_runtime::ProcIrModule`);
-//! - [`skeleton`] — the same lowering split in two: a size-parametric
-//!   skeleton compiled once per plan, instantiated per concrete size;
+//! - [`skeleton`] — the one network construction, in two phases: a
+//!   size-parametric skeleton compiled once per plan, instantiated per
+//!   concrete size (pipe construction, channel allocation, buffer
+//!   insertion, lowering every process to the flat `ProcIR` bytecode,
+//!   `systolic_runtime::ProcIrModule`);
+//! - [`elaborate`] — the types every consumer of an elaboration shares
+//!   and [`elaborate()`], both phases uncached;
 //! - [`cache`] — the `Arc`-shared module store in front of both phases,
 //!   which every executor entry point goes through;
 //! - [`kernelize`] — the basic-statement → straight-line kernel compiler

@@ -177,7 +177,7 @@ pub fn observe_plan_in(
         run,
         report,
         perfetto_json,
-        opt_report: el.optimize(OptMode::Auto).map(|o| o.report),
+        opt_report: cm.optimized(OptMode::Auto).map(|o| o.0.report.clone()),
         cache,
         wavefront_plan: cm.wavefront_plan().clone(),
         kernel_plan: cm.kernel_plan().clone(),

@@ -400,7 +400,6 @@ mod tests {
 
     #[test]
     fn agreement_extends_to_optimized_modules_on_all_designs() {
-        use systolic_runtime::OptMode;
         let mut optimized_somewhere = false;
         for (label, p, a) in paper::all() {
             let plan = compile(&p, &a, &Options::default()).unwrap();
@@ -409,7 +408,7 @@ mod tests {
                 env.bind(p.sizes[0], n);
                 let store = HostStore::allocate(&p, &env);
                 let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-                let Some(o) = el.optimize(OptMode::Auto) else {
+                let Some(o) = systolic_runtime::optimize(&el.module) else {
                     continue;
                 };
                 optimized_somewhere = true;
@@ -426,14 +425,13 @@ mod tests {
 
     #[test]
     fn a_corrupted_report_fails_the_agreement_check() {
-        use systolic_runtime::OptMode;
         let (p, a) = paper::matmul_e2();
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(p.sizes[0], 4);
         let store = HostStore::allocate(&p, &env);
         let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-        let mut o = el.optimize(OptMode::Auto).expect("E.2 has relay chains");
+        let mut o = systolic_runtime::optimize(&el.module).expect("E.2 has relay chains");
         assert!(agree_with_opt(&plan, &env, &el, &o).is_ok());
         // Claim a computation process was fused away.
         let victim = el.comp_at[0].1;

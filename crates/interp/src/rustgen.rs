@@ -103,7 +103,7 @@ pub fn generate_rust(plan: &SystolicProgram, env: &Env, seed: u64) -> String {
 /// [`generate_rust`] when the optimizer leaves the module untouched.
 pub fn generate_rust_opt(plan: &SystolicProgram, env: &Env, seed: u64) -> String {
     let (el, expect_of) = prepared(plan, env, seed);
-    let Some(o) = el.optimize(systolic_runtime::OptMode::Auto) else {
+    let Some(o) = systolic_runtime::optimize(&el.module) else {
         return emit_program(plan, &el.module, &expect_of, None);
     };
     crate::runtime_gen::agree_with_opt(plan, env, &el, &o)
@@ -397,9 +397,7 @@ mod tests {
         env.bind(p.sizes[0], 4);
         let store = HostStore::allocate(&p, &env);
         let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-        let o = el
-            .optimize(systolic_runtime::OptMode::Auto)
-            .expect("E.2 has relay chains to fuse");
+        let o = systolic_runtime::optimize(&el.module).expect("E.2 has relay chains to fuse");
         let src = generate_rust_opt(&plan, &env, 7);
         assert!(src.contains("//! Optimized:"));
         assert!(src.contains("const CAPS: [usize; NCHAN]"));
@@ -421,7 +419,7 @@ mod tests {
             env.bind(p.sizes[0], 2);
             let store = HostStore::allocate(&p, &env);
             let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-            if el.optimize(systolic_runtime::OptMode::Auto).is_some() {
+            if systolic_runtime::optimize(&el.module).is_some() {
                 continue;
             }
             assert_eq!(

@@ -1,13 +1,11 @@
-//! Two-phase elaboration: a size-parametric ProcIR skeleton compiled
+//! Two-phase elaboration — the one place a [`SystolicProgram`] becomes
+//! channels and processes: a size-parametric ProcIR skeleton compiled
 //! once per (plan, options), instantiated at any concrete problem size
 //! in near-linear time.
 //!
-//! [`crate::elaborate::elaborate`] re-derives everything — the pipe
-//! topology, the schedule clauses, the per-point counts — from the
-//! symbolic plan at every concrete size. But the paper's derivation is
-//! symbolic in the size already, and the only per-size facts are
-//! integers: the PS box corners, the pipe contents, and the
-//! soak/count/drain values at each point. Phase 1
+//! The paper's derivation is symbolic in the problem size, and the only
+//! per-size facts are integers: the PS box corners, the pipe contents,
+//! and the soak/count/drain values at each point. Phase 1
 //! ([`elaborate_skeleton`]) runs everything that does *not* depend on
 //! the size bound: it partially evaluates every schedule quantity over
 //! the **extended** dimension vector `coordinates ++ sizes`
@@ -19,17 +17,28 @@
 //! integer arithmetic — no parsing, no rational solving, no symbolic
 //! clause selection.
 //!
-//! The construction mirrors [`crate::elaborate::elaborate`] operation
-//! for operation — same channel allocation order, same relay labels,
-//! same census — and the specialized forms answer exactly as their
-//! symbolic originals (clause order preserved, exact integer
-//! arithmetic), so the instantiated module is **bit-identical** to a
-//! direct elaboration: `tests/elaboration.rs` pins module structure,
-//! output maps, endpoints, and run results differentially. The direct
-//! elaborator stays untouched as the oracle implementation.
+//! The construction follows Appendix C's channel discipline — stream `s`
+//! has a channel family along its flow, `s_chan[y]` connecting
+//! `y - flow.s -> y` — realized as one FIFO pipe per equivalence class of
+//! process-space points under translation by the stream's unit flow. Each
+//! pipe gets an input process at its upstream end, `d - 1` relay buffers
+//! ahead of every process for a flow of denominator `d` (Sec. 7.6,
+//! "inserted in between each computation process ... for the sake of
+//! regularity" also ahead of the first), and an output process downstream.
+//!
+//! Nothing mirrors this pass, so nothing is checked by comparing it with
+//! a copy of itself. The independent references are
+//! `crate::runtime_gen::scan` (a brute-force index-space scan the
+//! lowered soak/count/drain must match), the plan's own rational
+//! `Piecewise` evaluators (`first_at` / `count_at`), the sequential
+//! evaluator `systolic_ir::seq` (every executor's stores), and
+//! `systolic_math::speceval`'s unit test that size-parametric and
+//! size-bound specialization agree; `tests/elaboration.rs` holds the
+//! first two against every corpus design, size and options variant.
 //!
 //! Skeletons are immutable and `Arc`-shared; the module cache
-//! (`crate::cache`) sits in front of both phases.
+//! (`crate::cache`) sits in front of both phases, and
+//! [`crate::elaborate::elaborate`] is their uncached composition.
 
 use crate::elaborate::{
     BodyAdapter, Census, ChanAlloc, ElabError, ElabOptions, Elaborated, OutputSpec, PsIndex,
@@ -160,8 +169,7 @@ pub fn elaborate_skeleton(plan: &SystolicProgram, opts: &ElabOptions) -> Arc<Ske
 
 /// Phase 2: materialize channels, processes, and endpoint tables for the
 /// concrete size bound in `env`, reading initial stream data from
-/// `store`. Mirrors [`crate::elaborate::elaborate`]'s construction order
-/// exactly; every symbolic query is a prebaked integer form evaluated at
+/// `store`. Every symbolic query is a prebaked integer form evaluated at
 /// `[y ++ sizes]`.
 pub fn instantiate(
     skel: &SkeletonModule,
@@ -171,7 +179,7 @@ pub fn instantiate(
     let nc = skel.n_coords;
     // One evaluation vector for every query below: the size tail is
     // fixed for the whole sweep, the coordinate head is overwritten per
-    // point (the two-phase analogue of elaborate's scratch environment).
+    // point.
     let mut yx = vec![0i64; nc + skel.size_vars.len()];
     for (slot, &v) in yx[nc..].iter_mut().zip(&skel.size_vars) {
         *slot = env.expect(v);
@@ -183,7 +191,7 @@ pub fn instantiate(
         .map(|(lo, hi)| (lo.eval_int(&yx), hi.eval_int(&yx)))
         .collect();
     let in_ps = |p: &[i64]| p.iter().zip(&ps).all(|(&x, &(lo, hi))| x >= lo && x <= hi);
-    let ps_points = enumerate_box(&ps);
+    let ps_points = point::box_points(&ps);
     let psidx = PsIndex::new(&ps);
     let opts = &skel.opts;
 
@@ -191,8 +199,12 @@ pub fn instantiate(
     let mut b = ProcIrBuilder::new();
     let mut outputs = Vec::new();
     let mut census = Census::default();
+    // [stream][PS offset] -> (in_chan, out_chan); every in-PS point of
+    // every stream lies on exactly one pipe chain, so both tables are
+    // fully populated by the pipe walks below.
     let mut endpoint: Vec<Vec<(ChanId, ChanId)>> =
         vec![vec![(ChanId::MAX, ChanId::MAX); psidx.len()]; skel.n_streams];
+    // [stream][PS offset] -> pipe element count
     let mut pipe_n: Vec<Vec<i64>> = vec![vec![0; psidx.len()]; skel.n_streams];
 
     struct PipeIo {
@@ -251,6 +263,8 @@ pub fn instantiate(
                 pipe_n[sp.id][psidx.at(z)] = n;
             }
 
+            // Pipe entry channel and chain with relays ahead of every
+            // process.
             let entry = chans.next();
             let mut prev = entry;
             for z in &chain {
@@ -289,6 +303,8 @@ pub fn instantiate(
             });
         }
 
+        // Emit i/o processes: one per pipe (the paper's abstract layout)
+        // or merged per stream (the deferred optimization).
         if opts.merge_io {
             let max_len = pipe_ios.iter().map(|p| p.values.len()).max().unwrap_or(0);
             let mut sends = Vec::new();
@@ -341,7 +357,13 @@ pub fn instantiate(
         let yi = psidx.at(y);
         yx[..nc].copy_from_slice(y);
         if let Some(first) = skel.first.point_at(&yx) {
+            // Computation process: the canonical load / soak / repeater /
+            // drain / recover shape of Appendix C–E.
             let count = skel.count.at(&yx);
+            // Pre-pass over the moving streams: split propagation's escort
+            // relays are separate processes and lower before the
+            // computation process opens; the paper protocol's soaks are
+            // ops queued for it.
             let mut moving: Vec<MovingLink> = Vec::new();
             let mut soaks: Vec<ProcOp> = Vec::new();
             for sp in &skel.streams {
@@ -390,6 +412,7 @@ pub fn instantiate(
                 }
             }
             b.begin(format!("comp@{}", point::fmt_point(y)));
+            // Loads.
             for sp in &skel.streams {
                 if let StreamKind::Stationary { .. } = sp.kind {
                     let (ic, oc) = endpoint[sp.id][yi];
@@ -405,12 +428,15 @@ pub fn instantiate(
                     });
                 }
             }
+            // Soaks (paper protocol; escorts already handle them under
+            // split propagation).
             for op in &soaks {
                 b.op(*op);
             }
             b.op(ProcOp::Compute {
                 count: count.max(0) as u64,
             });
+            // Drains (paper protocol only; escorts already handle them).
             if !opts.split_propagation {
                 for sp in &skel.streams {
                     if sp.kind == StreamKind::Moving {
@@ -424,6 +450,7 @@ pub fn instantiate(
                     }
                 }
             }
+            // Recoveries.
             for sp in &skel.streams {
                 if let StreamKind::Stationary { .. } = sp.kind {
                     let (ic, oc) = endpoint[sp.id][yi];
@@ -444,6 +471,9 @@ pub fn instantiate(
             comp_at.push((y.clone(), pid));
             census.computation += 1;
         } else {
+            // Null process: external buffer, one relay per stream
+            // (the paper composes the passes in `par`; independent relay
+            // processes are the same composition).
             for sp in &skel.streams {
                 let (ic, oc) = endpoint[sp.id][yi];
                 let n = pipe_n[sp.id][yi];
@@ -480,78 +510,4 @@ pub fn instantiate(
         endpoints,
         comp_at,
     })
-}
-
-/// All points of an inclusive box, row-major — the concrete analogue of
-/// `SystolicProgram::ps_points`.
-fn enumerate_box(bx: &[(i64, i64)]) -> Vec<Vec<i64>> {
-    let mut out = Vec::new();
-    let mut p: Vec<i64> = bx.iter().map(|&(lo, _)| lo).collect();
-    if bx.iter().any(|&(lo, hi)| lo > hi) {
-        return out;
-    }
-    loop {
-        out.push(p.clone());
-        let mut d = bx.len();
-        loop {
-            if d == 0 {
-                return out;
-            }
-            d -= 1;
-            p[d] += 1;
-            if p[d] <= bx[d].1 {
-                break;
-            }
-            p[d] = bx[d].0;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::elaborate::elaborate;
-    use systolic_core::{compile, Options};
-    use systolic_synthesis::placement::paper;
-
-    #[test]
-    fn skeleton_instantiation_is_bit_identical_to_direct_elaboration() {
-        for (label, p, a) in paper::all() {
-            let plan = compile(&p, &a, &Options::default()).unwrap();
-            let opts = ElabOptions::default();
-            let skel = elaborate_skeleton(&plan, &opts);
-            for n in [1i64, 3, 5] {
-                let mut env = Env::new();
-                env.bind(plan.source.sizes[0], n);
-                let store = HostStore::allocate(&plan.source, &env);
-                let direct = elaborate(&plan, &env, &store, &opts).unwrap();
-                let two_phase = instantiate(&skel, &env, &store).unwrap();
-                assert!(
-                    direct.module.same_structure(&two_phase.module),
-                    "{label} n={n}: module structure diverges"
-                );
-                assert_eq!(direct.census, two_phase.census, "{label} n={n}");
-                assert_eq!(direct.outputs, two_phase.outputs, "{label} n={n}");
-                assert_eq!(direct.endpoints, two_phase.endpoints, "{label} n={n}");
-                assert_eq!(direct.comp_at, two_phase.comp_at, "{label} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn skeleton_errors_match_direct_elaboration() {
-        let (p, a) = paper::polyprod_d1();
-        let plan = compile(&p, &a, &Options::default()).unwrap();
-        let mut env = Env::new();
-        env.bind(plan.source.sizes[0], 2);
-        let skel = elaborate_skeleton(&plan, &ElabOptions::default());
-        let empty = HostStore::new();
-        let Err(direct) = elaborate(&plan, &env, &empty, &ElabOptions::default()) else {
-            panic!("elaboration must fail without host arrays");
-        };
-        let Err(two_phase) = instantiate(&skel, &env, &empty) else {
-            panic!("instantiation must fail without host arrays");
-        };
-        assert_eq!(direct, two_phase);
-    }
 }

@@ -128,6 +128,32 @@ pub fn on_chord(w: &[i64], x: &[i64]) -> bool {
     }
 }
 
+/// All points of the box with inclusive `(min, max)` bounds per
+/// dimension, row-major (last dimension fastest); empty when any
+/// dimension is.
+pub fn box_points(bx: &[(i64, i64)]) -> Vec<Point> {
+    let mut out = Vec::new();
+    let mut p: Point = bx.iter().map(|&(lo, _)| lo).collect();
+    if bx.iter().any(|&(lo, hi)| lo > hi) {
+        return out;
+    }
+    loop {
+        out.push(p.clone());
+        let mut d = bx.len();
+        loop {
+            if d == 0 {
+                return out;
+            }
+            d -= 1;
+            p[d] += 1;
+            if p[d] <= bx[d].1 {
+                break;
+            }
+            p[d] = bx[d].0;
+        }
+    }
+}
+
 /// The rational scaling `x / m` (component-wise) of an integer point.
 pub fn div_scalar(x: &[i64], m: i64) -> RatPoint {
     x.iter().map(|&a| Rational::new(a, m)).collect()

@@ -751,7 +751,7 @@ pub fn run_coop_batched(
     plan: &crate::batch::BatchPlan,
 ) -> Result<(RunStats, Vec<crate::process::SinkBuffer>), RunError> {
     debug_assert!(plan.batchable(), "caller checks BatchPlan::batchable");
-    let (mut vms, outputs) = module.instantiate_vms();
+    let (mut vms, outputs) = module.instantiate_vms(&[]);
     let mut rings = plan.rings();
     let mut stats = RunStats {
         rounds: 0,

@@ -497,7 +497,7 @@ pub fn run_partitioned_batched(
     timeout: Duration,
 ) -> Result<(RunStats, Vec<SinkBuffer>), RunError> {
     debug_assert!(plan.batchable(), "caller checks BatchPlan::batchable");
-    let (vms, outputs) = module.instantiate_vms();
+    let (vms, outputs) = module.instantiate_vms(&[]);
     let n = vms.len();
     check_partition(n, &groups)?;
     let mut group_of = vec![0usize; n];

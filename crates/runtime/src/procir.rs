@@ -150,7 +150,7 @@ impl ProcIrModule {
     /// opaque [`ComputeBody`] and the derived kernel (a trait object and
     /// its compiled form; two modules elaborated from the same plan share
     /// their behaviour by construction). This is the
-    /// bit-identity relation the two-phase elaboration differential suite
+    /// bit-identity relation the module store's re-instantiation test
     /// pins: same ops, data scripts, moving links, repeater points,
     /// process records, channel density, and output count.
     pub fn same_structure(&self, other: &ProcIrModule) -> bool {
@@ -202,38 +202,35 @@ impl ProcIrModule {
         self.instantiate_recorded(&[])
     }
 
-    /// Build bare VMs (not boxed [`Process`] trait objects) plus output
-    /// buffers for one run. The batched executors drive
-    /// [`ProcVm::macro_step`] directly and therefore need the concrete
-    /// type; recorders are never attached on that path (the batching
-    /// gate falls back to the rendezvous engines when any are).
-    pub fn instantiate_vms(self: &Arc<Self>) -> (Vec<ProcVm>, Vec<SinkBuffer>) {
+    /// The one instantiation: bare VMs (not boxed [`Process`] trait
+    /// objects) plus the output buffers their sinks fill, every VM
+    /// reporting its retired op effects to `recorders` (see
+    /// `crate::record`; with an empty slice the VMs carry no recording
+    /// state and pay no per-step cost). The batched executors drive
+    /// [`ProcVm::macro_step`] directly and therefore take the concrete
+    /// type, always unrecorded — the batching gate falls back to the
+    /// rendezvous engines when any recorder is attached.
+    pub fn instantiate_vms(
+        self: &Arc<Self>,
+        recorders: &[SharedRecorder],
+    ) -> (Vec<ProcVm>, Vec<SinkBuffer>) {
         let outputs: Vec<SinkBuffer> = (0..self.n_outputs).map(|_| sink_buffer()).collect();
         let vms = (0..self.procs.len())
             .map(|pid| {
                 let out = self.procs[pid].output.map(|o| outputs[o as usize].clone());
-                ProcVm::new(self.clone(), pid, out)
+                ProcVm::with_recorders(self.clone(), pid, out, recorders.to_vec())
             })
             .collect();
         (vms, outputs)
     }
 
-    /// [`ProcIrModule::instantiate`], with every VM reporting its retired
-    /// op effects to the given recorders (see `crate::record`). With an
-    /// empty slice this is exactly `instantiate` — the VMs carry no
-    /// recording state and pay no per-step cost.
+    /// [`ProcIrModule::instantiate_vms`] boxed as [`Process`] trait
+    /// objects for the rendezvous engines.
     pub fn instantiate_recorded(self: &Arc<Self>, recorders: &[SharedRecorder]) -> Instance {
-        let outputs: Vec<SinkBuffer> = (0..self.n_outputs).map(|_| sink_buffer()).collect();
-        let procs = (0..self.procs.len())
-            .map(|pid| {
-                let out = self.procs[pid].output.map(|o| outputs[o as usize].clone());
-                Box::new(ProcVm::with_recorders(
-                    self.clone(),
-                    pid,
-                    out,
-                    recorders.to_vec(),
-                )) as Box<dyn Process>
-            })
+        let (vms, outputs) = self.instantiate_vms(recorders);
+        let procs = vms
+            .into_iter()
+            .map(|vm| Box::new(vm) as Box<dyn Process>)
             .collect();
         Instance { procs, outputs }
     }

@@ -432,7 +432,7 @@ pub fn run_wavefront(
     parallel: bool,
 ) -> Result<(RunStats, Vec<SinkBuffer>, KernelReport), RunError> {
     debug_assert!(plan.eligible(), "caller checks WavefrontPlan::eligible");
-    let (vms, outputs) = module.instantiate_vms();
+    let (vms, outputs) = module.instantiate_vms(&[]);
     let n_procs = vms.len();
     let slab = RingSlab {
         cells: plan.rings().into_iter().map(UnsafeCell::new).collect(),

@@ -1,78 +1,24 @@
-//! Differential suite for two-phase elaboration: across the whole
-//! design gallery, `elaborate_skeleton` + `instantiate` must be
-//! **bit-identical** to the direct single-phase `elaborate` — same
-//! module structure, same output maps, same census and endpoint tables
-//! — at every size and under every protocol variant. The direct
-//! elaborator is the oracle; the module store in front of the two-phase
-//! path must never change a result, however warm.
+//! The production elaboration (`elaborate_skeleton` + `instantiate`,
+//! the only network construction) checked against evaluators it shares
+//! no code with — the brute-force index-space scan and the plan's
+//! rational `Piecewise` forms — on every corpus design, at several
+//! sizes, under every protocol variant; and the module store in front
+//! of it, which must never change a result, however warm.
 
+mod common;
+
+use common::{prepared, CORPUS};
 use proptest::prelude::*;
-use systolizer::core::{compile, Options, SystolicProgram};
+use systolizer::core::{compile, Options, StreamKind};
+use systolizer::interp::runtime_gen::agree_with_procir;
 use systolizer::interp::{
-    elaborate, elaborate_skeleton, instantiate, simulate, BatchMode, ElabOptions, ExecutorChoice,
-    ModuleStore, OptMode, SimSpec, WavefrontMode,
+    elaborate, simulate, BatchMode, ElabOptions, ExecutorChoice, ModuleStore, OptMode, SimSpec,
+    WavefrontMode,
 };
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
+use systolizer::runtime::ProcOp;
 use systolizer::synthesis::placement::paper;
-
-/// The same gallery as `tests/oracle.rs`: the four appendix designs
-/// plus the FIR filter on a derived array and the shipped `fir.sys`
-/// through the full front end.
-struct Design {
-    label: &'static str,
-    plan: SystolicProgram,
-    inputs: Vec<&'static str>,
-    sizes: Vec<Vec<i64>>,
-}
-
-fn designs() -> Vec<Design> {
-    let mut out = Vec::new();
-    for (label, p, a) in paper::all() {
-        out.push(Design {
-            label,
-            plan: compile(&p, &a, &Options::default()).unwrap(),
-            inputs: vec!["a", "b"],
-            sizes: if label.starts_with("matmul") {
-                vec![vec![1], vec![2], vec![4]]
-            } else {
-                vec![vec![1], vec![3], vec![6]]
-            },
-        });
-    }
-    let p = systolizer::ir::gallery::fir_filter();
-    let a = systolizer::synthesis::derive_array(&p, 2, 4).unwrap();
-    out.push(Design {
-        label: "fir",
-        plan: compile(&p, &a, &Options::default()).unwrap(),
-        inputs: vec!["h", "x"],
-        sizes: vec![vec![1, 2], vec![2, 5], vec![3, 4]],
-    });
-    let sys = systolizer::systolize_source(
-        include_str!("../programs/fir.sys"),
-        &systolizer::SystolizeOptions::default(),
-    )
-    .unwrap();
-    out.push(Design {
-        label: "fir.sys",
-        plan: sys.plan,
-        inputs: vec!["h", "x"],
-        sizes: vec![vec![1, 2], vec![2, 5], vec![3, 4]],
-    });
-    out
-}
-
-fn size_env(plan: &SystolicProgram, vals: &[i64]) -> Env {
-    let mut env = Env::new();
-    for (&s, &v) in plan.source.sizes.iter().zip(vals) {
-        env.bind(s, v);
-    }
-    env
-}
-
-fn seeded_store(d: &Design, env: &Env, seed: u64) -> HostStore {
-    systolizer::interp::seeded_store(&d.plan, env, &d.inputs, seed)
-}
 
 /// Every elaboration-options variant the executors can request.
 fn option_variants() -> Vec<(&'static str, ElabOptions)> {
@@ -103,26 +49,89 @@ fn option_variants() -> Vec<(&'static str, ElabOptions)> {
 }
 
 #[test]
-fn two_phase_elaboration_is_bit_identical_across_the_gallery() {
-    for d in designs() {
-        for (opts_label, opts) in option_variants() {
-            let skel = elaborate_skeleton(&d.plan, &opts);
-            for sizes in &d.sizes {
-                let env = size_env(&d.plan, sizes);
-                let store = seeded_store(&d, &env, 7);
-                let ctx = format!("{} {opts_label} sizes={sizes:?}", d.label);
-                let direct = elaborate(&d.plan, &env, &store, &opts)
-                    .unwrap_or_else(|e| panic!("{ctx}: direct: {e}"));
-                let two_phase = instantiate(&skel, &env, &store)
-                    .unwrap_or_else(|e| panic!("{ctx}: two-phase: {e}"));
-                assert!(
-                    direct.module.same_structure(&two_phase.module),
-                    "{ctx}: module structure diverges"
+fn elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus() {
+    for design in 0..=CORPUS {
+        for n in [1i64, 2, 3, 5] {
+            let (plan, env, store) = prepared(design, n, 7);
+            let cs: Vec<Vec<i64>> = plan
+                .ps_points(&env)
+                .into_iter()
+                .filter(|y| plan.in_cs(&env, y))
+                .collect();
+            let moving = plan
+                .streams
+                .iter()
+                .filter(|sp| sp.kind == StreamKind::Moving)
+                .count();
+            for (opts_label, opts) in option_variants() {
+                let ctx = format!("design {design} ({}) n={n} {opts_label}", plan.source.name);
+                let el =
+                    elaborate(&plan, &env, &store, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+
+                // (a) Soak / count / drain against the index-space scan.
+                // Under split propagation they live in the escorts, not
+                // in the computation process the scan decodes.
+                if !opts.split_propagation {
+                    assert_eq!(
+                        agree_with_procir(&plan, &env, &el),
+                        Ok(el.comp_at.len()),
+                        "{ctx}: scan"
+                    );
+                }
+
+                // (b) CS membership, `first` and `count` against the
+                // plan's rational piecewise evaluators.
+                let points: Vec<Vec<i64>> = el.comp_at.iter().map(|(y, _)| y.clone()).collect();
+                assert_eq!(points, cs, "{ctx}: CS points");
+                for (y, pid) in &el.comp_at {
+                    assert_eq!(
+                        Some(el.module.first_of(*pid)),
+                        plan.first_at(&env, y).as_deref(),
+                        "{ctx}: first at {y:?}"
+                    );
+                    let counts: Vec<u64> = el
+                        .module
+                        .ops_of(*pid)
+                        .iter()
+                        .filter_map(|op| match op {
+                            ProcOp::Compute { count } => Some(*count),
+                            _ => None,
+                        })
+                        .collect();
+                    assert_eq!(
+                        counts,
+                        [plan.count_at(&env, y) as u64],
+                        "{ctx}: count at {y:?}"
+                    );
+                }
+
+                // (c) Census laws.
+                let c = &el.census;
+                assert_eq!(c.inputs, c.outputs, "{ctx}");
+                assert_eq!(c.computation, cs.len(), "{ctx}");
+                assert_eq!(
+                    el.module.procs.len(),
+                    c.computation
+                        + c.escorts
+                        + c.external_buffers
+                        + c.internal_buffers
+                        + c.inputs
+                        + c.outputs,
+                    "{ctx}: process total"
                 );
-                assert_eq!(direct.outputs, two_phase.outputs, "{ctx}: output maps");
-                assert_eq!(direct.census, two_phase.census, "{ctx}: census");
-                assert_eq!(direct.endpoints, two_phase.endpoints, "{ctx}: endpoints");
-                assert_eq!(direct.comp_at, two_phase.comp_at, "{ctx}: comp table");
+                let escorts = if opts.split_propagation {
+                    2 * moving * c.computation
+                } else {
+                    0
+                };
+                assert_eq!(c.escorts, escorts, "{ctx}");
+                if !opts.internal_buffers {
+                    assert_eq!(c.internal_buffers, 0, "{ctx}");
+                }
+                if opts.merge_io {
+                    assert_eq!(c.inputs, plan.streams.len(), "{ctx}: one source per stream");
+                    assert_eq!(c.outputs, plan.streams.len(), "{ctx}: one sink per stream");
+                }
             }
         }
     }
@@ -134,12 +143,10 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
     // a guaranteed module-store hit and must return the same store and
     // stats as the first (a miss or a hit from another test — either
     // way the sequential oracle pins correctness).
-    for d in designs() {
-        let sizes = &d.sizes[1];
-        let env = size_env(&d.plan, sizes);
-        let store = seeded_store(&d, &env, 23);
+    for design in 0..=CORPUS {
+        let (plan, env, store) = prepared(design, 3, 23);
         let mut expected = store.clone();
-        seq::run(&d.plan.source, &env, &mut expected);
+        seq::run(&plan.source, &env, &mut expected);
         for (batch, opt, wavefront) in [
             (BatchMode::Auto, OptMode::Auto, WavefrontMode::Auto),
             (BatchMode::Auto, OptMode::Auto, WavefrontMode::Off),
@@ -148,8 +155,8 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
             (BatchMode::Off, OptMode::Off, WavefrontMode::Off),
         ] {
             let ctx = format!(
-                "{} sizes={sizes:?} {batch:?}/{opt:?}/{wavefront:?}",
-                d.label
+                "design {design} ({}) {batch:?}/{opt:?}/{wavefront:?}",
+                plan.source.name
             );
             let run_once = || {
                 let spec = SimSpec {
@@ -158,7 +165,7 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
                     wavefront,
                     ..SimSpec::default()
                 };
-                simulate(ModuleStore::global(), &d.plan, &env, &store, spec)
+                simulate(ModuleStore::global(), &plan, &env, &store, spec)
                     .unwrap_or_else(|e| panic!("{ctx}: {e}"))
             };
             let cold = run_once();

@@ -229,7 +229,7 @@ fn mapping_report_round_trips_through_json() {
     let (plan, env, store) = prepared(3, 4, 7); // E.2 fuses
     let el = systolizer::interp::elaborate::elaborate(&plan, &env, &store, &ElabOptions::default())
         .unwrap();
-    let o = el.optimize(OptMode::Auto).expect("E.2 n=4 fuses");
+    let o = optimize(&el.module).expect("E.2 n=4 fuses");
     let j = o.report.to_json();
     assert!(j.contains("\"schema\": \"systolic-opt-v1\""));
     let back = OptReport::from_json(&j).expect("parseable report");
