@@ -522,14 +522,26 @@ mod tests {
         let prog = Program {
             name: "t".into(),
             items: vec![
-                Stmt::Load { stream: "a".into(), count: "n - col".into() },
-                Stmt::Pass { stream: "c".into(), count: "col".into() },
-                Stmt::Recover { stream: "a".into(), count: "col".into() },
+                Stmt::Load {
+                    stream: "a".into(),
+                    count: "n - col".into(),
+                },
+                Stmt::Pass {
+                    stream: "c".into(),
+                    count: "col".into(),
+                },
+                Stmt::Recover {
+                    stream: "a".into(),
+                    count: "col".into(),
+                },
                 Stmt::Repeater {
                     first: "(col, 0)".into(),
                     last: "(col, n)".into(),
                     inc: "(0,1)".into(),
-                    body: vec![Stmt::Assign { target: "c".into(), value: "c + a * b".into() }],
+                    body: vec![Stmt::Assign {
+                        target: "c".into(),
+                        value: "c + a * b".into(),
+                    }],
                 },
             ],
         };

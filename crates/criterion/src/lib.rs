@@ -75,7 +75,12 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    pub fn bench_with_input<I: ?Sized, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
+    pub fn bench_with_input<I: ?Sized, F>(
+        &mut self,
+        id: BenchmarkId,
+        input: &I,
+        mut f: F,
+    ) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {
@@ -129,8 +134,8 @@ pub struct Bencher {
 impl Bencher {
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         black_box(routine()); // warm-up, also primes caches/allocs
-        // Scale iterations-per-sample so one sample is long enough for
-        // the clock to resolve even for nanosecond routines.
+                              // Scale iterations-per-sample so one sample is long enough for
+                              // the clock to resolve even for nanosecond routines.
         let t0 = Instant::now();
         black_box(routine());
         let once = t0.elapsed().max(Duration::from_nanos(1));
@@ -178,7 +183,11 @@ fn run_benchmark<F: FnMut(&mut Bencher)>(id: &str, sample_size: usize, mut f: F)
         println!("{id:<40} (no samples)");
         return;
     }
-    let best = bencher.samples.iter().cloned().fold(f64::INFINITY, f64::min);
+    let best = bencher
+        .samples
+        .iter()
+        .cloned()
+        .fold(f64::INFINITY, f64::min);
     let mean = bencher.samples.iter().sum::<f64>() / bencher.samples.len() as f64;
     println!(
         "{id:<40} best {best:>12.1} ns/iter  mean {mean:>12.1} ns/iter  ({} samples)",

@@ -10,7 +10,8 @@
 //! here once (see `docs/scheduler.md` for the diagram):
 //!
 //! ```text
-//! module lookup ─ gate closed ──────────────► plain    coop | threaded | partitioned
+//! module lookup ─ gate closed ──────────────► plain    coop Network | run_partitioned
+//!       │                                              (threaded = one process per group)
 //!       │ gate open (and the batch analysis admits the module)
 //!       ├─ partitioned ─────────────────────► batched  run_partitioned_batched
 //!       └─ coop ─ wavefront plan eligible ──► wavefront run_wavefront (+ kernels)
@@ -37,9 +38,10 @@ use systolic_runtime::{
 /// deterministic default (and the only one that honors a non-FIFO
 /// [`SchedulePolicy`]); the threaded and partitioned engines trade
 /// determinism of *timing* (never of stores) for OS-thread parallelism
-/// and bound their rendezvous waits by the spec deadline. The threaded
-/// engine is the paper's asynchronous-process model made literal and has
-/// the plain rung only.
+/// and bound their rendezvous waits by the spec deadline. Both are the
+/// one OS-thread engine, `systolic_runtime::run_partitioned`: `Threaded`
+/// is the paper's asynchronous-process model made literal — the partition
+/// with one process per group — and has the plain rung only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutorChoice {
     Coop,
@@ -341,12 +343,15 @@ pub fn simulate(
                 }
                 net.run()?
             }
-            ExecutorChoice::Threaded => {
-                systolic_runtime::run_threaded_recorded(inst.procs, deadline, recorders)?
-            }
-            ExecutorChoice::Partitioned { workers } => {
-                let groups = systolic_runtime::block_partition(inst.procs.len(), workers);
-                systolic_runtime::run_partitioned_recorded(inst.procs, groups, deadline, recorders)?
+            ExecutorChoice::Threaded | ExecutorChoice::Partitioned { .. } => {
+                // Threaded: as many workers as processes, one process each.
+                let n = inst.procs.len();
+                let workers = match executor {
+                    ExecutorChoice::Partitioned { workers } => workers,
+                    _ => n,
+                };
+                let groups = systolic_runtime::block_partition(n, workers);
+                systolic_runtime::run_partitioned(inst.procs, groups, deadline, recorders)?
             }
         };
         (stats, inst.outputs)

@@ -43,13 +43,7 @@ pub fn kernelize(body: &BasicStatement) -> Result<Kernel, String> {
         if u.guard.is_some() {
             return Err("guarded update (data-dependent control)".to_string());
         }
-        let r = compile_expr(
-            &u.value,
-            &mut ops,
-            &mut cur,
-            &mut n_slots,
-            &mut n_dims,
-        )?;
+        let r = compile_expr(&u.value, &mut ops, &mut cur, &mut n_slots, &mut n_dims)?;
         let t = u.target.0;
         n_slots = n_slots.max(t + 1);
         cur.insert(t, r);
@@ -58,10 +52,7 @@ pub fn kernelize(body: &BasicStatement) -> Result<Kernel, String> {
         }
     }
 
-    let writes = written
-        .iter()
-        .map(|&s| (s as u32, cur[&s]))
-        .collect();
+    let writes = written.iter().map(|&s| (s as u32, cur[&s])).collect();
     Ok(Kernel {
         ops,
         writes,

@@ -166,7 +166,9 @@ pub mod collection {
 pub mod prelude {
     pub use crate::strategy::{Just, Strategy};
     pub use crate::test_runner::{Config as ProptestConfig, TestCaseError, TestCaseResult};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest};
+    pub use crate::{
+        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
+    };
 }
 
 /// One strategy chosen uniformly per case from several alternatives

@@ -29,9 +29,8 @@
 //! rendezvous.
 
 use crate::process::{ChanId, CommReq, Process, Value};
-use crate::record::{EventLogRecorder, SharedRecorder, Transfer, QUEUE_ENDPOINT};
+use crate::record::{SharedRecorder, Transfer, QUEUE_ENDPOINT};
 use crate::schedule::{SchedulePolicy, STARVATION_LIMIT};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -108,17 +107,18 @@ impl std::fmt::Display for ProtocolViolation {
 
 impl std::error::Error for ProtocolViolation {}
 
-/// Why a network run stopped without completing. Shared by all three
-/// executors: the cooperative scheduler reports [`RunError::Deadlock`]
-/// exactly; the threaded executors bound rendezvous waits by a timeout
-/// instead ([`RunError::Timeout`]) and propagate peer failures as
-/// [`RunError::Aborted`].
+/// Why a network run stopped without completing. Shared by every
+/// executor: the cooperative scheduler reports [`RunError::Deadlock`]
+/// exactly; the OS-thread engines (`crate::partition`) bound rendezvous
+/// waits by a timeout instead ([`RunError::Timeout`]) and propagate peer
+/// failures as [`RunError::Aborted`].
 #[derive(Clone, Debug)]
 pub enum RunError {
     Deadlock(Deadlock),
     Protocol(ProtocolViolation),
     /// A rendezvous wait outlived the executor's timeout budget; `scope`
-    /// names the blocked thread ("process 3", "group 1").
+    /// names who was waiting ("process 3 (relay)", "group 1: process 3
+    /// (relay), process 4 (sink)").
     Timeout {
         scope: String,
     },
@@ -127,6 +127,11 @@ pub enum RunError {
     Aborted,
     /// A worker thread panicked.
     Panicked {
+        scope: String,
+    },
+    /// The OS refused a worker thread; `scope` names the group and the
+    /// I/O error ("group 812: Resource temporarily unavailable").
+    Spawn {
         scope: String,
     },
     /// The requested partition is not a partition of the process set.
@@ -154,6 +159,7 @@ impl RunError {
             RunError::Timeout { .. } => "timeout",
             RunError::Aborted => "aborted",
             RunError::Panicked { .. } => "panic",
+            RunError::Spawn { .. } => "spawn",
             RunError::Partition { .. } => "partition",
         }
     }
@@ -166,7 +172,9 @@ impl RunError {
         match self {
             RunError::Deadlock(d) => d.blocked.clone(),
             RunError::Protocol(p) => vec![p.first.clone(), p.second.clone()],
-            RunError::Timeout { scope } | RunError::Panicked { scope } => vec![scope.clone()],
+            RunError::Timeout { scope }
+            | RunError::Panicked { scope }
+            | RunError::Spawn { scope } => vec![scope.clone()],
             RunError::Aborted => Vec::new(),
             RunError::Partition { .. } => Vec::new(),
         }
@@ -183,6 +191,7 @@ impl std::fmt::Display for RunError {
             }
             RunError::Aborted => write!(f, "aborted after a failure in another thread"),
             RunError::Panicked { scope } => write!(f, "{scope} panicked"),
+            RunError::Spawn { scope } => write!(f, "could not start a worker thread for {scope}"),
             RunError::Partition { reason } => write!(f, "invalid partition: {reason}"),
         }
     }
@@ -242,15 +251,6 @@ fn enabled(slot: &ChanSlot, policy: ChannelPolicy) -> bool {
     }
 }
 
-/// One recorded channel transfer (for space-time diagrams and debugging).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// The rendezvous round in which the transfer fired.
-    pub round: u64,
-    pub chan: ChanId,
-    pub value: Value,
-}
-
 /// A network of processes plus channel state, run to completion by
 /// [`Network::run`].
 pub struct Network {
@@ -282,10 +282,6 @@ pub struct Network {
     /// empty unless recorders are attached — so observability adds no
     /// bytes to the hot channel table of an unobserved run.
     since: Vec<(u64, u64)>,
-    /// The recorder behind [`Network::enable_trace`] /
-    /// [`Network::run_traced`], kept typed so the transfer log can be
-    /// extracted after the run.
-    trace_log: Option<Arc<Mutex<EventLogRecorder>>>,
     /// Optional schedule decision procedure (see `crate::schedule`).
     /// `None` in the common case: the round path tests one discriminant
     /// and otherwise runs the historical canonical order unchanged.
@@ -293,7 +289,7 @@ pub struct Network {
     /// Scratch list handed to the policy for deferrals; reused per round.
     defer_scratch: Vec<ChanId>,
     /// How many channels the policy deferred in the last round (always 0
-    /// without a policy), so `run_inner` can tell a starved round from a
+    /// without a policy), so `run` can tell a starved round from a
     /// genuine deadlock.
     deferred: u64,
     /// Consecutive rounds in which the policy deferred every enabled
@@ -316,7 +312,6 @@ impl Network {
             stats: RunStats::default(),
             recorders: Vec::new(),
             since: Vec::new(),
-            trace_log: None,
             sched: None,
             defer_scratch: Vec::new(),
             deferred: 0,
@@ -340,40 +335,6 @@ impl Network {
         self.recorders.push(recorder);
     }
 
-    /// Record every channel transfer; retrieve with [`Network::run_traced`].
-    /// Implemented as an internal [`EventLogRecorder`] on the same event
-    /// stream the public recorders consume.
-    pub fn enable_trace(&mut self) {
-        if self.trace_log.is_none() {
-            let log = Arc::new(Mutex::new(EventLogRecorder::new()));
-            self.recorders.push(log.clone());
-            self.trace_log = Some(log);
-        }
-    }
-
-    /// Run to completion, returning the statistics and the recorded
-    /// trace of every channel transfer.
-    pub fn run_traced(mut self) -> Result<(RunStats, Vec<TraceEvent>), RunError> {
-        self.enable_trace();
-        let stats = self.run_inner()?;
-        let trace = self
-            .trace_log
-            .take()
-            .map(|log| {
-                log.lock()
-                    .take_transfers()
-                    .into_iter()
-                    .map(|t| TraceEvent {
-                        round: t.time,
-                        chan: t.chan,
-                        value: t.value,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        Ok((stats, trace))
-    }
-
     /// Add a process; returns its index.
     pub fn add(&mut self, proc: Box<dyn Process>) -> usize {
         self.procs.push(ProcState {
@@ -389,10 +350,6 @@ impl Network {
     /// Run all processes to completion. Returns statistics, or the
     /// deadlock / protocol violation if progress stops.
     pub fn run(mut self) -> Result<RunStats, RunError> {
-        self.run_inner()
-    }
-
-    fn run_inner(&mut self) -> Result<RunStats, RunError> {
         self.stats.processes = self.procs.len();
         self.unfinished = self.procs.len();
         if !self.recorders.is_empty() {
@@ -1159,31 +1116,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_orders_events_by_channel_within_a_round() {
-        // Register the higher channel first; the trace must still list
-        // channel 0 before channel 1 within the round.
+    fn transfers_are_ordered_by_channel_within_a_round() {
+        // Register the higher channel first; the event log must still
+        // list channel 0 before channel 1 within the round.
         let mut b = ProcIrBuilder::new();
         b.source(1, &[20], "s-hi");
         b.source(0, &[10], "s-lo");
         b.sink(1, 1, "k-hi");
         b.sink(0, 1, "k-lo");
-        let (net, _) = net_of(b, ChannelPolicy::Rendezvous);
-        let (stats, trace) = net.run_traced().unwrap();
+        let (mut net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (log, erased) = crate::record::shared(crate::record::EventLogRecorder::new());
+        net.add_recorder(erased);
+        let stats = net.run().unwrap();
         assert_eq!(stats.rounds, 1);
-        assert_eq!(
-            trace,
-            vec![
-                TraceEvent {
-                    round: 0,
-                    chan: 0,
-                    value: 10
-                },
-                TraceEvent {
-                    round: 0,
-                    chan: 1,
-                    value: 20
-                },
-            ]
-        );
+        let fired: Vec<(u64, ChanId, Value)> = log
+            .lock()
+            .transfers()
+            .iter()
+            .map(|t| (t.time, t.chan, t.value))
+            .collect();
+        assert_eq!(fired, vec![(0, 0, 10), (0, 1, 20)]);
     }
 }

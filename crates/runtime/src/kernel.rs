@@ -41,8 +41,8 @@
 //! observed at the start of the batch — even a self-looped ring serves
 //! only values that were already queued. See `docs/kernels.md`.
 
-use crate::procir::{ProcIrModule, ProcOp};
 use crate::process::Value;
+use crate::procir::{ProcIrModule, ProcOp};
 use crate::wavefront::{ChunkRunner, RingSlab, SlabView, WavefrontPlan};
 
 /// Whether a wavefront run may execute eligible waves through compiled
@@ -475,9 +475,7 @@ pub(crate) fn kernel_wave(
                     KernelOp::Slot(s) => {
                         dst.copy_from_slice(&locals[s as usize * lane_n..][..lane_n])
                     }
-                    KernelOp::Index(d) => {
-                        dst.copy_from_slice(&x[d as usize * lane_n..][..lane_n])
-                    }
+                    KernelOp::Index(d) => dst.copy_from_slice(&x[d as usize * lane_n..][..lane_n]),
                     KernelOp::Const(c) => dst.fill(c),
                     KernelOp::Add(a, b) => {
                         let a = &head[a as usize * lane_n..][..lane_n];

@@ -11,20 +11,20 @@
 //!   elaborated process lowers to, and the generic VM ([`ProcVm`]) that
 //!   interprets it;
 //! - [`batch`] — the steady-state batching analysis ([`analyze`]) and
-//!   per-channel [`Ring`] buffers behind the macro-stepping fast path of
-//!   all three executors (see `docs/scheduler.md`);
+//!   per-channel [`Ring`] buffers behind the macro-stepping fast paths
+//!   (see `docs/scheduler.md`);
 //! - [`coop`] — the deterministic cooperative scheduler with rendezvous
 //!   rounds (the virtual systolic clock), exact deadlock detection, and a
 //!   buffered-channel ablation mode;
-//! - [`threaded`] — the OS-thread executor with a blocking rendezvous
-//!   engine for wall-clock parallel measurements;
-//! - [`partition`] — the Sec. 8 partitioning refinement: many virtual
-//!   processes multiplexed per worker thread;
+//! - [`partition`] — the OS-thread blocking-rendezvous engine
+//!   ([`run_partitioned`]): the Sec. 8 partitioning refinement, many
+//!   virtual processes multiplexed per worker thread, of which one
+//!   process per thread (the `threaded` executor) is the trivial case;
 //! - [`record`] — the observability layer: the [`Recorder`] event sink
-//!   threaded through the VM and all three executors, with metrics
+//!   threaded through the VM and the rendezvous engines, with metrics
 //!   aggregation ([`MetricsRecorder`]) and Chrome-trace export
 //!   ([`PerfettoRecorder`]); zero cost when no recorder is attached.
-//! - [`wavefront`] — the fourth executor: SCC-condensed, longest-path
+//! - [`wavefront`] — the wavefront executor: SCC-condensed, longest-path
 //!   staged chunk sweeps over the batch rings ([`WavefrontPlan`]), with
 //!   an optional pool-parallel mode (see `docs/wavefront.md`).
 //! - [`kernel`] — compiled compute kernels: the typed straight-line
@@ -42,7 +42,6 @@ pub mod process;
 pub mod procir;
 pub mod record;
 pub mod schedule;
-pub mod threaded;
 pub mod wavefront;
 pub mod wavepool;
 
@@ -52,13 +51,10 @@ pub use batch::{
 };
 pub use coop::{
     run_coop_batched, ChannelPolicy, Deadlock, Network, ProtocolViolation, RunError, RunStats,
-    TraceEvent,
 };
+pub use kernel::{analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport};
 pub use opt::{optimize, ChainRecord, OptMode, OptReport, OptimizedModule};
-pub use partition::{
-    block_partition, run_partitioned, run_partitioned_batched, run_partitioned_perturbed,
-    run_partitioned_recorded,
-};
+pub use partition::{block_partition, run_partitioned, run_partitioned_batched};
 pub use process::{sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 pub use procir::{
     ComputeBody, Instance, MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord,
@@ -69,11 +65,7 @@ pub use record::{
     MetricsRecorder, MetricsReport, OpKind, PerfettoEvent, PerfettoRecorder, Phase, ProcMetrics,
     Recorder, SharedRecorder, Transfer, QUEUE_ENDPOINT,
 };
-pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, YieldInjector, YieldPlan, STARVATION_LIMIT};
-pub use threaded::{run_threaded, run_threaded_perturbed, run_threaded_recorded};
-pub use kernel::{
-    analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport,
-};
+pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, STARVATION_LIMIT};
 pub use wavefront::{
     analyze_wavefront, run_wavefront, WavefrontMode, WavefrontPlan, WAVEFRONT_RING_CAP,
 };

@@ -1,43 +1,56 @@
-//! Partitioned execution: many virtual processes per worker thread.
+//! The OS-thread rendezvous engine: virtual processes hosted in groups,
+//! one worker thread per group.
 //!
 //! Sec. 8 lists the refinement "our programs must be refined to meet the
 //! restrictions that actual machines impose: not enough processors ...
 //! such limitations can be imposed with techniques of partitioning \[23\]".
-//! This module supplies the runtime half of that refinement: a fixed
-//! number of workers each hosts a *group* of virtual processes,
-//! multiplexing them cooperatively, while groups communicate through the
-//! same rendezvous engine as the one-thread-per-process executor.
+//! This module supplies the runtime half of that refinement: each worker
+//! hosts a *group* of virtual processes, multiplexing them cooperatively,
+//! while groups communicate through one shared rendezvous matcher (a
+//! mutex-protected table with a condvar per group). The paper's own
+//! machine model — one asynchronous process per processor — is the
+//! trivial partition, one process per group, and runs through the same
+//! code: that is the `threaded` executor of `systolic_interp::simulate`.
 //!
-//! The crucial difference from [`crate::threaded`] is that a worker never
-//! blocks on a single process's communication set: it registers offers
-//! non-blockingly, resumes whichever member completed, and parks only
-//! when *every* member is stuck — so intra-group rendezvous still make
-//! progress (they complete inside the shared matcher the moment both
-//! sides are offered, regardless of which thread hosts them).
+//! A process offers its whole communication set at once, so `par`
+//! communications complete in any order, and a worker never blocks on a
+//! single member's set: it registers offers non-blockingly, resumes
+//! whichever member completed, and parks only when *every* member is
+//! stuck — so intra-group rendezvous still make progress (they complete
+//! inside the shared matcher the moment both sides are offered,
+//! regardless of which thread hosts them). This is what makes the engine
+//! deadlock-equivalent to the cooperative scheduler.
 //!
-//! As in [`crate::coop`] and [`crate::threaded`], channel endpoints live
-//! in dense tables indexed by [`ChanId`], worker loops reuse their
-//! request/receive buffers across steps, and a malformed network (two
-//! processes on one endpoint) aborts with a structured [`RunError`]
-//! diagnosis instead of panicking a worker.
+//! As in [`crate::coop`], channel endpoints live in dense tables indexed
+//! by [`ChanId`], worker loops reuse their request/receive buffers across
+//! steps, and a malformed network (two processes on one endpoint) aborts
+//! with a structured [`RunError`] diagnosis instead of panicking a worker.
 
 use crate::batch::{BatchPlan, Ring};
 use crate::coop::{ProtocolViolation, RunError, RunStats};
 use crate::process::{ChanId, CommReq, Process, SinkBuffer, Value};
 use crate::procir::{ProcIrModule, ProcVm};
 use crate::record::{SharedRecorder, Transfer};
-use crate::schedule::YieldPlan;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Stack of every group worker. A worker's stack holds one `step_into`
+/// (or `macro_step`) at a time whatever its group size, so one small
+/// constant serves a two-worker partition and a thread-per-process run
+/// of several thousand alike (4 000 workers reserve 0.5 GiB of address
+/// space, not 8 GiB).
+const WORKER_STACK: usize = 128 * 1024;
+
 struct SetState {
+    /// Requests of the current communication set not yet matched; 0
+    /// between sets and once the process has finished.
     remaining: usize,
     inbox: Vec<Option<Value>>,
     /// Completed but not yet resumed by its worker.
     ready: bool,
-    finished: bool,
 }
 
 struct EngineState {
@@ -65,7 +78,7 @@ struct Engine {
     wakeups: Vec<Condvar>,
     group_of: Vec<usize>,
     /// Process labels captured before the workers were spawned, so
-    /// violation diagnoses can name both offenders.
+    /// diagnoses can name the offenders.
     labels: Vec<String>,
     aborted: AtomicBool,
     /// Attached observability sinks (see `crate::record`); every hook is
@@ -76,6 +89,35 @@ struct Engine {
 }
 
 impl Engine {
+    fn new(
+        labels: Vec<String>,
+        group_of: Vec<usize>,
+        n_groups: usize,
+        recorders: Vec<SharedRecorder>,
+    ) -> Engine {
+        Engine {
+            state: Mutex::new(EngineState {
+                sends: Vec::new(),
+                recvs: Vec::new(),
+                sets: (0..labels.len())
+                    .map(|_| SetState {
+                        remaining: 0,
+                        inbox: Vec::new(),
+                        ready: false,
+                    })
+                    .collect(),
+                messages: 0,
+                failure: None,
+            }),
+            wakeups: (0..n_groups).map(|_| Condvar::new()).collect(),
+            group_of,
+            labels,
+            aborted: AtomicBool::new(false),
+            recorders,
+            epoch: Instant::now(),
+        }
+    }
+
     /// Microseconds since run start — the virtual time of recorded events.
     fn now(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
@@ -101,16 +143,24 @@ impl Engine {
         }
     }
 
-    /// Record a fatal diagnosis, wake every group, and return the error.
+    /// Report one scheduler step of `pid` (and its completion, when the
+    /// step offered nothing more) to every recorder.
+    fn record_step(&self, pid: usize, finished: bool) {
+        if self.recorders.is_empty() {
+            return;
+        }
+        let now = self.now();
+        for r in &self.recorders {
+            let mut r = r.lock();
+            r.step(now, pid);
+            if finished {
+                r.finished(now, pid);
+            }
+        }
+    }
+
     fn abort(&self, st: &mut EngineState, err: RunError) -> RunError {
-        self.aborted.store(true, Ordering::Relaxed);
-        if st.failure.is_none() {
-            st.failure = Some(err.clone());
-        }
-        for w in &self.wakeups {
-            w.notify_all();
-        }
-        err
+        abort_all(&self.aborted, &self.wakeups, &mut st.failure, err)
     }
 
     fn violation(
@@ -128,15 +178,13 @@ impl Engine {
         })
     }
 
-    /// Register a process's next communication set; complete any matches
-    /// this enables. Caller holds no lock.
+    /// Register a process's next (non-empty) communication set; complete
+    /// any matches this enables. Caller holds no lock.
     fn register(&self, pid: usize, reqs: &[CommReq]) -> Result<(), RunError> {
         let mut st = self.state.lock();
         st.sets[pid].remaining = reqs.len();
         st.sets[pid].inbox.clear();
         st.sets[pid].inbox.resize(reqs.len(), None);
-        st.sets[pid].ready = reqs.is_empty();
-        st.sets[pid].finished = false;
         let mut to_wake = Vec::new();
         for (ri, req) in reqs.iter().enumerate() {
             match *req {
@@ -191,225 +239,227 @@ impl Engine {
         }
     }
 
-    /// Pop a ready member of `group`, filling `received` with its values
-    /// (request shapes come from `shapes`, indexed by pid); or park until
-    /// one appears. `None` on abort/timeout or when every member finished.
+    /// Pop a ready member of group `gi`, filling `received` with its
+    /// values, or park until one appears; returns the member's position
+    /// in `members` (`shapes` — is_send per request index — is indexed
+    /// the same way). `Err` on abort or timeout.
     fn next_ready(
         &self,
-        group_id: usize,
+        gi: usize,
         members: &[usize],
-        shapes: &[Vec<bool>], // is_send per request index, by pid
+        shapes: &[Vec<bool>],
         received: &mut Vec<Value>,
         timeout: Duration,
-    ) -> Result<Option<usize>, RunError> {
+    ) -> Result<usize, RunError> {
         let mut st = self.state.lock();
         loop {
-            if members.iter().all(|&m| st.sets[m].finished) {
-                return Ok(None);
-            }
-            if let Some(&m) = members
-                .iter()
-                .find(|&&m| st.sets[m].ready && !st.sets[m].finished)
-            {
-                st.sets[m].ready = false;
+            if let Some(i) = members.iter().position(|&m| st.sets[m].ready) {
+                let set = &mut st.sets[members[i]];
+                set.ready = false;
                 received.clear();
-                for (ri, is_send) in shapes[m].iter().enumerate() {
+                for (ri, is_send) in shapes[i].iter().enumerate() {
                     if !is_send {
-                        received.push(
-                            st.sets[m].inbox[ri]
-                                .take()
-                                .expect("recv completed without value"),
-                        );
+                        received.push(set.inbox[ri].take().expect("recv completed without value"));
                     }
                 }
-                return Ok(Some(m));
+                return Ok(i);
             }
             if self.aborted.load(Ordering::Relaxed) {
                 return Err(st.failure.clone().unwrap_or(RunError::Aborted));
             }
-            if self.wakeups[group_id]
-                .wait_for(&mut st, timeout)
-                .timed_out()
-            {
+            if self.wakeups[gi].wait_for(&mut st, timeout).timed_out() {
                 let err = RunError::Timeout {
-                    scope: format!("group {group_id}"),
+                    scope: self.waiting_scope(&st, gi, members),
                 };
                 return Err(self.abort(&mut st, err));
             }
         }
     }
+
+    /// Who a timed-out group was waiting on: `process {pid} ({label})`
+    /// for each member with an unmatched set, prefixed by the group
+    /// unless it hosts that process alone.
+    fn waiting_scope(&self, st: &EngineState, gi: usize, members: &[usize]) -> String {
+        let waiting: Vec<String> = members
+            .iter()
+            .filter(|&&m| st.sets[m].remaining > 0)
+            .map(|&m| format!("process {m} ({})", self.labels[m]))
+            .collect();
+        match members.len() {
+            1 => waiting.join(", "),
+            _ => format!("group {gi}: {}", waiting.join(", ")),
+        }
+    }
+
+    /// One group's worker: step every member once on no input, then
+    /// resume whichever member's set completed until all have finished.
+    /// Returns the steps taken.
+    fn run_group(
+        &self,
+        gi: usize,
+        members: &[usize],
+        mut procs: Vec<Box<dyn Process>>,
+        timeout: Duration,
+    ) -> Result<u64, RunError> {
+        // Buffers reused across every step of this group.
+        let mut shapes: Vec<Vec<bool>> = vec![Vec::new(); members.len()];
+        let mut reqs = Vec::new();
+        let mut received = Vec::new();
+        let mut steps = 0u64;
+        let mut live = members.len();
+        let mut unprimed = 0..members.len();
+        while live > 0 {
+            let i = match unprimed.next() {
+                Some(i) => i,
+                None => self.next_ready(gi, members, &shapes, &mut received, timeout)?,
+            };
+            reqs.clear();
+            procs[i].step_into(&received, &mut reqs);
+            steps += 1;
+            self.record_step(members[i], reqs.is_empty());
+            if reqs.is_empty() {
+                live -= 1;
+            } else {
+                shapes[i].clear();
+                shapes[i].extend(reqs.iter().map(|r| r.is_send()));
+                self.register(members[i], &reqs)?;
+            }
+        }
+        Ok(steps)
+    }
 }
 
-/// Run processes partitioned into `groups` (a partition of process ids),
-/// one OS thread per group. Returns the usual statistics.
-pub fn run_partitioned(
-    procs: Vec<Box<dyn Process>>,
-    groups: Vec<Vec<usize>>,
-    timeout: Duration,
-) -> Result<RunStats, RunError> {
-    run_partitioned_recorded(procs, groups, timeout, Vec::new())
+/// Record a fatal diagnosis (the first one is the root cause and stays),
+/// wake every group, and return the error. The caller holds the engine's
+/// state lock, which `failure` lives under.
+fn abort_all(
+    aborted: &AtomicBool,
+    wakeups: &[Condvar],
+    failure: &mut Option<RunError>,
+    err: RunError,
+) -> RunError {
+    aborted.store(true, Ordering::Relaxed);
+    failure.get_or_insert_with(|| err.clone());
+    for w in wakeups {
+        w.notify_all();
+    }
+    err
 }
 
-/// [`run_partitioned`] with observability sinks attached (see
-/// `crate::record`). Event times are microseconds since run start;
-/// transfer waits are reported as 0 (no round clock). With an empty
-/// recorder list this is exactly `run_partitioned`.
-pub fn run_partitioned_recorded(
-    procs: Vec<Box<dyn Process>>,
-    groups: Vec<Vec<usize>>,
-    timeout: Duration,
-    recorders: Vec<SharedRecorder>,
-) -> Result<RunStats, RunError> {
-    run_partitioned_perturbed(procs, groups, timeout, recorders, None)
-}
-
-/// [`run_partitioned_recorded`] with seeded yield-point injection: each
-/// group worker surrenders its timeslice at pseudo-random resume
-/// boundaries drawn from `yields` (see [`YieldPlan`]), perturbing both
-/// the OS schedule and the order in which a worker multiplexes its
-/// members — rendezvous semantics are untouched. `None` is exactly
-/// [`run_partitioned_recorded`].
-pub fn run_partitioned_perturbed(
-    procs: Vec<Box<dyn Process>>,
-    groups: Vec<Vec<usize>>,
-    timeout: Duration,
-    recorders: Vec<SharedRecorder>,
-    yields: Option<YieldPlan>,
-) -> Result<RunStats, RunError> {
-    let n = procs.len();
-    check_partition(n, &groups)?;
-    let mut group_of = vec![0usize; n];
+/// Validate that `groups` is a partition of `0..n` — the shared
+/// precondition of both executors — and return its inverse, the group of
+/// each process.
+fn group_index(n: usize, groups: &[Vec<usize>]) -> Result<Vec<usize>, RunError> {
+    let mut group_of = vec![usize::MAX; n];
     for (gi, g) in groups.iter().enumerate() {
         for &m in g {
+            if m >= n {
+                return Err(RunError::Partition {
+                    reason: format!("group member {m} out of range (n = {n})"),
+                });
+            }
+            if group_of[m] != usize::MAX {
+                return Err(RunError::Partition {
+                    reason: format!("process {m} in two groups"),
+                });
+            }
             group_of[m] = gi;
         }
     }
+    if let Some(m) = group_of.iter().position(|&g| g == usize::MAX) {
+        return Err(RunError::Partition {
+            reason: format!("process {m} not in any group"),
+        });
+    }
+    Ok(group_of)
+}
+
+/// Start one small-stack worker per group with `spawn` and join them all,
+/// returning their results in group order. Thread creation fails on a
+/// request-reachable path (one process per group asks the OS for
+/// thousands of threads), so a failed spawn is not a panic: `abort` is
+/// handed the [`RunError::Spawn`] to stop the workers already started,
+/// which are still joined before the error is returned.
+fn spawn_and_join<T>(
+    n_groups: usize,
+    mut spawn: impl FnMut(
+        usize,
+        std::thread::Builder,
+    ) -> std::io::Result<JoinHandle<Result<T, RunError>>>,
+    abort: impl Fn(RunError),
+) -> Result<Vec<T>, RunError> {
+    let mut handles = Vec::with_capacity(n_groups);
+    let mut first_err = None;
+    for gi in 0..n_groups {
+        let builder = std::thread::Builder::new()
+            .name(format!("systolic-group-{gi}"))
+            .stack_size(WORKER_STACK);
+        match spawn(gi, builder) {
+            Ok(h) => handles.push(h),
+            Err(e) => {
+                let err = RunError::Spawn {
+                    scope: format!("group {gi}: {e}"),
+                };
+                abort(err.clone());
+                first_err = Some(err);
+                break;
+            }
+        }
+    }
+    let mut results = Vec::with_capacity(handles.len());
+    for (gi, h) in handles.into_iter().enumerate() {
+        match h.join().map_err(|_| RunError::Panicked {
+            scope: format!("group {gi}"),
+        }) {
+            Ok(Ok(r)) => results.push(r),
+            Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
+        }
+    }
+    first_err.map_or(Ok(results), Err)
+}
+
+/// Run processes partitioned into `groups` (a partition of process ids),
+/// one OS thread per group; one process per group is the thread-per-
+/// process machine of Sec. 4. `timeout` bounds any single wait of a
+/// group whose members are all stuck — a blown timeout reports instead
+/// of hanging (the cooperative scheduler is the deadlock oracle).
+/// `recorders` are the attached observability sinks (see `crate::record`;
+/// usually empty): event times are microseconds since run start and
+/// transfer waits are reported as 0, as there is no round clock.
+pub fn run_partitioned(
+    procs: Vec<Box<dyn Process>>,
+    mut groups: Vec<Vec<usize>>,
+    timeout: Duration,
+    recorders: Vec<SharedRecorder>,
+) -> Result<RunStats, RunError> {
+    let n = procs.len();
+    let group_of = group_index(n, &groups)?;
     let labels: Vec<String> = procs.iter().map(|p| p.label()).collect();
-    let engine = Arc::new(Engine {
-        state: Mutex::new(EngineState {
-            sends: Vec::new(),
-            recvs: Vec::new(),
-            sets: (0..n)
-                .map(|_| SetState {
-                    remaining: 0,
-                    inbox: Vec::new(),
-                    ready: true,
-                    finished: false,
-                })
-                .collect(),
-            messages: 0,
-            failure: None,
-        }),
-        wakeups: (0..groups.len()).map(|_| Condvar::new()).collect(),
-        group_of,
-        labels,
-        aborted: AtomicBool::new(false),
-        recorders,
-        epoch: Instant::now(),
-    });
+    let engine = Arc::new(Engine::new(labels, group_of, groups.len(), recorders));
     for r in &engine.recorders {
         r.lock().start(&engine.labels);
     }
 
     // Distribute process ownership to the group threads.
     let mut slots: Vec<Option<Box<dyn Process>>> = procs.into_iter().map(Some).collect();
-    let mut handles = Vec::new();
-    let mut steps_total = 0u64;
-    for (gi, members) in groups.iter().enumerate() {
-        let mut owned: Vec<(usize, Box<dyn Process>)> = members
-            .iter()
-            .map(|&m| (m, slots[m].take().unwrap()))
-            .collect();
-        let engine = engine.clone();
-        let members = members.clone();
-        let h = std::thread::Builder::new()
-            .name(format!("systolic-group-{gi}"))
-            .spawn(move || -> Result<u64, RunError> {
-                let mut steps = 0u64;
-                let mut injector = yields.map(|y| y.injector(gi as u64));
-                // Each member's current request shape (is_send per request
-                // index), dense by pid; the per-member vectors and the
-                // request/receive buffers are reused across every step.
-                let mut shapes: Vec<Vec<bool>> = vec![Vec::new(); engine.group_of.len()];
-                let mut reqs = Vec::new();
-                let mut received = Vec::new();
-                let recording = !engine.recorders.is_empty();
-                // Prime every member.
-                for (pid, proc) in owned.iter_mut() {
-                    reqs.clear();
-                    proc.step_into(&[], &mut reqs);
-                    steps += 1;
-                    if recording {
-                        let now = engine.now();
-                        for r in &engine.recorders {
-                            let mut r = r.lock();
-                            r.step(now, *pid);
-                            if reqs.is_empty() {
-                                r.finished(now, *pid);
-                            }
-                        }
-                    }
-                    if reqs.is_empty() {
-                        engine.state.lock().sets[*pid].finished = true;
-                        continue;
-                    }
-                    shapes[*pid].clear();
-                    shapes[*pid].extend(reqs.iter().map(|r| r.is_send()));
-                    engine.register(*pid, &reqs)?;
-                }
-                loop {
-                    if let Some(inj) = injector.as_mut() {
-                        inj.maybe_yield();
-                    }
-                    match engine.next_ready(gi, &members, &shapes, &mut received, timeout)? {
-                        None => return Ok(steps),
-                        Some(pid) => {
-                            let proc = owned
-                                .iter_mut()
-                                .find(|(p, _)| *p == pid)
-                                .map(|(_, pr)| pr)
-                                .expect("ready member owned by this group");
-                            reqs.clear();
-                            proc.step_into(&received, &mut reqs);
-                            steps += 1;
-                            if recording {
-                                let now = engine.now();
-                                for r in &engine.recorders {
-                                    let mut r = r.lock();
-                                    r.step(now, pid);
-                                    if reqs.is_empty() {
-                                        r.finished(now, pid);
-                                    }
-                                }
-                            }
-                            if reqs.is_empty() {
-                                engine.state.lock().sets[pid].finished = true;
-                            } else {
-                                shapes[pid].clear();
-                                shapes[pid].extend(reqs.iter().map(|r| r.is_send()));
-                                engine.register(pid, &reqs)?;
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawn group thread");
-        handles.push(h);
-    }
-    let mut first_err = None;
-    for (gi, h) in handles.into_iter().enumerate() {
-        match h.join().map_err(|_| RunError::Panicked {
-            scope: format!("group {gi}"),
-        }) {
-            Ok(Ok(s)) => steps_total += s,
-            Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
+    let steps = spawn_and_join(
+        groups.len(),
+        |gi, thread| {
+            let members = std::mem::take(&mut groups[gi]);
+            let owned = members
+                .iter()
+                .map(|&m| slots[m].take().expect("partition checked"))
+                .collect();
+            let engine = engine.clone();
+            thread.spawn(move || engine.run_group(gi, &members, owned, timeout))
+        },
+        |err| {
+            engine.abort(&mut engine.state.lock(), err);
+        },
+    );
     let st = engine.state.lock();
-    if let Some(e) = first_err {
-        // The root cause, not whichever group's abort joined first.
-        return Err(st.failure.clone().unwrap_or(e));
-    }
+    // The root cause, not whichever group's abort joined first.
+    let steps = steps.map_err(|e| st.failure.clone().unwrap_or(e))?;
     let now = engine.now();
     for r in &engine.recorders {
         r.lock().end(now);
@@ -418,35 +468,8 @@ pub fn run_partitioned_perturbed(
         rounds: 0,
         messages: st.messages,
         processes: n,
-        steps: steps_total,
+        steps: steps.iter().sum(),
     })
-}
-
-/// Validate that `groups` is a partition of `0..n`; the shared
-/// precondition of both partitioned executors.
-fn check_partition(n: usize, groups: &[Vec<usize>]) -> Result<(), RunError> {
-    let mut seen = vec![false; n];
-    for g in groups {
-        for &m in g {
-            if m >= n {
-                return Err(RunError::Partition {
-                    reason: format!("group member {m} out of range (n = {n})"),
-                });
-            }
-            if seen[m] {
-                return Err(RunError::Partition {
-                    reason: format!("process {m} in two groups"),
-                });
-            }
-            seen[m] = true;
-        }
-    }
-    if let Some(m) = seen.iter().position(|&s| !s) {
-        return Err(RunError::Partition {
-            reason: format!("process {m} not in any group"),
-        });
-    }
-    Ok(())
 }
 
 /// Shared state of the batched partitioned executor: all rings under
@@ -463,22 +486,10 @@ struct BatchEngine {
     aborted: AtomicBool,
 }
 
-/// Per-process neighbour sets from a plan's endpoint tables.
-fn neighbour_sets(plan: &BatchPlan, n_procs: usize) -> Vec<Vec<usize>> {
-    let mut neighbours: Vec<Vec<usize>> = vec![Vec::new(); n_procs];
-    for c in 0..plan.widths.len() {
-        if let (Some(p), Some(q)) = (plan.producer_of[c], plan.consumer_of[c]) {
-            if p != q {
-                neighbours[p].push(q);
-                neighbours[q].push(p);
-            }
-        }
+impl BatchEngine {
+    fn abort(&self, st: &mut BatchState, err: RunError) -> RunError {
+        abort_all(&self.aborted, &self.wakeups, &mut st.failure, err)
     }
-    for nb in &mut neighbours {
-        nb.sort_unstable();
-        nb.dedup();
-    }
-    neighbours
 }
 
 /// The batched partitioned executor: the Sec. 8 refinement over
@@ -499,30 +510,23 @@ pub fn run_partitioned_batched(
     debug_assert!(plan.batchable(), "caller checks BatchPlan::batchable");
     let (vms, outputs) = module.instantiate_vms(&[]);
     let n = vms.len();
-    check_partition(n, &groups)?;
-    let mut group_of = vec![0usize; n];
-    for (gi, g) in groups.iter().enumerate() {
-        for &m in g {
-            group_of[m] = gi;
+    let group_of = group_index(n, &groups)?;
+    // Which other groups to wake when a member's macro-step moves
+    // values — those hosting its channel peers — dense by pid.
+    let mut peer_groups: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for c in 0..plan.widths.len() {
+        if let (Some(p), Some(q)) = (plan.producer_of[c], plan.consumer_of[c]) {
+            if group_of[p] != group_of[q] {
+                peer_groups[p].push(group_of[q]);
+                peer_groups[q].push(group_of[p]);
+            }
         }
     }
-    // Which other groups to wake when a member's macro-step moves
-    // values, dense by pid.
-    let neighbours = neighbour_sets(plan, n);
-    let neighbour_groups: Arc<Vec<Vec<usize>>> = Arc::new(
-        (0..n)
-            .map(|pid| {
-                let mut gs: Vec<usize> = neighbours[pid]
-                    .iter()
-                    .map(|&q| group_of[q])
-                    .filter(|&g| g != group_of[pid])
-                    .collect();
-                gs.sort_unstable();
-                gs.dedup();
-                gs
-            })
-            .collect(),
-    );
+    for gs in &mut peer_groups {
+        gs.sort_unstable();
+        gs.dedup();
+    }
+    let peer_groups = Arc::new(peer_groups);
     let engine = Arc::new(BatchEngine {
         state: Mutex::new(BatchState {
             rings: plan.rings(),
@@ -533,17 +537,16 @@ pub fn run_partitioned_batched(
     });
 
     let mut slots: Vec<Option<ProcVm>> = vms.into_iter().map(Some).collect();
-    let mut handles = Vec::new();
-    for (gi, members) in groups.iter().enumerate() {
-        let mut owned: Vec<(usize, ProcVm, bool)> = members
-            .iter()
-            .map(|&m| (m, slots[m].take().unwrap(), false))
-            .collect();
-        let engine = engine.clone();
-        let neighbour_groups = neighbour_groups.clone();
-        let h = std::thread::Builder::new()
-            .name(format!("systolic-batch-group-{gi}"))
-            .spawn(move || -> Result<RunStats, RunError> {
+    let per_group = spawn_and_join(
+        groups.len(),
+        |gi, thread| {
+            let mut owned: Vec<(usize, ProcVm, bool)> = groups[gi]
+                .iter()
+                .map(|&m| (m, slots[m].take().expect("partition checked"), false))
+                .collect();
+            let engine = engine.clone();
+            let peer_groups = peer_groups.clone();
+            thread.spawn(move || -> Result<RunStats, RunError> {
                 let mut stats = RunStats::default();
                 let mut live = owned.len();
                 let mut st = engine.state.lock();
@@ -557,7 +560,7 @@ pub fn run_partitioned_batched(
                         let finished = vm.macro_step(&mut st.rings, &mut stats, &mut moved);
                         if moved > 0 {
                             progressed = true;
-                            for &g in &neighbour_groups[*pid] {
+                            for &g in &peer_groups[*pid] {
                                 engine.wakeups[g].notify_one();
                             }
                         }
@@ -581,48 +584,30 @@ pub fn run_partitioned_batched(
                         let err = RunError::Timeout {
                             scope: format!("group {gi}"),
                         };
-                        engine.aborted.store(true, Ordering::Relaxed);
-                        if st.failure.is_none() {
-                            st.failure = Some(err.clone());
-                        }
-                        for w in &engine.wakeups {
-                            w.notify_all();
-                        }
-                        return Err(err);
+                        return Err(engine.abort(&mut st, err));
                     }
                 }
             })
-            .expect("spawn batch group thread");
-        handles.push(h);
-    }
+        },
+        |err| {
+            engine.abort(&mut engine.state.lock(), err);
+        },
+    )
+    // The root cause, not whichever group's abort joined first.
+    .map_err(|e| engine.state.lock().failure.clone().unwrap_or(e))?;
     let mut total = RunStats {
-        rounds: 0,
-        messages: 0,
         processes: n,
-        steps: 0,
+        ..RunStats::default()
     };
-    let mut first_err = None;
-    for (gi, h) in handles.into_iter().enumerate() {
-        match h.join().map_err(|_| RunError::Panicked {
-            scope: format!("group {gi}"),
-        }) {
-            Ok(Ok(s)) => {
-                total.messages += s.messages;
-                total.steps += s.steps;
-            }
-            Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    if let Some(e) = first_err {
-        // The root cause, not whichever group's abort joined first.
-        let st = engine.state.lock();
-        return Err(st.failure.clone().unwrap_or(e));
+    for s in per_group {
+        total.messages += s.messages;
+        total.steps += s.steps;
     }
     Ok((total, outputs))
 }
 
 /// A simple block partition: processes in index order, `k` groups of
-/// near-equal size.
+/// near-equal size. `k >= n_procs` is one process per group.
 pub fn block_partition(n_procs: usize, k: usize) -> Vec<Vec<usize>> {
     let k = k.max(1).min(n_procs.max(1));
     let mut groups = vec![Vec::new(); k];
@@ -658,7 +643,7 @@ mod tests {
     fn single_group_runs_everything_on_one_thread() {
         let (procs, buf) = pipeline(5, vec![1, 2, 3]);
         let n = procs.len();
-        let stats = run_partitioned(procs, vec![(0..n).collect()], T).unwrap();
+        let stats = run_partitioned(procs, vec![(0..n).collect()], T, Vec::new()).unwrap();
         assert_eq!(*buf.lock(), vec![1, 2, 3]);
         assert_eq!(stats.processes, n);
     }
@@ -668,7 +653,7 @@ mod tests {
         let (procs, buf) = pipeline(6, (0..10).collect());
         let n = procs.len();
         let groups = vec![(0..n / 2).collect(), (n / 2..n).collect()];
-        run_partitioned(procs, groups, T).unwrap();
+        run_partitioned(procs, groups, T, Vec::new()).unwrap();
         assert_eq!(*buf.lock(), (0..10).collect::<Vec<_>>());
     }
 
@@ -678,6 +663,11 @@ mod tests {
         assert_eq!(block_partition(10, 3).concat().len(), 10);
         assert_eq!(block_partition(2, 8).len(), 2, "no empty groups");
         assert_eq!(block_partition(7, 1), vec![(0..7).collect::<Vec<_>>()]);
+        assert_eq!(
+            block_partition(3, 3),
+            vec![vec![0], vec![1], vec![2]],
+            "as many workers as processes is the thread-per-process machine"
+        );
     }
 
     #[test]
@@ -694,22 +684,8 @@ mod tests {
             let inst = b.build(None).instantiate();
             let buf = inst.outputs[0].clone();
             let groups = block_partition(inst.procs.len(), k);
-            run_partitioned(inst.procs, groups, T).unwrap();
+            run_partitioned(inst.procs, groups, T, Vec::new()).unwrap();
             assert_eq!(*buf.lock(), vec![5, 6], "k = {k}");
-        }
-    }
-
-    #[test]
-    fn yield_injection_perturbs_but_does_not_change_results() {
-        for seed in [0u64, 5, 31] {
-            let (procs, buf) = pipeline(4, (0..8).collect());
-            let groups = block_partition(procs.len(), 3);
-            let plan = YieldPlan {
-                seed,
-                yield_per_1024: 512,
-            };
-            run_partitioned_perturbed(procs, groups, T, Vec::new(), Some(plan)).unwrap();
-            assert_eq!(*buf.lock(), (0..8).collect::<Vec<_>>(), "seed {seed}");
         }
     }
 
@@ -727,7 +703,7 @@ mod tests {
         let module = build();
         let inst = module.instantiate();
         let nprocs = inst.procs.len();
-        let base = run_partitioned(inst.procs, block_partition(nprocs, 2), T).unwrap();
+        let base = run_partitioned(inst.procs, block_partition(nprocs, 2), T, Vec::new()).unwrap();
         let base_out = inst.outputs[0].lock().clone();
 
         let plan = crate::batch::analyze(&module);
@@ -753,29 +729,44 @@ mod tests {
     }
 
     #[test]
-    fn timeout_on_stuck_group() {
-        let mut b = ProcIrBuilder::new();
-        b.sink(9, 1, "lonely");
-        let inst = b.build(None).instantiate();
-        let err =
-            run_partitioned(inst.procs, vec![vec![0]], Duration::from_millis(50)).unwrap_err();
+    fn timeout_names_the_waiting_processes() {
+        let stuck = |groups: Vec<Vec<usize>>| {
+            let mut b = ProcIrBuilder::new();
+            b.sink(8, 1, "lonely-a");
+            b.sink(9, 1, "lonely-b");
+            let inst = b.build(None).instantiate();
+            let wait = Duration::from_millis(50);
+            let err = run_partitioned(inst.procs, groups, wait, Vec::new()).unwrap_err();
+            let RunError::Timeout { scope } = &err else {
+                panic!("expected a timeout, got {err}");
+            };
+            assert!(err.to_string().contains("timed out"), "{err}");
+            scope.clone()
+        };
+        // A process alone in its group is named as the thread-per-process
+        // engine named it; which of the two groups times out first is racy.
+        let scope = stuck(block_partition(2, 2));
         assert!(
-            matches!(err, RunError::Timeout { .. } | RunError::Aborted),
-            "{err}"
+            scope == "process 0 (lonely-a)" || scope == "process 1 (lonely-b)",
+            "{scope}"
+        );
+        assert_eq!(
+            stuck(vec![vec![0, 1]]),
+            "group 0: process 0 (lonely-a), process 1 (lonely-b)"
         );
     }
 
     #[test]
     fn bad_partitions_are_structured_errors() {
         let (procs, _) = pipeline(0, vec![1]);
-        let err = run_partitioned(procs, vec![vec![0], vec![0, 1]], T).unwrap_err();
+        let err = run_partitioned(procs, vec![vec![0], vec![0, 1]], T, Vec::new()).unwrap_err();
         let RunError::Partition { reason } = err else {
             panic!("expected partition error, got {err}");
         };
         assert!(reason.contains("two groups"), "{reason}");
 
         let (procs, _) = pipeline(0, vec![1]);
-        let err = run_partitioned(procs, vec![vec![0]], T).unwrap_err();
+        let err = run_partitioned(procs, vec![vec![0]], T, Vec::new()).unwrap_err();
         assert!(
             matches!(err, RunError::Partition { .. }),
             "uncovered process must be diagnosed: {err}"
@@ -794,7 +785,7 @@ mod tests {
             b.sink(0, 2, "sink-b");
             let inst = b.build(None).instantiate();
             let groups = block_partition(inst.procs.len(), k);
-            let err = run_partitioned(inst.procs, groups, T).unwrap_err();
+            let err = run_partitioned(inst.procs, groups, T, Vec::new()).unwrap_err();
             let RunError::Protocol(v) = err else {
                 panic!("expected protocol violation, got {err} (k = {k})");
             };
@@ -804,5 +795,115 @@ mod tests {
             pair.sort_unstable();
             assert_eq!(pair, ["sink-a", "sink-b"], "k = {k}");
         }
+    }
+
+    #[test]
+    fn two_senders_abort_with_diagnosis() {
+        // No receiver exists, so both sources must park their sends on
+        // channel 0; whichever registers second trips the violation, and
+        // the run reports it (not a bare "aborted").
+        let mut b = ProcIrBuilder::new();
+        b.source(0, &[1, 2], "src-a");
+        b.source(0, &[3, 4], "src-b");
+        let inst = b.build(None).instantiate();
+        let err = run_partitioned(inst.procs, block_partition(2, 2), T, Vec::new()).unwrap_err();
+        let RunError::Protocol(v) = err else {
+            panic!("expected protocol violation, got {err}");
+        };
+        assert_eq!((v.chan, v.endpoint), (0, "sender"));
+        // Registration order is racy across threads, but both offenders
+        // are named either way.
+        let mut pair = [v.first.as_str(), v.second.as_str()];
+        pair.sort_unstable();
+        assert_eq!(pair, ["src-a", "src-b"]);
+        assert!(v.to_string().contains("two senders"));
+    }
+
+    #[test]
+    fn threaded_fanout_join() {
+        // A hand-written `Process` (not a `ProcVm`) on its own thread.
+        struct Join {
+            out: SinkBuffer,
+            rounds: usize,
+        }
+        impl Process for Join {
+            fn step(&mut self, received: &[Value]) -> Vec<CommReq> {
+                if received.len() == 2 {
+                    self.out.lock().push(received[0] * received[1]);
+                }
+                if self.rounds == 0 {
+                    return vec![];
+                }
+                self.rounds -= 1;
+                vec![CommReq::Recv { chan: 0 }, CommReq::Recv { chan: 1 }]
+            }
+        }
+        let mut b = ProcIrBuilder::new();
+        b.source(0, &[2, 3], "sa");
+        b.source(1, &[10, 100], "sb");
+        let mut procs = b.build(None).instantiate().procs;
+        let buf = crate::process::sink_buffer();
+        procs.push(Box::new(Join {
+            out: buf.clone(),
+            rounds: 2,
+        }));
+        run_partitioned(procs, block_partition(3, 3), T, Vec::new()).unwrap();
+        assert_eq!(*buf.lock(), vec![20, 300]);
+    }
+
+    #[test]
+    fn many_threads_small_stacks() {
+        // 200 parallel one-shot pipelines, a thread per process.
+        let mut b = ProcIrBuilder::new();
+        for i in 0..200usize {
+            b.source(i, &[i as Value], "s");
+            b.sink(i, 1, "k");
+        }
+        let inst = b.build(None).instantiate();
+        let stats = run_partitioned(inst.procs, block_partition(400, 400), T, Vec::new()).unwrap();
+        assert_eq!((stats.processes, stats.messages), (400, 200));
+        for (i, buf) in inst.outputs.iter().enumerate() {
+            assert_eq!(*buf.lock(), vec![i as Value]);
+        }
+    }
+
+    #[test]
+    fn a_refused_spawn_aborts_and_joins_the_started_workers() {
+        // Group 0 starts and parks on a receive nobody will match; the
+        // OS "refuses" group 1. The engine must wake and join group 0
+        // long before its rendezvous timeout, and report the spawn.
+        let group_of = group_index(2, &block_partition(2, 2)).unwrap();
+        let labels = vec!["waiter".to_string(), "unborn".to_string()];
+        let engine = Arc::new(Engine::new(labels, group_of, 2, Vec::new()));
+        let started = Instant::now();
+        let err = spawn_and_join(
+            2,
+            |gi, thread| {
+                if gi == 1 {
+                    return Err(std::io::Error::other("no more threads"));
+                }
+                let engine = engine.clone();
+                thread.spawn(move || {
+                    engine.register(0, &[CommReq::Recv { chan: 0 }])?;
+                    engine.next_ready(0, &[0], &[vec![false]], &mut Vec::new(), T)
+                })
+            },
+            |err| {
+                engine.abort(&mut engine.state.lock(), err);
+            },
+        )
+        .unwrap_err();
+        assert!(started.elapsed() < T, "the parked worker was not woken");
+        let RunError::Spawn { scope } = &err else {
+            panic!("expected a spawn error, got {err}");
+        };
+        assert_eq!(scope, "group 1: no more threads");
+        assert_eq!(err.kind(), "spawn");
+        // The parked worker saw the same root cause, not a timeout.
+        let failure = engine.state.lock().failure.clone();
+        assert!(
+            matches!(failure, Some(RunError::Spawn { .. })),
+            "{failure:?}"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The observability layer: a [`Recorder`] sink for execution events,
-//! threaded through the [`crate::procir::ProcVm`] and all three
-//! executors.
+//! threaded through the [`crate::procir::ProcVm`] and both rendezvous
+//! engines ([`crate::coop`], [`crate::partition`]).
 //!
 //! PR 2's single-VM design means every process on every executor runs
 //! through one instrumentation point, so one event vocabulary covers the
@@ -9,8 +9,8 @@
 //! - **transfers** — one event per completed channel rendezvous (or per
 //!   buffered enqueue/dequeue half), carrying the virtual time, channel,
 //!   value, both endpoint processes, and how long each endpoint waited
-//!   parked on the channel (in rounds; the threaded executors have no
-//!   round clock and report 0 waits);
+//!   parked on the channel (in rounds; the OS-thread engine has no
+//!   round clock and reports 0 waits);
 //! - **steps** — one event per [`crate::Process::step_into`] invocation,
 //!   mirroring `RunStats.steps`;
 //! - **vm ops** — one event per retired ProcIR op effect, classified by
@@ -20,7 +20,7 @@
 //!   is built from;
 //! - **lifecycle** — `start` (with every process label), per-process
 //!   `finished`, and `end` (the final virtual time: rounds for the
-//!   cooperative scheduler, microseconds for the threaded executors).
+//!   cooperative scheduler, microseconds for the OS-thread engine).
 //!
 //! Recorders are shared as [`SharedRecorder`] (`Arc<Mutex<dyn Recorder>>`)
 //! so one recorder can observe a VM *and* its scheduler, or many OS
@@ -130,8 +130,8 @@ impl Phase {
 /// One completed channel transfer, as observed by the executor.
 ///
 /// `time` is the executor's virtual clock: the rendezvous round for the
-/// cooperative scheduler, microseconds since run start for the threaded
-/// executors. The waits are in the same unit and are only populated by
+/// cooperative scheduler, microseconds since run start for the OS-thread
+/// engine. The waits are in the same unit and are only populated by
 /// the cooperative scheduler (whose round clock makes "parked since
 /// round r" well defined).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,7 +151,7 @@ pub struct Transfer {
 
 /// An execution-event sink. Every method has a no-op default, so a
 /// recorder implements only what it cares about. Implementations must be
-/// `Send`: the threaded executors invoke them from worker threads (under
+/// `Send`: the OS-thread engine invokes them from worker threads (under
 /// the shared mutex of [`SharedRecorder`]).
 pub trait Recorder: Send {
     /// The run is starting; `labels[pid]` names each process.
@@ -196,9 +196,8 @@ pub fn shared<R: Recorder + 'static>(rec: R) -> (Arc<Mutex<R>>, SharedRecorder) 
 }
 
 /// The minimal recorder: an append-only log of transfers. The interp
-/// layer's space–time diagrams (`crates/interp/src/trace.rs`) and the
-/// cooperative scheduler's legacy `run_traced` API are both sourced from
-/// it.
+/// layer's space–time diagrams (`crates/interp/src/trace.rs`) are
+/// sourced from it.
 #[derive(Default)]
 pub struct EventLogRecorder {
     transfers: Vec<Transfer>,
@@ -638,7 +637,7 @@ pub struct PerfettoRecorder {
     n_chans: usize,
     /// Trace microseconds per unit of virtual time. The default (10)
     /// stretches cooperative rounds so slices are visible; for the
-    /// threaded executors (already in µs) use 1.
+    /// OS-thread engine (already in µs) use 1.
     time_scale: u64,
     end_ts: u64,
 }
@@ -1043,31 +1042,6 @@ mod tests {
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("thread_name"));
         validate_json(&json);
-    }
-
-    #[test]
-    fn event_log_matches_run_traced() {
-        let mk = || {
-            let mut b = ProcIrBuilder::new();
-            b.source(0, &[7, 8], "src");
-            b.relay(0, 1, 2, "relay");
-            b.sink(1, 2, "sink");
-            b
-        };
-        let (log, erased) = shared(EventLogRecorder::new());
-        run_recorded(mk(), &[erased]);
-        let module = mk().build(None);
-        let inst = module.instantiate();
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
-        for p in inst.procs {
-            net.add(p);
-        }
-        let (_, trace) = net.run_traced().unwrap();
-        let log = log.lock();
-        assert_eq!(log.transfers().len(), trace.len());
-        for (t, ev) in log.transfers().iter().zip(&trace) {
-            assert_eq!((t.time, t.chan, t.value), (ev.round, ev.chan, ev.value));
-        }
     }
 
     /// A minimal JSON validator: structure only, enough to catch

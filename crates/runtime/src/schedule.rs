@@ -1,6 +1,5 @@
 //! Schedule policies: pluggable interleaving decisions for the
-//! cooperative engine, and seeded yield-point injection for the OS-thread
-//! executors.
+//! cooperative engine.
 //!
 //! Generated systolic programs must compute the same result under *any*
 //! asynchronous interleaving that honours channel rendezvous (the Sec. 4
@@ -148,46 +147,6 @@ impl Pcg32 {
     }
 }
 
-/// Seeded yield-point injection for the OS-thread executors
-/// ([`crate::threaded`], [`crate::partition`]): each worker surrenders
-/// its timeslice (`std::thread::yield_now`) before a step with
-/// probability `yield_per_1024 / 1024`, driven by a per-worker [`Pcg32`]
-/// stream derived from `seed`. The point is to perturb the OS schedule
-/// reproducibly-in-distribution and check that results are interleaving
-/// independent; it never changes rendezvous semantics.
-#[derive(Clone, Copy, Debug)]
-pub struct YieldPlan {
-    pub seed: u64,
-    /// Yield probability in 1024ths (0 = never, 1024 = before every step).
-    pub yield_per_1024: u32,
-}
-
-impl YieldPlan {
-    /// The decision stream for one worker (`scope` = process id for the
-    /// threaded executor, group id for the partitioned one).
-    pub fn injector(&self, scope: u64) -> YieldInjector {
-        YieldInjector {
-            rng: Pcg32::new(self.seed, scope),
-            yield_per_1024: self.yield_per_1024.min(1024),
-        }
-    }
-}
-
-/// One worker's yield-decision stream (see [`YieldPlan`]).
-pub struct YieldInjector {
-    rng: Pcg32,
-    yield_per_1024: u32,
-}
-
-impl YieldInjector {
-    /// Roll the dice; on a hit, surrender the timeslice.
-    pub fn maybe_yield(&mut self) {
-        if self.rng.below(1024) < self.yield_per_1024 {
-            std::thread::yield_now();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,23 +212,5 @@ mod tests {
         assert_eq!(ready, vec![1, 2]);
         assert_eq!(p.label(), "fifo");
         assert!(p.is_fifo(), "FIFO identity must admit batching");
-    }
-
-    #[test]
-    fn yield_injector_is_safe_at_both_extremes() {
-        let mut never = YieldPlan {
-            seed: 1,
-            yield_per_1024: 0,
-        }
-        .injector(0);
-        let mut always = YieldPlan {
-            seed: 1,
-            yield_per_1024: 1024,
-        }
-        .injector(0);
-        for _ in 0..64 {
-            never.maybe_yield();
-            always.maybe_yield();
-        }
     }
 }

@@ -481,7 +481,11 @@ pub fn run_wavefront(
     let mut scratch = take_scratch();
     let mut kern_work: Vec<usize> = Vec::new();
 
-    let pool = if parallel { Some(WavePool::global()) } else { None };
+    let pool = if parallel {
+        Some(WavePool::global())
+    } else {
+        None
+    };
     let workers = pool.map(|p| p.workers()).unwrap_or(1);
 
     let mut dirty = vec![true; n_chunks];
@@ -821,7 +825,11 @@ mod tests {
         }
         let wf = analyze_wavefront(&m, &plan);
         for (c, &cap) in wf.capacities.iter().enumerate() {
-            assert_eq!(cap, plan.widths[c].max(WAVEFRONT_RING_CAP - 1), "channel {c}");
+            assert_eq!(
+                cap,
+                plan.widths[c].max(WAVEFRONT_RING_CAP - 1),
+                "channel {c}"
+            );
         }
         assert_eq!(wf.rings().len(), plan.widths.len());
     }

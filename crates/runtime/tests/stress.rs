@@ -1,12 +1,12 @@
-//! Randomized stress tests: the three executors (cooperative, threaded,
-//! partitioned) must agree on arbitrary relay networks lowered to ProcIR.
+//! Randomized stress tests: the cooperative scheduler and the OS-thread
+//! engine (one process per group, and block partitions) must agree on
+//! arbitrary relay networks lowered to ProcIR.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use systolic_runtime::{
-    block_partition, run_partitioned, run_threaded, ChannelPolicy, Network, ProcIrBuilder,
-    ProcIrModule,
+    block_partition, run_partitioned, ChannelPolicy, Network, ProcIrBuilder, ProcIrModule,
 };
 
 /// Build `k` independent pipelines with the given relay counts and
@@ -60,19 +60,15 @@ proptest! {
             prop_assert_eq!(&*b.lock(), e);
         }
 
-        // Threaded.
-        let inst = module.instantiate();
-        run_threaded(inst.procs, Duration::from_secs(20)).unwrap();
-        for (b, e) in inst.outputs.iter().zip(&expected) {
-            prop_assert_eq!(&*b.lock(), e);
-        }
-
-        // Partitioned.
-        let inst = module.instantiate();
-        let groups = block_partition(inst.procs.len(), workers);
-        run_partitioned(inst.procs, groups, Duration::from_secs(20)).unwrap();
-        for (b, e) in inst.outputs.iter().zip(&expected) {
-            prop_assert_eq!(&*b.lock(), e);
+        // One OS thread per process, then `workers` threads.
+        let n = module.procs.len();
+        for k in [n, workers] {
+            let inst = module.instantiate();
+            let groups = block_partition(n, k);
+            run_partitioned(inst.procs, groups, Duration::from_secs(20), Vec::new()).unwrap();
+            for (b, e) in inst.outputs.iter().zip(&expected) {
+                prop_assert_eq!(&*b.lock(), e);
+            }
         }
     }
 

@@ -86,18 +86,12 @@ impl ApiError {
             RunError::Deadlock(_) | RunError::Protocol(_) => 422,
             RunError::Timeout { .. } => 504,
             RunError::Aborted | RunError::Panicked { .. } => 500,
+            RunError::Spawn { .. } => 503,
             RunError::Partition { .. } => 400,
         };
         ApiError {
             status,
-            kind: match e.kind() {
-                "deadlock" => "deadlock",
-                "protocol" => "protocol",
-                "timeout" => "timeout",
-                "aborted" => "aborted",
-                "panic" => "panic",
-                _ => "partition",
-            },
+            kind: e.kind(),
             message: e.to_string(),
             offenders: e.offenders(),
         }
@@ -139,7 +133,12 @@ impl ApiError {
                 ("message".into(), Json::Str(self.message.clone())),
                 (
                     "offenders".into(),
-                    Json::Arr(self.offenders.iter().map(|o| Json::Str(o.clone())).collect()),
+                    Json::Arr(
+                        self.offenders
+                            .iter()
+                            .map(|o| Json::Str(o.clone()))
+                            .collect(),
+                    ),
                 ),
             ]),
         )])

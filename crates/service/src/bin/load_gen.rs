@@ -99,7 +99,9 @@ fn parse_args() -> Config {
             .and_then(|v| v.parse().ok())
             .unwrap_or(if quick { 10 } else { 50 }),
         label: flag("--label").unwrap_or_else(|| "pr10-kernels".into()),
-        gate_pct: flag("--gate-pct").and_then(|v| v.parse().ok()).unwrap_or(25.0),
+        gate_pct: flag("--gate-pct")
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(25.0),
         out: flag("--out").unwrap_or_else(|| "BENCH_service.json".into()),
         artifact: flag("--artifact"),
     }
@@ -109,8 +111,7 @@ fn parse_args() -> Config {
 // Minimal HTTP client (connection per request, `Connection: close`).
 
 fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .write_all(
             format!(
@@ -125,8 +126,7 @@ fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> Result<(u16,
 }
 
 fn http_get(addr: std::net::SocketAddr, path: &str) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     stream
         .write_all(
             format!("GET {path} HTTP/1.1\r\nHost: load-gen\r\nConnection: close\r\n\r\n")
@@ -248,10 +248,7 @@ fn percentile(sorted_us: &[u64], p: f64) -> f64 {
 
 /// One client, matmul E.1 n = 24, hot caches. The acceptance criterion
 /// lives here: warm p50 under 10 ms end-to-end.
-fn warm_latency(
-    addr: std::net::SocketAddr,
-    cfg: &Config,
-) -> ScenarioResult {
+fn warm_latency(addr: std::net::SocketAddr, cfg: &Config) -> ScenarioResult {
     let body = r#"{"design":"E.1","sizes":[24],"seed":42,"deadline_ms":60000}"#;
     // Warm-up: pays plan compilation + module elaboration once.
     let (status, warmup) = http_post(addr, "/v1/run", body).expect("warm-up request");
@@ -367,8 +364,7 @@ fn saturation(
                         // oracle check below holds bit-for-bit on both,
                         // served interleaved from the same module cache.
                         let kernel = if idx % 2 == 0 { "auto" } else { "off" };
-                        let sizes_json: Vec<String> =
-                            sizes.iter().map(|s| s.to_string()).collect();
+                        let sizes_json: Vec<String> = sizes.iter().map(|s| s.to_string()).collect();
                         let body = format!(
                             "{{\"design\":\"{design}\",\"sizes\":[{}],\"seed\":{seed},\
                              \"executor\":\"{executor}\",\"verify\":{verify},\
@@ -385,9 +381,9 @@ fn saturation(
                             Err(e) => Some(format!("client {ci}: transport: {e}")),
                             Ok((200, resp)) => check_stores(resp, &oracle[&(di, seed)])
                                 .map(|why| format!("client {ci} ({design}): {why}")),
-                            Ok((status, resp)) => Some(format!(
-                                "client {ci} ({design}): HTTP {status}: {resp}"
-                            )),
+                            Ok((status, resp)) => {
+                                Some(format!("client {ci} ({design}): HTTP {status}: {resp}"))
+                            }
                         };
                         if let Some(f) = fail {
                             let mut g = failures.lock().unwrap();
@@ -426,7 +422,10 @@ fn saturation(
     let _total_wall = start.elapsed().as_secs_f64();
 
     let failures = Arc::try_unwrap(failures).unwrap().into_inner().unwrap();
-    let mut latencies = Arc::try_unwrap(all_latencies).unwrap().into_inner().unwrap();
+    let mut latencies = Arc::try_unwrap(all_latencies)
+        .unwrap()
+        .into_inner()
+        .unwrap();
     latencies.sort_unstable();
     let total_requests = clients * per_client;
 
@@ -500,8 +499,14 @@ fn entry_json(e: &ScenarioResult) -> String {
         "      {{\"scenario\": \"{}\", {design}\"clients\": {}, \"requests\": {}, \
          \"peak_in_flight\": {}, \"mismatches\": {}, \"p50_ms\": {:.3}, \
          \"p99_ms\": {:.3}, \"req_per_s\": {:.1}}}",
-        e.scenario, e.clients, e.requests, e.peak_in_flight, e.mismatches, e.p50_ms,
-        e.p99_ms, e.req_per_s
+        e.scenario,
+        e.clients,
+        e.requests,
+        e.peak_in_flight,
+        e.mismatches,
+        e.p50_ms,
+        e.p99_ms,
+        e.req_per_s
     )
 }
 
@@ -524,11 +529,17 @@ fn write_bench(cfg: &Config, entries: &[ScenarioResult]) {
     // design and scale with --clients.
     let mut violations = Vec::new();
     for e in entries {
-        let Some(p) = prior_best(&old).into_iter().find(|p| p.scenario == e.scenario)
+        let Some(p) = prior_best(&old)
+            .into_iter()
+            .find(|p| p.scenario == e.scenario)
         else {
             continue;
         };
-        let slack_ms = if e.scenario == "saturation" { 250.0 } else { 5.0 };
+        let slack_ms = if e.scenario == "saturation" {
+            250.0
+        } else {
+            5.0
+        };
         let mut check = |what: &str, new: f64, best: f64| {
             let limit = best * (1.0 + cfg.gate_pct / 100.0) + slack_ms;
             if new > limit {
@@ -581,7 +592,10 @@ fn main() {
     );
 
     let oracle = Arc::new(build_oracle());
-    println!("oracle ready: {} (design, seed) configurations", oracle.len());
+    println!(
+        "oracle ready: {} (design, seed) configurations",
+        oracle.len()
+    );
 
     let warm = warm_latency(addr, &cfg);
     println!(
@@ -610,7 +624,11 @@ fn main() {
     let doc = json::parse(&stats).expect("stats parses");
     let pool = doc.get("pool").expect("pool stats");
     let num = |k: &str| pool.get(k).and_then(|v| v.as_i64()).unwrap_or(-1);
-    assert_eq!(num("rejected"), 0, "unexpected 429s under a sized queue: {stats}");
+    assert_eq!(
+        num("rejected"),
+        0,
+        "unexpected 429s under a sized queue: {stats}"
+    );
     assert_eq!(num("panics"), 0, "worker panics under load: {stats}");
     let hits = doc
         .get("elab_cache")

@@ -144,8 +144,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, Ap
                 content_length = value
                     .parse()
                     .map_err(|_| ApiError::bad_request("bad Content-Length"))?;
-            } else if name.eq_ignore_ascii_case("connection")
-                && value.eq_ignore_ascii_case("close")
+            } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
             {
                 keep_alive = false;
             }
@@ -162,8 +161,7 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, Ap
     reader
         .read_exact(&mut body)
         .map_err(|_| ApiError::bad_request("short request body"))?;
-    let body =
-        String::from_utf8(body).map_err(|_| ApiError::bad_request("body is not UTF-8"))?;
+    let body = String::from_utf8(body).map_err(|_| ApiError::bad_request("body is not UTF-8"))?;
     Ok(Some((method, path, body, keep_alive)))
 }
 
@@ -181,6 +179,7 @@ fn write_response(
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "OK",
     };

@@ -176,15 +176,13 @@ impl Service {
         match program {
             ProgramRef::Design(key) => {
                 let cache_key = format!("design:{key}");
-                self.plans
-                    .get_or_build(&cache_key, || compile_design(key))
+                self.plans.get_or_build(&cache_key, || compile_design(key))
             }
             ProgramRef::Source(src) => {
                 let mut h = std::collections::hash_map::DefaultHasher::new();
                 src.hash(&mut h);
                 let cache_key = format!("source:{:016x}", h.finish());
-                self.plans
-                    .get_or_build(&cache_key, || compile_source(src))
+                self.plans.get_or_build(&cache_key, || compile_source(src))
             }
         }
     }
@@ -267,13 +265,13 @@ impl Service {
                     .expect("executor validated at parse time");
                 let sched = match &req.schedule {
                     None => None,
-                    Some((policy, seed)) => Some(policy_by_name(policy, *seed).ok_or_else(
-                        || {
+                    Some((policy, seed)) => {
+                        Some(policy_by_name(policy, *seed).ok_or_else(|| {
                             ApiError::bad_request(format!(
                                 "unknown schedule policy '{policy}' (fifo|random|lifo|prio-inv)"
                             ))
-                        },
-                    )?),
+                        })?)
+                    }
                 };
                 let spec = SimSpec {
                     batch: req.batch,
@@ -401,32 +399,21 @@ impl Service {
     }
 }
 
-/// Compile a gallery design key: the four appendix designs by label,
-/// `fir` on a derived array — the same resolution as the DST registry
-/// (`systolic_sim::subject_for`). Public so `load_gen` and the
-/// integration tests can build client-side sequential oracles from the
-/// exact same plan the service serves.
+/// Compile a gallery design key — `systolic_sim::compile_design`, the
+/// DST registry's resolution, with its failures as structured errors.
+/// Public so `load_gen` and the integration tests can build client-side
+/// sequential oracles from the exact same plan the service serves.
 pub fn compile_design(key: &str) -> Result<ResolvedProgram, ApiError> {
-    let (program, array, inputs) = if key == "fir" {
-        let p = systolic_ir::gallery::fir_filter();
-        let a = systolic_synthesis::derive_array(&p, 2, 4)
-            .ok_or_else(|| ApiError::internal("fir array derivation failed"))?;
-        (p, a, vec!["h".to_string(), "x".to_string()])
-    } else {
-        let found = systolic_synthesis::placement::paper::all()
-            .into_iter()
-            .find(|(label, _, _)| *label == key);
-        let Some((_, p, a)) = found else {
-            return Err(ApiError::unknown_design(key));
-        };
-        (p, a, vec!["a".to_string(), "b".to_string()])
-    };
-    let plan = compile(&program, &array, &CoreOptions::default())
-        .map_err(|e| ApiError::new(422, "compile", format!("compile failed: {e}")))?;
+    use systolic_sim::DesignError;
+    let (plan, inputs) = systolic_sim::compile_design(key).map_err(|e| match e {
+        DesignError::Unknown(key) => ApiError::unknown_design(&key),
+        DesignError::NoArray => ApiError::internal(e.to_string()),
+        DesignError::Compile(_) => ApiError::new(422, "compile", e.to_string()),
+    })?;
     Ok(ResolvedProgram {
         label: key.to_string(),
         plan,
-        default_inputs: inputs,
+        default_inputs: inputs.map(String::from).to_vec(),
     })
 }
 
@@ -435,14 +422,17 @@ pub fn compile_design(key: &str) -> Result<ResolvedProgram, ApiError> {
 /// 400/422 — the parser's message reaches the client, a panic never
 /// does.
 pub fn compile_source(src: &str) -> Result<ResolvedProgram, ApiError> {
-    let program = systolic_lang::parse(src)
-        .map_err(|e| ApiError::parse(format!("parse error: {e}")))?;
+    let program =
+        systolic_lang::parse(src).map_err(|e| ApiError::parse(format!("parse error: {e}")))?;
     systolic_ir::validate(&program, 4).map_err(|violations| {
         let msgs: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         ApiError::new(
             422,
             "validate",
-            format!("program outside the compilable envelope: {}", msgs.join("; ")),
+            format!(
+                "program outside the compilable envelope: {}",
+                msgs.join("; ")
+            ),
         )
     })?;
     let array = systolic_synthesis::derive_array(&program, 2, 4).ok_or_else(|| {

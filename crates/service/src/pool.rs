@@ -147,9 +147,7 @@ impl Pool {
                 self.stats.rejected.fetch_add(1, Ordering::SeqCst);
                 Err(ApiError::overloaded(self.queue_cap))
             }
-            Err(TrySendError::Disconnected(_)) => {
-                Err(ApiError::internal("worker pool shut down"))
-            }
+            Err(TrySendError::Disconnected(_)) => Err(ApiError::internal("worker pool shut down")),
         }
     }
 }

@@ -255,12 +255,12 @@ impl DstSubject for RaceSubject {
     }
 }
 
-/// One design of the DST matrix: registry key, problem sizes, input
-/// variables, and the seed their data is drawn from.
+/// One design of the DST matrix: registry key ([`compile_design`]
+/// resolves it to the plan and its input variables), problem sizes, and
+/// the seed the input data is drawn from.
 pub struct DesignSpec {
     pub key: &'static str,
     pub sizes: Vec<i64>,
-    pub inputs: Vec<&'static str>,
     pub input_seed: u64,
 }
 
@@ -272,34 +272,71 @@ pub fn registry() -> Vec<DesignSpec> {
         DesignSpec {
             key: "D.1",
             sizes: vec![4],
-            inputs: vec!["a", "b"],
             input_seed: 17,
         },
         DesignSpec {
             key: "D.2",
             sizes: vec![4],
-            inputs: vec!["a", "b"],
             input_seed: 18,
         },
         DesignSpec {
             key: "E.1",
             sizes: vec![3],
-            inputs: vec!["a", "b"],
             input_seed: 19,
         },
         DesignSpec {
             key: "E.2",
             sizes: vec![3],
-            inputs: vec!["a", "b"],
             input_seed: 20,
         },
         DesignSpec {
             key: "fir",
             sizes: vec![2, 5],
-            inputs: vec!["h", "x"],
             input_seed: 21,
         },
     ]
+}
+
+/// Why a gallery key did not resolve to a compiled plan.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DesignError {
+    /// No gallery design has this key.
+    Unknown(String),
+    /// `fir`'s array derivation found nothing within the search bound.
+    NoArray,
+    /// The design did not compile.
+    Compile(String),
+}
+
+impl std::fmt::Display for DesignError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DesignError::Unknown(key) => write!(f, "unknown design '{key}'"),
+            DesignError::NoArray => write!(f, "fir array derivation failed"),
+            DesignError::Compile(e) => write!(f, "compile failed: {e}"),
+        }
+    }
+}
+
+/// The one gallery-key resolution (the DST registry's and the service's
+/// `"design"`): the four appendix designs by label on the paper's
+/// arrays, `fir` on a derived array, compiled with default options.
+/// Returns the plan and the input variables seeded by default.
+pub fn compile_design(key: &str) -> Result<(SystolicProgram, [&'static str; 2]), DesignError> {
+    let (program, array, inputs) = if key == "fir" {
+        let p = systolic_ir::gallery::fir_filter();
+        let a = systolic_synthesis::derive_array(&p, 2, 4).ok_or(DesignError::NoArray)?;
+        (p, a, ["h", "x"])
+    } else {
+        let (_, p, a) = systolic_synthesis::placement::paper::all()
+            .into_iter()
+            .find(|(label, _, _)| *label == key)
+            .ok_or_else(|| DesignError::Unknown(key.to_string()))?;
+        (p, a, ["a", "b"])
+    };
+    let plan = systolic_core::compile(&program, &array, &systolic_core::Options::default())
+        .map_err(|e| DesignError::Compile(e.to_string()))?;
+    Ok((plan, inputs))
 }
 
 /// Resolve a registry key (or [`RACE_SINK`]) to a runnable subject at
@@ -310,28 +347,11 @@ pub fn subject_for(
     sizes: &[i64],
     input_seed: u64,
 ) -> Result<Box<dyn DstSubject>, String> {
-    use systolic_core::{compile, Options};
     if key == RACE_SINK {
         let k = sizes.first().copied().unwrap_or(4).max(1) as usize;
         return Ok(Box::new(RaceSubject { k }));
     }
-    let (plan, inputs): (SystolicProgram, Vec<&str>) = if key == "fir" {
-        let p = systolic_ir::gallery::fir_filter();
-        let a = systolic_synthesis::derive_array(&p, 2, 4).ok_or("fir array derivation failed")?;
-        (
-            compile(&p, &a, &Options::default()).map_err(|e| format!("compile failed: {e}"))?,
-            vec!["h", "x"],
-        )
-    } else {
-        let (_, p, a) = systolic_synthesis::placement::paper::all()
-            .into_iter()
-            .find(|(label, _, _)| *label == key)
-            .ok_or_else(|| format!("unknown design '{key}'"))?;
-        (
-            compile(&p, &a, &Options::default()).map_err(|e| format!("compile failed: {e}"))?,
-            vec!["a", "b"],
-        )
-    };
+    let (plan, inputs) = compile_design(key).map_err(|e| e.to_string())?;
     Ok(Box::new(PlanSubject::from_plan(
         key, None, &plan, sizes, &inputs, input_seed,
     )?))
@@ -725,16 +745,12 @@ mod tests {
         // logical statistics stay bit-identical to the wavefront run.
         use systolic_interp::{simulate, SimSpec};
         let spec = registry().remove(2); // E.1
-        let (_, p, a) = systolic_synthesis::placement::paper::all()
-            .into_iter()
-            .find(|(label, _, _)| *label == spec.key)
-            .unwrap();
-        let plan = systolic_core::compile(&p, &a, &systolic_core::Options::default()).unwrap();
+        let (plan, inputs) = compile_design(spec.key).unwrap();
         let mut env = Env::new();
         for (&s, &v) in plan.source.sizes.iter().zip(&spec.sizes) {
             env.bind(s, v);
         }
-        let store = seeded_store(&plan, &env, &spec.inputs, spec.input_seed);
+        let store = seeded_store(&plan, &env, &inputs, spec.input_seed);
         let run_with = |sched: Option<Box<dyn SchedulePolicy>>| {
             let spec = SimSpec {
                 sched,

@@ -12,7 +12,7 @@
 //! - **Abort**: a process is replaced by one that blocks forever on a
 //!   poison channel nobody serves. The run must fail *diagnosably*: the
 //!   cooperative engine's exact deadlock report names the victim; the
-//!   threaded executors convert the stuck rendezvous into a structured
+//!   OS-thread engine converts the stuck rendezvous into a structured
 //!   timeout.
 
 use std::time::Duration;
@@ -200,8 +200,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use systolic_runtime::{
-        block_partition, run_partitioned, run_threaded, ChannelPolicy, Network, ProcIrBuilder,
-        ProcIrModule, RunError,
+        block_partition, run_partitioned, ChannelPolicy, Network, ProcIrBuilder, ProcIrModule,
+        RunError,
     };
 
     /// source -> relay -> sink over 4 values; returns the sealed module.
@@ -264,28 +264,20 @@ mod tests {
     }
 
     #[test]
-    fn abort_fault_times_out_the_threaded_executor() {
-        let module = pipeline_module();
-        let inst = module.instantiate();
-        let procs = FaultPlan::abort(1).apply(inst.procs, module.n_chans);
-        let err = run_threaded(procs, Duration::from_millis(200)).unwrap_err();
-        assert!(
-            matches!(err, RunError::Timeout { .. }),
-            "expected structured timeout, got {err:?}"
-        );
-    }
-
-    #[test]
-    fn abort_fault_times_out_the_partitioned_executor() {
-        let module = pipeline_module();
-        let inst = module.instantiate();
-        let procs = FaultPlan::abort(1).apply(inst.procs, module.n_chans);
-        let groups = block_partition(3, 2);
-        let err = run_partitioned(procs, groups, Duration::from_millis(200)).unwrap_err();
-        assert!(
-            matches!(err, RunError::Timeout { .. }),
-            "expected structured timeout, got {err:?}"
-        );
+    fn abort_fault_times_out_the_os_thread_engine() {
+        // One thread per process (the threaded executor), then two workers.
+        for workers in [3, 2] {
+            let module = pipeline_module();
+            let inst = module.instantiate();
+            let procs = FaultPlan::abort(1).apply(inst.procs, module.n_chans);
+            let groups = block_partition(3, workers);
+            let err =
+                run_partitioned(procs, groups, Duration::from_millis(200), Vec::new()).unwrap_err();
+            assert!(
+                matches!(err, RunError::Timeout { .. }),
+                "expected structured timeout, got {err:?} ({workers} workers)"
+            );
+        }
     }
 
     #[test]
@@ -293,7 +285,13 @@ mod tests {
         let module = pipeline_module();
         let inst = module.instantiate();
         let procs = FaultPlan::stall(1, 200).apply(inst.procs, module.n_chans);
-        run_threaded(procs, Duration::from_secs(30)).unwrap();
+        run_partitioned(
+            procs,
+            block_partition(3, 3),
+            Duration::from_secs(30),
+            Vec::new(),
+        )
+        .unwrap();
         assert_eq!(*inst.outputs[0].lock(), vec![10, 20, 30, 40]);
     }
 

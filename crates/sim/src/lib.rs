@@ -32,9 +32,9 @@ pub mod json;
 pub mod policy;
 
 pub use explore::{
-    compare_outcomes, explore, registry, replay, shrink_log, subject_for, Counterexample,
-    DesignSpec, DstSubject, ExploreConfig, ExploreReport, Outcome, PlanSubject, RaceSubject,
-    ReplayReport, ScheduleFile, RACE_SINK, SCHEDULE_SCHEMA,
+    compare_outcomes, compile_design, explore, registry, replay, shrink_log, subject_for,
+    Counterexample, DesignError, DesignSpec, DstSubject, ExploreConfig, ExploreReport, Outcome,
+    PlanSubject, RaceSubject, ReplayReport, ScheduleFile, RACE_SINK, SCHEDULE_SCHEMA,
 };
 pub use fault::{DelayPolicy, Fault, FaultPlan};
 pub use json::Json;

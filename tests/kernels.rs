@@ -47,18 +47,41 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
 
-        let scalar = go(&plan, &env, &store, OptMode::Off, WavefrontMode::Auto, KernelMode::Off);
+        let scalar = go(
+            &plan,
+            &env,
+            &store,
+            OptMode::Off,
+            WavefrontMode::Auto,
+            KernelMode::Off,
+        );
         assert!(scalar.wavefront, "design {design}: wavefront gate");
-        let k = scalar.kernel.as_ref().expect("wavefront runs carry a report");
+        let k = scalar
+            .kernel
+            .as_ref()
+            .expect("wavefront runs carry a report");
         assert!(!k.enabled, "design {design}: --kernel off is disabled");
         assert_eq!(k.waves_fused, 0, "design {design}: off must not fuse");
         assert_eq!(scalar.store, expected, "design {design}: scalar vs oracle");
 
-        let fused = go(&plan, &env, &store, OptMode::Off, WavefrontMode::Auto, KernelMode::Auto);
+        let fused = go(
+            &plan,
+            &env,
+            &store,
+            OptMode::Off,
+            WavefrontMode::Auto,
+            KernelMode::Auto,
+        );
         assert!(fused.wavefront, "design {design}");
         assert_eq!(fused.store, expected, "design {design}: kernel vs oracle");
-        assert_eq!(fused.store, scalar.store, "design {design}: kernel vs scalar");
-        assert_eq!(fused.stats.messages, scalar.stats.messages, "design {design}");
+        assert_eq!(
+            fused.store, scalar.store,
+            "design {design}: kernel vs scalar"
+        );
+        assert_eq!(
+            fused.stats.messages, scalar.stats.messages,
+            "design {design}"
+        );
         assert_eq!(fused.stats.steps, scalar.stats.steps, "design {design}");
         assert_eq!(fused.stats.processes, scalar.stats.processes);
 
@@ -86,7 +109,9 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
         // Sources and sinks are transport processes; they always stay
         // scalar, and the report says why.
         assert!(
-            k.fallbacks.iter().any(|(r, _)| r.contains("transport process")),
+            k.fallbacks
+                .iter()
+                .any(|(r, _)| r.contains("transport process")),
             "design {design}: {:?}",
             k.fallbacks
         );
@@ -107,8 +132,22 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
 fn kernel_path_is_invisible_on_the_optimized_module() {
     for design in 0..CORPUS {
         let (plan, env, store) = prepared(design, 4, 23);
-        let off = go(&plan, &env, &store, OptMode::Auto, WavefrontMode::Auto, KernelMode::Off);
-        let auto = go(&plan, &env, &store, OptMode::Auto, WavefrontMode::Auto, KernelMode::Auto);
+        let off = go(
+            &plan,
+            &env,
+            &store,
+            OptMode::Auto,
+            WavefrontMode::Auto,
+            KernelMode::Off,
+        );
+        let auto = go(
+            &plan,
+            &env,
+            &store,
+            OptMode::Auto,
+            WavefrontMode::Auto,
+            KernelMode::Auto,
+        );
         assert_eq!(auto.store, off.store, "design {design}");
         assert_eq!(auto.stats.messages, off.stats.messages, "design {design}");
         assert_eq!(auto.stats.steps, off.stats.steps, "design {design}");
@@ -137,7 +176,10 @@ fn guarded_bodies_fall_back_to_scalar_with_the_reject_reason() {
     };
     let run = verify(&sys.plan, &sys.size_env(&[4]), &["a", "b"], 13, spec)
         .expect("the scalar fallback still verifies");
-    assert!(run.wavefront, "the wavefront gate is independent of kernels");
+    assert!(
+        run.wavefront,
+        "the wavefront gate is independent of kernels"
+    );
     let k = run.kernel.expect("wavefront runs carry a report");
     assert!(k.enabled && !k.compiled);
     let reject = k.reject.as_deref().unwrap_or_default();
@@ -147,9 +189,14 @@ fn guarded_bodies_fall_back_to_scalar_with_the_reject_reason() {
     );
     assert_eq!(k.waves_fused, 0, "nothing may fuse without a kernel");
     assert_eq!(k.eligible_chunks, 0);
-    assert!(k.scalar_chunks > 0, "the waves all ran — on the scalar path");
     assert!(
-        k.fallbacks.iter().any(|(r, _)| r.contains("guarded update")),
+        k.scalar_chunks > 0,
+        "the waves all ran — on the scalar path"
+    );
+    assert!(
+        k.fallbacks
+            .iter()
+            .any(|(r, _)| r.contains("guarded update")),
         "{:?}",
         k.fallbacks
     );

@@ -114,6 +114,18 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                 assert_eq!(run.engine, rung.executor.label(), "{ctx}");
                 assert_eq!(run.batched, batched, "{ctx}: batched");
                 assert_eq!(run.wavefront, wavefront, "{ctx}: wavefront");
+                if rung.executor == ExecutorChoice::Threaded {
+                    // One process per group of the OS-thread engine:
+                    // same label, plain rung only, no virtual clock, and
+                    // (asserted below, `opt` being `None`) the plain
+                    // cooperative rung's messages and steps.
+                    assert_eq!(
+                        (run.engine, run.batched, run.stats.rounds),
+                        ("threaded", false, 0),
+                        "{ctx}"
+                    );
+                    assert!(run.opt.is_none(), "{ctx}");
+                }
                 assert_eq!(
                     run.kernel.as_ref().map(|k| k.enabled),
                     wavefront.then_some(rung.kernel == KernelMode::Auto),

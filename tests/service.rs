@@ -30,8 +30,7 @@ use systolic_math::Env;
 use systolic_service::api::ApiError;
 use systolic_service::{compile_design, http, Service, ServiceConfig};
 use systolic_sim::{
-    explore, json, policy_by_name, replay, subject_for, ExploreConfig, FaultPlan, Json,
-    RaceSubject,
+    explore, json, policy_by_name, replay, subject_for, ExploreConfig, FaultPlan, Json, RaceSubject,
 };
 
 /// The DST-registry gallery: design keys and sizes.
@@ -70,7 +69,9 @@ fn oracle_for(design: &str, sizes: &[i64], seed: u64) -> HashMap<String, Vec<i64
 /// Assert a 200 stores response matches the oracle bit for bit.
 fn assert_stores_match(body: &str, expected: &HashMap<String, Vec<i64>>, ctx: &str) {
     let doc = json::parse(body).unwrap_or_else(|e| panic!("{ctx}: unparseable body: {e}"));
-    let stores = doc.get("stores").unwrap_or_else(|| panic!("{ctx}: no stores"));
+    let stores = doc
+        .get("stores")
+        .unwrap_or_else(|| panic!("{ctx}: no stores"));
     for (name, want) in expected {
         let got: Vec<i64> = stores
             .get(name)
@@ -102,7 +103,12 @@ fn run_body(design: &str, sizes: &[i64], seed: u64, extra: &[(&str, Json)]) -> S
 /// The soak workload: gallery × (batch, wavefront) modes × executors,
 /// each body issued twice so cache hits actually occur.
 fn soak_workload() -> Vec<(String, HashMap<String, Vec<i64>>)> {
-    let modes = [("auto", "auto"), ("off", "off"), ("auto", "off"), ("off", "auto")];
+    let modes = [
+        ("auto", "auto"),
+        ("off", "off"),
+        ("auto", "off"),
+        ("off", "auto"),
+    ];
     let executors = ["coop", "threaded"];
     let mut work = Vec::new();
     for (design, sizes) in GALLERY {
@@ -145,9 +151,7 @@ fn run_workload_on(
             let svc = Arc::clone(svc);
             scope.spawn(move || {
                 // Interleaved slices: every thread touches every design.
-                for (i, (body, expected)) in
-                    work.iter().enumerate().skip(t).step_by(threads)
-                {
+                for (i, (body, expected)) in work.iter().enumerate().skip(t).step_by(threads) {
                     let (status, resp) = svc.handle_run(body);
                     assert_eq!(status, 200, "thread {t} request {i}: {resp}");
                     assert_stores_match(&resp, expected, &format!("thread {t} request {i}"));
@@ -169,7 +173,10 @@ fn soak_shared_caches_are_oracle_exact_and_counter_exact_under_contention() {
     run_workload_on(&seq_svc, &work, 1);
     let seq_stats = seq_svc.modules.stats();
     let (seq_ph, seq_pm, seq_pe, seq_plen) = seq_svc.plans.stats();
-    assert!(seq_stats.module_hits > 0, "workload must produce cache hits");
+    assert!(
+        seq_stats.module_hits > 0,
+        "workload must produce cache hits"
+    );
     assert_eq!(seq_stats.module_evictions, 0, "caps must hold the soak");
 
     // The same workload, 8 threads, one shared service. Stores stay
@@ -180,13 +187,25 @@ fn soak_shared_caches_are_oracle_exact_and_counter_exact_under_contention() {
     run_workload_on(&conc_svc, &work, 8);
     let conc = conc_svc.modules.stats();
     assert_eq!(
-        (conc.skeleton_hits, conc.skeleton_misses, conc.skeleton_evictions),
-        (seq_stats.skeleton_hits, seq_stats.skeleton_misses, seq_stats.skeleton_evictions),
+        (
+            conc.skeleton_hits,
+            conc.skeleton_misses,
+            conc.skeleton_evictions
+        ),
+        (
+            seq_stats.skeleton_hits,
+            seq_stats.skeleton_misses,
+            seq_stats.skeleton_evictions
+        ),
         "skeleton counters drifted under contention"
     );
     assert_eq!(
         (conc.module_hits, conc.module_misses, conc.module_evictions),
-        (seq_stats.module_hits, seq_stats.module_misses, seq_stats.module_evictions),
+        (
+            seq_stats.module_hits,
+            seq_stats.module_misses,
+            seq_stats.module_evictions
+        ),
         "module counters drifted under contention"
     );
     assert_eq!(
@@ -262,8 +281,14 @@ fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
 
 fn error_kind(body: &str) -> (String, Vec<String>) {
     let doc = json::parse(body).unwrap_or_else(|e| panic!("unparseable error body: {e}\n{body}"));
-    let err = doc.get("error").unwrap_or_else(|| panic!("no error object: {body}"));
-    let kind = err.get("kind").and_then(|k| k.as_str()).expect("kind").to_string();
+    let err = doc
+        .get("error")
+        .unwrap_or_else(|| panic!("no error object: {body}"));
+    let kind = err
+        .get("kind")
+        .and_then(|k| k.as_str())
+        .expect("kind")
+        .to_string();
     let offenders = err
         .get("offenders")
         .and_then(|o| o.as_arr())
@@ -336,7 +361,10 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     assert_eq!(status, 504, "{body}");
     let (kind, offenders) = error_kind(&body);
     assert_eq!(kind, "timeout");
-    assert!(!offenders.is_empty(), "timeout must name an offender: {body}");
+    assert!(
+        !offenders.is_empty(),
+        "timeout must name an offender: {body}"
+    );
 
     // Worker panic: structured 500 and the panic text stays server-side.
     let (status, body) = post(addr, "/debug/panic", "");
@@ -519,7 +547,9 @@ fn fault_plans_keep_stores_and_error_classification_under_the_pool() {
         let (kind, offenders) = error_kind(&body);
         assert_eq!(kind, "deadlock", "adversarial={adversarial}");
         assert!(
-            offenders.iter().any(|o| o.contains("relay") && o.contains("aborted")),
+            offenders
+                .iter()
+                .any(|o| o.contains("relay") && o.contains("aborted")),
             "deadlock report must name the aborted victim: {body}"
         );
     }
@@ -546,7 +576,11 @@ fn a_shrunk_race_sink_counterexample_replays_through_the_service() {
     let (status, resp) = svc.handle_replay(&ce.schedule.to_json());
     assert_eq!(status, 200, "{resp}");
     let doc = json::parse(&resp).unwrap();
-    assert_eq!(doc.get("reproduced").and_then(|v| v.as_bool()), Some(true), "{resp}");
+    assert_eq!(
+        doc.get("reproduced").and_then(|v| v.as_bool()),
+        Some(true),
+        "{resp}"
+    );
     assert_eq!(
         doc.get("design").and_then(|v| v.as_str()),
         Some("race-sink"),
@@ -563,5 +597,9 @@ fn a_shrunk_race_sink_counterexample_replays_through_the_service() {
     let (status, resp) = svc.handle_replay(&stub.to_json());
     assert_eq!(status, 200, "{resp}");
     let doc = json::parse(&resp).unwrap();
-    assert_eq!(doc.get("reproduced").and_then(|v| v.as_bool()), Some(false), "{resp}");
+    assert_eq!(
+        doc.get("reproduced").and_then(|v| v.as_bool()),
+        Some(false),
+        "{resp}"
+    );
 }
