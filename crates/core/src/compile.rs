@@ -9,6 +9,7 @@ use crate::iocomm::{
 };
 use crate::plan::{StreamKind, StreamPlan, SystolicProgram};
 use crate::propagation::{derive_drain, derive_soak};
+use std::hash::{Hash, Hasher};
 use systolic_ir::{SourceProgram, StreamId};
 use systolic_math::affine::AffinePoint;
 use systolic_math::{point, Affine, Guard, Piecewise, Var};
@@ -216,7 +217,7 @@ pub fn compile(
         });
     }
 
-    Ok(SystolicProgram {
+    let mut plan = SystolicProgram {
         vars,
         coords,
         r,
@@ -230,7 +231,12 @@ pub fn compile(
         streams,
         source: program.clone(),
         array: array.clone(),
-    })
+        fingerprint: 0,
+    };
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    format!("{plan:?}").hash(&mut h);
+    plan.fingerprint = h.finish();
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -252,6 +258,28 @@ mod tests {
         for (label, p, a) in paper::all() {
             compile(&p, &a, &Options::default()).unwrap_or_else(|e| panic!("{label}: {e}"));
         }
+    }
+
+    #[test]
+    fn the_fingerprint_names_the_plan_and_nothing_else() {
+        let fp = |(p, a): (SourceProgram, SystolicArray)| {
+            compile(&p, &a, &Options::default()).unwrap().fingerprint
+        };
+        // A function of the derived plan: recompiling reproduces it,
+        // another design (here: another array for the same program)
+        // moves it.
+        assert_eq!(fp(paper::polyprod_d1()), fp(paper::polyprod_d1()));
+        assert_ne!(fp(paper::polyprod_d1()), fp(paper::polyprod_d2()));
+        // It does not depend on itself: the rendering it hashes has the
+        // field at zero, so hashing a finished plan the same way agrees.
+        let (p, a) = paper::matmul_e1();
+        let plan = compile(&p, &a, &Options::default()).unwrap();
+        let mut blank = plan.clone();
+        assert_eq!(blank.fingerprint, plan.fingerprint, "Clone carries it");
+        blank.fingerprint = 0;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        format!("{blank:?}").hash(&mut h);
+        assert_eq!(h.finish(), plan.fingerprint);
     }
 
     #[test]

@@ -108,6 +108,12 @@ pub struct SystolicProgram {
     /// The inputs the plan was compiled from.
     pub source: SourceProgram,
     pub array: SystolicArray,
+    /// Content hash of everything above: the `Debug` rendering of the
+    /// plan (a pure value — no interior mutability, no addresses — so
+    /// equal renderings mean interchangeable plans), taken once by
+    /// `compile` with this field still zero. The module cache keys on
+    /// it; nothing mutates a plan after `compile`.
+    pub fingerprint: u64,
 }
 
 impl SystolicProgram {

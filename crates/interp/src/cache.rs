@@ -4,26 +4,35 @@
 //! Level 1 caches **skeletons** — size-parametric compiles keyed by
 //! `(program fingerprint, ElabOptions)`. Level 2 caches **instantiated
 //! modules** keyed by `(program fingerprint, ElabOptions, size values,
-//! host-store fingerprint)`. The store fingerprint is part of the key
-//! because elaboration bakes input *values* into source scripts
-//! (`HostStore::fingerprint`); two runs over different data need
-//! different modules even at the same size.
+//! host-store shape)`. No *value* of the host store is in either key:
+//! the paper's derivation is symbolic in the data — the host's i/o
+//! processes inject it (Sec. 4.2) — so an instantiated module is code
+//! plus a table of where each injected word lives in the store
+//! (`Elaborated::host_words`), and every run gathers its own data segment
+//! through that table (`crate::exec::simulate`). The store's *shape*
+//! (names and bounds, `HostStore::shape_fingerprint`) is in the key
+//! because the table holds flat array offsets: they are valid for every
+//! store of the shape the module was instantiated from, and a store of
+//! another shape is simply another entry. So `instantiate` and the
+//! analyses below run once per (program, options, size, shape), however
+//! many data sets follow; a cached module still carries the data segment
+//! of the store that instantiated it, which is what a caller running
+//! `cm.elab.module` directly, without binding, executes.
 //!
 //! Each cached module also lazily memoizes the downstream per-module
-//! analyses the executors repeat today: the batch plan
-//! (`systolic_runtime::analyze`) and the optimizer result
-//! ([`CachedModule::optimized`]), so a warm `run --batch auto --opt
-//! auto` pays for neither.
+//! analyses the executors would otherwise repeat — all functions of the
+//! code alone: the batch plan (`systolic_runtime::analyze`), the
+//! optimizer result ([`CachedModule::optimized`]), and the wavefront and
+//! kernel plans of both, so a warm `run` pays for none of them.
 //!
-//! Entries never go stale silently: the plan fingerprint covers the
-//! whole derived plan (any recompilation with different
-//! placement/options moves it) and the data fingerprint covers every
-//! host value. [`ModuleStore::invalidate`] /
-//! [`ModuleStore::invalidate_program`] exist for callers that mutate
-//! behind those keys deliberately (or just want the memory back); both
-//! bump a generation counter so tests and metrics can observe the
-//! flush. Capacity is bounded by FIFO eviction — the store is a cache,
-//! not a leak.
+//! Entries never go stale silently: the plan fingerprint
+//! (`SystolicProgram::fingerprint`, taken once by `compile`) covers the
+//! whole derived plan — any recompilation with different
+//! placement/options moves it. [`ModuleStore::invalidate`] /
+//! [`ModuleStore::invalidate_program`] exist for callers that want the
+//! memory back; both bump a generation counter so tests and metrics can
+//! observe the flush. Capacity is bounded by FIFO eviction — the store is
+//! a cache, not a leak.
 
 use crate::elaborate::{ElabError, ElabOptions, Elaborated};
 use crate::skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
@@ -52,6 +61,8 @@ const MODULE_CAP: usize = 64;
 pub struct CacheStats {
     pub skeleton_hits: u64,
     pub skeleton_misses: u64,
+    /// Lookups served by an entry of the same (program, options, size,
+    /// store shape) — whatever data the store holds.
     pub module_hits: u64,
     pub module_misses: u64,
     /// Total time in phase 1 (`elaborate_skeleton`) across misses.
@@ -90,8 +101,9 @@ impl CacheStats {
 }
 
 /// One instantiated module plus its lazily memoized per-module
-/// analyses. Everything here is immutable after construction; per-run
-/// state lives in the VMs `elab.module.instantiate*` builds.
+/// analyses. Everything here is immutable after construction and none
+/// of it but `elab.module.data` depends on a host value; per-run state
+/// is the gathered data segment and the VMs `instantiate*` builds.
 pub struct CachedModule {
     pub elab: Elaborated,
     batch: OnceLock<BatchPlan>,
@@ -283,15 +295,16 @@ impl ModuleStore {
     /// Phase 1 through the cache: the size-parametric skeleton for
     /// `(plan, opts)`.
     pub fn skeleton(&self, plan: &SystolicProgram, opts: &ElabOptions) -> Arc<SkeletonModule> {
-        let fp = plan_fingerprint(plan);
+        let fp = plan.fingerprint;
         self.inner.lock().unwrap().skeleton(plan, opts, fp)
     }
 
     /// Both phases through the cache: the instantiated module for
-    /// `(plan, opts)` at the size bound in `env` over the data in
-    /// `store`. A hit returns the shared `Arc` without touching the
-    /// plan; a miss runs whichever phases are cold and caches the
-    /// result. Instantiation errors are returned (and not cached — a
+    /// `(plan, opts)` at the size bound in `env`, for stores of the
+    /// shape of `store`. A hit returns the shared `Arc` without touching
+    /// the plan or a value of `store`; a miss runs whichever phases are
+    /// cold (reading `store` for the carried data segment) and caches
+    /// the result. Instantiation errors are returned (and not cached — a
     /// failing configuration re-diagnoses on every attempt, exactly
     /// like the uncached `elaborate`).
     pub fn module(
@@ -301,9 +314,9 @@ impl ModuleStore {
         store: &HostStore,
         opts: &ElabOptions,
     ) -> Result<Arc<CachedModule>, ElabError> {
-        let fp = plan_fingerprint(plan);
+        let fp = plan.fingerprint;
         let sizes: Vec<i64> = plan.source.sizes.iter().map(|&v| env.expect(v)).collect();
-        let key = (fp, opts.clone(), sizes, store.fingerprint());
+        let key = (fp, opts.clone(), sizes, store.shape_fingerprint());
         let mut g = self.inner.lock().unwrap();
         if let Some(m) = g.modules.get(&key).cloned() {
             g.stats.module_hits += 1;
@@ -337,9 +350,9 @@ impl ModuleStore {
     }
 
     /// Drop the skeletons and modules of one program (every options /
-    /// size / data variant), leaving other programs' entries hot.
+    /// size / shape variant), leaving other programs' entries hot.
     pub fn invalidate_program(&self, plan: &SystolicProgram) {
-        let fp = plan_fingerprint(plan);
+        let fp = plan.fingerprint;
         let mut g = self.inner.lock().unwrap();
         g.skeletons.retain(|k, _| k.0 != fp);
         g.skel_order.retain(|k| k.0 != fp);
@@ -357,18 +370,6 @@ impl ModuleStore {
     pub fn generation(&self) -> u64 {
         self.inner.lock().unwrap().stats.generation
     }
-}
-
-/// Content fingerprint of a compiled plan: the hash of its full `Debug`
-/// rendering. The plan is a pure value (no interior mutability, no
-/// addresses in its debug output), so equal renderings mean
-/// interchangeable plans; any change to placement, schedule, or stream
-/// layout moves the string.
-fn plan_fingerprint(plan: &SystolicProgram) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    format!("{plan:?}").hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -418,20 +419,36 @@ mod tests {
         assert_eq!((s.module_hits, s.module_misses), (0, 2));
     }
 
+    /// What about the data is in the key: its shape, not its values.
+    /// Editing a value is a hit on the very same module; re-allocating
+    /// an array with other bounds is another entry.
     #[test]
     fn data_edit_is_a_different_key() {
         let (plan, env) = plan_and_env(3);
         let store = HostStore::allocate(&plan.source, &env);
         let ms = ModuleStore::new();
-        ms.module(&plan, &env, &store, &ElabOptions::default())
-            .unwrap();
+        let opts = ElabOptions::default();
+        let first = ms.module(&plan, &env, &store, &opts).unwrap();
         let mut edited = store.clone();
         edited.fill_random("a", 5, -9, 9);
-        ms.module(&plan, &env, &edited, &ElabOptions::default())
-            .unwrap();
+        let again = ms.module(&plan, &env, &edited, &opts).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "new values, same module");
         let s = ms.stats();
-        assert_eq!(s.module_hits, 0, "edited data must not hit");
-        assert_eq!(s.module_misses, 2);
+        assert_eq!((s.module_hits, s.module_misses), (1, 1));
+        // The cached module carries the first store's segment; the
+        // edited store's is one gather away, over the same code.
+        let data = again.elab.gather(&edited).unwrap();
+        assert_ne!(data, first.elab.module.data);
+        let bound = first.elab.module.with_data(data);
+        assert!(Arc::ptr_eq(&bound.ops, &first.elab.module.ops));
+        assert!(Arc::ptr_eq(&bound.procs, &first.elab.module.procs));
+
+        let mut wider = store.clone();
+        wider.insert("a", systolic_ir::HostArray::zeros(&[(0, 4)]));
+        let other = ms.module(&plan, &env, &wider, &opts).unwrap();
+        assert!(!Arc::ptr_eq(&first, &other), "other bounds, other entry");
+        assert_eq!(ms.stats().module_misses, 2);
+        assert_eq!(ms.stats().skeleton_misses, 1, "and still one skeleton");
     }
 
     #[test]

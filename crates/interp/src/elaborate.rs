@@ -11,9 +11,11 @@
 //! discipline and the process shapes.
 //!
 //! The result is an immutable [`Arc<ProcIrModule>`]: per-run state lives
-//! in the VMs that [`ProcIrModule::instantiate`] builds, so one
-//! elaboration can back many runs. The lowering rules (which ops each
-//! process shape compiles to) are documented in `docs/process-ir.md`.
+//! in the VMs that [`ProcIrModule::instantiate`] builds, and the input
+//! values are gathered per run through [`Elaborated::host_words`], so one
+//! elaboration backs every run of its (program, size), whatever the
+//! data. The lowering rules (which ops each process shape compiles to)
+//! are documented in `docs/process-ir.md`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -114,21 +116,36 @@ impl fmt::Display for ElabError {
 
 impl std::error::Error for ElabError {}
 
-/// Where an output buffer's values must be restored after a run.
+/// One output buffer of the network and the words of the host store that
+/// travel through its pipe. A pipe's input process injects exactly the
+/// elements its output process restores, in the same order (Sec. 4.2), so
+/// one range of one table ([`Elaborated::host_words`]) says both where
+/// the pipe's share of the data segment is gathered from and where its
+/// output buffer is written back.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutputSpec {
     pub variable: String,
-    /// Element identities, in arrival order.
-    pub elements: Vec<Vec<i64>>,
     /// Index into [`systolic_runtime::Instance::outputs`].
     pub output: u32,
+    /// This buffer's range of [`Elaborated::host_words`], in arrival
+    /// order — equally the range of the module's data segment its input
+    /// process emits.
+    pub words: (u32, u32),
 }
 
 /// The elaborated network: the lowered module plus the host-side maps
 /// needed to seed and read back a run.
 pub struct Elaborated {
+    /// The code, over the data segment of the store that instantiated
+    /// it. [`Elaborated::gather`] + [`ProcIrModule::with_data`] run the
+    /// same code on another store of that shape.
     pub module: Arc<ProcIrModule>,
     pub outputs: Vec<OutputSpec>,
+    /// For every word of the module's data segment, its position in
+    /// [`systolic_ir::HostArray::raw`] of the variable the covering
+    /// [`OutputSpec`] names. A function of the program, the size and the
+    /// store's *shape* — never of a value.
+    pub host_words: Vec<u32>,
     pub census: Census,
     /// Per (stream index, process-space point): the channel into and out
     /// of the process at that point — the map behind `s_chan[y]`
@@ -137,6 +154,39 @@ pub struct Elaborated {
     /// The computation process lowered at each CS point, for consumers
     /// that align plan-derived shapes with the bytecode (`runtime_gen`).
     pub comp_at: Vec<(Vec<i64>, ProcId)>,
+}
+
+impl Elaborated {
+    /// The host words of one output buffer, in arrival order.
+    pub fn words_of(&self, out: &OutputSpec) -> &[u32] {
+        &self.host_words[out.words.0 as usize..out.words.1 as usize]
+    }
+
+    /// The data segment of a run on `store`: what the host's input
+    /// processes inject, read through the recorded offsets. `store` must
+    /// have the shape of the store this network was instantiated from
+    /// (the module cache keys on it), which makes every offset valid; a
+    /// store without one of the variables is an error, not a panic.
+    pub fn gather(&self, store: &HostStore) -> Result<Vec<Value>, ElabError> {
+        let mut data = Vec::with_capacity(self.host_words.len());
+        // Consecutive buffers belong to one stream: look each array up once.
+        for stream in self.outputs.chunk_by(|a, b| a.variable == b.variable) {
+            let name = &stream[0].variable;
+            let raw = store
+                .try_get(name)
+                .ok_or_else(|| ElabError::MissingVariable {
+                    variable: name.clone(),
+                })?
+                .raw();
+            let (from, to) = (stream[0].words.0, stream[stream.len() - 1].words.1);
+            data.extend(
+                self.host_words[from as usize..to as usize]
+                    .iter()
+                    .map(|&at| raw[at as usize]),
+            );
+        }
+        Ok(data)
+    }
 }
 
 /// Adapts the plan's [`BasicStatement`] to the runtime's opaque

@@ -172,7 +172,7 @@ pub struct SystolicRun {
     /// rewrote the module this run executed; `stats` then describe the
     /// *optimized* module, with the differences itemized in the report.
     /// The store stays bit-identical either way.
-    pub opt: Option<OptReport>,
+    pub opt: Option<Arc<OptReport>>,
     /// The compiled-kernel engagement report, `Some` exactly when
     /// `wavefront` is true; with `--kernel off` the report is present
     /// but `enabled` is false and every counter is zero. Kernels change
@@ -230,31 +230,37 @@ impl From<ElabError> for ExecError {
 }
 
 /// Restore every output buffer of a finished run into the host store,
-/// following the element maps of the [`OutputSpec`]s.
+/// through the table the inputs were gathered by
+/// ([`Elaborated::host_words`]).
 fn writeback(
     outputs: &[OutputSpec],
+    host_words: &[u32],
     buffers: &[SinkBuffer],
     store: &mut HostStore,
 ) -> Result<(), ExecError> {
     for out in outputs {
         let values = buffers[out.output as usize].lock();
-        if values.len() != out.elements.len() {
+        let words = &host_words[out.words.0 as usize..out.words.1 as usize];
+        if values.len() != words.len() {
             return Err(ExecError::ShortOutput {
                 variable: out.variable.clone(),
                 got: values.len(),
-                want: out.elements.len(),
+                want: words.len(),
             });
         }
-        let arr = store.get_mut(&out.variable);
-        for (e, &v) in out.elements.iter().zip(values.iter()) {
-            arr.set(e, v);
+        let raw = store.get_mut(&out.variable).raw_mut();
+        for (&at, &v) in words.iter().zip(values.iter()) {
+            raw[at as usize] = v;
         }
     }
     Ok(())
 }
 
 /// Run the plan. `store` supplies the input data; the result store
-/// contains everything the array recovered. Stores are bit-identical
+/// contains everything the array recovered. The cached module is code
+/// for a (program, size, store shape); every run, on a module hit and on
+/// a miss alike, gathers its own data segment from `store` and executes
+/// that code over it. Stores are bit-identical
 /// across every executor/mode combination — the repo-wide oracle
 /// contract; the spec only chooses *how* the identical result is
 /// produced. With `opt: Off`, `messages`/`steps` are invariant too and
@@ -281,6 +287,7 @@ pub fn simulate(
     } = spec;
     let cm = ms.module(plan, env, store, &elab)?;
     let el = &cm.elab;
+    let data = el.gather(store)?;
     // The one gate: every observable feature wins over speed, and the
     // module itself must pass `systolic_runtime::analyze`.
     let fast = batch == BatchMode::Auto
@@ -297,6 +304,9 @@ pub fn simulate(
             Some(od) => (&od.0.module, &od.1),
             None => (&el.module, cm.batch_plan()),
         };
+        // The optimizer keeps the data segment word for word, so one
+        // gather serves whichever module runs.
+        let module = &module.with_data(data);
         opt_report = od.as_ref().map(|od| od.0.report.clone());
         if let ExecutorChoice::Partitioned { workers } = executor {
             let groups = systolic_runtime::block_partition(module.procs.len(), workers);
@@ -328,7 +338,7 @@ pub fn simulate(
             }
         }
     } else {
-        let inst = el.module.instantiate_recorded(&recorders);
+        let inst = el.module.with_data(data).instantiate_recorded(&recorders);
         let stats = match executor {
             ExecutorChoice::Coop => {
                 let mut net = Network::new(policy);
@@ -358,7 +368,7 @@ pub fn simulate(
     };
 
     let mut result = store.clone();
-    writeback(&el.outputs, &sinks, &mut result)?;
+    writeback(&el.outputs, &el.host_words, &sinks, &mut result)?;
     Ok(SystolicRun {
         store: result,
         stats,
@@ -570,10 +580,10 @@ mod tests {
         buffer.lock().push(7);
         let outputs = vec![OutputSpec {
             variable: "c".into(),
-            elements: vec![vec![0], vec![1]],
             output: 0,
+            words: (0, 2),
         }];
-        let err = writeback(&outputs, &[buffer], &mut store).unwrap_err();
+        let err = writeback(&outputs, &[0, 1], &[buffer], &mut store).unwrap_err();
         let ExecError::ShortOutput {
             variable,
             got,

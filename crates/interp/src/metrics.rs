@@ -44,7 +44,7 @@ pub struct Observed {
     /// exact rendezvous engine (recorders close the batching gate), so
     /// the metrics above describe the unoptimized module; this report is
     /// the structural mapping an `--opt auto` run of the same plan uses.
-    pub opt_report: Option<OptReport>,
+    pub opt_report: Option<Arc<OptReport>>,
     /// Snapshot of the module-store counters ([`ModuleStore::stats`])
     /// taken right after this run's elaboration, so the report shows
     /// whether it was served warm.

@@ -435,7 +435,7 @@ mod tests {
         assert!(agree_with_opt(&plan, &env, &el, &o).is_ok());
         // Claim a computation process was fused away.
         let victim = el.comp_at[0].1;
-        o.report.proc_map[victim] = None;
+        std::sync::Arc::make_mut(&mut o.report).proc_map[victim] = None;
         let err = agree_with_opt(&plan, &env, &el, &o).unwrap_err();
         assert!(err.contains("has no preimage"), "{err}");
     }

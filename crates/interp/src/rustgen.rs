@@ -138,10 +138,11 @@ fn prepared(
         .outputs
         .iter()
         .map(|spec| {
-            let vals = spec
-                .elements
+            let raw = expected.get(&spec.variable).raw();
+            let vals = el
+                .words_of(spec)
                 .iter()
-                .map(|e| expected.get(&spec.variable).get(e))
+                .map(|&at| raw[at as usize])
                 .collect();
             (spec.output, vals)
         })

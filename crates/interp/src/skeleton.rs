@@ -169,8 +169,10 @@ pub fn elaborate_skeleton(plan: &SystolicProgram, opts: &ElabOptions) -> Arc<Ske
 
 /// Phase 2: materialize channels, processes, and endpoint tables for the
 /// concrete size bound in `env`, reading initial stream data from
-/// `store`. Every symbolic query is a prebaked integer form evaluated at
-/// `[y ++ sizes]`.
+/// `store` — and recording, in the same pass, where in `store` each word
+/// came from ([`Elaborated::host_words`]), so that a later run reads its
+/// own data into the same network. Every symbolic query is a prebaked
+/// integer form evaluated at `[y ++ sizes]`.
 pub fn instantiate(
     skel: &SkeletonModule,
     env: &Env,
@@ -198,6 +200,7 @@ pub fn instantiate(
     let mut chans = ChanAlloc(0);
     let mut b = ProcIrBuilder::new();
     let mut outputs = Vec::new();
+    let mut host_words: Vec<u32> = Vec::new();
     let mut census = Census::default();
     // [stream][PS offset] -> (in_chan, out_chan); every in-PS point of
     // every stream lies on exactly one pipe chain, so both tables are
@@ -212,8 +215,8 @@ pub fn instantiate(
         exit: ChanId,
         head: Vec<i64>,
         tail: Vec<i64>,
-        values: Vec<i64>,
-        elements: Vec<Vec<i64>>,
+        /// Flat offset into the variable's array of each pipe element.
+        words: Vec<u32>,
     }
 
     for sp in &skel.streams {
@@ -237,7 +240,7 @@ pub fn instantiate(
             yx[..nc].copy_from_slice(head);
             let first_s = sp.first_s.point_at(&yx);
             let last_s = sp.last_s.point_at(&yx);
-            let (elements, n) = match (first_s, last_s) {
+            let words = match (first_s, last_s) {
                 (Some(f), Some(l)) => {
                     let k = point::exact_div(&point::sub(&l, &f), &sp.increment_s).ok_or_else(
                         || ElabError::MisalignedPipe {
@@ -251,14 +254,21 @@ pub fn instantiate(
                             head: head.clone(),
                         });
                     }
-                    let elems: Vec<Vec<i64>> = (0..=k)
-                        .map(|t| point::add(&f, &point::scale(t, &sp.increment_s)))
-                        .collect();
-                    let n = elems.len() as i64;
-                    (elems, n)
+                    (0..=k)
+                        .map(|t| {
+                            let e = point::add(&f, &point::scale(t, &sp.increment_s));
+                            var.flat_offset(&e).map(|at| at as u32).ok_or_else(|| {
+                                ElabError::ElementOutOfBounds {
+                                    variable: sp.name.clone(),
+                                    element: e,
+                                }
+                            })
+                        })
+                        .collect::<Result<Vec<u32>, ElabError>>()?
                 }
-                _ => (Vec::new(), 0),
+                _ => Vec::new(),
             };
+            let n = words.len() as i64;
             for z in &chain {
                 pipe_n[sp.id][psidx.at(z)] = n;
             }
@@ -283,39 +293,32 @@ pub fn instantiate(
                 endpoint[sp.id][psidx.at(z)] = (prev, out);
                 prev = out;
             }
-            let values = elements
-                .iter()
-                .map(|e| {
-                    var.checked_get(e)
-                        .ok_or_else(|| ElabError::ElementOutOfBounds {
-                            variable: sp.name.clone(),
-                            element: e.clone(),
-                        })
-                })
-                .collect::<Result<Vec<i64>, ElabError>>()?;
             pipe_ios.push(PipeIo {
                 entry,
                 exit: prev,
                 head: head.clone(),
                 tail: chain.last().unwrap().clone(),
-                values,
-                elements,
+                words,
             });
         }
 
         // Emit i/o processes: one per pipe (the paper's abstract layout)
-        // or merged per stream (the deferred optimization).
+        // or merged per stream (the deferred optimization). Either way
+        // the words an input process sends are the words its output
+        // process collects, in order: `host_words` grows in step with
+        // the module's data segment.
+        let raw = var.raw();
         if opts.merge_io {
-            let max_len = pipe_ios.iter().map(|p| p.values.len()).max().unwrap_or(0);
+            let max_len = pipe_ios.iter().map(|p| p.words.len()).max().unwrap_or(0);
             let mut sends = Vec::new();
             let mut recvs = Vec::new();
-            let mut merged_elems = Vec::new();
+            let from = host_words.len() as u32;
             for t in 0..max_len {
                 for p in &pipe_ios {
-                    if t < p.values.len() {
-                        sends.push((p.entry, p.values[t]));
+                    if let Some(&at) = p.words.get(t) {
+                        sends.push((p.entry, raw[at as usize]));
                         recvs.push(p.exit);
-                        merged_elems.push(p.elements[t].clone());
+                        host_words.push(at);
                     }
                 }
             }
@@ -325,27 +328,30 @@ pub fn instantiate(
             census.outputs += 1;
             outputs.push(OutputSpec {
                 variable: sp.name.clone(),
-                elements: merged_elems,
                 output: out,
+                words: (from, host_words.len() as u32),
             });
         } else {
             for p in pipe_ios {
+                let values: Vec<i64> = p.words.iter().map(|&at| raw[at as usize]).collect();
                 b.source(
                     p.entry,
-                    &p.values,
+                    &values,
                     format!("in:{}@{}", sp.name, point::fmt_point(&p.head)),
                 );
                 census.inputs += 1;
                 let (_, out) = b.sink(
                     p.exit,
-                    p.elements.len(),
+                    p.words.len(),
                     format!("out:{}@{}", sp.name, point::fmt_point(&p.tail)),
                 );
                 census.outputs += 1;
+                let from = host_words.len() as u32;
+                host_words.extend_from_slice(&p.words);
                 outputs.push(OutputSpec {
                     variable: sp.name.clone(),
-                    elements: p.elements,
                     output: out,
+                    words: (from, host_words.len() as u32),
                 });
             }
         }
@@ -503,9 +509,11 @@ pub fn instantiate(
         .collect();
     b.set_kernel(skel.kernel.clone(), skel.kernel_reject.clone());
     let module = b.build(Some(skel.body.clone()));
+    debug_assert_eq!(host_words.len(), module.data.len());
     Ok(Elaborated {
         module,
         outputs,
+        host_words,
         census,
         endpoints,
         comp_at,

@@ -4,7 +4,8 @@
 
 use crate::expr::Value;
 use crate::program::SourceProgram;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use systolic_math::Env;
 
 /// A dense integer array with inclusive per-dimension bounds — one indexed
@@ -66,17 +67,23 @@ impl HostArray {
                 .all(|(&x, (&l, &e))| x >= l && x < l + e)
     }
 
-    fn offset(&self, p: &[i64]) -> usize {
-        assert!(
-            self.contains(p),
-            "index {p:?} out of bounds {:?}",
-            self.bounds()
-        );
+    /// Row-major position of `p` in [`HostArray::raw`]; `None` when `p`
+    /// lies outside the array. A function of the bounds alone, so it
+    /// holds in every array of the same shape.
+    pub fn flat_offset(&self, p: &[i64]) -> Option<usize> {
+        if !self.contains(p) {
+            return None;
+        }
         let mut off = 0i64;
         for ((&x, &l), &e) in p.iter().zip(&self.lb).zip(&self.extent) {
             off = off * e + (x - l);
         }
-        off as usize
+        Some(off as usize)
+    }
+
+    fn offset(&self, p: &[i64]) -> usize {
+        self.flat_offset(p)
+            .unwrap_or_else(|| panic!("index {p:?} out of bounds {:?}", self.bounds()))
     }
 
     pub fn get(&self, p: &[i64]) -> Value {
@@ -86,11 +93,7 @@ impl HostArray {
     /// `get` without the bounds panic; `None` when `p` lies outside the
     /// array.
     pub fn checked_get(&self, p: &[i64]) -> Option<Value> {
-        if self.contains(p) {
-            Some(self.data[self.offset(p)])
-        } else {
-            None
-        }
+        self.flat_offset(p).map(|off| self.data[off])
     }
 
     pub fn set(&mut self, p: &[i64], v: Value) {
@@ -126,12 +129,17 @@ impl HostArray {
     pub fn raw(&self) -> &[Value] {
         &self.data
     }
+
+    pub fn raw_mut(&mut self) -> &mut [Value] {
+        &mut self.data
+    }
 }
 
-/// The complete host memory: one array per indexed variable, by name.
+/// The complete host memory: one array per indexed variable, by name
+/// (kept sorted, so iteration and the fingerprints are deterministic).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HostStore {
-    arrays: HashMap<String, HostArray>,
+    arrays: BTreeMap<String, HostArray>,
 }
 
 impl HostStore {
@@ -180,21 +188,31 @@ impl HostStore {
     }
 
     /// A content hash of the whole store — names, bounds, and every
-    /// value, in sorted-name order so the map's iteration order cannot
-    /// leak in. Elaboration bakes input values into source scripts, so
-    /// the module cache (`systolic_interp::cache`) keys instantiated
-    /// modules by this fingerprint: same plan + sizes + data → same
-    /// module, any edit → a distinct key.
+    /// value: same data → same fingerprint, any edit → another. Nothing
+    /// in the pipeline keys on it (the module cache keys on
+    /// [`HostStore::shape_fingerprint`]: values are gathered per run);
+    /// it identifies a data set in tests and reports.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut names: Vec<&str> = self.names().collect();
-        names.sort_unstable();
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for name in names {
-            let arr = &self.arrays[name];
+        for (name, arr) in &self.arrays {
             name.hash(&mut h);
             arr.bounds().hash(&mut h);
             arr.raw().hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// A hash of the store's *shape* — names and bounds, no values. Two
+    /// stores of one shape place every element at the same
+    /// [`HostArray::flat_offset`], which is what lets the module cache
+    /// (`systolic_interp::cache`) serve one instantiated module to every
+    /// data set of a (program, size) and gather the values per run.
+    pub fn shape_fingerprint(&self) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for (name, arr) in &self.arrays {
+            name.hash(&mut h);
+            arr.lb.hash(&mut h);
+            arr.extent.hash(&mut h);
         }
         h.finish()
     }
@@ -285,5 +303,12 @@ mod tests {
         s3.insert("a", HostArray::zeros(&[(1, 4)]));
         s3.insert("b", HostArray::zeros(&[(0, 2)]));
         assert_ne!(s2.fingerprint(), s3.fingerprint());
+        // The shape forgets the values and nothing else.
+        assert_eq!(s1.shape_fingerprint(), s2.shape_fingerprint());
+        assert_ne!(s2.shape_fingerprint(), s3.shape_fingerprint());
+        s3.insert("c", HostArray::zeros(&[(0, 0)]));
+        let with_c = s3.shape_fingerprint();
+        s3.get_mut("c").set(&[0], 5);
+        assert_eq!(with_c, s3.shape_fingerprint());
     }
 }

@@ -220,11 +220,18 @@ impl OptReport {
 /// `0` = no requirement beyond the batch analysis) and the mapping
 /// report.
 pub struct OptimizedModule {
+    /// The rewritten code over the input module's data segment, word
+    /// for word: a relay owns no data, so fusion deletes none, and the
+    /// survivors keep their order. A segment gathered for the elaborated
+    /// module therefore binds to this one unchanged
+    /// ([`ProcIrModule::with_data`]).
     pub module: Arc<ProcIrModule>,
     /// Minimum ring capacity per post-opt channel; feed to
     /// [`crate::batch::analyze_with_caps`].
     pub chan_caps: Vec<u64>,
-    pub report: OptReport,
+    /// Shared, so that every run of a cached module reports it without
+    /// copying the maps.
+    pub report: Arc<OptReport>,
 }
 
 /// Per-channel endpoint/traffic facts of the cleaned module, mirroring
@@ -605,6 +612,11 @@ fn rebuild(
     let mut procs = Vec::with_capacity(module.procs.len());
     for (pid, rec) in module.procs.iter().enumerate() {
         if removed_proc[pid] {
+            assert!(
+                module.data_of(pid).is_empty(),
+                "fused {}, which owns data",
+                rec.label
+            );
             continue;
         }
         report.proc_map[pid] = Some(procs.len());
@@ -664,11 +676,11 @@ fn rebuild(
     report.ops_after = ops.len();
     report.chains = chains;
     let module = Arc::new(ProcIrModule {
-        ops,
+        ops: ops.into(),
         data,
-        moving,
-        points,
-        procs,
+        moving: moving.into(),
+        points: points.into(),
+        procs: procs.into(),
         n_chans: new_nc,
         n_outputs: module.n_outputs,
         body: module.body.clone(),
@@ -678,7 +690,7 @@ fn rebuild(
     OptimizedModule {
         module,
         chan_caps,
-        report,
+        report: Arc::new(report),
     }
 }
 
@@ -716,6 +728,43 @@ mod tests {
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let (_, outs) = run_coop_batched(&o.module, &plan).unwrap();
         assert_eq!(*outs[0].lock(), vals);
+    }
+
+    /// Fusion deletes relays, and relays own no data: the optimized
+    /// module's data segment is the input module's word for word — same
+    /// words, same order, same per-process ranges — so a segment gathered
+    /// for one binds to the other. Sources sit before, between and after
+    /// the fused chains here so a reordering would show. (The same on
+    /// the design corpus: `tests/binding.rs`.)
+    #[test]
+    fn the_data_segment_survives_fusion_word_for_word() {
+        let mut b = ProcIrBuilder::new();
+        b.source(0, &[1, 2, 3], "src-a");
+        b.relay(0, 1, 3, "a0");
+        b.relay(1, 2, 3, "a1");
+        b.source(3, &[40, 50], "src-b");
+        b.sink(2, 3, "sink-a");
+        b.relay(3, 4, 2, "b0");
+        b.sink(4, 2, "sink-b");
+        b.source(5, &[600], "src-c");
+        b.sink(5, 1, "sink-c");
+        let m = b.build(None);
+        let o = optimize(&m).expect("both chains fuse");
+        assert_eq!(o.report.fused_relays(), 3);
+        assert_eq!(o.module.data, m.data);
+        for (pid, mapped) in o.report.proc_map.iter().enumerate() {
+            match mapped {
+                Some(new) => assert_eq!(o.module.procs[*new].data, m.procs[pid].data),
+                None => assert!(m.data_of(pid).is_empty()),
+            }
+        }
+        // Other data over the optimized code runs to the other result.
+        let bound = o.module.with_data(vec![7, 8, 9, -1, -2, 0]);
+        let plan = analyze_with_caps(&bound, &o.chan_caps);
+        let (_, outs) = run_coop_batched(&bound, &plan).unwrap();
+        assert_eq!(*outs[0].lock(), vec![7, 8, 9]);
+        assert_eq!(*outs[1].lock(), vec![-1, -2]);
+        assert_eq!(*outs[2].lock(), vec![0]);
     }
 
     /// A channel with two consumers (or producers) defeats the unique-

@@ -28,7 +28,12 @@
 //! A module is immutable after lowering and carries no per-run state, so
 //! an elaborated network is a cacheable, shareable artifact
 //! (`Arc<ProcIrModule>`): [`ProcIrModule::instantiate`] builds fresh VMs
-//! and output buffers for each run. See `docs/process-ir.md` for the
+//! and output buffers for each run. Its **code tables** (ops, moving
+//! links, repeater points, process records) depend on the program and the
+//! problem size only and are `Arc<[T]>`-shared; the **data segment** — the
+//! values the host's input processes inject (Sec. 4.2) — is the one table
+//! that depends on the host store, and [`ProcIrModule::with_data`] binds
+//! another one to the same code. See `docs/process-ir.md` for the
 //! lowering rules and the VM's invariants.
 
 use crate::batch::Ring;
@@ -120,13 +125,17 @@ pub struct ProcRecord {
 /// The arena of lowered processes: the single post-elaboration artifact
 /// every executor and code generator consumes. Immutable and free of
 /// per-run state — share it with `Arc` and [`ProcIrModule::instantiate`]
-/// per run.
+/// per run. The code tables are `Arc<[T]>` (one indirection from the VM,
+/// like the `Vec`s they replace) so that [`ProcIrModule::with_data`] is a
+/// handful of reference-count bumps.
 pub struct ProcIrModule {
-    pub ops: Vec<ProcOp>,
+    pub ops: Arc<[ProcOp]>,
+    /// The data segment: every [`ProcOp::Emit`] script, in process order.
+    /// The only table that depends on the host store.
     pub data: Vec<Value>,
-    pub moving: Vec<MovingLink>,
-    pub points: Vec<i64>,
-    pub procs: Vec<ProcRecord>,
+    pub moving: Arc<[MovingLink]>,
+    pub points: Arc<[i64]>,
+    pub procs: Arc<[ProcRecord]>,
     /// Channel ids are dense: every `ChanId` in `ops`/`moving` is
     /// `< n_chans`.
     pub n_chans: usize,
@@ -161,6 +170,25 @@ impl ProcIrModule {
             && self.procs == other.procs
             && self.n_chans == other.n_chans
             && self.n_outputs == other.n_outputs
+    }
+
+    /// The same code over another data segment: what a run on new host
+    /// data executes. `data` must have this module's segment layout
+    /// (the process records' ranges index it).
+    pub fn with_data(&self, data: Vec<Value>) -> Arc<ProcIrModule> {
+        assert_eq!(data.len(), self.data.len(), "data segment layout");
+        Arc::new(ProcIrModule {
+            ops: self.ops.clone(),
+            data,
+            moving: self.moving.clone(),
+            points: self.points.clone(),
+            procs: self.procs.clone(),
+            n_chans: self.n_chans,
+            n_outputs: self.n_outputs,
+            body: self.body.clone(),
+            kernel: self.kernel.clone(),
+            kernel_reject: self.kernel_reject.clone(),
+        })
     }
 
     pub fn ops_of(&self, pid: ProcId) -> &[ProcOp] {
@@ -484,11 +512,11 @@ impl ProcIrBuilder {
             see(mc.out);
         }
         Arc::new(ProcIrModule {
-            ops: self.ops,
+            ops: self.ops.into(),
             data: self.data,
-            moving: self.moving,
-            points: self.points,
-            procs: self.procs,
+            moving: self.moving.into(),
+            points: self.points.into(),
+            procs: self.procs.into(),
             n_chans,
             n_outputs: self.n_outputs as usize,
             body,

@@ -71,10 +71,9 @@ impl WavePool {
         let handles = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
-                let done = tasks_executed.clone();
                 std::thread::Builder::new()
                     .name(format!("wave-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &done))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn wave worker")
             })
             .collect();
@@ -111,7 +110,9 @@ impl WavePool {
         self.threads_spawned.load(Ordering::Relaxed)
     }
 
-    /// Tasks retired over the pool's lifetime.
+    /// Tasks retired over the pool's lifetime. A task is counted before
+    /// its scope is released, so once [`WavePool::scope`] returns the
+    /// count includes every task of that scope.
     pub fn tasks_executed(&self) -> u64 {
         self.tasks_executed.load(Ordering::Relaxed)
     }
@@ -129,6 +130,7 @@ impl WavePool {
                 panic: None,
             }),
             Condvar::new(),
+            self.tasks_executed.clone(),
         ));
         {
             let mut q = self.shared.queue.lock().unwrap();
@@ -145,7 +147,8 @@ impl WavePool {
                 let latch = latch.clone();
                 q.tasks.push_back(Box::new(move || {
                     let result = catch_unwind(AssertUnwindSafe(task));
-                    let (state, cv) = &*latch;
+                    let (state, cv, done) = &*latch;
+                    done.fetch_add(1, Ordering::Relaxed);
                     let mut s = state.lock().unwrap();
                     s.left -= 1;
                     if let Err(p) = result {
@@ -158,7 +161,7 @@ impl WavePool {
             }
             self.shared.available.notify_all();
         }
-        let (state, cv) = &*latch;
+        let (state, cv, _) = &*latch;
         let mut s = state.lock().unwrap();
         while s.left > 0 {
             s = cv.wait(s).unwrap();
@@ -183,7 +186,7 @@ impl Drop for WavePool {
     }
 }
 
-fn worker_loop(shared: &Shared, done: &AtomicU64) {
+fn worker_loop(shared: &Shared) {
     loop {
         let task = {
             let mut q = shared.queue.lock().unwrap();
@@ -198,7 +201,6 @@ fn worker_loop(shared: &Shared, done: &AtomicU64) {
             }
         };
         task();
-        done.fetch_add(1, Ordering::Relaxed);
     }
 }
 

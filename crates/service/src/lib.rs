@@ -58,6 +58,9 @@ pub struct ServiceConfig {
     /// Compiled-plan cache entries (design keys + source hashes).
     pub plan_cache_cap: usize,
     /// Module-store FIFO capacities (skeletons, instantiated modules).
+    /// A module serves every data set of its (program, options, sizes),
+    /// so the second number bounds program × size combinations kept
+    /// warm, however many seeds the traffic carries.
     pub module_caps: (usize, usize),
     /// Expose `POST /debug/panic` (tests only): a request whose job
     /// panics inside a worker, proving isolation end-to-end.

@@ -43,7 +43,8 @@ pub trait DstSubject {
     fn schedule_stub(&self) -> ScheduleFile;
 }
 
-/// A compiled systolic plan elaborated once at a fixed size with seeded
+/// A compiled systolic plan elaborated at a fixed size (once per
+/// process, through the global module store) and bound to its own seeded
 /// inputs; every `run` re-instantiates the immutable `ProcIrModule`.
 pub struct PlanSubject {
     key: String,
@@ -71,15 +72,20 @@ impl PlanSubject {
             env.bind(s, v);
         }
         let store = seeded_store(plan, &env, inputs, input_seed);
+        // The cached module is code for (plan, sizes); it carries the
+        // data of whichever store instantiated it, so bind this
+        // subject's own.
+        let elab = |e| format!("elaboration failed: {e}");
         let cm = ModuleStore::global()
             .module(plan, &env, &store, &ElabOptions::default())
-            .map_err(|e| format!("elaboration failed: {e}"))?;
+            .map_err(elab)?;
+        let data = cm.elab.gather(&store).map_err(elab)?;
         Ok(PlanSubject {
             key: key.into(),
             source,
             sizes: sizes.to_vec(),
             input_seed,
-            module: cm.elab.module.clone(),
+            module: cm.elab.module.with_data(data),
         })
     }
 }
@@ -775,6 +781,62 @@ mod tests {
         let anchored = run_with(policy_by_name("fifo", 0));
         assert!(anchored.wavefront, "an explicit FIFO policy is inert");
         assert_eq!(anchored.store, fast.store);
+    }
+
+    /// The global module store keys on (design, sizes, store shape), not
+    /// on the data: a second subject of the same design and size is a
+    /// module hit and must still run the data *its* seed names.
+    #[test]
+    fn subjects_of_one_design_and_size_run_their_own_seeded_data() {
+        let (key, sizes) = ("E.2", [3i64]);
+        let (plan, inputs) = compile_design(key).unwrap();
+        let mut env = Env::new();
+        env.bind(plan.source.sizes[0], sizes[0]);
+        let outcome_of = |seed: u64| subject_for(key, &sizes, seed).unwrap().run(None).unwrap();
+        let (first, second) = (outcome_of(101), outcome_of(202));
+        assert_ne!(
+            first.outputs, second.outputs,
+            "the second replayed the first"
+        );
+        assert_eq!(first.stats, second.stats, "same network either way");
+        for (seed, outcome) in [(101, &first), (202, &second)] {
+            let store = seeded_store(&plan, &env, &inputs, seed);
+            let mut expected = store.clone();
+            systolic_ir::seq::run(&plan.source, &env, &mut expected);
+            let cm = ModuleStore::global()
+                .module(&plan, &env, &store, &ElabOptions::default())
+                .unwrap();
+            for out in &cm.elab.outputs {
+                let raw = expected.get(&out.variable).raw();
+                let want: Vec<Value> = cm
+                    .elab
+                    .words_of(out)
+                    .iter()
+                    .map(|&at| raw[at as usize])
+                    .collect();
+                assert_eq!(
+                    outcome.outputs[out.output as usize], want,
+                    "seed {seed}: sink of {}",
+                    out.variable
+                );
+            }
+        }
+
+        // A schedule recorded on the second subject names seed 202; the
+        // file alone rebuilds a subject that replays that very run.
+        let recorded = subject_for(key, &sizes, 202).unwrap();
+        let (rec, log) = RecordingPolicy::new(policy_by_name("random", 5).unwrap());
+        let under_policy = recorded.run(Some(Box::new(rec))).unwrap();
+        let mut file = recorded.schedule_stub();
+        file.log = log.lock().clone();
+        let file = ScheduleFile::from_json(&file.to_json()).unwrap();
+        assert_eq!(file.input_seed, 202);
+        let rebuilt = subject_for(&file.design, &file.sizes, file.input_seed).unwrap();
+        let replayed = rebuilt
+            .run(Some(Box::new(ReplayPolicy::new(file.log.clone()))))
+            .unwrap();
+        assert_eq!(replayed, under_policy);
+        assert_eq!(replayed.outputs, second.outputs);
     }
 
     #[test]

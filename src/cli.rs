@@ -480,7 +480,7 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 let base = run
                     .opt
                     .as_ref()
-                    .map(systolic_interp::OptReport::to_json)
+                    .map(|r| r.to_json())
                     .unwrap_or_else(|| "{\n  \"schema\": \"systolic-opt-v1\"\n}\n".to_string());
                 let cm = ms
                     .module(&sys.plan, &env, &store, &elab)

@@ -4,8 +4,8 @@
 
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
-    seeded_store, simulate, simulate_verified, ElabOptions, ModuleStore, SimSpec, SystolicRun,
-    VerifyError,
+    seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode,
+    ModuleStore, OptMode, SimSpec, SystolicRun, VerifyError, WavefrontMode,
 };
 use systolizer::ir::{gallery, HostStore};
 use systolizer::math::Env;
@@ -73,4 +73,59 @@ pub fn verify(
 ) -> Result<SystolicRun, VerifyError> {
     let store = seeded_store(plan, env, inputs, seed);
     simulate_verified(ModuleStore::global(), plan, env, &store, spec)
+}
+
+/// One rung of `simulate`'s ladder (see the diagram in
+/// `docs/scheduler.md`): what a [`SimSpec`] can choose besides the
+/// program, the data and the protocol variant.
+#[derive(Clone, Copy, Debug)]
+pub struct Rung {
+    pub executor: ExecutorChoice,
+    pub batch: BatchMode,
+    pub opt: OptMode,
+    pub wavefront: WavefrontMode,
+    pub kernel: KernelMode,
+}
+
+impl Rung {
+    pub fn spec(self) -> SimSpec {
+        SimSpec {
+            executor: self.executor,
+            batch: self.batch,
+            opt: self.opt,
+            wavefront: self.wavefront,
+            kernel: self.kernel,
+            ..SimSpec::default()
+        }
+    }
+}
+
+/// executor × batch × opt, and on the cooperative engine also
+/// × wavefront × kernel (inert on the other two).
+pub fn rungs() -> Vec<Rung> {
+    let mut out = Vec::new();
+    for batch in [BatchMode::Auto, BatchMode::Off] {
+        for opt in [OptMode::Auto, OptMode::Off] {
+            let rung = |executor, wavefront, kernel| Rung {
+                executor,
+                batch,
+                opt,
+                wavefront,
+                kernel,
+            };
+            for executor in [
+                ExecutorChoice::Threaded,
+                ExecutorChoice::Partitioned { workers: 1 },
+                ExecutorChoice::Partitioned { workers: 3 },
+            ] {
+                out.push(rung(executor, WavefrontMode::Auto, KernelMode::Auto));
+            }
+            for wavefront in [WavefrontMode::Off, WavefrontMode::Auto, WavefrontMode::Par] {
+                for kernel in [KernelMode::Auto, KernelMode::Off] {
+                    out.push(rung(ExecutorChoice::Coop, wavefront, kernel));
+                }
+            }
+        }
+    }
+    out
 }

@@ -210,33 +210,38 @@ proptest! {
         ..Default::default()
     })]
 
-    /// Cache hits never change results: for a random design, size, and
-    /// input seed, running twice through the (global) module store —
-    /// second run a guaranteed hit — matches the sequential reference
-    /// both times, with identical stats.
+    /// Cache hits never change results — and a hit no longer means "the
+    /// same data": for a random design, size, and two input seeds, both
+    /// data sets run twice through the (global) module store, every run
+    /// after the first a hit on an entry some *other* data instantiated.
+    /// Each matches its own sequential reference, with identical stats.
     #[test]
     fn cache_hits_never_change_results(
         which in 0usize..4,
         n in 1i64..=4,
         seed in 0u64..100_000,
+        other in 100_000u64..200_000,
     ) {
         let (label, p, a) = paper::all().remove(which);
         let plan = compile(&p, &a, &Options::default()).unwrap();
         let mut env = Env::new();
         env.bind(plan.source.sizes[0], n);
-        let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
-        let mut expected = store.clone();
-        seq::run(&plan.source, &env, &mut expected);
-        let run = || {
-            simulate(ModuleStore::global(), &plan, &env, &store, SimSpec::plain())
-                .map_err(|e| TestCaseError::fail(format!("{label} n={n}: {e}")))
-        };
-        let (first, second) = (run()?, run()?);
-        prop_assert_eq!(&first.stats, &second.stats);
-        for name in expected.names() {
-            prop_assert_eq!(first.store.get(name), expected.get(name), "{} n={} {}", label, n, name);
-            prop_assert_eq!(second.store.get(name), expected.get(name), "{} n={} {}", label, n, name);
+        let mut stats = Vec::new();
+        for seed in [seed, other, seed, other] {
+            let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
+            let mut expected = store.clone();
+            seq::run(&plan.source, &env, &mut expected);
+            let run = simulate(ModuleStore::global(), &plan, &env, &store, SimSpec::plain())
+                .map_err(|e| TestCaseError::fail(format!("{label} n={n} seed {seed}: {e}")))?;
+            for name in expected.names() {
+                prop_assert_eq!(
+                    run.store.get(name), expected.get(name),
+                    "{} n={} seed {} {}", label, n, seed, name
+                );
+            }
+            stats.push(run.stats);
         }
+        prop_assert!(stats.iter().all(|s| *s == stats[0]), "{} n={}", label, n);
     }
 }
 

@@ -11,64 +11,12 @@
 
 mod common;
 
-use common::{prepared, CORPUS};
+use common::{prepared, rungs, CORPUS};
 use systolizer::interp::{
     simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, OptMode,
     SimSpec, WavefrontMode,
 };
 use systolizer::runtime::{ChanId, ChannelPolicy, FifoPolicy, SchedulePolicy};
-
-#[derive(Clone, Copy, Debug)]
-struct Rung {
-    executor: ExecutorChoice,
-    batch: BatchMode,
-    opt: OptMode,
-    wavefront: WavefrontMode,
-    kernel: KernelMode,
-}
-
-impl Rung {
-    fn spec(self) -> SimSpec {
-        SimSpec {
-            executor: self.executor,
-            batch: self.batch,
-            opt: self.opt,
-            wavefront: self.wavefront,
-            kernel: self.kernel,
-            ..SimSpec::default()
-        }
-    }
-}
-
-/// executor × batch × opt, and on the cooperative engine also
-/// × wavefront × kernel (inert on the other two).
-fn rungs() -> Vec<Rung> {
-    let mut out = Vec::new();
-    for batch in [BatchMode::Auto, BatchMode::Off] {
-        for opt in [OptMode::Auto, OptMode::Off] {
-            let rung = |executor, wavefront, kernel| Rung {
-                executor,
-                batch,
-                opt,
-                wavefront,
-                kernel,
-            };
-            for executor in [
-                ExecutorChoice::Threaded,
-                ExecutorChoice::Partitioned { workers: 1 },
-                ExecutorChoice::Partitioned { workers: 3 },
-            ] {
-                out.push(rung(executor, WavefrontMode::Auto, KernelMode::Auto));
-            }
-            for wavefront in [WavefrontMode::Off, WavefrontMode::Auto, WavefrontMode::Par] {
-                for kernel in [KernelMode::Auto, KernelMode::Off] {
-                    out.push(rung(ExecutorChoice::Coop, wavefront, kernel));
-                }
-            }
-        }
-    }
-    out
-}
 
 /// Reverses each round's firing order and honestly reports
 /// `is_fifo() == false`.

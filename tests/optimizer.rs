@@ -15,7 +15,7 @@ use common::{prepared, run};
 use proptest::prelude::*;
 use std::sync::Arc;
 use systolizer::interp::{ElabOptions, ExecutorChoice, OptMode, SimSpec, WavefrontMode};
-use systolizer::runtime::{optimize, MovingLink, ProcIrModule, ProcOp, ProcRecord};
+use systolizer::runtime::{optimize, ProcIrBuilder, ProcIrModule, ProcOp};
 
 /// Case count override (see `tests/random_programs.rs`).
 fn env_cases(default: u32) -> u32 {
@@ -92,57 +92,31 @@ fn node() -> impl Strategy<Value = Node> {
 /// be nonsensical as a program (dangling channels, unbalanced traffic);
 /// the optimizer's legality analysis must *reject* fusion there rather
 /// than misbehave.
-fn build(nodes: &[Node]) -> ProcIrModule {
-    let mut m = ProcIrModule {
-        ops: Vec::new(),
-        data: Vec::new(),
-        moving: Vec::<MovingLink>::new(),
-        points: Vec::new(),
-        procs: Vec::new(),
-        n_chans: CHANS,
-        n_outputs: 0,
-        body: None,
-        kernel: None,
-        kernel_reject: None,
-    };
+fn build(nodes: &[Node]) -> Arc<ProcIrModule> {
+    let mut b = ProcIrBuilder::new();
     for (i, node) in nodes.iter().enumerate() {
-        let ops_start = m.ops.len() as u32;
-        let data_start = m.data.len() as u32;
-        let mut n_locals = 0;
-        let mut output = None;
+        b.begin(format!("node{i}"));
         match *node {
             Node::Emitter { chan, count } => {
                 for v in 0..count {
-                    m.ops.push(ProcOp::Emit { chan });
-                    m.data.push(v as i64 + 1);
+                    b.emit(chan, v as i64 + 1);
                 }
             }
-            Node::Relay { inp, out, n } => m.ops.push(ProcOp::Pass { inp, out, n }),
+            Node::Relay { inp, out, n } => b.op(ProcOp::Pass { inp, out, n }),
             Node::Sink { chan, count } => {
                 for _ in 0..count {
-                    m.ops.push(ProcOp::Collect { chan });
+                    b.collect(chan);
                 }
-                output = Some(m.n_outputs as u32);
-                m.n_outputs += 1;
             }
             Node::Stationary { inp, thru, out, n } => {
-                n_locals = 1;
-                m.ops.push(ProcOp::Keep { chan: inp, slot: 0 });
-                m.ops.push(ProcOp::Pass { inp, out: thru, n });
-                m.ops.push(ProcOp::Eject { chan: out, slot: 0 });
+                b.op(ProcOp::Keep { chan: inp, slot: 0 });
+                b.op(ProcOp::Pass { inp, out: thru, n });
+                b.op(ProcOp::Eject { chan: out, slot: 0 });
             }
         }
-        m.procs.push(ProcRecord {
-            label: format!("node{i}"),
-            ops: (ops_start, m.ops.len() as u32),
-            data: (data_start, m.data.len() as u32),
-            moving: (0, 0),
-            repeater: (0, 0),
-            n_locals,
-            output,
-        });
+        b.finish();
     }
-    m
+    b.build(None)
 }
 
 /// Per-channel (producer count, consumer count) in the pre-opt module.
@@ -175,7 +149,7 @@ proptest! {
     fn fusion_legality_on_random_transport_networks(
         nodes in proptest::collection::vec(node(), 1..12),
     ) {
-        let module = Arc::new(build(&nodes));
+        let module = build(&nodes);
         let fan = fan(&module);
         let multi = fan.iter().any(|&(p, c)| p > 1 || c > 1);
         let Some(o) = optimize(&module) else { return Ok(()) };

@@ -225,11 +225,14 @@ fn soak_shared_caches_are_oracle_exact_and_counter_exact_under_contention() {
 
 #[test]
 fn soak_eviction_counters_stay_exact_when_the_store_thrashes() {
-    // Tiny module capacity: the soak workload (many distinct module
-    // keys) now evicts constantly while 8 threads race lookups against
-    // evictions — the PR 8 eviction-race regression at service scale.
-    // FIFO interleavings differ run to run, but the eviction identity
-    // (every miss past capacity evicts exactly one) is order-free.
+    // Tiny module capacity: the soak workload now evicts constantly
+    // while 8 threads race lookups against evictions — the PR 8
+    // eviction-race regression at service scale. Module keys are
+    // (design, options, sizes, store shape); the data is not in them, so
+    // what makes the keys many here is the five designs, not the seeds —
+    // five shapes through two slots. FIFO interleavings differ run to
+    // run, but the eviction identity (every miss past capacity evicts
+    // exactly one) is order-free.
     let cfg = ServiceConfig {
         module_caps: (2, 2),
         ..test_config()
@@ -350,21 +353,43 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     assert_eq!(status, 400, "{body}");
     assert_eq!(error_kind(&body).0, "bad-request");
 
-    // Expired deadline: structured 504, kind "timeout", with the
-    // offender label (either the request-level deadline or the engine
-    // scope that timed out — both are RunError::Timeout territory).
+    // Expired deadline: structured 504, kind "timeout", naming the
+    // request as the offender. Both workers are held at a gate while
+    // the request waits, so its 1 ms expires in the queue however fast
+    // a run would have been.
+    let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    let gate_rx = Arc::new(std::sync::Mutex::new(gate_rx));
+    let holders: Vec<_> = (0..svc.pool.n_workers)
+        .map(|_| {
+            let (svc, gate_rx) = (Arc::clone(&svc), Arc::clone(&gate_rx));
+            std::thread::spawn(move || {
+                let wait = Box::new(move || {
+                    gate_rx.lock().unwrap().recv().unwrap();
+                    (200, String::new())
+                });
+                svc.pool.run(Duration::from_secs(60), 60_000, wait)
+            })
+        })
+        .collect();
+    use std::sync::atomic::Ordering;
+    while svc.pool.stats.in_flight.load(Ordering::SeqCst) < svc.pool.n_workers as u64 {
+        std::thread::yield_now();
+    }
     let (status, body) = post(
         addr,
         "/v1/run",
         r#"{"design":"E.1","sizes":[16],"deadline_ms":1}"#,
     );
+    for _ in &holders {
+        gate_tx.send(()).unwrap();
+    }
+    for h in holders {
+        assert_eq!(h.join().unwrap().0, 200);
+    }
     assert_eq!(status, 504, "{body}");
     let (kind, offenders) = error_kind(&body);
     assert_eq!(kind, "timeout");
-    assert!(
-        !offenders.is_empty(),
-        "timeout must name an offender: {body}"
-    );
+    assert_eq!(offenders, ["request"], "{body}");
 
     // Worker panic: structured 500 and the panic text stays server-side.
     let (status, body) = post(addr, "/debug/panic", "");
