@@ -26,8 +26,10 @@
 //! so one recorder can observe a VM *and* its scheduler, or many OS
 //! threads at once. Every hook in the runtime is behind an "any recorder
 //! attached?" branch: with no recorder the hot paths gain one predictable
-//! branch and allocate nothing (the zero-cost-when-off contract, guarded
-//! by the `BENCH_simulate.json` trajectory).
+//! branch and allocate nothing (the zero-cost-when-off contract: the
+//! goldens of `tests/determinism.rs` pin the counts with and without a
+//! recorder; the unobserved path is what `benchmark/` times, as
+//! `interp.simulate.us.*` beside `bench.trace_overhead_pct`).
 //!
 //! Three recorders are provided:
 //!

@@ -19,6 +19,10 @@ use crate::Service;
 /// anything near this limit is abuse, answered with a structured 413.
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Largest accepted head (request line, headers, blank line). Without a
+/// bound a client that never sends a newline grows a `String` for ever.
+const MAX_HEAD: u64 = 16 << 10;
+
 /// A running server: its bound address and a shutdown handle.
 pub struct ServerHandle {
     pub addr: std::net::SocketAddr,
@@ -114,12 +118,26 @@ type Request = (String, String, String, bool);
 /// Read one HTTP/1.1 request. `Ok(None)` is a clean close before the
 /// request line (keep-alive ending).
 fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, ApiError> {
+    // Read through a `Take`: a line that stops short of its newline with
+    // the allowance spent was ended by the cap, not by the client.
+    let mut head = reader.by_ref().take(MAX_HEAD);
+    let within_cap = |head: &std::io::Take<_>, line: &str| {
+        if head.limit() > 0 || line.ends_with('\n') {
+            return Ok(());
+        }
+        Err(ApiError::new(
+            431,
+            "headers-too-large",
+            format!("request line and headers exceed {MAX_HEAD} bytes"),
+        ))
+    };
     let mut line = String::new();
-    match reader.read_line(&mut line) {
+    match head.read_line(&mut line) {
         Ok(0) => return Ok(None),
         Ok(_) => {}
         Err(_) => return Ok(None),
     }
+    within_cap(&head, &line)?;
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
         return Err(ApiError::bad_request("malformed request line"));
@@ -129,7 +147,9 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Option<Request>, Ap
     let mut keep_alive = true; // HTTP/1.1 default
     loop {
         let mut h = String::new();
-        match reader.read_line(&mut h) {
+        let read = head.read_line(&mut h);
+        within_cap(&head, &h)?;
+        match read {
             Ok(0) => return Err(ApiError::bad_request("connection closed mid-headers")),
             Ok(_) => {}
             Err(_) => return Err(ApiError::bad_request("unreadable headers")),
@@ -178,6 +198,7 @@ fn write_response(
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",

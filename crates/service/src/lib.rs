@@ -40,9 +40,9 @@ use systolic_interp::{
 use systolic_math::Env;
 use systolic_sim::{policy_by_name, Json, PlanSubject, ScheduleFile};
 
-/// Capacity and policy knobs. Defaults suit a small box; `load_gen`'s
-/// saturation scenario and the docs show how to scale them (see
-/// `docs/service.md`, "Capacity tuning").
+/// Capacity and policy knobs. Defaults suit a small box; `docs/service.md`
+/// ("Capacity tuning") shows how to scale them, against the saturation
+/// test of `tests/service.rs` and `benchmark/`'s `service_open` workload.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Simulation worker threads.
@@ -404,7 +404,7 @@ impl Service {
 
 /// Compile a gallery design key — `systolic_sim::compile_design`, the
 /// DST registry's resolution, with its failures as structured errors.
-/// Public so `load_gen` and the integration tests can build client-side
+/// Public so `tests/service.rs` and `benchmark/` can build client-side
 /// sequential oracles from the exact same plan the service serves.
 pub fn compile_design(key: &str) -> Result<ResolvedProgram, ApiError> {
     use systolic_sim::DesignError;

@@ -4,7 +4,7 @@
 //! table, the Appendix B theorem audit, and the ablations.
 //!
 //! ```sh
-//! cargo run --release -p systolic-bench --bin experiments
+//! cargo run --release --example experiments
 //! ```
 
 use systolic_core::{compile, theorems, Options, StreamKind};

@@ -22,7 +22,8 @@
 
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use systolic_ir::seq;
@@ -215,7 +216,6 @@ fn soak_shared_caches_are_oracle_exact_and_counter_exact_under_contention() {
     );
 
     // Pool accounting agrees with the workload it actually served.
-    use std::sync::atomic::Ordering;
     let pool = &conc_svc.pool.stats;
     assert_eq!(pool.submitted.load(Ordering::SeqCst), work.len() as u64);
     assert_eq!(pool.completed.load(Ordering::SeqCst), work.len() as u64);
@@ -260,6 +260,9 @@ fn soak_eviction_counters_stay_exact_when_the_store_thrashes() {
 fn http_request(addr: std::net::SocketAddr, raw: &str) -> (u16, String) {
     let mut s = std::net::TcpStream::connect(addr).expect("connect");
     s.write_all(raw.as_bytes()).expect("write");
+    // Half-close: a server waiting for more of the request sees EOF
+    // and answers, not a hang.
+    s.shutdown(std::net::Shutdown::Write).expect("half-close");
     let mut text = String::new();
     s.read_to_string(&mut text).expect("read");
     let (head, body) = text.split_once("\r\n\r\n").expect("header break");
@@ -280,6 +283,31 @@ fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
             body.len()
         ),
     )
+}
+
+type Plugs = Vec<(mpsc::Sender<()>, mpsc::Receiver<(u16, String)>)>;
+
+/// Occupy every pool worker with a job that blocks until [`unplug`] — or
+/// until its sender drops, so a panicking test releases the workers too.
+/// The queue is FIFO: whatever is submitted next waits behind the plugs.
+fn plug_workers(svc: &Service) -> Plugs {
+    (0..svc.pool.n_workers)
+        .map(|_| {
+            let (gate_tx, gate_rx) = mpsc::channel::<()>();
+            let plug = Box::new(move || {
+                let _ = gate_rx.recv();
+                (200, String::new())
+            });
+            (gate_tx, svc.pool.submit(plug).expect("plug submission"))
+        })
+        .collect()
+}
+
+fn unplug(plugs: Plugs) {
+    for (gate_tx, done) in plugs {
+        gate_tx.send(()).expect("plug still waiting");
+        assert_eq!(done.recv().expect("plug result").0, 200);
+    }
 }
 
 fn error_kind(body: &str) -> (String, Vec<String>) {
@@ -354,38 +382,15 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     assert_eq!(error_kind(&body).0, "bad-request");
 
     // Expired deadline: structured 504, kind "timeout", naming the
-    // request as the offender. Both workers are held at a gate while
-    // the request waits, so its 1 ms expires in the queue however fast
-    // a run would have been.
-    let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-    let gate_rx = Arc::new(std::sync::Mutex::new(gate_rx));
-    let holders: Vec<_> = (0..svc.pool.n_workers)
-        .map(|_| {
-            let (svc, gate_rx) = (Arc::clone(&svc), Arc::clone(&gate_rx));
-            std::thread::spawn(move || {
-                let wait = Box::new(move || {
-                    gate_rx.lock().unwrap().recv().unwrap();
-                    (200, String::new())
-                });
-                svc.pool.run(Duration::from_secs(60), 60_000, wait)
-            })
-        })
-        .collect();
-    use std::sync::atomic::Ordering;
-    while svc.pool.stats.in_flight.load(Ordering::SeqCst) < svc.pool.n_workers as u64 {
-        std::thread::yield_now();
-    }
+    // request as the offender. It queues behind the plugs, so its 1 ms
+    // expires in the queue however fast a run would have been.
+    let plugs = plug_workers(&svc);
     let (status, body) = post(
         addr,
         "/v1/run",
         r#"{"design":"E.1","sizes":[16],"deadline_ms":1}"#,
     );
-    for _ in &holders {
-        gate_tx.send(()).unwrap();
-    }
-    for h in holders {
-        assert_eq!(h.join().unwrap().0, 200);
-    }
+    unplug(plugs);
     assert_eq!(status, 504, "{body}");
     let (kind, offenders) = error_kind(&body);
     assert_eq!(kind, "timeout");
@@ -419,6 +424,23 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     );
     assert_eq!(status, 413, "{body}");
     assert_eq!(error_kind(&body).0, "body-too-large");
+
+    // A head past the 16 KiB transport cap — one header that never
+    // ends, then headers that never stop — is refused, not buffered
+    // without bound. Each sends exactly the cap's worth of bytes, so the
+    // server has read all it was sent and its close resets nothing away.
+    for filler in ["a", "X-Pad: v\r\n"] {
+        let mut raw = String::from("POST /v1/run HTTP/1.1\r\nHost: t\r\n");
+        raw.push_str(&filler.repeat((16 << 10) / filler.len()));
+        raw.truncate(16 << 10);
+        let (status, body) = http_request(addr, &raw);
+        assert_eq!(status, 431, "{body}");
+        assert_eq!(error_kind(&body).0, "headers-too-large");
+    }
+    // And the server still serves — on the kernel fast path, and says so.
+    let (status, body) = post(addr, "/v1/run", r#"{"design":"E.1","sizes":[3]}"#);
+    assert_eq!(status, 200);
+    assert!(body.contains(r#""kernels":true"#), "{body}");
 
     // Malformed replay file.
     let (status, body) = post(addr, "/v1/replay", "{\"schema\":\"wrong\"}");
@@ -461,6 +483,74 @@ fn inline_source_requests_run_verified_end_to_end() {
     assert_eq!(status, 200);
     let (hits, misses, _, _) = svc.plans.stats();
     assert_eq!((hits, misses), (1, 1));
+    server.shutdown();
+}
+
+#[test]
+fn saturation_over_sockets_keeps_every_client_in_flight_and_oracle_exact() {
+    // Under `test_config()`'s queue_cap of 128, so nothing is rejected.
+    const CLIENTS: usize = 96;
+    // Coop-heavy, as traffic is; the other two prove the pool serves
+    // every engine concurrently from the one module cache.
+    const EXECUTORS: [&str; 5] = ["coop", "coop", "threaded", "coop", "partitioned"];
+
+    let svc = Service::new(test_config());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = http::serve(Arc::clone(&svc), listener).expect("serve");
+    let addr = server.addr;
+    let pool = &svc.pool.stats;
+    let workers = svc.pool.n_workers;
+
+    // Requests queue up behind the plugs, which is what holds N of them
+    // in flight at once however few cores the box has.
+    let plugs = plug_workers(&svc);
+
+    std::thread::scope(|scope| {
+        for ci in 0..CLIENTS {
+            scope.spawn(move || {
+                let (design, sizes) = GALLERY[ci % GALLERY.len()];
+                let seed = 42 + (ci % 7) as u64;
+                // Alternate the wave execution strategy: both must be
+                // bit-identical to the oracle, served interleaved.
+                let kernel = if ci % 2 == 0 { "auto" } else { "off" };
+                let body = run_body(
+                    design,
+                    sizes,
+                    seed,
+                    &[
+                        ("executor", Json::Str(EXECUTORS[ci % 5].into())),
+                        ("kernel", Json::Str(kernel.into())),
+                        ("verify", Json::Bool(ci % 7 == 0)),
+                        ("deadline_ms", Json::Num(60_000)),
+                    ],
+                );
+                let (status, resp) = post(addr, "/v1/run", &body);
+                assert_eq!(status, 200, "client {ci} ({design}): {resp}");
+                let expected = oracle_for(design, sizes, seed);
+                assert_stores_match(&resp, &expected, &format!("client {ci} ({design})"));
+            });
+        }
+
+        // Pull the plugs only once every client's request sits in the
+        // pool's queue: all submitted, none served — N in flight at once.
+        let give_up = std::time::Instant::now() + Duration::from_secs(60);
+        while pool.submitted.load(Ordering::SeqCst) < (CLIENTS + workers) as u64 {
+            assert!(
+                std::time::Instant::now() < give_up,
+                "only {} of {CLIENTS} clients got in flight",
+                pool.submitted.load(Ordering::SeqCst) - workers as u64
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.completed.load(Ordering::SeqCst), 0);
+        unplug(plugs);
+    });
+
+    assert_eq!(pool.rejected.load(Ordering::SeqCst), 0);
+    assert_eq!(pool.panics.load(Ordering::SeqCst), 0);
+    let all = (CLIENTS + workers) as u64;
+    assert_eq!(pool.submitted.load(Ordering::SeqCst), all);
+    assert_eq!(pool.completed.load(Ordering::SeqCst), all);
     server.shutdown();
 }
 
