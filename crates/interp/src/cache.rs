@@ -43,7 +43,7 @@ use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
 use systolic_runtime::{
-    analyze_kernels, analyze_wavefront, BatchPlan, KernelPlan, OptMode, OptimizedModule,
+    analyze_kernels, analyze_wavefront, BatchPlan, Json, KernelPlan, OptMode, OptimizedModule,
     WavefrontPlan,
 };
 
@@ -78,25 +78,19 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"skeleton_hits\":{},\"skeleton_misses\":{},",
-                "\"module_hits\":{},\"module_misses\":{},",
-                "\"skeleton_build_ns\":{},\"instantiate_ns\":{},",
-                "\"skeleton_evictions\":{},\"module_evictions\":{},",
-                "\"generation\":{}}}"
-            ),
-            self.skeleton_hits,
-            self.skeleton_misses,
-            self.module_hits,
-            self.module_misses,
-            self.skeleton_build_ns,
-            self.instantiate_ns,
-            self.skeleton_evictions,
-            self.module_evictions,
-            self.generation,
-        )
+    /// The `elab_cache` section of the metrics report and of `/stats`.
+    pub fn json(&self) -> Json {
+        Json::obj([
+            ("skeleton_hits", self.skeleton_hits.into()),
+            ("skeleton_misses", self.skeleton_misses.into()),
+            ("module_hits", self.module_hits.into()),
+            ("module_misses", self.module_misses.into()),
+            ("skeleton_build_ns", self.skeleton_build_ns.into()),
+            ("instantiate_ns", self.instantiate_ns.into()),
+            ("skeleton_evictions", self.skeleton_evictions.into()),
+            ("module_evictions", self.module_evictions.into()),
+            ("generation", self.generation.into()),
+        ])
     }
 }
 
@@ -580,7 +574,7 @@ mod tests {
             assert_eq!(g.modules.len(), 3);
             assert_eq!(g.mod_order.len(), 3);
         }
-        let j = s.to_json();
+        let j = s.json().to_string();
         assert!(j.contains("\"module_evictions\":7"), "{j}");
     }
 
@@ -591,7 +585,7 @@ mod tests {
             module_misses: 2,
             ..Default::default()
         };
-        let j = s.to_json();
+        let j = s.json().to_string();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"skeleton_hits\":1"));
         assert!(j.contains("\"module_misses\":2"));

@@ -44,6 +44,6 @@ pub use kernelize::{kernelize, KERNEL_MAX_OPS};
 pub use metrics::{channel_names, observe_plan_in, Observed};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
 pub use systolic_runtime::{
-    analyze_kernels, channel_diagnostics, BatchMode, KernelMode, KernelPlan, KernelReport, OptMode,
-    OptReport, WavefrontMode,
+    analyze_kernels, BatchMode, KernelMode, KernelPlan, KernelReport, OptMode, OptReport,
+    WavefrontMode,
 };

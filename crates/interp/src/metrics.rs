@@ -18,17 +18,14 @@
 //! The CLI exposes both as `run --metrics PATH --trace-out PATH`; see
 //! `docs/observability.md`.
 
-use crate::cache::{CacheStats, ModuleStore};
+use crate::cache::{CacheStats, CachedModule, ModuleStore};
 use crate::elaborate::Elaborated;
 use crate::exec::{simulate, ExecError, SimSpec, SystolicRun};
 use std::sync::Arc;
 use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
-use systolic_runtime::{
-    shared, KernelPlan, MetricsRecorder, MetricsReport, OptMode, OptReport, PerfettoRecorder,
-    WavefrontPlan,
-};
+use systolic_runtime::{shared, MetricsRecorder, MetricsReport, OptMode, PerfettoRecorder};
 
 /// One observed run: the ordinary execution outcome plus the two
 /// observability artifacts.
@@ -38,86 +35,35 @@ pub struct Observed {
     pub report: MetricsReport,
     /// The rendered Chrome `trace_event` document.
     pub perfetto_json: String,
-    /// The `systolic-opt-v1` mapping report the ProcIR optimizer derives
-    /// for this module (see `systolic_runtime::opt`), or `None` when the
-    /// optimizer leaves it untouched. Observed runs always *execute* the
-    /// exact rendezvous engine (recorders close the batching gate), so
-    /// the metrics above describe the unoptimized module; this report is
-    /// the structural mapping an `--opt auto` run of the same plan uses.
-    pub opt_report: Option<Arc<OptReport>>,
     /// Snapshot of the module-store counters ([`ModuleStore::stats`])
     /// taken right after this run's elaboration, so the report shows
     /// whether it was served warm.
     pub cache: CacheStats,
-    /// The memoized wavefront staging this module would run under (see
-    /// `systolic_runtime::wavefront`): observed runs execute the exact
-    /// rendezvous engine, but the report still says whether — and how —
-    /// the wavefront executor could take this module.
-    pub wavefront_plan: Arc<WavefrontPlan>,
-    /// The memoized kernel eligibility split over that wave structure
-    /// (see `systolic_runtime::kernel` and `docs/kernels.md`): whether a
-    /// kernel compiled, which chunks a `--kernel auto` wavefront run
-    /// would fuse, and why the rest fall back to scalar sweeps.
-    pub kernel_plan: Arc<KernelPlan>,
+    /// The module that ran, with its memoized plans. Observed runs
+    /// always *execute* the exact rendezvous engine (recorders close the
+    /// fast-path gate), so the metrics above describe the unoptimized
+    /// module; the plans are what an unobserved run of it would use, and
+    /// [`Observed::metrics_json`] reports them beside the metrics.
+    pub module: Arc<CachedModule>,
 }
 
 impl Observed {
-    /// The metrics JSON with the module-cache counters spliced in as an
-    /// `"elab_cache"` section, the optimizer mapping report as an
-    /// `"optimizer"` section (absent when the module is untouched), and
-    /// the wavefront staging facts as a `"wavefront"` section — what
-    /// `run --metrics PATH` writes.
+    /// What `run --metrics PATH` writes: the metrics document, then one
+    /// section per plan, each the owning type's own value — `optimizer`
+    /// (the `systolic-opt-v1` mapping report; absent when the optimizer
+    /// leaves the module untouched), `elab_cache`, `wavefront` (staging
+    /// shape or reject reason, and every disqualified channel) and
+    /// `kernels` (eligibility split and scalar-fallback reasons).
     pub fn metrics_json(&self) -> String {
-        let base = self.report.to_json();
-        let stem = base
-            .trim_end()
-            .strip_suffix('}')
-            .expect("metrics JSON ends with its root object brace")
-            .trim_end()
-            .to_string();
-        let mut sections = String::new();
-        if let Some(r) = &self.opt_report {
-            let indented = r.to_json().trim_end().replace('\n', "\n  ");
-            sections.push_str(&format!(",\n  \"optimizer\": {indented}"));
+        let cm = &self.module;
+        let mut doc = self.report.json();
+        if let Some(o) = cm.optimized(OptMode::Auto) {
+            doc.push("optimizer", o.0.report.json());
         }
-        sections.push_str(&format!(",\n  \"elab_cache\": {}", self.cache.to_json()));
-        let wp = &self.wavefront_plan;
-        let wf = match wp.reject_reason() {
-            None => format!(
-                "{{ \"eligible\": true, \"waves\": {}, \"chunks\": {}, \"max_ring_capacity\": {} }}",
-                wp.n_waves(),
-                wp.n_chunks(),
-                wp.max_capacity()
-            ),
-            Some(r) => format!(
-                "{{ \"eligible\": false, \"reason\": \"{}\" }}",
-                r.replace('\\', "\\\\").replace('"', "\\\"")
-            ),
-        };
-        sections.push_str(&format!(",\n  \"wavefront\": {wf}"));
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let kp = &self.kernel_plan;
-        let mut kern = format!(
-            "{{ \"compiled\": {}, \"eligible_chunks\": {}, \"scalar_chunks\": {}, \"waves_fusable\": {}",
-            kp.compiled,
-            kp.eligible_chunks,
-            kp.chunk_reject.len() - kp.eligible_chunks,
-            kp.waves_fusable
-        );
-        if let Some(r) = &kp.reject {
-            kern.push_str(&format!(", \"reject\": \"{}\"", esc(r)));
-        }
-        let fallbacks = kp.fallbacks();
-        if !fallbacks.is_empty() {
-            let items: Vec<String> = fallbacks
-                .iter()
-                .map(|(r, n)| format!("{{ \"reason\": \"{}\", \"chunks\": {n} }}", esc(r)))
-                .collect();
-            kern.push_str(&format!(", \"fallbacks\": [{}]", items.join(", ")));
-        }
-        kern.push_str(" }");
-        sections.push_str(&format!(",\n  \"kernels\": {kern}"));
-        format!("{stem}{sections}\n}}\n")
+        doc.push("elab_cache", self.cache.json());
+        doc.push("wavefront", cm.wavefront_plan().json(cm.batch_plan()));
+        doc.push("kernels", cm.kernel_plan().json());
+        doc.pretty()
     }
 }
 
@@ -177,10 +123,8 @@ pub fn observe_plan_in(
         run,
         report,
         perfetto_json,
-        opt_report: cm.optimized(OptMode::Auto).map(|o| o.0.report.clone()),
         cache,
-        wavefront_plan: cm.wavefront_plan().clone(),
-        kernel_plan: cm.kernel_plan().clone(),
+        module: cm,
     })
 }
 

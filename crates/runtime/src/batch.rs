@@ -24,7 +24,7 @@
 //! unbatched paths are pinned bit-identical (stores, `messages`,
 //! `steps`) by `tests/ladder.rs` and `tests/batching.rs`.
 
-use crate::process::Value;
+use crate::process::{ChanId, Value};
 use crate::procir::{ProcId, ProcIrModule, ProcOp};
 use std::collections::VecDeque;
 
@@ -116,7 +116,7 @@ impl Ring {
 }
 
 /// The result of [`analyze`]: per-channel batch widths and endpoint
-/// ownership, or the reason the module must stay on the rendezvous
+/// ownership, or the reasons the module must stay on the rendezvous
 /// engines.
 pub struct BatchPlan {
     /// Safe batch width per channel (`k ≥ 1`), dense by `ChanId`.
@@ -129,6 +129,14 @@ pub struct BatchPlan {
     /// Meaningful when the plan is batchable — the balance check has
     /// then proven the producer and consumer sides equal.
     pub traffic: Vec<u64>,
+    /// Per channel, `None` when it passes the batching proof locally,
+    /// else its first disqualifier: a second producer or consumer, an
+    /// endpoint process whose moving-link set exceeds the VM's 64-bit
+    /// par-set mask, or unbalanced (possibly one-sided) traffic. Every
+    /// channel that forces the batched and wavefront paths to fall back
+    /// has one, not only the channel [`BatchPlan::reject_reason`] names
+    /// (`--opt-report` and the metrics report list them all).
+    pub channel_reasons: Vec<Option<String>>,
     reject: Option<String>,
 }
 
@@ -138,7 +146,10 @@ impl BatchPlan {
         self.reject.is_none()
     }
 
-    /// Why not, when [`BatchPlan::batchable`] is false.
+    /// Why not, when [`BatchPlan::batchable`] is false: the first claim
+    /// conflict or over-wide process in walk order, else the lowest
+    /// unbalanced channel. Set exactly when some channel has a reason or
+    /// some process is over-wide.
     pub fn reject_reason(&self) -> Option<&str> {
         self.reject.as_deref()
     }
@@ -173,198 +184,104 @@ pub fn analyze(module: &ProcIrModule) -> BatchPlan {
 /// only its timing; the optimizer's contract is store identity, not
 /// stat invariance).
 pub fn analyze_with_caps(module: &ProcIrModule, caps: &[u64]) -> BatchPlan {
+    analyze_ops(module, |pid| module.ops_of(pid), caps)
+}
+
+/// The analysis over "the ops of process `p`" as the caller defines
+/// them — the module's own, or the optimizer's peephole-cleaned copies.
+/// The only place per-channel producers, consumers, traffic and pins
+/// are accumulated.
+pub(crate) fn analyze_ops<'a>(
+    module: &'a ProcIrModule,
+    ops_of: impl Fn(ProcId) -> &'a [ProcOp],
+    caps: &[u64],
+) -> BatchPlan {
     let nc = module.n_chans;
-    let mut producer_of: Vec<Option<ProcId>> = vec![None; nc];
-    let mut consumer_of: Vec<Option<ProcId>> = vec![None; nc];
-    let mut prod_traffic = vec![0u64; nc];
-    let mut cons_traffic = vec![0u64; nc];
+    let mut plan = BatchPlan {
+        widths: Vec::with_capacity(nc),
+        producer_of: vec![None; nc],
+        consumer_of: vec![None; nc],
+        traffic: vec![0; nc],
+        channel_reasons: vec![None; nc],
+        reject: None,
+    };
+    let mut received = vec![0u64; nc];
     // Channels with a `load`/`recover` endpoint stay at width 1: a
     // stationary value is consumed out of phase with the stream around
     // it, so the steady-phase argument does not apply.
     let mut pinned = vec![false; nc];
-    let mut reject: Option<String> = None;
-
-    fn claim(
-        tbl: &mut [Option<ProcId>],
-        chan: usize,
-        pid: ProcId,
-        what: &str,
-        reject: &mut Option<String>,
-    ) {
-        match tbl[chan] {
-            None => tbl[chan] = Some(pid),
-            Some(prev) if prev == pid => {}
-            Some(prev) => {
-                if reject.is_none() {
-                    *reject = Some(format!(
-                        "channel {chan} has two {what}s (processes {prev} and {pid})"
-                    ));
-                }
-            }
-        }
-    }
-
     for pid in 0..module.procs.len() {
         let links = module.moving_of(pid);
-        if links.len() > 64 && reject.is_none() {
-            // The VM tracks piecewise par-set completion in a u64 mask.
-            reject = Some(format!(
-                "process {pid} has {} moving links (max 64)",
-                links.len()
-            ));
+        // The VM tracks piecewise par-set completion in a u64 mask.
+        let wide = (links.len() > 64)
+            .then(|| format!("process {pid} has {} moving links (max 64)", links.len()));
+        if plan.reject.is_none() {
+            plan.reject.clone_from(&wide);
         }
-        for op in module.ops_of(pid) {
+        let mut touch = |sends: bool, chan: ChanId, n: u64| {
+            let (owner, traffic, what) = if sends {
+                (&mut plan.producer_of, &mut plan.traffic, "producer")
+            } else {
+                (&mut plan.consumer_of, &mut received, "consumer")
+            };
+            traffic[chan] = traffic[chan].saturating_add(n);
+            let prev = *owner[chan].get_or_insert(pid);
+            let reason = &mut plan.channel_reasons[chan];
+            if prev != pid {
+                let why = format!("two {what}s (processes {prev} and {pid})");
+                let module_wide = || format!("channel {chan} has {why}");
+                plan.reject.get_or_insert_with(module_wide);
+                reason.get_or_insert(why);
+            }
+            if let Some(wide) = &wide {
+                reason.get_or_insert_with(|| format!("endpoint {wide}"));
+            }
+        };
+        for op in ops_of(pid) {
             match *op {
-                ProcOp::Emit { chan } => {
-                    claim(&mut producer_of, chan, pid, "producer", &mut reject);
-                    prod_traffic[chan] += 1;
-                }
-                ProcOp::Collect { chan } => {
-                    claim(&mut consumer_of, chan, pid, "consumer", &mut reject);
-                    cons_traffic[chan] += 1;
-                }
+                ProcOp::Emit { chan } => touch(true, chan, 1),
+                ProcOp::Collect { chan } => touch(false, chan, 1),
                 ProcOp::Keep { chan, .. } => {
-                    claim(&mut consumer_of, chan, pid, "consumer", &mut reject);
-                    cons_traffic[chan] += 1;
+                    touch(false, chan, 1);
                     pinned[chan] = true;
                 }
                 ProcOp::Eject { chan, .. } => {
-                    claim(&mut producer_of, chan, pid, "producer", &mut reject);
-                    prod_traffic[chan] += 1;
+                    touch(true, chan, 1);
                     pinned[chan] = true;
                 }
                 ProcOp::Pass { inp, out, n } => {
-                    claim(&mut consumer_of, inp, pid, "consumer", &mut reject);
-                    cons_traffic[inp] = cons_traffic[inp].saturating_add(n);
-                    claim(&mut producer_of, out, pid, "producer", &mut reject);
-                    prod_traffic[out] = prod_traffic[out].saturating_add(n);
+                    touch(false, inp, n);
+                    touch(true, out, n);
                 }
                 ProcOp::Compute { count } => {
                     for mc in links {
-                        claim(&mut consumer_of, mc.inp, pid, "consumer", &mut reject);
-                        cons_traffic[mc.inp] = cons_traffic[mc.inp].saturating_add(count);
-                        claim(&mut producer_of, mc.out, pid, "producer", &mut reject);
-                        prod_traffic[mc.out] = prod_traffic[mc.out].saturating_add(count);
+                        touch(false, mc.inp, count);
+                        touch(true, mc.out, count);
                     }
                 }
             }
         }
     }
-
-    // Both endpoints must exist and agree on traffic; a one-sided or
-    // unbalanced channel would let a ring producer run past the point
-    // where the rendezvous engine reports a deadlock.
-    if reject.is_none() {
-        for c in 0..nc {
-            if prod_traffic[c] != cons_traffic[c] {
-                reject = Some(format!(
-                    "channel {c} traffic unbalanced ({} sent vs {} received)",
-                    prod_traffic[c], cons_traffic[c]
-                ));
-                break;
-            }
-        }
-    }
-
-    let widths = (0..nc)
-        .map(|c| {
-            let base = if pinned[c] {
-                1
-            } else {
-                prod_traffic[c].clamp(1, DEFAULT_BATCH_WIDTH)
-            };
-            base.max(caps.get(c).copied().unwrap_or(0))
-        })
-        .collect();
-    BatchPlan {
-        widths,
-        producer_of,
-        consumer_of,
-        traffic: prod_traffic,
-        reject,
-    }
-}
-
-/// Per-channel eligibility diagnostics: `None` when the channel passes
-/// the batching proof locally, `Some(reason)` naming the first local
-/// disqualifier (a second producer/consumer, a missing endpoint,
-/// unbalanced traffic, or an endpoint process whose moving-link set
-/// exceeds the VM's 64-bit par-set mask). [`analyze`] stops at the first
-/// module-wide rejection; this walk keeps going so reports can explain
-/// *every* channel that forces the wavefront/batched paths to fall back
-/// (see `--opt-report` and `crate::wavefront`).
-pub fn channel_diagnostics(module: &ProcIrModule) -> Vec<Option<String>> {
-    let nc = module.n_chans;
-    let mut producer_of: Vec<Option<ProcId>> = vec![None; nc];
-    let mut consumer_of: Vec<Option<ProcId>> = vec![None; nc];
-    let mut prod_traffic = vec![0u64; nc];
-    let mut cons_traffic = vec![0u64; nc];
-    let mut reasons: Vec<Option<String>> = vec![None; nc];
-
-    let claim = |tbl: &mut [Option<ProcId>],
-                 reasons: &mut [Option<String>],
-                 chan: usize,
-                 pid: ProcId,
-                 what: &str| {
-        match tbl[chan] {
-            None => tbl[chan] = Some(pid),
-            Some(prev) if prev == pid => {}
-            Some(prev) => {
-                if reasons[chan].is_none() {
-                    reasons[chan] = Some(format!("two {what}s (processes {prev} and {pid})"));
-                }
-            }
-        }
-    };
-
-    let mut touch =
-        |prod: bool, chan: usize, pid: ProcId, n: u64, reasons: &mut [Option<String>]| {
-            if prod {
-                claim(&mut producer_of, reasons, chan, pid, "producer");
-                prod_traffic[chan] = prod_traffic[chan].saturating_add(n);
-            } else {
-                claim(&mut consumer_of, reasons, chan, pid, "consumer");
-                cons_traffic[chan] = cons_traffic[chan].saturating_add(n);
-            }
-        };
-
-    for pid in 0..module.procs.len() {
-        let links = module.moving_of(pid);
-        let oversized = links.len() > 64;
-        for op in module.ops_of(pid) {
-            let touched: Vec<(bool, usize, u64)> = match *op {
-                ProcOp::Emit { chan } | ProcOp::Eject { chan, .. } => vec![(true, chan, 1)],
-                ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => vec![(false, chan, 1)],
-                ProcOp::Pass { inp, out, n } => vec![(false, inp, n), (true, out, n)],
-                ProcOp::Compute { count } => links
-                    .iter()
-                    .flat_map(|mc| [(false, mc.inp, count), (true, mc.out, count)])
-                    .collect(),
-            };
-            for (prod, chan, n) in touched {
-                touch(prod, chan, pid, n, &mut reasons);
-                if oversized && reasons[chan].is_none() {
-                    reasons[chan] = Some(format!(
-                        "endpoint process {pid} has {} moving links (max 64)",
-                        links.len()
-                    ));
-                }
-            }
-        }
-    }
-
     for c in 0..nc {
-        if reasons[c].is_some() {
-            continue;
+        // Both endpoints must exist and agree on traffic; a one-sided or
+        // unbalanced channel would let a ring producer run past the
+        // point where the rendezvous engine reports a deadlock.
+        let (sent, got) = (plan.traffic[c], received[c]);
+        if sent != got {
+            let why = format!("traffic unbalanced ({sent} sent vs {got} received)");
+            let module_wide = || format!("channel {c} {why}");
+            plan.reject.get_or_insert_with(module_wide);
+            plan.channel_reasons[c].get_or_insert(why);
         }
-        if prod_traffic[c] != cons_traffic[c] {
-            reasons[c] = Some(format!(
-                "traffic unbalanced ({} sent vs {} received)",
-                prod_traffic[c], cons_traffic[c]
-            ));
-        }
+        let base = if pinned[c] {
+            1
+        } else {
+            sent.clamp(1, DEFAULT_BATCH_WIDTH)
+        };
+        plan.widths
+            .push(base.max(caps.get(c).copied().unwrap_or(0)));
     }
-    reasons
+    plan
 }
 
 #[cfg(test)]
@@ -384,6 +301,7 @@ mod tests {
         assert_eq!(plan.widths, vec![DEFAULT_BATCH_WIDTH, DEFAULT_BATCH_WIDTH]);
         assert_eq!(plan.producer_of, vec![Some(0), Some(1)]);
         assert_eq!(plan.consumer_of, vec![Some(1), Some(2)]);
+        assert_eq!(plan.channel_reasons, vec![None, None]);
     }
 
     #[test]
@@ -445,6 +363,68 @@ mod tests {
         let plan = analyze(&b.build(None));
         assert!(!plan.batchable());
         assert!(plan.reject_reason().unwrap().contains("unbalanced"));
+    }
+
+    /// The four disqualifying shapes: the reason each puts on its
+    /// channels, and the module-wide wording.
+    #[test]
+    fn every_disqualified_channel_carries_its_first_reason() {
+        use crate::procir::MovingLink;
+        let check = |b: ProcIrBuilder, reasons: Vec<Option<String>>, module_wide: &str| {
+            let plan = analyze(&b.build(None));
+            assert_eq!(plan.channel_reasons, reasons, "{module_wide}");
+            assert_eq!(plan.reject_reason(), Some(module_wide));
+        };
+        let mut b = ProcIrBuilder::new();
+        b.source(0, &[1], "src-a");
+        b.source(0, &[2], "src-b");
+        b.sink(0, 2, "sink");
+        let why = "two producers (processes 0 and 1)";
+        check(b, vec![Some(why.into())], &format!("channel 0 has {why}"));
+
+        let mut b = ProcIrBuilder::new();
+        b.source(1, &[7], "other");
+        b.sink(1, 1, "other-sink");
+        b.source(0, &[1, 2], "src");
+        b.sink(0, 1, "sink-a");
+        b.sink(0, 1, "sink-b");
+        let why = "two consumers (processes 3 and 4)";
+        let reasons = vec![Some(why.into()), None];
+        check(b, reasons, &format!("channel 0 has {why}"));
+
+        let mut b = ProcIrBuilder::new();
+        b.source(0, &[1, 2, 3], "src");
+        b.sink(0, 2, "sink");
+        b.sink(1, 1, "lonely");
+        let why = "traffic unbalanced (3 sent vs 2 received)";
+        let lonely = "traffic unbalanced (0 sent vs 1 received)";
+        let reasons = vec![Some(why.into()), Some(lonely.into())];
+        check(b, reasons, &format!("channel 0 {why}"));
+
+        // 65 moving links: one past the VM's par-set mask. Every channel
+        // the wide process touches carries the reason; channel 130,
+        // between two narrow processes, does not.
+        let mut b = ProcIrBuilder::new();
+        let link = |i: u32| MovingLink {
+            slot: i,
+            inp: 2 * i as usize,
+            out: 2 * i as usize + 1,
+        };
+        let links: Vec<MovingLink> = (0..65).map(link).collect();
+        b.source(130, &[5], "narrow");
+        b.sink(130, 1, "narrow-sink");
+        b.begin("wide");
+        b.op(ProcOp::Compute { count: 1 });
+        b.repeater(&links, &[0], &[1], 65);
+        b.finish();
+        for l in &links {
+            b.source(l.inp, &[1], "in");
+            b.sink(l.out, 1, "out");
+        }
+        let why = "process 2 has 65 moving links (max 64)";
+        let mut reasons = vec![Some(format!("endpoint {why}")); 130];
+        reasons.push(None);
+        check(b, reasons, why);
     }
 
     /// Named boundary regression for the `Pass::n`/`Compute::count`

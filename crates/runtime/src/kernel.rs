@@ -41,6 +41,7 @@
 //! observed at the start of the batch — even a self-looped ring serves
 //! only values that were already queued. See `docs/kernels.md`.
 
+use crate::json::Json;
 use crate::process::Value;
 use crate::procir::{ProcIrModule, ProcOp};
 use crate::wavefront::{ChunkRunner, RingSlab, SlabView, WavefrontPlan};
@@ -160,6 +161,29 @@ impl KernelPlan {
         }
         counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         counts
+    }
+
+    /// The `kernels` section of the metrics report: the static
+    /// eligibility split, with `reject` and `fallbacks` only when set.
+    pub fn json(&self) -> Json {
+        let scalar = self.chunk_reject.len() - self.eligible_chunks;
+        let mut fields = vec![
+            ("compiled", self.compiled.into()),
+            ("eligible_chunks", self.eligible_chunks.into()),
+            ("scalar_chunks", scalar.into()),
+            ("waves_fusable", self.waves_fusable.into()),
+        ];
+        if let Some(r) = &self.reject {
+            fields.push(("reject", r.as_str().into()));
+        }
+        if !self.fallback_counts.is_empty() {
+            let item = |(r, n): &(String, u64)| {
+                Json::obj([("reason", r.as_str().into()), ("chunks", (*n).into())])
+            };
+            let fallbacks = self.fallback_counts.iter().map(item);
+            fields.push(("fallbacks", Json::arr(fallbacks)));
+        }
+        Json::obj(fields)
     }
 
     /// A report seeded with the static analysis; the executor fills in

@@ -24,6 +24,8 @@
 //!   threaded through the VM and the rendezvous engines, with metrics
 //!   aggregation ([`MetricsRecorder`]) and Chrome-trace export
 //!   ([`PerfettoRecorder`]); zero cost when no recorder is attached.
+//! - [`json`] — the workspace's one JSON model ([`Json`]: value, compact
+//!   and report renderers, parser); every report type here builds one.
 //! - [`wavefront`] — the wavefront executor: SCC-condensed, longest-path
 //!   staged chunk sweeps over the batch rings ([`WavefrontPlan`]), with
 //!   an optional pool-parallel mode (see `docs/wavefront.md`).
@@ -35,6 +37,7 @@
 
 pub mod batch;
 pub mod coop;
+pub mod json;
 pub mod kernel;
 pub mod opt;
 pub mod partition;
@@ -45,13 +48,11 @@ pub mod schedule;
 pub mod wavefront;
 pub mod wavepool;
 
-pub use batch::{
-    analyze, analyze_with_caps, channel_diagnostics, BatchMode, BatchPlan, Ring,
-    DEFAULT_BATCH_WIDTH,
-};
+pub use batch::{analyze, analyze_with_caps, BatchMode, BatchPlan, Ring, DEFAULT_BATCH_WIDTH};
 pub use coop::{
     run_coop_batched, ChannelPolicy, Deadlock, Network, ProtocolViolation, RunError, RunStats,
 };
+pub use json::Json;
 pub use kernel::{analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport};
 pub use opt::{optimize, ChainRecord, OptMode, OptReport, OptimizedModule};
 pub use partition::{block_partition, run_partitioned, run_partitioned_batched};

@@ -37,7 +37,8 @@
 //! consumes. The peepholes alone are stat-invariant; only chain
 //! deletion changes counts.
 
-use crate::batch::DEFAULT_BATCH_WIDTH;
+use crate::batch::{analyze_ops, BatchPlan};
+use crate::json::Json;
 use crate::process::ChanId;
 use crate::procir::{MovingLink, ProcId, ProcIrModule, ProcOp, ProcRecord};
 use std::sync::Arc;
@@ -100,6 +101,9 @@ pub struct OptReport {
 }
 
 impl OptReport {
+    /// The report's schema id.
+    pub const SCHEMA: &'static str = "systolic-opt-v1";
+
     /// Total relay processes deleted by chain fusion.
     pub fn fused_relays(&self) -> usize {
         self.chains.iter().map(|c| c.relays.len()).sum()
@@ -122,96 +126,39 @@ impl OptReport {
         )
     }
 
-    /// Serialize as `systolic-opt-v1` JSON (hand-rolled like every other
-    /// report in this codebase; no serde).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"systolic-opt-v1\",\n");
-        s.push_str(&format!(
-            "  \"processes_before\": {},\n  \"processes_after\": {},\n",
-            self.processes_before, self.processes_after
-        ));
-        s.push_str(&format!(
-            "  \"channels_before\": {},\n  \"channels_after\": {},\n",
-            self.channels_before, self.channels_after
-        ));
-        s.push_str(&format!(
-            "  \"ops_before\": {},\n  \"ops_after\": {},\n",
-            self.ops_before, self.ops_after
-        ));
-        s.push_str(&format!(
-            "  \"zero_ops_dropped\": {},\n  \"passes_merged\": {},\n  \"keep_eject_fused\": {},\n",
-            self.zero_ops_dropped, self.passes_merged, self.keep_eject_fused
-        ));
-        s.push_str("  \"chains\": [");
-        for (i, c) in self.chains.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{ \"entry\": {}, \"exit\": {}, \"surviving\": {}, \
-                 \"relays\": {}, \"traffic\": {}, \"capacity\": {} }}",
-                c.entry,
-                c.exit,
-                c.surviving,
-                c.relays.len(),
-                c.traffic,
-                c.capacity
-            ));
-        }
-        if !self.chains.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
+    /// The `systolic-opt-v1` document as a value, for callers that embed
+    /// it (the metrics report) or extend it (`--opt-report`). The
+    /// proc/chan maps are not serialized; a chain carries its relay
+    /// count.
+    pub fn json(&self) -> Json {
+        let chain = |c: &ChainRecord| {
+            Json::obj([
+                ("entry", c.entry.into()),
+                ("exit", c.exit.into()),
+                ("surviving", c.surviving.into()),
+                ("relays", c.relays.len().into()),
+                ("traffic", c.traffic.into()),
+                ("capacity", c.capacity.into()),
+            ])
+        };
+        Json::obj([
+            ("schema", Self::SCHEMA.into()),
+            ("processes_before", self.processes_before.into()),
+            ("processes_after", self.processes_after.into()),
+            ("channels_before", self.channels_before.into()),
+            ("channels_after", self.channels_after.into()),
+            ("ops_before", self.ops_before.into()),
+            ("ops_after", self.ops_after.into()),
+            ("zero_ops_dropped", self.zero_ops_dropped.into()),
+            ("passes_merged", self.passes_merged.into()),
+            ("keep_eject_fused", self.keep_eject_fused.into()),
+            ("chains", Json::arr(self.chains.iter().map(chain))),
+        ])
     }
 
-    /// Parse a `systolic-opt-v1` report back. Inverse of
-    /// [`OptReport::to_json`] up to the fields the JSON carries: the
-    /// proc/chan maps are not serialized, and each chain's relay list
-    /// comes back as `relays.len()` placeholder ids. Round-trip holds as
-    /// `to_json(from_json(j)) == j` for any `j` produced by `to_json`.
-    pub fn from_json(json: &str) -> Option<OptReport> {
-        if !json.contains("\"schema\": \"systolic-opt-v1\"") {
-            return None;
-        }
-        fn grab(s: &str, key: &str) -> Option<u64> {
-            let pat = format!("\"{key}\": ");
-            let at = s.find(&pat)? + pat.len();
-            let rest = &s[at..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        }
-        let mut r = OptReport {
-            processes_before: grab(json, "processes_before")? as usize,
-            processes_after: grab(json, "processes_after")? as usize,
-            channels_before: grab(json, "channels_before")? as usize,
-            channels_after: grab(json, "channels_after")? as usize,
-            ops_before: grab(json, "ops_before")? as usize,
-            ops_after: grab(json, "ops_after")? as usize,
-            zero_ops_dropped: grab(json, "zero_ops_dropped")?,
-            passes_merged: grab(json, "passes_merged")?,
-            keep_eject_fused: grab(json, "keep_eject_fused")?,
-            ..OptReport::default()
-        };
-        let chains_at = json.find("\"chains\": [")?;
-        let mut rest = &json[chains_at..];
-        while let Some(open) = rest.find('{') {
-            let close = rest[open..].find('}')? + open;
-            let obj = &rest[open..=close];
-            r.chains.push(ChainRecord {
-                entry: grab(obj, "entry")? as ChanId,
-                exit: grab(obj, "exit")? as ChanId,
-                surviving: grab(obj, "surviving")? as ChanId,
-                relays: vec![0; grab(obj, "relays")? as usize],
-                traffic: grab(obj, "traffic")?,
-                capacity: grab(obj, "capacity")?,
-            });
-            rest = &rest[close + 1..];
-        }
-        Some(r)
+    /// [`OptReport::json`], rendered as a file.
+    pub fn to_json(&self) -> String {
+        self.json().pretty()
     }
 }
 
@@ -234,20 +181,12 @@ pub struct OptimizedModule {
     pub report: Arc<OptReport>,
 }
 
-/// Per-channel endpoint/traffic facts of the cleaned module, mirroring
-/// `crate::batch::analyze` (which the fused module still runs through).
-struct Endpoints {
-    producer_of: Vec<Option<ProcId>>,
-    consumer_of: Vec<Option<ProcId>>,
-    traffic: Vec<u64>,
-    pinned: Vec<bool>,
-}
-
 /// Run the pass pipeline. Returns `None` when the module is left
-/// untouched: nothing to rewrite, or an endpoint/traffic shape the
-/// legality analysis cannot prove (two producers or consumers on a
-/// channel, unbalanced traffic) — exactly the shapes `crate::batch`
-/// also rejects, so the caller's fallback is the same rendezvous path.
+/// untouched: nothing to rewrite, or a shape the legality analysis
+/// cannot prove (two producers or consumers on a channel, unbalanced
+/// traffic, an over-wide process) — the shapes `crate::batch` rejects,
+/// by the same walk, so the caller's fallback is the same rendezvous
+/// path.
 pub fn optimize(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
     let mut report = OptReport {
         processes_before: module.procs.len(),
@@ -264,9 +203,12 @@ pub fn optimize(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
         .collect();
     let touched_ops = report.zero_ops_dropped + report.passes_merged + report.keep_eject_fused > 0;
 
-    // Phase 2: endpoint facts on the cleaned ops. A shape the analysis
-    // cannot prove unique/balanced rejects the whole module.
-    let ends = endpoints(module, &cleaned)?;
+    // Phase 2: the batch analysis, over the cleaned ops. A shape it
+    // cannot prove rejects the whole module.
+    let ends = analyze_ops(module, |pid| &cleaned[pid], &[]);
+    if !ends.batchable() {
+        return None;
+    }
 
     // Phase 3: chain discovery over pure relays.
     let chains = find_chains(module, &cleaned, &ends);
@@ -376,70 +318,6 @@ fn peephole(module: &ProcIrModule, pid: ProcId, report: &mut OptReport) -> Vec<P
     out
 }
 
-/// Unique-endpoint and traffic facts over the cleaned ops, or `None`
-/// when a channel has two producers/consumers or unbalanced traffic.
-fn endpoints(module: &ProcIrModule, cleaned: &[Vec<ProcOp>]) -> Option<Endpoints> {
-    let nc = module.n_chans;
-    let mut producer_of: Vec<Option<ProcId>> = vec![None; nc];
-    let mut consumer_of: Vec<Option<ProcId>> = vec![None; nc];
-    let mut prod = vec![0u64; nc];
-    let mut cons = vec![0u64; nc];
-    let mut pinned = vec![false; nc];
-    let mut ok = true;
-    let mut claim = |tbl: &mut Vec<Option<ProcId>>, chan: ChanId, pid: ProcId| match tbl[chan] {
-        None => tbl[chan] = Some(pid),
-        Some(prev) if prev == pid => {}
-        Some(_) => ok = false,
-    };
-    for (pid, ops) in cleaned.iter().enumerate() {
-        for op in ops {
-            match *op {
-                ProcOp::Emit { chan } => {
-                    claim(&mut producer_of, chan, pid);
-                    prod[chan] += 1;
-                }
-                ProcOp::Collect { chan } => {
-                    claim(&mut consumer_of, chan, pid);
-                    cons[chan] += 1;
-                }
-                ProcOp::Keep { chan, .. } => {
-                    claim(&mut consumer_of, chan, pid);
-                    cons[chan] += 1;
-                    pinned[chan] = true;
-                }
-                ProcOp::Eject { chan, .. } => {
-                    claim(&mut producer_of, chan, pid);
-                    prod[chan] += 1;
-                    pinned[chan] = true;
-                }
-                ProcOp::Pass { inp, out, n } => {
-                    claim(&mut consumer_of, inp, pid);
-                    cons[inp] = cons[inp].saturating_add(n);
-                    claim(&mut producer_of, out, pid);
-                    prod[out] = prod[out].saturating_add(n);
-                }
-                ProcOp::Compute { count } => {
-                    for mc in module.moving_of(pid) {
-                        claim(&mut consumer_of, mc.inp, pid);
-                        cons[mc.inp] = cons[mc.inp].saturating_add(count);
-                        claim(&mut producer_of, mc.out, pid);
-                        prod[mc.out] = prod[mc.out].saturating_add(count);
-                    }
-                }
-            }
-        }
-    }
-    if !ok || prod != cons {
-        return None;
-    }
-    Some(Endpoints {
-        producer_of,
-        consumer_of,
-        traffic: prod,
-        pinned,
-    })
-}
-
 /// A process is a pure relay when, after cleanup, it is exactly one
 /// `Pass` between distinct channels and nothing else — no locals, no
 /// moving links, no output buffer. Such a process computes the identity
@@ -470,7 +348,7 @@ fn pure_relay(
 fn find_chains(
     module: &ProcIrModule,
     cleaned: &[Vec<ProcOp>],
-    ends: &Endpoints,
+    ends: &BatchPlan,
 ) -> Vec<ChainRecord> {
     let n = module.procs.len();
     let mut in_chain = vec![false; n];
@@ -533,18 +411,11 @@ fn find_chains(
         // batch analysis — each channel's ring width plus one held value
         // per relay — clamped to the total traffic (more can never be in
         // flight) and at least 1.
-        let width = |c: ChanId| {
-            if ends.pinned[c] {
-                1
-            } else {
-                ends.traffic[c].clamp(1, DEFAULT_BATCH_WIDTH)
-            }
-        };
-        let mut cap = width(entry) + members.len() as u64;
+        let mut cap = ends.widths[entry] + members.len() as u64;
         let mut c = entry;
         for &m in &members {
             let (_, o, _) = pure_relay(module, cleaned, m).unwrap();
-            cap = cap.saturating_add(width(o));
+            cap = cap.saturating_add(ends.widths[o]);
             c = o;
         }
         debug_assert_eq!(c, exit);
@@ -875,16 +746,21 @@ mod tests {
     }
 
     #[test]
-    fn report_json_round_trips() {
+    fn report_json_parses_and_carries_the_counts() {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2, 3], "src");
         b.relay(0, 1, 3, "buf0");
         b.relay(1, 2, 3, "buf1");
         b.sink(2, 3, "sink");
         let o = optimize(&b.build(None)).unwrap();
-        let j = o.report.to_json();
-        let parsed = OptReport::from_json(&j).expect("parses back");
-        assert_eq!(parsed.to_json(), j, "round-trip is the identity");
-        assert!(OptReport::from_json("{}").is_none());
+        let doc = crate::json::parse(&o.report.to_json()).expect("valid JSON");
+        assert_eq!(doc, o.report.json());
+        let num = |v: &Json, k: &str| v.get(k).and_then(Json::as_i64);
+        assert_eq!(num(&doc, "processes_before"), Some(4));
+        assert_eq!(num(&doc, "processes_after"), Some(2));
+        let chains = doc.get("chains").and_then(Json::as_arr).unwrap();
+        assert_eq!(chains.len(), 1);
+        assert_eq!(num(&chains[0], "relays"), Some(2));
+        assert_eq!(num(&chains[0], "traffic"), Some(3));
     }
 }

@@ -35,13 +35,14 @@
 //!
 //! - [`EventLogRecorder`] — a plain transfer log; `crates/interp`'s
 //!   space–time diagrams are sourced from it;
-//! - [`MetricsRecorder`] — aggregates everything into a [`MetricsReport`]
-//!   with a stable hand-rolled JSON rendering (`systolic-metrics-v1`);
+//! - [`MetricsRecorder`] — aggregates everything into a [`MetricsReport`],
+//!   whose stable document (`systolic-metrics-v1`) is a [`Json`] value;
 //! - [`PerfettoRecorder`] — Chrome `trace_event` JSON for
 //!   <https://ui.perfetto.dev>: one track per process, one per channel.
 //!
 //! See `docs/observability.md` for the schema and a how-to.
 
+use crate::json::Json;
 use crate::process::{ChanId, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -369,121 +370,75 @@ impl MetricsReport {
         totals
     }
 
-    /// The stable `systolic-metrics-v1` JSON rendering. Hand-rolled: the
-    /// workspace deliberately avoids a serde_json dependency.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"schema\": \"systolic-metrics-v1\",\n");
-        s.push_str(&format!(
-            "  \"processes\": {},\n  \"transfers\": {},\n  \"end_time\": {},\n",
-            self.processes.len(),
-            self.transfers,
-            self.end_time
-        ));
-        s.push_str(&format!(
-            "  \"makespan\": {{\"soak_lead_in\": {}, \"compute_window\": {}, \"drain_tail\": {}}},\n",
-            self.soak_lead_in(),
-            self.compute_window(),
-            self.drain_tail()
-        ));
-        match self.last_finisher() {
-            Some((pid, t)) => s.push_str(&format!(
-                "  \"critical_path\": {{\"process\": {pid}, \"label\": \"{}\", \"finished_at\": {t}{}}},\n",
-                json_escape(&self.processes[pid].label),
-                match self.max_wait_chan() {
-                    Some((c, w)) => format!(", \"max_wait_chan\": {c}, \"max_wait\": {w}"),
-                    None => String::new(),
-                }
-            )),
-            None => s.push_str("  \"critical_path\": null,\n"),
-        }
-        let phases = self.phase_totals();
-        s.push_str("  \"phase_ops\": {");
-        for (i, ph) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
+    /// The stable `systolic-metrics-v1` document as a value; callers
+    /// that add sections (`elab_cache`, `wavefront`, …) append members.
+    pub fn json(&self) -> Json {
+        // `{name: count}` over a fixed vocabulary; the per-process phase
+        // rows leave their zeros out.
+        let named = |names: &[&str], counts: &[u64], zeros: bool| {
+            let pairs = names.iter().zip(counts);
+            let kept = pairs.filter(|&(_, &n)| zeros || n != 0);
+            Json::obj(kept.map(|(&k, &n)| (k, n.into())))
+        };
+        let phases = Phase::ALL.map(Phase::name);
+        let ops = OpKind::ALL.map(OpKind::name);
+        let pairs = |h: &[(u64, u64)]| Json::arr(h.iter().map(|&(a, b)| Json::arr([a, b])));
+        let critical_path = self.last_finisher().map(|(pid, t)| {
+            let mut fields = vec![
+                ("process", pid.into()),
+                ("label", self.processes[pid].label.as_str().into()),
+                ("finished_at", t.into()),
+            ];
+            if let Some((c, w)) = self.max_wait_chan() {
+                fields.extend([("max_wait_chan", c.into()), ("max_wait", w.into())]);
             }
-            s.push_str(&format!("\"{}\": {}", ph.name(), phases[i]));
-        }
-        s.push_str("},\n  \"op_counts\": {");
-        let ops = self.op_totals();
-        for (i, k) in OpKind::ALL.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!("\"{}\": {}", k.name(), ops[i]));
-        }
-        s.push_str("},\n");
-        s.push_str(&format!(
-            "  \"wait_hist\": {},\n  \"msgs_per_time_hist\": {},\n",
-            pairs_json(&self.wait_hist),
-            pairs_json(&self.msgs_per_time_hist)
-        ));
-        s.push_str("  \"per_process\": [\n");
-        for (i, p) in self.processes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"steps\": {}, \"sent\": {}, \"received\": {}, \
-                 \"finished_at\": {}, \"phases\": {{",
-                json_escape(&p.label),
-                p.steps,
-                p.sent,
-                p.received,
-                p.finished_at.map_or("null".into(), |t| t.to_string()),
-            ));
-            let mut first = true;
-            for (pi, ph) in Phase::ALL.iter().enumerate() {
-                if p.phases[pi] == 0 {
-                    continue;
-                }
-                if !first {
-                    s.push_str(", ");
-                }
-                first = false;
-                s.push_str(&format!("\"{}\": {}", ph.name(), p.phases[pi]));
-            }
-            s.push_str(if i + 1 < self.processes.len() {
-                "}},\n"
-            } else {
-                "}}\n"
-            });
-        }
-        s.push_str("  ],\n  \"per_channel\": [\n");
-        for (i, c) in self.channels.iter().enumerate() {
-            s.push_str(&format!(
-                "    [{}, {}, {}, {}, {}]{}\n",
-                i,
+            Json::obj(fields)
+        });
+        let process = |p: &ProcMetrics| {
+            Json::obj([
+                ("label", p.label.as_str().into()),
+                ("steps", p.steps.into()),
+                ("sent", p.sent.into()),
+                ("received", p.received.into()),
+                ("finished_at", p.finished_at.into()),
+                ("phases", named(&phases, &p.phases, false)),
+            ])
+        };
+        let channel = |(i, c): (usize, &ChanMetrics)| {
+            Json::arr([
+                i as u64,
                 c.transfers,
                 c.sender_wait,
                 c.receiver_wait,
                 c.max_receiver_wait,
-                if i + 1 < self.channels.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+            ])
+        };
+        let makespan = Json::obj([
+            ("soak_lead_in", self.soak_lead_in().into()),
+            ("compute_window", self.compute_window().into()),
+            ("drain_tail", self.drain_tail().into()),
+        ]);
+        let per_channel = self.channels.iter().enumerate().map(channel);
+        Json::obj([
+            ("schema", "systolic-metrics-v1".into()),
+            ("processes", self.processes.len().into()),
+            ("transfers", self.transfers.into()),
+            ("end_time", self.end_time.into()),
+            ("makespan", makespan),
+            ("critical_path", critical_path.into()),
+            ("phase_ops", named(&phases, &self.phase_totals(), true)),
+            ("op_counts", named(&ops, &self.op_totals(), true)),
+            ("wait_hist", pairs(&self.wait_hist)),
+            ("msgs_per_time_hist", pairs(&self.msgs_per_time_hist)),
+            ("per_process", Json::arr(self.processes.iter().map(process))),
+            ("per_channel", Json::arr(per_channel)),
+        ])
     }
-}
 
-fn pairs_json(pairs: &[(u64, u64)]) -> String {
-    let body: Vec<String> = pairs.iter().map(|(a, b)| format!("[{a}, {b}]")).collect();
-    format!("[{}]", body.join(", "))
-}
-
-/// Escape a string for embedding in JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    /// [`MetricsReport::json`], rendered as a file.
+    pub fn to_json(&self) -> String {
+        self.json().pretty()
     }
-    out
 }
 
 /// Aggregates the whole event stream into a [`MetricsReport`]: per-process
@@ -684,83 +639,56 @@ impl PerfettoRecorder {
         &self.events
     }
 
-    /// Render the Chrome `trace_event` JSON document.
+    /// Render the Chrome `trace_event` JSON document, one event per
+    /// line: each is built and written on its own, so the document never
+    /// exists as a tree.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"traceEvents\": [\n");
-        let mut first = true;
-        let mut push = |line: String, s: &mut String| {
-            if !first {
-                s.push_str(",\n");
-            }
-            first = false;
-            s.push_str("  ");
-            s.push_str(&line);
+        use std::fmt::Write as _;
+        let mut s = String::from("{\"traceEvents\": [");
+        let mut sep = "\n  ";
+        let mut push = |event: Json| {
+            let _ = write!(s, "{sep}{event:#}");
+            sep = ",\n  ";
         };
-        push(
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {}, \"args\": {{\"name\": \"processes\"}}}}",
-                Self::PROCESS_TRACKS
-            ),
-            &mut s,
-        );
-        push(
-            format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {}, \"args\": {{\"name\": \"channels\"}}}}",
-                Self::CHANNEL_TRACKS
-            ),
-            &mut s,
-        );
+        let meta = |name: &str, pid: u32, tid: Option<usize>, label: &str| {
+            let mut fields = vec![
+                ("ph", "M".into()),
+                ("name", name.into()),
+                ("pid", (pid as u64).into()),
+            ];
+            fields.extend(tid.map(|t| ("tid", t.into())));
+            fields.push(("args", Json::obj([("name", label.into())])));
+            Json::obj(fields)
+        };
+        let (procs, chans) = (Self::PROCESS_TRACKS, Self::CHANNEL_TRACKS);
+        push(meta("process_name", procs, None, "processes"));
+        push(meta("process_name", chans, None, "channels"));
         for (pid, label) in self.labels.iter().enumerate() {
-            push(
-                format!(
-                    "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {}, \"tid\": {}, \
-                     \"args\": {{\"name\": \"{}\"}}}}",
-                    Self::PROCESS_TRACKS,
-                    pid,
-                    json_escape(label)
-                ),
-                &mut s,
-            );
+            push(meta("thread_name", procs, Some(pid), label));
         }
         for chan in 0..self.n_chans {
-            let name = self
-                .chan_names
-                .get(chan)
-                .cloned()
-                .unwrap_or_else(|| format!("chan {chan}"));
-            push(
-                format!(
-                    "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {}, \"tid\": {}, \
-                     \"args\": {{\"name\": \"{}\"}}}}",
-                    Self::CHANNEL_TRACKS,
-                    chan,
-                    json_escape(&name)
-                ),
-                &mut s,
-            );
+            let name = match self.chan_names.get(chan) {
+                Some(name) => name.clone(),
+                None => format!("chan {chan}"),
+            };
+            push(meta("thread_name", chans, Some(chan), &name));
         }
         for e in &self.events {
-            let mut args = String::new();
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    args.push_str(", ");
-                }
-                args.push_str(&format!("\"{k}\": {v}"));
-            }
-            let dur = if e.ph == 'X' {
-                format!(", \"dur\": {}", e.dur)
-            } else {
+            let args = Json::obj(e.args.iter().map(|&(k, v)| (k, v.into())));
+            push(Json::obj([
+                ("ph", e.ph.to_string().into()),
+                ("name", e.name.into()),
+                ("cat", "systolic".into()),
+                ("pid", (e.pid as u64).into()),
+                ("tid", e.tid.into()),
+                ("ts", e.ts.into()),
                 // Instant events want a scope instead of a duration.
-                ", \"s\": \"t\"".to_string()
-            };
-            push(
-                format!(
-                    "{{\"ph\": \"{}\", \"name\": \"{}\", \"cat\": \"systolic\", \"pid\": {}, \
-                     \"tid\": {}, \"ts\": {}{}, \"args\": {{{}}}}}",
-                    e.ph, e.name, e.pid, e.tid, e.ts, dur, args
-                ),
-                &mut s,
-            );
+                match e.ph {
+                    'X' => ("dur", e.dur.into()),
+                    _ => ("s", "t".into()),
+                },
+                ("args", args),
+            ]));
         }
         s.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
         s
@@ -1011,7 +939,10 @@ mod tests {
         let json = metrics.lock().report().to_json();
         assert!(json.contains("\"schema\": \"systolic-metrics-v1\""));
         assert!(json.contains("\\\"quoted\\\""), "labels are escaped");
-        validate_json(&json);
+        assert_eq!(
+            crate::json::parse(&json),
+            Ok(metrics.lock().report().json())
+        );
     }
 
     #[test]
@@ -1043,115 +974,8 @@ mod tests {
         let json = rec.to_json();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("thread_name"));
-        validate_json(&json);
-    }
-
-    /// A minimal JSON validator: structure only, enough to catch
-    /// unbalanced braces, bad escapes, or trailing commas in the
-    /// hand-rolled renderings.
-    fn validate_json(s: &str) {
-        let mut chars = s.chars().peekable();
-        skip_ws(&mut chars);
-        parse_value(&mut chars);
-        skip_ws(&mut chars);
-        assert!(chars.peek().is_none(), "trailing garbage after JSON value");
-    }
-
-    type Peek<'a> = std::iter::Peekable<std::str::Chars<'a>>;
-
-    fn skip_ws(c: &mut Peek) {
-        while matches!(c.peek(), Some(' ' | '\n' | '\t' | '\r')) {
-            c.next();
-        }
-    }
-
-    fn parse_value(c: &mut Peek) {
-        skip_ws(c);
-        match c.peek().expect("value expected") {
-            '{' => {
-                c.next();
-                skip_ws(c);
-                if c.peek() == Some(&'}') {
-                    c.next();
-                    return;
-                }
-                loop {
-                    skip_ws(c);
-                    parse_string(c);
-                    skip_ws(c);
-                    assert_eq!(c.next(), Some(':'), "expected ':'");
-                    parse_value(c);
-                    skip_ws(c);
-                    match c.next() {
-                        Some(',') => continue,
-                        Some('}') => return,
-                        other => panic!("expected ',' or '}}', got {other:?}"),
-                    }
-                }
-            }
-            '[' => {
-                c.next();
-                skip_ws(c);
-                if c.peek() == Some(&']') {
-                    c.next();
-                    return;
-                }
-                loop {
-                    parse_value(c);
-                    skip_ws(c);
-                    match c.next() {
-                        Some(',') => continue,
-                        Some(']') => return,
-                        other => panic!("expected ',' or ']', got {other:?}"),
-                    }
-                }
-            }
-            '"' => parse_string(c),
-            't' => expect_word(c, "true"),
-            'f' => expect_word(c, "false"),
-            'n' => expect_word(c, "null"),
-            _ => parse_number(c),
-        }
-    }
-
-    fn parse_string(c: &mut Peek) {
-        assert_eq!(c.next(), Some('"'), "expected string");
-        while let Some(ch) = c.next() {
-            match ch {
-                '"' => return,
-                '\\' => {
-                    let esc = c.next().expect("escape");
-                    match esc {
-                        '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' => {}
-                        'u' => {
-                            for _ in 0..4 {
-                                assert!(c.next().is_some_and(|h| h.is_ascii_hexdigit()));
-                            }
-                        }
-                        other => panic!("bad escape \\{other}"),
-                    }
-                }
-                _ => {}
-            }
-        }
-        panic!("unterminated string");
-    }
-
-    fn parse_number(c: &mut Peek) {
-        let mut got = false;
-        if c.peek() == Some(&'-') {
-            c.next();
-        }
-        while matches!(c.peek(), Some('0'..='9' | '.' | 'e' | 'E' | '+' | '-')) {
-            c.next();
-            got = true;
-        }
-        assert!(got, "expected number");
-    }
-
-    fn expect_word(c: &mut Peek, word: &str) {
-        for expected in word.chars() {
-            assert_eq!(c.next(), Some(expected));
-        }
+        let doc = crate::json::parse(&json).expect("valid JSON");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events.len(), 2 + 3 + 2 + rec.events().len());
     }
 }

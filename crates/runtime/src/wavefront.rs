@@ -53,6 +53,7 @@
 
 use crate::batch::{BatchPlan, Ring};
 use crate::coop::{Deadlock, RunError, RunStats};
+use crate::json::Json;
 use crate::kernel::{kernel_wave, put_scratch, take_scratch, KernelPlan, KernelReport};
 use crate::process::SinkBuffer;
 use crate::procir::{ProcId, ProcIrModule, ProcVm};
@@ -119,6 +120,30 @@ impl WavefrontPlan {
     /// run ahead of a strict per-step schedule.
     pub fn max_capacity(&self) -> u64 {
         self.capacities.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The `wavefront` section of the metrics and optimizer reports:
+    /// the staging shape or the reject reason, then every channel that
+    /// `batch` — the analysis this plan was derived from — disqualifies.
+    pub fn json(&self, batch: &BatchPlan) -> Json {
+        let mut fields = match self.reject_reason() {
+            None => vec![
+                ("eligible", true.into()),
+                ("waves", self.n_waves().into()),
+                ("chunks", self.n_chunks().into()),
+                ("max_ring_capacity", self.max_capacity().into()),
+            ],
+            Some(r) => vec![("eligible", false.into()), ("reason", r.into())],
+        };
+        let reasons = batch.channel_reasons.iter().enumerate();
+        let channels = reasons.filter_map(|(c, why)| {
+            Some(Json::obj([
+                ("chan", c.into()),
+                ("reason", why.as_deref()?.into()),
+            ]))
+        });
+        fields.push(("channels", Json::arr(channels)));
+        Json::obj(fields)
     }
 
     /// Fresh rings for one run, capacities from the plan.

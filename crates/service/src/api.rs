@@ -1,16 +1,15 @@
 //! The wire vocabulary of the simulation service: request parsing,
 //! structured errors, and response rendering (`systolic-service-v1`).
 //!
-//! Everything is hand-rolled JSON over [`systolic_sim::Json`] — the
-//! workspace-wide policy (see `crates/sim/src/json.rs`). Errors are
+//! Every body, in and out, goes through the workspace's one JSON model
+//! ([`Json`], `crates/runtime/src/json.rs`). Errors are
 //! *structured*: every failure maps to an HTTP status plus a stable
 //! `kind` and the offender labels the runtime diagnosis carries
 //! ([`systolic_runtime::RunError::offenders`]); raw panic payloads
 //! never cross the wire (see `crate::pool`).
 
 use systolic_interp::{ExecError, SystolicRun, VerifyError};
-use systolic_runtime::{BatchMode, KernelMode, OptMode, RunError, WavefrontMode};
-use systolic_sim::Json;
+use systolic_runtime::{json, BatchMode, Json, KernelMode, OptMode, RunError, WavefrontMode};
 
 /// The response schema identifier.
 pub const SCHEMA: &str = "systolic-service-v1";
@@ -126,23 +125,15 @@ impl ApiError {
 
     /// `{"error":{"kind":...,"message":...,"offenders":[...]}}`
     pub fn to_json(&self) -> String {
-        Json::Obj(vec![(
-            "error".into(),
-            Json::Obj(vec![
-                ("kind".into(), Json::Str(self.kind.into())),
-                ("message".into(), Json::Str(self.message.clone())),
-                (
-                    "offenders".into(),
-                    Json::Arr(
-                        self.offenders
-                            .iter()
-                            .map(|o| Json::Str(o.clone()))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        )])
-        .to_string()
+        let error = Json::obj([
+            ("kind", self.kind.into()),
+            ("message", self.message.as_str().into()),
+            (
+                "offenders",
+                Json::arr(self.offenders.iter().map(String::as_str)),
+            ),
+        ]);
+        Json::obj([("error", error)]).to_string()
     }
 }
 
@@ -165,8 +156,9 @@ pub enum OutputKind {
     Trace,
 }
 
-/// A parsed `POST /v1/run` body. Engine-mode and executor fields mirror
-/// the CLI flags bit for bit (`--batch/--opt/--wavefront/--executor`).
+/// A parsed `POST /v1/run` body. The engine-mode fields take the values
+/// of the CLI's `--batch/--opt/--wavefront/--kernel`; `executor` and
+/// `workers` have no CLI counterpart.
 #[derive(Debug)]
 pub struct RunRequest {
     pub program: ProgramRef,
@@ -195,31 +187,49 @@ pub struct RunRequest {
     pub schedule: Option<(String, u64)>,
 }
 
-fn mode_field<'a>(doc: &'a Json, key: &str) -> Result<Option<&'a str>, ApiError> {
+/// An optional member of `doc`: absent or `null` is `None`; a value
+/// `read` cannot take is a 400 that names the field and `what` it must
+/// be — never a silent default.
+fn field<'a, T>(
+    doc: &'a Json,
+    key: &str,
+    what: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
+        Some(v) => read(v)
             .map(Some)
-            .ok_or_else(|| ApiError::bad_request(format!("field '{key}' must be a string"))),
+            .ok_or_else(|| ApiError::bad_request(format!("field '{key}' must be {what}"))),
     }
 }
 
+/// A closed-set string member: the first of `options` when absent, else
+/// the one it names, else a 400 listing what is accepted.
+fn choice<T: Copy>(doc: &Json, key: &str, options: &[(&str, T)]) -> Result<T, ApiError> {
+    let Some(given) = field(doc, key, "a string", Json::as_str)? else {
+        return Ok(options[0].1);
+    };
+    let found = options.iter().find(|o| o.0 == given);
+    found.map(|o| o.1).ok_or_else(|| {
+        let accepted: Vec<&str> = options.iter().map(|o| o.0).collect();
+        let accepted = accepted.join("|");
+        ApiError::bad_request(format!("unknown {key} '{given}' ({accepted})"))
+    })
+}
+
 fn u64_field(doc: &Json, key: &str) -> Result<Option<u64>, ApiError> {
-    match doc.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => match v.as_i64() {
-            Some(n) if n >= 0 => Ok(Some(n as u64)),
-            _ => Err(ApiError::bad_request(format!(
-                "field '{key}' must be a non-negative integer"
-            ))),
-        },
-    }
+    let read = |v: &Json| v.as_i64().and_then(|n| u64::try_from(n).ok());
+    field(doc, key, "a non-negative integer", read)
+}
+
+fn bool_field(doc: &Json, key: &str) -> Result<Option<bool>, ApiError> {
+    field(doc, key, "a boolean", Json::as_bool)
 }
 
 /// Parse and validate a run request body.
 pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
-    let doc = systolic_sim::json::parse(body)
+    let doc = json::parse(body)
         .map_err(|e| ApiError::bad_request(format!("malformed request JSON: {e}")))?;
     let program = match (doc.get("design"), doc.get("source")) {
         (Some(d), None) => ProgramRef::Design(
@@ -243,83 +253,29 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
             ))
         }
     };
-    let sizes = doc
-        .get("sizes")
-        .and_then(|v| v.as_arr())
-        .ok_or_else(|| ApiError::bad_request("field 'sizes' must be an array of integers"))?
-        .iter()
-        .map(|v| {
-            v.as_i64()
-                .ok_or_else(|| ApiError::bad_request("field 'sizes' must be an array of integers"))
-        })
-        .collect::<Result<Vec<i64>, _>>()?;
-    let inputs = match doc.get("inputs") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_arr()
-                .ok_or_else(|| ApiError::bad_request("field 'inputs' must be an array of strings"))?
-                .iter()
-                .map(|x| {
-                    x.as_str().map(str::to_string).ok_or_else(|| {
-                        ApiError::bad_request("field 'inputs' must be an array of strings")
-                    })
-                })
-                .collect::<Result<Vec<String>, _>>()?,
-        ),
+    let ints = |v: &Json| v.as_arr()?.iter().map(Json::as_i64).collect();
+    let sizes: Vec<i64> = field(&doc, "sizes", "an array of integers", ints)?
+        .ok_or_else(|| ApiError::bad_request("field 'sizes' must be an array of integers"))?;
+    let names = |v: &Json| {
+        let names = v.as_arr()?.iter().map(|x| x.as_str().map(str::to_string));
+        names.collect()
     };
-    let batch = match mode_field(&doc, "batch")? {
-        None | Some("auto") => BatchMode::Auto,
-        Some("off") => BatchMode::Off,
-        Some(other) => {
-            return Err(ApiError::bad_request(format!(
-                "unknown batch mode '{other}' (auto|off)"
-            )))
-        }
-    };
-    let opt = match mode_field(&doc, "opt")? {
-        None | Some("auto") => OptMode::Auto,
-        Some("off") => OptMode::Off,
-        Some(other) => {
-            return Err(ApiError::bad_request(format!(
-                "unknown opt mode '{other}' (auto|off)"
-            )))
-        }
-    };
-    let wavefront = match mode_field(&doc, "wavefront")? {
-        None | Some("auto") => WavefrontMode::Auto,
-        Some("off") => WavefrontMode::Off,
-        Some("par") => WavefrontMode::Par,
-        Some(other) => {
-            return Err(ApiError::bad_request(format!(
-                "unknown wavefront mode '{other}' (auto|off|par)"
-            )))
-        }
-    };
-    let kernel = match mode_field(&doc, "kernel")? {
-        None | Some("auto") => KernelMode::Auto,
-        Some("off") => KernelMode::Off,
-        Some(other) => {
-            return Err(ApiError::bad_request(format!(
-                "unknown kernel mode '{other}' (auto|off)"
-            )))
-        }
-    };
-    let executor = mode_field(&doc, "executor")?.unwrap_or("coop").to_string();
-    if !matches!(executor.as_str(), "coop" | "threaded" | "partitioned") {
-        return Err(ApiError::bad_request(format!(
-            "unknown executor '{executor}' (coop|threaded|partitioned)"
-        )));
-    }
-    let output = match mode_field(&doc, "output")? {
-        None | Some("stores") => OutputKind::Stores,
-        Some("metrics") => OutputKind::Metrics,
-        Some("trace") => OutputKind::Trace,
-        Some(other) => {
-            return Err(ApiError::bad_request(format!(
-                "unknown output '{other}' (stores|metrics|trace)"
-            )))
-        }
-    };
+    let inputs: Option<Vec<String>> = field(&doc, "inputs", "an array of strings", names)?;
+    // The closed sets, default first.
+    let batch = [("auto", BatchMode::Auto), ("off", BatchMode::Off)];
+    let opt = [("auto", OptMode::Auto), ("off", OptMode::Off)];
+    let wavefront = [
+        ("auto", WavefrontMode::Auto),
+        ("off", WavefrontMode::Off),
+        ("par", WavefrontMode::Par),
+    ];
+    let kernel = [("auto", KernelMode::Auto), ("off", KernelMode::Off)];
+    let executor = ["coop", "threaded", "partitioned"].map(|e| (e, e));
+    let output = [
+        ("stores", OutputKind::Stores),
+        ("metrics", OutputKind::Metrics),
+        ("trace", OutputKind::Trace),
+    ];
     let schedule = match doc.get("schedule") {
         None | Some(Json::Null) => None,
         Some(s) => {
@@ -327,8 +283,9 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
                 .get("policy")
                 .and_then(|p| p.as_str())
                 .ok_or_else(|| ApiError::bad_request("schedule.policy must be a string"))?;
-            let seed = s.get("seed").and_then(|v| v.as_i64()).unwrap_or(0) as u64;
-            Some((policy.to_string(), seed))
+            let seed = u64_field(s, "seed")
+                .map_err(|e| ApiError::bad_request(format!("schedule: {}", e.message)))?;
+            Some((policy.to_string(), seed.unwrap_or(0)))
         }
     };
     Ok(RunRequest {
@@ -336,66 +293,54 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
         sizes,
         seed: u64_field(&doc, "seed")?.unwrap_or(42),
         inputs,
-        batch,
-        opt,
-        wavefront,
-        kernel,
-        executor,
+        batch: choice(&doc, "batch", &batch)?,
+        opt: choice(&doc, "opt", &opt)?,
+        wavefront: choice(&doc, "wavefront", &wavefront)?,
+        kernel: choice(&doc, "kernel", &kernel)?,
+        executor: choice(&doc, "executor", &executor)?.to_string(),
         workers: u64_field(&doc, "workers")?.unwrap_or(2).max(1) as usize,
         deadline_ms: u64_field(&doc, "deadline_ms")?,
-        output,
-        verify: doc.get("verify").and_then(|v| v.as_bool()).unwrap_or(false),
+        output: choice(&doc, "output", &output)?,
+        verify: bool_field(&doc, "verify")?.unwrap_or(false),
         schedule,
     })
 }
 
 /// Render a completed run as the stores response.
 pub fn render_stores(design: &str, executor: &str, run: &SystolicRun, verified: bool) -> String {
-    let mut stores = Vec::new();
+    let mut stores: Vec<(&str, Json)> = Vec::new();
     for name in run.store.names() {
         let arr = run.store.get(name);
-        let bounds = arr
-            .bounds()
-            .iter()
-            .map(|&(lo, hi)| Json::Arr(vec![Json::Num(lo), Json::Num(hi)]))
-            .collect();
-        let values = arr.raw().iter().map(|&v| Json::Num(v)).collect();
-        stores.push((
-            name.to_string(),
-            Json::Obj(vec![
-                ("bounds".into(), Json::Arr(bounds)),
-                ("values".into(), Json::Arr(values)),
-            ]),
-        ));
+        let bounds = arr.bounds();
+        let bounds = bounds.iter().map(|&(lo, hi)| Json::arr([lo, hi]));
+        let store = Json::obj([
+            ("bounds", Json::arr(bounds)),
+            ("values", Json::arr(arr.raw().iter().copied())),
+        ]);
+        stores.push((name, store));
     }
-    stores.sort_by(|a, b| a.0.cmp(&b.0));
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("design".into(), Json::Str(design.into())),
-        (
-            "engine".into(),
-            Json::Obj(vec![
-                ("executor".into(), Json::Str(executor.into())),
-                ("batched".into(), Json::Bool(run.batched)),
-                ("wavefront".into(), Json::Bool(run.wavefront)),
-                (
-                    "kernels".into(),
-                    Json::Bool(run.kernel.as_ref().is_some_and(|k| k.waves_fused > 0)),
-                ),
-                ("optimized".into(), Json::Bool(run.opt.is_some())),
-            ]),
-        ),
-        (
-            "stats".into(),
-            Json::Obj(vec![
-                ("rounds".into(), Json::Num(run.stats.rounds as i64)),
-                ("messages".into(), Json::Num(run.stats.messages as i64)),
-                ("steps".into(), Json::Num(run.stats.steps as i64)),
-                ("processes".into(), Json::Num(run.stats.processes as i64)),
-            ]),
-        ),
-        ("verified".into(), Json::Bool(verified)),
-        ("stores".into(), Json::Obj(stores)),
+    stores.sort_by(|a, b| a.0.cmp(b.0));
+    let kernels = run.kernel.as_ref().is_some_and(|k| k.waves_fused > 0);
+    let engine = Json::obj([
+        ("executor", executor.into()),
+        ("batched", run.batched.into()),
+        ("wavefront", run.wavefront.into()),
+        ("kernels", kernels.into()),
+        ("optimized", run.opt.is_some().into()),
+    ]);
+    let stats = Json::obj([
+        ("rounds", run.stats.rounds.into()),
+        ("messages", run.stats.messages.into()),
+        ("steps", run.stats.steps.into()),
+        ("processes", run.stats.processes.into()),
+    ]);
+    Json::obj([
+        ("schema", SCHEMA.into()),
+        ("design", design.into()),
+        ("engine", engine),
+        ("stats", stats),
+        ("verified", verified.into()),
+        ("stores", Json::obj(stores)),
     ])
     .to_string()
 }
@@ -420,6 +365,27 @@ mod tests {
         assert_eq!(e.status, 400);
         let j = e.to_json();
         assert!(j.contains("\"kind\":\"bad-request\""), "{j}");
+    }
+
+    /// The parser copies a string in runs, so a request costs its
+    /// length once: 1 MiB of inline source (an escape every line,
+    /// multi-byte text) comes back equal well inside a budget that the
+    /// per-character re-validation this replaced missed by two orders
+    /// of magnitude — a complexity bound, not a timing gate.
+    #[test]
+    fn a_one_mebibyte_source_parses_in_linear_time() {
+        let line = "# é — the quick brown fox jumps over the lazy dog, once more\n";
+        let source = line.repeat((1 << 20) / line.len() + 1);
+        assert!(source.len() >= 1 << 20);
+        let body = Json::obj([
+            ("source", source.as_str().into()),
+            ("sizes", Json::arr([4i64])),
+        ])
+        .to_string();
+        let t = std::time::Instant::now();
+        let r = parse_run_request(&body).unwrap();
+        assert!(t.elapsed().as_secs() < 2, "{:?}", t.elapsed());
+        assert_eq!(r.program, ProgramRef::Source(source));
     }
 
     #[test]

@@ -333,21 +333,12 @@ impl Service {
             Box::new(move || match replay_schedule(&file) {
                 Ok(report) => (
                     200,
-                    Json::Obj(vec![
-                        ("schema".into(), Json::Str(api::SCHEMA.into())),
-                        ("design".into(), Json::Str(file.design.clone())),
-                        ("reproduced".into(), Json::Bool(report.reproduced)),
-                        (
-                            "rounds_replayed".into(),
-                            Json::Num(report.rounds_replayed as i64),
-                        ),
-                        (
-                            "reason".into(),
-                            match report.reason {
-                                Some(r) => Json::Str(r),
-                                None => Json::Null,
-                            },
-                        ),
+                    Json::obj([
+                        ("schema", api::SCHEMA.into()),
+                        ("design", file.design.as_str().into()),
+                        ("reproduced", report.reproduced.into()),
+                        ("rounds_replayed", report.rounds_replayed.into()),
+                        ("reason", report.reason.into()),
                     ])
                     .to_string(),
                 ),
@@ -360,33 +351,33 @@ impl Service {
     /// gauges — one JSON document.
     pub fn stats_json(&self) -> String {
         use std::sync::atomic::Ordering;
-        let (ph, pm, pe, plen) = self.plans.stats();
+        let (hits, misses, evictions, entries) = self.plans.stats();
         let s = &self.pool.stats;
-        format!(
-            concat!(
-                "{{\"schema\":\"{}\",",
-                "\"elab_cache\":{},",
-                "\"plan_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}},",
-                "\"pool\":{{\"workers\":{},\"queue_cap\":{},\"submitted\":{},\"completed\":{},",
-                "\"rejected\":{},\"panics\":{},\"deadline_expired\":{},",
-                "\"in_flight\":{},\"max_in_flight\":{}}}}}"
-            ),
-            api::SCHEMA,
-            self.modules.stats().to_json(),
-            ph,
-            pm,
-            pe,
-            plen,
-            self.pool.n_workers,
-            self.pool.queue_cap,
-            s.submitted.load(Ordering::SeqCst),
-            s.completed.load(Ordering::SeqCst),
-            s.rejected.load(Ordering::SeqCst),
-            s.panics.load(Ordering::SeqCst),
-            s.deadline_expired.load(Ordering::SeqCst),
-            s.in_flight.load(Ordering::SeqCst),
-            s.max_in_flight.load(Ordering::SeqCst),
-        )
+        let gauge = |a: &std::sync::atomic::AtomicU64| Json::from(a.load(Ordering::SeqCst));
+        let plan_cache = Json::obj([
+            ("hits", hits.into()),
+            ("misses", misses.into()),
+            ("evictions", evictions.into()),
+            ("entries", entries.into()),
+        ]);
+        let pool = Json::obj([
+            ("workers", self.pool.n_workers.into()),
+            ("queue_cap", self.pool.queue_cap.into()),
+            ("submitted", gauge(&s.submitted)),
+            ("completed", gauge(&s.completed)),
+            ("rejected", gauge(&s.rejected)),
+            ("panics", gauge(&s.panics)),
+            ("deadline_expired", gauge(&s.deadline_expired)),
+            ("in_flight", gauge(&s.in_flight)),
+            ("max_in_flight", gauge(&s.max_in_flight)),
+        ]);
+        Json::obj([
+            ("schema", api::SCHEMA.into()),
+            ("elab_cache", self.modules.stats().json()),
+            ("plan_cache", plan_cache),
+            ("pool", pool),
+        ])
+        .to_string()
     }
 
     /// `POST /debug/panic` (gated by

@@ -386,10 +386,6 @@ pub struct ScheduleFile {
 
 pub const SCHEDULE_SCHEMA: &str = "systolic-schedule-v1";
 
-fn ids_to_json(xs: &[usize]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Num(x as i64)).collect())
-}
-
 fn ids_from_json(j: Option<&Json>) -> Result<Vec<usize>, String> {
     j.and_then(Json::as_arr)
         .map(|xs| {
@@ -403,41 +399,31 @@ fn ids_from_json(j: Option<&Json>) -> Result<Vec<usize>, String> {
 
 impl ScheduleFile {
     pub fn to_json(&self) -> String {
+        let ids = |xs: &[usize]| Json::arr(xs.iter().copied());
         let mut fields = vec![
-            ("schema".into(), Json::Str(SCHEDULE_SCHEMA.into())),
-            ("design".into(), Json::Str(self.design.clone())),
+            ("schema", SCHEDULE_SCHEMA.into()),
+            ("design", self.design.as_str().into()),
         ];
         if let Some(src) = &self.source {
-            fields.push(("source".into(), Json::Str(src.clone())));
+            fields.push(("source", src.as_str().into()));
         }
-        fields.push((
-            "sizes".into(),
-            Json::Arr(self.sizes.iter().map(|&s| Json::Num(s)).collect()),
-        ));
-        fields.push(("input_seed".into(), Json::Num(self.input_seed as i64)));
-        fields.push(("policy".into(), Json::Str(self.policy.clone())));
-        fields.push(("policy_seed".into(), Json::Num(self.policy_seed as i64)));
+        fields.push(("sizes", Json::arr(self.sizes.iter().copied())));
+        fields.push(("input_seed", self.input_seed.into()));
+        fields.push(("policy", self.policy.as_str().into()));
+        fields.push(("policy_seed", self.policy_seed.into()));
         if let Some(r) = &self.reason {
-            fields.push(("reason".into(), Json::Str(r.clone())));
+            fields.push(("reason", r.as_str().into()));
         }
-        fields.push((
-            "rounds".into(),
-            Json::Arr(
-                self.log
-                    .rounds
-                    .iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("round".into(), Json::Num(r.round as i64)),
-                            ("fire".into(), ids_to_json(&r.fire)),
-                            ("defer".into(), ids_to_json(&r.defer)),
-                            ("ready".into(), ids_to_json(&r.ready)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        Json::Obj(fields).to_string()
+        let round = |r: &ScheduleRound| {
+            Json::obj([
+                ("round", r.round.into()),
+                ("fire", ids(&r.fire)),
+                ("defer", ids(&r.defer)),
+                ("ready", ids(&r.ready)),
+            ])
+        };
+        fields.push(("rounds", Json::arr(self.log.rounds.iter().map(round))));
+        Json::obj(fields).to_string()
     }
 
     pub fn from_json(text: &str) -> Result<ScheduleFile, String> {

@@ -19,8 +19,11 @@
 //! - [`explore`] — the seed-matrix explorer: sweep, detect divergence
 //!   via outputs/stats/the recorder's transfer stream, shrink the
 //!   decision log to a minimal prefix, and emit a
-//!   `systolic-schedule-v1` JSON file that `systolic replay` reproduces;
-//! - [`json`] — the tiny hand-rolled JSON reader/writer those files use.
+//!   `systolic-schedule-v1` JSON file that `systolic replay` reproduces.
+//!
+//! Schedule files are built and read through the workspace's one JSON
+//! model, `systolic_runtime::json`, re-exported here as [`json`]/[`Json`]
+//! for the callers that reach it through this crate.
 //!
 //! The `dst_explore` binary runs the CI matrix (64 seeds × 3 policies ×
 //! 5 gallery designs) and writes counterexample artifacts on failure.
@@ -28,7 +31,6 @@
 
 pub mod explore;
 pub mod fault;
-pub mod json;
 pub mod policy;
 
 pub use explore::{
@@ -37,8 +39,8 @@ pub use explore::{
     PlanSubject, RaceSubject, ReplayReport, ScheduleFile, RACE_SINK, SCHEDULE_SCHEMA,
 };
 pub use fault::{DelayPolicy, Fault, FaultPlan};
-pub use json::Json;
 pub use policy::{
     policy_by_name, LifoPolicy, PriorityInversionPolicy, RandomPolicy, RecordingPolicy,
     ReplayPolicy, ScheduleLog, ScheduleRound, POLICY_NAMES,
 };
+pub use systolic_runtime::json::{self, Json};

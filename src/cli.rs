@@ -6,8 +6,9 @@
 use crate::{systolize_source, PlaceChoice, SystolizeOptions};
 use systolic_interp::{
     seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, KernelMode, ModuleStore,
-    OptMode, SimSpec, WavefrontMode,
+    OptMode, OptReport, SimSpec, WavefrontMode,
 };
+use systolic_runtime::Json;
 
 /// Parsed command-line invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,11 +71,10 @@ struct Flag {
 
 const FRONT_END: &[&str] = &["compile", "run", "verify", "describe", "explore"];
 const SEEDED: &[&str] = &["compile", "run", "verify", "explore"];
+/// The commands that simulate, and so take the engine and protocol
+/// flags. (`explore` runs too, but always on the plain engine: schedule
+/// policies and the round recorder close the fast-path gate.)
 const RUNS: &[&str] = &["run", "verify"];
-/// `explore` takes the engine flags for interface uniformity; its runs
-/// always use the plain engine (schedule policies and the round recorder
-/// close the fast-path gate).
-const ENGINE: &[&str] = &["run", "verify", "explore"];
 const EXPLORE: &[&str] = &["explore"];
 const SERVE: &[&str] = &["serve"];
 
@@ -129,25 +129,25 @@ const FLAGS: &[Flag] = &[
     },
     Flag {
         name: "batch",
-        commands: ENGINE,
+        commands: RUNS,
         accepts: OneOf("auto|off"),
         help: "steady-state batching (docs/scheduler.md)",
     },
     Flag {
         name: "opt",
-        commands: &["compile", "run", "verify", "explore"],
+        commands: &["compile", "run", "verify"],
         accepts: OneOf("auto|off"),
         help: "ProcIR optimizer; off by default for --emit rust",
     },
     Flag {
         name: "wavefront",
-        commands: ENGINE,
+        commands: RUNS,
         accepts: OneOf("auto|off|par"),
         help: "wavefront executor; par uses pool threads",
     },
     Flag {
         name: "kernel",
-        commands: ENGINE,
+        commands: RUNS,
         accepts: OneOf("auto|off"),
         help: "compiled wave kernels (docs/kernels.md)",
     },
@@ -477,16 +477,19 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 out.push_str(&format!("\noptimizer: {}", report.summary()));
             }
             if let Some(path) = inv.flag("opt-report") {
-                let base = run
-                    .opt
-                    .as_ref()
-                    .map(|r| r.to_json())
-                    .unwrap_or_else(|| "{\n  \"schema\": \"systolic-opt-v1\"\n}\n".to_string());
+                // The optimizer's document (its schema id alone when it
+                // left the module untouched), plus the wavefront staging
+                // facts of the elaborated module.
+                let mut doc = match &run.opt {
+                    Some(r) => r.json(),
+                    None => Json::obj([("schema", OptReport::SCHEMA.into())]),
+                };
                 let cm = ms
                     .module(&sys.plan, &env, &store, &elab)
                     .map_err(|e| e.to_string())?;
-                let json = splice_wavefront_section(&base, &cm)?;
-                std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
+                doc.push("wavefront", cm.wavefront_plan().json(cm.batch_plan()));
+                std::fs::write(path, doc.pretty())
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
                 out.push_str(&format!("\noptimizer report: {path}"));
             }
             // Observability artifacts: re-run the same seeded problem
@@ -581,65 +584,6 @@ fn input_names(sys: &crate::Systolized) -> Vec<&str> {
         .iter()
         .map(|v| v.name.as_str())
         .collect()
-}
-
-/// Splice a `"wavefront"` section into an optimizer-report JSON document:
-/// whether the wavefront executor can take this module and, when it (or
-/// any channel) is disqualified, the per-channel ineligibility reasons
-/// from `systolic_interp::channel_diagnostics`. The base document's own
-/// fields are untouched, so `OptReport::from_json` round-trips through
-/// the written file exactly as before.
-fn splice_wavefront_section(
-    base: &str,
-    cm: &systolic_interp::CachedModule,
-) -> Result<String, String> {
-    use std::fmt::Write as _;
-    let wp = cm.wavefront_plan();
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut sec = String::new();
-    match wp.reject_reason() {
-        None => {
-            let _ = write!(
-                sec,
-                "  \"wavefront\": {{\n    \"eligible\": true,\n    \"waves\": {},\n    \
-                 \"chunks\": {},\n    \"max_ring_capacity\": {},\n",
-                wp.n_waves(),
-                wp.n_chunks(),
-                wp.max_capacity()
-            );
-        }
-        Some(r) => {
-            let _ = write!(
-                sec,
-                "  \"wavefront\": {{\n    \"eligible\": false,\n    \"reason\": \"{}\",\n",
-                escape(r)
-            );
-        }
-    }
-    sec.push_str("    \"channels\": [");
-    let mut first = true;
-    for (c, why) in systolic_interp::channel_diagnostics(&cm.elab.module)
-        .iter()
-        .enumerate()
-    {
-        if let Some(why) = why {
-            let _ = write!(
-                sec,
-                "{}\n      {{ \"chan\": {c}, \"reason\": \"{}\" }}",
-                if first { "" } else { "," },
-                escape(why)
-            );
-            first = false;
-        }
-    }
-    sec.push_str(if first { "]\n  }" } else { "\n    ]\n  }" });
-    let stem = base
-        .trim_end()
-        .strip_suffix('}')
-        .ok_or("optimizer report JSON ends with its root object brace")?
-        .trim_end()
-        .to_string();
-    Ok(format!("{stem},\n{sec}\n}}\n"))
 }
 
 /// DST mode of `explore`: sweep the adversary-policy seed matrix over
@@ -757,7 +701,7 @@ fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, Stri
         "totals: {sizes} sizes, {skeleton_builds} skeleton build(s), \
          elaboration {elab_total}us, simulation {sim_total}us ({pct}% simulation)"
     );
-    let _ = writeln!(out, "cache: {}", after.to_json());
+    let _ = writeln!(out, "cache: {}", after.json());
     Ok(out)
 }
 
@@ -878,9 +822,15 @@ mod tests {
         );
         // A flag on the wrong subcommand says where it belongs.
         let e = err(&["compile", "f", "--kernel", "off"]);
-        assert!(e.contains("--kernel belongs to run/verify/explore"), "{e}");
-        // A bad value names the flag and the accepted set, on every
-        // command that takes the flag.
+        assert!(e.contains("--kernel belongs to run/verify"), "{e}");
+        // `explore` always runs the plain engine, so it takes none of
+        // the engine flags.
+        for flag in ["batch", "opt", "wavefront", "kernel"] {
+            let e = err(&["explore", "f", &format!("--{flag}"), "off"]);
+            assert!(e.contains(&format!("--{flag} belongs to ")), "{e}");
+            assert!(e.contains("not to explore"), "{e}");
+        }
+        // A bad value names the flag and the accepted set.
         for (flag, accepted) in [
             ("batch", "auto|off"),
             ("opt", "auto|off"),
@@ -888,14 +838,9 @@ mod tests {
             ("kernel", "auto|off"),
             ("protocol", "paper|split"),
         ] {
-            for command in ["verify", "explore"] {
-                if flag == "protocol" && command == "explore" {
-                    continue;
-                }
-                let e = err(&[command, "f", &format!("--{flag}"), "bogus"]);
-                assert!(e.contains(&format!("bad --{flag} value bogus")), "{e}");
-                assert!(e.contains(accepted), "{e}");
-            }
+            let e = err(&["verify", "f", &format!("--{flag}"), "bogus"]);
+            assert!(e.contains(&format!("bad --{flag} value bogus")), "{e}");
+            assert!(e.contains(accepted), "{e}");
         }
         // The usage text is the table: every flag appears in it.
         let text = usage();

@@ -1,0 +1,159 @@
+//! Every document the product writes, in one table: each parses with
+//! the workspace's one JSON parser and carries its schema id and exactly
+//! its documented top-level keys, in order. The documents are produced
+//! the way users get them — the CLI's artifact flags, the service's
+//! handlers, the explorer's counterexample file — so a writer that
+//! drifts from `docs/observability.md` / `docs/service.md` fails here.
+
+use systolizer::cli::{execute, parse_args};
+use systolizer::runtime::json::{parse, Json};
+use systolizer::service::{Service, ServiceConfig};
+use systolizer::sim::{explore, ExploreConfig, RaceSubject};
+
+/// Top-level keys, in order, as one space-separated row per document.
+const METRICS_KEYS: &str = "schema processes transfers end_time makespan critical_path \
+    phase_ops op_counts wait_hist msgs_per_time_hist per_process per_channel \
+    optimizer elab_cache wavefront kernels";
+const OPT_KEYS: &str = "schema processes_before processes_after channels_before \
+    channels_after ops_before ops_after zero_ops_dropped passes_merged keep_eject_fused chains";
+const SCHEDULE_KEYS: &str = "schema design sizes input_seed policy policy_seed reason rounds";
+const RUN_KEYS: &str = "schema design engine stats verified stores";
+
+/// Run `systolizer verify programs/fir.sys --sizes 3,6 <flags>` and
+/// return what it wrote to each `--flag PATH` named in `artifacts`.
+fn cli_artifacts(flags: &[&str], artifacts: &[&str]) -> Vec<String> {
+    let src = std::fs::read_to_string("programs/fir.sys").expect("read fir.sys");
+    let dir = std::env::temp_dir();
+    let paths: Vec<String> = artifacts
+        .iter()
+        .map(|a| {
+            let tag = format!("systolizer-doc-{}-{a}{}", std::process::id(), flags.len());
+            dir.join(tag).to_str().unwrap().to_string()
+        })
+        .collect();
+    let mut raw = vec!["verify", "fir.sys", "--sizes", "3,6"];
+    raw.extend(flags);
+    for (a, p) in artifacts.iter().zip(&paths) {
+        raw.extend([*a, p.as_str()]);
+    }
+    let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+    let out = execute(&parse_args(&raw).unwrap(), &src).unwrap();
+    assert!(out.starts_with("OK:"), "{out}");
+    paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p).expect("artifact written");
+            let _ = std::fs::remove_file(p);
+            text
+        })
+        .collect()
+}
+
+#[test]
+fn every_document_parses_and_carries_its_schema_and_keys() {
+    let cli = cli_artifacts(&[], &["--metrics", "--trace-out", "--opt-report"]);
+    let unfused = cli_artifacts(&["--opt", "off"], &["--opt-report"]);
+
+    let svc = Service::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let (ok_status, ok_body) = svc.handle_run(r#"{"design":"E.1","sizes":[3],"verify":true}"#);
+    let (err_status, err_body) = svc.handle_run(r#"{"design":"Z.9","sizes":[3]}"#);
+    assert_eq!((ok_status, err_status), (200, 404));
+
+    let ce = explore(&RaceSubject { k: 6 }, &ExploreConfig::matrix(4))
+        .unwrap()
+        .counterexample
+        .expect("the seeded race is caught");
+
+    let (metrics_v1, opt_v1) = (Some("systolic-metrics-v1"), Some("systolic-opt-v1"));
+    let service_v1 = Some("systolic-service-v1");
+    let fused_keys = format!("{OPT_KEYS} wavefront");
+    let (stats, schedule) = (svc.stats_json(), ce.schedule.to_json());
+    let table: [(&str, &str, Option<&str>, &str); 8] = [
+        ("metrics", &cli[0], metrics_v1, METRICS_KEYS),
+        ("trace", &cli[1], None, "traceEvents displayTimeUnit"),
+        ("opt report", &cli[2], opt_v1, &fused_keys),
+        (
+            "opt report, nothing fused",
+            &unfused[0],
+            opt_v1,
+            "schema wavefront",
+        ),
+        (
+            "/stats",
+            &stats,
+            service_v1,
+            "schema elab_cache plan_cache pool",
+        ),
+        ("/v1/run 200", &ok_body, service_v1, RUN_KEYS),
+        ("/v1/run 404", &err_body, None, "error"),
+        (
+            "schedule file",
+            &schedule,
+            Some("systolic-schedule-v1"),
+            SCHEDULE_KEYS,
+        ),
+    ];
+    let mut docs = Vec::new();
+    for (name, text, schema, keys) in table {
+        let doc = parse(text).unwrap_or_else(|e| panic!("{name} is not valid JSON: {e}\n{text}"));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), schema, "{name}");
+        let Json::Obj(members) = &doc else {
+            panic!("{name}: root is not an object");
+        };
+        let got: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(got, keys.split_whitespace().collect::<Vec<_>>(), "{name}");
+        docs.push(doc);
+    }
+
+    // One writer, one shape: the metrics document embeds the optimizer's
+    // report member for member, and both reports carry the same
+    // `wavefront` section — `channels` included — for the same module.
+    let (metrics, fused) = (&docs[0], &docs[2]);
+    let embedded = metrics.get("optimizer").unwrap();
+    for key in OPT_KEYS.split_whitespace() {
+        assert_eq!(embedded.get(key), fused.get(key), "optimizer.{key}");
+    }
+    let wavefront = metrics.get("wavefront").unwrap();
+    assert_eq!(Some(wavefront), fused.get("wavefront"));
+    assert_eq!(Some(wavefront), docs[3].get("wavefront"));
+    assert_eq!(wavefront.get("eligible"), Some(&Json::Bool(true)));
+    assert_eq!(wavefront.get("channels"), Some(&Json::Arr(vec![])));
+    let num = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap();
+    let relays = |c: &Json| num(c, "relays");
+    let chains = fused.get("chains").and_then(Json::as_arr).unwrap();
+    assert!(!chains.is_empty(), "fir 3,6 fuses relay chains");
+    assert_eq!(
+        num(fused, "processes_before") - num(fused, "processes_after"),
+        chains.iter().map(relays).sum::<i64>()
+    );
+    let error = docs[6].get("error").unwrap();
+    assert_eq!(
+        error.get("kind").and_then(Json::as_str),
+        Some("unknown-design")
+    );
+    assert!(error.get("offenders").and_then(Json::as_arr).is_some());
+}
+
+/// A healthy corpus design has no channel the batch proof objects to —
+/// the reasons `--opt-report` and the metrics `wavefront` section list
+/// are all absent, and so is the module-wide one.
+#[test]
+fn a_corpus_design_has_no_disqualified_channel() {
+    use systolizer::interp::{seeded_store, ElabOptions, ModuleStore};
+    use systolizer::synthesis::placement::paper;
+    let (p, a) = paper::polyprod_d1();
+    let plan = systolizer::core::compile(&p, &a, &Default::default()).unwrap();
+    let mut env = systolizer::math::Env::new();
+    env.bind(p.sizes[0], 4);
+    let store = seeded_store(&plan, &env, &["a", "b"], 11);
+    let cm = ModuleStore::global()
+        .module(&plan, &env, &store, &ElabOptions::default())
+        .unwrap();
+    let batch = cm.batch_plan();
+    assert_eq!(batch.channel_reasons.len(), cm.elab.module.n_chans);
+    assert!(batch.channel_reasons.iter().all(Option::is_none));
+    assert_eq!(batch.reject_reason(), None);
+}

@@ -346,6 +346,38 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     assert_eq!(status, 400, "{body}");
     assert_eq!(error_kind(&body).0, "bad-request");
 
+    // A body of nothing but open brackets: the parser's nesting cap
+    // answers it on the connection thread's small stack (unbounded
+    // recursion here used to kill the whole process), on both routes
+    // that parse a body; the next connection finds the server alive.
+    let hostile = "[".repeat(100_000);
+    for route in ["/v1/run", "/v1/replay"] {
+        let (status, body) = post(addr, route, &hostile);
+        assert_eq!(status, 400, "{route}: {body}");
+        assert_eq!(error_kind(&body).0, "bad-request", "{route}");
+        assert!(body.contains("nesting deeper than 64"), "{route}: {body}");
+    }
+    let (status, _) = post(addr, "/v1/run", r#"{"design":"E.1","sizes":[3]}"#);
+    assert_eq!(status, 200);
+
+    // A field of the wrong type is named, never coerced to a default: a
+    // client that asked for the oracle check must not silently go
+    // without it, nor a schedule seed wrap or read as 0.
+    for (field, value) in [
+        ("'verify'", r#""verify":"yes""#),
+        ("'seed'", r#""schedule":{"policy":"random","seed":"7"}"#),
+        ("'seed'", r#""schedule":{"policy":"random","seed":-1}"#),
+    ] {
+        let (status, body) = post(
+            addr,
+            "/v1/run",
+            &format!(r#"{{"design":"E.1","sizes":[3],{value}}}"#),
+        );
+        assert_eq!(status, 400, "{value}: {body}");
+        assert_eq!(error_kind(&body).0, "bad-request", "{value}");
+        assert!(body.contains(field), "{value}: {body}");
+    }
+
     // Malformed .sys source: the parser's message reaches the client as
     // a structured 400, kind "parse".
     let (status, body) = post(
