@@ -33,10 +33,8 @@ impl HostArray {
     /// Build from a generator over index points.
     pub fn from_fn(bounds: &[(i64, i64)], mut f: impl FnMut(&[i64]) -> Value) -> HostArray {
         let mut a = HostArray::zeros(bounds);
-        for p in a.points() {
-            let v = f(&p);
-            a.set(&p, v);
-        }
+        let HostArray { lb, extent, data } = &mut a;
+        walk_points(lb, extent, data.len(), |off, p| data[off] = f(p));
         a
     }
 
@@ -104,26 +102,10 @@ impl HostArray {
     /// All index points in row-major order.
     pub fn points(&self) -> Vec<Vec<i64>> {
         let mut out = Vec::with_capacity(self.len());
-        let dims = self.dims();
-        if self.data.is_empty() {
-            return out;
-        }
-        let mut p: Vec<i64> = self.lb.clone();
-        loop {
-            out.push(p.clone());
-            let mut d = dims;
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                p[d] += 1;
-                if p[d] < self.lb[d] + self.extent[d] {
-                    break;
-                }
-                p[d] = self.lb[d];
-            }
-        }
+        walk_points(&self.lb, &self.extent, self.len(), |_, p| {
+            out.push(p.to_vec())
+        });
+        out
     }
 
     pub fn raw(&self) -> &[Value] {
@@ -132,6 +114,23 @@ impl HostArray {
 
     pub fn raw_mut(&mut self) -> &mut [Value] {
         &mut self.data
+    }
+}
+
+/// Visit the `len` index points of an array in row-major order — the
+/// order of [`HostArray::raw`] — as (flat offset, point), the point in
+/// one reused buffer.
+fn walk_points(lb: &[i64], extent: &[i64], len: usize, mut f: impl FnMut(usize, &[i64])) {
+    let mut p = lb.to_vec();
+    for off in 0..len {
+        f(off, &p);
+        for d in (0..p.len()).rev() {
+            p[d] += 1;
+            if p[d] < lb[d] + extent[d] {
+                break;
+            }
+            p[d] = lb[d];
+        }
     }
 }
 
@@ -187,6 +186,11 @@ impl HostStore {
         self.arrays.keys().map(|s| s.as_str())
     }
 
+    /// Every array at once, in name order (what `seq::run` walks).
+    pub(crate) fn arrays_mut(&mut self) -> impl Iterator<Item = (&str, &mut HostArray)> {
+        self.arrays.iter_mut().map(|(n, a)| (n.as_str(), a))
+    }
+
     /// A content hash of the whole store — names, bounds, and every
     /// value: same data → same fingerprint, any edit → another. Nothing
     /// in the pipeline keys on it (the module cache keys on
@@ -204,9 +208,9 @@ impl HostStore {
 
     /// A hash of the store's *shape* — names and bounds, no values. Two
     /// stores of one shape place every element at the same
-    /// [`HostArray::flat_offset`], which is what lets the module cache
-    /// (`systolic_interp::cache`) serve one instantiated module to every
-    /// data set of a (program, size) and gather the values per run.
+    /// [`HostArray::flat_offset`], which is what lets the interpreter's
+    /// module cache serve one instantiated module to every data set of a
+    /// (program, size) and gather the values per run.
     pub fn shape_fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for (name, arr) in &self.arrays {
@@ -220,15 +224,14 @@ impl HostStore {
     /// Fill an array with uniform pseudo-random values from a seeded LCG —
     /// deterministic workloads for the equivalence experiments.
     pub fn fill_random(&mut self, name: &str, seed: u64, lo: Value, hi: Value) {
-        let arr = self.get_mut(name);
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
         let span = (hi - lo + 1).max(1) as u64;
-        for p in arr.points() {
+        // In `raw()` order, which is the row-major order of `points()`.
+        for v in self.get_mut(name).raw_mut() {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let v = lo + ((state >> 33) % span) as i64;
-            arr.set(&p, v);
+            *v = lo + ((state >> 33) % span) as i64;
         }
     }
 }
@@ -266,6 +269,33 @@ mod tests {
     fn from_fn_generator() {
         let a = HostArray::from_fn(&[(0, 2)], |p| p[0] * 10);
         assert_eq!(a.raw(), &[0, 10, 20]);
+    }
+
+    #[test]
+    fn fills_in_raw_order_equal_a_points_driven_fill() {
+        // 3-D, non-zero lower bounds: the fills write `raw_mut()` in
+        // place; element by element through `points()`/`set` must give
+        // the same array, value for value, per (name, seed).
+        let bounds = [(-2, 1), (3, 5), (-1, 0)];
+        let gen = |p: &[i64]| p[0] * 100 + p[1] * 10 + p[2];
+        let mut by_points = HostArray::zeros(&bounds);
+        for p in by_points.points() {
+            by_points.set(&p, gen(&p));
+        }
+        assert_eq!(HostArray::from_fn(&bounds, gen), by_points);
+
+        let (seed, lo, hi) = (11u64, -9, 9);
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+        for p in by_points.points() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            by_points.set(&p, lo + ((state >> 33) % 19) as i64);
+        }
+        let mut store = HostStore::new();
+        store.insert("v", HostArray::zeros(&bounds));
+        store.fill_random("v", seed, lo, hi);
+        assert_eq!(store.get("v"), &by_points);
     }
 
     #[test]

@@ -177,9 +177,9 @@ impl Iterator for IndexSpaceIter {
     type Item = Vec<i64>;
 
     fn next(&mut self) -> Option<Vec<i64>> {
-        let cur = self.current.clone()?;
-        // Advance like an odometer from the innermost dimension.
-        let mut nxt = cur.clone();
+        let nxt = self.current.as_mut()?;
+        let cur = nxt.clone();
+        // Advance in place, like an odometer from the innermost dimension.
         let mut dim = self.bounds.len();
         loop {
             if dim == 0 {
@@ -192,7 +192,6 @@ impl Iterator for IndexSpaceIter {
             let stepped = nxt[dim] + st;
             if stepped >= lb && stepped <= rb {
                 nxt[dim] = stepped;
-                self.current = Some(nxt);
                 break;
             }
             nxt[dim] = if st > 0 { lb } else { rb };

@@ -641,6 +641,8 @@ fn explore_schedules(inv: &Invocation, src: &str, n_seeds: u64) -> Result<String
 /// elaboration vs simulation per size. The sweep demonstrates the
 /// two-phase elaborator's contract: across a whole size range the
 /// elaboration column stays a small fraction of the simulation column.
+/// Every size's store is compared with the sequential result, outside
+/// both timed columns.
 fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, String> {
     use std::fmt::Write as _;
     use std::time::Instant;
@@ -682,6 +684,11 @@ fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, Stri
         let run = simulate(ms, &sys.plan, &env, &store, SimSpec::plain())
             .map_err(|e| format!("n={n}: {e}"))?;
         let sim_us = t.elapsed().as_micros();
+        let mut expected = store;
+        systolic_ir::seq::run(&sys.source, &env, &mut expected);
+        if run.store != expected {
+            return Err(format!("n={n}: differs from the sequential result"));
+        }
         elab_total += elab_us;
         sim_total += sim_us;
         let _ = writeln!(
@@ -699,7 +706,8 @@ fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, Stri
     let _ = writeln!(
         out,
         "totals: {sizes} sizes, {skeleton_builds} skeleton build(s), \
-         elaboration {elab_total}us, simulation {sim_total}us ({pct}% simulation)"
+         elaboration {elab_total}us, simulation {sim_total}us ({pct}% simulation), \
+         {sizes} of {sizes} sizes verified"
     );
     let _ = writeln!(out, "cache: {}", after.json());
     Ok(out)
@@ -1156,6 +1164,7 @@ mod tests {
         let out = execute(&inv, SRC).unwrap();
         assert!(out.contains("size sweep 1..20"), "{out}");
         assert!(out.contains("20 sizes"), "{out}");
+        assert!(out.contains("20 of 20 sizes verified"), "{out}");
         assert!(out.contains("skeleton build(s)"), "{out}");
         assert!(out.contains("\"module_hits\""), "{out}");
         // Every size appears as a row.

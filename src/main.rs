@@ -17,6 +17,7 @@
 //! The input is a source program in the front-end syntax (Sec. 3.1 made
 //! concrete); see `programs/` and `README.md`.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 use systolizer::cli;
 
@@ -55,13 +56,21 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match cli::execute(&inv, &src) {
-        Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
-        }
+    let out = match cli::execute(&inv, &src) {
+        Ok(out) => out,
         Err(e) => {
             eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // `println!` panics when the reader has gone (`systolizer … | head
+    // -1`); a closed pipe is the reader's choice, not a failure.
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{out}").and_then(|()| stdout.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
             ExitCode::FAILURE
         }
     }

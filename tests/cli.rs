@@ -121,3 +121,20 @@ fn size_arity_mismatch_is_reported() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    // `systolizer verify … | true`: the reader has gone before the first
+    // write, so the write fails with EPIPE. That is the reader's choice:
+    // no panic, no backtrace, exit 0.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = bin()
+        .args(["verify", program_file().to_str().unwrap(), "--sizes", "5"])
+        .stdout(writer)
+        .output()
+        .expect("run CLI");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{stderr}");
+}

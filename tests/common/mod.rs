@@ -7,7 +7,7 @@ use systolizer::interp::{
     seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode,
     ModuleStore, OptMode, SimSpec, SystolicRun, VerifyError, WavefrontMode,
 };
-use systolizer::ir::{gallery, HostStore};
+use systolizer::ir::{gallery, seq, HostStore, SourceProgram, Value};
 use systolizer::math::Env;
 use systolizer::synthesis::{derive_array, placement::paper};
 
@@ -47,6 +47,46 @@ pub fn prepared(design: usize, n: i64, seed: u64) -> Prepared {
     };
     let store = seeded_store(&plan, &env, inputs, seed);
     (plan, env, store)
+}
+
+/// The oracle's own oracle: the point-by-point sequential walker
+/// `ir::seq::run` was until it became a strided walk, written against
+/// public API only. Per stream per iteration it looks the variable up by
+/// name, applies the index map and goes through the bounds-checked
+/// `get`/`set`, so it shares no address arithmetic with `seq::run`.
+pub fn seq_reference(program: &SourceProgram, env: &Env, store: &mut HostStore) -> usize {
+    let name = |k: usize| program.variables[program.streams[k].variable].name.as_str();
+    let written = program.body.streams_written();
+    let mut locals: Vec<Value> = vec![0; program.streams.len()];
+    let mut count = 0;
+    for x in program.index_space_seq(env) {
+        for (k, s) in program.streams.iter().enumerate() {
+            locals[k] = store.get(name(k)).get(&s.index_map.apply_int(&x));
+        }
+        program.body.execute(&mut locals, &x);
+        for sid in &written {
+            let idx = program.streams[sid.0].index_map.apply_int(&x);
+            store.get_mut(name(sid.0)).set(&idx, locals[sid.0]);
+        }
+        count += 1;
+    }
+    count
+}
+
+/// `seq::run` and [`seq_reference`] leave bit-equal stores and count the
+/// same statements, starting from `store`. Returns the count.
+pub fn assert_seq_matches_reference(
+    label: &str,
+    program: &SourceProgram,
+    env: &Env,
+    store: &HostStore,
+) -> usize {
+    let (mut fast, mut reference) = (store.clone(), store.clone());
+    let n_fast = seq::run(program, env, &mut fast);
+    let n_reference = seq_reference(program, env, &mut reference);
+    assert_eq!(n_fast, n_reference, "{label}: statement counts differ");
+    assert_eq!(fast, reference, "{label}: stores differ");
+    n_fast
 }
 
 /// The rendezvous reference engine under a protocol variant.

@@ -6,14 +6,25 @@
 //! wavefront), at several problem sizes. The final host stores must be
 //! bit-identical across all executions, and the executor-invariant
 //! statistics (messages, steps) must agree.
+//!
+//! The oracle is itself checked here: `seq::run` (a strided walk) against
+//! `common::seq_reference` (the point-by-point walker it replaced) on the
+//! whole `tests/common` corpus and on hand-built corners.
 
+mod common;
+
+use common::{assert_seq_matches_reference, prepared, CORPUS};
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
     observe_plan_in, seeded_store, simulate, simulate_verified, ExecutorChoice, ModuleStore,
     SimSpec, SystolicRun,
 };
-use systolizer::ir::{seq, HostStore};
-use systolizer::math::Env;
+use systolizer::ir::expr::build::*;
+use systolizer::ir::program::covering_bounds;
+use systolizer::ir::{
+    seq, BasicStatement, CmpOp, GuardedUpdate, HostStore, IndexedVar, Loop, SourceProgram, Stream,
+};
+use systolizer::math::{Affine, Env, Matrix, VarTable};
 use systolizer::synthesis::placement::paper;
 
 /// A gallery design: label, compiled plan, input variables, and the size
@@ -265,4 +276,158 @@ fn observed_runs_match_the_oracle_too() {
         let steps: u64 = obs.report.processes.iter().map(|p| p.steps).sum();
         assert_eq!(steps, obs.run.stats.steps, "{}", d.label);
     }
+}
+
+#[test]
+fn seq_run_matches_its_reference_on_the_whole_corpus() {
+    for design in 0..=CORPUS {
+        for n in [0, 1, 2, 3, 5, 12] {
+            let (plan, env, store) = prepared(design, n, 73);
+            let label = format!("design {design} ({}) n={n}", plan.source.name);
+            let count = assert_seq_matches_reference(&label, &plan.source, &env, &store);
+            assert_eq!(count, plan.source.index_space_size(&env), "{label}");
+        }
+    }
+}
+
+/// A hand-built nest of `steps.len()` loops `0 <- step -> n` over the
+/// named streams. Each distinct name is one variable, declared with the
+/// bounds that cover its first stream's accesses.
+fn corner(
+    steps: &[i64],
+    streams: &[(&str, &[&[i64]])],
+    updates: Vec<GuardedUpdate>,
+) -> SourceProgram {
+    let mut vars = VarTable::new();
+    let n = vars.size("n");
+    let loops: Vec<Loop> = steps
+        .iter()
+        .enumerate()
+        .map(|(i, &step)| Loop {
+            index_name: format!("x{i}"),
+            lb: Affine::zero(),
+            rb: Affine::var(n),
+            step,
+        })
+        .collect();
+    let mut variables: Vec<IndexedVar> = Vec::new();
+    let streams = streams
+        .iter()
+        .map(|&(name, rows)| {
+            let rows: Vec<Vec<i64>> = rows.iter().map(|r| r.to_vec()).collect();
+            let index_map = Matrix::from_rows(&rows);
+            let variable = variables
+                .iter()
+                .position(|v| v.name == name)
+                .unwrap_or_else(|| {
+                    variables.push(IndexedVar {
+                        name: name.into(),
+                        bounds: covering_bounds(&index_map, &loops),
+                    });
+                    variables.len() - 1
+                });
+            Stream {
+                variable,
+                index_map,
+            }
+        })
+        .collect();
+    SourceProgram {
+        name: "corner".into(),
+        vars,
+        sizes: vec![n],
+        loops,
+        variables,
+        streams,
+        body: BasicStatement { updates },
+    }
+}
+
+#[test]
+fn seq_run_matches_its_reference_on_hand_built_corners() {
+    let corners = [
+        (
+            // Order matters in every loop (`c := 2c + a*b`), and every
+            // loop runs right to left.
+            "every loop reversed",
+            corner(
+                &[-1, -1, -1],
+                &[
+                    ("a", &[&[1, 0, 0], &[0, 0, 1]]),
+                    ("b", &[&[0, 0, 1], &[0, 1, 0]]),
+                    ("c", &[&[1, 0, 0], &[0, 1, 0]]),
+                ],
+                vec![assign(2, add(mul(c(2), s(2)), mul(s(0), s(1))))],
+            ),
+        ),
+        (
+            // The body sees the index vector itself, in the guard and in
+            // the value: right offsets under a wrong `x` would pass the
+            // other corners and fail this one.
+            "a guard and a value that read the loop indices",
+            corner(
+                &[1, -1],
+                &[("a", &[&[1, 0]]), ("b", &[&[0, 1]]), ("c", &[&[1, 1]])],
+                vec![
+                    guarded(
+                        cmp(CmpOp::Le, idx(0), idx(1)),
+                        2,
+                        add(s(2), mul(s(0), idx(1))),
+                    ),
+                    assign(2, sub(s(2), mul(s(1), idx(0)))),
+                ],
+            ),
+        ),
+        (
+            // `a[i+j]` and `a[i]` are one element when j = 0: both locals
+            // read the old value and the second write wins.
+            "two written streams on one variable",
+            corner(
+                &[1, 1],
+                &[("a", &[&[1, 1]]), ("a", &[&[1, 0]]), ("b", &[&[0, 1]])],
+                vec![assign(0, add(s(0), s(2))), assign(1, sub(s(1), s(0)))],
+            ),
+        ),
+        (
+            // `a[i-j]` and `b[j-i, i]` live in -n..n.
+            "variables with negative lower bounds",
+            corner(
+                &[-1, 1, 1],
+                &[
+                    ("a", &[&[1, -1, 0], &[0, 0, 1]]),
+                    ("b", &[&[-1, 1, 0], &[1, 0, 0]]),
+                    ("c", &[&[0, 1, 0], &[0, 1, -1]]),
+                ],
+                vec![assign(2, max(s(2), add(s(0), s(1))))],
+            ),
+        ),
+    ];
+    for (label, program) in &corners {
+        for n in [0, 1, 2, 3, 5] {
+            let mut env = Env::new();
+            env.bind(program.sizes[0], n);
+            let mut store = HostStore::allocate(program, &env);
+            for (i, v) in program.variables.iter().enumerate() {
+                store.fill_random(&v.name, 7 + i as u64, -9, 9);
+            }
+            let label = format!("{label}, n={n}");
+            let count = assert_seq_matches_reference(&label, program, &env, &store);
+            assert_eq!(count, program.index_space_size(&env), "{label}");
+        }
+    }
+    // An empty index space: nothing runs and nothing is touched, whatever
+    // the store holds.
+    let (_, program) = &corners[1];
+    let mut env = Env::new();
+    env.bind(program.sizes[0], 3);
+    let mut store = HostStore::allocate(program, &env);
+    store.fill_random("c", 1, -9, 9);
+    env.bind(program.sizes[0], -1);
+    assert_eq!(
+        assert_seq_matches_reference("empty", program, &env, &store),
+        0
+    );
+    let before = store.clone();
+    assert_eq!(seq::run(program, &env, &mut store), 0);
+    assert_eq!(store, before);
 }

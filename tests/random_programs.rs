@@ -6,13 +6,13 @@
 
 mod common;
 
-use common::{plain_under, verify};
+use common::{assert_seq_matches_reference, plain_under, verify};
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options};
 use systolizer::interp::{ElabOptions, SimSpec, VerifyError};
 use systolizer::ir::expr::build::*;
 use systolizer::ir::{
-    program::covering_bounds, BasicStatement, IndexedVar, Loop, SourceProgram, Stream,
+    program::covering_bounds, BasicStatement, HostStore, IndexedVar, Loop, SourceProgram, Stream,
 };
 use systolizer::math::{Affine, Env, Matrix, VarTable};
 use systolizer::runtime::RunError;
@@ -165,6 +165,14 @@ proptest! {
         seed in 0u64..500,
     ) {
         let Some(program) = build_program(&spec) else { return Ok(()) };
+        let mut env = Env::new();
+        env.bind(program.sizes[0], nval);
+        // The oracle against its own reference first, on every program
+        // built — those the compiler will turn away included.
+        let mut store = HostStore::allocate(&program, &env);
+        store.fill_random("a", seed, -9, 9);
+        store.fill_random("b", seed.wrapping_add(1), -9, 9);
+        assert_seq_matches_reference(&format!("{spec:?}"), &program, &env, &store);
         if systolizer::ir::validate(&program, 3).is_err() {
             return Ok(()); // out of the Appendix A envelope
         }
@@ -176,8 +184,6 @@ proptest! {
             Err(systolizer::core::CompileError::NonIntegerSolution { .. }) => return Ok(()),
             Err(e) => return Err(TestCaseError::fail(format!("compile: {e}"))),
         };
-        let mut env = Env::new();
-        env.bind(program.sizes[0], nval);
         let audit = theorems::audit(&plan, &env);
         prop_assert!(audit.ok(), "theorems: {:?} (spec {spec:?})", audit.failures);
         // The paper's sequential-phase protocol is not deadlock-free for
