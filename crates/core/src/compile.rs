@@ -54,18 +54,46 @@ fn prune_pw<T: Clone>(
     )
 }
 
-/// Compilation options.
+/// How [`systolize`] obtains the systolic array, the scheme's second
+/// input (Sec. 3.2).
 #[derive(Clone, Debug, Default)]
+pub enum PlaceChoice {
+    /// Search for an optimal step and a compatible place automatically.
+    #[default]
+    Auto,
+    /// Use the given projection direction (null space of `place`).
+    Projection(Vec<i64>),
+    /// Use an explicit array (step and place).
+    Explicit(SystolicArray),
+}
+
+/// Compilation options. [`compile`] is given its array and reads only
+/// the last two.
+#[derive(Clone, Debug)]
 pub struct Options {
+    pub place: PlaceChoice,
+    /// Coefficient bound for the schedule search.
+    pub step_bound: i64,
+    /// The problem-size sample used when validating the source program's
+    /// bound feasibility and ranking schedules (at least 1).
+    pub sample_size: i64,
     /// Loading & recovery vectors for stationary streams, by stream id
     /// (Sec. 4.2: "a loading & recovery vector must be supplied as part of
     /// the compilation process"). Missing entries default to the first
     /// axis of the process space, `(1, 0, ...)` — the paper's own choice
     /// in both D.1 and E.1.
     pub loading_vectors: Vec<(StreamId, Vec<i64>)>,
-    /// The problem-size sample used when validating the source program's
-    /// bound feasibility.
-    pub sample_size: i64,
+}
+
+impl Default for Options {
+    fn default() -> Options {
+        Options {
+            place: PlaceChoice::Auto,
+            step_bound: 2,
+            sample_size: 4,
+            loading_vectors: Vec::new(),
+        }
+    }
 }
 
 impl Options {
@@ -87,20 +115,39 @@ impl Options {
     }
 }
 
-/// Run the full scheme. The returned plan contains every derived artifact
-/// of Secs. 6–7, symbolic in the problem sizes and process coordinates.
+/// Run the full scheme on a given array: [`systolize`] with that array
+/// for [`Options::place`].
 pub fn compile(
     program: &SourceProgram,
     array: &SystolicArray,
     options: &Options,
 ) -> Result<SystolicProgram, CompileError> {
-    // Front-door validation (Appendix A, Sec. 3.2).
-    let sample = if options.sample_size > 0 {
-        options.sample_size
-    } else {
-        4
-    };
+    let mut options = options.clone();
+    options.place = PlaceChoice::Explicit(array.clone());
+    systolize(program, &options)
+}
+
+/// The front door of the scheme, which every front end compiles through:
+/// validate the Appendix A envelope (dependence extraction assumes rank
+/// r-1 index maps), obtain the array as [`Options::place`] says and
+/// check it (Sec. 3.2), derive the plan. The returned plan contains
+/// every derived artifact of Secs. 6–7, symbolic in the problem sizes
+/// and process coordinates.
+pub fn systolize(
+    program: &SourceProgram,
+    options: &Options,
+) -> Result<SystolicProgram, CompileError> {
+    let sample = options.sample_size.max(1);
     systolic_ir::validate(program, sample).map_err(CompileError::Source)?;
+    let array = match &options.place {
+        PlaceChoice::Explicit(a) => Some(a.clone()),
+        PlaceChoice::Projection(u) => {
+            let step = systolic_synthesis::optimal_step(program, options.step_bound, sample);
+            step.map(|s| SystolicArray::new(s, systolic_synthesis::place_from_projection(u)))
+        }
+        PlaceChoice::Auto => systolic_synthesis::derive_array(program, options.step_bound, sample),
+    };
+    let array = &array.ok_or(CompileError::NoArray)?;
     array.validate(program).map_err(CompileError::Array)?;
 
     let r = program.r();

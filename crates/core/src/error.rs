@@ -9,6 +9,8 @@ use systolic_synthesis::ArrayError;
 pub enum CompileError {
     /// The source program violates Appendix A.
     Source(Vec<Violation>),
+    /// The array search found no valid step and place within its bound.
+    NoArray,
     /// The systolic array is invalid for the program (Sec. 3.2).
     Array(ArrayError),
     /// The derived `increment` leaves `{-1, 0, +1}^r` (restriction A.2;
@@ -46,6 +48,7 @@ impl fmt::Display for CompileError {
                 }
                 Ok(())
             }
+            CompileError::NoArray => write!(f, "no valid systolic array within the search bound"),
             CompileError::Array(e) => write!(f, "invalid systolic array: {e:?}"),
             CompileError::IncrementNotUnit { increment } => write!(
                 f,

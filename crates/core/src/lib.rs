@@ -3,7 +3,9 @@
 //! The systolizing compilation scheme of Barnett & Lengauer (1991) — the
 //! paper's primary contribution. Given a source program (`systolic-ir`)
 //! and a systolic array (`systolic-synthesis`), [`compile`] derives the
-//! complete symbolic plan of the distributed systolic program:
+//! complete symbolic plan of the distributed systolic program;
+//! [`systolize`] is the front door every front end uses, which also
+//! obtains the array:
 //!
 //! - [`basis`] — the process space basis (Secs. 6.1 / 7.1);
 //! - [`firstlast`] — `increment` and the guarded repeaters
@@ -25,6 +27,6 @@ pub mod propagation;
 pub mod report;
 pub mod theorems;
 
-pub use compile::{compile, Options};
+pub use compile::{compile, systolize, Options, PlaceChoice};
 pub use error::CompileError;
 pub use plan::{IoDim, StreamKind, StreamPlan, SystolicProgram};

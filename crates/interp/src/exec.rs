@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use systolic_core::SystolicProgram;
 use systolic_ir::{seq, HostStore};
-use systolic_math::Env;
+use systolic_math::{Affine, Env};
 use systolic_runtime::{
     BatchMode, ChannelPolicy, KernelMode, KernelReport, Network, OptMode, OptReport, RunError,
     RunStats, SchedulePolicy, SharedRecorder, SinkBuffer, WavefrontMode,
@@ -385,12 +385,128 @@ pub fn simulate(
 /// with the `i`-th named input filled from `seed + i`, values in -9..=9.
 /// The seeding convention is shared by the CLI, the service and every
 /// bench, so the same (seed, sizes) means the same problem everywhere.
+/// Front ends reach it through [`Problem::seeded`], which checks what a
+/// request supplied first.
 pub fn seeded_store(plan: &SystolicProgram, env: &Env, inputs: &[&str], seed: u64) -> HostStore {
     let mut store = HostStore::allocate(&plan.source, env);
     for (i, name) in inputs.iter().enumerate() {
         store.fill_random(name, seed.wrapping_add(i as u64), -9, 9);
     }
     store
+}
+
+/// The most any front end binds, applied alike to a single problem size,
+/// to the words of the host store and to the points of the process-space
+/// box: two orders of magnitude above the largest problem the tests, CI
+/// and the benchmark run, and far below what exhausts memory.
+pub const PROBLEM_BUDGET: u64 = 1 << 22;
+
+/// A plan bound to one concrete problem (Sec. 4.2: sizes and data reach
+/// the compiled program only through the host): the size environment and
+/// the seeded host store.
+pub struct Problem {
+    pub env: Env,
+    pub store: HostStore,
+}
+
+/// Why a request's sizes or inputs do not make a problem for the plan;
+/// the message names the offender.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ProblemError {
+    /// The wrong number of sizes, a negative one, an input that is no
+    /// variable of the program.
+    Invalid(String),
+    /// A quantity past [`PROBLEM_BUDGET`].
+    TooLarge(String),
+}
+
+impl std::fmt::Display for ProblemError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (ProblemError::Invalid(message) | ProblemError::TooLarge(message)) = self;
+        f.write_str(message)
+    }
+}
+
+impl std::error::Error for ProblemError {}
+
+/// `value` of `quantity` against the budget.
+fn within_budget(quantity: &str, value: u64) -> Result<u64, ProblemError> {
+    if value > PROBLEM_BUDGET {
+        return Err(ProblemError::TooLarge(format!(
+            "problem too large: {quantity} {value} exceeds the limit {PROBLEM_BUDGET}"
+        )));
+    }
+    Ok(value)
+}
+
+/// Points of the box with the given inclusive corners, saturating.
+fn volume(corners: impl Iterator<Item = (i64, i64)>) -> u64 {
+    corners.fold(1, |acc: u64, (lo, hi)| {
+        acc.saturating_mul(hi.saturating_sub(lo).saturating_add(1).max(0) as u64)
+    })
+}
+
+impl Problem {
+    /// One problem size: in `0..=PROBLEM_BUDGET` (0 is the one-point
+    /// problem).
+    pub fn size(size: i64) -> Result<u64, ProblemError> {
+        let negative = || format!("problem sizes must be non-negative (got {size})");
+        let value = u64::try_from(size).map_err(|_| ProblemError::Invalid(negative()))?;
+        within_budget("problem size", value)
+    }
+
+    /// Bind `sizes` to the plan's size parameters, in declaration order —
+    /// the only place request values meet size symbols. Checked before
+    /// anything is allocated: the arity, every size ([`Problem::size`]),
+    /// and the budget on the host store and the process space those
+    /// sizes imply.
+    pub fn sizes(plan: &SystolicProgram, sizes: &[i64]) -> Result<Env, ProblemError> {
+        let source = &plan.source;
+        if sizes.len() != source.sizes.len() {
+            let names: Vec<&str> = source.sizes.iter().map(|&v| plan.vars.name(v)).collect();
+            return Err(ProblemError::Invalid(format!(
+                "program {} takes {} size(s), one per size parameter ({}); {} given",
+                source.name,
+                names.len(),
+                names.join(", "),
+                sizes.len()
+            )));
+        }
+        let mut env = Env::new();
+        for (&v, &size) in source.sizes.iter().zip(sizes) {
+            Problem::size(size)?;
+            env.bind(v, size);
+        }
+        let at = |lo: &Affine, hi: &Affine| (lo.eval_int(&env), hi.eval_int(&env));
+        let words = source.variables.iter().fold(0u64, |acc, v| {
+            acc.saturating_add(volume(v.bounds.iter().map(|(lo, hi)| at(lo, hi))))
+        });
+        within_budget("host-store words", words)?;
+        let corners = plan.ps_min.iter().zip(&plan.ps_max);
+        let space = volume(corners.map(|(lo, hi)| at(lo, hi)));
+        within_budget("process-space volume", space)?;
+        Ok(env)
+    }
+
+    /// [`Problem::sizes`], then the store: every name in `inputs` must be
+    /// a variable of the program, and the `i`-th is filled from
+    /// `seed + i` ([`seeded_store`]).
+    pub fn seeded(
+        plan: &SystolicProgram,
+        sizes: &[i64],
+        inputs: &[impl AsRef<str>],
+        seed: u64,
+    ) -> Result<Problem, ProblemError> {
+        let env = Problem::sizes(plan, sizes)?;
+        let inputs: Vec<&str> = inputs.iter().map(AsRef::as_ref).collect();
+        let declared = |name: &&str| plan.source.variables.iter().any(|v| v.name == **name);
+        if let Some(name) = inputs.iter().find(|name| !declared(name)) {
+            let unknown = format!("unknown input variable '{name}'");
+            return Err(ProblemError::Invalid(unknown));
+        }
+        let store = seeded_store(plan, &env, &inputs, seed);
+        Ok(Problem { env, store })
+    }
 }
 
 /// Why a differential check failed, with the engine label preserved
@@ -500,6 +616,49 @@ mod tests {
         fn label(&self) -> String {
             "reverse".into()
         }
+    }
+
+    #[test]
+    fn a_problem_is_checked_before_anything_is_allocated() {
+        let (plan, _, _) = d1(2, 0);
+        let seeded = |sizes: &[i64], inputs: &[&str]| {
+            Problem::seeded(&plan, sizes, inputs, 1)
+                .map(|p| p.store.get("c").len())
+                .map_err(|e| e.to_string())
+        };
+        assert_eq!(seeded(&[0], &["a", "b"]), Ok(1), "the one-point problem");
+        assert_eq!(seeded(&[3], &["a", "b"]), Ok(7));
+        let err = |sizes: &[i64], inputs: &[&str]| seeded(sizes, inputs).unwrap_err();
+        let takes = "takes 1 size(s), one per size parameter (n);";
+        assert!(err(&[], &[]).contains(takes), "{}", err(&[], &[]));
+        assert!(err(&[3, 3], &[]).contains(takes));
+        assert!(err(&[-3], &[]).contains("non-negative (got -3)"));
+        assert_eq!(err(&[3], &["a", "z"]), "unknown input variable 'z'");
+        // Past the budget: a single size, then the store those sizes imply.
+        let over = PROBLEM_BUDGET as i64 + 1;
+        assert!(err(&[over], &[]).contains(&format!("problem size {over} exceeds")));
+        // a[0..n], b[0..n], c[0..2n] at n = budget / 4: three words over.
+        let words = PROBLEM_BUDGET + 3;
+        let message = format!("problem too large: host-store words {words} exceeds");
+        assert!(err(&[PROBLEM_BUDGET as i64 / 4], &[]).contains(&message));
+
+        // Three cubes of side 3 000 001: the word count is past i64 (and
+        // u64) if multiplied naively, and saturates instead of wrapping
+        // back under the budget.
+        let tensor = systolic_ir::gallery::tensor_contraction();
+        let opts = Options {
+            step_bound: 1,
+            sample_size: 3,
+            ..Default::default()
+        };
+        let plan = systolic_core::systolize(&tensor, &opts).unwrap();
+        let ProblemError::TooLarge(message) = Problem::sizes(&plan, &[3_000_000]).unwrap_err()
+        else {
+            panic!("a size in range whose store is not is too large, not invalid");
+        };
+        let saturated = format!("host-store words {} exceeds", u64::MAX);
+        assert!(message.contains(&saturated), "{message}");
+        assert!(Problem::sizes(&plan, &[2]).is_ok());
     }
 
     #[test]

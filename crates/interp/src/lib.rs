@@ -37,8 +37,8 @@ pub use cache::{CacheStats, CachedModule, ModuleStore};
 pub use describe::describe;
 pub use elaborate::{elaborate, Census, ElabError, ElabOptions, Elaborated, OutputSpec};
 pub use exec::{
-    seeded_store, simulate, simulate_verified, ExecError, ExecutorChoice, SimSpec, SystolicRun,
-    VerifyError,
+    seeded_store, simulate, simulate_verified, ExecError, ExecutorChoice, Problem, ProblemError,
+    SimSpec, SystolicRun, VerifyError, PROBLEM_BUDGET,
 };
 pub use kernelize::{kernelize, KERNEL_MAX_OPS};
 pub use metrics::{channel_names, observe_plan_in, Observed};

@@ -67,6 +67,12 @@ impl SourceProgram {
         &self.variables[self.streams[id.0].variable].name
     }
 
+    /// Every indexed variable's name, in declaration order (what the CLI
+    /// and embedded-source replays seed).
+    pub fn variable_names(&self) -> Vec<&str> {
+        self.variables.iter().map(|v| v.name.as_str()).collect()
+    }
+
     pub fn stream_ids(&self) -> impl Iterator<Item = StreamId> {
         (0..self.streams.len()).map(StreamId)
     }

@@ -44,6 +44,12 @@ pub enum BatchMode {
     Off,
 }
 
+impl BatchMode {
+    /// The names `--batch` and the service's `"batch"` accept, default first.
+    pub const NAMES: &'static [(&'static str, BatchMode)] =
+        &[("auto", BatchMode::Auto), ("off", BatchMode::Off)];
+}
+
 /// A bounded FIFO of in-flight values for one batched channel. Plain
 /// sequential code — the partitioned executor serializes access under
 /// its engine lock, the cooperative ones own all rings outright.

@@ -57,6 +57,12 @@ pub enum KernelMode {
     Off,
 }
 
+impl KernelMode {
+    /// The names `--kernel` and the service's `"kernel"` accept, default first.
+    pub const NAMES: &'static [(&'static str, KernelMode)] =
+        &[("auto", KernelMode::Auto), ("off", KernelMode::Off)];
+}
+
 /// One op of the kernel tape. Ops form an SSA register file: op `i`
 /// defines register `i`, and operand indices always point at earlier
 /// ops, so the vector interpreter can split the register file at the

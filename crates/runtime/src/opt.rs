@@ -54,6 +54,12 @@ pub enum OptMode {
     Off,
 }
 
+impl OptMode {
+    /// The names `--opt` and the service's `"opt"` accept, default first.
+    pub const NAMES: &'static [(&'static str, OptMode)] =
+        &[("auto", OptMode::Auto), ("off", OptMode::Off)];
+}
+
 /// One fused relay chain, in pre-optimization ids except where noted.
 #[derive(Clone, Debug)]
 pub struct ChainRecord {

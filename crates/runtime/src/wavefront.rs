@@ -80,6 +80,15 @@ pub enum WavefrontMode {
     Par,
 }
 
+impl WavefrontMode {
+    /// The names `--wavefront` and the service's `"wavefront"` accept, default first.
+    pub const NAMES: &'static [(&'static str, WavefrontMode)] = &[
+        ("auto", WavefrontMode::Auto),
+        ("off", WavefrontMode::Off),
+        ("par", WavefrontMode::Par),
+    ];
+}
+
 /// The derived wave structure of one module: which processes advance
 /// together, in which order, over how much ring slack.
 pub struct WavefrontPlan {

@@ -8,8 +8,10 @@
 //! ([`systolic_runtime::RunError::offenders`]); raw panic payloads
 //! never cross the wire (see `crate::pool`).
 
-use systolic_interp::{ExecError, SystolicRun, VerifyError};
+use systolic_core::CompileError;
+use systolic_interp::{ExecError, ProblemError, SystolicRun, VerifyError};
 use systolic_runtime::{json, BatchMode, Json, KernelMode, OptMode, RunError, WavefrontMode};
+use systolic_sim::DesignError;
 
 /// The response schema identifier.
 pub const SCHEMA: &str = "systolic-service-v1";
@@ -137,6 +139,42 @@ impl ApiError {
     }
 }
 
+/// Sizes or inputs that make no problem are the client's mistake (400);
+/// a problem past the library's budget is too large (413), like one past
+/// the deployment's `max_size`.
+impl From<ProblemError> for ApiError {
+    fn from(e: ProblemError) -> ApiError {
+        match e {
+            ProblemError::TooLarge(message) => ApiError::new(413, "size-limit", message),
+            ProblemError::Invalid(message) => ApiError::bad_request(message),
+        }
+    }
+}
+
+/// Why a design key, inline source or schedule-file subject did not
+/// resolve: unknown key 404, unparseable text 400, outside what the
+/// scheme compiles or elaborates 422.
+impl From<DesignError> for ApiError {
+    fn from(e: DesignError) -> ApiError {
+        match e {
+            DesignError::Unknown(key) => ApiError::unknown_design(&key),
+            DesignError::Source(message) => ApiError::parse(message),
+            DesignError::Compile(CompileError::Source(violations)) => {
+                let msgs: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+                let msgs = msgs.join("; ");
+                let message = format!("program outside the compilable envelope: {msgs}");
+                ApiError::new(422, "validate", message)
+            }
+            DesignError::Compile(CompileError::NoArray) => {
+                ApiError::new(422, "no-array", CompileError::NoArray.to_string())
+            }
+            DesignError::Compile(_) => ApiError::new(422, "compile", e.to_string()),
+            DesignError::Problem(e) => e.into(),
+            DesignError::Elaborate(e) => ApiError::new(422, "elaborate", e.to_string()),
+        }
+    }
+}
+
 /// What program a request names: a gallery design key or inline `.sys`
 /// source.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -261,15 +299,7 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
         names.collect()
     };
     let inputs: Option<Vec<String>> = field(&doc, "inputs", "an array of strings", names)?;
-    // The closed sets, default first.
-    let batch = [("auto", BatchMode::Auto), ("off", BatchMode::Off)];
-    let opt = [("auto", OptMode::Auto), ("off", OptMode::Off)];
-    let wavefront = [
-        ("auto", WavefrontMode::Auto),
-        ("off", WavefrontMode::Off),
-        ("par", WavefrontMode::Par),
-    ];
-    let kernel = [("auto", KernelMode::Auto), ("off", KernelMode::Off)];
+    // The closed sets, default first (each gate's is its enum's `NAMES`).
     let executor = ["coop", "threaded", "partitioned"].map(|e| (e, e));
     let output = [
         ("stores", OutputKind::Stores),
@@ -293,10 +323,10 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
         sizes,
         seed: u64_field(&doc, "seed")?.unwrap_or(42),
         inputs,
-        batch: choice(&doc, "batch", &batch)?,
-        opt: choice(&doc, "opt", &opt)?,
-        wavefront: choice(&doc, "wavefront", &wavefront)?,
-        kernel: choice(&doc, "kernel", &kernel)?,
+        batch: choice(&doc, "batch", BatchMode::NAMES)?,
+        opt: choice(&doc, "opt", OptMode::NAMES)?,
+        wavefront: choice(&doc, "wavefront", WavefrontMode::NAMES)?,
+        kernel: choice(&doc, "kernel", KernelMode::NAMES)?,
         executor: choice(&doc, "executor", &executor)?.to_string(),
         workers: u64_field(&doc, "workers")?.unwrap_or(2).max(1) as usize,
         deadline_ms: u64_field(&doc, "deadline_ms")?,

@@ -32,13 +32,11 @@ use std::time::Duration;
 
 use api::{ApiError, OutputKind, ProgramRef, RunRequest};
 use pool::Pool;
-use systolic_core::{compile, Options as CoreOptions, SystolicProgram};
+use systolic_core::SystolicProgram;
 use systolic_interp::{
-    observe_plan_in, seeded_store, simulate, simulate_verified, ExecutorChoice, ModuleStore,
-    SimSpec,
+    observe_plan_in, simulate, simulate_verified, ExecutorChoice, ModuleStore, Problem, SimSpec,
 };
-use systolic_math::Env;
-use systolic_sim::{policy_by_name, Json, PlanSubject, ScheduleFile};
+use systolic_sim::{policy_by_name, Json, ScheduleFile};
 
 /// Capacity and policy knobs. Defaults suit a small box; `docs/service.md`
 /// ("Capacity tuning") shows how to scale them, against the saturation
@@ -219,48 +217,23 @@ impl Service {
         )
     }
 
+    /// The deployment's size policy, applied on both routes before a
+    /// problem is bound.
+    fn check_max_size(&self, sizes: &[i64]) -> Result<(), ApiError> {
+        let max = self.config.max_size;
+        match sizes.iter().find(|&&s| s > max) {
+            Some(&s) => Err(ApiError::size_limit(s, max)),
+            None => Ok(()),
+        }
+    }
+
     /// The worker-side request body: everything after admission.
     fn execute(&self, req: &RunRequest, deadline_ms: u64) -> Result<String, ApiError> {
+        self.check_max_size(&req.sizes)?;
         let resolved = self.resolve(&req.program)?;
         let plan = &resolved.plan;
-        if req.sizes.len() != plan.source.sizes.len() {
-            return Err(ApiError::bad_request(format!(
-                "design '{}' takes {} size(s), request gave {}",
-                resolved.label,
-                plan.source.sizes.len(),
-                req.sizes.len()
-            )));
-        }
-        for &s in &req.sizes {
-            if s < 1 {
-                return Err(ApiError::bad_request(format!(
-                    "problem sizes must be positive (got {s})"
-                )));
-            }
-            if s > self.config.max_size {
-                return Err(ApiError::size_limit(s, self.config.max_size));
-            }
-        }
-        let mut env = Env::new();
-        for (&v, &val) in plan.source.sizes.iter().zip(&req.sizes) {
-            env.bind(v, val);
-        }
-        let inputs: Vec<&str> = req
-            .inputs
-            .as_ref()
-            .unwrap_or(&resolved.default_inputs)
-            .iter()
-            .map(String::as_str)
-            .collect();
-        if let Some(name) = inputs
-            .iter()
-            .find(|n| plan.source.variables.iter().all(|v| v.name != **n))
-        {
-            return Err(ApiError::bad_request(format!(
-                "unknown input variable '{name}'"
-            )));
-        }
-        let store = seeded_store(plan, &env, &inputs, req.seed);
+        let inputs = req.inputs.as_ref().unwrap_or(&resolved.default_inputs);
+        let Problem { env, store } = Problem::seeded(plan, &req.sizes, inputs, req.seed)?;
 
         match req.output {
             OutputKind::Stores => {
@@ -327,10 +300,11 @@ impl Service {
             }
         };
         let deadline_ms = self.config.default_deadline_ms;
+        let svc = Arc::clone(self);
         self.pool.run(
             Duration::from_millis(deadline_ms),
             deadline_ms,
-            Box::new(move || match replay_schedule(&file) {
+            Box::new(move || match svc.replay(&file) {
                 Ok(report) => (
                     200,
                     Json::obj([
@@ -345,6 +319,15 @@ impl Service {
                 Err(e) => (e.status, e.to_json()),
             }),
         )
+    }
+
+    /// The worker-side replay: the file's subject, under the same size
+    /// policy and through the same module store as `/v1/run`.
+    fn replay(&self, file: &ScheduleFile) -> Result<systolic_sim::ReplayReport, ApiError> {
+        self.check_max_size(&file.sizes)?;
+        let subject = systolic_sim::subject_of(file, &self.modules)?;
+        systolic_sim::replay(subject.as_ref(), file)
+            .map_err(|e| ApiError::internal(format!("replay failed: {e}")))
     }
 
     /// `GET /stats`: module-store counters, plan-cache counters, pool
@@ -398,12 +381,7 @@ impl Service {
 /// Public so `tests/service.rs` and `benchmark/` can build client-side
 /// sequential oracles from the exact same plan the service serves.
 pub fn compile_design(key: &str) -> Result<ResolvedProgram, ApiError> {
-    use systolic_sim::DesignError;
-    let (plan, inputs) = systolic_sim::compile_design(key).map_err(|e| match e {
-        DesignError::Unknown(key) => ApiError::unknown_design(&key),
-        DesignError::NoArray => ApiError::internal(e.to_string()),
-        DesignError::Compile(_) => ApiError::new(422, "compile", e.to_string()),
-    })?;
+    let (plan, inputs) = systolic_sim::compile_design(key)?;
     Ok(ResolvedProgram {
         label: key.to_string(),
         plan,
@@ -411,78 +389,13 @@ pub fn compile_design(key: &str) -> Result<ResolvedProgram, ApiError> {
     })
 }
 
-/// Compile inline `.sys` source: parse, validate the Appendix A
-/// envelope, derive an array, compile. Every failure is a structured
-/// 400/422 — the parser's message reaches the client, a panic never
-/// does.
+/// Compile inline `.sys` source — `systolic_sim::compile_source`: parse,
+/// then the scheme's front door. Every failure is a structured 400/422 —
+/// the parser's message reaches the client, a panic never does.
 pub fn compile_source(src: &str) -> Result<ResolvedProgram, ApiError> {
-    let program =
-        systolic_lang::parse(src).map_err(|e| ApiError::parse(format!("parse error: {e}")))?;
-    systolic_ir::validate(&program, 4).map_err(|violations| {
-        let msgs: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-        ApiError::new(
-            422,
-            "validate",
-            format!(
-                "program outside the compilable envelope: {}",
-                msgs.join("; ")
-            ),
-        )
-    })?;
-    let array = systolic_synthesis::derive_array(&program, 2, 4).ok_or_else(|| {
-        ApiError::new(
-            422,
-            "no-array",
-            "no valid systolic array within the search bound",
-        )
-    })?;
-    let plan = compile(&program, &array, &CoreOptions::default())
-        .map_err(|e| ApiError::new(422, "compile", format!("compile failed: {e}")))?;
     Ok(ResolvedProgram {
         label: "source".to_string(),
-        plan,
+        plan: systolic_sim::compile_source(src)?,
         default_inputs: Vec::new(),
     })
-}
-
-/// Resolve a schedule file to a subject and replay it — the CLI's
-/// `replay` logic behind the service boundary.
-fn replay_schedule(file: &ScheduleFile) -> Result<systolic_sim::ReplayReport, ApiError> {
-    let subject: Box<dyn systolic_sim::DstSubject> = if file.design == "source" {
-        let src = file.source.as_ref().ok_or_else(|| {
-            ApiError::bad_request("schedule file has design \"source\" but no embedded program")
-        })?;
-        let resolved = compile_source(src)?;
-        let inputs: Vec<String> = resolved
-            .plan
-            .source
-            .variables
-            .iter()
-            .map(|v| v.name.clone())
-            .collect();
-        let input_refs: Vec<&str> = inputs.iter().map(|s| s.as_str()).collect();
-        Box::new(
-            PlanSubject::from_plan(
-                "source",
-                Some(src.clone()),
-                &resolved.plan,
-                &file.sizes,
-                &input_refs,
-                file.input_seed,
-            )
-            .map_err(|e| ApiError::new(422, "elaborate", e))?,
-        )
-    } else {
-        systolic_sim::subject_for(&file.design, &file.sizes, file.input_seed)
-            .map_err(|e| ApiError::unknown_design(&file.design).with_message(e))?
-    };
-    systolic_sim::replay(subject.as_ref(), file)
-        .map_err(|e| ApiError::internal(format!("replay failed: {e}")))
-}
-
-impl ApiError {
-    fn with_message(mut self, message: String) -> ApiError {
-        self.message = message;
-        self
-    }
 }

@@ -13,9 +13,8 @@
 use crate::json::{parse, Json};
 use crate::policy::{policy_by_name, RecordingPolicy, ReplayPolicy, ScheduleLog, ScheduleRound};
 use std::sync::Arc;
-use systolic_core::SystolicProgram;
-use systolic_interp::{seeded_store, ElabOptions, ModuleStore};
-use systolic_math::Env;
+use systolic_core::{systolize, CompileError, Options, PlaceChoice, SystolicProgram};
+use systolic_interp::{ElabError, ElabOptions, ModuleStore, Problem, ProblemError};
 use systolic_runtime::{
     canonicalize_transfers, first_divergence, shared, sink_buffer, ChanId, ChannelPolicy, CommReq,
     EventLogRecorder, Network, ProcIrModule, Process, RunError, RunStats, SchedulePolicy, Transfer,
@@ -37,64 +36,53 @@ pub struct Outcome {
 /// policies. Each `run` must build a fresh network from the same
 /// immutable description.
 pub trait DstSubject {
-    fn label(&self) -> String;
+    /// The design this subject's schedule files name.
+    fn label(&self) -> String {
+        self.schedule_stub().design
+    }
     fn run(&self, sched: Option<Box<dyn SchedulePolicy>>) -> Result<Outcome, RunError>;
     /// A schedule file identifying this subject, with an empty log.
     fn schedule_stub(&self) -> ScheduleFile;
 }
 
-/// A compiled systolic plan elaborated at a fixed size (once per
-/// process, through the global module store) and bound to its own seeded
-/// inputs; every `run` re-instantiates the immutable `ProcIrModule`.
+/// A compiled systolic plan elaborated at a fixed size and bound to its
+/// own seeded inputs; every `run` re-instantiates the immutable
+/// `ProcIrModule`.
 pub struct PlanSubject {
-    key: String,
-    source: Option<String>,
-    sizes: Vec<i64>,
-    input_seed: u64,
+    /// Which design, sizes and input seed: the schedule file this
+    /// subject's runs are recorded into.
+    stub: ScheduleFile,
     module: Arc<ProcIrModule>,
 }
 
 impl PlanSubject {
-    /// Elaborate `plan` at `sizes` with the named inputs filled from
-    /// `input_seed`. `key` identifies the design in schedule files;
-    /// `source` carries the program text for non-registry designs so the
-    /// file stays self-contained.
+    /// Elaborate `plan` through `ms` at the sizes `stub` names, with
+    /// `inputs` filled from its input seed. `stub.design` identifies the
+    /// design in schedule files; `stub.source` carries the program text
+    /// of a non-registry design so the file stays self-contained.
     pub fn from_plan(
-        key: impl Into<String>,
-        source: Option<String>,
+        stub: ScheduleFile,
         plan: &SystolicProgram,
-        sizes: &[i64],
         inputs: &[&str],
-        input_seed: u64,
-    ) -> Result<PlanSubject, String> {
-        let mut env = Env::new();
-        for (&s, &v) in plan.source.sizes.iter().zip(sizes) {
-            env.bind(s, v);
-        }
-        let store = seeded_store(plan, &env, inputs, input_seed);
+        ms: &ModuleStore,
+    ) -> Result<PlanSubject, DesignError> {
+        let Problem { env, store } = Problem::seeded(plan, &stub.sizes, inputs, stub.input_seed)
+            .map_err(DesignError::Problem)?;
         // The cached module is code for (plan, sizes); it carries the
         // data of whichever store instantiated it, so bind this
         // subject's own.
-        let elab = |e| format!("elaboration failed: {e}");
-        let cm = ModuleStore::global()
+        let cm = ms
             .module(plan, &env, &store, &ElabOptions::default())
-            .map_err(elab)?;
-        let data = cm.elab.gather(&store).map_err(elab)?;
+            .map_err(DesignError::Elaborate)?;
+        let data = cm.elab.gather(&store).map_err(DesignError::Elaborate)?;
         Ok(PlanSubject {
-            key: key.into(),
-            source,
-            sizes: sizes.to_vec(),
-            input_seed,
+            stub,
             module: cm.elab.module.with_data(data),
         })
     }
 }
 
 impl DstSubject for PlanSubject {
-    fn label(&self) -> String {
-        self.key.clone()
-    }
-
     fn run(&self, sched: Option<Box<dyn SchedulePolicy>>) -> Result<Outcome, RunError> {
         let (handle, rec) = shared(EventLogRecorder::new());
         let inst = self.module.instantiate_recorded(std::slice::from_ref(&rec));
@@ -118,16 +106,7 @@ impl DstSubject for PlanSubject {
     }
 
     fn schedule_stub(&self) -> ScheduleFile {
-        ScheduleFile {
-            design: self.key.clone(),
-            source: self.source.clone(),
-            sizes: self.sizes.clone(),
-            input_seed: self.input_seed,
-            policy: "fifo".into(),
-            policy_seed: 0,
-            reason: None,
-            log: ScheduleLog::default(),
-        }
+        self.stub.clone()
     }
 }
 
@@ -199,10 +178,6 @@ pub struct RaceSubject {
 pub const RACE_SINK: &str = "race-sink";
 
 impl DstSubject for RaceSubject {
-    fn label(&self) -> String {
-        RACE_SINK.into()
-    }
-
     fn run(&self, sched: Option<Box<dyn SchedulePolicy>>) -> Result<Outcome, RunError> {
         let buf = sink_buffer();
         let k = self.k;
@@ -248,16 +223,7 @@ impl DstSubject for RaceSubject {
     }
 
     fn schedule_stub(&self) -> ScheduleFile {
-        ScheduleFile {
-            design: RACE_SINK.into(),
-            source: None,
-            sizes: vec![self.k as i64],
-            input_seed: 0,
-            policy: "fifo".into(),
-            policy_seed: 0,
-            reason: None,
-            log: ScheduleLog::default(),
-        }
+        ScheduleFile::stub(RACE_SINK, None, &[self.k as i64], 0)
     }
 }
 
@@ -303,64 +269,111 @@ pub fn registry() -> Vec<DesignSpec> {
     ]
 }
 
-/// Why a gallery key did not resolve to a compiled plan.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Why a design — a gallery key, or a schedule file's — did not resolve
+/// to a runnable subject. Front ends map the variants to their own
+/// error vocabulary.
+#[derive(Clone, Debug)]
 pub enum DesignError {
     /// No gallery design has this key.
     Unknown(String),
-    /// `fir`'s array derivation found nothing within the search bound.
-    NoArray,
+    /// The program text of a `"source"` design is missing or does not
+    /// parse; the message says which.
+    Source(String),
     /// The design did not compile.
-    Compile(String),
+    Compile(CompileError),
+    /// The sizes do not make a problem for the design.
+    Problem(ProblemError),
+    /// The plan did not elaborate at these sizes.
+    Elaborate(ElabError),
 }
 
 impl std::fmt::Display for DesignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DesignError::Unknown(key) => write!(f, "unknown design '{key}'"),
-            DesignError::NoArray => write!(f, "fir array derivation failed"),
+            DesignError::Source(message) => write!(f, "{message}"),
             DesignError::Compile(e) => write!(f, "compile failed: {e}"),
+            DesignError::Problem(e) => write!(f, "{e}"),
+            DesignError::Elaborate(e) => write!(f, "elaboration failed: {e}"),
         }
     }
 }
+
+impl std::error::Error for DesignError {}
 
 /// The one gallery-key resolution (the DST registry's and the service's
 /// `"design"`): the four appendix designs by label on the paper's
 /// arrays, `fir` on a derived array, compiled with default options.
 /// Returns the plan and the input variables seeded by default.
 pub fn compile_design(key: &str) -> Result<(SystolicProgram, [&'static str; 2]), DesignError> {
-    let (program, array, inputs) = if key == "fir" {
-        let p = systolic_ir::gallery::fir_filter();
-        let a = systolic_synthesis::derive_array(&p, 2, 4).ok_or(DesignError::NoArray)?;
-        (p, a, ["h", "x"])
+    let (program, place, inputs) = if key == "fir" {
+        let fir = systolic_ir::gallery::fir_filter();
+        (fir, PlaceChoice::Auto, ["h", "x"])
     } else {
         let (_, p, a) = systolic_synthesis::placement::paper::all()
             .into_iter()
             .find(|(label, _, _)| *label == key)
             .ok_or_else(|| DesignError::Unknown(key.to_string()))?;
-        (p, a, ["a", "b"])
+        (p, PlaceChoice::Explicit(a), ["a", "b"])
     };
-    let plan = systolic_core::compile(&program, &array, &systolic_core::Options::default())
-        .map_err(|e| DesignError::Compile(e.to_string()))?;
+    let opts = Options {
+        place,
+        ..Options::default()
+    };
+    let plan = systolize(&program, &opts).map_err(DesignError::Compile)?;
     Ok((plan, inputs))
 }
 
-/// Resolve a registry key (or [`RACE_SINK`]) to a runnable subject at
-/// the given sizes. `"source"` designs carry their own program text and
-/// are resolved by the CLI, which owns the front end.
+/// Compile program text (a schedule file's embedded `"source"`, the
+/// service's inline `source`) with default options.
+pub fn compile_source(src: &str) -> Result<SystolicProgram, DesignError> {
+    let program =
+        systolic_lang::parse(src).map_err(|e| DesignError::Source(format!("parse error: {e}")))?;
+    systolize(&program, &Options::default()).map_err(DesignError::Compile)
+}
+
+/// Resolve a schedule file to the subject it names, elaborating through
+/// `ms`: a registry key, the [`RACE_SINK`] builtin, or `"source"` with
+/// the program text embedded (every variable seeded, as the CLI does).
+pub fn subject_of(
+    file: &ScheduleFile,
+    ms: &ModuleStore,
+) -> Result<Box<dyn DstSubject>, DesignError> {
+    if file.design == RACE_SINK {
+        let k = file.sizes.first().copied().unwrap_or(4);
+        let k = Problem::size(k).map_err(DesignError::Problem)?.max(1) as usize;
+        return Ok(Box::new(RaceSubject { k }));
+    }
+    let stub = ScheduleFile::stub(
+        &file.design,
+        file.source.clone(),
+        &file.sizes,
+        file.input_seed,
+    );
+    let subject = if file.design == "source" {
+        let src = file.source.as_deref().ok_or_else(|| {
+            let missing = "schedule file has design \"source\" but no embedded program text";
+            DesignError::Source(missing.into())
+        })?;
+        let plan = compile_source(src)?;
+        PlanSubject::from_plan(stub, &plan, &plan.source.variable_names(), ms)?
+    } else {
+        let (plan, inputs) = compile_design(&file.design)?;
+        PlanSubject::from_plan(stub, &plan, &inputs, ms)?
+    };
+    Ok(Box::new(subject))
+}
+
+/// A registry key (or [`RACE_SINK`]) at the given sizes and input seed:
+/// [`subject_of`] the schedule stub that names it, elaborated through a
+/// module store of its own.
 pub fn subject_for(
     key: &str,
     sizes: &[i64],
     input_seed: u64,
-) -> Result<Box<dyn DstSubject>, String> {
-    if key == RACE_SINK {
-        let k = sizes.first().copied().unwrap_or(4).max(1) as usize;
-        return Ok(Box::new(RaceSubject { k }));
-    }
-    let (plan, inputs) = compile_design(key).map_err(|e| e.to_string())?;
-    Ok(Box::new(PlanSubject::from_plan(
-        key, None, &plan, sizes, &inputs, input_seed,
-    )?))
+) -> Result<Box<dyn DstSubject>, DesignError> {
+    let stub = ScheduleFile::stub(key, None, sizes, input_seed);
+    subject_of(&stub, &ModuleStore::new())
 }
 
 /// The serialized counterexample/replay format (`systolic-schedule-v1`):
@@ -398,6 +411,20 @@ fn ids_from_json(j: Option<&Json>) -> Result<Vec<usize>, String> {
 }
 
 impl ScheduleFile {
+    /// The file identifying a subject, with an empty FIFO log.
+    pub fn stub(design: &str, source: Option<String>, sizes: &[i64], input_seed: u64) -> Self {
+        ScheduleFile {
+            design: design.to_string(),
+            source,
+            sizes: sizes.to_vec(),
+            input_seed,
+            policy: "fifo".into(),
+            policy_seed: 0,
+            reason: None,
+            log: ScheduleLog::default(),
+        }
+    }
+
     pub fn to_json(&self) -> String {
         let ids = |xs: &[usize]| Json::arr(xs.iter().copied());
         let mut fields = vec![
@@ -738,11 +765,8 @@ mod tests {
         use systolic_interp::{simulate, SimSpec};
         let spec = registry().remove(2); // E.1
         let (plan, inputs) = compile_design(spec.key).unwrap();
-        let mut env = Env::new();
-        for (&s, &v) in plan.source.sizes.iter().zip(&spec.sizes) {
-            env.bind(s, v);
-        }
-        let store = seeded_store(&plan, &env, &inputs, spec.input_seed);
+        let Problem { env, store } =
+            Problem::seeded(&plan, &spec.sizes, &inputs, spec.input_seed).unwrap();
         let run_with = |sched: Option<Box<dyn SchedulePolicy>>| {
             let spec = SimSpec {
                 sched,
@@ -769,27 +793,30 @@ mod tests {
         assert_eq!(anchored.store, fast.store);
     }
 
-    /// The global module store keys on (design, sizes, store shape), not
-    /// on the data: a second subject of the same design and size is a
-    /// module hit and must still run the data *its* seed names.
+    /// A module store keys on (design, sizes, store shape), not on the
+    /// data: a second subject of the same design and size is a module
+    /// hit and must still run the data *its* seed names.
     #[test]
     fn subjects_of_one_design_and_size_run_their_own_seeded_data() {
         let (key, sizes) = ("E.2", [3i64]);
         let (plan, inputs) = compile_design(key).unwrap();
-        let mut env = Env::new();
-        env.bind(plan.source.sizes[0], sizes[0]);
-        let outcome_of = |seed: u64| subject_for(key, &sizes, seed).unwrap().run(None).unwrap();
+        let ms = ModuleStore::new();
+        let outcome_of = |seed: u64| {
+            let stub = ScheduleFile::stub(key, None, &sizes, seed);
+            subject_of(&stub, &ms).unwrap().run(None).unwrap()
+        };
         let (first, second) = (outcome_of(101), outcome_of(202));
+        assert_eq!(ms.stats().module_hits, 1, "one module, two data sets");
         assert_ne!(
             first.outputs, second.outputs,
             "the second replayed the first"
         );
         assert_eq!(first.stats, second.stats, "same network either way");
         for (seed, outcome) in [(101, &first), (202, &second)] {
-            let store = seeded_store(&plan, &env, &inputs, seed);
+            let Problem { env, store } = Problem::seeded(&plan, &sizes, &inputs, seed).unwrap();
             let mut expected = store.clone();
             systolic_ir::seq::run(&plan.source, &env, &mut expected);
-            let cm = ModuleStore::global()
+            let cm = ms
                 .module(&plan, &env, &store, &ElabOptions::default())
                 .unwrap();
             for out in &cm.elab.outputs {
@@ -817,7 +844,7 @@ mod tests {
         file.log = log.lock().clone();
         let file = ScheduleFile::from_json(&file.to_json()).unwrap();
         assert_eq!(file.input_seed, 202);
-        let rebuilt = subject_for(&file.design, &file.sizes, file.input_seed).unwrap();
+        let rebuilt = subject_of(&file, &ms).unwrap();
         let replayed = rebuilt
             .run(Some(Box::new(ReplayPolicy::new(file.log.clone()))))
             .unwrap();

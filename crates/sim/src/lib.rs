@@ -34,9 +34,10 @@ pub mod fault;
 pub mod policy;
 
 pub use explore::{
-    compare_outcomes, compile_design, explore, registry, replay, shrink_log, subject_for,
-    Counterexample, DesignError, DesignSpec, DstSubject, ExploreConfig, ExploreReport, Outcome,
-    PlanSubject, RaceSubject, ReplayReport, ScheduleFile, RACE_SINK, SCHEDULE_SCHEMA,
+    compare_outcomes, compile_design, compile_source, explore, registry, replay, shrink_log,
+    subject_for, subject_of, Counterexample, DesignError, DesignSpec, DstSubject, ExploreConfig,
+    ExploreReport, Outcome, PlanSubject, RaceSubject, ReplayReport, ScheduleFile, RACE_SINK,
+    SCHEDULE_SCHEMA,
 };
 pub use fault::{DelayPolicy, Fault, FaultPlan};
 pub use policy::{

@@ -96,7 +96,7 @@ fn main() {
 
     // Compile once (symbolic in n) and instantiate at this degree.
     let sys = systolize_source(SOURCE, &SystolizeOptions::default()).unwrap();
-    let env = sys.size_env(&[n]);
+    let env = sys.size_env(&[n]).unwrap();
     let mut store = HostStore::allocate(&sys.source, &env);
     for (i, (&xa, &xb)) in la.iter().zip(&lb).enumerate() {
         store.get_mut("a").set(&[i as i64], xa);

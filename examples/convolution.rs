@@ -26,7 +26,7 @@ fn main() {
 
     // A 3-tap moving-average-like filter over a step signal.
     let (n, m) = (2i64, 11i64);
-    let env = sys.size_env(&[n, m]);
+    let env = sys.size_env(&[n, m]).unwrap();
     let mut store = HostStore::allocate(&sys.source, &env);
     for j in 0..=n {
         store.get_mut("h").set(&[j], 1); // box filter

@@ -31,7 +31,7 @@ fn main() {
         println!("{}", sys.report());
 
         let n = 3i64;
-        let env = sys.size_env(&[n]);
+        let env = sys.size_env(&[n]).unwrap();
         let mut store = HostStore::allocate(&sys.source, &env);
         // A deterministic pair: A[i][k] = i + k, B[k][j] = (k+1)*(j+1).
         for i in 0..=n {

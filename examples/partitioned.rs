@@ -28,7 +28,7 @@ fn main() {
     .unwrap();
 
     let n = 8i64;
-    let env = sys.size_env(&[n]);
+    let env = sys.size_env(&[n]).unwrap();
     let store = seeded_store(&sys.plan, &env, &["a", "b"], 11);
     let mut expected = store.clone();
     seq::run(&sys.source, &env, &mut expected);

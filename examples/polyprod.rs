@@ -28,7 +28,7 @@ fn main() {
 
         // Deterministic input data: f(x) with coefficients 1..n+1,
         // g(x) with alternating signs.
-        let env = sys.size_env(&[n]);
+        let env = sys.size_env(&[n]).unwrap();
         let mut store = HostStore::allocate(&sys.source, &env);
         for i in 0..=n {
             store.get_mut("a").set(&[i], i + 1);

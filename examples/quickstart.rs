@@ -27,7 +27,7 @@ fn main() {
     println!("step coefficients : {:?}", sys.array.step);
     println!(
         "makespan at n=8   : {} steps (vs 81 sequential ops)",
-        sys.makespan(&[8])
+        sys.makespan(&[8]).unwrap()
     );
     println!();
 

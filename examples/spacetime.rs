@@ -27,7 +27,7 @@ fn main() {
     )
     .unwrap();
     let n = 4i64;
-    let env = sys.size_env(&[n]);
+    let env = sys.size_env(&[n]).unwrap();
     let mut store = HostStore::allocate(&sys.source, &env);
     store.fill_random("a", 1, 1, 9);
     store.fill_random("b", 2, 1, 9);
@@ -51,7 +51,7 @@ fn main() {
     )
     .unwrap();
     let n = 4i64;
-    let env = sys.size_env(&[n]);
+    let env = sys.size_env(&[n]).unwrap();
     let mut store = HostStore::allocate(&sys.source, &env);
     store.fill_random("a", 3, 1, 9);
     store.fill_random("b", 4, 1, 9);

@@ -26,7 +26,7 @@ fn main() {
         "n", "procs", "seq", "coop sim", "threads", "agree"
     );
     for n in [4i64, 6, 8] {
-        let env = sys.size_env(&[n]);
+        let env = sys.size_env(&[n]).unwrap();
         let store = seeded_store(&sys.plan, &env, &["a", "b"], 1);
 
         let t0 = Instant::now();

@@ -5,8 +5,8 @@
 
 use crate::{systolize_source, PlaceChoice, SystolizeOptions};
 use systolic_interp::{
-    seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, KernelMode, ModuleStore,
-    OptMode, OptReport, SimSpec, WavefrontMode,
+    simulate, simulate_verified, BatchMode, ElabOptions, KernelMode, ModuleStore, OptMode,
+    OptReport, Problem, SimSpec, WavefrontMode,
 };
 use systolic_runtime::Json;
 
@@ -107,13 +107,13 @@ const FLAGS: &[Flag] = &[
         name: "sizes",
         commands: FRONT_END,
         accepts: Any("N[,M..]"),
-        help: "problem sizes, in declaration order",
+        help: "problem sizes >= 0, one per size parameter, in declaration order",
     },
     Flag {
         name: "seed",
         commands: SEEDED,
         accepts: Any("S"),
-        help: "seed of the input data (default 42)",
+        help: "seed of the input data, a non-negative integer (default 42)",
     },
     Flag {
         name: "protocol",
@@ -232,15 +232,16 @@ impl Flag {
         format!("--{} {values}", self.name)
     }
 
-    /// Where `value` stands in a closed set (free-form values pass as 0).
-    fn index_of(&self, value: &str) -> Result<usize, String> {
-        let OneOf(values) = self.accepts else {
-            return Ok(0);
-        };
-        values
-            .split('|')
-            .position(|v| v == value)
-            .ok_or_else(|| format!("bad --{} value {value} (accepted: {values})", self.name))
+    /// A closed set must hold `value`; free-form values are checked by
+    /// the command.
+    fn check(&self, value: &str) -> Result<(), String> {
+        match self.accepts {
+            OneOf(values) if !values.split('|').any(|v| v == value) => Err(format!(
+                "bad --{} value {value} (accepted: {values})",
+                self.name
+            )),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -313,7 +314,7 @@ pub fn parse_args(raw: &[String]) -> Result<Invocation, String> {
         let value = it
             .next()
             .ok_or_else(|| format!("{} needs its value", flag.synopsis()))?;
-        flag.index_of(value)?;
+        flag.check(value)?;
         flags.push((name.to_string(), value.clone()));
     }
     let mut inv = Invocation {
@@ -341,14 +342,49 @@ impl Invocation {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Which of a closed-set flag's accepted values was given: its index
-    /// in the table row, 0 (the default) when the flag is absent.
-    fn choice(&self, name: &str) -> Result<usize, String> {
-        let row = FLAGS.iter().find(|f| f.name == name);
-        let row = row.expect("a row of the flag table");
-        self.flag(name).map_or(Ok(0), |v| row.index_of(v))
+    /// A gate flag's value, looked up in the name table that lives
+    /// beside the gate (default first).
+    fn gate<T: Copy>(&self, name: &str, names: &[(&str, T)]) -> Result<T, String> {
+        let value = self.flag(name).unwrap_or(names[0].0);
+        let found = names.iter().find(|n| n.0 == value);
+        found.map(|n| n.1).ok_or_else(|| {
+            let names: Vec<&str> = names.iter().map(|n| n.0).collect();
+            self.bad(name, &format!("accepted: {}", names.join("|")))
+        })
+    }
+
+    /// The error for a flag value the command cannot take: never a
+    /// silent default.
+    fn bad(&self, name: &str, what: &str) -> String {
+        let value = self.flag(name).unwrap_or_default();
+        format!("bad --{name} value {value} ({what})")
+    }
+
+    /// A numeric flag, at least `min` (0 or 1); `None` when absent.
+    fn number<T: TryFrom<u64>>(&self, name: &str, min: u64) -> Result<Option<T>, String> {
+        let what = if min == 0 { "non-negative" } else { "positive" };
+        let read = |value: &str| {
+            let parsed = value.parse::<u64>().ok().filter(|&n| n >= min);
+            let fits = parsed.and_then(|n| T::try_from(n).ok());
+            fits.ok_or_else(|| self.bad(name, &format!("a {what} integer")))
+        };
+        self.flag(name).map(read).transpose()
+    }
+
+    fn seed(&self) -> Result<u64, String> {
+        Ok(self.number("seed", 0)?.unwrap_or(DEFAULT_SEED))
+    }
+
+    /// `--sizes`, parsed; `None` when absent. Whether the list makes a
+    /// problem for the program is [`Problem`]'s to say.
+    fn sizes(&self) -> Result<Option<Vec<i64>>, String> {
+        let read = |spec| parse_sizes(spec).ok_or_else(|| self.bad("sizes", "N[,M..]"));
+        self.flag("sizes").map(read).transpose()
     }
 }
+
+/// The `--seed` of an invocation that names none.
+const DEFAULT_SEED: u64 = 42;
 
 /// Parse `N[,M..]` size lists.
 pub fn parse_sizes(spec: &str) -> Option<Vec<i64>> {
@@ -356,40 +392,32 @@ pub fn parse_sizes(spec: &str) -> Option<Vec<i64>> {
 }
 
 /// Build pipeline options from flags.
-pub fn build_options(inv: &Invocation) -> Option<SystolizeOptions> {
+pub fn build_options(inv: &Invocation) -> Result<SystolizeOptions, String> {
     let mut opts = SystolizeOptions::default();
-    if let Some(p) = inv.flag("place") {
-        opts.place = if p == "auto" {
-            PlaceChoice::Auto
-        } else if let Some(spec) = p.strip_prefix("proj:") {
-            PlaceChoice::Projection(parse_sizes(spec)?)
-        } else {
-            return None;
-        };
-    }
-    if let Some(b) = inv.flag("bound") {
-        opts.step_bound = b.parse().ok()?;
-    }
-    if let Some(s) = inv.flag("sample") {
-        opts.sample_size = s.parse().ok()?;
-    }
-    Some(opts)
+    let projection = |spec| parse_sizes(spec).map(PlaceChoice::Projection);
+    opts.place = match inv.flag("place") {
+        None | Some("auto") => PlaceChoice::Auto,
+        Some(p) => (p.strip_prefix("proj:").and_then(projection))
+            .ok_or_else(|| inv.bad("place", "auto|proj:C,C,.."))?,
+    };
+    opts.step_bound = inv.number("bound", 0)?.unwrap_or(opts.step_bound);
+    opts.sample_size = inv.number("sample", 0)?.unwrap_or(opts.sample_size);
+    Ok(opts)
 }
 
 /// The simulation spec of a `run`/`verify` invocation: the engine gates
-/// (`--batch`, `--opt`, `--wavefront`, `--kernel`, all default `auto`)
-/// and the protocol variant (`--protocol`, `--merge-io`), each value
-/// mapped by its position in its [`FLAGS`] row.
+/// (`--batch`, `--opt`, `--wavefront`, `--kernel`, all default `auto`),
+/// each named by its enum's own table, and the protocol variant
+/// (`--protocol`, `--merge-io`).
 pub fn build_sim_spec(inv: &Invocation) -> Result<SimSpec, String> {
     Ok(SimSpec {
-        batch: [BatchMode::Auto, BatchMode::Off][inv.choice("batch")?],
-        opt: [OptMode::Auto, OptMode::Off][inv.choice("opt")?],
-        wavefront: [WavefrontMode::Auto, WavefrontMode::Off, WavefrontMode::Par]
-            [inv.choice("wavefront")?],
-        kernel: [KernelMode::Auto, KernelMode::Off][inv.choice("kernel")?],
+        batch: inv.gate("batch", BatchMode::NAMES)?,
+        opt: inv.gate("opt", OptMode::NAMES)?,
+        wavefront: inv.gate("wavefront", WavefrontMode::NAMES)?,
+        kernel: inv.gate("kernel", KernelMode::NAMES)?,
         elab: ElabOptions {
-            split_propagation: inv.choice("protocol")? == 1,
-            merge_io: inv.choice("merge-io")? == 1,
+            split_propagation: inv.flag("protocol") == Some("split"),
+            merge_io: inv.flag("merge-io") == Some("yes"),
             ..ElabOptions::default()
         },
         ..SimSpec::default()
@@ -400,8 +428,7 @@ pub fn build_sim_spec(inv: &Invocation) -> Result<SimSpec, String> {
 pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
     match inv.command.as_str() {
         "compile" => {
-            let opts = build_options(inv).ok_or("bad options")?;
-            let sys = systolize_source(src, &opts).map_err(|e| e.to_string())?;
+            let sys = systolize_source(src, &build_options(inv)?).map_err(|e| e.to_string())?;
             let emit = inv.flag("emit").unwrap_or("paper");
             match emit {
                 "paper" => Ok(sys.paper_code()),
@@ -410,15 +437,8 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 "report" => Ok(sys.report()),
                 "rust" => {
                     // The runnable back end is concrete: it needs a size.
-                    let sizes = inv
-                        .flag("sizes")
-                        .and_then(parse_sizes)
-                        .ok_or("--emit rust requires --sizes N[,M..]")?;
-                    if sizes.len() != sys.source.sizes.len() {
-                        return Err("size arity mismatch".into());
-                    }
-                    let seed: u64 = inv.flag("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
-                    let env = sys.size_env(&sizes);
+                    let sizes = inv.sizes()?.ok_or("--emit rust requires --sizes N[,M..]")?;
+                    let env = sys.size_env(&sizes).map_err(|e| e.to_string())?;
                     // `--opt auto` routes through the delay-ring back
                     // end; `off` (the default here — the generated
                     // program is the paper's hand translation) does not.
@@ -426,30 +446,21 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                         Some("auto") => systolic_interp::rustgen::generate_rust_opt,
                         _ => systolic_interp::rustgen::generate_rust,
                     };
-                    Ok(generate(&sys.plan, &env, seed))
+                    Ok(generate(&sys.plan, &env, inv.seed()?))
                 }
                 other => Err(format!("unknown --emit {other}")),
             }
         }
         "run" | "verify" => {
-            let opts = build_options(inv).ok_or("bad options")?;
+            let opts = build_options(inv)?;
             let spec = build_sim_spec(inv)?;
             let elab = spec.elab.clone();
-            let sizes = inv
-                .flag("sizes")
-                .and_then(parse_sizes)
-                .ok_or("--sizes N[,M..] is required")?;
-            let seed: u64 = inv.flag("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
+            let sizes = inv.sizes()?.ok_or("--sizes N[,M..] is required")?;
+            let seed = inv.seed()?;
             let sys = systolize_source(src, &opts).map_err(|e| e.to_string())?;
-            if sizes.len() != sys.source.sizes.len() {
-                return Err(format!(
-                    "program has {} size parameter(s), {} given",
-                    sys.source.sizes.len(),
-                    sizes.len()
-                ));
-            }
-            let env = sys.size_env(&sizes);
-            let store = seeded_store(&sys.plan, &env, &input_names(&sys), seed);
+            let Problem { env, store } =
+                Problem::seeded(&sys.plan, &sizes, &sys.source.variable_names(), seed)
+                    .map_err(|e| e.to_string())?;
             let ms = ModuleStore::global();
             let run = simulate_verified(ms, &sys.plan, &env, &store, spec)
                 .map_err(|e| format!("FAILED: {e}"))?;
@@ -517,16 +528,10 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
             Ok(out)
         }
         "describe" => {
-            let opts = build_options(inv).ok_or("bad options")?;
-            let sizes = inv
-                .flag("sizes")
-                .and_then(parse_sizes)
-                .ok_or("--sizes N[,M..] is required")?;
+            let opts = build_options(inv)?;
+            let sizes = inv.sizes()?.ok_or("--sizes N[,M..] is required")?;
             let sys = systolize_source(src, &opts).map_err(|e| e.to_string())?;
-            if sizes.len() != sys.source.sizes.len() {
-                return Err("size arity mismatch".into());
-            }
-            let env = sys.size_env(&sizes);
+            let env = sys.size_env(&sizes).map_err(|e| e.to_string())?;
             let mut out = systolic_core::report::render_layout(&sys.plan, &env);
             out.push('\n');
             out.push_str(&systolic_interp::describe(&sys.plan, &env));
@@ -536,15 +541,14 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
             // With --schedules N this is deterministic schedule
             // exploration (DST) of the compiled program; without it, the
             // historical design-space exploration.
-            if let Some(n) = inv.flag("schedules") {
-                let n: u64 = n.parse().map_err(|_| "--schedules needs a number")?;
+            if let Some(n) = inv.number("schedules", 0)? {
                 return explore_schedules(inv, src, n);
             }
             if let Some(spec) = inv.flag("sweep-sizes") {
                 return explore_sweep(inv, src, spec);
             }
-            let bound: i64 = inv.flag("bound").and_then(|s| s.parse().ok()).unwrap_or(2);
-            let sample: i64 = inv.flag("sample").and_then(|s| s.parse().ok()).unwrap_or(6);
+            let bound = inv.number("bound", 0)?.unwrap_or(2);
+            let sample = inv.number("sample", 0)?.unwrap_or(6);
             let program = systolic_lang::parse(src).map_err(|e| e.to_string())?;
             let designs = systolic_synthesis::explore(&program, bound, sample);
             Ok(systolic_synthesis::explore::render_table(
@@ -555,7 +559,8 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
             // `src` is the schedule file itself (parse_args routed the
             // --schedule value into `inv.file`).
             let file = systolic_sim::ScheduleFile::from_json(src)?;
-            let subject = subject_from_schedule(&file)?;
+            let subject = systolic_sim::subject_of(&file, ModuleStore::global())
+                .map_err(|e| e.to_string())?;
             let report = systolic_sim::replay(subject.as_ref(), &file)?;
             if report.reproduced {
                 Ok(format!(
@@ -577,37 +582,20 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
     }
 }
 
-/// Every variable of the source program: the CLI seeds them all.
-fn input_names(sys: &crate::Systolized) -> Vec<&str> {
-    sys.source
-        .variables
-        .iter()
-        .map(|v| v.name.as_str())
-        .collect()
-}
-
 /// DST mode of `explore`: sweep the adversary-policy seed matrix over
 /// the compiled source program; on divergence, write the shrunk
 /// counterexample schedule to `--out` (default `counterexample.json`).
 fn explore_schedules(inv: &Invocation, src: &str, n_seeds: u64) -> Result<String, String> {
-    let opts = build_options(inv).ok_or("bad options")?;
+    let opts = build_options(inv)?;
     let sizes = inv
-        .flag("sizes")
-        .and_then(parse_sizes)
+        .sizes()?
         .ok_or("--sizes N[,M..] is required with --schedules")?;
-    let seed: u64 = inv.flag("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
+    let stub = systolic_sim::ScheduleFile::stub("source", Some(src.into()), &sizes, inv.seed()?);
     let sys = systolize_source(src, &opts).map_err(|e| e.to_string())?;
-    if sizes.len() != sys.source.sizes.len() {
-        return Err("size arity mismatch".into());
-    }
-    let subject = systolic_sim::PlanSubject::from_plan(
-        "source",
-        Some(src.to_string()),
-        &sys.plan,
-        &sizes,
-        &input_names(&sys),
-        seed,
-    )?;
+    let ms = ModuleStore::global();
+    let subject =
+        systolic_sim::PlanSubject::from_plan(stub, &sys.plan, &sys.source.variable_names(), ms)
+            .map_err(|e| e.to_string())?;
     let cfg = systolic_sim::ExploreConfig::matrix(n_seeds);
     let report = systolic_sim::explore(&subject, &cfg)?;
     match report.counterexample {
@@ -653,13 +641,14 @@ fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, Stri
     if lo < 1 || hi < lo {
         return Err(bad.into());
     }
-    let opts = build_options(inv).ok_or("bad options")?;
-    let seed: u64 = inv.flag("seed").and_then(|s| s.parse().ok()).unwrap_or(42);
+    let (opts, seed) = (build_options(inv)?, inv.seed()?);
     let sys = systolize_source(src, &opts).map_err(|e| e.to_string())?;
     if sys.source.sizes.len() != 1 {
         return Err("--sweep-sizes sweeps a single size parameter".into());
     }
-    let inputs = input_names(&sys);
+    // The largest size is refused before the smallest is run.
+    sys.size_env(&[hi]).map_err(|e| e.to_string())?;
+    let inputs = sys.source.variable_names();
     let ms = ModuleStore::global();
     let before = ms.stats();
     let mut out = String::new();
@@ -674,8 +663,8 @@ fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, Stri
     );
     let (mut elab_total, mut sim_total) = (0u128, 0u128);
     for n in lo..=hi {
-        let env = sys.size_env(&[n]);
-        let store = seeded_store(&sys.plan, &env, &inputs, seed);
+        let Problem { env, store } =
+            Problem::seeded(&sys.plan, &[n], &inputs, seed).map_err(|e| e.to_string())?;
         let t = Instant::now();
         ms.module(&sys.plan, &env, &store, &ElabOptions::default())
             .map_err(|e| format!("n={n}: {e}"))?;
@@ -713,49 +702,18 @@ fn explore_sweep(inv: &Invocation, src: &str, spec: &str) -> Result<String, Stri
     Ok(out)
 }
 
-/// Resolve a schedule file to its subject: embedded-source designs are
-/// recompiled here (the CLI owns the front end); registry designs and
-/// the race-sink builtin resolve inside `systolic-sim`.
-fn subject_from_schedule(
-    file: &systolic_sim::ScheduleFile,
-) -> Result<Box<dyn systolic_sim::DstSubject>, String> {
-    if file.design == "source" {
-        let src = file
-            .source
-            .as_ref()
-            .ok_or("schedule file has design \"source\" but no embedded program text")?;
-        let sys = systolize_source(src, &SystolizeOptions::default()).map_err(|e| e.to_string())?;
-        Ok(Box::new(systolic_sim::PlanSubject::from_plan(
-            "source",
-            Some(src.clone()),
-            &sys.plan,
-            &file.sizes,
-            &input_names(&sys),
-            file.input_seed,
-        )?))
-    } else {
-        systolic_sim::subject_for(&file.design, &file.sizes, file.input_seed)
-    }
-}
-
 /// Build the service configuration for `serve` from flags:
-/// `--workers N`, `--queue-cap N`, `--max-size N`, `--deadline-ms MS`.
-/// `None` on unparseable values.
-pub fn build_service_config(inv: &Invocation) -> Option<systolic_service::ServiceConfig> {
+/// `--workers N`, `--queue-cap N`, `--max-size N`, `--deadline-ms MS`,
+/// each a positive integer.
+pub fn build_service_config(inv: &Invocation) -> Result<systolic_service::ServiceConfig, String> {
     let mut cfg = systolic_service::ServiceConfig::default();
-    if let Some(w) = inv.flag("workers") {
-        cfg.workers = w.parse().ok().filter(|&w: &usize| w >= 1)?;
-    }
-    if let Some(q) = inv.flag("queue-cap") {
-        cfg.queue_cap = q.parse().ok().filter(|&q: &usize| q >= 1)?;
-    }
-    if let Some(m) = inv.flag("max-size") {
-        cfg.max_size = m.parse().ok().filter(|&m: &i64| m >= 1)?;
-    }
-    if let Some(d) = inv.flag("deadline-ms") {
-        cfg.default_deadline_ms = d.parse().ok().filter(|&d: &u64| d >= 1)?;
-    }
-    Some(cfg)
+    cfg.workers = inv.number("workers", 1)?.unwrap_or(cfg.workers);
+    cfg.queue_cap = inv.number("queue-cap", 1)?.unwrap_or(cfg.queue_cap);
+    cfg.max_size = inv.number("max-size", 1)?.unwrap_or(cfg.max_size);
+    cfg.default_deadline_ms = inv
+        .number("deadline-ms", 1)?
+        .unwrap_or(cfg.default_deadline_ms);
+    Ok(cfg)
 }
 
 /// Boot the simulation service (`serve` command): bind `--addr`
@@ -770,9 +728,7 @@ pub fn start_service(
     ),
     String,
 > {
-    let cfg = build_service_config(inv).ok_or(
-        "bad serve flags (--workers/--queue-cap/--max-size/--deadline-ms take positive integers)",
-    )?;
+    let cfg = build_service_config(inv)?;
     let addr = inv.flag("addr").unwrap_or("127.0.0.1:8077");
     let listener =
         std::net::TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -1230,10 +1186,83 @@ mod tests {
 
     #[test]
     fn execute_errors_are_messages_not_panics() {
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "3,4"])).unwrap();
-        let err = execute(&inv, SRC).unwrap_err();
-        assert!(err.contains("size parameter"));
+        let err = |raw: &[&str]| execute(&parse_args(&args(raw)).unwrap(), SRC).unwrap_err();
+        // Every command that binds sizes shares the one arity message.
+        for command in [
+            &["verify", "f"][..],
+            &["describe", "f"],
+            &["compile", "f", "--emit", "rust"],
+            &["explore", "f", "--schedules", "1"],
+        ] {
+            let e = err(&[command, &["--sizes", "3,4"]].concat());
+            assert!(e.contains("size parameter (n); 2 given"), "{e}");
+        }
         assert!(parse_args(&args(&["compile", "f", "--emit", "brainfuck"])).is_err());
+        // A value a flag cannot take is named with its flag, never
+        // replaced by the default.
+        for (flag, value, what) in [
+            ("--seed", "abc", "a non-negative integer"),
+            ("--seed", "-1", "a non-negative integer"),
+            ("--bound", "x", "a non-negative integer"),
+            ("--sample", "y", "a non-negative integer"),
+            ("--place", "proj:a,b", "auto|proj:C,C,.."),
+            ("--place", "nowhere", "auto|proj:C,C,.."),
+        ] {
+            let e = err(&["verify", "f", "--sizes", "4", flag, value]);
+            assert_eq!(e, format!("bad {flag} value {value} ({what})"));
+        }
+        assert_eq!(
+            err(&["verify", "f", "--sizes", "4,x"]),
+            "bad --sizes value 4,x (N[,M..])"
+        );
+        let e = err(&["explore", "f", "--schedules", "many", "--sizes", "3"]);
+        assert_eq!(e, "bad --schedules value many (a non-negative integer)");
+        // Sizes that make no problem: negative, or past the budget —
+        // refused before a store is allocated, on every command.
+        let e = err(&["verify", "f", "--sizes", "-3"]);
+        assert!(e.contains("non-negative (got -3)"), "{e}");
+        for command in [
+            &["run", "f", "--sizes", "3000000"][..],
+            &["describe", "f", "--sizes", "3000000"],
+            &["compile", "f", "--emit", "rust", "--sizes", "3000000"],
+            &["explore", "f", "--schedules", "1", "--sizes", "3000000"],
+            &["explore", "f", "--sweep-sizes", "1:3000000"],
+        ] {
+            let e = err(command);
+            assert!(e.starts_with("problem too large: host-store words"), "{e}");
+        }
+    }
+
+    #[test]
+    fn gate_rows_of_the_flag_table_are_the_gates_own_names() {
+        fn joined<T>(names: &[(&str, T)]) -> String {
+            let names: Vec<&str> = names.iter().map(|n| n.0).collect();
+            names.join("|")
+        }
+        for (flag, names) in [
+            ("batch", joined(BatchMode::NAMES)),
+            ("opt", joined(OptMode::NAMES)),
+            ("wavefront", joined(WavefrontMode::NAMES)),
+            ("kernel", joined(KernelMode::NAMES)),
+        ] {
+            let row = FLAGS.iter().find(|f| f.name == flag).unwrap();
+            let OneOf(values) = row.accepts else {
+                panic!("--{flag} must be a closed set");
+            };
+            assert_eq!(values, names, "--{flag}");
+        }
+        // A hand-built invocation that skipped the table is still an
+        // error, not an index out of range.
+        let inv = Invocation {
+            command: "run".into(),
+            file: "f".into(),
+            flags: vec![("wavefront".into(), "sideways".into())],
+        };
+        let err = build_sim_spec(&inv).err().unwrap();
+        assert_eq!(
+            err,
+            "bad --wavefront value sideways (accepted: auto|off|par)"
+        );
     }
 
     #[test]
@@ -1245,7 +1274,8 @@ mod tests {
         assert_eq!((cfg.workers, cfg.queue_cap), (3, 9));
         // Junk values are a usage error, not a default.
         let inv = parse_args(&args(&["serve", "--workers", "zero"])).unwrap();
-        assert!(build_service_config(&inv).is_none());
+        let err = build_service_config(&inv).unwrap_err();
+        assert_eq!(err, "bad --workers value zero (a positive integer)");
     }
 
     #[test]

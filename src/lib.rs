@@ -48,58 +48,26 @@ pub use systolic_sim as sim;
 pub use systolic_synthesis as synthesis;
 
 use std::fmt;
-use systolic_core::{CompileError, Options as CoreOptions, SystolicProgram};
+use systolic_core::{CompileError, SystolicProgram};
+pub use systolic_core::{Options as SystolizeOptions, PlaceChoice};
 use systolic_interp::{
-    seeded_store, simulate, simulate_verified, ElabOptions, ExecError, ModuleStore, SimSpec,
+    simulate, simulate_verified, ExecError, ModuleStore, Problem, ProblemError, SimSpec,
     SystolicRun,
 };
-use systolic_ir::{HostStore, SourceProgram, StreamId};
+use systolic_ir::{HostStore, SourceProgram};
 use systolic_math::Env;
 use systolic_runtime::RunStats;
 use systolic_synthesis::SystolicArray;
-
-/// How to obtain the spatial distribution.
-#[derive(Clone, Debug, Default)]
-pub enum PlaceChoice {
-    /// Search for an optimal step and a compatible place automatically.
-    #[default]
-    Auto,
-    /// Use the given projection direction (null space of `place`).
-    Projection(Vec<i64>),
-    /// Use an explicit array (step and place).
-    Explicit(SystolicArray),
-}
-
-/// Options for the full pipeline.
-#[derive(Clone, Debug)]
-pub struct SystolizeOptions {
-    pub place: PlaceChoice,
-    /// Coefficient bound for the schedule search.
-    pub step_bound: i64,
-    /// Sample size for validation and schedule ranking.
-    pub sample_size: i64,
-    /// Loading & recovery vectors for stationary streams.
-    pub loading_vectors: Vec<(usize, Vec<i64>)>,
-}
-
-impl Default for SystolizeOptions {
-    fn default() -> SystolizeOptions {
-        SystolizeOptions {
-            place: PlaceChoice::Auto,
-            step_bound: 2,
-            sample_size: 4,
-            loading_vectors: Vec::new(),
-        }
-    }
-}
 
 /// Pipeline failures.
 #[derive(Debug)]
 pub enum Error {
     Parse(systolic_lang::ParseError),
-    /// No valid schedule/place within the search bound.
-    NoArrayFound,
+    /// Outside the compilable envelope, or no valid schedule/place
+    /// within the search bound.
     Compile(CompileError),
+    /// The sizes or inputs given do not make a problem for the program.
+    Problem(ProblemError),
     /// The compiled plan could not be lowered to process bytecode for the
     /// given host data (misaligned pipes, missing/short host arrays).
     Elaborate(systolic_interp::ElabError),
@@ -113,8 +81,8 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Parse(e) => write!(f, "parse error: {e}"),
-            Error::NoArrayFound => write!(f, "no valid systolic array within the search bound"),
             Error::Compile(e) => write!(f, "compilation failed: {e}"),
+            Error::Problem(e) => write!(f, "{e}"),
             Error::Elaborate(e) => write!(f, "elaboration failed: {e}"),
             Error::Mismatch(m) => write!(f, "equivalence failure: {m}"),
             Error::Deadlock(m) => write!(f, "{m}"),
@@ -137,56 +105,21 @@ pub fn systolize_source(src: &str, opts: &SystolizeOptions) -> Result<Systolized
     systolize(&program, opts)
 }
 
-/// Systolize an already-built IR program.
+/// Systolize an already-built IR program: [`systolic_core::systolize`].
 pub fn systolize(program: &SourceProgram, opts: &SystolizeOptions) -> Result<Systolized, Error> {
-    // Validate the Appendix A envelope before synthesis: dependence
-    // extraction assumes rank r-1 index maps.
-    systolic_ir::validate(program, opts.sample_size.max(1))
-        .map_err(|v| Error::Compile(CompileError::Source(v)))?;
-    let array = match &opts.place {
-        PlaceChoice::Explicit(a) => a.clone(),
-        PlaceChoice::Projection(u) => {
-            let step = systolic_synthesis::optimal_step(program, opts.step_bound, opts.sample_size)
-                .ok_or(Error::NoArrayFound)?;
-            SystolicArray::new(step, systolic_synthesis::place_from_projection(u))
-        }
-        PlaceChoice::Auto => {
-            systolic_synthesis::derive_array(program, opts.step_bound, opts.sample_size)
-                .ok_or(Error::NoArrayFound)?
-        }
-    };
-    let mut core_opts = CoreOptions {
-        sample_size: opts.sample_size,
-        ..Default::default()
-    };
-    for (s, v) in &opts.loading_vectors {
-        core_opts = core_opts.with_loading_vector(StreamId(*s), v.clone());
-    }
-    let plan = systolic_core::compile(program, &array, &core_opts).map_err(Error::Compile)?;
+    let plan = systolic_core::systolize(program, opts).map_err(Error::Compile)?;
     Ok(Systolized {
-        source: program.clone(),
-        array,
+        source: plan.source.clone(),
+        array: plan.array.clone(),
         plan,
     })
 }
 
-/// The rendezvous reference engine under the given protocol variant.
-fn plain_spec(opts: &ElabOptions) -> SimSpec {
-    SimSpec {
-        elab: opts.clone(),
-        ..SimSpec::plain()
-    }
-}
-
 impl Systolized {
-    /// Bind the problem-size symbols, in declaration order.
-    pub fn size_env(&self, sizes: &[i64]) -> Env {
-        assert_eq!(sizes.len(), self.source.sizes.len(), "size arity mismatch");
-        let mut env = Env::new();
-        for (&v, &val) in self.source.sizes.iter().zip(sizes) {
-            env.bind(v, val);
-        }
-        env
+    /// Bind the problem-size symbols, in declaration order
+    /// ([`Problem::sizes`]: arity, sign and budget checked).
+    pub fn size_env(&self, sizes: &[i64]) -> Result<Env, Error> {
+        Problem::sizes(&self.plan, sizes).map_err(Error::Problem)
     }
 
     /// The derivation report (all symbolic quantities, paper-style).
@@ -212,25 +145,9 @@ impl Systolized {
     /// Run the systolic program on the plain cooperative engine with the
     /// given host data; returns the recovered store and statistics.
     pub fn run(&self, sizes: &[i64], store: &HostStore) -> Result<SystolicRun, Error> {
-        self.run_with(sizes, store, &ElabOptions::default())
-    }
-
-    /// [`Systolized::run`] under explicit elaboration options (protocol
-    /// variants: split propagation, merged host i/o, buffer ablations).
-    pub fn run_with(
-        &self,
-        sizes: &[i64],
-        store: &HostStore,
-        opts: &ElabOptions,
-    ) -> Result<SystolicRun, Error> {
-        simulate(
-            ModuleStore::global(),
-            &self.plan,
-            &self.size_env(sizes),
-            store,
-            plain_spec(opts),
-        )
-        .map_err(|e| match e {
+        let env = self.size_env(sizes)?;
+        let ms = ModuleStore::global();
+        simulate(ms, &self.plan, &env, store, SimSpec::plain()).map_err(|e| match e {
             ExecError::Elab(el) => Error::Elaborate(el),
             ExecError::Run(r) => Error::Deadlock(r.to_string()),
             short @ ExecError::ShortOutput { .. } => Error::Mismatch(short.to_string()),
@@ -240,28 +157,17 @@ impl Systolized {
     /// Verify observational equivalence with the sequential execution on
     /// seeded random inputs; returns the run statistics.
     pub fn verify(&self, sizes: &[i64], inputs: &[&str], seed: u64) -> Result<RunStats, Error> {
-        self.verify_with(sizes, inputs, seed, &ElabOptions::default())
-    }
-
-    /// [`Systolized::verify`] under explicit elaboration options.
-    pub fn verify_with(
-        &self,
-        sizes: &[i64],
-        inputs: &[&str],
-        seed: u64,
-        opts: &ElabOptions,
-    ) -> Result<RunStats, Error> {
-        let env = self.size_env(sizes);
-        let store = seeded_store(&self.plan, &env, inputs, seed);
+        let Problem { env, store } =
+            Problem::seeded(&self.plan, sizes, inputs, seed).map_err(Error::Problem)?;
         let ms = ModuleStore::global();
-        simulate_verified(ms, &self.plan, &env, &store, plain_spec(opts))
+        simulate_verified(ms, &self.plan, &env, &store, SimSpec::plain())
             .map(|run| run.stats)
             .map_err(|e| Error::Mismatch(e.to_string()))
     }
 
     /// The schedule's makespan at a problem size (`max step - min step + 1`).
-    pub fn makespan(&self, sizes: &[i64]) -> i64 {
-        self.array.makespan(&self.source, &self.size_env(sizes))
+    pub fn makespan(&self, sizes: &[i64]) -> Result<i64, Error> {
+        Ok(self.array.makespan(&self.source, &self.size_env(sizes)?))
     }
 }
 
@@ -317,9 +223,9 @@ mod tests {
         let sys = systolize_source(POLYPROD, &SystolizeOptions::default()).unwrap();
         // Any optimal schedule for polyprod has makespan 2n + something
         // linear; just check monotone linear growth.
-        let m4 = sys.makespan(&[4]);
-        let m8 = sys.makespan(&[8]);
+        let makespan = |n| sys.makespan(&[n]).unwrap();
+        let (m4, m8) = (makespan(4), makespan(8));
         assert!(m8 > m4);
-        assert_eq!(m8 - m4, sys.makespan(&[12]) - m8, "linear in n");
+        assert_eq!(m8 - m4, makespan(12) - m8, "linear in n");
     }
 }

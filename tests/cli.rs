@@ -123,6 +123,44 @@ fn size_arity_mismatch_is_reported() {
 }
 
 #[test]
+fn problems_that_cannot_be_bound_exit_1_with_an_error_line() {
+    // None of these is a panic (101), an abort (a signal) or a silent
+    // default: a schedule file of the wrong size arity, a store of 3e10
+    // words, a seed that is not a number.
+    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let matmul = manifest.join("programs/matmul.sys");
+    let matmul = matmul.to_str().unwrap();
+    let schedule = std::env::temp_dir().join(format!("bad-arity-{}.json", std::process::id()));
+    std::fs::write(
+        &schedule,
+        r#"{"schema":"systolic-schedule-v1","design":"fir","sizes":[3]}"#,
+    )
+    .unwrap();
+    for (args, needle) in [
+        (
+            vec!["replay", "--schedule", schedule.to_str().unwrap()],
+            "takes 2 size(s)",
+        ),
+        (
+            vec!["run", matmul, "--sizes", "100000"],
+            "problem too large: host-store words 30000600003 exceeds the limit",
+        ),
+        (
+            vec!["run", matmul, "--sizes", "4", "--seed", "abc"],
+            "bad --seed value abc (a non-negative integer)",
+        ),
+    ] {
+        let out = bin().args(&args).output().expect("run CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    let _ = std::fs::remove_file(&schedule);
+}
+
+#[test]
 fn a_closed_stdout_is_not_a_panic() {
     // `systolizer verify … | true`: the reader has gone before the first
     // write, so the write fails with EPIPE. That is the reader's choice:

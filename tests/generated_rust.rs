@@ -117,6 +117,6 @@ fn guarded_body_generated_rust() {
         }
     ";
     let sys = systolizer::systolize_source(src, &systolizer::SystolizeOptions::default()).unwrap();
-    let env = sys.size_env(&[4]);
+    let env = sys.size_env(&[4]).unwrap();
     compile_and_run("tri", &generate_rust(&sys.plan, &env, 15));
 }

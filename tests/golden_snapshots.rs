@@ -72,7 +72,7 @@ fn c_code_snapshots() {
 fn observed_d1() -> systolizer::interp::Observed {
     use systolizer::interp::{observe_plan_in, seeded_store, ModuleStore, SimSpec};
     let sys = design(0);
-    let env = sys.size_env(&[4]);
+    let env = sys.size_env(&[4]).unwrap();
     let store = seeded_store(&sys.plan, &env, &["a", "b"], 11);
     observe_plan_in(
         ModuleStore::global(),

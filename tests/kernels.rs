@@ -174,8 +174,14 @@ fn guarded_bodies_fall_back_to_scalar_with_the_reject_reason() {
         opt: OptMode::Off,
         ..SimSpec::default()
     };
-    let run = verify(&sys.plan, &sys.size_env(&[4]), &["a", "b"], 13, spec)
-        .expect("the scalar fallback still verifies");
+    let run = verify(
+        &sys.plan,
+        &sys.size_env(&[4]).unwrap(),
+        &["a", "b"],
+        13,
+        spec,
+    )
+    .expect("the scalar fallback still verifies");
     assert!(
         run.wavefront,
         "the wavefront gate is independent of kernels"

@@ -72,7 +72,7 @@ fn restriction_violations_are_reported_not_miscompiled() {
         }
     ";
     match systolize_source(bad, &SystolizeOptions::default()) {
-        Err(Error::NoArrayFound) | Err(Error::Compile(_)) => {}
+        Err(Error::Compile(_)) => {}
         Ok(_) => panic!("rank-deficient index map must not compile"),
         Err(e) => panic!("unexpected error class: {e}"),
     }
@@ -114,7 +114,7 @@ fn explicit_array_round_trip() {
     )
     .unwrap();
     assert_eq!(sys.array.step, array.step);
-    assert_eq!(sys.makespan(&[10]), 31, "2i + j over [0,10]^2");
+    assert_eq!(sys.makespan(&[10]).unwrap(), 31, "2i + j over [0,10]^2");
 }
 
 #[test]
@@ -138,7 +138,7 @@ fn reports_and_code_are_consistent() {
 #[test]
 fn run_with_explicit_store() {
     let sys = systolize_source(POLYPROD, &SystolizeOptions::default()).unwrap();
-    let env = sys.size_env(&[2]);
+    let env = sys.size_env(&[2]).unwrap();
     let mut store = systolizer::ir::HostStore::allocate(&sys.source, &env);
     for (i, v) in [1i64, 2, 3].into_iter().enumerate() {
         store.get_mut("a").set(&[i as i64], v);

@@ -478,6 +478,44 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     let (status, body) = post(addr, "/v1/replay", "{\"schema\":\"wrong\"}");
     assert_eq!(status, 400, "{body}");
 
+    // A replay's problem is bound by the constructor `/v1/run` uses and
+    // under the same size policy: wrong arity (once a worker panic) and
+    // a negative size are 400s on both routes, a size past `max_size` is
+    // a 413 before anything is elaborated, and a legal replay
+    // elaborates through the service's own module store.
+    let stat = |section: &str, counter: &str| {
+        let stats = json::parse(&svc.stats_json()).unwrap();
+        let value = stats.get(section).and_then(|s| s.get(counter));
+        value.and_then(|v| v.as_i64()).expect("a counter")
+    };
+    let panics = stat("pool", "panics");
+    let misses = stat("elab_cache", "module_misses");
+    for (design, sizes, want, kind) in [
+        ("fir", "[3]", 400, "bad-request"),
+        ("fir", "[3,4,5]", 400, "bad-request"),
+        ("E.1", "[-3]", 400, "bad-request"),
+        ("E.1", "[100]", 413, "size-limit"),
+    ] {
+        let run = format!(r#"{{"design":"{design}","sizes":{sizes}}}"#);
+        let file =
+            format!(r#"{{"schema":"systolic-schedule-v1","design":"{design}","sizes":{sizes}}}"#);
+        for (route, body) in [("/v1/run", run), ("/v1/replay", file)] {
+            let (status, resp) = post(addr, route, &body);
+            assert_eq!(status, want, "{route} {body}: {resp}");
+            assert_eq!(error_kind(&resp).0, kind, "{route} {body}");
+        }
+    }
+    assert_eq!(stat("elab_cache", "module_misses"), misses, "nothing ran");
+    let legal = r#"{"schema":"systolic-schedule-v1","design":"fir","sizes":[2,7]}"#;
+    let (status, resp) = post(addr, "/v1/replay", legal);
+    assert_eq!(status, 200, "{resp}");
+    assert!(resp.contains(r#""reproduced":false"#), "{resp}");
+    assert_eq!(stat("elab_cache", "module_misses"), misses + 1);
+    assert_eq!(stat("pool", "panics"), panics, "no request panicked");
+    // n = 0 is the one-point problem here as at every other door.
+    let (status, resp) = post(addr, "/v1/run", r#"{"design":"E.1","sizes":[0]}"#);
+    assert_eq!(status, 200, "{resp}");
+
     server.shutdown();
 }
 
