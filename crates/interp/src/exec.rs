@@ -88,9 +88,8 @@ pub struct SimSpec {
     /// delay rings before a batched run. Rides the batching gate. When
     /// it engages, `stats` describe the smaller optimized module.
     pub opt: OptMode,
-    /// Wavefront executor gate (`--wavefront auto|off|par`) on top of the
-    /// cooperative batched rung; `Par` runs each wave's chunks on pool
-    /// threads.
+    /// Wavefront executor gate (`--wavefront auto|off`) on top of the
+    /// cooperative batched rung.
     pub wavefront: WavefrontMode,
     /// Compiled-kernel gate for wavefront runs (`--kernel auto|off`);
     /// inert on every other path.
@@ -324,12 +323,8 @@ pub fn simulate(
                         (_, Some(_)) => cm.kernel_plan_opt(opt),
                         (_, None) => Some(Arc::clone(cm.kernel_plan())),
                     };
-                    let (stats, sinks, report) = systolic_runtime::run_wavefront(
-                        module,
-                        &wplan,
-                        kplan.as_deref(),
-                        wavefront == WavefrontMode::Par,
-                    )?;
+                    let (stats, sinks, report) =
+                        systolic_runtime::run_wavefront(module, &wplan, kplan.as_deref(), false)?;
                     wavefronted = true;
                     kernel_report = Some(report);
                     (stats, sinks)

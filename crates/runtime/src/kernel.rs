@@ -41,10 +41,11 @@
 //! observed at the start of the batch — even a self-looped ring serves
 //! only values that were already queued. See `docs/kernels.md`.
 
+use crate::batch::Ring;
 use crate::json::Json;
 use crate::process::Value;
 use crate::procir::{ProcIrModule, ProcOp};
-use crate::wavefront::{ChunkRunner, RingSlab, SlabView, WavefrontPlan};
+use crate::wavefront::{ChunkRunner, WavefrontPlan};
 
 /// Whether a wavefront run may execute eligible waves through compiled
 /// kernels. `Auto` engages them whenever the module compiled one and the
@@ -369,7 +370,7 @@ pub(crate) fn kernel_wave(
     kernel: &Kernel,
     work: &[usize],
     runners: &mut [ChunkRunner],
-    slab: &RingSlab,
+    rings: &mut [Ring],
     scratch: &mut KernelScratch,
     report: &mut KernelReport,
 ) -> bool {
@@ -400,9 +401,8 @@ pub(crate) fn kernel_wave(
             if r.left == 0 || r.finished[0] {
                 continue;
             }
-            let mut view = SlabView(slab);
             let mut pass_moved = 0u64;
-            if r.vms[0].macro_step_to_compute(&mut view, &mut r.stats, &mut pass_moved) {
+            if r.vms[0].macro_step_to_compute(rings, &mut r.stats, &mut pass_moved) {
                 r.finished[0] = true;
                 r.left -= 1;
             }
@@ -413,11 +413,10 @@ pub(crate) fn kernel_wave(
             let Some(remaining) = r.vms[0].kernel_point() else {
                 continue;
             };
-            let view = SlabView(slab);
             let mut m = remaining;
             for mc in r.vms[0].links() {
-                let avail = view[mc.inp].len() as u64;
-                let free = view[mc.out].free() as u64;
+                let avail = rings[mc.inp].len() as u64;
+                let free = rings[mc.out].free() as u64;
                 m = m.min(avail).min(free);
             }
             if m == 0 {
@@ -478,10 +477,9 @@ pub(crate) fn kernel_wave(
                     x[d * lane_n + li] = xv;
                 }
             }
-            let mut view = SlabView(slab);
             for (j, mc) in vm.links().iter().enumerate() {
                 let base = (j * lane_n + li) * iters;
-                view[mc.inp].pop_many(&mut inb[base..base + iters]);
+                rings[mc.inp].pop_many(&mut inb[base..base + iters]);
             }
         }
 
@@ -577,10 +575,9 @@ pub(crate) fn kernel_wave(
         for (li, &k) in lanes.iter().enumerate() {
             let r = &mut runners[k];
             let vm = &mut r.vms[0];
-            let mut view = SlabView(slab);
             for (j, mc) in vm.links().iter().enumerate() {
                 let base = (j * lane_n + li) * iters;
-                view[mc.out].push_many(&outb[base..base + iters]);
+                rings[mc.out].push_many(&outb[base..base + iters]);
             }
             let (vm_locals, vm_x, t) = vm.lane_state();
             for (s, lv) in vm_locals.iter_mut().enumerate() {

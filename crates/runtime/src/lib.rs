@@ -27,13 +27,11 @@
 //! - [`json`] — the workspace's one JSON model ([`Json`]: value, compact
 //!   and report renderers, parser); every report type here builds one.
 //! - [`wavefront`] — the wavefront executor: SCC-condensed, longest-path
-//!   staged chunk sweeps over the batch rings ([`WavefrontPlan`]), with
-//!   an optional pool-parallel mode (see `docs/wavefront.md`).
+//!   staged chunk sweeps over the batch rings ([`WavefrontPlan`]; see
+//!   `docs/wavefront.md`).
 //! - [`kernel`] — compiled compute kernels: the typed straight-line
 //!   form of the basic statement ([`Kernel`]) and the struct-of-arrays
 //!   wave batch executor behind `--kernel auto` (see `docs/kernels.md`).
-//! - [`wavepool`] — the persistent worker pool the wavefront executor's
-//!   parallel mode shares across runs ([`WavePool`]).
 
 pub mod batch;
 pub mod coop;
@@ -46,7 +44,6 @@ pub mod procir;
 pub mod record;
 pub mod schedule;
 pub mod wavefront;
-pub mod wavepool;
 
 pub use batch::{analyze, analyze_with_caps, BatchMode, BatchPlan, Ring, DEFAULT_BATCH_WIDTH};
 pub use coop::{
@@ -70,4 +67,3 @@ pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, STARVATION_LIMIT};
 pub use wavefront::{
     analyze_wavefront, run_wavefront, WavefrontMode, WavefrontPlan, WAVEFRONT_RING_CAP,
 };
-pub use wavepool::WavePool;

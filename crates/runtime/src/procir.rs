@@ -690,15 +690,12 @@ impl ProcVm {
     /// further calls are no-ops that return `true` again. Must not be
     /// mixed with `step_into` on the same VM, and assumes no recorders
     /// are attached — the batching gate guarantees both.
-    /// Ring storage is generic so the same superinstruction path serves
-    /// both the lock-protected `Vec<Ring>` of the batched executors and
-    /// the shared channel slab of the wavefront executor
-    /// (`crate::wavefront`), whose chunks hold provably disjoint ring
-    /// sets. Only plain `rings[chan]` indexing is used.
-    pub fn macro_step<R>(&mut self, rings: &mut R, stats: &mut RunStats, moved: &mut u64) -> bool
-    where
-        R: ?Sized + std::ops::IndexMut<usize, Output = Ring>,
-    {
+    pub fn macro_step(
+        &mut self,
+        rings: &mut [Ring],
+        stats: &mut RunStats,
+        moved: &mut u64,
+    ) -> bool {
         self.macro_step_impl(rings, stats, moved, false)
     }
 
@@ -710,28 +707,22 @@ impl ProcVm {
     /// before and after the repeater — and any piecewise-parked par-set
     /// — retires with ordinary accounting. [`ProcVm::kernel_point`]
     /// distinguishes "parked for the kernel" from "blocked on a ring".
-    pub(crate) fn macro_step_to_compute<R>(
+    pub(crate) fn macro_step_to_compute(
         &mut self,
-        rings: &mut R,
+        rings: &mut [Ring],
         stats: &mut RunStats,
         moved: &mut u64,
-    ) -> bool
-    where
-        R: ?Sized + std::ops::IndexMut<usize, Output = Ring>,
-    {
+    ) -> bool {
         self.macro_step_impl(rings, stats, moved, true)
     }
 
-    fn macro_step_impl<R>(
+    fn macro_step_impl(
         &mut self,
-        rings: &mut R,
+        rings: &mut [Ring],
         stats: &mut RunStats,
         moved: &mut u64,
         stop_at_compute: bool,
-    ) -> bool
-    where
-        R: ?Sized + std::ops::IndexMut<usize, Output = Ring>,
-    {
+    ) -> bool {
         if self.macro_done {
             return true;
         }

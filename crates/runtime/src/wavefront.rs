@@ -22,9 +22,8 @@
 //!    assign every chunk a *wave*. Any edge strictly increases the
 //!    level, so two chunks in the same wave share **no** channel — the
 //!    producer and consumer of every channel either sit in one chunk or
-//!    in different waves. That disjointness is what makes the parallel
-//!    mode race-free: within a wave, each ring is touched by at most one
-//!    running chunk, and chunks partition the processes outright.
+//!    in different waves: within a wave, each ring is touched by at most
+//!    one chunk, and chunks partition the processes outright.
 //! 4. **Capacities**: every channel gets a ring sized to its whole
 //!    traffic (clamped to [`WAVEFRONT_RING_CAP`]) instead of the batch
 //!    width — including `Keep`/`Eject` channels, whose width-1 pin the
@@ -39,10 +38,9 @@
 //! re-dirtied are revisited, so the steady state sweeps the active
 //! frontier, not the module. Kernel-eligible chunks of a wave may first
 //! batch their Compute iterations through the compiled tape
-//! (`crate::kernel`) before the sweep certifies the fixpoint. Under
-//! [`WavefrontMode::Par`] the dirty chunks of a wave run on the
-//! persistent worker pool (`crate::wavepool`) over a shared ring slab;
-//! the plan's disjointness proof is the aliasing argument.
+//! (`crate::kernel`) before the sweep certifies the fixpoint. The sweep
+//! is sequential, on the calling thread, over a plain `Vec<Ring>`
+//! (`docs/wavefront.md`, "Why there is no parallel mode").
 //!
 //! Correctness is the Kahn-network story one more time (see
 //! `docs/scheduler.md` and `docs/wavefront.md`): scheduling order and
@@ -57,8 +55,6 @@ use crate::json::Json;
 use crate::kernel::{kernel_wave, put_scratch, take_scratch, KernelPlan, KernelReport};
 use crate::process::SinkBuffer;
 use crate::procir::{ProcId, ProcIrModule, ProcVm};
-use crate::wavepool::WavePool;
-use std::cell::UnsafeCell;
 use std::sync::Arc;
 
 /// The widest ring the wavefront plan will grant a channel. Sized so a
@@ -69,24 +65,27 @@ pub const WAVEFRONT_RING_CAP: u64 = 4096;
 
 /// Whether a run may take the wavefront path. `Auto` engages it whenever
 /// the plan proves out under the same gate as batching (rendezvous
-/// policy, no recorders, FIFO schedule hook); `Par` additionally runs
-/// each wave's chunks on scoped threads; `Off` forces the batched or
+/// policy, no recorders, FIFO schedule hook); `Off` forces the batched or
 /// rendezvous fallbacks (`--wavefront off`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum WavefrontMode {
     #[default]
     Auto,
     Off,
-    Par,
 }
 
 impl WavefrontMode {
     /// The names `--wavefront` and the service's `"wavefront"` accept, default first.
-    pub const NAMES: &'static [(&'static str, WavefrontMode)] = &[
-        ("auto", WavefrontMode::Auto),
-        ("off", WavefrontMode::Off),
-        ("par", WavefrontMode::Par),
-    ];
+    pub const NAMES: &'static [(&'static str, WavefrontMode)] =
+        &[("auto", WavefrontMode::Auto), ("off", WavefrontMode::Off)];
+
+    // `WavefrontMode::Par` is not a mode: the frozen
+    // `benchmark/src/layers.rs:115` writes that path for its
+    // `wavefront_par` rung, which therefore times `Auto`. Goes with that
+    // rung in the `[benchmark]` PR of ROADMAP 3(c).
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Par: WavefrontMode = WavefrontMode::Auto;
 }
 
 /// The derived wave structure of one module: which processes advance
@@ -364,34 +363,6 @@ fn tarjan_sccs(succs: &[Vec<usize>]) -> Components {
     Components { of: comp, count }
 }
 
-/// The shared channel slab the wave chunks step over. Interior
-/// mutability with a manual `Sync`: the [`WavefrontPlan`] guarantees
-/// that within one wave each ring index is accessed by at most one
-/// chunk, and waves are separated by the `thread::scope` join barrier,
-/// so no two threads ever alias a cell.
-pub(crate) struct RingSlab {
-    cells: Vec<UnsafeCell<Ring>>,
-}
-
-unsafe impl Sync for RingSlab {}
-
-/// One chunk's private indexing view over the shared slab; satisfies the
-/// `IndexMut` bound of [`ProcVm::macro_step`].
-pub(crate) struct SlabView<'a>(pub(crate) &'a RingSlab);
-
-impl std::ops::Index<usize> for SlabView<'_> {
-    type Output = Ring;
-    fn index(&self, i: usize) -> &Ring {
-        unsafe { &*self.0.cells[i].get() }
-    }
-}
-
-impl std::ops::IndexMut<usize> for SlabView<'_> {
-    fn index_mut(&mut self, i: usize) -> &mut Ring {
-        unsafe { &mut *self.0.cells[i].get() }
-    }
-}
-
 /// One chunk's execution state: its member VMs (owned — chunks partition
 /// the processes), per-member completion, and a private stats
 /// accumulator merged after the run (the logical counts are per-op sums,
@@ -408,19 +379,18 @@ pub(crate) struct ChunkRunner {
 }
 
 impl ChunkRunner {
-    /// Macro-step the chunk to a local fixpoint against the slab. A
+    /// Macro-step the chunk to a local fixpoint against the rings. A
     /// single-member chunk needs exactly one call (`macro_step` is
     /// already greedy to blockage); a cyclic chunk iterates until a pass
     /// moves nothing.
-    fn sweep(&mut self, slab: &RingSlab) {
-        let mut view = SlabView(slab);
+    fn sweep(&mut self, rings: &mut [Ring]) {
         loop {
             let mut pass_moved = 0u64;
             for i in 0..self.vms.len() {
                 if self.finished[i] {
                     continue;
                 }
-                if self.vms[i].macro_step(&mut view, &mut self.stats, &mut pass_moved) {
+                if self.vms[i].macro_step(rings, &mut self.stats, &mut pass_moved) {
                     self.finished[i] = true;
                     self.left -= 1;
                 }
@@ -433,25 +403,16 @@ impl ChunkRunner {
     }
 }
 
-/// Minimum live processes in a wave's worklist before [`WavefrontMode::Par`]
-/// spawns threads for it — below this the scope setup costs more than the
-/// chunk sweeps it distributes.
-const PAR_MEMBER_THRESHOLD: usize = 64;
-
 /// Run a module through its wavefront plan: passes of topologically
 /// staged chunk fixpoints until every process retires. Chunks are
 /// *dirty-tracked*: after the first pass a chunk is re-swept only when a
 /// neighbour moved values through a shared ring (new data downstream,
 /// freed space upstream) — a blocked chunk cannot otherwise have become
 /// runnable, so the steady state sweeps the active frontier instead of
-/// the whole module. `parallel` runs a wave's dirty chunks on scoped
-/// threads when there is enough live work ([`WavefrontMode::Par`]); the
-/// sequential mode visits them in wave-major order — both produce
-/// identical stores and identical `messages`/`steps` (chunk-local
-/// accounting of a deterministic per-chunk execution). `stats.rounds`
-/// counts passes. A pass that moves nothing with unfinished processes
-/// left is a deadlock, reported in the engines' usual `label [wait,...]`
-/// shape.
+/// the whole module. Chunks are visited in wave-major order on the
+/// calling thread. `stats.rounds` counts passes. A pass that moves
+/// nothing with unfinished processes left is a deadlock, reported in the
+/// engines' usual `label [wait,...]` shape.
 ///
 /// `kernels` (from [`crate::kernel::analyze_kernels`], memoized
 /// upstream) switches eligible chunks onto the struct-of-arrays kernel
@@ -463,18 +424,17 @@ pub fn run_wavefront(
     module: &Arc<ProcIrModule>,
     plan: &WavefrontPlan,
     kernels: Option<&KernelPlan>,
-    parallel: bool,
+    // Ignored: the frozen `benchmark/src/stages.rs:106` passes a fourth
+    // `bool`. Goes with that call in the `[benchmark]` PR of ROADMAP 3(c).
+    _parallel: bool,
 ) -> Result<(RunStats, Vec<SinkBuffer>, KernelReport), RunError> {
     debug_assert!(plan.eligible(), "caller checks WavefrontPlan::eligible");
     let (vms, outputs) = module.instantiate_vms(&[]);
     let n_procs = vms.len();
-    let slab = RingSlab {
-        cells: plan.rings().into_iter().map(UnsafeCell::new).collect(),
-    };
+    let mut rings = plan.rings();
 
     // Flatten the chunks wave-major — the same order `plan.neighbors` is
-    // indexed in — remembering each wave's chunk range for the parallel
-    // mode's barrier structure.
+    // indexed in — remembering each wave's chunk range.
     let mut pool: Vec<Option<ProcVm>> = vms.into_iter().map(Some).collect();
     let mut runners: Vec<ChunkRunner> = Vec::with_capacity(plan.n_chunks());
     let mut wave_ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(plan.waves.len());
@@ -515,13 +475,6 @@ pub fn run_wavefront(
     let mut scratch = take_scratch();
     let mut kern_work: Vec<usize> = Vec::new();
 
-    let pool = if parallel {
-        Some(WavePool::global())
-    } else {
-        None
-    };
-    let workers = pool.map(|p| p.workers()).unwrap_or(1);
-
     let mut dirty = vec![true; n_chunks];
     let mut work: Vec<usize> = Vec::with_capacity(n_chunks);
     let mut unfinished = n_procs;
@@ -554,7 +507,7 @@ pub fn run_wavefront(
                         kern,
                         &kern_work,
                         &mut runners,
-                        &slab,
+                        &mut rings,
                         &mut scratch,
                         &mut kreport,
                     )
@@ -562,51 +515,9 @@ pub fn run_wavefront(
                     kreport.waves_fused += 1;
                 }
             }
-            let live: usize = work.iter().map(|&k| runners[k].left).sum();
-            if parallel && work.len() > 1 && live >= PAR_MEMBER_THRESHOLD {
-                // Same-wave chunks share no rings (the plan's leveling
-                // invariant), so slices of the worklist may sweep the
-                // shared slab concurrently; the pool scope's latch is
-                // the wave barrier (the same join semantics the old
-                // per-run `thread::scope` provided, minus the per-run
-                // thread spawn — see `crate::wavepool`).
-                let per = work.len().div_ceil(workers);
-                let mut parts: Vec<Vec<&mut ChunkRunner>> = Vec::new();
-                {
-                    let mut rest = &mut runners[..];
-                    let mut base = 0usize;
-                    for ids in work.chunks(per) {
-                        let mut part = Vec::with_capacity(ids.len());
-                        for &k in ids {
-                            let (skip, tail) = rest.split_at_mut(k - base);
-                            let (head, tail) = tail.split_first_mut().unwrap();
-                            let _ = skip;
-                            part.push(head);
-                            rest = tail;
-                            base = k + 1;
-                        }
-                        parts.push(part);
-                    }
-                }
-                let slab_ref = &slab;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        Box::new(move || {
-                            for chunk in part {
-                                chunk.sweep(slab_ref);
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.expect("parallel implies pool").scope(tasks);
-            } else {
-                for &k in &work {
-                    runners[k].sweep(&slab);
-                }
-            }
             for &k in &work {
-                let c = &runners[k];
+                let c = &mut runners[k];
+                c.sweep(&mut rings);
                 moved += c.moved;
                 if c.moved > 0 {
                     for &nb in &plan.neighbors[k] {
@@ -686,14 +597,12 @@ mod tests {
         let plan = analyze(&m);
         let wf = analyze_wavefront(&m, &plan);
         let (bs, bout) = run_coop_batched(&m, &plan).unwrap();
-        for parallel in [false, true] {
-            let (ws, wout, _) = run_wavefront(&m, &wf, None, parallel).unwrap();
-            assert_eq!(ws.messages, bs.messages, "parallel={parallel}");
-            assert_eq!(ws.steps, bs.steps, "parallel={parallel}");
-            assert_eq!(ws.processes, bs.processes);
-            for (a, b) in bout.iter().zip(&wout) {
-                assert_eq!(*a.lock(), *b.lock(), "parallel={parallel}");
-            }
+        let (ws, wout, _) = run_wavefront(&m, &wf, None, false).unwrap();
+        assert_eq!(ws.messages, bs.messages);
+        assert_eq!(ws.steps, bs.steps);
+        assert_eq!(ws.processes, bs.processes);
+        for (a, b) in bout.iter().zip(&wout) {
+            assert_eq!(*a.lock(), *b.lock());
         }
     }
 
@@ -866,42 +775,6 @@ mod tests {
             );
         }
         assert_eq!(wf.rings().len(), plan.widths.len());
-    }
-
-    #[test]
-    fn warm_parallel_runs_reuse_the_pool_with_identical_stats() {
-        // A module wide enough to clear PAR_MEMBER_THRESHOLD so the
-        // parallel path actually engages the pool.
-        let mut b = ProcIrBuilder::new();
-        let vals: Vec<i64> = (0..8).collect();
-        for i in 0..80usize {
-            let (cin, cout) = (2 * i, 2 * i + 1);
-            b.source(cin, &vals, format!("src-{i}"));
-            b.relay(cin, cout, vals.len(), format!("relay-{i}"));
-            b.sink(cout, vals.len(), format!("sink-{i}"));
-        }
-        let m = b.build(None);
-        let plan = analyze(&m);
-        let wf = analyze_wavefront(&m, &plan);
-        let (first, fouts, _) = run_wavefront(&m, &wf, None, true).unwrap();
-        let spawned = crate::wavepool::WavePool::global().threads_spawned();
-        let executed = crate::wavepool::WavePool::global().tasks_executed();
-        for _ in 0..3 {
-            let (s, outs, _) = run_wavefront(&m, &wf, None, true).unwrap();
-            assert_eq!(s, first, "warm stats identical across repeated runs");
-            for (a, b) in fouts.iter().zip(&outs) {
-                assert_eq!(*a.lock(), *b.lock());
-            }
-        }
-        assert_eq!(
-            crate::wavepool::WavePool::global().threads_spawned(),
-            spawned,
-            "warm runs must not spawn threads"
-        );
-        assert!(
-            crate::wavepool::WavePool::global().tasks_executed() > executed,
-            "warm runs route their sweeps through the pool"
-        );
     }
 
     #[test]

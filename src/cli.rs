@@ -142,8 +142,8 @@ const FLAGS: &[Flag] = &[
     Flag {
         name: "wavefront",
         commands: RUNS,
-        accepts: OneOf("auto|off|par"),
-        help: "wavefront executor; par uses pool threads",
+        accepts: OneOf("auto|off"),
+        help: "wavefront executor (docs/wavefront.md)",
     },
     Flag {
         name: "kernel",
@@ -310,6 +310,9 @@ pub fn parse_args(raw: &[String]) -> Result<Invocation, String> {
                 flag.commands.join("/"),
                 flags_of(&command)
             ));
+        }
+        if flags.iter().any(|(given, _)| given == name) {
+            return Err(format!("--{name} given twice"));
         }
         let value = it
             .next()
@@ -798,7 +801,7 @@ mod tests {
         for (flag, accepted) in [
             ("batch", "auto|off"),
             ("opt", "auto|off"),
-            ("wavefront", "auto|off|par"),
+            ("wavefront", "auto|off"),
             ("kernel", "auto|off"),
             ("protocol", "paper|split"),
         ] {
@@ -806,6 +809,22 @@ mod tests {
             assert!(e.contains(&format!("bad --{flag} value bogus")), "{e}");
             assert!(e.contains(accepted), "{e}");
         }
+        // The parallel wavefront mode is gone (docs/wavefront.md): its
+        // name is one more bad value.
+        assert_eq!(
+            err(&["run", "f", "--sizes", "6", "--wavefront", "par"]),
+            "bad --wavefront value par (accepted: auto|off)"
+        );
+        // A repeated flag is refused, not resolved to either occurrence,
+        // and before its second value is looked at.
+        assert_eq!(
+            err(&["run", "f", "--sizes", "4", "--sizes", "8"]),
+            "--sizes given twice"
+        );
+        assert_eq!(
+            err(&["run", "f", "--seed", "1", "--seed", "banana"]),
+            "--seed given twice"
+        );
         // The usage text is the table: every flag appears in it.
         let text = usage();
         for f in FLAGS {
@@ -956,22 +975,6 @@ mod tests {
         .unwrap();
         let wf = execute(&inv, SRC).unwrap();
         assert!(wf.contains("[wavefront]"), "{wf}");
-        // `par` runs the same chunks on pool threads — same result.
-        let inv = parse_args(&args(&[
-            "verify",
-            "f",
-            "--sizes",
-            "4",
-            "--opt",
-            "off",
-            "--kernel",
-            "off",
-            "--wavefront",
-            "par",
-        ]))
-        .unwrap();
-        let par = execute(&inv, SRC).unwrap();
-        assert!(par.contains("[wavefront]"), "{par}");
         // `off` drops to the batched rung.
         let inv = parse_args(&args(&[
             "verify",
@@ -993,7 +996,6 @@ mod tests {
             t.split(" steps").next().unwrap().to_string()
         };
         assert_eq!(invariant(&wf), invariant(&off));
-        assert_eq!(invariant(&wf), invariant(&par));
         // With the optimizer on (kernels pinned off), the marker names
         // both engines.
         let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "off"])).unwrap();
@@ -1259,10 +1261,7 @@ mod tests {
             flags: vec![("wavefront".into(), "sideways".into())],
         };
         let err = build_sim_spec(&inv).err().unwrap();
-        assert_eq!(
-            err,
-            "bad --wavefront value sideways (accepted: auto|off|par)"
-        );
+        assert_eq!(err, "bad --wavefront value sideways (accepted: auto|off)");
     }
 
     #[test]

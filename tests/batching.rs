@@ -211,8 +211,7 @@ proptest! {
 
     /// The wavefront executor is differentially pinned against the
     /// batched run it replaces: bit-identical stores, invariant logical
-    /// messages/steps, in both the sequential and the parallel chunk
-    /// modes, over random (design, size, seed) draws.
+    /// messages/steps, over random (design, size, seed) draws.
     #[test]
     fn wavefront_agrees_with_the_batched_run(
         design in 0usize..9,
@@ -224,13 +223,11 @@ proptest! {
         let batched = go(WavefrontMode::Off);
         prop_assert!(batched.batched);
         prop_assert!(!batched.wavefront);
-        for mode in [WavefrontMode::Auto, WavefrontMode::Par] {
-            let wf = go(mode);
-            prop_assert!(wf.wavefront, "design {} n={}: gate should admit", design, n);
-            prop_assert_eq!(&wf.store, &batched.store);
-            prop_assert_eq!(wf.stats.messages, batched.stats.messages);
-            prop_assert_eq!(wf.stats.steps, batched.stats.steps);
-            prop_assert_eq!(wf.stats.processes, batched.stats.processes);
-        }
+        let wf = go(WavefrontMode::Auto);
+        prop_assert!(wf.wavefront, "design {} n={}: gate should admit", design, n);
+        prop_assert_eq!(&wf.store, &batched.store);
+        prop_assert_eq!(wf.stats.messages, batched.stats.messages);
+        prop_assert_eq!(wf.stats.steps, batched.stats.steps);
+        prop_assert_eq!(wf.stats.processes, batched.stats.processes);
     }
 }

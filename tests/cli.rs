@@ -98,6 +98,20 @@ fn bad_usage_and_bad_files_fail_cleanly() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // A flag given twice is a usage error (exit 2, the usage text,
+    // nothing on stdout), not a run at either value.
+    let out = bin()
+        .args(["run", program_file().to_str().unwrap()])
+        .args(["--sizes", "4", "--sizes", "8"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.starts_with("error: --sizes given twice\n\nusage: "),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
 }
 
 #[test]

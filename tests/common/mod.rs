@@ -160,7 +160,7 @@ pub fn rungs() -> Vec<Rung> {
             ] {
                 out.push(rung(executor, WavefrontMode::Auto, KernelMode::Auto));
             }
-            for wavefront in [WavefrontMode::Off, WavefrontMode::Auto, WavefrontMode::Par] {
+            for wavefront in [WavefrontMode::Off, WavefrontMode::Auto] {
                 for kernel in [KernelMode::Auto, KernelMode::Off] {
                     out.push(rung(ExecutorChoice::Coop, wavefront, kernel));
                 }

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 mod common;
 
 use common::{prepared, verify, CORPUS};
-use systolizer::interp::{simulate, KernelMode, ModuleStore, OptMode, SimSpec, WavefrontMode};
+use systolizer::interp::{simulate, KernelMode, ModuleStore, OptMode, SimSpec};
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
 use systolizer::{systolize_source, SystolizeOptions};
@@ -23,12 +23,10 @@ fn go(
     env: &Env,
     store: &HostStore,
     opt: OptMode,
-    wavefront: WavefrontMode,
     kernel: KernelMode,
 ) -> systolizer::interp::SystolicRun {
     let spec = SimSpec {
         opt,
-        wavefront,
         kernel,
         ..SimSpec::default()
     };
@@ -47,14 +45,7 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
 
-        let scalar = go(
-            &plan,
-            &env,
-            &store,
-            OptMode::Off,
-            WavefrontMode::Auto,
-            KernelMode::Off,
-        );
+        let scalar = go(&plan, &env, &store, OptMode::Off, KernelMode::Off);
         assert!(scalar.wavefront, "design {design}: wavefront gate");
         let k = scalar
             .kernel
@@ -64,14 +55,7 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
         assert_eq!(k.waves_fused, 0, "design {design}: off must not fuse");
         assert_eq!(scalar.store, expected, "design {design}: scalar vs oracle");
 
-        let fused = go(
-            &plan,
-            &env,
-            &store,
-            OptMode::Off,
-            WavefrontMode::Auto,
-            KernelMode::Auto,
-        );
+        let fused = go(&plan, &env, &store, OptMode::Off, KernelMode::Auto);
         assert!(fused.wavefront, "design {design}");
         assert_eq!(fused.store, expected, "design {design}: kernel vs oracle");
         assert_eq!(
@@ -132,22 +116,8 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
 fn kernel_path_is_invisible_on_the_optimized_module() {
     for design in 0..CORPUS {
         let (plan, env, store) = prepared(design, 4, 23);
-        let off = go(
-            &plan,
-            &env,
-            &store,
-            OptMode::Auto,
-            WavefrontMode::Auto,
-            KernelMode::Off,
-        );
-        let auto = go(
-            &plan,
-            &env,
-            &store,
-            OptMode::Auto,
-            WavefrontMode::Auto,
-            KernelMode::Auto,
-        );
+        let off = go(&plan, &env, &store, OptMode::Auto, KernelMode::Off);
+        let auto = go(&plan, &env, &store, OptMode::Auto, KernelMode::Auto);
         assert_eq!(auto.store, off.store, "design {design}");
         assert_eq!(auto.stats.messages, off.stats.messages, "design {design}");
         assert_eq!(auto.stats.steps, off.stats.steps, "design {design}");
@@ -226,23 +196,20 @@ proptest! {
     /// Kernel-on and kernel-off agree — stores bit-identical against
     /// each other and the sequential oracle, logical messages/steps
     /// invariant — over random (design, size, seed, gate) draws,
-    /// including the parallel chunk mode (pool threads) and the
-    /// optimized module.
+    /// including the optimized module.
     #[test]
     fn kernels_are_unobservable_on_random_configurations(
         design in 0usize..9,
         n in 1i64..=4,
         seed in 0u64..1000,
         opt_on in 0u8..2,
-        par in 0u8..2,
     ) {
         let (plan, env, store) = prepared(design, n, seed);
         let opt = if opt_on == 1 { OptMode::Auto } else { OptMode::Off };
-        let wavefront = if par == 1 { WavefrontMode::Par } else { WavefrontMode::Auto };
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
-        let off = go(&plan, &env, &store, opt, wavefront, KernelMode::Off);
-        let auto = go(&plan, &env, &store, opt, wavefront, KernelMode::Auto);
+        let off = go(&plan, &env, &store, opt, KernelMode::Off);
+        let auto = go(&plan, &env, &store, opt, KernelMode::Auto);
         prop_assert_eq!(&off.store, &expected);
         prop_assert_eq!(&auto.store, &expected);
         prop_assert_eq!(auto.stats.messages, off.stats.messages);

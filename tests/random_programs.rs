@@ -2,11 +2,12 @@
 //! nests, index maps, bodies, and loop directions — not just the fixed
 //! gallery. Every accepted (program, array) pair must compile, satisfy
 //! the Appendix B theorems, and execute equivalently to its own
-//! sequential semantics.
+//! sequential semantics — on the reference engine and then on every rung
+//! of `simulate`'s ladder (`common::rungs`).
 
 mod common;
 
-use common::{assert_seq_matches_reference, plain_under, verify};
+use common::{assert_seq_matches_reference, plain_under, rungs, verify};
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options};
 use systolizer::interp::{ElabOptions, SimSpec, VerifyError};
@@ -191,7 +192,14 @@ proptest! {
         // When it deadlocks, the split-propagation protocol must succeed
         // — and when it doesn't, the results must be correct.
         match verify(&plan, &env, &["a", "b"], seed, SimSpec::plain()) {
-            Ok(_) => {}
+            // What the reference engine completes, every rung of the
+            // ladder must complete with the oracle's stores.
+            Ok(_) => {
+                for rung in rungs() {
+                    let res = verify(&plan, &env, &["a", "b"], seed, rung.spec());
+                    prop_assert!(res.is_ok(), "{rung:?}: {:?} (spec {spec:?})", res.err());
+                }
+            }
             Err(e) if is_deadlock(&e) => {
                 let opts = ElabOptions {
                     split_propagation: true,

@@ -362,11 +362,14 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
 
     // A field of the wrong type is named, never coerced to a default: a
     // client that asked for the oracle check must not silently go
-    // without it, nor a schedule seed wrap or read as 0.
+    // without it, nor a schedule seed wrap or read as 0. Nor is a gate
+    // value outside its closed set: the parallel wavefront mode is gone
+    // (docs/wavefront.md), so its name is refused like any other.
     for (field, value) in [
         ("'verify'", r#""verify":"yes""#),
         ("'seed'", r#""schedule":{"policy":"random","seed":"7"}"#),
         ("'seed'", r#""schedule":{"policy":"random","seed":-1}"#),
+        ("unknown wavefront 'par' (auto|off)", r#""wavefront":"par""#),
     ] {
         let (status, body) = post(
             addr,
