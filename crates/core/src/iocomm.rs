@@ -5,7 +5,7 @@ use crate::error::CompileError;
 use crate::plan::IoDim;
 use systolic_ir::{SourceProgram, StreamId};
 use systolic_math::{
-    affine::{matrix_apply, point_add, point_sub, AffinePoint},
+    affine::{matrix_apply, point_sub, AffinePoint},
     point, Affine, Chain, Guard, Piecewise, RatPoint, Rational,
 };
 
@@ -187,16 +187,6 @@ pub fn io_flow(flow: &RatPoint, loading: Option<&[i64]>) -> RatPoint {
         Some(v) => point::to_rational(v),
         None => flow.clone(),
     }
-}
-
-/// Verify a point expression `point_add` helper is exercised (kept for
-/// symmetric eq. 7 phrasing in tests).
-pub fn walk_forward(mx: &AffinePoint, offset: &Affine, increment_s: &[i64]) -> AffinePoint {
-    let step: AffinePoint = increment_s
-        .iter()
-        .map(|&c| offset.clone().scale(Rational::int(c)))
-        .collect();
-    point_add(mx, &step)
 }
 
 #[cfg(test)]

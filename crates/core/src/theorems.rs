@@ -69,12 +69,6 @@ pub fn thm6_step_increment_positive(plan: &SystolicProgram) -> bool {
     point::dot(&plan.array.step, &plan.increment) > 0
 }
 
-/// Theorem 7 (corollary): any two index points with equal place differ by
-/// an integer multiple of `increment` — checked at a problem size.
-pub fn thm7_integer_multiples(plan: &SystolicProgram, env: &Env) -> bool {
-    thm4_chords_are_lines(plan, env)
-}
-
 /// Theorem 8: `sgn(x.i - x'.i) = sgn(step.x - step.x') * sgn(increment.i)`
 /// whenever `place.x = place.x'` — checked at a problem size.
 pub fn thm8_sign_relation(plan: &SystolicProgram, env: &Env) -> bool {

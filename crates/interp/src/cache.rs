@@ -28,11 +28,8 @@
 //! Entries never go stale silently: the plan fingerprint
 //! (`SystolicProgram::fingerprint`, taken once by `compile`) covers the
 //! whole derived plan — any recompilation with different
-//! placement/options moves it. [`ModuleStore::invalidate`] /
-//! [`ModuleStore::invalidate_program`] exist for callers that want the
-//! memory back; both bump a generation counter so tests and metrics can
-//! observe the flush. Capacity is bounded by FIFO eviction — the store is
-//! a cache, not a leak.
+//! placement/options moves it. Capacity is bounded by FIFO eviction —
+//! the store is a cache, not a leak.
 
 use crate::elaborate::{ElabError, ElabOptions, Elaborated};
 use crate::skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
@@ -69,12 +66,10 @@ pub struct CacheStats {
     pub skeleton_build_ns: u64,
     /// Total time in phase 2 (`instantiate`) across misses.
     pub instantiate_ns: u64,
-    /// Skeletons dropped by FIFO capacity management (not invalidation).
+    /// Skeletons dropped by FIFO capacity management.
     pub skeleton_evictions: u64,
-    /// Modules dropped by FIFO capacity management (not invalidation).
+    /// Modules dropped by FIFO capacity management.
     pub module_evictions: u64,
-    /// Bumped by every explicit invalidation.
-    pub generation: u64,
 }
 
 impl CacheStats {
@@ -89,7 +84,6 @@ impl CacheStats {
             ("instantiate_ns", self.instantiate_ns.into()),
             ("skeleton_evictions", self.skeleton_evictions.into()),
             ("module_evictions", self.module_evictions.into()),
-            ("generation", self.generation.into()),
         ])
     }
 }
@@ -333,36 +327,9 @@ impl ModuleStore {
         Ok(m)
     }
 
-    /// Drop everything and bump the generation.
-    pub fn invalidate(&self) {
-        let mut g = self.inner.lock().unwrap();
-        g.skeletons.clear();
-        g.skel_order.clear();
-        g.modules.clear();
-        g.mod_order.clear();
-        g.stats.generation += 1;
-    }
-
-    /// Drop the skeletons and modules of one program (every options /
-    /// size / shape variant), leaving other programs' entries hot.
-    pub fn invalidate_program(&self, plan: &SystolicProgram) {
-        let fp = plan.fingerprint;
-        let mut g = self.inner.lock().unwrap();
-        g.skeletons.retain(|k, _| k.0 != fp);
-        g.skel_order.retain(|k| k.0 != fp);
-        g.modules.retain(|k, _| k.0 != fp);
-        g.mod_order.retain(|k| k.0 != fp);
-        g.stats.generation += 1;
-    }
-
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
         self.inner.lock().unwrap().stats.clone()
-    }
-
-    /// The invalidation generation (also in [`CacheStats`]).
-    pub fn generation(&self) -> u64 {
-        self.inner.lock().unwrap().stats.generation
     }
 }
 
@@ -446,33 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_program_leaves_other_plans_hot() {
-        let (plan_a, env_a) = plan_and_env(3);
-        let (p, a) = paper::matmul_e1();
-        let plan_b = compile(&p, &a, &Options::default()).unwrap();
-        let mut env_b = Env::new();
-        env_b.bind(plan_b.source.sizes[0], 2);
-        let store_a = HostStore::allocate(&plan_a.source, &env_a);
-        let store_b = HostStore::allocate(&plan_b.source, &env_b);
-        let ms = ModuleStore::new();
-        ms.module(&plan_a, &env_a, &store_a, &ElabOptions::default())
-            .unwrap();
-        ms.module(&plan_b, &env_b, &store_b, &ElabOptions::default())
-            .unwrap();
-        let g0 = ms.generation();
-        ms.invalidate_program(&plan_a);
-        assert_eq!(ms.generation(), g0 + 1);
-        ms.module(&plan_a, &env_a, &store_a, &ElabOptions::default())
-            .unwrap();
-        ms.module(&plan_b, &env_b, &store_b, &ElabOptions::default())
-            .unwrap();
-        let s = ms.stats();
-        // plan_a re-misses after its flush; plan_b stays hot.
-        assert_eq!(s.module_misses, 3);
-        assert_eq!(s.module_hits, 1);
-    }
-
-    #[test]
     fn fifo_eviction_bounds_the_store() {
         let (plan, _) = plan_and_env(0);
         let ms = ModuleStore::new();
@@ -493,9 +433,8 @@ mod tests {
     /// while later sizes keep arriving. Re-requesting an evicted
     /// configuration must rebuild a structurally bit-identical module
     /// (same bytecode arena, data, links, and points — the sweep has not
-    /// poisoned the skeleton), and the `elab_cache` generation counter
-    /// must stay monotone and untouched: eviction is capacity
-    /// management, not invalidation.
+    /// poisoned the skeleton), and every overflow is one counted
+    /// eviction.
     #[test]
     fn evicted_module_reinstantiates_bit_identically_across_a_sweep() {
         let (plan, _) = plan_and_env(0);
@@ -511,13 +450,10 @@ mod tests {
             .module(&plan, &env1, &store1, &ElabOptions::default())
             .unwrap();
         let wf_first = first.wavefront_plan().clone();
-        let g0 = ms.generation();
-        let mut gens = vec![g0];
         for n in 2..=(MODULE_CAP as i64 + 9) {
             let (env, store) = mk(n);
             ms.module(&plan, &env, &store, &ElabOptions::default())
                 .unwrap();
-            gens.push(ms.generation());
         }
         {
             let g = ms.inner.lock().unwrap();
@@ -538,15 +474,6 @@ mod tests {
         let wf_again = again.wavefront_plan();
         assert_eq!(wf_first.waves, wf_again.waves);
         assert_eq!(wf_first.capacities, wf_again.capacities);
-        assert!(
-            gens.windows(2).all(|w| w[0] <= w[1]),
-            "generation counters must stay monotone across the sweep"
-        );
-        assert_eq!(
-            ms.generation(),
-            g0,
-            "eviction must not bump the invalidation generation"
-        );
         // The sweep instantiated MODULE_CAP + 9 distinct modules plus the
         // post-eviction re-request into a MODULE_CAP-slot store; every
         // overflow is one counted eviction, none lost.

@@ -10,17 +10,18 @@
 //! here once (see `docs/scheduler.md` for the diagram):
 //!
 //! ```text
-//! module lookup ─ gate closed ──────────────► plain    coop Network | run_partitioned
-//!       │                                              (threaded = one process per group)
-//!       │ gate open (and the batch analysis admits the module)
-//!       ├─ partitioned ─────────────────────► batched  run_partitioned_batched
-//!       └─ coop ─ wavefront plan eligible ──► wavefront run_wavefront (+ kernels)
-//!               └ otherwise ────────────────► batched  run_coop_batched
+//! module lookup ─ gate closed ──────────────► plain    coop Network | run_partitioned at k workers
+//!       │                                              (threaded = k = n, one process per group)
+//!       │ gate open: the cooperative executor only (and the batch
+//!       │            analysis admits the module)
+//!       ├─ wavefront plan eligible ─────────► wavefront run_wavefront (+ kernels)
+//!       └─ otherwise ───────────────────────► batched  run_coop_batched
 //! ```
 //!
-//! Above the plain rung every engine runs the optimized module when
-//! `opt` is `Auto` and the optimizer rewrote it, the elaborated one
-//! otherwise. [`simulate_verified`] is the one oracle comparison.
+//! The OS-thread engine has the plain rung only. Above it, both
+//! cooperative engines run the optimized module when `opt` is `Auto` and
+//! the optimizer rewrote it, the elaborated one otherwise.
+//! [`simulate_verified`] is the one oracle comparison.
 
 use crate::cache::ModuleStore;
 use crate::elaborate::{ElabError, ElabOptions, OutputSpec};
@@ -39,9 +40,9 @@ use systolic_runtime::{
 /// [`SchedulePolicy`]); the threaded and partitioned engines trade
 /// determinism of *timing* (never of stores) for OS-thread parallelism
 /// and bound their rendezvous waits by the spec deadline. Both are the
-/// one OS-thread engine, `systolic_runtime::run_partitioned`: `Threaded`
-/// is the paper's asynchronous-process model made literal — the partition
-/// with one process per group — and has the plain rung only.
+/// one OS-thread engine, `systolic_runtime::run_partitioned`, which has
+/// the plain rung only: `Threaded` is the paper's asynchronous-process
+/// model made literal — the partition with one process per group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutorChoice {
     Coop,
@@ -81,12 +82,14 @@ impl ExecutorChoice {
 /// Everything about a simulation except the program and its data.
 pub struct SimSpec {
     /// Steady-state batching gate (`--batch auto|off`, see
-    /// `systolic_runtime::batch`). `Off` pins the plain engines, which
-    /// are the exactness oracle for everything above them.
+    /// `systolic_runtime::batch`) of the cooperative executor; inert on
+    /// the other two. `Off` pins the plain engines, which are the
+    /// exactness oracle for everything above them.
     pub batch: BatchMode,
     /// ProcIR optimizer gate (`--opt auto|off`): relay chains fused into
-    /// delay rings before a batched run. Rides the batching gate. When
-    /// it engages, `stats` describe the smaller optimized module.
+    /// delay rings before a batched run. Rides the batching gate, so it
+    /// too is the cooperative executor's alone. When it engages, `stats`
+    /// describe the smaller optimized module.
     pub opt: OptMode,
     /// Wavefront executor gate (`--wavefront auto|off`) on top of the
     /// cooperative batched rung.
@@ -162,7 +165,7 @@ pub struct SystolicRun {
     /// one the spec asked for (see [`SimSpec::sched`]).
     pub engine: &'static str,
     /// Whether the steady-state batching fast path engaged (see
-    /// `systolic_runtime::batch`).
+    /// `systolic_runtime::batch`); only ever on the `coop` engine.
     pub batched: bool,
     /// Whether the wavefront executor ran this module (see
     /// `systolic_runtime::wavefront`). Implies `batched`.
@@ -287,13 +290,14 @@ pub fn simulate(
     let cm = ms.module(plan, env, store, &elab)?;
     let el = &cm.elab;
     let data = el.gather(store)?;
-    // The one gate: every observable feature wins over speed, and the
-    // module itself must pass `systolic_runtime::analyze`.
-    let fast = batch == BatchMode::Auto
+    // The one gate: the fast rungs are the cooperative executor's, every
+    // observable feature wins over speed, and the module itself must
+    // pass `systolic_runtime::analyze`.
+    let fast = executor == ExecutorChoice::Coop
+        && batch == BatchMode::Auto
         && policy == ChannelPolicy::Rendezvous
         && recorders.is_empty()
         && sched.as_ref().is_none_or(|s| s.is_fifo())
-        && executor != ExecutorChoice::Threaded
         && cm.batch_plan().batchable();
 
     let (mut wavefronted, mut opt_report, mut kernel_report) = (false, None, None);
@@ -307,30 +311,25 @@ pub fn simulate(
         // gather serves whichever module runs.
         let module = &module.with_data(data);
         opt_report = od.as_ref().map(|od| od.0.report.clone());
-        if let ExecutorChoice::Partitioned { workers } = executor {
-            let groups = systolic_runtime::block_partition(module.procs.len(), workers);
-            systolic_runtime::run_partitioned_batched(module, bplan, groups, deadline)?
-        } else {
-            let wplan = match (wavefront, &od) {
-                (WavefrontMode::Off, _) => None,
-                (_, Some(_)) => cm.wavefront_plan_opt(opt),
-                (_, None) => Some(Arc::clone(cm.wavefront_plan())),
-            };
-            match wplan.filter(|w| w.eligible()) {
-                Some(wplan) => {
-                    let kplan = match (kernel, &od) {
-                        (KernelMode::Off, _) => None,
-                        (_, Some(_)) => cm.kernel_plan_opt(opt),
-                        (_, None) => Some(Arc::clone(cm.kernel_plan())),
-                    };
-                    let (stats, sinks, report) =
-                        systolic_runtime::run_wavefront(module, &wplan, kplan.as_deref(), false)?;
-                    wavefronted = true;
-                    kernel_report = Some(report);
-                    (stats, sinks)
-                }
-                None => systolic_runtime::run_coop_batched(module, bplan)?,
+        let wplan = match (wavefront, &od) {
+            (WavefrontMode::Off, _) => None,
+            (_, Some(_)) => cm.wavefront_plan_opt(opt),
+            (_, None) => Some(Arc::clone(cm.wavefront_plan())),
+        };
+        match wplan.filter(|w| w.eligible()) {
+            Some(wplan) => {
+                let kplan = match (kernel, &od) {
+                    (KernelMode::Off, _) => None,
+                    (_, Some(_)) => cm.kernel_plan_opt(opt),
+                    (_, None) => Some(Arc::clone(cm.kernel_plan())),
+                };
+                let (stats, sinks, report) =
+                    systolic_runtime::run_wavefront(module, &wplan, kplan.as_deref(), false)?;
+                wavefronted = true;
+                kernel_report = Some(report);
+                (stats, sinks)
             }
+            None => systolic_runtime::run_coop_batched(module, bplan)?,
         }
     } else {
         let inst = el.module.with_data(data).instantiate_recorded(&recorders);

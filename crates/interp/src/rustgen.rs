@@ -30,23 +30,23 @@ use systolic_math::Env;
 use systolic_runtime::ProcOp;
 
 /// Render the basic statement body as Rust over locals `l0..` and the
-/// index point `x`.
+/// index point `x`, with `ScalarExpr::eval`'s wrapping arithmetic
+/// whatever profile the program is compiled under.
 #[allow(clippy::only_used_in_recursion)] // src kept for symmetry with rust_bool
 fn rust_scalar(src: &SourceProgram, e: &ScalarExpr) -> String {
+    let method = |name: &str, a: &ScalarExpr, b: &ScalarExpr| {
+        format!("({}).{name}({})", rust_scalar(src, a), rust_scalar(src, b))
+    };
     match e {
         ScalarExpr::Stream(s) => format!("l{}", s.0),
         ScalarExpr::Index(i) => format!("x[{i}]"),
         ScalarExpr::Const(c) => format!("{c}i64"),
-        ScalarExpr::Add(a, b) => format!("({} + {})", rust_scalar(src, a), rust_scalar(src, b)),
-        ScalarExpr::Sub(a, b) => format!("({} - {})", rust_scalar(src, a), rust_scalar(src, b)),
-        ScalarExpr::Mul(a, b) => format!("({} * {})", rust_scalar(src, a), rust_scalar(src, b)),
-        ScalarExpr::Min(a, b) => {
-            format!("({}).min({})", rust_scalar(src, a), rust_scalar(src, b))
-        }
-        ScalarExpr::Max(a, b) => {
-            format!("({}).max({})", rust_scalar(src, a), rust_scalar(src, b))
-        }
-        ScalarExpr::Neg(a) => format!("(-{})", rust_scalar(src, a)),
+        ScalarExpr::Add(a, b) => method("wrapping_add", a, b),
+        ScalarExpr::Sub(a, b) => method("wrapping_sub", a, b),
+        ScalarExpr::Mul(a, b) => method("wrapping_mul", a, b),
+        ScalarExpr::Min(a, b) => method("min", a, b),
+        ScalarExpr::Max(a, b) => method("max", a, b),
+        ScalarExpr::Neg(a) => format!("({}).wrapping_neg()", rust_scalar(src, a)),
     }
 }
 
@@ -385,7 +385,7 @@ mod tests {
         assert!(src.contains("fn main()"));
         assert!(src.contains("sync_channel"));
         assert!(src.contains("// comp@"));
-        assert!(src.contains("l2 = (l2 + (l0 * l1));"));
+        assert!(src.contains("l2 = (l2).wrapping_add((l0).wrapping_mul(l1));"));
         // Balanced braces.
         assert_eq!(src.matches('{').count(), src.matches('}').count());
     }

@@ -75,17 +75,21 @@ pub struct BasicStatement {
 }
 
 impl ScalarExpr {
+    /// Arithmetic on [`Value`]s is two's-complement wrapping — the one
+    /// overflow law of the sequential evaluator, the scalar VM, the
+    /// kernel tape (`systolic_runtime::kernel`) and the generated Rust
+    /// program, in every build profile.
     pub fn eval(&self, locals: &[Value], index: &[i64]) -> Value {
         match self {
             ScalarExpr::Stream(s) => locals[s.0],
             ScalarExpr::Index(i) => index[*i],
             ScalarExpr::Const(c) => *c,
-            ScalarExpr::Add(a, b) => a.eval(locals, index) + b.eval(locals, index),
-            ScalarExpr::Sub(a, b) => a.eval(locals, index) - b.eval(locals, index),
-            ScalarExpr::Mul(a, b) => a.eval(locals, index) * b.eval(locals, index),
+            ScalarExpr::Add(a, b) => a.eval(locals, index).wrapping_add(b.eval(locals, index)),
+            ScalarExpr::Sub(a, b) => a.eval(locals, index).wrapping_sub(b.eval(locals, index)),
+            ScalarExpr::Mul(a, b) => a.eval(locals, index).wrapping_mul(b.eval(locals, index)),
             ScalarExpr::Min(a, b) => a.eval(locals, index).min(b.eval(locals, index)),
             ScalarExpr::Max(a, b) => a.eval(locals, index).max(b.eval(locals, index)),
-            ScalarExpr::Neg(a) => -a.eval(locals, index),
+            ScalarExpr::Neg(a) => a.eval(locals, index).wrapping_neg(),
         }
     }
 

@@ -39,14 +39,6 @@ impl Affine {
         }
     }
 
-    /// A rational constant.
-    pub fn rat(q: Rational) -> Affine {
-        Affine {
-            constant: q,
-            terms: Vec::new(),
-        }
-    }
-
     /// A bare variable.
     pub fn var(v: Var) -> Affine {
         Affine {
@@ -256,25 +248,6 @@ impl Mul<Rational> for Affine {
 pub fn point_sub(x: &[Affine], y: &[Affine]) -> AffinePoint {
     assert_eq!(x.len(), y.len());
     x.iter().zip(y).map(|(a, b)| a.clone() - b).collect()
-}
-
-/// Component-wise sum of affine points.
-pub fn point_add(x: &[Affine], y: &[Affine]) -> AffinePoint {
-    assert_eq!(x.len(), y.len());
-    x.iter()
-        .zip(y)
-        .map(|(a, b)| a.clone() + b.clone())
-        .collect()
-}
-
-/// Scale an affine point by a rational.
-pub fn point_scale(x: &[Affine], q: Rational) -> AffinePoint {
-    x.iter().map(|a| a.scale(q)).collect()
-}
-
-/// An integer point lifted to a constant affine point.
-pub fn const_point(x: &[i64]) -> AffinePoint {
-    x.iter().map(|&a| Affine::int(a)).collect()
 }
 
 /// Evaluate an affine point to integers.

@@ -53,11 +53,6 @@ impl Matrix {
         }
     }
 
-    /// A single-row matrix (a linear functional such as `step`).
-    pub fn row_vector(row: &[i64]) -> Matrix {
-        Matrix::from_rows(&[row.to_vec()])
-    }
-
     /// The `n x n` identity.
     pub fn identity(n: usize) -> Matrix {
         let mut m = Matrix {
@@ -123,11 +118,6 @@ impl Matrix {
                     .fold(Rational::ZERO, |acc, (c, &xi)| acc + self.at(r, c) * xi)
             })
             .collect()
-    }
-
-    /// Is every entry an integer?
-    pub fn is_integral(&self) -> bool {
-        self.data.iter().all(|v| v.is_integer())
     }
 
     /// Reduced row echelon form; returns (rref, pivot column per pivot row).

@@ -154,17 +154,6 @@ pub fn box_points(bx: &[(i64, i64)]) -> Vec<Point> {
     }
 }
 
-/// The rational scaling `x / m` (component-wise) of an integer point.
-pub fn div_scalar(x: &[i64], m: i64) -> RatPoint {
-    x.iter().map(|&a| Rational::new(a, m)).collect()
-}
-
-/// Component-wise sum of rational points.
-pub fn rat_add(x: &[Rational], y: &[Rational]) -> RatPoint {
-    assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(&a, &b)| a + b).collect()
-}
-
 /// Scale a rational point by a rational.
 pub fn rat_scale(m: Rational, x: &[Rational]) -> RatPoint {
     x.iter().map(|&a| m * a).collect()

@@ -51,8 +51,8 @@ impl BatchMode {
 }
 
 /// A bounded FIFO of in-flight values for one batched channel. Plain
-/// sequential code — the partitioned executor serializes access under
-/// its engine lock, the cooperative ones own all rings outright.
+/// sequential code — the cooperative batched and wavefront executors
+/// own all rings outright.
 pub struct Ring {
     q: VecDeque<Value>,
     cap: usize,

@@ -108,12 +108,12 @@ impl Kernel {
                 KernelOp::Slot(s) => locals[s as usize],
                 KernelOp::Index(d) => x[d as usize],
                 KernelOp::Const(c) => c,
-                KernelOp::Add(a, b) => regs[a as usize] + regs[b as usize],
-                KernelOp::Sub(a, b) => regs[a as usize] - regs[b as usize],
-                KernelOp::Mul(a, b) => regs[a as usize] * regs[b as usize],
+                KernelOp::Add(a, b) => regs[a as usize].wrapping_add(regs[b as usize]),
+                KernelOp::Sub(a, b) => regs[a as usize].wrapping_sub(regs[b as usize]),
+                KernelOp::Mul(a, b) => regs[a as usize].wrapping_mul(regs[b as usize]),
                 KernelOp::Min(a, b) => regs[a as usize].min(regs[b as usize]),
                 KernelOp::Max(a, b) => regs[a as usize].max(regs[b as usize]),
-                KernelOp::Neg(a) => -regs[a as usize],
+                KernelOp::Neg(a) => regs[a as usize].wrapping_neg(),
             };
         }
         for &(slot, reg) in &self.writes {
@@ -509,21 +509,21 @@ pub(crate) fn kernel_wave(
                         let a = &head[a as usize * lane_n..][..lane_n];
                         let b = &head[b as usize * lane_n..][..lane_n];
                         for l in 0..lane_n {
-                            dst[l] = a[l] + b[l];
+                            dst[l] = a[l].wrapping_add(b[l]);
                         }
                     }
                     KernelOp::Sub(a, b) => {
                         let a = &head[a as usize * lane_n..][..lane_n];
                         let b = &head[b as usize * lane_n..][..lane_n];
                         for l in 0..lane_n {
-                            dst[l] = a[l] - b[l];
+                            dst[l] = a[l].wrapping_sub(b[l]);
                         }
                     }
                     KernelOp::Mul(a, b) => {
                         let a = &head[a as usize * lane_n..][..lane_n];
                         let b = &head[b as usize * lane_n..][..lane_n];
                         for l in 0..lane_n {
-                            dst[l] = a[l] * b[l];
+                            dst[l] = a[l].wrapping_mul(b[l]);
                         }
                     }
                     KernelOp::Min(a, b) => {
@@ -543,7 +543,7 @@ pub(crate) fn kernel_wave(
                     KernelOp::Neg(a) => {
                         let a = &head[a as usize * lane_n..][..lane_n];
                         for l in 0..lane_n {
-                            dst[l] = -a[l];
+                            dst[l] = a[l].wrapping_neg();
                         }
                     }
                 }

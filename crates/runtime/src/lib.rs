@@ -11,8 +11,8 @@
 //!   elaborated process lowers to, and the generic VM ([`ProcVm`]) that
 //!   interprets it;
 //! - [`batch`] — the steady-state batching analysis ([`analyze`]) and
-//!   per-channel [`Ring`] buffers behind the macro-stepping fast paths
-//!   (see `docs/scheduler.md`);
+//!   per-channel [`Ring`] buffers behind the cooperative executor's
+//!   macro-stepping fast paths (see `docs/scheduler.md`);
 //! - [`coop`] — the deterministic cooperative scheduler with rendezvous
 //!   rounds (the virtual systolic clock), exact deadlock detection, and a
 //!   buffered-channel ablation mode;
@@ -20,6 +20,7 @@
 //!   ([`run_partitioned`]): the Sec. 8 partitioning refinement, many
 //!   virtual processes multiplexed per worker thread, of which one
 //!   process per thread (the `threaded` executor) is the trivial case;
+//!   plain rendezvous only;
 //! - [`record`] — the observability layer: the [`Recorder`] event sink
 //!   threaded through the VM and the rendezvous engines, with metrics
 //!   aggregation ([`MetricsRecorder`]) and Chrome-trace export
@@ -52,7 +53,7 @@ pub use coop::{
 pub use json::Json;
 pub use kernel::{analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport};
 pub use opt::{optimize, ChainRecord, OptMode, OptReport, OptimizedModule};
-pub use partition::{block_partition, run_partitioned, run_partitioned_batched};
+pub use partition::{block_partition, run_partitioned};
 pub use process::{sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 pub use procir::{
     ComputeBody, Instance, MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord,

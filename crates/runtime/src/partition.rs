@@ -11,6 +11,11 @@
 //! machine model — one asynchronous process per processor — is the
 //! trivial partition, one process per group, and runs through the same
 //! code: that is the `threaded` executor of `systolic_interp::simulate`.
+//! Every process is stepped one rendezvous set at a time: the batched,
+//! wavefront and kernel rungs belong to the cooperative executor alone
+//! (a ring-batched form of this engine kept every ring under one mutex,
+//! measured slower than both cooperative fast rungs on every design and
+//! size, and was deleted — `docs/scheduler.md` has the table).
 //!
 //! A process offers its whole communication set at once, so `par`
 //! communications complete in any order, and a worker never blocks on a
@@ -26,10 +31,8 @@
 //! steps, and a malformed network (two processes on one endpoint) aborts
 //! with a structured [`RunError`] diagnosis instead of panicking a worker.
 
-use crate::batch::{BatchPlan, Ring};
 use crate::coop::{ProtocolViolation, RunError, RunStats};
-use crate::process::{ChanId, CommReq, Process, SinkBuffer, Value};
-use crate::procir::{ProcIrModule, ProcVm};
+use crate::process::{ChanId, CommReq, Process, Value};
 use crate::record::{SharedRecorder, Transfer};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Stack of every group worker. A worker's stack holds one `step_into`
-/// (or `macro_step`) at a time whatever its group size, so one small
+/// at a time whatever its group size, so one small
 /// constant serves a two-worker partition and a thread-per-process run
 /// of several thousand alike (4 000 workers reserve 0.5 GiB of address
 /// space, not 8 GiB).
@@ -159,8 +162,15 @@ impl Engine {
         }
     }
 
+    /// Record a fatal diagnosis (the first one is the root cause and
+    /// stays), wake every group, and return the error.
     fn abort(&self, st: &mut EngineState, err: RunError) -> RunError {
-        abort_all(&self.aborted, &self.wakeups, &mut st.failure, err)
+        self.aborted.store(true, Ordering::Relaxed);
+        st.failure.get_or_insert_with(|| err.clone());
+        for w in &self.wakeups {
+            w.notify_all();
+        }
+        err
     }
 
     fn violation(
@@ -327,28 +337,52 @@ impl Engine {
         }
         Ok(steps)
     }
-}
 
-/// Record a fatal diagnosis (the first one is the root cause and stays),
-/// wake every group, and return the error. The caller holds the engine's
-/// state lock, which `failure` lives under.
-fn abort_all(
-    aborted: &AtomicBool,
-    wakeups: &[Condvar],
-    failure: &mut Option<RunError>,
-    err: RunError,
-) -> RunError {
-    aborted.store(true, Ordering::Relaxed);
-    failure.get_or_insert_with(|| err.clone());
-    for w in wakeups {
-        w.notify_all();
+    /// Start one small-stack worker per group with `spawn` and join them
+    /// all, returning the steps they took. Thread creation fails on a
+    /// request-reachable path (one process per group asks the OS for
+    /// thousands of threads), so a failed spawn is not a panic: the
+    /// [`RunError::Spawn`] aborts the workers already started, which are
+    /// still joined before the error is returned.
+    fn spawn_and_join(
+        &self,
+        mut spawn: impl FnMut(
+            usize,
+            std::thread::Builder,
+        ) -> std::io::Result<JoinHandle<Result<u64, RunError>>>,
+    ) -> Result<u64, RunError> {
+        let mut handles = Vec::with_capacity(self.wakeups.len());
+        let mut first_err = None;
+        for gi in 0..self.wakeups.len() {
+            let builder = std::thread::Builder::new()
+                .name(format!("systolic-group-{gi}"))
+                .stack_size(WORKER_STACK);
+            match spawn(gi, builder) {
+                Ok(h) => handles.push(h),
+                Err(e) => {
+                    let err = RunError::Spawn {
+                        scope: format!("group {gi}: {e}"),
+                    };
+                    first_err = Some(self.abort(&mut self.state.lock(), err));
+                    break;
+                }
+            }
+        }
+        let mut steps = 0;
+        for (gi, h) in handles.into_iter().enumerate() {
+            match h.join().map_err(|_| RunError::Panicked {
+                scope: format!("group {gi}"),
+            }) {
+                Ok(Ok(s)) => steps += s,
+                Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        first_err.map_or(Ok(steps), Err)
     }
-    err
 }
 
-/// Validate that `groups` is a partition of `0..n` — the shared
-/// precondition of both executors — and return its inverse, the group of
-/// each process.
+/// Validate that `groups` is a partition of `0..n` and return its
+/// inverse, the group of each process.
 fn group_index(n: usize, groups: &[Vec<usize>]) -> Result<Vec<usize>, RunError> {
     let mut group_of = vec![usize::MAX; n];
     for (gi, g) in groups.iter().enumerate() {
@@ -372,50 +406,6 @@ fn group_index(n: usize, groups: &[Vec<usize>]) -> Result<Vec<usize>, RunError> 
         });
     }
     Ok(group_of)
-}
-
-/// Start one small-stack worker per group with `spawn` and join them all,
-/// returning their results in group order. Thread creation fails on a
-/// request-reachable path (one process per group asks the OS for
-/// thousands of threads), so a failed spawn is not a panic: `abort` is
-/// handed the [`RunError::Spawn`] to stop the workers already started,
-/// which are still joined before the error is returned.
-fn spawn_and_join<T>(
-    n_groups: usize,
-    mut spawn: impl FnMut(
-        usize,
-        std::thread::Builder,
-    ) -> std::io::Result<JoinHandle<Result<T, RunError>>>,
-    abort: impl Fn(RunError),
-) -> Result<Vec<T>, RunError> {
-    let mut handles = Vec::with_capacity(n_groups);
-    let mut first_err = None;
-    for gi in 0..n_groups {
-        let builder = std::thread::Builder::new()
-            .name(format!("systolic-group-{gi}"))
-            .stack_size(WORKER_STACK);
-        match spawn(gi, builder) {
-            Ok(h) => handles.push(h),
-            Err(e) => {
-                let err = RunError::Spawn {
-                    scope: format!("group {gi}: {e}"),
-                };
-                abort(err.clone());
-                first_err = Some(err);
-                break;
-            }
-        }
-    }
-    let mut results = Vec::with_capacity(handles.len());
-    for (gi, h) in handles.into_iter().enumerate() {
-        match h.join().map_err(|_| RunError::Panicked {
-            scope: format!("group {gi}"),
-        }) {
-            Ok(Ok(r)) => results.push(r),
-            Ok(Err(e)) | Err(e) => first_err = first_err.or(Some(e)),
-        }
-    }
-    first_err.map_or(Ok(results), Err)
 }
 
 /// Run processes partitioned into `groups` (a partition of process ids),
@@ -442,21 +432,15 @@ pub fn run_partitioned(
 
     // Distribute process ownership to the group threads.
     let mut slots: Vec<Option<Box<dyn Process>>> = procs.into_iter().map(Some).collect();
-    let steps = spawn_and_join(
-        groups.len(),
-        |gi, thread| {
-            let members = std::mem::take(&mut groups[gi]);
-            let owned = members
-                .iter()
-                .map(|&m| slots[m].take().expect("partition checked"))
-                .collect();
-            let engine = engine.clone();
-            thread.spawn(move || engine.run_group(gi, &members, owned, timeout))
-        },
-        |err| {
-            engine.abort(&mut engine.state.lock(), err);
-        },
-    );
+    let steps = engine.spawn_and_join(|gi, thread| {
+        let members = std::mem::take(&mut groups[gi]);
+        let owned = members
+            .iter()
+            .map(|&m| slots[m].take().expect("partition checked"))
+            .collect();
+        let engine = engine.clone();
+        thread.spawn(move || engine.run_group(gi, &members, owned, timeout))
+    });
     let st = engine.state.lock();
     // The root cause, not whichever group's abort joined first.
     let steps = steps.map_err(|e| st.failure.clone().unwrap_or(e))?;
@@ -468,142 +452,8 @@ pub fn run_partitioned(
         rounds: 0,
         messages: st.messages,
         processes: n,
-        steps: steps.iter().sum(),
+        steps,
     })
-}
-
-/// Shared state of the batched partitioned executor: all rings under
-/// one lock, taken once per macro-sweep of a worker's whole block.
-struct BatchState {
-    rings: Vec<Ring>,
-    failure: Option<RunError>,
-}
-
-struct BatchEngine {
-    state: Mutex<BatchState>,
-    /// One wakeup per group.
-    wakeups: Vec<Condvar>,
-    aborted: AtomicBool,
-}
-
-impl BatchEngine {
-    fn abort(&self, st: &mut BatchState, err: RunError) -> RunError {
-        abort_all(&self.aborted, &self.wakeups, &mut st.failure, err)
-    }
-}
-
-/// The batched partitioned executor: the Sec. 8 refinement over
-/// `ProcVm::macro_step`. Each worker round-robins its group's members
-/// over the plan's shared rings until none progresses, then parks on the
-/// group condvar; a member whose macro-step moved values wakes exactly
-/// the *other* groups hosting its channel peers (intra-group unblocking
-/// happens in the same sweep for free — the whole reason partitioning
-/// multiplexes instead of blocking). Semantics pinned to the unbatched
-/// executors by `tests/batching.rs`: stores bit-identical,
-/// `messages`/`steps` logical counts, `rounds` 0.
-pub fn run_partitioned_batched(
-    module: &Arc<ProcIrModule>,
-    plan: &BatchPlan,
-    groups: Vec<Vec<usize>>,
-    timeout: Duration,
-) -> Result<(RunStats, Vec<SinkBuffer>), RunError> {
-    debug_assert!(plan.batchable(), "caller checks BatchPlan::batchable");
-    let (vms, outputs) = module.instantiate_vms(&[]);
-    let n = vms.len();
-    let group_of = group_index(n, &groups)?;
-    // Which other groups to wake when a member's macro-step moves
-    // values — those hosting its channel peers — dense by pid.
-    let mut peer_groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in 0..plan.widths.len() {
-        if let (Some(p), Some(q)) = (plan.producer_of[c], plan.consumer_of[c]) {
-            if group_of[p] != group_of[q] {
-                peer_groups[p].push(group_of[q]);
-                peer_groups[q].push(group_of[p]);
-            }
-        }
-    }
-    for gs in &mut peer_groups {
-        gs.sort_unstable();
-        gs.dedup();
-    }
-    let peer_groups = Arc::new(peer_groups);
-    let engine = Arc::new(BatchEngine {
-        state: Mutex::new(BatchState {
-            rings: plan.rings(),
-            failure: None,
-        }),
-        wakeups: (0..groups.len()).map(|_| Condvar::new()).collect(),
-        aborted: AtomicBool::new(false),
-    });
-
-    let mut slots: Vec<Option<ProcVm>> = vms.into_iter().map(Some).collect();
-    let per_group = spawn_and_join(
-        groups.len(),
-        |gi, thread| {
-            let mut owned: Vec<(usize, ProcVm, bool)> = groups[gi]
-                .iter()
-                .map(|&m| (m, slots[m].take().expect("partition checked"), false))
-                .collect();
-            let engine = engine.clone();
-            let peer_groups = peer_groups.clone();
-            thread.spawn(move || -> Result<RunStats, RunError> {
-                let mut stats = RunStats::default();
-                let mut live = owned.len();
-                let mut st = engine.state.lock();
-                loop {
-                    let mut progressed = false;
-                    for (pid, vm, done) in owned.iter_mut() {
-                        if *done {
-                            continue;
-                        }
-                        let mut moved = 0u64;
-                        let finished = vm.macro_step(&mut st.rings, &mut stats, &mut moved);
-                        if moved > 0 {
-                            progressed = true;
-                            for &g in &peer_groups[*pid] {
-                                engine.wakeups[g].notify_one();
-                            }
-                        }
-                        if finished {
-                            *done = true;
-                            live -= 1;
-                        }
-                    }
-                    if live == 0 {
-                        return Ok(stats);
-                    }
-                    if progressed {
-                        // A member may have unblocked a sibling; sweep
-                        // again before parking.
-                        continue;
-                    }
-                    if engine.aborted.load(Ordering::Relaxed) {
-                        return Err(RunError::Aborted);
-                    }
-                    if engine.wakeups[gi].wait_for(&mut st, timeout).timed_out() {
-                        let err = RunError::Timeout {
-                            scope: format!("group {gi}"),
-                        };
-                        return Err(engine.abort(&mut st, err));
-                    }
-                }
-            })
-        },
-        |err| {
-            engine.abort(&mut engine.state.lock(), err);
-        },
-    )
-    // The root cause, not whichever group's abort joined first.
-    .map_err(|e| engine.state.lock().failure.clone().unwrap_or(e))?;
-    let mut total = RunStats {
-        processes: n,
-        ..RunStats::default()
-    };
-    for s in per_group {
-        total.messages += s.messages;
-        total.steps += s.steps;
-    }
-    Ok((total, outputs))
 }
 
 /// A simple block partition: processes in index order, `k` groups of
@@ -687,45 +537,6 @@ mod tests {
             run_partitioned(inst.procs, groups, T, Vec::new()).unwrap();
             assert_eq!(*buf.lock(), vec![5, 6], "k = {k}");
         }
-    }
-
-    #[test]
-    fn batched_partitions_match_unbatched_for_all_worker_counts() {
-        let build = || {
-            let mut b = ProcIrBuilder::new();
-            b.source(0, &(0..20).collect::<Vec<_>>(), "src");
-            for i in 0..4 {
-                b.relay(i, i + 1, 20, format!("r{i}"));
-            }
-            b.sink(4, 20, "sink");
-            b.build(None)
-        };
-        let module = build();
-        let inst = module.instantiate();
-        let nprocs = inst.procs.len();
-        let base = run_partitioned(inst.procs, block_partition(nprocs, 2), T, Vec::new()).unwrap();
-        let base_out = inst.outputs[0].lock().clone();
-
-        let plan = crate::batch::analyze(&module);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        for k in 1..=4 {
-            let groups = block_partition(nprocs, k);
-            let (stats, outs) = run_partitioned_batched(&module, &plan, groups, T).unwrap();
-            assert_eq!(*outs[0].lock(), base_out, "k = {k}: store");
-            assert_eq!(stats.messages, base.messages, "k = {k}: messages");
-            assert_eq!(stats.steps, base.steps, "k = {k}: steps");
-        }
-    }
-
-    #[test]
-    fn batched_bad_partition_is_a_structured_error() {
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[1], "src");
-        b.sink(0, 1, "sink");
-        let module = b.build(None);
-        let plan = crate::batch::analyze(&module);
-        let err = run_partitioned_batched(&module, &plan, vec![vec![0]], T).unwrap_err();
-        assert!(matches!(err, RunError::Partition { .. }), "{err}");
     }
 
     #[test]
@@ -876,23 +687,20 @@ mod tests {
         let labels = vec!["waiter".to_string(), "unborn".to_string()];
         let engine = Arc::new(Engine::new(labels, group_of, 2, Vec::new()));
         let started = Instant::now();
-        let err = spawn_and_join(
-            2,
-            |gi, thread| {
+        let err = engine
+            .spawn_and_join(|gi, thread| {
                 if gi == 1 {
                     return Err(std::io::Error::other("no more threads"));
                 }
                 let engine = engine.clone();
                 thread.spawn(move || {
                     engine.register(0, &[CommReq::Recv { chan: 0 }])?;
-                    engine.next_ready(0, &[0], &[vec![false]], &mut Vec::new(), T)
+                    engine
+                        .next_ready(0, &[0], &[vec![false]], &mut Vec::new(), T)
+                        .map(|_| 0)
                 })
-            },
-            |err| {
-                engine.abort(&mut engine.state.lock(), err);
-            },
-        )
-        .unwrap_err();
+            })
+            .unwrap_err();
         assert!(started.elapsed() < T, "the parked worker was not woken");
         let RunError::Spawn { scope } = &err else {
             panic!("expected a spawn error, got {err}");

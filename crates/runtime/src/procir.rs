@@ -234,10 +234,11 @@ impl ProcIrModule {
     /// objects) plus the output buffers their sinks fill, every VM
     /// reporting its retired op effects to `recorders` (see
     /// `crate::record`; with an empty slice the VMs carry no recording
-    /// state and pay no per-step cost). The batched executors drive
-    /// [`ProcVm::macro_step`] directly and therefore take the concrete
-    /// type, always unrecorded — the batching gate falls back to the
-    /// rendezvous engines when any recorder is attached.
+    /// state and pay no per-step cost). The cooperative batched and
+    /// wavefront executors drive [`ProcVm::macro_step`] directly and
+    /// therefore take the concrete type, always unrecorded — the
+    /// batching gate falls back to the rendezvous engines when any
+    /// recorder is attached.
     pub fn instantiate_vms(
         self: &Arc<Self>,
         recorders: &[SharedRecorder],
@@ -671,9 +672,11 @@ impl ProcVm {
         }
     }
 
-    /// The batched executors' superinstruction path: retire as many ops
-    /// as the per-channel [`Ring`]s allow without returning to the
-    /// engine (see `crate::batch` and `docs/scheduler.md`). Fused paths
+    /// The superinstruction path of the two cooperative fast engines
+    /// (`run_coop_batched`, `run_wavefront`), each sweeping its VMs on
+    /// one thread: retire as many ops as the per-channel [`Ring`]s allow
+    /// without returning to the engine (see `crate::batch` and
+    /// `docs/scheduler.md`). Fused paths
     /// drain whole `Pass` repetitions and whole `Compute`
     /// receive/body/send cycles in a tight loop; values move through the
     /// rings instead of rendezvous sets.

@@ -592,10 +592,6 @@ pub struct PerfettoRecorder {
     chan_names: Vec<String>,
     events: Vec<PerfettoEvent>,
     n_chans: usize,
-    /// Trace microseconds per unit of virtual time. The default (10)
-    /// stretches cooperative rounds so slices are visible; for the
-    /// OS-thread engine (already in µs) use 1.
-    time_scale: u64,
     end_ts: u64,
 }
 
@@ -610,6 +606,9 @@ impl PerfettoRecorder {
     pub const PROCESS_TRACKS: u32 = 1;
     /// Chrome pid hosting the per-channel tracks.
     pub const CHANNEL_TRACKS: u32 = 2;
+    /// Trace microseconds per unit of virtual time: stretches
+    /// cooperative rounds so slices are visible.
+    const TIME_SCALE: u64 = 10;
 
     pub fn new() -> PerfettoRecorder {
         PerfettoRecorder {
@@ -617,7 +616,6 @@ impl PerfettoRecorder {
             chan_names: Vec::new(),
             events: Vec::new(),
             n_chans: 0,
-            time_scale: 10,
             end_ts: 0,
         }
     }
@@ -625,12 +623,6 @@ impl PerfettoRecorder {
     /// Install display names for channel tracks (index = [`ChanId`]).
     pub fn with_channel_names(mut self, names: Vec<String>) -> PerfettoRecorder {
         self.chan_names = names;
-        self
-    }
-
-    /// Set the trace-µs-per-virtual-time-unit factor.
-    pub fn with_time_scale(mut self, scale: u64) -> PerfettoRecorder {
-        self.time_scale = scale.max(1);
         self
     }
 
@@ -716,8 +708,8 @@ impl Recorder for PerfettoRecorder {
             name: "xfer",
             pid: Self::CHANNEL_TRACKS,
             tid: ev.chan as u64,
-            ts: ev.time * self.time_scale,
-            dur: self.time_scale.max(2) * 4 / 5,
+            ts: ev.time * Self::TIME_SCALE,
+            dur: Self::TIME_SCALE * 4 / 5,
             args,
         });
     }
@@ -728,8 +720,8 @@ impl Recorder for PerfettoRecorder {
             name: "step",
             pid: Self::PROCESS_TRACKS,
             tid: pid as u64,
-            ts: time * self.time_scale,
-            dur: self.time_scale.max(2) / 2,
+            ts: time * Self::TIME_SCALE,
+            dur: Self::TIME_SCALE / 2,
             args: Vec::new(),
         });
     }
@@ -740,14 +732,14 @@ impl Recorder for PerfettoRecorder {
             name: "finished",
             pid: Self::PROCESS_TRACKS,
             tid: pid as u64,
-            ts: time * self.time_scale,
+            ts: time * Self::TIME_SCALE,
             dur: 0,
             args: Vec::new(),
         });
     }
 
     fn end(&mut self, time: u64) {
-        self.end_ts = time * self.time_scale;
+        self.end_ts = time * Self::TIME_SCALE;
     }
 }
 

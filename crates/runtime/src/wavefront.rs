@@ -82,7 +82,7 @@ impl WavefrontMode {
     // `WavefrontMode::Par` is not a mode: the frozen
     // `benchmark/src/layers.rs:115` writes that path for its
     // `wavefront_par` rung, which therefore times `Auto`. Goes with that
-    // rung in the `[benchmark]` PR of ROADMAP 3(c).
+    // rung in the `[benchmark]` PR of ROADMAP 2(b).
     #[doc(hidden)]
     #[allow(non_upper_case_globals)]
     pub const Par: WavefrontMode = WavefrontMode::Auto;
@@ -425,7 +425,7 @@ pub fn run_wavefront(
     plan: &WavefrontPlan,
     kernels: Option<&KernelPlan>,
     // Ignored: the frozen `benchmark/src/stages.rs:106` passes a fourth
-    // `bool`. Goes with that call in the `[benchmark]` PR of ROADMAP 3(c).
+    // `bool`. Goes with that call in the `[benchmark]` PR of ROADMAP 2(b).
     _parallel: bool,
 ) -> Result<(RunStats, Vec<SinkBuffer>, KernelReport), RunError> {
     debug_assert!(plan.eligible(), "caller checks WavefrontPlan::eligible");

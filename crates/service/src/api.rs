@@ -301,7 +301,7 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
     let inputs: Option<Vec<String>> = field(&doc, "inputs", "an array of strings", names)?;
     // The closed sets, default first (each gate's is its enum's `NAMES`).
     let executor = ["coop", "threaded", "partitioned"].map(|e| (e, e));
-    let output = [
+    let outputs = [
         ("stores", OutputKind::Stores),
         ("metrics", OutputKind::Metrics),
         ("trace", OutputKind::Trace),
@@ -318,6 +318,13 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
             Some((policy.to_string(), seed.unwrap_or(0)))
         }
     };
+    let output = choice(&doc, "output", &outputs)?;
+    let verify = bool_field(&doc, "verify")?.unwrap_or(false);
+    if verify && output != OutputKind::Stores {
+        return Err(ApiError::bad_request(
+            "'verify' compares the stores of a run: it needs 'output' \"stores\" (the default)",
+        ));
+    }
     Ok(RunRequest {
         program,
         sizes,
@@ -330,8 +337,8 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
         executor: choice(&doc, "executor", &executor)?.to_string(),
         workers: u64_field(&doc, "workers")?.unwrap_or(2).max(1) as usize,
         deadline_ms: u64_field(&doc, "deadline_ms")?,
-        output: choice(&doc, "output", &output)?,
-        verify: bool_field(&doc, "verify")?.unwrap_or(false),
+        output,
+        verify,
         schedule,
     })
 }

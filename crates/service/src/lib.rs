@@ -235,30 +235,35 @@ impl Service {
         let inputs = req.inputs.as_ref().unwrap_or(&resolved.default_inputs);
         let Problem { env, store } = Problem::seeded(plan, &req.sizes, inputs, req.seed)?;
 
+        // One spec for every output arm: the observed arms add their
+        // recorders to it, so the engine a report describes is the one
+        // the request named (on its plain rung).
+        let executor = ExecutorChoice::parse(&req.executor, req.workers)
+            .expect("executor validated at parse time");
+        let sched = match &req.schedule {
+            None => None,
+            Some((policy, seed)) => Some(policy_by_name(policy, *seed).ok_or_else(|| {
+                ApiError::bad_request(format!(
+                    "unknown schedule policy '{policy}' (fifo|random|lifo|prio-inv)"
+                ))
+            })?),
+        };
+        let spec = SimSpec {
+            batch: req.batch,
+            opt: req.opt,
+            wavefront: req.wavefront,
+            kernel: req.kernel,
+            executor,
+            deadline: Duration::from_millis(deadline_ms),
+            sched,
+            ..SimSpec::default()
+        };
+        let observe = |spec| {
+            observe_plan_in(&self.modules, plan, &env, &store, spec)
+                .map_err(|e| ApiError::from_exec_error(&e))
+        };
         match req.output {
             OutputKind::Stores => {
-                let executor = ExecutorChoice::parse(&req.executor, req.workers)
-                    .expect("executor validated at parse time");
-                let sched = match &req.schedule {
-                    None => None,
-                    Some((policy, seed)) => {
-                        Some(policy_by_name(policy, *seed).ok_or_else(|| {
-                            ApiError::bad_request(format!(
-                                "unknown schedule policy '{policy}' (fifo|random|lifo|prio-inv)"
-                            ))
-                        })?)
-                    }
-                };
-                let spec = SimSpec {
-                    batch: req.batch,
-                    opt: req.opt,
-                    wavefront: req.wavefront,
-                    kernel: req.kernel,
-                    executor,
-                    deadline: Duration::from_millis(deadline_ms),
-                    sched,
-                    ..SimSpec::default()
-                };
                 let run = if req.verify {
                     simulate_verified(&self.modules, plan, &env, &store, spec)
                         .map_err(|e| ApiError::from_verify_error(&e))?
@@ -275,16 +280,8 @@ impl Service {
                     req.verify,
                 ))
             }
-            OutputKind::Metrics => {
-                let obs = observe_plan_in(&self.modules, plan, &env, &store, SimSpec::default())
-                    .map_err(|e| ApiError::from_exec_error(&e))?;
-                Ok(obs.metrics_json())
-            }
-            OutputKind::Trace => {
-                let obs = observe_plan_in(&self.modules, plan, &env, &store, SimSpec::default())
-                    .map_err(|e| ApiError::from_exec_error(&e))?;
-                Ok(obs.perfetto_json)
-            }
+            OutputKind::Metrics => Ok(observe(spec)?.metrics_json()),
+            OutputKind::Trace => Ok(observe(spec)?.perfetto_json),
         }
     }
 

@@ -2,13 +2,13 @@
 //! (`systolic_runtime::batch`, see `docs/scheduler.md`) must be
 //! observationally invisible — bit-identical recovered stores and
 //! invariant logical `messages`/`steps` counts against the rendezvous
-//! engine on all three executors — and its engagement gate must be
-//! exactly as documented: `--batch off`, a buffered channel policy, an
-//! attached recorder, or a non-FIFO schedule policy each force the
-//! unbatched engine. All runs here pass `OptMode::Off`: the message and
-//! step pins below are the *unfused* counts, and the optimizer (which
-//! legitimately changes them) has its own differential suite in
-//! `tests/optimizer.rs`.
+//! engine — and its engagement gate must be exactly as documented: an
+//! executor other than the cooperative one, `--batch off`, a buffered
+//! channel policy, an attached recorder, or a non-FIFO schedule policy
+//! each force the unbatched engine. All runs here pass `OptMode::Off`:
+//! the message and step pins below are the *unfused* counts, and the
+//! optimizer (which legitimately changes them) has its own differential
+//! suite in `tests/optimizer.rs`.
 
 mod common;
 
@@ -106,18 +106,23 @@ fn gate_closes_for_every_observable_feature() {
     assert!(!buffered.batched, "the buffered ablation closes the gate");
     assert_eq!(buffered.store, base.store);
 
-    let threaded = go(
-        &e1,
-        SimSpec {
-            executor: ExecutorChoice::Threaded,
-            ..batched_rung()
-        },
-    );
-    assert!(
-        !threaded.batched,
-        "the threaded engine has the plain rung only"
-    );
-    assert_eq!(threaded.store, base.store);
+    for executor in [
+        ExecutorChoice::Threaded,
+        ExecutorChoice::Partitioned { workers: 2 },
+    ] {
+        let os_thread = go(
+            &e1,
+            SimSpec {
+                executor,
+                ..batched_rung()
+            },
+        );
+        assert!(
+            !os_thread.batched,
+            "the OS-thread engine has the plain rung only"
+        );
+        assert_eq!(os_thread.store, base.store);
+    }
 }
 
 /// The wavefront executor's gate corners (see `docs/wavefront.md`): the
@@ -185,8 +190,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(16), ..ProptestConfig::default() })]
 
     /// Batched and unbatched execution agree — stores bit-identical,
-    /// logical messages/steps invariant — on all three executors, over
-    /// random (design, size, input seed, worker count) draws.
+    /// logical messages/steps invariant — and the gate opens on the
+    /// cooperative executor only, over random (design, size, input seed,
+    /// worker count) draws.
     #[test]
     fn batching_is_unobservable_on_random_configurations(
         design in 0usize..9,
@@ -202,7 +208,7 @@ proptest! {
             ExecutorChoice::Partitioned { workers },
         ] {
             let fast = go(&d, SimSpec { executor, ..batched_rung() });
-            prop_assert_eq!(fast.batched, executor != ExecutorChoice::Threaded);
+            prop_assert_eq!(fast.batched, executor == ExecutorChoice::Coop);
             prop_assert_eq!(&fast.store, &base.store);
             prop_assert_eq!(fast.stats.messages, base.stats.messages);
             prop_assert_eq!(fast.stats.steps, base.stats.steps);

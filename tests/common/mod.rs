@@ -89,6 +89,45 @@ pub fn assert_seq_matches_reference(
     n_fast
 }
 
+/// Compile a `rustgen` program with `rustc` (`-O` when `optimized`, else
+/// the debug profile with its overflow checks), run it, and hold it to
+/// its embedded self-check against the sequential reference.
+pub fn compile_and_run(name: &str, source: &str, optimized: bool) {
+    use std::process::Command;
+    let dir = std::env::temp_dir().join(format!("systolizer-gen-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let src_path = dir.join(format!("{name}.rs"));
+    let bin_path = dir.join(name);
+    std::fs::write(&src_path, source).unwrap();
+
+    let out = Command::new("rustc")
+        .args(optimized.then_some("-O"))
+        .arg("-o")
+        .arg(&bin_path)
+        .arg(&src_path)
+        .output()
+        .expect("rustc available");
+    assert!(
+        out.status.success(),
+        "{name}: generated program failed to compile:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let run = Command::new(&bin_path)
+        .output()
+        .expect("run generated binary");
+    assert!(
+        run.status.success(),
+        "{name}: generated program failed its self-check:\n{}\n{}",
+        String::from_utf8_lossy(&run.stdout),
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(stdout.contains("all pipes verified"), "{name}: {stdout}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The rendezvous reference engine under a protocol variant.
 pub fn plain_under(elab: ElabOptions) -> SimSpec {
     SimSpec {
@@ -140,32 +179,57 @@ impl Rung {
     }
 }
 
-/// executor × batch × opt, and on the cooperative engine also
-/// × wavefront × kernel (inert on the other two).
+/// Each distinct execution once. The fast rungs are the cooperative
+/// executor's: plain, batched × opt, wavefront × opt × kernel; the
+/// OS-thread engine has the plain rung only — `threaded`, and
+/// `partitioned` at 1 and 3 workers. A gate that cannot matter on a rung
+/// is spelled `Off` here; [`inert_rungs`] spells it `Auto`.
 pub fn rungs() -> Vec<Rung> {
-    let mut out = Vec::new();
-    for batch in [BatchMode::Auto, BatchMode::Off] {
-        for opt in [OptMode::Auto, OptMode::Off] {
-            let rung = |executor, wavefront, kernel| Rung {
-                executor,
-                batch,
-                opt,
-                wavefront,
-                kernel,
-            };
-            for executor in [
-                ExecutorChoice::Threaded,
-                ExecutorChoice::Partitioned { workers: 1 },
-                ExecutorChoice::Partitioned { workers: 3 },
-            ] {
-                out.push(rung(executor, WavefrontMode::Auto, KernelMode::Auto));
-            }
-            for wavefront in [WavefrontMode::Off, WavefrontMode::Auto] {
-                for kernel in [KernelMode::Auto, KernelMode::Off] {
-                    out.push(rung(ExecutorChoice::Coop, wavefront, kernel));
-                }
-            }
+    use ExecutorChoice::{Coop, Partitioned, Threaded};
+    let plain = |executor| Rung {
+        executor,
+        batch: BatchMode::Off,
+        opt: OptMode::Off,
+        wavefront: WavefrontMode::Off,
+        kernel: KernelMode::Off,
+    };
+    let mut out = vec![
+        plain(Coop),
+        plain(Threaded),
+        plain(Partitioned { workers: 1 }),
+        plain(Partitioned { workers: 3 }),
+    ];
+    for opt in [OptMode::Auto, OptMode::Off] {
+        let fast = |wavefront, kernel| Rung {
+            batch: BatchMode::Auto,
+            opt,
+            wavefront,
+            kernel,
+            ..plain(Coop)
+        };
+        out.push(fast(WavefrontMode::Off, KernelMode::Off));
+        for kernel in [KernelMode::Auto, KernelMode::Off] {
+            out.push(fast(WavefrontMode::Auto, kernel));
         }
     }
     out
+}
+
+/// Specs whose `Auto` gates must do nothing: the OS-thread engine under
+/// the default gates, and the cooperative one with the batching gate —
+/// which the other three ride — shut. Each lands on its executor's plain
+/// rung.
+pub fn inert_rungs() -> Vec<Rung> {
+    let auto = |executor, batch| Rung {
+        executor,
+        batch,
+        opt: OptMode::Auto,
+        wavefront: WavefrontMode::Auto,
+        kernel: KernelMode::Auto,
+    };
+    vec![
+        auto(ExecutorChoice::Partitioned { workers: 3 }, BatchMode::Auto),
+        auto(ExecutorChoice::Threaded, BatchMode::Auto),
+        auto(ExecutorChoice::Coop, BatchMode::Off),
+    ]
 }

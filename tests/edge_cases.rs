@@ -243,3 +243,55 @@ fn repeated_runs_are_deterministic() {
     let s2 = verify(&plan, &env, &["a", "b"], 42, SimSpec::plain()).unwrap();
     assert_eq!(s1.stats, s2.stats, "cooperative scheduler is deterministic");
 }
+
+/// An update whose value leaves `i64` within three iterations.
+const OVERFLOW_SRC: &str = "
+    program overflow;
+    size n;
+    var a[0..n], b[0..n], c[0..2*n];
+    for i = 0 <- 1 -> n
+    for j = 0 <- 1 -> n {
+      c[i+j] = c[i+j] * c[i+j] * a[i] + b[j] * 1000003;
+    }
+";
+
+/// Integer overflow has one law, two's-complement wrapping, in every
+/// evaluator and build profile: the sequential oracle and the scalar VM
+/// (`ScalarExpr::eval`), the kernel tape one lane wide and struct-of-
+/// arrays, and the generated Rust program with and without `-O`.
+#[test]
+fn integer_overflow_wraps_alike_in_every_evaluator() {
+    let sys = systolizer::systolize_source(OVERFLOW_SRC, &Default::default()).unwrap();
+
+    // One evaluation that wraps, every local the same value.
+    let v: i64 = (1 << 40) + 7;
+    assert!(v.checked_mul(v).is_none(), "the square leaves i64");
+    let wrapped = v
+        .wrapping_mul(v)
+        .wrapping_mul(v)
+        .wrapping_add(v.wrapping_mul(1000003));
+    let target = sys.source.body.updates[0].target.0;
+    let mut via_eval = vec![v; sys.source.streams.len()];
+    let mut via_tape = via_eval.clone();
+    sys.source.body.execute(&mut via_eval, &[0, 0]);
+    let kernel = systolizer::interp::kernelize(&sys.source.body).unwrap();
+    kernel.execute_scalar(&mut via_tape, &[0, 0]);
+    assert_eq!(via_eval[target], wrapped);
+    assert_eq!(via_tape, via_eval);
+
+    // Every rung against the oracle, under this test's own profile; the
+    // default rung runs the update on the struct-of-arrays tape.
+    let env = sys.size_env(&[12]).unwrap();
+    for rung in common::rungs() {
+        verify(&sys.plan, &env, &["a", "b", "c"], 7, rung.spec())
+            .unwrap_or_else(|e| panic!("{rung:?}: {e}"));
+    }
+    let run = verify(&sys.plan, &env, &["a", "b", "c"], 7, SimSpec::default()).unwrap();
+    assert!(run.kernel.is_some_and(|k| k.waves_fused > 0));
+    let max = run.store.get("c").raw().iter().map(|c| c.unsigned_abs());
+    assert!(max.max() > Some(1 << 62), "the run must really overflow");
+
+    let program = systolizer::interp::rustgen::generate_rust(&sys.plan, &env, 7);
+    common::compile_and_run("overflow-opt", &program, true);
+    common::compile_and_run("overflow-debug", &program, false);
+}

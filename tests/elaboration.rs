@@ -181,27 +181,32 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
     }
 }
 
+/// The store has no flush call: an entry leaves it by FIFO eviction, and
+/// the next lookup of that configuration re-instantiates it.
 #[test]
 fn explicit_invalidation_dirties_and_regenerates() {
     let (p, a) = paper::polyprod_d1();
     let plan = compile(&p, &a, &Options::default()).unwrap();
-    let mut env = Env::new();
-    env.bind(plan.source.sizes[0], 4);
-    let store = HostStore::allocate(&plan.source, &env);
-    let ms = ModuleStore::new();
+    let at = |n: i64| {
+        let mut env = Env::new();
+        env.bind(plan.source.sizes[0], n);
+        let store = HostStore::allocate(&plan.source, &env);
+        (env, store)
+    };
+    let ms = ModuleStore::with_capacity(1, 1);
     let opts = ElabOptions::default();
-    ms.module(&plan, &env, &store, &opts).unwrap();
-    ms.module(&plan, &env, &store, &opts).unwrap();
+    let (env4, store4) = at(4);
+    ms.module(&plan, &env4, &store4, &opts).unwrap();
+    ms.module(&plan, &env4, &store4, &opts).unwrap();
     let s = ms.stats();
     assert_eq!((s.module_misses, s.module_hits), (1, 1));
-    let g0 = ms.generation();
-    ms.invalidate();
-    assert_eq!(ms.generation(), g0 + 1, "invalidation bumps the generation");
-    ms.module(&plan, &env, &store, &opts).unwrap();
+    let (env5, store5) = at(5);
+    ms.module(&plan, &env5, &store5, &opts).unwrap();
+    ms.module(&plan, &env4, &store4, &opts).unwrap();
     let s = ms.stats();
-    assert_eq!(s.module_misses, 2, "flushed entries must re-instantiate");
-    assert_eq!(s.skeleton_misses, 2, "skeletons are flushed too");
-    assert_eq!(s.generation, 1, "generation is part of the stats snapshot");
+    assert_eq!(s.module_misses, 3, "an evicted entry must re-instantiate");
+    assert_eq!(s.module_evictions, 2);
+    assert_eq!(s.skeleton_misses, 1, "one skeleton serves every size");
 }
 
 proptest! {

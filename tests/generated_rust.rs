@@ -5,46 +5,16 @@
 //! compiled, executed translations — "the only errors were mistakes made
 //! in the hand translation", and there is no hand translation left.
 
-use std::path::PathBuf;
-use std::process::Command;
+mod common;
+
+use common::compile_and_run;
 use systolizer::core::{compile, Options};
 use systolizer::interp::rustgen::{generate_rust, generate_rust_opt};
 use systolizer::math::Env;
 use systolizer::synthesis::placement::paper;
 
-fn compile_and_run(name: &str, source: &str) {
-    let dir = std::env::temp_dir().join(format!("systolizer-gen-{name}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let src_path: PathBuf = dir.join(format!("{name}.rs"));
-    let bin_path: PathBuf = dir.join(name);
-    std::fs::write(&src_path, source).unwrap();
-
-    let out = Command::new("rustc")
-        .args(["-O", "-o"])
-        .arg(&bin_path)
-        .arg(&src_path)
-        .output()
-        .expect("rustc available");
-    assert!(
-        out.status.success(),
-        "{name}: generated program failed to compile:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let run = Command::new(&bin_path)
-        .output()
-        .expect("run generated binary");
-    assert!(
-        run.status.success(),
-        "{name}: generated program failed its self-check:\n{}\n{}",
-        String::from_utf8_lossy(&run.stdout),
-        String::from_utf8_lossy(&run.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&run.stdout);
-    assert!(stdout.contains("all pipes verified"), "{name}: {stdout}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
+/// `rustc -O`, as the paper's translations were run.
+const OPTIMIZED: bool = true;
 
 #[test]
 fn d1_generated_rust_compiles_and_verifies() {
@@ -52,7 +22,7 @@ fn d1_generated_rust_compiles_and_verifies() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], 5);
-    compile_and_run("d1", &generate_rust(&plan, &env, 11));
+    compile_and_run("d1", &generate_rust(&plan, &env, 11), OPTIMIZED);
 }
 
 #[test]
@@ -61,7 +31,7 @@ fn d2_generated_rust_compiles_and_verifies() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], 4);
-    compile_and_run("d2", &generate_rust(&plan, &env, 12));
+    compile_and_run("d2", &generate_rust(&plan, &env, 12), OPTIMIZED);
 }
 
 #[test]
@@ -70,7 +40,7 @@ fn e1_generated_rust_compiles_and_verifies() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], 3);
-    compile_and_run("e1", &generate_rust(&plan, &env, 13));
+    compile_and_run("e1", &generate_rust(&plan, &env, 13), OPTIMIZED);
 }
 
 #[test]
@@ -79,7 +49,7 @@ fn e2_generated_rust_compiles_and_verifies() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], 2);
-    compile_and_run("e2", &generate_rust(&plan, &env, 14));
+    compile_and_run("e2", &generate_rust(&plan, &env, 14), OPTIMIZED);
 }
 
 #[test]
@@ -92,7 +62,7 @@ fn e2_optimized_generated_rust_compiles_and_verifies() {
     env.bind(p.sizes[0], 4);
     let src = generate_rust_opt(&plan, &env, 14);
     assert!(src.contains("//! Optimized:"), "E.2 n=4 should fuse chains");
-    compile_and_run("e2opt", &src);
+    compile_and_run("e2opt", &src, OPTIMIZED);
 }
 
 #[test]
@@ -101,7 +71,7 @@ fn d2_optimized_generated_rust_compiles_and_verifies() {
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], 5);
-    compile_and_run("d2opt", &generate_rust_opt(&plan, &env, 12));
+    compile_and_run("d2opt", &generate_rust_opt(&plan, &env, 12), OPTIMIZED);
 }
 
 #[test]
@@ -118,5 +88,5 @@ fn guarded_body_generated_rust() {
     ";
     let sys = systolizer::systolize_source(src, &systolizer::SystolizeOptions::default()).unwrap();
     let env = sys.size_env(&[4]).unwrap();
-    compile_and_run("tri", &generate_rust(&sys.plan, &env, 15));
+    compile_and_run("tri", &generate_rust(&sys.plan, &env, 15), OPTIMIZED);
 }

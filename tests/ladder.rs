@@ -11,12 +11,12 @@
 
 mod common;
 
-use common::{prepared, rungs, CORPUS};
+use common::{inert_rungs, prepared, rungs, CORPUS};
 use systolizer::interp::{
     simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, OptMode,
     SimSpec, WavefrontMode,
 };
-use systolizer::runtime::{ChanId, ChannelPolicy, FifoPolicy, SchedulePolicy};
+use systolizer::runtime::{ChanId, ChannelPolicy, FifoPolicy, RunStats, SchedulePolicy};
 
 /// Reverses each round's firing order and honestly reports
 /// `is_fifo() == false`.
@@ -56,23 +56,17 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                 let ctx = format!("design {design} n={n} {rung:?}");
                 let run = verified(&format!("{rung:?}"), rung.spec());
                 let coop = rung.executor == ExecutorChoice::Coop;
-                let batched =
-                    rung.batch == BatchMode::Auto && rung.executor != ExecutorChoice::Threaded;
-                let wavefront = batched && coop && rung.wavefront != WavefrontMode::Off;
+                let batched = rung.batch == BatchMode::Auto && coop;
+                let wavefront = batched && rung.wavefront != WavefrontMode::Off;
                 assert_eq!(run.engine, rung.executor.label(), "{ctx}");
                 assert_eq!(run.batched, batched, "{ctx}: batched");
                 assert_eq!(run.wavefront, wavefront, "{ctx}: wavefront");
-                if rung.executor == ExecutorChoice::Threaded {
-                    // One process per group of the OS-thread engine:
-                    // same label, plain rung only, no virtual clock, and
-                    // (asserted below, `opt` being `None`) the plain
-                    // cooperative rung's messages and steps.
-                    assert_eq!(
-                        (run.engine, run.batched, run.stats.rounds),
-                        ("threaded", false, 0),
-                        "{ctx}"
-                    );
-                    assert!(run.opt.is_none(), "{ctx}");
+                if !coop {
+                    // The OS-thread engine at any worker count: plain
+                    // rung only, no virtual clock, and (asserted below,
+                    // `opt` being `None`) the plain cooperative rung's
+                    // messages and steps.
+                    assert_eq!(run.stats.rounds, 0, "{ctx}");
                 }
                 assert_eq!(
                     run.kernel.as_ref().map(|k| k.enabled),
@@ -90,7 +84,7 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                         assert_eq!(run.stats.messages, base.stats.messages, "{ctx}");
                         assert_eq!(run.stats.steps, base.stats.steps, "{ctx}");
                         assert_eq!(run.stats.processes, base.stats.processes, "{ctx}");
-                        if batched && coop {
+                        if batched {
                             assert!(
                                 run.stats.rounds <= base.stats.rounds,
                                 "{ctx}: a fast path must not add scheduler rounds"
@@ -104,6 +98,25 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                         assert!(run.stats.messages <= base.stats.messages, "{ctx}");
                     }
                 }
+            }
+
+            // `Auto` gates that cannot engage do nothing: the run is
+            // its executor's plain rung, flag for flag and count for
+            // count (the OS-thread engine's differs from the cooperative
+            // one's, pinned above, in having no round clock).
+            for rung in inert_rungs() {
+                let ctx = format!("design {design} n={n} inert {rung:?}");
+                let run = verified(&ctx, rung.spec());
+                let coop = rung.executor == ExecutorChoice::Coop;
+                let rounds = if coop { base.stats.rounds } else { 0 };
+                let plain = RunStats {
+                    rounds,
+                    ..base.stats.clone()
+                };
+                assert_eq!(run.engine, rung.executor.label(), "{ctx}");
+                assert!(!run.batched && !run.wavefront, "{ctx}");
+                assert!(run.opt.is_none() && run.kernel.is_none(), "{ctx}");
+                assert_eq!(run.stats, plain, "{ctx}");
             }
 
             // What closes the gate besides `batch: Off`, and what does not.

@@ -364,12 +364,22 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     // client that asked for the oracle check must not silently go
     // without it, nor a schedule seed wrap or read as 0. Nor is a gate
     // value outside its closed set: the parallel wavefront mode is gone
-    // (docs/wavefront.md), so its name is refused like any other.
+    // (docs/wavefront.md), so its name is refused like any other. The
+    // observed outputs read the whole request too: a schedule they
+    // cannot honour and an oracle check they do not make are refused.
     for (field, value) in [
         ("'verify'", r#""verify":"yes""#),
         ("'seed'", r#""schedule":{"policy":"random","seed":"7"}"#),
         ("'seed'", r#""schedule":{"policy":"random","seed":-1}"#),
         ("unknown wavefront 'par' (auto|off)", r#""wavefront":"par""#),
+        (
+            "unknown schedule policy 'bogus'",
+            r#""output":"metrics","schedule":{"policy":"bogus"}"#,
+        ),
+        (
+            "'verify' compares the stores of a run: it needs 'output'",
+            r#""output":"trace","verify":true"#,
+        ),
     ] {
         let (status, body) = post(
             addr,
@@ -380,6 +390,20 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
         assert_eq!(error_kind(&body).0, "bad-request", "{value}");
         assert!(body.contains(field), "{value}: {body}");
     }
+
+    // And a report describes the engine the request named: the OS-thread
+    // engine moves the values the cooperative one moves.
+    let transfers = |extra: &str| {
+        let request = format!(r#"{{"design":"E.1","sizes":[3],"output":"metrics"{extra}}}"#);
+        let (status, body) = post(addr, "/v1/run", &request);
+        assert_eq!(status, 200, "{extra}: {body}");
+        let report = json::parse(&body).unwrap();
+        report
+            .get("transfers")
+            .and_then(Json::as_i64)
+            .expect("transfers")
+    };
+    assert_eq!(transfers(r#","executor":"partitioned""#), transfers(""));
 
     // Malformed .sys source: the parser's message reaches the client as
     // a structured 400, kind "parse".
