@@ -472,8 +472,7 @@ mod tests {
         );
         // The memoized analyses rebuild to the same wave structure.
         let wf_again = again.wavefront_plan();
-        assert_eq!(wf_first.waves, wf_again.waves);
-        assert_eq!(wf_first.capacities, wf_again.capacities);
+        assert_eq!(*wf_first, **wf_again);
         // The sweep instantiated MODULE_CAP + 9 distinct modules plus the
         // post-eviction re-request into a MODULE_CAP-slot store; every
         // overflow is one counted eviction, none lost.

@@ -17,12 +17,15 @@
 //!   reason instead and simply stay on the scalar path.
 //! - [`analyze_kernels`] classifies every chunk of a [`WavefrontPlan`]
 //!   once per module: a chunk is *kernel-eligible* when it is a single
-//!   process whose Compute op moves values over pairwise-distinct rings
-//!   — exactly the precondition of `macro_step`'s loop-summarized fast
-//!   path, which the kernel path mirrors batch-wise. Everything else
-//!   (transport relays, cyclic chunks, aliased rings) falls back to
-//!   [`ProcVm::macro_step`] with a recorded reason, extending the
-//!   wavefront/batch reject-reason ladder one rung down.
+//!   compute window — one process's repeater, which the plan has already
+//!   cut from the load/soak ops before it and the drain/recover ops
+//!   after it — moving values over pairwise-distinct rings: exactly the
+//!   precondition of `macro_step`'s loop-summarized fast path, which the
+//!   kernel path mirrors batch-wise. Everything else (transport windows,
+//!   compute windows that sit on a genuine cycle, aliased rings) runs on
+//!   the scalar macro-step, and the report counts what a reader counts:
+//!   compute chunks and whole transport processes, each scalar one with
+//!   its reason — the wavefront/batch reject-reason ladder one rung down.
 //! - [`kernel_wave`] executes one wave's eligible chunks as a batch:
 //!   ring heads are gathered into struct-of-arrays scratch buffers
 //!   (lane = process, one bounds decision per wave instead of one per
@@ -33,19 +36,22 @@
 //!   bit-identical and stats invariant — the same contract every other
 //!   engine upholds.
 //!
-//! Safety of the gather/scatter: within one wave, chunks share no
-//! channels (the plan's leveling invariant), and a lane only touches its
-//! own process's rings. Batch-popping all `m` iterations before any
-//! push is stream-equivalent to the interleaved pop/push of the macro
-//! path because `m` never exceeds the input occupancy or output slack
-//! observed at the start of the batch — even a self-looped ring serves
-//! only values that were already queued. See `docs/kernels.md`.
+//! Safety of the gather/scatter: a lane only touches its own window's
+//! rings, every lane of a batch pops all `m` iterations before any lane
+//! pushes, and `m` never exceeds the input occupancy or output slack
+//! observed at the start of the batch. That is stream-equivalent to the
+//! interleaved pop/push of the macro path whoever holds a ring's other
+//! end — another lane of the same batch (two compute windows of one wave
+//! can share a ring when their value runs do not overlap), or the lane
+//! itself on a self-looped ring: only values already queued are served,
+//! only slack already free is filled. See `docs/kernels.md`.
 
 use crate::batch::Ring;
+use crate::coop::RunStats;
 use crate::json::Json;
 use crate::process::Value;
-use crate::procir::{ProcIrModule, ProcOp};
-use crate::wavefront::{ChunkRunner, WavefrontPlan};
+use crate::procir::{ProcIrModule, ProcVm};
+use crate::wavefront::{ChunkRunner, WavefrontPlan, Window};
 
 /// Whether a wavefront run may execute eligible waves through compiled
 /// kernels. `Auto` engages them whenever the module compiled one and the
@@ -126,24 +132,30 @@ impl Kernel {
 /// through the compiled kernel, and why the rest cannot. Derived once
 /// per (module, wavefront plan) and memoized on `CachedModule` beside
 /// the batch and wavefront analyses.
+///
+/// The counts are in the units a reader counts: a chunk holding compute
+/// windows is one unit (eligible, or scalar with a reason), a process
+/// without a repeater is one unit (scalar, "transport process"); the
+/// load and recover windows around a repeater are part of that process,
+/// not a fallback of their own.
 pub struct KernelPlan {
     /// Whether the module carries a compiled kernel at all.
     pub compiled: bool,
     /// Module-wide reject when it does not (body missing or resisting
     /// the lowering).
     pub reject: Option<String>,
-    /// Per chunk, wave-major (the executor's order): `None` =
-    /// kernel-eligible, `Some(reason)` = scalar fallback.
-    pub chunk_reject: Vec<Option<String>>,
-    /// Dense eligibility mask (`chunk_reject[k].is_none()`), the form the
-    /// executor's per-wave filter reads — precomputed so the hot loop
-    /// never chases the reject strings.
+    /// Per chunk, wave-major (the executor's order): whether it is one
+    /// kernel-eligible compute window — the form the executor's per-wave
+    /// filter reads.
     pub chunk_ok: Vec<bool>,
-    /// Chunks with `chunk_reject[k] == None`.
+    /// Chunks with `chunk_ok[k]`.
     pub eligible_chunks: usize,
+    /// Compute chunks that are not eligible, plus transport processes.
+    pub scalar_chunks: usize,
     /// Waves containing at least one eligible chunk.
     pub waves_fusable: usize,
-    /// [`Self::fallbacks`], aggregated once at analysis time.
+    /// Scalar-fallback reasons with unit counts, sorted by descending
+    /// count then reason (deterministic for reports).
     fallback_counts: Vec<(String, u64)>,
 }
 
@@ -152,32 +164,18 @@ impl KernelPlan {
         self.eligible_chunks > 0
     }
 
-    /// Scalar-fallback reasons aggregated over the chunks, sorted by
-    /// descending count then reason (deterministic for reports).
+    /// Scalar-fallback reasons aggregated over the units.
     pub fn fallbacks(&self) -> Vec<(String, u64)> {
         self.fallback_counts.clone()
-    }
-
-    fn aggregate_fallbacks(chunk_reject: &[Option<String>]) -> Vec<(String, u64)> {
-        let mut counts: Vec<(String, u64)> = Vec::new();
-        for r in chunk_reject.iter().flatten() {
-            match counts.iter_mut().find(|(s, _)| s == r) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((r.clone(), 1)),
-            }
-        }
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        counts
     }
 
     /// The `kernels` section of the metrics report: the static
     /// eligibility split, with `reject` and `fallbacks` only when set.
     pub fn json(&self) -> Json {
-        let scalar = self.chunk_reject.len() - self.eligible_chunks;
         let mut fields = vec![
             ("compiled", self.compiled.into()),
             ("eligible_chunks", self.eligible_chunks.into()),
-            ("scalar_chunks", scalar.into()),
+            ("scalar_chunks", self.scalar_chunks.into()),
             ("waves_fusable", self.waves_fusable.into()),
         ];
         if let Some(r) = &self.reject {
@@ -201,7 +199,7 @@ impl KernelPlan {
             compiled: self.compiled,
             reject: self.reject.clone(),
             eligible_chunks: self.eligible_chunks as u64,
-            scalar_chunks: (self.chunk_reject.len() - self.eligible_chunks) as u64,
+            scalar_chunks: self.scalar_chunks as u64,
             fallbacks: self.fallbacks(),
             ..KernelReport::default()
         }
@@ -235,7 +233,7 @@ pub struct KernelReport {
 }
 
 /// Classify every chunk of a wavefront plan against the module's
-/// compiled kernel. Pure structural analysis, O(processes); runs once
+/// compiled kernel. Pure structural analysis, O(windows); runs once
 /// per module and is memoized upstream.
 pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPlan {
     let module_reject: Option<String> = if module.kernel.is_some() {
@@ -249,54 +247,74 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
             }
         }))
     };
-    let mut chunk_reject = Vec::with_capacity(plan.n_chunks());
-    let mut eligible = 0usize;
-    let mut waves_fusable = 0usize;
-    for wave in &plan.waves {
-        let mut any = false;
-        for chunk in wave {
-            let r = chunk_eligibility(module, chunk, &module_reject);
-            if r.is_none() {
-                eligible += 1;
-                any = true;
+    let mut chunk_ok = vec![false; plan.n_chunks()];
+    let mut fallback_counts: Vec<(String, u64)> = Vec::new();
+    let mut fall_back =
+        |reason: String, units: u64| match fallback_counts.iter_mut().find(|(r, _)| *r == reason) {
+            Some((_, n)) => *n += units,
+            None => fallback_counts.push((reason, units)),
+        };
+    let mut computes = vec![false; module.procs.len()];
+    let (mut eligible, mut scalar, mut waves_fusable) = (0usize, 0usize, 0usize);
+    for w in 0..plan.n_waves() {
+        let before = eligible;
+        for k in plan.wave(w) {
+            let windows = plan.chunk(k);
+            let mut n_compute = 0usize;
+            for win in windows.iter().filter(|win| win.is_compute(module)) {
+                computes[win.pid as usize] = true;
+                n_compute += 1;
             }
-            chunk_reject.push(r);
+            if n_compute == 0 {
+                continue;
+            }
+            match chunk_eligibility(module, windows, n_compute, &module_reject) {
+                None => {
+                    chunk_ok[k] = true;
+                    eligible += 1;
+                }
+                Some(reason) => {
+                    scalar += 1;
+                    fall_back(reason, 1);
+                }
+            }
         }
-        if any {
-            waves_fusable += 1;
-        }
+        waves_fusable += (eligible > before) as usize;
     }
+    let transport = computes.iter().filter(|&&c| !c).count();
+    if transport > 0 {
+        let reason = module_reject.clone();
+        let reason = reason.unwrap_or_else(|| "transport process (no compute op)".into());
+        fall_back(reason, transport as u64);
+    }
+    fallback_counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     KernelPlan {
         compiled: module.kernel.is_some(),
         reject: module_reject,
-        chunk_ok: chunk_reject.iter().map(|r| r.is_none()).collect(),
-        fallback_counts: KernelPlan::aggregate_fallbacks(&chunk_reject),
-        chunk_reject,
+        chunk_ok,
         eligible_chunks: eligible,
+        scalar_chunks: scalar + transport,
         waves_fusable,
+        fallback_counts,
     }
 }
 
+/// Why a chunk holding `n_compute` compute windows must stay scalar;
+/// `None` when it is one window the kernel batch can take.
 fn chunk_eligibility(
     module: &ProcIrModule,
-    chunk: &[usize],
+    windows: &[Window],
+    n_compute: usize,
     module_reject: &Option<String>,
 ) -> Option<String> {
     if let Some(r) = module_reject {
         return Some(r.clone());
     }
     let kernel = module.kernel.as_deref().expect("checked above");
-    if chunk.len() != 1 {
-        return Some(format!("cyclic chunk ({} processes)", chunk.len()));
+    if windows.len() != 1 {
+        return Some(format!("cyclic chunk ({n_compute} compute windows)"));
     }
-    let pid = chunk[0];
-    let has_compute = module
-        .ops_of(pid)
-        .iter()
-        .any(|op| matches!(op, ProcOp::Compute { count } if *count > 0));
-    if !has_compute {
-        return Some("transport process (no compute op)".into());
-    }
+    let pid = windows[0].pid as usize;
     let links = module.moving_of(pid);
     if links.is_empty() {
         return Some("repeater without moving links".into());
@@ -358,19 +376,23 @@ pub(crate) fn put_scratch(scratch: KernelScratch) {
 }
 
 /// Execute one wave's kernel-eligible dirty chunks as struct-of-arrays
-/// batches, then leave them for the ordinary chunk sweep (which drains
-/// any post-compute ops and guarantees the wave fixpoint). Returns
-/// whether any batch retired work.
+/// batches, then leave them for the ordinary chunk sweep (which steps
+/// each VM past its exhausted repeater and certifies the wave
+/// fixpoint). Returns whether any batch retired work.
 ///
-/// The loop alternates two phases until no lane can advance: park every
-/// live chunk at its Compute op (`macro_step_to_compute` retires the
-/// soak prefix with ordinary accounting), then batch the parked lanes
-/// over the minimum number of iterations every lane's rings can serve.
+/// The loop alternates two phases until no lane can advance: find the
+/// lanes standing at their kernel point — the compute window is
+/// startable (its load window retired in an earlier wave) and at a fresh
+/// iteration boundary — then batch them over the minimum number of
+/// iterations every lane's rings can serve.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel_wave(
     kernel: &Kernel,
     work: &[usize],
     runners: &mut [ChunkRunner],
+    vms: &mut [ProcVm],
     rings: &mut [Ring],
+    stats: &mut RunStats,
     scratch: &mut KernelScratch,
     report: &mut KernelReport,
 ) -> bool {
@@ -386,35 +408,27 @@ pub(crate) fn kernel_wave(
         lanes,
         cand,
     } = scratch;
+    let vm_of = |runners: &[ChunkRunner], k: usize| runners[k].windows[0].pid as usize;
     // Round 1 considers the whole worklist; later rounds revisit only the
-    // lanes that just batched — same-wave chunks share no rings (the
-    // plan's leveling invariant), so nothing else can have advanced.
+    // lanes that just batched. Another lane of the wave advances with them
+    // only if it shares a ring with one (their value runs do not overlap,
+    // or an edge would have put them in different waves) and stood blocked
+    // on it; the scalar sweep behind this call picks that lane up.
     cand.clear();
     cand.extend_from_slice(work);
     loop {
-        // Phase 1: advance every live chunk to its kernel point (or to
-        // blockage / completion) and size the joint batch.
+        // Phase 1: the lanes at their kernel point, and the joint batch
+        // size.
         lanes.clear();
         let mut iters = u64::MAX;
         for &k in cand.iter() {
-            let r = &mut runners[k];
-            if r.left == 0 || r.finished[0] {
-                continue;
-            }
-            let mut pass_moved = 0u64;
-            if r.vms[0].macro_step_to_compute(rings, &mut r.stats, &mut pass_moved) {
-                r.finished[0] = true;
-                r.left -= 1;
-            }
-            r.moved += pass_moved;
-            if r.finished[0] {
-                continue;
-            }
-            let Some(remaining) = r.vms[0].kernel_point() else {
+            let window = runners[k].windows[0];
+            let vm = &vms[window.pid as usize];
+            let Some(remaining) = vm.kernel_point(window.start) else {
                 continue;
             };
             let mut m = remaining;
-            for mc in r.vms[0].links() {
+            for mc in vm.links() {
                 let avail = rings[mc.inp].len() as u64;
                 let free = rings[mc.out].free() as u64;
                 m = m.min(avail).min(free);
@@ -433,13 +447,13 @@ pub(crate) fn kernel_wave(
         // slot layout, local count, and index rank of the first (true by
         // construction — one basic statement, one stream set — but a
         // mismatch must degrade to scalar, not corrupt the batch).
-        let first = &runners[lanes[0]].vms[0];
+        let first = &vms[vm_of(runners, lanes[0])];
         let (n_locals, dims) = (first.n_locals(), first.dims());
         link_slots.clear();
         link_slots.extend(first.links().iter().map(|mc| mc.slot));
         let n_links = link_slots.len();
         lanes.retain(|&k| {
-            let vm = &runners[k].vms[0];
+            let vm = &vms[vm_of(runners, k)];
             vm.n_locals() == n_locals
                 && vm.dims() == dims
                 && vm.links().len() == n_links
@@ -462,9 +476,8 @@ pub(crate) fn kernel_wave(
         inb.resize(n_links * lane_n * iters, 0);
         outb.resize(n_links * lane_n * iters, 0);
         for (li, &k) in lanes.iter().enumerate() {
-            let r = &mut runners[k];
-            r.moved += (n_links * iters) as u64;
-            let vm = &mut r.vms[0];
+            runners[k].moved += (n_links * iters) as u64;
+            let vm = &mut vms[vm_of(runners, k)];
             for (d, &inc) in vm.increments().iter().enumerate() {
                 incr[d * lane_n + li] = inc;
             }
@@ -573,8 +586,7 @@ pub(crate) fn kernel_wave(
         // iterations would have (one step per par-set, one message per
         // pushed value, one `moved` tick per ring touch).
         for (li, &k) in lanes.iter().enumerate() {
-            let r = &mut runners[k];
-            let vm = &mut r.vms[0];
+            let vm = &mut vms[vm_of(runners, k)];
             for (j, mc) in vm.links().iter().enumerate() {
                 let base = (j * lane_n + li) * iters;
                 rings[mc.out].push_many(&outb[base..base + iters]);
@@ -587,9 +599,9 @@ pub(crate) fn kernel_wave(
                 *xv = x[d * lane_n + li];
             }
             *t += iters as i64;
-            r.stats.steps += 2 * iters as u64;
-            r.stats.messages += (n_links * iters) as u64;
-            r.moved += (n_links * iters) as u64;
+            stats.steps += 2 * iters as u64;
+            stats.messages += (n_links * iters) as u64;
+            runners[k].moved += (n_links * iters) as u64;
         }
 
         ran = true;

@@ -66,5 +66,5 @@ pub use record::{
 };
 pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, STARVATION_LIMIT};
 pub use wavefront::{
-    analyze_wavefront, run_wavefront, WavefrontMode, WavefrontPlan, WAVEFRONT_RING_CAP,
+    analyze_wavefront, run_wavefront, WavefrontMode, WavefrontPlan, Window, WAVEFRONT_RING_CAP,
 };

@@ -699,42 +699,44 @@ impl ProcVm {
         stats: &mut RunStats,
         moved: &mut u64,
     ) -> bool {
-        self.macro_step_impl(rings, stats, moved, false)
+        let (start, end) = self.module.procs[self.pid].ops;
+        self.macro_step_window(start, end, rings, stats, moved)
     }
 
-    /// [`ProcVm::macro_step`], stopping at the kernel hand-off point:
-    /// the moment the VM reaches a [`ProcOp::Compute`] with moving links
-    /// at a fresh iteration boundary ([`MacroState::Ready`]), it returns
-    /// `false` *without* entering the compute loop, leaving the batch
-    /// executor (`crate::kernel`) to retire the iterations. Everything
-    /// before and after the repeater — and any piecewise-parked par-set
-    /// — retires with ordinary accounting. [`ProcVm::kernel_point`]
-    /// distinguishes "parked for the kernel" from "blocked on a ring".
-    pub(crate) fn macro_step_to_compute(
+    /// Whether the window of this process's ops ending at `end` has
+    /// retired: the pc is past it, and — for the last window, which owns
+    /// the terminal empty step — that step has been accounted.
+    pub(crate) fn window_retired(&self, end: u32) -> bool {
+        self.macro_done || (self.pc >= end && end != self.module.procs[self.pid].ops.1)
+    }
+
+    /// [`ProcVm::macro_step`] bounded to the ops `start..end` of this
+    /// process (one node of the wavefront plan): runs only while
+    /// `start ≤ pc < end` — a window whose predecessor has not retired
+    /// yet is not startable and returns `false` untouched — and returns
+    /// `true` once the pc has left the window, accounting the terminal
+    /// step when `end` is the process's own.
+    pub(crate) fn macro_step_window(
         &mut self,
+        start: u32,
+        end: u32,
         rings: &mut [Ring],
         stats: &mut RunStats,
         moved: &mut u64,
-    ) -> bool {
-        self.macro_step_impl(rings, stats, moved, true)
-    }
-
-    fn macro_step_impl(
-        &mut self,
-        rings: &mut [Ring],
-        stats: &mut RunStats,
-        moved: &mut u64,
-        stop_at_compute: bool,
     ) -> bool {
         if self.macro_done {
             return true;
         }
-        let end = self.module.procs[self.pid].ops.1;
+        if self.pc < start {
+            return false;
+        }
         loop {
             if self.pc >= end {
-                // The terminal empty step, like the rendezvous engines'.
-                stats.steps += 1;
-                self.macro_done = true;
+                if end == self.module.procs[self.pid].ops.1 {
+                    // The terminal empty step, like the rendezvous engines'.
+                    stats.steps += 1;
+                    self.macro_done = true;
+                }
                 return true;
             }
             match self.module.ops[self.pc as usize] {
@@ -853,13 +855,6 @@ impl ProcVm {
                     // complete piecewise (see [`MacroState`]).
                     match self.macro_state {
                         MacroState::Ready => {
-                            if stop_at_compute {
-                                // Parked at the kernel hand-off point:
-                                // a fresh iteration boundary of a
-                                // linked repeater. The caller batches
-                                // the iterations from here.
-                                return false;
-                            }
                             // Steady-state loop summarization (see
                             // `crate::opt`): when every moving link can
                             // pop *and* push right now, retire whole
@@ -995,19 +990,17 @@ impl ProcVm {
         })
     }
 
-    /// Remaining repeater iterations when this VM is parked at the
-    /// kernel hand-off point (a linked [`ProcOp::Compute`] at a fresh
-    /// iteration boundary); `None` when it is finished, blocked inside
-    /// a piecewise par-set, or at any other op.
-    pub(crate) fn kernel_point(&self) -> Option<u64> {
-        if self.macro_done || self.macro_state != MacroState::Ready {
+    /// Remaining repeater iterations when this VM stands at the kernel
+    /// hand-off point of the compute window at `at`: that linked
+    /// [`ProcOp::Compute`], at a fresh iteration boundary. `None` when
+    /// the window is not startable yet or already exhausted, or the VM
+    /// is blocked inside a piecewise par-set — the scalar sweep finishes
+    /// those.
+    pub(crate) fn kernel_point(&self, at: u32) -> Option<u64> {
+        if self.pc != at || self.macro_state != MacroState::Ready {
             return None;
         }
-        let end = self.module.procs[self.pid].ops.1;
-        if self.pc >= end {
-            return None;
-        }
-        match self.module.ops[self.pc as usize] {
+        match self.module.ops[at as usize] {
             ProcOp::Compute { count }
                 if self.t < count as i64 && !self.module.moving_of(self.pid).is_empty() =>
             {

@@ -12,18 +12,27 @@
 //! far edge of the array. This module derives the wave structure once
 //! per module — a [`WavefrontPlan`] — and executes it directly:
 //!
-//! 1. **Graph**: the batch analysis' unique producer/consumer maps give
-//!    a process dependence graph (one edge per channel between distinct
-//!    endpoints).
+//! 1. **Graph**: the paper's computation process is a *sequence of
+//!    phases* — load, soak, the repeater, drain, recover (Sec. 4) — and
+//!    the graph is as fine as that program: every process is cut at its
+//!    repeater into [`Window`]s (the ops before it, the `Compute` op, the
+//!    ops after it), consecutive windows of a process are joined by a
+//!    *program-order* edge, and every channel contributes edges by
+//!    *matching value intervals*: the k-th value sent is the k-th
+//!    received, so a sender window and a receiver window are joined
+//!    exactly when the runs of values they move overlap. One channel
+//!    routinely carries two phases (a stationary stream is loaded and
+//!    recovered over the same links); a graph with one node per process
+//!    would close a cycle there that no value ever travels.
 //! 2. **Condensation**: strongly connected components are collapsed
 //!    (Tarjan, iterative); each SCC becomes one *chunk* that must be
 //!    fixpointed as a unit (its members feed each other).
 //! 3. **Leveling**: longest-path levels on the acyclic condensation
-//!    assign every chunk a *wave*. Any edge strictly increases the
-//!    level, so two chunks in the same wave share **no** channel — the
-//!    producer and consumer of every channel either sit in one chunk or
-//!    in different waves: within a wave, each ring is touched by at most
-//!    one chunk, and chunks partition the processes outright.
+//!    assign every chunk a *wave*: every edge joins windows of one chunk
+//!    or strictly increases the wave. The levels are a visiting order,
+//!    not a safety condition: any order is a Kahn schedule, and two
+//!    windows of one wave may hold the two ends of a ring (their value
+//!    runs do not overlap, so no edge joins them).
 //! 4. **Capacities**: every channel gets a ring sized to its whole
 //!    traffic (clamped to [`WAVEFRONT_RING_CAP`]) instead of the batch
 //!    width — including `Keep`/`Eject` channels, whose width-1 pin the
@@ -31,16 +40,21 @@
 //!    optimizer's delay rings — so one topological pass usually drains
 //!    the entire module.
 //!
+//! The analysis runs on every module miss, so every table is flat:
+//! compressed sparse rows built by counting sort, nothing allocated per
+//! channel, window, chunk or wave.
+//!
 //! Execution then macro-steps each chunk to a local fixpoint, wave by
-//! wave ([`ProcVm::macro_step`] is the same superinstruction engine the
-//! batched executors use), repeating the pass until every process
-//! retires; after the first pass only chunks a moving neighbour
-//! re-dirtied are revisited, so the steady state sweeps the active
-//! frontier, not the module. Kernel-eligible chunks of a wave may first
-//! batch their Compute iterations through the compiled tape
-//! (`crate::kernel`) before the sweep certifies the fixpoint. The sweep
-//! is sequential, on the calling thread, over a plain `Vec<Ring>`
-//! (`docs/wavefront.md`, "Why there is no parallel mode").
+//! wave ([`ProcVm::macro_step_window`] is the superinstruction engine
+//! the batched executor uses, bounded to the window's ops), repeating
+//! the pass until every process retires; after the first pass only
+//! chunks a progressing neighbour re-dirtied are revisited, so the
+//! steady state sweeps the active frontier, not the module.
+//! Kernel-eligible compute windows of a wave first batch their
+//! iterations through the compiled tape (`crate::kernel`) before the
+//! sweep certifies the fixpoint. The sweep is sequential, on the calling
+//! thread, over a plain `Vec<Ring>` (`docs/wavefront.md`, "Why there is
+//! no parallel mode").
 //!
 //! Correctness is the Kahn-network story one more time (see
 //! `docs/scheduler.md` and `docs/wavefront.md`): scheduling order and
@@ -54,7 +68,7 @@ use crate::coop::{Deadlock, RunError, RunStats};
 use crate::json::Json;
 use crate::kernel::{kernel_wave, put_scratch, take_scratch, KernelPlan, KernelReport};
 use crate::process::SinkBuffer;
-use crate::procir::{ProcId, ProcIrModule, ProcVm};
+use crate::procir::{ProcIrModule, ProcOp, ProcVm};
 use std::sync::Arc;
 
 /// The widest ring the wavefront plan will grant a channel. Sized so a
@@ -88,20 +102,92 @@ impl WavefrontMode {
     pub const Par: WavefrontMode = WavefrontMode::Auto;
 }
 
-/// The derived wave structure of one module: which processes advance
-/// together, in which order, over how much ring slack.
+/// One node of the wave graph: ops `start..end` (absolute into
+/// `ProcIrModule::ops`) of process `pid`. A process's windows tile its op
+/// range in program order; the last one (`end` = the record's end) owns
+/// the terminal empty step.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Window {
+    pub pid: u32,
+    pub start: u32,
+    pub end: u32,
+}
+
+impl Window {
+    /// Whether this window is a repeater: exactly one
+    /// `ProcOp::Compute { count > 0 }`.
+    pub fn is_compute(&self, module: &ProcIrModule) -> bool {
+        self.end - self.start == 1 && is_repeater(module.ops[self.start as usize])
+    }
+}
+
+fn is_repeater(op: ProcOp) -> bool {
+    matches!(op, ProcOp::Compute { count } if count > 0)
+}
+
+/// Counting-sort offsets: with `start = offsets(n_keys, keys)`, the
+/// items keyed `k` belong at `start[k]..start[k + 1]`.
+fn offsets(n_keys: usize, keys: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut start = vec![0u32; n_keys + 1];
+    for k in keys {
+        start[k as usize + 1] += 1;
+    }
+    for k in 0..n_keys {
+        start[k + 1] += start[k];
+    }
+    start
+}
+
+/// Compressed sparse rows: `row(k)` is the values filed under key `k`,
+/// in the order they were given (a stable counting sort — no comparison
+/// sort, no dedup, no allocation per key).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Csr<T> {
+    start: Vec<u32>,
+    vals: Vec<T>,
+}
+
+impl<T: Copy + Default> Csr<T> {
+    fn build(n_keys: usize, items: &[(u32, T)]) -> Csr<T> {
+        let start = offsets(n_keys, items.iter().map(|&(k, _)| k));
+        let mut next = start.clone();
+        let mut vals = vec![T::default(); items.len()];
+        for &(k, v) in items {
+            vals[next[k as usize] as usize] = v;
+            next[k as usize] += 1;
+        }
+        Csr { start, vals }
+    }
+
+    fn n_rows(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    fn row(&self, k: usize) -> &[T] {
+        &self.vals[self.start[k] as usize..self.start[k + 1] as usize]
+    }
+}
+
+/// The derived wave structure of one module: which windows of which
+/// processes advance together, in which order, over how much ring slack.
+#[derive(Debug, PartialEq, Eq)]
 pub struct WavefrontPlan {
-    /// `waves[w]` is the list of chunks of wave `w`; each chunk is one
-    /// strongly connected component of the process graph, as a pid list.
-    /// Chunks partition the processes; every channel's endpoints are in
-    /// one chunk or in strictly increasing waves.
-    pub waves: Vec<Vec<Vec<ProcId>>>,
+    /// The windows, chunk by chunk in wave-major order (the executor's
+    /// iteration order); within a chunk in ascending (pid, program)
+    /// order. Chunks partition the windows.
+    chunks: Csr<Window>,
+    /// Wave `w` is chunks `wave_start[w]..wave_start[w + 1]`.
+    wave_start: Vec<u32>,
+    /// Per chunk: the chunks its progress must re-dirty, since only a
+    /// touched ring or a retired predecessor window can unblock a
+    /// blocked chunk — the chunks an edge joins it to, either way, and
+    /// on a channel busier than its ring (where a sender can block on a
+    /// full ring) every chunk at the channel's other end. A neighbour
+    /// may be listed more than once (two channels between one pair of
+    /// chunks): harmless to a dirty flag, cheaper than a dedup.
+    neighbors: Csr<u32>,
     /// Ring capacity per channel (≥ the batch width).
     pub capacities: Vec<u64>,
-    /// Per chunk (wave-major order, the executor's iteration order): the
-    /// chunks sharing a channel with it — the set a move must re-dirty,
-    /// since only a touch of a shared ring can unblock a blocked chunk.
-    pub neighbors: Vec<Vec<u32>>,
     reject: Option<String>,
 }
 
@@ -117,11 +203,41 @@ impl WavefrontPlan {
     }
 
     pub fn n_waves(&self) -> usize {
-        self.waves.len()
+        self.wave_start.len().saturating_sub(1)
     }
 
     pub fn n_chunks(&self) -> usize {
-        self.waves.iter().map(|w| w.len()).sum()
+        self.chunks.n_rows()
+    }
+
+    /// The chunk indices of wave `w`.
+    pub fn wave(&self, w: usize) -> std::ops::Range<usize> {
+        self.wave_start[w] as usize..self.wave_start[w + 1] as usize
+    }
+
+    /// The windows of chunk `k`: one strongly connected component of the
+    /// window graph.
+    pub fn chunk(&self, k: usize) -> &[Window] {
+        self.chunks.row(k)
+    }
+
+    /// The chunks that chunk `k`'s progress can unblock (possibly repeated).
+    pub fn neighbors(&self, k: usize) -> &[u32] {
+        self.neighbors.row(k)
+    }
+
+    /// Chunks of more than one window: the cycles the sweep must
+    /// fixpoint and no kernel batch can take.
+    pub fn cyclic_chunks(&self) -> usize {
+        (0..self.n_chunks())
+            .filter(|&k| self.chunk(k).len() > 1)
+            .count()
+    }
+
+    /// Windows in the largest chunk.
+    pub fn largest_chunk(&self) -> usize {
+        let sizes = (0..self.n_chunks()).map(|k| self.chunk(k).len());
+        sizes.max().unwrap_or(0)
     }
 
     /// The widest ring the plan grants — how far the staged sweep can
@@ -139,6 +255,8 @@ impl WavefrontPlan {
                 ("eligible", true.into()),
                 ("waves", self.n_waves().into()),
                 ("chunks", self.n_chunks().into()),
+                ("cyclic_chunks", self.cyclic_chunks().into()),
+                ("largest_chunk", self.largest_chunk().into()),
                 ("max_ring_capacity", self.max_capacity().into()),
             ],
             Some(r) => vec![("eligible", false.into()), ("reason", r.into())],
@@ -163,6 +281,13 @@ impl WavefrontPlan {
     }
 }
 
+/// `n` consecutive values of one channel moved by window `node`.
+#[derive(Clone, Copy, Default)]
+struct Run {
+    node: u32,
+    n: u64,
+}
+
 /// Derive the wave structure from a module and its batch analysis. A
 /// module the batch proof rejects is ineligible with the same reason —
 /// the wavefront executor inherits every safety obligation of the
@@ -170,78 +295,122 @@ impl WavefrontPlan {
 pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan) -> WavefrontPlan {
     if let Some(r) = plan.reject_reason() {
         return WavefrontPlan {
-            waves: Vec::new(),
+            chunks: Csr::default(),
+            wave_start: Vec::new(),
+            neighbors: Csr::default(),
             capacities: Vec::new(),
-            neighbors: Vec::new(),
             reject: Some(r.to_string()),
         };
     }
-    let n = module.procs.len();
 
-    // Process dependence graph from the proven unique endpoints.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Windows in (pid, program) order, and per channel the runs of
+    // values each window sends and receives. A transport op belongs to
+    // the window still open, which will be pushed under the index
+    // `nodes.len()` has now.
+    let mut nodes: Vec<Window> = Vec::with_capacity(module.procs.len() * 3);
+    let mut sends: Vec<(u32, Run)> = Vec::with_capacity(module.ops.len() * 2);
+    let mut recvs: Vec<(u32, Run)> = Vec::with_capacity(module.ops.len() * 2);
+    for (pid, rec) in module.procs.iter().enumerate() {
+        let pid = pid as u32;
+        let (first, mut start) = (nodes.len(), rec.ops.0);
+        for pc in rec.ops.0..rec.ops.1 {
+            let op = module.ops[pc as usize];
+            if is_repeater(op) {
+                if pc > start {
+                    nodes.push(Window {
+                        pid,
+                        start,
+                        end: pc,
+                    });
+                }
+                start = pc + 1;
+                nodes.push(Window {
+                    pid,
+                    start: pc,
+                    end: start,
+                });
+            }
+            let node = nodes.len() as u32 - is_repeater(op) as u32;
+            let mut send = |chan: usize, n: u64| sends.push((chan as u32, Run { node, n }));
+            let mut recv = |chan: usize, n: u64| recvs.push((chan as u32, Run { node, n }));
+            match op {
+                ProcOp::Emit { chan } | ProcOp::Eject { chan, .. } => send(chan, 1),
+                ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => recv(chan, 1),
+                ProcOp::Pass { inp, out, n } => {
+                    recv(inp, n);
+                    send(out, n);
+                }
+                ProcOp::Compute { count } => {
+                    for mc in module.moving_of(pid as usize) {
+                        recv(mc.inp, count);
+                        send(mc.out, count);
+                    }
+                }
+            }
+        }
+        if start < rec.ops.1 || nodes.len() == first {
+            nodes.push(Window {
+                pid,
+                start,
+                end: rec.ops.1,
+            });
+        }
+    }
+    let n = nodes.len();
+    let sends = Csr::build(module.n_chans, &sends);
+    let recvs = Csr::build(module.n_chans, &recvs);
+
+    // Edges: program order between consecutive windows of a process,
+    // then per channel the sender runs against the receiver runs — the
+    // batch proof's unique endpoints make each side one process's
+    // program order, and its balanced traffic makes the k-th value sent
+    // the k-th received.
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n + sends.vals.len() + recvs.vals.len());
+    for i in 1..n {
+        if nodes[i].pid == nodes[i - 1].pid {
+            edges.push((i as u32 - 1, i as u32));
+        }
+    }
     for c in 0..module.n_chans {
-        if let (Some(p), Some(q)) = (plan.producer_of[c], plan.consumer_of[c]) {
-            if p != q {
-                succs[p].push(q);
+        let (s, r) = (sends.row(c), recvs.row(c));
+        if s.is_empty() || r.is_empty() {
+            continue;
+        }
+        // `*_end`: one past the last value of run `i` / `j`.
+        let (mut i, mut j, mut s_end, mut r_end) = (0, 0, s[0].n, r[0].n);
+        loop {
+            let lo = (s_end - s[i].n).max(r_end - r[j].n);
+            let edge = (s[i].node, r[j].node);
+            if lo < s_end.min(r_end) && edge.0 != edge.1 && edges.last() != Some(&edge) {
+                edges.push(edge);
+            }
+            if s_end <= r_end {
+                i += 1;
+                let Some(run) = s.get(i) else { break };
+                s_end = s_end.saturating_add(run.n);
+            } else {
+                j += 1;
+                let Some(run) = r.get(j) else { break };
+                r_end = r_end.saturating_add(run.n);
             }
         }
     }
-    for s in &mut succs {
-        s.sort_unstable();
-        s.dedup();
-    }
+    let succs = Csr::build(n, &edges);
 
+    // Tarjan numbers components in reverse topological order (a sink
+    // first), so descending component order visits every edge's source
+    // before its target: longest-path levels in one sweep.
     let comp = tarjan_sccs(&succs);
-    let n_comps = comp.count;
-
-    // Longest-path level per SCC on the condensation (Kahn order).
-    let mut cedges: Vec<Vec<usize>> = vec![Vec::new(); n_comps];
-    let mut indeg = vec![0usize; n_comps];
-    for (u, ss) in succs.iter().enumerate() {
-        for &v in ss {
-            let (cu, cv) = (comp.of[u], comp.of[v]);
-            if cu != cv {
-                cedges[cu].push(cv);
+    let n_comps = comp.members.n_rows();
+    let mut level = vec![0u32; n_comps];
+    for c in (0..n_comps).rev() {
+        for &u in comp.members.row(c) {
+            for &v in succs.row(u as usize) {
+                let cv = comp.of[v as usize] as usize;
+                if cv != c {
+                    level[cv] = level[cv].max(level[c] + 1);
+                }
             }
-        }
-    }
-    for es in &mut cedges {
-        es.sort_unstable();
-        es.dedup();
-        for &v in es.iter() {
-            indeg[v] += 1;
-        }
-    }
-    let mut level = vec![0usize; n_comps];
-    let mut queue: Vec<usize> = (0..n_comps).filter(|&c| indeg[c] == 0).collect();
-    let mut seen = 0;
-    while let Some(u) = queue.pop() {
-        seen += 1;
-        for &v in &cedges[u] {
-            level[v] = level[v].max(level[u] + 1);
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push(v);
-            }
-        }
-    }
-    debug_assert_eq!(seen, n_comps, "condensation must be acyclic");
-
-    // Wave -> chunks, members in ascending pid order for determinism.
-    let n_waves = level.iter().map(|&l| l + 1).max().unwrap_or(0);
-    let mut chunk_of_comp: Vec<Vec<ProcId>> = vec![Vec::new(); n_comps];
-    for pid in 0..n {
-        chunk_of_comp[comp.of[pid]].push(pid);
-    }
-    let mut waves: Vec<Vec<Vec<ProcId>>> = vec![Vec::new(); n_waves];
-    // Visit components in ascending first-pid order so the wave layout
-    // (and thus the deterministic execution order) is reproducible.
-    let mut order: Vec<usize> = (0..n_comps).collect();
-    order.sort_unstable_by_key(|&c| chunk_of_comp[c].first().copied().unwrap_or(usize::MAX));
-    for c in order {
-        if !chunk_of_comp[c].is_empty() {
-            waves[level[c]].push(std::mem::take(&mut chunk_of_comp[c]));
         }
     }
 
@@ -260,143 +429,180 @@ pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan) -> WavefrontPl
         .map(|c| plan.widths[c].max(plan.traffic[c].clamp(1, WAVEFRONT_RING_CAP)))
         .collect();
 
-    // Chunk adjacency in the executor's wave-major order: for every
-    // channel between distinct chunks, each endpoint must re-dirty the
-    // other when it moves (new data downstream, freed space upstream).
-    let mut chunk_of_pid = vec![usize::MAX; n];
-    let mut next = 0usize;
-    for wave in &waves {
-        for chunk in wave {
-            for &pid in chunk {
-                chunk_of_pid[pid] = next;
+    // Chunk numbers: wave-major, within a wave by first window — the
+    // layout, and with it the execution order, is reproducible.
+    let n_waves = level.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
+    let wave_start = offsets(n_waves, level.iter().copied());
+    let mut next_in_wave = wave_start.clone();
+    const UNSET: u32 = u32::MAX;
+    let mut chunk_of_comp = vec![UNSET; n_comps];
+    let placed: Vec<(u32, Window)> = (0..n)
+        .map(|v| {
+            let c = comp.of[v] as usize;
+            if chunk_of_comp[c] == UNSET {
+                let wave = level[c] as usize;
+                chunk_of_comp[c] = next_in_wave[wave];
+                next_in_wave[wave] += 1;
             }
-            next += 1;
+            (chunk_of_comp[c], nodes[v])
+        })
+        .collect();
+    let chunks = Csr::build(n_comps, &placed);
+
+    // Who wakes whom. A window blocked on an empty ring, or not yet
+    // startable, waits for the other end of an edge. A window blocked on
+    // a *full* ring waits for whichever window receives the value one
+    // capacity back, and no edge need join the two (a load pass feeds a
+    // load pass, an eject a recover pass: the eject waits for the far
+    // load pass to drain the ring). Only a channel busier than its ring
+    // can fill, and there every sender window is paired with every
+    // receiver window.
+    let chunk_of = |v: u32| placed[v as usize].0;
+    let mut wakes: Vec<(u32, u32)> = Vec::with_capacity(2 * edges.len());
+    let mut pair = |u: u32, v: u32| {
+        let (cu, cv) = (chunk_of(u), chunk_of(v));
+        if cu != cv {
+            wakes.push((cu, cv));
+            wakes.push((cv, cu));
+        }
+    };
+    for &(u, v) in &edges {
+        pair(u, v);
+    }
+    // A window's runs are consecutive (a source is one `Emit` per value).
+    let windows_of = |runs: &[Run]| {
+        let mut windows: Vec<u32> = runs.iter().map(|r| r.node).collect();
+        windows.dedup();
+        windows
+    };
+    for c in (0..module.n_chans).filter(|&c| plan.traffic[c] > capacities[c]) {
+        let receivers = windows_of(recvs.row(c));
+        for s in windows_of(sends.row(c)) {
+            for &r in &receivers {
+                pair(s, r);
+            }
         }
     }
-    let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); next];
-    for c in 0..module.n_chans {
-        if let (Some(p), Some(q)) = (plan.producer_of[c], plan.consumer_of[c]) {
-            let (cp, cq) = (chunk_of_pid[p], chunk_of_pid[q]);
-            if cp != cq {
-                neighbors[cp].push(cq as u32);
-                neighbors[cq].push(cp as u32);
-            }
-        }
-    }
-    for ns in &mut neighbors {
-        ns.sort_unstable();
-        ns.dedup();
-    }
+    let neighbors = Csr::build(n_comps, &wakes);
 
     WavefrontPlan {
-        waves,
-        capacities,
+        chunks,
+        wave_start,
         neighbors,
+        capacities,
         reject: None,
     }
 }
 
-/// The SCC partition of a directed graph: `of[v]` is the component index
-/// of vertex `v`, `count` the number of components.
+/// The SCC partition of a directed graph: `of[v]` is the component of
+/// vertex `v`, `members.row(c)` the vertices of component `c`.
 struct Components {
-    of: Vec<usize>,
-    count: usize,
+    of: Vec<u32>,
+    members: Csr<u32>,
 }
 
 /// Iterative Tarjan (explicit stack — elaborated modules reach thousands
-/// of processes, and relay pipes make long paths).
-fn tarjan_sccs(succs: &[Vec<usize>]) -> Components {
-    let n = succs.len();
-    const UNSEEN: usize = usize::MAX;
+/// of processes, and relay pipes make long paths). Components come out
+/// in reverse topological order, each popped off the stack in one piece,
+/// so `members` is written as they complete.
+fn tarjan_sccs(succs: &Csr<u32>) -> Components {
+    let n = succs.n_rows();
+    const UNSEEN: u32 = u32::MAX;
     let mut index = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
+    let mut low = vec![0u32; n];
     let mut on_stack = vec![false; n];
-    let mut comp = vec![UNSEEN; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut count = 0usize;
+    let mut of = vec![UNSEEN; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut members = Csr {
+        start: vec![0],
+        vals: Vec::with_capacity(n),
+    };
+    let mut next_index = 0u32;
     // (vertex, next child position) call frames.
-    let mut frames: Vec<(usize, usize)> = Vec::new();
+    let mut frames: Vec<(u32, u32)> = Vec::new();
 
-    for root in 0..n {
-        if index[root] != UNSEEN {
+    for root in 0..n as u32 {
+        if index[root as usize] != UNSEEN {
             continue;
         }
-        frames.push((root, 0));
-        index[root] = next_index;
-        low[root] = next_index;
+        frames.push((root, succs.start[root as usize]));
+        index[root as usize] = next_index;
+        low[root as usize] = next_index;
         next_index += 1;
         stack.push(root);
-        on_stack[root] = true;
+        on_stack[root as usize] = true;
         while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child < succs[v].len() {
-                let w = succs[v][*child];
+            let v = v as usize;
+            if *child < succs.start[v + 1] {
+                let w = succs.vals[*child as usize] as usize;
                 *child += 1;
                 if index[w] == UNSEEN {
                     index[w] = next_index;
                     low[w] = next_index;
                     next_index += 1;
-                    stack.push(w);
+                    stack.push(w as u32);
                     on_stack[w] = true;
-                    frames.push((w, 0));
+                    frames.push((w as u32, succs.start[w]));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
             } else {
                 frames.pop();
                 if let Some(&(parent, _)) = frames.last() {
-                    low[parent] = low[parent].min(low[v]);
+                    low[parent as usize] = low[parent as usize].min(low[v]);
                 }
                 if low[v] == index[v] {
+                    let c = members.n_rows() as u32;
                     while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp[w] = count;
-                        if w == v {
+                        on_stack[w as usize] = false;
+                        of[w as usize] = c;
+                        members.vals.push(w);
+                        if w as usize == v {
                             break;
                         }
                     }
-                    count += 1;
+                    members.start.push(members.vals.len() as u32);
                 }
             }
         }
     }
-    Components { of: comp, count }
+    Components { of, members }
 }
 
-/// One chunk's execution state: its member VMs (owned — chunks partition
-/// the processes), per-member completion, and a private stats
-/// accumulator merged after the run (the logical counts are per-op sums,
-/// so the merge order is immaterial).
-pub(crate) struct ChunkRunner {
-    pub(crate) pids: Vec<ProcId>,
-    pub(crate) vms: Vec<ProcVm>,
-    pub(crate) finished: Vec<bool>,
-    pub(crate) left: usize,
-    pub(crate) stats: RunStats,
-    /// Ring pushes/pops this chunk made in the latest wave visit
-    /// (reset when the wave loop claims the chunk).
+/// One chunk's execution state. The windows are the plan's own slice
+/// and the VMs stay in the run's one pid-indexed `Vec`, so a runner
+/// allocates nothing; whether a window has retired is read off its VM's
+/// pc.
+pub(crate) struct ChunkRunner<'p> {
+    pub(crate) windows: &'p [Window],
+    /// Windows not yet retired.
+    left: u32,
+    /// Progress in the latest wave visit: ring pushes/pops, plus windows
+    /// retired — a repeater without moving links retires without
+    /// touching a ring and must still wake its successor (reset when
+    /// the wave loop claims the chunk).
     pub(crate) moved: u64,
 }
 
-impl ChunkRunner {
+impl ChunkRunner<'_> {
     /// Macro-step the chunk to a local fixpoint against the rings. A
-    /// single-member chunk needs exactly one call (`macro_step` is
+    /// single-window chunk needs exactly one call (the macro-step is
     /// already greedy to blockage); a cyclic chunk iterates until a pass
-    /// moves nothing.
-    fn sweep(&mut self, rings: &mut [Ring]) {
+    /// makes no progress.
+    fn sweep(&mut self, vms: &mut [ProcVm], rings: &mut [Ring], stats: &mut RunStats) {
         loop {
-            let mut pass_moved = 0u64;
-            for i in 0..self.vms.len() {
-                if self.finished[i] {
-                    continue;
-                }
-                if self.vms[i].macro_step(rings, &mut self.stats, &mut pass_moved) {
-                    self.finished[i] = true;
+            let mut progress = 0u64;
+            for w in self.windows {
+                let vm = &mut vms[w.pid as usize];
+                if !vm.window_retired(w.end)
+                    && vm.macro_step_window(w.start, w.end, rings, stats, &mut progress)
+                {
                     self.left -= 1;
+                    progress += 1;
                 }
             }
-            self.moved += pass_moved;
-            if pass_moved == 0 || self.pids.len() == 1 {
+            self.moved += progress;
+            if progress == 0 || self.windows.len() == 1 {
                 break;
             }
         }
@@ -405,14 +611,15 @@ impl ChunkRunner {
 
 /// Run a module through its wavefront plan: passes of topologically
 /// staged chunk fixpoints until every process retires. Chunks are
-/// *dirty-tracked*: after the first pass a chunk is re-swept only when a
-/// neighbour moved values through a shared ring (new data downstream,
-/// freed space upstream) — a blocked chunk cannot otherwise have become
-/// runnable, so the steady state sweeps the active frontier instead of
-/// the whole module. Chunks are visited in wave-major order on the
-/// calling thread. `stats.rounds` counts passes. A pass that moves
-/// nothing with unfinished processes left is a deadlock, reported in the
-/// engines' usual `label [wait,...]` shape.
+/// *dirty-tracked*: after the first pass a chunk is re-swept only when
+/// one of [`WavefrontPlan::neighbors`] progressed — sent the values it
+/// waits for, retired the window before one of its own in program
+/// order, or popped from a ring that can fill; a blocked chunk cannot
+/// otherwise have become runnable, so the steady state sweeps the
+/// active frontier instead of the whole module. Chunks are visited in wave-major order
+/// on the calling thread. `stats.rounds` counts passes. A pass without
+/// progress with unfinished processes left is a deadlock, reported in
+/// the engines' usual `label [wait,...]` shape.
 ///
 /// `kernels` (from [`crate::kernel::analyze_kernels`], memoized
 /// upstream) switches eligible chunks onto the struct-of-arrays kernel
@@ -429,35 +636,21 @@ pub fn run_wavefront(
     _parallel: bool,
 ) -> Result<(RunStats, Vec<SinkBuffer>, KernelReport), RunError> {
     debug_assert!(plan.eligible(), "caller checks WavefrontPlan::eligible");
-    let (vms, outputs) = module.instantiate_vms(&[]);
-    let n_procs = vms.len();
+    let (mut vms, outputs) = module.instantiate_vms(&[]);
     let mut rings = plan.rings();
-
-    // Flatten the chunks wave-major — the same order `plan.neighbors` is
-    // indexed in — remembering each wave's chunk range.
-    let mut pool: Vec<Option<ProcVm>> = vms.into_iter().map(Some).collect();
-    let mut runners: Vec<ChunkRunner> = Vec::with_capacity(plan.n_chunks());
-    let mut wave_ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(plan.waves.len());
-    for wave in &plan.waves {
-        let start = runners.len();
-        for chunk in wave {
-            runners.push(ChunkRunner {
-                pids: chunk.clone(),
-                vms: chunk
-                    .iter()
-                    .map(|&pid| pool[pid].take().expect("chunks partition the processes"))
-                    .collect(),
-                finished: vec![false; chunk.len()],
-                left: chunk.len(),
-                stats: RunStats::default(),
+    let n_chunks = plan.n_chunks();
+    let mut runners: Vec<ChunkRunner> = (0..n_chunks)
+        .map(|k| {
+            let windows = plan.chunk(k);
+            ChunkRunner {
+                windows,
+                left: windows.len() as u32,
                 moved: 0,
-            });
-        }
-        wave_ranges.push(start..runners.len());
-    }
-    let n_chunks = runners.len();
+            }
+        })
+        .collect();
 
-    // Kernel eligibility, aligned with the runners' wave-major order.
+    // Kernel eligibility, indexed like the runners.
     let kernel = kernels
         .filter(|kp| kp.any_eligible())
         .and_then(|_| module.kernel.as_deref());
@@ -475,18 +668,21 @@ pub fn run_wavefront(
     let mut scratch = take_scratch();
     let mut kern_work: Vec<usize> = Vec::new();
 
+    let mut stats = RunStats {
+        processes: vms.len(),
+        ..RunStats::default()
+    };
     let mut dirty = vec![true; n_chunks];
     let mut work: Vec<usize> = Vec::with_capacity(n_chunks);
-    let mut unfinished = n_procs;
-    let mut rounds = 0u64;
+    let mut unfinished = n_chunks;
     while unfinished > 0 {
         let mut moved = 0u64;
-        for range in &wave_ranges {
+        for w in 0..plan.n_waves() {
             // This wave's worklist: dirty, unfinished chunks. Claiming
-            // clears the flag (and the move counter); a neighbour's
-            // move below re-sets it.
+            // clears the flag (and the progress counter); a neighbour's
+            // progress below re-sets it.
             work.clear();
-            for k in range.clone() {
+            for k in plan.wave(w) {
                 if dirty[k] && runners[k].left > 0 {
                     dirty[k] = false;
                     runners[k].moved = 0;
@@ -496,9 +692,9 @@ pub fn run_wavefront(
             if work.is_empty() {
                 continue;
             }
-            // Kernel phase: batch the wave's eligible chunks through
-            // the compiled tape; their trailing sweep below only drains
-            // post-compute ops and certifies the fixpoint.
+            // Kernel phase: batch the wave's eligible compute windows
+            // through the compiled tape; their sweep below only steps
+            // past the exhausted repeater.
             if let Some(kern) = kernel {
                 kern_work.clear();
                 kern_work.extend(work.iter().copied().filter(|&k| kern_ok[k]));
@@ -507,7 +703,9 @@ pub fn run_wavefront(
                         kern,
                         &kern_work,
                         &mut runners,
+                        &mut vms,
                         &mut rings,
+                        &mut stats,
                         &mut scratch,
                         &mut kreport,
                     )
@@ -517,48 +715,28 @@ pub fn run_wavefront(
             }
             for &k in &work {
                 let c = &mut runners[k];
-                c.sweep(&mut rings);
+                c.sweep(&mut vms, &mut rings, &mut stats);
                 moved += c.moved;
                 if c.moved > 0 {
-                    for &nb in &plan.neighbors[k] {
+                    for &nb in plan.neighbors(k) {
                         dirty[nb as usize] = true;
                     }
                 }
+                unfinished -= (c.left == 0) as usize;
             }
         }
-        rounds += 1;
-        unfinished = runners.iter().map(|c| c.left).sum();
+        stats.rounds += 1;
         if moved == 0 && unfinished > 0 {
-            let blocked = runners
-                .iter()
-                .flat_map(|c| {
-                    c.pids
-                        .iter()
-                        .zip(&c.finished)
-                        .zip(&c.vms)
-                        .filter(|((_, &f), _)| !f)
-                        .map(|((&pid, _), vm)| {
-                            let wait = vm.macro_wait().unwrap_or_default();
-                            format!("{} [{}]", module.label_of(pid), wait)
-                        })
-                })
-                .collect();
+            let waiting = vms.iter().enumerate().filter_map(|(pid, vm)| {
+                let wait = vm.macro_wait()?;
+                Some(format!("{} [{}]", module.label_of(pid), wait))
+            });
+            let blocked = waiting.collect();
             put_scratch(scratch);
             return Err(RunError::Deadlock(Deadlock { blocked }));
         }
     }
     put_scratch(scratch);
-
-    let mut stats = RunStats {
-        rounds,
-        messages: 0,
-        processes: n_procs,
-        steps: 0,
-    };
-    for chunk in &runners {
-        stats.messages += chunk.stats.messages;
-        stats.steps += chunk.stats.steps;
-    }
     Ok((stats, outputs, kreport))
 }
 
@@ -715,7 +893,7 @@ mod tests {
         let wf = analyze_wavefront(&m, &plan);
         let kp = analyze_kernels(&m, &wf);
         assert!(kp.compiled, "{:?}", kp.reject);
-        assert_eq!(kp.eligible_chunks, 1, "{:?}", kp.chunk_reject);
+        assert_eq!(kp.eligible_chunks, 1, "{:?}", kp.fallbacks());
         let (ss, souts, soff) = run_wavefront(&m, &wf, None, false).unwrap();
         assert!(!soff.enabled);
         assert_eq!(soff.iterations, 0);
@@ -736,14 +914,154 @@ mod tests {
         let m = compute_module();
         let plan = analyze(&m);
         let wf = analyze_wavefront(&m, &plan);
-        let kp = analyze_kernels(&m, &wf);
-        let fallbacks = kp.fallbacks();
-        assert!(
-            fallbacks
-                .iter()
-                .any(|(r, n)| r.contains("transport process") && *n == 4),
-            "sources and sinks stay scalar: {fallbacks:?}"
+        // comp is cut into keep / repeater / eject; with the two sources
+        // and two sinks that is seven windows, none on a cycle.
+        assert_eq!(
+            (wf.n_chunks(), wf.cyclic_chunks(), wf.largest_chunk()),
+            (7, 0, 1)
         );
+        let kp = analyze_kernels(&m, &wf);
+        // The report counts the repeater and the four transport
+        // processes — not comp's keep and eject windows.
+        assert_eq!((kp.eligible_chunks, kp.scalar_chunks), (1, 4));
+        let transport = ("transport process (no compute op)".to_string(), 4);
+        assert_eq!(
+            kp.fallbacks(),
+            vec![transport],
+            "sources and sinks stay scalar"
+        );
+    }
+
+    /// A cell whose load phase is long: `pass 10 000` on its own channel
+    /// pair, then `keep`, the repeater, `eject`. The pass overruns
+    /// [`WAVEFRONT_RING_CAP`], so in the first grand sweep the load window
+    /// blocks, the repeater (and the eject window after it) is visited
+    /// while not yet startable, and everything on the repeater's own
+    /// channels has already retired: only the program-order edge can wake
+    /// it. `linked: false` makes the repeater one without moving links,
+    /// which retires without touching a ring and must still wake the
+    /// eject window.
+    fn long_load_module(linked: bool) -> Arc<ProcIrModule> {
+        use crate::procir::{MovingLink, ProcOp};
+        const N: usize = 10_000;
+        let mut b = ProcIrBuilder::new();
+        b.begin("comp");
+        b.op(ProcOp::Pass {
+            inp: 4,
+            out: 5,
+            n: N as u64,
+        });
+        b.op(ProcOp::Keep { chan: 2, slot: 1 });
+        b.op(ProcOp::Compute { count: 3 });
+        b.op(ProcOp::Eject { chan: 3, slot: 1 });
+        let a = [MovingLink {
+            slot: 0,
+            inp: 0,
+            out: 1,
+        }];
+        b.repeater(if linked { &a } else { &[] }, &[0], &[1], 2);
+        b.finish();
+        if linked {
+            b.source(0, &[2, 3, 4], "a-in");
+            b.sink(1, 3, "a-out");
+        }
+        b.source(2, &[10], "c-in");
+        b.sink(3, 1, "c-out");
+        b.source(4, &(0..N as i64).collect::<Vec<_>>(), "load-in");
+        b.sink(5, N, "load-out");
+        b.build(Some(Arc::new(
+            |locals: &mut [crate::process::Value], x: &[i64]| {
+                locals[1] += locals[0] + x[0];
+            },
+        )))
+    }
+
+    #[test]
+    fn a_window_blocked_on_the_ring_clamp_wakes_its_successors_in_program_order() {
+        for linked in [true, false] {
+            let m = long_load_module(linked);
+            let plan = analyze(&m);
+            assert!(plan.batchable(), "{:?}", plan.reject_reason());
+            let wf = analyze_wavefront(&m, &plan);
+            assert_eq!(wf.cyclic_chunks(), 0, "linked: {linked}");
+            assert_eq!(wf.max_capacity(), WAVEFRONT_RING_CAP);
+            let (bs, bouts) = run_coop_batched(&m, &plan).unwrap();
+            let (ws, wouts, _) = run_wavefront(&m, &wf, None, false).unwrap();
+            assert!(
+                ws.rounds > 1,
+                "linked {linked}: the load pass overruns the clamp"
+            );
+            assert_eq!((ws.messages, ws.steps), (bs.messages, bs.steps));
+            assert_eq!(ws.processes, bs.processes);
+            for (a, b) in bouts.iter().zip(&wouts) {
+                assert_eq!(*a.lock(), *b.lock(), "linked: {linked}");
+            }
+            // c = 10 + Σ (a + x) over x = 0, 1, 2; `a` stays 0 unlinked.
+            let c_out = if linked { 1 } else { 0 };
+            let expected = if linked { 10 + 2 + 3 + 4 + 3 } else { 10 + 3 };
+            assert_eq!(*wouts[c_out].lock(), vec![expected], "linked: {linked}");
+        }
+    }
+
+    #[test]
+    fn a_sender_blocked_on_a_full_ring_is_woken_by_the_window_that_drains_it() {
+        // Channel 1 carries two phases whose cuts align — `a`'s load pass
+        // feeds `b`'s, `a`'s eject feeds `b`'s recover pass — and one
+        // value more than the clamp. `a`'s eject blocks on the ring its
+        // own load pass filled; the window that drains it is `b`'s load
+        // pass, which no value interval joins to the eject. The two
+        // relays put that window in the eject's wave, behind it.
+        use crate::procir::ProcOp;
+        const N: usize = WAVEFRONT_RING_CAP as usize;
+        let mut b = ProcIrBuilder::new();
+        b.begin("a");
+        b.op(ProcOp::Pass {
+            inp: 0,
+            out: 1,
+            n: N as u64,
+        });
+        b.op(ProcOp::Compute { count: 1 });
+        b.op(ProcOp::Eject { chan: 1, slot: 0 });
+        b.repeater(&[], &[0], &[1], 1);
+        b.finish();
+        b.begin("b");
+        b.collect(5);
+        b.op(ProcOp::Pass {
+            inp: 1,
+            out: 2,
+            n: N as u64,
+        });
+        b.op(ProcOp::Compute { count: 1 });
+        b.op(ProcOp::Pass {
+            inp: 1,
+            out: 2,
+            n: 1,
+        });
+        b.repeater(&[], &[0], &[1], 1);
+        b.finish();
+        b.source(0, &(0..N as i64).collect::<Vec<_>>(), "load-in");
+        b.sink(2, N + 1, "out");
+        b.source(3, &[7], "late-in");
+        b.relay(3, 4, 1, "late-a");
+        b.relay(4, 5, 1, "late-b");
+        let m = b.build(Some(Arc::new(
+            |locals: &mut [crate::process::Value], x: &[i64]| {
+                locals[0] += 40 + x[0];
+            },
+        )));
+        let plan = analyze(&m);
+        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let wf = analyze_wavefront(&m, &plan);
+        assert_eq!(wf.cyclic_chunks(), 0);
+        assert_eq!(wf.capacities[1], WAVEFRONT_RING_CAP, "one value short");
+        let (bs, bouts) = run_coop_batched(&m, &plan).unwrap();
+        let (ws, wouts, _) = run_wavefront(&m, &wf, None, false).unwrap();
+        assert!(ws.rounds > 1, "the eject waits for a later window");
+        assert_eq!((ws.messages, ws.steps), (bs.messages, bs.steps));
+        assert_eq!(ws.processes, bs.processes);
+        for (a, b) in bouts.iter().zip(&wouts) {
+            assert_eq!(*a.lock(), *b.lock());
+        }
     }
 
     #[test]

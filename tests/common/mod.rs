@@ -9,6 +9,7 @@ use systolizer::interp::{
 };
 use systolizer::ir::{gallery, seq, HostStore, SourceProgram, Value};
 use systolizer::math::Env;
+use systolizer::runtime::{BatchPlan, ProcIrModule, ProcOp, WavefrontPlan, Window};
 use systolizer::synthesis::{derive_array, placement::paper};
 
 /// Designs `0..CORPUS` of [`prepared`]: the 4 paper appendix designs
@@ -232,4 +233,182 @@ pub fn inert_rungs() -> Vec<Rung> {
         auto(ExecutorChoice::Threaded, BatchMode::Auto),
         auto(ExecutorChoice::Coop, BatchMode::Off),
     ]
+}
+
+/// Check a [`WavefrontPlan`] against the module it was derived from,
+/// re-deriving the window graph value by value (no interval arithmetic
+/// shared with `analyze_wavefront`):
+///
+/// - the windows of a process are contiguous, ordered, and tile its ops
+///   exactly; only the last ends where the record ends; a repeater is a
+///   window of its own;
+/// - per channel, the values the windows send and the values they
+///   receive both sum to `BatchPlan::traffic`;
+/// - every edge — program order between consecutive windows of a
+///   process, and the window that sends a channel's k-th value to the
+///   window that receives it — joins windows of one chunk or strictly
+///   increases the wave;
+/// - every chunk of more than one window really is strongly connected;
+/// - `neighbors` holds whatever a blocked window can be waiting for: the
+///   chunk at the other end of every edge, and on a channel busier than
+///   its ring the chunk that receives the value one capacity before
+///   each value sent (a full ring blocks the sender until it is popped).
+pub fn check_wavefront_plan(
+    label: &str,
+    module: &ProcIrModule,
+    batch: &BatchPlan,
+    wf: &WavefrontPlan,
+) {
+    assert!(wf.eligible(), "{label}: {:?}", wf.reject_reason());
+    // Every window with its chunk and wave, in (pid, program) order.
+    let mut nodes: Vec<(Window, usize, usize)> = Vec::new();
+    let mut next_chunk = 0;
+    for w in 0..wf.n_waves() {
+        let wave = wf.wave(w);
+        assert_eq!(wave.start, next_chunk, "{label}: waves tile the chunks");
+        assert!(!wave.is_empty(), "{label}: wave {w} is empty");
+        next_chunk = wave.end;
+        for k in wave {
+            assert!(!wf.chunk(k).is_empty(), "{label}: chunk {k} is empty");
+            nodes.extend(wf.chunk(k).iter().map(|&win| (win, k, w)));
+        }
+    }
+    assert_eq!(next_chunk, wf.n_chunks(), "{label}: waves tile the chunks");
+    nodes.sort_by_key(|(win, ..)| (win.pid, win.start));
+
+    let mut edges: Vec<(usize, usize)> = Vec::new();
+    // Per channel, the window that moves each value, in value order.
+    let mut sent: Vec<Vec<usize>> = vec![Vec::new(); module.n_chans];
+    let mut received = sent.clone();
+    let mut at = 0;
+    for (pid, rec) in module.procs.iter().enumerate() {
+        let mut pc = rec.ops.0;
+        loop {
+            let (win, ..) = nodes[at];
+            let ctx = format!("{label}: process {pid} ({}), window {win:?}", rec.label);
+            assert_eq!((win.pid as usize, win.start), (pid, pc), "{ctx}: tiling");
+            assert!(win.end <= rec.ops.1, "{ctx}: past the record");
+            assert!(
+                win.end > win.start || rec.ops.0 == rec.ops.1,
+                "{ctx}: empty"
+            );
+            for op in &module.ops[win.start as usize..win.end as usize] {
+                let repeater = matches!(op, ProcOp::Compute { count } if *count > 0);
+                assert!(
+                    !repeater || win.end - win.start == 1,
+                    "{ctx}: uncut repeater"
+                );
+                assert_eq!(repeater, win.is_compute(module), "{ctx}");
+                let mut moves = |out: bool, chan: usize, n: u64| {
+                    let side = if out { &mut sent } else { &mut received };
+                    side[chan].extend(std::iter::repeat_n(at, n as usize));
+                };
+                match *op {
+                    ProcOp::Emit { chan } | ProcOp::Eject { chan, .. } => moves(true, chan, 1),
+                    ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => moves(false, chan, 1),
+                    ProcOp::Pass { inp, out, n } => {
+                        moves(false, inp, n);
+                        moves(true, out, n);
+                    }
+                    ProcOp::Compute { count } => {
+                        for mc in module.moving_of(pid) {
+                            moves(false, mc.inp, count);
+                            moves(true, mc.out, count);
+                        }
+                    }
+                }
+            }
+            pc = win.end;
+            at += 1;
+            if pc == rec.ops.1 {
+                break;
+            }
+            edges.push((at - 1, at));
+        }
+    }
+    assert_eq!(at, nodes.len(), "{label}: windows beyond the processes");
+    for c in 0..module.n_chans {
+        let traffic = batch.traffic[c] as usize;
+        assert_eq!(sent[c].len(), traffic, "{label}: channel {c} sends");
+        assert_eq!(received[c].len(), traffic, "{label}: channel {c} receives");
+        edges.extend(sent[c].iter().copied().zip(received[c].iter().copied()));
+    }
+    edges.retain(|(u, v)| u != v);
+    edges.sort_unstable();
+    edges.dedup();
+
+    for &(u, v) in &edges {
+        let ((a, ka, wa), (b, kb, wb)) = (nodes[u], nodes[v]);
+        assert!(
+            ka == kb || wa < wb,
+            "{label}: edge {a:?} (chunk {ka}, wave {wa}) -> {b:?} (chunk {kb}, wave {wb})"
+        );
+    }
+    let wakes = |by: usize, k: usize| by == k || wf.neighbors(by).contains(&(k as u32));
+    for &(u, v) in &edges {
+        let ((a, ka, _), (b, kb, _)) = (nodes[u], nodes[v]);
+        assert!(
+            wakes(ka, kb) && wakes(kb, ka),
+            "{label}: {a:?} and {b:?} share an edge and are not neighbours"
+        );
+    }
+    for c in 0..module.n_chans {
+        let cap = wf.capacities[c] as usize;
+        for (&u, &v) in sent[c].iter().skip(cap).zip(&received[c]) {
+            let ((a, ka, _), (b, kb, _)) = (nodes[u], nodes[v]);
+            assert!(
+                wakes(kb, ka),
+                "{label}: channel {c}: {a:?} can block on the full ring and {b:?} drains it"
+            );
+        }
+    }
+    for k in (0..wf.n_chunks()).filter(|&k| wf.chunk(k).len() > 1) {
+        let inside = |&&(u, v): &&(usize, usize)| nodes[u].1 == k && nodes[v].1 == k;
+        let inside: Vec<(usize, usize)> = edges.iter().filter(inside).copied().collect();
+        let root = nodes.iter().position(|n| n.1 == k).unwrap();
+        for forward in [true, false] {
+            let mut seen = vec![root];
+            let mut next = 0;
+            while let Some(&u) = seen.get(next) {
+                next += 1;
+                for &(a, b) in &inside {
+                    let (from, to) = if forward { (a, b) } else { (b, a) };
+                    if from == u && !seen.contains(&to) {
+                        seen.push(to);
+                    }
+                }
+            }
+            assert_eq!(
+                seen.len(),
+                wf.chunk(k).len(),
+                "{label}: chunk {k} is not strongly connected (forward: {forward})"
+            );
+        }
+    }
+}
+
+/// [`check_wavefront_plan`] on the plans `simulate` takes for this
+/// problem off `ms`: the elaborated module's and, where the optimizer
+/// rewrites it, the optimized module's. Returns how many it checked
+/// (none when the batch proof rejects the module).
+pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared) -> usize {
+    let (plan, env, store) = prepared;
+    let cm = ms
+        .module(plan, env, store, &ElabOptions::default())
+        .unwrap();
+    if !cm.batch_plan().batchable() {
+        return 0;
+    }
+    check_wavefront_plan(
+        &format!("{label}, as elaborated"),
+        &cm.elab.module,
+        cm.batch_plan(),
+        cm.wavefront_plan(),
+    );
+    let Some(od) = cm.optimized(OptMode::Auto) else {
+        return 1;
+    };
+    let wf = cm.wavefront_plan_opt(OptMode::Auto).unwrap();
+    check_wavefront_plan(&format!("{label}, optimized"), &od.0.module, &od.1, &wf);
+    2
 }

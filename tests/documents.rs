@@ -120,6 +120,12 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     assert_eq!(Some(wavefront), fused.get("wavefront"));
     assert_eq!(Some(wavefront), docs[3].get("wavefront"));
     assert_eq!(wavefront.get("eligible"), Some(&Json::Bool(true)));
+    let Json::Obj(shape) = wavefront else {
+        panic!("wavefront section is not an object");
+    };
+    let shape: Vec<&str> = shape.iter().map(|(k, _)| k.as_str()).collect();
+    let keys = "eligible waves chunks cyclic_chunks largest_chunk max_ring_capacity channels";
+    assert_eq!(shape, keys.split_whitespace().collect::<Vec<_>>());
     assert_eq!(wavefront.get("channels"), Some(&Json::Arr(vec![])));
     let num = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap();
     let relays = |c: &Json| num(c, "relays");

@@ -8,15 +8,25 @@
 //! of the plain engine whenever the optimizer left the module alone, and
 //! the optimizer's own accounting when it did not; one elaboration per
 //! (design, size, data, protocol variant) however many rungs ran.
+//!
+//! Beside it, the wavefront plan's own invariants (windows tile the
+//! processes, every edge stays in a chunk or climbs a wave, chunks are
+//! strongly connected) on every design, raw and optimized, and the
+//! shipped `programs/matmul.sys` at the sizes where one channel carries a
+//! load value and a recover value, and a hand-built channel busier than
+//! its ring.
 
 mod common;
 
-use common::{inert_rungs, prepared, rungs, CORPUS};
+use common::{check_wavefront_plan, check_wavefront_plans, inert_rungs, prepared, rungs, CORPUS};
 use systolizer::interp::{
     simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, OptMode,
     SimSpec, WavefrontMode,
 };
-use systolizer::runtime::{ChanId, ChannelPolicy, FifoPolicy, RunStats, SchedulePolicy};
+use systolizer::runtime::{
+    analyze, analyze_wavefront, ChanId, ChannelPolicy, FifoPolicy, ProcIrBuilder, ProcOp, RunStats,
+    SchedulePolicy, WAVEFRONT_RING_CAP,
+};
 
 /// Reverses each round's firing order and honestly reports
 /// `is_fifo() == false`.
@@ -186,4 +196,105 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
         }
     }
     assert!(fused_somewhere, "no corpus design engaged the optimizer");
+}
+
+/// `tests/common::check_wavefront_plan` on every corpus design (and
+/// `fir.sys`) at four sizes, on the module as elaborated and on the
+/// optimized one.
+#[test]
+fn the_wavefront_plan_keeps_its_invariants_on_every_design() {
+    let mut optimized = 0;
+    for design in 0..=CORPUS {
+        for n in [1i64, 2, 3, 5] {
+            let label = format!("design {design} n={n}");
+            let checked =
+                check_wavefront_plans(&label, &ModuleStore::new(), &prepared(design, n, 5));
+            assert!(checked >= 1, "{label}: the corpus is batchable");
+            optimized += checked - 1;
+        }
+    }
+    assert!(optimized > 0, "no optimized module was checked");
+}
+
+/// `programs/matmul.sys` on the array `derive_array` picks loads and
+/// recovers the stationary `c` over the links `b` flows against. At
+/// n = 1 channel 1 carries `comp@(0,0)`'s load `Pass` value *and* its
+/// recover `Eject` value: an endpoint map per channel (last writer wins)
+/// staged `comp@(1,0)`'s `Keep` before the value it waits for and
+/// deadlocked, and one node per process made every column a cycle. Every
+/// rung completes with the oracle's store, the plan has no cycle left,
+/// and the compiled kernels take all `(n + 1)²` repeaters.
+#[test]
+fn the_shipped_matmul_takes_the_kernels_where_one_channel_carries_two_phases() {
+    let src = include_str!("../programs/matmul.sys");
+    let sys = systolizer::systolize_source(src, &Default::default()).unwrap();
+    for n in [1i64, 2] {
+        let env = sys.size_env(&[n]).unwrap();
+        let store = systolizer::interp::seeded_store(&sys.plan, &env, &["a", "b", "c"], 31);
+        let ms = ModuleStore::new();
+        let problem = (sys.plan.clone(), env, store);
+        let label = format!("matmul.sys n={n}");
+        assert_eq!(check_wavefront_plans(&label, &ms, &problem), 2, "{label}");
+        let (plan, env, store) = &problem;
+        let base = simulate_verified(&ms, plan, env, store, SimSpec::plain()).unwrap();
+        for rung in rungs() {
+            let run = simulate_verified(&ms, plan, env, store, rung.spec())
+                .unwrap_or_else(|e| panic!("{label} {rung:?}: {e}"));
+            assert_eq!(run.stats.messages, base.stats.messages, "{label} {rung:?}");
+            assert_eq!(run.stats.steps, base.stats.steps, "{label} {rung:?}");
+            assert_eq!(
+                run.stats.processes, base.stats.processes,
+                "{label} {rung:?}"
+            );
+            let Some(k) = run.kernel.filter(|k| k.enabled) else {
+                continue;
+            };
+            assert_eq!(
+                k.eligible_chunks,
+                ((n + 1) * (n + 1)) as u64,
+                "{label} {rung:?}"
+            );
+            assert_eq!(
+                k.iterations,
+                ((n + 1) * (n + 1) * (n + 1)) as u64,
+                "{label}"
+            );
+            let cyclic = |(r, _): &(String, u64)| r.contains("cyclic chunk");
+            assert!(
+                !k.fallbacks.iter().any(cyclic),
+                "{label}: {:?}",
+                k.fallbacks
+            );
+        }
+    }
+}
+
+/// The corpus sizes never fill a ring, so the back-pressure half of
+/// [`check_wavefront_plan`] gets a module of its own: channel 1 carries a
+/// load phase of exactly the clamp and one recover value behind it, cut
+/// at the same value on both sides. The eject blocks on the full ring
+/// until the far load pass drains it, and no edge joins those two.
+#[test]
+fn the_wavefront_plan_wakes_a_sender_blocked_on_a_full_ring() {
+    let n = WAVEFRONT_RING_CAP;
+    let mut b = ProcIrBuilder::new();
+    for (label, inp, out) in [("a", 0, 1), ("b", 1, 2)] {
+        b.begin(label);
+        b.op(ProcOp::Pass { inp, out, n });
+        b.op(ProcOp::Compute { count: 1 });
+        match label {
+            "a" => b.op(ProcOp::Eject { chan: out, slot: 0 }),
+            _ => b.op(ProcOp::Pass { inp, out, n: 1 }),
+        }
+        b.repeater(&[], &[0], &[1], 1);
+        b.finish();
+    }
+    b.source(0, &vec![3; n as usize], "in");
+    b.sink(2, n as usize + 1, "out");
+    let m = b.build(Some(std::sync::Arc::new(|_: &mut [i64], _: &[i64]| {})));
+    let batch = analyze(&m);
+    assert!(batch.batchable(), "{:?}", batch.reject_reason());
+    let wf = analyze_wavefront(&m, &batch);
+    assert!(batch.traffic[1] > wf.capacities[1], "channel 1 can fill");
+    check_wavefront_plan("full ring", &m, &batch, &wf);
 }

@@ -3,14 +3,15 @@
 //! gallery. Every accepted (program, array) pair must compile, satisfy
 //! the Appendix B theorems, and execute equivalently to its own
 //! sequential semantics — on the reference engine and then on every rung
-//! of `simulate`'s ladder (`common::rungs`).
+//! of `simulate`'s ladder (`common::rungs`), whose wavefront plans must
+//! keep their invariants (`common::check_wavefront_plan`).
 
 mod common;
 
-use common::{assert_seq_matches_reference, plain_under, rungs, verify};
+use common::{assert_seq_matches_reference, check_wavefront_plans, plain_under, rungs, verify};
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options};
-use systolizer::interp::{ElabOptions, SimSpec, VerifyError};
+use systolizer::interp::{ElabOptions, ModuleStore, SimSpec, VerifyError};
 use systolizer::ir::expr::build::*;
 use systolizer::ir::{
     program::covering_bounds, BasicStatement, HostStore, IndexedVar, Loop, SourceProgram, Stream,
@@ -195,6 +196,9 @@ proptest! {
             // What the reference engine completes, every rung of the
             // ladder must complete with the oracle's stores.
             Ok(_) => {
+                let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
+                let problem = (plan.clone(), env.clone(), store);
+                check_wavefront_plans(&format!("{spec:?}"), ModuleStore::global(), &problem);
                 for rung in rungs() {
                     let res = verify(&plan, &env, &["a", "b"], seed, rung.spec());
                     prop_assert!(res.is_ok(), "{rung:?}: {:?} (spec {spec:?})", res.err());
