@@ -32,7 +32,7 @@ use systolic_ir::{seq, HostStore};
 use systolic_math::{Affine, Env};
 use systolic_runtime::{
     BatchMode, ChannelPolicy, KernelMode, KernelReport, Network, OptMode, OptReport, RunError,
-    RunStats, SchedulePolicy, SharedRecorder, SinkBuffer, WavefrontMode,
+    RunStats, SchedulePolicy, SharedRecorder, Value, WavefrontMode,
 };
 
 /// Which executor family a run uses. The cooperative scheduler is the
@@ -237,11 +237,11 @@ impl From<ElabError> for ExecError {
 fn writeback(
     outputs: &[OutputSpec],
     host_words: &[u32],
-    buffers: &[SinkBuffer],
+    buffers: &[Vec<Value>],
     store: &mut HostStore,
 ) -> Result<(), ExecError> {
     for out in outputs {
-        let values = buffers[out.output as usize].lock();
+        let values = &buffers[out.output as usize];
         let words = &host_words[out.words.0 as usize..out.words.1 as usize];
         if values.len() != words.len() {
             return Err(ExecError::ShortOutput {
@@ -358,7 +358,9 @@ pub fn simulate(
                 systolic_runtime::run_partitioned(inst.procs, groups, deadline, recorders)?
             }
         };
-        (stats, inst.outputs)
+        // The run is over: every sink is taken once, not locked per value.
+        let take = |sink: &systolic_runtime::SinkBuffer| std::mem::take(&mut *sink.lock());
+        (stats, inst.outputs.iter().map(take).collect())
     };
 
     let mut result = store.clone();
@@ -729,14 +731,12 @@ mod tests {
     fn short_output_pipe_is_a_descriptive_error() {
         // A spec expecting two elements whose pipe delivered one.
         let (_, _, mut store) = d1(2, 0);
-        let buffer = systolic_runtime::sink_buffer();
-        buffer.lock().push(7);
         let outputs = vec![OutputSpec {
             variable: "c".into(),
             output: 0,
             words: (0, 2),
         }];
-        let err = writeback(&outputs, &[0, 1], &[buffer], &mut store).unwrap_err();
+        let err = writeback(&outputs, &[0, 1], &[vec![7]], &mut store).unwrap_err();
         let ExecError::ShortOutput {
             variable,
             got,

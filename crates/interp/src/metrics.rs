@@ -61,7 +61,8 @@ impl Observed {
             doc.push("optimizer", o.0.report.json());
         }
         doc.push("elab_cache", self.cache.json());
-        doc.push("wavefront", cm.wavefront_plan().json(cm.batch_plan()));
+        let wavefront = cm.wavefront_plan().json(&cm.elab.module, cm.batch_plan());
+        doc.push("wavefront", wavefront);
         doc.push("kernels", cm.kernel_plan().json());
         doc.pretty()
     }

@@ -1,7 +1,7 @@
 //! Steady-state rendezvous batching: the post-elaboration analysis that
-//! proves which channels may carry more than one in-flight value, and
-//! the inline ring buffer the batched executors move those values
-//! through.
+//! proves which channels may carry more than one in-flight value. (The
+//! rings the batched executors move those values through are spans of
+//! the run arena's one slab, `crate::arena`.)
 //!
 //! The paper's generated processes are statically-scheduled traces
 //! (DESIGN.md §3): each channel's total traffic and both endpoints are
@@ -14,7 +14,7 @@
 //! argument; see `docs/scheduler.md` for the full safety story). The
 //! analysis therefore grants each steady channel a batch width `k > 1`,
 //! letting the engines retire up to `k` transfers per visit through a
-//! [`Ring`] instead of one rendezvous handshake per value.
+//! ring of that capacity instead of one rendezvous handshake per value.
 //!
 //! Channels that carry a `load`/`recover` endpoint (`Keep`/`Eject`) are
 //! pinned to width 1, and any shape the analysis cannot prove — two
@@ -24,9 +24,8 @@
 //! unbatched paths are pinned bit-identical (stores, `messages`,
 //! `steps`) by `tests/ladder.rs` and `tests/batching.rs`.
 
-use crate::process::{ChanId, Value};
+use crate::process::ChanId;
 use crate::procir::{ProcId, ProcIrModule, ProcOp};
-use std::collections::VecDeque;
 
 /// The widest batch the analysis will grant a channel: bounds ring
 /// memory (64 values ≈ one cache line of `i64`s) and keeps a producer
@@ -48,77 +47,6 @@ impl BatchMode {
     /// The names `--batch` and the service's `"batch"` accept, default first.
     pub const NAMES: &'static [(&'static str, BatchMode)] =
         &[("auto", BatchMode::Auto), ("off", BatchMode::Off)];
-}
-
-/// A bounded FIFO of in-flight values for one batched channel. Plain
-/// sequential code — the cooperative batched and wavefront executors
-/// own all rings outright.
-pub struct Ring {
-    q: VecDeque<Value>,
-    cap: usize,
-}
-
-impl Ring {
-    pub fn new(cap: usize) -> Ring {
-        let cap = cap.max(1);
-        Ring {
-            q: VecDeque::with_capacity(cap),
-            cap,
-        }
-    }
-
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.q.len() >= self.cap
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    /// Push a value; the caller must have checked [`Ring::is_full`].
-    #[inline]
-    pub fn push(&mut self, v: Value) {
-        debug_assert!(!self.is_full(), "push into a full ring");
-        self.q.push_back(v);
-    }
-
-    #[inline]
-    pub fn pop(&mut self) -> Option<Value> {
-        self.q.pop_front()
-    }
-
-    /// Free slots before [`Ring::is_full`].
-    #[inline]
-    pub fn free(&self) -> usize {
-        self.cap.saturating_sub(self.q.len())
-    }
-
-    /// Pop `dst.len()` values in FIFO order into `dst`. The caller must
-    /// have checked occupancy ([`Ring::len`]) — the kernel path's one
-    /// bounds decision per wave batch.
-    #[inline]
-    pub fn pop_many(&mut self, dst: &mut [Value]) {
-        debug_assert!(dst.len() <= self.q.len(), "pop_many past occupancy");
-        let n = dst.len();
-        for (d, v) in dst.iter_mut().zip(self.q.drain(..n)) {
-            *d = v;
-        }
-    }
-
-    /// Push all of `vals` in order; the caller must have checked
-    /// [`Ring::free`].
-    #[inline]
-    pub fn push_many(&mut self, vals: &[Value]) {
-        debug_assert!(vals.len() <= self.free(), "push_many past capacity");
-        self.q.extend(vals.iter().copied());
-    }
 }
 
 /// The result of [`analyze`]: per-channel batch widths and endpoint
@@ -158,11 +86,6 @@ impl BatchPlan {
     /// some process is over-wide.
     pub fn reject_reason(&self) -> Option<&str> {
         self.reject.as_deref()
-    }
-
-    /// Fresh rings for one run, capacities from the widths.
-    pub fn rings(&self) -> Vec<Ring> {
-        self.widths.iter().map(|&k| Ring::new(k as usize)).collect()
     }
 
     /// Test-only: the same plan with the rejection cleared, so executor

@@ -691,10 +691,12 @@ fn since_mut(since: &mut Vec<(u64, u64)>, chan: ChanId) -> &mut (u64, u64) {
     &mut since[chan]
 }
 
-/// The batched cooperative engine: macro-step every VM over the
-/// per-channel rings of a proven [`BatchPlan`], retiring up to a full
-/// batch of transfers per visit instead of one rendezvous handshake per
-/// round (see `crate::batch` and `docs/scheduler.md`).
+/// The batched cooperative engine: macro-step every process over the
+/// per-channel rings of a proven [`BatchPlan`](crate::batch::BatchPlan),
+/// retiring up to a full batch of transfers per visit instead of one
+/// rendezvous handshake per round (see `crate::batch` and
+/// `docs/scheduler.md`). Nothing is instantiated: the run state is the
+/// thread's run arena (`crate::arena`), reset to this module.
 ///
 /// Sweeps processes in ascending pid order until all finish; a sweep
 /// that moves nothing with unfinished processes left is a deadlock,
@@ -706,44 +708,38 @@ fn since_mut(since: &mut Vec<(u64, u64)>, chan: ChanId) -> &mut (u64, u64) {
 pub fn run_coop_batched(
     module: &Arc<crate::procir::ProcIrModule>,
     plan: &crate::batch::BatchPlan,
-) -> Result<(RunStats, Vec<crate::process::SinkBuffer>), RunError> {
+) -> Result<(RunStats, Vec<Vec<Value>>), RunError> {
     debug_assert!(plan.batchable(), "caller checks BatchPlan::batchable");
-    let (mut vms, outputs) = module.instantiate_vms(&[]);
-    let mut rings = plan.rings();
-    let mut stats = RunStats {
-        rounds: 0,
-        messages: 0,
-        processes: vms.len(),
-        steps: 0,
-    };
-    let mut finished = vec![false; vms.len()];
-    let mut unfinished = vms.len();
-    while unfinished > 0 {
-        let mut moved = 0u64;
-        for (pid, vm) in vms.iter_mut().enumerate() {
-            if finished[pid] {
-                continue;
+    crate::arena::with_arena(|arena| {
+        arena.reset(module, &plan.widths);
+        let n = module.procs.len();
+        let mut stats = RunStats {
+            processes: n,
+            ..RunStats::default()
+        };
+        let mut unfinished = n;
+        while unfinished > 0 {
+            let mut moved = 0u64;
+            for (pid, rec) in module.procs.iter().enumerate() {
+                if !arena.done(pid)
+                    && arena.macro_step_window(module, pid, rec.ops, &mut stats, &mut moved)
+                {
+                    unfinished -= 1;
+                }
             }
-            if vm.macro_step(&mut rings, &mut stats, &mut moved) {
-                finished[pid] = true;
-                unfinished -= 1;
+            stats.rounds += 1;
+            if moved == 0 && unfinished > 0 {
+                let blocked = (0..n)
+                    .filter_map(|pid| {
+                        let wait = arena.macro_wait(module, pid)?;
+                        Some(format!("{} [{}]", module.label_of(pid), wait))
+                    })
+                    .collect();
+                return Err(RunError::Deadlock(Deadlock { blocked }));
             }
         }
-        stats.rounds += 1;
-        if moved == 0 && unfinished > 0 {
-            let blocked = vms
-                .iter()
-                .enumerate()
-                .filter(|(pid, _)| !finished[*pid])
-                .map(|(pid, vm)| {
-                    let wait = vm.macro_wait().unwrap_or_default();
-                    format!("{} [{}]", module.label_of(pid), wait)
-                })
-                .collect();
-            return Err(RunError::Deadlock(Deadlock { blocked }));
-        }
-    }
-    Ok((stats, outputs))
+        Ok((stats, std::mem::take(&mut arena.outputs)))
+    })
 }
 
 #[cfg(test)]
@@ -1074,7 +1070,7 @@ mod tests {
         let plan = crate::batch::analyze(&module);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let (stats, outs) = run_coop_batched(&module, &plan).unwrap();
-        assert_eq!(*outs[0].lock(), base_out, "stores bit-identical");
+        assert_eq!(outs[0], base_out, "stores bit-identical");
         assert_eq!(stats.messages, base.messages, "logical messages invariant");
         assert_eq!(stats.steps, base.steps, "logical steps invariant");
         assert!(

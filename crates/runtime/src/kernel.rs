@@ -2,8 +2,8 @@
 //!
 //! The wavefront executor (`crate::wavefront`) already sweeps the array
 //! one topological level at a time, but each Compute op in a wave still
-//! retires as an individual [`ProcVm`] superinstruction calling the
-//! opaque `Arc<dyn ComputeBody>` — so the hot loop is dynamic dispatch
+//! retires as an individual superinstruction calling the opaque
+//! `Arc<dyn ComputeBody>` — so the hot loop is dynamic dispatch
 //! and per-value ring bookkeeping, not arithmetic. This module removes
 //! both costs for the common case the paper's scheme actually produces:
 //! every computation process runs the *same* basic statement, and that
@@ -27,31 +27,34 @@
 //!   compute chunks and whole transport processes, each scalar one with
 //!   its reason — the wavefront/batch reject-reason ladder one rung down.
 //! - [`kernel_wave`] executes one wave's eligible chunks as a batch:
-//!   ring heads are gathered into struct-of-arrays scratch buffers
-//!   (lane = process, one bounds decision per wave instead of one per
-//!   op), the op tape runs as lane-inner tight loops the compiler can
-//!   auto-vectorize, and results scatter back in FIFO order. The
+//!   ring heads are gathered out of the run arena's ring slab
+//!   (`crate::arena`) into struct-of-arrays scratch buffers (lane =
+//!   process, one bounds decision per wave instead of one per op), the
+//!   op tape runs as lane-inner tight loops the compiler can
+//!   auto-vectorize, and results scatter back into the slab in FIFO
+//!   order. The
 //!   per-lane logical accounting (`steps`, `messages`, ring `moved`)
 //!   is identical to the loop-summarized macro path, so stores stay
 //!   bit-identical and stats invariant — the same contract every other
 //!   engine upholds.
 //!
 //! Safety of the gather/scatter: a lane only touches its own window's
-//! rings, every lane of a batch pops all `m` iterations before any lane
-//! pushes, and `m` never exceeds the input occupancy or output slack
-//! observed at the start of the batch. That is stream-equivalent to the
-//! interleaved pop/push of the macro path whoever holds a ring's other
-//! end — another lane of the same batch (two compute windows of one wave
-//! can share a ring when their value runs do not overlap), or the lane
-//! itself on a self-looped ring: only values already queued are served,
-//! only slack already free is filled. See `docs/kernels.md`.
+//! rings — each its own span of the slab — every lane of a batch pops
+//! all `m` iterations before any lane pushes, and `m` never exceeds the
+//! input occupancy or output slack observed at the start of the batch.
+//! That is stream-equivalent to the interleaved pop/push of the macro
+//! path whoever holds a ring's other end — another lane of the same batch
+//! (two compute windows of one wave can share a ring when their value
+//! runs do not overlap), or the lane itself on a self-looped ring: only
+//! values already queued are served, only slack already free is filled.
+//! See `docs/kernels.md`.
 
-use crate::batch::Ring;
+use crate::arena::RunArena;
 use crate::coop::RunStats;
 use crate::json::Json;
 use crate::process::Value;
-use crate::procir::{ProcIrModule, ProcVm};
-use crate::wavefront::{ChunkRunner, WavefrontPlan, Window};
+use crate::procir::ProcIrModule;
+use crate::wavefront::{ChunkState, WavefrontPlan, Window};
 
 /// Whether a wavefront run may execute eligible waves through compiled
 /// kernels. `Auto` engages them whenever the module compiled one and the
@@ -336,9 +339,11 @@ fn chunk_eligibility(
     None
 }
 
-/// Reusable struct-of-arrays scratch for one run: every buffer is laid
-/// out lane-contiguous (`[field][lane]`, or `[link][lane][iter]` for
-/// the ring payloads) so the tape's inner loops run over dense arrays.
+/// Reusable struct-of-arrays scratch, part of the thread's `RunArena`:
+/// every buffer is laid out lane-contiguous (`[field][lane]`, or
+/// `[link][lane][iter]` for the ring payloads) so the tape's inner loops
+/// run over dense arrays, and reused across batches and runs so the
+/// steady state allocates nothing.
 #[derive(Default)]
 pub(crate) struct KernelScratch {
     locals: Vec<Value>,
@@ -347,37 +352,35 @@ pub(crate) struct KernelScratch {
     regs: Vec<Value>,
     inb: Vec<Value>,
     outb: Vec<Value>,
-    /// The batch's moving-slot layout (shared by every lane); reused
-    /// across batches so the steady state allocates nothing.
-    link_slots: Vec<u32>,
-    /// The runner indices batched this round — same reuse story.
+    /// The batch's moving links (shared by every lane): the local slot,
+    /// and the link's row of `outb` when the values sent differ from the
+    /// values received — the tape writes the slot, or a later link loads
+    /// over it.
+    link_slots: Vec<(u32, Option<usize>)>,
+    /// The runner indices batched this round.
     lanes: Vec<usize>,
     /// The candidates for the next round's phase 1.
     cand: Vec<usize>,
 }
 
-std::thread_local! {
-    /// One scratch per thread, warm across runs: a fresh allocation per
-    /// run means cold pages per run, which interleaved benchmark visits
-    /// (and real multi-tenant traffic) pay over and over.
-    static SCRATCH: std::cell::RefCell<KernelScratch> =
-        std::cell::RefCell::new(KernelScratch::default());
-}
-
-/// Swap the thread's warm scratch out for the duration of a run. Pair
-/// with [`put_scratch`]; an early-errored run that never puts back only
-/// costs the warmth, not correctness.
-pub(crate) fn take_scratch() -> KernelScratch {
-    SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()))
-}
-
-pub(crate) fn put_scratch(scratch: KernelScratch) {
-    SCRATCH.with(|s| *s.borrow_mut() = scratch);
+impl KernelScratch {
+    /// Bytes held (capacities), for `RunArena::footprint_bytes`.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        let words = self.locals.capacity()
+            + self.x.capacity()
+            + self.incr.capacity()
+            + self.regs.capacity()
+            + self.inb.capacity()
+            + self.outb.capacity();
+        words * std::mem::size_of::<Value>()
+            + self.link_slots.capacity() * std::mem::size_of::<(u32, Option<usize>)>()
+            + (self.lanes.capacity() + self.cand.capacity()) * std::mem::size_of::<usize>()
+    }
 }
 
 /// Execute one wave's kernel-eligible dirty chunks as struct-of-arrays
 /// batches, then leave them for the ordinary chunk sweep (which steps
-/// each VM past its exhausted repeater and certifies the wave
+/// each process past its exhausted repeater and certifies the wave
 /// fixpoint). Returns whether any batch retired work.
 ///
 /// The loop alternates two phases until no lane can advance: find the
@@ -385,18 +388,34 @@ pub(crate) fn put_scratch(scratch: KernelScratch) {
 /// startable (its load window retired in an earlier wave) and at a fresh
 /// iteration boundary — then batch them over the minimum number of
 /// iterations every lane's rings can serve.
+///
+/// Two things are decided per batch from the tape, not per design. A
+/// moving link whose slot the tape never writes sends exactly what it
+/// received, so its output ring is filled from the gathered input and no
+/// per-iteration snapshot is taken (`a` and `b` of every matmul). And a
+/// tape that reads no index coordinate (`n_dims == 0`) leaves the index
+/// points out of the batch altogether: each lane's point advances once,
+/// by `iters × increment`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel_wave(
     kernel: &Kernel,
-    work: &[usize],
-    runners: &mut [ChunkRunner],
-    vms: &mut [ProcVm],
-    rings: &mut [Ring],
+    module: &ProcIrModule,
+    plan: &WavefrontPlan,
+    work: impl Iterator<Item = usize>,
+    chunks: &mut [ChunkState],
+    arena: &mut RunArena,
     stats: &mut RunStats,
-    scratch: &mut KernelScratch,
     report: &mut KernelReport,
 ) -> bool {
     let mut ran = false;
+    let RunArena {
+        regs: vm,
+        locals: vm_locals,
+        x: vm_x,
+        rings,
+        scratch,
+        ..
+    } = arena;
     let KernelScratch {
         locals,
         x,
@@ -408,30 +427,29 @@ pub(crate) fn kernel_wave(
         lanes,
         cand,
     } = scratch;
-    let vm_of = |runners: &[ChunkRunner], k: usize| runners[k].windows[0].pid as usize;
+    let pid_of = |k: usize| plan.chunk(k)[0].pid as usize;
     // Round 1 considers the whole worklist; later rounds revisit only the
     // lanes that just batched. Another lane of the wave advances with them
     // only if it shares a ring with one (their value runs do not overlap,
     // or an edge would have put them in different waves) and stood blocked
     // on it; the scalar sweep behind this call picks that lane up.
     cand.clear();
-    cand.extend_from_slice(work);
+    cand.extend(work);
     loop {
         // Phase 1: the lanes at their kernel point, and the joint batch
         // size.
         lanes.clear();
         let mut iters = u64::MAX;
         for &k in cand.iter() {
-            let window = runners[k].windows[0];
-            let vm = &vms[window.pid as usize];
-            let Some(remaining) = vm.kernel_point(window.start) else {
+            let window = plan.chunk(k)[0];
+            let pid = window.pid as usize;
+            let Some(remaining) = vm[pid].kernel_point(module, pid, window.start) else {
                 continue;
             };
             let mut m = remaining;
-            for mc in vm.links() {
-                let avail = rings[mc.inp].len() as u64;
-                let free = rings[mc.out].free() as u64;
-                m = m.min(avail).min(free);
+            for mc in module.moving_of(pid) {
+                m = m.min(rings.len(mc.inp) as u64);
+                m = m.min(rings.free(mc.out) as u64);
             }
             if m == 0 {
                 continue;
@@ -447,62 +465,77 @@ pub(crate) fn kernel_wave(
         // slot layout, local count, and index rank of the first (true by
         // construction — one basic statement, one stream set — but a
         // mismatch must degrade to scalar, not corrupt the batch).
-        let first = &vms[vm_of(runners, lanes[0])];
-        let (n_locals, dims) = (first.n_locals(), first.dims());
+        let first = pid_of(lanes[0]);
+        let n_locals = module.procs[first].n_locals as usize;
+        let dims = module.first_of(first).len();
+        let links = module.moving_of(first);
         link_slots.clear();
-        link_slots.extend(first.links().iter().map(|mc| mc.slot));
+        let mut n_changed = 0;
+        link_slots.extend(links.iter().enumerate().map(|(j, mc)| {
+            let written = kernel.writes.iter().any(|&(slot, _)| slot == mc.slot);
+            let clobbered = links[j + 1..].iter().any(|later| later.slot == mc.slot);
+            let row = (written || clobbered).then_some(n_changed);
+            n_changed += row.is_some() as usize;
+            (mc.slot, row)
+        }));
         let n_links = link_slots.len();
         lanes.retain(|&k| {
-            let vm = &vms[vm_of(runners, k)];
-            vm.n_locals() == n_locals
-                && vm.dims() == dims
-                && vm.links().len() == n_links
-                && vm
-                    .links()
+            let pid = pid_of(k);
+            let links = module.moving_of(pid);
+            module.procs[pid].n_locals as usize == n_locals
+                && module.first_of(pid).len() == dims
+                && links.len() == n_links
+                && links
                     .iter()
                     .zip(link_slots.iter())
-                    .all(|(mc, &s)| mc.slot == s)
+                    .all(|(mc, &(slot, _))| mc.slot == slot)
         });
         let lane_n = lanes.len();
         let iters = iters as usize;
+        // The index points ride along only when the tape reads them.
+        let x_dims = if kernel.n_dims > 0 { dims } else { 0 };
 
         // Phase 2: gather — locals, index points, increments, and all
         // `iters` ring heads per link, popped in FIFO order. One
         // capacity decision for the whole batch was made above.
         locals.resize(n_locals * lane_n, 0);
-        x.resize(dims * lane_n, 0);
-        incr.resize(dims * lane_n, 0);
+        x.resize(x_dims * lane_n, 0);
+        incr.resize(x_dims * lane_n, 0);
         regs.resize(kernel.ops.len() * lane_n, 0);
         inb.resize(n_links * lane_n * iters, 0);
-        outb.resize(n_links * lane_n * iters, 0);
+        outb.resize(n_changed * lane_n * iters, 0);
         for (li, &k) in lanes.iter().enumerate() {
-            runners[k].moved += (n_links * iters) as u64;
-            let vm = &mut vms[vm_of(runners, k)];
-            for (d, &inc) in vm.increments().iter().enumerate() {
-                incr[d * lane_n + li] = inc;
-            }
-            {
-                let (vm_locals, vm_x, _t) = vm.lane_state();
-                for (s, &v) in vm_locals.iter().enumerate() {
-                    locals[s * lane_n + li] = v;
+            chunks[k].moved += (n_links * iters) as u64;
+            let pid = pid_of(k);
+            let r = &vm[pid];
+            if x_dims > 0 {
+                for (d, &inc) in module.increment_of(pid).iter().enumerate() {
+                    incr[d * lane_n + li] = inc;
                 }
-                for (d, &xv) in vm_x.iter().enumerate() {
+                for (d, &xv) in vm_x[r.x as usize..][..dims].iter().enumerate() {
                     x[d * lane_n + li] = xv;
                 }
             }
-            for (j, mc) in vm.links().iter().enumerate() {
+            for (s, &v) in vm_locals[r.locals as usize..][..n_locals]
+                .iter()
+                .enumerate()
+            {
+                locals[s * lane_n + li] = v;
+            }
+            for (j, mc) in module.moving_of(pid).iter().enumerate() {
                 let base = (j * lane_n + li) * iters;
-                rings[mc.inp].pop_many(&mut inb[base..base + iters]);
+                rings.pop_many(mc.inp, &mut inb[base..base + iters]);
             }
         }
 
         // Phase 3: the tape, op-outer / lane-inner. Each iteration feeds
         // the moving slots from the gathered ring values, runs the SSA
         // ops over dense lane arrays, applies the writebacks, snapshots
-        // the moving slots for the scatter, and advances the index
-        // points — exactly one loop-summarized macro iteration, batched.
+        // the moving slots that changed for the scatter, and advances
+        // the index points — exactly one loop-summarized macro
+        // iteration, batched.
         for it in 0..iters {
-            for (j, &slot) in link_slots.iter().enumerate() {
+            for (j, &(slot, _)) in link_slots.iter().enumerate() {
                 let src = j * lane_n * iters;
                 let dst = slot as usize * lane_n;
                 for li in 0..lane_n {
@@ -565,43 +598,52 @@ pub(crate) fn kernel_wave(
                 let (src, dst) = (reg as usize * lane_n, slot as usize * lane_n);
                 locals[dst..dst + lane_n].copy_from_slice(&regs[src..src + lane_n]);
             }
-            for (j, &slot) in link_slots.iter().enumerate() {
-                let dst = j * lane_n * iters;
+            for &(slot, row) in link_slots.iter() {
+                let Some(row) = row else { continue };
+                let dst = row * lane_n * iters;
                 let src = slot as usize * lane_n;
                 for li in 0..lane_n {
                     outb[dst + li * iters + it] = locals[src + li];
                 }
             }
-            for d in 0..dims {
-                let xs = d * lane_n;
-                for li in 0..lane_n {
-                    x[xs + li] += incr[xs + li];
-                }
+            for (xv, &inc) in x.iter_mut().zip(incr.iter()) {
+                *xv = xv.wrapping_add(inc);
             }
         }
 
-        // Phase 4: scatter — push the produced values in FIFO order,
-        // write the locals / index points / iteration counter back, and
-        // account the batch exactly as `iters` loop-summarized macro
-        // iterations would have (one step per par-set, one message per
-        // pushed value, one `moved` tick per ring touch).
+        // Phase 4: scatter — push the produced values in FIFO order (a
+        // link that sends what it received, straight from its gathered
+        // input), write the locals / index points / iteration counter
+        // back, and account the batch exactly as `iters` loop-summarized
+        // macro iterations would have (one step per par-set, one message
+        // per pushed value, one `moved` tick per ring touch).
         for (li, &k) in lanes.iter().enumerate() {
-            let vm = &mut vms[vm_of(runners, k)];
-            for (j, mc) in vm.links().iter().enumerate() {
-                let base = (j * lane_n + li) * iters;
-                rings[mc.out].push_many(&outb[base..base + iters]);
+            let pid = pid_of(k);
+            for (j, mc) in module.moving_of(pid).iter().enumerate() {
+                let sent = match link_slots[j].1 {
+                    Some(row) => &outb[(row * lane_n + li) * iters..][..iters],
+                    None => &inb[(j * lane_n + li) * iters..][..iters],
+                };
+                rings.push_many(mc.out, sent);
             }
-            let (vm_locals, vm_x, t) = vm.lane_state();
-            for (s, lv) in vm_locals.iter_mut().enumerate() {
+            let r = &mut vm[pid];
+            for (s, lv) in vm_locals[r.locals as usize..][..n_locals]
+                .iter_mut()
+                .enumerate()
+            {
                 *lv = locals[s * lane_n + li];
             }
-            for (d, xv) in vm_x.iter_mut().enumerate() {
-                *xv = x[d * lane_n + li];
+            let increment = module.increment_of(pid);
+            for (d, xv) in vm_x[r.x as usize..][..dims].iter_mut().enumerate() {
+                *xv = match x_dims {
+                    0 => xv.wrapping_add(increment[d].wrapping_mul(iters as i64)),
+                    _ => x[d * lane_n + li],
+                };
             }
-            *t += iters as i64;
+            r.t += iters as i64;
             stats.steps += 2 * iters as u64;
             stats.messages += (n_links * iters) as u64;
-            runners[k].moved += (n_links * iters) as u64;
+            chunks[k].moved += (n_links * iters) as u64;
         }
 
         ran = true;

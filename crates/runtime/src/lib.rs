@@ -9,10 +9,12 @@
 //!   vocabulary ([`CommReq`], [`ChanId`], [`Value`]);
 //! - [`procir`] — the flat process bytecode ([`ProcIrModule`]) that every
 //!   elaborated process lowers to, and the generic VM ([`ProcVm`]) that
-//!   interprets it;
-//! - [`batch`] — the steady-state batching analysis ([`analyze`]) and
-//!   per-channel [`Ring`] buffers behind the cooperative executor's
-//!   macro-stepping fast paths (see `docs/scheduler.md`);
+//!   interprets it for the rendezvous engines;
+//! - [`batch`] — the steady-state batching analysis ([`analyze`]) behind
+//!   the cooperative executor's macro-stepping fast paths (see
+//!   `docs/scheduler.md`); those run on one per-thread run arena — flat
+//!   register, local and index tables and a single ring slab, reset per
+//!   run (`arena.rs`);
 //! - [`coop`] — the deterministic cooperative scheduler with rendezvous
 //!   rounds (the virtual systolic clock), exact deadlock detection, and a
 //!   buffered-channel ablation mode;
@@ -34,6 +36,7 @@
 //!   form of the basic statement ([`Kernel`]) and the struct-of-arrays
 //!   wave batch executor behind `--kernel auto` (see `docs/kernels.md`).
 
+mod arena;
 pub mod batch;
 pub mod coop;
 pub mod json;
@@ -46,7 +49,7 @@ pub mod record;
 pub mod schedule;
 pub mod wavefront;
 
-pub use batch::{analyze, analyze_with_caps, BatchMode, BatchPlan, Ring, DEFAULT_BATCH_WIDTH};
+pub use batch::{analyze, analyze_with_caps, BatchMode, BatchPlan, DEFAULT_BATCH_WIDTH};
 pub use coop::{
     run_coop_batched, ChannelPolicy, Deadlock, Network, ProtocolViolation, RunError, RunStats,
 };

@@ -604,7 +604,7 @@ mod tests {
         let plan = analyze_with_caps(&o.module, &o.chan_caps);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let (_, outs) = run_coop_batched(&o.module, &plan).unwrap();
-        assert_eq!(*outs[0].lock(), vals);
+        assert_eq!(outs[0], vals);
     }
 
     /// Fusion deletes relays, and relays own no data: the optimized
@@ -639,9 +639,9 @@ mod tests {
         let bound = o.module.with_data(vec![7, 8, 9, -1, -2, 0]);
         let plan = analyze_with_caps(&bound, &o.chan_caps);
         let (_, outs) = run_coop_batched(&bound, &plan).unwrap();
-        assert_eq!(*outs[0].lock(), vec![7, 8, 9]);
-        assert_eq!(*outs[1].lock(), vec![-1, -2]);
-        assert_eq!(*outs[2].lock(), vec![0]);
+        assert_eq!(outs[0], vec![7, 8, 9]);
+        assert_eq!(outs[1], vec![-1, -2]);
+        assert_eq!(outs[2], vec![0]);
     }
 
     /// A channel with two consumers (or producers) defeats the unique-
@@ -704,7 +704,7 @@ mod tests {
         assert_eq!(o.module.procs.len(), 2);
         let plan = analyze_with_caps(&o.module, &o.chan_caps);
         let (_, outs) = run_coop_batched(&o.module, &plan).unwrap();
-        assert_eq!(*outs[0].lock(), vec![3, 4]);
+        assert_eq!(outs[0], vec![3, 4]);
     }
 
     /// Consecutive same-pair passes merge; different pairs do not.

@@ -9,8 +9,11 @@
 //! channel endpoints already resolved to dense [`ChanId`]s at lowering
 //! time. One generic virtual machine ([`ProcVm`]) interprets the ops as
 //! a [`Process`] coroutine, so the cooperative, threaded, and
-//! partitioned executors all drive the same semantics — there is no
-//! per-executor (or per-role) process behaviour anywhere else.
+//! partitioned rendezvous executors all drive the same semantics — there
+//! is no per-executor (or per-role) process behaviour anywhere else. The
+//! two cooperative fast engines run the same ops as superinstructions
+//! over flat tables of run state instead (`crate::arena`); `ProcVm` is
+//! the rendezvous interpreter only.
 //!
 //! The op set covers the canonical program shape of Appendix C–E
 //! (`load` / soak / repeater / drain / `recover`) plus the host fringe:
@@ -28,7 +31,8 @@
 //! A module is immutable after lowering and carries no per-run state, so
 //! an elaborated network is a cacheable, shareable artifact
 //! (`Arc<ProcIrModule>`): [`ProcIrModule::instantiate`] builds fresh VMs
-//! and output buffers for each run. Its **code tables** (ops, moving
+//! and output buffers for each rendezvous run, and a fast-engine run
+//! resets the thread's run arena to it. Its **code tables** (ops, moving
 //! links, repeater points, process records) depend on the program and the
 //! problem size only and are `Arc<[T]>`-shared; the **data segment** — the
 //! values the host's input processes inject (Sec. 4.2) — is the one table
@@ -36,8 +40,6 @@
 //! another one to the same code. See `docs/process-ir.md` for the
 //! lowering rules and the VM's invariants.
 
-use crate::batch::Ring;
-use crate::coop::RunStats;
 use crate::process::{sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 use crate::record::{OpKind, Phase, SharedRecorder};
 use std::sync::Arc;
@@ -230,36 +232,21 @@ impl ProcIrModule {
         self.instantiate_recorded(&[])
     }
 
-    /// The one instantiation: bare VMs (not boxed [`Process`] trait
-    /// objects) plus the output buffers their sinks fill, every VM
+    /// The one instantiation, for the rendezvous engines: one [`ProcVm`]
+    /// per process plus the output buffers their sinks fill, every VM
     /// reporting its retired op effects to `recorders` (see
     /// `crate::record`; with an empty slice the VMs carry no recording
     /// state and pay no per-step cost). The cooperative batched and
-    /// wavefront executors drive [`ProcVm::macro_step`] directly and
-    /// therefore take the concrete type, always unrecorded — the
-    /// batching gate falls back to the rendezvous engines when any
-    /// recorder is attached.
-    pub fn instantiate_vms(
-        self: &Arc<Self>,
-        recorders: &[SharedRecorder],
-    ) -> (Vec<ProcVm>, Vec<SinkBuffer>) {
+    /// wavefront executors instantiate nothing: they reset the thread's
+    /// run arena (`crate::arena`) and interpret the module there.
+    pub fn instantiate_recorded(self: &Arc<Self>, recorders: &[SharedRecorder]) -> Instance {
         let outputs: Vec<SinkBuffer> = (0..self.n_outputs).map(|_| sink_buffer()).collect();
-        let vms = (0..self.procs.len())
+        let procs = (0..self.procs.len())
             .map(|pid| {
                 let out = self.procs[pid].output.map(|o| outputs[o as usize].clone());
-                ProcVm::with_recorders(self.clone(), pid, out, recorders.to_vec())
+                let vm = ProcVm::with_recorders(self.clone(), pid, out, recorders.to_vec());
+                Box::new(vm) as Box<dyn Process>
             })
-            .collect();
-        (vms, outputs)
-    }
-
-    /// [`ProcIrModule::instantiate_vms`] boxed as [`Process`] trait
-    /// objects for the rendezvous engines.
-    pub fn instantiate_recorded(self: &Arc<Self>, recorders: &[SharedRecorder]) -> Instance {
-        let (vms, outputs) = self.instantiate_vms(recorders);
-        let procs = vms
-            .into_iter()
-            .map(|vm| Box::new(vm) as Box<dyn Process>)
             .collect();
         Instance { procs, outputs }
     }
@@ -554,25 +541,6 @@ enum Pending {
     ComputeSent,
 }
 
-/// Where a macro-stepped VM ([`ProcVm::macro_step`]) is parked when a
-/// ring is empty/full mid-op. Par-sets complete *piecewise*: the VM pops
-/// or pushes whichever moving links have room and remembers the rest in
-/// a bitmask, mirroring how the rendezvous engine matches each channel
-/// of a `par` set independently — completing them atomically instead
-/// would deadlock bidirectional-stream designs (e.g. matmul E.2, where
-/// neighbouring cells exchange `a` rightward and `b` leftward).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MacroState {
-    /// At an op boundary (or mid-`Pass` before its next pop).
-    Ready,
-    /// A `Pass` cycle popped its value but found the output ring full.
-    PassHeld(Value),
-    /// Mid par-receive; bit `i` set ⇔ moving link `i` already received.
-    ComputeRecv { mask: u64 },
-    /// Mid par-send; bit `i` set ⇔ moving link `i` already sent.
-    ComputeSend { mask: u64 },
-}
-
 /// The generic process VM: interprets one process's ops as a [`Process`]
 /// coroutine. All state is a handful of scalars plus the `locals`/`x`
 /// vectors sized at construction, so steady-state stepping performs no
@@ -603,10 +571,6 @@ pub struct ProcVm {
     /// soak-side / drain-side phase classification of `Pass` cycles.
     /// Only resolved when recorders are attached.
     compute_pc: Option<u32>,
-    /// Parked position of [`ProcVm::macro_step`] (unused by `step_into`).
-    macro_state: MacroState,
-    /// The terminal empty step has been accounted (macro path only).
-    macro_done: bool,
 }
 
 impl ProcVm {
@@ -645,8 +609,6 @@ impl ProcVm {
             out,
             recorders,
             compute_pc,
-            macro_state: MacroState::Ready,
-            macro_done: false,
         }
     }
 
@@ -670,370 +632,6 @@ impl ProcVm {
             Some(cpc) if self.pc < cpc => Phase::Soak,
             Some(_) => Phase::Drain,
         }
-    }
-
-    /// The superinstruction path of the two cooperative fast engines
-    /// (`run_coop_batched`, `run_wavefront`), each sweeping its VMs on
-    /// one thread: retire as many ops as the per-channel [`Ring`]s allow
-    /// without returning to the engine (see `crate::batch` and
-    /// `docs/scheduler.md`). Fused paths
-    /// drain whole `Pass` repetitions and whole `Compute`
-    /// receive/body/send cycles in a tight loop; values move through the
-    /// rings instead of rendezvous sets.
-    ///
-    /// `stats.steps` and `stats.messages` account the *logical*
-    /// communication sets and transfers exactly as the rendezvous
-    /// engines would (steps on each completed set plus one terminal
-    /// empty step; one message per value transferred, counted at the
-    /// push), so batched runs stay stat-comparable. Every successful
-    /// ring push/pop also bumps `*moved` — the engines' progress signal
-    /// for deadlock detection.
-    ///
-    /// Returns `true` once the process has retired its terminal step;
-    /// further calls are no-ops that return `true` again. Must not be
-    /// mixed with `step_into` on the same VM, and assumes no recorders
-    /// are attached — the batching gate guarantees both.
-    pub fn macro_step(
-        &mut self,
-        rings: &mut [Ring],
-        stats: &mut RunStats,
-        moved: &mut u64,
-    ) -> bool {
-        let (start, end) = self.module.procs[self.pid].ops;
-        self.macro_step_window(start, end, rings, stats, moved)
-    }
-
-    /// Whether the window of this process's ops ending at `end` has
-    /// retired: the pc is past it, and — for the last window, which owns
-    /// the terminal empty step — that step has been accounted.
-    pub(crate) fn window_retired(&self, end: u32) -> bool {
-        self.macro_done || (self.pc >= end && end != self.module.procs[self.pid].ops.1)
-    }
-
-    /// [`ProcVm::macro_step`] bounded to the ops `start..end` of this
-    /// process (one node of the wavefront plan): runs only while
-    /// `start ≤ pc < end` — a window whose predecessor has not retired
-    /// yet is not startable and returns `false` untouched — and returns
-    /// `true` once the pc has left the window, accounting the terminal
-    /// step when `end` is the process's own.
-    pub(crate) fn macro_step_window(
-        &mut self,
-        start: u32,
-        end: u32,
-        rings: &mut [Ring],
-        stats: &mut RunStats,
-        moved: &mut u64,
-    ) -> bool {
-        if self.macro_done {
-            return true;
-        }
-        if self.pc < start {
-            return false;
-        }
-        loop {
-            if self.pc >= end {
-                if end == self.module.procs[self.pid].ops.1 {
-                    // The terminal empty step, like the rendezvous engines'.
-                    stats.steps += 1;
-                    self.macro_done = true;
-                }
-                return true;
-            }
-            match self.module.ops[self.pc as usize] {
-                ProcOp::Emit { chan } => {
-                    if rings[chan].is_full() {
-                        return false;
-                    }
-                    let value = self.module.data[self.cursor as usize];
-                    rings[chan].push(value);
-                    self.cursor += 1;
-                    self.pc += 1;
-                    stats.steps += 1;
-                    stats.messages += 1;
-                    *moved += 1;
-                }
-                ProcOp::Collect { chan } => {
-                    let Some(v) = rings[chan].pop() else {
-                        return false;
-                    };
-                    if let Some(buf) = &self.out {
-                        buf.lock().push(v);
-                    }
-                    self.pc += 1;
-                    stats.steps += 1;
-                    *moved += 1;
-                }
-                ProcOp::Keep { chan, slot } => {
-                    let Some(v) = rings[chan].pop() else {
-                        return false;
-                    };
-                    self.locals[slot as usize] = v;
-                    self.pc += 1;
-                    stats.steps += 1;
-                    *moved += 1;
-                }
-                ProcOp::Pass { inp, out, n } => {
-                    if self.pass_left < 0 {
-                        self.pass_left = n as i64;
-                    }
-                    // Resume a cycle whose forward found the ring full.
-                    if let MacroState::PassHeld(v) = self.macro_state {
-                        if rings[out].is_full() {
-                            return false;
-                        }
-                        rings[out].push(v);
-                        self.macro_state = MacroState::Ready;
-                        stats.steps += 1;
-                        stats.messages += 1;
-                        *moved += 1;
-                    }
-                    // The fused pass loop: k receive-forward cycles per
-                    // visit, bounded only by ring occupancy.
-                    while self.pass_left > 0 {
-                        let Some(v) = rings[inp].pop() else {
-                            return false;
-                        };
-                        stats.steps += 1;
-                        *moved += 1;
-                        self.pass_left -= 1;
-                        if rings[out].is_full() {
-                            self.macro_state = MacroState::PassHeld(v);
-                            return false;
-                        }
-                        rings[out].push(v);
-                        stats.steps += 1;
-                        stats.messages += 1;
-                        *moved += 1;
-                    }
-                    self.pass_left = -1;
-                    self.pc += 1;
-                }
-                ProcOp::Eject { chan, slot } => {
-                    if rings[chan].is_full() {
-                        return false;
-                    }
-                    rings[chan].push(self.locals[slot as usize]);
-                    self.pc += 1;
-                    stats.steps += 1;
-                    stats.messages += 1;
-                    *moved += 1;
-                }
-                ProcOp::Compute { count } => {
-                    if self.t >= count as i64 {
-                        // Reset for a hypothetical later Compute.
-                        self.pc += 1;
-                        self.t = 0;
-                        let (a, b) = self.module.procs[self.pid].repeater;
-                        let half = ((b - a) / 2) as usize;
-                        self.x
-                            .copy_from_slice(&self.module.points[a as usize..a as usize + half]);
-                        continue;
-                    }
-                    let links = self.module.moving_of(self.pid);
-                    if links.is_empty() {
-                        // No communications: run the whole repeater
-                        // locally (zero sets, matching `step_into`).
-                        while self.t < count as i64 {
-                            if let Some(body) = &self.module.body {
-                                body.execute(&mut self.locals, &self.x);
-                            }
-                            self.t += 1;
-                            let incr = self.module.increment_of(self.pid);
-                            for (xi, &inc) in self.x.iter_mut().zip(incr) {
-                                *xi += inc;
-                            }
-                        }
-                        continue;
-                    }
-                    debug_assert!(links.len() <= 64, "batch gate admits at most 64 links");
-                    let full: u64 = if links.len() == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << links.len()) - 1
-                    };
-                    // One state transition per dispatch; the par-sets
-                    // complete piecewise (see [`MacroState`]).
-                    match self.macro_state {
-                        MacroState::Ready => {
-                            // Steady-state loop summarization (see
-                            // `crate::opt`): when every moving link can
-                            // pop *and* push right now, retire whole
-                            // receive/body/send iterations in a tight
-                            // loop, skipping the piecewise masks. Stats
-                            // are identical to the mask path: one step
-                            // per completed par-set, one message per
-                            // pushed value. Requires pairwise-distinct
-                            // rings per direction — the availability
-                            // check is per-ring, not per-slot.
-                            let distinct = links.iter().enumerate().all(|(i, a)| {
-                                links[..i].iter().all(|b| a.inp != b.inp && a.out != b.out)
-                            });
-                            while distinct && self.t < count as i64 {
-                                let ready = links.iter().all(|mc| {
-                                    !rings[mc.inp].is_empty() && !rings[mc.out].is_full()
-                                });
-                                if !ready {
-                                    break;
-                                }
-                                for mc in links {
-                                    self.locals[mc.slot as usize] =
-                                        rings[mc.inp].pop().expect("availability checked above");
-                                }
-                                *moved += links.len() as u64;
-                                stats.steps += 1; // the par-receive set
-                                if let Some(body) = &self.module.body {
-                                    body.execute(&mut self.locals, &self.x);
-                                }
-                                for mc in links {
-                                    rings[mc.out].push(self.locals[mc.slot as usize]);
-                                }
-                                stats.messages += links.len() as u64;
-                                *moved += links.len() as u64;
-                                stats.steps += 1; // the par-send set
-                                self.t += 1;
-                                let incr = self.module.increment_of(self.pid);
-                                for (xi, &inc) in self.x.iter_mut().zip(incr) {
-                                    *xi += inc;
-                                }
-                            }
-                            if self.t >= count as i64 {
-                                continue; // the top of the loop advances pc
-                            }
-                            self.macro_state = MacroState::ComputeRecv { mask: 0 };
-                        }
-                        MacroState::ComputeRecv { mut mask } => {
-                            for (i, mc) in links.iter().enumerate() {
-                                if mask & (1 << i) != 0 {
-                                    continue;
-                                }
-                                if let Some(v) = rings[mc.inp].pop() {
-                                    self.locals[mc.slot as usize] = v;
-                                    mask |= 1 << i;
-                                    *moved += 1;
-                                }
-                            }
-                            if mask != full {
-                                self.macro_state = MacroState::ComputeRecv { mask };
-                                return false;
-                            }
-                            stats.steps += 1; // the par-receive set
-                            if let Some(body) = &self.module.body {
-                                body.execute(&mut self.locals, &self.x);
-                            }
-                            self.macro_state = MacroState::ComputeSend { mask: 0 };
-                        }
-                        MacroState::ComputeSend { mut mask } => {
-                            for (i, mc) in links.iter().enumerate() {
-                                if mask & (1 << i) != 0 {
-                                    continue;
-                                }
-                                if !rings[mc.out].is_full() {
-                                    rings[mc.out].push(self.locals[mc.slot as usize]);
-                                    mask |= 1 << i;
-                                    stats.messages += 1;
-                                    *moved += 1;
-                                }
-                            }
-                            if mask != full {
-                                self.macro_state = MacroState::ComputeSend { mask };
-                                return false;
-                            }
-                            stats.steps += 1; // the par-send set
-                            self.t += 1;
-                            let incr = self.module.increment_of(self.pid);
-                            for (xi, &inc) in self.x.iter_mut().zip(incr) {
-                                *xi += inc;
-                            }
-                            self.macro_state = MacroState::Ready;
-                        }
-                        MacroState::PassHeld(_) => {
-                            unreachable!("PassHeld at a Compute op")
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// How this macro-stepped VM is currently blocked, as the same
-    /// `send@c` / `recv@c` wait description the cooperative engine's
-    /// deadlock reports use; `None` once the process has finished.
-    pub fn macro_wait(&self) -> Option<String> {
-        let end = self.module.procs[self.pid].ops.1;
-        if self.macro_done || self.pc >= end {
-            return None;
-        }
-        Some(match self.module.ops[self.pc as usize] {
-            ProcOp::Emit { chan } => format!("send@{chan}"),
-            ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => format!("recv@{chan}"),
-            ProcOp::Eject { chan, .. } => format!("send@{chan}"),
-            ProcOp::Pass { inp, out, .. } => match self.macro_state {
-                MacroState::PassHeld(_) => format!("send@{out}"),
-                _ => format!("recv@{inp}"),
-            },
-            ProcOp::Compute { .. } => {
-                let links = self.module.moving_of(self.pid);
-                let missing = |mask: u64| (0..links.len()).find(|i| mask & (1 << i) == 0);
-                match self.macro_state {
-                    MacroState::ComputeSend { mask } => {
-                        format!("send@{}", links[missing(mask).unwrap_or(0)].out)
-                    }
-                    MacroState::ComputeRecv { mask } => {
-                        format!("recv@{}", links[missing(mask).unwrap_or(0)].inp)
-                    }
-                    _ => match links.first() {
-                        Some(mc) => format!("recv@{}", mc.inp),
-                        None => "idle".into(),
-                    },
-                }
-            }
-        })
-    }
-
-    /// Remaining repeater iterations when this VM stands at the kernel
-    /// hand-off point of the compute window at `at`: that linked
-    /// [`ProcOp::Compute`], at a fresh iteration boundary. `None` when
-    /// the window is not startable yet or already exhausted, or the VM
-    /// is blocked inside a piecewise par-set — the scalar sweep finishes
-    /// those.
-    pub(crate) fn kernel_point(&self, at: u32) -> Option<u64> {
-        if self.pc != at || self.macro_state != MacroState::Ready {
-            return None;
-        }
-        match self.module.ops[at as usize] {
-            ProcOp::Compute { count }
-                if self.t < count as i64 && !self.module.moving_of(self.pid).is_empty() =>
-            {
-                Some((count as i64 - self.t) as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// This process's moving links (kernel gather/scatter order).
-    pub(crate) fn links(&self) -> &[MovingLink] {
-        self.module.moving_of(self.pid)
-    }
-
-    /// This process's per-iteration index increment.
-    pub(crate) fn increments(&self) -> &[i64] {
-        self.module.increment_of(self.pid)
-    }
-
-    pub(crate) fn n_locals(&self) -> usize {
-        self.locals.len()
-    }
-
-    /// Rank of the repeater's index space.
-    pub(crate) fn dims(&self) -> usize {
-        self.x.len()
-    }
-
-    /// Mutable access to the kernel-batched state: locals, index point,
-    /// and iteration counter. The batch executor writes these back
-    /// after retiring a batch of iterations.
-    pub(crate) fn lane_state(&mut self) -> (&mut [Value], &mut [i64], &mut i64) {
-        (&mut self.locals, &mut self.x, &mut self.t)
     }
 }
 
@@ -1084,7 +682,7 @@ impl Process for ProcVm {
                 self.t += 1;
                 let incr = self.module.increment_of(self.pid);
                 for (xi, &inc) in self.x.iter_mut().zip(incr) {
-                    *xi += inc;
+                    *xi = xi.wrapping_add(inc);
                 }
             }
         }
@@ -1169,7 +767,7 @@ impl Process for ProcVm {
                             self.t += 1;
                             let incr = self.module.increment_of(self.pid);
                             for (xi, &inc) in self.x.iter_mut().zip(incr) {
-                                *xi += inc;
+                                *xi = xi.wrapping_add(inc);
                             }
                         }
                         continue;

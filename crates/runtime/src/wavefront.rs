@@ -45,16 +45,17 @@
 //! channel, window, chunk or wave.
 //!
 //! Execution then macro-steps each chunk to a local fixpoint, wave by
-//! wave ([`ProcVm::macro_step_window`] is the superinstruction engine
-//! the batched executor uses, bounded to the window's ops), repeating
+//! wave (`RunArena::macro_step_window` is the superinstruction
+//! interpreter the batched executor uses, bounded to the window's ops;
+//! all run state is the thread's run arena, `crate::arena`), repeating
 //! the pass until every process retires; after the first pass only
 //! chunks a progressing neighbour re-dirtied are revisited, so the
 //! steady state sweeps the active frontier, not the module.
 //! Kernel-eligible compute windows of a wave first batch their
 //! iterations through the compiled tape (`crate::kernel`) before the
 //! sweep certifies the fixpoint. The sweep is sequential, on the calling
-//! thread, over a plain `Vec<Ring>` (`docs/wavefront.md`, "Why there is
-//! no parallel mode").
+//! thread, over the arena's one ring slab (`docs/wavefront.md`, "Why
+//! there is no parallel mode").
 //!
 //! Correctness is the Kahn-network story one more time (see
 //! `docs/scheduler.md` and `docs/wavefront.md`): scheduling order and
@@ -63,12 +64,13 @@
 //! `messages`/`steps` invariant; only `rounds` (grand sweeps here)
 //! differs, exactly as between the rendezvous and batched engines.
 
-use crate::batch::{BatchPlan, Ring};
+use crate::arena::{with_arena, RunArena};
+use crate::batch::BatchPlan;
 use crate::coop::{Deadlock, RunError, RunStats};
 use crate::json::Json;
-use crate::kernel::{kernel_wave, put_scratch, take_scratch, KernelPlan, KernelReport};
-use crate::process::SinkBuffer;
-use crate::procir::{ProcIrModule, ProcOp, ProcVm};
+use crate::kernel::{kernel_wave, KernelPlan, KernelReport};
+use crate::process::Value;
+use crate::procir::{ProcIrModule, ProcOp};
 use std::sync::Arc;
 
 /// The widest ring the wavefront plan will grant a channel. Sized so a
@@ -246,19 +248,32 @@ impl WavefrontPlan {
         self.capacities.iter().copied().max().unwrap_or(0)
     }
 
-    /// The `wavefront` section of the metrics and optimizer reports:
-    /// the staging shape or the reject reason, then every channel that
-    /// `batch` — the analysis this plan was derived from — disqualifies.
-    pub fn json(&self, batch: &BatchPlan) -> Json {
+    /// Values the ring slab of a run holds: every channel's capacity.
+    pub fn ring_values(&self) -> u64 {
+        self.capacities.iter().sum()
+    }
+
+    /// The `wavefront` section of the metrics and optimizer reports: the
+    /// staging shape of `module` — with what its run state costs, the
+    /// ring slab's length and the bytes a fresh run arena holds after
+    /// one reset — or the reject reason, then every channel that `batch`,
+    /// the analysis this plan was derived from, disqualifies.
+    pub fn json(&self, module: &ProcIrModule, batch: &BatchPlan) -> Json {
         let mut fields = match self.reject_reason() {
-            None => vec![
-                ("eligible", true.into()),
-                ("waves", self.n_waves().into()),
-                ("chunks", self.n_chunks().into()),
-                ("cyclic_chunks", self.cyclic_chunks().into()),
-                ("largest_chunk", self.largest_chunk().into()),
-                ("max_ring_capacity", self.max_capacity().into()),
-            ],
+            None => {
+                let mut arena = RunArena::default();
+                arena.reset(module, &self.capacities);
+                vec![
+                    ("eligible", true.into()),
+                    ("waves", self.n_waves().into()),
+                    ("chunks", self.n_chunks().into()),
+                    ("cyclic_chunks", self.cyclic_chunks().into()),
+                    ("largest_chunk", self.largest_chunk().into()),
+                    ("max_ring_capacity", self.max_capacity().into()),
+                    ("ring_values", self.ring_values().into()),
+                    ("arena_bytes", arena.footprint_bytes().into()),
+                ]
+            }
             Some(r) => vec![("eligible", false.into()), ("reason", r.into())],
         };
         let reasons = batch.channel_reasons.iter().enumerate();
@@ -270,14 +285,6 @@ impl WavefrontPlan {
         });
         fields.push(("channels", Json::arr(channels)));
         Json::obj(fields)
-    }
-
-    /// Fresh rings for one run, capacities from the plan.
-    pub fn rings(&self) -> Vec<Ring> {
-        self.capacities
-            .iter()
-            .map(|&k| Ring::new(k as usize))
-            .collect()
     }
 }
 
@@ -569,12 +576,11 @@ fn tarjan_sccs(succs: &Csr<u32>) -> Components {
     Components { of, members }
 }
 
-/// One chunk's execution state. The windows are the plan's own slice
-/// and the VMs stay in the run's one pid-indexed `Vec`, so a runner
-/// allocates nothing; whether a window has retired is read off its VM's
-/// pc.
-pub(crate) struct ChunkRunner<'p> {
-    pub(crate) windows: &'p [Window],
+/// One chunk's execution state. Its windows are the plan's own slice
+/// and the processes' registers stay in the run arena's pid-indexed
+/// table; whether a window has retired is read off its process's pc.
+#[derive(Clone, Copy)]
+pub(crate) struct ChunkState {
     /// Windows not yet retired.
     left: u32,
     /// Progress in the latest wave visit: ring pushes/pops, plus windows
@@ -582,29 +588,52 @@ pub(crate) struct ChunkRunner<'p> {
     /// touching a ring and must still wake its successor (reset when
     /// the wave loop claims the chunk).
     pub(crate) moved: u64,
+    /// A neighbour progressed since the last visit (or there was none).
+    dirty: bool,
 }
 
-impl ChunkRunner<'_> {
-    /// Macro-step the chunk to a local fixpoint against the rings. A
-    /// single-window chunk needs exactly one call (the macro-step is
-    /// already greedy to blockage); a cyclic chunk iterates until a pass
-    /// makes no progress.
-    fn sweep(&mut self, vms: &mut [ProcVm], rings: &mut [Ring], stats: &mut RunStats) {
-        loop {
-            let mut progress = 0u64;
-            for w in self.windows {
-                let vm = &mut vms[w.pid as usize];
-                if !vm.window_retired(w.end)
-                    && vm.macro_step_window(w.start, w.end, rings, stats, &mut progress)
-                {
-                    self.left -= 1;
-                    progress += 1;
-                }
+/// The sweep's own tables, by chunk: part of the thread's `RunArena`,
+/// lent out of it while a sweep runs so that both can be borrowed.
+#[derive(Default)]
+pub(crate) struct WaveState {
+    chunks: Vec<ChunkState>,
+    /// The current wave's worklist.
+    work: Vec<usize>,
+}
+
+impl WaveState {
+    /// Bytes held (capacities), for `RunArena::footprint_bytes`.
+    pub(crate) fn footprint_bytes(&self) -> usize {
+        self.chunks.capacity() * std::mem::size_of::<ChunkState>()
+            + self.work.capacity() * std::mem::size_of::<usize>()
+    }
+}
+
+/// Macro-step the chunk of `windows` to a local fixpoint against the
+/// rings. A single-window chunk needs exactly one call (the macro-step is
+/// already greedy to blockage); a cyclic chunk iterates until a pass
+/// makes no progress.
+fn sweep_chunk(
+    windows: &[Window],
+    chunk: &mut ChunkState,
+    module: &ProcIrModule,
+    arena: &mut RunArena,
+    stats: &mut RunStats,
+) {
+    loop {
+        let mut progress = 0u64;
+        for w in windows {
+            let (pid, ops) = (w.pid as usize, (w.start, w.end));
+            if !arena.window_retired(module, pid, w.end)
+                && arena.macro_step_window(module, pid, ops, stats, &mut progress)
+            {
+                chunk.left -= 1;
+                progress += 1;
             }
-            self.moved += progress;
-            if progress == 0 || self.windows.len() == 1 {
-                break;
-            }
+        }
+        chunk.moved += progress;
+        if progress == 0 || windows.len() == 1 {
+            break;
         }
     }
 }
@@ -634,26 +663,38 @@ pub fn run_wavefront(
     // Ignored: the frozen `benchmark/src/stages.rs:106` passes a fourth
     // `bool`. Goes with that call in the `[benchmark]` PR of ROADMAP 2(b).
     _parallel: bool,
-) -> Result<(RunStats, Vec<SinkBuffer>, KernelReport), RunError> {
+) -> Result<(RunStats, Vec<Vec<Value>>, KernelReport), RunError> {
     debug_assert!(plan.eligible(), "caller checks WavefrontPlan::eligible");
-    let (mut vms, outputs) = module.instantiate_vms(&[]);
-    let mut rings = plan.rings();
-    let n_chunks = plan.n_chunks();
-    let mut runners: Vec<ChunkRunner> = (0..n_chunks)
-        .map(|k| {
-            let windows = plan.chunk(k);
-            ChunkRunner {
-                windows,
-                left: windows.len() as u32,
-                moved: 0,
-            }
-        })
-        .collect();
+    with_arena(|arena| {
+        let mut waves = std::mem::take(&mut arena.waves);
+        let result = sweep_waves(module, plan, kernels, &mut waves, arena);
+        arena.waves = waves;
+        result
+    })
+}
 
-    // Kernel eligibility, indexed like the runners.
+/// [`run_wavefront`] on the thread's arena.
+fn sweep_waves(
+    module: &ProcIrModule,
+    plan: &WavefrontPlan,
+    kernels: Option<&KernelPlan>,
+    waves: &mut WaveState,
+    arena: &mut RunArena,
+) -> Result<(RunStats, Vec<Vec<Value>>, KernelReport), RunError> {
+    arena.reset(module, &plan.capacities);
+    let n_chunks = plan.n_chunks();
+    let WaveState { chunks, work } = waves;
+    chunks.clear();
+    chunks.extend((0..n_chunks).map(|k| ChunkState {
+        left: plan.chunk(k).len() as u32,
+        moved: 0,
+        dirty: true,
+    }));
+
+    // Kernel eligibility, indexed like the chunks.
     let kernel = kernels
         .filter(|kp| kp.any_eligible())
-        .and_then(|_| module.kernel.as_deref());
+        .and(module.kernel.as_deref());
     let mut kreport = match kernels {
         Some(kp) => kp.report(true),
         None => KernelReport::default(),
@@ -665,15 +706,11 @@ pub fn run_wavefront(
         }
         _ => &[],
     };
-    let mut scratch = take_scratch();
-    let mut kern_work: Vec<usize> = Vec::new();
 
     let mut stats = RunStats {
-        processes: vms.len(),
+        processes: module.procs.len(),
         ..RunStats::default()
     };
-    let mut dirty = vec![true; n_chunks];
-    let mut work: Vec<usize> = Vec::with_capacity(n_chunks);
     let mut unfinished = n_chunks;
     while unfinished > 0 {
         let mut moved = 0u64;
@@ -683,9 +720,10 @@ pub fn run_wavefront(
             // progress below re-sets it.
             work.clear();
             for k in plan.wave(w) {
-                if dirty[k] && runners[k].left > 0 {
-                    dirty[k] = false;
-                    runners[k].moved = 0;
+                let c = &mut chunks[k];
+                if c.dirty && c.left > 0 {
+                    c.dirty = false;
+                    c.moved = 0;
                     work.push(k);
                 }
             }
@@ -696,30 +734,26 @@ pub fn run_wavefront(
             // through the compiled tape; their sweep below only steps
             // past the exhausted repeater.
             if let Some(kern) = kernel {
-                kern_work.clear();
-                kern_work.extend(work.iter().copied().filter(|&k| kern_ok[k]));
-                if !kern_work.is_empty()
-                    && kernel_wave(
-                        kern,
-                        &kern_work,
-                        &mut runners,
-                        &mut vms,
-                        &mut rings,
-                        &mut stats,
-                        &mut scratch,
-                        &mut kreport,
-                    )
-                {
-                    kreport.waves_fused += 1;
-                }
+                let eligible = work.iter().copied().filter(|&k| kern_ok[k]);
+                let fused = kernel_wave(
+                    kern,
+                    module,
+                    plan,
+                    eligible,
+                    chunks,
+                    arena,
+                    &mut stats,
+                    &mut kreport,
+                );
+                kreport.waves_fused += fused as u64;
             }
-            for &k in &work {
-                let c = &mut runners[k];
-                c.sweep(&mut vms, &mut rings, &mut stats);
+            for &k in work.iter() {
+                sweep_chunk(plan.chunk(k), &mut chunks[k], module, arena, &mut stats);
+                let c = chunks[k];
                 moved += c.moved;
                 if c.moved > 0 {
                     for &nb in plan.neighbors(k) {
-                        dirty[nb as usize] = true;
+                        chunks[nb as usize].dirty = true;
                     }
                 }
                 unfinished -= (c.left == 0) as usize;
@@ -727,17 +761,15 @@ pub fn run_wavefront(
         }
         stats.rounds += 1;
         if moved == 0 && unfinished > 0 {
-            let waiting = vms.iter().enumerate().filter_map(|(pid, vm)| {
-                let wait = vm.macro_wait()?;
+            let waiting = (0..module.procs.len()).filter_map(|pid| {
+                let wait = arena.macro_wait(module, pid)?;
                 Some(format!("{} [{}]", module.label_of(pid), wait))
             });
             let blocked = waiting.collect();
-            put_scratch(scratch);
             return Err(RunError::Deadlock(Deadlock { blocked }));
         }
     }
-    put_scratch(scratch);
-    Ok((stats, outputs, kreport))
+    Ok((stats, std::mem::take(&mut arena.outputs), kreport))
 }
 
 #[cfg(test)]
@@ -779,9 +811,7 @@ mod tests {
         assert_eq!(ws.messages, bs.messages);
         assert_eq!(ws.steps, bs.steps);
         assert_eq!(ws.processes, bs.processes);
-        for (a, b) in bout.iter().zip(&wout) {
-            assert_eq!(*a.lock(), *b.lock());
-        }
+        assert_eq!(bout, wout);
     }
 
     #[test]
@@ -841,14 +871,11 @@ mod tests {
         assert!(wf.reject_reason().unwrap().contains("two producers"));
     }
 
-    /// A one-cell compute module (`c := c + a` over 3 iterations, `a`
-    /// moving) with both the closure body and its compiled kernel tape
-    /// attached — the smallest module that exercises the full
-    /// gather/tape/scatter cycle.
-    fn compute_module() -> Arc<ProcIrModule> {
-        use crate::kernel::{Kernel, KernelOp};
+    /// The cell of [`compute_module`] with its host fringe: `a` moving
+    /// on 0 → 1 through slot 0, `c` kept from 2 and ejected on 3 through
+    /// slot 1, three iterations from index point 0.
+    fn compute_cell(b: &mut ProcIrBuilder) {
         use crate::procir::{MovingLink, ProcOp};
-        let mut b = ProcIrBuilder::new();
         b.begin("comp");
         b.op(ProcOp::Keep { chan: 2, slot: 1 });
         b.op(ProcOp::Compute { count: 3 });
@@ -868,6 +895,16 @@ mod tests {
         b.source(2, &[10], "c-in");
         b.sink(1, 3, "a-out");
         b.sink(3, 1, "c-out");
+    }
+
+    /// A one-cell compute module (`c := c + a` over 3 iterations, `a`
+    /// moving) with both the closure body and its compiled kernel tape
+    /// attached — the smallest module that exercises the full
+    /// gather/tape/scatter cycle.
+    fn compute_module() -> Arc<ProcIrModule> {
+        use crate::kernel::{Kernel, KernelOp};
+        let mut b = ProcIrBuilder::new();
+        compute_cell(&mut b);
         b.set_kernel(
             Some(Arc::new(Kernel {
                 ops: vec![KernelOp::Slot(1), KernelOp::Slot(0), KernelOp::Add(0, 1)],
@@ -902,10 +939,164 @@ mod tests {
         assert_eq!(kon.iterations, 3, "all repeater iterations fused");
         assert!(kon.waves_fused >= 1);
         assert_eq!(ks, ss, "logical stats invariant across kernel gate");
-        for (a, b) in souts.iter().zip(&kouts) {
-            assert_eq!(*a.lock(), *b.lock());
+        assert_eq!(souts, kouts);
+        assert_eq!(kouts[1], vec![10 + 2 + 3 + 4]);
+    }
+
+    /// `lanes` independent cells — one wave of compute windows, one
+    /// kernel batch of that many lanes. In each, `a` moves through slot 0
+    /// and `b` through slot 1, `c` is kept into slot 2 and ejected, over
+    /// three iterations from the index point `point(cell).0` in steps of
+    /// `point(cell).1`. The body is the tape's own scalar interpreter, so
+    /// closure and kernel cannot drift apart.
+    fn cells_module(
+        lanes: usize,
+        kernel: crate::kernel::Kernel,
+        point: impl Fn(usize) -> (i64, i64),
+    ) -> Arc<ProcIrModule> {
+        use crate::procir::{MovingLink, ProcOp};
+        let mut b = ProcIrBuilder::new();
+        for cell in 0..lanes {
+            let (c0, v) = (6 * cell, cell as i64);
+            let link = |slot: u32| MovingLink {
+                slot,
+                inp: c0 + 2 * slot as usize,
+                out: c0 + 2 * slot as usize + 1,
+            };
+            let (first, increment) = point(cell);
+            b.begin(format!("cell{cell}"));
+            b.op(ProcOp::Keep {
+                chan: c0 + 4,
+                slot: 2,
+            });
+            b.op(ProcOp::Compute { count: 3 });
+            b.op(ProcOp::Eject {
+                chan: c0 + 5,
+                slot: 2,
+            });
+            b.repeater(&[link(0), link(1)], &[first], &[increment], 3);
+            b.finish();
+            b.source(c0, &[v + 2, v + 3, v + 4], "a-in");
+            b.source(c0 + 2, &[5 - v, 7, v - 6], "b-in");
+            b.source(c0 + 4, &[10 * v], "c-in");
+            b.sink(c0 + 1, 3, "a-out");
+            b.sink(c0 + 3, 3, "b-out");
+            b.sink(c0 + 5, 1, "c-out");
         }
-        assert_eq!(*kouts[1].lock(), vec![10 + 2 + 3 + 4]);
+        let kernel = Arc::new(kernel);
+        b.set_kernel(Some(kernel.clone()), None);
+        b.build(Some(Arc::new(move |locals: &mut [Value], x: &[i64]| {
+            kernel.execute_scalar(locals, x)
+        })))
+    }
+
+    /// Kernel run, `--kernel off` run and batched run of `m` agree bit
+    /// for bit; returns the outputs and the kernel report.
+    fn kernel_gate_is_invisible(
+        m: &Arc<ProcIrModule>,
+        ctx: &str,
+    ) -> (Vec<Vec<Value>>, KernelReport) {
+        let plan = analyze(m);
+        assert!(plan.batchable(), "{ctx}: {:?}", plan.reject_reason());
+        let wf = analyze_wavefront(m, &plan);
+        let kp = crate::kernel::analyze_kernels(m, &wf);
+        let (bs, bouts) = run_coop_batched(m, &plan).unwrap();
+        let (ss, souts, _) = run_wavefront(m, &wf, None, false).unwrap();
+        let (ks, kouts, report) = run_wavefront(m, &wf, Some(&kp), false).unwrap();
+        assert_eq!(
+            ks, ss,
+            "{ctx}: logical stats invariant across the kernel gate"
+        );
+        assert_eq!((ks.messages, ks.steps), (bs.messages, bs.steps), "{ctx}");
+        assert_eq!(kouts, souts, "{ctx}: kernel vs scalar");
+        assert_eq!(kouts, bouts, "{ctx}: kernel vs batched");
+        (kouts, report)
+    }
+
+    #[test]
+    fn pass_through_and_batch_advance_are_decided_per_link_and_per_tape() {
+        use crate::kernel::{Kernel, KernelOp::*};
+        // `c += a * b; a := -a`: slot 0 is written, so `a` is snapshotted
+        // per iteration while `b` is pushed from its gathered input; no
+        // index is read, so the points advance once per batch.
+        let writes_a = Kernel {
+            ops: vec![Slot(2), Slot(0), Slot(1), Mul(1, 2), Add(0, 3), Neg(1)],
+            writes: vec![(2, 4), (0, 5)],
+            n_slots: 3,
+            n_dims: 0,
+        };
+        // `c += a * x0`: both links pass through, and reading the index
+        // keeps the per-iteration advance.
+        let reads_x = Kernel {
+            ops: vec![Slot(2), Slot(0), Index(0), Mul(1, 2), Add(0, 3)],
+            writes: vec![(2, 4)],
+            n_slots: 3,
+            n_dims: 1,
+        };
+        for (name, kernel) in [("writes a", writes_a), ("reads x", reads_x)] {
+            for lanes in [1usize, 3] {
+                let ctx = format!("{name}, {lanes} lane(s)");
+                let point = |cell: usize| (10 * cell as i64, cell as i64 + 1);
+                let m = cells_module(lanes, kernel.clone(), point);
+                let (outs, report) = kernel_gate_is_invisible(&m, &ctx);
+                assert_eq!(report.eligible_chunks, lanes as u64, "{ctx}");
+                assert_eq!(report.lanes, lanes as u64 * report.batches, "{ctx}");
+                assert_eq!(report.iterations, 3 * lanes as u64, "{ctx}");
+                // Hand-evaluated, cell by cell: sinks are a, b, c.
+                for (cell, out) in outs.chunks(3).enumerate() {
+                    let v = cell as i64;
+                    let (a, b) = ([v + 2, v + 3, v + 4], [5 - v, 7, v - 6]);
+                    let (x0, dx) = point(cell);
+                    let term = |i: usize| match name {
+                        "writes a" => a[i] * b[i],
+                        _ => a[i] * (x0 + dx * i as i64),
+                    };
+                    let sent_a = if name == "writes a" { a.map(|a| -a) } else { a };
+                    assert_eq!(out[0], sent_a, "{ctx}: a of cell {cell}");
+                    assert_eq!(out[1], b, "{ctx}: b of cell {cell}");
+                    assert_eq!(out[2], [10 * v + term(0) + term(1) + term(2)], "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// The index point obeys the overflow law of `Value` arithmetic: it
+    /// wraps, in every profile, on the scalar path, on the kernel path
+    /// and in the tape's scalar interpreter alike.
+    #[test]
+    fn index_point_wraps_alike_on_every_path() {
+        use crate::kernel::{Kernel, KernelOp::*};
+        const HALF: i64 = i64::MAX / 2;
+        // `c += x0` from x0 = HALF in steps of HALF: the third iteration
+        // reads a point past `i64::MAX`.
+        let kernel = Kernel {
+            ops: vec![Slot(2), Index(0), Add(0, 1)],
+            writes: vec![(2, 2)],
+            n_slots: 3,
+            n_dims: 1,
+        };
+        let mut by_hand = [0, 0, 0];
+        let mut x = [HALF];
+        for _ in 0..3 {
+            kernel.execute_scalar(&mut by_hand, &x);
+            x[0] = x[0].wrapping_add(HALF);
+        }
+        assert!(
+            (2 * HALF).checked_add(HALF).is_none(),
+            "the third point wraps"
+        );
+        let m = cells_module(1, kernel, |_| (HALF, HALF));
+        let (outs, report) = kernel_gate_is_invisible(&m, "wrapping point");
+        assert_eq!(report.iterations, 3);
+        assert_eq!(outs[2], [by_hand[2]]);
+        // The rendezvous interpreter advances the same point.
+        let inst = m.instantiate();
+        let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
+        for p in inst.procs {
+            net.add(p);
+        }
+        net.run().unwrap();
+        assert_eq!(*inst.outputs[2].lock(), [by_hand[2]]);
     }
 
     #[test]
@@ -993,13 +1184,11 @@ mod tests {
             );
             assert_eq!((ws.messages, ws.steps), (bs.messages, bs.steps));
             assert_eq!(ws.processes, bs.processes);
-            for (a, b) in bouts.iter().zip(&wouts) {
-                assert_eq!(*a.lock(), *b.lock(), "linked: {linked}");
-            }
+            assert_eq!(bouts, wouts, "linked: {linked}");
             // c = 10 + Σ (a + x) over x = 0, 1, 2; `a` stays 0 unlinked.
             let c_out = if linked { 1 } else { 0 };
             let expected = if linked { 10 + 2 + 3 + 4 + 3 } else { 10 + 3 };
-            assert_eq!(*wouts[c_out].lock(), vec![expected], "linked: {linked}");
+            assert_eq!(wouts[c_out], vec![expected], "linked: {linked}");
         }
     }
 
@@ -1059,9 +1248,7 @@ mod tests {
         assert!(ws.rounds > 1, "the eject waits for a later window");
         assert_eq!((ws.messages, ws.steps), (bs.messages, bs.steps));
         assert_eq!(ws.processes, bs.processes);
-        for (a, b) in bouts.iter().zip(&wouts) {
-            assert_eq!(*a.lock(), *b.lock());
-        }
+        assert_eq!(bouts, wouts);
     }
 
     #[test]
@@ -1080,7 +1267,7 @@ mod tests {
         for (c, &cap) in wf.capacities.iter().enumerate() {
             assert_eq!(cap, plan.widths[c].max(WAVEFRONT_RING_CAP), "channel {c}");
         }
-        // One below the clamp stays exact; the rings then allocate.
+        // One below the clamp stays exact; the slab then holds them.
         for t in &mut plan.traffic {
             *t = WAVEFRONT_RING_CAP - 1;
         }
@@ -1092,27 +1279,111 @@ mod tests {
                 "channel {c}"
             );
         }
-        assert_eq!(wf.rings().len(), plan.widths.len());
+        assert_eq!(wf.ring_values(), 3 * (WAVEFRONT_RING_CAP - 1));
     }
 
-    #[test]
-    fn deadlock_reports_the_blocked_wait() {
-        // A sink expecting more than the source sends: the run wedges
-        // with the sink waiting on a recv.
+    /// A sink expecting more than the source sends: the run wedges with
+    /// the sink waiting on a recv. The plan is forced past the
+    /// (unbalanced-traffic) batch proof so the executor's own deadlock
+    /// reporting is exercised.
+    fn deadlocking_module() -> (Arc<ProcIrModule>, WavefrontPlan) {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2], "src");
         b.sink(0, 3, "sink");
         let m = b.build(None);
-        // Force the plan past the (unbalanced-traffic) batch proof so
-        // the executor's own deadlock reporting is exercised.
         let plan = analyze(&m);
         assert!(!plan.batchable());
-        let plan = plan.assume_proven();
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan.assume_proven());
+        (m, wf)
+    }
+
+    #[test]
+    fn deadlock_reports_the_blocked_wait() {
+        let (m, wf) = deadlocking_module();
         let err = run_wavefront(&m, &wf, None, false).unwrap_err();
         let RunError::Deadlock(d) = err else {
             panic!("expected a deadlock, got {err:?}");
         };
         assert!(d.blocked.iter().any(|b| b.contains("recv@0")), "{d:?}");
+    }
+
+    type Outcome = (RunStats, Vec<Vec<Value>>);
+
+    /// Both fast engines on `m`, on the calling thread (and so on its
+    /// arena, whatever earlier runs left in it).
+    fn both_engines(m: &Arc<ProcIrModule>) -> (Outcome, Outcome) {
+        let plan = analyze(m);
+        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let wf = analyze_wavefront(m, &plan);
+        let kp = crate::kernel::analyze_kernels(m, &wf);
+        let (ws, wouts, _) = run_wavefront(m, &wf, Some(&kp), false).unwrap();
+        (run_coop_batched(m, &plan).unwrap(), (ws, wouts))
+    }
+
+    /// The same on a thread of its own: an arena nothing has touched.
+    fn on_a_fresh_arena(m: &Arc<ProcIrModule>) -> (Outcome, Outcome) {
+        std::thread::scope(|s| s.spawn(|| both_engines(m)).join().unwrap())
+    }
+
+    fn arena_footprint() -> usize {
+        with_arena(|arena| arena.footprint_bytes())
+    }
+
+    #[test]
+    fn arena_after_a_deadlock_runs_like_a_fresh_one() {
+        let (m, wf) = deadlocking_module();
+        assert!(run_wavefront(&m, &wf, None, false).is_err());
+        let m = pipeline_module();
+        assert_eq!(both_engines(&m), on_a_fresh_arena(&m));
+    }
+
+    #[test]
+    fn arena_after_a_panicking_body_runs_like_a_fresh_one() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // `compute_module`'s cell with a body that panics on its third
+        // call — mid-repeater, values in flight on every ring — and no
+        // kernel, so the scalar path calls it. The service's pool wraps
+        // every job in `catch_unwind` just like this.
+        let calls = AtomicUsize::new(0);
+        let mut b = ProcIrBuilder::new();
+        compute_cell(&mut b);
+        let bad = b.build(Some(Arc::new(move |_: &mut [Value], _: &[i64]| {
+            assert!(calls.fetch_add(1, Ordering::Relaxed) < 2, "third call");
+        })));
+        let plan = analyze(&bad);
+        let wf = analyze_wavefront(&bad, &plan);
+        let run = std::panic::AssertUnwindSafe(|| run_wavefront(&bad, &wf, None, false));
+        let unwound = std::panic::catch_unwind(run);
+        assert!(unwound.is_err(), "the body's panic unwinds through the run");
+        let m = compute_module();
+        assert_eq!(both_engines(&m), on_a_fresh_arena(&m));
+    }
+
+    #[test]
+    fn arena_shrinks_and_regrows_without_allocating() {
+        let (large, small) = (long_load_module(true), compute_module());
+        let first = both_engines(&large);
+        let grown = arena_footprint();
+        assert_eq!(both_engines(&small), on_a_fresh_arena(&small));
+        // The small run adds its kernel scratch and gives nothing back.
+        let kept = arena_footprint();
+        assert!(kept >= grown, "the small run released {grown} -> {kept}");
+        assert_eq!(both_engines(&large), first);
+        assert_eq!(arena_footprint(), kept, "the third run grew a vector");
+        assert_eq!(first, on_a_fresh_arena(&large));
+    }
+
+    #[test]
+    fn arena_serves_both_engines_alternating() {
+        let m = compute_module();
+        let fresh = on_a_fresh_arena(&m);
+        for _ in 0..3 {
+            assert_eq!(both_engines(&m), fresh);
+        }
+        let ((bs, bouts), (ws, wouts)) = fresh;
+        assert_eq!(
+            (bs.messages, bs.steps, bouts),
+            (ws.messages, ws.steps, wouts)
+        );
     }
 }

@@ -501,7 +501,8 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 let cm = ms
                     .module(&sys.plan, &env, &store, &elab)
                     .map_err(|e| e.to_string())?;
-                doc.push("wavefront", cm.wavefront_plan().json(cm.batch_plan()));
+                let wavefront = cm.wavefront_plan().json(&cm.elab.module, cm.batch_plan());
+                doc.push("wavefront", wavefront);
                 std::fs::write(path, doc.pretty())
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 out.push_str(&format!("\noptimizer report: {path}"));

@@ -124,10 +124,18 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
         panic!("wavefront section is not an object");
     };
     let shape: Vec<&str> = shape.iter().map(|(k, _)| k.as_str()).collect();
-    let keys = "eligible waves chunks cyclic_chunks largest_chunk max_ring_capacity channels";
-    assert_eq!(shape, keys.split_whitespace().collect::<Vec<_>>());
-    assert_eq!(wavefront.get("channels"), Some(&Json::Arr(vec![])));
     let num = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap();
+    let keys = "eligible waves chunks cyclic_chunks largest_chunk max_ring_capacity \
+                ring_values arena_bytes channels";
+    assert_eq!(shape, keys.split_whitespace().collect::<Vec<_>>());
+    // What the run state costs: the slab holds `ring_values` words, and
+    // the arena is the slab plus the per-process and per-channel tables.
+    let (values, bytes) = (num(wavefront, "ring_values"), num(wavefront, "arena_bytes"));
+    assert!(
+        values > 0 && bytes > 8 * values,
+        "{values} values in {bytes} bytes"
+    );
+    assert_eq!(wavefront.get("channels"), Some(&Json::Arr(vec![])));
     let relays = |c: &Json| num(c, "relays");
     let chains = fused.get("chains").and_then(Json::as_arr).unwrap();
     assert!(!chains.is_empty(), "fir 3,6 fuses relay chains");

@@ -8,6 +8,21 @@
 //! guarded update, i.e. data-dependent control) pins the other side of
 //! the contract: the module is rejected with a reason, every wave runs
 //! on the scalar `macro_step` path, and the run still verifies.
+//!
+//! Which branch of `kernel_wave` the corpus takes (decided per link and
+//! per tape, `docs/kernels.md` "Pass-through links and the batch
+//! advance"): every design's tape writes exactly one slot, its
+//! accumulator. Where that stream is stationary — D.2, E.1, the derived
+//! matmuls and `matrix_product_bt`, `fir_filter`, `tensor_contraction`,
+//! and the shipped `fir.sys` and `matmul.sys` — every moving link passes
+//! through: its output ring is filled from the gathered input. Where the
+//! accumulator moves — `c` in D.1, in the derived polynomial product and
+//! in E.2 — that one link is snapshotted per iteration and the others
+//! (`b`; `a` and `b`) pass through. No corpus tape reads an index
+//! coordinate, so every design advances its index points once per batch;
+//! the per-iteration advance, a written *and* an untouched link in one
+//! batch, and batches of one and of three lanes are pinned on hand-built
+//! modules in `crates/runtime/src/wavefront.rs`.
 
 use proptest::prelude::*;
 mod common;

@@ -298,3 +298,36 @@ fn the_wavefront_plan_wakes_a_sender_blocked_on_a_full_ring() {
     assert!(batch.traffic[1] > wf.capacities[1], "channel 1 can fill");
     check_wavefront_plan("full ring", &m, &batch, &wf);
 }
+
+/// The fast rungs keep one run arena per thread and reset it per run
+/// (`crates/runtime/src/arena.rs`), whatever ran before. Every corpus
+/// design at a large, the smallest and a middling size, in that order, on
+/// both fast rungs of one thread — the arena grows, shrinks and regrows
+/// under ten designs in turn — and each store and `RunStats` equals the
+/// same call made on a new thread, whose arena nothing has touched.
+#[test]
+fn a_reused_run_arena_is_indistinguishable_from_a_fresh_one() {
+    for design in 0..=CORPUS {
+        for n in [5i64, 1, 3] {
+            let (plan, env, store) = prepared(design, n, 17);
+            let ms = ModuleStore::new();
+            for wavefront in [WavefrontMode::Auto, WavefrontMode::Off] {
+                let ctx = format!("design {design} n={n} wavefront {wavefront:?}");
+                let run = || {
+                    let spec = SimSpec {
+                        wavefront,
+                        ..SimSpec::default()
+                    };
+                    let run = simulate_verified(&ms, &plan, &env, &store, spec)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    assert!(run.batched, "{ctx}");
+                    assert_eq!(run.wavefront, wavefront == WavefrontMode::Auto, "{ctx}");
+                    (run.store, run.stats)
+                };
+                let reused = run();
+                let fresh = std::thread::scope(|s| s.spawn(run).join().unwrap());
+                assert!(reused == fresh, "{ctx}");
+            }
+        }
+    }
+}
