@@ -20,9 +20,9 @@
 use std::fmt;
 use std::sync::Arc;
 use systolic_core::SystolicProgram;
-use systolic_ir::{BasicStatement, HostStore};
+use systolic_ir::HostStore;
 use systolic_math::{point, Env};
-use systolic_runtime::{ChanId, ComputeBody, ProcId, ProcIrModule, Value};
+use systolic_runtime::{ChanId, ProcId, ProcIrModule, Value};
 
 /// Census of the elaborated network, for reports and experiments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -186,17 +186,6 @@ impl Elaborated {
             );
         }
         Ok(data)
-    }
-}
-
-/// Adapts the plan's [`BasicStatement`] to the runtime's opaque
-/// [`ComputeBody`] (the runtime crate knows nothing about expression
-/// trees).
-pub(crate) struct BodyAdapter(pub(crate) Arc<BasicStatement>);
-
-impl ComputeBody for BodyAdapter {
-    fn execute(&self, locals: &mut [Value], x: &[i64]) {
-        self.0.execute(locals, x)
     }
 }
 

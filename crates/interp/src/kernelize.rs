@@ -1,153 +1,157 @@
 //! Compile a plan's [`BasicStatement`] into the runtime's straight-line
-//! [`Kernel`] tape (see `docs/kernels.md`).
+//! [`Kernel`] tape — the one form of the statement every engine executes
+//! (see `docs/kernels.md`).
 //!
-//! The basic statement is a sequence of unguarded updates
-//! `s := e` executed in order, later updates seeing earlier writes. The
-//! kernel is an SSA tape — op `i` defines register `i` — so sequential
-//! semantics compile to a *current-register* map: a `Stream(s)` read
-//! resolves to whatever register last wrote slot `s` (or a fresh
-//! [`KernelOp::Slot`] load on first touch), and each update rebinds its
-//! target slot to the register holding the computed value. The final map
-//! restricted to written slots becomes the kernel's write-back list.
+//! The basic statement is a sequence of guarded updates `B -> s := e`
+//! executed in order, later updates seeing earlier writes. The kernel is
+//! an SSA tape — op `i` defines register `i` — so sequential semantics
+//! compile to a *current-register* map: a `Stream(s)` read resolves to
+//! whatever register last wrote slot `s` (or a fresh [`KernelOp::Slot`]
+//! load on first touch), and each update rebinds its target slot to the
+//! register holding the new value. The final map restricted to written
+//! slots becomes the kernel's write-back list.
 //!
-//! Guarded updates are rejected: a data-dependent guard makes the body
-//! control-divergent across lanes, which the struct-of-arrays batch
-//! executor does not mask. Rejection is not an error — the module simply
-//! runs on the scalar `macro_step` path, and the reason is surfaced in
-//! the `kernels` metrics section.
+//! A guard compiles to a 0/1 register — comparisons to `Eq`/`Lt`/`Le`
+//! (`!=` as `1 − eq`, `>` and `>=` with the operands swapped), `and` /
+//! `or` / `not` to `Min` / `Max` / `1 − r` — and its update to
+//! `s := select(B, e, s)`. Evaluating `e` where the guard is false is
+//! unobservable because every tape op is total: arithmetic wraps and
+//! nothing divides. So every statement compiles, and the tape has no
+//! control flow for the lanes of a batch to diverge on.
 
 use std::collections::HashMap;
-use systolic_ir::{BasicStatement, ScalarExpr};
+use systolic_ir::{BasicStatement, BoolExpr, CmpOp, ScalarExpr};
 use systolic_runtime::{Kernel, KernelOp};
 
-/// Upper bound on tape length. The gallery's bodies are 1–4 ops; a tape
-/// past this size signals a degenerate expression tree where the
-/// straight-line copy would bloat the per-wave register file.
-pub const KERNEL_MAX_OPS: usize = 256;
-
-/// Compile `body` to a [`Kernel`], or explain why it cannot run on the
-/// vectorized wave path.
-pub fn kernelize(body: &BasicStatement) -> Result<Kernel, String> {
-    if body.updates.is_empty() {
-        return Err("empty compute body".to_string());
-    }
-    let mut ops: Vec<KernelOp> = Vec::new();
-    // slot -> register currently holding its value.
-    let mut cur: HashMap<usize, u32> = HashMap::new();
+/// Compile `body` to its [`Kernel`]; the empty statement is the empty
+/// tape.
+pub fn kernelize(body: &BasicStatement) -> Kernel {
+    let mut t = Tape::default();
     // Written slots in first-write order, for a stable write-back list.
     let mut written: Vec<usize> = Vec::new();
-    let mut n_slots = 0usize;
-    let mut n_dims = 0usize;
-
     for u in &body.updates {
-        if u.guard.is_some() {
-            return Err("guarded update (data-dependent control)".to_string());
+        let target = u.target.0;
+        let mut r = t.scalar(&u.value);
+        if let Some(guard) = &u.guard {
+            let (enabled, old) = (t.boolean(guard), t.slot(target));
+            r = t.emit(KernelOp::Select(enabled, r, old));
         }
-        let r = compile_expr(&u.value, &mut ops, &mut cur, &mut n_slots, &mut n_dims)?;
-        let t = u.target.0;
-        n_slots = n_slots.max(t + 1);
-        cur.insert(t, r);
-        if !written.contains(&t) {
-            written.push(t);
+        t.n_slots = t.n_slots.max(target + 1);
+        t.cur.insert(target, r);
+        if !written.contains(&target) {
+            written.push(target);
         }
     }
-
-    let writes = written.iter().map(|&s| (s as u32, cur[&s])).collect();
-    Ok(Kernel {
-        ops,
+    let writes = written.iter().map(|&s| (s as u32, t.cur[&s])).collect();
+    Kernel {
+        ops: t.ops,
         writes,
-        n_slots: n_slots as u32,
-        n_dims: n_dims as u32,
-    })
+        n_slots: t.n_slots as u32,
+        n_dims: t.n_dims as u32,
+    }
 }
 
-fn compile_expr(
-    e: &ScalarExpr,
-    ops: &mut Vec<KernelOp>,
-    cur: &mut HashMap<usize, u32>,
-    n_slots: &mut usize,
-    n_dims: &mut usize,
-) -> Result<u32, String> {
-    if ops.len() >= KERNEL_MAX_OPS {
-        return Err(format!("compute body exceeds {KERNEL_MAX_OPS} kernel ops"));
+/// The tape under construction.
+#[derive(Default)]
+struct Tape {
+    ops: Vec<KernelOp>,
+    /// slot -> register currently holding its value.
+    cur: HashMap<usize, u32>,
+    /// The register holding the constant 1, once emitted.
+    one: Option<u32>,
+    n_slots: usize,
+    n_dims: usize,
+}
+
+impl Tape {
+    fn emit(&mut self, op: KernelOp) -> u32 {
+        self.ops.push(op);
+        (self.ops.len() - 1) as u32
     }
-    let emit = |ops: &mut Vec<KernelOp>, op: KernelOp| -> u32 {
-        ops.push(op);
-        (ops.len() - 1) as u32
-    };
-    Ok(match e {
-        ScalarExpr::Stream(s) => {
-            if let Some(&r) = cur.get(&s.0) {
-                r
-            } else {
-                *n_slots = (*n_slots).max(s.0 + 1);
-                let r = emit(ops, KernelOp::Slot(s.0 as u32));
-                cur.insert(s.0, r);
-                r
+
+    /// The register holding slot `s`'s current value.
+    fn slot(&mut self, s: usize) -> u32 {
+        if let Some(&r) = self.cur.get(&s) {
+            return r;
+        }
+        self.n_slots = self.n_slots.max(s + 1);
+        let r = self.emit(KernelOp::Slot(s as u32));
+        self.cur.insert(s, r);
+        r
+    }
+
+    fn one(&mut self) -> u32 {
+        match self.one {
+            Some(r) => r,
+            None => {
+                let r = self.emit(KernelOp::Const(1));
+                *self.one.insert(r)
             }
         }
-        ScalarExpr::Index(i) => {
-            *n_dims = (*n_dims).max(*i + 1);
-            emit(ops, KernelOp::Index(*i as u32))
-        }
-        ScalarExpr::Const(c) => emit(ops, KernelOp::Const(*c)),
-        ScalarExpr::Add(a, b) => {
-            let (ra, rb) = (
-                compile_expr(a, ops, cur, n_slots, n_dims)?,
-                compile_expr(b, ops, cur, n_slots, n_dims)?,
-            );
-            emit(ops, KernelOp::Add(ra, rb))
-        }
-        ScalarExpr::Sub(a, b) => {
-            let (ra, rb) = (
-                compile_expr(a, ops, cur, n_slots, n_dims)?,
-                compile_expr(b, ops, cur, n_slots, n_dims)?,
-            );
-            emit(ops, KernelOp::Sub(ra, rb))
-        }
-        ScalarExpr::Mul(a, b) => {
-            let (ra, rb) = (
-                compile_expr(a, ops, cur, n_slots, n_dims)?,
-                compile_expr(b, ops, cur, n_slots, n_dims)?,
-            );
-            emit(ops, KernelOp::Mul(ra, rb))
-        }
-        ScalarExpr::Min(a, b) => {
-            let (ra, rb) = (
-                compile_expr(a, ops, cur, n_slots, n_dims)?,
-                compile_expr(b, ops, cur, n_slots, n_dims)?,
-            );
-            emit(ops, KernelOp::Min(ra, rb))
-        }
-        ScalarExpr::Max(a, b) => {
-            let (ra, rb) = (
-                compile_expr(a, ops, cur, n_slots, n_dims)?,
-                compile_expr(b, ops, cur, n_slots, n_dims)?,
-            );
-            emit(ops, KernelOp::Max(ra, rb))
-        }
-        ScalarExpr::Neg(a) => {
-            let ra = compile_expr(a, ops, cur, n_slots, n_dims)?;
-            emit(ops, KernelOp::Neg(ra))
-        }
-    })
+    }
+
+    /// `1 − r` for a 0/1 register `r`.
+    fn not(&mut self, r: u32) -> u32 {
+        let one = self.one();
+        self.emit(KernelOp::Sub(one, r))
+    }
+
+    fn scalar(&mut self, e: &ScalarExpr) -> u32 {
+        let op = match e {
+            ScalarExpr::Stream(s) => return self.slot(s.0),
+            ScalarExpr::Index(i) => {
+                self.n_dims = self.n_dims.max(i + 1);
+                KernelOp::Index(*i as u32)
+            }
+            ScalarExpr::Const(c) => KernelOp::Const(*c),
+            ScalarExpr::Add(a, b) => KernelOp::Add(self.scalar(a), self.scalar(b)),
+            ScalarExpr::Sub(a, b) => KernelOp::Sub(self.scalar(a), self.scalar(b)),
+            ScalarExpr::Mul(a, b) => KernelOp::Mul(self.scalar(a), self.scalar(b)),
+            ScalarExpr::Min(a, b) => KernelOp::Min(self.scalar(a), self.scalar(b)),
+            ScalarExpr::Max(a, b) => KernelOp::Max(self.scalar(a), self.scalar(b)),
+            ScalarExpr::Neg(a) => KernelOp::Neg(self.scalar(a)),
+        };
+        self.emit(op)
+    }
+
+    /// A register holding 1 where `g` holds, else 0.
+    fn boolean(&mut self, g: &BoolExpr) -> u32 {
+        let op = match g {
+            BoolExpr::True => return self.one(),
+            BoolExpr::Not(a) => {
+                let r = self.boolean(a);
+                return self.not(r);
+            }
+            BoolExpr::And(a, b) => KernelOp::Min(self.boolean(a), self.boolean(b)),
+            BoolExpr::Or(a, b) => KernelOp::Max(self.boolean(a), self.boolean(b)),
+            BoolExpr::Cmp(op, a, b) => {
+                let (a, b) = (self.scalar(a), self.scalar(b));
+                match op {
+                    CmpOp::Eq => KernelOp::Eq(a, b),
+                    CmpOp::Lt => KernelOp::Lt(a, b),
+                    CmpOp::Le => KernelOp::Le(a, b),
+                    CmpOp::Gt => KernelOp::Lt(b, a),
+                    CmpOp::Ge => KernelOp::Le(b, a),
+                    CmpOp::Ne => {
+                        let eq = self.emit(KernelOp::Eq(a, b));
+                        return self.not(eq);
+                    }
+                }
+            }
+        };
+        self.emit(op)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use systolic_ir::{BoolExpr, CmpOp, GuardedUpdate, StreamId};
+    use systolic_ir::expr::build::*;
+    use systolic_ir::Value;
 
-    fn s(i: usize) -> ScalarExpr {
-        ScalarExpr::Stream(StreamId(i))
-    }
-
-    fn upd(target: usize, value: ScalarExpr) -> GuardedUpdate {
-        GuardedUpdate {
-            guard: None,
-            target: StreamId(target),
-            value,
-        }
+    /// One lane of `k` on `locals` at `x`.
+    fn run1(k: &Kernel, locals: &mut [Value], x: &[i64]) {
+        k.run(&mut vec![0; k.ops.len()], locals, x, 1);
     }
 
     /// The matmul body `c := c + a * b` and a second update reading the
@@ -156,23 +160,17 @@ mod tests {
     fn kernel_matches_the_basic_statement_interpreter() {
         let body = BasicStatement {
             updates: vec![
-                upd(
-                    2,
-                    ScalarExpr::Add(
-                        Box::new(s(2)),
-                        Box::new(ScalarExpr::Mul(Box::new(s(0)), Box::new(s(1)))),
-                    ),
-                ),
-                upd(0, ScalarExpr::Sub(Box::new(s(2)), Box::new(s(0)))),
+                assign(2, add(s(2), mul(s(0), s(1)))),
+                assign(0, sub(s(2), s(0))),
             ],
         };
-        let kernel = kernelize(&body).unwrap();
+        let kernel = kernelize(&body);
         assert_eq!(kernel.n_slots, 3);
         assert_eq!(kernel.n_dims, 0);
 
         let mut via_kernel = [3i64, 5, 7];
         let mut via_interp = via_kernel;
-        kernel.execute_scalar(&mut via_kernel, &[]);
+        run1(&kernel, &mut via_kernel, &[]);
         body.execute(&mut via_interp, &[]);
         assert_eq!(via_kernel, via_interp);
         assert_eq!(via_kernel, [19, 5, 22]);
@@ -181,39 +179,52 @@ mod tests {
     #[test]
     fn slot_loads_are_shared_and_index_rank_is_tracked() {
         let body = BasicStatement {
-            updates: vec![upd(
-                1,
-                ScalarExpr::Add(
-                    Box::new(ScalarExpr::Mul(Box::new(s(0)), Box::new(s(0)))),
-                    Box::new(ScalarExpr::Index(1)),
-                ),
-            )],
+            updates: vec![assign(1, add(mul(s(0), s(0)), idx(1)))],
         };
-        let kernel = kernelize(&body).unwrap();
+        let kernel = kernelize(&body);
         // `s(0)` is loaded once: Slot, Mul, Index, Add.
         assert_eq!(kernel.ops.len(), 4);
         assert_eq!(kernel.n_dims, 2);
 
         let mut locals = [4i64, 0];
-        kernel.execute_scalar(&mut locals, &[100, 9]);
+        run1(&kernel, &mut locals, &[100, 9]);
         assert_eq!(locals, [4, 25]);
     }
 
+    /// `if i <= j and not (a != 0) -> c := c + 1; if i > j or c >= 2 ->
+    /// a := c`: both guards select per point, and the second sees the
+    /// first's write.
     #[test]
-    fn guarded_updates_are_rejected_with_a_reason() {
+    fn guarded_updates_select_between_the_new_and_the_old_value() {
+        let first = BoolExpr::And(
+            Box::new(cmp(CmpOp::Le, idx(0), idx(1))),
+            Box::new(BoolExpr::Not(Box::new(cmp(CmpOp::Ne, s(0), c(0))))),
+        );
+        let second = BoolExpr::Or(
+            Box::new(cmp(CmpOp::Gt, idx(0), idx(1))),
+            Box::new(cmp(CmpOp::Ge, s(1), c(2))),
+        );
         let body = BasicStatement {
-            updates: vec![GuardedUpdate {
-                guard: Some(BoolExpr::Cmp(CmpOp::Eq, s(0), ScalarExpr::Const(0))),
-                target: StreamId(0),
-                value: ScalarExpr::Const(1),
-            }],
+            updates: vec![guarded(first, 1, add(s(1), c(1))), guarded(second, 0, s(1))],
         };
-        let err = kernelize(&body).unwrap_err();
-        assert!(err.contains("guarded update"), "got: {err}");
+        let kernel = kernelize(&body);
+        assert!(kernel
+            .ops
+            .iter()
+            .any(|op| matches!(op, KernelOp::Select(..))));
+        for (a, c0) in [(0, 0), (0, 1), (3, 1), (3, 5)] {
+            for x in [[0, 0], [0, 1], [1, 0]] {
+                let mut via_kernel = [a, c0];
+                let mut via_interp = via_kernel;
+                run1(&kernel, &mut via_kernel, &x);
+                body.execute(&mut via_interp, &x);
+                assert_eq!(via_kernel, via_interp, "a={a} c={c0} x={x:?}");
+            }
+        }
     }
 
     #[test]
-    fn an_empty_body_is_rejected() {
-        assert!(kernelize(&BasicStatement::default()).is_err());
+    fn an_empty_body_is_the_empty_tape() {
+        assert_eq!(kernelize(&BasicStatement::default()), Kernel::default());
     }
 }

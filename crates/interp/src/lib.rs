@@ -13,8 +13,8 @@
 //!   and [`elaborate()`], both phases uncached;
 //! - [`cache`] — the `Arc`-shared module store in front of both phases,
 //!   which every executor entry point goes through;
-//! - [`kernelize`] — the basic-statement → straight-line kernel compiler
-//!   behind the wavefront executor's vectorized wave path;
+//! - [`kernelize`] — the basic-statement → straight-line kernel compiler:
+//!   its tape is the statement every engine runs and `rustgen` prints;
 //! - [`exec`] — [`simulate`]: the one function that runs a plan, on any
 //!   executor and rung of the fast-path ladder a [`SimSpec`] selects, and
 //!   [`simulate_verified`], the one comparison against the sequential
@@ -40,7 +40,7 @@ pub use exec::{
     seeded_store, simulate, simulate_verified, ExecError, ExecutorChoice, Problem, ProblemError,
     SimSpec, SystolicRun, VerifyError, PROBLEM_BUDGET,
 };
-pub use kernelize::{kernelize, KERNEL_MAX_OPS};
+pub use kernelize::kernelize;
 pub use metrics::{channel_names, observe_plan_in, Observed};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
 pub use systolic_runtime::{

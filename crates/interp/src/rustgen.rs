@@ -25,65 +25,40 @@ use crate::elaborate::{elaborate, ElabOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use systolic_core::SystolicProgram;
-use systolic_ir::{seq, HostStore, ScalarExpr, SourceProgram};
+use systolic_ir::{seq, HostStore};
 use systolic_math::Env;
-use systolic_runtime::ProcOp;
+use systolic_runtime::{Kernel, KernelOp, ProcOp};
 
-/// Render the basic statement body as Rust over locals `l0..` and the
-/// index point `x`, with `ScalarExpr::eval`'s wrapping arithmetic
-/// whatever profile the program is compiled under.
-#[allow(clippy::only_used_in_recursion)] // src kept for symmetry with rust_bool
-fn rust_scalar(src: &SourceProgram, e: &ScalarExpr) -> String {
-    let method = |name: &str, a: &ScalarExpr, b: &ScalarExpr| {
-        format!("({}).{name}({})", rust_scalar(src, a), rust_scalar(src, b))
-    };
-    match e {
-        ScalarExpr::Stream(s) => format!("l{}", s.0),
-        ScalarExpr::Index(i) => format!("x[{i}]"),
-        ScalarExpr::Const(c) => format!("{c}i64"),
-        ScalarExpr::Add(a, b) => method("wrapping_add", a, b),
-        ScalarExpr::Sub(a, b) => method("wrapping_sub", a, b),
-        ScalarExpr::Mul(a, b) => method("wrapping_mul", a, b),
-        ScalarExpr::Min(a, b) => method("min", a, b),
-        ScalarExpr::Max(a, b) => method("max", a, b),
-        ScalarExpr::Neg(a) => format!("({}).wrapping_neg()", rust_scalar(src, a)),
+/// Print the module's kernel tape — the statement every engine runs — as
+/// a Rust block over locals `l0..` and the index point `x`: one
+/// `let rN` per op, then the writebacks, with `Kernel::run`'s wrapping
+/// arithmetic whatever profile the program is compiled under.
+fn rust_tape(kernel: &Kernel, indent: &str, out: &mut String) {
+    let _ = writeln!(out, "{indent}{{");
+    for (i, op) in kernel.ops.iter().enumerate() {
+        let method = |name: &str, a: u32, b: u32| format!("r{a}.{name}(r{b})");
+        let test = |sym: &str, a: u32, b: u32| format!("(r{a} {sym} r{b}) as i64");
+        let e = match *op {
+            KernelOp::Slot(s) => format!("l{s}"),
+            KernelOp::Index(d) => format!("x[{d}]"),
+            KernelOp::Const(c) => format!("{c}i64"),
+            KernelOp::Add(a, b) => method("wrapping_add", a, b),
+            KernelOp::Sub(a, b) => method("wrapping_sub", a, b),
+            KernelOp::Mul(a, b) => method("wrapping_mul", a, b),
+            KernelOp::Min(a, b) => method("min", a, b),
+            KernelOp::Max(a, b) => method("max", a, b),
+            KernelOp::Neg(a) => format!("r{a}.wrapping_neg()"),
+            KernelOp::Eq(a, b) => test("==", a, b),
+            KernelOp::Lt(a, b) => test("<", a, b),
+            KernelOp::Le(a, b) => test("<=", a, b),
+            KernelOp::Select(c, a, b) => format!("if r{c} != 0 {{ r{a} }} else {{ r{b} }}"),
+        };
+        let _ = writeln!(out, "{indent}    let r{i}: i64 = {e};");
     }
-}
-
-fn rust_bool(src: &SourceProgram, b: &systolic_ir::BoolExpr) -> String {
-    use systolic_ir::{BoolExpr, CmpOp};
-    match b {
-        BoolExpr::Cmp(op, a, c) => {
-            let sym = match op {
-                CmpOp::Eq => "==",
-                CmpOp::Ne => "!=",
-                CmpOp::Lt => "<",
-                CmpOp::Le => "<=",
-                CmpOp::Gt => ">",
-                CmpOp::Ge => ">=",
-            };
-            format!("({} {} {})", rust_scalar(src, a), sym, rust_scalar(src, c))
-        }
-        BoolExpr::And(a, c) => format!("({} && {})", rust_bool(src, a), rust_bool(src, c)),
-        BoolExpr::Or(a, c) => format!("({} || {})", rust_bool(src, a), rust_bool(src, c)),
-        BoolExpr::Not(a) => format!("(!{})", rust_bool(src, a)),
-        BoolExpr::True => "true".into(),
+    for &(slot, reg) in &kernel.writes {
+        let _ = writeln!(out, "{indent}    l{slot} = r{reg};");
     }
-}
-
-/// Emit the body statements (guarded updates) as Rust lines.
-fn rust_body(src: &SourceProgram, indent: &str, out: &mut String) {
-    for u in &src.body.updates {
-        let assign = format!("l{} = {};", u.target.0, rust_scalar(src, &u.value));
-        match &u.guard {
-            None => {
-                let _ = writeln!(out, "{indent}{assign}");
-            }
-            Some(g) => {
-                let _ = writeln!(out, "{indent}if {} {{ {assign} }}", rust_bool(src, g));
-            }
-        }
-    }
+    let _ = writeln!(out, "{indent}}}");
 }
 
 /// Generate the complete standalone Rust program. `seed` drives the
@@ -269,14 +244,14 @@ fn emit_program(
                             l.slot, l.inp
                         );
                     }
-                    rust_body(&plan.source, "                ", &mut b);
+                    rust_tape(&module.kernel, "                ", &mut b);
                     for l in moving {
                         let _ =
                             writeln!(b, "                tx{}.send(l{}).unwrap();", l.out, l.slot);
                     }
                     let _ = writeln!(
                         b,
-                        "                for d in 0..{} {{ x[d] += {:?}[d]; }}",
+                        "                for d in 0..{} {{ x[d] = x[d].wrapping_add({:?}[d]); }}",
                         plan.r,
                         module.increment_of(pid)
                     );
@@ -385,7 +360,10 @@ mod tests {
         assert!(src.contains("fn main()"));
         assert!(src.contains("sync_channel"));
         assert!(src.contains("// comp@"));
-        assert!(src.contains("l2 = (l2).wrapping_add((l0).wrapping_mul(l1));"));
+        // `c := c + a * b` is the tape `l2, l0, l1, mul, add`.
+        assert!(src.contains("let r3: i64 = r1.wrapping_mul(r2);"));
+        assert!(src.contains("let r4: i64 = r0.wrapping_add(r3);"));
+        assert!(src.contains("l2 = r4;"));
         // Balanced braces.
         assert_eq!(src.matches('{').count(), src.matches('}').count());
     }

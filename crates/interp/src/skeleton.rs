@@ -11,7 +11,8 @@
 //! the **extended** dimension vector `coordinates ++ sizes`
 //! (`systolic_math::speceval` keeps the listed variables symbolic as
 //! integer coefficients), captures each stream's unit flow, relay
-//! count, and element increment, and wraps the shared [`ComputeBody`].
+//! count, and element increment, and compiles the basic statement to its
+//! kernel tape once.
 //! Phase 2 ([`instantiate`]) binds the size values into the tail of one
 //! evaluation vector and sweeps the now-concrete PS box with pure
 //! integer arithmetic — no parsing, no rational solving, no symbolic
@@ -41,14 +42,14 @@
 //! [`crate::elaborate::elaborate`] is their uncached composition.
 
 use crate::elaborate::{
-    BodyAdapter, Census, ChanAlloc, ElabError, ElabOptions, Elaborated, OutputSpec, PsIndex,
+    Census, ChanAlloc, ElabError, ElabOptions, Elaborated, OutputSpec, PsIndex,
 };
 use std::sync::Arc;
 use systolic_core::{StreamKind, SystolicProgram};
 use systolic_ir::HostStore;
 use systolic_math::speceval::{SpecCount, SpecPoint};
 use systolic_math::{point, Env, Var};
-use systolic_runtime::{ChanId, ComputeBody, MovingLink, ProcIrBuilder, ProcOp};
+use systolic_runtime::{ChanId, Kernel, MovingLink, ProcIrBuilder, ProcOp};
 
 /// Everything phase 2 needs about one stream, with every schedule
 /// quantity specialized over the extended dimension vector.
@@ -88,11 +89,9 @@ pub struct SkeletonModule {
     /// `max(StreamId) + 1`, the endpoint-table row count.
     n_streams: usize,
     streams: Vec<StreamSkeleton>,
-    body: Arc<dyn ComputeBody>,
-    /// Straight-line kernel compiled once per plan (size-independent,
-    /// like the body), carried into every instantiated module.
-    kernel: Option<Arc<systolic_runtime::Kernel>>,
-    kernel_reject: Option<String>,
+    /// The basic statement's kernel tape, compiled once per plan
+    /// (size-independent), carried into every instantiated module.
+    kernel: Arc<Kernel>,
 }
 
 impl SkeletonModule {
@@ -137,10 +136,6 @@ pub fn elaborate_skeleton(plan: &SystolicProgram, opts: &ElabOptions) -> Arc<Ske
             drain: SpecCount::of(&sp.drain, &dims, &env),
         })
         .collect();
-    let (kernel, kernel_reject) = match crate::kernelize::kernelize(&plan.source.body) {
-        Ok(k) => (Some(Arc::new(k)), None),
-        Err(why) => (None, Some(why)),
-    };
     Arc::new(SkeletonModule {
         opts: opts.clone(),
         n_coords: plan.coords.len(),
@@ -161,9 +156,7 @@ pub fn elaborate_skeleton(plan: &SystolicProgram, opts: &ElabOptions) -> Arc<Ske
         n_slots: plan.streams.len() as u32,
         n_streams: plan.streams.iter().map(|s| s.id.0 + 1).max().unwrap_or(0),
         streams,
-        body: Arc::new(BodyAdapter(Arc::new(plan.source.body.clone()))),
-        kernel,
-        kernel_reject,
+        kernel: Arc::new(crate::kernelize::kernelize(&plan.source.body)),
     })
 }
 
@@ -507,8 +500,8 @@ pub fn instantiate(
             })
         })
         .collect();
-    b.set_kernel(skel.kernel.clone(), skel.kernel_reject.clone());
-    let module = b.build(Some(skel.body.clone()));
+    b.set_kernel(skel.kernel.clone());
+    let module = b.build();
     debug_assert_eq!(host_words.len(), module.data.len());
     Ok(Elaborated {
         module,

@@ -12,6 +12,14 @@
 
 use std::fmt;
 
+/// The deepest expression the front end accepts, in tree levels. Every
+/// recursive walk of a statement (`eval`, the kernel compiler, `Debug`,
+/// `Drop`) recurses once per level, so this bounds their stack. The
+/// `.sys` parser counts parentheses, unary minus, `not`, `min`/`max` and
+/// the length of an operator chain against it as it builds;
+/// [`crate::validate`] applies it to programs built in code.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 /// Identifies a stream by position in the source program's stream list.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct StreamId(pub usize);
@@ -75,10 +83,11 @@ pub struct BasicStatement {
 }
 
 impl ScalarExpr {
-    /// Arithmetic on [`Value`]s is two's-complement wrapping — the one
-    /// overflow law of the sequential evaluator, the scalar VM, the
-    /// kernel tape (`systolic_runtime::kernel`) and the generated Rust
-    /// program, in every build profile.
+    /// Arithmetic on [`Value`]s is two's-complement wrapping, in every
+    /// build profile. This is the sequential oracle's evaluator; the
+    /// systolic side executes the statement only as its compiled kernel
+    /// tape (`systolic_runtime::Kernel::run`) and prints only that tape
+    /// (`systolic_interp::rustgen`), which state the same law.
     pub fn eval(&self, locals: &[Value], index: &[i64]) -> Value {
         match self {
             ScalarExpr::Stream(s) => locals[s.0],
@@ -114,17 +123,20 @@ impl ScalarExpr {
         }
     }
 
-    /// Does the expression reference a raw loop index?
-    pub fn uses_index(&self) -> bool {
+    /// Whether the tree has more than `levels` levels (a leaf has one).
+    /// Recurses at most `levels` deep, however deep the tree.
+    pub(crate) fn deeper_than(&self, levels: usize) -> bool {
+        let Some(below) = levels.checked_sub(1) else {
+            return true;
+        };
         match self {
-            ScalarExpr::Index(_) => true,
-            ScalarExpr::Stream(_) | ScalarExpr::Const(_) => false,
+            ScalarExpr::Stream(_) | ScalarExpr::Index(_) | ScalarExpr::Const(_) => false,
             ScalarExpr::Add(a, b)
             | ScalarExpr::Sub(a, b)
             | ScalarExpr::Mul(a, b)
             | ScalarExpr::Min(a, b)
-            | ScalarExpr::Max(a, b) => a.uses_index() || b.uses_index(),
-            ScalarExpr::Neg(a) => a.uses_index(),
+            | ScalarExpr::Max(a, b) => a.deeper_than(below) || b.deeper_than(below),
+            ScalarExpr::Neg(a) => a.deeper_than(below),
         }
     }
 }
@@ -147,6 +159,21 @@ impl BoolExpr {
             BoolExpr::Or(a, b) => a.eval(locals, index) || b.eval(locals, index),
             BoolExpr::Not(a) => !a.eval(locals, index),
             BoolExpr::True => true,
+        }
+    }
+
+    /// [`ScalarExpr::deeper_than`] for guards.
+    pub(crate) fn deeper_than(&self, levels: usize) -> bool {
+        let Some(below) = levels.checked_sub(1) else {
+            return true;
+        };
+        match self {
+            BoolExpr::Cmp(_, a, b) => a.deeper_than(below) || b.deeper_than(below),
+            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
+                a.deeper_than(below) || b.deeper_than(below)
+            }
+            BoolExpr::Not(a) => a.deeper_than(below),
+            BoolExpr::True => false,
         }
     }
 
@@ -324,12 +351,6 @@ mod tests {
         let mut locals = [1, 0];
         body.execute(&mut locals, &[0]);
         assert_eq!(locals, [2, 2]);
-    }
-
-    #[test]
-    fn index_detection() {
-        assert!(add(idx(1), c(2)).uses_index());
-        assert!(!add(s(0), c(2)).uses_index());
     }
 
     #[test]

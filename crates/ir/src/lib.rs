@@ -22,7 +22,9 @@ pub mod program;
 pub mod seq;
 pub mod validate;
 
-pub use expr::{BasicStatement, BoolExpr, CmpOp, GuardedUpdate, ScalarExpr, StreamId, Value};
+pub use expr::{
+    BasicStatement, BoolExpr, CmpOp, GuardedUpdate, ScalarExpr, StreamId, Value, MAX_EXPR_DEPTH,
+};
 pub use host::{HostArray, HostStore};
 pub use program::{IndexedVar, Loop, SourceProgram, Stream};
 pub use validate::{validate, Violation};

@@ -4,6 +4,7 @@
 //! systolic array ... is assured" (Sec. 1). The compiler front end checks
 //! the envelope and reports violations instead of mis-compiling.
 
+use crate::expr::{GuardedUpdate, MAX_EXPR_DEPTH};
 use crate::program::SourceProgram;
 use std::fmt;
 use systolic_math::Env;
@@ -48,6 +49,9 @@ pub enum Violation {
         accessed: usize,
         declared: usize,
     },
+    /// An update's guard or value nests deeper than [`MAX_EXPR_DEPTH`]
+    /// levels (reported alone: every other check walks the statement).
+    ExpressionTooDeep { update: usize },
 }
 
 impl fmt::Display for Violation {
@@ -101,6 +105,11 @@ impl fmt::Display for Violation {
                 "stream {stream}: only {accessed} of {declared} declared elements are \
                  accessed by the basic statement (requirement A.1)"
             ),
+            Violation::ExpressionTooDeep { update } => write!(
+                f,
+                "update {update} of the basic statement nests deeper than \
+                 {MAX_EXPR_DEPTH} levels"
+            ),
         }
     }
 }
@@ -109,6 +118,14 @@ impl fmt::Display for Violation {
 /// semi-decidable symbolically, so it is checked at a sample binding with
 /// every size symbol set to `sample_size`.
 pub fn validate(program: &SourceProgram, sample_size: i64) -> Result<(), Vec<Violation>> {
+    // First, and alone: every later check walks the statement.
+    let too_deep = |u: &GuardedUpdate| {
+        let guard = u.guard.as_ref();
+        u.value.deeper_than(MAX_EXPR_DEPTH) || guard.is_some_and(|g| g.deeper_than(MAX_EXPR_DEPTH))
+    };
+    if let Some(update) = program.body.updates.iter().position(too_deep) {
+        return Err(vec![Violation::ExpressionTooDeep { update }]);
+    }
     let mut out = Vec::new();
     let r = program.r();
     if r < 2 {
@@ -267,6 +284,20 @@ mod tests {
         p.loops[1].rb = systolic_math::Affine::zero();
         let errs = validate(&p, 4).unwrap_err();
         assert!(errs.contains(&Violation::EmptyLoop { loop_index: 1 }));
+    }
+
+    #[test]
+    fn a_statement_past_the_depth_cap_is_refused_before_it_is_walked() {
+        use crate::expr::build::*;
+        let mut p = gallery::polynomial_product();
+        // A left-deep sum of `levels` levels.
+        let chain = |levels: usize| (1..levels).fold(s(0), |e, _| add(e, s(1)));
+        p.body.updates[0].value = add(s(2), chain(MAX_EXPR_DEPTH - 1));
+        validate(&p, 4).unwrap();
+        p.body.updates[0].value = add(s(2), chain(1_000));
+        let errs = validate(&p, 4).unwrap_err();
+        assert_eq!(errs, vec![Violation::ExpressionTooDeep { update: 0 }]);
+        assert!(errs[0].to_string().contains("deeper than 256"));
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //! Guarded updates are written `if <cond> -> lhs = rhs;`. Loop steps are
 //! `1` or `-1` between `<-` and `->`. Stream index expressions must be
 //! linear in the loop indices with no constant part (restriction A.2);
-//! violations are diagnosed with line numbers.
+//! violations are diagnosed with line numbers, and so is an expression
+//! nested deeper than [`MAX_EXPR_DEPTH`] levels.
 
 use crate::lexer::{lex, Spanned, Tok};
 use std::collections::HashMap;
 use std::fmt;
-use systolic_ir::expr::{BasicStatement, BoolExpr, CmpOp, GuardedUpdate, ScalarExpr, StreamId};
+use systolic_ir::expr::{
+    BasicStatement, BoolExpr, CmpOp, GuardedUpdate, ScalarExpr, StreamId, MAX_EXPR_DEPTH,
+};
 use systolic_ir::{IndexedVar, Loop, SourceProgram, Stream};
 use systolic_math::{Affine, Matrix, Rational, VarTable};
 
@@ -113,6 +116,18 @@ impl Parser {
         })
     }
 
+    /// An expression of `height` levels where only `room` are left, or
+    /// the refusal: the parser counts against [`MAX_EXPR_DEPTH`] as it
+    /// builds, so neither it nor any later walk recurses past the cap.
+    fn fit(&self, height: usize, room: usize) -> Result<usize, ParseError> {
+        if height > room {
+            return self.err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            ));
+        }
+        Ok(height)
+    }
+
     fn expect(&mut self, t: Tok) -> Result<(), ParseError> {
         if *self.peek() == t {
             self.bump();
@@ -135,6 +150,11 @@ impl Parser {
     /// Linear expression: terms of idents and integers combined with
     /// `+`, `-`, and `*` by constants.
     fn lin_expr(&mut self) -> Result<LinComb, ParseError> {
+        self.lin_sum(MAX_EXPR_DEPTH)
+    }
+
+    /// [`Parser::lin_expr`] inside parentheses with `room` levels left.
+    fn lin_sum(&mut self, room: usize) -> Result<LinComb, ParseError> {
         let mut acc = LinComb::default();
         let mut sign = 1i64;
         // Leading sign.
@@ -143,7 +163,7 @@ impl Parser {
             sign = -1;
         }
         loop {
-            let term = self.lin_term()?;
+            let term = self.lin_term(room)?;
             acc = acc.add(term, sign);
             match self.peek() {
                 Tok::Plus => {
@@ -160,11 +180,11 @@ impl Parser {
     }
 
     /// A term: `k`, `x`, `k*x`, `x*k`, or parenthesized linear expr.
-    fn lin_term(&mut self) -> Result<LinComb, ParseError> {
-        let first = self.lin_atom()?;
+    fn lin_term(&mut self, room: usize) -> Result<LinComb, ParseError> {
+        let first = self.lin_atom(room)?;
         if *self.peek() == Tok::Star {
             self.bump();
-            let second = self.lin_atom()?;
+            let second = self.lin_atom(room)?;
             // One side must be constant for linearity.
             if first.coeffs.is_empty() {
                 Ok(second.scale(first.constant))
@@ -178,7 +198,8 @@ impl Parser {
         }
     }
 
-    fn lin_atom(&mut self) -> Result<LinComb, ParseError> {
+    fn lin_atom(&mut self, room: usize) -> Result<LinComb, ParseError> {
+        self.fit(1, room)?;
         match self.peek().clone() {
             Tok::Int(n) => {
                 self.bump();
@@ -190,7 +211,7 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.lin_expr()?;
+                let e = self.lin_sum(room - 1)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -289,69 +310,64 @@ impl Lowering {
     }
 }
 
-fn parse_scalar(p: &mut Parser, lw: &mut Lowering) -> Result<ScalarExpr, ParseError> {
-    parse_add(p, lw)
+/// A parsed expression and its height: tree levels plus the parentheses
+/// around them, never more than the `room` it was parsed in.
+type Deep<T> = Result<(T, usize), ParseError>;
+
+fn parse_scalar(p: &mut Parser, lw: &mut Lowering, room: usize) -> Deep<ScalarExpr> {
+    parse_chain(p, lw, room, &[Tok::Plus, Tok::Minus])
 }
 
-fn parse_add(p: &mut Parser, lw: &mut Lowering) -> Result<ScalarExpr, ParseError> {
-    let mut acc = parse_mul(p, lw)?;
-    loop {
-        match p.peek() {
-            Tok::Plus => {
-                p.bump();
-                let rhs = parse_mul(p, lw)?;
-                acc = ScalarExpr::Add(Box::new(acc), Box::new(rhs));
-            }
-            Tok::Minus => {
-                p.bump();
-                let rhs = parse_mul(p, lw)?;
-                acc = ScalarExpr::Sub(Box::new(acc), Box::new(rhs));
-            }
-            _ => return Ok(acc),
-        }
+/// A left-deep chain of the binary operators in `ops` (`+ -`, or `*`),
+/// each one level above the last.
+fn parse_chain(p: &mut Parser, lw: &mut Lowering, room: usize, ops: &[Tok]) -> Deep<ScalarExpr> {
+    let operand = |p: &mut Parser, lw: &mut Lowering| match ops {
+        [Tok::Star] => parse_atom(p, lw, room),
+        _ => parse_chain(p, lw, room, &[Tok::Star]),
+    };
+    let (mut acc, mut height) = operand(p, lw)?;
+    while ops.contains(p.peek()) {
+        let op = match p.bump() {
+            Tok::Plus => ScalarExpr::Add,
+            Tok::Minus => ScalarExpr::Sub,
+            _ => ScalarExpr::Mul,
+        };
+        let (rhs, h) = operand(p, lw)?;
+        height = p.fit(height.max(h) + 1, room)?;
+        acc = op(Box::new(acc), Box::new(rhs));
     }
+    Ok((acc, height))
 }
 
-fn parse_mul(p: &mut Parser, lw: &mut Lowering) -> Result<ScalarExpr, ParseError> {
-    let mut acc = parse_atom(p, lw)?;
-    while *p.peek() == Tok::Star {
-        p.bump();
-        let rhs = parse_atom(p, lw)?;
-        acc = ScalarExpr::Mul(Box::new(acc), Box::new(rhs));
-    }
-    Ok(acc)
-}
-
-fn parse_atom(p: &mut Parser, lw: &mut Lowering) -> Result<ScalarExpr, ParseError> {
+fn parse_atom(p: &mut Parser, lw: &mut Lowering, room: usize) -> Deep<ScalarExpr> {
+    p.fit(1, room)?;
     match p.peek().clone() {
         Tok::Int(n) => {
             p.bump();
-            Ok(ScalarExpr::Const(n))
+            Ok((ScalarExpr::Const(n), 1))
         }
         Tok::Minus => {
             p.bump();
-            let inner = parse_atom(p, lw)?;
-            Ok(ScalarExpr::Neg(Box::new(inner)))
+            let (inner, h) = parse_atom(p, lw, room - 1)?;
+            Ok((ScalarExpr::Neg(Box::new(inner)), h + 1))
         }
         Tok::LParen => {
             p.bump();
-            let e = parse_scalar(p, lw)?;
+            let (e, h) = parse_scalar(p, lw, room - 1)?;
             p.expect(Tok::RParen)?;
-            Ok(e)
+            Ok((e, h + 1))
         }
         Tok::Min | Tok::Max => {
-            let is_min = *p.peek() == Tok::Min;
-            p.bump();
+            let op = match p.bump() {
+                Tok::Min => ScalarExpr::Min,
+                _ => ScalarExpr::Max,
+            };
             p.expect(Tok::LParen)?;
-            let a = parse_scalar(p, lw)?;
+            let (a, ha) = parse_scalar(p, lw, room - 1)?;
             p.expect(Tok::Comma)?;
-            let b = parse_scalar(p, lw)?;
+            let (b, hb) = parse_scalar(p, lw, room - 1)?;
             p.expect(Tok::RParen)?;
-            Ok(if is_min {
-                ScalarExpr::Min(Box::new(a), Box::new(b))
-            } else {
-                ScalarExpr::Max(Box::new(a), Box::new(b))
-            })
+            Ok((op(Box::new(a), Box::new(b)), ha.max(hb) + 1))
         }
         Tok::Ident(name) => {
             let line = p.line();
@@ -367,9 +383,9 @@ fn parse_atom(p: &mut Parser, lw: &mut Lowering) -> Result<ScalarExpr, ParseErro
                 p.expect(Tok::RBracket)?;
                 let rows = lw.index_rows(line, &exprs)?;
                 let sid = lw.stream(line, &name, rows)?;
-                Ok(ScalarExpr::Stream(sid))
+                Ok((ScalarExpr::Stream(sid), 1))
             } else if let Some(i) = lw.loop_index(&name) {
-                Ok(ScalarExpr::Index(i))
+                Ok((ScalarExpr::Index(i), 1))
             } else {
                 Err(ParseError {
                     line,
@@ -383,37 +399,34 @@ fn parse_atom(p: &mut Parser, lw: &mut Lowering) -> Result<ScalarExpr, ParseErro
     }
 }
 
-fn parse_bool(p: &mut Parser, lw: &mut Lowering) -> Result<BoolExpr, ParseError> {
-    parse_or(p, lw)
-}
-
-fn parse_or(p: &mut Parser, lw: &mut Lowering) -> Result<BoolExpr, ParseError> {
-    let mut acc = parse_and(p, lw)?;
-    while *p.peek() == Tok::Or {
+/// `or` chains of `and` chains of (possibly negated) comparisons.
+fn parse_bool(p: &mut Parser, lw: &mut Lowering, room: usize, or: bool) -> Deep<BoolExpr> {
+    let operand = |p: &mut Parser, lw: &mut Lowering| match or {
+        true => parse_bool(p, lw, room, false),
+        false => parse_not(p, lw, room),
+    };
+    let (mut acc, mut height) = operand(p, lw)?;
+    let (tok, op) = match or {
+        true => (Tok::Or, BoolExpr::Or as fn(_, _) -> _),
+        false => (Tok::And, BoolExpr::And as fn(_, _) -> _),
+    };
+    while *p.peek() == tok {
         p.bump();
-        let rhs = parse_and(p, lw)?;
-        acc = BoolExpr::Or(Box::new(acc), Box::new(rhs));
+        let (rhs, h) = operand(p, lw)?;
+        height = p.fit(height.max(h) + 1, room)?;
+        acc = op(Box::new(acc), Box::new(rhs));
     }
-    Ok(acc)
+    Ok((acc, height))
 }
 
-fn parse_and(p: &mut Parser, lw: &mut Lowering) -> Result<BoolExpr, ParseError> {
-    let mut acc = parse_not(p, lw)?;
-    while *p.peek() == Tok::And {
-        p.bump();
-        let rhs = parse_not(p, lw)?;
-        acc = BoolExpr::And(Box::new(acc), Box::new(rhs));
-    }
-    Ok(acc)
-}
-
-fn parse_not(p: &mut Parser, lw: &mut Lowering) -> Result<BoolExpr, ParseError> {
+fn parse_not(p: &mut Parser, lw: &mut Lowering, room: usize) -> Deep<BoolExpr> {
+    p.fit(1, room)?;
     if *p.peek() == Tok::Not {
         p.bump();
-        let inner = parse_not(p, lw)?;
-        return Ok(BoolExpr::Not(Box::new(inner)));
+        let (inner, h) = parse_not(p, lw, room - 1)?;
+        return Ok((BoolExpr::Not(Box::new(inner)), h + 1));
     }
-    let a = parse_scalar(p, lw)?;
+    let (a, ha) = parse_scalar(p, lw, room - 1)?;
     let op = match p.peek() {
         Tok::EqEq => CmpOp::Eq,
         Tok::Ne => CmpOp::Ne,
@@ -424,8 +437,8 @@ fn parse_not(p: &mut Parser, lw: &mut Lowering) -> Result<BoolExpr, ParseError> 
         other => return p.err(format!("expected a comparison operator, found {other}")),
     };
     p.bump();
-    let b = parse_scalar(p, lw)?;
-    Ok(BoolExpr::Cmp(op, a, b))
+    let (b, hb) = parse_scalar(p, lw, room - 1)?;
+    Ok((BoolExpr::Cmp(op, a, b), ha.max(hb) + 1))
 }
 
 /// Convert a bound `LinComb` (over size symbols only) to an `Affine`.
@@ -571,7 +584,7 @@ pub fn parse(src: &str) -> Result<SourceProgram, ParseError> {
     while *p.peek() != Tok::RBrace {
         let guard = if *p.peek() == Tok::If {
             p.bump();
-            let g = parse_bool(&mut p, &mut lw)?;
+            let (g, _) = parse_bool(&mut p, &mut lw, MAX_EXPR_DEPTH, true)?;
             p.expect(Tok::Arrow)?;
             Some(g)
         } else {
@@ -590,7 +603,7 @@ pub fn parse(src: &str) -> Result<SourceProgram, ParseError> {
         let rows = lw.index_rows(line, &exprs)?;
         let target = lw.stream(line, &lhs_name, rows)?;
         p.expect(Tok::Assign)?;
-        let value = parse_scalar(&mut p, &mut lw)?;
+        let (value, _) = parse_scalar(&mut p, &mut lw, MAX_EXPR_DEPTH)?;
         p.expect(Tok::Semi)?;
         updates.push(GuardedUpdate {
             guard,
@@ -773,6 +786,45 @@ mod tests {
         let mut env = Env::new();
         env.bind(p.sizes[0], 2).bind(p.sizes[1], 5);
         let _ = systolic_ir::seq::run_random(&p, &env, &["h", "x"], 1);
+    }
+
+    /// A polyprod-shaped program whose body is `update`, on line 5.
+    fn with_update(update: &str) -> String {
+        format!(
+            "program g;\nsize n;\nvar a[0..n], b[0..n], c[0..2*n];\n\
+             for i = 0 <- 1 -> n for j = 0 <- 1 -> n {{\n{update}\n}}"
+        )
+    }
+
+    #[test]
+    fn expressions_past_the_depth_cap_are_refused_with_their_line() {
+        let nest = |open: &str, close: &str, n: usize| {
+            format!("{}a[i]{}", open.repeat(n), close.repeat(n))
+        };
+        let sum = |term: &str, n: usize| vec![term; n].join(" + ");
+        for update in [
+            format!("c[i+j] = {};", nest("(", ")", 5_000)),
+            format!("c[i+j] = {};", nest("-", "", 5_000)),
+            format!("c[i+j] = {};", nest("max(b[j], ", ")", 300)),
+            format!("c[i+j] = {};", sum("a[i]", 50_000)),
+            format!("c[i+j] = {};", sum("a[i] * b[j]", 300)),
+            format!(
+                "c[i+j] = a[{}];",
+                nest("(", ")", 5_000).replace("a[i]", "i")
+            ),
+            format!("if {}i <= j -> c[i+j] = a[i] * b[j];", "not ".repeat(300)),
+        ] {
+            let err = parse(&with_update(&update)).unwrap_err();
+            assert_eq!(err.line, 5, "{err}");
+            assert!(err.message.contains("deeper than 256 levels"), "{err}");
+        }
+        // Under the cap, the same shapes parse and validate.
+        let src = with_update(&format!(
+            "c[i+j] = c[i+j] + ({}) + {};",
+            sum("a[i] * b[j]", 200),
+            nest("(", ")", 40),
+        ));
+        systolic_ir::validate(&parse(&src).unwrap(), 4).unwrap();
     }
 
     #[test]

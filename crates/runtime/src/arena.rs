@@ -313,6 +313,12 @@ impl RunArena {
         self.locals.clear();
         self.locals.resize(n_locals, 0);
         self.rings.reset(caps);
+        // The one-lane register file; a wave batch never leaves it
+        // shorter than that.
+        let tape = module.kernel.ops.len();
+        if self.scratch.regs.len() < tape {
+            self.scratch.regs.resize(tape, 0);
+        }
     }
 
     /// Bytes the arena's vectors hold on to (capacities, not lengths):
@@ -483,15 +489,15 @@ impl RunArena {
                         continue;
                     }
                     let links = module.moving_of(pid);
+                    // The basic statement is the tape, one lane wide.
+                    let regs = &mut self.scratch.regs;
                     if links.is_empty() {
                         // No communications: run the whole repeater
                         // locally (zero sets, matching `step_into`).
                         let locals = &mut self.locals[span(r.locals)];
                         let (x, incr) = point(module, pid, r.x, &mut self.x);
                         while r.t < count as i64 {
-                            if let Some(body) = &module.body {
-                                body.execute(locals, x);
-                            }
+                            module.kernel.run(regs, locals, x, 1);
                             advance(&mut r.t, x, incr);
                         }
                         continue;
@@ -535,9 +541,7 @@ impl RunArena {
                                     }
                                     *moved += links.len() as u64;
                                     stats.steps += 1; // the par-receive set
-                                    if let Some(body) = &module.body {
-                                        body.execute(locals, x);
-                                    }
+                                    module.kernel.run(regs, locals, x, 1);
                                     for mc in links {
                                         let pushed = rings.push(mc.out, locals[mc.slot as usize]);
                                         assert!(pushed, "availability checked above");
@@ -572,10 +576,10 @@ impl RunArena {
                                 return false;
                             }
                             stats.steps += 1; // the par-receive set
-                            if let Some(body) = &module.body {
-                                let (x, _) = point(module, pid, r.x, &mut self.x);
-                                body.execute(&mut self.locals[span(r.locals)], x);
-                            }
+                            let (x, _) = point(module, pid, r.x, &mut self.x);
+                            module
+                                .kernel
+                                .run(regs, &mut self.locals[span(r.locals)], x, 1);
                             r.state = MacroState::ComputeSend { mask: 0 };
                         }
                         MacroState::ComputeSend { mut mask } => {
@@ -685,7 +689,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[4, 5, 6], "src");
         b.sink(0, 3, "sink");
-        let m = b.build(None);
+        let m = b.build();
         let (mut arena, mut stats, mut moved) = (RunArena::default(), RunStats::default(), 0);
         arena.reset(&m, &[2]);
         // The source fills the ring and parks mid-script.

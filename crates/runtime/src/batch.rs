@@ -224,7 +224,7 @@ mod tests {
         b.source(0, &(0..100).collect::<Vec<_>>(), "src");
         b.relay(0, 1, 100, "relay");
         b.sink(1, 100, "sink");
-        let m = b.build(None);
+        let m = b.build();
         let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         assert_eq!(plan.widths, vec![DEFAULT_BATCH_WIDTH, DEFAULT_BATCH_WIDTH]);
@@ -238,7 +238,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2, 3], "src");
         b.sink(0, 3, "sink");
-        let plan = analyze(&b.build(None));
+        let plan = analyze(&b.build());
         assert!(plan.batchable());
         assert_eq!(plan.widths, vec![3]);
     }
@@ -266,7 +266,7 @@ mod tests {
         b.source(2, &[10], "c-in");
         b.sink(1, 3, "a-out");
         b.sink(3, 1, "c-out");
-        let plan = analyze(&b.build(None));
+        let plan = analyze(&b.build());
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         assert_eq!(plan.widths[0], 3, "moving stream batches");
         assert_eq!(plan.widths[1], 3);
@@ -280,7 +280,7 @@ mod tests {
         b.source(0, &[1], "src-a");
         b.source(0, &[2], "src-b");
         b.sink(0, 2, "sink");
-        let plan = analyze(&b.build(None));
+        let plan = analyze(&b.build());
         assert!(!plan.batchable());
         assert!(plan.reject_reason().unwrap().contains("two producers"));
     }
@@ -289,7 +289,7 @@ mod tests {
     fn one_sided_channel_rejects() {
         let mut b = ProcIrBuilder::new();
         b.sink(7, 1, "lonely");
-        let plan = analyze(&b.build(None));
+        let plan = analyze(&b.build());
         assert!(!plan.batchable());
         assert!(plan.reject_reason().unwrap().contains("unbalanced"));
     }
@@ -300,7 +300,7 @@ mod tests {
     fn every_disqualified_channel_carries_its_first_reason() {
         use crate::procir::MovingLink;
         let check = |b: ProcIrBuilder, reasons: Vec<Option<String>>, module_wide: &str| {
-            let plan = analyze(&b.build(None));
+            let plan = analyze(&b.build());
             assert_eq!(plan.channel_reasons, reasons, "{module_wide}");
             assert_eq!(plan.reject_reason(), Some(module_wide));
         };
@@ -365,7 +365,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         let n = (u32::MAX as usize) + 1;
         b.relay(0, 1, n, "huge");
-        let m = b.build(None);
+        let m = b.build();
         let ProcOp::Pass { n: stored, .. } = m.ops[0] else {
             panic!("expected a Pass op");
         };
@@ -392,7 +392,7 @@ mod tests {
             n: (1u64 << 32) + 5,
         });
         b.finish();
-        let plan = analyze(&b.build(None));
+        let plan = analyze(&b.build());
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         assert_eq!(plan.widths, vec![DEFAULT_BATCH_WIDTH; 2]);
     }

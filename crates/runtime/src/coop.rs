@@ -751,7 +751,7 @@ mod tests {
     /// Instantiate a builder's module into a fresh network, returning the
     /// output buffers in sink-declaration order.
     fn net_of(b: ProcIrBuilder, policy: ChannelPolicy) -> (Network, Vec<SinkBuffer>) {
-        let module = b.build(None);
+        let module = b.build();
         let inst = module.instantiate();
         let mut net = Network::new(policy);
         for p in inst.procs {
@@ -1066,7 +1066,7 @@ mod tests {
         let base = net.run().unwrap();
         let base_out = outs[0].lock().clone();
 
-        let module = build().build(None);
+        let module = build().build();
         let plan = crate::batch::analyze(&module);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let (stats, outs) = run_coop_batched(&module, &plan).unwrap();
@@ -1101,7 +1101,7 @@ mod tests {
             n: 2,
         });
         b.finish();
-        let module = b.build(None);
+        let module = b.build();
         let plan = crate::batch::analyze(&module);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let err = run_coop_batched(&module, &plan).unwrap_err();

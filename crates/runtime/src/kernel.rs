@@ -1,20 +1,21 @@
-//! Wave kernels: struct-of-arrays execution of homogeneous Compute ops.
+//! Wave kernels: the one runtime form of the basic statement, and its
+//! struct-of-arrays execution over homogeneous Compute ops.
 //!
-//! The wavefront executor (`crate::wavefront`) already sweeps the array
-//! one topological level at a time, but each Compute op in a wave still
-//! retires as an individual superinstruction calling the opaque
-//! `Arc<dyn ComputeBody>` — so the hot loop is dynamic dispatch
-//! and per-value ring bookkeeping, not arithmetic. This module removes
-//! both costs for the common case the paper's scheme actually produces:
-//! every computation process runs the *same* basic statement, and that
-//! statement has no data-dependent control flow.
+//! The wavefront executor (`crate::wavefront`) sweeps the array one
+//! topological level at a time, but a Compute op retired one process at
+//! a time pays per-value ring bookkeeping for a few ops of arithmetic.
+//! This module removes that cost for the common case the paper's scheme
+//! actually produces: every computation process runs the *same* basic
+//! statement.
 //!
 //! - [`Kernel`] is the typed straight-line form of one basic statement:
 //!   an SSA op tape over registers ([`KernelOp`]) plus a final list of
 //!   local-slot writebacks. The compiler side (`systolic_interp`)
-//!   lowers a `BasicStatement` into it once per skeleton; modules whose
-//!   bodies resist the lowering (guards, unknown ops) carry the reject
-//!   reason instead and simply stay on the scalar path.
+//!   lowers every `BasicStatement` into it once per skeleton — a guarded
+//!   update `B -> s := e` becomes `s := select(B, e, s)`, sound because
+//!   every op is total — and [`Kernel::run`] is the only code that
+//!   executes a statement: `lanes` processes at once on the wave path,
+//!   one lane wide on the scalar macro-step and in the rendezvous VM.
 //! - [`analyze_kernels`] classifies every chunk of a [`WavefrontPlan`]
 //!   once per module: a chunk is *kernel-eligible* when it is a single
 //!   compute window — one process's repeater, which the plan has already
@@ -73,14 +74,22 @@ impl KernelMode {
         &[("auto", KernelMode::Auto), ("off", KernelMode::Off)];
 }
 
+/// The longest tape a wave batch takes: a batch holds `ops × lanes`
+/// registers, so [`analyze_kernels`] leaves a module whose tape is longer
+/// on the scalar path, where it runs one lane wide. The gallery's tapes
+/// are 4–6 ops.
+pub const KERNEL_MAX_OPS: usize = 256;
+
 /// One op of the kernel tape. Ops form an SSA register file: op `i`
 /// defines register `i`, and operand indices always point at earlier
 /// ops, so the vector interpreter can split the register file at the
-/// destination without aliasing.
+/// destination without aliasing. Every op is total (no division, and
+/// arithmetic wraps), which is what lets a guard select between two
+/// computed values instead of branching.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelOp {
-    /// Read local slot `s` (current value — later reads see earlier
-    /// writebacks within one statement, like `BasicStatement::execute`).
+    /// Read local slot `s` as it stood before the statement (a slot an
+    /// earlier update wrote is read from that update's register).
     Slot(u32),
     /// Read coordinate `d` of the repeater's current index point.
     Index(u32),
@@ -91,12 +100,21 @@ pub enum KernelOp {
     Min(u32, u32),
     Max(u32, u32),
     Neg(u32),
+    /// `1` when the operands are equal, else `0`.
+    Eq(u32, u32),
+    /// `1` when the first operand is less than the second, else `0`.
+    Lt(u32, u32),
+    /// `1` when the first operand is at most the second, else `0`.
+    Le(u32, u32),
+    /// The second operand where the first is non-zero, else the third.
+    Select(u32, u32, u32),
 }
 
 /// The compiled basic statement: straight-line ops over named local
 /// slots. Produced once per skeleton by the compiler side and shared via
-/// the module (`ProcIrModule::kernel`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// the module (`ProcIrModule::kernel`). The empty tape is the empty
+/// statement.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Kernel {
     pub ops: Vec<KernelOp>,
     /// Slot writebacks applied in order after the tape: `(slot, reg)`.
@@ -108,26 +126,60 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Scalar reference interpreter — the single-lane semantics the
-    /// vectorized path must match; used by the differential tests.
-    pub fn execute_scalar(&self, locals: &mut [Value], x: &[i64]) {
-        let mut regs = vec![0i64; self.ops.len()];
+    /// Execute the statement on `lanes` processes at once, laid out
+    /// struct-of-arrays: `locals` is `[slot][lane]`, `x` is `[dim][lane]`
+    /// and `regs`, scratch of at least `ops.len() × lanes` values,
+    /// `[op][lane]`. The tape runs op-outer / lane-inner, then the
+    /// writebacks land in `locals`. One lane is one process's locals at
+    /// its index point. Arithmetic is two's-complement wrapping, the
+    /// overflow law of `ScalarExpr::eval`.
+    ///
+    /// Always inlined: at the one-lane call sites `lanes` is the constant
+    /// 1 and each op compiles to one scalar operation.
+    #[inline(always)]
+    pub fn run(&self, regs: &mut [Value], locals: &mut [Value], x: &[i64], lanes: usize) {
+        let n = lanes;
         for (i, op) in self.ops.iter().enumerate() {
-            regs[i] = match *op {
-                KernelOp::Slot(s) => locals[s as usize],
-                KernelOp::Index(d) => x[d as usize],
-                KernelOp::Const(c) => c,
-                KernelOp::Add(a, b) => regs[a as usize].wrapping_add(regs[b as usize]),
-                KernelOp::Sub(a, b) => regs[a as usize].wrapping_sub(regs[b as usize]),
-                KernelOp::Mul(a, b) => regs[a as usize].wrapping_mul(regs[b as usize]),
-                KernelOp::Min(a, b) => regs[a as usize].min(regs[b as usize]),
-                KernelOp::Max(a, b) => regs[a as usize].max(regs[b as usize]),
-                KernelOp::Neg(a) => regs[a as usize].wrapping_neg(),
-            };
+            let (head, tail) = regs.split_at_mut(i * n);
+            let dst = &mut tail[..n];
+            let reg = |r: u32| &head[r as usize * n..][..n];
+            match *op {
+                KernelOp::Slot(s) => dst.copy_from_slice(&locals[s as usize * n..][..n]),
+                KernelOp::Index(d) => dst.copy_from_slice(&x[d as usize * n..][..n]),
+                KernelOp::Const(c) => dst.fill(c),
+                KernelOp::Add(a, b) => lanewise(dst, reg(a), reg(b), Value::wrapping_add),
+                KernelOp::Sub(a, b) => lanewise(dst, reg(a), reg(b), Value::wrapping_sub),
+                KernelOp::Mul(a, b) => lanewise(dst, reg(a), reg(b), Value::wrapping_mul),
+                KernelOp::Min(a, b) => lanewise(dst, reg(a), reg(b), Value::min),
+                KernelOp::Max(a, b) => lanewise(dst, reg(a), reg(b), Value::max),
+                KernelOp::Eq(a, b) => lanewise(dst, reg(a), reg(b), |a, b| (a == b) as Value),
+                KernelOp::Lt(a, b) => lanewise(dst, reg(a), reg(b), |a, b| (a < b) as Value),
+                KernelOp::Le(a, b) => lanewise(dst, reg(a), reg(b), |a, b| (a <= b) as Value),
+                KernelOp::Neg(a) => {
+                    for (d, &a) in dst.iter_mut().zip(reg(a)) {
+                        *d = a.wrapping_neg();
+                    }
+                }
+                KernelOp::Select(c, a, b) => {
+                    let (c, a, b) = (reg(c), reg(a), reg(b));
+                    for l in 0..n {
+                        dst[l] = if c[l] != 0 { a[l] } else { b[l] };
+                    }
+                }
+            }
         }
         for &(slot, reg) in &self.writes {
-            locals[slot as usize] = regs[reg as usize];
+            let (src, dst) = (reg as usize * n, slot as usize * n);
+            locals[dst..dst + n].copy_from_slice(&regs[src..src + n]);
         }
+    }
+}
+
+/// One binary op over a lane array.
+#[inline(always)]
+fn lanewise(dst: &mut [Value], a: &[Value], b: &[Value], f: impl Fn(Value, Value) -> Value) {
+    for ((d, &a), &b) in dst.iter_mut().zip(a).zip(b) {
+        *d = f(a, b);
     }
 }
 
@@ -142,10 +194,10 @@ impl Kernel {
 /// load and recover windows around a repeater are part of that process,
 /// not a fallback of their own.
 pub struct KernelPlan {
-    /// Whether the module carries a compiled kernel at all.
+    /// Whether the module carries a statement (a non-empty tape).
     pub compiled: bool,
-    /// Module-wide reject when it does not (body missing or resisting
-    /// the lowering).
+    /// Module-wide reject: no compute body, or a tape past
+    /// [`KERNEL_MAX_OPS`].
     pub reject: Option<String>,
     /// Per chunk, wave-major (the executor's order): whether it is one
     /// kernel-eligible compute window — the form the executor's per-wave
@@ -217,7 +269,7 @@ impl KernelPlan {
 pub struct KernelReport {
     /// The mode asked for kernels (`--kernel auto` on a wavefront run).
     pub enabled: bool,
-    /// The module carries a compiled kernel.
+    /// The module carries a statement (a non-empty tape).
     pub compiled: bool,
     /// Why not, when it does not.
     pub reject: Option<String>,
@@ -239,16 +291,13 @@ pub struct KernelReport {
 /// compiled kernel. Pure structural analysis, O(windows); runs once
 /// per module and is memoized upstream.
 pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPlan {
-    let module_reject: Option<String> = if module.kernel.is_some() {
-        None
-    } else {
-        Some(module.kernel_reject.clone().unwrap_or_else(|| {
-            if module.body.is_some() {
-                "opaque compute body (no kernel compiled)".into()
-            } else {
-                "transport-only module (no compute body)".into()
-            }
-        }))
+    let ops = module.kernel.ops.len();
+    let module_reject = match ops {
+        0 => Some("transport-only module (no compute body)".to_string()),
+        1..=KERNEL_MAX_OPS => None,
+        _ => Some(format!(
+            "kernel tape of {ops} ops exceeds the {KERNEL_MAX_OPS}-op cap (runs one lane wide)"
+        )),
     };
     let mut chunk_ok = vec![false; plan.n_chunks()];
     let mut fallback_counts: Vec<(String, u64)> = Vec::new();
@@ -292,7 +341,7 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
     }
     fallback_counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     KernelPlan {
-        compiled: module.kernel.is_some(),
+        compiled: ops > 0,
         reject: module_reject,
         chunk_ok,
         eligible_chunks: eligible,
@@ -313,7 +362,6 @@ fn chunk_eligibility(
     if let Some(r) = module_reject {
         return Some(r.clone());
     }
-    let kernel = module.kernel.as_deref().expect("checked above");
     if windows.len() != 1 {
         return Some(format!("cyclic chunk ({n_compute} compute windows)"));
     }
@@ -329,11 +377,10 @@ fn chunk_eligibility(
     if !distinct {
         return Some("aliased moving rings".into());
     }
-    let rec = &module.procs[pid];
-    if kernel.n_slots > rec.n_locals {
+    if module.kernel.n_slots > module.procs[pid].n_locals {
         return Some("kernel slots exceed process locals".into());
     }
-    if kernel.n_dims as usize > module.first_of(pid).len() {
+    if module.kernel.n_dims as usize > module.first_of(pid).len() {
         return Some("kernel index rank exceeds repeater rank".into());
     }
     None
@@ -349,7 +396,9 @@ pub(crate) struct KernelScratch {
     locals: Vec<Value>,
     x: Vec<i64>,
     incr: Vec<i64>,
-    regs: Vec<Value>,
+    /// The tape's registers, `[op][lane]` — also the one-lane register
+    /// file of the scalar macro-step (`crate::arena`).
+    pub(crate) regs: Vec<Value>,
     inb: Vec<Value>,
     outb: Vec<Value>,
     /// The batch's moving links (shared by every lane): the local slot,
@@ -396,9 +445,7 @@ impl KernelScratch {
 /// tape that reads no index coordinate (`n_dims == 0`) leaves the index
 /// points out of the batch altogether: each lane's point advances once,
 /// by `iters × increment`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn kernel_wave(
-    kernel: &Kernel,
     module: &ProcIrModule,
     plan: &WavefrontPlan,
     work: impl Iterator<Item = usize>,
@@ -408,6 +455,7 @@ pub(crate) fn kernel_wave(
     report: &mut KernelReport,
 ) -> bool {
     let mut ran = false;
+    let kernel = &*module.kernel;
     let RunArena {
         regs: vm,
         locals: vm_locals,
@@ -528,11 +576,10 @@ pub(crate) fn kernel_wave(
             }
         }
 
-        // Phase 3: the tape, op-outer / lane-inner. Each iteration feeds
-        // the moving slots from the gathered ring values, runs the SSA
-        // ops over dense lane arrays, applies the writebacks, snapshots
-        // the moving slots that changed for the scatter, and advances
-        // the index points — exactly one loop-summarized macro
+        // Phase 3: the tape. Each iteration feeds the moving slots from
+        // the gathered ring values, runs the tape over dense lane arrays,
+        // snapshots the moving slots that changed for the scatter, and
+        // advances the index points — exactly one loop-summarized macro
         // iteration, batched.
         for it in 0..iters {
             for (j, &(slot, _)) in link_slots.iter().enumerate() {
@@ -542,62 +589,7 @@ pub(crate) fn kernel_wave(
                     locals[dst + li] = inb[src + li * iters + it];
                 }
             }
-            for (i, op) in kernel.ops.iter().enumerate() {
-                let (head, tail) = regs.split_at_mut(i * lane_n);
-                let dst = &mut tail[..lane_n];
-                match *op {
-                    KernelOp::Slot(s) => {
-                        dst.copy_from_slice(&locals[s as usize * lane_n..][..lane_n])
-                    }
-                    KernelOp::Index(d) => dst.copy_from_slice(&x[d as usize * lane_n..][..lane_n]),
-                    KernelOp::Const(c) => dst.fill(c),
-                    KernelOp::Add(a, b) => {
-                        let a = &head[a as usize * lane_n..][..lane_n];
-                        let b = &head[b as usize * lane_n..][..lane_n];
-                        for l in 0..lane_n {
-                            dst[l] = a[l].wrapping_add(b[l]);
-                        }
-                    }
-                    KernelOp::Sub(a, b) => {
-                        let a = &head[a as usize * lane_n..][..lane_n];
-                        let b = &head[b as usize * lane_n..][..lane_n];
-                        for l in 0..lane_n {
-                            dst[l] = a[l].wrapping_sub(b[l]);
-                        }
-                    }
-                    KernelOp::Mul(a, b) => {
-                        let a = &head[a as usize * lane_n..][..lane_n];
-                        let b = &head[b as usize * lane_n..][..lane_n];
-                        for l in 0..lane_n {
-                            dst[l] = a[l].wrapping_mul(b[l]);
-                        }
-                    }
-                    KernelOp::Min(a, b) => {
-                        let a = &head[a as usize * lane_n..][..lane_n];
-                        let b = &head[b as usize * lane_n..][..lane_n];
-                        for l in 0..lane_n {
-                            dst[l] = a[l].min(b[l]);
-                        }
-                    }
-                    KernelOp::Max(a, b) => {
-                        let a = &head[a as usize * lane_n..][..lane_n];
-                        let b = &head[b as usize * lane_n..][..lane_n];
-                        for l in 0..lane_n {
-                            dst[l] = a[l].max(b[l]);
-                        }
-                    }
-                    KernelOp::Neg(a) => {
-                        let a = &head[a as usize * lane_n..][..lane_n];
-                        for l in 0..lane_n {
-                            dst[l] = a[l].wrapping_neg();
-                        }
-                    }
-                }
-            }
-            for &(slot, reg) in &kernel.writes {
-                let (src, dst) = (reg as usize * lane_n, slot as usize * lane_n);
-                locals[dst..dst + lane_n].copy_from_slice(&regs[src..src + lane_n]);
-            }
+            kernel.run(regs, locals, x, lane_n);
             for &(slot, row) in link_slots.iter() {
                 let Some(row) = row else { continue };
                 let dst = row * lane_n * iters;
@@ -658,25 +650,25 @@ pub(crate) fn kernel_wave(
 mod tests {
     use super::*;
 
+    use KernelOp::*;
+
+    /// One lane of `k` on `locals` at `x`.
+    fn run1(k: &Kernel, locals: &mut [Value], x: &[i64]) {
+        k.run(&mut vec![0; k.ops.len()], locals, x, 1);
+    }
+
     #[test]
-    fn scalar_interpreter_matches_hand_evaluation() {
+    fn one_lane_matches_hand_evaluation() {
         // c := c + a*b, then a := -a  (sequential: the second update
         // sees the original a, the writeback order is the update order).
         let k = Kernel {
-            ops: vec![
-                KernelOp::Slot(2),
-                KernelOp::Slot(0),
-                KernelOp::Slot(1),
-                KernelOp::Mul(1, 2),
-                KernelOp::Add(0, 3),
-                KernelOp::Neg(1),
-            ],
+            ops: vec![Slot(2), Slot(0), Slot(1), Mul(1, 2), Add(0, 3), Neg(1)],
             writes: vec![(2, 4), (0, 5)],
             n_slots: 3,
             n_dims: 0,
         };
         let mut locals = vec![3, 5, 10];
-        k.execute_scalar(&mut locals, &[]);
+        run1(&k, &mut locals, &[]);
         assert_eq!(locals, vec![-3, 5, 25]);
     }
 
@@ -684,13 +676,39 @@ mod tests {
     fn index_reads_see_the_current_point() {
         // out := x0 + x1
         let k = Kernel {
-            ops: vec![KernelOp::Index(0), KernelOp::Index(1), KernelOp::Add(0, 1)],
+            ops: vec![Index(0), Index(1), Add(0, 1)],
             writes: vec![(0, 2)],
             n_slots: 1,
             n_dims: 2,
         };
         let mut locals = vec![0];
-        k.execute_scalar(&mut locals, &[7, 35]);
+        run1(&k, &mut locals, &[7, 35]);
         assert_eq!(locals, vec![42]);
+    }
+
+    #[test]
+    fn compares_are_zero_or_one_and_select_picks_per_lane() {
+        // s1 := select(s0 <= x0, s0 == x0, s1 < s0) over three lanes.
+        let k = Kernel {
+            ops: vec![
+                Slot(0),
+                Index(0),
+                Le(0, 1),
+                Eq(0, 1),
+                Slot(1),
+                Lt(4, 0),
+                Select(2, 3, 5),
+            ],
+            writes: vec![(1, 6)],
+            n_slots: 2,
+            n_dims: 1,
+        };
+        // `[slot][lane]`: s0 = 4, 5, 6; s1 = 9, -1, 7; x0 = 5 each.
+        let mut locals = vec![4, 5, 6, 9, -1, 7];
+        k.run(&mut [0; 21], &mut locals, &[5, 5, 5], 3);
+        assert_eq!(locals, vec![4, 5, 6, 0, 1, 0]);
+        // An empty tape is the empty statement.
+        run1(&Kernel::default(), &mut locals, &[]);
+        assert_eq!(locals, vec![4, 5, 6, 0, 1, 0]);
     }
 }

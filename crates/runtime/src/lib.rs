@@ -33,8 +33,9 @@
 //!   staged chunk sweeps over the batch rings ([`WavefrontPlan`]; see
 //!   `docs/wavefront.md`).
 //! - [`kernel`] — compiled compute kernels: the typed straight-line
-//!   form of the basic statement ([`Kernel`]) and the struct-of-arrays
-//!   wave batch executor behind `--kernel auto` (see `docs/kernels.md`).
+//!   form of the basic statement ([`Kernel`]), which every engine runs,
+//!   and the struct-of-arrays wave batch executor behind `--kernel auto`
+//!   (see `docs/kernels.md`).
 
 mod arena;
 pub mod batch;
@@ -54,13 +55,14 @@ pub use coop::{
     run_coop_batched, ChannelPolicy, Deadlock, Network, ProtocolViolation, RunError, RunStats,
 };
 pub use json::Json;
-pub use kernel::{analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport};
+pub use kernel::{
+    analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport, KERNEL_MAX_OPS,
+};
 pub use opt::{optimize, ChainRecord, OptMode, OptReport, OptimizedModule};
 pub use partition::{block_partition, run_partitioned};
 pub use process::{sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 pub use procir::{
-    ComputeBody, Instance, MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord,
-    ProcVm,
+    Instance, MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord, ProcVm,
 };
 pub use record::{
     canonicalize_transfers, first_divergence, shared, ChanMetrics, EventLogRecorder,

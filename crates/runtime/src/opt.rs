@@ -560,9 +560,7 @@ fn rebuild(
         procs: procs.into(),
         n_chans: new_nc,
         n_outputs: module.n_outputs,
-        body: module.body.clone(),
         kernel: module.kernel.clone(),
-        kernel_reject: module.kernel_reject.clone(),
     });
     OptimizedModule {
         module,
@@ -590,7 +588,7 @@ mod tests {
         b.relay(1, 2, 10, "buf1");
         b.relay(2, 3, 10, "buf2");
         b.sink(3, 10, "sink");
-        let m = b.build(None);
+        let m = b.build();
         let o = optimize(&m).expect("chain should fuse");
         assert_eq!(o.module.procs.len(), 2, "only src and sink survive");
         assert_eq!(o.module.n_chans, 1, "one delay ring channel");
@@ -625,7 +623,7 @@ mod tests {
         b.sink(4, 2, "sink-b");
         b.source(5, &[600], "src-c");
         b.sink(5, 1, "sink-c");
-        let m = b.build(None);
+        let m = b.build();
         let o = optimize(&m).expect("both chains fuse");
         assert_eq!(o.report.fused_relays(), 3);
         assert_eq!(o.module.data, m.data);
@@ -654,7 +652,7 @@ mod tests {
         b.relay(0, 2, 1, "buf-b");
         b.sink(1, 1, "sink-a");
         b.sink(2, 1, "sink-b");
-        let m = b.build(None);
+        let m = b.build();
         assert!(optimize(&m).is_none(), "two consumers on channel 0");
     }
 
@@ -674,7 +672,7 @@ mod tests {
         b.finish();
         b.sink(1, 1, "sink");
         b.sink(2, 1, "sink2");
-        let m = b.build(None);
+        let m = b.build();
         let o = optimize(&m).expect("the zero Compute is dropped");
         assert_eq!(o.report.zero_ops_dropped, 1);
         assert_eq!(o.report.keep_eject_fused, 0, "live local is kept");
@@ -696,7 +694,7 @@ mod tests {
         b.op(ProcOp::Eject { chan: 2, slot: 0 });
         b.finish();
         b.sink(2, 2, "sink");
-        let m = b.build(None);
+        let m = b.build();
         let o = optimize(&m).expect("should rewrite and fuse");
         assert_eq!(o.report.keep_eject_fused, 2);
         assert_eq!(o.report.passes_merged, 1, "the two pass 1s merge");
@@ -732,7 +730,7 @@ mod tests {
         b.source(2, &[0; 1], "s2");
         b.sink(1, 5, "k1");
         b.sink(3, 1, "k3");
-        let m = b.build(None);
+        let m = b.build();
         let o = optimize(&m).expect("passes merge");
         assert_eq!(o.report.passes_merged, 1);
         let seg_ops = o.module.ops_of(o.report.proc_map[0].unwrap());
@@ -747,7 +745,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.relay(0, 1, 4, "r0");
         b.relay(1, 0, 4, "r1");
-        let m = b.build(None);
+        let m = b.build();
         assert!(optimize(&m).is_none());
     }
 
@@ -758,7 +756,7 @@ mod tests {
         b.relay(0, 1, 3, "buf0");
         b.relay(1, 2, 3, "buf1");
         b.sink(2, 3, "sink");
-        let o = optimize(&b.build(None)).unwrap();
+        let o = optimize(&b.build()).unwrap();
         let doc = crate::json::parse(&o.report.to_json()).expect("valid JSON");
         assert_eq!(doc, o.report.json());
         let num = |v: &Json, k: &str| v.get(k).and_then(Json::as_i64);

@@ -484,7 +484,7 @@ mod tests {
             b.relay(i, i + 1, n, format!("r{i}"));
         }
         b.sink(len, n, "sink");
-        let inst = b.build(None).instantiate();
+        let inst = b.build().instantiate();
         let buf = inst.outputs[0].clone();
         (inst.procs, buf)
     }
@@ -531,7 +531,7 @@ mod tests {
             b.relay(1, 3, 2, "rb");
             b.sink(2, 2, "ka");
             b.sink(3, 2, "kb");
-            let inst = b.build(None).instantiate();
+            let inst = b.build().instantiate();
             let buf = inst.outputs[0].clone();
             let groups = block_partition(inst.procs.len(), k);
             run_partitioned(inst.procs, groups, T, Vec::new()).unwrap();
@@ -545,7 +545,7 @@ mod tests {
             let mut b = ProcIrBuilder::new();
             b.sink(8, 1, "lonely-a");
             b.sink(9, 1, "lonely-b");
-            let inst = b.build(None).instantiate();
+            let inst = b.build().instantiate();
             let wait = Duration::from_millis(50);
             let err = run_partitioned(inst.procs, groups, wait, Vec::new()).unwrap_err();
             let RunError::Timeout { scope } = &err else {
@@ -594,7 +594,7 @@ mod tests {
             let mut b = ProcIrBuilder::new();
             b.sink(0, 2, "sink-a");
             b.sink(0, 2, "sink-b");
-            let inst = b.build(None).instantiate();
+            let inst = b.build().instantiate();
             let groups = block_partition(inst.procs.len(), k);
             let err = run_partitioned(inst.procs, groups, T, Vec::new()).unwrap_err();
             let RunError::Protocol(v) = err else {
@@ -616,7 +616,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2], "src-a");
         b.source(0, &[3, 4], "src-b");
-        let inst = b.build(None).instantiate();
+        let inst = b.build().instantiate();
         let err = run_partitioned(inst.procs, block_partition(2, 2), T, Vec::new()).unwrap_err();
         let RunError::Protocol(v) = err else {
             panic!("expected protocol violation, got {err}");
@@ -652,7 +652,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[2, 3], "sa");
         b.source(1, &[10, 100], "sb");
-        let mut procs = b.build(None).instantiate().procs;
+        let mut procs = b.build().instantiate().procs;
         let buf = crate::process::sink_buffer();
         procs.push(Box::new(Join {
             out: buf.clone(),
@@ -670,7 +670,7 @@ mod tests {
             b.source(i, &[i as Value], "s");
             b.sink(i, 1, "k");
         }
-        let inst = b.build(None).instantiate();
+        let inst = b.build().instantiate();
         let stats = run_partitioned(inst.procs, block_partition(400, 400), T, Vec::new()).unwrap();
         assert_eq!((stats.processes, stats.messages), (400, 200));
         for (i, buf) in inst.outputs.iter().enumerate() {

@@ -40,28 +40,13 @@
 //! another one to the same code. See `docs/process-ir.md` for the
 //! lowering rules and the VM's invariants.
 
+use crate::kernel::Kernel;
 use crate::process::{sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 use crate::record::{OpKind, Phase, SharedRecorder};
 use std::sync::Arc;
 
 /// Index of a process in its module's arena.
 pub type ProcId = usize;
-
-/// Executes the basic statement at one index point. The compiler side
-/// supplies the implementation (the runtime crate knows nothing about
-/// expression trees); closures work for tests.
-pub trait ComputeBody: Send + Sync {
-    fn execute(&self, locals: &mut [Value], x: &[i64]);
-}
-
-impl<F> ComputeBody for F
-where
-    F: Fn(&mut [Value], &[i64]) + Send + Sync,
-{
-    fn execute(&self, locals: &mut [Value], x: &[i64]) {
-        self(locals, x)
-    }
-}
 
 /// One op of the flat process bytecode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,24 +128,16 @@ pub struct ProcIrModule {
     pub n_chans: usize,
     /// Number of output buffers [`ProcIrModule::instantiate`] creates.
     pub n_outputs: usize,
-    /// The basic statement (identical at every computation process);
-    /// `None` for pure transport networks.
-    pub body: Option<Arc<dyn ComputeBody>>,
-    /// The basic statement compiled to the typed kernel tape
-    /// (`crate::kernel`), when the compiler side managed the lowering;
-    /// behaviourally identical to `body`, shared like it.
-    pub kernel: Option<Arc<crate::kernel::Kernel>>,
-    /// Why no kernel was compiled (kernel reports surface it as the
-    /// scalar-fallback reason); `None` when `kernel` is present or the
-    /// builder recorded nothing.
-    pub kernel_reject: Option<String>,
+    /// The basic statement (identical at every computation process),
+    /// compiled to the kernel tape every engine runs (`crate::kernel`);
+    /// the empty tape for pure transport networks.
+    pub kernel: Arc<Kernel>,
 }
 
 impl ProcIrModule {
     /// Structural equality over every arena table — everything except the
-    /// opaque [`ComputeBody`] and the derived kernel (a trait object and
-    /// its compiled form; two modules elaborated from the same plan share
-    /// their behaviour by construction). This is the
+    /// kernel (two modules elaborated from the same plan share it by
+    /// construction). This is the
     /// bit-identity relation the module store's re-instantiation test
     /// pins: same ops, data scripts, moving links, repeater points,
     /// process records, channel density, and output count.
@@ -187,9 +164,7 @@ impl ProcIrModule {
             procs: self.procs.clone(),
             n_chans: self.n_chans,
             n_outputs: self.n_outputs,
-            body: self.body.clone(),
             kernel: self.kernel.clone(),
-            kernel_reject: self.kernel_reject.clone(),
         })
     }
 
@@ -272,8 +247,7 @@ pub struct ProcIrBuilder {
     procs: Vec<ProcRecord>,
     n_outputs: u32,
     open: Option<ProcRecord>,
-    kernel: Option<Arc<crate::kernel::Kernel>>,
-    kernel_reject: Option<String>,
+    kernel: Arc<Kernel>,
 }
 
 impl ProcIrBuilder {
@@ -464,21 +438,16 @@ impl ProcIrBuilder {
         self.finish()
     }
 
-    /// Attach the compiled kernel form of the basic statement (or the
-    /// reason the lowering declined) before sealing. Optional: modules
-    /// built without one simply never take the kernel path.
-    pub fn set_kernel(
-        &mut self,
-        kernel: Option<Arc<crate::kernel::Kernel>>,
-        reject: Option<String>,
-    ) {
+    /// Attach the basic statement, compiled to its kernel tape, before
+    /// sealing. A module built without one is a transport network: its
+    /// repeaters, if any, move values and compute nothing.
+    pub fn set_kernel(&mut self, kernel: Arc<Kernel>) {
         self.kernel = kernel;
-        self.kernel_reject = reject;
     }
 
     /// Seal the module. Channel density (`n_chans`) is derived from the
     /// ops and moving links.
-    pub fn build(self, body: Option<Arc<dyn ComputeBody>>) -> Arc<ProcIrModule> {
+    pub fn build(self) -> Arc<ProcIrModule> {
         assert!(self.open.is_none(), "unfinished process at build");
         let mut n_chans = 0usize;
         let mut see = |c: ChanId| n_chans = n_chans.max(c + 1);
@@ -507,9 +476,7 @@ impl ProcIrBuilder {
             procs: self.procs.into(),
             n_chans,
             n_outputs: self.n_outputs as usize,
-            body,
             kernel: self.kernel,
-            kernel_reject: self.kernel_reject,
         })
     }
 }
@@ -560,6 +527,8 @@ pub struct ProcVm {
     locals: Vec<Value>,
     /// Current index point of the repeater.
     x: Vec<i64>,
+    /// The kernel tape's registers, one lane wide.
+    regs: Vec<Value>,
     /// Current repeater iteration.
     t: i64,
     /// Output buffer for [`ProcOp::Collect`].
@@ -590,6 +559,7 @@ impl ProcVm {
         let (pc, cursor) = (rec.ops.0, rec.data.0);
         let locals = vec![0; rec.n_locals as usize];
         let x = module.first_of(pid).to_vec();
+        let regs = vec![0; module.kernel.ops.len()];
         let compute_pc = if recorders.is_empty() {
             None
         } else {
@@ -605,11 +575,20 @@ impl ProcVm {
             pending: Pending::None,
             locals,
             x,
+            regs,
             t: 0,
             out,
             recorders,
             compute_pc,
         }
+    }
+
+    /// Execute the basic statement at the current index point.
+    fn compute(&mut self) {
+        self.module
+            .kernel
+            .run(&mut self.regs, &mut self.locals, &self.x, 1);
+        self.record_op(OpKind::Compute, Phase::Compute);
     }
 
     /// Report one retired op effect to every attached recorder.
@@ -664,11 +643,8 @@ impl Process for ProcVm {
                 for (mc, &v) in links.iter().zip(received) {
                     self.locals[mc.slot as usize] = v;
                 }
-                // Execute the basic statement at the current index point.
-                if let Some(body) = &self.module.body {
-                    body.execute(&mut self.locals, &self.x);
-                }
-                self.record_op(OpKind::Compute, Phase::Compute);
+                self.compute();
+                let links = self.module.moving_of(self.pid);
                 // Par-send the moving locals.
                 self.pending = Pending::ComputeSent;
                 out.extend(links.iter().map(|mc| CommReq::Send {
@@ -760,10 +736,7 @@ impl Process for ProcVm {
                         // No communications: execute the whole repeater
                         // locally in one go.
                         while self.t < count as i64 {
-                            if let Some(body) = &self.module.body {
-                                body.execute(&mut self.locals, &self.x);
-                            }
-                            self.record_op(OpKind::Compute, Phase::Compute);
+                            self.compute();
                             self.t += 1;
                             let incr = self.module.increment_of(self.pid);
                             for (xi, &inc) in self.x.iter_mut().zip(incr) {
@@ -788,11 +761,12 @@ impl Process for ProcVm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelOp;
 
     fn vm_of(build: impl FnOnce(&mut ProcIrBuilder)) -> (ProcVm, Vec<SinkBuffer>) {
         let mut b = ProcIrBuilder::new();
         build(&mut b);
-        let module = b.build(None);
+        let module = b.build();
         let inst = module.instantiate();
         assert_eq!(inst.procs.len(), 1);
         let out = module.procs[0]
@@ -882,7 +856,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[4, 5], "src");
         b.sink(0, 2, "sink");
-        let module = b.build(None);
+        let module = b.build();
         for _ in 0..2 {
             let inst = module.instantiate();
             let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
@@ -918,9 +892,13 @@ mod tests {
         b.source(2, &[10], "c-in");
         b.sink(1, 3, "a-out");
         b.sink(3, 1, "c-out");
-        let module = b.build(Some(Arc::new(|locals: &mut [Value], _x: &[i64]| {
-            locals[1] += locals[0];
-        })));
+        b.set_kernel(Arc::new(Kernel {
+            ops: vec![KernelOp::Slot(1), KernelOp::Slot(0), KernelOp::Add(0, 1)],
+            writes: vec![(1, 2)],
+            n_slots: 2,
+            n_dims: 0,
+        }));
+        let module = b.build();
         let inst = module.instantiate();
         let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
         for p in inst.procs {
@@ -966,9 +944,19 @@ mod tests {
         b.source(2, &[0], "c-in");
         b.sink(1, 4, "a-out");
         b.sink(3, 1, "c-out");
-        let module = b.build(Some(Arc::new(|locals: &mut [Value], x: &[i64]| {
-            locals[1] += locals[0] * x[0];
-        })));
+        b.set_kernel(Arc::new(Kernel {
+            ops: vec![
+                KernelOp::Slot(1),
+                KernelOp::Slot(0),
+                KernelOp::Index(0),
+                KernelOp::Mul(1, 2),
+                KernelOp::Add(0, 3),
+            ],
+            writes: vec![(1, 4)],
+            n_slots: 2,
+            n_dims: 1,
+        }));
+        let module = b.build();
         let inst = module.instantiate();
         let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
         for p in inst.procs {

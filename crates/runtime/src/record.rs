@@ -751,7 +751,7 @@ mod tests {
 
     /// Run a builder's module under the given recorders.
     fn run_recorded(b: ProcIrBuilder, recorders: &[SharedRecorder]) -> crate::RunStats {
-        let module = b.build(None);
+        let module = b.build();
         let inst = module.instantiate_recorded(recorders);
         let mut net = Network::new(ChannelPolicy::Rendezvous);
         for r in recorders {
@@ -838,6 +838,7 @@ mod tests {
     /// eject = recover, and the makespan windows nest correctly.
     #[test]
     fn metrics_phase_breakdown_on_computation_process() {
+        use crate::kernel::{Kernel, KernelOp::*};
         use crate::procir::{MovingLink, ProcOp};
         use std::sync::Arc as StdArc;
         let mut b = ProcIrBuilder::new();
@@ -870,9 +871,14 @@ mod tests {
         b.source(2, &[0], "c-in");
         b.sink(1, 4, "a-out");
         b.sink(3, 1, "c-out");
-        let module = b.build(Some(StdArc::new(|locals: &mut [Value], x: &[i64]| {
-            locals[1] += locals[0] * x[0];
-        })));
+        // c += a * x0
+        b.set_kernel(StdArc::new(Kernel {
+            ops: vec![Slot(1), Slot(0), Index(0), Mul(1, 2), Add(0, 3)],
+            writes: vec![(1, 4)],
+            n_slots: 2,
+            n_dims: 1,
+        }));
+        let module = b.build();
         let (metrics, erased) = shared(MetricsRecorder::new());
         let inst = module.instantiate_recorded(std::slice::from_ref(&erased));
         let mut net = Network::new(ChannelPolicy::Rendezvous);

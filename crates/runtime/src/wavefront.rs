@@ -692,20 +692,11 @@ fn sweep_waves(
     }));
 
     // Kernel eligibility, indexed like the chunks.
-    let kernel = kernels
-        .filter(|kp| kp.any_eligible())
-        .and(module.kernel.as_deref());
-    let mut kreport = match kernels {
-        Some(kp) => kp.report(true),
-        None => KernelReport::default(),
-    };
-    let kern_ok: &[bool] = match kernels {
-        Some(kp) if kernel.is_some() => {
-            debug_assert_eq!(kp.chunk_ok.len(), n_chunks, "plan/chunk order mismatch");
-            &kp.chunk_ok
-        }
-        _ => &[],
-    };
+    let mut kreport = kernels.map_or_else(KernelReport::default, |kp| kp.report(true));
+    let kernels = kernels.filter(|kp| kp.any_eligible());
+    if let Some(kp) = kernels {
+        debug_assert_eq!(kp.chunk_ok.len(), n_chunks, "plan/chunk order mismatch");
+    }
 
     let mut stats = RunStats {
         processes: module.procs.len(),
@@ -733,10 +724,9 @@ fn sweep_waves(
             // Kernel phase: batch the wave's eligible compute windows
             // through the compiled tape; their sweep below only steps
             // past the exhausted repeater.
-            if let Some(kern) = kernel {
-                let eligible = work.iter().copied().filter(|&k| kern_ok[k]);
+            if let Some(kp) = kernels {
+                let eligible = work.iter().copied().filter(|&k| kp.chunk_ok[k]);
                 let fused = kernel_wave(
-                    kern,
                     module,
                     plan,
                     eligible,
@@ -786,7 +776,7 @@ mod tests {
         b.relay(0, 1, 200, "relay-a");
         b.relay(1, 2, 200, "relay-b");
         b.sink(2, 200, "sink");
-        b.build(None)
+        b.build()
     }
 
     #[test]
@@ -846,7 +836,7 @@ mod tests {
         b.op(crate::procir::ProcOp::Collect { chan: 1 });
         b.finish();
         b.relay(0, 1, 10, "pong");
-        let m = b.build(None);
+        let m = b.build();
         let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let wf = analyze_wavefront(&m, &plan);
@@ -864,7 +854,7 @@ mod tests {
         b.source(0, &[1], "src-a");
         b.source(0, &[2], "src-b");
         b.sink(0, 2, "sink");
-        let m = b.build(None);
+        let m = b.build();
         let plan = analyze(&m);
         let wf = analyze_wavefront(&m, &plan);
         assert!(!wf.eligible());
@@ -898,27 +888,19 @@ mod tests {
     }
 
     /// A one-cell compute module (`c := c + a` over 3 iterations, `a`
-    /// moving) with both the closure body and its compiled kernel tape
-    /// attached — the smallest module that exercises the full
+    /// moving) — the smallest module that exercises the full
     /// gather/tape/scatter cycle.
     fn compute_module() -> Arc<ProcIrModule> {
         use crate::kernel::{Kernel, KernelOp};
         let mut b = ProcIrBuilder::new();
         compute_cell(&mut b);
-        b.set_kernel(
-            Some(Arc::new(Kernel {
-                ops: vec![KernelOp::Slot(1), KernelOp::Slot(0), KernelOp::Add(0, 1)],
-                writes: vec![(1, 2)],
-                n_slots: 2,
-                n_dims: 0,
-            })),
-            None,
-        );
-        b.build(Some(Arc::new(
-            |locals: &mut [crate::process::Value], _x: &[i64]| {
-                locals[1] += locals[0];
-            },
-        )))
+        b.set_kernel(Arc::new(Kernel {
+            ops: vec![KernelOp::Slot(1), KernelOp::Slot(0), KernelOp::Add(0, 1)],
+            writes: vec![(1, 2)],
+            n_slots: 2,
+            n_dims: 0,
+        }));
+        b.build()
     }
 
     #[test]
@@ -947,8 +929,7 @@ mod tests {
     /// kernel batch of that many lanes. In each, `a` moves through slot 0
     /// and `b` through slot 1, `c` is kept into slot 2 and ejected, over
     /// three iterations from the index point `point(cell).0` in steps of
-    /// `point(cell).1`. The body is the tape's own scalar interpreter, so
-    /// closure and kernel cannot drift apart.
+    /// `point(cell).1`, running `kernel`.
     fn cells_module(
         lanes: usize,
         kernel: crate::kernel::Kernel,
@@ -983,11 +964,8 @@ mod tests {
             b.sink(c0 + 3, 3, "b-out");
             b.sink(c0 + 5, 1, "c-out");
         }
-        let kernel = Arc::new(kernel);
-        b.set_kernel(Some(kernel.clone()), None);
-        b.build(Some(Arc::new(move |locals: &mut [Value], x: &[i64]| {
-            kernel.execute_scalar(locals, x)
-        })))
+        b.set_kernel(Arc::new(kernel));
+        b.build()
     }
 
     /// Kernel run, `--kernel off` run and batched run of `m` agree bit
@@ -1062,7 +1040,7 @@ mod tests {
 
     /// The index point obeys the overflow law of `Value` arithmetic: it
     /// wraps, in every profile, on the scalar path, on the kernel path
-    /// and in the tape's scalar interpreter alike.
+    /// and in the rendezvous VM alike.
     #[test]
     fn index_point_wraps_alike_on_every_path() {
         use crate::kernel::{Kernel, KernelOp::*};
@@ -1075,12 +1053,8 @@ mod tests {
             n_slots: 3,
             n_dims: 1,
         };
-        let mut by_hand = [0, 0, 0];
-        let mut x = [HALF];
-        for _ in 0..3 {
-            kernel.execute_scalar(&mut by_hand, &x);
-            x[0] = x[0].wrapping_add(HALF);
-        }
+        // c starts at 0 and adds the points HALF, 2·HALF, 3·HALF (wrapped).
+        let by_hand = (1..=3).fold(0i64, |c, k| c.wrapping_add(HALF.wrapping_mul(k)));
         assert!(
             (2 * HALF).checked_add(HALF).is_none(),
             "the third point wraps"
@@ -1088,7 +1062,7 @@ mod tests {
         let m = cells_module(1, kernel, |_| (HALF, HALF));
         let (outs, report) = kernel_gate_is_invisible(&m, "wrapping point");
         assert_eq!(report.iterations, 3);
-        assert_eq!(outs[2], [by_hand[2]]);
+        assert_eq!(outs[2], [by_hand]);
         // The rendezvous interpreter advances the same point.
         let inst = m.instantiate();
         let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
@@ -1096,7 +1070,7 @@ mod tests {
             net.add(p);
         }
         net.run().unwrap();
-        assert_eq!(*inst.outputs[2].lock(), [by_hand[2]]);
+        assert_eq!(*inst.outputs[2].lock(), [by_hand]);
     }
 
     #[test]
@@ -1133,6 +1107,7 @@ mod tests {
     /// which retires without touching a ring and must still wake the
     /// eject window.
     fn long_load_module(linked: bool) -> Arc<ProcIrModule> {
+        use crate::kernel::{Kernel, KernelOp::*};
         use crate::procir::{MovingLink, ProcOp};
         const N: usize = 10_000;
         let mut b = ProcIrBuilder::new();
@@ -1160,11 +1135,14 @@ mod tests {
         b.sink(3, 1, "c-out");
         b.source(4, &(0..N as i64).collect::<Vec<_>>(), "load-in");
         b.sink(5, N, "load-out");
-        b.build(Some(Arc::new(
-            |locals: &mut [crate::process::Value], x: &[i64]| {
-                locals[1] += locals[0] + x[0];
-            },
-        )))
+        // c += a + x0
+        b.set_kernel(Arc::new(Kernel {
+            ops: vec![Slot(1), Slot(0), Index(0), Add(1, 2), Add(0, 3)],
+            writes: vec![(1, 4)],
+            n_slots: 2,
+            n_dims: 1,
+        }));
+        b.build()
     }
 
     #[test]
@@ -1200,6 +1178,7 @@ mod tests {
         // own load pass filled; the window that drains it is `b`'s load
         // pass, which no value interval joins to the eject. The two
         // relays put that window in the eject's wave, behind it.
+        use crate::kernel::{Kernel, KernelOp::*};
         use crate::procir::ProcOp;
         const N: usize = WAVEFRONT_RING_CAP as usize;
         let mut b = ProcIrBuilder::new();
@@ -1233,11 +1212,14 @@ mod tests {
         b.source(3, &[7], "late-in");
         b.relay(3, 4, 1, "late-a");
         b.relay(4, 5, 1, "late-b");
-        let m = b.build(Some(Arc::new(
-            |locals: &mut [crate::process::Value], x: &[i64]| {
-                locals[0] += 40 + x[0];
-            },
-        )));
+        // s0 += 40 + x0
+        b.set_kernel(Arc::new(Kernel {
+            ops: vec![Slot(0), Const(40), Index(0), Add(1, 2), Add(0, 3)],
+            writes: vec![(0, 4)],
+            n_slots: 1,
+            n_dims: 1,
+        }));
+        let m = b.build();
         let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let wf = analyze_wavefront(&m, &plan);
@@ -1290,7 +1272,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2], "src");
         b.sink(0, 3, "sink");
-        let m = b.build(None);
+        let m = b.build();
         let plan = analyze(&m);
         assert!(!plan.batchable());
         let wf = analyze_wavefront(&m, &plan.assume_proven());
@@ -1339,20 +1321,27 @@ mod tests {
 
     #[test]
     fn arena_after_a_panicking_body_runs_like_a_fresh_one() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // `compute_module`'s cell with a body that panics on its third
-        // call — mid-repeater, values in flight on every ring — and no
-        // kernel, so the scalar path calls it. The service's pool wraps
-        // every job in `catch_unwind` just like this.
-        let calls = AtomicUsize::new(0);
+        use crate::kernel::{analyze_kernels, Kernel, KernelOp};
+        // `compute_module`'s cell with a tape that reads slot 2 of its
+        // two locals. The chunk check sends it to the one-lane path,
+        // whose slice index panics in the first iteration — mid-repeater,
+        // `a` popped, values in flight on the rings. The service's pool
+        // wraps every job in `catch_unwind` just like this.
         let mut b = ProcIrBuilder::new();
         compute_cell(&mut b);
-        let bad = b.build(Some(Arc::new(move |_: &mut [Value], _: &[i64]| {
-            assert!(calls.fetch_add(1, Ordering::Relaxed) < 2, "third call");
-        })));
+        b.set_kernel(Arc::new(Kernel {
+            ops: vec![KernelOp::Slot(2)],
+            writes: vec![(1, 0)],
+            n_slots: 3,
+            n_dims: 0,
+        }));
+        let bad = b.build();
         let plan = analyze(&bad);
         let wf = analyze_wavefront(&bad, &plan);
-        let run = std::panic::AssertUnwindSafe(|| run_wavefront(&bad, &wf, None, false));
+        let kp = analyze_kernels(&bad, &wf);
+        let slots = ("kernel slots exceed process locals".to_string(), 1);
+        assert!(kp.fallbacks().contains(&slots), "{:?}", kp.fallbacks());
+        let run = std::panic::AssertUnwindSafe(|| run_wavefront(&bad, &wf, Some(&kp), false));
         let unwound = std::panic::catch_unwind(run);
         assert!(unwound.is_err(), "the body's panic unwinds through the run");
         let m = compute_module();

@@ -27,7 +27,7 @@ fn build(specs: &[(usize, usize)]) -> (Arc<ProcIrModule>, Vec<Vec<i64>>) {
         chan += 1;
         expected.push(values);
     }
-    (b.build(None), expected)
+    (b.build(), expected)
 }
 
 /// Case count: default, overridable via PROPTEST_CASES for deep fuzzing.

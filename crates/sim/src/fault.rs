@@ -210,7 +210,7 @@ mod tests {
         b.source(0, &[10, 20, 30, 40], "src");
         b.relay(0, 1, 4, "relay");
         b.sink(1, 4, "snk");
-        b.build(None)
+        b.build()
     }
 
     fn run_coop(

@@ -175,6 +175,34 @@ fn problems_that_cannot_be_bound_exit_1_with_an_error_line() {
 }
 
 #[test]
+fn an_expression_past_the_depth_cap_is_a_message_not_an_abort() {
+    // 20 000 parentheses, and a 50 000-term sum: both used to overflow
+    // the parser's (or a later walk's) stack and exit 134.
+    let program = |rhs: String| {
+        format!(
+            "program deep;\nsize n;\nvar a[0..n], b[0..n], c[0..2*n];\n\
+             for i = 0 <- 1 -> n\nfor j = 0 <- 1 -> n {{\n  c[i+j] = {rhs};\n}}\n"
+        )
+    };
+    let sources = [
+        program(format!("{}a[i]{}", "(".repeat(20_000), ")".repeat(20_000))),
+        program(vec!["a[i]"; 50_000].join(" + ")),
+    ];
+    let path = std::env::temp_dir().join(format!("deep-{}.sys", std::process::id()));
+    for src in sources {
+        std::fs::write(&path, src).unwrap();
+        for sub in [&["compile"][..], &["run", "--sizes", "4"]] {
+            let out = bin().args(sub).arg(&path).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{sub:?}: {stderr}");
+            let needle = "line 6: expression nested deeper than 256 levels";
+            assert!(stderr.contains(needle), "{sub:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn a_closed_stdout_is_not_a_panic() {
     // `systolizer verify … | true`: the reader has gone before the first
     // write, so the write fails with EPIPE. That is the reader's choice:

@@ -256,9 +256,10 @@ const OVERFLOW_SRC: &str = "
 ";
 
 /// Integer overflow has one law, two's-complement wrapping, in every
-/// evaluator and build profile: the sequential oracle and the scalar VM
-/// (`ScalarExpr::eval`), the kernel tape one lane wide and struct-of-
-/// arrays, and the generated Rust program with and without `-O`.
+/// evaluator and build profile: the sequential oracle
+/// (`ScalarExpr::eval`), the kernel tape (`Kernel::run`) one lane wide —
+/// the scalar VMs — and struct-of-arrays, and the printed tape, the
+/// generated Rust program, with and without `-O`.
 #[test]
 fn integer_overflow_wraps_alike_in_every_evaluator() {
     let sys = systolizer::systolize_source(OVERFLOW_SRC, &Default::default()).unwrap();
@@ -274,8 +275,8 @@ fn integer_overflow_wraps_alike_in_every_evaluator() {
     let mut via_eval = vec![v; sys.source.streams.len()];
     let mut via_tape = via_eval.clone();
     sys.source.body.execute(&mut via_eval, &[0, 0]);
-    let kernel = systolizer::interp::kernelize(&sys.source.body).unwrap();
-    kernel.execute_scalar(&mut via_tape, &[0, 0]);
+    let kernel = systolizer::interp::kernelize(&sys.source.body);
+    kernel.run(&mut vec![0; kernel.ops.len()], &mut via_tape, &[0, 0], 1);
     assert_eq!(via_eval[target], wrapped);
     assert_eq!(via_tape, via_eval);
 

@@ -4,10 +4,10 @@
 //! produce bit-identical stores with invariant logical `messages`/`steps`
 //! counts, and both must match the sequential oracle — the kernel is a
 //! pure execution strategy for the wavefront executor's compute chunks,
-//! never a semantic change. A deliberately inhomogeneous design (a
-//! guarded update, i.e. data-dependent control) pins the other side of
-//! the contract: the module is rejected with a reason, every wave runs
-//! on the scalar `macro_step` path, and the run still verifies.
+//! never a semantic change. A guarded update takes the same path (its
+//! guard is a `select` on the tape), and a tape past the op cap runs one
+//! lane wide with the cap named in the report. The tape itself is held
+//! to the statement it compiles by `tests/tape.rs`.
 //!
 //! Which branch of `kernel_wave` the corpus takes (decided per link and
 //! per tape, `docs/kernels.md` "Pass-through links and the batch
@@ -28,7 +28,7 @@ use proptest::prelude::*;
 mod common;
 
 use common::{prepared, verify, CORPUS};
-use systolizer::interp::{simulate, KernelMode, ModuleStore, OptMode, SimSpec};
+use systolizer::interp::{seeded_store, simulate, KernelMode, ModuleStore, OptMode, SimSpec};
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
 use systolizer::{systolize_source, SystolizeOptions};
@@ -140,12 +140,12 @@ fn kernel_path_is_invisible_on_the_optimized_module() {
     }
 }
 
-/// A deliberately inhomogeneous design: the guard makes the body
-/// control-divergent across lanes, so the module must be rejected with
-/// the documented reason and every compute chunk must fall back to the
-/// scalar path — while the run still verifies against the oracle.
+/// The triangular product `if i <= j -> c += a * b`: the guard lowers to
+/// a compare and a `select`, so the body is one tape like any other and
+/// its repeaters batch — the same chunks, stores and counts as with
+/// `--kernel off`, and the oracle's store.
 #[test]
-fn guarded_bodies_fall_back_to_scalar_with_the_reject_reason() {
+fn guarded_bodies_take_the_kernel_path() {
     let src = "
         program guarded;
         size n;
@@ -156,46 +156,62 @@ fn guarded_bodies_fall_back_to_scalar_with_the_reject_reason() {
         }
     ";
     let sys = systolize_source(src, &SystolizeOptions::default()).unwrap();
+    let env = sys.size_env(&[4]).unwrap();
+    let store = seeded_store(&sys.plan, &env, &["a", "b"], 13);
+    let mut expected = store.clone();
+    seq::run(&sys.plan.source, &env, &mut expected);
+    let off = go(&sys.plan, &env, &store, OptMode::Off, KernelMode::Off);
+    let auto = go(&sys.plan, &env, &store, OptMode::Off, KernelMode::Auto);
+    assert_eq!(auto.store, expected, "kernel vs oracle");
+    assert_eq!(off.store, expected, "scalar vs oracle");
+    assert_eq!(auto.stats.messages, off.stats.messages);
+    assert_eq!(auto.stats.steps, off.stats.steps);
+    let k = auto.kernel.expect("wavefront runs carry a report");
+    assert!(k.enabled && k.compiled, "{k:?}");
+    assert_eq!(k.reject, None);
+    assert_eq!((k.eligible_chunks, k.waves_fused), (5, 5), "{k:?}");
+    assert!(k.iterations > 0);
+}
+
+/// A statement whose tape is longer than `KERNEL_MAX_OPS`, built from
+/// two 150-term sums (each nested well under the parser's depth cap):
+/// it compiles, the report names the cap, and every repeater runs the
+/// tape one lane wide on the scalar path — to the oracle's store.
+#[test]
+fn a_tape_past_the_op_cap_runs_one_lane_wide() {
+    let sum = |term: &str| vec![term; 150].join(" + ");
+    let src = format!(
+        "program long;
+         size n;
+         var a[0..n], b[0..n], c[0..2*n];
+         for i = 0 <- 1 -> n
+         for j = 0 <- 1 -> n {{
+           c[i+j] = c[i+j] + {};
+           c[i+j] = c[i+j] - ({});
+         }}",
+        sum("a[i] * b[j]"),
+        sum("b[j]"),
+    );
+    let sys = systolize_source(&src, &SystolizeOptions::default()).unwrap();
+    let ops = systolizer::interp::kernelize(&sys.source.body).ops.len();
+    assert!(ops > systolizer::runtime::KERNEL_MAX_OPS, "{ops} ops");
     let spec = SimSpec {
         opt: OptMode::Off,
         ..SimSpec::default()
     };
     let run = verify(
         &sys.plan,
-        &sys.size_env(&[4]).unwrap(),
+        &sys.size_env(&[3]).unwrap(),
         &["a", "b"],
-        13,
+        5,
         spec,
     )
-    .expect("the scalar fallback still verifies");
-    assert!(
-        run.wavefront,
-        "the wavefront gate is independent of kernels"
-    );
+    .expect("the one-lane tape verifies");
     let k = run.kernel.expect("wavefront runs carry a report");
-    assert!(k.enabled && !k.compiled);
-    let reject = k.reject.as_deref().unwrap_or_default();
-    assert!(
-        reject.contains("guarded update (data-dependent control)"),
-        "got: {reject}"
-    );
-    assert_eq!(k.waves_fused, 0, "nothing may fuse without a kernel");
-    assert_eq!(k.eligible_chunks, 0);
-    assert!(
-        k.scalar_chunks > 0,
-        "the waves all ran — on the scalar path"
-    );
-    assert!(
-        k.fallbacks
-            .iter()
-            .any(|(r, _)| r.contains("guarded update")),
-        "{:?}",
-        k.fallbacks
-    );
-
-    // The direct compiler agrees with the executor's verdict.
-    let err = systolizer::interp::kernelize(&sys.source.body).unwrap_err();
-    assert!(err.contains("guarded update"), "{err}");
+    assert!(k.compiled, "{k:?}");
+    let reject = k.reject.unwrap_or_default();
+    assert!(reject.contains("256-op cap"), "{reject}");
+    assert_eq!((k.eligible_chunks, k.waves_fused), (0, 0));
 }
 
 /// Case count override (see `tests/random_programs.rs`).

@@ -291,7 +291,7 @@ fn the_wavefront_plan_wakes_a_sender_blocked_on_a_full_ring() {
     }
     b.source(0, &vec![3; n as usize], "in");
     b.sink(2, n as usize + 1, "out");
-    let m = b.build(Some(std::sync::Arc::new(|_: &mut [i64], _: &[i64]| {})));
+    let m = b.build();
     let batch = analyze(&m);
     assert!(batch.batchable(), "{:?}", batch.reject_reason());
     let wf = analyze_wavefront(&m, &batch);

@@ -116,7 +116,7 @@ fn build(nodes: &[Node]) -> Arc<ProcIrModule> {
         }
         b.finish();
     }
-    b.build(None)
+    b.build()
 }
 
 /// Per-channel (producer count, consumer count) in the pre-opt module.

@@ -220,7 +220,7 @@ fn protocol_violation_names_both_claimants_and_the_channel() {
     b.source(0, &[1], "src-one");
     b.source(0, &[2], "src-two");
     b.sink(0, 2, "sink");
-    let module = b.build(None);
+    let module = b.build();
     let mut net = Network::new(ChannelPolicy::Rendezvous);
     for p in module.instantiate().procs {
         net.add(p);

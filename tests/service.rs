@@ -583,6 +583,44 @@ fn inline_source_requests_run_verified_end_to_end() {
     server.shutdown();
 }
 
+/// Inline source nested past the parser's depth cap — 5 000 parentheses
+/// in a 10 KB body, or a 50 000-term sum — is a structured parse error,
+/// and the server goes on answering (each used to overflow a worker's
+/// stack and take the process down).
+#[test]
+fn a_deeply_nested_source_is_a_parse_error_and_the_service_keeps_answering() {
+    let svc = Service::new(test_config());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = http::serve(Arc::clone(&svc), listener).expect("serve");
+    let program = |rhs: String| {
+        format!(
+            "program deep;\nsize n;\nvar a[0..n], b[0..n], c[0..2*n];\n\
+             for i = 0 <- 1 -> n\nfor j = 0 <- 1 -> n {{\n  c[i+j] = {rhs};\n}}\n"
+        )
+    };
+    let sources = [
+        program(format!("{}a[i]{}", "(".repeat(5_000), ")".repeat(5_000))),
+        program(vec!["a[i]"; 50_000].join(" + ")),
+    ];
+    for src in sources {
+        let body = Json::Obj(vec![
+            ("source".into(), Json::Str(src)),
+            ("sizes".into(), Json::Arr(vec![Json::Num(4)])),
+        ])
+        .to_string();
+        let (status, resp) = post(server.addr, "/v1/run", &body);
+        assert_eq!(status, 400, "{resp}");
+        assert_eq!(error_kind(&resp).0, "parse");
+        let needle = "line 6: expression nested deeper than 256 levels";
+        assert!(resp.contains(needle), "{resp}");
+        let get = "GET /stats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+        let (status, stats) = http_request(server.addr, get);
+        assert_eq!(status, 200, "{stats}");
+    }
+    assert_eq!(svc.pool.stats.panics.load(Ordering::SeqCst), 0);
+    server.shutdown();
+}
+
 #[test]
 fn saturation_over_sockets_keeps_every_client_in_flight_and_oracle_exact() {
     // Under `test_config()`'s queue_cap of 128, so nothing is rejected.
@@ -738,7 +776,7 @@ fn fault_plans_keep_stores_and_error_classification_under_the_pool() {
                 b.source(0, &[10, 20, 30, 40], "src");
                 b.relay(0, 1, 4, "relay");
                 b.sink(1, 4, "snk");
-                let module = b.build(None);
+                let module = b.build();
                 let inst = module.instantiate();
                 let procs = FaultPlan::abort(1).apply(inst.procs, module.n_chans);
                 let mut net = Network::new(ChannelPolicy::Rendezvous);
