@@ -152,7 +152,7 @@ impl CachedModule {
 
     /// The wavefront plan of the elaborated module
     /// (`systolic_runtime::analyze_wavefront` over [`CachedModule::batch_plan`]),
-    /// memoized beside the batch plan so a warm `run --wavefront auto`
+    /// memoized beside the batch plan so a warm `run`
     /// pays for neither analysis.
     pub fn wavefront_plan(&self) -> &Arc<WavefrontPlan> {
         self.wf
@@ -173,7 +173,7 @@ impl CachedModule {
 
     /// The per-chunk kernel eligibility analysis over
     /// [`CachedModule::wavefront_plan`], memoized so a warm
-    /// `run --wavefront auto --kernel auto` recompiles nothing.
+    /// `run --kernel auto` recompiles nothing.
     pub fn kernel_plan(&self) -> &Arc<KernelPlan> {
         self.kern.get_or_init(|| {
             let wf = self.wavefront_plan().clone();

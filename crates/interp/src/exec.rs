@@ -10,17 +10,16 @@
 //! here once (see `docs/scheduler.md` for the diagram):
 //!
 //! ```text
-//! module lookup ─ gate closed ──────────────► plain    coop Network | run_partitioned at k workers
-//!       │                                              (threaded = k = n, one process per group)
-//!       │ gate open: the cooperative executor only (and the batch
-//!       │            analysis admits the module)
-//!       ├─ wavefront plan eligible ─────────► wavefront run_wavefront (+ kernels)
-//!       └─ otherwise ───────────────────────► batched  run_coop_batched
+//! module lookup ─ gate closed ─► plain     coop Network | run_partitioned at k workers
+//!       │                                  (threaded = k = n, one process per group)
+//!       └─ gate open ──────────► wavefront run_wavefront (+ kernels)
+//!          the cooperative executor only, and the batch analysis admits
+//!          the module — whose wavefront plan is then eligible too
 //! ```
 //!
-//! The OS-thread engine has the plain rung only. Above it, both
-//! cooperative engines run the optimized module when `opt` is `Auto` and
-//! the optimizer rewrote it, the elaborated one otherwise.
+//! The OS-thread engine has the plain rung only. The wavefront engine
+//! runs the optimized module when `opt` is `Auto` and the optimizer
+//! rewrote it, the elaborated one otherwise.
 //! [`simulate_verified`] is the one oracle comparison.
 
 use crate::cache::ModuleStore;
@@ -31,8 +30,8 @@ use systolic_core::SystolicProgram;
 use systolic_ir::{seq, HostStore};
 use systolic_math::{Affine, Env};
 use systolic_runtime::{
-    BatchMode, ChannelPolicy, KernelMode, KernelReport, Network, OptMode, OptReport, RunError,
-    RunStats, SchedulePolicy, SharedRecorder, Value, WavefrontMode,
+    lock, BatchMode, ChannelPolicy, KernelMode, KernelReport, Network, OptMode, OptReport,
+    RunError, RunStats, SchedulePolicy, SharedRecorder, Value,
 };
 
 /// Which executor family a run uses. The cooperative scheduler is the
@@ -79,20 +78,33 @@ impl ExecutorChoice {
     }
 }
 
+// Spelled by the frozen `benchmark/src/layers.rs:15,107,115`; goes with ROADMAP 2(b).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WavefrontMode;
+
+#[doc(hidden)]
+#[allow(non_upper_case_globals)]
+impl WavefrontMode {
+    pub const Off: WavefrontMode = WavefrontMode;
+    pub const Par: WavefrontMode = WavefrontMode;
+}
+
 /// Everything about a simulation except the program and its data.
 pub struct SimSpec {
-    /// Steady-state batching gate (`--batch auto|off`, see
+    /// The fast-path gate (`--batch auto|off`, see
     /// `systolic_runtime::batch`) of the cooperative executor; inert on
-    /// the other two. `Off` pins the plain engines, which are the
-    /// exactness oracle for everything above them.
+    /// the other two. `Auto` runs the wavefront engine whenever the batch
+    /// analysis admits the module; `Off` pins the plain engines, which
+    /// are the exactness oracle for everything above them.
     pub batch: BatchMode,
     /// ProcIR optimizer gate (`--opt auto|off`): relay chains fused into
-    /// delay rings before a batched run. Rides the batching gate, so it
+    /// delay rings before a fast run. Rides the fast-path gate, so it
     /// too is the cooperative executor's alone. When it engages, `stats`
     /// describe the smaller optimized module.
     pub opt: OptMode,
-    /// Wavefront executor gate (`--wavefront auto|off`) on top of the
-    /// cooperative batched rung.
+    // Spelled by the frozen `benchmark/src/layers.rs:107,115`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
     pub wavefront: WavefrontMode,
     /// Compiled-kernel gate for wavefront runs (`--kernel auto|off`);
     /// inert on every other path.
@@ -123,7 +135,7 @@ impl Default for SimSpec {
         SimSpec {
             batch: BatchMode::Auto,
             opt: OptMode::Auto,
-            wavefront: WavefrontMode::Auto,
+            wavefront: WavefrontMode,
             kernel: KernelMode::Auto,
             executor: ExecutorChoice::Coop,
             deadline: Duration::from_secs(30),
@@ -164,11 +176,9 @@ pub struct SystolicRun {
     /// The label of the executor that actually ran — not necessarily the
     /// one the spec asked for (see [`SimSpec::sched`]).
     pub engine: &'static str,
-    /// Whether the steady-state batching fast path engaged (see
-    /// `systolic_runtime::batch`); only ever on the `coop` engine.
-    pub batched: bool,
-    /// Whether the wavefront executor ran this module (see
-    /// `systolic_runtime::wavefront`). Implies `batched`.
+    /// Whether the fast-path gate opened, and so the wavefront executor
+    /// ran this module (see `systolic_runtime::wavefront`); only ever on
+    /// the `coop` engine.
     pub wavefront: bool,
     /// The `systolic-opt-v1` mapping report when the ProcIR optimizer
     /// rewrote the module this run executed; `stats` then describe the
@@ -278,7 +288,6 @@ pub fn simulate(
     let SimSpec {
         batch,
         opt,
-        wavefront,
         kernel,
         deadline,
         sched,
@@ -290,7 +299,7 @@ pub fn simulate(
     let cm = ms.module(plan, env, store, &elab)?;
     let el = &cm.elab;
     let data = el.gather(store)?;
-    // The one gate: the fast rungs are the cooperative executor's, every
+    // The one gate: the fast rung is the cooperative executor's, every
     // observable feature wins over speed, and the module itself must
     // pass `systolic_runtime::analyze`.
     let fast = executor == ExecutorChoice::Coop
@@ -300,37 +309,28 @@ pub fn simulate(
         && sched.as_ref().is_none_or(|s| s.is_fifo())
         && cm.batch_plan().batchable();
 
-    let (mut wavefronted, mut opt_report, mut kernel_report) = (false, None, None);
-    let (stats, sinks) = if fast {
-        let od = cm.optimized(opt);
-        let (module, bplan) = match &od {
-            Some(od) => (&od.0.module, &od.1),
-            None => (&el.module, cm.batch_plan()),
+    let (stats, sinks, opt_report, kernel_report) = if fast {
+        // The optimized module and its plan when the optimizer rewrote
+        // the module, the elaborated ones otherwise. Either wavefront plan
+        // inherits its batch proof's reject, so past the gate it is
+        // eligible.
+        let optimized = cm.optimized(opt).zip(cm.wavefront_plan_opt(opt));
+        let (module, wplan) = match &optimized {
+            Some((od, wplan)) => (&od.0.module, wplan),
+            None => (&el.module, cm.wavefront_plan()),
+        };
+        let kplan = match (kernel, &optimized) {
+            (KernelMode::Off, _) => None,
+            (_, Some(_)) => cm.kernel_plan_opt(opt),
+            (_, None) => Some(Arc::clone(cm.kernel_plan())),
         };
         // The optimizer keeps the data segment word for word, so one
         // gather serves whichever module runs.
         let module = &module.with_data(data);
-        opt_report = od.as_ref().map(|od| od.0.report.clone());
-        let wplan = match (wavefront, &od) {
-            (WavefrontMode::Off, _) => None,
-            (_, Some(_)) => cm.wavefront_plan_opt(opt),
-            (_, None) => Some(Arc::clone(cm.wavefront_plan())),
-        };
-        match wplan.filter(|w| w.eligible()) {
-            Some(wplan) => {
-                let kplan = match (kernel, &od) {
-                    (KernelMode::Off, _) => None,
-                    (_, Some(_)) => cm.kernel_plan_opt(opt),
-                    (_, None) => Some(Arc::clone(cm.kernel_plan())),
-                };
-                let (stats, sinks, report) =
-                    systolic_runtime::run_wavefront(module, &wplan, kplan.as_deref(), false)?;
-                wavefronted = true;
-                kernel_report = Some(report);
-                (stats, sinks)
-            }
-            None => systolic_runtime::run_coop_batched(module, bplan)?,
-        }
+        let (stats, sinks, report) =
+            systolic_runtime::run_wavefront(module, wplan, kplan.as_deref(), false)?;
+        let opt_report = optimized.map(|(od, _)| od.0.report.clone());
+        (stats, sinks, opt_report, Some(report))
     } else {
         let inst = el.module.with_data(data).instantiate_recorded(&recorders);
         let stats = match executor {
@@ -359,8 +359,8 @@ pub fn simulate(
             }
         };
         // The run is over: every sink is taken once, not locked per value.
-        let take = |sink: &systolic_runtime::SinkBuffer| std::mem::take(&mut *sink.lock());
-        (stats, inst.outputs.iter().map(take).collect())
+        let take = |sink: &systolic_runtime::SinkBuffer| std::mem::take(&mut *lock(sink));
+        (stats, inst.outputs.iter().map(take).collect(), None, None)
     };
 
     let mut result = store.clone();
@@ -370,8 +370,7 @@ pub fn simulate(
         stats,
         census: el.census.clone(),
         engine: executor.label(),
-        batched: fast,
-        wavefront: wavefronted,
+        wavefront: fast,
         opt: opt_report,
         kernel: kernel_report,
     })
@@ -676,7 +675,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.engine, "coop");
-        assert!(!run.batched, "a non-FIFO policy closes the gate");
+        assert!(!run.wavefront, "a non-FIFO policy closes the gate");
         // Engine errors carry the label: a 1ns deadline on the threaded
         // engine must time out and be attributed to it.
         let err = match simulate_verified(

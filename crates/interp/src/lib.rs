@@ -36,6 +36,8 @@ pub mod trace;
 pub use cache::{CacheStats, CachedModule, ModuleStore};
 pub use describe::describe;
 pub use elaborate::{elaborate, Census, ElabError, ElabOptions, Elaborated, OutputSpec};
+#[doc(hidden)]
+pub use exec::WavefrontMode;
 pub use exec::{
     seeded_store, simulate, simulate_verified, ExecError, ExecutorChoice, Problem, ProblemError,
     SimSpec, SystolicRun, VerifyError, PROBLEM_BUDGET,
@@ -45,5 +47,4 @@ pub use metrics::{channel_names, observe_plan_in, Observed};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
 pub use systolic_runtime::{
     analyze_kernels, BatchMode, KernelMode, KernelPlan, KernelReport, OptMode, OptReport,
-    WavefrontMode,
 };

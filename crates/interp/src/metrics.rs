@@ -25,7 +25,7 @@ use std::sync::Arc;
 use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
-use systolic_runtime::{shared, MetricsRecorder, MetricsReport, OptMode, PerfettoRecorder};
+use systolic_runtime::{lock, shared, MetricsRecorder, MetricsReport, OptMode, PerfettoRecorder};
 
 /// One observed run: the ordinary execution outcome plus the two
 /// observability artifacts.
@@ -118,8 +118,8 @@ pub fn observe_plan_in(
         shared(PerfettoRecorder::new().with_channel_names(channel_names(plan, el)));
     spec.recorders.extend([m_erased, p_erased]);
     let run = simulate(ms, plan, env, store, spec)?;
-    let report = metrics.lock().report();
-    let perfetto_json = perfetto.lock().to_json();
+    let report = lock(&metrics).report();
+    let perfetto_json = lock(&perfetto).to_json();
     Ok(Observed {
         run,
         report,

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
-use systolic_runtime::{shared, EventLogRecorder};
+use systolic_runtime::{lock, shared, EventLogRecorder};
 
 /// One located transfer: stream, receiving process coordinates, round.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,8 +52,7 @@ pub fn run_traced(
     for (sid, y, ic, _oc) in &cm.elab.endpoints {
         incoming.insert(*ic, (plan.streams[*sid].name.clone(), y.clone()));
     }
-    let located = log
-        .lock()
+    let located = lock(&log)
         .transfers()
         .iter()
         .filter_map(|t| {

@@ -3,8 +3,8 @@
 //! The paper's process is a handful of scalars plus one local per stream
 //! (Sec. 4), and its channels carry a number of values the derivation
 //! knows in advance — so the whole mutable state of a run is a
-//! fixed-size block known when the module is built. The two cooperative
-//! fast engines (`run_coop_batched`, `run_wavefront`) keep it as one:
+//! fixed-size block known when the module is built. The cooperative fast
+//! engine (`run_wavefront`) keeps it as one:
 //!
 //! - one [`Regs`] record per process (program counter, data cursor, pass
 //!   counter, parked par-set, repeater iteration) and one finished flag,
@@ -25,7 +25,7 @@
 //! `reset` does not overwrite (an unwound run never hands the arena
 //! back; the next one starts from an empty arena and grows it again).
 //!
-//! The superinstruction interpreter of those engines runs on the arena:
+//! The superinstruction interpreter of that engine runs on the arena:
 //! [`RunArena::macro_step_window`] retires as many ops of one process as
 //! the rings allow, without returning to the engine (see `crate::batch`
 //! and `docs/scheduler.md`). The rendezvous engines interpret the same
@@ -243,8 +243,8 @@ impl Rings {
 pub(crate) struct RunArena {
     pub(crate) regs: Vec<Regs>,
     /// Per process: the terminal empty step has been accounted. Dense and
-    /// apart from the registers — the engines' sweeps skip finished
-    /// processes by it, round after round.
+    /// apart from the registers — the sweep skips retired windows by it,
+    /// pass after pass.
     done: Vec<bool>,
     /// One local per stream of the source program, per process.
     pub(crate) locals: Vec<Value>,
@@ -335,11 +335,6 @@ impl RunArena {
             + self.waves.footprint_bytes()
     }
 
-    /// Whether `pid` has retired its terminal step.
-    pub(crate) fn done(&self, pid: ProcId) -> bool {
-        self.done[pid]
-    }
-
     /// Whether the window of `pid`'s ops ending at `end` has retired:
     /// the pc is past it, and — for the last window, which owns the
     /// terminal empty step — that step has been accounted.
@@ -347,13 +342,13 @@ impl RunArena {
         self.done[pid] || (self.regs[pid].pc >= end && end != module.procs[pid].ops.1)
     }
 
-    /// The superinstruction path of the two cooperative fast engines,
-    /// bounded to the ops `start..end` of process `pid` (one node of the
-    /// wavefront plan; the batched engine passes the whole op range):
-    /// retire as many ops as the rings allow without returning to the
-    /// engine. Fused paths drain whole `Pass` repetitions and whole
-    /// `Compute` receive/body/send cycles in a tight loop; values move
-    /// through the rings instead of rendezvous sets.
+    /// The superinstruction path of the cooperative fast engine, bounded
+    /// to the ops `start..end` of process `pid` (one node of the
+    /// wavefront plan): retire as many ops as the rings allow without
+    /// returning to the engine. Fused paths drain whole `Pass`
+    /// repetitions and whole `Compute` receive/body/send cycles in a
+    /// tight loop; values move through the rings instead of rendezvous
+    /// sets.
     ///
     /// Runs only while `start ≤ pc < end` — a window whose predecessor
     /// has not retired yet is not startable and returns `false`
@@ -365,9 +360,9 @@ impl RunArena {
     /// communication sets and transfers exactly as the rendezvous
     /// engines would (steps on each completed set plus one terminal
     /// empty step; one message per value transferred, counted at the
-    /// push), so batched runs stay stat-comparable. Every successful
-    /// ring push/pop also bumps `*moved` — the engines' progress signal
-    /// for deadlock detection.
+    /// push), so fast runs stay stat-comparable. Every successful ring
+    /// push/pop also bumps `*moved` — the engine's progress signal for
+    /// deadlock detection.
     pub(crate) fn macro_step_window(
         &mut self,
         module: &ProcIrModule,
@@ -697,7 +692,7 @@ mod tests {
         assert_eq!((moved, arena.rings.len(0)), (2, 2));
         assert_eq!(arena.macro_wait(&m, 0).as_deref(), Some("send@0"));
         arena.reset(&m, &[3]);
-        assert!(arena.rings.len(0) == 0 && !arena.done(0));
+        assert!(arena.rings.len(0) == 0 && !arena.done[0]);
         for pid in [0, 1] {
             assert!(arena.macro_step_window(&m, pid, m.procs[pid].ops, &mut stats, &mut moved));
         }

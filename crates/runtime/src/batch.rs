@@ -1,7 +1,9 @@
 //! Steady-state rendezvous batching: the post-elaboration analysis that
-//! proves which channels may carry more than one in-flight value. (The
-//! rings the batched executors move those values through are spans of
-//! the run arena's one slab, `crate::arena`.)
+//! proves which channels may carry more than one in-flight value — the
+//! gate of the cooperative fast engine (`crate::wavefront`), whose plan
+//! is derived from this one and inherits its reject. (The rings that
+//! engine moves values through are spans of the run arena's one slab,
+//! `crate::arena`.)
 //!
 //! The paper's generated processes are statically-scheduled traces
 //! (DESIGN.md §3): each channel's total traffic and both endpoints are
@@ -13,15 +15,16 @@
 //! order whatever the handshake timing (the Kahn network determinism
 //! argument; see `docs/scheduler.md` for the full safety story). The
 //! analysis therefore grants each steady channel a batch width `k > 1`,
-//! letting the engines retire up to `k` transfers per visit through a
-//! ring of that capacity instead of one rendezvous handshake per value.
+//! the ring capacity below which no fast run goes, so up to `k`
+//! transfers retire per visit instead of one rendezvous handshake per
+//! value.
 //!
 //! Channels that carry a `load`/`recover` endpoint (`Keep`/`Eject`) are
 //! pinned to width 1, and any shape the analysis cannot prove — two
 //! producers, unbalanced endpoint traffic, a one-sided channel — rejects
 //! the whole module, falling back to the rendezvous engines. Rejection
-//! is a performance decision, never a correctness one: the batched and
-//! unbatched paths are pinned bit-identical (stores, `messages`,
+//! is a performance decision, never a correctness one: the fast and
+//! rendezvous paths are pinned bit-identical (stores, `messages`,
 //! `steps`) by `tests/ladder.rs` and `tests/batching.rs`.
 
 use crate::process::ChanId;
@@ -33,7 +36,7 @@ use crate::procir::{ProcId, ProcIrModule, ProcOp};
 pub const DEFAULT_BATCH_WIDTH: u64 = 64;
 
 /// Whether a run may take the macro-stepping fast path. `Auto` engages
-/// batching when the analysis proves the module and the run attaches no
+/// it when the analysis proves the module and the run attaches no
 /// recorder and no non-FIFO schedule policy; `Off` forces the
 /// rendezvous engines unconditionally (the `--batch off` CLI switch).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -67,8 +70,8 @@ pub struct BatchPlan {
     /// else its first disqualifier: a second producer or consumer, an
     /// endpoint process whose moving-link set exceeds the VM's 64-bit
     /// par-set mask, or unbalanced (possibly one-sided) traffic. Every
-    /// channel that forces the batched and wavefront paths to fall back
-    /// has one, not only the channel [`BatchPlan::reject_reason`] names
+    /// channel that forces the fast path to fall back has one, not only
+    /// the channel [`BatchPlan::reject_reason`] names
     /// (`--opt-report` and the metrics report list them all).
     pub channel_reasons: Vec<Option<String>>,
     reject: Option<String>,

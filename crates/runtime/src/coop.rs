@@ -28,11 +28,10 @@
 //! Deadlock is detected exactly: unfinished processes with no enabled
 //! rendezvous.
 
-use crate::process::{ChanId, CommReq, Process, Value};
+use crate::process::{lock, ChanId, CommReq, Process, Value};
 use crate::record::{SharedRecorder, Transfer, QUEUE_ENDPOINT};
 use crate::schedule::{SchedulePolicy, STARVATION_LIMIT};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Channel behaviour for the ablation experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -355,7 +354,7 @@ impl Network {
         if !self.recorders.is_empty() {
             let labels: Vec<String> = self.procs.iter().map(|p| p.proc.label()).collect();
             for r in &self.recorders {
-                r.lock().start(&labels);
+                lock(r).start(&labels);
             }
         }
         // Prime every process.
@@ -365,7 +364,7 @@ impl Network {
         loop {
             if self.unfinished == 0 {
                 for r in &self.recorders {
-                    r.lock().end(self.stats.rounds);
+                    lock(r).end(self.stats.rounds);
                 }
                 return Ok(self.stats.clone());
             }
@@ -428,7 +427,7 @@ impl Network {
         let recording = !self.recorders.is_empty();
         if recording {
             for r in &self.recorders {
-                r.lock().step(self.stats.rounds, pi);
+                lock(r).step(self.stats.rounds, pi);
             }
         }
 
@@ -441,7 +440,7 @@ impl Network {
             self.unfinished -= 1;
             if recording {
                 for r in &self.recorders {
-                    r.lock().finished(self.stats.rounds, pi);
+                    lock(r).finished(self.stats.rounds, pi);
                 }
             }
             return Ok(());
@@ -559,7 +558,7 @@ impl Network {
                             receiver_wait: now - r_since,
                         };
                         for r in &self.recorders {
-                            r.lock().transfer(&ev);
+                            lock(r).transfer(&ev);
                         }
                     }
                     self.complete(spi, sri, None);
@@ -607,7 +606,7 @@ impl Network {
                                 receiver_wait: now - r_since,
                             };
                             for r in &self.recorders {
-                                r.lock().transfer(&ev);
+                                lock(r).transfer(&ev);
                             }
                         }
                         self.complete(pi, ri, Some(v));
@@ -627,7 +626,7 @@ impl Network {
                                 receiver_wait: 0,
                             };
                             for r in &self.recorders {
-                                r.lock().transfer(&ev);
+                                lock(r).transfer(&ev);
                             }
                         }
                         self.complete(pi, ri, None);
@@ -691,55 +690,21 @@ fn since_mut(since: &mut Vec<(u64, u64)>, chan: ChanId) -> &mut (u64, u64) {
     &mut since[chan]
 }
 
-/// The batched cooperative engine: macro-step every process over the
-/// per-channel rings of a proven [`BatchPlan`](crate::batch::BatchPlan),
-/// retiring up to a full batch of transfers per visit instead of one
-/// rendezvous handshake per round (see `crate::batch` and
-/// `docs/scheduler.md`). Nothing is instantiated: the run state is the
-/// thread's run arena (`crate::arena`), reset to this module.
-///
-/// Sweeps processes in ascending pid order until all finish; a sweep
-/// that moves nothing with unfinished processes left is a deadlock,
-/// reported in the same `label [wait,...]` shape as
-/// [`Network::run`]'s. `stats.rounds` counts macro-sweeps — the round
-/// structure is collapsed by design — while `messages` and `steps` are
-/// the same logical counts the rendezvous engine reports, and the
-/// recovered stores are bit-identical (pinned by `tests/batching.rs`).
-pub fn run_coop_batched(
-    module: &Arc<crate::procir::ProcIrModule>,
-    plan: &crate::batch::BatchPlan,
+/// The rendezvous oracle on a bytecode module: one fresh [`Network`] run
+/// of its instance, with the stats and every output buffer — what the
+/// fast engine's unit tests hold it to.
+#[cfg(test)]
+pub(crate) fn run_plain(
+    module: &std::sync::Arc<crate::procir::ProcIrModule>,
 ) -> Result<(RunStats, Vec<Vec<Value>>), RunError> {
-    debug_assert!(plan.batchable(), "caller checks BatchPlan::batchable");
-    crate::arena::with_arena(|arena| {
-        arena.reset(module, &plan.widths);
-        let n = module.procs.len();
-        let mut stats = RunStats {
-            processes: n,
-            ..RunStats::default()
-        };
-        let mut unfinished = n;
-        while unfinished > 0 {
-            let mut moved = 0u64;
-            for (pid, rec) in module.procs.iter().enumerate() {
-                if !arena.done(pid)
-                    && arena.macro_step_window(module, pid, rec.ops, &mut stats, &mut moved)
-                {
-                    unfinished -= 1;
-                }
-            }
-            stats.rounds += 1;
-            if moved == 0 && unfinished > 0 {
-                let blocked = (0..n)
-                    .filter_map(|pid| {
-                        let wait = arena.macro_wait(module, pid)?;
-                        Some(format!("{} [{}]", module.label_of(pid), wait))
-                    })
-                    .collect();
-                return Err(RunError::Deadlock(Deadlock { blocked }));
-            }
-        }
-        Ok((stats, std::mem::take(&mut arena.outputs)))
-    })
+    let inst = module.instantiate();
+    let mut net = Network::new(ChannelPolicy::Rendezvous);
+    for p in inst.procs {
+        net.add(p);
+    }
+    let stats = net.run()?;
+    let take = |sink: &crate::process::SinkBuffer| std::mem::take(&mut *lock(sink));
+    Ok((stats, inst.outputs.iter().map(take).collect()))
 }
 
 #[cfg(test)]
@@ -768,7 +733,7 @@ mod tests {
         b.sink(1, 3, "sink");
         let (net, outs) = net_of(b, ChannelPolicy::Rendezvous);
         let stats = net.run().unwrap();
-        assert_eq!(*outs[0].lock(), vec![1, 2, 3]);
+        assert_eq!(*lock(&outs[0]), vec![1, 2, 3]);
         assert_eq!(stats.messages, 6, "3 values over 2 hops");
         assert_eq!(stats.processes, 3);
     }
@@ -865,7 +830,7 @@ mod tests {
         b.sink(k, n, "sink");
         let (net, outs) = net_of(b, ChannelPolicy::Rendezvous);
         let stats = net.run().unwrap();
-        assert_eq!(outs[0].lock().len(), n);
+        assert_eq!(lock(&outs[0]).len(), n);
         // Pipelined: rounds ~ n + k, not n * k.
         assert!(
             stats.rounds <= (2 * (n + k)) as u64,
@@ -882,7 +847,7 @@ mod tests {
         b.sink(0, 2, "sink");
         let (net, outs) = net_of(b, ChannelPolicy::Buffered(8));
         let stats = net.run().unwrap();
-        assert_eq!(*outs[0].lock(), vec![5, 6]);
+        assert_eq!(*lock(&outs[0]), vec![5, 6]);
         // Each value counts twice: enqueue + dequeue.
         assert_eq!(stats.messages, 4);
     }
@@ -896,7 +861,7 @@ mod tests {
         b.sink(0, 3, "sink");
         let (net, outs) = net_of(b, ChannelPolicy::Buffered(1));
         let stats = net.run().unwrap();
-        assert_eq!(*outs[0].lock(), vec![1, 2, 3]);
+        assert_eq!(*lock(&outs[0]), vec![1, 2, 3]);
         assert_eq!(stats.messages, 6);
     }
 
@@ -910,8 +875,8 @@ mod tests {
         let (net, outs) = net_of(b, ChannelPolicy::Rendezvous);
         let stats = net.run().unwrap();
         assert_eq!(stats.rounds, 1, "independent channels fire simultaneously");
-        assert_eq!(*outs[0].lock(), vec![1]);
-        assert_eq!(*outs[1].lock(), vec![2]);
+        assert_eq!(*lock(&outs[0]), vec![1]);
+        assert_eq!(*lock(&outs[1]), vec![2]);
     }
 
     /// An ad-hoc process exercising par-sets: receives from two channels
@@ -927,7 +892,7 @@ mod tests {
     impl crate::process::Process for Join {
         fn step(&mut self, received: &[Value]) -> Vec<CommReq> {
             if received.len() == 2 {
-                self.out.lock().push(received[0] + received[1]);
+                lock(&self.out).push(received[0] + received[1]);
             }
             if self.rounds == 0 {
                 return vec![];
@@ -958,7 +923,7 @@ mod tests {
             rounds: 2,
         }));
         net.run().unwrap();
-        assert_eq!(*buf.lock(), vec![3, 30]);
+        assert_eq!(*lock(&buf), vec![3, 30]);
     }
 
     /// Reverses the firing order and the ready order every round — the
@@ -1008,7 +973,7 @@ mod tests {
             net.set_schedule_policy(p);
         }
         let stats = net.run().unwrap();
-        let out = outs[0].lock().clone();
+        let out = lock(&outs[0]).clone();
         (stats, out)
     }
 
@@ -1054,64 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_pipeline_matches_unbatched_logical_stats() {
-        let build = || {
-            let mut b = ProcIrBuilder::new();
-            b.source(0, &(0..50).collect::<Vec<_>>(), "src");
-            b.relay(0, 1, 50, "relay");
-            b.sink(1, 50, "sink");
-            b
-        };
-        let (net, outs) = net_of(build(), ChannelPolicy::Rendezvous);
-        let base = net.run().unwrap();
-        let base_out = outs[0].lock().clone();
-
-        let module = build().build();
-        let plan = crate::batch::analyze(&module);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let (stats, outs) = run_coop_batched(&module, &plan).unwrap();
-        assert_eq!(outs[0], base_out, "stores bit-identical");
-        assert_eq!(stats.messages, base.messages, "logical messages invariant");
-        assert_eq!(stats.steps, base.steps, "logical steps invariant");
-        assert!(
-            stats.rounds < base.rounds,
-            "batching must collapse the sweep count: {} vs {}",
-            stats.rounds,
-            base.rounds
-        );
-    }
-
-    #[test]
-    fn batched_cycle_deadlock_is_reported_with_waits() {
-        // Two passes in a cycle with nothing in flight: balanced traffic
-        // (so the analysis accepts), but both start with a pop from an
-        // empty ring — the batched engine must diagnose, not spin.
-        let mut b = ProcIrBuilder::new();
-        b.begin("fwd");
-        b.op(crate::procir::ProcOp::Pass {
-            inp: 0,
-            out: 1,
-            n: 2,
-        });
-        b.finish();
-        b.begin("bwd");
-        b.op(crate::procir::ProcOp::Pass {
-            inp: 1,
-            out: 0,
-            n: 2,
-        });
-        b.finish();
-        let module = b.build();
-        let plan = crate::batch::analyze(&module);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let err = run_coop_batched(&module, &plan).unwrap_err();
-        let d = err.as_deadlock().expect("deadlock, not another error");
-        assert_eq!(d.blocked.len(), 2);
-        assert!(d.blocked[0].contains("fwd [recv@0]"), "{:?}", d.blocked);
-        assert!(d.blocked[1].contains("bwd [recv@1]"), "{:?}", d.blocked);
-    }
-
-    #[test]
     fn transfers_are_ordered_by_channel_within_a_round() {
         // Register the higher channel first; the event log must still
         // list channel 0 before channel 1 within the round.
@@ -1125,8 +1032,7 @@ mod tests {
         net.add_recorder(erased);
         let stats = net.run().unwrap();
         assert_eq!(stats.rounds, 1);
-        let fired: Vec<(u64, ChanId, Value)> = log
-            .lock()
+        let fired: Vec<(u64, ChanId, Value)> = lock(&log)
             .transfers()
             .iter()
             .map(|t| (t.time, t.chan, t.value))

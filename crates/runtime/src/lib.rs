@@ -6,13 +6,14 @@
 //! sets, host-side sources and sinks.
 //!
 //! - [`process`] — the [`Process`] coroutine trait and the channel
-//!   vocabulary ([`CommReq`], [`ChanId`], [`Value`]);
+//!   vocabulary ([`CommReq`], [`ChanId`], [`Value`]), and [`lock`], the
+//!   one poison-tolerant way into the mutexes the engines share;
 //! - [`procir`] — the flat process bytecode ([`ProcIrModule`]) that every
 //!   elaborated process lowers to, and the generic VM ([`ProcVm`]) that
 //!   interprets it for the rendezvous engines;
-//! - [`batch`] — the steady-state batching analysis ([`analyze`]) behind
-//!   the cooperative executor's macro-stepping fast paths (see
-//!   `docs/scheduler.md`); those run on one per-thread run arena — flat
+//! - [`batch`] — the steady-state batching analysis ([`analyze`]) that
+//!   gates the cooperative executor's macro-stepping fast path (see
+//!   `docs/scheduler.md`), which runs on one per-thread run arena — flat
 //!   register, local and index tables and a single ring slab, reset per
 //!   run (`arena.rs`);
 //! - [`coop`] — the deterministic cooperative scheduler with rendezvous
@@ -29,9 +30,9 @@
 //!   ([`PerfettoRecorder`]); zero cost when no recorder is attached.
 //! - [`json`] — the workspace's one JSON model ([`Json`]: value, compact
 //!   and report renderers, parser); every report type here builds one.
-//! - [`wavefront`] — the wavefront executor: SCC-condensed, longest-path
-//!   staged chunk sweeps over the batch rings ([`WavefrontPlan`]; see
-//!   `docs/wavefront.md`).
+//! - [`wavefront`] — the wavefront executor, the one cooperative fast
+//!   engine: SCC-condensed, longest-path staged chunk sweeps over the
+//!   batch rings ([`WavefrontPlan`]; see `docs/wavefront.md`).
 //! - [`kernel`] — compiled compute kernels: the typed straight-line
 //!   form of the basic statement ([`Kernel`]), which every engine runs,
 //!   and the struct-of-arrays wave batch executor behind `--kernel auto`
@@ -51,16 +52,14 @@ pub mod schedule;
 pub mod wavefront;
 
 pub use batch::{analyze, analyze_with_caps, BatchMode, BatchPlan, DEFAULT_BATCH_WIDTH};
-pub use coop::{
-    run_coop_batched, ChannelPolicy, Deadlock, Network, ProtocolViolation, RunError, RunStats,
-};
+pub use coop::{ChannelPolicy, Deadlock, Network, ProtocolViolation, RunError, RunStats};
 pub use json::Json;
 pub use kernel::{
     analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport, KERNEL_MAX_OPS,
 };
 pub use opt::{optimize, ChainRecord, OptMode, OptReport, OptimizedModule};
 pub use partition::{block_partition, run_partitioned};
-pub use process::{sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
+pub use process::{lock, sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 pub use procir::{
     Instance, MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord, ProcVm,
 };
@@ -70,6 +69,6 @@ pub use record::{
     Recorder, SharedRecorder, Transfer, QUEUE_ENDPOINT,
 };
 pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, STARVATION_LIMIT};
-pub use wavefront::{
-    analyze_wavefront, run_wavefront, WavefrontMode, WavefrontPlan, Window, WAVEFRONT_RING_CAP,
-};
+#[doc(hidden)]
+pub use wavefront::run_coop_batched;
+pub use wavefront::{analyze_wavefront, run_wavefront, WavefrontPlan, Window, WAVEFRONT_RING_CAP};

@@ -44,7 +44,7 @@ use crate::procir::{MovingLink, ProcId, ProcIrModule, ProcOp, ProcRecord};
 use std::sync::Arc;
 
 /// Whether a run may apply the optimizer at all. `Auto` optimizes
-/// whenever the module proves out (and the run is on the batched path —
+/// whenever the module proves out (and the run is on the fast path —
 /// delay rings only exist there); `Off` keeps the elaborated module
 /// verbatim and is the exactness oracle (`--opt off`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -573,8 +573,23 @@ fn rebuild(
 mod tests {
     use super::*;
     use crate::batch::analyze_with_caps;
-    use crate::coop::run_coop_batched;
+    use crate::coop::run_plain;
     use crate::procir::ProcIrBuilder;
+    use crate::wavefront::{analyze_wavefront, run_wavefront};
+
+    /// The outputs of a fused module on the fast engine, over its delay
+    /// rings, held to the rendezvous engine on the same module (outputs,
+    /// messages, steps).
+    fn run_fused(module: &Arc<ProcIrModule>, caps: &[u64]) -> Vec<Vec<crate::Value>> {
+        let plan = analyze_with_caps(module, caps);
+        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let wf = analyze_wavefront(module, &plan);
+        let (fs, fouts, _) = run_wavefront(module, &wf, None, false).unwrap();
+        let (ps, pouts) = run_plain(module).unwrap();
+        assert_eq!((fs.messages, fs.steps), (ps.messages, ps.steps));
+        assert_eq!(fouts, pouts);
+        fouts
+    }
 
     /// src -> relay -> relay -> relay -> sink: the three relays fuse
     /// into one delay ring on the entry channel and the sink reads the
@@ -599,10 +614,7 @@ mod tests {
         assert!(ch.capacity >= 3, "at least one held slot per relay");
         assert_eq!(o.chan_caps[ch.surviving], ch.capacity);
         // The fused module actually runs and the sink sees the stream.
-        let plan = analyze_with_caps(&o.module, &o.chan_caps);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let (_, outs) = run_coop_batched(&o.module, &plan).unwrap();
-        assert_eq!(outs[0], vals);
+        assert_eq!(run_fused(&o.module, &o.chan_caps)[0], vals);
     }
 
     /// Fusion deletes relays, and relays own no data: the optimized
@@ -635,8 +647,7 @@ mod tests {
         }
         // Other data over the optimized code runs to the other result.
         let bound = o.module.with_data(vec![7, 8, 9, -1, -2, 0]);
-        let plan = analyze_with_caps(&bound, &o.chan_caps);
-        let (_, outs) = run_coop_batched(&bound, &plan).unwrap();
+        let outs = run_fused(&bound, &o.chan_caps);
         assert_eq!(outs[0], vec![7, 8, 9]);
         assert_eq!(outs[1], vec![-1, -2]);
         assert_eq!(outs[2], vec![0]);
@@ -700,9 +711,7 @@ mod tests {
         assert_eq!(o.report.passes_merged, 1, "the two pass 1s merge");
         assert_eq!(o.report.fused_relays(), 2, "relay and keeper both fuse");
         assert_eq!(o.module.procs.len(), 2);
-        let plan = analyze_with_caps(&o.module, &o.chan_caps);
-        let (_, outs) = run_coop_batched(&o.module, &plan).unwrap();
-        assert_eq!(outs[0], vec![3, 4]);
+        assert_eq!(run_fused(&o.module, &o.chan_caps)[0], vec![3, 4]);
     }
 
     /// Consecutive same-pair passes merge; different pairs do not.

@@ -11,10 +11,10 @@
 //! machine model — one asynchronous process per processor — is the
 //! trivial partition, one process per group, and runs through the same
 //! code: that is the `threaded` executor of `systolic_interp::simulate`.
-//! Every process is stepped one rendezvous set at a time: the batched,
-//! wavefront and kernel rungs belong to the cooperative executor alone
-//! (a ring-batched form of this engine kept every ring under one mutex,
-//! measured slower than both cooperative fast rungs on every design and
+//! Every process is stepped one rendezvous set at a time: the wavefront
+//! and kernel rungs belong to the cooperative executor alone (a
+//! ring-batched form of this engine kept every ring under one mutex,
+//! measured slower than the cooperative fast rungs on every design and
 //! size, and was deleted — `docs/scheduler.md` has the table).
 //!
 //! A process offers its whole communication set at once, so `par`
@@ -32,11 +32,10 @@
 //! with a structured [`RunError`] diagnosis instead of panicking a worker.
 
 use crate::coop::{ProtocolViolation, RunError, RunStats};
-use crate::process::{ChanId, CommReq, Process, Value};
+use crate::process::{lock, ChanId, CommReq, Process, Value};
 use crate::record::{SharedRecorder, Transfer};
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -142,7 +141,7 @@ impl Engine {
             receiver_wait: 0,
         };
         for r in &self.recorders {
-            r.lock().transfer(&ev);
+            lock(r).transfer(&ev);
         }
     }
 
@@ -154,7 +153,7 @@ impl Engine {
         }
         let now = self.now();
         for r in &self.recorders {
-            let mut r = r.lock();
+            let mut r = lock(r);
             r.step(now, pid);
             if finished {
                 r.finished(now, pid);
@@ -191,7 +190,7 @@ impl Engine {
     /// Register a process's next (non-empty) communication set; complete
     /// any matches this enables. Caller holds no lock.
     fn register(&self, pid: usize, reqs: &[CommReq]) -> Result<(), RunError> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.sets[pid].remaining = reqs.len();
         st.sets[pid].inbox.clear();
         st.sets[pid].inbox.resize(reqs.len(), None);
@@ -261,7 +260,7 @@ impl Engine {
         received: &mut Vec<Value>,
         timeout: Duration,
     ) -> Result<usize, RunError> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         loop {
             if let Some(i) = members.iter().position(|&m| st.sets[m].ready) {
                 let set = &mut st.sets[members[i]];
@@ -277,7 +276,11 @@ impl Engine {
             if self.aborted.load(Ordering::Relaxed) {
                 return Err(st.failure.clone().unwrap_or(RunError::Aborted));
             }
-            if self.wakeups[gi].wait_for(&mut st, timeout).timed_out() {
+            let (guard, wait) = self.wakeups[gi]
+                .wait_timeout(st, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
+            st = guard;
+            if wait.timed_out() {
                 let err = RunError::Timeout {
                     scope: self.waiting_scope(&st, gi, members),
                 };
@@ -363,7 +366,7 @@ impl Engine {
                     let err = RunError::Spawn {
                         scope: format!("group {gi}: {e}"),
                     };
-                    first_err = Some(self.abort(&mut self.state.lock(), err));
+                    first_err = Some(self.abort(&mut lock(&self.state), err));
                     break;
                 }
             }
@@ -427,7 +430,7 @@ pub fn run_partitioned(
     let labels: Vec<String> = procs.iter().map(|p| p.label()).collect();
     let engine = Arc::new(Engine::new(labels, group_of, groups.len(), recorders));
     for r in &engine.recorders {
-        r.lock().start(&engine.labels);
+        lock(r).start(&engine.labels);
     }
 
     // Distribute process ownership to the group threads.
@@ -441,12 +444,12 @@ pub fn run_partitioned(
         let engine = engine.clone();
         thread.spawn(move || engine.run_group(gi, &members, owned, timeout))
     });
-    let st = engine.state.lock();
+    let st = lock(&engine.state);
     // The root cause, not whichever group's abort joined first.
     let steps = steps.map_err(|e| st.failure.clone().unwrap_or(e))?;
     let now = engine.now();
     for r in &engine.recorders {
-        r.lock().end(now);
+        lock(r).end(now);
     }
     Ok(RunStats {
         rounds: 0,
@@ -494,7 +497,7 @@ mod tests {
         let (procs, buf) = pipeline(5, vec![1, 2, 3]);
         let n = procs.len();
         let stats = run_partitioned(procs, vec![(0..n).collect()], T, Vec::new()).unwrap();
-        assert_eq!(*buf.lock(), vec![1, 2, 3]);
+        assert_eq!(*lock(&buf), vec![1, 2, 3]);
         assert_eq!(stats.processes, n);
     }
 
@@ -504,7 +507,7 @@ mod tests {
         let n = procs.len();
         let groups = vec![(0..n / 2).collect(), (n / 2..n).collect()];
         run_partitioned(procs, groups, T, Vec::new()).unwrap();
-        assert_eq!(*buf.lock(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*lock(&buf), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -535,7 +538,7 @@ mod tests {
             let buf = inst.outputs[0].clone();
             let groups = block_partition(inst.procs.len(), k);
             run_partitioned(inst.procs, groups, T, Vec::new()).unwrap();
-            assert_eq!(*buf.lock(), vec![5, 6], "k = {k}");
+            assert_eq!(*lock(&buf), vec![5, 6], "k = {k}");
         }
     }
 
@@ -640,7 +643,7 @@ mod tests {
         impl Process for Join {
             fn step(&mut self, received: &[Value]) -> Vec<CommReq> {
                 if received.len() == 2 {
-                    self.out.lock().push(received[0] * received[1]);
+                    lock(&self.out).push(received[0] * received[1]);
                 }
                 if self.rounds == 0 {
                     return vec![];
@@ -659,7 +662,7 @@ mod tests {
             rounds: 2,
         }));
         run_partitioned(procs, block_partition(3, 3), T, Vec::new()).unwrap();
-        assert_eq!(*buf.lock(), vec![20, 300]);
+        assert_eq!(*lock(&buf), vec![20, 300]);
     }
 
     #[test]
@@ -674,7 +677,7 @@ mod tests {
         let stats = run_partitioned(inst.procs, block_partition(400, 400), T, Vec::new()).unwrap();
         assert_eq!((stats.processes, stats.messages), (400, 200));
         for (i, buf) in inst.outputs.iter().enumerate() {
-            assert_eq!(*buf.lock(), vec![i as Value]);
+            assert_eq!(*lock(buf), vec![i as Value]);
         }
     }
 
@@ -708,7 +711,7 @@ mod tests {
         assert_eq!(scope, "group 1: no more threads");
         assert_eq!(err.kind(), "spawn");
         // The parked worker saw the same root cause, not a timeout.
-        let failure = engine.state.lock().failure.clone();
+        let failure = lock(&engine.state).failure.clone();
         assert!(
             matches!(failure, Some(RunError::Spawn { .. })),
             "{failure:?}"

@@ -15,7 +15,7 @@
 //! [`crate::ProcIrModule`] bytecode; the trait exists so executors stay
 //! decoupled from the bytecode and tests can script ad-hoc processes.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The scalar carried on channels.
 pub type Value = i64;
@@ -78,11 +78,20 @@ pub trait Process: Send {
 }
 
 /// Shared collection buffer for host-side extraction results.
-pub type SinkBuffer = Arc<parking_lot::Mutex<Vec<Value>>>;
+pub type SinkBuffer = Arc<Mutex<Vec<Value>>>;
 
 /// Build a fresh sink buffer.
 pub fn sink_buffer() -> SinkBuffer {
-    Arc::new(parking_lot::Mutex::new(Vec::new()))
+    Arc::new(Mutex::new(Vec::new()))
+}
+
+/// Enter `mutex`, poisoned or not: a holder that panicked (a worker the
+/// service's pool caught unwinding, say) must not wedge every later run
+/// that shares the sink, recorder or engine state behind it. Sound
+/// because every critical section over them leaves the data valid at
+/// each step (a push, a counter bump, an endpoint claimed or cleared).
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -119,5 +128,19 @@ mod tests {
         p.step_into(&[5], &mut out);
         assert!(out.is_empty(), "empty set terminates");
         assert_eq!(p.label(), "process");
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_entered_not_a_panic() {
+        let buf = sink_buffer();
+        let held = buf.clone();
+        let unwound = std::thread::spawn(move || {
+            let _guard = lock(&held);
+            panic!("a holder unwinds");
+        })
+        .join();
+        assert!(unwound.is_err() && buf.is_poisoned());
+        lock(&buf).push(7);
+        assert_eq!(*lock(&buf), [7]);
     }
 }

@@ -41,7 +41,7 @@
 //! lowering rules and the VM's invariants.
 
 use crate::kernel::Kernel;
-use crate::process::{sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
+use crate::process::{lock, sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 use crate::record::{OpKind, Phase, SharedRecorder};
 use std::sync::Arc;
 
@@ -211,9 +211,9 @@ impl ProcIrModule {
     /// per process plus the output buffers their sinks fill, every VM
     /// reporting its retired op effects to `recorders` (see
     /// `crate::record`; with an empty slice the VMs carry no recording
-    /// state and pay no per-step cost). The cooperative batched and
-    /// wavefront executors instantiate nothing: they reset the thread's
-    /// run arena (`crate::arena`) and interpret the module there.
+    /// state and pay no per-step cost). The wavefront executor
+    /// instantiates nothing: it resets the thread's run arena
+    /// (`crate::arena`) and interprets the module there.
     pub fn instantiate_recorded(self: &Arc<Self>, recorders: &[SharedRecorder]) -> Instance {
         let outputs: Vec<SinkBuffer> = (0..self.n_outputs).map(|_| sink_buffer()).collect();
         let procs = (0..self.procs.len())
@@ -598,7 +598,7 @@ impl ProcVm {
             return;
         }
         for r in &self.recorders {
-            r.lock().vm_op(self.pid, kind, phase);
+            lock(r).vm_op(self.pid, kind, phase);
         }
     }
 
@@ -627,7 +627,7 @@ impl Process for ProcVm {
             }
             Pending::CollectRecv => {
                 if let Some(buf) = &self.out {
-                    buf.lock().push(received[0]);
+                    lock(buf).push(received[0]);
                 }
             }
             Pending::PassRecv { out: oc } => {
@@ -793,7 +793,7 @@ mod tests {
         assert_eq!(s.step(&[]), vec![CommReq::Recv { chan: 3 }]);
         assert_eq!(s.step(&[10]), vec![CommReq::Recv { chan: 3 }]);
         assert!(s.step(&[20]).is_empty());
-        assert_eq!(*outs[0].lock(), vec![10, 20]);
+        assert_eq!(*lock(&outs[0]), vec![10, 20]);
     }
 
     #[test]
@@ -847,7 +847,7 @@ mod tests {
         assert_eq!(sink.step(&[5]), vec![CommReq::Recv { chan: 3 }]);
         assert_eq!(sink.step(&[6]), vec![CommReq::Recv { chan: 2 }]);
         assert!(sink.step(&[7]).is_empty());
-        assert_eq!(*outs[0].lock(), vec![5, 6, 7]);
+        assert_eq!(*lock(&outs[0]), vec![5, 6, 7]);
     }
 
     #[test]
@@ -864,7 +864,7 @@ mod tests {
                 net.add(p);
             }
             net.run().unwrap();
-            assert_eq!(*inst.outputs[0].lock(), vec![4, 5]);
+            assert_eq!(*lock(&inst.outputs[0]), vec![4, 5]);
         }
     }
 
@@ -905,8 +905,8 @@ mod tests {
             net.add(p);
         }
         net.run().unwrap();
-        assert_eq!(*inst.outputs[0].lock(), vec![2, 3, 4], "a passes through");
-        assert_eq!(*inst.outputs[1].lock(), vec![10 + 2 + 3 + 4]);
+        assert_eq!(*lock(&inst.outputs[0]), vec![2, 3, 4], "a passes through");
+        assert_eq!(*lock(&inst.outputs[1]), vec![10 + 2 + 3 + 4]);
     }
 
     #[test]
@@ -963,8 +963,8 @@ mod tests {
             net.add(p);
         }
         net.run().unwrap();
-        assert_eq!(*inst.outputs[0].lock(), vec![100, 2, 3, 100], "FIFO order");
+        assert_eq!(*lock(&inst.outputs[0]), vec![100, 2, 3, 100], "FIFO order");
         // Iterations see x = 5 then 6: 2*5 + 3*6 = 28.
-        assert_eq!(*inst.outputs[1].lock(), vec![28]);
+        assert_eq!(*lock(&inst.outputs[1]), vec![28]);
     }
 }

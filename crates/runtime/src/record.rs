@@ -44,9 +44,8 @@
 
 use crate::json::Json;
 use crate::process::{ChanId, Value};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Endpoint pseudo-id used by [`ChannelPolicy::Buffered`] transfers: an
 /// enqueue has no receiving process yet (the value parks in the queue)
@@ -747,6 +746,7 @@ impl Recorder for PerfettoRecorder {
 mod tests {
     use super::*;
     use crate::coop::{ChannelPolicy, Network};
+    use crate::process::lock;
     use crate::procir::ProcIrBuilder;
 
     /// Run a builder's module under the given recorders.
@@ -801,7 +801,7 @@ mod tests {
         b.sink(1, n, "sink");
         let (metrics, erased) = shared(MetricsRecorder::new());
         let stats = run_recorded(b, &[erased]);
-        let report = metrics.lock().report();
+        let report = lock(&metrics).report();
 
         let steps: Vec<u64> = report.processes.iter().map(|p| p.steps).collect();
         assert_eq!(steps, vec![n as u64 + 1, 2 * n as u64 + 1, n as u64 + 1]);
@@ -887,7 +887,7 @@ mod tests {
             net.add(p);
         }
         let stats = net.run().unwrap();
-        let report = metrics.lock().report();
+        let report = lock(&metrics).report();
         let comp = &report.processes[0];
         assert_eq!(comp.phases[Phase::Load as usize], 1, "one keep");
         assert_eq!(comp.phases[Phase::Soak as usize], 1, "one soak pass");
@@ -916,7 +916,7 @@ mod tests {
         b.sink(2, 3, "sink");
         let (metrics, erased) = shared(MetricsRecorder::new());
         let stats = run_recorded(b, &[erased]);
-        let report = metrics.lock().report();
+        let report = lock(&metrics).report();
         // The sink parks on channel 2 in round 0 but the first value
         // arrives only after crossing both relays.
         assert!(report.channels[2].max_receiver_wait >= 1);
@@ -934,12 +934,12 @@ mod tests {
         b.sink(0, 2, "sink \"quoted\"");
         let (metrics, erased) = shared(MetricsRecorder::new());
         run_recorded(b, &[erased]);
-        let json = metrics.lock().report().to_json();
+        let json = lock(&metrics).report().to_json();
         assert!(json.contains("\"schema\": \"systolic-metrics-v1\""));
         assert!(json.contains("\\\"quoted\\\""), "labels are escaped");
         assert_eq!(
             crate::json::parse(&json),
-            Ok(metrics.lock().report().json())
+            Ok(lock(&metrics).report().json())
         );
     }
 
@@ -951,7 +951,7 @@ mod tests {
         b.sink(1, 4, "sink");
         let (perfetto, erased) = shared(PerfettoRecorder::new());
         run_recorded(b, &[erased]);
-        let rec = perfetto.lock();
+        let rec = lock(&perfetto);
         // Per-track timestamps are monotone non-decreasing.
         let mut last: std::collections::BTreeMap<(u32, u64), u64> = Default::default();
         assert!(!rec.events().is_empty());

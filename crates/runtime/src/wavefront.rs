@@ -1,16 +1,15 @@
-//! The wavefront executor: a fourth execution engine that turns a
-//! batch-eligible module into a topologically staged sweep.
+//! The wavefront executor: the cooperative fast engine, which runs a
+//! batch-eligible module as a topologically staged sweep.
 //!
 //! The paper's step function assigns every elaborated operation a global
 //! time step, so in the steady state the whole array advances as a
 //! sequence of *wavefronts*: all sources fire, then every process one
-//! hop downstream, and so on. The batched executors already exploit the
-//! per-channel half of this (ring buffers let a producer run a whole
-//! batch ahead — see `crate::batch`), but they still visit processes in
-//! ascending pid order, which interleaves producers and consumers
-//! arbitrarily and costs many macro-sweeps before a value reaches the
-//! far edge of the array. This module derives the wave structure once
-//! per module — a [`WavefrontPlan`] — and executes it directly:
+//! hop downstream, and so on. The batch proof (`crate::batch`) supplies
+//! the per-channel half of this — ring buffers let a producer run a whole
+//! batch ahead — and this module derives the wave structure once per
+//! module — a [`WavefrontPlan`] — and executes it directly, so a value
+//! reaches the far edge of the array in one pass instead of one
+//! pid-order sweep per hop:
 //!
 //! 1. **Graph**: the paper's computation process is a *sequence of
 //!    phases* — load, soak, the repeater, drain, recover (Sec. 4) — and
@@ -46,9 +45,9 @@
 //!
 //! Execution then macro-steps each chunk to a local fixpoint, wave by
 //! wave (`RunArena::macro_step_window` is the superinstruction
-//! interpreter the batched executor uses, bounded to the window's ops;
-//! all run state is the thread's run arena, `crate::arena`), repeating
-//! the pass until every process retires; after the first pass only
+//! interpreter, bounded to the window's ops; all run state is the
+//! thread's run arena, `crate::arena`), repeating the pass until every
+//! process retires; after the first pass only
 //! chunks a progressing neighbour re-dirtied are revisited, so the
 //! steady state sweeps the active frontier, not the module.
 //! Kernel-eligible compute windows of a wave first batch their
@@ -61,8 +60,8 @@
 //! `docs/scheduler.md` and `docs/wavefront.md`): scheduling order and
 //! buffer slack change neither the value streams nor the per-op logical
 //! accounting, so stores stay bit-identical to the sequential oracle and
-//! `messages`/`steps` invariant; only `rounds` (grand sweeps here)
-//! differs, exactly as between the rendezvous and batched engines.
+//! `messages`/`steps` invariant; only `rounds` (grand sweeps here, not
+//! rendezvous rounds) differs from the rendezvous engines'.
 
 use crate::arena::{with_arena, RunArena};
 use crate::batch::BatchPlan;
@@ -78,31 +77,6 @@ use std::sync::Arc;
 /// bounding memory on adversarial traffic; channels busier than this
 /// simply take more grand sweeps.
 pub const WAVEFRONT_RING_CAP: u64 = 4096;
-
-/// Whether a run may take the wavefront path. `Auto` engages it whenever
-/// the plan proves out under the same gate as batching (rendezvous
-/// policy, no recorders, FIFO schedule hook); `Off` forces the batched or
-/// rendezvous fallbacks (`--wavefront off`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WavefrontMode {
-    #[default]
-    Auto,
-    Off,
-}
-
-impl WavefrontMode {
-    /// The names `--wavefront` and the service's `"wavefront"` accept, default first.
-    pub const NAMES: &'static [(&'static str, WavefrontMode)] =
-        &[("auto", WavefrontMode::Auto), ("off", WavefrontMode::Off)];
-
-    // `WavefrontMode::Par` is not a mode: the frozen
-    // `benchmark/src/layers.rs:115` writes that path for its
-    // `wavefront_par` rung, which therefore times `Auto`. Goes with that
-    // rung in the `[benchmark]` PR of ROADMAP 2(b).
-    #[doc(hidden)]
-    #[allow(non_upper_case_globals)]
-    pub const Par: WavefrontMode = WavefrontMode::Auto;
-}
 
 /// One node of the wave graph: ops `start..end` (absolute into
 /// `ProcIrModule::ops`) of process `pid`. A process's windows tile its op
@@ -296,9 +270,10 @@ struct Run {
 }
 
 /// Derive the wave structure from a module and its batch analysis. A
-/// module the batch proof rejects is ineligible with the same reason —
-/// the wavefront executor inherits every safety obligation of the
-/// batched ones and adds the staging on top.
+/// module the batch proof rejects is ineligible with the same reason and
+/// every other module is eligible — the wavefront executor inherits
+/// every safety obligation of the batch proof and adds the staging on
+/// top, so a module that passes the fast-path gate always has a plan.
 pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan) -> WavefrontPlan {
     if let Some(r) = plan.reject_reason() {
         return WavefrontPlan {
@@ -660,8 +635,7 @@ pub fn run_wavefront(
     module: &Arc<ProcIrModule>,
     plan: &WavefrontPlan,
     kernels: Option<&KernelPlan>,
-    // Ignored: the frozen `benchmark/src/stages.rs:106` passes a fourth
-    // `bool`. Goes with that call in the `[benchmark]` PR of ROADMAP 2(b).
+    // Ignored, spelled by the frozen `benchmark/src/stages.rs:106`; goes with ROADMAP 2(b).
     _parallel: bool,
 ) -> Result<(RunStats, Vec<Vec<Value>>, KernelReport), RunError> {
     debug_assert!(plan.eligible(), "caller checks WavefrontPlan::eligible");
@@ -671,6 +645,16 @@ pub fn run_wavefront(
         arena.waves = waves;
         result
     })
+}
+
+// Spelled by the frozen `benchmark/src/stages.rs:119`; goes with ROADMAP 2(b).
+#[doc(hidden)]
+pub fn run_coop_batched(
+    module: &Arc<ProcIrModule>,
+    plan: &BatchPlan,
+) -> Result<(RunStats, Vec<Vec<Value>>), RunError> {
+    let (stats, sinks, _) = run_wavefront(module, &analyze_wavefront(module, plan), None, false)?;
+    Ok((stats, sinks))
 }
 
 /// [`run_wavefront`] on the thread's arena.
@@ -766,8 +750,26 @@ fn sweep_waves(
 mod tests {
     use super::*;
     use crate::batch::analyze;
-    use crate::coop::run_coop_batched;
+    use crate::coop::run_plain;
     use crate::procir::ProcIrBuilder;
+
+    type Outcome = (RunStats, Vec<Vec<Value>>);
+
+    /// `m` on the wavefront engine (kernels as given) held to the plain
+    /// rendezvous engine on the same module: the same outputs, messages,
+    /// steps and processes. Returns the wavefront run.
+    fn against_the_oracle(
+        m: &Arc<ProcIrModule>,
+        wf: &WavefrontPlan,
+        kernels: Option<&KernelPlan>,
+    ) -> (Outcome, KernelReport) {
+        let (ws, wouts, report) = run_wavefront(m, wf, kernels, false).unwrap();
+        let (ps, pouts) = run_plain(m).unwrap();
+        let logical = |s: &RunStats| (s.messages, s.steps, s.processes);
+        assert_eq!(logical(&ws), logical(&ps), "wavefront vs rendezvous");
+        assert_eq!(wouts, pouts, "wavefront vs rendezvous");
+        ((ws, wouts), report)
+    }
 
     fn pipeline_module() -> Arc<ProcIrModule> {
         let mut b = ProcIrBuilder::new();
@@ -792,34 +794,18 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_matches_the_batched_run_bit_for_bit() {
+    fn a_pipeline_drains_in_one_grand_sweep_with_the_rendezvous_answer() {
         let m = pipeline_module();
         let plan = analyze(&m);
         let wf = analyze_wavefront(&m, &plan);
-        let (bs, bout) = run_coop_batched(&m, &plan).unwrap();
-        let (ws, wout, _) = run_wavefront(&m, &wf, None, false).unwrap();
-        assert_eq!(ws.messages, bs.messages);
-        assert_eq!(ws.steps, bs.steps);
-        assert_eq!(ws.processes, bs.processes);
-        assert_eq!(bout, wout);
-    }
-
-    #[test]
-    fn a_pipeline_drains_in_a_constant_number_of_grand_sweeps() {
-        let m = pipeline_module();
-        let plan = analyze(&m);
-        let wf = analyze_wavefront(&m, &plan);
-        let (ws, _, _) = run_wavefront(&m, &wf, None, false).unwrap();
+        let ((ws, wouts), _) = against_the_oracle(&m, &wf, None);
+        assert_eq!(wouts, [(0..200).collect::<Vec<_>>()]);
         // Topological order + traffic-wide rings: the whole 200-value
-        // stream flows source->sink in the first grand sweep.
+        // stream flows source->sink in the first grand sweep, where the
+        // rendezvous engine takes a round per hop and value.
         assert_eq!(ws.rounds, 1, "one grand sweep drains the pipeline");
-        let (bs, _) = run_coop_batched(&m, &plan).unwrap();
-        assert!(
-            bs.rounds >= ws.rounds,
-            "pid-order sweeps ({}) cannot beat staged ones ({})",
-            bs.rounds,
-            ws.rounds
-        );
+        let (ps, _) = run_plain(&m).unwrap();
+        assert!(ps.rounds > 200, "{} rendezvous rounds", ps.rounds);
     }
 
     #[test]
@@ -843,9 +829,29 @@ mod tests {
         assert!(wf.eligible());
         assert_eq!(wf.n_waves(), 1);
         assert_eq!(wf.n_chunks(), 1, "the cycle is one chunk");
-        let (ws, _, _) = run_wavefront(&m, &wf, None, false).unwrap();
-        let (bs, _) = run_coop_batched(&m, &plan).unwrap();
-        assert_eq!((ws.messages, ws.steps), (bs.messages, bs.steps));
+        against_the_oracle(&m, &wf, None);
+    }
+
+    #[test]
+    fn a_cycle_with_nothing_in_flight_deadlocks_like_the_rendezvous_run() {
+        // Two passes in a cycle: balanced traffic (so the batch proof
+        // accepts), but both start with a pop from an empty ring — the
+        // sweep must diagnose, not spin, and name what the oracle names.
+        let mut b = ProcIrBuilder::new();
+        for (label, inp, out) in [("fwd", 0, 1), ("bwd", 1, 0)] {
+            b.begin(label);
+            b.op(ProcOp::Pass { inp, out, n: 2 });
+            b.finish();
+        }
+        let m = b.build();
+        let plan = analyze(&m);
+        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let wf = analyze_wavefront(&m, &plan);
+        let err = run_wavefront(&m, &wf, None, false).unwrap_err();
+        let d = err.as_deadlock().expect("deadlock, not another error");
+        assert_eq!(d.blocked, ["fwd [recv@0]", "bwd [recv@1]"]);
+        let oracle = run_plain(&m).unwrap_err();
+        assert_eq!(oracle.as_deadlock().unwrap().blocked, d.blocked);
     }
 
     #[test]
@@ -968,8 +974,8 @@ mod tests {
         b.build()
     }
 
-    /// Kernel run, `--kernel off` run and batched run of `m` agree bit
-    /// for bit; returns the outputs and the kernel report.
+    /// Kernel run, `--kernel off` run and rendezvous run of `m` agree
+    /// bit for bit; returns the outputs and the kernel report.
     fn kernel_gate_is_invisible(
         m: &Arc<ProcIrModule>,
         ctx: &str,
@@ -978,17 +984,14 @@ mod tests {
         assert!(plan.batchable(), "{ctx}: {:?}", plan.reject_reason());
         let wf = analyze_wavefront(m, &plan);
         let kp = crate::kernel::analyze_kernels(m, &wf);
-        let (bs, bouts) = run_coop_batched(m, &plan).unwrap();
-        let (ss, souts, _) = run_wavefront(m, &wf, None, false).unwrap();
-        let (ks, kouts, report) = run_wavefront(m, &wf, Some(&kp), false).unwrap();
+        let (scalar, _) = against_the_oracle(m, &wf, None);
+        let ((ks, kouts), report) = against_the_oracle(m, &wf, Some(&kp));
         assert_eq!(
-            ks, ss,
-            "{ctx}: logical stats invariant across the kernel gate"
+            (ks, kouts),
+            scalar,
+            "{ctx}: stats and outputs invariant across the kernel gate"
         );
-        assert_eq!((ks.messages, ks.steps), (bs.messages, bs.steps), "{ctx}");
-        assert_eq!(kouts, souts, "{ctx}: kernel vs scalar");
-        assert_eq!(kouts, bouts, "{ctx}: kernel vs batched");
-        (kouts, report)
+        (scalar.1, report)
     }
 
     #[test]
@@ -1060,17 +1063,11 @@ mod tests {
             "the third point wraps"
         );
         let m = cells_module(1, kernel, |_| (HALF, HALF));
+        // The rendezvous interpreter, which `kernel_gate_is_invisible`
+        // holds both paths to, advances the same point.
         let (outs, report) = kernel_gate_is_invisible(&m, "wrapping point");
         assert_eq!(report.iterations, 3);
         assert_eq!(outs[2], [by_hand]);
-        // The rendezvous interpreter advances the same point.
-        let inst = m.instantiate();
-        let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
-        for p in inst.procs {
-            net.add(p);
-        }
-        net.run().unwrap();
-        assert_eq!(*inst.outputs[2].lock(), [by_hand]);
     }
 
     #[test]
@@ -1154,15 +1151,11 @@ mod tests {
             let wf = analyze_wavefront(&m, &plan);
             assert_eq!(wf.cyclic_chunks(), 0, "linked: {linked}");
             assert_eq!(wf.max_capacity(), WAVEFRONT_RING_CAP);
-            let (bs, bouts) = run_coop_batched(&m, &plan).unwrap();
-            let (ws, wouts, _) = run_wavefront(&m, &wf, None, false).unwrap();
+            let ((ws, wouts), _) = against_the_oracle(&m, &wf, None);
             assert!(
                 ws.rounds > 1,
                 "linked {linked}: the load pass overruns the clamp"
             );
-            assert_eq!((ws.messages, ws.steps), (bs.messages, bs.steps));
-            assert_eq!(ws.processes, bs.processes);
-            assert_eq!(bouts, wouts, "linked: {linked}");
             // c = 10 + Σ (a + x) over x = 0, 1, 2; `a` stays 0 unlinked.
             let c_out = if linked { 1 } else { 0 };
             let expected = if linked { 10 + 2 + 3 + 4 + 3 } else { 10 + 3 };
@@ -1225,12 +1218,8 @@ mod tests {
         let wf = analyze_wavefront(&m, &plan);
         assert_eq!(wf.cyclic_chunks(), 0);
         assert_eq!(wf.capacities[1], WAVEFRONT_RING_CAP, "one value short");
-        let (bs, bouts) = run_coop_batched(&m, &plan).unwrap();
-        let (ws, wouts, _) = run_wavefront(&m, &wf, None, false).unwrap();
+        let ((ws, _), _) = against_the_oracle(&m, &wf, None);
         assert!(ws.rounds > 1, "the eject waits for a later window");
-        assert_eq!((ws.messages, ws.steps), (bs.messages, bs.steps));
-        assert_eq!(ws.processes, bs.processes);
-        assert_eq!(bouts, wouts);
     }
 
     #[test]
@@ -1289,22 +1278,23 @@ mod tests {
         assert!(d.blocked.iter().any(|b| b.contains("recv@0")), "{d:?}");
     }
 
-    type Outcome = (RunStats, Vec<Vec<Value>>);
-
-    /// Both fast engines on `m`, on the calling thread (and so on its
-    /// arena, whatever earlier runs left in it).
-    fn both_engines(m: &Arc<ProcIrModule>) -> (Outcome, Outcome) {
+    /// `m` with its compiled kernels and without, on the calling thread
+    /// (and so on its arena, whatever earlier runs left in it).
+    fn both_paths(m: &Arc<ProcIrModule>) -> (Outcome, Outcome) {
         let plan = analyze(m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let wf = analyze_wavefront(m, &plan);
         let kp = crate::kernel::analyze_kernels(m, &wf);
-        let (ws, wouts, _) = run_wavefront(m, &wf, Some(&kp), false).unwrap();
-        (run_coop_batched(m, &plan).unwrap(), (ws, wouts))
+        let run = |kernels| {
+            let (stats, outs, _) = run_wavefront(m, &wf, kernels, false).unwrap();
+            (stats, outs)
+        };
+        (run(Some(&kp)), run(None))
     }
 
     /// The same on a thread of its own: an arena nothing has touched.
     fn on_a_fresh_arena(m: &Arc<ProcIrModule>) -> (Outcome, Outcome) {
-        std::thread::scope(|s| s.spawn(|| both_engines(m)).join().unwrap())
+        std::thread::scope(|s| s.spawn(|| both_paths(m)).join().unwrap())
     }
 
     fn arena_footprint() -> usize {
@@ -1316,7 +1306,7 @@ mod tests {
         let (m, wf) = deadlocking_module();
         assert!(run_wavefront(&m, &wf, None, false).is_err());
         let m = pipeline_module();
-        assert_eq!(both_engines(&m), on_a_fresh_arena(&m));
+        assert_eq!(both_paths(&m), on_a_fresh_arena(&m));
     }
 
     #[test]
@@ -1345,34 +1335,31 @@ mod tests {
         let unwound = std::panic::catch_unwind(run);
         assert!(unwound.is_err(), "the body's panic unwinds through the run");
         let m = compute_module();
-        assert_eq!(both_engines(&m), on_a_fresh_arena(&m));
+        assert_eq!(both_paths(&m), on_a_fresh_arena(&m));
     }
 
     #[test]
     fn arena_shrinks_and_regrows_without_allocating() {
         let (large, small) = (long_load_module(true), compute_module());
-        let first = both_engines(&large);
+        let first = both_paths(&large);
         let grown = arena_footprint();
-        assert_eq!(both_engines(&small), on_a_fresh_arena(&small));
+        assert_eq!(both_paths(&small), on_a_fresh_arena(&small));
         // The small run adds its kernel scratch and gives nothing back.
         let kept = arena_footprint();
         assert!(kept >= grown, "the small run released {grown} -> {kept}");
-        assert_eq!(both_engines(&large), first);
+        assert_eq!(both_paths(&large), first);
         assert_eq!(arena_footprint(), kept, "the third run grew a vector");
         assert_eq!(first, on_a_fresh_arena(&large));
     }
 
     #[test]
-    fn arena_serves_both_engines_alternating() {
+    fn arena_serves_kernel_and_scalar_runs_alternating() {
         let m = compute_module();
         let fresh = on_a_fresh_arena(&m);
         for _ in 0..3 {
-            assert_eq!(both_engines(&m), fresh);
+            assert_eq!(both_paths(&m), fresh);
         }
-        let ((bs, bouts), (ws, wouts)) = fresh;
-        assert_eq!(
-            (bs.messages, bs.steps, bouts),
-            (ws.messages, ws.steps, wouts)
-        );
+        let (kernel, scalar) = fresh;
+        assert_eq!(kernel, scalar);
     }
 }

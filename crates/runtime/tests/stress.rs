@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use systolic_runtime::{
-    block_partition, run_partitioned, ChannelPolicy, Network, ProcIrBuilder, ProcIrModule,
+    block_partition, lock, run_partitioned, ChannelPolicy, Network, ProcIrBuilder, ProcIrModule,
 };
 
 /// Build `k` independent pipelines with the given relay counts and
@@ -57,7 +57,7 @@ proptest! {
         }
         net.run().unwrap();
         for (b, e) in inst.outputs.iter().zip(&expected) {
-            prop_assert_eq!(&*b.lock(), e);
+            prop_assert_eq!(&*lock(b), e);
         }
 
         // One OS thread per process, then `workers` threads.
@@ -67,7 +67,7 @@ proptest! {
             let groups = block_partition(n, k);
             run_partitioned(inst.procs, groups, Duration::from_secs(20), Vec::new()).unwrap();
             for (b, e) in inst.outputs.iter().zip(&expected) {
-                prop_assert_eq!(&*b.lock(), e);
+                prop_assert_eq!(&*lock(b), e);
             }
         }
     }
@@ -85,7 +85,7 @@ proptest! {
         }
         net.run().unwrap();
         for (b, e) in inst.outputs.iter().zip(&expected) {
-            prop_assert_eq!(&*b.lock(), e);
+            prop_assert_eq!(&*lock(b), e);
         }
     }
 

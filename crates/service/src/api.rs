@@ -10,7 +10,7 @@
 
 use systolic_core::CompileError;
 use systolic_interp::{ExecError, ProblemError, SystolicRun, VerifyError};
-use systolic_runtime::{json, BatchMode, Json, KernelMode, OptMode, RunError, WavefrontMode};
+use systolic_runtime::{json, BatchMode, Json, KernelMode, OptMode, RunError};
 use systolic_sim::DesignError;
 
 /// The response schema identifier.
@@ -195,8 +195,8 @@ pub enum OutputKind {
 }
 
 /// A parsed `POST /v1/run` body. The engine-mode fields take the values
-/// of the CLI's `--batch/--opt/--wavefront/--kernel`; `executor` and
-/// `workers` have no CLI counterpart.
+/// of the CLI's `--batch/--opt/--kernel`; `executor` and `workers` have
+/// no CLI counterpart.
 #[derive(Debug)]
 pub struct RunRequest {
     pub program: ProgramRef,
@@ -211,7 +211,6 @@ pub struct RunRequest {
     pub inputs: Option<Vec<String>>,
     pub batch: BatchMode,
     pub opt: OptMode,
-    pub wavefront: WavefrontMode,
     pub kernel: KernelMode,
     pub executor: String,
     pub workers: usize,
@@ -265,10 +264,38 @@ fn bool_field(doc: &Json, key: &str) -> Result<Option<bool>, ApiError> {
     field(doc, key, "a boolean", Json::as_bool)
 }
 
+/// The top-level members [`parse_run_request`] reads. Any other is a 400
+/// that names it: a misspelt option must not run as its default.
+pub const RUN_MEMBERS: &[&str] = &[
+    "design",
+    "source",
+    "sizes",
+    "inputs",
+    "seed",
+    "batch",
+    "opt",
+    "kernel",
+    "executor",
+    "workers",
+    "deadline_ms",
+    "output",
+    "verify",
+    "schedule",
+];
+
 /// Parse and validate a run request body.
 pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
     let doc = json::parse(body)
         .map_err(|e| ApiError::bad_request(format!("malformed request JSON: {e}")))?;
+    if let Json::Obj(members) = &doc {
+        let known = |key: &String| RUN_MEMBERS.contains(&key.as_str());
+        if let Some((key, _)) = members.iter().find(|(key, _)| !known(key)) {
+            return Err(ApiError::bad_request(format!(
+                "unknown member '{key}' (accepted: {})",
+                RUN_MEMBERS.join(" ")
+            )));
+        }
+    }
     let program = match (doc.get("design"), doc.get("source")) {
         (Some(d), None) => ProgramRef::Design(
             d.as_str()
@@ -332,7 +359,6 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
         inputs,
         batch: choice(&doc, "batch", BatchMode::NAMES)?,
         opt: choice(&doc, "opt", OptMode::NAMES)?,
-        wavefront: choice(&doc, "wavefront", WavefrontMode::NAMES)?,
         kernel: choice(&doc, "kernel", KernelMode::NAMES)?,
         executor: choice(&doc, "executor", &executor)?.to_string(),
         workers: u64_field(&doc, "workers")?.unwrap_or(2).max(1) as usize,
@@ -360,7 +386,6 @@ pub fn render_stores(design: &str, executor: &str, run: &SystolicRun, verified: 
     let kernels = run.kernel.as_ref().is_some_and(|k| k.waves_fused > 0);
     let engine = Json::obj([
         ("executor", executor.into()),
-        ("batched", run.batched.into()),
         ("wavefront", run.wavefront.into()),
         ("kernels", kernels.into()),
         ("optimized", run.opt.is_some().into()),
@@ -394,6 +419,26 @@ mod tests {
         assert_eq!(r.executor, "coop");
         assert_eq!(r.output, OutputKind::Stores);
         assert!(!r.verify);
+    }
+
+    #[test]
+    fn every_listed_member_is_read() {
+        // A request with every member but `source` (the alternative to
+        // `design`) parses; an unlisted one is refused by name
+        // (`tests/service.rs`, the error-path table).
+        let all = RUN_MEMBERS.iter().map(|&m| match m {
+            "source" => None,
+            "design" => Some((m, Json::from("E.1"))),
+            "sizes" => Some((m, Json::arr([4i64]))),
+            "schedule" => Some((m, Json::obj([("policy", Json::from("fifo"))]))),
+            "batch" | "opt" | "kernel" => Some((m, "auto".into())),
+            "executor" => Some((m, "coop".into())),
+            "output" => Some((m, "stores".into())),
+            "inputs" => Some((m, Json::arr(["a"]))),
+            "verify" => Some((m, true.into())),
+            _ => Some((m, 1i64.into())),
+        });
+        parse_run_request(&Json::obj(all.flatten()).to_string()).unwrap();
     }
 
     #[test]

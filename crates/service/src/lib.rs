@@ -251,7 +251,6 @@ impl Service {
         let spec = SimSpec {
             batch: req.batch,
             opt: req.opt,
-            wavefront: req.wavefront,
             kernel: req.kernel,
             executor,
             deadline: Duration::from_millis(deadline_ms),

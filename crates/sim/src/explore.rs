@@ -16,9 +16,9 @@ use std::sync::Arc;
 use systolic_core::{systolize, CompileError, Options, PlaceChoice, SystolicProgram};
 use systolic_interp::{ElabError, ElabOptions, ModuleStore, Problem, ProblemError};
 use systolic_runtime::{
-    canonicalize_transfers, first_divergence, shared, sink_buffer, ChanId, ChannelPolicy, CommReq,
-    EventLogRecorder, Network, ProcIrModule, Process, RunError, RunStats, SchedulePolicy, Transfer,
-    Value,
+    canonicalize_transfers, first_divergence, lock, shared, sink_buffer, ChanId, ChannelPolicy,
+    CommReq, EventLogRecorder, Network, ProcIrModule, Process, RunError, RunStats, SchedulePolicy,
+    Transfer, Value,
 };
 
 /// What one run produced: everything a schedule may not change.
@@ -95,8 +95,8 @@ impl DstSubject for PlanSubject {
             net.add(p);
         }
         let stats = net.run()?;
-        let outputs = inst.outputs.iter().map(|b| b.lock().clone()).collect();
-        let mut transfers = handle.lock().take_transfers();
+        let outputs = inst.outputs.iter().map(|b| lock(b).clone()).collect();
+        let mut transfers = lock(&handle).take_transfers();
         canonicalize_transfers(&mut transfers);
         Ok(Outcome {
             outputs,
@@ -149,7 +149,7 @@ struct RacingSink {
 impl Process for RacingSink {
     fn step(&mut self, received: &[Value]) -> Vec<CommReq> {
         if self.primed {
-            self.buf.lock().push(received[0]);
+            lock(&self.buf).push(received[0]);
             self.remaining -= 1;
         }
         if !self.primed || self.remaining > 0 {
@@ -212,9 +212,9 @@ impl DstSubject for RaceSubject {
             buf: buf.clone(),
         }));
         let stats = net.run()?;
-        let mut transfers = handle.lock().take_transfers();
+        let mut transfers = lock(&handle).take_transfers();
         canonicalize_transfers(&mut transfers);
-        let merged = buf.lock().clone();
+        let merged = lock(&buf).clone();
         Ok(Outcome {
             outputs: vec![merged],
             stats,
@@ -643,7 +643,7 @@ pub fn explore(subject: &dyn DstSubject, cfg: &ExploreConfig) -> Result<ExploreR
                 Err(e) => Some(format!("run failed: {e}")),
             };
             if let Some(reason) = failed {
-                let full = log.lock().clone();
+                let full = lock(&log).clone();
                 let full_rounds = full.rounds.len();
                 let (shrunk, min_reason) = shrink_log(subject, &baseline, &full);
                 let mut schedule = subject.schedule_stub();
@@ -758,9 +758,9 @@ mod tests {
     fn adversarial_policies_close_the_wavefront_gate_without_changing_results() {
         // The DST policy matrix must also exercise the *engine selection*
         // gate: attaching any non-FIFO policy to a full-auto `simulate`
-        // forces the run off both the batched and the wavefront fast
-        // paths (the policies permute a per-round worklist that those
-        // engines do not have), while the recovered store and the
+        // forces the run off the wavefront fast path (the policies
+        // permute a per-round worklist that engine does not have), while
+        // the recovered store and the
         // logical statistics stay bit-identical to the wavefront run.
         use systolic_interp::{simulate, SimSpec};
         let spec = registry().remove(2); // E.1
@@ -778,8 +778,7 @@ mod tests {
         assert!(fast.wavefront, "E.1 must take the wavefront fast path");
         for name in &crate::policy::POLICY_NAMES[1..] {
             let perturbed = run_with(policy_by_name(name, 7));
-            assert!(!perturbed.batched, "{name}: policy must close the gate");
-            assert!(!perturbed.wavefront, "{name}: wavefront gate too");
+            assert!(!perturbed.wavefront, "{name}: policy must close the gate");
             assert_eq!(
                 (perturbed.stats.messages, perturbed.stats.steps),
                 (fast.stats.messages, fast.stats.steps),
@@ -841,7 +840,7 @@ mod tests {
         let (rec, log) = RecordingPolicy::new(policy_by_name("random", 5).unwrap());
         let under_policy = recorded.run(Some(Box::new(rec))).unwrap();
         let mut file = recorded.schedule_stub();
-        file.log = log.lock().clone();
+        file.log = lock(&log).clone();
         let file = ScheduleFile::from_json(&file.to_json()).unwrap();
         assert_eq!(file.input_seed, 202);
         let rebuilt = subject_of(&file, &ms).unwrap();

@@ -200,8 +200,8 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use systolic_runtime::{
-        block_partition, run_partitioned, ChannelPolicy, Network, ProcIrBuilder, ProcIrModule,
-        RunError,
+        block_partition, lock, run_partitioned, ChannelPolicy, Network, ProcIrBuilder,
+        ProcIrModule, RunError,
     };
 
     /// source -> relay -> sink over 4 values; returns the sealed module.
@@ -228,7 +228,7 @@ mod tests {
             net.add(p);
         }
         let stats = net.run()?;
-        let values = inst.outputs[0].lock().clone();
+        let values = lock(&inst.outputs[0]).clone();
         Ok((values, stats))
     }
 
@@ -292,7 +292,7 @@ mod tests {
             Vec::new(),
         )
         .unwrap();
-        assert_eq!(*inst.outputs[0].lock(), vec![10, 20, 30, 40]);
+        assert_eq!(*lock(&inst.outputs[0]), vec![10, 20, 30, 40]);
     }
 
     #[test]

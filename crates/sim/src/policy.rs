@@ -8,8 +8,8 @@
 //! deferral (the delay fault) lives in [`crate::fault`], where the
 //! invariant is weaker: rounds may grow, messages/steps/stores may not.
 
-use std::sync::Arc;
-use systolic_runtime::{ChanId, FifoPolicy, Pcg32, SchedulePolicy};
+use std::sync::{Arc, Mutex};
+use systolic_runtime::{lock, ChanId, FifoPolicy, Pcg32, SchedulePolicy};
 
 /// PCG stream selectors: the channel-order and process-order decisions of
 /// one seed must be decorrelated, so each hook draws from its own stream.
@@ -136,7 +136,7 @@ pub struct ScheduleLog {
 
 /// Shared handle to a log still being written by a [`RecordingPolicy`]
 /// that the network owns.
-pub type SharedLog = Arc<parking_lot::Mutex<ScheduleLog>>;
+pub type SharedLog = Arc<Mutex<ScheduleLog>>;
 
 /// Wraps any policy and records every decision it makes into a shared
 /// [`ScheduleLog`] — the raw material for shrinking and replay.
@@ -149,7 +149,7 @@ impl RecordingPolicy {
     /// Wrap `inner`; the returned handle stays readable after the network
     /// consumes the boxed policy.
     pub fn new(inner: Box<dyn SchedulePolicy>) -> (RecordingPolicy, SharedLog) {
-        let log = Arc::new(parking_lot::Mutex::new(ScheduleLog::default()));
+        let log = Arc::new(Mutex::new(ScheduleLog::default()));
         (
             RecordingPolicy {
                 inner,
@@ -163,7 +163,7 @@ impl RecordingPolicy {
 impl SchedulePolicy for RecordingPolicy {
     fn schedule_round(&mut self, round: u64, fire: &mut Vec<ChanId>, defer: &mut Vec<ChanId>) {
         self.inner.schedule_round(round, fire, defer);
-        self.log.lock().rounds.push(ScheduleRound {
+        lock(&self.log).rounds.push(ScheduleRound {
             round,
             fire: fire.clone(),
             defer: defer.clone(),
@@ -173,7 +173,7 @@ impl SchedulePolicy for RecordingPolicy {
 
     fn order_ready(&mut self, round: u64, ready: &mut Vec<usize>) {
         self.inner.order_ready(round, ready);
-        let mut log = self.log.lock();
+        let mut log = lock(&self.log);
         if let Some(r) = log.rounds.iter_mut().rev().find(|r| r.round == round) {
             r.ready = ready.clone();
         }
@@ -322,7 +322,7 @@ mod tests {
             rec.order_ready(round, &mut ready);
             recorded_orders.push((fire, ready));
         }
-        let mut replay = ReplayPolicy::new(log.lock().clone());
+        let mut replay = ReplayPolicy::new(lock(&log).clone());
         for (round, (want_fire, want_ready)) in recorded_orders.iter().enumerate() {
             let mut fire: Vec<usize> = (0..8).collect();
             let mut defer = Vec::new();

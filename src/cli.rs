@@ -6,7 +6,7 @@
 use crate::{systolize_source, PlaceChoice, SystolizeOptions};
 use systolic_interp::{
     simulate, simulate_verified, BatchMode, ElabOptions, KernelMode, ModuleStore, OptMode,
-    OptReport, Problem, SimSpec, WavefrontMode,
+    OptReport, Problem, SimSpec,
 };
 use systolic_runtime::Json;
 
@@ -131,19 +131,13 @@ const FLAGS: &[Flag] = &[
         name: "batch",
         commands: RUNS,
         accepts: OneOf("auto|off"),
-        help: "steady-state batching (docs/scheduler.md)",
+        help: "the fast path: the wavefront executor (docs/wavefront.md)",
     },
     Flag {
         name: "opt",
         commands: &["compile", "run", "verify"],
         accepts: OneOf("auto|off"),
         help: "ProcIR optimizer; off by default for --emit rust",
-    },
-    Flag {
-        name: "wavefront",
-        commands: RUNS,
-        accepts: OneOf("auto|off"),
-        help: "wavefront executor (docs/wavefront.md)",
     },
     Flag {
         name: "kernel",
@@ -409,14 +403,13 @@ pub fn build_options(inv: &Invocation) -> Result<SystolizeOptions, String> {
 }
 
 /// The simulation spec of a `run`/`verify` invocation: the engine gates
-/// (`--batch`, `--opt`, `--wavefront`, `--kernel`, all default `auto`),
-/// each named by its enum's own table, and the protocol variant
-/// (`--protocol`, `--merge-io`).
+/// (`--batch`, `--opt`, `--kernel`, all default `auto`), each named by
+/// its enum's own table, and the protocol variant (`--protocol`,
+/// `--merge-io`).
 pub fn build_sim_spec(inv: &Invocation) -> Result<SimSpec, String> {
     Ok(SimSpec {
         batch: inv.gate("batch", BatchMode::NAMES)?,
         opt: inv.gate("opt", OptMode::NAMES)?,
-        wavefront: inv.gate("wavefront", WavefrontMode::NAMES)?,
         kernel: inv.gate("kernel", KernelMode::NAMES)?,
         elab: ElabOptions {
             split_propagation: inv.flag("protocol") == Some("split"),
@@ -477,14 +470,12 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 run.stats.rounds,
                 run.stats.messages,
                 run.stats.steps,
-                match (run.wavefront, kerneled, run.batched, &run.opt) {
-                    (true, true, _, Some(_)) => " [wavefront+kernels+optimized]",
-                    (true, true, _, None) => " [wavefront+kernels]",
-                    (true, false, _, Some(_)) => " [wavefront+optimized]",
-                    (true, false, _, None) => " [wavefront]",
-                    (false, _, true, Some(_)) => " [batched+optimized]",
-                    (false, _, true, None) => " [batched]",
-                    (false, _, false, _) => "",
+                match (run.wavefront, kerneled, &run.opt) {
+                    (true, true, Some(_)) => " [wavefront+kernels+optimized]",
+                    (true, true, None) => " [wavefront+kernels]",
+                    (true, false, Some(_)) => " [wavefront+optimized]",
+                    (true, false, None) => " [wavefront]",
+                    (false, ..) => "",
                 }
             );
             if let Some(report) = &run.opt {
@@ -793,7 +784,7 @@ mod tests {
         assert!(e.contains("--kernel belongs to run/verify"), "{e}");
         // `explore` always runs the plain engine, so it takes none of
         // the engine flags.
-        for flag in ["batch", "opt", "wavefront", "kernel"] {
+        for flag in ["batch", "opt", "kernel"] {
             let e = err(&["explore", "f", &format!("--{flag}"), "off"]);
             assert!(e.contains(&format!("--{flag} belongs to ")), "{e}");
             assert!(e.contains("not to explore"), "{e}");
@@ -802,7 +793,6 @@ mod tests {
         for (flag, accepted) in [
             ("batch", "auto|off"),
             ("opt", "auto|off"),
-            ("wavefront", "auto|off"),
             ("kernel", "auto|off"),
             ("protocol", "paper|split"),
         ] {
@@ -810,11 +800,12 @@ mod tests {
             assert!(e.contains(&format!("bad --{flag} value bogus")), "{e}");
             assert!(e.contains(accepted), "{e}");
         }
-        // The parallel wavefront mode is gone (docs/wavefront.md): its
-        // name is one more bad value.
-        assert_eq!(
-            err(&["run", "f", "--sizes", "6", "--wavefront", "par"]),
-            "bad --wavefront value par (accepted: auto|off)"
+        // The wavefront executor is the fast path, not a knob
+        // (docs/wavefront.md): its old flag is one more unknown flag.
+        let e = err(&["run", "f", "--sizes", "6", "--wavefront", "off"]);
+        assert!(
+            e.starts_with("unknown flag --wavefront (run takes: "),
+            "{e}"
         );
         // A repeated flag is refused, not resolved to either occurrence,
         // and before its second value is looked at.
@@ -898,29 +889,17 @@ mod tests {
     #[test]
     fn batch_flag_gates_the_fast_path() {
         // `--opt off` on both sides: with the optimizer disabled the
-        // logical message/step counts are engine-invariant. `--wavefront
-        // off` pins the batched rung of the ladder (the wavefront rung
-        // has its own gating test below).
-        let inv = parse_args(&args(&[
-            "verify",
-            "f",
-            "--sizes",
-            "4",
-            "--opt",
-            "off",
-            "--wavefront",
-            "off",
-        ]))
-        .unwrap();
+        // logical message/step counts are engine-invariant.
+        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--opt", "off"])).unwrap();
         let auto = execute(&inv, SRC).unwrap();
-        assert!(auto.contains("[batched]"), "{auto}");
-        assert!(!auto.contains("[batched+optimized]"), "{auto}");
+        assert!(auto.contains(" [wavefront"), "{auto}");
+        assert!(!auto.contains("optimized]"), "{auto}");
         let inv = parse_args(&args(&[
             "verify", "f", "--sizes", "4", "--batch", "off", "--opt", "off",
         ]))
         .unwrap();
         let off = execute(&inv, SRC).unwrap();
-        assert!(!off.contains("[batched]"), "{off}");
+        assert!(!off.contains(" ["), "the plain engine has no marker: {off}");
         let invariant = |s: &str| {
             let t = s.split("rounds, ").nth(1).unwrap();
             t.split(" steps").next().unwrap().to_string()
@@ -939,15 +918,13 @@ mod tests {
             "f",
             "--sizes",
             "4",
-            "--wavefront",
-            "off",
             "--opt-report",
             report.to_str().unwrap(),
         ]))
         .unwrap();
         let auto = execute(&inv, SRC).unwrap();
         assert!(auto.contains("OK:"), "{auto}");
-        assert!(auto.contains("[batched+optimized]"), "{auto}");
+        assert!(auto.contains("+optimized]"), "{auto}");
         assert!(auto.contains("optimizer: "), "{auto}");
         assert!(auto.contains("optimizer report: "), "{auto}");
         let j = std::fs::read_to_string(&report).unwrap();
@@ -958,47 +935,37 @@ mod tests {
         assert!(j.contains("\"eligible\""), "{j}");
         assert!(j.contains("\"channels\""), "{j}");
         let _ = std::fs::remove_file(&report);
-        // `--opt off` keeps the plain batched engine.
+        // `--opt off` runs the elaborated module.
         let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--opt", "off"])).unwrap();
         let off = execute(&inv, SRC).unwrap();
         assert!(!off.contains("optimized"), "{off}");
     }
 
     #[test]
-    fn wavefront_flag_gates_the_fourth_executor() {
-        // Default `--wavefront auto` takes the top rung of the ladder;
-        // `--opt off` keeps the message/step counts engine-invariant and
-        // `--kernel off` pins the scalar wavefront marker (the kernel
-        // rung has its own gating test below).
+    fn the_fast_path_is_the_wavefront_executor_without_a_flag_of_its_own() {
+        // The default gates take the wavefront rung; `--opt off` keeps
+        // the message/step counts engine-invariant and `--kernel off`
+        // pins the scalar wavefront marker (the kernel rung has its own
+        // gating test below).
         let inv = parse_args(&args(&[
             "verify", "f", "--sizes", "4", "--opt", "off", "--kernel", "off",
         ]))
         .unwrap();
         let wf = execute(&inv, SRC).unwrap();
         assert!(wf.contains("[wavefront]"), "{wf}");
-        // `off` drops to the batched rung.
-        let inv = parse_args(&args(&[
-            "verify",
-            "f",
-            "--sizes",
-            "4",
-            "--opt",
-            "off",
-            "--wavefront",
-            "off",
-        ]))
-        .unwrap();
-        let off = execute(&inv, SRC).unwrap();
-        assert!(off.contains("[batched]"), "{off}");
-        assert!(!off.contains("[wavefront]"), "{off}");
+        // There is no rung between it and the plain engine to ask for.
+        let e = parse_args(&args(&["verify", "f", "--wavefront", "off"])).unwrap_err();
+        assert!(e.starts_with("unknown flag --wavefront"), "{e}");
         // Logical messages and steps are invariant across the ladder.
+        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--batch", "off"])).unwrap();
+        let plain = execute(&inv, SRC).unwrap();
         let invariant = |s: &str| {
             let t = s.split("rounds, ").nth(1).unwrap();
             t.split(" steps").next().unwrap().to_string()
         };
-        assert_eq!(invariant(&wf), invariant(&off));
+        assert_eq!(invariant(&wf), invariant(&plain));
         // With the optimizer on (kernels pinned off), the marker names
-        // both engines.
+        // both.
         let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "off"])).unwrap();
         let both = execute(&inv, SRC).unwrap();
         assert!(both.contains("[wavefront+optimized]"), "{both}");
@@ -1245,7 +1212,6 @@ mod tests {
         for (flag, names) in [
             ("batch", joined(BatchMode::NAMES)),
             ("opt", joined(OptMode::NAMES)),
-            ("wavefront", joined(WavefrontMode::NAMES)),
             ("kernel", joined(KernelMode::NAMES)),
         ] {
             let row = FLAGS.iter().find(|f| f.name == flag).unwrap();
@@ -1259,10 +1225,10 @@ mod tests {
         let inv = Invocation {
             command: "run".into(),
             file: "f".into(),
-            flags: vec![("wavefront".into(), "sideways".into())],
+            flags: vec![("kernel".into(), "sideways".into())],
         };
         let err = build_sim_spec(&inv).err().unwrap();
-        assert_eq!(err, "bad --wavefront value sideways (accepted: auto|off)");
+        assert_eq!(err, "bad --kernel value sideways (accepted: auto|off)");
     }
 
     #[test]

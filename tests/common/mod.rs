@@ -5,7 +5,7 @@
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
     seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode,
-    ModuleStore, OptMode, SimSpec, SystolicRun, VerifyError, WavefrontMode,
+    ModuleStore, OptMode, SimSpec, SystolicRun, VerifyError,
 };
 use systolizer::ir::{gallery, seq, HostStore, SourceProgram, Value};
 use systolizer::math::Env;
@@ -163,7 +163,6 @@ pub struct Rung {
     pub executor: ExecutorChoice,
     pub batch: BatchMode,
     pub opt: OptMode,
-    pub wavefront: WavefrontMode,
     pub kernel: KernelMode,
 }
 
@@ -173,25 +172,23 @@ impl Rung {
             executor: self.executor,
             batch: self.batch,
             opt: self.opt,
-            wavefront: self.wavefront,
             kernel: self.kernel,
             ..SimSpec::default()
         }
     }
 }
 
-/// Each distinct execution once. The fast rungs are the cooperative
-/// executor's: plain, batched × opt, wavefront × opt × kernel; the
-/// OS-thread engine has the plain rung only — `threaded`, and
-/// `partitioned` at 1 and 3 workers. A gate that cannot matter on a rung
-/// is spelled `Off` here; [`inert_rungs`] spells it `Auto`.
+/// Each distinct execution once. The cooperative executor has the plain
+/// rung and the wavefront rung × opt × kernel; the OS-thread engine has
+/// the plain rung only — `threaded`, and `partitioned` at 1 and 3
+/// workers. A gate that cannot matter on a rung is spelled `Off` here;
+/// [`inert_rungs`] spells it `Auto`.
 pub fn rungs() -> Vec<Rung> {
     use ExecutorChoice::{Coop, Partitioned, Threaded};
     let plain = |executor| Rung {
         executor,
         batch: BatchMode::Off,
         opt: OptMode::Off,
-        wavefront: WavefrontMode::Off,
         kernel: KernelMode::Off,
     };
     let mut out = vec![
@@ -201,31 +198,27 @@ pub fn rungs() -> Vec<Rung> {
         plain(Partitioned { workers: 3 }),
     ];
     for opt in [OptMode::Auto, OptMode::Off] {
-        let fast = |wavefront, kernel| Rung {
-            batch: BatchMode::Auto,
-            opt,
-            wavefront,
-            kernel,
-            ..plain(Coop)
-        };
-        out.push(fast(WavefrontMode::Off, KernelMode::Off));
         for kernel in [KernelMode::Auto, KernelMode::Off] {
-            out.push(fast(WavefrontMode::Auto, kernel));
+            out.push(Rung {
+                batch: BatchMode::Auto,
+                opt,
+                kernel,
+                ..plain(Coop)
+            });
         }
     }
     out
 }
 
 /// Specs whose `Auto` gates must do nothing: the OS-thread engine under
-/// the default gates, and the cooperative one with the batching gate —
-/// which the other three ride — shut. Each lands on its executor's plain
+/// the default gates, and the cooperative one with the fast-path gate —
+/// which the other two ride — shut. Each lands on its executor's plain
 /// rung.
 pub fn inert_rungs() -> Vec<Rung> {
     let auto = |executor, batch| Rung {
         executor,
         batch,
         opt: OptMode::Auto,
-        wavefront: WavefrontMode::Auto,
         kernel: KernelMode::Auto,
     };
     vec![
@@ -411,4 +404,39 @@ pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared)
     let wf = cm.wavefront_plan_opt(OptMode::Auto).unwrap();
     check_wavefront_plan(&format!("{label}, optimized"), &od.0.module, &od.1, &wf);
     2
+}
+
+/// The law that leaves the cooperative executor one fast engine: a
+/// module's wavefront plan is eligible exactly when its batch proof holds
+/// — the elaborated module's and, when the optimizer rewrites it, the
+/// optimized twin's — so a default run takes the wavefront rung exactly
+/// when the batch proof admits the module. The run may deadlock (the
+/// paper protocol on some random designs); the plans are checked anyway.
+/// Returns whether the module was batchable.
+pub fn assert_one_fast_engine(
+    label: &str,
+    ms: &ModuleStore,
+    prepared: &Prepared,
+    elab: &ElabOptions,
+) -> bool {
+    let (plan, env, store) = prepared;
+    let cm = ms.module(plan, env, store, elab).unwrap();
+    let batchable = cm.batch_plan().batchable();
+    assert_eq!(cm.wavefront_plan().eligible(), batchable, "{label}");
+    // The optimizer only ever sees a module the batch proof admits.
+    if let Some(od) = batchable.then(|| cm.optimized(OptMode::Auto)).flatten() {
+        let wf = cm.wavefront_plan_opt(OptMode::Auto).unwrap();
+        assert_eq!(wf.eligible(), od.1.batchable(), "{label}, optimized");
+    }
+    let spec = SimSpec {
+        elab: elab.clone(),
+        ..SimSpec::default()
+    };
+    if let Ok(run) = simulate(ms, plan, env, store, spec) {
+        assert_eq!(
+            run.wavefront, batchable,
+            "{label}: the gate decides the rung"
+        );
+    }
+    batchable
 }

@@ -178,8 +178,7 @@ fn recorder_and_non_fifo_runs_stay_on_the_unbatched_goldens() {
             ..SimSpec::default()
         };
         let observed = simulate(ms, &plan, &env, &store, spec).unwrap();
-        assert!(!observed.batched, "{label}: recorder must close the gate");
-        assert!(!observed.wavefront, "{label}: and the wavefront gate too");
+        assert!(!observed.wavefront, "{label}: recorder must close the gate");
         assert_eq!(&observed.stats, want, "{label}: observed run drifted");
 
         let spec = SimSpec {
@@ -187,8 +186,7 @@ fn recorder_and_non_fifo_runs_stay_on_the_unbatched_goldens() {
             ..SimSpec::default()
         };
         let perturbed = simulate(ms, &plan, &env, &store, spec).unwrap();
-        assert!(!perturbed.batched, "{label}: policy must close the gate");
-        assert!(!perturbed.wavefront, "{label}: and the wavefront gate too");
+        assert!(!perturbed.wavefront, "{label}: policy must close the gate");
         assert_eq!(
             (perturbed.stats.messages, perturbed.stats.steps),
             (want.messages, want.steps),

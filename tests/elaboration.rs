@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use systolizer::core::{compile, Options, StreamKind};
 use systolizer::interp::runtime_gen::agree_with_procir;
 use systolizer::interp::{
-    elaborate, simulate, BatchMode, ElabOptions, ExecutorChoice, ModuleStore, OptMode, SimSpec,
-    WavefrontMode,
+    elaborate, simulate, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, OptMode,
+    SimSpec,
 };
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
@@ -139,7 +139,7 @@ fn elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus() {
 
 #[test]
 fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
-    // Twice through every (batch, opt) configuration: the second run is
+    // Twice through every (batch, opt, kernel) configuration: the second run is
     // a guaranteed module-store hit and must return the same store and
     // stats as the first (a miss or a hit from another test — either
     // way the sequential oracle pins correctness).
@@ -147,22 +147,22 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
         let (plan, env, store) = prepared(design, 3, 23);
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
-        for (batch, opt, wavefront) in [
-            (BatchMode::Auto, OptMode::Auto, WavefrontMode::Auto),
-            (BatchMode::Auto, OptMode::Auto, WavefrontMode::Off),
-            (BatchMode::Auto, OptMode::Off, WavefrontMode::Auto),
-            (BatchMode::Auto, OptMode::Off, WavefrontMode::Off),
-            (BatchMode::Off, OptMode::Off, WavefrontMode::Off),
+        for (batch, opt, kernel) in [
+            (BatchMode::Auto, OptMode::Auto, KernelMode::Auto),
+            (BatchMode::Auto, OptMode::Auto, KernelMode::Off),
+            (BatchMode::Auto, OptMode::Off, KernelMode::Auto),
+            (BatchMode::Auto, OptMode::Off, KernelMode::Off),
+            (BatchMode::Off, OptMode::Off, KernelMode::Off),
         ] {
             let ctx = format!(
-                "design {design} ({}) {batch:?}/{opt:?}/{wavefront:?}",
+                "design {design} ({}) {batch:?}/{opt:?}/{kernel:?}",
                 plan.source.name
             );
             let run_once = || {
                 let spec = SimSpec {
                     batch,
                     opt,
-                    wavefront,
+                    kernel,
                     ..SimSpec::default()
                 };
                 simulate(ModuleStore::global(), &plan, &env, &store, spec)
@@ -171,8 +171,8 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
             let cold = run_once();
             let warm = run_once();
             assert_eq!(cold.stats, warm.stats, "{ctx}: stats drift across hits");
-            assert_eq!(cold.batched, warm.batched, "{ctx}");
             assert_eq!(cold.wavefront, warm.wavefront, "{ctx}");
+            assert_eq!(cold.kernel, warm.kernel, "{ctx}");
             for name in expected.names() {
                 assert_eq!(cold.store.get(name), expected.get(name), "{ctx}: {name}");
                 assert_eq!(warm.store.get(name), cold.store.get(name), "{ctx}: {name}");

@@ -3,8 +3,8 @@
 //! `simulate_verified` — so each run is compared with the sequential
 //! reference — off one private `ModuleStore` per (design, size).
 //!
-//! Pinned per rung: the engine that ran; which of `batched` /
-//! `wavefront` / `kernel` / `opt` engaged; the logical `messages`/`steps`
+//! Pinned per rung: the engine that ran; which of `wavefront` /
+//! `kernel` / `opt` engaged; the logical `messages`/`steps`
 //! of the plain engine whenever the optimizer left the module alone, and
 //! the optimizer's own accounting when it did not; one elaboration per
 //! (design, size, data, protocol variant) however many rungs ran.
@@ -21,7 +21,7 @@ mod common;
 use common::{check_wavefront_plan, check_wavefront_plans, inert_rungs, prepared, rungs, CORPUS};
 use systolizer::interp::{
     simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, OptMode,
-    SimSpec, WavefrontMode,
+    SimSpec,
 };
 use systolizer::runtime::{
     analyze, analyze_wavefront, ChanId, ChannelPolicy, FifoPolicy, ProcIrBuilder, ProcOp, RunStats,
@@ -56,7 +56,7 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
             };
             let base = verified("plain", SimSpec::plain());
             assert_eq!(base.engine, "coop");
-            assert!(!base.batched && !base.wavefront && base.opt.is_none());
+            assert!(!base.wavefront && base.opt.is_none());
             assert!(base.kernel.is_none());
 
             // Whether the optimizer rewrites this module: the first
@@ -66,10 +66,8 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                 let ctx = format!("design {design} n={n} {rung:?}");
                 let run = verified(&format!("{rung:?}"), rung.spec());
                 let coop = rung.executor == ExecutorChoice::Coop;
-                let batched = rung.batch == BatchMode::Auto && coop;
-                let wavefront = batched && rung.wavefront != WavefrontMode::Off;
+                let wavefront = rung.batch == BatchMode::Auto && coop;
                 assert_eq!(run.engine, rung.executor.label(), "{ctx}");
-                assert_eq!(run.batched, batched, "{ctx}: batched");
                 assert_eq!(run.wavefront, wavefront, "{ctx}: wavefront");
                 if !coop {
                     // The OS-thread engine at any worker count: plain
@@ -83,7 +81,7 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                     wavefront.then_some(rung.kernel == KernelMode::Auto),
                     "{ctx}: kernel report"
                 );
-                if batched && rung.opt == OptMode::Auto {
+                if wavefront && rung.opt == OptMode::Auto {
                     let fused = run.opt.is_some();
                     assert_eq!(*fuses.get_or_insert(fused), fused, "{ctx}: opt flips");
                 } else {
@@ -94,7 +92,7 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                         assert_eq!(run.stats.messages, base.stats.messages, "{ctx}");
                         assert_eq!(run.stats.steps, base.stats.steps, "{ctx}");
                         assert_eq!(run.stats.processes, base.stats.processes, "{ctx}");
-                        if batched {
+                        if wavefront {
                             assert!(
                                 run.stats.rounds <= base.stats.rounds,
                                 "{ctx}: a fast path must not add scheduler rounds"
@@ -124,7 +122,7 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                     ..base.stats.clone()
                 };
                 assert_eq!(run.engine, rung.executor.label(), "{ctx}");
-                assert!(!run.batched && !run.wavefront, "{ctx}");
+                assert!(!run.wavefront, "{ctx}");
                 assert!(run.opt.is_none() && run.kernel.is_none(), "{ctx}");
                 assert_eq!(run.stats, plain, "{ctx}");
             }
@@ -137,7 +135,7 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                     ..SimSpec::default()
                 },
             );
-            assert!(!buffered.batched, "a buffered policy closes the gate");
+            assert!(!buffered.wavefront, "a buffered policy closes the gate");
             let adversarial = verified(
                 "reverse",
                 SimSpec {
@@ -147,7 +145,10 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                 },
             );
             assert_eq!(adversarial.engine, "coop", "only coop has a worklist");
-            assert!(!adversarial.batched, "a non-FIFO schedule closes the gate");
+            assert!(
+                !adversarial.wavefront,
+                "a non-FIFO schedule closes the gate"
+            );
             assert_eq!(adversarial.stats.messages, base.stats.messages);
             assert_eq!(adversarial.stats.steps, base.stats.steps);
             let fifo = verified(
@@ -299,29 +300,29 @@ fn the_wavefront_plan_wakes_a_sender_blocked_on_a_full_ring() {
     check_wavefront_plan("full ring", &m, &batch, &wf);
 }
 
-/// The fast rungs keep one run arena per thread and reset it per run
+/// The fast rung keeps one run arena per thread and resets it per run
 /// (`crates/runtime/src/arena.rs`), whatever ran before. Every corpus
-/// design at a large, the smallest and a middling size, in that order, on
-/// both fast rungs of one thread — the arena grows, shrinks and regrows
-/// under ten designs in turn — and each store and `RunStats` equals the
-/// same call made on a new thread, whose arena nothing has touched.
+/// design at a large, the smallest and a middling size, in that order,
+/// with kernels and without, on one thread — the arena grows, shrinks
+/// and regrows under ten designs in turn — and each store and `RunStats`
+/// equals the same call made on a new thread, whose arena nothing has
+/// touched.
 #[test]
 fn a_reused_run_arena_is_indistinguishable_from_a_fresh_one() {
     for design in 0..=CORPUS {
         for n in [5i64, 1, 3] {
             let (plan, env, store) = prepared(design, n, 17);
             let ms = ModuleStore::new();
-            for wavefront in [WavefrontMode::Auto, WavefrontMode::Off] {
-                let ctx = format!("design {design} n={n} wavefront {wavefront:?}");
+            for kernel in [KernelMode::Auto, KernelMode::Off] {
+                let ctx = format!("design {design} n={n} kernel {kernel:?}");
                 let run = || {
                     let spec = SimSpec {
-                        wavefront,
+                        kernel,
                         ..SimSpec::default()
                     };
                     let run = simulate_verified(&ms, &plan, &env, &store, spec)
                         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    assert!(run.batched, "{ctx}");
-                    assert_eq!(run.wavefront, wavefront == WavefrontMode::Auto, "{ctx}");
+                    assert!(run.wavefront, "{ctx}");
                     (run.store, run.stats)
                 };
                 let reused = run();

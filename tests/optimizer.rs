@@ -14,7 +14,7 @@ mod common;
 use common::{prepared, run};
 use proptest::prelude::*;
 use std::sync::Arc;
-use systolizer::interp::{ElabOptions, ExecutorChoice, OptMode, SimSpec, WavefrontMode};
+use systolizer::interp::{ElabOptions, ExecutorChoice, OptMode, SimSpec};
 use systolizer::runtime::{optimize, ProcIrBuilder, ProcIrModule, ProcOp};
 
 /// Case count override (see `tests/random_programs.rs`).
@@ -37,19 +37,18 @@ proptest! {
         workers in 1usize..=4,
     ) {
         let d = prepared(design, n, seed);
-        let batched = |opt, executor| SimSpec {
+        let spec = |opt, executor| SimSpec {
             opt,
-            wavefront: WavefrontMode::Off,
             executor,
             ..SimSpec::default()
         };
-        let oracle = run(&d, batched(OptMode::Off, ExecutorChoice::Coop));
+        let oracle = run(&d, spec(OptMode::Off, ExecutorChoice::Coop));
         for executor in [
             ExecutorChoice::Coop,
             ExecutorChoice::Threaded,
             ExecutorChoice::Partitioned { workers },
         ] {
-            let auto = run(&d, batched(OptMode::Auto, executor));
+            let auto = run(&d, spec(OptMode::Auto, executor));
             prop_assert_eq!(&auto.store, &oracle.store);
         }
     }

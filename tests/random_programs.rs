@@ -4,11 +4,15 @@
 //! the Appendix B theorems, and execute equivalently to its own
 //! sequential semantics — on the reference engine and then on every rung
 //! of `simulate`'s ladder (`common::rungs`), whose wavefront plans must
-//! keep their invariants (`common::check_wavefront_plan`).
+//! keep their invariants (`common::check_wavefront_plan`) and be eligible
+//! exactly when the batch proof holds (`common::assert_one_fast_engine`).
 
 mod common;
 
-use common::{assert_seq_matches_reference, check_wavefront_plans, plain_under, rungs, verify};
+use common::{
+    assert_one_fast_engine, assert_seq_matches_reference, check_wavefront_plans, plain_under,
+    rungs, verify,
+};
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options};
 use systolizer::interp::{ElabOptions, ModuleStore, SimSpec, VerifyError};
@@ -188,6 +192,10 @@ proptest! {
         };
         let audit = theorems::audit(&plan, &env);
         prop_assert!(audit.ok(), "theorems: {:?} (spec {spec:?})", audit.failures);
+        let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
+        let problem = (plan.clone(), env.clone(), store);
+        let label = format!("{spec:?}");
+        assert_one_fast_engine(&label, ModuleStore::global(), &problem, &ElabOptions::default());
         // The paper's sequential-phase protocol is not deadlock-free for
         // every valid design (a reproduction finding; see EXPERIMENTS.md).
         // When it deadlocks, the split-propagation protocol must succeed
@@ -196,9 +204,7 @@ proptest! {
             // What the reference engine completes, every rung of the
             // ladder must complete with the oracle's stores.
             Ok(_) => {
-                let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
-                let problem = (plan.clone(), env.clone(), store);
-                check_wavefront_plans(&format!("{spec:?}"), ModuleStore::global(), &problem);
+                check_wavefront_plans(&label, ModuleStore::global(), &problem);
                 for rung in rungs() {
                     let res = verify(&plan, &env, &["a", "b"], seed, rung.spec());
                     prop_assert!(res.is_ok(), "{rung:?}: {:?} (spec {spec:?})", res.err());

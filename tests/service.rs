@@ -101,7 +101,7 @@ fn run_body(design: &str, sizes: &[i64], seed: u64, extra: &[(&str, Json)]) -> S
     Json::Obj(fields).to_string()
 }
 
-/// The soak workload: gallery × (batch, wavefront) modes × executors,
+/// The soak workload: gallery × (batch, kernel) modes × executors,
 /// each body issued twice so cache hits actually occur.
 fn soak_workload() -> Vec<(String, HashMap<String, Vec<i64>>)> {
     let modes = [
@@ -114,7 +114,7 @@ fn soak_workload() -> Vec<(String, HashMap<String, Vec<i64>>)> {
     let mut work = Vec::new();
     for (design, sizes) in GALLERY {
         let expected = oracle_for(design, sizes, 42);
-        for (batch, wavefront) in modes {
+        for (batch, kernel) in modes {
             for executor in executors {
                 let body = run_body(
                     design,
@@ -122,7 +122,7 @@ fn soak_workload() -> Vec<(String, HashMap<String, Vec<i64>>)> {
                     42,
                     &[
                         ("batch", Json::Str(batch.into())),
-                        ("wavefront", Json::Str(wavefront.into())),
+                        ("kernel", Json::Str(kernel.into())),
                         ("executor", Json::Str(executor.into())),
                     ],
                 );
@@ -362,16 +362,25 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
 
     // A field of the wrong type is named, never coerced to a default: a
     // client that asked for the oracle check must not silently go
-    // without it, nor a schedule seed wrap or read as 0. Nor is a gate
-    // value outside its closed set: the parallel wavefront mode is gone
-    // (docs/wavefront.md), so its name is refused like any other. The
-    // observed outputs read the whole request too: a schedule they
-    // cannot honour and an oracle check they do not make are refused.
+    // without it, nor a schedule seed wrap or read as 0. Nor is a member
+    // the request does not have: a misspelt `verify` would run
+    // unverified, and the deleted `wavefront` gate (docs/wavefront.md)
+    // would run on a rung it did not ask for. The observed outputs read
+    // the whole request too: a schedule they cannot honour and an oracle
+    // check they do not make are refused.
     for (field, value) in [
         ("'verify'", r#""verify":"yes""#),
         ("'seed'", r#""schedule":{"policy":"random","seed":"7"}"#),
         ("'seed'", r#""schedule":{"policy":"random","seed":-1}"#),
-        ("unknown wavefront 'par' (auto|off)", r#""wavefront":"par""#),
+        (
+            "unknown member 'verfy' (accepted: design ",
+            r#""verfy":true"#,
+        ),
+        (
+            "unknown member 'wavefront' (accepted: ",
+            r#""wavefront":"off""#,
+        ),
+        ("unknown kernel 'par' (auto|off)", r#""kernel":"par""#),
         (
             "unknown schedule policy 'bogus'",
             r#""output":"metrics","schedule":{"policy":"bogus"}"#,
