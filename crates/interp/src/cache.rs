@@ -21,9 +21,9 @@
 //!
 //! Each cached module also lazily memoizes the downstream per-module
 //! analyses the executors would otherwise repeat — all functions of the
-//! code alone: the batch plan (`systolic_runtime::analyze`), the
-//! optimizer result ([`CachedModule::optimized`]), and the wavefront and
-//! kernel plans of both, so a warm `run` pays for none of them.
+//! code alone: the batch plan (`systolic_runtime::analyze`) and one
+//! [`FastPlan`] — the module the optimizer returns, with its wavefront
+//! and kernel plans — so a warm `run` pays for none of them.
 //!
 //! Entries never go stale silently: the plan fingerprint
 //! (`SystolicProgram::fingerprint`, taken once by `compile`) covers the
@@ -40,8 +40,8 @@ use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
 use systolic_runtime::{
-    analyze_kernels, analyze_wavefront, BatchPlan, Json, KernelPlan, OptMode, OptimizedModule,
-    WavefrontPlan,
+    analyze_kernels, analyze_wavefront, BatchPlan, Json, KernelPlan, OptReport, OptimizedModule,
+    ProcIrModule, WavefrontPlan,
 };
 
 /// Retained skeletons (level 1). Skeletons are small — per-stream
@@ -91,15 +91,60 @@ impl CacheStats {
 /// One instantiated module plus its lazily memoized per-module
 /// analyses. Everything here is immutable after construction and none
 /// of it but `elab.module.data` depends on a host value; per-run state
-/// is the gathered data segment and the VMs `instantiate*` builds.
+/// is the gathered data segment and the run arena.
 pub struct CachedModule {
     pub elab: Elaborated,
     batch: OnceLock<BatchPlan>,
-    optd: OnceLock<Option<Arc<(OptimizedModule, BatchPlan)>>>,
-    wf: OnceLock<Arc<WavefrontPlan>>,
-    wf_opt: OnceLock<Arc<WavefrontPlan>>,
-    kern: OnceLock<Arc<KernelPlan>>,
-    kern_opt: OnceLock<Arc<KernelPlan>>,
+    fast: OnceLock<FastPlan>,
+}
+
+/// The module the wavefront engine runs and every plan a run of it
+/// reads, built together on first use ([`CachedModule::fast_plan`]).
+/// Fast runs, the `wavefront`/`kernels`/`optimizer` sections of the
+/// metrics document and of `--opt-report`, and `rustgen` all read this
+/// one plan, so each describes the module that ran.
+pub struct FastPlan {
+    /// The optimizer's module when it rewrote the elaborated one, the
+    /// elaborated module when it declined. Either way over the elaborated
+    /// module's data segment, word for word, so one gather binds it.
+    pub module: Arc<ProcIrModule>,
+    /// The optimizer's rewrite — `module` with its delay-ring capacities
+    /// and `systolic-opt-v1` report — and the rewritten module's batch
+    /// plan; `None` when the optimizer declined.
+    pub optimized: Option<Arc<(OptimizedModule, BatchPlan)>>,
+    /// The wave structure of `module`: ineligible, with the batch proof's
+    /// reason, exactly when the batch analysis rejects the elaborated
+    /// module (the optimizer then never runs).
+    pub wavefront: Arc<WavefrontPlan>,
+    /// Kernel eligibility of those waves.
+    pub kernels: Arc<KernelPlan>,
+}
+
+impl FastPlan {
+    /// The optimizer's mapping report, when it rewrote the module.
+    pub fn opt_report(&self) -> Option<&Arc<OptReport>> {
+        self.optimized.as_ref().map(|o| &o.0.report)
+    }
+}
+
+/// The ProcIR optimizer applied to a module the batch analysis admits,
+/// with the fused module's batch re-analysis (delay-ring capacities
+/// layered in). `None` when the module is already optimal, or
+/// (defensively) when the fused module fails re-analysis — fusion
+/// preserves endpoint uniqueness and traffic balance, so that case
+/// indicates an optimizer bug rather than a legal decline.
+fn run_optimizer(module: &Arc<ProcIrModule>) -> Option<Arc<(OptimizedModule, BatchPlan)>> {
+    let o = systolic_runtime::optimize(module)?;
+    let oplan = systolic_runtime::analyze_with_caps(&o.module, &o.chan_caps);
+    if !oplan.batchable() {
+        debug_assert!(
+            false,
+            "fused module failed re-analysis: {:?}",
+            oplan.reject_reason()
+        );
+        return None;
+    }
+    Some(Arc::new((o, oplan)))
 }
 
 impl CachedModule {
@@ -107,11 +152,7 @@ impl CachedModule {
         CachedModule {
             elab,
             batch: OnceLock::new(),
-            optd: OnceLock::new(),
-            wf: OnceLock::new(),
-            wf_opt: OnceLock::new(),
-            kern: OnceLock::new(),
-            kern_opt: OnceLock::new(),
+            fast: OnceLock::new(),
         }
     }
 
@@ -122,76 +163,82 @@ impl CachedModule {
             .get_or_init(|| systolic_runtime::analyze(&self.elab.module))
     }
 
-    /// The ProcIR optimizer applied to an already-proven-batchable
-    /// module, with the fused module's batch re-analysis (delay-ring
-    /// capacities layered in). `None` when the mode forbids it, the
-    /// module is already optimal, or (defensively) the fused module
-    /// fails re-analysis — fusion preserves endpoint uniqueness and
-    /// traffic balance, so the last case indicates an optimizer bug
-    /// rather than a legal decline.
-    pub fn optimized(&self, mode: OptMode) -> Option<Arc<(OptimizedModule, BatchPlan)>> {
-        if mode == OptMode::Off {
-            return None;
-        }
-        self.optd
-            .get_or_init(|| {
-                let o = systolic_runtime::optimize(&self.elab.module)?;
-                let oplan = systolic_runtime::analyze_with_caps(&o.module, &o.chan_caps);
-                if !oplan.batchable() {
-                    debug_assert!(
-                        false,
-                        "fused module failed re-analysis: {:?}",
-                        oplan.reject_reason()
-                    );
-                    return None;
-                }
-                Some(Arc::new((o, oplan)))
-            })
-            .clone()
-    }
-
-    /// The wavefront plan of the elaborated module
-    /// (`systolic_runtime::analyze_wavefront` over [`CachedModule::batch_plan`]),
-    /// memoized beside the batch plan so a warm `run`
-    /// pays for neither analysis.
-    pub fn wavefront_plan(&self) -> &Arc<WavefrontPlan> {
-        self.wf
-            .get_or_init(|| Arc::new(analyze_wavefront(&self.elab.module, self.batch_plan())))
-    }
-
-    /// The wavefront plan of the *optimized* module (fused relays change
-    /// the process graph, so the wave structure must be re-derived).
-    /// `None` exactly when [`CachedModule::optimized`] declines.
-    pub fn wavefront_plan_opt(&self, mode: OptMode) -> Option<Arc<WavefrontPlan>> {
-        let o = self.optimized(mode)?;
-        Some(
-            self.wf_opt
-                .get_or_init(|| Arc::new(analyze_wavefront(&o.0.module, &o.1)))
-                .clone(),
-        )
-    }
-
-    /// The per-chunk kernel eligibility analysis over
-    /// [`CachedModule::wavefront_plan`], memoized so a warm
-    /// `run --kernel auto` recompiles nothing.
-    pub fn kernel_plan(&self) -> &Arc<KernelPlan> {
-        self.kern.get_or_init(|| {
-            let wf = self.wavefront_plan().clone();
-            Arc::new(analyze_kernels(&self.elab.module, &wf))
+    /// The fast plan, built once: the optimizer over a module the batch
+    /// analysis admits, then the wavefront and kernel plans of the module
+    /// it returns — and of no other, so when the optimizer rewrites the
+    /// module the elaborated module's wave structure is never built.
+    pub fn fast_plan(&self) -> &FastPlan {
+        self.fast.get_or_init(|| {
+            let batch = self.batch_plan();
+            let optimized = if batch.batchable() {
+                run_optimizer(&self.elab.module)
+            } else {
+                None
+            };
+            let (module, batch) = match &optimized {
+                Some(o) => (&o.0.module, &o.1),
+                None => (&self.elab.module, batch),
+            };
+            let wavefront = Arc::new(analyze_wavefront(module, batch));
+            let kernels = Arc::new(analyze_kernels(module, &wavefront));
+            FastPlan {
+                module: Arc::clone(module),
+                optimized,
+                wavefront,
+                kernels,
+            }
         })
     }
 
-    /// Kernel eligibility of the *optimized* module's wave structure.
-    /// `None` exactly when [`CachedModule::optimized`] declines.
-    pub fn kernel_plan_opt(&self, mode: OptMode) -> Option<Arc<KernelPlan>> {
-        let o = self.optimized(mode)?;
-        let wf = self.wavefront_plan_opt(mode)?;
-        Some(
-            self.kern_opt
-                .get_or_init(|| Arc::new(analyze_kernels(&o.0.module, &wf)))
-                .clone(),
-        )
+    /// The `wavefront` section of the metrics document and of
+    /// `--opt-report`: the fast plan's staging shape over its module, or
+    /// the batch proof's reject reason and every channel it disqualifies.
+    pub fn wavefront_json(&self) -> Json {
+        let fast = self.fast_plan();
+        let batch = fast.optimized.as_ref().map_or(self.batch_plan(), |o| &o.1);
+        fast.wavefront.json(&fast.module, batch)
     }
+
+    // Spelled by the frozen `benchmark/src/stages.rs:86`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
+    pub fn optimized(&self, _: OptMode) -> Option<Arc<(OptimizedModule, BatchPlan)>> {
+        self.fast_plan().optimized.clone()
+    }
+
+    // Spelled by the frozen `benchmark/src/stages.rs:92`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
+    pub fn wavefront_plan_opt(&self, _: OptMode) -> Option<Arc<WavefrontPlan>> {
+        Some(Arc::clone(&self.fast_plan().wavefront))
+    }
+
+    // Spelled by the frozen `benchmark/src/stages.rs:93`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
+    pub fn wavefront_plan(&self) -> &Arc<WavefrontPlan> {
+        &self.fast_plan().wavefront
+    }
+
+    // Spelled by the frozen `benchmark/src/stages.rs:101`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
+    pub fn kernel_plan_opt(&self, _: OptMode) -> Option<Arc<KernelPlan>> {
+        Some(Arc::clone(&self.fast_plan().kernels))
+    }
+
+    // Spelled by the frozen `benchmark/src/stages.rs:102`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
+    pub fn kernel_plan(&self) -> &Arc<KernelPlan> {
+        &self.fast_plan().kernels
+    }
+}
+
+// Spelled by the frozen `benchmark/src/stages.rs:14,86,92,101`; goes with ROADMAP 2(b).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OptMode;
+
+#[doc(hidden)]
+#[allow(non_upper_case_globals)]
+impl OptMode {
+    pub const Auto: OptMode = OptMode;
 }
 
 type SkelKey = (u64, ElabOptions);
@@ -449,7 +496,7 @@ mod tests {
         let first = ms
             .module(&plan, &env1, &store1, &ElabOptions::default())
             .unwrap();
-        let wf_first = first.wavefront_plan().clone();
+        let wf_first = first.fast_plan().wavefront.clone();
         for n in 2..=(MODULE_CAP as i64 + 9) {
             let (env, store) = mk(n);
             ms.module(&plan, &env, &store, &ElabOptions::default())
@@ -471,7 +518,7 @@ mod tests {
             "re-instantiation after eviction must be bit-identical"
         );
         // The memoized analyses rebuild to the same wave structure.
-        let wf_again = again.wavefront_plan();
+        let wf_again = &again.fast_plan().wavefront;
         assert_eq!(*wf_first, **wf_again);
         // The sweep instantiated MODULE_CAP + 9 distinct modules plus the
         // post-eviction re-request into a MODULE_CAP-slot store; every

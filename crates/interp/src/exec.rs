@@ -18,9 +18,10 @@
 //! ```
 //!
 //! The OS-thread engine has the plain rung only. The wavefront engine
-//! runs the optimized module when `opt` is `Auto` and the optimizer
-//! rewrote it, the elaborated one otherwise.
-//! [`simulate_verified`] is the one oracle comparison.
+//! runs the cached module's fast plan (`crate::cache::FastPlan`): the
+//! optimizer's module when it rewrote the elaborated one, the elaborated
+//! one when it declined. [`simulate_verified`] is the one oracle
+//! comparison.
 
 use crate::cache::ModuleStore;
 use crate::elaborate::{ElabError, ElabOptions, OutputSpec};
@@ -30,8 +31,8 @@ use systolic_core::SystolicProgram;
 use systolic_ir::{seq, HostStore};
 use systolic_math::{Affine, Env};
 use systolic_runtime::{
-    lock, BatchMode, ChannelPolicy, KernelMode, KernelReport, Network, OptMode, OptReport,
-    RunError, RunStats, SchedulePolicy, SharedRecorder, Value,
+    lock, BatchMode, ChannelPolicy, KernelMode, KernelReport, Network, OptReport, RunError,
+    RunStats, SchedulePolicy, SharedRecorder, Value,
 };
 
 /// Which executor family a run uses. The cooperative scheduler is the
@@ -98,11 +99,6 @@ pub struct SimSpec {
     /// analysis admits the module; `Off` pins the plain engines, which
     /// are the exactness oracle for everything above them.
     pub batch: BatchMode,
-    /// ProcIR optimizer gate (`--opt auto|off`): relay chains fused into
-    /// delay rings before a fast run. Rides the fast-path gate, so it
-    /// too is the cooperative executor's alone. When it engages, `stats`
-    /// describe the smaller optimized module.
-    pub opt: OptMode,
     // Spelled by the frozen `benchmark/src/layers.rs:107,115`; goes with ROADMAP 2(b).
     #[doc(hidden)]
     pub wavefront: WavefrontMode,
@@ -134,7 +130,6 @@ impl Default for SimSpec {
     fn default() -> SimSpec {
         SimSpec {
             batch: BatchMode::Auto,
-            opt: OptMode::Auto,
             wavefront: WavefrontMode,
             kernel: KernelMode::Auto,
             executor: ExecutorChoice::Coop,
@@ -180,10 +175,11 @@ pub struct SystolicRun {
     /// ran this module (see `systolic_runtime::wavefront`); only ever on
     /// the `coop` engine.
     pub wavefront: bool,
-    /// The `systolic-opt-v1` mapping report when the ProcIR optimizer
-    /// rewrote the module this run executed; `stats` then describe the
-    /// *optimized* module, with the differences itemized in the report.
-    /// The store stays bit-identical either way.
+    /// The `systolic-opt-v1` mapping report when this was a wavefront run
+    /// and the ProcIR optimizer rewrote the module; `stats` then describe
+    /// the *optimized* module, and differ from the plain run's by the
+    /// count law of `systolic_runtime::opt` over the report's chains. The
+    /// store stays bit-identical either way.
     pub opt: Option<Arc<OptReport>>,
     /// The compiled-kernel engagement report, `Some` exactly when
     /// `wavefront` is true; with `--kernel off` the report is present
@@ -275,8 +271,10 @@ fn writeback(
 /// that code over it. Stores are bit-identical
 /// across every executor/mode combination — the repo-wide oracle
 /// contract; the spec only chooses *how* the identical result is
-/// produced. With `opt: Off`, `messages`/`steps` are invariant too and
-/// only `rounds` (scheduler sweeps) differs between rungs.
+/// produced. `messages`/`steps`/`processes` are invariant too, except
+/// that a wavefront run of a module the optimizer rewrote counts less by
+/// exactly what its report itemizes ([`SystolicRun::opt`]); `rounds`
+/// (scheduler sweeps) differs between rungs.
 pub fn simulate(
     ms: &ModuleStore,
     plan: &SystolicProgram,
@@ -287,7 +285,6 @@ pub fn simulate(
     let executor = spec.effective_executor();
     let SimSpec {
         batch,
-        opt,
         kernel,
         deadline,
         sched,
@@ -310,27 +307,15 @@ pub fn simulate(
         && cm.batch_plan().batchable();
 
     let (stats, sinks, opt_report, kernel_report) = if fast {
-        // The optimized module and its plan when the optimizer rewrote
-        // the module, the elaborated ones otherwise. Either wavefront plan
-        // inherits its batch proof's reject, so past the gate it is
-        // eligible.
-        let optimized = cm.optimized(opt).zip(cm.wavefront_plan_opt(opt));
-        let (module, wplan) = match &optimized {
-            Some((od, wplan)) => (&od.0.module, wplan),
-            None => (&el.module, cm.wavefront_plan()),
-        };
-        let kplan = match (kernel, &optimized) {
-            (KernelMode::Off, _) => None,
-            (_, Some(_)) => cm.kernel_plan_opt(opt),
-            (_, None) => Some(Arc::clone(cm.kernel_plan())),
-        };
-        // The optimizer keeps the data segment word for word, so one
-        // gather serves whichever module runs.
-        let module = &module.with_data(data);
+        // The wavefront plan inherits the batch proof's reject, so past
+        // the gate it is eligible. The optimizer keeps the data segment
+        // word for word, so one gather serves whichever module runs.
+        let fast_plan = cm.fast_plan();
+        let kernels = (kernel == KernelMode::Auto).then_some(&*fast_plan.kernels);
+        let module = &fast_plan.module.with_data(data);
         let (stats, sinks, report) =
-            systolic_runtime::run_wavefront(module, wplan, kplan.as_deref(), false)?;
-        let opt_report = optimized.map(|(od, _)| od.0.report.clone());
-        (stats, sinks, opt_report, Some(report))
+            systolic_runtime::run_wavefront(module, &fast_plan.wavefront, kernels, false)?;
+        (stats, sinks, fast_plan.opt_report().cloned(), Some(report))
     } else {
         let inst = el.module.with_data(data).instantiate_recorded(&recorders);
         let stats = match executor {

@@ -33,7 +33,9 @@ pub mod rustgen;
 pub mod skeleton;
 pub mod trace;
 
-pub use cache::{CacheStats, CachedModule, ModuleStore};
+#[doc(hidden)]
+pub use cache::OptMode;
+pub use cache::{CacheStats, CachedModule, FastPlan, ModuleStore};
 pub use describe::describe;
 pub use elaborate::{elaborate, Census, ElabError, ElabOptions, Elaborated, OutputSpec};
 #[doc(hidden)]
@@ -46,5 +48,5 @@ pub use kernelize::kernelize;
 pub use metrics::{channel_names, observe_plan_in, Observed};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
 pub use systolic_runtime::{
-    analyze_kernels, BatchMode, KernelMode, KernelPlan, KernelReport, OptMode, OptReport,
+    analyze_kernels, BatchMode, KernelMode, KernelPlan, KernelReport, OptReport,
 };

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
-use systolic_runtime::{lock, shared, MetricsRecorder, MetricsReport, OptMode, PerfettoRecorder};
+use systolic_runtime::{lock, shared, MetricsRecorder, MetricsReport, PerfettoRecorder};
 
 /// One observed run: the ordinary execution outcome plus the two
 /// observability artifacts.
@@ -41,29 +41,30 @@ pub struct Observed {
     pub cache: CacheStats,
     /// The module that ran, with its memoized plans. Observed runs
     /// always *execute* the exact rendezvous engine (recorders close the
-    /// fast-path gate), so the metrics above describe the unoptimized
-    /// module; the plans are what an unobserved run of it would use, and
-    /// [`Observed::metrics_json`] reports them beside the metrics.
+    /// fast-path gate), so the metrics above describe the elaborated
+    /// module; the fast plan is what an unobserved default run of it
+    /// executes, and [`Observed::metrics_json`] reports it beside the
+    /// metrics.
     pub module: Arc<CachedModule>,
 }
 
 impl Observed {
     /// What `run --metrics PATH` writes: the metrics document, then one
-    /// section per plan, each the owning type's own value — `optimizer`
-    /// (the `systolic-opt-v1` mapping report; absent when the optimizer
-    /// leaves the module untouched), `elab_cache`, `wavefront` (staging
-    /// shape or reject reason, and every disqualified channel) and
-    /// `kernels` (eligibility split and scalar-fallback reasons).
+    /// section per plan of the module's fast plan, each the owning type's
+    /// own value — `optimizer` (the `systolic-opt-v1` mapping report;
+    /// absent when the optimizer leaves the module untouched),
+    /// `elab_cache`, `wavefront` (staging shape or reject reason, and
+    /// every disqualified channel) and `kernels` (eligibility split and
+    /// scalar-fallback reasons).
     pub fn metrics_json(&self) -> String {
-        let cm = &self.module;
+        let fast = self.module.fast_plan();
         let mut doc = self.report.json();
-        if let Some(o) = cm.optimized(OptMode::Auto) {
-            doc.push("optimizer", o.0.report.json());
+        if let Some(report) = fast.opt_report() {
+            doc.push("optimizer", report.json());
         }
         doc.push("elab_cache", self.cache.json());
-        let wavefront = cm.wavefront_plan().json(&cm.elab.module, cm.batch_plan());
-        doc.push("wavefront", wavefront);
-        doc.push("kernels", cm.kernel_plan().json());
+        doc.push("wavefront", self.module.wavefront_json());
+        doc.push("kernels", fast.kernels.json());
         doc.pretty()
     }
 }

@@ -16,14 +16,20 @@
 //! so the generated program's sequentialized sends (a thread cannot
 //! offer a `par` set) stay deadlock-free where the abstract program is.
 //!
-//! The generator is a [`ProcIrModule`] walker: the plan is elaborated
-//! once and each bytecode op renders to the corresponding thread code,
-//! so the emitted network is the simulated network *by construction* —
-//! there is no second topology derivation to keep in sync.
+//! The generator is a [`ProcIrModule`] walker over the module a default
+//! run executes (the cached module's fast plan: the optimizer's module
+//! where it rewrote the elaboration): each bytecode op renders to the
+//! corresponding thread code, so the emitted network is the simulated
+//! network *by construction* — there is no second topology derivation to
+//! keep in sync.
+//!
+//! [`ProcIrModule`]: systolic_runtime::ProcIrModule
 
-use crate::elaborate::{elaborate, ElabOptions};
+use crate::cache::{CachedModule, ModuleStore};
+use crate::elaborate::ElabOptions;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use systolic_core::SystolicProgram;
 use systolic_ir::{seq, HostStore};
 use systolic_math::Env;
@@ -61,27 +67,23 @@ fn rust_tape(kernel: &Kernel, indent: &str, out: &mut String) {
     let _ = writeln!(out, "{indent}}}");
 }
 
-/// Generate the complete standalone Rust program. `seed` drives the
-/// embedded input data (same LCG as [`HostStore::fill_random`]).
-pub fn generate_rust(plan: &SystolicProgram, env: &Env, seed: u64) -> String {
-    let (el, expect_of) = prepared(plan, env, seed);
-    emit_program(plan, &el.module, &expect_of, None)
-}
-
-/// Generate from the *optimized* module: relay chains become channel
-/// capacity instead of threads, so the emitted program has one thread
-/// per surviving process and a `sync_channel` sized to each delay ring.
-/// The mapping report is validated against the elaboration first
+/// Generate the complete standalone Rust program of the module a default
+/// run executes — the cached module's fast plan
+/// ([`crate::cache::FastPlan`]). `seed` drives the embedded input data
+/// (same LCG as [`HostStore::fill_random`]). Where the optimizer rewrote
+/// the module, relay chains are channel capacity instead of threads: one
+/// thread per surviving process and a `sync_channel` sized to each delay
+/// ring. The mapping report is validated against the elaboration first
 /// ([`crate::runtime_gen::agree_with_opt`]) so codegen never emits a
-/// network that silently diverges from what was simulated; the report
-/// summary is recorded in the generated header. Falls back to
-/// [`generate_rust`] when the optimizer leaves the module untouched.
-pub fn generate_rust_opt(plan: &SystolicProgram, env: &Env, seed: u64) -> String {
-    let (el, expect_of) = prepared(plan, env, seed);
-    let Some(o) = systolic_runtime::optimize(&el.module) else {
-        return emit_program(plan, &el.module, &expect_of, None);
+/// network that silently diverges from what was simulated, and its
+/// summary is recorded in the generated header.
+pub fn generate_rust(plan: &SystolicProgram, env: &Env, seed: u64) -> String {
+    let (cm, expect_of) = prepared(plan, env, seed);
+    let Some(optimized) = &cm.fast_plan().optimized else {
+        return emit_program(plan, &cm.elab.module, &expect_of, None);
     };
-    crate::runtime_gen::agree_with_opt(plan, env, &el, &o)
+    let o = &optimized.0;
+    crate::runtime_gen::agree_with_opt(plan, env, &cm.elab, o)
         .expect("optimizer mapping report reconciles with the elaboration");
     let caps: Vec<u64> = (0..o.module.n_chans)
         .map(|c| o.chan_caps.get(c).copied().unwrap_or(0).max(1))
@@ -93,13 +95,13 @@ pub fn generate_rust_opt(plan: &SystolicProgram, env: &Env, seed: u64) -> String
     out
 }
 
-/// Elaborate at the generation size and pair each output-buffer index
+/// Instantiate at the generation size and pair each output-buffer index
 /// with its sequentially-computed expected values.
 fn prepared(
     plan: &SystolicProgram,
     env: &Env,
     seed: u64,
-) -> (crate::elaborate::Elaborated, HashMap<u32, Vec<i64>>) {
+) -> (Arc<CachedModule>, HashMap<u32, Vec<i64>>) {
     let mut store = HostStore::allocate(&plan.source, env);
     for (i, v) in plan.source.variables.iter().enumerate() {
         store.fill_random(&v.name, seed.wrapping_add(i as u64), -9, 9);
@@ -107,8 +109,10 @@ fn prepared(
     let mut expected = store.clone();
     seq::run(&plan.source, env, &mut expected);
 
-    let el = elaborate(plan, env, &store, &ElabOptions::default())
+    let cm = ModuleStore::new()
+        .module(plan, env, &store, &ElabOptions::default())
         .expect("plan elaborates at the generation size");
+    let el = &cm.elab;
     let expect_of: HashMap<u32, Vec<i64>> = el
         .outputs
         .iter()
@@ -122,7 +126,7 @@ fn prepared(
             (spec.output, vals)
         })
         .collect();
-    (el, expect_of)
+    (cm, expect_of)
 }
 
 /// Render one module as the standalone program. `caps` is the
@@ -347,6 +351,7 @@ fn emit_program(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elaborate::elaborate;
     use systolic_core::{compile, Options};
     use systolic_synthesis::placement::paper;
 
@@ -377,7 +382,7 @@ mod tests {
         let store = HostStore::allocate(&p, &env);
         let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
         let o = systolic_runtime::optimize(&el.module).expect("E.2 has relay chains to fuse");
-        let src = generate_rust_opt(&plan, &env, 7);
+        let src = generate_rust(&plan, &env, 7);
         assert!(src.contains("//! Optimized:"));
         assert!(src.contains("const CAPS: [usize; NCHAN]"));
         assert!(src.contains(&format!("const NCHAN: usize = {};", o.module.n_chans)));
@@ -386,38 +391,5 @@ mod tests {
         assert_eq!(src.matches("thread::spawn").count(), o.module.procs.len());
         assert!(o.module.procs.len() < el.module.procs.len());
         assert_eq!(src.matches('{').count(), src.matches('}').count());
-    }
-
-    #[test]
-    fn untouched_modules_fall_back_to_plain_generation() {
-        // A design the optimizer leaves alone generates the same program
-        // through both entry points.
-        for (label, p, a) in paper::all() {
-            let plan = compile(&p, &a, &Options::default()).unwrap();
-            let mut env = Env::new();
-            env.bind(p.sizes[0], 2);
-            let store = HostStore::allocate(&p, &env);
-            let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-            if systolic_runtime::optimize(&el.module).is_some() {
-                continue;
-            }
-            assert_eq!(
-                generate_rust(&plan, &env, 7),
-                generate_rust_opt(&plan, &env, 7),
-                "{label}"
-            );
-        }
-    }
-
-    #[test]
-    fn generated_channel_count_is_the_module_channel_count() {
-        let (p, a) = paper::matmul_e1();
-        let plan = compile(&p, &a, &Options::default()).unwrap();
-        let mut env = Env::new();
-        env.bind(p.sizes[0], 2);
-        let store = HostStore::allocate(&p, &env);
-        let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-        let src = generate_rust(&plan, &env, 7);
-        assert!(src.contains(&format!("const NCHAN: usize = {};", el.module.n_chans)));
     }
 }

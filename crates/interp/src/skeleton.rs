@@ -95,12 +95,6 @@ pub struct SkeletonModule {
 }
 
 impl SkeletonModule {
-    /// The size symbols this skeleton expects bound at instantiation,
-    /// in evaluation-vector order.
-    pub fn size_vars(&self) -> &[Var] {
-        &self.size_vars
-    }
-
     pub fn options(&self) -> &ElabOptions {
         &self.opts
     }

@@ -17,11 +17,6 @@ pub type Point = Vec<i64>;
 /// A point with rational coordinates (an element of `Q^n`), e.g. a `flow`.
 pub type RatPoint = Vec<Rational>;
 
-/// The origin of `Z^n`.
-pub fn origin(n: usize) -> Point {
-    vec![0; n]
-}
-
 /// Component-wise sum.
 pub fn add(x: &[i64], y: &[i64]) -> Point {
     assert_eq!(x.len(), y.len());

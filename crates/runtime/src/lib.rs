@@ -57,7 +57,7 @@ pub use json::Json;
 pub use kernel::{
     analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport, KERNEL_MAX_OPS,
 };
-pub use opt::{optimize, ChainRecord, OptMode, OptReport, OptimizedModule};
+pub use opt::{optimize, ChainRecord, OptReport, OptimizedModule};
 pub use partition::{block_partition, run_partitioned};
 pub use process::{lock, sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 pub use procir::{

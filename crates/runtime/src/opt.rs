@@ -22,13 +22,23 @@
 //! buffering (`Σ widths + k` holding slots for `k` relays, clamped to
 //! the total traffic) makes every schedule of the original module
 //! replayable on the fused one, so termination and stores are
-//! preserved. What is **not** preserved is the logical step/message
-//! count — each fused relay retires `2n` steps and `n` messages that no
-//! longer happen — so unlike batching, optimization is observable in
-//! the stats. The contract is: stores bit-identical, counts free to
-//! shrink, and every structural decision written into a
-//! [`OptReport`] (`systolic-opt-v1`) the caller can thread into
-//! metrics, the CLI, and the codegen agreement check.
+//! preserved. What is **not** preserved is the logical count of steps,
+//! messages and processes, so unlike batching, optimization is
+//! observable in the stats — by an exact law. A relay of a chain with
+//! traffic `t` receives and sends `t` values (`t` messages, `2t` steps)
+//! and takes one terminal step of its own, so against a run of the
+//! module as elaborated, summing over the chains of the [`OptReport`]:
+//!
+//! ```text
+//! messages(elaborated)  = messages(fused)  + Σ relays·t
+//! steps(elaborated)     = steps(fused)     + 2 Σ relays·t + fused_relays
+//! processes(elaborated) = processes(fused) + fused_relays
+//! ```
+//!
+//! The contract is: stores bit-identical, counts changed by exactly that
+//! law (the peepholes below change none), and every structural decision
+//! written into the report (`systolic-opt-v1`) the caller can thread
+//! into metrics, the CLI, and the codegen agreement check.
 //!
 //! Pass ordering: op peepholes run **first** (drop zero-iteration ops,
 //! merge consecutive same-pair `Pass` repetitions, fuse an adjacent
@@ -42,23 +52,6 @@ use crate::json::Json;
 use crate::process::ChanId;
 use crate::procir::{MovingLink, ProcId, ProcIrModule, ProcOp, ProcRecord};
 use std::sync::Arc;
-
-/// Whether a run may apply the optimizer at all. `Auto` optimizes
-/// whenever the module proves out (and the run is on the fast path —
-/// delay rings only exist there); `Off` keeps the elaborated module
-/// verbatim and is the exactness oracle (`--opt off`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OptMode {
-    #[default]
-    Auto,
-    Off,
-}
-
-impl OptMode {
-    /// The names `--opt` and the service's `"opt"` accept, default first.
-    pub const NAMES: &'static [(&'static str, OptMode)] =
-        &[("auto", OptMode::Auto), ("off", OptMode::Off)];
-}
 
 /// One fused relay chain, in pre-optimization ids except where noted.
 #[derive(Clone, Debug)]

@@ -543,10 +543,6 @@ pub struct ProcVm {
 }
 
 impl ProcVm {
-    pub fn new(module: Arc<ProcIrModule>, pid: ProcId, out: Option<SinkBuffer>) -> ProcVm {
-        ProcVm::with_recorders(module, pid, out, Vec::new())
-    }
-
     /// A VM reporting retired op effects ([`crate::record::Recorder::vm_op`])
     /// to the given recorders.
     pub fn with_recorders(
@@ -772,7 +768,10 @@ mod tests {
         let out = module.procs[0]
             .output
             .map(|o| inst.outputs[o as usize].clone());
-        (ProcVm::new(module, 0, out), inst.outputs)
+        (
+            ProcVm::with_recorders(module, 0, out, Vec::new()),
+            inst.outputs,
+        )
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use systolic_core::CompileError;
 use systolic_interp::{ExecError, ProblemError, SystolicRun, VerifyError};
-use systolic_runtime::{json, BatchMode, Json, KernelMode, OptMode, RunError};
+use systolic_runtime::{json, BatchMode, Json, KernelMode, RunError};
 use systolic_sim::DesignError;
 
 /// The response schema identifier.
@@ -195,8 +195,8 @@ pub enum OutputKind {
 }
 
 /// A parsed `POST /v1/run` body. The engine-mode fields take the values
-/// of the CLI's `--batch/--opt/--kernel`; `executor` and `workers` have
-/// no CLI counterpart.
+/// of the CLI's `--batch/--kernel`; `executor` and `workers` have no CLI
+/// counterpart.
 #[derive(Debug)]
 pub struct RunRequest {
     pub program: ProgramRef,
@@ -210,7 +210,6 @@ pub struct RunRequest {
     /// defaults (inline-source requests with no list run zero-filled).
     pub inputs: Option<Vec<String>>,
     pub batch: BatchMode,
-    pub opt: OptMode,
     pub kernel: KernelMode,
     pub executor: String,
     pub workers: usize,
@@ -260,6 +259,13 @@ fn u64_field(doc: &Json, key: &str) -> Result<Option<u64>, ApiError> {
     field(doc, key, "a non-negative integer", read)
 }
 
+/// A count that must be at least one (`workers`).
+fn positive(v: &Json) -> Option<usize> {
+    v.as_i64()
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|&n| n > 0)
+}
+
 fn bool_field(doc: &Json, key: &str) -> Result<Option<bool>, ApiError> {
     field(doc, key, "a boolean", Json::as_bool)
 }
@@ -273,7 +279,6 @@ pub const RUN_MEMBERS: &[&str] = &[
     "inputs",
     "seed",
     "batch",
-    "opt",
     "kernel",
     "executor",
     "workers",
@@ -358,10 +363,9 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
         seed: u64_field(&doc, "seed")?.unwrap_or(42),
         inputs,
         batch: choice(&doc, "batch", BatchMode::NAMES)?,
-        opt: choice(&doc, "opt", OptMode::NAMES)?,
         kernel: choice(&doc, "kernel", KernelMode::NAMES)?,
         executor: choice(&doc, "executor", &executor)?.to_string(),
-        workers: u64_field(&doc, "workers")?.unwrap_or(2).max(1) as usize,
+        workers: field(&doc, "workers", "a positive integer", positive)?.unwrap_or(2),
         deadline_ms: u64_field(&doc, "deadline_ms")?,
         output,
         verify,
@@ -431,7 +435,7 @@ mod tests {
             "design" => Some((m, Json::from("E.1"))),
             "sizes" => Some((m, Json::arr([4i64]))),
             "schedule" => Some((m, Json::obj([("policy", Json::from("fifo"))]))),
-            "batch" | "opt" | "kernel" => Some((m, "auto".into())),
+            "batch" | "kernel" => Some((m, "auto".into())),
             "executor" => Some((m, "coop".into())),
             "output" => Some((m, "stores".into())),
             "inputs" => Some((m, Json::arr(["a"]))),

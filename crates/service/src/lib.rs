@@ -250,7 +250,6 @@ impl Service {
         };
         let spec = SimSpec {
             batch: req.batch,
-            opt: req.opt,
             kernel: req.kernel,
             executor,
             deadline: Duration::from_millis(deadline_ms),

@@ -101,18 +101,6 @@ impl FaultPlan {
                 .collect(),
         }
     }
-
-    /// Labels of the abort victims, resolved against the live processes
-    /// (for asserting that failure reports name them).
-    pub fn victims(&self) -> Vec<usize> {
-        self.faults
-            .iter()
-            .filter_map(|f| match *f {
-                Fault::Abort { victim } => Some(victim),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// The aborted process: asks once for a value nobody will ever send and

@@ -5,8 +5,8 @@
 
 use crate::{systolize_source, PlaceChoice, SystolizeOptions};
 use systolic_interp::{
-    simulate, simulate_verified, BatchMode, ElabOptions, KernelMode, ModuleStore, OptMode,
-    OptReport, Problem, SimSpec,
+    simulate, simulate_verified, BatchMode, ElabOptions, KernelMode, ModuleStore, OptReport,
+    Problem, SimSpec,
 };
 use systolic_runtime::Json;
 
@@ -132,12 +132,6 @@ const FLAGS: &[Flag] = &[
         commands: RUNS,
         accepts: OneOf("auto|off"),
         help: "the fast path: the wavefront executor (docs/wavefront.md)",
-    },
-    Flag {
-        name: "opt",
-        commands: &["compile", "run", "verify"],
-        accepts: OneOf("auto|off"),
-        help: "ProcIR optimizer; off by default for --emit rust",
     },
     Flag {
         name: "kernel",
@@ -403,13 +397,11 @@ pub fn build_options(inv: &Invocation) -> Result<SystolizeOptions, String> {
 }
 
 /// The simulation spec of a `run`/`verify` invocation: the engine gates
-/// (`--batch`, `--opt`, `--kernel`, all default `auto`), each named by
-/// its enum's own table, and the protocol variant (`--protocol`,
-/// `--merge-io`).
+/// (`--batch`, `--kernel`, both default `auto`), each named by its enum's
+/// own table, and the protocol variant (`--protocol`, `--merge-io`).
 pub fn build_sim_spec(inv: &Invocation) -> Result<SimSpec, String> {
     Ok(SimSpec {
         batch: inv.gate("batch", BatchMode::NAMES)?,
-        opt: inv.gate("opt", OptMode::NAMES)?,
         kernel: inv.gate("kernel", KernelMode::NAMES)?,
         elab: ElabOptions {
             split_propagation: inv.flag("protocol") == Some("split"),
@@ -435,14 +427,10 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                     // The runnable back end is concrete: it needs a size.
                     let sizes = inv.sizes()?.ok_or("--emit rust requires --sizes N[,M..]")?;
                     let env = sys.size_env(&sizes).map_err(|e| e.to_string())?;
-                    // `--opt auto` routes through the delay-ring back
-                    // end; `off` (the default here — the generated
-                    // program is the paper's hand translation) does not.
-                    let generate = match inv.flag("opt") {
-                        Some("auto") => systolic_interp::rustgen::generate_rust_opt,
-                        _ => systolic_interp::rustgen::generate_rust,
-                    };
-                    Ok(generate(&sys.plan, &env, inv.seed()?))
+                    let seed = inv.seed()?;
+                    Ok(systolic_interp::rustgen::generate_rust(
+                        &sys.plan, &env, seed,
+                    ))
                 }
                 other => Err(format!("unknown --emit {other}")),
             }
@@ -484,16 +472,16 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
             if let Some(path) = inv.flag("opt-report") {
                 // The optimizer's document (its schema id alone when it
                 // left the module untouched), plus the wavefront staging
-                // facts of the elaborated module.
-                let mut doc = match &run.opt {
-                    Some(r) => r.json(),
-                    None => Json::obj([("schema", OptReport::SCHEMA.into())]),
-                };
+                // facts of the module it returned: the fast plan, as in
+                // the metrics document.
                 let cm = ms
                     .module(&sys.plan, &env, &store, &elab)
                     .map_err(|e| e.to_string())?;
-                let wavefront = cm.wavefront_plan().json(&cm.elab.module, cm.batch_plan());
-                doc.push("wavefront", wavefront);
+                let mut doc = match cm.fast_plan().opt_report() {
+                    Some(r) => r.json(),
+                    None => Json::obj([("schema", OptReport::SCHEMA.into())]),
+                };
+                doc.push("wavefront", cm.wavefront_json());
                 std::fs::write(path, doc.pretty())
                     .map_err(|e| format!("cannot write {path}: {e}"))?;
                 out.push_str(&format!("\noptimizer report: {path}"));
@@ -784,7 +772,7 @@ mod tests {
         assert!(e.contains("--kernel belongs to run/verify"), "{e}");
         // `explore` always runs the plain engine, so it takes none of
         // the engine flags.
-        for flag in ["batch", "opt", "kernel"] {
+        for flag in ["batch", "kernel"] {
             let e = err(&["explore", "f", &format!("--{flag}"), "off"]);
             assert!(e.contains(&format!("--{flag} belongs to ")), "{e}");
             assert!(e.contains("not to explore"), "{e}");
@@ -792,7 +780,6 @@ mod tests {
         // A bad value names the flag and the accepted set.
         for (flag, accepted) in [
             ("batch", "auto|off"),
-            ("opt", "auto|off"),
             ("kernel", "auto|off"),
             ("protocol", "paper|split"),
         ] {
@@ -800,13 +787,18 @@ mod tests {
             assert!(e.contains(&format!("bad --{flag} value bogus")), "{e}");
             assert!(e.contains(accepted), "{e}");
         }
-        // The wavefront executor is the fast path, not a knob
-        // (docs/wavefront.md): its old flag is one more unknown flag.
+        // The wavefront executor is the fast path and the optimizer always
+        // runs on it, not knobs (docs/wavefront.md, docs/process-ir.md):
+        // their old flags are unknown flags, on every command.
         let e = err(&["run", "f", "--sizes", "6", "--wavefront", "off"]);
         assert!(
             e.starts_with("unknown flag --wavefront (run takes: "),
             "{e}"
         );
+        let e = err(&["verify", "f", "--sizes", "6", "--opt", "off"]);
+        assert!(e.starts_with("unknown flag --opt (verify takes: "), "{e}");
+        let e = err(&["compile", "f", "--emit", "rust", "--opt", "auto"]);
+        assert!(e.starts_with("unknown flag --opt (compile takes: "), "{e}");
         // A repeated flag is refused, not resolved to either occurrence,
         // and before its second value is looked at.
         assert_eq!(
@@ -886,31 +878,38 @@ mod tests {
         assert!(execute(&inv, SRC).unwrap().contains("makespan"));
     }
 
-    #[test]
-    fn batch_flag_gates_the_fast_path() {
-        // `--opt off` on both sides: with the optimizer disabled the
-        // logical message/step counts are engine-invariant.
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--opt", "off"])).unwrap();
-        let auto = execute(&inv, SRC).unwrap();
-        assert!(auto.contains(" [wavefront"), "{auto}");
-        assert!(!auto.contains("optimized]"), "{auto}");
-        let inv = parse_args(&args(&[
-            "verify", "f", "--sizes", "4", "--batch", "off", "--opt", "off",
-        ]))
-        .unwrap();
-        let off = execute(&inv, SRC).unwrap();
-        assert!(!off.contains(" ["), "the plain engine has no marker: {off}");
-        let invariant = |s: &str| {
-            let t = s.split("rounds, ").nth(1).unwrap();
-            t.split(" steps").next().unwrap().to_string()
-        };
-        assert_eq!(invariant(&auto), invariant(&off));
+    /// The integer printed just before `what` in `out`.
+    fn count(out: &str, what: &str) -> u64 {
+        let head = &out[..out.find(what).unwrap_or_else(|| panic!("{what}: {out}"))];
+        head.trim_end().rsplit(' ').next().unwrap().parse().unwrap()
     }
 
     #[test]
-    fn opt_flag_gates_the_optimizer_and_writes_the_report() {
-        // This design has pure relay chains at n=4, so `--opt auto`
-        // (the default) engages the optimizer; results stay verified.
+    fn batch_flag_gates_the_fast_path() {
+        let inv = parse_args(&args(&["verify", "f", "--sizes", "4"])).unwrap();
+        let auto = execute(&inv, SRC).unwrap();
+        assert!(auto.contains(" [wavefront"), "{auto}");
+        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--batch", "off"])).unwrap();
+        let off = execute(&inv, SRC).unwrap();
+        assert!(!off.contains(" ["), "the plain engine has no marker: {off}");
+        assert!(
+            !off.contains("optimizer"),
+            "the optimizer rides the gate: {off}"
+        );
+        // The fast run executes the optimizer's module: one process fewer
+        // per fused relay (the count law of `systolic_runtime::opt`).
+        let fused = count(&auto, " relays fused");
+        assert!(fused > 0, "{auto}");
+        assert_eq!(
+            count(&off, " processes"),
+            count(&auto, " processes") + fused
+        );
+    }
+
+    #[test]
+    fn the_optimizer_always_runs_and_writes_its_report() {
+        // This design has pure relay chains at n=4, so every default run
+        // engages the optimizer; results stay verified.
         let report =
             std::env::temp_dir().join(format!("systolizer-opt-{}.json", std::process::id()));
         let inv = parse_args(&args(&[
@@ -935,58 +934,37 @@ mod tests {
         assert!(j.contains("\"eligible\""), "{j}");
         assert!(j.contains("\"channels\""), "{j}");
         let _ = std::fs::remove_file(&report);
-        // `--opt off` runs the elaborated module.
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--opt", "off"])).unwrap();
-        let off = execute(&inv, SRC).unwrap();
-        assert!(!off.contains("optimized"), "{off}");
     }
 
     #[test]
     fn the_fast_path_is_the_wavefront_executor_without_a_flag_of_its_own() {
-        // The default gates take the wavefront rung; `--opt off` keeps
-        // the message/step counts engine-invariant and `--kernel off`
-        // pins the scalar wavefront marker (the kernel rung has its own
-        // gating test below).
-        let inv = parse_args(&args(&[
-            "verify", "f", "--sizes", "4", "--opt", "off", "--kernel", "off",
-        ]))
-        .unwrap();
-        let wf = execute(&inv, SRC).unwrap();
-        assert!(wf.contains("[wavefront]"), "{wf}");
-        // There is no rung between it and the plain engine to ask for.
-        let e = parse_args(&args(&["verify", "f", "--wavefront", "off"])).unwrap_err();
-        assert!(e.starts_with("unknown flag --wavefront"), "{e}");
-        // Logical messages and steps are invariant across the ladder.
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--batch", "off"])).unwrap();
-        let plain = execute(&inv, SRC).unwrap();
-        let invariant = |s: &str| {
-            let t = s.split("rounds, ").nth(1).unwrap();
-            t.split(" steps").next().unwrap().to_string()
-        };
-        assert_eq!(invariant(&wf), invariant(&plain));
-        // With the optimizer on (kernels pinned off), the marker names
-        // both.
+        // The default gates take the wavefront rung over the optimizer's
+        // module; `--kernel off` pins the scalar wavefront marker (the
+        // kernel rung has its own gating test below).
         let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "off"])).unwrap();
-        let both = execute(&inv, SRC).unwrap();
-        assert!(both.contains("[wavefront+optimized]"), "{both}");
+        let wf = execute(&inv, SRC).unwrap();
+        assert!(wf.contains("[wavefront+optimized]"), "{wf}");
+        // There is no rung between it and the plain engine to ask for,
+        // and no other module for it to run.
+        for flag in ["--wavefront", "--opt"] {
+            let e = parse_args(&args(&["verify", "f", flag, "off"])).unwrap_err();
+            assert!(e.starts_with(&format!("unknown flag {flag}")), "{e}");
+        }
     }
 
     #[test]
     fn kernel_flag_gates_the_vectorized_wave_path() {
         // Default `--kernel auto`: polyprod's unguarded `c := c + a*b`
         // body compiles, the wavefront chunks are eligible, and the
-        // marker names the fused path. `--opt off` keeps the logical
-        // counts comparable across the gate.
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--opt", "off"])).unwrap();
+        // marker names all three: waves, kernels, the optimizer's module.
+        let inv = parse_args(&args(&["verify", "f", "--sizes", "4"])).unwrap();
         let auto = execute(&inv, SRC).unwrap();
-        assert!(auto.contains("[wavefront+kernels]"), "{auto}");
-        // `off` runs the same waves through scalar macro-steps.
-        let inv = parse_args(&args(&[
-            "verify", "f", "--sizes", "4", "--opt", "off", "--kernel", "off",
-        ]))
-        .unwrap();
+        assert!(auto.contains("[wavefront+kernels+optimized]"), "{auto}");
+        // `off` runs the same waves of the same module through scalar
+        // macro-steps.
+        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "off"])).unwrap();
         let off = execute(&inv, SRC).unwrap();
-        assert!(off.contains("[wavefront]"), "{off}");
+        assert!(off.contains("[wavefront+optimized]"), "{off}");
         assert!(!off.contains("kernels"), "{off}");
         // The kernel path is a pure execution strategy: logical messages
         // and steps are invariant across the gate.
@@ -995,18 +973,11 @@ mod tests {
             t.split(" steps").next().unwrap().to_string()
         };
         assert_eq!(invariant(&auto), invariant(&off));
-        // With the optimizer on, the marker names all three engines.
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4"])).unwrap();
-        let all = execute(&inv, SRC).unwrap();
-        assert!(all.contains("[wavefront+kernels+optimized]"), "{all}");
     }
 
     #[test]
-    fn emit_rust_opt_routes_through_the_delay_ring_back_end() {
-        let inv = parse_args(&args(&[
-            "compile", "f", "--emit", "rust", "--sizes", "4", "--opt", "auto",
-        ]))
-        .unwrap();
+    fn emit_rust_prints_the_module_a_run_executes() {
+        let inv = parse_args(&args(&["compile", "f", "--emit", "rust", "--sizes", "4"])).unwrap();
         let out = execute(&inv, SRC).unwrap();
         assert!(out.contains("fn main()"));
         assert!(out.contains("//! Optimized:"), "relays should fuse at n=4");
@@ -1211,7 +1182,6 @@ mod tests {
         }
         for (flag, names) in [
             ("batch", joined(BatchMode::NAMES)),
-            ("opt", joined(OptMode::NAMES)),
             ("kernel", joined(KernelMode::NAMES)),
         ] {
             let row = FLAGS.iter().find(|f| f.name == flag).unwrap();

@@ -1,34 +1,27 @@
 //! Fast-path regression: the macro-stepping wavefront engine behind the
 //! batch proof (`systolic_runtime::batch`, see `docs/scheduler.md`) must
-//! be observationally invisible — bit-identical recovered stores and
-//! invariant logical `messages`/`steps` counts against the rendezvous
-//! engine — and its engagement gate must be exactly as documented: an
+//! be observationally invisible — bit-identical recovered stores against
+//! the rendezvous engine — and its engagement gate must be exactly as
+//! documented: an
 //! executor other than the cooperative one, `--batch off`, a buffered
 //! channel policy, an attached recorder, or a non-FIFO schedule policy
-//! each force the rendezvous engine. All runs here pass `OptMode::Off`:
-//! the message and step pins below are the *unfused* counts, and the
-//! optimizer (which legitimately changes them) has its own differential
-//! suite in `tests/optimizer.rs`.
+//! each force the rendezvous engine. A fast run executes the optimizer's
+//! module, so its counts are pinned by the optimizer's count law
+//! (`common::assert_count_law`); the elaborated module itself runs on the
+//! wavefront engine through the runtime API, with the plain engine's
+//! counts exactly.
 
 mod common;
 
-use common::{assert_one_fast_engine, prepared, run as go, CORPUS};
+use common::{assert_count_law, assert_one_fast_engine, prepared, run as go, CORPUS};
 use proptest::prelude::*;
 use systolizer::interp::{
-    BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, OptMode, SimSpec,
+    BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, SimSpec,
 };
 use systolizer::runtime::{
-    lock, shared, ChanId, ChannelPolicy, FifoPolicy, MetricsRecorder, SchedulePolicy,
+    analyze_kernels, analyze_wavefront, lock, run_wavefront, shared, ChanId, ChannelPolicy,
+    FifoPolicy, MetricsRecorder, SchedulePolicy,
 };
-
-/// The spec every run here starts from: the default gates with
-/// `OptMode::Off`, so a fast run executes the elaborated module.
-fn fast_rung() -> SimSpec {
-    SimSpec {
-        opt: OptMode::Off,
-        ..SimSpec::default()
-    }
-}
 
 /// A policy that actually exercises its hooks (reverses each round's
 /// firing order) and honestly reports `is_fifo() == false`.
@@ -53,12 +46,12 @@ fn gate_closes_for_every_observable_feature() {
         &e1,
         SimSpec {
             batch: BatchMode::Off,
-            ..fast_rung()
+            ..SimSpec::default()
         },
     );
     assert!(!base.wavefront, "--batch off forces the rendezvous engine");
 
-    let auto = go(&e1, fast_rung());
+    let auto = go(&e1, SimSpec::default());
     assert!(auto.wavefront, "plain Auto run engages");
     assert_eq!(auto.store, base.store);
 
@@ -66,7 +59,7 @@ fn gate_closes_for_every_observable_feature() {
         &e1,
         SimSpec {
             sched: Some(Box::new(FifoPolicy)),
-            ..fast_rung()
+            ..SimSpec::default()
         },
     );
     assert!(fifo.wavefront, "the identity policy keeps the gate open");
@@ -76,7 +69,7 @@ fn gate_closes_for_every_observable_feature() {
         &e1,
         SimSpec {
             sched: Some(Box::new(ReversePolicy)),
-            ..fast_rung()
+            ..SimSpec::default()
         },
     );
     assert!(!perturbed.wavefront, "a non-FIFO policy closes the gate");
@@ -87,7 +80,7 @@ fn gate_closes_for_every_observable_feature() {
         &e1,
         SimSpec {
             recorders: vec![recorder],
-            ..fast_rung()
+            ..SimSpec::default()
         },
     );
     assert!(!observed.wavefront, "a recorder closes the gate");
@@ -101,7 +94,7 @@ fn gate_closes_for_every_observable_feature() {
         &e1,
         SimSpec {
             policy: ChannelPolicy::Buffered(4),
-            ..fast_rung()
+            ..SimSpec::default()
         },
     );
     assert!(!buffered.wavefront, "the buffered ablation closes the gate");
@@ -115,7 +108,7 @@ fn gate_closes_for_every_observable_feature() {
             &e1,
             SimSpec {
                 executor,
-                ..fast_rung()
+                ..SimSpec::default()
             },
         );
         assert!(
@@ -135,11 +128,51 @@ fn wavefront_gate_corners() {
     for n in [0i64, 1, 2] {
         let d1 = prepared(0, n, 31);
         let plain = go(&d1, SimSpec::plain());
-        let wf = go(&d1, fast_rung());
+        let wf = go(&d1, SimSpec::default());
         assert!(wf.wavefront, "n={n}: the wavefront gate should admit");
         assert_eq!(wf.store, plain.store, "n={n}");
-        assert_eq!(wf.stats.messages, plain.stats.messages, "n={n}");
-        assert_eq!(wf.stats.steps, plain.stats.steps, "n={n}");
+        assert_count_law(&format!("n={n}"), &plain.stats, &wf);
+    }
+}
+
+/// Unfused exactness without a knob: the module *as elaborated* — every
+/// relay the optimizer would fuse still in place — run on the wavefront
+/// engine through the runtime API, with compiled kernels and without, on
+/// every corpus design and `fir.sys` at four sizes, recovers the plain
+/// engine's store word for word and its messages, steps and processes
+/// exactly.
+#[test]
+fn the_elaborated_module_runs_exactly_on_the_wavefront_engine() {
+    for design in 0..=CORPUS {
+        for n in [1i64, 2, 3, 5] {
+            let (plan, env, store) = prepared(design, n, 19);
+            let ms = ModuleStore::new();
+            let plain =
+                systolizer::interp::simulate(&ms, &plan, &env, &store, SimSpec::plain()).unwrap();
+            let cm = ms
+                .module(&plan, &env, &store, &ElabOptions::default())
+                .unwrap();
+            let el = &cm.elab;
+            let module = el.module.with_data(el.gather(&store).unwrap());
+            let wf = analyze_wavefront(&module, cm.batch_plan());
+            let kernels = analyze_kernels(&module, &wf);
+            for kernels in [Some(&kernels), None] {
+                let ctx = format!("design {design} n={n} kernels {}", kernels.is_some());
+                let (stats, sinks, _) = run_wavefront(&module, &wf, kernels, false).unwrap();
+                assert_eq!(stats.messages, plain.stats.messages, "{ctx}");
+                assert_eq!(stats.steps, plain.stats.steps, "{ctx}");
+                assert_eq!(stats.processes, plain.stats.processes, "{ctx}");
+                for out in &el.outputs {
+                    let raw = plain.store.get(&out.variable).raw();
+                    let want: Vec<_> = el
+                        .words_of(out)
+                        .iter()
+                        .map(|&at| raw[at as usize])
+                        .collect();
+                    assert_eq!(sinks[out.output as usize], want, "{ctx}: {}", out.variable);
+                }
+            }
+        }
     }
 }
 
@@ -181,7 +214,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(16), ..ProptestConfig::default() })]
 
     /// The wavefront engine and the rendezvous engines agree — stores
-    /// bit-identical, logical messages/steps/processes invariant — and
+    /// bit-identical, logical counts by the optimizer's count law — and
     /// the gate opens on the cooperative executor only, over random
     /// (design, size, input seed, worker count) draws.
     #[test]
@@ -198,20 +231,19 @@ proptest! {
             ExecutorChoice::Threaded,
             ExecutorChoice::Partitioned { workers },
         ] {
-            let fast = go(&d, SimSpec { executor, ..fast_rung() });
+            let fast = go(&d, SimSpec { executor, ..SimSpec::default() });
             prop_assert_eq!(fast.wavefront, executor == ExecutorChoice::Coop);
             prop_assert_eq!(&fast.store, &base.store);
-            prop_assert_eq!(fast.stats.messages, base.stats.messages);
-            prop_assert_eq!(fast.stats.steps, base.stats.steps);
-            prop_assert_eq!(fast.stats.processes, base.stats.processes);
+            let ctx = format!("design {design} n={n} {executor:?}");
+            assert_count_law(&ctx, &base.stats, &fast);
         }
     }
 
     /// The batched run — `--batch auto` on the cooperative executor, which
     /// is the wavefront executor — is differentially pinned against the
     /// same spec with `--batch off`, on the compiled-kernel and the scalar
-    /// wave path alike: bit-identical stores, invariant logical
-    /// messages/steps/processes, over random (design, size, seed) draws.
+    /// wave path alike: bit-identical stores, logical counts by the count
+    /// law, over random (design, size, seed) draws.
     #[test]
     fn wavefront_agrees_with_the_batched_run(
         design in 0usize..9,
@@ -221,14 +253,13 @@ proptest! {
     ) {
         let d = prepared(design, n, seed);
         let kernel = if kernel_on == 1 { KernelMode::Auto } else { KernelMode::Off };
-        let go = |batch| go(&d, SimSpec { batch, kernel, ..fast_rung() });
+        let go = |batch| go(&d, SimSpec { batch, kernel, ..SimSpec::default() });
         let rendezvous = go(BatchMode::Off);
         prop_assert!(!rendezvous.wavefront);
         let wf = go(BatchMode::Auto);
         prop_assert!(wf.wavefront, "design {} n={}: gate should admit", design, n);
         prop_assert_eq!(&wf.store, &rendezvous.store);
-        prop_assert_eq!(wf.stats.messages, rendezvous.stats.messages);
-        prop_assert_eq!(wf.stats.steps, rendezvous.stats.steps);
-        prop_assert_eq!(wf.stats.processes, rendezvous.stats.processes);
+        let ctx = format!("design {design} n={n} {kernel:?}");
+        assert_count_law(&ctx, &rendezvous.stats, &wf);
     }
 }

@@ -14,7 +14,8 @@ mod common;
 
 use common::{prepared, rungs, CORPUS};
 use systolizer::interp::{
-    simulate, simulate_verified, ElabError, ElabOptions, ExecError, ModuleStore, OptMode, SimSpec,
+    simulate, simulate_verified, ElabError, ElabOptions, ExecError, KernelMode, ModuleStore,
+    SimSpec,
 };
 use systolizer::ir::{HostArray, HostStore};
 
@@ -81,7 +82,6 @@ fn data_sets_of_one_shape_share_one_module_on_every_rung() {
                 };
                 let fast = SimSpec {
                     elab: elab.clone(),
-                    opt: OptMode::Off,
                     ..SimSpec::default()
                 };
                 verified(&format!("seed {seed} {elab:?} plain"), store, plain);
@@ -105,7 +105,7 @@ fn the_optimizer_keeps_the_data_segment_word_for_word_on_the_corpus() {
                 .module(&plan, &env, &store, &ElabOptions::default())
                 .unwrap();
             assert_eq!(cm.elab.gather(&store).unwrap(), cm.elab.module.data);
-            let Some(od) = cm.optimized(OptMode::Auto) else {
+            let Some(od) = &cm.fast_plan().optimized else {
                 continue;
             };
             fused += od.0.report.fused_relays();
@@ -195,7 +195,7 @@ fn eight_threads_with_distinct_data_share_one_entry_and_exact_counters() {
                             0 => SimSpec::default(),
                             1 => SimSpec::plain(),
                             _ => SimSpec {
-                                opt: OptMode::Off,
+                                kernel: KernelMode::Off,
                                 ..SimSpec::default()
                             },
                         };

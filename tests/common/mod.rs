@@ -5,11 +5,13 @@
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
     seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode,
-    ModuleStore, OptMode, SimSpec, SystolicRun, VerifyError,
+    ModuleStore, SimSpec, SystolicRun, VerifyError,
 };
 use systolizer::ir::{gallery, seq, HostStore, SourceProgram, Value};
 use systolizer::math::Env;
-use systolizer::runtime::{BatchPlan, ProcIrModule, ProcOp, WavefrontPlan, Window};
+use systolizer::runtime::{
+    analyze_wavefront, BatchPlan, ProcIrModule, ProcOp, RunStats, WavefrontPlan, Window,
+};
 use systolizer::synthesis::{derive_array, placement::paper};
 
 /// Designs `0..CORPUS` of [`prepared`]: the 4 paper appendix designs
@@ -162,7 +164,6 @@ pub fn verify(
 pub struct Rung {
     pub executor: ExecutorChoice,
     pub batch: BatchMode,
-    pub opt: OptMode,
     pub kernel: KernelMode,
 }
 
@@ -171,7 +172,6 @@ impl Rung {
         SimSpec {
             executor: self.executor,
             batch: self.batch,
-            opt: self.opt,
             kernel: self.kernel,
             ..SimSpec::default()
         }
@@ -179,16 +179,15 @@ impl Rung {
 }
 
 /// Each distinct execution once. The cooperative executor has the plain
-/// rung and the wavefront rung × opt × kernel; the OS-thread engine has
-/// the plain rung only — `threaded`, and `partitioned` at 1 and 3
-/// workers. A gate that cannot matter on a rung is spelled `Off` here;
+/// rung and the wavefront rung × kernel; the OS-thread engine has the
+/// plain rung only — `threaded`, and `partitioned` at 1 and 3 workers.
+/// A gate that cannot matter on a rung is spelled `Off` here;
 /// [`inert_rungs`] spells it `Auto`.
 pub fn rungs() -> Vec<Rung> {
     use ExecutorChoice::{Coop, Partitioned, Threaded};
     let plain = |executor| Rung {
         executor,
         batch: BatchMode::Off,
-        opt: OptMode::Off,
         kernel: KernelMode::Off,
     };
     let mut out = vec![
@@ -197,17 +196,36 @@ pub fn rungs() -> Vec<Rung> {
         plain(Partitioned { workers: 1 }),
         plain(Partitioned { workers: 3 }),
     ];
-    for opt in [OptMode::Auto, OptMode::Off] {
-        for kernel in [KernelMode::Auto, KernelMode::Off] {
-            out.push(Rung {
-                batch: BatchMode::Auto,
-                opt,
-                kernel,
-                ..plain(Coop)
-            });
-        }
+    for kernel in [KernelMode::Auto, KernelMode::Off] {
+        out.push(Rung {
+            batch: BatchMode::Auto,
+            kernel,
+            ..plain(Coop)
+        });
     }
     out
+}
+
+/// The optimizer's count law (`systolic_runtime::opt`): a run counts
+/// less than the plain run of the same elaboration by exactly what its
+/// report itemizes — per relay of a chain with traffic `t`, `t` messages,
+/// `2t + 1` steps and one process — and a run the optimizer did not
+/// rewrite counts the same.
+pub fn assert_count_law(ctx: &str, plain: &RunStats, run: &SystolicRun) {
+    let (mut relays, mut moved) = (0u64, 0u64);
+    for chain in run.opt.iter().flat_map(|r| &r.chains) {
+        relays += chain.relays.len() as u64;
+        moved += chain.relays.len() as u64 * chain.traffic;
+    }
+    let stats = &run.stats;
+    assert_eq!(plain.messages, stats.messages + moved, "{ctx}: messages");
+    assert_eq!(
+        plain.steps,
+        stats.steps + 2 * moved + relays,
+        "{ctx}: steps"
+    );
+    let processes = stats.processes as u64 + relays;
+    assert_eq!(plain.processes as u64, processes, "{ctx}: processes");
 }
 
 /// Specs whose `Auto` gates must do nothing: the OS-thread engine under
@@ -218,7 +236,6 @@ pub fn inert_rungs() -> Vec<Rung> {
     let auto = |executor, batch| Rung {
         executor,
         batch,
-        opt: OptMode::Auto,
         kernel: KernelMode::Auto,
     };
     vec![
@@ -380,10 +397,11 @@ pub fn check_wavefront_plan(
     }
 }
 
-/// [`check_wavefront_plan`] on the plans `simulate` takes for this
-/// problem off `ms`: the elaborated module's and, where the optimizer
-/// rewrites it, the optimized module's. Returns how many it checked
-/// (none when the batch proof rejects the module).
+/// [`check_wavefront_plan`] on the elaborated module's plan, built
+/// through the runtime API, and on the fast plan `simulate` takes for
+/// this problem off `ms` — one and the same plan unless the optimizer
+/// rewrote the module. Returns how many distinct plans it checked (none
+/// when the batch proof rejects the module).
 pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared) -> usize {
     let (plan, env, store) = prepared;
     let cm = ms
@@ -392,27 +410,36 @@ pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared)
     if !cm.batch_plan().batchable() {
         return 0;
     }
+    let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan());
     check_wavefront_plan(
         &format!("{label}, as elaborated"),
         &cm.elab.module,
         cm.batch_plan(),
-        cm.wavefront_plan(),
+        &elaborated,
     );
-    let Some(od) = cm.optimized(OptMode::Auto) else {
+    let fast = cm.fast_plan();
+    let Some(od) = &fast.optimized else {
+        assert_eq!(
+            *fast.wavefront, elaborated,
+            "{label}: the optimizer declined"
+        );
         return 1;
     };
-    let wf = cm.wavefront_plan_opt(OptMode::Auto).unwrap();
-    check_wavefront_plan(&format!("{label}, optimized"), &od.0.module, &od.1, &wf);
+    check_wavefront_plan(
+        &format!("{label}, optimized"),
+        &od.0.module,
+        &od.1,
+        &fast.wavefront,
+    );
     2
 }
 
 /// The law that leaves the cooperative executor one fast engine: a
 /// module's wavefront plan is eligible exactly when its batch proof holds
-/// — the elaborated module's and, when the optimizer rewrites it, the
-/// optimized twin's — so a default run takes the wavefront rung exactly
-/// when the batch proof admits the module. The run may deadlock (the
-/// paper protocol on some random designs); the plans are checked anyway.
-/// Returns whether the module was batchable.
+/// — the elaborated module's and the fast plan's — so a default run takes
+/// the wavefront rung exactly when the batch proof admits the module. The
+/// run may deadlock (the paper protocol on some random designs); the
+/// plans are checked anyway. Returns whether the module was batchable.
 pub fn assert_one_fast_engine(
     label: &str,
     ms: &ModuleStore,
@@ -422,11 +449,13 @@ pub fn assert_one_fast_engine(
     let (plan, env, store) = prepared;
     let cm = ms.module(plan, env, store, elab).unwrap();
     let batchable = cm.batch_plan().batchable();
-    assert_eq!(cm.wavefront_plan().eligible(), batchable, "{label}");
+    let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan());
+    assert_eq!(elaborated.eligible(), batchable, "{label}");
+    let fast = cm.fast_plan();
+    assert_eq!(fast.wavefront.eligible(), batchable, "{label}, fast plan");
     // The optimizer only ever sees a module the batch proof admits.
-    if let Some(od) = batchable.then(|| cm.optimized(OptMode::Auto)).flatten() {
-        let wf = cm.wavefront_plan_opt(OptMode::Auto).unwrap();
-        assert_eq!(wf.eligible(), od.1.batchable(), "{label}, optimized");
+    if let Some(od) = &fast.optimized {
+        assert!(batchable && od.1.batchable(), "{label}, optimized");
     }
     let spec = SimSpec {
         elab: elab.clone(),

@@ -19,40 +19,49 @@ const OPT_KEYS: &str = "schema processes_before processes_after channels_before 
 const SCHEDULE_KEYS: &str = "schema design sizes input_seed policy policy_seed reason rounds";
 const RUN_KEYS: &str = "schema design engine stats verified stores";
 
-/// Run `systolizer verify programs/fir.sys --sizes 3,6 <flags>` and
-/// return what it wrote to each `--flag PATH` named in `artifacts`.
-fn cli_artifacts(flags: &[&str], artifacts: &[&str]) -> Vec<String> {
-    let src = std::fs::read_to_string("programs/fir.sys").expect("read fir.sys");
+/// Run `systolizer verify programs/<program> --sizes <sizes>` and return
+/// what it printed, then what it wrote to each `--flag PATH` named in
+/// `artifacts`.
+fn cli_artifacts(program: &str, sizes: &str, artifacts: &[&str]) -> (String, Vec<String>) {
+    let file = format!("programs/{program}");
+    let src = std::fs::read_to_string(&file).expect("read the shipped program");
     let dir = std::env::temp_dir();
     let paths: Vec<String> = artifacts
         .iter()
         .map(|a| {
-            let tag = format!("systolizer-doc-{}-{a}{}", std::process::id(), flags.len());
+            let tag = format!("systolizer-doc-{}-{program}-{sizes}{a}", std::process::id());
             dir.join(tag).to_str().unwrap().to_string()
         })
         .collect();
-    let mut raw = vec!["verify", "fir.sys", "--sizes", "3,6"];
-    raw.extend(flags);
+    let mut raw = vec!["verify", &file, "--sizes", sizes];
     for (a, p) in artifacts.iter().zip(&paths) {
         raw.extend([*a, p.as_str()]);
     }
     let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
     let out = execute(&parse_args(&raw).unwrap(), &src).unwrap();
     assert!(out.starts_with("OK:"), "{out}");
-    paths
+    let written = paths
         .iter()
         .map(|p| {
             let text = std::fs::read_to_string(p).expect("artifact written");
             let _ = std::fs::remove_file(p);
             text
         })
-        .collect()
+        .collect();
+    (out, written)
 }
 
 #[test]
 fn every_document_parses_and_carries_its_schema_and_keys() {
-    let cli = cli_artifacts(&[], &["--metrics", "--trace-out", "--opt-report"]);
-    let unfused = cli_artifacts(&["--opt", "off"], &["--opt-report"]);
+    // Every shipped program is rewritten at every size (zero-iteration
+    // ops dropped at the least), so the optimizer report always carries
+    // its full keys here; its schema-alone form belongs to a module the
+    // batch proof rejects, where the optimizer never runs.
+    let (_, cli) = cli_artifacts(
+        "fir.sys",
+        "3,6",
+        &["--metrics", "--trace-out", "--opt-report"],
+    );
 
     let svc = Service::new(ServiceConfig {
         workers: 1,
@@ -71,16 +80,10 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     let service_v1 = Some("systolic-service-v1");
     let fused_keys = format!("{OPT_KEYS} wavefront");
     let (stats, schedule) = (svc.stats_json(), ce.schedule.to_json());
-    let table: [(&str, &str, Option<&str>, &str); 8] = [
+    let table: [(&str, &str, Option<&str>, &str); 7] = [
         ("metrics", &cli[0], metrics_v1, METRICS_KEYS),
         ("trace", &cli[1], None, "traceEvents displayTimeUnit"),
         ("opt report", &cli[2], opt_v1, &fused_keys),
-        (
-            "opt report, nothing fused",
-            &unfused[0],
-            opt_v1,
-            "schema wavefront",
-        ),
         (
             "/stats",
             &stats,
@@ -118,7 +121,6 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     }
     let wavefront = metrics.get("wavefront").unwrap();
     assert_eq!(Some(wavefront), fused.get("wavefront"));
-    assert_eq!(Some(wavefront), docs[3].get("wavefront"));
     assert_eq!(wavefront.get("eligible"), Some(&Json::Bool(true)));
     let Json::Obj(shape) = wavefront else {
         panic!("wavefront section is not an object");
@@ -143,12 +145,45 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
         num(fused, "processes_before") - num(fused, "processes_after"),
         chains.iter().map(relays).sum::<i64>()
     );
-    let error = docs[6].get("error").unwrap();
+    let error = docs[5].get("error").unwrap();
     assert_eq!(
         error.get("kind").and_then(Json::as_str),
         Some("unknown-design")
     );
     assert!(error.get("offenders").and_then(Json::as_arr).is_some());
+}
+
+/// Both documents describe the module the default run executed — the
+/// optimizer's, not the one it was elaborated as. On `polyprod.sys` at
+/// n = 8, where relays fuse, the `wavefront` section of `--metrics` and of
+/// `--opt-report` is the fused module's plan and `kernels` its kernel
+/// plan, both built here from the runtime API alone; and the run printed
+/// that module's process count.
+#[test]
+fn the_reports_describe_the_module_that_ran() {
+    use systolizer::interp::{elaborate, ElabOptions, Problem};
+    use systolizer::runtime::{analyze_kernels, analyze_wavefront, analyze_with_caps, optimize};
+    let (out, docs) = cli_artifacts("polyprod.sys", "8", &["--metrics", "--opt-report"]);
+    let src = std::fs::read_to_string("programs/polyprod.sys").unwrap();
+    let sys = systolizer::systolize_source(&src, &Default::default()).unwrap();
+    let inputs = sys.source.variable_names();
+    let Problem { env, store } = Problem::seeded(&sys.plan, &[8], &inputs, 42).unwrap();
+    let el = elaborate(&sys.plan, &env, &store, &ElabOptions::default()).unwrap();
+    let fused = optimize(&el.module).expect("polyprod.sys n=8 fuses relays");
+    assert!(fused.report.fused_relays() > 0);
+    let batch = analyze_with_caps(&fused.module, &fused.chan_caps);
+    let waves = analyze_wavefront(&fused.module, &batch);
+    let ran = waves.json(&fused.module, &batch);
+    let kernels = analyze_kernels(&fused.module, &waves).json();
+    let processes = fused.module.procs.len();
+    assert!(
+        out.starts_with(&format!("OK: {processes} processes")),
+        "{out}"
+    );
+    let (metrics, report) = (parse(&docs[0]).unwrap(), parse(&docs[1]).unwrap());
+    assert_eq!(metrics.get("wavefront"), Some(&ran), "metrics");
+    assert_eq!(report.get("wavefront"), Some(&ran), "--opt-report");
+    assert_eq!(metrics.get("kernels"), Some(&kernels), "metrics");
 }
 
 /// A healthy corpus design has no channel the batch proof objects to —

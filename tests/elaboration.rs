@@ -12,8 +12,7 @@ use proptest::prelude::*;
 use systolizer::core::{compile, Options, StreamKind};
 use systolizer::interp::runtime_gen::agree_with_procir;
 use systolizer::interp::{
-    elaborate, simulate, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, OptMode,
-    SimSpec,
+    elaborate, simulate, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, SimSpec,
 };
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
@@ -139,7 +138,7 @@ fn elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus() {
 
 #[test]
 fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
-    // Twice through every (batch, opt, kernel) configuration: the second run is
+    // Twice through every (batch, kernel) configuration: the second run is
     // a guaranteed module-store hit and must return the same store and
     // stats as the first (a miss or a hit from another test — either
     // way the sequential oracle pins correctness).
@@ -147,21 +146,18 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
         let (plan, env, store) = prepared(design, 3, 23);
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
-        for (batch, opt, kernel) in [
-            (BatchMode::Auto, OptMode::Auto, KernelMode::Auto),
-            (BatchMode::Auto, OptMode::Auto, KernelMode::Off),
-            (BatchMode::Auto, OptMode::Off, KernelMode::Auto),
-            (BatchMode::Auto, OptMode::Off, KernelMode::Off),
-            (BatchMode::Off, OptMode::Off, KernelMode::Off),
+        for (batch, kernel) in [
+            (BatchMode::Auto, KernelMode::Auto),
+            (BatchMode::Auto, KernelMode::Off),
+            (BatchMode::Off, KernelMode::Off),
         ] {
             let ctx = format!(
-                "design {design} ({}) {batch:?}/{opt:?}/{kernel:?}",
+                "design {design} ({}) {batch:?}/{kernel:?}",
                 plan.source.name
             );
             let run_once = || {
                 let spec = SimSpec {
                     batch,
-                    opt,
                     kernel,
                     ..SimSpec::default()
                 };

@@ -9,7 +9,7 @@ mod common;
 
 use common::compile_and_run;
 use systolizer::core::{compile, Options};
-use systolizer::interp::rustgen::{generate_rust, generate_rust_opt};
+use systolizer::interp::rustgen::generate_rust;
 use systolizer::math::Env;
 use systolizer::synthesis::placement::paper;
 
@@ -25,13 +25,18 @@ fn d1_generated_rust_compiles_and_verifies() {
     compile_and_run("d1", &generate_rust(&plan, &env, 11), OPTIMIZED);
 }
 
+/// The generated program is the module a run executes: D.2's relay
+/// chains become channel capacity (the delay rings), and the program
+/// still passes its embedded self-check.
 #[test]
 fn d2_generated_rust_compiles_and_verifies() {
     let (p, a) = paper::polyprod_d2();
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
     env.bind(p.sizes[0], 4);
-    compile_and_run("d2", &generate_rust(&plan, &env, 12), OPTIMIZED);
+    let src = generate_rust(&plan, &env, 12);
+    assert!(src.contains("//! Optimized:"), "D.2 n=4 should fuse chains");
+    compile_and_run("d2", &src, OPTIMIZED);
 }
 
 #[test]
@@ -48,30 +53,10 @@ fn e2_generated_rust_compiles_and_verifies() {
     let (p, a) = paper::matmul_e2();
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let mut env = Env::new();
-    env.bind(p.sizes[0], 2);
-    compile_and_run("e2", &generate_rust(&plan, &env, 14), OPTIMIZED);
-}
-
-#[test]
-fn e2_optimized_generated_rust_compiles_and_verifies() {
-    // The delay-ring back end: fused relays become channel capacity, and
-    // the generated program still passes its embedded self-check.
-    let (p, a) = paper::matmul_e2();
-    let plan = compile(&p, &a, &Options::default()).unwrap();
-    let mut env = Env::new();
     env.bind(p.sizes[0], 4);
-    let src = generate_rust_opt(&plan, &env, 14);
+    let src = generate_rust(&plan, &env, 14);
     assert!(src.contains("//! Optimized:"), "E.2 n=4 should fuse chains");
-    compile_and_run("e2opt", &src, OPTIMIZED);
-}
-
-#[test]
-fn d2_optimized_generated_rust_compiles_and_verifies() {
-    let (p, a) = paper::polyprod_d2();
-    let plan = compile(&p, &a, &Options::default()).unwrap();
-    let mut env = Env::new();
-    env.bind(p.sizes[0], 5);
-    compile_and_run("d2opt", &generate_rust_opt(&plan, &env, 12), OPTIMIZED);
+    compile_and_run("e2", &src, OPTIMIZED);
 }
 
 #[test]

@@ -27,8 +27,8 @@
 use proptest::prelude::*;
 mod common;
 
-use common::{prepared, verify, CORPUS};
-use systolizer::interp::{seeded_store, simulate, KernelMode, ModuleStore, OptMode, SimSpec};
+use common::{assert_count_law, prepared, verify, CORPUS};
+use systolizer::interp::{seeded_store, simulate, ElabOptions, KernelMode, ModuleStore, SimSpec};
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
 use systolizer::{systolize_source, SystolizeOptions};
@@ -37,11 +37,9 @@ fn go(
     plan: &systolizer::core::SystolicProgram,
     env: &Env,
     store: &HostStore,
-    opt: OptMode,
     kernel: KernelMode,
 ) -> systolizer::interp::SystolicRun {
     let spec = SimSpec {
-        opt,
         kernel,
         ..SimSpec::default()
     };
@@ -60,7 +58,7 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
 
-        let scalar = go(&plan, &env, &store, OptMode::Off, KernelMode::Off);
+        let scalar = go(&plan, &env, &store, KernelMode::Off);
         assert!(scalar.wavefront, "design {design}: wavefront gate");
         let k = scalar
             .kernel
@@ -70,7 +68,7 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
         assert_eq!(k.waves_fused, 0, "design {design}: off must not fuse");
         assert_eq!(scalar.store, expected, "design {design}: scalar vs oracle");
 
-        let fused = go(&plan, &env, &store, OptMode::Off, KernelMode::Auto);
+        let fused = go(&plan, &env, &store, KernelMode::Auto);
         assert!(fused.wavefront, "design {design}");
         assert_eq!(fused.store, expected, "design {design}: kernel vs oracle");
         assert_eq!(
@@ -126,18 +124,35 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
 }
 
 /// The same contract through the optimizer: delay-ring fusion rewrites
-/// the module, the kernel plan is rebuilt against the optimized
-/// wavefront staging, and stores remain bit-identical across the gate.
+/// the module, the kernel plan is built against the optimized wavefront
+/// staging — a run's kernel report counts the fast plan's chunks — and on
+/// both sides of the gate the store is the plain engine's and the counts
+/// are the plain engine's by the optimizer's count law.
 #[test]
 fn kernel_path_is_invisible_on_the_optimized_module() {
+    let mut fused = 0;
     for design in 0..CORPUS {
         let (plan, env, store) = prepared(design, 4, 23);
-        let off = go(&plan, &env, &store, OptMode::Auto, KernelMode::Off);
-        let auto = go(&plan, &env, &store, OptMode::Auto, KernelMode::Auto);
-        assert_eq!(auto.store, off.store, "design {design}");
-        assert_eq!(auto.stats.messages, off.stats.messages, "design {design}");
-        assert_eq!(auto.stats.steps, off.stats.steps, "design {design}");
+        let ms = ModuleStore::global();
+        let plain = simulate(ms, &plan, &env, &store, SimSpec::plain()).unwrap();
+        let cm = ms
+            .module(&plan, &env, &store, &ElabOptions::default())
+            .unwrap();
+        let fast = cm.fast_plan();
+        fused += fast.opt_report().map_or(0, |r| r.fused_relays());
+        for kernel in [KernelMode::Off, KernelMode::Auto] {
+            let ctx = format!("design {design} {kernel:?}");
+            let run = go(&plan, &env, &store, kernel);
+            assert_eq!(run.store, plain.store, "{ctx}");
+            assert_count_law(&ctx, &plain.stats, &run);
+            let k = run.kernel.expect("wavefront runs carry a report");
+            if k.enabled {
+                let planned = fast.kernels.eligible_chunks as u64;
+                assert_eq!(k.eligible_chunks, planned, "{ctx}");
+            }
+        }
     }
+    assert!(fused > 0, "no corpus design fused a relay at n = 4");
 }
 
 /// The triangular product `if i <= j -> c += a * b`: the guard lowers to
@@ -160,8 +175,8 @@ fn guarded_bodies_take_the_kernel_path() {
     let store = seeded_store(&sys.plan, &env, &["a", "b"], 13);
     let mut expected = store.clone();
     seq::run(&sys.plan.source, &env, &mut expected);
-    let off = go(&sys.plan, &env, &store, OptMode::Off, KernelMode::Off);
-    let auto = go(&sys.plan, &env, &store, OptMode::Off, KernelMode::Auto);
+    let off = go(&sys.plan, &env, &store, KernelMode::Off);
+    let auto = go(&sys.plan, &env, &store, KernelMode::Auto);
     assert_eq!(auto.store, expected, "kernel vs oracle");
     assert_eq!(off.store, expected, "scalar vs oracle");
     assert_eq!(auto.stats.messages, off.stats.messages);
@@ -195,16 +210,12 @@ fn a_tape_past_the_op_cap_runs_one_lane_wide() {
     let sys = systolize_source(&src, &SystolizeOptions::default()).unwrap();
     let ops = systolizer::interp::kernelize(&sys.source.body).ops.len();
     assert!(ops > systolizer::runtime::KERNEL_MAX_OPS, "{ops} ops");
-    let spec = SimSpec {
-        opt: OptMode::Off,
-        ..SimSpec::default()
-    };
     let run = verify(
         &sys.plan,
         &sys.size_env(&[3]).unwrap(),
         &["a", "b"],
         5,
-        spec,
+        SimSpec::default(),
     )
     .expect("the one-lane tape verifies");
     let k = run.kernel.expect("wavefront runs carry a report");
@@ -227,21 +238,19 @@ proptest! {
 
     /// Kernel-on and kernel-off agree — stores bit-identical against
     /// each other and the sequential oracle, logical messages/steps
-    /// invariant — over random (design, size, seed, gate) draws,
-    /// including the optimized module.
+    /// invariant — over random (design, size, seed) draws, on the
+    /// module the optimizer returns.
     #[test]
     fn kernels_are_unobservable_on_random_configurations(
         design in 0usize..9,
         n in 1i64..=4,
         seed in 0u64..1000,
-        opt_on in 0u8..2,
     ) {
         let (plan, env, store) = prepared(design, n, seed);
-        let opt = if opt_on == 1 { OptMode::Auto } else { OptMode::Off };
         let mut expected = store.clone();
         seq::run(&plan.source, &env, &mut expected);
-        let off = go(&plan, &env, &store, opt, KernelMode::Off);
-        let auto = go(&plan, &env, &store, opt, KernelMode::Auto);
+        let off = go(&plan, &env, &store, KernelMode::Off);
+        let auto = go(&plan, &env, &store, KernelMode::Auto);
         prop_assert_eq!(&off.store, &expected);
         prop_assert_eq!(&auto.store, &expected);
         prop_assert_eq!(auto.stats.messages, off.stats.messages);

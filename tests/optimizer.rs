@@ -1,9 +1,10 @@
 //! Differential suite for the ProcIR optimizer (`systolic_runtime::opt`,
-//! see `docs/process-ir.md`): `--opt auto` may fuse relay chains into
-//! delay rings and rewrite ops, but the recovered store must stay
-//! bit-identical to the `--opt off` exactness oracle on all three
-//! executors, over random configurations of the design corpus (the
-//! whole-corpus sweep is the ladder matrix in `tests/ladder.rs`).
+//! see `docs/process-ir.md`): every fast run fuses relay chains into
+//! delay rings and rewrites ops, but the recovered store must stay
+//! bit-identical to the plain engine's, the exactness oracle, on all
+//! three executors, and the counts must follow the optimizer's count law,
+//! over random configurations of the design corpus (the whole-corpus
+//! sweep is the ladder matrix in `tests/ladder.rs`).
 //! A second proptest sweeps random synthetic transport networks through
 //! the fusion legality check: multi-producer/consumer topologies must
 //! reject chain fusion outright, and processes holding `Keep`/`Eject`
@@ -11,10 +12,10 @@
 
 mod common;
 
-use common::{prepared, run};
+use common::{assert_count_law, prepared, run};
 use proptest::prelude::*;
 use std::sync::Arc;
-use systolizer::interp::{ElabOptions, ExecutorChoice, OptMode, SimSpec};
+use systolizer::interp::{ElabOptions, ExecutorChoice, SimSpec};
 use systolizer::runtime::{optimize, ProcIrBuilder, ProcIrModule, ProcOp};
 
 /// Case count override (see `tests/random_programs.rs`).
@@ -37,19 +38,15 @@ proptest! {
         workers in 1usize..=4,
     ) {
         let d = prepared(design, n, seed);
-        let spec = |opt, executor| SimSpec {
-            opt,
-            executor,
-            ..SimSpec::default()
-        };
-        let oracle = run(&d, spec(OptMode::Off, ExecutorChoice::Coop));
+        let oracle = run(&d, SimSpec::plain());
         for executor in [
             ExecutorChoice::Coop,
             ExecutorChoice::Threaded,
             ExecutorChoice::Partitioned { workers },
         ] {
-            let auto = run(&d, spec(OptMode::Auto, executor));
+            let auto = run(&d, SimSpec { executor, ..SimSpec::default() });
             prop_assert_eq!(&auto.store, &oracle.store);
+            assert_count_law(&format!("design {design} n={n}"), &oracle.stats, &auto);
         }
     }
 }

@@ -5,7 +5,8 @@
 //! network on all four executors (cooperative, threaded, partitioned,
 //! wavefront), at several problem sizes. The final host stores must be
 //! bit-identical across all executions, and the executor-invariant
-//! statistics (messages, steps) must agree.
+//! statistics (messages, steps) must agree — the wavefront run's by the
+//! optimizer's count law.
 //!
 //! The oracle is itself checked here: `seq::run` (a strided walk) against
 //! `common::seq_reference` (the point-by-point walker it replaced) on the
@@ -13,7 +14,7 @@
 
 mod common;
 
-use common::{assert_seq_matches_reference, prepared, CORPUS};
+use common::{assert_count_law, assert_seq_matches_reference, prepared, CORPUS};
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
     observe_plan_in, seeded_store, simulate, simulate_verified, ExecutorChoice, ModuleStore,
@@ -164,12 +165,13 @@ fn partitioned_matches_the_sequential_oracle_on_every_design() {
 #[test]
 fn executors_agree_on_stores_and_invariant_statistics() {
     // Messages and steps are properties of the elaborated network, not of
-    // the executor; the three plain engines and the wavefront executor
-    // (kernels on, optimizer off so the counts stay the elaborated
-    // module's) must report the same counts and stores, each checked
-    // against the sequential oracle, off ONE shared elaboration. Every
-    // size of every design is exercised: the wavefront executor's chunk
-    // staging is size-dependent, so one mid-size point would not pin it.
+    // the executor; the three plain engines must report the same counts
+    // and stores, and the wavefront executor (kernels on, over the
+    // optimizer's module) the same stores with the counts of the
+    // optimizer's count law, each checked against the sequential oracle,
+    // off ONE shared elaboration. Every size of every design is
+    // exercised: the wavefront executor's chunk staging is
+    // size-dependent, so one mid-size point would not pin it.
     let plain = |executor| SimSpec {
         executor,
         ..SimSpec::plain()
@@ -183,10 +185,7 @@ fn executors_agree_on_stores_and_invariant_statistics() {
                 plain(ExecutorChoice::Coop),
                 plain(ExecutorChoice::Threaded),
                 plain(ExecutorChoice::Partitioned { workers: 4 }),
-                SimSpec {
-                    opt: systolizer::interp::OptMode::Off,
-                    ..SimSpec::default()
-                },
+                SimSpec::default(),
             ]
             .into_iter()
             .map(|spec| {
@@ -198,20 +197,11 @@ fn executors_agree_on_stores_and_invariant_statistics() {
             let engines: Vec<&str> = runs.iter().map(|r| r.engine).collect();
             assert_eq!(engines, ["coop", "threaded", "partitioned", "coop"]);
             let coop = &runs[0];
-            for other in &runs[1..] {
-                let label = other.engine;
-                assert_eq!(
-                    coop.stats.messages, other.stats.messages,
-                    "{} {label}",
-                    d.label
-                );
-                assert_eq!(coop.stats.steps, other.stats.steps, "{} {label}", d.label);
-                assert_eq!(
-                    coop.stats.processes, other.stats.processes,
-                    "{} {label}",
-                    d.label
-                );
-                assert_eq!(coop.store, other.store, "{} {label}", d.label);
+            assert!(runs[3].wavefront, "{}", d.label);
+            for (i, other) in runs.iter().enumerate().skip(1) {
+                let ctx = format!("{} sizes={sizes:?} run {i} ({})", d.label, other.engine);
+                assert_count_law(&ctx, &coop.stats, other);
+                assert_eq!(coop.store, other.store, "{ctx}");
             }
         }
     }

@@ -362,16 +362,21 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
 
     // A field of the wrong type is named, never coerced to a default: a
     // client that asked for the oracle check must not silently go
-    // without it, nor a schedule seed wrap or read as 0. Nor is a member
-    // the request does not have: a misspelt `verify` would run
-    // unverified, and the deleted `wavefront` gate (docs/wavefront.md)
-    // would run on a rung it did not ask for. The observed outputs read
-    // the whole request too: a schedule they cannot honour and an oracle
-    // check they do not make are refused.
+    // without it, nor a schedule seed wrap or read as 0, nor zero workers
+    // run as one. Nor is a member the request does not have: a misspelt
+    // `verify` would run unverified, and the deleted `wavefront` and
+    // `opt` gates (docs/wavefront.md, docs/process-ir.md) would run a
+    // rung or a module the request did not ask for. The observed outputs
+    // read the whole request too: a schedule they cannot honour and an
+    // oracle check they do not make are refused.
     for (field, value) in [
         ("'verify'", r#""verify":"yes""#),
         ("'seed'", r#""schedule":{"policy":"random","seed":"7"}"#),
         ("'seed'", r#""schedule":{"policy":"random","seed":-1}"#),
+        (
+            "field 'workers' must be a positive integer",
+            r#""executor":"partitioned","workers":0"#,
+        ),
         (
             "unknown member 'verfy' (accepted: design ",
             r#""verfy":true"#,
@@ -380,6 +385,7 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
             "unknown member 'wavefront' (accepted: ",
             r#""wavefront":"off""#,
         ),
+        ("unknown member 'opt' (accepted: ", r#""opt":"off""#),
         ("unknown kernel 'par' (auto|off)", r#""kernel":"par""#),
         (
             "unknown schedule policy 'bogus'",
