@@ -14,8 +14,9 @@
 //!   lowers every `BasicStatement` into it once per skeleton — a guarded
 //!   update `B -> s := e` becomes `s := select(B, e, s)`, sound because
 //!   every op is total — and [`Kernel::run`] is the only code that
-//!   executes a statement: `lanes` processes at once on the wave path,
-//!   one lane wide on the scalar macro-step and in the rendezvous VM.
+//!   executes a statement: a section of it over `lanes × iters` or
+//!   `lanes` values at once on the wave path, the whole tape one lane
+//!   wide on the scalar macro-step and in the rendezvous VM.
 //! - [`analyze_kernels`] classifies every chunk of a [`WavefrontPlan`]
 //!   once per module: a chunk is *kernel-eligible* when it is a single
 //!   compute window — one process's repeater, which the plan has already
@@ -27,14 +28,22 @@
 //!   the scalar macro-step, and the report counts what a reader counts:
 //!   compute chunks and whole transport processes, each scalar one with
 //!   its reason — the wavefront/batch reject-reason ladder one rung down.
-//! - [`kernel_wave`] executes one wave's eligible chunks as a batch:
-//!   ring heads are gathered out of the run arena's ring slab
-//!   (`crate::arena`) into struct-of-arrays scratch buffers (lane =
-//!   process, one bounds decision per wave instead of one per op), the
-//!   op tape runs as lane-inner tight loops the compiler can
-//!   auto-vectorize, and results scatter back into the slab in FIFO
-//!   order. The
-//!   per-lane logical accounting (`steps`, `messages`, ring `moved`)
+//! - [`TapeSplit`] is the tape cut once per module against the batch's
+//!   moving-slot layout (loop summarization): the *stream* ops, which
+//!   depend only on received values, index points, constants and slots
+//!   the tape never writes, and the *carried* ops, which read a
+//!   stationary slot the tape writes — the only values one iteration
+//!   hands the next. A carried chain `s := s ⊕ r` with ⊕ a wrapping
+//!   `Add`, `Min` or `Max` and `r` a stream register is a *fold*.
+//! - [`kernel_wave`] executes one wave's eligible chunks as a batch
+//!   ([`WaveBatch`]): every lane's `iters` ring heads are gathered out of
+//!   the run arena's ring slab (`crate::arena`) into struct-of-arrays
+//!   rows (lane = process, one bounds decision per batch instead of one
+//!   per op); the stream tape runs once over `lanes × iters`, as long
+//!   loops the compiler can auto-vectorize; each fold is one reduction
+//!   per lane; the other carried ops, if any, run per iteration over the
+//!   lanes; and the sent rows scatter back into the slab in FIFO order.
+//!   The per-lane logical accounting (`steps`, `messages`, ring `moved`)
 //!   is identical to the loop-summarized macro path, so stores stay
 //!   bit-identical and stats invariant — the same contract every other
 //!   engine upholds.
@@ -54,8 +63,8 @@ use crate::arena::RunArena;
 use crate::coop::RunStats;
 use crate::json::Json;
 use crate::process::Value;
-use crate::procir::ProcIrModule;
-use crate::wavefront::{ChunkState, WavefrontPlan, Window};
+use crate::procir::{MovingLink, ProcIrModule};
+use crate::wavefront::{WaveState, WavefrontPlan, Window};
 
 /// Whether a wavefront run may execute eligible waves through compiled
 /// kernels. `Auto` engages them whenever the module compiled one and the
@@ -74,11 +83,20 @@ impl KernelMode {
         &[("auto", KernelMode::Auto), ("off", KernelMode::Off)];
 }
 
-/// The longest tape a wave batch takes: a batch holds `ops × lanes`
-/// registers, so [`analyze_kernels`] leaves a module whose tape is longer
-/// on the scalar path, where it runs one lane wide. The gallery's tapes
-/// are 4–6 ops.
+/// The longest tape a wave batch takes. Every stream op of a batch holds
+/// a row of `lanes × iters` registers, so a longer tape leaves room for
+/// few iterations under [`KERNEL_BATCH_VALUES`]: [`analyze_kernels`]
+/// leaves such a module on the scalar path, where it runs one lane wide.
+/// The gallery's tapes are 4–6 ops.
 pub const KERNEL_MAX_OPS: usize = 256;
+
+/// The most values the rows of one wave batch hold — gathered input,
+/// stream registers, index points and snapshots, each `lanes × iters`
+/// long ([`TapeSplit::row_values`] per lane and iteration). A batch that
+/// would hold more is cut into several, first by iterations, then by
+/// lanes. 2 MiB; E.1's largest batch at n = 24 holds 3 125 (25 lanes ×
+/// 25 iterations × 5).
+pub const KERNEL_BATCH_VALUES: usize = 1 << 18;
 
 /// One op of the kernel tape. Ops form an SSA register file: op `i`
 /// defines register `i`, and operand indices always point at earlier
@@ -110,6 +128,37 @@ pub enum KernelOp {
     Select(u32, u32, u32),
 }
 
+impl KernelOp {
+    /// This op with every operand register `r` replaced by `f(r)`, in
+    /// operand order.
+    fn remap(self, mut f: impl FnMut(u32) -> u32) -> KernelOp {
+        use KernelOp::*;
+        match self {
+            Slot(_) | Index(_) | Const(_) => self,
+            Add(a, b) => Add(f(a), f(b)),
+            Sub(a, b) => Sub(f(a), f(b)),
+            Mul(a, b) => Mul(f(a), f(b)),
+            Min(a, b) => Min(f(a), f(b)),
+            Max(a, b) => Max(f(a), f(b)),
+            Eq(a, b) => Eq(f(a), f(b)),
+            Lt(a, b) => Lt(f(a), f(b)),
+            Le(a, b) => Le(f(a), f(b)),
+            Neg(a) => Neg(f(a)),
+            Select(c, a, b) => Select(f(c), f(a), f(b)),
+        }
+    }
+
+    /// Whether any operand register satisfies `p`.
+    fn reads(self, mut p: impl FnMut(u32) -> bool) -> bool {
+        let mut any = false;
+        self.remap(|r| {
+            any |= p(r);
+            r
+        });
+        any
+    }
+}
+
 /// The compiled basic statement: straight-line ops over named local
 /// slots. Produced once per skeleton by the compiler side and shared via
 /// the module (`ProcIrModule::kernel`). The empty tape is the empty
@@ -131,8 +180,9 @@ impl Kernel {
     /// and `regs`, scratch of at least `ops.len() × lanes` values,
     /// `[op][lane]`. The tape runs op-outer / lane-inner, then the
     /// writebacks land in `locals`. One lane is one process's locals at
-    /// its index point. Arithmetic is two's-complement wrapping, the
-    /// overflow law of `ScalarExpr::eval`.
+    /// its index point — or, for a [`TapeSplit`]'s stream section, one
+    /// process at one iteration. Arithmetic is two's-complement wrapping,
+    /// the overflow law of `ScalarExpr::eval`.
     ///
     /// Always inlined: at the one-lane call sites `lanes` is the constant
     /// 1 and each op compiles to one scalar operation.
@@ -183,6 +233,453 @@ fn lanewise(dst: &mut [Value], a: &[Value], b: &[Value], f: impl Fn(Value, Value
     }
 }
 
+/// Push `op` onto a tape; its register.
+fn push(ops: &mut Vec<KernelOp>, op: KernelOp) -> u32 {
+    ops.push(op);
+    ops.len() as u32 - 1
+}
+
+/// A register of the tape loading slot `s`: the first such load, or a
+/// new one.
+fn load(ops: &mut Vec<KernelOp>, s: u32) -> u32 {
+    match ops.iter().position(|&op| op == KernelOp::Slot(s)) {
+        Some(r) => r as u32,
+        None => push(ops, KernelOp::Slot(s)),
+    }
+}
+
+/// The position of `x` in `v`, appended if absent.
+fn position_or_push(v: &mut Vec<u32>, x: u32) -> u32 {
+    match v.iter().position(|&y| y == x) {
+        Some(i) => i as u32,
+        None => {
+            v.push(x);
+            v.len() as u32 - 1
+        }
+    }
+}
+
+/// The monoid a fold reduces with. Wrapping `Add`, `Min` and `Max` are
+/// each commutative and associative under the overflow law, so a fold's
+/// value does not depend on the order it is taken in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FoldOp {
+    Add,
+    Min,
+    Max,
+}
+
+impl FoldOp {
+    /// The name the `kernels` report gives it.
+    fn name(self) -> &'static str {
+        match self {
+            FoldOp::Add => "add",
+            FoldOp::Min => "min",
+            FoldOp::Max => "max",
+        }
+    }
+
+    /// `acc ⊕ row[0] ⊕ row[1] ⊕ …`.
+    #[inline]
+    fn reduce(self, acc: Value, row: &[Value]) -> Value {
+        match self {
+            FoldOp::Add => row.iter().fold(acc, |a, &v| a.wrapping_add(v)),
+            FoldOp::Min => row.iter().fold(acc, |a, &v| a.min(v)),
+            FoldOp::Max => row.iter().fold(acc, |a, &v| a.max(v)),
+        }
+    }
+}
+
+/// A carried slot summarized over a batch: `slot := slot ⊕ reg` at every
+/// iteration, `reg` a register of the stream tape.
+#[derive(Debug)]
+struct Fold {
+    slot: u32,
+    op: FoldOp,
+    reg: u32,
+}
+
+/// Where a link's sent values come from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Sent {
+    /// A register row of the stream tape.
+    Stream(u32),
+    /// Snapshot row `r`: the link's slot after each carried iteration.
+    Snapshot(u32),
+}
+
+/// The module's tape cut for a wave batch whose link `j` moves through
+/// local `slots[j]`, every lane alike: derived once per module by
+/// [`analyze_kernels`] and run by [`WaveBatch::run`].
+///
+/// An op is *carried* when it loads a stationary slot the tape writes —
+/// the value the previous iteration left — or reads a carried op;
+/// everything else is *stream*: it depends only on the values received
+/// this iteration, the index point, constants and slots the tape never
+/// writes, so all `lanes × iters` instances of it run as one row. A
+/// carried slot whose chain is exactly `s := s ⊕ r` — ⊕ a [`FoldOp`],
+/// `r` stream, nothing else reading `s` or the sum — is a fold; the
+/// other carried ops run iteration by iteration over the lanes.
+#[derive(Debug)]
+pub struct TapeSplit {
+    /// A lane's locals in a batch are slots `0..rows`: every slot the
+    /// tape or a link touches.
+    rows: u32,
+    /// The stream section, run once over `lanes × iters`. `Slot(j)` reads
+    /// input row `j`: link `j`'s received values for `j` below the link
+    /// count, then stationary slot `bcast[j − links]` at every iteration.
+    /// `Index(d)` reads the point at every iteration. No write-backs.
+    stream: Kernel,
+    bcast: Vec<u32>,
+    /// The general carried section, run per iteration over the lanes'
+    /// locals: `Slot(s)` reads local `s` below `rows`, and feed row
+    /// `s − rows` above, which holds stream register `feed[s − rows]` at
+    /// the current iteration. Empty when every carried op is in a fold.
+    carried: Kernel,
+    feed: Vec<u32>,
+    folds: Vec<Fold>,
+    /// Per link, what it sends.
+    sends: Vec<Sent>,
+    /// Per snapshot row, the slot it copies after each carried iteration.
+    snapshots: Vec<u32>,
+    /// `(slot, reg)`: the slot ends a batch holding stream register
+    /// `reg` at the last iteration — a slot written from the stream
+    /// section, or a received slot the tape does not write.
+    finals: Vec<(u32, u32)>,
+    /// The module tape's ops in each section; fold ops count as carried.
+    stream_ops: usize,
+    carried_ops: usize,
+}
+
+impl TapeSplit {
+    /// Cut `kernel` for a batch whose link `j` moves through local
+    /// `slots[j]`.
+    pub fn new(kernel: &Kernel, slots: &[u32]) -> TapeSplit {
+        let ops = &kernel.ops;
+        let links = slots.len() as u32;
+        // The link whose value a slot holds once the receive is done.
+        let link_of = |s: u32| slots.iter().rposition(|&t| t == s).map(|j| j as u32);
+        // A slot's effective write-back is its last: all read the
+        // finished tape.
+        let writes: Vec<(u32, u32)> = kernel
+            .writes
+            .iter()
+            .enumerate()
+            .filter(|&(i, &(s, _))| kernel.writes[i + 1..].iter().all(|&(t, _)| t != s))
+            .map(|(_, &w)| w)
+            .collect();
+        let written = |s: u32| writes.iter().find(|w| w.0 == s).map(|w| w.1 as usize);
+
+        let mut carried = vec![false; ops.len()];
+        for (i, &op) in ops.iter().enumerate() {
+            let c = match op {
+                KernelOp::Slot(s) => link_of(s).is_none() && written(s).is_some(),
+                _ => op.reads(|r| carried[r as usize]),
+            };
+            carried[i] = c;
+        }
+
+        // Folds: `s := s ⊕ r` where nothing else reads `s` or the sum.
+        let mut uses = vec![0usize; ops.len()];
+        for &op in ops {
+            op.remap(|r| {
+                uses[r as usize] += 1;
+                r
+            });
+        }
+        for &(_, r) in &writes {
+            uses[r as usize] += 1;
+        }
+        let mut folded = vec![false; ops.len()];
+        let mut folds = Vec::new();
+        for &(s, w) in &writes {
+            let (op, a, b) = match ops[w as usize] {
+                KernelOp::Add(a, b) => (FoldOp::Add, a, b),
+                KernelOp::Min(a, b) => (FoldOp::Min, a, b),
+                KernelOp::Max(a, b) => (FoldOp::Max, a, b),
+                _ => continue,
+            };
+            let is_load = |r: u32| ops[r as usize] == KernelOp::Slot(s);
+            let (acc, r) = if is_load(a) { (a, b) } else { (b, a) };
+            let alone = |r: u32| uses[r as usize] == 1;
+            let one_load = ops.iter().filter(|&&op| op == KernelOp::Slot(s)).count() == 1;
+            let chain = is_load(acc) && carried[acc as usize] && !carried[r as usize];
+            if chain && alone(acc) && alone(w) && one_load {
+                folded[acc as usize] = true;
+                folded[w as usize] = true;
+                folds.push(Fold {
+                    slot: s,
+                    op,
+                    reg: r,
+                });
+            }
+        }
+
+        let mut stream = Kernel {
+            n_dims: kernel.n_dims,
+            ..Kernel::default()
+        };
+        let mut bcast = Vec::new();
+        let mut sreg = vec![u32::MAX; ops.len()];
+        for (i, &op) in ops.iter().enumerate().filter(|&(i, _)| !carried[i]) {
+            let op = match op {
+                KernelOp::Slot(s) => KernelOp::Slot(
+                    link_of(s).unwrap_or_else(|| links + position_or_push(&mut bcast, s)),
+                ),
+                _ => op.remap(|r| sreg[r as usize]),
+            };
+            sreg[i] = push(&mut stream.ops, op);
+        }
+        stream.n_slots = links + bcast.len() as u32;
+        for f in &mut folds {
+            f.reg = sreg[f.reg as usize];
+        }
+
+        let mut snapshots = Vec::new();
+        let sends = slots
+            .iter()
+            .map(|&s| match written(s) {
+                Some(w) if carried[w] => Sent::Snapshot(position_or_push(&mut snapshots, s)),
+                Some(w) => Sent::Stream(sreg[w]),
+                None => Sent::Stream(load(&mut stream.ops, link_of(s).expect("a link's slot"))),
+            })
+            .collect();
+        let mut finals: Vec<(u32, u32)> = writes
+            .iter()
+            .filter(|&&(_, w)| !carried[w as usize])
+            .map(|&(s, w)| (s, sreg[w as usize]))
+            .collect();
+        for (j, &s) in slots.iter().enumerate() {
+            if written(s).is_none() && link_of(s) == Some(j as u32) {
+                finals.push((s, load(&mut stream.ops, j as u32)));
+            }
+        }
+
+        let rows = slots.iter().map(|&s| s + 1).fold(kernel.n_slots, u32::max);
+        let mut tape = Kernel::default();
+        let mut feed = Vec::new();
+        let mut creg = vec![u32::MAX; ops.len()];
+        // A stream register at the current iteration: its feed row.
+        let fed = |ops: &mut Vec<KernelOp>, feed: &mut Vec<u32>, r: u32| {
+            load(ops, rows + position_or_push(feed, r))
+        };
+        for (i, &op) in ops.iter().enumerate() {
+            if !carried[i] || folded[i] {
+                continue;
+            }
+            let op = op.remap(|r| {
+                if carried[r as usize] {
+                    creg[r as usize]
+                } else {
+                    fed(&mut tape.ops, &mut feed, sreg[r as usize])
+                }
+            });
+            creg[i] = push(&mut tape.ops, op);
+        }
+        // Write back what the next iteration's loads read, and what only
+        // this section computes.
+        for &(s, w) in &writes {
+            let w = w as usize;
+            let r = if folded[w] {
+                continue;
+            } else if carried[w] {
+                creg[w]
+            } else if tape.ops.contains(&KernelOp::Slot(s)) {
+                fed(&mut tape.ops, &mut feed, sreg[w])
+            } else {
+                continue;
+            };
+            tape.writes.push((s, r));
+        }
+        tape.n_slots = rows + feed.len() as u32;
+
+        let stream_ops = carried.iter().filter(|&&c| !c).count();
+        TapeSplit {
+            rows,
+            stream,
+            bcast,
+            carried: tape,
+            feed,
+            folds,
+            sends,
+            snapshots,
+            finals,
+            stream_ops,
+            carried_ops: ops.len() - stream_ops,
+        }
+    }
+
+    /// A lane's locals in a batch: slots `0..rows()`.
+    pub fn rows(&self) -> usize {
+        self.rows as usize
+    }
+
+    /// The folds, as `(slot, op)`.
+    fn folds(&self) -> impl Iterator<Item = (u32, FoldOp)> + '_ {
+        self.folds.iter().map(|f| (f.slot, f.op))
+    }
+
+    /// Values a batch's rows hold per lane and iteration: input rows,
+    /// index points, stream registers and snapshots.
+    pub(crate) fn row_values(&self) -> usize {
+        let stream = &self.stream;
+        stream.n_slots as usize + stream.n_dims as usize + stream.ops.len() + self.snapshots.len()
+    }
+
+    /// The `split` member of the `kernels` report.
+    fn json(&self) -> Json {
+        let fold = |(slot, op): (u32, FoldOp)| {
+            Json::obj([("slot", u64::from(slot).into()), ("op", op.name().into())])
+        };
+        Json::obj([
+            ("stream_ops", self.stream_ops.into()),
+            ("carried_ops", self.carried_ops.into()),
+            ("folds", Json::arr(self.folds().map(fold))),
+        ])
+    }
+}
+
+/// One wave batch's struct-of-arrays buffers: `lanes` processes over
+/// `iters` iterations of a [`TapeSplit`]. Rows that run over both are
+/// `[row][lane][iter]`, the layout the gathered ring values arrive in;
+/// rows over the lanes alone are `[row][lane]`. Part of the thread's run
+/// arena, so the steady state allocates nothing.
+///
+/// A batch is filled ([`WaveBatch::begin`], then [`WaveBatch::input`],
+/// [`WaveBatch::local`], [`WaveBatch::set_point`]), run, and read
+/// ([`WaveBatch::sent`], [`WaveBatch::local`]).
+#[derive(Default)]
+pub struct WaveBatch {
+    lanes: usize,
+    iters: usize,
+    /// The stream tape's input rows: each link's received values, then
+    /// each broadcast slot.
+    input: Vec<Value>,
+    /// `[dim][lane][iter]`: the index point at every iteration.
+    points: Vec<i64>,
+    /// `[op][lane][iter]`: the stream tape's registers.
+    stream: Vec<Value>,
+    /// `[slot][lane]`: the lanes' locals, then the carried tape's feed
+    /// rows.
+    locals: Vec<Value>,
+    /// `[op][lane]`: the carried tape's registers.
+    carried: Vec<Value>,
+    /// `[snapshot][lane][iter]`.
+    snapshots: Vec<Value>,
+}
+
+impl WaveBatch {
+    /// Size the buffers for `lanes` lanes over `iters` iterations of
+    /// `split`. What they held before is overwritten, not cleared: fill
+    /// every input, local and point the batch reads.
+    pub fn begin(&mut self, split: &TapeSplit, lanes: usize, iters: usize) {
+        let n = lanes * iters;
+        let dims = split.stream.n_dims as usize;
+        self.lanes = lanes;
+        self.iters = iters;
+        self.input.resize(split.stream.n_slots as usize * n, 0);
+        self.points.resize(dims * n, 0);
+        self.stream.resize(split.stream.ops.len() * n, 0);
+        self.locals
+            .resize((split.rows() + split.feed.len()) * lanes, 0);
+        self.carried.resize(split.carried.ops.len() * lanes, 0);
+        self.snapshots.resize(split.snapshots.len() * n, 0);
+    }
+
+    /// The values `lane` receives on link `link`, one per iteration.
+    pub fn input(&mut self, link: usize, lane: usize) -> &mut [Value] {
+        &mut self.input[(link * self.lanes + lane) * self.iters..][..self.iters]
+    }
+
+    /// Local `slot` (below [`TapeSplit::rows`]) of `lane`: before the
+    /// batch, and after [`WaveBatch::run`].
+    pub fn local(&mut self, slot: usize, lane: usize) -> &mut Value {
+        &mut self.locals[slot * self.lanes + lane]
+    }
+
+    /// Coordinate `dim` (below the tape's `n_dims`) of `lane`'s index
+    /// point: `first` at the first iteration, advancing by `increment`
+    /// (wrapping, like the one-lane advance).
+    pub fn set_point(&mut self, dim: usize, lane: usize, first: i64, increment: i64) {
+        let row = &mut self.points[(dim * self.lanes + lane) * self.iters..][..self.iters];
+        for (it, p) in row.iter_mut().enumerate() {
+            *p = first.wrapping_add(increment.wrapping_mul(it as i64));
+        }
+    }
+
+    /// The values `lane` sends on link `link`, one per iteration.
+    pub fn sent(&self, split: &TapeSplit, link: usize, lane: usize) -> &[Value] {
+        let (row, rows) = match split.sends[link] {
+            Sent::Stream(r) => (r, &self.stream),
+            Sent::Snapshot(r) => (r, &self.snapshots),
+        };
+        &rows[(row as usize * self.lanes + lane) * self.iters..][..self.iters]
+    }
+
+    /// Run every iteration of every lane: `iters` receive / statement /
+    /// send cycles per lane, as the one-lane tape would, in sections.
+    pub fn run(&mut self, split: &TapeSplit) {
+        let (lanes, iters) = (self.lanes, self.iters);
+        let n = lanes * iters;
+        if n == 0 {
+            return;
+        }
+        let at = |row: usize, lane: usize| (row * lanes + lane) * iters;
+        let links = split.sends.len();
+        for (k, &s) in split.bcast.iter().enumerate() {
+            for lane in 0..lanes {
+                let v = self.locals[s as usize * lanes + lane];
+                self.input[at(links + k, lane)..][..iters].fill(v);
+            }
+        }
+        split
+            .stream
+            .run(&mut self.stream, &mut self.input, &self.points, n);
+        for f in &split.folds {
+            for lane in 0..lanes {
+                let acc = &mut self.locals[f.slot as usize * lanes + lane];
+                *acc =
+                    f.op.reduce(*acc, &self.stream[at(f.reg as usize, lane)..][..iters]);
+            }
+        }
+        if !split.carried.ops.is_empty() {
+            let feed_row = |k: usize| (split.rows() + k) * lanes;
+            for it in 0..iters {
+                for (k, &r) in split.feed.iter().enumerate() {
+                    for lane in 0..lanes {
+                        self.locals[feed_row(k) + lane] = self.stream[at(r as usize, lane) + it];
+                    }
+                }
+                split
+                    .carried
+                    .run(&mut self.carried, &mut self.locals, &[], lanes);
+                for (r, &s) in split.snapshots.iter().enumerate() {
+                    for lane in 0..lanes {
+                        self.snapshots[at(r, lane) + it] = self.locals[s as usize * lanes + lane];
+                    }
+                }
+            }
+        }
+        for &(s, r) in &split.finals {
+            for lane in 0..lanes {
+                self.locals[s as usize * lanes + lane] =
+                    self.stream[at(r as usize, lane) + iters - 1];
+            }
+        }
+    }
+
+    /// Bytes held (capacities).
+    fn footprint_bytes(&self) -> usize {
+        let values = self.input.capacity()
+            + self.points.capacity()
+            + self.stream.capacity()
+            + self.locals.capacity()
+            + self.carried.capacity()
+            + self.snapshots.capacity();
+        values * std::mem::size_of::<Value>()
+    }
+}
+
 /// The per-module kernel classification: which wavefront chunks may run
 /// through the compiled kernel, and why the rest cannot. Derived once
 /// per (module, wavefront plan) and memoized on `CachedModule` beside
@@ -212,11 +709,19 @@ pub struct KernelPlan {
     /// Scalar-fallback reasons with unit counts, sorted by descending
     /// count then reason (deterministic for reports).
     fallback_counts: Vec<(String, u64)>,
+    /// The tape cut for the eligible chunks' moving-slot layout; `None`
+    /// when no chunk is eligible.
+    split: Option<TapeSplit>,
 }
 
 impl KernelPlan {
     pub fn any_eligible(&self) -> bool {
         self.eligible_chunks > 0
+    }
+
+    /// How a wave batch runs the tape, when any chunk is eligible.
+    pub(crate) fn split(&self) -> Option<&TapeSplit> {
+        self.split.as_ref()
     }
 
     /// Scalar-fallback reasons aggregated over the units.
@@ -225,7 +730,8 @@ impl KernelPlan {
     }
 
     /// The `kernels` section of the metrics report: the static
-    /// eligibility split, with `reject` and `fallbacks` only when set.
+    /// eligibility split and the tape split a batch runs, with `split`,
+    /// `reject` and `fallbacks` only when set.
     pub fn json(&self) -> Json {
         let mut fields = vec![
             ("compiled", self.compiled.into()),
@@ -233,6 +739,9 @@ impl KernelPlan {
             ("scalar_chunks", self.scalar_chunks.into()),
             ("waves_fusable", self.waves_fusable.into()),
         ];
+        if let Some(split) = &self.split {
+            fields.push(("split", split.json()));
+        }
         if let Some(r) = &self.reject {
             fields.push(("reject", r.as_str().into()));
         }
@@ -288,8 +797,10 @@ pub struct KernelReport {
 }
 
 /// Classify every chunk of a wavefront plan against the module's
-/// compiled kernel. Pure structural analysis, O(windows); runs once
-/// per module and is memoized upstream.
+/// compiled kernel, and cut the tape for the moving-slot layout the
+/// eligible chunks share (the first one's; a chunk with another stays
+/// scalar). Pure structural analysis, O(windows + ops²); runs once per
+/// module and is memoized upstream.
 pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPlan {
     let ops = module.kernel.ops.len();
     let module_reject = match ops {
@@ -307,6 +818,7 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
             None => fallback_counts.push((reason, units)),
         };
     let mut computes = vec![false; module.procs.len()];
+    let mut layout: Option<&[MovingLink]> = None;
     let (mut eligible, mut scalar, mut waves_fusable) = (0usize, 0usize, 0usize);
     for w in 0..plan.n_waves() {
         let before = eligible;
@@ -320,7 +832,7 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
             if n_compute == 0 {
                 continue;
             }
-            match chunk_eligibility(module, windows, n_compute, &module_reject) {
+            match chunk_eligibility(module, windows, n_compute, &module_reject, &mut layout) {
                 None => {
                     chunk_ok[k] = true;
                     eligible += 1;
@@ -340,6 +852,7 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
         fall_back(reason, transport as u64);
     }
     fallback_counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let slots = |links: &[MovingLink]| links.iter().map(|mc| mc.slot).collect::<Vec<_>>();
     KernelPlan {
         compiled: ops > 0,
         reject: module_reject,
@@ -348,16 +861,20 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
         scalar_chunks: scalar + transport,
         waves_fusable,
         fallback_counts,
+        split: layout.map(|links| TapeSplit::new(&module.kernel, &slots(links))),
     }
 }
 
 /// Why a chunk holding `n_compute` compute windows must stay scalar;
-/// `None` when it is one window the kernel batch can take.
-fn chunk_eligibility(
-    module: &ProcIrModule,
+/// `None` when it is one window the kernel batch can take. The first
+/// such window's moving links set the batch `layout`; a later one whose
+/// links move through other slots stays scalar.
+fn chunk_eligibility<'m>(
+    module: &'m ProcIrModule,
     windows: &[Window],
     n_compute: usize,
     module_reject: &Option<String>,
+    layout: &mut Option<&'m [MovingLink]>,
 ) -> Option<String> {
     if let Some(r) = module_reject {
         return Some(r.clone());
@@ -377,37 +894,34 @@ fn chunk_eligibility(
     if !distinct {
         return Some("aliased moving rings".into());
     }
-    if module.kernel.n_slots > module.procs[pid].n_locals {
+    let slots = links.iter().map(|mc| mc.slot + 1);
+    if slots.fold(module.kernel.n_slots, u32::max) > module.procs[pid].n_locals {
         return Some("kernel slots exceed process locals".into());
     }
     if module.kernel.n_dims as usize > module.first_of(pid).len() {
         return Some("kernel index rank exceeds repeater rank".into());
     }
+    let same = |other: &[MovingLink]| {
+        other.len() == links.len() && other.iter().zip(links).all(|(a, b)| a.slot == b.slot)
+    };
+    match layout {
+        None => *layout = Some(links),
+        Some(first) if same(first) => {}
+        Some(_) => return Some("moving-slot layout differs from the batch's".into()),
+    }
     None
 }
 
-/// Reusable struct-of-arrays scratch, part of the thread's `RunArena`:
-/// every buffer is laid out lane-contiguous (`[field][lane]`, or
-/// `[link][lane][iter]` for the ring payloads) so the tape's inner loops
-/// run over dense arrays, and reused across batches and runs so the
-/// steady state allocates nothing.
+/// The kernel path's reusable scratch, part of the thread's `RunArena`,
+/// reused across batches and runs so the steady state allocates nothing.
 #[derive(Default)]
 pub(crate) struct KernelScratch {
-    locals: Vec<Value>,
-    x: Vec<i64>,
-    incr: Vec<i64>,
-    /// The tape's registers, `[op][lane]` — also the one-lane register
-    /// file of the scalar macro-step (`crate::arena`).
+    /// The one-lane register file of the scalar macro-step
+    /// (`crate::arena`).
     pub(crate) regs: Vec<Value>,
-    inb: Vec<Value>,
-    outb: Vec<Value>,
-    /// The batch's moving links (shared by every lane): the local slot,
-    /// and the link's row of `outb` when the values sent differ from the
-    /// values received — the tape writes the slot, or a later link loads
-    /// over it.
-    link_slots: Vec<(u32, Option<usize>)>,
-    /// The runner indices batched this round.
-    lanes: Vec<usize>,
+    batch: WaveBatch,
+    /// The chunks batched this round, each with its remaining iterations.
+    lanes: Vec<(usize, u64)>,
     /// The candidates for the next round's phase 1.
     cand: Vec<usize>,
 }
@@ -415,15 +929,10 @@ pub(crate) struct KernelScratch {
 impl KernelScratch {
     /// Bytes held (capacities), for `RunArena::footprint_bytes`.
     pub(crate) fn footprint_bytes(&self) -> usize {
-        let words = self.locals.capacity()
-            + self.x.capacity()
-            + self.incr.capacity()
-            + self.regs.capacity()
-            + self.inb.capacity()
-            + self.outb.capacity();
-        words * std::mem::size_of::<Value>()
-            + self.link_slots.capacity() * std::mem::size_of::<(u32, Option<usize>)>()
-            + (self.lanes.capacity() + self.cand.capacity()) * std::mem::size_of::<usize>()
+        self.regs.capacity() * std::mem::size_of::<Value>()
+            + self.batch.footprint_bytes()
+            + self.lanes.capacity() * std::mem::size_of::<(usize, u64)>()
+            + self.cand.capacity() * std::mem::size_of::<usize>()
     }
 }
 
@@ -436,26 +945,23 @@ impl KernelScratch {
 /// lanes standing at their kernel point — the compute window is
 /// startable (its load window retired in an earlier wave) and at a fresh
 /// iteration boundary — then batch them over the minimum number of
-/// iterations every lane's rings can serve.
-///
-/// Two things are decided per batch from the tape, not per design. A
-/// moving link whose slot the tape never writes sends exactly what it
-/// received, so its output ring is filled from the gathered input and no
-/// per-iteration snapshot is taken (`a` and `b` of every matmul). And a
-/// tape that reads no index coordinate (`n_dims == 0`) leaves the index
-/// points out of the batch altogether: each lane's point advances once,
-/// by `iters × increment`.
+/// iterations every lane's rings can serve, cut to
+/// [`KERNEL_BATCH_VALUES`]. A batch gathers every lane's locals, index
+/// point and received values, runs the plan's [`TapeSplit`] over them
+/// ([`WaveBatch::run`]), and scatters the sent values and the locals
+/// back; each lane's index point advances once, by `iters × increment`.
 pub(crate) fn kernel_wave(
     module: &ProcIrModule,
     plan: &WavefrontPlan,
-    work: impl Iterator<Item = usize>,
-    chunks: &mut [ChunkState],
+    kernels: &KernelPlan,
+    waves: &mut WaveState,
     arena: &mut RunArena,
     stats: &mut RunStats,
     report: &mut KernelReport,
 ) -> bool {
-    let mut ran = false;
-    let kernel = &*module.kernel;
+    let split = kernels
+        .split()
+        .expect("a plan with an eligible chunk has a split");
     let RunArena {
         regs: vm,
         locals: vm_locals,
@@ -465,25 +971,23 @@ pub(crate) fn kernel_wave(
         ..
     } = arena;
     let KernelScratch {
-        locals,
-        x,
-        incr,
-        regs,
-        inb,
-        outb,
-        link_slots,
-        lanes,
-        cand,
+        batch, lanes, cand, ..
     } = scratch;
+    let WaveState { chunks, work } = waves;
     let pid_of = |k: usize| plan.chunk(k)[0].pid as usize;
-    // Round 1 considers the whole worklist; later rounds revisit only the
-    // lanes that just batched. Another lane of the wave advances with them
-    // only if it shares a ring with one (their value runs do not overlap,
-    // or an edge would have put them in different waves) and stood blocked
-    // on it; the scalar sweep behind this call picks that lane up.
+    let (rows, dims) = (split.rows(), module.kernel.n_dims as usize);
+    // Lane-iterations a batch may hold.
+    let fit = (KERNEL_BATCH_VALUES / split.row_values()).max(1);
+    // Round 1 considers the wave's eligible chunks; later rounds revisit
+    // only the lanes that batched with iterations left, and those the
+    // bound left out. Another lane of the wave advances with them only if
+    // it shares a ring with one (their value runs do not overlap, or an
+    // edge would have put them in different waves) and stood blocked on
+    // it; the scalar sweep behind this call picks that lane up.
     cand.clear();
-    cand.extend(work);
-    loop {
+    cand.extend(work.iter().copied().filter(|&k| kernels.chunk_ok[k]));
+    let mut ran = false;
+    while !cand.is_empty() {
         // Phase 1: the lanes at their kernel point, and the joint batch
         // size.
         lanes.clear();
@@ -502,148 +1006,80 @@ pub(crate) fn kernel_wave(
             if m == 0 {
                 continue;
             }
-            lanes.push(k);
+            lanes.push((k, remaining));
             iters = iters.min(m);
         }
         if lanes.is_empty() {
-            return ran;
+            break;
         }
+        let lane_n = lanes.len().min(fit);
+        let iters = (iters as usize).min(fit / lane_n);
 
-        // Defensive homogeneity check: every lane must share the moving
-        // slot layout, local count, and index rank of the first (true by
-        // construction — one basic statement, one stream set — but a
-        // mismatch must degrade to scalar, not corrupt the batch).
-        let first = pid_of(lanes[0]);
-        let n_locals = module.procs[first].n_locals as usize;
-        let dims = module.first_of(first).len();
-        let links = module.moving_of(first);
-        link_slots.clear();
-        let mut n_changed = 0;
-        link_slots.extend(links.iter().enumerate().map(|(j, mc)| {
-            let written = kernel.writes.iter().any(|&(slot, _)| slot == mc.slot);
-            let clobbered = links[j + 1..].iter().any(|later| later.slot == mc.slot);
-            let row = (written || clobbered).then_some(n_changed);
-            n_changed += row.is_some() as usize;
-            (mc.slot, row)
-        }));
-        let n_links = link_slots.len();
-        lanes.retain(|&k| {
-            let pid = pid_of(k);
-            let links = module.moving_of(pid);
-            module.procs[pid].n_locals as usize == n_locals
-                && module.first_of(pid).len() == dims
-                && links.len() == n_links
-                && links
-                    .iter()
-                    .zip(link_slots.iter())
-                    .all(|(mc, &(slot, _))| mc.slot == slot)
-        });
-        let lane_n = lanes.len();
-        let iters = iters as usize;
-        // The index points ride along only when the tape reads them.
-        let x_dims = if kernel.n_dims > 0 { dims } else { 0 };
-
-        // Phase 2: gather — locals, index points, increments, and all
-        // `iters` ring heads per link, popped in FIFO order. One
-        // capacity decision for the whole batch was made above.
-        locals.resize(n_locals * lane_n, 0);
-        x.resize(x_dims * lane_n, 0);
-        incr.resize(x_dims * lane_n, 0);
-        regs.resize(kernel.ops.len() * lane_n, 0);
-        inb.resize(n_links * lane_n * iters, 0);
-        outb.resize(n_changed * lane_n * iters, 0);
-        for (li, &k) in lanes.iter().enumerate() {
-            chunks[k].moved += (n_links * iters) as u64;
+        // Phase 2: gather — locals, index points, and all `iters` ring
+        // heads per link, popped in FIFO order. One capacity decision for
+        // the whole batch was made above.
+        batch.begin(split, lane_n, iters);
+        for (li, &(k, _)) in lanes[..lane_n].iter().enumerate() {
             let pid = pid_of(k);
             let r = &vm[pid];
-            if x_dims > 0 {
-                for (d, &inc) in module.increment_of(pid).iter().enumerate() {
-                    incr[d * lane_n + li] = inc;
-                }
-                for (d, &xv) in vm_x[r.x as usize..][..dims].iter().enumerate() {
-                    x[d * lane_n + li] = xv;
-                }
+            for (s, &v) in vm_locals[r.locals as usize..][..rows].iter().enumerate() {
+                *batch.local(s, li) = v;
             }
-            for (s, &v) in vm_locals[r.locals as usize..][..n_locals]
-                .iter()
-                .enumerate()
-            {
-                locals[s * lane_n + li] = v;
+            let points = vm_x[r.x as usize..].iter().zip(module.increment_of(pid));
+            for (d, (&first, &inc)) in points.take(dims).enumerate() {
+                batch.set_point(d, li, first, inc);
             }
-            for (j, mc) in module.moving_of(pid).iter().enumerate() {
-                let base = (j * lane_n + li) * iters;
-                rings.pop_many(mc.inp, &mut inb[base..base + iters]);
+            let links = module.moving_of(pid);
+            for (j, mc) in links.iter().enumerate() {
+                rings.pop_many(mc.inp, batch.input(j, li));
             }
+            chunks[k].moved += (links.len() * iters) as u64;
         }
 
-        // Phase 3: the tape. Each iteration feeds the moving slots from
-        // the gathered ring values, runs the tape over dense lane arrays,
-        // snapshots the moving slots that changed for the scatter, and
-        // advances the index points — exactly one loop-summarized macro
-        // iteration, batched.
-        for it in 0..iters {
-            for (j, &(slot, _)) in link_slots.iter().enumerate() {
-                let src = j * lane_n * iters;
-                let dst = slot as usize * lane_n;
-                for li in 0..lane_n {
-                    locals[dst + li] = inb[src + li * iters + it];
-                }
-            }
-            kernel.run(regs, locals, x, lane_n);
-            for &(slot, row) in link_slots.iter() {
-                let Some(row) = row else { continue };
-                let dst = row * lane_n * iters;
-                let src = slot as usize * lane_n;
-                for li in 0..lane_n {
-                    outb[dst + li * iters + it] = locals[src + li];
-                }
-            }
-            for (xv, &inc) in x.iter_mut().zip(incr.iter()) {
-                *xv = xv.wrapping_add(inc);
-            }
-        }
+        // Phase 3: the stream section over lanes × iterations, then the
+        // carried section per lane.
+        batch.run(split);
 
-        // Phase 4: scatter — push the produced values in FIFO order (a
-        // link that sends what it received, straight from its gathered
-        // input), write the locals / index points / iteration counter
-        // back, and account the batch exactly as `iters` loop-summarized
-        // macro iterations would have (one step per par-set, one message
-        // per pushed value, one `moved` tick per ring touch).
-        for (li, &k) in lanes.iter().enumerate() {
+        // Phase 4: scatter — push the sent values in FIFO order, write the
+        // locals / index points / iteration counter back, and account the
+        // batch exactly as `iters` loop-summarized macro iterations would
+        // have (one step per par-set, one message per pushed value, one
+        // `moved` tick per ring touch).
+        for (li, &(k, _)) in lanes[..lane_n].iter().enumerate() {
             let pid = pid_of(k);
-            for (j, mc) in module.moving_of(pid).iter().enumerate() {
-                let sent = match link_slots[j].1 {
-                    Some(row) => &outb[(row * lane_n + li) * iters..][..iters],
-                    None => &inb[(j * lane_n + li) * iters..][..iters],
-                };
-                rings.push_many(mc.out, sent);
+            let links = module.moving_of(pid);
+            for (j, mc) in links.iter().enumerate() {
+                rings.push_many(mc.out, batch.sent(split, j, li));
             }
             let r = &mut vm[pid];
-            for (s, lv) in vm_locals[r.locals as usize..][..n_locals]
+            for (s, lv) in vm_locals[r.locals as usize..][..rows]
                 .iter_mut()
                 .enumerate()
             {
-                *lv = locals[s * lane_n + li];
+                *lv = *batch.local(s, li);
             }
-            let increment = module.increment_of(pid);
-            for (d, xv) in vm_x[r.x as usize..][..dims].iter_mut().enumerate() {
-                *xv = match x_dims {
-                    0 => xv.wrapping_add(increment[d].wrapping_mul(iters as i64)),
-                    _ => x[d * lane_n + li],
-                };
+            let points = vm_x[r.x as usize..]
+                .iter_mut()
+                .zip(module.increment_of(pid));
+            for (xv, &inc) in points {
+                *xv = xv.wrapping_add(inc.wrapping_mul(iters as i64));
             }
             r.t += iters as i64;
             stats.steps += 2 * iters as u64;
-            stats.messages += (n_links * iters) as u64;
-            chunks[k].moved += (n_links * iters) as u64;
+            stats.messages += (links.len() * iters) as u64;
+            chunks[k].moved += (links.len() * iters) as u64;
         }
 
         ran = true;
         report.batches += 1;
         report.lanes += lane_n as u64;
         report.iterations += (lane_n * iters) as u64;
-        std::mem::swap(lanes, cand);
+        let next = lanes.iter().enumerate();
+        let next = next.filter(|&(li, &(_, remaining))| li >= lane_n || remaining > iters as u64);
+        cand.clear();
+        cand.extend(next.map(|(_, &(k, _))| k));
     }
+    ran
 }
 
 #[cfg(test)]
@@ -710,5 +1146,218 @@ mod tests {
         // An empty tape is the empty statement.
         run1(&Kernel::default(), &mut locals, &[]);
         assert_eq!(locals, vec![4, 5, 6, 0, 1, 0]);
+    }
+
+    /// Three lanes of `k` over four iterations, link `j` moving through
+    /// `slots[j]`, as one split batch and as one-lane macro iterations
+    /// (receive into the slots, run the tape, send the slots, advance the
+    /// point): the same locals after, the same values sent. One lane's
+    /// point starts at `i64::MAX`, so the advance wraps. Returns the split.
+    fn split_is_the_statement(k: &Kernel, slots: &[u32]) -> TapeSplit {
+        const LANES: usize = 3;
+        const ITERS: usize = 4;
+        let split = TapeSplit::new(k, slots);
+        let dims = k.n_dims as usize;
+        let mut batch = WaveBatch::default();
+        batch.begin(&split, LANES, ITERS);
+        let mut want = Vec::new();
+        for lane in 0..LANES {
+            let v = lane as Value;
+            let mut locals: Vec<Value> = (0..split.rows() as Value).map(|s| 10 * v - s).collect();
+            let start = |d: usize| if lane == 2 { i64::MAX } else { v + d as i64 };
+            let mut x: Vec<i64> = (0..dims).map(start).collect();
+            let incr: Vec<i64> = (1..=dims as i64).collect();
+            let received =
+                |j: usize, it: usize| (7 * v + 3 * j as Value + 5 * it as Value) % 11 - 5;
+            for (s, &l) in locals.iter().enumerate() {
+                *batch.local(s, lane) = l;
+            }
+            for d in 0..dims {
+                batch.set_point(d, lane, x[d], incr[d]);
+            }
+            for j in 0..slots.len() {
+                for (it, value) in batch.input(j, lane).iter_mut().enumerate() {
+                    *value = received(j, it);
+                }
+            }
+            let mut sent = vec![Vec::new(); slots.len()];
+            for it in 0..ITERS {
+                for (j, &s) in slots.iter().enumerate() {
+                    locals[s as usize] = received(j, it);
+                }
+                run1(k, &mut locals, &x);
+                for (j, &s) in slots.iter().enumerate() {
+                    sent[j].push(locals[s as usize]);
+                }
+                for (xv, &inc) in x.iter_mut().zip(&incr) {
+                    *xv = xv.wrapping_add(inc);
+                }
+            }
+            want.push((locals, sent));
+        }
+        batch.run(&split);
+        for (lane, (locals, sent)) in want.iter().enumerate() {
+            for (s, &l) in locals.iter().enumerate() {
+                assert_eq!(*batch.local(s, lane), l, "{k:?}: slot {s} of lane {lane}");
+            }
+            for (j, row) in sent.iter().enumerate() {
+                let got = batch.sent(&split, j, lane);
+                assert_eq!(got, &row[..], "{k:?}: link {j} of lane {lane}");
+            }
+        }
+        split
+    }
+
+    /// `c := c ⊕ a·b`, `a` and `b` moving through slots 0 and 1: the
+    /// matmul and FIR accumulator, one reduction per lane and no
+    /// per-iteration section — with either operand order.
+    #[test]
+    fn an_add_min_or_max_accumulator_is_a_fold() {
+        let ops = [
+            (Add(0, 3), FoldOp::Add),
+            (Min(3, 0), FoldOp::Min),
+            (Max(0, 3), FoldOp::Max),
+        ];
+        for (op, fold) in ops {
+            let k = Kernel {
+                ops: vec![Slot(2), Slot(0), Slot(1), Mul(1, 2), op],
+                writes: vec![(2, 4)],
+                n_slots: 3,
+                n_dims: 0,
+            };
+            let split = split_is_the_statement(&k, &[0, 1]);
+            assert_eq!(split.folds().collect::<Vec<_>>(), [(2, fold)]);
+            assert_eq!((split.stream_ops, split.carried_ops), (3, 2));
+            assert!(split.carried.ops.is_empty(), "{fold:?}");
+            assert_eq!(
+                split.sends,
+                [Sent::Stream(0), Sent::Stream(1)],
+                "a and b pass through"
+            );
+        }
+    }
+
+    /// `if x0 <= x1 -> c := c + a·b`: the select reads `c` as well, so the
+    /// chain is no fold; the load, the sum and the select run per
+    /// iteration, fed the guard and the product from the stream section.
+    #[test]
+    fn a_guarded_accumulator_takes_the_general_carried_path() {
+        let k = Kernel {
+            ops: vec![
+                Index(0),
+                Index(1),
+                Le(0, 1),
+                Slot(2),
+                Slot(0),
+                Slot(1),
+                Mul(4, 5),
+                Add(3, 6),
+                Select(2, 7, 3),
+            ],
+            writes: vec![(2, 8)],
+            n_slots: 3,
+            n_dims: 2,
+        };
+        let split = split_is_the_statement(&k, &[0, 1]);
+        assert_eq!(split.folds().count(), 0);
+        assert_eq!((split.stream_ops, split.carried_ops), (6, 3));
+        assert_eq!(split.feed.len(), 2, "the product and the guard");
+        assert_eq!(split.carried.writes.len(), 1);
+    }
+
+    /// `s := a·b` into stationary slot 2, which nothing reads: nothing is
+    /// carried, and the slot ends the batch holding the last product.
+    #[test]
+    fn a_stationary_slot_written_but_never_read_is_stream() {
+        let k = Kernel {
+            ops: vec![Slot(0), Slot(1), Mul(0, 1)],
+            writes: vec![(2, 2)],
+            n_slots: 3,
+            n_dims: 0,
+        };
+        let split = split_is_the_statement(&k, &[0, 1]);
+        assert_eq!((split.stream_ops, split.carried_ops), (3, 0));
+        assert!(split.finals.contains(&(2, 2)), "{:?}", split.finals);
+    }
+
+    /// D.1 and polyprod: `c` (slot 2) moves with `b` (slot 1) past a
+    /// stationary `a` (slot 0) the tape reads and never writes. Nothing is
+    /// carried: `a` is broadcast over the iterations, and `c`'s link sends
+    /// the sum's row.
+    #[test]
+    fn a_moving_accumulator_is_all_stream() {
+        let k = Kernel {
+            ops: vec![Slot(2), Slot(0), Slot(1), Mul(1, 2), Add(0, 3)],
+            writes: vec![(2, 4)],
+            n_slots: 3,
+            n_dims: 0,
+        };
+        let split = split_is_the_statement(&k, &[1, 2]);
+        assert_eq!((split.stream_ops, split.carried_ops), (5, 0));
+        assert_eq!(split.bcast, [0]);
+        assert_eq!(split.sends, [Sent::Stream(2), Sent::Stream(4)]);
+    }
+
+    /// `c := c + a·x0`: the index point is a stream input, one row per
+    /// coordinate expanded from the first point and the increment.
+    #[test]
+    fn an_index_reading_tape_expands_the_point_over_the_iterations() {
+        let k = Kernel {
+            ops: vec![Slot(2), Slot(0), Index(0), Mul(1, 2), Add(0, 3)],
+            writes: vec![(2, 4)],
+            n_slots: 3,
+            n_dims: 1,
+        };
+        let split = split_is_the_statement(&k, &[0, 1]);
+        assert_eq!(split.folds().collect::<Vec<_>>(), [(2, FoldOp::Add)]);
+        // Per lane and iteration: two received values, one coordinate,
+        // and the registers `a`, `x0`, `a·x0` and `b`, which is sent on.
+        assert_eq!(split.row_values(), 2 + 1 + 4);
+    }
+
+    /// `c := c + a; a := c`: the sum is sent as well, so it is no fold,
+    /// and `a`'s link sends a snapshot of its slot after each carried
+    /// iteration.
+    #[test]
+    fn a_moving_slot_written_from_the_carried_section_is_snapshotted() {
+        let k = Kernel {
+            ops: vec![Slot(2), Slot(0), Add(0, 1)],
+            writes: vec![(2, 2), (0, 2)],
+            n_slots: 3,
+            n_dims: 0,
+        };
+        let split = split_is_the_statement(&k, &[0, 1]);
+        assert_eq!(split.folds().count(), 0);
+        assert_eq!(split.sends, [Sent::Snapshot(0), Sent::Stream(1)]);
+    }
+
+    /// `c := c + a; b := c·a` with `c` loaded twice (a hand-built tape;
+    /// `kernelize` loads a slot once): the second load reads `c` as the
+    /// previous iteration left it, so the sum is no fold.
+    #[test]
+    fn a_slot_loaded_twice_is_no_fold() {
+        let k = Kernel {
+            ops: vec![Slot(2), Slot(0), Add(0, 1), Slot(2), Mul(3, 1)],
+            writes: vec![(2, 2), (1, 4)],
+            n_slots: 3,
+            n_dims: 0,
+        };
+        let split = split_is_the_statement(&k, &[0, 1]);
+        assert_eq!(split.folds().count(), 0);
+        assert_eq!(split.sends[1], Sent::Snapshot(0));
+    }
+
+    /// Two links into one slot: the tape sees the later one's value, and
+    /// both send it.
+    #[test]
+    fn links_into_one_slot_send_what_the_last_one_received() {
+        let k = Kernel {
+            ops: vec![Slot(2), Slot(0), Add(0, 1)],
+            writes: vec![(2, 2)],
+            n_slots: 3,
+            n_dims: 0,
+        };
+        let split = split_is_the_statement(&k, &[0, 1, 0]);
+        assert_eq!(split.sends[0], split.sends[2]);
     }
 }

@@ -571,9 +571,9 @@ pub(crate) struct ChunkState {
 /// lent out of it while a sweep runs so that both can be borrowed.
 #[derive(Default)]
 pub(crate) struct WaveState {
-    chunks: Vec<ChunkState>,
+    pub(crate) chunks: Vec<ChunkState>,
     /// The current wave's worklist.
-    work: Vec<usize>,
+    pub(crate) work: Vec<usize>,
 }
 
 impl WaveState {
@@ -667,9 +667,8 @@ fn sweep_waves(
 ) -> Result<(RunStats, Vec<Vec<Value>>, KernelReport), RunError> {
     arena.reset(module, &plan.capacities);
     let n_chunks = plan.n_chunks();
-    let WaveState { chunks, work } = waves;
-    chunks.clear();
-    chunks.extend((0..n_chunks).map(|k| ChunkState {
+    waves.chunks.clear();
+    waves.chunks.extend((0..n_chunks).map(|k| ChunkState {
         left: plan.chunk(k).len() as u32,
         moved: 0,
         dirty: true,
@@ -693,34 +692,26 @@ fn sweep_waves(
             // This wave's worklist: dirty, unfinished chunks. Claiming
             // clears the flag (and the progress counter); a neighbour's
             // progress below re-sets it.
-            work.clear();
+            waves.work.clear();
             for k in plan.wave(w) {
-                let c = &mut chunks[k];
+                let c = &mut waves.chunks[k];
                 if c.dirty && c.left > 0 {
                     c.dirty = false;
                     c.moved = 0;
-                    work.push(k);
+                    waves.work.push(k);
                 }
             }
-            if work.is_empty() {
+            if waves.work.is_empty() {
                 continue;
             }
             // Kernel phase: batch the wave's eligible compute windows
             // through the compiled tape; their sweep below only steps
             // past the exhausted repeater.
             if let Some(kp) = kernels {
-                let eligible = work.iter().copied().filter(|&k| kp.chunk_ok[k]);
-                let fused = kernel_wave(
-                    module,
-                    plan,
-                    eligible,
-                    chunks,
-                    arena,
-                    &mut stats,
-                    &mut kreport,
-                );
+                let fused = kernel_wave(module, plan, kp, waves, arena, &mut stats, &mut kreport);
                 kreport.waves_fused += fused as u64;
             }
+            let WaveState { chunks, work } = &mut *waves;
             for &k in work.iter() {
                 sweep_chunk(plan.chunk(k), &mut chunks[k], module, arena, &mut stats);
                 let c = chunks[k];
@@ -997,17 +988,17 @@ mod tests {
     #[test]
     fn pass_through_and_batch_advance_are_decided_per_link_and_per_tape() {
         use crate::kernel::{Kernel, KernelOp::*};
-        // `c += a * b; a := -a`: slot 0 is written, so `a` is snapshotted
-        // per iteration while `b` is pushed from its gathered input; no
-        // index is read, so the points advance once per batch.
+        // `c += a * b; a := -a`: slot 0 is written from the stream
+        // section, so `a` sends the negation's row while `b` sends its
+        // gathered input; `c` is an `add` fold.
         let writes_a = Kernel {
             ops: vec![Slot(2), Slot(0), Slot(1), Mul(1, 2), Add(0, 3), Neg(1)],
             writes: vec![(2, 4), (0, 5)],
             n_slots: 3,
             n_dims: 0,
         };
-        // `c += a * x0`: both links pass through, and reading the index
-        // keeps the per-iteration advance.
+        // `c += a * x0`: both links pass through, and the index is read
+        // as a row expanded from each lane's point and increment.
         let reads_x = Kernel {
             ops: vec![Slot(2), Slot(0), Index(0), Mul(1, 2), Add(0, 3)],
             writes: vec![(2, 4)],
@@ -1039,6 +1030,76 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `c += k·a` in a tape of `KERNEL_MAX_OPS − 6` ops (`k` is the op
+    /// count less two): local `c` is slot `c`, `a` is slot `a`.
+    fn long_tape(c: u32, a: u32) -> crate::kernel::Kernel {
+        use crate::kernel::{Kernel, KernelOp::*, KERNEL_MAX_OPS};
+        let n = (KERNEL_MAX_OPS - 6) as u32;
+        let mut ops = vec![Slot(c), Slot(a)];
+        ops.extend((2..n - 1).map(|r| Add(r - 1, 1)));
+        ops.push(Add(0, n - 2));
+        Kernel {
+            ops,
+            writes: vec![(c, n - 1)],
+            n_slots: c.max(a) + 1,
+            n_dims: 0,
+        }
+    }
+
+    /// The lane-iterations one batch of `m`'s kernel plan may hold.
+    fn batch_fit(m: &Arc<ProcIrModule>) -> usize {
+        let wf = analyze_wavefront(m, &analyze(m));
+        let kp = crate::kernel::analyze_kernels(m, &wf);
+        crate::kernel::KERNEL_BATCH_VALUES / kp.split().expect("an eligible chunk").row_values()
+    }
+
+    #[test]
+    fn a_batch_over_the_scratch_bound_is_cut_by_iterations() {
+        use crate::procir::{MovingLink, ProcOp};
+        // One cell, 4 096 iterations: the long tape's rows for all of them
+        // would be about a million values.
+        const N: usize = WAVEFRONT_RING_CAP as usize;
+        let mut b = ProcIrBuilder::new();
+        b.begin("comp");
+        b.op(ProcOp::Keep { chan: 2, slot: 1 });
+        b.op(ProcOp::Compute { count: N as u64 });
+        b.op(ProcOp::Eject { chan: 3, slot: 1 });
+        let link = MovingLink {
+            slot: 0,
+            inp: 0,
+            out: 1,
+        };
+        b.repeater(&[link], &[0], &[1], 1);
+        b.finish();
+        let a: Vec<Value> = (0..N as Value).map(|i| i % 13 - 6).collect();
+        b.source(0, &a, "a-in");
+        b.source(2, &[10], "c-in");
+        b.sink(1, N, "a-out");
+        b.sink(3, 1, "c-out");
+        let tape = long_tape(1, 0);
+        let k = tape.ops.len() as Value - 2;
+        b.set_kernel(Arc::new(tape));
+        let m = b.build();
+        let fit = batch_fit(&m);
+        assert!(fit < N, "{fit} lane-iterations fit");
+        let (outs, report) = kernel_gate_is_invisible(&m, "one long lane");
+        assert_eq!(report.iterations, N as u64);
+        assert_eq!(report.batches, N.div_ceil(fit) as u64, "cut by iterations");
+        assert_eq!(outs[1], [10 + k * a.iter().sum::<Value>()]);
+    }
+
+    #[test]
+    fn a_wave_over_the_scratch_bound_is_cut_by_lanes() {
+        // One more cell than fit in a batch of one iteration each: the
+        // lanes left out wait for the next batch.
+        let cells = |lanes| cells_module(lanes, long_tape(2, 0), |cell| (cell as i64, 1));
+        let lanes = batch_fit(&cells(1)) + 1;
+        let m = cells(lanes);
+        let (_, report) = kernel_gate_is_invisible(&m, "wide wave");
+        assert_eq!(report.iterations, 3 * lanes as u64);
+        assert!(report.batches > 3, "{report:?}");
     }
 
     /// The index point obeys the overflow law of `Value` arithmetic: it

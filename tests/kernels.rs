@@ -9,20 +9,21 @@
 //! lane wide with the cap named in the report. The tape itself is held
 //! to the statement it compiles by `tests/tape.rs`.
 //!
-//! Which branch of `kernel_wave` the corpus takes (decided per link and
-//! per tape, `docs/kernels.md` "Pass-through links and the batch
-//! advance"): every design's tape writes exactly one slot, its
-//! accumulator. Where that stream is stationary — D.2, E.1, the derived
-//! matmuls and `matrix_product_bt`, `fir_filter`, `tensor_contraction`,
-//! and the shipped `fir.sys` and `matmul.sys` — every moving link passes
-//! through: its output ring is filled from the gathered input. Where the
-//! accumulator moves — `c` in D.1, in the derived polynomial product and
-//! in E.2 — that one link is snapshotted per iteration and the others
-//! (`b`; `a` and `b`) pass through. No corpus tape reads an index
-//! coordinate, so every design advances its index points once per batch;
-//! the per-iteration advance, a written *and* an untouched link in one
-//! batch, and batches of one and of three lanes are pinned on hand-built
-//! modules in `crates/runtime/src/wavefront.rs`.
+//! How a wave batch runs the corpus (the tape split once per module,
+//! `docs/kernels.md` "The split: stream, carried, folds"): every design's
+//! tape writes exactly one slot, its accumulator. Where that stream is
+//! stationary — D.2, E.1, the derived matmuls and `matrix_product_bt`,
+//! `fir_filter`, `tensor_contraction`, and the shipped `fir.sys` and
+//! `matmul.sys` — the product is the stream section and the accumulator
+//! one `add` fold per lane, and every moving link sends what it received.
+//! Where the accumulator moves — `c` in D.1 and in the derived polynomial
+//! product — the whole tape is stream and `c`'s link sends the sum's row.
+//! E.2 has no eligible chunk. No corpus tape reads an index coordinate;
+//! an `Index`-reading tape, a guarded (not folded) accumulator, a written
+//! *and* an untouched link in one batch, batches of one and of three
+//! lanes and batches cut at the scratch bound are pinned on hand-built
+//! modules in `crates/runtime/src/kernel.rs` and
+//! `crates/runtime/src/wavefront.rs`.
 
 use proptest::prelude::*;
 mod common;
