@@ -31,8 +31,8 @@ use systolic_core::SystolicProgram;
 use systolic_ir::{seq, HostStore};
 use systolic_math::{Affine, Env};
 use systolic_runtime::{
-    lock, BatchMode, ChannelPolicy, KernelMode, KernelReport, Network, OptReport, RunError,
-    RunStats, SchedulePolicy, SharedRecorder, Value,
+    lock, BatchMode, ChannelPolicy, KernelReport, Network, OptReport, RunError, RunStats,
+    SchedulePolicy, SharedRecorder, Value,
 };
 
 /// Which executor family a run uses. The cooperative scheduler is the
@@ -91,6 +91,18 @@ impl WavefrontMode {
     pub const Par: WavefrontMode = WavefrontMode;
 }
 
+// Spelled by the frozen `benchmark/src/layers.rs:14,102–104`; goes with ROADMAP 2(b).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KernelMode;
+
+#[doc(hidden)]
+#[allow(non_upper_case_globals)]
+impl KernelMode {
+    pub const Auto: KernelMode = KernelMode;
+    pub const Off: KernelMode = KernelMode;
+}
+
 /// Everything about a simulation except the program and its data.
 pub struct SimSpec {
     /// The fast-path gate (`--batch auto|off`, see
@@ -102,8 +114,8 @@ pub struct SimSpec {
     // Spelled by the frozen `benchmark/src/layers.rs:107,115`; goes with ROADMAP 2(b).
     #[doc(hidden)]
     pub wavefront: WavefrontMode,
-    /// Compiled-kernel gate for wavefront runs (`--kernel auto|off`);
-    /// inert on every other path.
+    // Spelled by the frozen `benchmark/src/layers.rs:14,102–104`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
     pub kernel: KernelMode,
     pub executor: ExecutorChoice,
     /// Rendezvous-wait budget for the threaded/partitioned engines. The
@@ -131,7 +143,7 @@ impl Default for SimSpec {
         SimSpec {
             batch: BatchMode::Auto,
             wavefront: WavefrontMode,
-            kernel: KernelMode::Auto,
+            kernel: KernelMode,
             executor: ExecutorChoice::Coop,
             deadline: Duration::from_secs(30),
             sched: None,
@@ -182,9 +194,7 @@ pub struct SystolicRun {
     /// store stays bit-identical either way.
     pub opt: Option<Arc<OptReport>>,
     /// The compiled-kernel engagement report, `Some` exactly when
-    /// `wavefront` is true; with `--kernel off` the report is present
-    /// but `enabled` is false and every counter is zero. Kernels change
-    /// wall-clock only.
+    /// `wavefront` is true. Kernels change wall-clock only.
     pub kernel: Option<KernelReport>,
 }
 
@@ -285,7 +295,6 @@ pub fn simulate(
     let executor = spec.effective_executor();
     let SimSpec {
         batch,
-        kernel,
         deadline,
         sched,
         policy,
@@ -311,8 +320,8 @@ pub fn simulate(
         // the gate it is eligible. The optimizer keeps the data segment
         // word for word, so one gather serves whichever module runs.
         let fast_plan = cm.fast_plan();
-        let kernels = (kernel == KernelMode::Auto).then_some(&*fast_plan.kernels);
         let module = &fast_plan.module.with_data(data);
+        let kernels = Some(&*fast_plan.kernels);
         let (stats, sinks, report) =
             systolic_runtime::run_wavefront(module, &fast_plan.wavefront, kernels, false)?;
         (stats, sinks, fast_plan.opt_report().cloned(), Some(report))

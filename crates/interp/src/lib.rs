@@ -38,15 +38,13 @@ pub use cache::OptMode;
 pub use cache::{CacheStats, CachedModule, FastPlan, ModuleStore};
 pub use describe::describe;
 pub use elaborate::{elaborate, Census, ElabError, ElabOptions, Elaborated, OutputSpec};
-#[doc(hidden)]
-pub use exec::WavefrontMode;
 pub use exec::{
     seeded_store, simulate, simulate_verified, ExecError, ExecutorChoice, Problem, ProblemError,
     SimSpec, SystolicRun, VerifyError, PROBLEM_BUDGET,
 };
+#[doc(hidden)]
+pub use exec::{KernelMode, WavefrontMode};
 pub use kernelize::kernelize;
 pub use metrics::{channel_names, observe_plan_in, Observed};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
-pub use systolic_runtime::{
-    analyze_kernels, BatchMode, KernelMode, KernelPlan, KernelReport, OptReport,
-};
+pub use systolic_runtime::{analyze_kernels, BatchMode, KernelPlan, KernelReport, OptReport};

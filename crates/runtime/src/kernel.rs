@@ -65,23 +65,7 @@ use crate::json::Json;
 use crate::process::Value;
 use crate::procir::{MovingLink, ProcIrModule};
 use crate::wavefront::{WaveState, WavefrontPlan, Window};
-
-/// Whether a wavefront run may execute eligible waves through compiled
-/// kernels. `Auto` engages them whenever the module compiled one and the
-/// chunk qualifies; `Off` forces every chunk onto the scalar
-/// `macro_step` path (`--kernel off`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelMode {
-    #[default]
-    Auto,
-    Off,
-}
-
-impl KernelMode {
-    /// The names `--kernel` and the service's `"kernel"` accept, default first.
-    pub const NAMES: &'static [(&'static str, KernelMode)] =
-        &[("auto", KernelMode::Auto), ("off", KernelMode::Off)];
-}
+use std::sync::Arc;
 
 /// The longest tape a wave batch takes. Every stream op of a batch holds
 /// a row of `lanes × iters` registers, so a longer tape leaves room for
@@ -707,8 +691,9 @@ pub struct KernelPlan {
     /// Waves containing at least one eligible chunk.
     pub waves_fusable: usize,
     /// Scalar-fallback reasons with unit counts, sorted by descending
-    /// count then reason (deterministic for reports).
-    fallback_counts: Vec<(String, u64)>,
+    /// count then reason (deterministic for reports); every run's
+    /// [`KernelReport`] shares them.
+    fallback_counts: Arc<[(String, u64)]>,
     /// The tape cut for the eligible chunks' moving-slot layout; `None`
     /// when no chunk is eligible.
     split: Option<TapeSplit>,
@@ -725,8 +710,8 @@ impl KernelPlan {
     }
 
     /// Scalar-fallback reasons aggregated over the units.
-    pub fn fallbacks(&self) -> Vec<(String, u64)> {
-        self.fallback_counts.clone()
+    pub fn fallbacks(&self) -> &[(String, u64)] {
+        &self.fallback_counts
     }
 
     /// The `kernels` section of the metrics report: the static
@@ -757,14 +742,13 @@ impl KernelPlan {
 
     /// A report seeded with the static analysis; the executor fills in
     /// the runtime counters.
-    pub fn report(&self, enabled: bool) -> KernelReport {
+    pub fn report(&self) -> KernelReport {
         KernelReport {
-            enabled,
             compiled: self.compiled,
             reject: self.reject.clone(),
             eligible_chunks: self.eligible_chunks as u64,
             scalar_chunks: self.scalar_chunks as u64,
-            fallbacks: self.fallbacks(),
+            fallbacks: Arc::clone(&self.fallback_counts),
             ..KernelReport::default()
         }
     }
@@ -773,11 +757,9 @@ impl KernelPlan {
 /// What the kernel layer did for one run: the static eligibility split
 /// plus runtime fusion counters. Kept separate from `RunStats` — the
 /// logical stats are equality-pinned across engines, while this report
-/// legitimately differs between `--kernel auto` and `off`.
+/// says how many of the waves ran as kernel batches.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelReport {
-    /// The mode asked for kernels (`--kernel auto` on a wavefront run).
-    pub enabled: bool,
     /// The module carries a statement (a non-empty tape).
     pub compiled: bool,
     /// Why not, when it does not.
@@ -792,8 +774,8 @@ pub struct KernelReport {
     pub lanes: u64,
     /// Compute iterations retired on the kernel path.
     pub iterations: u64,
-    /// Scalar-fallback reasons with chunk counts.
-    pub fallbacks: Vec<(String, u64)>,
+    /// Scalar-fallback reasons with chunk counts, shared with the plan.
+    pub fallbacks: Arc<[(String, u64)]>,
 }
 
 /// Classify every chunk of a wavefront plan against the module's
@@ -860,7 +842,7 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
         eligible_chunks: eligible,
         scalar_chunks: scalar + transport,
         waves_fusable,
-        fallback_counts,
+        fallback_counts: fallback_counts.into(),
         split: layout.map(|links| TapeSplit::new(&module.kernel, &slots(links))),
     }
 }

@@ -35,9 +35,9 @@
 //!   batch rings ([`WavefrontPlan`]; see `docs/wavefront.md`).
 //! - [`kernel`] — compiled compute kernels: the typed straight-line
 //!   form of the basic statement ([`Kernel`]), which every engine runs,
-//!   and the struct-of-arrays wave batch executor behind `--kernel auto`,
-//!   which runs it split into stream and carried sections ([`TapeSplit`],
-//!   [`WaveBatch`]; see `docs/kernels.md`).
+//!   and the struct-of-arrays wave batch executor every eligible chunk of
+//!   a wavefront run takes, which runs it split into stream and carried
+//!   sections ([`TapeSplit`], [`WaveBatch`]; see `docs/kernels.md`).
 
 mod arena;
 pub mod batch;
@@ -56,7 +56,7 @@ pub use batch::{analyze, analyze_with_caps, BatchMode, BatchPlan, DEFAULT_BATCH_
 pub use coop::{ChannelPolicy, Deadlock, Network, ProtocolViolation, RunError, RunStats};
 pub use json::Json;
 pub use kernel::{
-    analyze_kernels, Kernel, KernelMode, KernelOp, KernelPlan, KernelReport, TapeSplit, WaveBatch,
+    analyze_kernels, Kernel, KernelOp, KernelPlan, KernelReport, TapeSplit, WaveBatch,
     KERNEL_MAX_OPS,
 };
 pub use opt::{optimize, ChainRecord, OptReport, OptimizedModule};

@@ -627,9 +627,9 @@ fn sweep_chunk(
 ///
 /// `kernels` (from [`crate::kernel::analyze_kernels`], memoized
 /// upstream) switches eligible chunks onto the struct-of-arrays kernel
-/// path before each wave's ordinary sweep; `None` (`--kernel off`, or a
-/// module without a compiled kernel) runs everything scalar. Either way
-/// the stores and the logical `messages`/`steps` are identical — the
+/// path before each wave's ordinary sweep; `None` runs everything on the
+/// scalar sweep — the reference the kernel path is tested against. Either
+/// way the stores and the logical `messages`/`steps` are identical — the
 /// returned [`KernelReport`] is the only observable difference.
 pub fn run_wavefront(
     module: &Arc<ProcIrModule>,
@@ -675,7 +675,7 @@ fn sweep_waves(
     }));
 
     // Kernel eligibility, indexed like the chunks.
-    let mut kreport = kernels.map_or_else(KernelReport::default, |kp| kp.report(true));
+    let mut kreport = kernels.map_or_else(KernelReport::default, KernelPlan::report);
     let kernels = kernels.filter(|kp| kp.any_eligible());
     if let Some(kp) = kernels {
         debug_assert_eq!(kp.chunk_ok.len(), n_chunks, "plan/chunk order mismatch");
@@ -911,10 +911,9 @@ mod tests {
         assert!(kp.compiled, "{:?}", kp.reject);
         assert_eq!(kp.eligible_chunks, 1, "{:?}", kp.fallbacks());
         let (ss, souts, soff) = run_wavefront(&m, &wf, None, false).unwrap();
-        assert!(!soff.enabled);
-        assert_eq!(soff.iterations, 0);
+        assert_eq!(soff, KernelReport::default());
         let (ks, kouts, kon) = run_wavefront(&m, &wf, Some(&kp), false).unwrap();
-        assert!(kon.enabled && kon.compiled);
+        assert!(kon.compiled);
         assert_eq!(kon.iterations, 3, "all repeater iterations fused");
         assert!(kon.waves_fused >= 1);
         assert_eq!(ks, ss, "logical stats invariant across kernel gate");
@@ -965,9 +964,9 @@ mod tests {
         b.build()
     }
 
-    /// Kernel run, `--kernel off` run and rendezvous run of `m` agree
-    /// bit for bit; returns the outputs and the kernel report.
-    fn kernel_gate_is_invisible(
+    /// Kernel run, scalar-sweep run (no kernel plan) and rendezvous run
+    /// of `m` agree bit for bit; returns the outputs and the kernel report.
+    fn kernel_path_is_invisible(
         m: &Arc<ProcIrModule>,
         ctx: &str,
     ) -> (Vec<Vec<Value>>, KernelReport) {
@@ -980,7 +979,7 @@ mod tests {
         assert_eq!(
             (ks, kouts),
             scalar,
-            "{ctx}: stats and outputs invariant across the kernel gate"
+            "{ctx}: stats and outputs invariant with and without kernels"
         );
         (scalar.1, report)
     }
@@ -1010,7 +1009,7 @@ mod tests {
                 let ctx = format!("{name}, {lanes} lane(s)");
                 let point = |cell: usize| (10 * cell as i64, cell as i64 + 1);
                 let m = cells_module(lanes, kernel.clone(), point);
-                let (outs, report) = kernel_gate_is_invisible(&m, &ctx);
+                let (outs, report) = kernel_path_is_invisible(&m, &ctx);
                 assert_eq!(report.eligible_chunks, lanes as u64, "{ctx}");
                 assert_eq!(report.lanes, lanes as u64 * report.batches, "{ctx}");
                 assert_eq!(report.iterations, 3 * lanes as u64, "{ctx}");
@@ -1084,7 +1083,7 @@ mod tests {
         let m = b.build();
         let fit = batch_fit(&m);
         assert!(fit < N, "{fit} lane-iterations fit");
-        let (outs, report) = kernel_gate_is_invisible(&m, "one long lane");
+        let (outs, report) = kernel_path_is_invisible(&m, "one long lane");
         assert_eq!(report.iterations, N as u64);
         assert_eq!(report.batches, N.div_ceil(fit) as u64, "cut by iterations");
         assert_eq!(outs[1], [10 + k * a.iter().sum::<Value>()]);
@@ -1097,7 +1096,7 @@ mod tests {
         let cells = |lanes| cells_module(lanes, long_tape(2, 0), |cell| (cell as i64, 1));
         let lanes = batch_fit(&cells(1)) + 1;
         let m = cells(lanes);
-        let (_, report) = kernel_gate_is_invisible(&m, "wide wave");
+        let (_, report) = kernel_path_is_invisible(&m, "wide wave");
         assert_eq!(report.iterations, 3 * lanes as u64);
         assert!(report.batches > 3, "{report:?}");
     }
@@ -1124,9 +1123,9 @@ mod tests {
             "the third point wraps"
         );
         let m = cells_module(1, kernel, |_| (HALF, HALF));
-        // The rendezvous interpreter, which `kernel_gate_is_invisible`
+        // The rendezvous interpreter, which `kernel_path_is_invisible`
         // holds both paths to, advances the same point.
-        let (outs, report) = kernel_gate_is_invisible(&m, "wrapping point");
+        let (outs, report) = kernel_path_is_invisible(&m, "wrapping point");
         assert_eq!(report.iterations, 3);
         assert_eq!(outs[2], [by_hand]);
     }

@@ -10,8 +10,8 @@
 
 use systolic_core::CompileError;
 use systolic_interp::{ExecError, ProblemError, SystolicRun, VerifyError};
-use systolic_runtime::{json, BatchMode, Json, KernelMode, RunError};
-use systolic_sim::DesignError;
+use systolic_runtime::{json, BatchMode, Json, RunError};
+use systolic_sim::{DesignError, POLICY_NAMES};
 
 /// The response schema identifier.
 pub const SCHEMA: &str = "systolic-service-v1";
@@ -194,9 +194,8 @@ pub enum OutputKind {
     Trace,
 }
 
-/// A parsed `POST /v1/run` body. The engine-mode fields take the values
-/// of the CLI's `--batch/--kernel`; `executor` and `workers` have no CLI
-/// counterpart.
+/// A parsed `POST /v1/run` body. The engine gate takes the values of the
+/// CLI's `--batch`; `executor` and `workers` have no CLI counterpart.
 #[derive(Debug)]
 pub struct RunRequest {
     pub program: ProgramRef,
@@ -210,7 +209,6 @@ pub struct RunRequest {
     /// defaults (inline-source requests with no list run zero-filled).
     pub inputs: Option<Vec<String>>,
     pub batch: BatchMode,
-    pub kernel: KernelMode,
     pub executor: String,
     pub workers: usize,
     pub deadline_ms: Option<u64>,
@@ -218,9 +216,10 @@ pub struct RunRequest {
     /// Differential mode: additionally run the sequential reference and
     /// fail (naming the engine) on any store mismatch.
     pub verify: bool,
-    /// Adversarial schedule `{policy, seed}`; non-FIFO policies run on
-    /// the cooperative engine (see `systolic_interp::SimSpec::sched`).
-    pub schedule: Option<(String, u64)>,
+    /// Adversarial schedule `{policy, seed}`, the policy one of
+    /// `systolic_sim::POLICY_NAMES`; non-FIFO policies run on the
+    /// cooperative engine (see `systolic_interp::SimSpec::sched`).
+    pub schedule: Option<(&'static str, u64)>,
 }
 
 /// An optional member of `doc`: absent or `null` is `None`; a value
@@ -279,7 +278,6 @@ pub const RUN_MEMBERS: &[&str] = &[
     "inputs",
     "seed",
     "batch",
-    "kernel",
     "executor",
     "workers",
     "deadline_ms",
@@ -288,19 +286,32 @@ pub const RUN_MEMBERS: &[&str] = &[
     "schedule",
 ];
 
+/// The members of the `schedule` object.
+const SCHEDULE_MEMBERS: &[&str] = &["policy", "seed"];
+
+/// A member of the object `doc` outside `accepted` is a 400 that names
+/// it, and `within` names the object when it is not the request itself.
+fn only_members(doc: &Json, accepted: &[&str], within: &str) -> Result<(), ApiError> {
+    let Json::Obj(members) = doc else {
+        return Ok(());
+    };
+    match members
+        .iter()
+        .find(|(key, _)| !accepted.contains(&key.as_str()))
+    {
+        None => Ok(()),
+        Some((key, _)) => Err(ApiError::bad_request(format!(
+            "unknown member '{key}'{within} (accepted: {})",
+            accepted.join(" ")
+        ))),
+    }
+}
+
 /// Parse and validate a run request body.
 pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
     let doc = json::parse(body)
         .map_err(|e| ApiError::bad_request(format!("malformed request JSON: {e}")))?;
-    if let Json::Obj(members) = &doc {
-        let known = |key: &String| RUN_MEMBERS.contains(&key.as_str());
-        if let Some((key, _)) = members.iter().find(|(key, _)| !known(key)) {
-            return Err(ApiError::bad_request(format!(
-                "unknown member '{key}' (accepted: {})",
-                RUN_MEMBERS.join(" ")
-            )));
-        }
-    }
+    only_members(&doc, RUN_MEMBERS, "")?;
     let program = match (doc.get("design"), doc.get("source")) {
         (Some(d), None) => ProgramRef::Design(
             d.as_str()
@@ -331,7 +342,7 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
         names.collect()
     };
     let inputs: Option<Vec<String>> = field(&doc, "inputs", "an array of strings", names)?;
-    // The closed sets, default first (each gate's is its enum's `NAMES`).
+    // The closed sets, default first (the gate's is `BatchMode::NAMES`).
     let executor = ["coop", "threaded", "partitioned"].map(|e| (e, e));
     let outputs = [
         ("stores", OutputKind::Stores),
@@ -341,13 +352,21 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
     let schedule = match doc.get("schedule") {
         None | Some(Json::Null) => None,
         Some(s) => {
-            let policy = s
+            only_members(s, SCHEDULE_MEMBERS, " of 'schedule'")?;
+            let given = s
                 .get("policy")
-                .and_then(|p| p.as_str())
+                .and_then(Json::as_str)
                 .ok_or_else(|| ApiError::bad_request("schedule.policy must be a string"))?;
+            let policy = POLICY_NAMES
+                .into_iter()
+                .find(|&p| p == given)
+                .ok_or_else(|| {
+                    let accepted = POLICY_NAMES.join("|");
+                    ApiError::bad_request(format!("unknown schedule policy '{given}' ({accepted})"))
+                })?;
             let seed = u64_field(s, "seed")
                 .map_err(|e| ApiError::bad_request(format!("schedule: {}", e.message)))?;
-            Some((policy.to_string(), seed.unwrap_or(0)))
+            Some((policy, seed.unwrap_or(0)))
         }
     };
     let output = choice(&doc, "output", &outputs)?;
@@ -363,7 +382,6 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
         seed: u64_field(&doc, "seed")?.unwrap_or(42),
         inputs,
         batch: choice(&doc, "batch", BatchMode::NAMES)?,
-        kernel: choice(&doc, "kernel", KernelMode::NAMES)?,
         executor: choice(&doc, "executor", &executor)?.to_string(),
         workers: field(&doc, "workers", "a positive integer", positive)?.unwrap_or(2),
         deadline_ms: u64_field(&doc, "deadline_ms")?,
@@ -435,7 +453,7 @@ mod tests {
             "design" => Some((m, Json::from("E.1"))),
             "sizes" => Some((m, Json::arr([4i64]))),
             "schedule" => Some((m, Json::obj([("policy", Json::from("fifo"))]))),
-            "batch" | "kernel" => Some((m, "auto".into())),
+            "batch" => Some((m, "auto".into())),
             "executor" => Some((m, "coop".into())),
             "output" => Some((m, "stores".into())),
             "inputs" => Some((m, Json::arr(["a"]))),

@@ -240,17 +240,11 @@ impl Service {
         // the request named (on its plain rung).
         let executor = ExecutorChoice::parse(&req.executor, req.workers)
             .expect("executor validated at parse time");
-        let sched = match &req.schedule {
-            None => None,
-            Some((policy, seed)) => Some(policy_by_name(policy, *seed).ok_or_else(|| {
-                ApiError::bad_request(format!(
-                    "unknown schedule policy '{policy}' (fifo|random|lifo|prio-inv)"
-                ))
-            })?),
-        };
+        let sched = req.schedule.map(|(policy, seed)| {
+            policy_by_name(policy, seed).expect("schedule policy validated at parse time")
+        });
         let spec = SimSpec {
             batch: req.batch,
-            kernel: req.kernel,
             executor,
             deadline: Duration::from_millis(deadline_ms),
             sched,

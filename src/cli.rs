@@ -5,8 +5,7 @@
 
 use crate::{systolize_source, PlaceChoice, SystolizeOptions};
 use systolic_interp::{
-    simulate, simulate_verified, BatchMode, ElabOptions, KernelMode, ModuleStore, OptReport,
-    Problem, SimSpec,
+    simulate, simulate_verified, BatchMode, ElabOptions, ModuleStore, OptReport, Problem, SimSpec,
 };
 use systolic_runtime::Json;
 
@@ -132,12 +131,6 @@ const FLAGS: &[Flag] = &[
         commands: RUNS,
         accepts: OneOf("auto|off"),
         help: "the fast path: the wavefront executor (docs/wavefront.md)",
-    },
-    Flag {
-        name: "kernel",
-        commands: RUNS,
-        accepts: OneOf("auto|off"),
-        help: "compiled wave kernels (docs/kernels.md)",
     },
     Flag {
         name: "opt-report",
@@ -396,13 +389,12 @@ pub fn build_options(inv: &Invocation) -> Result<SystolizeOptions, String> {
     Ok(opts)
 }
 
-/// The simulation spec of a `run`/`verify` invocation: the engine gates
-/// (`--batch`, `--kernel`, both default `auto`), each named by its enum's
-/// own table, and the protocol variant (`--protocol`, `--merge-io`).
+/// The simulation spec of a `run`/`verify` invocation: the engine gate
+/// (`--batch`, default `auto`), named by its enum's own table, and the
+/// protocol variant (`--protocol`, `--merge-io`).
 pub fn build_sim_spec(inv: &Invocation) -> Result<SimSpec, String> {
     Ok(SimSpec {
         batch: inv.gate("batch", BatchMode::NAMES)?,
-        kernel: inv.gate("kernel", KernelMode::NAMES)?,
         elab: ElabOptions {
             split_propagation: inv.flag("protocol") == Some("split"),
             merge_io: inv.flag("merge-io") == Some("yes"),
@@ -449,7 +441,7 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
             let run = simulate_verified(ms, &sys.plan, &env, &store, spec)
                 .map_err(|e| format!("FAILED: {e}"))?;
             // Kernels only show in the marker when they actually fused
-            // waves — compiled-but-idle (or `--kernel off`) stays silent.
+            // waves — compiled-but-idle (E.2's cycle) stays silent.
             let kerneled = run.kernel.as_ref().is_some_and(|k| k.waves_fused > 0);
             let mut out = format!(
                 "OK: {} processes, {} scheduler rounds, {} logical messages, {} steps{}; \
@@ -762,27 +754,21 @@ mod tests {
     fn flags_are_checked_against_the_table() {
         let err = |raw: &[&str]| parse_args(&args(raw)).unwrap_err();
         // A typo is an error that lists what the command takes.
-        let e = err(&["run", "f", "--sizes", "8", "--kernal", "off"]);
+        let e = err(&["run", "f", "--sizes", "8", "--bacth", "off"]);
         assert!(
-            e.contains("unknown flag --kernal") && e.contains("--kernel"),
+            e.contains("unknown flag --bacth") && e.contains("--batch"),
             "{e}"
         );
         // A flag on the wrong subcommand says where it belongs.
-        let e = err(&["compile", "f", "--kernel", "off"]);
-        assert!(e.contains("--kernel belongs to run/verify"), "{e}");
-        // `explore` always runs the plain engine, so it takes none of
-        // the engine flags.
-        for flag in ["batch", "kernel"] {
-            let e = err(&["explore", "f", &format!("--{flag}"), "off"]);
-            assert!(e.contains(&format!("--{flag} belongs to ")), "{e}");
-            assert!(e.contains("not to explore"), "{e}");
-        }
+        let e = err(&["compile", "f", "--batch", "off"]);
+        assert!(e.contains("--batch belongs to run/verify"), "{e}");
+        // `explore` always runs the plain engine, so it takes no engine
+        // flag.
+        let e = err(&["explore", "f", "--batch", "off"]);
+        assert!(e.contains("--batch belongs to "), "{e}");
+        assert!(e.contains("not to explore"), "{e}");
         // A bad value names the flag and the accepted set.
-        for (flag, accepted) in [
-            ("batch", "auto|off"),
-            ("kernel", "auto|off"),
-            ("protocol", "paper|split"),
-        ] {
+        for (flag, accepted) in [("batch", "auto|off"), ("protocol", "paper|split")] {
             let e = err(&["verify", "f", &format!("--{flag}"), "bogus"]);
             assert!(e.contains(&format!("bad --{flag} value bogus")), "{e}");
             assert!(e.contains(accepted), "{e}");
@@ -938,14 +924,10 @@ mod tests {
 
     #[test]
     fn the_fast_path_is_the_wavefront_executor_without_a_flag_of_its_own() {
-        // The default gates take the wavefront rung over the optimizer's
-        // module; `--kernel off` pins the scalar wavefront marker (the
-        // kernel rung has its own gating test below).
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "off"])).unwrap();
-        let wf = execute(&inv, SRC).unwrap();
-        assert!(wf.contains("[wavefront+optimized]"), "{wf}");
-        // There is no rung between it and the plain engine to ask for,
-        // and no other module for it to run.
+        // The default gate takes the wavefront rung over the optimizer's
+        // module (the marker is pinned below). There is no rung between it
+        // and the plain engine to ask for, and no other module for it to
+        // run.
         for flag in ["--wavefront", "--opt"] {
             let e = parse_args(&args(&["verify", "f", flag, "off"])).unwrap_err();
             assert!(e.starts_with(&format!("unknown flag {flag}")), "{e}");
@@ -953,26 +935,21 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flag_gates_the_vectorized_wave_path() {
-        // Default `--kernel auto`: polyprod's unguarded `c := c + a*b`
-        // body compiles, the wavefront chunks are eligible, and the
-        // marker names all three: waves, kernels, the optimizer's module.
+    fn the_wave_kernels_run_without_a_flag_of_their_own() {
+        // polyprod's unguarded `c := c + a*b` body compiles, the
+        // wavefront chunks are eligible, and the marker names all three:
+        // waves, kernels, the optimizer's module.
         let inv = parse_args(&args(&["verify", "f", "--sizes", "4"])).unwrap();
-        let auto = execute(&inv, SRC).unwrap();
-        assert!(auto.contains("[wavefront+kernels+optimized]"), "{auto}");
-        // `off` runs the same waves of the same module through scalar
-        // macro-steps.
-        let inv = parse_args(&args(&["verify", "f", "--sizes", "4", "--kernel", "off"])).unwrap();
-        let off = execute(&inv, SRC).unwrap();
-        assert!(off.contains("[wavefront+optimized]"), "{off}");
-        assert!(!off.contains("kernels"), "{off}");
-        // The kernel path is a pure execution strategy: logical messages
-        // and steps are invariant across the gate.
-        let invariant = |s: &str| {
-            let t = s.split("rounds, ").nth(1).unwrap();
-            t.split(" steps").next().unwrap().to_string()
-        };
-        assert_eq!(invariant(&auto), invariant(&off));
+        let out = execute(&inv, SRC).unwrap();
+        assert!(out.contains("[wavefront+kernels+optimized]"), "{out}");
+        // Every eligible chunk takes the kernel path (docs/kernels.md, "Why
+        // there is no `--kernel off`"): the old switch is an unknown flag.
+        for command in ["run", "verify"] {
+            let e = parse_args(&args(&[command, "f", "--sizes", "4", "--kernel", "off"]));
+            let e = e.unwrap_err();
+            let want = format!("unknown flag --kernel ({command} takes: ");
+            assert!(e.starts_with(&want), "{e}");
+        }
     }
 
     #[test]
@@ -1176,29 +1153,21 @@ mod tests {
 
     #[test]
     fn gate_rows_of_the_flag_table_are_the_gates_own_names() {
-        fn joined<T>(names: &[(&str, T)]) -> String {
-            let names: Vec<&str> = names.iter().map(|n| n.0).collect();
-            names.join("|")
-        }
-        for (flag, names) in [
-            ("batch", joined(BatchMode::NAMES)),
-            ("kernel", joined(KernelMode::NAMES)),
-        ] {
-            let row = FLAGS.iter().find(|f| f.name == flag).unwrap();
-            let OneOf(values) = row.accepts else {
-                panic!("--{flag} must be a closed set");
-            };
-            assert_eq!(values, names, "--{flag}");
-        }
+        let names: Vec<&str> = BatchMode::NAMES.iter().map(|n| n.0).collect();
+        let row = FLAGS.iter().find(|f| f.name == "batch").unwrap();
+        let OneOf(values) = row.accepts else {
+            panic!("--batch must be a closed set");
+        };
+        assert_eq!(values, names.join("|"), "--batch");
         // A hand-built invocation that skipped the table is still an
         // error, not an index out of range.
         let inv = Invocation {
             command: "run".into(),
             file: "f".into(),
-            flags: vec![("kernel".into(), "sideways".into())],
+            flags: vec![("batch".into(), "sideways".into())],
         };
         let err = build_sim_spec(&inv).err().unwrap();
-        assert_eq!(err, "bad --kernel value sideways (accepted: auto|off)");
+        assert_eq!(err, "bad --batch value sideways (accepted: auto|off)");
     }
 
     #[test]

@@ -13,11 +13,12 @@
 
 mod common;
 
-use common::{assert_count_law, assert_one_fast_engine, prepared, run as go, CORPUS};
-use proptest::prelude::*;
-use systolizer::interp::{
-    BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, SimSpec,
+use common::{
+    assert_count_law, assert_kernels_match_the_scalar_sweep, assert_one_fast_engine, prepared,
+    run as go, CORPUS,
 };
+use proptest::prelude::*;
+use systolizer::interp::{BatchMode, ElabOptions, ExecutorChoice, ModuleStore, SimSpec};
 use systolizer::runtime::{
     analyze_kernels, analyze_wavefront, lock, run_wavefront, shared, ChanId, ChannelPolicy,
     FifoPolicy, MetricsRecorder, SchedulePolicy,
@@ -241,25 +242,25 @@ proptest! {
 
     /// The batched run — `--batch auto` on the cooperative executor, which
     /// is the wavefront executor — is differentially pinned against the
-    /// same spec with `--batch off`, on the compiled-kernel and the scalar
-    /// wave path alike: bit-identical stores, logical counts by the count
-    /// law, over random (design, size, seed) draws.
+    /// same spec with `--batch off`: bit-identical stores, logical counts
+    /// by the count law, over random (design, size, seed) draws. Its fast
+    /// plan runs once more on the scalar sweep alone, with the kernel
+    /// run's stores and stats.
     #[test]
     fn wavefront_agrees_with_the_batched_run(
         design in 0usize..9,
         n in 1i64..=4,
         seed in 0u64..1000,
-        kernel_on in 0u8..2,
     ) {
         let d = prepared(design, n, seed);
-        let kernel = if kernel_on == 1 { KernelMode::Auto } else { KernelMode::Off };
-        let go = |batch| go(&d, SimSpec { batch, kernel, ..SimSpec::default() });
+        let go = |batch| go(&d, SimSpec { batch, ..SimSpec::default() });
         let rendezvous = go(BatchMode::Off);
         prop_assert!(!rendezvous.wavefront);
         let wf = go(BatchMode::Auto);
         prop_assert!(wf.wavefront, "design {} n={}: gate should admit", design, n);
         prop_assert_eq!(&wf.store, &rendezvous.store);
-        let ctx = format!("design {design} n={n} {kernel:?}");
+        let ctx = format!("design {design} n={n}");
         assert_count_law(&ctx, &rendezvous.stats, &wf);
+        assert_kernels_match_the_scalar_sweep(&ctx, ModuleStore::global(), &d);
     }
 }

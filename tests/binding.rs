@@ -12,10 +12,9 @@
 
 mod common;
 
-use common::{prepared, rungs, CORPUS};
+use common::{assert_kernels_match_the_scalar_sweep, prepared, rungs, CORPUS};
 use systolizer::interp::{
-    simulate, simulate_verified, ElabError, ElabOptions, ExecError, KernelMode, ModuleStore,
-    SimSpec,
+    simulate, simulate_verified, ElabError, ElabOptions, ExecError, ModuleStore, SimSpec,
 };
 use systolizer::ir::{HostArray, HostStore};
 
@@ -190,18 +189,21 @@ fn eight_threads_with_distinct_data_share_one_entry_and_exact_counters() {
                     for design in designs {
                         // A seed nobody else uses: every run is new data.
                         let seed = 1000 * t + 10 * round + design as u64;
-                        let (plan, env, store) = prepared(design, 4, seed);
+                        let problem = prepared(design, 4, seed);
+                        let (plan, env, store) = &problem;
+                        let ctx = format!("thread {t} round {round} design {design}");
                         let spec = match round % 3 {
                             0 => SimSpec::default(),
                             1 => SimSpec::plain(),
-                            _ => SimSpec {
-                                kernel: KernelMode::Off,
-                                ..SimSpec::default()
-                            },
+                            // The kernels and the scalar sweep, each over
+                            // this run's data (three module lookups).
+                            _ => {
+                                assert_kernels_match_the_scalar_sweep(&ctx, ms, &problem);
+                                continue;
+                            }
                         };
-                        simulate_verified(ms, &plan, &env, &store, spec).unwrap_or_else(|e| {
-                            panic!("thread {t} round {round} design {design}: {e}")
-                        });
+                        simulate_verified(ms, plan, env, store, spec)
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                     }
                 }
             });
@@ -209,8 +211,11 @@ fn eight_threads_with_distinct_data_share_one_entry_and_exact_counters() {
     });
     let s = ms.stats();
     let n = designs.len() as u64;
+    let lookups = (0..ROUNDS)
+        .map(|r| if r % 3 == 2 { 3 } else { 1 })
+        .sum::<u64>();
     assert_eq!(s.module_misses, n, "one instantiation per design: {s:?}");
-    assert_eq!(s.module_hits, THREADS * ROUNDS * n - n, "{s:?}");
+    assert_eq!(s.module_hits, THREADS * lookups * n - n, "{s:?}");
     assert_eq!((s.skeleton_misses, s.skeleton_hits), (n, 0), "{s:?}");
     assert_eq!(s.module_evictions, 0);
 }

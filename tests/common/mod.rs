@@ -4,13 +4,14 @@
 
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
-    seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode,
-    ModuleStore, SimSpec, SystolicRun, VerifyError,
+    seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ExecutorChoice, ModuleStore,
+    SimSpec, SystolicRun, VerifyError,
 };
 use systolizer::ir::{gallery, seq, HostStore, SourceProgram, Value};
 use systolizer::math::Env;
 use systolizer::runtime::{
-    analyze_wavefront, BatchPlan, ProcIrModule, ProcOp, RunStats, WavefrontPlan, Window,
+    analyze_wavefront, run_wavefront, BatchPlan, ProcIrModule, ProcOp, RunStats, WavefrontPlan,
+    Window,
 };
 use systolizer::synthesis::{derive_array, placement::paper};
 
@@ -164,7 +165,6 @@ pub fn verify(
 pub struct Rung {
     pub executor: ExecutorChoice,
     pub batch: BatchMode,
-    pub kernel: KernelMode,
 }
 
 impl Rung {
@@ -172,38 +172,83 @@ impl Rung {
         SimSpec {
             executor: self.executor,
             batch: self.batch,
-            kernel: self.kernel,
             ..SimSpec::default()
         }
     }
 }
 
 /// Each distinct execution once. The cooperative executor has the plain
-/// rung and the wavefront rung × kernel; the OS-thread engine has the
-/// plain rung only — `threaded`, and `partitioned` at 1 and 3 workers.
-/// A gate that cannot matter on a rung is spelled `Off` here;
-/// [`inert_rungs`] spells it `Auto`.
+/// rung and the wavefront rung (whose eligible chunks always take the
+/// kernels — [`assert_kernels_match_the_scalar_sweep`] holds them to the
+/// sweep the rest take); the OS-thread engine has the plain rung only —
+/// `threaded`, and `partitioned` at 1 and 3 workers. The gate is spelled
+/// `Off` on a rung it cannot matter to; [`inert_rungs`] spells it `Auto`.
 pub fn rungs() -> Vec<Rung> {
     use ExecutorChoice::{Coop, Partitioned, Threaded};
     let plain = |executor| Rung {
         executor,
         batch: BatchMode::Off,
-        kernel: KernelMode::Off,
     };
-    let mut out = vec![
+    vec![
         plain(Coop),
         plain(Threaded),
         plain(Partitioned { workers: 1 }),
         plain(Partitioned { workers: 3 }),
-    ];
-    for kernel in [KernelMode::Auto, KernelMode::Off] {
-        out.push(Rung {
+        Rung {
             batch: BatchMode::Auto,
-            kernel,
             ..plain(Coop)
-        });
+        },
+    ]
+}
+
+/// The kernel path held to the runtime's scalar reference. The cached
+/// fast plan of `prepared` runs through `run_wavefront` with its kernel
+/// plan and without one — the scalar sweep every ineligible chunk takes —
+/// over the problem's own data. The two runs must have equal stats
+/// (rounds included) and sinks. Both must equal `simulate`'s default run:
+/// its stats and kernel report are the kernel run's, and its store is
+/// that of the plain rung, which `simulate_verified` holds to the
+/// sequential oracle. Its counts are the plain rung's by the optimizer's
+/// count law. Returns the default run.
+pub fn assert_kernels_match_the_scalar_sweep(
+    ctx: &str,
+    ms: &ModuleStore,
+    prepared: &Prepared,
+) -> SystolicRun {
+    let (plan, env, store) = prepared;
+    let plain = simulate_verified(ms, plan, env, store, SimSpec::plain())
+        .unwrap_or_else(|e| panic!("{ctx}: plain rung: {e}"));
+    let run = simulate(ms, plan, env, store, SimSpec::default())
+        .unwrap_or_else(|e| panic!("{ctx}: default run: {e}"));
+    assert!(run.wavefront, "{ctx}: the default run is a wavefront run");
+    assert_eq!(run.store, plain.store, "{ctx}: default run vs plain rung");
+    assert_count_law(ctx, &plain.stats, &run);
+
+    let cm = ms
+        .module(plan, env, store, &ElabOptions::default())
+        .unwrap();
+    let (el, fast) = (&cm.elab, cm.fast_plan());
+    let module = fast.module.with_data(el.gather(store).unwrap());
+    let (kstats, ksinks, report) =
+        run_wavefront(&module, &fast.wavefront, Some(&fast.kernels), false).unwrap();
+    let (sstats, ssinks, _) = run_wavefront(&module, &fast.wavefront, None, false).unwrap();
+    assert_eq!(kstats, sstats, "{ctx}: kernels vs scalar sweep");
+    assert_eq!(ksinks, ssinks, "{ctx}: kernels vs scalar sweep");
+    assert_eq!(
+        kstats, run.stats,
+        "{ctx}: the default run is the kernel run"
+    );
+    assert_eq!(Some(report), run.kernel, "{ctx}: kernel report");
+    for out in &el.outputs {
+        let raw = plain.store.get(&out.variable).raw();
+        let want: Vec<_> = el
+            .words_of(out)
+            .iter()
+            .map(|&at| raw[at as usize])
+            .collect();
+        assert_eq!(ksinks[out.output as usize], want, "{ctx}: {}", out.variable);
     }
-    out
+    run
 }
 
 /// The optimizer's count law (`systolic_runtime::opt`): a run counts
@@ -233,11 +278,7 @@ pub fn assert_count_law(ctx: &str, plain: &RunStats, run: &SystolicRun) {
 /// which the other two ride — shut. Each lands on its executor's plain
 /// rung.
 pub fn inert_rungs() -> Vec<Rung> {
-    let auto = |executor, batch| Rung {
-        executor,
-        batch,
-        kernel: KernelMode::Auto,
-    };
+    let auto = |executor, batch| Rung { executor, batch };
     vec![
         auto(ExecutorChoice::Partitioned { workers: 3 }, BatchMode::Auto),
         auto(ExecutorChoice::Threaded, BatchMode::Auto),

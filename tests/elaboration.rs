@@ -7,12 +7,12 @@
 
 mod common;
 
-use common::{prepared, CORPUS};
+use common::{assert_kernels_match_the_scalar_sweep, prepared, CORPUS};
 use proptest::prelude::*;
 use systolizer::core::{compile, Options, StreamKind};
 use systolizer::interp::runtime_gen::agree_with_procir;
 use systolizer::interp::{
-    elaborate, simulate, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, SimSpec,
+    elaborate, simulate, BatchMode, ElabOptions, ExecutorChoice, ModuleStore, SimSpec,
 };
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
@@ -138,30 +138,24 @@ fn elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus() {
 
 #[test]
 fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
-    // Twice through every (batch, kernel) configuration: the second run is
-    // a guaranteed module-store hit and must return the same store and
+    // Twice through every batch configuration: the second run is a
+    // guaranteed module-store hit and must return the same store and
     // stats as the first (a miss or a hit from another test — either
-    // way the sequential oracle pins correctness).
+    // way the sequential oracle pins correctness). The warm entry's fast
+    // plan then runs with its kernels and on the scalar sweep alone.
     for design in 0..=CORPUS {
-        let (plan, env, store) = prepared(design, 3, 23);
+        let problem = prepared(design, 3, 23);
+        let (plan, env, store) = &problem;
         let mut expected = store.clone();
-        seq::run(&plan.source, &env, &mut expected);
-        for (batch, kernel) in [
-            (BatchMode::Auto, KernelMode::Auto),
-            (BatchMode::Auto, KernelMode::Off),
-            (BatchMode::Off, KernelMode::Off),
-        ] {
-            let ctx = format!(
-                "design {design} ({}) {batch:?}/{kernel:?}",
-                plan.source.name
-            );
+        seq::run(&plan.source, env, &mut expected);
+        for batch in [BatchMode::Auto, BatchMode::Off] {
+            let ctx = format!("design {design} ({}) {batch:?}", plan.source.name);
             let run_once = || {
                 let spec = SimSpec {
                     batch,
-                    kernel,
                     ..SimSpec::default()
                 };
-                simulate(ModuleStore::global(), &plan, &env, &store, spec)
+                simulate(ModuleStore::global(), plan, env, store, spec)
                     .unwrap_or_else(|e| panic!("{ctx}: {e}"))
             };
             let cold = run_once();
@@ -174,6 +168,8 @@ fn warm_cache_runs_bit_match_cold_runs_across_engine_modes() {
                 assert_eq!(warm.store.get(name), cold.store.get(name), "{ctx}: {name}");
             }
         }
+        let ctx = format!("design {design} warm");
+        assert_kernels_match_the_scalar_sweep(&ctx, ModuleStore::global(), &problem);
     }
 }
 

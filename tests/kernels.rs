@@ -1,10 +1,12 @@
 //! Wave-kernel equivalence suite (see `docs/kernels.md`): the compiled
 //! struct-of-arrays kernel path must be observationally invisible. On
-//! every design in the corpus, `--kernel auto` and `--kernel off` must
-//! produce bit-identical stores with invariant logical `messages`/`steps`
-//! counts, and both must match the sequential oracle — the kernel is a
-//! pure execution strategy for the wavefront executor's compute chunks,
-//! never a semantic change. A guarded update takes the same path (its
+//! every design in the corpus, the fast plan run with its kernels and on
+//! the scalar sweep alone (`run_wavefront` without a kernel plan,
+//! `common::assert_kernels_match_the_scalar_sweep`) must produce
+//! bit-identical stores with invariant stats, and both must match the
+//! plain rung and the sequential oracle — the kernel is a pure execution
+//! strategy for the wavefront executor's compute chunks, never a semantic
+//! change. A guarded update takes the same path (its
 //! guard is a `select` on the tape), and a tape past the op cap runs one
 //! lane wide with the cap named in the report. The tape itself is held
 //! to the statement it compiles by `tests/tape.rs`.
@@ -28,70 +30,28 @@
 use proptest::prelude::*;
 mod common;
 
-use common::{assert_count_law, prepared, verify, CORPUS};
-use systolizer::interp::{seeded_store, simulate, ElabOptions, KernelMode, ModuleStore, SimSpec};
-use systolizer::ir::{seq, HostStore};
-use systolizer::math::Env;
+use common::{assert_kernels_match_the_scalar_sweep as agree, prepared, verify, CORPUS};
+use systolizer::interp::{seeded_store, ModuleStore, SimSpec};
 use systolizer::{systolize_source, SystolizeOptions};
 
-fn go(
-    plan: &systolizer::core::SystolicProgram,
-    env: &Env,
-    store: &HostStore,
-    kernel: KernelMode,
-) -> systolizer::interp::SystolicRun {
-    let spec = SimSpec {
-        kernel,
-        ..SimSpec::default()
-    };
-    simulate(ModuleStore::global(), plan, env, store, spec).unwrap()
-}
-
 /// Every design in the corpus: the kernel path agrees bit-for-bit with
-/// the scalar macro-step path AND the sequential oracle, and on the
-/// homogeneous designs it actually engages (waves fused, iterations
-/// retired) rather than vacuously matching through the fallback.
+/// the scalar sweep AND the plain rung, and on the homogeneous designs it
+/// actually engages (waves fused, iterations retired) rather than
+/// vacuously matching through the fallback.
 #[test]
 fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
     let mut engaged = 0usize;
     for design in 0..CORPUS {
-        let (plan, env, store) = prepared(design, 4, 17);
-        let mut expected = store.clone();
-        seq::run(&plan.source, &env, &mut expected);
-
-        let scalar = go(&plan, &env, &store, KernelMode::Off);
-        assert!(scalar.wavefront, "design {design}: wavefront gate");
-        let k = scalar
-            .kernel
-            .as_ref()
-            .expect("wavefront runs carry a report");
-        assert!(!k.enabled, "design {design}: --kernel off is disabled");
-        assert_eq!(k.waves_fused, 0, "design {design}: off must not fuse");
-        assert_eq!(scalar.store, expected, "design {design}: scalar vs oracle");
-
-        let fused = go(&plan, &env, &store, KernelMode::Auto);
-        assert!(fused.wavefront, "design {design}");
-        assert_eq!(fused.store, expected, "design {design}: kernel vs oracle");
-        assert_eq!(
-            fused.store, scalar.store,
-            "design {design}: kernel vs scalar"
-        );
-        assert_eq!(
-            fused.stats.messages, scalar.stats.messages,
-            "design {design}"
-        );
-        assert_eq!(fused.stats.steps, scalar.stats.steps, "design {design}");
-        assert_eq!(fused.stats.processes, scalar.stats.processes);
-
-        let k = fused.kernel.as_ref().unwrap();
-        assert!(k.enabled, "design {design}");
-        assert!(k.compiled, "design {design}: corpus bodies all kernelize");
+        let ctx = format!("design {design}");
+        let run = agree(&ctx, ModuleStore::global(), &prepared(design, 4, 17));
+        let k = run.kernel.as_ref().expect("wavefront runs carry a report");
+        assert!(k.compiled, "{ctx}: corpus bodies all kernelize");
         if k.eligible_chunks > 0 {
             // Eligible chunks exist, so the kernel path must actually
             // run, not vacuously match through the fallback.
             assert!(
                 k.waves_fused > 0 && k.iterations > 0,
-                "design {design}: eligible but idle (report: {k:?})"
+                "{ctx}: eligible but idle (report: {k:?})"
             );
             engaged += 1;
         } else {
@@ -103,7 +63,7 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
             assert_eq!(design, 3, "only E.2 keeps a compute-phase cycle");
             assert!(
                 k.fallbacks.iter().any(|(r, _)| r.contains("cyclic chunk")),
-                "design {design}: {:?}",
+                "{ctx}: {:?}",
                 k.fallbacks
             );
         }
@@ -113,7 +73,7 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
             k.fallbacks
                 .iter()
                 .any(|(r, _)| r.contains("transport process")),
-            "design {design}: {:?}",
+            "{ctx}: {:?}",
             k.fallbacks
         );
     }
@@ -126,40 +86,34 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
 
 /// The same contract through the optimizer: delay-ring fusion rewrites
 /// the module, the kernel plan is built against the optimized wavefront
-/// staging — a run's kernel report counts the fast plan's chunks — and on
-/// both sides of the gate the store is the plain engine's and the counts
-/// are the plain engine's by the optimizer's count law.
+/// staging — a run's kernel report counts the fast plan's chunks — and
+/// the store is the plain engine's and the counts are the plain engine's
+/// by the optimizer's count law.
 #[test]
 fn kernel_path_is_invisible_on_the_optimized_module() {
     let mut fused = 0;
     for design in 0..CORPUS {
-        let (plan, env, store) = prepared(design, 4, 23);
+        let problem = prepared(design, 4, 23);
         let ms = ModuleStore::global();
-        let plain = simulate(ms, &plan, &env, &store, SimSpec::plain()).unwrap();
-        let cm = ms
-            .module(&plan, &env, &store, &ElabOptions::default())
-            .unwrap();
+        let ctx = format!("design {design}");
+        let run = agree(&ctx, ms, &problem);
+        let (plan, env, store) = &problem;
+        let cm = ms.module(plan, env, store, &Default::default()).unwrap();
         let fast = cm.fast_plan();
         fused += fast.opt_report().map_or(0, |r| r.fused_relays());
-        for kernel in [KernelMode::Off, KernelMode::Auto] {
-            let ctx = format!("design {design} {kernel:?}");
-            let run = go(&plan, &env, &store, kernel);
-            assert_eq!(run.store, plain.store, "{ctx}");
-            assert_count_law(&ctx, &plain.stats, &run);
-            let k = run.kernel.expect("wavefront runs carry a report");
-            if k.enabled {
-                let planned = fast.kernels.eligible_chunks as u64;
-                assert_eq!(k.eligible_chunks, planned, "{ctx}");
-            }
-        }
+        let k = run.kernel.expect("wavefront runs carry a report");
+        assert_eq!(
+            k.eligible_chunks, fast.kernels.eligible_chunks as u64,
+            "{ctx}"
+        );
     }
     assert!(fused > 0, "no corpus design fused a relay at n = 4");
 }
 
 /// The triangular product `if i <= j -> c += a * b`: the guard lowers to
 /// a compare and a `select`, so the body is one tape like any other and
-/// its repeaters batch — the same chunks, stores and counts as with
-/// `--kernel off`, and the oracle's store.
+/// its repeaters batch — the same stores and counts as the scalar sweep,
+/// and the oracle's store.
 #[test]
 fn guarded_bodies_take_the_kernel_path() {
     let src = "
@@ -174,16 +128,10 @@ fn guarded_bodies_take_the_kernel_path() {
     let sys = systolize_source(src, &SystolizeOptions::default()).unwrap();
     let env = sys.size_env(&[4]).unwrap();
     let store = seeded_store(&sys.plan, &env, &["a", "b"], 13);
-    let mut expected = store.clone();
-    seq::run(&sys.plan.source, &env, &mut expected);
-    let off = go(&sys.plan, &env, &store, KernelMode::Off);
-    let auto = go(&sys.plan, &env, &store, KernelMode::Auto);
-    assert_eq!(auto.store, expected, "kernel vs oracle");
-    assert_eq!(off.store, expected, "scalar vs oracle");
-    assert_eq!(auto.stats.messages, off.stats.messages);
-    assert_eq!(auto.stats.steps, off.stats.steps);
+    let problem = (sys.plan, env, store);
+    let auto = agree("guarded", ModuleStore::global(), &problem);
     let k = auto.kernel.expect("wavefront runs carry a report");
-    assert!(k.enabled && k.compiled, "{k:?}");
+    assert!(k.compiled, "{k:?}");
     assert_eq!(k.reject, None);
     assert_eq!((k.eligible_chunks, k.waves_fused), (5, 5), "{k:?}");
     assert!(k.iterations > 0);
@@ -237,26 +185,17 @@ fn env_cases(default: u32) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(16), ..ProptestConfig::default() })]
 
-    /// Kernel-on and kernel-off agree — stores bit-identical against
-    /// each other and the sequential oracle, logical messages/steps
-    /// invariant — over random (design, size, seed) draws, on the
-    /// module the optimizer returns.
+    /// The kernel path and the scalar sweep agree — stores bit-identical
+    /// against each other, the plain rung and the sequential oracle,
+    /// every stat invariant, rounds included — over random (design,
+    /// size, seed) draws, on the module the optimizer returns.
     #[test]
     fn kernels_are_unobservable_on_random_configurations(
         design in 0usize..9,
         n in 1i64..=4,
         seed in 0u64..1000,
     ) {
-        let (plan, env, store) = prepared(design, n, seed);
-        let mut expected = store.clone();
-        seq::run(&plan.source, &env, &mut expected);
-        let off = go(&plan, &env, &store, KernelMode::Off);
-        let auto = go(&plan, &env, &store, KernelMode::Auto);
-        prop_assert_eq!(&off.store, &expected);
-        prop_assert_eq!(&auto.store, &expected);
-        prop_assert_eq!(auto.stats.messages, off.stats.messages);
-        prop_assert_eq!(auto.stats.steps, off.stats.steps);
-        prop_assert_eq!(auto.stats.rounds, off.stats.rounds);
-        prop_assert!(auto.wavefront && off.wavefront);
+        let ctx = format!("design {design} n={n} seed {seed}");
+        agree(&ctx, ModuleStore::global(), &prepared(design, n, seed));
     }
 }

@@ -19,11 +19,11 @@
 mod common;
 
 use common::{
-    assert_count_law, check_wavefront_plan, check_wavefront_plans, inert_rungs, prepared, rungs,
-    CORPUS,
+    assert_count_law, assert_kernels_match_the_scalar_sweep, check_wavefront_plan,
+    check_wavefront_plans, inert_rungs, prepared, rungs, CORPUS,
 };
 use systolizer::interp::{
-    simulate_verified, BatchMode, ElabOptions, ExecutorChoice, KernelMode, ModuleStore, SimSpec,
+    simulate_verified, BatchMode, ElabOptions, ExecutorChoice, ModuleStore, SimSpec,
 };
 use systolizer::runtime::{
     analyze, analyze_wavefront, ChanId, ChannelPolicy, FifoPolicy, ProcIrBuilder, ProcOp, RunStats,
@@ -50,10 +50,11 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
     // `..=`: the shipped `fir.sys` too, the second chain-fusion witness.
     for design in 0..=CORPUS {
         for n in [2i64, 4] {
-            let (plan, env, store) = prepared(design, n, 23);
+            let problem = prepared(design, n, 23);
+            let (plan, env, store) = &problem;
             let ms = ModuleStore::new();
             let verified = |ctx: &str, spec: SimSpec| {
-                simulate_verified(&ms, &plan, &env, &store, spec)
+                simulate_verified(&ms, plan, env, store, spec)
                     .unwrap_or_else(|e| panic!("design {design} n={n} {ctx}: {e}"))
             };
             let base = verified("plain", SimSpec::plain());
@@ -78,11 +79,7 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                     // messages and steps.
                     assert_eq!(run.stats.rounds, 0, "{ctx}");
                 }
-                assert_eq!(
-                    run.kernel.as_ref().map(|k| k.enabled),
-                    wavefront.then_some(rung.kernel == KernelMode::Auto),
-                    "{ctx}: kernel report"
-                );
+                assert_eq!(run.kernel.is_some(), wavefront, "{ctx}: kernel report");
                 if wavefront {
                     let fused = run.opt.is_some();
                     assert_eq!(*fuses.get_or_insert(fused), fused, "{ctx}: opt flips");
@@ -92,6 +89,11 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                     );
                 } else {
                     assert!(run.opt.is_none(), "{ctx}: the optimizer rides the gate");
+                }
+                if wavefront {
+                    // Its kernels against the scalar sweep of the same plan.
+                    let agreed = assert_kernels_match_the_scalar_sweep(&ctx, &ms, &problem);
+                    assert_eq!(agreed.kernel, run.kernel, "{ctx}");
                 }
                 // The plain engine's counts, less exactly what the
                 // optimizer's report itemizes.
@@ -235,7 +237,7 @@ fn the_shipped_matmul_takes_the_kernels_where_one_channel_carries_two_phases() {
             let run = simulate_verified(&ms, plan, env, store, rung.spec())
                 .unwrap_or_else(|e| panic!("{label} {rung:?}: {e}"));
             assert_count_law(&format!("{label} {rung:?}"), &base.stats, &run);
-            let Some(k) = run.kernel.filter(|k| k.enabled) else {
+            let Some(k) = run.kernel else {
                 continue;
             };
             assert_eq!(
@@ -291,32 +293,24 @@ fn the_wavefront_plan_wakes_a_sender_blocked_on_a_full_ring() {
 /// The fast rung keeps one run arena per thread and resets it per run
 /// (`crates/runtime/src/arena.rs`), whatever ran before. Every corpus
 /// design at a large, the smallest and a middling size, in that order,
-/// with kernels and without, on one thread — the arena grows, shrinks
-/// and regrows under ten designs in turn — and each store and `RunStats`
-/// equals the same call made on a new thread, whose arena nothing has
-/// touched.
+/// with kernels and on the scalar sweep alone, on one thread — the arena
+/// grows, shrinks and regrows under ten designs in turn — and each store
+/// and `RunStats` equals the same calls made on a new thread, whose arena
+/// nothing has touched.
 #[test]
 fn a_reused_run_arena_is_indistinguishable_from_a_fresh_one() {
     for design in 0..=CORPUS {
         for n in [5i64, 1, 3] {
-            let (plan, env, store) = prepared(design, n, 17);
+            let problem = prepared(design, n, 17);
             let ms = ModuleStore::new();
-            for kernel in [KernelMode::Auto, KernelMode::Off] {
-                let ctx = format!("design {design} n={n} kernel {kernel:?}");
-                let run = || {
-                    let spec = SimSpec {
-                        kernel,
-                        ..SimSpec::default()
-                    };
-                    let run = simulate_verified(&ms, &plan, &env, &store, spec)
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    assert!(run.wavefront, "{ctx}");
-                    (run.store, run.stats)
-                };
-                let reused = run();
-                let fresh = std::thread::scope(|s| s.spawn(run).join().unwrap());
-                assert!(reused == fresh, "{ctx}");
-            }
+            let ctx = format!("design {design} n={n}");
+            let run = || {
+                let run = assert_kernels_match_the_scalar_sweep(&ctx, &ms, &problem);
+                (run.store, run.stats)
+            };
+            let reused = run();
+            let fresh = std::thread::scope(|s| s.spawn(run).join().unwrap());
+            assert!(reused == fresh, "{ctx}");
         }
     }
 }

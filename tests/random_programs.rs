@@ -10,8 +10,8 @@
 mod common;
 
 use common::{
-    assert_one_fast_engine, assert_seq_matches_reference, check_wavefront_plans, plain_under,
-    rungs, verify,
+    assert_kernels_match_the_scalar_sweep, assert_one_fast_engine, assert_seq_matches_reference,
+    check_wavefront_plans, plain_under, rungs, verify,
 };
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options};
@@ -195,7 +195,8 @@ proptest! {
         let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
         let problem = (plan.clone(), env.clone(), store);
         let label = format!("{spec:?}");
-        assert_one_fast_engine(&label, ModuleStore::global(), &problem, &ElabOptions::default());
+        let batchable =
+            assert_one_fast_engine(&label, ModuleStore::global(), &problem, &ElabOptions::default());
         // The paper's sequential-phase protocol is not deadlock-free for
         // every valid design (a reproduction finding; see EXPERIMENTS.md).
         // When it deadlocks, the split-propagation protocol must succeed
@@ -208,6 +209,9 @@ proptest! {
                 for rung in rungs() {
                     let res = verify(&plan, &env, &["a", "b"], seed, rung.spec());
                     prop_assert!(res.is_ok(), "{rung:?}: {:?} (spec {spec:?})", res.err());
+                }
+                if batchable {
+                    assert_kernels_match_the_scalar_sweep(&label, ModuleStore::global(), &problem);
                 }
             }
             Err(e) if is_deadlock(&e) => {

@@ -101,20 +101,14 @@ fn run_body(design: &str, sizes: &[i64], seed: u64, extra: &[(&str, Json)]) -> S
     Json::Obj(fields).to_string()
 }
 
-/// The soak workload: gallery × (batch, kernel) modes × executors,
-/// each body issued twice so cache hits actually occur.
+/// The soak workload: gallery × batch modes × executors, each body
+/// issued twice so cache hits actually occur.
 fn soak_workload() -> Vec<(String, HashMap<String, Vec<i64>>)> {
-    let modes = [
-        ("auto", "auto"),
-        ("off", "off"),
-        ("auto", "off"),
-        ("off", "auto"),
-    ];
     let executors = ["coop", "threaded"];
     let mut work = Vec::new();
     for (design, sizes) in GALLERY {
         let expected = oracle_for(design, sizes, 42);
-        for (batch, kernel) in modes {
+        for batch in ["auto", "off"] {
             for executor in executors {
                 let body = run_body(
                     design,
@@ -122,7 +116,6 @@ fn soak_workload() -> Vec<(String, HashMap<String, Vec<i64>>)> {
                     42,
                     &[
                         ("batch", Json::Str(batch.into())),
-                        ("kernel", Json::Str(kernel.into())),
                         ("executor", Json::Str(executor.into())),
                     ],
                 );
@@ -364,11 +357,15 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     // client that asked for the oracle check must not silently go
     // without it, nor a schedule seed wrap or read as 0, nor zero workers
     // run as one. Nor is a member the request does not have: a misspelt
-    // `verify` would run unverified, and the deleted `wavefront` and
-    // `opt` gates (docs/wavefront.md, docs/process-ir.md) would run a
-    // rung or a module the request did not ask for. The observed outputs
-    // read the whole request too: a schedule they cannot honour and an
-    // oracle check they do not make are refused.
+    // `verify` would run unverified, a misspelt schedule `seed` would run
+    // seed 0, and the deleted `wavefront`, `opt` and `kernel` gates
+    // (docs/wavefront.md, docs/process-ir.md, docs/kernels.md) would run a
+    // rung or a module the request did not ask for. A schedule policy is
+    // checked when the request is parsed, whatever the output. The
+    // observed outputs read the whole request too: a schedule they cannot
+    // honour and an oracle check they do not make are refused. Every one
+    // is refused before admission: none reaches the pool.
+    let submitted = svc.pool.stats.submitted.load(Ordering::SeqCst);
     for (field, value) in [
         ("'verify'", r#""verify":"yes""#),
         ("'seed'", r#""schedule":{"policy":"random","seed":"7"}"#),
@@ -386,7 +383,15 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
             r#""wavefront":"off""#,
         ),
         ("unknown member 'opt' (accepted: ", r#""opt":"off""#),
-        ("unknown kernel 'par' (auto|off)", r#""kernel":"par""#),
+        ("unknown member 'kernel' (accepted: ", r#""kernel":"off""#),
+        (
+            "unknown member 'sed' of 'schedule' (accepted: policy seed)",
+            r#""schedule":{"policy":"random","sed":5}"#,
+        ),
+        (
+            "unknown schedule policy 'life' (fifo|random|lifo|prio-inv)",
+            r#""schedule":{"policy":"life"}"#,
+        ),
         (
             "unknown schedule policy 'bogus'",
             r#""output":"metrics","schedule":{"policy":"bogus"}"#,
@@ -405,6 +410,7 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
         assert_eq!(error_kind(&body).0, "bad-request", "{value}");
         assert!(body.contains(field), "{value}: {body}");
     }
+    assert_eq!(svc.pool.stats.submitted.load(Ordering::SeqCst), submitted);
 
     // And a report describes the engine the request named: the OS-thread
     // engine moves the values the cooperative one moves.
@@ -660,16 +666,16 @@ fn saturation_over_sockets_keeps_every_client_in_flight_and_oracle_exact() {
             scope.spawn(move || {
                 let (design, sizes) = GALLERY[ci % GALLERY.len()];
                 let seed = 42 + (ci % 7) as u64;
-                // Alternate the wave execution strategy: both must be
+                // Alternate the fast path and the plain rung: both must be
                 // bit-identical to the oracle, served interleaved.
-                let kernel = if ci % 2 == 0 { "auto" } else { "off" };
+                let batch = if ci % 2 == 0 { "auto" } else { "off" };
                 let body = run_body(
                     design,
                     sizes,
                     seed,
                     &[
                         ("executor", Json::Str(EXECUTORS[ci % 5].into())),
-                        ("kernel", Json::Str(kernel.into())),
+                        ("batch", Json::Str(batch.into())),
                         // Checked twice: by the server's own oracle
                         // here, from outside by `oracle_for` below.
                         ("verify", Json::Bool(true)),
