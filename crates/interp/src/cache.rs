@@ -108,7 +108,7 @@ pub struct FastPlan {
     /// elaborated module when it declined. Either way over the elaborated
     /// module's data segment, word for word, so one gather binds it.
     pub module: Arc<ProcIrModule>,
-    /// The optimizer's rewrite — `module` with its delay-ring capacities
+    /// The optimizer's rewrite — `module` with its delay rings' needs
     /// and `systolic-opt-v1` report — and the rewritten module's batch
     /// plan; `None` when the optimizer declined.
     pub optimized: Option<Arc<(OptimizedModule, BatchPlan)>>,
@@ -128,14 +128,14 @@ impl FastPlan {
 }
 
 /// The ProcIR optimizer applied to a module the batch analysis admits,
-/// with the fused module's batch re-analysis (delay-ring capacities
-/// layered in). `None` when the module is already optimal, or
-/// (defensively) when the fused module fails re-analysis — fusion
-/// preserves endpoint uniqueness and traffic balance, so that case
-/// indicates an optimizer bug rather than a legal decline.
+/// with the fused module's batch re-analysis. `None` when the module is
+/// already optimal, or (defensively) when the fused module fails
+/// re-analysis — fusion preserves endpoint uniqueness and traffic
+/// balance, so that case indicates an optimizer bug rather than a legal
+/// decline.
 fn run_optimizer(module: &Arc<ProcIrModule>) -> Option<Arc<(OptimizedModule, BatchPlan)>> {
     let o = systolic_runtime::optimize(module)?;
-    let oplan = systolic_runtime::analyze_with_caps(&o.module, &o.chan_caps);
+    let oplan = systolic_runtime::analyze(&o.module);
     if !oplan.batchable() {
         debug_assert!(
             false,
@@ -175,11 +175,11 @@ impl CachedModule {
             } else {
                 None
             };
-            let (module, batch) = match &optimized {
-                Some(o) => (&o.0.module, &o.1),
-                None => (&self.elab.module, batch),
+            let (module, batch, needs) = match &optimized {
+                Some(o) => (&o.0.module, &o.1, &o.0.ring_needs[..]),
+                None => (&self.elab.module, batch, &[][..]),
             };
-            let wavefront = Arc::new(analyze_wavefront(module, batch));
+            let wavefront = Arc::new(analyze_wavefront(module, batch, needs));
             let kernels = Arc::new(analyze_kernels(module, &wavefront));
             FastPlan {
                 module: Arc::clone(module),

@@ -31,8 +31,8 @@ use systolic_core::SystolicProgram;
 use systolic_ir::{seq, HostStore};
 use systolic_math::{Affine, Env};
 use systolic_runtime::{
-    lock, BatchMode, ChannelPolicy, KernelReport, Network, OptReport, RunError, RunStats,
-    SchedulePolicy, SharedRecorder, Value,
+    lock, BatchMode, KernelReport, Network, OptReport, RunError, RunStats, SchedulePolicy,
+    SharedRecorder, Value,
 };
 
 /// Which executor family a run uses. The cooperative scheduler is the
@@ -126,10 +126,6 @@ pub struct SimSpec {
     /// channel worklist. Non-FIFO policies force the plain cooperative
     /// engine — no other engine has a worklist to permute.
     pub sched: Option<Box<dyn SchedulePolicy>>,
-    /// Channel behaviour of the plain cooperative engine. Anything but
-    /// rendezvous is a *different* protocol, not a faster one, so it
-    /// closes the fast-path gate.
-    pub policy: ChannelPolicy,
     /// Protocol variants and ablations; part of the module-cache key.
     pub elab: ElabOptions,
     /// Observers of every VM op, scheduler step and channel transfer
@@ -147,7 +143,6 @@ impl Default for SimSpec {
             executor: ExecutorChoice::Coop,
             deadline: Duration::from_secs(30),
             sched: None,
-            policy: ChannelPolicy::Rendezvous,
             elab: ElabOptions::default(),
             recorders: Vec::new(),
         }
@@ -297,7 +292,6 @@ pub fn simulate(
         batch,
         deadline,
         sched,
-        policy,
         elab,
         recorders,
         ..
@@ -310,7 +304,6 @@ pub fn simulate(
     // pass `systolic_runtime::analyze`.
     let fast = executor == ExecutorChoice::Coop
         && batch == BatchMode::Auto
-        && policy == ChannelPolicy::Rendezvous
         && recorders.is_empty()
         && sched.as_ref().is_none_or(|s| s.is_fifo())
         && cm.batch_plan().batchable();
@@ -329,7 +322,7 @@ pub fn simulate(
         let inst = el.module.with_data(data).instantiate_recorded(&recorders);
         let stats = match executor {
             ExecutorChoice::Coop => {
-                let mut net = Network::new(policy);
+                let mut net = Network::default();
                 if let Some(s) = sched {
                     net.set_schedule_policy(s);
                 }

@@ -348,8 +348,8 @@ pub fn agree_with_opt(
     }
 
     // Chain channel bookkeeping: entry survives as the ring, exit (and
-    // everything interior) is gone, and the granted capacity is the one
-    // the batch analysis will see.
+    // everything interior) is gone, and the chain's need is the one the
+    // wavefront plan will see.
     for (i, c) in r.chains.iter().enumerate() {
         if r.chan_map.get(c.entry).copied().flatten() != Some(c.surviving) {
             return Err(format!(
@@ -363,9 +363,9 @@ pub fn agree_with_opt(
         if c.capacity < 1 {
             return Err(format!("chain {i}: zero-capacity delay ring"));
         }
-        if o.chan_caps.get(c.surviving).copied().unwrap_or(0) < c.capacity {
+        if o.ring_needs.get(c.surviving).copied().unwrap_or(0) < c.capacity {
             return Err(format!(
-                "chain {i}: chan_caps[{}] below the granted capacity {}",
+                "chain {i}: ring_needs[{}] below the chain's need {}",
                 c.surviving, c.capacity
             ));
         }

@@ -85,9 +85,7 @@ pub fn generate_rust(plan: &SystolicProgram, env: &Env, seed: u64) -> String {
     let o = &optimized.0;
     crate::runtime_gen::agree_with_opt(plan, env, &cm.elab, o)
         .expect("optimizer mapping report reconciles with the elaboration");
-    let caps: Vec<u64> = (0..o.module.n_chans)
-        .map(|c| o.chan_caps.get(c).copied().unwrap_or(0).max(1))
-        .collect();
+    let caps: Vec<u64> = o.ring_needs.iter().map(|&need| need.max(1)).collect();
     let mut out = emit_program(plan, &o.module, &expect_of, Some(&caps));
     let note = format!("//! Optimized: {}.\n", o.report.summary());
     let insert = out.find("use std::").expect("generated preamble");

@@ -1,27 +1,21 @@
 //! Steady-state rendezvous batching: the post-elaboration analysis that
-//! proves which channels may carry more than one in-flight value — the
-//! gate of the cooperative fast engine (`crate::wavefront`), whose plan
-//! is derived from this one and inherits its reject. (The rings that
-//! engine moves values through are spans of the run arena's one slab,
-//! `crate::arena`.)
+//! proves a module may run with slack on its channels — the gate of the
+//! cooperative fast engine (`crate::wavefront`), whose plan is derived
+//! from this one, inherits its reject, and is the one place ring
+//! capacities are decided. (The rings are spans of the run arena's one
+//! slab, `crate::arena`.)
 //!
 //! The paper's generated processes are statically-scheduled traces
 //! (DESIGN.md §3): each channel's total traffic and both endpoints are
-//! known from the bytecode alone, before the first value moves. In a
-//! *steady phase* — a channel touched only by `Pass` repetitions and
-//! `Compute` par-sets, never by a `Keep`/`Eject` — the producer and the
-//! consumer execute matching per-value cycles, so the rendezvous order
-//! within the phase is unobservable: the consumer reads values in FIFO
-//! order whatever the handshake timing (the Kahn network determinism
-//! argument; see `docs/scheduler.md` for the full safety story). The
-//! analysis therefore grants each steady channel a batch width `k > 1`,
-//! the ring capacity below which no fast run goes, so up to `k`
-//! transfers retire per visit instead of one rendezvous handshake per
-//! value.
+//! known from the bytecode alone, before the first value moves. With one
+//! producer and one consumer per channel and the same traffic on both
+//! sides, the consumer reads the values in FIFO order whatever the
+//! handshake timing (the Kahn network determinism argument; see
+//! `docs/scheduler.md` for the full safety story), so a producer may run
+//! ahead through a ring instead of one rendezvous handshake per value.
 //!
-//! Channels that carry a `load`/`recover` endpoint (`Keep`/`Eject`) are
-//! pinned to width 1, and any shape the analysis cannot prove — two
-//! producers, unbalanced endpoint traffic, a one-sided channel — rejects
+//! Any shape the analysis cannot prove — two producers, unbalanced
+//! endpoint traffic, a one-sided channel, an over-wide process — rejects
 //! the whole module, falling back to the rendezvous engines. Rejection
 //! is a performance decision, never a correctness one: the fast and
 //! rendezvous paths are pinned bit-identical (stores, `messages`,
@@ -29,11 +23,6 @@
 
 use crate::process::ChanId;
 use crate::procir::{ProcId, ProcIrModule, ProcOp};
-
-/// The widest batch the analysis will grant a channel: bounds ring
-/// memory (64 values ≈ one cache line of `i64`s) and keeps a producer
-/// from running arbitrarily far ahead of the virtual clock.
-pub const DEFAULT_BATCH_WIDTH: u64 = 64;
 
 /// Whether a run may take the macro-stepping fast path. `Auto` engages
 /// it when the analysis proves the module and the run attaches no
@@ -52,12 +41,10 @@ impl BatchMode {
         &[("auto", BatchMode::Auto), ("off", BatchMode::Off)];
 }
 
-/// The result of [`analyze`]: per-channel batch widths and endpoint
-/// ownership, or the reasons the module must stay on the rendezvous
+/// The result of [`analyze`]: per-channel endpoint ownership and
+/// traffic, or the reasons the module must stay on the rendezvous
 /// engines.
 pub struct BatchPlan {
-    /// Safe batch width per channel (`k ≥ 1`), dense by `ChanId`.
-    pub widths: Vec<u64>,
     /// The unique sending process per channel (`None` = untouched).
     pub producer_of: Vec<Option<ProcId>>,
     /// The unique receiving process per channel.
@@ -100,37 +87,24 @@ impl BatchPlan {
     }
 }
 
-/// Walk a module's bytecode and compute the per-channel safe batch
-/// widths. Pure structural analysis, O(ops); runs once per elaboration,
-/// never per step.
+/// Walk a module's bytecode and prove it batchable: unique endpoints,
+/// balanced traffic, at most 64 moving links per process. Pure
+/// structural analysis, O(ops); runs once per elaboration, never per
+/// step.
 pub fn analyze(module: &ProcIrModule) -> BatchPlan {
-    analyze_with_caps(module, &[])
-}
-
-/// [`analyze`], with per-channel minimum ring capacities layered on
-/// top: `widths[c]` is raised to `caps[c]` where given. This is how the
-/// optimizer's delay rings (`crate::opt`) reach the engines — a fused
-/// chain's surviving channel must hold the chain's whole buffering,
-/// overriding both the width clamp and the `Keep`/`Eject` pin (safe
-/// because extra ring slack never changes a Kahn network's streams,
-/// only its timing; the optimizer's contract is store identity, not
-/// stat invariance).
-pub fn analyze_with_caps(module: &ProcIrModule, caps: &[u64]) -> BatchPlan {
-    analyze_ops(module, |pid| module.ops_of(pid), caps)
+    analyze_ops(module, |pid| module.ops_of(pid))
 }
 
 /// The analysis over "the ops of process `p`" as the caller defines
 /// them — the module's own, or the optimizer's peephole-cleaned copies.
-/// The only place per-channel producers, consumers, traffic and pins
-/// are accumulated.
+/// The only place per-channel producers, consumers and traffic are
+/// accumulated.
 pub(crate) fn analyze_ops<'a>(
     module: &'a ProcIrModule,
     ops_of: impl Fn(ProcId) -> &'a [ProcOp],
-    caps: &[u64],
 ) -> BatchPlan {
     let nc = module.n_chans;
     let mut plan = BatchPlan {
-        widths: Vec::with_capacity(nc),
         producer_of: vec![None; nc],
         consumer_of: vec![None; nc],
         traffic: vec![0; nc],
@@ -138,10 +112,6 @@ pub(crate) fn analyze_ops<'a>(
         reject: None,
     };
     let mut received = vec![0u64; nc];
-    // Channels with a `load`/`recover` endpoint stay at width 1: a
-    // stationary value is consumed out of phase with the stream around
-    // it, so the steady-phase argument does not apply.
-    let mut pinned = vec![false; nc];
     for pid in 0..module.procs.len() {
         let links = module.moving_of(pid);
         // The VM tracks piecewise par-set completion in a u64 mask.
@@ -171,16 +141,8 @@ pub(crate) fn analyze_ops<'a>(
         };
         for op in ops_of(pid) {
             match *op {
-                ProcOp::Emit { chan } => touch(true, chan, 1),
-                ProcOp::Collect { chan } => touch(false, chan, 1),
-                ProcOp::Keep { chan, .. } => {
-                    touch(false, chan, 1);
-                    pinned[chan] = true;
-                }
-                ProcOp::Eject { chan, .. } => {
-                    touch(true, chan, 1);
-                    pinned[chan] = true;
-                }
+                ProcOp::Emit { chan } | ProcOp::Eject { chan, .. } => touch(true, chan, 1),
+                ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => touch(false, chan, 1),
                 ProcOp::Pass { inp, out, n } => {
                     touch(false, inp, n);
                     touch(true, out, n);
@@ -194,24 +156,17 @@ pub(crate) fn analyze_ops<'a>(
             }
         }
     }
-    for c in 0..nc {
+    for (c, &got) in received.iter().enumerate() {
         // Both endpoints must exist and agree on traffic; a one-sided or
         // unbalanced channel would let a ring producer run past the
         // point where the rendezvous engine reports a deadlock.
-        let (sent, got) = (plan.traffic[c], received[c]);
+        let sent = plan.traffic[c];
         if sent != got {
             let why = format!("traffic unbalanced ({sent} sent vs {got} received)");
             let module_wide = || format!("channel {c} {why}");
             plan.reject.get_or_insert_with(module_wide);
             plan.channel_reasons[c].get_or_insert(why);
         }
-        let base = if pinned[c] {
-            1
-        } else {
-            sent.clamp(1, DEFAULT_BATCH_WIDTH)
-        };
-        plan.widths
-            .push(base.max(caps.get(c).copied().unwrap_or(0)));
     }
     plan
 }
@@ -222,7 +177,7 @@ mod tests {
     use crate::procir::ProcIrBuilder;
 
     #[test]
-    fn steady_pipeline_gets_wide_channels() {
+    fn a_steady_pipeline_is_proven_with_its_endpoints_and_traffic() {
         let mut b = ProcIrBuilder::new();
         b.source(0, &(0..100).collect::<Vec<_>>(), "src");
         b.relay(0, 1, 100, "relay");
@@ -230,24 +185,16 @@ mod tests {
         let m = b.build();
         let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        assert_eq!(plan.widths, vec![DEFAULT_BATCH_WIDTH, DEFAULT_BATCH_WIDTH]);
+        assert_eq!(plan.traffic, vec![100, 100]);
         assert_eq!(plan.producer_of, vec![Some(0), Some(1)]);
         assert_eq!(plan.consumer_of, vec![Some(1), Some(2)]);
         assert_eq!(plan.channel_reasons, vec![None, None]);
     }
 
+    /// A `load`/`recover` endpoint is proven like any other: its channel
+    /// gets the ring every channel gets, sized by its traffic alone.
     #[test]
-    fn short_channels_clamp_to_their_traffic() {
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[1, 2, 3], "src");
-        b.sink(0, 3, "sink");
-        let plan = analyze(&b.build());
-        assert!(plan.batchable());
-        assert_eq!(plan.widths, vec![3]);
-    }
-
-    #[test]
-    fn keep_and_eject_pin_their_channels() {
+    fn keep_and_eject_channels_are_proven_like_any_other() {
         use crate::procir::MovingLink;
         let mut b = ProcIrBuilder::new();
         b.begin("comp");
@@ -269,12 +216,14 @@ mod tests {
         b.source(2, &[10], "c-in");
         b.sink(1, 3, "a-out");
         b.sink(3, 1, "c-out");
-        let plan = analyze(&b.build());
+        let m = b.build();
+        let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        assert_eq!(plan.widths[0], 3, "moving stream batches");
-        assert_eq!(plan.widths[1], 3);
-        assert_eq!(plan.widths[2], 1, "keep channel pinned");
-        assert_eq!(plan.widths[3], 1, "eject channel pinned");
+        assert_eq!(plan.traffic, vec![3, 3, 1, 1]);
+        assert_eq!(plan.producer_of, vec![Some(1), Some(0), Some(2), Some(0)]);
+        assert_eq!(plan.consumer_of, vec![Some(0), Some(3), Some(0), Some(4)]);
+        let wf = crate::wavefront::analyze_wavefront(&m, &plan, &[]);
+        assert_eq!(wf.capacities, plan.traffic);
     }
 
     #[test]
@@ -361,10 +310,10 @@ mod tests {
 
     /// Named boundary regression for the `Pass::n`/`Compute::count`
     /// widening: a pass count one past `u32::MAX` must neither truncate
-    /// in the builder nor wrap in the width arithmetic. (Analysis only —
+    /// in the builder nor wrap in the traffic arithmetic. (Analysis only —
     /// nobody executes 2^32 transfers in a unit test.)
     #[test]
-    fn batch_width_math_survives_u32_overflow() {
+    fn traffic_math_survives_u32_overflow() {
         let mut b = ProcIrBuilder::new();
         let n = (u32::MAX as usize) + 1;
         b.relay(0, 1, n, "huge");
@@ -397,6 +346,6 @@ mod tests {
         b.finish();
         let plan = analyze(&b.build());
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        assert_eq!(plan.widths, vec![DEFAULT_BATCH_WIDTH; 2]);
+        assert_eq!(plan.traffic, vec![(1u64 << 32) + 5; 2]);
     }
 }

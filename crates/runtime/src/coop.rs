@@ -19,28 +19,22 @@
 //! After warm-up, a round performs **no heap allocation**: the worklists
 //! (`worklist`/`work_scratch`), the ready queue, the receive/request
 //! scratch buffers, and each process's `pending`/`inbox` vectors are
-//! cleared and refilled in place, never dropped; the channel table and
-//! buffered queues grow to a high-water mark and stay there. The only
-//! exception is the optional trace log, which grows by design. Process
-//! `step_into` implementations uphold the same rule (see
-//! [`Process::step_into`]).
+//! cleared and refilled in place, never dropped; the channel table grows
+//! to a high-water mark and stays there. The only exception is the
+//! optional trace log, which grows by design. Process `step_into`
+//! implementations uphold the same rule (see [`Process::step_into`]).
 //!
 //! Deadlock is detected exactly: unfinished processes with no enabled
 //! rendezvous.
 
 use crate::process::{lock, ChanId, CommReq, Process, Value};
-use crate::record::{SharedRecorder, Transfer, QUEUE_ENDPOINT};
+use crate::record::{SharedRecorder, Transfer};
 use crate::schedule::{SchedulePolicy, STARVATION_LIMIT};
-use std::collections::VecDeque;
 
-/// Channel behaviour for the ablation experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+// Spelled by the frozen `benchmark/src/stages.rs:16,71`; goes with ROADMAP 2(b).
+#[doc(hidden)]
 pub enum ChannelPolicy {
-    /// Pure synchronous rendezvous (the paper's model, Sec. 4).
     Rendezvous,
-    /// Buffered with the given positive capacity: a send completes
-    /// immediately while fewer than `cap` values are in flight.
-    Buffered(usize),
 }
 
 /// Execution statistics.
@@ -231,30 +225,16 @@ struct ChanSlot {
     sender: Option<(usize, usize, Value)>,
     /// The at-most-one pending receiver: (process, request index).
     receiver: Option<(usize, usize)>,
-    /// In-flight values under [`ChannelPolicy::Buffered`].
-    queue: VecDeque<Value>,
     /// Whether the channel is already queued in the round worklist.
     in_worklist: bool,
 }
 
-/// Can this channel transfer a value next round, given its current
-/// endpoints and queue?
-fn enabled(slot: &ChanSlot, policy: ChannelPolicy) -> bool {
-    match policy {
-        ChannelPolicy::Rendezvous => slot.sender.is_some() && slot.receiver.is_some(),
-        ChannelPolicy::Buffered(cap) => {
-            let can_recv = slot.receiver.is_some() && !slot.queue.is_empty();
-            // A pop frees one slot before the send is considered.
-            can_recv || (slot.sender.is_some() && slot.queue.len() - usize::from(can_recv) < cap)
-        }
-    }
-}
-
 /// A network of processes plus channel state, run to completion by
-/// [`Network::run`].
+/// [`Network::run`]. Every channel is a synchronous rendezvous (the
+/// paper's model, Sec. 4); `Network::default()` is the empty network.
+#[derive(Default)]
 pub struct Network {
     procs: Vec<ProcState>,
-    policy: ChannelPolicy,
     /// Dense persistent channel table, indexed by `ChanId`.
     chans: Vec<ChanSlot>,
     /// Channels that may fire next round (deduplicated via
@@ -297,25 +277,10 @@ pub struct Network {
 }
 
 impl Network {
-    pub fn new(policy: ChannelPolicy) -> Network {
-        Network {
-            procs: Vec::new(),
-            policy,
-            chans: Vec::new(),
-            worklist: Vec::new(),
-            work_scratch: Vec::new(),
-            ready: Vec::new(),
-            recv_scratch: Vec::new(),
-            req_scratch: Vec::new(),
-            unfinished: 0,
-            stats: RunStats::default(),
-            recorders: Vec::new(),
-            since: Vec::new(),
-            sched: None,
-            defer_scratch: Vec::new(),
-            deferred: 0,
-            starved: 0,
-        }
+    // Spelled by the frozen `benchmark/src/stages.rs:71`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
+    pub fn new(_: ChannelPolicy) -> Network {
+        Network::default()
     }
 
     /// Attach a schedule policy (see `crate::schedule`); the engine hands
@@ -491,7 +456,7 @@ impl Network {
                 });
             }
             let slot = &mut self.chans[chan];
-            if !slot.in_worklist && enabled(slot, self.policy) {
+            if !slot.in_worklist && slot.sender.is_some() && slot.receiver.is_some() {
                 slot.in_worklist = true;
                 self.worklist.push(chan);
             }
@@ -533,107 +498,35 @@ impl Network {
 
         for wi in 0..self.work_scratch.len() {
             let chan = self.work_scratch[wi];
-            match self.policy {
-                ChannelPolicy::Rendezvous => {
-                    let slot = &mut self.chans[chan];
-                    slot.in_worklist = false;
-                    // Both endpoints were present when the channel was
-                    // enqueued and can only be consumed by firing, so
-                    // they are still present; `take` keeps this robust.
-                    let (Some((spi, sri, v)), Some((rpi, rri))) =
-                        (slot.sender.take(), slot.receiver.take())
-                    else {
-                        continue;
-                    };
-                    if !self.recorders.is_empty() {
-                        let (s_since, r_since) = *since_mut(&mut self.since, chan);
-                        let now = self.stats.rounds;
-                        let ev = Transfer {
-                            time: now,
-                            chan,
-                            value: v,
-                            sender: spi,
-                            receiver: rpi,
-                            sender_wait: now - s_since,
-                            receiver_wait: now - r_since,
-                        };
-                        for r in &self.recorders {
-                            lock(r).transfer(&ev);
-                        }
-                    }
-                    self.complete(spi, sri, None);
-                    self.complete(rpi, rri, Some(v));
-                    fired += 1;
-                }
-                ChannelPolicy::Buffered(cap) => {
-                    let slot = &mut self.chans[chan];
-                    slot.in_worklist = false;
-                    // Queue head drains into the receiver first, then the
-                    // sender is admitted if the queue (after the pop) has
-                    // room — the same order the historical scheduler
-                    // applied across its receiver and sender passes.
-                    let mut recv_done = None;
-                    let mut send_done = None;
-                    if slot.receiver.is_some() && !slot.queue.is_empty() {
-                        let v = slot.queue.pop_front().expect("checked non-empty");
-                        recv_done = slot.receiver.take().map(|(pi, ri)| (pi, ri, v));
-                    }
-                    if slot.queue.len() < cap {
-                        if let Some((pi, ri, v)) = slot.sender.take() {
-                            slot.queue.push_back(v);
-                            send_done = Some((pi, ri, v));
-                        }
-                    }
-                    // A send that landed while the receiver still waits
-                    // re-enables the channel for the next round.
-                    if !slot.in_worklist && enabled(slot, self.policy) {
-                        slot.in_worklist = true;
-                        self.worklist.push(chan);
-                    }
-                    let now = self.stats.rounds;
-                    if let Some((pi, ri, v)) = recv_done {
-                        // A dequeue: the sending side already completed
-                        // when the value entered the queue.
-                        if !self.recorders.is_empty() {
-                            let r_since = since_mut(&mut self.since, chan).1;
-                            let ev = Transfer {
-                                time: now,
-                                chan,
-                                value: v,
-                                sender: QUEUE_ENDPOINT,
-                                receiver: pi,
-                                sender_wait: 0,
-                                receiver_wait: now - r_since,
-                            };
-                            for r in &self.recorders {
-                                lock(r).transfer(&ev);
-                            }
-                        }
-                        self.complete(pi, ri, Some(v));
-                        fired += 1;
-                    }
-                    if let Some((pi, ri, v)) = send_done {
-                        // An enqueue: no receiving process yet.
-                        if !self.recorders.is_empty() {
-                            let s_since = since_mut(&mut self.since, chan).0;
-                            let ev = Transfer {
-                                time: now,
-                                chan,
-                                value: v,
-                                sender: pi,
-                                receiver: QUEUE_ENDPOINT,
-                                sender_wait: now - s_since,
-                                receiver_wait: 0,
-                            };
-                            for r in &self.recorders {
-                                lock(r).transfer(&ev);
-                            }
-                        }
-                        self.complete(pi, ri, None);
-                        fired += 1;
-                    }
+            let slot = &mut self.chans[chan];
+            slot.in_worklist = false;
+            // Both endpoints were present when the channel was enqueued
+            // and can only be consumed by firing, so they are still
+            // present; `take` keeps this robust.
+            let (Some((spi, sri, v)), Some((rpi, rri))) =
+                (slot.sender.take(), slot.receiver.take())
+            else {
+                continue;
+            };
+            if !self.recorders.is_empty() {
+                let (s_since, r_since) = *since_mut(&mut self.since, chan);
+                let now = self.stats.rounds;
+                let ev = Transfer {
+                    time: now,
+                    chan,
+                    value: v,
+                    sender: spi,
+                    receiver: rpi,
+                    sender_wait: now - s_since,
+                    receiver_wait: now - r_since,
+                };
+                for r in &self.recorders {
+                    lock(r).transfer(&ev);
                 }
             }
+            self.complete(spi, sri, None);
+            self.complete(rpi, rri, Some(v));
+            fired += 1;
         }
         self.work_scratch.clear();
         self.stats.messages += fired;
@@ -698,7 +591,7 @@ pub(crate) fn run_plain(
     module: &std::sync::Arc<crate::procir::ProcIrModule>,
 ) -> Result<(RunStats, Vec<Vec<Value>>), RunError> {
     let inst = module.instantiate();
-    let mut net = Network::new(ChannelPolicy::Rendezvous);
+    let mut net = Network::default();
     for p in inst.procs {
         net.add(p);
     }
@@ -715,10 +608,10 @@ mod tests {
 
     /// Instantiate a builder's module into a fresh network, returning the
     /// output buffers in sink-declaration order.
-    fn net_of(b: ProcIrBuilder, policy: ChannelPolicy) -> (Network, Vec<SinkBuffer>) {
+    fn net_of(b: ProcIrBuilder) -> (Network, Vec<SinkBuffer>) {
         let module = b.build();
         let inst = module.instantiate();
-        let mut net = Network::new(policy);
+        let mut net = Network::default();
         for p in inst.procs {
             net.add(p);
         }
@@ -731,7 +624,7 @@ mod tests {
         b.source(0, &[1, 2, 3], "src");
         b.relay(0, 1, 3, "relay");
         b.sink(1, 3, "sink");
-        let (net, outs) = net_of(b, ChannelPolicy::Rendezvous);
+        let (net, outs) = net_of(b);
         let stats = net.run().unwrap();
         assert_eq!(*lock(&outs[0]), vec![1, 2, 3]);
         assert_eq!(stats.messages, 6, "3 values over 2 hops");
@@ -743,7 +636,7 @@ mod tests {
         // A sink waiting on a channel nobody sends on.
         let mut b = ProcIrBuilder::new();
         b.sink(9, 1, "lonely-sink");
-        let (net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (net, _) = net_of(b);
         let err = net.run().unwrap_err();
         let deadlock = err.as_deadlock().expect("deadlock, not protocol error");
         assert_eq!(deadlock.blocked.len(), 1);
@@ -757,7 +650,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2, 3], "src");
         b.sink(0, 4, "sink");
-        let (net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (net, _) = net_of(b);
         assert!(net.run().is_err());
     }
 
@@ -767,7 +660,7 @@ mod tests {
         b.source(0, &[1], "src-a");
         b.source(0, &[2], "src-b");
         b.sink(0, 2, "sink");
-        let (net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (net, _) = net_of(b);
         let err = net.run().unwrap_err();
         let RunError::Protocol(v) = err else {
             panic!("expected protocol violation, got {err}");
@@ -785,7 +678,7 @@ mod tests {
         b.source(0, &[1, 2], "src");
         b.sink(0, 1, "sink-a");
         b.sink(0, 1, "sink-b");
-        let (net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (net, _) = net_of(b);
         let err = net.run().unwrap_err();
         let RunError::Protocol(v) = err else {
             panic!("expected protocol violation, got {err}");
@@ -804,7 +697,7 @@ mod tests {
         b.source(1, &[8], "src-upstream");
         b.relay(1, 0, 1, "relay");
         b.sink(0, 3, "sink");
-        let (net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (net, _) = net_of(b);
         let err = net.run().unwrap_err();
         let RunError::Protocol(v) = err else {
             panic!("expected protocol violation, got {err}");
@@ -828,7 +721,7 @@ mod tests {
             b.relay(i, i + 1, n, format!("relay{i}"));
         }
         b.sink(k, n, "sink");
-        let (net, outs) = net_of(b, ChannelPolicy::Rendezvous);
+        let (net, outs) = net_of(b);
         let stats = net.run().unwrap();
         assert_eq!(lock(&outs[0]).len(), n);
         // Pipelined: rounds ~ n + k, not n * k.
@@ -841,38 +734,13 @@ mod tests {
     }
 
     #[test]
-    fn buffered_policy_decouples_sender() {
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[5, 6], "src");
-        b.sink(0, 2, "sink");
-        let (net, outs) = net_of(b, ChannelPolicy::Buffered(8));
-        let stats = net.run().unwrap();
-        assert_eq!(*lock(&outs[0]), vec![5, 6]);
-        // Each value counts twice: enqueue + dequeue.
-        assert_eq!(stats.messages, 4);
-    }
-
-    #[test]
-    fn buffered_capacity_one_backpressures() {
-        // cap=1: the queue holds one value; the second send must wait
-        // for the pop, but the run still completes.
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[1, 2, 3], "src");
-        b.sink(0, 3, "sink");
-        let (net, outs) = net_of(b, ChannelPolicy::Buffered(1));
-        let stats = net.run().unwrap();
-        assert_eq!(*lock(&outs[0]), vec![1, 2, 3]);
-        assert_eq!(stats.messages, 6);
-    }
-
-    #[test]
     fn two_parallel_pipelines_fire_in_one_round_each() {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1], "s1");
         b.source(1, &[2], "s2");
         b.sink(0, 1, "k1");
         b.sink(1, 1, "k2");
-        let (net, outs) = net_of(b, ChannelPolicy::Rendezvous);
+        let (net, outs) = net_of(b);
         let stats = net.run().unwrap();
         assert_eq!(stats.rounds, 1, "independent channels fire simultaneously");
         assert_eq!(*lock(&outs[0]), vec![1]);
@@ -914,7 +782,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 10], "sa");
         b.source(1, &[2, 20], "sb");
-        let (mut net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (mut net, _) = net_of(b);
         let buf = sink_buffer();
         net.add(Box::new(Join {
             a: 0,
@@ -968,7 +836,7 @@ mod tests {
         b.source(0, &[1, 2, 3, 4], "src");
         b.relay(0, 1, 4, "relay");
         b.sink(1, 4, "sink");
-        let (mut net, outs) = net_of(b, ChannelPolicy::Rendezvous);
+        let (mut net, outs) = net_of(b);
         if let Some(p) = policy {
             net.set_schedule_policy(p);
         }
@@ -1012,7 +880,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1], "src");
         b.sink(0, 1, "sink");
-        let (mut net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (mut net, _) = net_of(b);
         net.set_schedule_policy(Box::new(StarveEverything));
         let err = net.run().unwrap_err();
         assert!(err.as_deadlock().is_some(), "{err}");
@@ -1027,7 +895,7 @@ mod tests {
         b.source(0, &[10], "s-lo");
         b.sink(1, 1, "k-hi");
         b.sink(0, 1, "k-lo");
-        let (mut net, _) = net_of(b, ChannelPolicy::Rendezvous);
+        let (mut net, _) = net_of(b);
         let (log, erased) = crate::record::shared(crate::record::EventLogRecorder::new());
         net.add_recorder(erased);
         let stats = net.run().unwrap();

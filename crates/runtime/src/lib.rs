@@ -11,14 +11,13 @@
 //! - [`procir`] — the flat process bytecode ([`ProcIrModule`]) that every
 //!   elaborated process lowers to, and the generic VM ([`ProcVm`]) that
 //!   interprets it for the rendezvous engines;
-//! - [`batch`] — the steady-state batching analysis ([`analyze`]) that
+//! - [`batch`] — the steady-state batching proof ([`analyze`]) that
 //!   gates the cooperative executor's macro-stepping fast path (see
 //!   `docs/scheduler.md`), which runs on one per-thread run arena — flat
 //!   register, local and index tables and a single ring slab, reset per
 //!   run (`arena.rs`);
 //! - [`coop`] — the deterministic cooperative scheduler with rendezvous
-//!   rounds (the virtual systolic clock), exact deadlock detection, and a
-//!   buffered-channel ablation mode;
+//!   rounds (the virtual systolic clock) and exact deadlock detection;
 //! - [`partition`] — the OS-thread blocking-rendezvous engine
 //!   ([`run_partitioned`]): the Sec. 8 partitioning refinement, many
 //!   virtual processes multiplexed per worker thread, of which one
@@ -31,8 +30,9 @@
 //! - [`json`] — the workspace's one JSON model ([`Json`]: value, compact
 //!   and report renderers, parser); every report type here builds one.
 //! - [`wavefront`] — the wavefront executor, the one cooperative fast
-//!   engine: SCC-condensed, longest-path staged chunk sweeps over the
-//!   batch rings ([`WavefrontPlan`]; see `docs/wavefront.md`).
+//!   engine: SCC-condensed, longest-path staged chunk sweeps over rings
+//!   whose capacities its plan alone decides ([`WavefrontPlan`]; see
+//!   `docs/wavefront.md`).
 //! - [`kernel`] — compiled compute kernels: the typed straight-line
 //!   form of the basic statement ([`Kernel`]), which every engine runs,
 //!   and the struct-of-arrays wave batch executor every eligible chunk of
@@ -52,8 +52,10 @@ pub mod record;
 pub mod schedule;
 pub mod wavefront;
 
-pub use batch::{analyze, analyze_with_caps, BatchMode, BatchPlan, DEFAULT_BATCH_WIDTH};
-pub use coop::{ChannelPolicy, Deadlock, Network, ProtocolViolation, RunError, RunStats};
+pub use batch::{analyze, BatchMode, BatchPlan};
+#[doc(hidden)]
+pub use coop::ChannelPolicy;
+pub use coop::{Deadlock, Network, ProtocolViolation, RunError, RunStats};
 pub use json::Json;
 pub use kernel::{
     analyze_kernels, Kernel, KernelOp, KernelPlan, KernelReport, TapeSplit, WaveBatch,
@@ -68,7 +70,7 @@ pub use procir::{
 pub use record::{
     canonicalize_transfers, first_divergence, shared, ChanMetrics, EventLogRecorder,
     MetricsRecorder, MetricsReport, OpKind, PerfettoEvent, PerfettoRecorder, Phase, ProcMetrics,
-    Recorder, SharedRecorder, Transfer, QUEUE_ENDPOINT,
+    Recorder, SharedRecorder, Transfer,
 };
 pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, STARVATION_LIMIT};
 #[doc(hidden)]

@@ -10,21 +10,24 @@
 //! scheduler visit per value. This pass erases them: a maximal linear
 //! chain of `Pass`-only processes with unique endpoints and balanced
 //! traffic collapses into a single **delay ring** — the chain's entry
-//! channel survives with a fixed capacity at least the chain's total
-//! buffering, the consumer is rewired onto it, and the relay processes
-//! and interior channels are deleted outright.
+//! channel survives, the consumer is rewired onto it, and the relay
+//! processes and interior channels are deleted outright.
 //!
 //! Legality is the Kahn-network argument one level up from batching
 //! (`docs/scheduler.md`): a pure relay computes the identity stream
 //! function, so fusing a chain changes neither the value sequence any
 //! surviving process reads nor the order it reads it in — only the
-//! *timing*. Granting the surviving channel the chain's worst-case
-//! buffering (`Σ widths + k` holding slots for `k` relays, clamped to
-//! the total traffic) makes every schedule of the original module
-//! replayable on the fused one, so termination and stores are
-//! preserved. What is **not** preserved is the logical count of steps,
-//! messages and processes, so unlike batching, optimization is
-//! observable in the stats — by an exact law. A relay of a chain with
+//! *timing*. Under rendezvous a channel holds nothing between
+//! handshakes and a relay holds one value, so a chain of `k` relays
+//! with traffic `t` has at most `min(k, t)` values in flight. That is
+//! the chain's **need**: a surviving channel with at least that much
+//! slack replays every rendezvous schedule of the original module, so
+//! termination and stores are preserved. The optimizer states the need
+//! ([`OptimizedModule::ring_needs`]); the wavefront plan
+//! (`crate::wavefront::analyze_wavefront`) grants it, with the ring
+//! every channel gets. What is **not** preserved is the logical count
+//! of steps, messages and processes, so unlike batching, optimization
+//! is observable in the stats — by an exact law. A relay of a chain with
 //! traffic `t` receives and sends `t` values (`t` messages, `2t` steps)
 //! and takes one terminal step of its own, so against a run of the
 //! module as elaborated, summing over the chains of the [`OptReport`]:
@@ -68,8 +71,8 @@ pub struct ChainRecord {
     pub relays: Vec<ProcId>,
     /// Per-relay repetition count (identical along the chain).
     pub traffic: u64,
-    /// Ring capacity granted to the surviving channel: at least the
-    /// chain's worst-case buffering, at most its total traffic.
+    /// The chain's need: the values it holds in flight under
+    /// rendezvous, one per relay, at most its traffic.
     pub capacity: u64,
 }
 
@@ -162,9 +165,8 @@ impl OptReport {
 }
 
 /// An optimized module plus everything the executors and codegen need
-/// to run it: the per-channel minimum ring capacities (the delay rings;
-/// `0` = no requirement beyond the batch analysis) and the mapping
-/// report.
+/// to run it: the per-channel ring needs (the delay rings; `0` = none)
+/// and the mapping report.
 pub struct OptimizedModule {
     /// The rewritten code over the input module's data segment, word
     /// for word: a relay owns no data, so fusion deletes none, and the
@@ -172,9 +174,10 @@ pub struct OptimizedModule {
     /// module therefore binds to this one unchanged
     /// ([`ProcIrModule::with_data`]).
     pub module: Arc<ProcIrModule>,
-    /// Minimum ring capacity per post-opt channel; feed to
-    /// [`crate::batch::analyze_with_caps`].
-    pub chan_caps: Vec<u64>,
+    /// Per post-opt channel, the need of the chain fused into it (`0`
+    /// where there is none); feed to
+    /// [`crate::wavefront::analyze_wavefront`].
+    pub ring_needs: Vec<u64>,
     /// Shared, so that every run of a cached module reports it without
     /// copying the maps.
     pub report: Arc<OptReport>,
@@ -204,7 +207,7 @@ pub fn optimize(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
 
     // Phase 2: the batch analysis, over the cleaned ops. A shape it
     // cannot prove rejects the whole module.
-    let ends = analyze_ops(module, |pid| &cleaned[pid], &[]);
+    let ends = analyze_ops(module, |pid| &cleaned[pid]);
     if !ends.batchable() {
         return None;
     }
@@ -406,26 +409,13 @@ fn find_chains(
         for &m in &members {
             in_chain[m] = true;
         }
-        // Capacity: the chain's worst-case in-flight buffering under the
-        // batch analysis — each channel's ring width plus one held value
-        // per relay — clamped to the total traffic (more can never be in
-        // flight) and at least 1.
-        let mut cap = ends.widths[entry] + members.len() as u64;
-        let mut c = entry;
-        for &m in &members {
-            let (_, o, _) = pure_relay(module, cleaned, m).unwrap();
-            cap = cap.saturating_add(ends.widths[o]);
-            c = o;
-        }
-        debug_assert_eq!(c, exit);
-        let capacity = cap.min(traffic).max(1);
         chains.push(ChainRecord {
             entry,
             exit,
             surviving: entry, // renumbered in `rebuild`
+            capacity: (members.len() as u64).min(traffic),
             relays: members,
             traffic,
-            capacity,
         });
     }
     chains
@@ -535,10 +525,10 @@ fn rebuild(
         });
     }
 
-    let mut chan_caps = vec![0u64; new_nc];
+    let mut ring_needs = vec![0u64; new_nc];
     for ch in &mut chains {
         ch.surviving = report.chan_map[ch.entry].expect("entry channel survives");
-        chan_caps[ch.surviving] = chan_caps[ch.surviving].max(ch.capacity);
+        ring_needs[ch.surviving] = ring_needs[ch.surviving].max(ch.capacity);
     }
 
     report.processes_after = procs.len();
@@ -557,7 +547,7 @@ fn rebuild(
     });
     OptimizedModule {
         module,
-        chan_caps,
+        ring_needs,
         report: Arc::new(report),
     }
 }
@@ -565,7 +555,7 @@ fn rebuild(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::analyze_with_caps;
+    use crate::batch::analyze;
     use crate::coop::run_plain;
     use crate::procir::ProcIrBuilder;
     use crate::wavefront::{analyze_wavefront, run_wavefront};
@@ -573,10 +563,10 @@ mod tests {
     /// The outputs of a fused module on the fast engine, over its delay
     /// rings, held to the rendezvous engine on the same module (outputs,
     /// messages, steps).
-    fn run_fused(module: &Arc<ProcIrModule>, caps: &[u64]) -> Vec<Vec<crate::Value>> {
-        let plan = analyze_with_caps(module, caps);
+    fn run_fused(module: &Arc<ProcIrModule>, needs: &[u64]) -> Vec<Vec<crate::Value>> {
+        let plan = analyze(module);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let wf = analyze_wavefront(module, &plan);
+        let wf = analyze_wavefront(module, &plan, needs);
         let (fs, fouts, _) = run_wavefront(module, &wf, None, false).unwrap();
         let (ps, pouts) = run_plain(module).unwrap();
         assert_eq!((fs.messages, fs.steps), (ps.messages, ps.steps));
@@ -604,10 +594,10 @@ mod tests {
         assert_eq!(o.report.fused_relays(), 3);
         let ch = &o.report.chains[0];
         assert_eq!((ch.entry, ch.exit, ch.traffic), (0, 3, 10));
-        assert!(ch.capacity >= 3, "at least one held slot per relay");
-        assert_eq!(o.chan_caps[ch.surviving], ch.capacity);
+        assert_eq!(ch.capacity, 3, "one held value per relay");
+        assert_eq!(o.ring_needs[ch.surviving], ch.capacity);
         // The fused module actually runs and the sink sees the stream.
-        assert_eq!(run_fused(&o.module, &o.chan_caps)[0], vals);
+        assert_eq!(run_fused(&o.module, &o.ring_needs)[0], vals);
     }
 
     /// Fusion deletes relays, and relays own no data: the optimized
@@ -640,7 +630,7 @@ mod tests {
         }
         // Other data over the optimized code runs to the other result.
         let bound = o.module.with_data(vec![7, 8, 9, -1, -2, 0]);
-        let outs = run_fused(&bound, &o.chan_caps);
+        let outs = run_fused(&bound, &o.ring_needs);
         assert_eq!(outs[0], vec![7, 8, 9]);
         assert_eq!(outs[1], vec![-1, -2]);
         assert_eq!(outs[2], vec![0]);
@@ -704,7 +694,38 @@ mod tests {
         assert_eq!(o.report.passes_merged, 1, "the two pass 1s merge");
         assert_eq!(o.report.fused_relays(), 2, "relay and keeper both fuse");
         assert_eq!(o.module.procs.len(), 2);
-        assert_eq!(run_fused(&o.module, &o.chan_caps)[0], vec![3, 4]);
+        assert_eq!(run_fused(&o.module, &o.ring_needs)[0], vec![3, 4]);
+    }
+
+    /// A chain's need is one slot per relay, at most its traffic; the
+    /// wavefront plan grants at least that, and the fused module answers
+    /// what the rendezvous run of the module as elaborated answers.
+    #[test]
+    fn a_fused_chain_needs_one_slot_per_relay_up_to_its_traffic() {
+        for (relays, traffic) in [(1usize, 1usize), (3, 10), (5, 2), (8, 8)] {
+            let mut b = ProcIrBuilder::new();
+            let vals: Vec<i64> = (0..traffic as i64).map(|v| 3 * v - 7).collect();
+            b.source(0, &vals, "src");
+            for r in 0..relays {
+                b.relay(r, r + 1, traffic, format!("buf{r}"));
+            }
+            b.sink(relays, traffic, "sink");
+            let m = b.build();
+            let o = optimize(&m).expect("the chain fuses");
+            let ch = &o.report.chains[0];
+            let ctx = format!("{relays} relays, traffic {traffic}");
+            assert_eq!(ch.relays.len(), relays, "{ctx}");
+            assert!(
+                ch.capacity >= relays as u64 || ch.capacity == ch.traffic,
+                "{ctx}"
+            );
+            assert!(ch.capacity <= ch.traffic, "{ctx}");
+            let wf = analyze_wavefront(&o.module, &analyze(&o.module), &o.ring_needs);
+            assert!(wf.capacities[ch.surviving] >= ch.capacity, "{ctx}");
+            let (_, elaborated) = run_plain(&m).unwrap();
+            assert_eq!(elaborated[0], vals, "{ctx}");
+            assert_eq!(run_fused(&o.module, &o.ring_needs), elaborated, "{ctx}");
+        }
     }
 
     /// Consecutive same-pair passes merge; different pairs do not.

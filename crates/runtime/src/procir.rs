@@ -858,7 +858,7 @@ mod tests {
         let module = b.build();
         for _ in 0..2 {
             let inst = module.instantiate();
-            let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
+            let mut net = crate::Network::default();
             for p in inst.procs {
                 net.add(p);
             }
@@ -899,7 +899,7 @@ mod tests {
         }));
         let module = b.build();
         let inst = module.instantiate();
-        let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
+        let mut net = crate::Network::default();
         for p in inst.procs {
             net.add(p);
         }
@@ -957,7 +957,7 @@ mod tests {
         }));
         let module = b.build();
         let inst = module.instantiate();
-        let mut net = crate::Network::new(crate::ChannelPolicy::Rendezvous);
+        let mut net = crate::Network::default();
         for p in inst.procs {
             net.add(p);
         }

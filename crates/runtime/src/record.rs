@@ -6,11 +6,10 @@
 //! through one instrumentation point, so one event vocabulary covers the
 //! whole runtime:
 //!
-//! - **transfers** — one event per completed channel rendezvous (or per
-//!   buffered enqueue/dequeue half), carrying the virtual time, channel,
-//!   value, both endpoint processes, and how long each endpoint waited
-//!   parked on the channel (in rounds; the OS-thread engine has no
-//!   round clock and reports 0 waits);
+//! - **transfers** — one event per completed channel rendezvous,
+//!   carrying the virtual time, channel, value, both endpoint processes,
+//!   and how long each endpoint waited parked on the channel (in rounds;
+//!   the OS-thread engine has no round clock and reports 0 waits);
 //! - **steps** — one event per [`crate::Process::step_into`] invocation,
 //!   mirroring `RunStats.steps`;
 //! - **vm ops** — one event per retired ProcIR op effect, classified by
@@ -46,13 +45,6 @@ use crate::json::Json;
 use crate::process::{ChanId, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-
-/// Endpoint pseudo-id used by [`ChannelPolicy::Buffered`] transfers: an
-/// enqueue has no receiving process yet (the value parks in the queue)
-/// and a dequeue has no sending process anymore.
-///
-/// [`ChannelPolicy::Buffered`]: crate::ChannelPolicy::Buffered
-pub const QUEUE_ENDPOINT: usize = usize::MAX;
 
 /// Which ProcIR op an event came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,9 +133,9 @@ pub struct Transfer {
     pub time: u64,
     pub chan: ChanId,
     pub value: Value,
-    /// Sending process id ([`QUEUE_ENDPOINT`] for a buffered dequeue).
+    /// Sending process id.
     pub sender: usize,
-    /// Receiving process id ([`QUEUE_ENDPOINT`] for a buffered enqueue).
+    /// Receiving process id.
     pub receiver: usize,
     /// Rounds the sender was parked before the transfer fired.
     pub sender_wait: u64,
@@ -464,14 +456,11 @@ impl MetricsRecorder {
         MetricsRecorder::default()
     }
 
-    fn proc_mut(&mut self, pid: usize) -> Option<&mut ProcMetrics> {
-        if pid == QUEUE_ENDPOINT {
-            return None;
-        }
+    fn proc_mut(&mut self, pid: usize) -> &mut ProcMetrics {
         if pid >= self.procs.len() {
             self.procs.resize_with(pid + 1, ProcMetrics::default);
         }
-        Some(&mut self.procs[pid])
+        &mut self.procs[pid]
     }
 
     /// Snapshot the aggregates (call after the run).
@@ -522,12 +511,8 @@ impl Recorder for MetricsRecorder {
         c.max_receiver_wait = c.max_receiver_wait.max(ev.receiver_wait);
         *self.wait_hist.entry(ev.receiver_wait).or_default() += 1;
         *self.time_msgs.entry(ev.time).or_default() += 1;
-        if let Some(p) = self.proc_mut(ev.sender) {
-            p.sent += 1;
-        }
-        if let Some(p) = self.proc_mut(ev.receiver) {
-            p.received += 1;
-        }
+        self.proc_mut(ev.sender).sent += 1;
+        self.proc_mut(ev.receiver).received += 1;
     }
 
     fn vm_op(&mut self, pid: usize, kind: OpKind, phase: Phase) {
@@ -536,24 +521,19 @@ impl Recorder for MetricsRecorder {
             self.first_compute.get_or_insert(t);
             self.last_compute = Some(t);
         }
-        if let Some(p) = self.proc_mut(pid) {
-            p.ops[kind as usize] += 1;
-            p.phases[phase as usize] += 1;
-        }
+        let p = self.proc_mut(pid);
+        p.ops[kind as usize] += 1;
+        p.phases[phase as usize] += 1;
     }
 
     fn step(&mut self, time: u64, pid: usize) {
         self.now = self.now.max(time);
-        if let Some(p) = self.proc_mut(pid) {
-            p.steps += 1;
-        }
+        self.proc_mut(pid).steps += 1;
     }
 
     fn finished(&mut self, time: u64, pid: usize) {
         self.now = self.now.max(time);
-        if let Some(p) = self.proc_mut(pid) {
-            p.finished_at = Some(time);
-        }
+        self.proc_mut(pid).finished_at = Some(time);
     }
 
     fn end(&mut self, time: u64) {
@@ -693,15 +673,13 @@ impl Recorder for PerfettoRecorder {
 
     fn transfer(&mut self, ev: &Transfer) {
         self.n_chans = self.n_chans.max(ev.chan + 1);
-        let mut args = vec![("value", ev.value)];
-        if ev.sender != QUEUE_ENDPOINT {
-            args.push(("sender", ev.sender as i64));
-        }
-        if ev.receiver != QUEUE_ENDPOINT {
-            args.push(("receiver", ev.receiver as i64));
-        }
-        args.push(("sender_wait", ev.sender_wait as i64));
-        args.push(("receiver_wait", ev.receiver_wait as i64));
+        let args = vec![
+            ("value", ev.value),
+            ("sender", ev.sender as i64),
+            ("receiver", ev.receiver as i64),
+            ("sender_wait", ev.sender_wait as i64),
+            ("receiver_wait", ev.receiver_wait as i64),
+        ];
         self.events.push(PerfettoEvent {
             ph: 'X',
             name: "xfer",
@@ -745,7 +723,7 @@ impl Recorder for PerfettoRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coop::{ChannelPolicy, Network};
+    use crate::coop::Network;
     use crate::process::lock;
     use crate::procir::ProcIrBuilder;
 
@@ -753,7 +731,7 @@ mod tests {
     fn run_recorded(b: ProcIrBuilder, recorders: &[SharedRecorder]) -> crate::RunStats {
         let module = b.build();
         let inst = module.instantiate_recorded(recorders);
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
+        let mut net = Network::default();
         for r in recorders {
             net.add_recorder(r.clone());
         }
@@ -881,7 +859,7 @@ mod tests {
         let module = b.build();
         let (metrics, erased) = shared(MetricsRecorder::new());
         let inst = module.instantiate_recorded(std::slice::from_ref(&erased));
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
+        let mut net = Network::default();
         net.add_recorder(erased);
         for p in inst.procs {
             net.add(p);

@@ -33,11 +33,10 @@
 //!    windows of one wave may hold the two ends of a ring (their value
 //!    runs do not overlap, so no edge joins them).
 //! 4. **Capacities**: every channel gets a ring sized to its whole
-//!    traffic (clamped to [`WAVEFRONT_RING_CAP`]) instead of the batch
-//!    width — including `Keep`/`Eject` channels, whose width-1 pin the
-//!    plan overrides exactly as `analyze_with_caps` does for the
-//!    optimizer's delay rings — so one topological pass usually drains
-//!    the entire module.
+//!    traffic, clamped to [`WAVEFRONT_RING_CAP`], and raised to what a
+//!    relay chain the optimizer fused into it holds in flight
+//!    (`crate::opt`) — so one topological pass usually drains the
+//!    entire module. This is the one place a ring capacity is decided.
 //!
 //! The analysis runs on every module miss, so every table is flat:
 //! compressed sparse rows built by counting sort, nothing allocated per
@@ -162,7 +161,8 @@ pub struct WavefrontPlan {
     /// may be listed more than once (two channels between one pair of
     /// chunks): harmless to a dirty flag, cheaper than a dedup.
     neighbors: Csr<u32>,
-    /// Ring capacity per channel (≥ the batch width).
+    /// Ring capacity per channel: its traffic clamped to
+    /// `1..=WAVEFRONT_RING_CAP`, raised to the need of a fused chain.
     pub capacities: Vec<u64>,
     reject: Option<String>,
 }
@@ -274,7 +274,10 @@ struct Run {
 /// every other module is eligible — the wavefront executor inherits
 /// every safety obligation of the batch proof and adds the staging on
 /// top, so a module that passes the fast-path gate always has a plan.
-pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan) -> WavefrontPlan {
+/// `needs` is the least ring capacity per channel the module requires
+/// (`OptimizedModule::ring_needs` for the optimizer's module; empty, or
+/// 0 for a channel, when there is none).
+pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan, needs: &[u64]) -> WavefrontPlan {
     if let Some(r) = plan.reject_reason() {
         return WavefrontPlan {
             chunks: Csr::default(),
@@ -398,17 +401,14 @@ pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan) -> WavefrontPl
 
     // Ring capacities: every channel widens to its whole proven traffic
     // (so one topological pass can drain a steady phase outright),
-    // clamped for memory, never below the batch width the optimizer's
-    // delay rings may require. This deliberately overrides the batch
-    // analysis' `Keep`/`Eject` width-1 pin — the same override
-    // `analyze_with_caps` grants the optimizer's delay rings, and safe
-    // for the same reason: extra ring slack never changes a Kahn
-    // network's streams or its per-op logical accounting, only its
-    // timing. Keeping the pin would throttle every pass to one value per
-    // load/recover channel, forcing O(n) passes on designs with
-    // stationary values.
+    // clamped for memory, and never below what a fused relay chain held
+    // in flight under rendezvous, so every schedule of the elaborated
+    // module stays replayable. Slack never changes a Kahn network's
+    // streams or its per-op logical accounting, only its timing —
+    // load/recover channels included.
+    let need = |c: usize| needs.get(c).copied().unwrap_or(0);
     let capacities: Vec<u64> = (0..module.n_chans)
-        .map(|c| plan.widths[c].max(plan.traffic[c].clamp(1, WAVEFRONT_RING_CAP)))
+        .map(|c| plan.traffic[c].clamp(1, WAVEFRONT_RING_CAP).max(need(c)))
         .collect();
 
     // Chunk numbers: wave-major, within a wave by first window — the
@@ -653,7 +653,8 @@ pub fn run_coop_batched(
     module: &Arc<ProcIrModule>,
     plan: &BatchPlan,
 ) -> Result<(RunStats, Vec<Vec<Value>>), RunError> {
-    let (stats, sinks, _) = run_wavefront(module, &analyze_wavefront(module, plan), None, false)?;
+    let wf = analyze_wavefront(module, plan, &[]);
+    let (stats, sinks, _) = run_wavefront(module, &wf, None, false)?;
     Ok((stats, sinks))
 }
 
@@ -776,7 +777,7 @@ mod tests {
     fn plan_stages_a_pipeline_into_one_wave_chain() {
         let m = pipeline_module();
         let plan = analyze(&m);
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         assert!(wf.eligible(), "{:?}", wf.reject_reason());
         assert_eq!(wf.n_waves(), 4, "src -> relay -> relay -> sink");
         assert_eq!(wf.n_chunks(), 4);
@@ -788,7 +789,7 @@ mod tests {
     fn a_pipeline_drains_in_one_grand_sweep_with_the_rendezvous_answer() {
         let m = pipeline_module();
         let plan = analyze(&m);
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         let ((ws, wouts), _) = against_the_oracle(&m, &wf, None);
         assert_eq!(wouts, [(0..200).collect::<Vec<_>>()]);
         // Topological order + traffic-wide rings: the whole 200-value
@@ -816,7 +817,7 @@ mod tests {
         let m = b.build();
         let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         assert!(wf.eligible());
         assert_eq!(wf.n_waves(), 1);
         assert_eq!(wf.n_chunks(), 1, "the cycle is one chunk");
@@ -837,7 +838,7 @@ mod tests {
         let m = b.build();
         let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         let err = run_wavefront(&m, &wf, None, false).unwrap_err();
         let d = err.as_deadlock().expect("deadlock, not another error");
         assert_eq!(d.blocked, ["fwd [recv@0]", "bwd [recv@1]"]);
@@ -853,7 +854,7 @@ mod tests {
         b.sink(0, 2, "sink");
         let m = b.build();
         let plan = analyze(&m);
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         assert!(!wf.eligible());
         assert!(wf.reject_reason().unwrap().contains("two producers"));
     }
@@ -906,7 +907,7 @@ mod tests {
         let m = compute_module();
         let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         let kp = analyze_kernels(&m, &wf);
         assert!(kp.compiled, "{:?}", kp.reject);
         assert_eq!(kp.eligible_chunks, 1, "{:?}", kp.fallbacks());
@@ -972,7 +973,7 @@ mod tests {
     ) -> (Vec<Vec<Value>>, KernelReport) {
         let plan = analyze(m);
         assert!(plan.batchable(), "{ctx}: {:?}", plan.reject_reason());
-        let wf = analyze_wavefront(m, &plan);
+        let wf = analyze_wavefront(m, &plan, &[]);
         let kp = crate::kernel::analyze_kernels(m, &wf);
         let (scalar, _) = against_the_oracle(m, &wf, None);
         let ((ks, kouts), report) = against_the_oracle(m, &wf, Some(&kp));
@@ -1049,7 +1050,7 @@ mod tests {
 
     /// The lane-iterations one batch of `m`'s kernel plan may hold.
     fn batch_fit(m: &Arc<ProcIrModule>) -> usize {
-        let wf = analyze_wavefront(m, &analyze(m));
+        let wf = analyze_wavefront(m, &analyze(m), &[]);
         let kp = crate::kernel::analyze_kernels(m, &wf);
         crate::kernel::KERNEL_BATCH_VALUES / kp.split().expect("an eligible chunk").row_values()
     }
@@ -1135,7 +1136,7 @@ mod tests {
         use crate::kernel::analyze_kernels;
         let m = compute_module();
         let plan = analyze(&m);
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         // comp is cut into keep / repeater / eject; with the two sources
         // and two sinks that is seven windows, none on a cycle.
         assert_eq!(
@@ -1208,7 +1209,7 @@ mod tests {
             let m = long_load_module(linked);
             let plan = analyze(&m);
             assert!(plan.batchable(), "{:?}", plan.reject_reason());
-            let wf = analyze_wavefront(&m, &plan);
+            let wf = analyze_wavefront(&m, &plan, &[]);
             assert_eq!(wf.cyclic_chunks(), 0, "linked: {linked}");
             assert_eq!(wf.max_capacity(), WAVEFRONT_RING_CAP);
             let ((ws, wouts), _) = against_the_oracle(&m, &wf, None);
@@ -1275,7 +1276,7 @@ mod tests {
         let m = b.build();
         let plan = analyze(&m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         assert_eq!(wf.cyclic_chunks(), 0);
         assert_eq!(wf.capacities[1], WAVEFRONT_RING_CAP, "one value short");
         let ((ws, _), _) = against_the_oracle(&m, &wf, None);
@@ -1286,31 +1287,38 @@ mod tests {
     fn ring_cap_clamp_survives_u64_max_traffic() {
         // Adversarial traffic sums must clamp to WAVEFRONT_RING_CAP
         // without overflowing the capacity arithmetic — the same
-        // boundary the PR 5 `Pass::n` width regression pins, one layer
-        // up. Named alongside `batch_width_math_survives_u32_overflow`.
+        // boundary the `Pass::n` widening regression pins, one layer up.
+        // Named alongside `traffic_math_survives_u32_overflow`.
         let m = pipeline_module();
         let mut plan = analyze(&m);
+        assert_eq!(plan.traffic, [200; 3]);
+        assert_eq!(
+            (plan.producer_of[1], plan.consumer_of[1]),
+            (Some(1), Some(2))
+        );
         for t in &mut plan.traffic {
             *t = u64::MAX;
         }
-        let wf = analyze_wavefront(&m, &plan);
+        let wf = analyze_wavefront(&m, &plan, &[]);
         assert!(wf.eligible());
-        for (c, &cap) in wf.capacities.iter().enumerate() {
-            assert_eq!(cap, plan.widths[c].max(WAVEFRONT_RING_CAP), "channel {c}");
-        }
+        assert_eq!(wf.capacities, [WAVEFRONT_RING_CAP; 3]);
+        // A need past the clamp raises its channel and no other.
+        let wf = analyze_wavefront(&m, &plan, &[0, u64::MAX]);
+        assert_eq!(
+            wf.capacities,
+            [WAVEFRONT_RING_CAP, u64::MAX, WAVEFRONT_RING_CAP]
+        );
         // One below the clamp stays exact; the slab then holds them.
         for t in &mut plan.traffic {
             *t = WAVEFRONT_RING_CAP - 1;
         }
-        let wf = analyze_wavefront(&m, &plan);
-        for (c, &cap) in wf.capacities.iter().enumerate() {
-            assert_eq!(
-                cap,
-                plan.widths[c].max(WAVEFRONT_RING_CAP - 1),
-                "channel {c}"
-            );
-        }
+        let wf = analyze_wavefront(&m, &plan, &[]);
+        assert_eq!(wf.capacities, [WAVEFRONT_RING_CAP - 1; 3]);
         assert_eq!(wf.ring_values(), 3 * (WAVEFRONT_RING_CAP - 1));
+        // No traffic still gets one slot.
+        plan.traffic = vec![0; 3];
+        let wf = analyze_wavefront(&m, &plan, &[]);
+        assert_eq!(wf.capacities, [1; 3]);
     }
 
     /// A sink expecting more than the source sends: the run wedges with
@@ -1324,7 +1332,7 @@ mod tests {
         let m = b.build();
         let plan = analyze(&m);
         assert!(!plan.batchable());
-        let wf = analyze_wavefront(&m, &plan.assume_proven());
+        let wf = analyze_wavefront(&m, &plan.assume_proven(), &[]);
         (m, wf)
     }
 
@@ -1343,7 +1351,7 @@ mod tests {
     fn both_paths(m: &Arc<ProcIrModule>) -> (Outcome, Outcome) {
         let plan = analyze(m);
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
-        let wf = analyze_wavefront(m, &plan);
+        let wf = analyze_wavefront(m, &plan, &[]);
         let kp = crate::kernel::analyze_kernels(m, &wf);
         let run = |kernels| {
             let (stats, outs, _) = run_wavefront(m, &wf, kernels, false).unwrap();
@@ -1387,7 +1395,7 @@ mod tests {
         }));
         let bad = b.build();
         let plan = analyze(&bad);
-        let wf = analyze_wavefront(&bad, &plan);
+        let wf = analyze_wavefront(&bad, &plan, &[]);
         let kp = analyze_kernels(&bad, &wf);
         let slots = ("kernel slots exceed process locals".to_string(), 1);
         assert!(kp.fallbacks().contains(&slots), "{:?}", kp.fallbacks());

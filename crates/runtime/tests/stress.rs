@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use systolic_runtime::{
-    block_partition, lock, run_partitioned, ChannelPolicy, Network, ProcIrBuilder, ProcIrModule,
+    block_partition, lock, run_partitioned, Network, ProcIrBuilder, ProcIrModule,
 };
 
 /// Build `k` independent pipelines with the given relay counts and
@@ -51,7 +51,7 @@ proptest! {
 
         // Cooperative.
         let inst = module.instantiate();
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
+        let mut net = Network::default();
         for p in inst.procs {
             net.add(p);
         }
@@ -72,31 +72,14 @@ proptest! {
         }
     }
 
-    #[test]
-    fn buffered_policy_agrees_with_rendezvous(
-        specs in proptest::collection::vec((0usize..5, 1usize..10), 1..4),
-        cap in 1usize..5,
-    ) {
-        let (module, expected) = build(&specs);
-        let inst = module.instantiate();
-        let mut net = Network::new(ChannelPolicy::Buffered(cap));
-        for p in inst.procs {
-            net.add(p);
-        }
-        net.run().unwrap();
-        for (b, e) in inst.outputs.iter().zip(&expected) {
-            prop_assert_eq!(&*lock(b), e);
-        }
-    }
-
     /// Message conservation: total messages equals sum over pipes of
-    /// values x hops under rendezvous.
+    /// values x hops.
     #[test]
     fn message_conservation(
         specs in proptest::collection::vec((0usize..5, 0usize..10), 1..5),
     ) {
         let (module, _expected) = build(&specs);
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
+        let mut net = Network::default();
         for p in module.instantiate().procs {
             net.add(p);
         }

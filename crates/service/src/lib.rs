@@ -26,7 +26,6 @@ pub mod http;
 pub mod pool;
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -53,7 +52,7 @@ pub struct ServiceConfig {
     pub default_deadline_ms: u64,
     /// Hard ceiling a request's own deadline is clamped to.
     pub max_deadline_ms: u64,
-    /// Compiled-plan cache entries (design keys + source hashes).
+    /// Compiled-plan cache entries (design keys + source texts).
     pub plan_cache_cap: usize,
     /// Module-store FIFO capacities (skeletons, instantiated modules).
     /// A module serves every data set of its (program, options, sizes),
@@ -172,7 +171,9 @@ impl Service {
     }
 
     /// Resolve a gallery design key or inline source through the plan
-    /// cache.
+    /// cache. An inline source is keyed by its whole text: a digest
+    /// would let two tenants' different sources share one entry, and the
+    /// second be answered from the first one's plan.
     pub fn resolve(&self, program: &ProgramRef) -> Result<Arc<ResolvedProgram>, ApiError> {
         match program {
             ProgramRef::Design(key) => {
@@ -180,9 +181,7 @@ impl Service {
                 self.plans.get_or_build(&cache_key, || compile_design(key))
             }
             ProgramRef::Source(src) => {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                src.hash(&mut h);
-                let cache_key = format!("source:{:016x}", h.finish());
+                let cache_key = format!("source:{src}");
                 self.plans.get_or_build(&cache_key, || compile_source(src))
             }
         }
@@ -387,4 +386,41 @@ pub fn compile_source(src: &str) -> Result<ResolvedProgram, ApiError> {
         plan: systolic_sim::compile_source(src)?,
         default_inputs: Vec::new(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const ALPHA: &str = "program alpha;\nsize n;\nvar a[0..n], b[0..n], c[0..2*n];\n\
+        for i = 0 <- 1 -> n\nfor j = 0 <- 1 -> n {\n  c[i+j] = c[i+j] + a[i] * b[j];\n}\n";
+    const BETA: &str = "program beta;\nsize n;\nvar a[0..n], b[0..n], c[0..2*n];\n\
+        for i = 0 <- 1 -> n\nfor j = 0 <- 1 -> n {\n  c[i+j] = c[i+j] - a[i] * b[j];\n}\n";
+
+    /// Two sources whose 64-bit digests collide must not share a plan.
+    /// The collision is planted: source B's plan under the key a digest
+    /// of source A would have, as a SipHash collision computed offline
+    /// would put it there. Resolving A must compile A.
+    #[test]
+    fn an_inline_source_is_never_answered_from_another_sources_plan() {
+        use std::hash::{Hash, Hasher};
+        let svc = Service::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        ALPHA.hash(&mut h);
+        let digest_key = format!("source:{:016x}", h.finish());
+        let planted = svc.plans.get_or_build(&digest_key, || compile_source(BETA));
+        assert_eq!(planted.unwrap().plan.source.name, "beta");
+
+        let alpha = svc.resolve(&ProgramRef::Source(ALPHA.into())).unwrap();
+        assert_eq!(alpha.plan.source.name, "alpha");
+        let beta = svc.resolve(&ProgramRef::Source(BETA.into())).unwrap();
+        assert_eq!(beta.plan.source.name, "beta");
+        // A second request for A is a hit on A's own entry.
+        let again = svc.resolve(&ProgramRef::Source(ALPHA.into())).unwrap();
+        assert!(Arc::ptr_eq(&alpha, &again));
+        assert_eq!(svc.plans.stats().0, 1, "one hit: the repeated A");
+    }
 }

@@ -16,9 +16,9 @@ use std::sync::Arc;
 use systolic_core::{systolize, CompileError, Options, PlaceChoice, SystolicProgram};
 use systolic_interp::{ElabError, ElabOptions, ModuleStore, Problem, ProblemError};
 use systolic_runtime::{
-    canonicalize_transfers, first_divergence, lock, shared, sink_buffer, ChanId, ChannelPolicy,
-    CommReq, EventLogRecorder, Network, ProcIrModule, Process, RunError, RunStats, SchedulePolicy,
-    Transfer, Value,
+    canonicalize_transfers, first_divergence, lock, shared, sink_buffer, ChanId, CommReq,
+    EventLogRecorder, Network, ProcIrModule, Process, RunError, RunStats, SchedulePolicy, Transfer,
+    Value,
 };
 
 /// What one run produced: everything a schedule may not change.
@@ -86,7 +86,7 @@ impl DstSubject for PlanSubject {
     fn run(&self, sched: Option<Box<dyn SchedulePolicy>>) -> Result<Outcome, RunError> {
         let (handle, rec) = shared(EventLogRecorder::new());
         let inst = self.module.instantiate_recorded(std::slice::from_ref(&rec));
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
+        let mut net = Network::default();
         if let Some(s) = sched {
             net.set_schedule_policy(s);
         }
@@ -184,7 +184,7 @@ impl DstSubject for RaceSubject {
         let a: Vec<Value> = (0..k as i64).map(|i| 100 + i).collect();
         let b: Vec<Value> = (0..k as i64).map(|i| 200 + i).collect();
         let (handle, rec) = shared(EventLogRecorder::new());
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
+        let mut net = Network::default();
         if let Some(s) = sched {
             net.set_schedule_policy(s);
         }

@@ -188,8 +188,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use systolic_runtime::{
-        block_partition, lock, run_partitioned, ChannelPolicy, Network, ProcIrBuilder,
-        ProcIrModule, RunError,
+        block_partition, lock, run_partitioned, Network, ProcIrBuilder, ProcIrModule, RunError,
     };
 
     /// source -> relay -> sink over 4 values; returns the sealed module.
@@ -208,7 +207,7 @@ mod tests {
     ) -> Result<(Vec<i64>, systolic_runtime::RunStats), RunError> {
         let inst = module.instantiate();
         let procs = plan.apply(inst.procs, module.n_chans);
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
+        let mut net = Network::default();
         if with_delay {
             net.set_schedule_policy(Box::new(plan.delay_policy()));
         }
@@ -291,7 +290,7 @@ mod tests {
             faults: vec![Fault::Abort { victim: 0 }, Fault::Abort { victim: 1 }],
         };
         let procs = plan.apply(inst.procs, module.n_chans);
-        let mut net = Network::new(ChannelPolicy::Rendezvous);
+        let mut net = Network::default();
         for p in procs {
             net.add(p);
         }

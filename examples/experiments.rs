@@ -14,7 +14,7 @@ use systolic_interp::{
 };
 use systolic_ir::HostStore;
 use systolic_math::{point, Env};
-use systolic_runtime::{ChannelPolicy, RunStats};
+use systolic_runtime::{analyze_wavefront, run_wavefront, RunStats};
 use systolic_synthesis::placement::paper;
 
 /// The equivalence experiment on the rendezvous reference engine.
@@ -232,27 +232,60 @@ fn section_ablations() {
         );
     }
 
-    // B3b: channel policy on D.2.
+    // B3b: channel slack on D.2 — one elaborated module on the plain
+    // rendezvous engine and on the wavefront engine with its own rings.
     let (p, a) = paper::polyprod_d2();
     let plan = compile(&p, &a, &Options::default()).unwrap();
     let env = env_at(&p, n);
     let store = seeded_store(&plan, &env, &["a", "b"], 3);
-    println!("B3b: D.2 channel policy at n = {n}");
-    for (label, policy) in [
-        ("rendezvous", ChannelPolicy::Rendezvous),
-        ("buffered(1)", ChannelPolicy::Buffered(1)),
-        ("buffered(4)", ChannelPolicy::Buffered(4)),
-    ] {
-        let spec = SimSpec {
-            policy,
-            ..SimSpec::plain()
-        };
-        let run = simulate(ModuleStore::global(), &plan, &env, &store, spec).unwrap();
-        println!(
-            "  {label:<16} rounds {:>4}  messages {:>6}",
-            run.stats.rounds, run.stats.messages
+    println!("B3b: D.2 channel slack at n = {n}, one elaborated module on two engines");
+    let ms = ModuleStore::global();
+    let plain = simulate_verified(ms, &plan, &env, &store, SimSpec::plain()).unwrap();
+    let cm = ms
+        .module(&plan, &env, &store, &ElabOptions::default())
+        .unwrap();
+    let el = &cm.elab;
+    let module = el.module.with_data(el.gather(&store).unwrap());
+    let rings = analyze_wavefront(&module, cm.batch_plan(), &[]);
+    let (slack, sinks, _) = run_wavefront(&module, &rings, None, false).unwrap();
+    for out in &el.outputs {
+        let raw = plain.store.get(&out.variable).raw();
+        let words = el.words_of(out).iter().map(|&at| raw[at as usize]);
+        assert!(
+            words.eq(sinks[out.output as usize].iter().copied()),
+            "{}",
+            out.variable
         );
     }
+    let count = |s: &RunStats| (s.processes, s.steps, s.messages);
+    assert_eq!(
+        count(&slack),
+        count(&plain.stats),
+        "slack changes timing only"
+    );
+    println!(
+        "  engine      channel slack   procs  steps  messages  store         clock  clock unit"
+    );
+    let row = |engine: &str, slack: &str, s: &RunStats, store: &str, unit: &str| {
+        let (procs, steps, messages, clock) = (s.processes, s.steps, s.messages, s.rounds);
+        println!(
+            "  {engine:<11} {slack:<15} {procs:>5} {steps:>6} {messages:>9}  {store:<13} {clock:>5}  {unit}"
+        );
+    };
+    row(
+        "rendezvous",
+        "none",
+        &plain.stats,
+        "= sequential",
+        "rendezvous rounds",
+    );
+    row(
+        "wavefront",
+        "ring = traffic",
+        &slack,
+        "= rendezvous",
+        "grand sweeps",
+    );
 
     // B3c: simple vs non-simple place at equal n.
     println!("B3c: simple vs non-simple place at n = 4");

@@ -3,9 +3,9 @@
 //! be observationally invisible — bit-identical recovered stores against
 //! the rendezvous engine — and its engagement gate must be exactly as
 //! documented: an
-//! executor other than the cooperative one, `--batch off`, a buffered
-//! channel policy, an attached recorder, or a non-FIFO schedule policy
-//! each force the rendezvous engine. A fast run executes the optimizer's
+//! executor other than the cooperative one, `--batch off`, an attached
+//! recorder, or a non-FIFO schedule policy each force the rendezvous
+//! engine. A fast run executes the optimizer's
 //! module, so its counts are pinned by the optimizer's count law
 //! (`common::assert_count_law`); the elaborated module itself runs on the
 //! wavefront engine through the runtime API, with the plain engine's
@@ -20,8 +20,8 @@ use common::{
 use proptest::prelude::*;
 use systolizer::interp::{BatchMode, ElabOptions, ExecutorChoice, ModuleStore, SimSpec};
 use systolizer::runtime::{
-    analyze_kernels, analyze_wavefront, lock, run_wavefront, shared, ChanId, ChannelPolicy,
-    FifoPolicy, MetricsRecorder, SchedulePolicy,
+    analyze_kernels, analyze_wavefront, lock, run_wavefront, shared, ChanId, FifoPolicy,
+    MetricsRecorder, SchedulePolicy,
 };
 
 /// A policy that actually exercises its hooks (reverses each round's
@@ -91,16 +91,6 @@ fn gate_closes_for_every_observable_feature() {
         "the recorder really observed the run"
     );
 
-    let buffered = go(
-        &e1,
-        SimSpec {
-            policy: ChannelPolicy::Buffered(4),
-            ..SimSpec::default()
-        },
-    );
-    assert!(!buffered.wavefront, "the buffered ablation closes the gate");
-    assert_eq!(buffered.store, base.store);
-
     for executor in [
         ExecutorChoice::Threaded,
         ExecutorChoice::Partitioned { workers: 2 },
@@ -155,7 +145,7 @@ fn the_elaborated_module_runs_exactly_on_the_wavefront_engine() {
                 .unwrap();
             let el = &cm.elab;
             let module = el.module.with_data(el.gather(&store).unwrap());
-            let wf = analyze_wavefront(&module, cm.batch_plan());
+            let wf = analyze_wavefront(&module, cm.batch_plan(), &[]);
             let kernels = analyze_kernels(&module, &wf);
             for kernels in [Some(&kernels), None] {
                 let ctx = format!("design {design} n={n} kernels {}", kernels.is_some());

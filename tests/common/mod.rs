@@ -451,7 +451,7 @@ pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared)
     if !cm.batch_plan().batchable() {
         return 0;
     }
-    let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan());
+    let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan(), &[]);
     check_wavefront_plan(
         &format!("{label}, as elaborated"),
         &cm.elab.module,
@@ -490,7 +490,7 @@ pub fn assert_one_fast_engine(
     let (plan, env, store) = prepared;
     let cm = ms.module(plan, env, store, elab).unwrap();
     let batchable = cm.batch_plan().batchable();
-    let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan());
+    let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan(), &[]);
     assert_eq!(elaborated.eligible(), batchable, "{label}");
     let fast = cm.fast_plan();
     assert_eq!(fast.wavefront.eligible(), batchable, "{label}, fast plan");

@@ -162,7 +162,7 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
 #[test]
 fn the_reports_describe_the_module_that_ran() {
     use systolizer::interp::{elaborate, ElabOptions, Problem};
-    use systolizer::runtime::{analyze_kernels, analyze_wavefront, analyze_with_caps, optimize};
+    use systolizer::runtime::{analyze, analyze_kernels, analyze_wavefront, optimize};
     let (out, docs) = cli_artifacts("polyprod.sys", "8", &["--metrics", "--opt-report"]);
     let src = std::fs::read_to_string("programs/polyprod.sys").unwrap();
     let sys = systolizer::systolize_source(&src, &Default::default()).unwrap();
@@ -171,8 +171,8 @@ fn the_reports_describe_the_module_that_ran() {
     let el = elaborate(&sys.plan, &env, &store, &ElabOptions::default()).unwrap();
     let fused = optimize(&el.module).expect("polyprod.sys n=8 fuses relays");
     assert!(fused.report.fused_relays() > 0);
-    let batch = analyze_with_caps(&fused.module, &fused.chan_caps);
-    let waves = analyze_wavefront(&fused.module, &batch);
+    let batch = analyze(&fused.module);
+    let waves = analyze_wavefront(&fused.module, &batch, &fused.ring_needs);
     let ran = waves.json(&fused.module, &batch);
     let kernels = analyze_kernels(&fused.module, &waves).json();
     let processes = fused.module.procs.len();

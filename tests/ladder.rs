@@ -26,7 +26,7 @@ use systolizer::interp::{
     simulate_verified, BatchMode, ElabOptions, ExecutorChoice, ModuleStore, SimSpec,
 };
 use systolizer::runtime::{
-    analyze, analyze_wavefront, ChanId, ChannelPolicy, FifoPolicy, ProcIrBuilder, ProcOp, RunStats,
+    analyze, analyze_wavefront, ChanId, FifoPolicy, ProcIrBuilder, ProcOp, RunStats,
     SchedulePolicy, WAVEFRONT_RING_CAP,
 };
 
@@ -124,14 +124,6 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
             }
 
             // What closes the gate besides `batch: Off`, and what does not.
-            let buffered = verified(
-                "buffered",
-                SimSpec {
-                    policy: ChannelPolicy::Buffered(4),
-                    ..SimSpec::default()
-                },
-            );
-            assert!(!buffered.wavefront, "a buffered policy closes the gate");
             let adversarial = verified(
                 "reverse",
                 SimSpec {
@@ -285,7 +277,7 @@ fn the_wavefront_plan_wakes_a_sender_blocked_on_a_full_ring() {
     let m = b.build();
     let batch = analyze(&m);
     assert!(batch.batchable(), "{:?}", batch.reject_reason());
-    let wf = analyze_wavefront(&m, &batch);
+    let wf = analyze_wavefront(&m, &batch, &[]);
     assert!(batch.traffic[1] > wf.capacities[1], "channel 1 can fill");
     check_wavefront_plan("full ring", &m, &batch, &wf);
 }

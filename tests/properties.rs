@@ -189,32 +189,6 @@ proptest! {
         prop_assert_eq!(coop.stats.steps, part.stats.steps);
         prop_assert_eq!(coop.stats.processes, threaded.stats.processes);
     }
-
-    /// Channel policy is semantically inert: buffered channels of any
-    /// capacity produce the same results as rendezvous.
-    #[test]
-    fn channel_capacity_is_semantically_inert(
-        cap in 1usize..=6,
-        n in 1i64..=4,
-        seed in 0u64..1000,
-    ) {
-        use systolizer::runtime::ChannelPolicy;
-        let (p, a) = systolizer::synthesis::placement::paper::polyprod_d2();
-        let plan = compile(&p, &a, &Options::default()).unwrap();
-        let mut env = Env::new();
-        env.bind(p.sizes[0], n);
-        let store = seeded_store(&plan, &env, &["a", "b"], seed);
-        let d = (plan, env, store);
-        let r1 = run(&d, SimSpec::plain());
-        let buffered = SimSpec {
-            policy: ChannelPolicy::Buffered(cap),
-            ..SimSpec::plain()
-        };
-        let r2 = run(&d, buffered);
-        prop_assert_eq!(r1.store.get("c"), r2.store.get("c"));
-        // Buffered transfers are counted twice (enqueue + dequeue).
-        prop_assert_eq!(2 * r1.stats.messages, r2.stats.messages);
-    }
 }
 
 /// Named regressions for the degenerate corners the proptest above only

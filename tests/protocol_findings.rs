@@ -215,13 +215,13 @@ fn protocol_violation_names_both_claimants_and_the_channel() {
     // A malformed network — two sources driving one channel — is
     // diagnosed as RunError::Protocol with the channel id, the claimed
     // endpoint, and both process labels.
-    use systolizer::runtime::{ChannelPolicy, Network, ProcIrBuilder, RunError};
+    use systolizer::runtime::{Network, ProcIrBuilder, RunError};
     let mut b = ProcIrBuilder::new();
     b.source(0, &[1], "src-one");
     b.source(0, &[2], "src-two");
     b.sink(0, 2, "sink");
     let module = b.build();
-    let mut net = Network::new(ChannelPolicy::Rendezvous);
+    let mut net = Network::default();
     for p in module.instantiate().procs {
         net.add(p);
     }

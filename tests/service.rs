@@ -792,7 +792,7 @@ fn fault_plans_keep_stores_and_error_classification_under_the_pool() {
             deadline,
             60_000,
             Box::new(move || {
-                use systolic_runtime::{ChannelPolicy, Network, ProcIrBuilder};
+                use systolic_runtime::{Network, ProcIrBuilder};
                 let mut b = ProcIrBuilder::new();
                 b.source(0, &[10, 20, 30, 40], "src");
                 b.relay(0, 1, 4, "relay");
@@ -800,7 +800,7 @@ fn fault_plans_keep_stores_and_error_classification_under_the_pool() {
                 let module = b.build();
                 let inst = module.instantiate();
                 let procs = FaultPlan::abort(1).apply(inst.procs, module.n_chans);
-                let mut net = Network::new(ChannelPolicy::Rendezvous);
+                let mut net = Network::default();
                 if adversarial {
                     net.set_schedule_policy(policy_by_name("lifo", 7).unwrap());
                 }
