@@ -40,8 +40,8 @@ use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
 use systolic_runtime::{
-    analyze_kernels, analyze_wavefront, BatchPlan, Json, KernelPlan, OptReport, OptimizedModule,
-    ProcIrModule, WavefrontPlan,
+    analyze_kernels, analyze_wavefront, lock, BatchPlan, Json, KernelPlan, OptReport,
+    OptimizedModule, ProcIrModule, WavefrontPlan,
 };
 
 /// Retained skeletons (level 1). Skeletons are small — per-stream
@@ -299,6 +299,11 @@ impl Inner {
 /// The process-wide module cache. Executors go through
 /// [`ModuleStore::global`]; tests that need isolation construct their
 /// own with [`ModuleStore::new`].
+///
+/// The mutex is held across a miss's build and entered through the
+/// poison-tolerant [`lock`]: an entry is inserted only after its build
+/// returns, so a build that panics under the lock leaves every table
+/// valid, and the next request, on any tenant, finds the store working.
 #[derive(Default)]
 pub struct ModuleStore {
     inner: Mutex<Inner>,
@@ -314,7 +319,7 @@ impl ModuleStore {
     pub fn with_capacity(skeletons: usize, modules: usize) -> ModuleStore {
         let ms = ModuleStore::default();
         {
-            let mut g = ms.inner.lock().unwrap();
+            let mut g = lock(&ms.inner);
             g.skel_cap = skeletons.max(1);
             g.mod_cap = modules.max(1);
         }
@@ -331,7 +336,7 @@ impl ModuleStore {
     /// `(plan, opts)`.
     pub fn skeleton(&self, plan: &SystolicProgram, opts: &ElabOptions) -> Arc<SkeletonModule> {
         let fp = plan.fingerprint;
-        self.inner.lock().unwrap().skeleton(plan, opts, fp)
+        lock(&self.inner).skeleton(plan, opts, fp)
     }
 
     /// Both phases through the cache: the instantiated module for
@@ -352,7 +357,7 @@ impl ModuleStore {
         let fp = plan.fingerprint;
         let sizes: Vec<i64> = plan.source.sizes.iter().map(|&v| env.expect(v)).collect();
         let key = (fp, opts.clone(), sizes, store.shape_fingerprint());
-        let mut g = self.inner.lock().unwrap();
+        let mut g = lock(&self.inner);
         if let Some(m) = g.modules.get(&key).cloned() {
             g.stats.module_hits += 1;
             return Ok(m);
@@ -376,7 +381,7 @@ impl ModuleStore {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().stats.clone()
+        lock(&self.inner).stats.clone()
     }
 }
 
@@ -470,7 +475,7 @@ mod tests {
             ms.module(&plan, &env, &store, &ElabOptions::default())
                 .unwrap();
         }
-        let g = ms.inner.lock().unwrap();
+        let g = lock(&ms.inner);
         assert!(g.modules.len() <= MODULE_CAP);
         assert_eq!(g.modules.len(), g.mod_order.len());
     }
@@ -503,7 +508,7 @@ mod tests {
                 .unwrap();
         }
         {
-            let g = ms.inner.lock().unwrap();
+            let g = lock(&ms.inner);
             assert!(g.modules.len() <= MODULE_CAP);
         }
         let again = ms
@@ -543,12 +548,39 @@ mod tests {
         assert_eq!(s.module_misses, 10);
         assert_eq!(s.module_evictions, 7, "10 misses into 3 slots evict 7");
         {
-            let g = ms.inner.lock().unwrap();
+            let g = lock(&ms.inner);
             assert_eq!(g.modules.len(), 3);
             assert_eq!(g.mod_order.len(), 3);
         }
         let j = s.json().to_string();
         assert!(j.contains("\"module_evictions\":7"), "{j}");
+    }
+
+    /// A panic under the store's mutex poisons it. Every later lookup
+    /// must still miss, hit and count exactly, not panic in its turn.
+    #[test]
+    fn a_panic_under_the_lock_does_not_wedge_the_store() {
+        let (plan, env) = plan_and_env(3);
+        let store = HostStore::allocate(&plan.source, &env);
+        let ms = ModuleStore::new();
+        let opts = ElabOptions::default();
+        let first = ms.module(&plan, &env, &store, &opts).unwrap();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _g = lock(&ms.inner);
+                panic!("a build panics while it holds the store");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(ms.inner.is_poisoned());
+        let again = ms.module(&plan, &env, &store, &opts).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "the entry survived");
+        let (plan4, env4) = plan_and_env(4);
+        let store4 = HostStore::allocate(&plan4.source, &env4);
+        ms.module(&plan4, &env4, &store4, &opts).unwrap();
+        let s = ms.stats();
+        assert_eq!((s.module_hits, s.module_misses), (1, 2));
+        assert_eq!((s.skeleton_hits, s.skeleton_misses), (1, 1));
     }
 
     #[test]

@@ -28,8 +28,13 @@
 //! The superinstruction interpreter of that engine runs on the arena:
 //! [`RunArena::macro_step_window`] retires as many ops of one process as
 //! the rings allow, without returning to the engine (see `crate::batch`
-//! and `docs/scheduler.md`). The rendezvous engines interpret the same
-//! bytecode through `ProcVm`, one communication set per step.
+//! and `docs/scheduler.md`). Its transport ops move slices, not values:
+//! a `Pass` moves as many values as its count and both rings allow with
+//! [`Rings::transfer`], and a run of identical `Emit`s (`Collect`s) at
+//! the pc is one [`Rings::push_many`] ([`Rings::pop_extend`]); the
+//! statistics are still per value, added as products. The rendezvous
+//! engines interpret the same bytecode through `ProcVm`, one
+//! communication set per step.
 
 use crate::coop::RunStats;
 use crate::kernel::KernelScratch;
@@ -118,6 +123,15 @@ fn advance(t: &mut i64, x: &mut [i64], incr: &[i64]) {
     for (xi, &inc) in x.iter_mut().zip(incr) {
         *xi = xi.wrapping_add(inc);
     }
+}
+
+/// How many copies of `op` stand at `pc` before `end`, at most `room`:
+/// the run a transport arm retires in one slice. Found by comparing
+/// consecutive ops, so the bytecode needs no run table.
+#[inline]
+fn run_at(module: &ProcIrModule, pc: u32, end: u32, op: ProcOp, room: usize) -> usize {
+    let ops = &module.ops[pc as usize..end as usize];
+    ops.iter().take(room).take_while(|&&o| o == op).count()
 }
 
 /// One channel's bounded FIFO: `cap` slots of the slab from `base`, of
@@ -236,6 +250,50 @@ impl Rings {
         ring[..n as usize - first].copy_from_slice(&vals[first..]);
         r.len += n;
     }
+
+    /// Pop `m` values in FIFO order onto the end of `dst`, or drop them
+    /// when there is none; the caller must have checked [`Rings::len`].
+    #[inline]
+    pub(crate) fn pop_extend(&mut self, chan: ChanId, m: usize, dst: Option<&mut Vec<Value>>) {
+        let r = &mut self.ring[chan];
+        let n = m as u32;
+        assert!(n <= r.len, "pop_extend past occupancy");
+        if let Some(dst) = dst {
+            let first = n.min(r.cap - r.head) as usize;
+            let ring = &self.slab[r.base as usize..(r.base + r.cap) as usize];
+            dst.extend_from_slice(&ring[r.head as usize..][..first]);
+            dst.extend_from_slice(&ring[..m - first]);
+        }
+        r.head = (r.head + n) % r.cap;
+        r.len -= n;
+    }
+
+    /// Move `k` values from the head of `from` to the tail of `to` in
+    /// FIFO order: `k` receive-forward cycles of a `pass` at once. The
+    /// caller must have checked `k ≤ len(from)` and `k ≤ free(to)`. Each
+    /// stretch between two wraps is one `copy_within` on the slab. With
+    /// `from == to` it is a rotation, and the same bounds keep the `k`
+    /// slots read apart from the `k` slots written.
+    pub(crate) fn transfer(&mut self, from: ChanId, to: ChanId, k: usize) {
+        let (f, t) = (self.ring[from], self.ring[to]);
+        let n = k as u32;
+        assert!(n <= f.len && n <= t.cap - t.len, "transfer past a bound");
+        let (mut src, mut dst) = (f.head, (t.head + t.len) % t.cap);
+        let mut left = n;
+        while left > 0 {
+            let step = left.min(f.cap - src).min(t.cap - dst);
+            let at = (f.base + src) as usize;
+            self.slab
+                .copy_within(at..at + step as usize, (t.base + dst) as usize);
+            src = (src + step) % f.cap;
+            dst = (dst + step) % t.cap;
+            left -= step;
+        }
+        let f = &mut self.ring[from];
+        f.head = src;
+        f.len -= n;
+        self.ring[to].len += n;
+    }
 }
 
 /// One run's mutable state; see the module docs.
@@ -345,10 +403,13 @@ impl RunArena {
     /// The superinstruction path of the cooperative fast engine, bounded
     /// to the ops `start..end` of process `pid` (one node of the
     /// wavefront plan): retire as many ops as the rings allow without
-    /// returning to the engine. Fused paths drain whole `Pass`
-    /// repetitions and whole `Compute` receive/body/send cycles in a
-    /// tight loop; values move through the rings instead of rendezvous
-    /// sets.
+    /// returning to the engine. Transport moves slices: a `Pass` moves
+    /// `min(cycles left, len(inp), free(out))` values ring to ring in one
+    /// [`Rings::transfer`], and a run of identical `Emit`s or `Collect`s
+    /// at the pc moves as many values as the ring allows in one
+    /// [`Rings::push_many`] or [`Rings::pop_extend`]. Whole `Compute`
+    /// receive/body/send cycles run in a tight loop; values move through
+    /// the rings instead of rendezvous sets.
     ///
     /// Runs only while `start ≤ pc < end` — a window whose predecessor
     /// has not retired yet is not startable and returns `false`
@@ -360,9 +421,9 @@ impl RunArena {
     /// communication sets and transfers exactly as the rendezvous
     /// engines would (steps on each completed set plus one terminal
     /// empty step; one message per value transferred, counted at the
-    /// push), so fast runs stay stat-comparable. Every successful ring
-    /// push/pop also bumps `*moved` — the engine's progress signal for
-    /// deadlock detection.
+    /// push), so fast runs stay stat-comparable; a slice adds its values'
+    /// counts at once. Every value pushed or popped also counts in
+    /// `*moved` — the engine's progress signal for deadlock detection.
     pub(crate) fn macro_step_window(
         &mut self,
         module: &ProcIrModule,
@@ -394,28 +455,34 @@ impl RunArena {
                 return true;
             }
             match module.ops[r.pc as usize] {
-                ProcOp::Emit { chan } => {
-                    // A blocked sender is the common visit on narrow rings:
-                    // look at the ring before fetching the value.
-                    if rings.free(chan) == 0 || !rings.push(chan, module.data[r.cursor as usize]) {
+                op @ ProcOp::Emit { chan } => {
+                    // The run of this very op at `pc`, as far as the ring
+                    // has room: one slice of the data segment. A blocked
+                    // sender is the common visit on narrow rings, and
+                    // costs one look at the ring.
+                    let m = run_at(module, r.pc, end, op, rings.free(chan));
+                    if m == 0 {
                         return false;
                     }
-                    r.cursor += 1;
-                    r.pc += 1;
-                    stats.steps += 1;
-                    stats.messages += 1;
-                    *moved += 1;
+                    let at = r.cursor as usize;
+                    rings.push_many(chan, &module.data[at..at + m]);
+                    r.cursor += m as u32;
+                    r.pc += m as u32;
+                    stats.steps += m as u64;
+                    stats.messages += m as u64;
+                    *moved += m as u64;
                 }
-                ProcOp::Collect { chan } => {
-                    let Some(v) = rings.pop(chan) else {
+                op @ ProcOp::Collect { chan } => {
+                    // The same for a run of receives into the output.
+                    let m = run_at(module, r.pc, end, op, rings.len(chan));
+                    if m == 0 {
                         return false;
-                    };
-                    if let Some(o) = rec.output {
-                        self.outputs[o as usize].push(v);
                     }
-                    r.pc += 1;
-                    stats.steps += 1;
-                    *moved += 1;
+                    let out = rec.output.map(|o| &mut self.outputs[o as usize]);
+                    rings.pop_extend(chan, m, out);
+                    r.pc += m as u32;
+                    stats.steps += m as u64;
+                    *moved += m as u64;
                 }
                 ProcOp::Keep { chan, slot } => {
                     let Some(v) = rings.pop(chan) else {
@@ -440,22 +507,31 @@ impl RunArena {
                         stats.messages += 1;
                         *moved += 1;
                     }
-                    // The fused pass loop: k receive-forward cycles per
-                    // visit, bounded only by ring occupancy.
+                    // The pass as slices: k receive-forward cycles at once,
+                    // k bounded by the cycles left and both rings. Only a
+                    // rotation (`inp == out`) can need a second slice.
                     while r.pass_left > 0 {
-                        let Some(v) = rings.pop(inp) else {
-                            return false;
-                        };
-                        stats.steps += 1;
-                        *moved += 1;
-                        r.pass_left -= 1;
-                        if !rings.push(out, v) {
+                        let k = (r.pass_left as usize)
+                            .min(rings.len(inp))
+                            .min(rings.free(out));
+                        if k == 0 {
+                            // An empty `inp` blocks here; a full `out`
+                            // takes one value and holds it, as the
+                            // rendezvous receive would have.
+                            let Some(v) = rings.pop(inp) else {
+                                return false;
+                            };
+                            stats.steps += 1;
+                            *moved += 1;
+                            r.pass_left -= 1;
                             r.state = MacroState::PassHeld(v);
                             return false;
                         }
-                        stats.steps += 1;
-                        stats.messages += 1;
-                        *moved += 1;
+                        rings.transfer(inp, out, k);
+                        r.pass_left -= k as i64;
+                        stats.steps += 2 * k as u64;
+                        stats.messages += k as u64;
+                        *moved += 2 * k as u64;
                     }
                     r.pass_left = -1;
                     r.pc += 1;
@@ -677,6 +753,74 @@ mod tests {
         assert!(rings.len(0) == 0 && rings.pop(0).is_none());
         // The neighbours' spans were never touched.
         assert_eq!((rings.pop(1), rings.pop(2)), (Some(70), Some(90)));
+    }
+
+    /// Ring `chan`, empty, with its head turned to slot `head`, then
+    /// `vals` pushed.
+    fn seat(rings: &mut Rings, chan: ChanId, head: usize, vals: &[Value]) {
+        for _ in 0..head {
+            assert!(rings.push(chan, 0));
+            assert_eq!(rings.pop(chan), Some(0));
+        }
+        rings.push_many(chan, vals);
+    }
+
+    /// Everything in flight on `chan`, one pop at a time.
+    fn drain(rings: &mut Rings, chan: ChanId) -> Vec<Value> {
+        std::iter::from_fn(|| rings.pop(chan)).collect()
+    }
+
+    #[test]
+    fn transfer_moves_a_slice_across_either_wrap() {
+        // (source head, destination head, destination occupancy, k), on
+        // a full source and a destination of capacity 5 each.
+        for (sh, dh, dl, k) in [
+            (3, 0, 0, 4), // the source wraps
+            (0, 3, 0, 4), // the destination wraps
+            (3, 1, 1, 4), // both wrap, at different points
+            (2, 2, 1, 0), // nothing to move
+            (4, 1, 0, 5), // a whole ring
+        ] {
+            let ctx = format!("source head {sh}, destination {dh}+{dl}, k {k}");
+            let mut rings = Rings::default();
+            rings.reset(&[2, 5, 5, 2]);
+            rings.push_many(0, &[-1, -2]);
+            rings.push_many(3, &[-3, -4]);
+            seat(&mut rings, 1, sh, &[10, 11, 12, 13, 14]);
+            let resident: Vec<Value> = (90..90 + dl as Value).collect();
+            seat(&mut rings, 2, dh, &resident);
+            rings.transfer(1, 2, k);
+            assert_eq!((rings.len(1), rings.len(2)), (5 - k, dl + k), "{ctx}");
+            let moved = 10..10 + k as Value;
+            let expected: Vec<Value> = resident.iter().copied().chain(moved).collect();
+            assert_eq!(drain(&mut rings, 2), expected, "{ctx}");
+            let rest: Vec<Value> = (10 + k as Value..15).collect();
+            assert_eq!(drain(&mut rings, 1), rest, "{ctx}");
+            assert_eq!(drain(&mut rings, 0), [-1, -2], "{ctx}: left neighbour");
+            assert_eq!(drain(&mut rings, 3), [-3, -4], "{ctx}: right neighbour");
+        }
+        // A pass from a ring into itself rotates it.
+        let mut rings = Rings::default();
+        rings.reset(&[5]);
+        seat(&mut rings, 0, 3, &[1, 2, 3]);
+        rings.transfer(0, 0, 2);
+        assert_eq!(drain(&mut rings, 0), [3, 1, 2]);
+    }
+
+    #[test]
+    fn pop_extend_appends_across_the_wrap_or_drops() {
+        let mut rings = Rings::default();
+        rings.reset(&[1, 4, 1]);
+        assert!(rings.push(0, -1) && rings.push(2, -2));
+        seat(&mut rings, 1, 3, &[5, 6, 7]);
+        let mut out = vec![4];
+        rings.pop_extend(1, 3, Some(&mut out));
+        assert_eq!(out, [4, 5, 6, 7], "head at the last slot: the run wraps");
+        assert_eq!(rings.len(1), 0);
+        rings.push_many(1, &[8, 9, 10]);
+        rings.pop_extend(1, 2, None);
+        assert_eq!(drain(&mut rings, 1), [10], "a sink without an output drops");
+        assert_eq!((rings.pop(0), rings.pop(2)), (Some(-1), Some(-2)));
     }
 
     #[test]

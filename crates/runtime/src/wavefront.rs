@@ -800,6 +800,58 @@ mod tests {
         assert!(ps.rounds > 200, "{} rendezvous rounds", ps.rounds);
     }
 
+    /// Transport on rings of every capacity vector in `1..=4`: a 13-value
+    /// `Emit` run through a two-relay `Pass` chain into a `Collect` run,
+    /// beside a source and a sink that alternate two channels, so their
+    /// runs are one op long. Narrow rings cut the runs short and leave
+    /// relays holding a value (`PassHeld`). Driven process by process to
+    /// the end, every capacity vector must give the rendezvous run's
+    /// outputs, messages and steps, and every visit's `moved` must be the
+    /// values it pushed plus the values it popped.
+    #[test]
+    fn transport_slices_agree_with_the_rendezvous_run_on_narrow_rings() {
+        let mut b = ProcIrBuilder::new();
+        b.source(0, &(1..=13).collect::<Vec<_>>(), "src");
+        b.relay(0, 1, 13, "relay-a");
+        b.relay(1, 2, 13, "relay-b");
+        b.sink(2, 13, "sink");
+        let alternate: Vec<_> = (0..8).map(|i| (3 + i % 2, 100 + i as Value)).collect();
+        b.scripted_source(&alternate, "alt-src");
+        let chans: Vec<_> = alternate.iter().map(|&(chan, _)| chan).collect();
+        b.scripted_sink(&chans, "alt-sink");
+        let m = b.build();
+        let (plain, plain_outs) = run_plain(&m).unwrap();
+        // Every channel is pushed by one process and popped by another,
+        // so what a visit moved is how far it changed the rings.
+        let lens = |a: &RunArena| (0..m.n_chans).map(|c| a.rings.len(c)).collect::<Vec<_>>();
+        let mut arena = RunArena::default();
+        for code in 0..4usize.pow(m.n_chans as u32) {
+            let caps: Vec<u64> = (0..m.n_chans)
+                .map(|c| (code / 4usize.pow(c as u32) % 4 + 1) as u64)
+                .collect();
+            arena.reset(&m, &caps);
+            let mut stats = RunStats::default();
+            let mut done = vec![false; m.procs.len()];
+            while done.contains(&false) {
+                let mut progress = false;
+                for (pid, done) in done.iter_mut().enumerate() {
+                    let (before, mut moved) = (lens(&arena), 0);
+                    let ops = m.procs[pid].ops;
+                    let retired = arena.macro_step_window(&m, pid, ops, &mut stats, &mut moved);
+                    let after = lens(&arena);
+                    let flow: usize = before.iter().zip(&after).map(|(b, a)| b.abs_diff(*a)).sum();
+                    assert_eq!(moved, flow as u64, "caps {caps:?}, pid {pid}");
+                    progress |= moved > 0 || retired && !*done;
+                    *done = retired;
+                }
+                assert!(progress, "caps {caps:?}: stuck");
+            }
+            let logical = |s: &RunStats| (s.messages, s.steps);
+            assert_eq!(logical(&stats), logical(&plain), "caps {caps:?}");
+            assert_eq!(arena.outputs, plain_outs, "caps {caps:?}");
+        }
+    }
+
     #[test]
     fn cyclic_chunks_fixpoint_instead_of_deadlocking() {
         // a <-> b exchange: one SCC, one chunk, one wave.

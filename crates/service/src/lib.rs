@@ -35,6 +35,7 @@ use systolic_core::SystolicProgram;
 use systolic_interp::{
     observe_plan_in, simulate, simulate_verified, ExecutorChoice, ModuleStore, Problem, SimSpec,
 };
+use systolic_runtime::lock;
 use systolic_sim::{policy_by_name, Json, ScheduleFile};
 
 /// Capacity and policy knobs. Defaults suit a small box; `docs/service.md`
@@ -118,13 +119,15 @@ impl PlanCache {
     /// Look up `key`, building (and caching) with `build` on a miss.
     /// The mutex is held across the build, so concurrent cold requests
     /// for one key compile it exactly once — the same exactness
-    /// contract as `ModuleStore`.
+    /// contract as `ModuleStore`, and the same poison tolerance: an
+    /// entry goes in only after its build returns, so a build that
+    /// panics leaves the cache valid for every later request.
     pub fn get_or_build(
         &self,
         key: &str,
         build: impl FnOnce() -> Result<ResolvedProgram, ApiError>,
     ) -> Result<Arc<ResolvedProgram>, ApiError> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = lock(&self.inner);
         if let Some(p) = g.map.get(key).cloned() {
             g.hits += 1;
             return Ok(p);
@@ -144,7 +147,7 @@ impl PlanCache {
 
     /// `(hits, misses, evictions, len)`.
     pub fn stats(&self) -> (u64, u64, u64, usize) {
-        let g = self.inner.lock().unwrap();
+        let g = lock(&self.inner);
         (g.hits, g.misses, g.evictions, g.map.len())
     }
 }
@@ -422,5 +425,23 @@ mod tests {
         let again = svc.resolve(&ProgramRef::Source(ALPHA.into())).unwrap();
         assert!(Arc::ptr_eq(&alpha, &again));
         assert_eq!(svc.plans.stats().0, 1, "one hit: the repeated A");
+    }
+
+    /// A build that panics poisons the plan cache's mutex; the next
+    /// request, for any key, must still be served, and the panicking key
+    /// must build afresh.
+    #[test]
+    fn a_panicking_build_does_not_wedge_the_plan_cache() {
+        let plans = PlanCache::new(4);
+        let unwound = std::panic::catch_unwind(|| {
+            let _ = plans.get_or_build("source:bad", || panic!("the compiler panics"));
+        });
+        assert!(unwound.is_err());
+        assert!(plans.inner.is_poisoned());
+        let alpha = plans.get_or_build("source:alpha", || compile_source(ALPHA));
+        assert_eq!(alpha.unwrap().plan.source.name, "alpha");
+        let beta = plans.get_or_build("source:bad", || compile_source(BETA));
+        assert_eq!(beta.unwrap().plan.source.name, "beta", "nothing was cached");
+        assert_eq!(plans.stats(), (0, 3, 0, 2));
     }
 }
