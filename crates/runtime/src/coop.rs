@@ -204,6 +204,16 @@ impl From<ProtocolViolation> for RunError {
     }
 }
 
+/// `label [send@c,recv@c,…]`: one blocked process and the requests it
+/// waits on, as every engine's deadlock report names them.
+pub(crate) fn blocked_line<'a>(label: &str, waits: impl Iterator<Item = &'a CommReq>) -> String {
+    let wait = |r: &CommReq| format!("{}@{}", ["recv", "send"][r.is_send() as usize], r.chan());
+    format!(
+        "{label} [{}]",
+        waits.map(wait).collect::<Vec<_>>().join(",")
+    )
+}
+
 struct ProcState {
     proc: Box<dyn Process>,
     /// Pending requests with completion marks.
@@ -357,16 +367,8 @@ impl Network {
             .iter()
             .filter(|p| !p.finished)
             .map(|p| {
-                let waits: Vec<String> = p
-                    .pending
-                    .iter()
-                    .filter(|&&(_, done)| !done)
-                    .map(|(r, _)| match r {
-                        CommReq::Send { chan, .. } => format!("send@{chan}"),
-                        CommReq::Recv { chan } => format!("recv@{chan}"),
-                    })
-                    .collect();
-                format!("{} [{}]", p.proc.label(), waits.join(","))
+                let waits = p.pending.iter().filter(|&&(_, done)| !done);
+                blocked_line(&p.proc.label(), waits.map(|(r, _)| r))
             })
             .collect();
         Deadlock { blocked }

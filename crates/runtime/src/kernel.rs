@@ -21,9 +21,9 @@
 //!   once per module: a chunk is *kernel-eligible* when it is a single
 //!   compute window — one process's repeater, which the plan has already
 //!   cut from the load/soak ops before it and the drain/recover ops
-//!   after it — moving values over pairwise-distinct rings: exactly the
-//!   precondition of `macro_step`'s loop-summarized fast path, which the
-//!   kernel path mirrors batch-wise. Everything else (transport windows,
+//!   after it — moving values over pairwise-distinct rings, so that a
+//!   batch's iterations are whole par-receive/body/par-send cycles of the
+//!   op step (`crate::step`), taken batch-wise. Everything else (transport windows,
 //!   compute windows that sit on a genuine cycle, aliased rings) runs on
 //!   the scalar macro-step, and the report counts what a reader counts:
 //!   compute chunks and whole transport processes, each scalar one with
@@ -44,7 +44,7 @@
 //!   per lane; the other carried ops, if any, run per iteration over the
 //!   lanes; and the sent rows scatter back into the slab in FIFO order.
 //!   The per-lane logical accounting (`steps`, `messages`, ring `moved`)
-//!   is identical to the loop-summarized macro path, so stores stay
+//!   is identical to the scalar op step's, so stores stay
 //!   bit-identical and stats invariant — the same contract every other
 //!   engine upholds.
 //!
@@ -64,6 +64,7 @@ use crate::coop::RunStats;
 use crate::json::Json;
 use crate::process::Value;
 use crate::procir::{MovingLink, ProcIrModule};
+use crate::step::Port;
 use crate::wavefront::{WaveState, WavefrontPlan, Window};
 use std::sync::Arc;
 
@@ -1024,7 +1025,7 @@ pub(crate) fn kernel_wave(
 
         // Phase 4: scatter — push the sent values in FIFO order, write the
         // locals / index points / iteration counter back, and account the
-        // batch exactly as `iters` loop-summarized macro iterations would
+        // batch exactly as `iters` iterations of the scalar op step would
         // have (one step per par-set, one message per pushed value, one
         // `moved` tick per ring touch).
         for (li, &(k, _)) in lanes[..lane_n].iter().enumerate() {

@@ -9,8 +9,9 @@
 //!   vocabulary ([`CommReq`], [`ChanId`], [`Value`]), and [`lock`], the
 //!   one poison-tolerant way into the mutexes the engines share;
 //! - [`procir`] — the flat process bytecode ([`ProcIrModule`]) that every
-//!   elaborated process lowers to, and the generic VM ([`ProcVm`]) that
-//!   interprets it for the rendezvous engines;
+//!   elaborated process lowers to, and the VM ([`ProcVm`]) that runs it
+//!   for the rendezvous engines; every engine gives the ops their meaning
+//!   through one op step (`step.rs`), generic over its channels;
 //! - [`batch`] — the steady-state batching proof ([`analyze`]) that
 //!   gates the cooperative executor's macro-stepping fast path (see
 //!   `docs/scheduler.md`), which runs on one per-thread run arena — flat
@@ -50,6 +51,7 @@ pub mod process;
 pub mod procir;
 pub mod record;
 pub mod schedule;
+mod step;
 pub mod wavefront;
 
 pub use batch::{analyze, BatchMode, BatchPlan};

@@ -7,13 +7,13 @@
 //! ProcIR encodes that trace directly as a compact op list per process,
 //! stored in one arena ([`ProcIrModule`]) indexed by [`ProcId`], with
 //! channel endpoints already resolved to dense [`ChanId`]s at lowering
-//! time. One generic virtual machine ([`ProcVm`]) interprets the ops as
-//! a [`Process`] coroutine, so the cooperative, threaded, and
-//! partitioned rendezvous executors all drive the same semantics — there
-//! is no per-executor (or per-role) process behaviour anywhere else. The
-//! two cooperative fast engines run the same ops as superinstructions
-//! over flat tables of run state instead (`crate::arena`); `ProcVm` is
-//! the rendezvous interpreter only.
+//! time. One op step (`crate::step`) gives the ops their meaning on every
+//! engine — there is no per-executor (or per-role) process behaviour
+//! anywhere else. [`ProcVm`] runs it as a [`Process`] coroutine against
+//! rendezvous channels, for the cooperative, threaded and partitioned
+//! rendezvous executors; the one cooperative fast engine, the wavefront
+//! executor, runs it against the rings of its run arena
+//! (`crate::arena`).
 //!
 //! The op set covers the canonical program shape of Appendix C–E
 //! (`load` / soak / repeater / drain / `recover`) plus the host fringe:
@@ -40,9 +40,11 @@
 //! another one to the same code. See `docs/process-ir.md` for the
 //! lowering rules and the VM's invariants.
 
+use crate::coop::RunStats;
 use crate::kernel::Kernel;
 use crate::process::{lock, sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
-use crate::record::{OpKind, Phase, SharedRecorder};
+use crate::record::SharedRecorder;
+use crate::step::{blocked_on, step_window, Completed, ProcView, Regs};
 use std::sync::Arc;
 
 /// Index of a process in its module's arena.
@@ -481,65 +483,25 @@ impl ProcIrBuilder {
     }
 }
 
-/// What the previously issued communication set was, so the next step
-/// can absorb its results.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Pending {
-    None,
-    /// A send completed ([`ProcOp::Emit`] / [`ProcOp::Eject`]).
-    Sent,
-    /// A [`ProcOp::Keep`] receive; the value lands in the local.
-    Keep {
-        slot: u32,
-    },
-    /// A [`ProcOp::Collect`] receive; the value lands in the output
-    /// buffer.
-    CollectRecv,
-    /// A [`ProcOp::Pass`] cycle's receive; the value must be forwarded
-    /// next.
-    PassRecv {
-        out: ChanId,
-    },
-    /// A pass cycle's forward completed.
-    PassSent,
-    /// The repeater's par-receive; values land in moving-link order.
-    ComputeRecv,
-    /// The repeater's par-send completed.
-    ComputeSent,
-}
-
-/// The generic process VM: interprets one process's ops as a [`Process`]
-/// coroutine. All state is a handful of scalars plus the `locals`/`x`
-/// vectors sized at construction, so steady-state stepping performs no
-/// heap allocation (the scheduler's reuse invariant, `docs/scheduler.md`).
+/// The rendezvous VM: one process's ops as a [`Process`] coroutine. Each
+/// step is the op step (`crate::step`) against the set the VM blocked
+/// on, now complete; where it blocks again, the set it waits on is the
+/// next. All state — registers, stream locals, index point, one-lane
+/// kernel registers — is sized at construction, so stepping allocates
+/// nothing (the scheduler's reuse invariant, `docs/scheduler.md`).
 pub struct ProcVm {
     module: Arc<ProcIrModule>,
     pid: ProcId,
-    /// Program counter, absolute into `module.ops`.
-    pc: u32,
-    /// Data cursor, absolute into `module.data`.
-    cursor: u32,
-    /// Remaining cycles of the current [`ProcOp::Pass`]; `-1` when not
-    /// inside one.
-    pass_left: i64,
-    pending: Pending,
-    /// One local per stream of the source program.
-    locals: Vec<Value>,
-    /// Current index point of the repeater.
-    x: Vec<i64>,
-    /// The kernel tape's registers, one lane wide.
-    regs: Vec<Value>,
-    /// Current repeater iteration.
-    t: i64,
+    regs: Regs,
+    /// Requests in the set the next step completes (0 before the first).
+    issued: usize,
+    locals: Box<[Value]>,
+    x: Box<[i64]>,
+    tape: Box<[Value]>,
     /// Output buffer for [`ProcOp::Collect`].
     out: Option<SinkBuffer>,
-    /// Observability sinks for retired op effects (empty when off — the
-    /// only per-step cost is then one `is_empty` branch per effect).
+    /// With none, the VM runs the unobserved step.
     recorders: Vec<SharedRecorder>,
-    /// Absolute pc of this process's [`ProcOp::Compute`], for the
-    /// soak-side / drain-side phase classification of `Pass` cycles.
-    /// Only resolved when recorders are attached.
-    compute_pc: Option<u32>,
 }
 
 impl ProcVm {
@@ -551,61 +513,16 @@ impl ProcVm {
         out: Option<SinkBuffer>,
         recorders: Vec<SharedRecorder>,
     ) -> ProcVm {
-        let rec = &module.procs[pid];
-        let (pc, cursor) = (rec.ops.0, rec.data.0);
-        let locals = vec![0; rec.n_locals as usize];
-        let x = module.first_of(pid).to_vec();
-        let regs = vec![0; module.kernel.ops.len()];
-        let compute_pc = if recorders.is_empty() {
-            None
-        } else {
-            (rec.ops.0..rec.ops.1)
-                .find(|&p| matches!(module.ops[p as usize], ProcOp::Compute { .. }))
-        };
         ProcVm {
+            regs: Regs::start(&module, pid, 0, 0),
+            issued: 0,
+            locals: vec![0; module.procs[pid].n_locals as usize].into(),
+            x: module.first_of(pid).into(),
+            tape: vec![0; module.kernel.ops.len()].into(),
             module,
             pid,
-            pc,
-            cursor,
-            pass_left: -1,
-            pending: Pending::None,
-            locals,
-            x,
-            regs,
-            t: 0,
             out,
             recorders,
-            compute_pc,
-        }
-    }
-
-    /// Execute the basic statement at the current index point.
-    fn compute(&mut self) {
-        self.module
-            .kernel
-            .run(&mut self.regs, &mut self.locals, &self.x, 1);
-        self.record_op(OpKind::Compute, Phase::Compute);
-    }
-
-    /// Report one retired op effect to every attached recorder.
-    #[inline]
-    fn record_op(&self, kind: OpKind, phase: Phase) {
-        if self.recorders.is_empty() {
-            return;
-        }
-        for r in &self.recorders {
-            lock(r).vm_op(self.pid, kind, phase);
-        }
-    }
-
-    /// Which canonical-program phase the current `Pass` cycle belongs
-    /// to: soak side before the repeater, drain side after it, pure
-    /// transport when the process has no repeater at all.
-    fn pass_phase(&self) -> Phase {
-        match self.compute_pc {
-            None => Phase::Transport,
-            Some(cpc) if self.pc < cpc => Phase::Soak,
-            Some(_) => Phase::Drain,
         }
     }
 }
@@ -614,139 +531,30 @@ impl Process for ProcVm {
     // `step_into` (not `step`) so every elaborated process upholds the
     // scheduler's zero-allocation round invariant.
     fn step_into(&mut self, received: &[Value], out: &mut Vec<CommReq>) {
-        // Phase 1: absorb the previous set; pass-forwards and the
-        // repeater's par-send complete within this step.
-        match self.pending {
-            Pending::None | Pending::Sent | Pending::PassSent => {}
-            Pending::Keep { slot } => {
-                self.locals[slot as usize] = received[0];
-            }
-            Pending::CollectRecv => {
-                if let Some(buf) = &self.out {
-                    lock(buf).push(received[0]);
-                }
-            }
-            Pending::PassRecv { out: oc } => {
-                self.pending = Pending::PassSent;
-                out.push(CommReq::Send {
-                    chan: oc,
-                    value: received[0],
-                });
-                return;
-            }
-            Pending::ComputeRecv => {
-                let links = self.module.moving_of(self.pid);
-                for (mc, &v) in links.iter().zip(received) {
-                    self.locals[mc.slot as usize] = v;
-                }
-                self.compute();
-                let links = self.module.moving_of(self.pid);
-                // Par-send the moving locals.
-                self.pending = Pending::ComputeSent;
-                out.extend(links.iter().map(|mc| CommReq::Send {
-                    chan: mc.out,
-                    value: self.locals[mc.slot as usize],
-                }));
-                return;
-            }
-            Pending::ComputeSent => {
-                // Iteration finished: advance the repeater.
-                self.t += 1;
-                let incr = self.module.increment_of(self.pid);
-                for (xi, &inc) in self.x.iter_mut().zip(incr) {
-                    *xi = xi.wrapping_add(inc);
-                }
-            }
+        let (module, pid) = (&*self.module, self.pid);
+        let mut port = Completed::new(self.issued, received);
+        let mut sink = self.out.as_ref().map(|b| lock(b));
+        let p = ProcView {
+            regs: &mut self.regs,
+            locals: &mut self.locals,
+            x: &mut self.x,
+            tape: &mut self.tape,
+            out: sink.as_deref_mut(),
+            recorders: &self.recorders,
+        };
+        // The engine counts steps and messages itself.
+        let (mut stats, mut moved) = (RunStats::default(), 0);
+        let whole = module.procs[pid].ops;
+        let left = if self.recorders.is_empty() {
+            step_window::<_, false>(module, pid, whole, p, &mut port, &mut stats, &mut moved)
+        } else {
+            step_window::<_, true>(module, pid, whole, p, &mut port, &mut stats, &mut moved)
+        };
+        debug_assert!(port.consumed(), "a step retires the whole completed set");
+        if !left {
+            blocked_on(module, pid, &self.regs, &self.locals, out);
         }
-
-        // Phase 2: issue the next communication.
-        let end = self.module.procs[self.pid].ops.1;
-        loop {
-            if self.pc >= end {
-                self.pending = Pending::None;
-                return;
-            }
-            match self.module.ops[self.pc as usize] {
-                ProcOp::Emit { chan } => {
-                    let value = self.module.data[self.cursor as usize];
-                    self.cursor += 1;
-                    self.pc += 1;
-                    self.pending = Pending::Sent;
-                    self.record_op(OpKind::Emit, Phase::Host);
-                    out.push(CommReq::Send { chan, value });
-                    return;
-                }
-                ProcOp::Collect { chan } => {
-                    self.pc += 1;
-                    self.pending = Pending::CollectRecv;
-                    self.record_op(OpKind::Collect, Phase::Host);
-                    out.push(CommReq::Recv { chan });
-                    return;
-                }
-                ProcOp::Keep { chan, slot } => {
-                    self.pc += 1;
-                    self.pending = Pending::Keep { slot };
-                    self.record_op(OpKind::Keep, Phase::Load);
-                    out.push(CommReq::Recv { chan });
-                    return;
-                }
-                ProcOp::Pass { inp, out: oc, n } => {
-                    if self.pass_left < 0 {
-                        self.pass_left = n as i64;
-                    }
-                    if self.pass_left == 0 {
-                        self.pass_left = -1;
-                        self.pc += 1;
-                        continue;
-                    }
-                    self.pass_left -= 1;
-                    self.pending = Pending::PassRecv { out: oc };
-                    self.record_op(OpKind::Pass, self.pass_phase());
-                    out.push(CommReq::Recv { chan: inp });
-                    return;
-                }
-                ProcOp::Eject { chan, slot } => {
-                    let req = CommReq::Send {
-                        chan,
-                        value: self.locals[slot as usize],
-                    };
-                    self.pc += 1;
-                    self.pending = Pending::Sent;
-                    self.record_op(OpKind::Eject, Phase::Recover);
-                    out.push(req);
-                    return;
-                }
-                ProcOp::Compute { count } => {
-                    if self.t >= count as i64 {
-                        // Reset for a hypothetical later Compute.
-                        self.pc += 1;
-                        self.t = 0;
-                        let (a, b) = self.module.procs[self.pid].repeater;
-                        let half = ((b - a) / 2) as usize;
-                        self.x
-                            .copy_from_slice(&self.module.points[a as usize..a as usize + half]);
-                        continue;
-                    }
-                    let links = self.module.moving_of(self.pid);
-                    if links.is_empty() {
-                        // No communications: execute the whole repeater
-                        // locally in one go.
-                        while self.t < count as i64 {
-                            self.compute();
-                            self.t += 1;
-                            let incr = self.module.increment_of(self.pid);
-                            for (xi, &inc) in self.x.iter_mut().zip(incr) {
-                                *xi = xi.wrapping_add(inc);
-                            }
-                        }
-                        continue;
-                    }
-                    self.pending = Pending::ComputeRecv;
-                    out.extend(links.iter().map(|mc| CommReq::Recv { chan: mc.inp }));
-                    return;
-                }
-            }
-        }
+        self.issued = out.len();
     }
 
     fn label(&self) -> String {

@@ -2,9 +2,9 @@
 //! threaded through the [`crate::procir::ProcVm`] and both rendezvous
 //! engines ([`crate::coop`], [`crate::partition`]).
 //!
-//! PR 2's single-VM design means every process on every executor runs
-//! through one instrumentation point, so one event vocabulary covers the
-//! whole runtime:
+//! Every process on every executor runs through one op step
+//! (`crate::step`), so its op effects have one instrumentation point and
+//! one event vocabulary covers the whole runtime:
 //!
 //! - **transfers** — one event per completed channel rendezvous,
 //!   carrying the virtual time, channel, value, both endpoint processes,

@@ -64,7 +64,7 @@
 
 use crate::arena::{with_arena, RunArena};
 use crate::batch::BatchPlan;
-use crate::coop::{Deadlock, RunError, RunStats};
+use crate::coop::{RunError, RunStats};
 use crate::json::Json;
 use crate::kernel::{kernel_wave, KernelPlan, KernelReport};
 use crate::process::Value;
@@ -727,12 +727,7 @@ fn sweep_waves(
         }
         stats.rounds += 1;
         if moved == 0 && unfinished > 0 {
-            let waiting = (0..module.procs.len()).filter_map(|pid| {
-                let wait = arena.macro_wait(module, pid)?;
-                Some(format!("{} [{}]", module.label_of(pid), wait))
-            });
-            let blocked = waiting.collect();
-            return Err(RunError::Deadlock(Deadlock { blocked }));
+            return Err(RunError::Deadlock(arena.deadlock(module)));
         }
     }
     Ok((stats, std::mem::take(&mut arena.outputs), kreport))
@@ -744,6 +739,7 @@ mod tests {
     use crate::batch::analyze;
     use crate::coop::run_plain;
     use crate::procir::ProcIrBuilder;
+    use crate::step::Port;
 
     type Outcome = (RunStats, Vec<Vec<Value>>);
 
@@ -896,6 +892,31 @@ mod tests {
         assert_eq!(d.blocked, ["fwd [recv@0]", "bwd [recv@1]"]);
         let oracle = run_plain(&m).unwrap_err();
         assert_eq!(oracle.as_deadlock().unwrap().blocked, d.blocked);
+    }
+
+    #[test]
+    fn a_blocked_par_set_names_every_link_it_waits_on() {
+        // One compute cell whose two moving links each loop back through
+        // a relay: nothing is ever in flight, so the cell stays blocked
+        // on its whole par-receive, and both engines must name both
+        // receives.
+        let mut b = ProcIrBuilder::new();
+        b.begin("cell");
+        b.op(ProcOp::Compute { count: 1 });
+        let link = |slot, inp, out| crate::procir::MovingLink { slot, inp, out };
+        b.repeater(&[link(0, 0, 1), link(1, 2, 3)], &[0], &[1], 2);
+        b.finish();
+        b.relay(1, 0, 1, "back-a");
+        b.relay(3, 2, 1, "back-b");
+        let m = b.build();
+        let plan = analyze(&m);
+        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let wf = analyze_wavefront(&m, &plan, &[]);
+        let err = run_wavefront(&m, &wf, None, false).unwrap_err();
+        let d = err.as_deadlock().expect("deadlock, not another error");
+        let oracle = run_plain(&m).unwrap_err();
+        assert_eq!(d.blocked, oracle.as_deadlock().unwrap().blocked);
+        assert_eq!(d.blocked[0], "cell [recv@0,recv@2]");
     }
 
     #[test]

@@ -26,6 +26,7 @@ use systolizer::ir::{
     seq, BasicStatement, CmpOp, GuardedUpdate, HostStore, IndexedVar, Loop, SourceProgram, Stream,
 };
 use systolizer::math::{Affine, Env, Matrix, VarTable};
+use systolizer::runtime::{OpKind, ProcOp};
 use systolizer::synthesis::placement::paper;
 
 /// A gallery design: label, compiled plan, input variables, and the size
@@ -265,6 +266,38 @@ fn observed_runs_match_the_oracle_too() {
         assert_eq!(obs.report.end_time, obs.run.stats.rounds, "{}", d.label);
         let steps: u64 = obs.report.processes.iter().map(|p| p.steps).sum();
         assert_eq!(steps, obs.run.stats.steps, "{}", d.label);
+    }
+}
+
+#[test]
+fn metrics_op_totals_are_the_modules_static_counts() {
+    // Every op retires exactly once per effect, so an observed run's
+    // `op_counts` are a property of the module, not of the schedule:
+    // `emit` is the data segment, `pass` the sum of the pass counts,
+    // `compute` the sum of the repeater counts.
+    for design in 0..=CORPUS {
+        for n in [1, 2, 3] {
+            let (plan, env, store) = prepared(design, n, 5);
+            let label = format!("design {design} ({}) n={n}", plan.source.name);
+            let ms = ModuleStore::global();
+            let obs = observe_plan_in(ms, &plan, &env, &store, SimSpec::default())
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let m = &obs.module.elab.module;
+            let mut want = [0u64; 6];
+            for op in m.ops.iter() {
+                let (kind, n) = match *op {
+                    ProcOp::Emit { .. } => (OpKind::Emit, 1),
+                    ProcOp::Collect { .. } => (OpKind::Collect, 1),
+                    ProcOp::Keep { .. } => (OpKind::Keep, 1),
+                    ProcOp::Pass { n, .. } => (OpKind::Pass, n),
+                    ProcOp::Eject { .. } => (OpKind::Eject, 1),
+                    ProcOp::Compute { count } => (OpKind::Compute, count),
+                };
+                want[kind as usize] += n;
+            }
+            assert_eq!(want[OpKind::Emit as usize], m.data.len() as u64, "{label}");
+            assert_eq!(obs.report.op_totals(), want, "{label}");
+        }
     }
 }
 
