@@ -10,23 +10,21 @@
 //! here once (see `docs/scheduler.md` for the diagram):
 //!
 //! ```text
-//! module lookup ─ gate closed ─► plain     coop Network | run_partitioned at k workers
-//!       │                                  (threaded = k = n, one process per group)
+//! module lookup ─ gate closed ─► plain     coop Network (rendezvous)
+//!       │
 //!       └─ gate open ──────────► wavefront run_wavefront (+ kernels)
-//!          the cooperative executor only, and the batch analysis admits
-//!          the module — whose wavefront plan is then eligible too
+//!          the batch analysis admits the module — whose wavefront plan
+//!          is then eligible too
 //! ```
 //!
-//! The OS-thread engine has the plain rung only. The wavefront engine
-//! runs the cached module's fast plan (`crate::cache::FastPlan`): the
-//! optimizer's module when it rewrote the elaborated one, the elaborated
-//! one when it declined. [`simulate_verified`] is the one oracle
-//! comparison.
+//! Both engines run on the calling thread. The wavefront engine runs the
+//! cached module's fast plan (`crate::cache::FastPlan`): the optimizer's
+//! module when it rewrote the elaborated one, the elaborated one when it
+//! declined. [`simulate_verified`] is the one oracle comparison.
 
 use crate::cache::ModuleStore;
 use crate::elaborate::{ElabError, ElabOptions, OutputSpec};
 use std::sync::Arc;
-use std::time::Duration;
 use systolic_core::SystolicProgram;
 use systolic_ir::{seq, HostStore};
 use systolic_math::{Affine, Env};
@@ -35,48 +33,15 @@ use systolic_runtime::{
     SharedRecorder, Value,
 };
 
-/// Which executor family a run uses. The cooperative scheduler is the
-/// deterministic default (and the only one that honors a non-FIFO
-/// [`SchedulePolicy`]); the threaded and partitioned engines trade
-/// determinism of *timing* (never of stores) for OS-thread parallelism
-/// and bound their rendezvous waits by the spec deadline. Both are the
-/// one OS-thread engine, `systolic_runtime::run_partitioned`, which has
-/// the plain rung only: `Threaded` is the paper's asynchronous-process
-/// model made literal — the partition with one process per group.
+// Spelled by the frozen `benchmark/src/layers.rs:14,119,123`, whose
+// `threaded` and `partitioned2` rungs now time the default ladder; read
+// by nothing, goes with ROADMAP 2(b).
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecutorChoice {
     Coop,
     Threaded,
-    /// Virtual processes block-assigned to `workers` OS threads and
-    /// multiplexed cooperatively (Sec. 8, "not enough processors").
-    Partitioned {
-        workers: usize,
-    },
-}
-
-impl ExecutorChoice {
-    /// The stable label used in responses, stats, [`SystolicRun::engine`]
-    /// and [`VerifyError::engine`].
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecutorChoice::Coop => "coop",
-            ExecutorChoice::Threaded => "threaded",
-            ExecutorChoice::Partitioned { .. } => "partitioned",
-        }
-    }
-
-    /// Parse a request-level executor name. `workers` only matters for
-    /// `"partitioned"`.
-    pub fn parse(name: &str, workers: usize) -> Option<ExecutorChoice> {
-        match name {
-            "coop" => Some(ExecutorChoice::Coop),
-            "threaded" => Some(ExecutorChoice::Threaded),
-            "partitioned" => Some(ExecutorChoice::Partitioned {
-                workers: workers.max(1),
-            }),
-            _ => None,
-        }
-    }
+    Partitioned { workers: usize },
 }
 
 // Spelled by the frozen `benchmark/src/layers.rs:15,107,115`; goes with ROADMAP 2(b).
@@ -103,13 +68,15 @@ impl KernelMode {
     pub const Off: KernelMode = KernelMode;
 }
 
+/// The executor label of every run ([`SystolicRun::engine`]).
+const ENGINE: &str = "coop";
+
 /// Everything about a simulation except the program and its data.
 pub struct SimSpec {
     /// The fast-path gate (`--batch auto|off`, see
-    /// `systolic_runtime::batch`) of the cooperative executor; inert on
-    /// the other two. `Auto` runs the wavefront engine whenever the batch
-    /// analysis admits the module; `Off` pins the plain engines, which
-    /// are the exactness oracle for everything above them.
+    /// `systolic_runtime::batch`). `Auto` runs the wavefront engine
+    /// whenever the batch analysis admits the module; `Off` pins the
+    /// plain engine, the exactness oracle for everything above it.
     pub batch: BatchMode,
     // Spelled by the frozen `benchmark/src/layers.rs:107,115`; goes with ROADMAP 2(b).
     #[doc(hidden)]
@@ -117,20 +84,18 @@ pub struct SimSpec {
     // Spelled by the frozen `benchmark/src/layers.rs:14,102–104`; goes with ROADMAP 2(b).
     #[doc(hidden)]
     pub kernel: KernelMode,
+    // Spelled by the frozen `benchmark/src/layers.rs:119,123`; goes with ROADMAP 2(b).
+    #[doc(hidden)]
     pub executor: ExecutorChoice,
-    /// Rendezvous-wait budget for the threaded/partitioned engines. The
-    /// cooperative engine has no internal clock; its deadline is
-    /// enforced by whoever calls (the service's worker pool).
-    pub deadline: Duration,
     /// Permutes (and may defer) the cooperative scheduler's per-round
-    /// channel worklist. Non-FIFO policies force the plain cooperative
-    /// engine — no other engine has a worklist to permute.
+    /// channel worklist. Non-FIFO policies force the plain engine — the
+    /// wavefront engine has no worklist to permute.
     pub sched: Option<Box<dyn SchedulePolicy>>,
     /// Protocol variants and ablations; part of the module-cache key.
     pub elab: ElabOptions,
     /// Observers of every VM op, scheduler step and channel transfer
     /// (see `systolic_runtime::record`). Any recorder closes the
-    /// fast-path gate: only the plain engines emit per-event streams.
+    /// fast-path gate: only the plain engine emits per-event streams.
     pub recorders: Vec<SharedRecorder>,
 }
 
@@ -141,7 +106,6 @@ impl Default for SimSpec {
             wavefront: WavefrontMode,
             kernel: KernelMode,
             executor: ExecutorChoice::Coop,
-            deadline: Duration::from_secs(30),
             sched: None,
             elab: ElabOptions::default(),
             recorders: Vec::new(),
@@ -158,15 +122,6 @@ impl SimSpec {
             ..SimSpec::default()
         }
     }
-
-    /// The executor that will actually run: a non-FIFO schedule only
-    /// exists on the cooperative worklist, whatever `executor` says.
-    fn effective_executor(&self) -> ExecutorChoice {
-        match &self.sched {
-            Some(s) if !s.is_fifo() => ExecutorChoice::Coop,
-            _ => self.executor,
-        }
-    }
 }
 
 /// Outcome of a systolic run.
@@ -175,12 +130,11 @@ pub struct SystolicRun {
     pub store: HostStore,
     pub stats: RunStats,
     pub census: crate::elaborate::Census,
-    /// The label of the executor that actually ran — not necessarily the
-    /// one the spec asked for (see [`SimSpec::sched`]).
+    /// The label of the executor that ran: `coop`, plain or wavefront
+    /// alike (service responses and [`VerifyError`]s carry it).
     pub engine: &'static str,
     /// Whether the fast-path gate opened, and so the wavefront executor
-    /// ran this module (see `systolic_runtime::wavefront`); only ever on
-    /// the `coop` engine.
+    /// ran this module (see `systolic_runtime::wavefront`).
     pub wavefront: bool,
     /// The `systolic-opt-v1` mapping report when this was a wavefront run
     /// and the ProcIR optimizer rewrote the module; `stats` then describe
@@ -198,8 +152,7 @@ pub struct SystolicRun {
 pub enum ExecError {
     /// The plan did not instantiate at this problem size / host store.
     Elab(ElabError),
-    /// The network stopped early: deadlock, protocol violation, timeout,
-    /// or an aborted worker.
+    /// The network stopped early: a deadlock or a protocol violation.
     Run(RunError),
     /// An output pipe delivered a different number of elements than the
     /// plan's output map expects — a plan/elaboration bug, diagnosed
@@ -274,7 +227,7 @@ fn writeback(
 /// for a (program, size, store shape); every run, on a module hit and on
 /// a miss alike, gathers its own data segment from `store` and executes
 /// that code over it. Stores are bit-identical
-/// across every executor/mode combination — the repo-wide oracle
+/// across both engines and every mode — the repo-wide oracle
 /// contract; the spec only chooses *how* the identical result is
 /// produced. `messages`/`steps`/`processes` are invariant too, except
 /// that a wavefront run of a module the optimizer rewrote counts less by
@@ -287,10 +240,8 @@ pub fn simulate(
     store: &HostStore,
     spec: SimSpec,
 ) -> Result<SystolicRun, ExecError> {
-    let executor = spec.effective_executor();
     let SimSpec {
         batch,
-        deadline,
         sched,
         elab,
         recorders,
@@ -299,11 +250,9 @@ pub fn simulate(
     let cm = ms.module(plan, env, store, &elab)?;
     let el = &cm.elab;
     let data = el.gather(store)?;
-    // The one gate: the fast rung is the cooperative executor's, every
-    // observable feature wins over speed, and the module itself must
-    // pass `systolic_runtime::analyze`.
-    let fast = executor == ExecutorChoice::Coop
-        && batch == BatchMode::Auto
+    // The one gate: every observable feature wins over speed, and the
+    // module itself must pass `systolic_runtime::analyze`.
+    let fast = batch == BatchMode::Auto
         && recorders.is_empty()
         && sched.as_ref().is_none_or(|s| s.is_fifo())
         && cm.batch_plan().batchable();
@@ -320,31 +269,17 @@ pub fn simulate(
         (stats, sinks, fast_plan.opt_report().cloned(), Some(report))
     } else {
         let inst = el.module.with_data(data).instantiate_recorded(&recorders);
-        let stats = match executor {
-            ExecutorChoice::Coop => {
-                let mut net = Network::default();
-                if let Some(s) = sched {
-                    net.set_schedule_policy(s);
-                }
-                for r in recorders {
-                    net.add_recorder(r);
-                }
-                for p in inst.procs {
-                    net.add(p);
-                }
-                net.run()?
-            }
-            ExecutorChoice::Threaded | ExecutorChoice::Partitioned { .. } => {
-                // Threaded: as many workers as processes, one process each.
-                let n = inst.procs.len();
-                let workers = match executor {
-                    ExecutorChoice::Partitioned { workers } => workers,
-                    _ => n,
-                };
-                let groups = systolic_runtime::block_partition(n, workers);
-                systolic_runtime::run_partitioned(inst.procs, groups, deadline, recorders)?
-            }
-        };
+        let mut net = Network::default();
+        if let Some(s) = sched {
+            net.set_schedule_policy(s);
+        }
+        for r in recorders {
+            net.add_recorder(r);
+        }
+        for p in inst.procs {
+            net.add(p);
+        }
+        let stats = net.run()?;
         // The run is over: every sink is taken once, not locked per value.
         let take = |sink: &systolic_runtime::SinkBuffer| std::mem::take(&mut *lock(sink));
         (stats, inst.outputs.iter().map(take).collect(), None, None)
@@ -356,7 +291,7 @@ pub fn simulate(
         store: result,
         stats,
         census: el.census.clone(),
-        engine: executor.label(),
+        engine: ENGINE,
         wavefront: fast,
         opt: opt_report,
         kernel: kernel_report,
@@ -550,7 +485,7 @@ pub fn simulate_verified(
     store: &HostStore,
     spec: SimSpec,
 ) -> Result<SystolicRun, VerifyError> {
-    let engine = spec.effective_executor().label();
+    let engine = ENGINE;
     let run = simulate(ms, plan, env, store, spec).map_err(|e| match e {
         ExecError::Run(error) => VerifyError::Engine { engine, error },
         other => VerifyError::Setup {
@@ -644,18 +579,15 @@ mod tests {
     }
 
     #[test]
-    fn the_engine_label_names_the_executor_that_ran() {
+    fn a_non_fifo_schedule_runs_the_plain_engine() {
         let (plan, env, store) = d1(4, 7);
         let ms = ModuleStore::new();
-        // A non-FIFO schedule reroutes a threaded request to the
-        // cooperative engine; the run must say so.
         let run = simulate_verified(
             &ms,
             &plan,
             &env,
             &store,
             SimSpec {
-                executor: ExecutorChoice::Threaded,
                 sched: Some(Box::new(ReversePolicy)),
                 ..SimSpec::default()
             },
@@ -663,23 +595,6 @@ mod tests {
         .unwrap();
         assert_eq!(run.engine, "coop");
         assert!(!run.wavefront, "a non-FIFO policy closes the gate");
-        // Engine errors carry the label: a 1ns deadline on the threaded
-        // engine must time out and be attributed to it.
-        let err = match simulate_verified(
-            &ms,
-            &plan,
-            &env,
-            &store,
-            SimSpec {
-                executor: ExecutorChoice::Threaded,
-                deadline: Duration::from_nanos(1),
-                ..SimSpec::default()
-            },
-        ) {
-            Ok(_) => panic!("a 1ns threaded deadline must time out"),
-            Err(e) => e,
-        };
-        assert_eq!(err.engine(), Some("threaded"), "{err}");
     }
 
     #[test]

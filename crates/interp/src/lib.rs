@@ -15,8 +15,8 @@
 //!   which every executor entry point goes through;
 //! - [`kernelize`] — the basic-statement → straight-line kernel compiler:
 //!   its tape is the statement every engine runs and `rustgen` prints;
-//! - [`exec`] — [`simulate`]: the one function that runs a plan, on any
-//!   executor and rung of the fast-path ladder a [`SimSpec`] selects, and
+//! - [`exec`] — [`simulate`]: the one function that runs a plan, on the
+//!   rung of the fast-path ladder a [`SimSpec`] selects, and
 //!   [`simulate_verified`], the one comparison against the sequential
 //!   reference;
 //! - [`metrics`] — observed runs: metrics reports and Perfetto traces
@@ -39,11 +39,11 @@ pub use cache::{CacheStats, CachedModule, FastPlan, ModuleStore};
 pub use describe::describe;
 pub use elaborate::{elaborate, Census, ElabError, ElabOptions, Elaborated, OutputSpec};
 pub use exec::{
-    seeded_store, simulate, simulate_verified, ExecError, ExecutorChoice, Problem, ProblemError,
-    SimSpec, SystolicRun, VerifyError, PROBLEM_BUDGET,
+    seeded_store, simulate, simulate_verified, ExecError, Problem, ProblemError, SimSpec,
+    SystolicRun, VerifyError, PROBLEM_BUDGET,
 };
 #[doc(hidden)]
-pub use exec::{KernelMode, WavefrontMode};
+pub use exec::{ExecutorChoice, KernelMode, WavefrontMode};
 pub use kernelize::kernelize;
 pub use metrics::{channel_names, observe_plan_in, Observed};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};

@@ -100,7 +100,7 @@ pub fn channel_names(plan: &SystolicProgram, el: &Elaborated) -> Vec<String> {
 /// Run the plan with a [`MetricsRecorder`] and a [`PerfettoRecorder`]
 /// attached — [`simulate`] with the two recorders added to `spec` —
 /// returning the run outcome and both artifacts. Recorders close the
-/// fast-path gate, so this is the plain engine of `spec.executor`;
+/// fast-path gate, so this is the plain engine;
 /// timing differs from an unobserved plain run only in wall clock —
 /// rounds, messages, steps, and the result store are identical. The
 /// cache counters describe `ms`.

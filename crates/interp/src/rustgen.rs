@@ -7,14 +7,20 @@
 //! parallel computers" — end to end: the translation is generated, the
 //! target language is real, and the generated program embeds its own
 //! input data and the sequentially-computed expected results, asserting
-//! equality at exit. The tests compile the output with `rustc` and run
-//! it.
+//! equality at exit. It is the repo's one execution on real OS
+//! threads; both simulated engines run on the calling thread.
 //!
 //! Channels use capacity-1 `sync_channel`s: the paper counts the
-//! synchronous channel as "a buffer of size 1" (Sec. 7.6), and our
-//! buffered-channel property tests show capacity is semantically inert,
-//! so the generated program's sequentialized sends (a thread cannot
-//! offer a `par` set) stay deadlock-free where the abstract program is.
+//! synchronous channel as "a buffer of size 1" (Sec. 7.6). A thread
+//! cannot offer a `par` set, so it sends the set's members one after
+//! another, and that one slot per channel is what keeps the
+//! sequentialized sends from deadlocking. The slot is slack the plain
+//! rendezvous engine does not have: `tests/generated_rust.rs` compiles
+//! and runs the emitted program for the appendix designs and a guarded
+//! body, each checking its sinks against the sequential result, and on
+//! the lockstep program (n = 2, step bound 1) it pins that the emitted
+//! program completes and verifies where the rendezvous engine
+//! deadlocks.
 //!
 //! The generator is a [`ProcIrModule`] walker over the module a default
 //! run executes (the cached module's fast plan: the optimizer's module

@@ -100,37 +100,12 @@ impl std::fmt::Display for ProtocolViolation {
 
 impl std::error::Error for ProtocolViolation {}
 
-/// Why a network run stopped without completing. Shared by every
-/// executor: the cooperative scheduler reports [`RunError::Deadlock`]
-/// exactly; the OS-thread engines (`crate::partition`) bound rendezvous
-/// waits by a timeout instead ([`RunError::Timeout`]) and propagate peer
-/// failures as [`RunError::Aborted`].
+/// Why a network run stopped without completing. Shared by both
+/// engines, each of which detects a deadlock exactly.
 #[derive(Clone, Debug)]
 pub enum RunError {
     Deadlock(Deadlock),
     Protocol(ProtocolViolation),
-    /// A rendezvous wait outlived the executor's timeout budget; `scope`
-    /// names who was waiting ("process 3 (relay)", "group 1: process 3
-    /// (relay), process 4 (sink)").
-    Timeout {
-        scope: String,
-    },
-    /// A worker stopped because another thread failed first — a
-    /// secondary error, reported only when the primary diagnosis is lost.
-    Aborted,
-    /// A worker thread panicked.
-    Panicked {
-        scope: String,
-    },
-    /// The OS refused a worker thread; `scope` names the group and the
-    /// I/O error ("group 812: Resource temporarily unavailable").
-    Spawn {
-        scope: String,
-    },
-    /// The requested partition is not a partition of the process set.
-    Partition {
-        reason: String,
-    },
 }
 
 impl RunError {
@@ -149,27 +124,15 @@ impl RunError {
         match self {
             RunError::Deadlock(_) => "deadlock",
             RunError::Protocol(_) => "protocol",
-            RunError::Timeout { .. } => "timeout",
-            RunError::Aborted => "aborted",
-            RunError::Panicked { .. } => "panic",
-            RunError::Spawn { .. } => "spawn",
-            RunError::Partition { .. } => "partition",
         }
     }
 
     /// The offender labels the diagnosis carries: the blocked processes
-    /// of a deadlock, the two claimants of a protocol violation, the
-    /// scope that timed out or panicked. Empty for errors with no
-    /// attributable party.
+    /// of a deadlock, the two claimants of a protocol violation.
     pub fn offenders(&self) -> Vec<String> {
         match self {
             RunError::Deadlock(d) => d.blocked.clone(),
             RunError::Protocol(p) => vec![p.first.clone(), p.second.clone()],
-            RunError::Timeout { scope }
-            | RunError::Panicked { scope }
-            | RunError::Spawn { scope } => vec![scope.clone()],
-            RunError::Aborted => Vec::new(),
-            RunError::Partition { .. } => Vec::new(),
         }
     }
 }
@@ -179,13 +142,6 @@ impl std::fmt::Display for RunError {
         match self {
             RunError::Deadlock(d) => d.fmt(f),
             RunError::Protocol(p) => p.fmt(f),
-            RunError::Timeout { scope } => {
-                write!(f, "{scope} timed out waiting for rendezvous")
-            }
-            RunError::Aborted => write!(f, "aborted after a failure in another thread"),
-            RunError::Panicked { scope } => write!(f, "{scope} panicked"),
-            RunError::Spawn { scope } => write!(f, "could not start a worker thread for {scope}"),
-            RunError::Partition { reason } => write!(f, "invalid partition: {reason}"),
         }
     }
 }

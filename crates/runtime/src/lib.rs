@@ -10,7 +10,7 @@
 //!   one poison-tolerant way into the mutexes the engines share;
 //! - [`procir`] — the flat process bytecode ([`ProcIrModule`]) that every
 //!   elaborated process lowers to, and the VM ([`ProcVm`]) that runs it
-//!   for the rendezvous engines; every engine gives the ops their meaning
+//!   for the rendezvous engine; every engine gives the ops their meaning
 //!   through one op step (`step.rs`), generic over its channels;
 //! - [`batch`] — the steady-state batching proof ([`analyze`]) that
 //!   gates the cooperative executor's macro-stepping fast path (see
@@ -19,13 +19,8 @@
 //!   run (`arena.rs`);
 //! - [`coop`] — the deterministic cooperative scheduler with rendezvous
 //!   rounds (the virtual systolic clock) and exact deadlock detection;
-//! - [`partition`] — the OS-thread blocking-rendezvous engine
-//!   ([`run_partitioned`]): the Sec. 8 partitioning refinement, many
-//!   virtual processes multiplexed per worker thread, of which one
-//!   process per thread (the `threaded` executor) is the trivial case;
-//!   plain rendezvous only;
 //! - [`record`] — the observability layer: the [`Recorder`] event sink
-//!   threaded through the VM and the rendezvous engines, with metrics
+//!   threaded through the VM and the rendezvous engine, with metrics
 //!   aggregation ([`MetricsRecorder`]) and Chrome-trace export
 //!   ([`PerfettoRecorder`]); zero cost when no recorder is attached.
 //! - [`json`] — the workspace's one JSON model ([`Json`]: value, compact
@@ -46,7 +41,6 @@ pub mod coop;
 pub mod json;
 pub mod kernel;
 pub mod opt;
-pub mod partition;
 pub mod process;
 pub mod procir;
 pub mod record;
@@ -64,7 +58,6 @@ pub use kernel::{
     KERNEL_MAX_OPS,
 };
 pub use opt::{optimize, ChainRecord, OptReport, OptimizedModule};
-pub use partition::{block_partition, run_partitioned};
 pub use process::{lock, sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
 pub use procir::{
     Instance, MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord, ProcVm,

@@ -87,9 +87,9 @@ pub fn sink_buffer() -> SinkBuffer {
 
 /// Enter `mutex`, poisoned or not: a holder that panicked (a worker the
 /// service's pool caught unwinding, say) must not wedge every later run
-/// that shares the sink, recorder or engine state behind it. Sound
-/// because every critical section over them leaves the data valid at
-/// each step (a push, a counter bump, an endpoint claimed or cleared).
+/// that shares the sink or recorder behind it. Sound because every
+/// critical section over them leaves the data valid at each step (a
+/// push, a counter bump).
 pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }

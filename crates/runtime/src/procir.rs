@@ -10,10 +10,9 @@
 //! time. One op step (`crate::step`) gives the ops their meaning on every
 //! engine — there is no per-executor (or per-role) process behaviour
 //! anywhere else. [`ProcVm`] runs it as a [`Process`] coroutine against
-//! rendezvous channels, for the cooperative, threaded and partitioned
-//! rendezvous executors; the one cooperative fast engine, the wavefront
-//! executor, runs it against the rings of its run arena
-//! (`crate::arena`).
+//! rendezvous channels, for the cooperative rendezvous executor; the
+//! fast engine, the wavefront executor, runs it against the rings of its
+//! run arena (`crate::arena`).
 //!
 //! The op set covers the canonical program shape of Appendix C–E
 //! (`load` / soak / repeater / drain / `recover`) plus the host fringe:

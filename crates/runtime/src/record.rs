@@ -1,6 +1,6 @@
 //! The observability layer: a [`Recorder`] sink for execution events,
-//! threaded through the [`crate::procir::ProcVm`] and both rendezvous
-//! engines ([`crate::coop`], [`crate::partition`]).
+//! threaded through the [`crate::procir::ProcVm`] and the rendezvous
+//! engine ([`crate::coop`]).
 //!
 //! Every process on every executor runs through one op step
 //! (`crate::step`), so its op effects have one instrumentation point and
@@ -8,8 +8,7 @@
 //!
 //! - **transfers** — one event per completed channel rendezvous,
 //!   carrying the virtual time, channel, value, both endpoint processes,
-//!   and how long each endpoint waited parked on the channel (in rounds;
-//!   the OS-thread engine has no round clock and reports 0 waits);
+//!   and how long each endpoint waited parked on the channel (in rounds);
 //! - **steps** — one event per [`crate::Process::step_into`] invocation,
 //!   mirroring `RunStats.steps`;
 //! - **vm ops** — one event per retired ProcIR op effect, classified by
@@ -18,12 +17,10 @@
 //!   transport), which is what the soak-vs-compute makespan attribution
 //!   is built from;
 //! - **lifecycle** — `start` (with every process label), per-process
-//!   `finished`, and `end` (the final virtual time: rounds for the
-//!   cooperative scheduler, microseconds for the OS-thread engine).
+//!   `finished`, and `end` (the final virtual time, in rounds).
 //!
 //! Recorders are shared as [`SharedRecorder`] (`Arc<Mutex<dyn Recorder>>`)
-//! so one recorder can observe a VM *and* its scheduler, or many OS
-//! threads at once. Every hook in the runtime is behind an "any recorder
+//! so one recorder can observe a VM *and* its scheduler. Every hook in the runtime is behind an "any recorder
 //! attached?" branch: with no recorder the hot paths gain one predictable
 //! branch and allocate nothing (the zero-cost-when-off contract: the
 //! goldens of `tests/determinism.rs` pin the counts with and without a
@@ -123,10 +120,8 @@ impl Phase {
 
 /// One completed channel transfer, as observed by the executor.
 ///
-/// `time` is the executor's virtual clock: the rendezvous round for the
-/// cooperative scheduler, microseconds since run start for the OS-thread
-/// engine. The waits are in the same unit and are only populated by
-/// the cooperative scheduler (whose round clock makes "parked since
+/// `time` is the executor's virtual clock, the rendezvous round; the
+/// waits are in the same unit (the round clock makes "parked since
 /// round r" well defined).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Transfer {
@@ -145,8 +140,8 @@ pub struct Transfer {
 
 /// An execution-event sink. Every method has a no-op default, so a
 /// recorder implements only what it cares about. Implementations must be
-/// `Send`: the OS-thread engine invokes them from worker threads (under
-/// the shared mutex of [`SharedRecorder`]).
+/// `Send`: a run's recorders travel with its spec, which the service
+/// builds on one thread and runs on a pool worker.
 pub trait Recorder: Send {
     /// The run is starting; `labels[pid]` names each process.
     fn start(&mut self, labels: &[String]) {

@@ -79,19 +79,11 @@ impl ApiError {
     }
 
     /// Map a structured runtime diagnosis to the wire. Deadlocks and
-    /// protocol violations are *program* pathologies (422 — the request
-    /// was well-formed, the configuration cannot run); timeouts are 504;
-    /// worker-side panics and aborts are 500.
+    /// protocol violations are *program* pathologies: 422, the request
+    /// was well-formed, the configuration cannot run.
     pub fn from_run_error(e: &RunError) -> ApiError {
-        let status = match e {
-            RunError::Deadlock(_) | RunError::Protocol(_) => 422,
-            RunError::Timeout { .. } => 504,
-            RunError::Aborted | RunError::Panicked { .. } => 500,
-            RunError::Spawn { .. } => 503,
-            RunError::Partition { .. } => 400,
-        };
         ApiError {
-            status,
+            status: 422,
             kind: e.kind(),
             message: e.to_string(),
             offenders: e.offenders(),
@@ -195,7 +187,8 @@ pub enum OutputKind {
 }
 
 /// A parsed `POST /v1/run` body. The engine gate takes the values of the
-/// CLI's `--batch`; `executor` and `workers` have no CLI counterpart.
+/// CLI's `--batch`; `executor` takes one value, `coop`, and is read only
+/// to be checked.
 #[derive(Debug)]
 pub struct RunRequest {
     pub program: ProgramRef,
@@ -209,8 +202,6 @@ pub struct RunRequest {
     /// defaults (inline-source requests with no list run zero-filled).
     pub inputs: Option<Vec<String>>,
     pub batch: BatchMode,
-    pub executor: String,
-    pub workers: usize,
     pub deadline_ms: Option<u64>,
     pub output: OutputKind,
     /// Differential mode: additionally run the sequential reference and
@@ -258,13 +249,6 @@ fn u64_field(doc: &Json, key: &str) -> Result<Option<u64>, ApiError> {
     field(doc, key, "a non-negative integer", read)
 }
 
-/// A count that must be at least one (`workers`).
-fn positive(v: &Json) -> Option<usize> {
-    v.as_i64()
-        .and_then(|n| usize::try_from(n).ok())
-        .filter(|&n| n > 0)
-}
-
 fn bool_field(doc: &Json, key: &str) -> Result<Option<bool>, ApiError> {
     field(doc, key, "a boolean", Json::as_bool)
 }
@@ -279,7 +263,6 @@ pub const RUN_MEMBERS: &[&str] = &[
     "seed",
     "batch",
     "executor",
-    "workers",
     "deadline_ms",
     "output",
     "verify",
@@ -343,7 +326,7 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
     };
     let inputs: Option<Vec<String>> = field(&doc, "inputs", "an array of strings", names)?;
     // The closed sets, default first (the gate's is `BatchMode::NAMES`).
-    let executor = ["coop", "threaded", "partitioned"].map(|e| (e, e));
+    let executors = [("coop", ())];
     let outputs = [
         ("stores", OutputKind::Stores),
         ("metrics", OutputKind::Metrics),
@@ -376,14 +359,15 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
             "'verify' compares the stores of a run: it needs 'output' \"stores\" (the default)",
         ));
     }
+    let seed = u64_field(&doc, "seed")?.unwrap_or(42);
+    let batch = choice(&doc, "batch", BatchMode::NAMES)?;
+    choice(&doc, "executor", &executors)?;
     Ok(RunRequest {
         program,
         sizes,
-        seed: u64_field(&doc, "seed")?.unwrap_or(42),
+        seed,
         inputs,
-        batch: choice(&doc, "batch", BatchMode::NAMES)?,
-        executor: choice(&doc, "executor", &executor)?.to_string(),
-        workers: field(&doc, "workers", "a positive integer", positive)?.unwrap_or(2),
+        batch,
         deadline_ms: u64_field(&doc, "deadline_ms")?,
         output,
         verify,
@@ -438,7 +422,6 @@ mod tests {
         let r = parse_run_request(r#"{"design":"E.1","sizes":[8]}"#).unwrap();
         assert_eq!(r.program, ProgramRef::Design("E.1".into()));
         assert_eq!(r.sizes, vec![8]);
-        assert_eq!(r.executor, "coop");
         assert_eq!(r.output, OutputKind::Stores);
         assert!(!r.verify);
     }
@@ -500,14 +483,5 @@ mod tests {
         assert_eq!((e.status, e.kind), (422, "deadlock"));
         assert_eq!(e.offenders.len(), 1);
         assert!(e.to_json().contains("a@(1) recv chan 3"));
-    }
-
-    #[test]
-    fn timeout_maps_to_504_with_the_scope() {
-        let e = ApiError::from_run_error(&RunError::Timeout {
-            scope: "process 3".into(),
-        });
-        assert_eq!((e.status, e.kind), (504, "timeout"));
-        assert_eq!(e.offenders, vec!["process 3".to_string()]);
     }
 }

@@ -13,7 +13,7 @@
 //! - [`pool`] — the bounded worker pool: backpressure (429), deadline
 //!   waits (504), per-worker panic isolation (structured 500);
 //! - [`api`] — the wire vocabulary: request parsing, structured
-//!   errors with `Deadlock`/`Protocol`/`Timeout` offender labels,
+//!   errors with `Deadlock`/`Protocol` offender labels,
 //!   `systolic-service-v1` responses;
 //! - [`Service`] (this module) — plan resolution, cache plumbing, and
 //!   the in-process handlers (`handle_run`, `handle_replay`,
@@ -33,7 +33,7 @@ use api::{ApiError, OutputKind, ProgramRef, RunRequest};
 use pool::Pool;
 use systolic_core::SystolicProgram;
 use systolic_interp::{
-    observe_plan_in, simulate, simulate_verified, ExecutorChoice, ModuleStore, Problem, SimSpec,
+    observe_plan_in, simulate, simulate_verified, ModuleStore, Problem, SimSpec,
 };
 use systolic_runtime::lock;
 use systolic_sim::{policy_by_name, Json, ScheduleFile};
@@ -212,7 +212,7 @@ impl Service {
         self.pool.run(
             Duration::from_millis(deadline_ms),
             deadline_ms,
-            Box::new(move || match svc.execute(&req, deadline_ms) {
+            Box::new(move || match svc.execute(&req) {
                 Ok(body) => (200, body),
                 Err(e) => (e.status, e.to_json()),
             }),
@@ -230,7 +230,7 @@ impl Service {
     }
 
     /// The worker-side request body: everything after admission.
-    fn execute(&self, req: &RunRequest, deadline_ms: u64) -> Result<String, ApiError> {
+    fn execute(&self, req: &RunRequest) -> Result<String, ApiError> {
         self.check_max_size(&req.sizes)?;
         let resolved = self.resolve(&req.program)?;
         let plan = &resolved.plan;
@@ -238,17 +238,13 @@ impl Service {
         let Problem { env, store } = Problem::seeded(plan, &req.sizes, inputs, req.seed)?;
 
         // One spec for every output arm: the observed arms add their
-        // recorders to it, so the engine a report describes is the one
-        // the request named (on its plain rung).
-        let executor = ExecutorChoice::parse(&req.executor, req.workers)
-            .expect("executor validated at parse time");
+        // recorders to it, so a report describes the plain rung of the
+        // run the request named.
         let sched = req.schedule.map(|(policy, seed)| {
             policy_by_name(policy, seed).expect("schedule policy validated at parse time")
         });
         let spec = SimSpec {
             batch: req.batch,
-            executor,
-            deadline: Duration::from_millis(deadline_ms),
             sched,
             ..SimSpec::default()
         };
@@ -265,8 +261,6 @@ impl Service {
                     simulate(&self.modules, plan, &env, &store, spec)
                         .map_err(|e| ApiError::from_exec_error(&e))?
                 };
-                // The engine that ran, which a non-FIFO schedule makes
-                // `coop` whatever the request named.
                 Ok(api::render_stores(
                     &resolved.label,
                     run.engine,

@@ -13,9 +13,7 @@
 //! channel with `recv_timeout`. An expired deadline yields a structured
 //! 504 immediately; the worker is not cancelled (the cooperative engine
 //! has no preemption points) but its eventual result is discarded and
-//! the in-flight gauge still drains. Threaded/partitioned executors
-//! additionally bound their internal rendezvous waits by the same
-//! budget, surfacing `RunError::Timeout` with the blocked scope.
+//! the in-flight gauge still drains.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,21 +1,15 @@
-//! Fault injection: bounded rendezvous delays, stalled workers, and
-//! aborted processes.
+//! Fault injection: bounded rendezvous delays and aborted processes.
 //!
 //! Each fault has a precise contract against the paper's model:
 //!
-//! - **Delay** (coop engine): a channel's rendezvous is deferred a
-//!   bounded number of rounds via the [`SchedulePolicy`] deferral hook.
-//!   Rounds may grow; messages, steps, and the final store must not
-//!   change (asynchronous semantics tolerates any finite slowdown).
-//! - **Stall** (OS-thread executors): a worker sleeps briefly before
-//!   each step. Wall-clock grows; results must not change.
+//! - **Delay**: a channel's rendezvous is deferred a bounded number of
+//!   rounds via the [`SchedulePolicy`] deferral hook. Rounds may grow;
+//!   messages, steps, and the final store must not change (asynchronous
+//!   semantics tolerates any finite slowdown).
 //! - **Abort**: a process is replaced by one that blocks forever on a
 //!   poison channel nobody serves. The run must fail *diagnosably*: the
-//!   cooperative engine's exact deadlock report names the victim; the
-//!   OS-thread engine converts the stuck rendezvous into a structured
-//!   timeout.
+//!   cooperative engine's exact deadlock report names the victim.
 
-use std::time::Duration;
 use systolic_runtime::{ChanId, CommReq, Process, SchedulePolicy, Value};
 
 /// One injected fault.
@@ -23,8 +17,6 @@ use systolic_runtime::{ChanId, CommReq, Process, SchedulePolicy, Value};
 pub enum Fault {
     /// Replace process `victim` with a forever-blocked poison receive.
     Abort { victim: usize },
-    /// Sleep `micros` before every step of process `victim`.
-    Stall { victim: usize, micros: u64 },
     /// Defer channel `chan`'s rendezvous for its next `rounds` enabled
     /// rounds (cooperative engine only).
     Delay { chan: ChanId, rounds: u64 },
@@ -43,20 +35,14 @@ impl FaultPlan {
         }
     }
 
-    pub fn stall(victim: usize, micros: u64) -> FaultPlan {
-        FaultPlan {
-            faults: vec![Fault::Stall { victim, micros }],
-        }
-    }
-
     pub fn delay(chan: ChanId, rounds: u64) -> FaultPlan {
         FaultPlan {
             faults: vec![Fault::Delay { chan, rounds }],
         }
     }
 
-    /// Rewrite an instantiated process vector, applying the abort and
-    /// stall faults. `poison_base` must be a channel range nobody uses
+    /// Rewrite an instantiated process vector, applying the abort
+    /// faults. `poison_base` must be a channel range nobody uses
     /// (pass the module's `n_chans`): victim `i` blocks on
     /// `poison_base + i`, so even multiple aborts stay point-to-point.
     pub fn apply(
@@ -73,13 +59,6 @@ impl FaultPlan {
                         poison: poison_base + victim,
                         started: false,
                     });
-                }
-                Fault::Stall { victim, micros } if victim < procs.len() => {
-                    let inner = std::mem::replace(
-                        &mut procs[victim],
-                        Box::new(TombstoneProc) as Box<dyn Process>,
-                    );
-                    procs[victim] = Box::new(StallProc { inner, micros });
                 }
                 _ => {}
             }
@@ -127,32 +106,6 @@ impl Process for AbortProc {
     }
 }
 
-/// The stalled process: delegates to the victim after a bounded sleep.
-struct StallProc {
-    inner: Box<dyn Process>,
-    micros: u64,
-}
-
-impl Process for StallProc {
-    fn step_into(&mut self, received: &[Value], out: &mut Vec<CommReq>) {
-        std::thread::sleep(Duration::from_micros(self.micros));
-        self.inner.step_into(received, out);
-    }
-
-    fn label(&self) -> String {
-        self.inner.label()
-    }
-}
-
-/// Placeholder used mid-swap in [`FaultPlan::apply`]; never stepped.
-struct TombstoneProc;
-
-impl Process for TombstoneProc {
-    fn step(&mut self, _received: &[Value]) -> Vec<CommReq> {
-        Vec::new()
-    }
-}
-
 /// Defers each faulted channel's rendezvous for its budgeted number of
 /// enabled rounds, then lets it through — the bounded-delay fault. Pure
 /// FIFO for every other channel.
@@ -187,9 +140,7 @@ impl SchedulePolicy for DelayPolicy {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use systolic_runtime::{
-        block_partition, lock, run_partitioned, Network, ProcIrBuilder, ProcIrModule, RunError,
-    };
+    use systolic_runtime::{lock, Network, ProcIrBuilder, ProcIrModule, RunError};
 
     /// source -> relay -> sink over 4 values; returns the sealed module.
     fn pipeline_module() -> Arc<ProcIrModule> {
@@ -248,38 +199,6 @@ mod tests {
             dl.blocked.iter().any(|b| b.contains("relay")),
             "victim label lost: {dl:?}"
         );
-    }
-
-    #[test]
-    fn abort_fault_times_out_the_os_thread_engine() {
-        // One thread per process (the threaded executor), then two workers.
-        for workers in [3, 2] {
-            let module = pipeline_module();
-            let inst = module.instantiate();
-            let procs = FaultPlan::abort(1).apply(inst.procs, module.n_chans);
-            let groups = block_partition(3, workers);
-            let err =
-                run_partitioned(procs, groups, Duration::from_millis(200), Vec::new()).unwrap_err();
-            assert!(
-                matches!(err, RunError::Timeout { .. }),
-                "expected structured timeout, got {err:?} ({workers} workers)"
-            );
-        }
-    }
-
-    #[test]
-    fn stall_fault_slows_but_does_not_change_threaded_results() {
-        let module = pipeline_module();
-        let inst = module.instantiate();
-        let procs = FaultPlan::stall(1, 200).apply(inst.procs, module.n_chans);
-        run_partitioned(
-            procs,
-            block_partition(3, 3),
-            Duration::from_secs(30),
-            Vec::new(),
-        )
-        .unwrap();
-        assert_eq!(*lock(&inst.outputs[0]), vec![10, 20, 30, 40]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   cooperative engine's `SchedulePolicy` hook, plus the
 //!   [`RecordingPolicy`]/[`ReplayPolicy`] pair that makes any run's
 //!   schedule decisions serializable and re-executable;
-//! - [`fault`] — bounded rendezvous delays, stalled workers, and process
-//!   aborts, each with a precise pass/fail contract;
+//! - [`fault`] — bounded rendezvous delays and process aborts, each with
+//!   a precise pass/fail contract;
 //! - [`explore`] — the seed-matrix explorer: sweep, detect divergence
 //!   via outputs/stats/the recorder's transfer stream, shrink the
 //!   decision log to a minimal prefix, and emit a

@@ -2,10 +2,8 @@
 //! batch proof (`systolic_runtime::batch`, see `docs/scheduler.md`) must
 //! be observationally invisible — bit-identical recovered stores against
 //! the rendezvous engine — and its engagement gate must be exactly as
-//! documented: an
-//! executor other than the cooperative one, `--batch off`, an attached
-//! recorder, or a non-FIFO schedule policy each force the rendezvous
-//! engine. A fast run executes the optimizer's
+//! documented: `--batch off`, an attached recorder, or a non-FIFO
+//! schedule policy each force the rendezvous engine. A fast run executes the optimizer's
 //! module, so its counts are pinned by the optimizer's count law
 //! (`common::assert_count_law`); the elaborated module itself runs on the
 //! wavefront engine through the runtime API, with the plain engine's
@@ -18,7 +16,7 @@ use common::{
     run as go, CORPUS,
 };
 use proptest::prelude::*;
-use systolizer::interp::{BatchMode, ElabOptions, ExecutorChoice, ModuleStore, SimSpec};
+use systolizer::interp::{BatchMode, ElabOptions, ModuleStore, SimSpec};
 use systolizer::runtime::{
     analyze_kernels, analyze_wavefront, lock, run_wavefront, shared, ChanId, FifoPolicy,
     MetricsRecorder, SchedulePolicy,
@@ -90,24 +88,6 @@ fn gate_closes_for_every_observable_feature() {
         lock(&metrics).report().transfers > 0,
         "the recorder really observed the run"
     );
-
-    for executor in [
-        ExecutorChoice::Threaded,
-        ExecutorChoice::Partitioned { workers: 2 },
-    ] {
-        let os_thread = go(
-            &e1,
-            SimSpec {
-                executor,
-                ..SimSpec::default()
-            },
-        );
-        assert!(
-            !os_thread.wavefront,
-            "the OS-thread engine has the plain rung only"
-        );
-        assert_eq!(os_thread.store, base.store);
-    }
 }
 
 /// The wavefront executor's gate corners (see `docs/wavefront.md`): the
@@ -204,30 +184,23 @@ fn env_cases(default: u32) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(16), ..ProptestConfig::default() })]
 
-    /// The wavefront engine and the rendezvous engines agree — stores
+    /// The wavefront engine and the rendezvous engine agree — stores
     /// bit-identical, logical counts by the optimizer's count law — and
-    /// the gate opens on the cooperative executor only, over random
-    /// (design, size, input seed, worker count) draws.
+    /// the default gate opens, over random (design, size, input seed)
+    /// draws.
     #[test]
     fn batching_is_unobservable_on_random_configurations(
         design in 0usize..9,
         n in 1i64..=4,
         seed in 0u64..1000,
-        workers in 1usize..=4,
     ) {
         let d = prepared(design, n, seed);
         let base = go(&d, SimSpec::plain());
-        for executor in [
-            ExecutorChoice::Coop,
-            ExecutorChoice::Threaded,
-            ExecutorChoice::Partitioned { workers },
-        ] {
-            let fast = go(&d, SimSpec { executor, ..SimSpec::default() });
-            prop_assert_eq!(fast.wavefront, executor == ExecutorChoice::Coop);
-            prop_assert_eq!(&fast.store, &base.store);
-            let ctx = format!("design {design} n={n} {executor:?}");
-            assert_count_law(&ctx, &base.stats, &fast);
-        }
+        let fast = go(&d, SimSpec::default());
+        prop_assert!(fast.wavefront);
+        prop_assert_eq!(&fast.store, &base.store);
+        let ctx = format!("design {design} n={n}");
+        assert_count_law(&ctx, &base.stats, &fast);
     }
 
     /// The batched run — `--batch auto` on the cooperative executor, which

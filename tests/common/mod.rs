@@ -4,8 +4,8 @@
 
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
-    seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ExecutorChoice, ModuleStore,
-    SimSpec, SystolicRun, VerifyError,
+    seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ModuleStore, SimSpec,
+    SystolicRun, VerifyError,
 };
 use systolizer::ir::{gallery, seq, HostStore, SourceProgram, Value};
 use systolizer::math::Env;
@@ -132,6 +132,20 @@ pub fn compile_and_run(name: &str, source: &str, optimized: bool) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The lockstep counterexample (see tests/protocol_findings.rs) in the
+/// front-end syntax: streams `a` and `c` share the index map `i+j`, the
+/// outer loop is one longer — the paper protocol deadlocks on it at
+/// n = 2 under step bound 1.
+pub const LOCKSTEP_SRC: &str = "
+    program lockstep;
+    size n;
+    var a[0..2*n+1], b[0..n+1], c[0..2*n+1];
+    for i = 0 <- 1 -> n+1
+    for j = 0 <- 1 -> n {
+      c[i+j] = c[i+j] + a[i+j] * b[i];
+    }
+";
+
 /// The rendezvous reference engine under a protocol variant.
 pub fn plain_under(elab: ElabOptions) -> SimSpec {
     SimSpec {
@@ -163,40 +177,29 @@ pub fn verify(
 /// program, the data and the protocol variant.
 #[derive(Clone, Copy, Debug)]
 pub struct Rung {
-    pub executor: ExecutorChoice,
     pub batch: BatchMode,
 }
 
 impl Rung {
     pub fn spec(self) -> SimSpec {
         SimSpec {
-            executor: self.executor,
             batch: self.batch,
             ..SimSpec::default()
         }
     }
 }
 
-/// Each distinct execution once. The cooperative executor has the plain
-/// rung and the wavefront rung (whose eligible chunks always take the
-/// kernels — [`assert_kernels_match_the_scalar_sweep`] holds them to the
-/// sweep the rest take); the OS-thread engine has the plain rung only —
-/// `threaded`, and `partitioned` at 1 and 3 workers. The gate is spelled
-/// `Off` on a rung it cannot matter to; [`inert_rungs`] spells it `Auto`.
+/// Each distinct execution once: the plain rendezvous rung and the
+/// wavefront rung, whose eligible chunks always take the kernels
+/// ([`assert_kernels_match_the_scalar_sweep`] holds them to the sweep the
+/// rest take).
 pub fn rungs() -> Vec<Rung> {
-    use ExecutorChoice::{Coop, Partitioned, Threaded};
-    let plain = |executor| Rung {
-        executor,
-        batch: BatchMode::Off,
-    };
     vec![
-        plain(Coop),
-        plain(Threaded),
-        plain(Partitioned { workers: 1 }),
-        plain(Partitioned { workers: 3 }),
+        Rung {
+            batch: BatchMode::Off,
+        },
         Rung {
             batch: BatchMode::Auto,
-            ..plain(Coop)
         },
     ]
 }
@@ -271,19 +274,6 @@ pub fn assert_count_law(ctx: &str, plain: &RunStats, run: &SystolicRun) {
     );
     let processes = stats.processes as u64 + relays;
     assert_eq!(plain.processes as u64, processes, "{ctx}: processes");
-}
-
-/// Specs whose `Auto` gates must do nothing: the OS-thread engine under
-/// the default gates, and the cooperative one with the fast-path gate —
-/// which the other two ride — shut. Each lands on its executor's plain
-/// rung.
-pub fn inert_rungs() -> Vec<Rung> {
-    let auto = |executor, batch| Rung { executor, batch };
-    vec![
-        auto(ExecutorChoice::Partitioned { workers: 3 }, BatchMode::Auto),
-        auto(ExecutorChoice::Threaded, BatchMode::Auto),
-        auto(ExecutorChoice::Coop, BatchMode::Off),
-    ]
 }
 
 /// Check a [`WavefrontPlan`] against the module it was derived from,

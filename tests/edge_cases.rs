@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::verify;
+use common::{verify, LOCKSTEP_SRC};
 use systolizer::core::{compile, Options};
 use systolizer::interp::{simulate, ModuleStore, SimSpec};
 use systolizer::math::Env;
@@ -137,19 +137,6 @@ fn all_zero_inputs_roundtrip() {
     let run = simulate(ModuleStore::global(), &plan, &env, &store, SimSpec::plain()).unwrap();
     assert_eq!(run.store, store, "all-zero store is a fixed point");
 }
-
-/// The lockstep counterexample (see tests/protocol_findings.rs) in the
-/// front-end syntax: streams `a` and `c` share the index map `i+j`, the
-/// outer loop is one longer — the paper protocol deadlocks on it.
-const LOCKSTEP_SRC: &str = "
-    program lockstep;
-    size n;
-    var a[0..2*n+1], b[0..n+1], c[0..2*n+1];
-    for i = 0 <- 1 -> n+1
-    for j = 0 <- 1 -> n {
-      c[i+j] = c[i+j] + a[i+j] * b[i];
-    }
-";
 
 #[test]
 fn cli_renders_deadlock_as_a_message_not_a_panic() {

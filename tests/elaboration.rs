@@ -11,9 +11,7 @@ use common::{assert_kernels_match_the_scalar_sweep, prepared, CORPUS};
 use proptest::prelude::*;
 use systolizer::core::{compile, Options, StreamKind};
 use systolizer::interp::runtime_gen::agree_with_procir;
-use systolizer::interp::{
-    elaborate, simulate, BatchMode, ElabOptions, ExecutorChoice, ModuleStore, SimSpec,
-};
+use systolizer::interp::{elaborate, simulate, BatchMode, ElabOptions, ModuleStore, SimSpec};
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
 use systolizer::runtime::ProcOp;
@@ -242,9 +240,9 @@ proptest! {
     }
 }
 
-// Keep the executors honest about sharing: a threaded and a partitioned
-// run after a coop run of the same configuration must all be served by
-// the same cached module (the elaboration happens at most once).
+// Keep the executors honest about sharing: a wavefront run and a plain
+// run of the same configuration must both be served by the same cached
+// module (the elaboration happens at most once).
 #[test]
 fn all_executors_share_one_cached_module() {
     let (p, a) = paper::matmul_e1();
@@ -260,15 +258,7 @@ fn all_executors_share_one_cached_module() {
         std::sync::Arc::ptr_eq(&first.elab.module, &again.elab.module),
         "repeat lookups must share the very same Arc<ProcIrModule>"
     );
-    for executor in [
-        ExecutorChoice::Coop,
-        ExecutorChoice::Threaded,
-        ExecutorChoice::Partitioned { workers: 2 },
-    ] {
-        let spec = SimSpec {
-            executor,
-            ..SimSpec::default()
-        };
+    for spec in [SimSpec::default(), SimSpec::plain()] {
         simulate(&ms, &plan, &env, &store, spec).unwrap();
     }
     assert_eq!(

@@ -75,3 +75,27 @@ fn guarded_body_generated_rust() {
     let env = sys.size_env(&[4]).unwrap();
     compile_and_run("tri", &generate_rust(&sys.plan, &env, 15), OPTIMIZED);
 }
+
+/// The one program here the rendezvous engine cannot run: the lockstep
+/// design at n = 2 under step bound 1 deadlocks on the plain engine
+/// (`verify --batch off`), while its emitted program — one OS thread per
+/// process, each channel a one-slot `sync_channel` — completes and
+/// matches the sequential result. The slot is the difference; this pins
+/// the contrast until the engines agree on such a program.
+#[test]
+fn lockstep_generated_rust_completes_where_the_rendezvous_engine_deadlocks() {
+    let opts = systolizer::SystolizeOptions {
+        step_bound: 1,
+        ..Default::default()
+    };
+    let sys = systolizer::systolize_source(common::LOCKSTEP_SRC, &opts).unwrap();
+    let env = sys.size_env(&[2]).unwrap();
+    let store = systolizer::interp::seeded_store(&sys.plan, &env, &["a", "b", "c"], 16);
+    let ms = systolizer::interp::ModuleStore::new();
+    let plain = systolizer::interp::SimSpec::plain();
+    match systolizer::interp::simulate(&ms, &sys.plan, &env, &store, plain) {
+        Err(e) => assert!(e.to_string().contains("deadlock"), "{e}"),
+        Ok(_) => panic!("the rendezvous engine completed the lockstep design"),
+    }
+    compile_and_run("lockstep", &generate_rust(&sys.plan, &env, 16), OPTIMIZED);
+}

@@ -3,7 +3,7 @@
 //! `simulate_verified` — so each run is compared with the sequential
 //! reference — off one private `ModuleStore` per (design, size).
 //!
-//! Pinned per rung: the engine that ran; which of `wavefront` /
+//! Pinned per rung: which of `wavefront` /
 //! `kernel` / `opt` engaged; the logical `messages`/`steps`/`processes`
 //! of the plain engine less exactly what the optimizer's report itemizes
 //! (the count law, `common::assert_count_law`); one elaboration per
@@ -20,14 +20,12 @@ mod common;
 
 use common::{
     assert_count_law, assert_kernels_match_the_scalar_sweep, check_wavefront_plan,
-    check_wavefront_plans, inert_rungs, prepared, rungs, CORPUS,
+    check_wavefront_plans, prepared, rungs, CORPUS,
 };
-use systolizer::interp::{
-    simulate_verified, BatchMode, ElabOptions, ExecutorChoice, ModuleStore, SimSpec,
-};
+use systolizer::interp::{simulate_verified, BatchMode, ElabOptions, ModuleStore, SimSpec};
 use systolizer::runtime::{
-    analyze, analyze_wavefront, ChanId, FifoPolicy, ProcIrBuilder, ProcOp, RunStats,
-    SchedulePolicy, WAVEFRONT_RING_CAP,
+    analyze, analyze_wavefront, ChanId, FifoPolicy, ProcIrBuilder, ProcOp, SchedulePolicy,
+    WAVEFRONT_RING_CAP,
 };
 
 /// Reverses each round's firing order and honestly reports
@@ -58,7 +56,6 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                     .unwrap_or_else(|e| panic!("design {design} n={n} {ctx}: {e}"))
             };
             let base = verified("plain", SimSpec::plain());
-            assert_eq!(base.engine, "coop");
             assert!(!base.wavefront && base.opt.is_none());
             assert!(base.kernel.is_none());
 
@@ -68,17 +65,8 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
             for rung in rungs() {
                 let ctx = format!("design {design} n={n} {rung:?}");
                 let run = verified(&format!("{rung:?}"), rung.spec());
-                let coop = rung.executor == ExecutorChoice::Coop;
-                let wavefront = rung.batch == BatchMode::Auto && coop;
-                assert_eq!(run.engine, rung.executor.label(), "{ctx}");
+                let wavefront = rung.batch == BatchMode::Auto;
                 assert_eq!(run.wavefront, wavefront, "{ctx}: wavefront");
-                if !coop {
-                    // The OS-thread engine at any worker count: plain
-                    // rung only, no virtual clock, and (asserted below,
-                    // `opt` being `None`) the plain cooperative rung's
-                    // messages and steps.
-                    assert_eq!(run.stats.rounds, 0, "{ctx}");
-                }
                 assert_eq!(run.kernel.is_some(), wavefront, "{ctx}: kernel report");
                 if wavefront {
                     let fused = run.opt.is_some();
@@ -104,35 +92,14 @@ fn every_rung_matches_the_oracle_with_the_documented_engagement() {
                 }
             }
 
-            // `Auto` gates that cannot engage do nothing: the run is
-            // its executor's plain rung, flag for flag and count for
-            // count (the OS-thread engine's differs from the cooperative
-            // one's, pinned above, in having no round clock).
-            for rung in inert_rungs() {
-                let ctx = format!("design {design} n={n} inert {rung:?}");
-                let run = verified(&ctx, rung.spec());
-                let coop = rung.executor == ExecutorChoice::Coop;
-                let rounds = if coop { base.stats.rounds } else { 0 };
-                let plain = RunStats {
-                    rounds,
-                    ..base.stats.clone()
-                };
-                assert_eq!(run.engine, rung.executor.label(), "{ctx}");
-                assert!(!run.wavefront, "{ctx}");
-                assert!(run.opt.is_none() && run.kernel.is_none(), "{ctx}");
-                assert_eq!(run.stats, plain, "{ctx}");
-            }
-
             // What closes the gate besides `batch: Off`, and what does not.
             let adversarial = verified(
                 "reverse",
                 SimSpec {
-                    executor: ExecutorChoice::Threaded,
                     sched: Some(Box::new(ReversePolicy)),
                     ..SimSpec::default()
                 },
             );
-            assert_eq!(adversarial.engine, "coop", "only coop has a worklist");
             assert!(
                 !adversarial.wavefront,
                 "a non-FIFO schedule closes the gate"

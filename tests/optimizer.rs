@@ -1,8 +1,8 @@
 //! Differential suite for the ProcIR optimizer (`systolic_runtime::opt`,
 //! see `docs/process-ir.md`): every fast run fuses relay chains into
 //! delay rings and rewrites ops, but the recovered store must stay
-//! bit-identical to the plain engine's, the exactness oracle, on all
-//! three executors, and the counts must follow the optimizer's count law,
+//! bit-identical to the plain engine's, the exactness oracle, and the
+//! counts must follow the optimizer's count law,
 //! over random configurations of the design corpus (the whole-corpus
 //! sweep is the ladder matrix in `tests/ladder.rs`).
 //! A second proptest sweeps random synthetic transport networks through
@@ -15,7 +15,7 @@ mod common;
 use common::{assert_count_law, prepared, run};
 use proptest::prelude::*;
 use std::sync::Arc;
-use systolizer::interp::{ElabOptions, ExecutorChoice, SimSpec};
+use systolizer::interp::{ElabOptions, SimSpec};
 use systolizer::runtime::{optimize, ProcIrBuilder, ProcIrModule, ProcOp};
 
 /// Case count override (see `tests/random_programs.rs`).
@@ -29,25 +29,18 @@ fn env_cases(default: u32) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(16), ..ProptestConfig::default() })]
 
-    /// Store bit-identity over random (design, size, seed, workers).
+    /// Store bit-identity over random (design, size, seed).
     #[test]
     fn optimizer_is_store_invisible_on_random_configurations(
         design in 0usize..10,
         n in 1i64..=4,
         seed in 0u64..1000,
-        workers in 1usize..=4,
     ) {
         let d = prepared(design, n, seed);
         let oracle = run(&d, SimSpec::plain());
-        for executor in [
-            ExecutorChoice::Coop,
-            ExecutorChoice::Threaded,
-            ExecutorChoice::Partitioned { workers },
-        ] {
-            let auto = run(&d, SimSpec { executor, ..SimSpec::default() });
-            prop_assert_eq!(&auto.store, &oracle.store);
-            assert_count_law(&format!("design {design} n={n}"), &oracle.stats, &auto);
-        }
+        let auto = run(&d, SimSpec::default());
+        prop_assert_eq!(&auto.store, &oracle.store);
+        assert_count_law(&format!("design {design} n={n}"), &oracle.stats, &auto);
     }
 }
 

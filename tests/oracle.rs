@@ -2,9 +2,9 @@
 //! designs (polyprod D.1/D.2, matmul E.1/E.2), the FIR filter on a
 //! derived array, and the shipped `fir.sys`/`polyprod.sys` files — runs
 //! through the sequential reference (`ir::seq`) and the simulated
-//! network on all four executors (cooperative, threaded, partitioned,
-//! wavefront), at several problem sizes. The final host stores must be
-//! bit-identical across all executions, and the executor-invariant
+//! network on both engines (the plain rendezvous engine and the
+//! wavefront engine), at several problem sizes. The final host stores
+//! must be bit-identical across all executions, and the engine-invariant
 //! statistics (messages, steps) must agree — the wavefront run's by the
 //! optimizer's count law.
 //!
@@ -17,8 +17,7 @@ mod common;
 use common::{assert_count_law, assert_seq_matches_reference, prepared, CORPUS};
 use systolizer::core::{compile, Options, SystolicProgram};
 use systolizer::interp::{
-    observe_plan_in, seeded_store, simulate, simulate_verified, ExecutorChoice, ModuleStore,
-    SimSpec, SystolicRun,
+    observe_plan_in, seeded_store, simulate, simulate_verified, ModuleStore, SimSpec, SystolicRun,
 };
 use systolizer::ir::expr::build::*;
 use systolizer::ir::program::covering_bounds;
@@ -105,14 +104,10 @@ fn oracle(d: &Design, env: &Env, seed: u64) -> (HostStore, HostStore) {
     (store, expected)
 }
 
-/// The plain engine of `executor` on the process-wide module store.
-fn run_on(d: &Design, env: &Env, store: &HostStore, executor: ExecutorChoice) -> SystolicRun {
-    let spec = SimSpec {
-        executor,
-        ..SimSpec::plain()
-    };
-    simulate(ModuleStore::global(), &d.plan, env, store, spec)
-        .unwrap_or_else(|e| panic!("{} on {}: {e}", d.label, executor.label()))
+/// The plain engine on the process-wide module store.
+fn run_plain(d: &Design, env: &Env, store: &HostStore) -> SystolicRun {
+    simulate(ModuleStore::global(), &d.plan, env, store, SimSpec::plain())
+        .unwrap_or_else(|e| panic!("{}: {e}", d.label))
 }
 
 /// Every variable of the recovered store matches the oracle bit for bit.
@@ -132,32 +127,7 @@ fn coop_matches_the_sequential_oracle_on_every_design() {
         for sizes in &d.sizes {
             let env = size_env(&d.plan, sizes);
             let (store, expected) = oracle(&d, &env, 17);
-            let run = run_on(&d, &env, &store, ExecutorChoice::Coop);
-            assert_stores_identical(d.label, sizes, &run, &expected);
-        }
-    }
-}
-
-#[test]
-fn threaded_matches_the_sequential_oracle_on_every_design() {
-    for d in designs() {
-        // One mid-size point per design: OS threads are costly.
-        let sizes = &d.sizes[1];
-        let env = size_env(&d.plan, sizes);
-        let (store, expected) = oracle(&d, &env, 29);
-        let run = run_on(&d, &env, &store, ExecutorChoice::Threaded);
-        assert_stores_identical(d.label, sizes, &run, &expected);
-    }
-}
-
-#[test]
-fn partitioned_matches_the_sequential_oracle_on_every_design() {
-    for d in designs() {
-        let sizes = &d.sizes[1];
-        let env = size_env(&d.plan, sizes);
-        let (store, expected) = oracle(&d, &env, 31);
-        for workers in [1usize, 3, 7] {
-            let run = run_on(&d, &env, &store, ExecutorChoice::Partitioned { workers });
+            let run = run_plain(&d, &env, &store);
             assert_stores_identical(d.label, sizes, &run, &expected);
         }
     }
@@ -166,44 +136,27 @@ fn partitioned_matches_the_sequential_oracle_on_every_design() {
 #[test]
 fn executors_agree_on_stores_and_invariant_statistics() {
     // Messages and steps are properties of the elaborated network, not of
-    // the executor; the three plain engines must report the same counts
-    // and stores, and the wavefront executor (kernels on, over the
-    // optimizer's module) the same stores with the counts of the
-    // optimizer's count law, each checked against the sequential oracle,
-    // off ONE shared elaboration. Every size of every design is
+    // the executor; the wavefront executor (kernels on, over the
+    // optimizer's module) must report the plain engine's stores with the
+    // counts of the optimizer's count law, each checked against the
+    // sequential oracle, off ONE shared elaboration. Every size of every design is
     // exercised: the wavefront executor's chunk staging is
     // size-dependent, so one mid-size point would not pin it.
-    let plain = |executor| SimSpec {
-        executor,
-        ..SimSpec::plain()
-    };
     for d in designs() {
         for sizes in &d.sizes {
             let env = size_env(&d.plan, sizes);
             let store = seeded_store(&d.plan, &env, &d.inputs, 43);
             let ms = ModuleStore::new();
-            let runs: Vec<SystolicRun> = [
-                plain(ExecutorChoice::Coop),
-                plain(ExecutorChoice::Threaded),
-                plain(ExecutorChoice::Partitioned { workers: 4 }),
-                SimSpec::default(),
-            ]
-            .into_iter()
-            .map(|spec| {
+            let run = |spec| {
                 simulate_verified(&ms, &d.plan, &env, &store, spec)
                     .unwrap_or_else(|e| panic!("{} sizes={sizes:?}: {e}", d.label))
-            })
-            .collect();
+            };
+            let (coop, fast) = (run(SimSpec::plain()), run(SimSpec::default()));
             assert_eq!(ms.stats().module_misses, 1, "{}: one elaboration", d.label);
-            let engines: Vec<&str> = runs.iter().map(|r| r.engine).collect();
-            assert_eq!(engines, ["coop", "threaded", "partitioned", "coop"]);
-            let coop = &runs[0];
-            assert!(runs[3].wavefront, "{}", d.label);
-            for (i, other) in runs.iter().enumerate().skip(1) {
-                let ctx = format!("{} sizes={sizes:?} run {i} ({})", d.label, other.engine);
-                assert_count_law(&ctx, &coop.stats, other);
-                assert_eq!(coop.store, other.store, "{ctx}");
-            }
+            assert!(fast.wavefront, "{}", d.label);
+            let ctx = format!("{} sizes={sizes:?} wavefront", d.label);
+            assert_count_law(&ctx, &coop.stats, &fast);
+            assert_eq!(coop.store, fast.store, "{ctx}");
         }
     }
 }

@@ -5,10 +5,10 @@
 
 mod common;
 
-use common::{run, verify};
+use common::{assert_count_law, run, verify};
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options, StreamKind};
-use systolizer::interp::{seeded_store, ExecutorChoice, SimSpec};
+use systolizer::interp::{seeded_store, SimSpec};
 use systolizer::math::{point, Env};
 use systolizer::synthesis::SystolicArray;
 
@@ -58,14 +58,6 @@ fn check_pair(
     let res = verify(&plan, &env, inputs, seed, SimSpec::plain());
     prop_assert!(res.is_ok(), "equivalence: {:?}", res.err());
     Ok(())
-}
-
-/// The plain engine of one executor.
-fn plain(executor: ExecutorChoice) -> SimSpec {
-    SimSpec {
-        executor,
-        ..SimSpec::plain()
-    }
 }
 
 /// Case count: default, overridable via PROPTEST_CASES for deep fuzzing.
@@ -150,18 +142,15 @@ proptest! {
         prop_assert!(res.is_ok(), "loading ({lx},{ly}): {:?}", res.err());
     }
 
-    /// All three executors agree with the sequential oracle — and with
-    /// each other — on store contents and executor-invariant statistics,
-    /// for random designs, sizes, worker counts, and data. The ranges
-    /// deliberately include the degenerate corners: `n = 0` (the
-    /// iteration space collapses to a single point), one worker (fully
-    /// serialized partition), and 64 workers (more workers than
-    /// processes, so most groups are empty).
+    /// Both engines agree with the sequential oracle — and with each
+    /// other — on store contents and, by the optimizer's count law, on
+    /// statistics, for random designs, sizes, and data. The range
+    /// deliberately includes the degenerate corner `n = 0` (the iteration
+    /// space collapses to a single point).
     #[test]
     fn executors_agree_with_the_sequential_oracle(
         design in 0usize..4,
         n in 0i64..=3,
-        workers in prop_oneof![Just(1usize), 2usize..=6, Just(64usize)],
         seed in 0u64..1000,
     ) {
         let paper = systolizer::synthesis::placement::paper::all();
@@ -174,72 +163,29 @@ proptest! {
         systolizer::ir::seq::run(p, &env, &mut expected);
 
         let d = (plan, env, store);
-        let coop = run(&d, plain(ExecutorChoice::Coop));
-        let threaded = run(&d, plain(ExecutorChoice::Threaded));
-        let part = run(&d, plain(ExecutorChoice::Partitioned { workers }));
+        let plain = run(&d, SimSpec::plain());
+        let fast = run(&d, SimSpec::default());
         for name in expected.names() {
-            prop_assert_eq!(coop.store.get(name), expected.get(name), "coop {}", name);
-            prop_assert_eq!(threaded.store.get(name), expected.get(name), "threaded {}", name);
-            prop_assert_eq!(part.store.get(name), expected.get(name), "partitioned {}", name);
+            prop_assert_eq!(plain.store.get(name), expected.get(name), "plain {}", name);
+            prop_assert_eq!(fast.store.get(name), expected.get(name), "wavefront {}", name);
         }
-        // Messages and steps are network properties, not executor ones.
-        prop_assert_eq!(coop.stats.messages, threaded.stats.messages);
-        prop_assert_eq!(coop.stats.messages, part.stats.messages);
-        prop_assert_eq!(coop.stats.steps, threaded.stats.steps);
-        prop_assert_eq!(coop.stats.steps, part.stats.steps);
-        prop_assert_eq!(coop.stats.processes, threaded.stats.processes);
+        // Messages and steps are network properties, not engine ones.
+        assert_count_law(&format!("design {design} n={n}"), &plain.stats, &fast);
     }
 }
 
 /// Named regressions for the degenerate corners the proptest above only
 /// samples: they must stay pinned even when the fuzz budget is tiny.
 mod degenerate_corners {
-    use super::{common::run, plain};
+    use super::common::run;
     use systolizer::core::{compile, Options};
-    use systolizer::interp::{seeded_store, ExecutorChoice, SimSpec};
+    use systolizer::interp::{seeded_store, SimSpec};
     use systolizer::math::Env;
     use systolizer::synthesis::placement::paper;
 
-    /// A single worker serializes every process into one group; the
-    /// partition must still agree with the cooperative engine bit for
-    /// bit on every paper design.
-    #[test]
-    fn one_worker_partition_agrees_with_coop() {
-        for (label, p, a) in paper::all() {
-            let plan = compile(&p, &a, &Options::default()).unwrap();
-            let mut env = Env::new();
-            env.bind(p.sizes[0], 3);
-            let store = seeded_store(&plan, &env, &["a", "b"], 7);
-            let d = (plan, env, store);
-            let coop = run(&d, SimSpec::plain());
-            let part = run(&d, plain(ExecutorChoice::Partitioned { workers: 1 }));
-            assert_eq!(part.store, coop.store, "{label}: one-worker store");
-            assert_eq!(part.stats.messages, coop.stats.messages, "{label}");
-            assert_eq!(part.stats.steps, coop.stats.steps, "{label}");
-        }
-    }
-
-    /// More workers than processes leaves most partition groups empty;
-    /// empty groups must be inert, not deadlock or panic.
-    #[test]
-    fn more_workers_than_processes_is_inert() {
-        let (p, a) = paper::polyprod_d1();
-        let plan = compile(&p, &a, &Options::default()).unwrap();
-        let mut env = Env::new();
-        env.bind(p.sizes[0], 2);
-        let store = seeded_store(&plan, &env, &["a", "b"], 7);
-        let d = (plan, env, store);
-        let coop = run(&d, SimSpec::plain());
-        assert!(coop.stats.processes < 64, "pick a size below worker count");
-        let part = run(&d, plain(ExecutorChoice::Partitioned { workers: 64 }));
-        assert_eq!(part.store, coop.store, "oversubscribed store");
-        assert_eq!(part.stats.messages, coop.stats.messages);
-        assert_eq!(part.stats.steps, coop.stats.steps);
-    }
-
     /// `n = 0` collapses every loop to the single point 0 (bounds are
-    /// inclusive). All three executors must still run the pipeline clean
-    /// and agree with the sequential reference.
+    /// inclusive). Both engines must still run the pipeline clean and
+    /// agree with the sequential reference.
     #[test]
     fn empty_iteration_space_runs_clean_on_all_executors() {
         for (label, p, a) in paper::all() {
@@ -251,17 +197,11 @@ mod degenerate_corners {
             systolizer::ir::seq::run(&p, &env, &mut expected);
 
             let d = (plan, env, store);
-            let coop = run(&d, SimSpec::plain());
-            let threaded = run(&d, plain(ExecutorChoice::Threaded));
-            let part = run(&d, plain(ExecutorChoice::Partitioned { workers: 2 }));
+            let plain = run(&d, SimSpec::plain());
+            let fast = run(&d, SimSpec::default());
             for name in expected.names() {
-                assert_eq!(coop.store.get(name), expected.get(name), "{label} {name}");
-                assert_eq!(
-                    threaded.store.get(name),
-                    expected.get(name),
-                    "{label} {name}"
-                );
-                assert_eq!(part.store.get(name), expected.get(name), "{label} {name}");
+                assert_eq!(plain.store.get(name), expected.get(name), "{label} {name}");
+                assert_eq!(fast.store.get(name), expected.get(name), "{label} {name}");
             }
         }
     }

@@ -101,24 +101,18 @@ fn run_body(design: &str, sizes: &[i64], seed: u64, extra: &[(&str, Json)]) -> S
     Json::Obj(fields).to_string()
 }
 
-/// The soak workload: gallery × batch modes × executors, each body
-/// issued twice so cache hits actually occur.
+/// The soak workload: gallery × batch modes × the executor member
+/// spelled and left out, each body issued twice so cache hits actually
+/// occur.
 fn soak_workload() -> Vec<(String, HashMap<String, Vec<i64>>)> {
-    let executors = ["coop", "threaded"];
     let mut work = Vec::new();
     for (design, sizes) in GALLERY {
         let expected = oracle_for(design, sizes, 42);
         for batch in ["auto", "off"] {
-            for executor in executors {
-                let body = run_body(
-                    design,
-                    sizes,
-                    42,
-                    &[
-                        ("batch", Json::Str(batch.into())),
-                        ("executor", Json::Str(executor.into())),
-                    ],
-                );
+            let batch = ("batch", Json::Str(batch.into()));
+            let coop = ("executor", Json::Str("coop".into()));
+            for extra in [vec![batch.clone(), coop], vec![batch]] {
+                let body = run_body(design, sizes, 42, &extra);
                 work.push((body.clone(), expected.clone()));
                 work.push((body, expected.clone()));
             }
@@ -355,8 +349,8 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
 
     // A field of the wrong type is named, never coerced to a default: a
     // client that asked for the oracle check must not silently go
-    // without it, nor a schedule seed wrap or read as 0, nor zero workers
-    // run as one. Nor is a member the request does not have: a misspelt
+    // without it, nor a schedule seed wrap or read as 0. Nor is a member
+    // the request does not have: a misspelt
     // `verify` would run unverified, a misspelt schedule `seed` would run
     // seed 0, and the deleted `wavefront`, `opt` and `kernel` gates
     // (docs/wavefront.md, docs/process-ir.md, docs/kernels.md) would run a
@@ -370,10 +364,6 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
         ("'verify'", r#""verify":"yes""#),
         ("'seed'", r#""schedule":{"policy":"random","seed":"7"}"#),
         ("'seed'", r#""schedule":{"policy":"random","seed":-1}"#),
-        (
-            "field 'workers' must be a positive integer",
-            r#""executor":"partitioned","workers":0"#,
-        ),
         (
             "unknown member 'verfy' (accepted: design ",
             r#""verfy":true"#,
@@ -411,20 +401,6 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
         assert!(body.contains(field), "{value}: {body}");
     }
     assert_eq!(svc.pool.stats.submitted.load(Ordering::SeqCst), submitted);
-
-    // And a report describes the engine the request named: the OS-thread
-    // engine moves the values the cooperative one moves.
-    let transfers = |extra: &str| {
-        let request = format!(r#"{{"design":"E.1","sizes":[3],"output":"metrics"{extra}}}"#);
-        let (status, body) = post(addr, "/v1/run", &request);
-        assert_eq!(status, 200, "{extra}: {body}");
-        let report = json::parse(&body).unwrap();
-        report
-            .get("transfers")
-            .and_then(Json::as_i64)
-            .expect("transfers")
-    };
-    assert_eq!(transfers(r#","executor":"partitioned""#), transfers(""));
 
     // Malformed .sys source: the parser's message reaches the client as
     // a structured 400, kind "parse".
@@ -567,6 +543,41 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
     server.shutdown();
 }
 
+/// The executor vocabulary is one word. `threaded` and `partitioned`
+/// named an OS-thread engine that is gone, so each is a 400 that lists
+/// what is accepted, and its worker count is a member the request does
+/// not have. The one accepted
+/// value changes nothing: its body is the body of the same request
+/// without the member, byte for byte. None of the refusals reaches the
+/// pool.
+#[test]
+fn the_executor_member_accepts_coop_alone() {
+    let svc = Service::new(test_config());
+    let request = |extra: &str| format!(r#"{{"design":"E.1","sizes":[3]{extra}}}"#);
+    let submitted = svc.pool.stats.submitted.load(Ordering::SeqCst);
+    for (extra, needle) in [
+        (
+            r#","executor":"threaded""#,
+            "unknown executor 'threaded' (coop)",
+        ),
+        (
+            r#","executor":"partitioned""#,
+            "unknown executor 'partitioned' (coop)",
+        ),
+        (r#","workers":2"#, "unknown member 'workers' (accepted: "),
+    ] {
+        let (status, body) = svc.handle_run(&request(extra));
+        assert_eq!(status, 400, "{extra}: {body}");
+        assert_eq!(error_kind(&body).0, "bad-request", "{extra}");
+        assert!(body.contains(needle), "{extra}: {body}");
+    }
+    assert_eq!(svc.pool.stats.submitted.load(Ordering::SeqCst), submitted);
+
+    let (status, named) = svc.handle_run(&request(r#","executor":"coop""#));
+    assert_eq!(status, 200, "{named}");
+    assert_eq!(svc.handle_run(&request("")), (200, named));
+}
+
 #[test]
 fn inline_source_requests_run_verified_end_to_end() {
     let svc = Service::new(test_config());
@@ -646,9 +657,6 @@ fn a_deeply_nested_source_is_a_parse_error_and_the_service_keeps_answering() {
 fn saturation_over_sockets_keeps_every_client_in_flight_and_oracle_exact() {
     // Under `test_config()`'s queue_cap of 128, so nothing is rejected.
     const CLIENTS: usize = 96;
-    // Coop-heavy, as traffic is; the other two prove the pool serves
-    // every engine concurrently from the one module cache.
-    const EXECUTORS: [&str; 5] = ["coop", "coop", "threaded", "coop", "partitioned"];
 
     let svc = Service::new(test_config());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -674,7 +682,6 @@ fn saturation_over_sockets_keeps_every_client_in_flight_and_oracle_exact() {
                     sizes,
                     seed,
                     &[
-                        ("executor", Json::Str(EXECUTORS[ci % 5].into())),
                         ("batch", Json::Str(batch.into())),
                         // Checked twice: by the server's own oracle
                         // here, from outside by `oracle_for` below.
@@ -719,10 +726,9 @@ fn saturation_over_sockets_keeps_every_client_in_flight_and_oracle_exact() {
 fn adversarial_schedules_change_no_stores_behind_the_service() {
     // Every policy × seed runs through `handle_run` (in-process — same
     // code path as the wire, no sockets) in differential mode; the
-    // response stores must still match the client-side oracle. The
-    // request names the threaded executor, which has no worklist to
-    // permute: the run is rerouted to the cooperative engine and the
-    // response must name the engine that ran, not the one asked for.
+    // response stores must still match the client-side oracle. A non-FIFO
+    // schedule closes the fast-path gate, so each run is the plain
+    // rendezvous engine's.
     let svc = Service::new(test_config());
     for (design, sizes) in &GALLERY[..3] {
         let expected = oracle_for(design, sizes, 42);
@@ -741,12 +747,11 @@ fn adversarial_schedules_change_no_stores_behind_the_service() {
                             ]),
                         ),
                         ("verify", Json::Bool(true)),
-                        ("executor", Json::Str("threaded".into())),
                     ],
                 );
                 let (status, resp) = svc.handle_run(&body);
                 assert_eq!(status, 200, "{design} under {policy}:{seed}: {resp}");
-                assert!(resp.contains(r#""executor":"coop""#), "{resp}");
+                assert!(resp.contains(r#""wavefront":false"#), "{resp}");
                 assert_stores_match(&resp, &expected, &format!("{design}/{policy}:{seed}"));
             }
         }
