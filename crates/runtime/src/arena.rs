@@ -15,7 +15,8 @@
 //!   bounded FIFO per channel, capacities from the plan;
 //! - one plain `Vec<Value>` per output buffer;
 //! - the wavefront sweep's per-chunk progress table and worklists, and
-//!   the kernel path's struct-of-arrays scratch.
+//!   the kernel path's struct-of-arrays scratch and a scheduled cycle's
+//!   value array.
 //!
 //! [`with_arena`] lends the thread's arena to a run and
 //! [`RunArena::reset`] overwrites every table for this run's module in

@@ -23,8 +23,10 @@
 //!   cut from the load/soak ops before it and the drain/recover ops
 //!   after it — moving values over pairwise-distinct rings, so that a
 //!   batch's iterations are whole par-receive/body/par-send cycles of the
-//!   op step (`crate::step`), taken batch-wise. Everything else (transport windows,
-//!   compute windows that sit on a genuine cycle, aliased rings) runs on
+//!   op step (`crate::step`), taken batch-wise; or a cycle of such
+//!   windows with a firing schedule (`CycleSchedule`), derived here by
+//!   counting. Everything else (transport windows, cycles through a
+//!   transport window or without a schedule, aliased rings) runs on
 //!   the scalar macro-step, and the report counts what a reader counts:
 //!   compute chunks and whole transport processes, each scalar one with
 //!   its reason — the wavefront/batch reject-reason ladder one rung down.
@@ -35,7 +37,9 @@
 //!   stationary slot the tape writes — the only values one iteration
 //!   hands the next. A carried chain `s := s ⊕ r` with ⊕ a wrapping
 //!   `Add`, `Min` or `Max` and `r` a stream register is a *fold*.
-//! - [`kernel_wave`] executes one wave's eligible chunks as a batch
+//! - [`kernel_wave`] runs a scheduled cycle round by round, each round
+//!   one batch of one iteration per lane over a dense value array, and
+//!   executes the wave's other eligible chunks as a batch
 //!   ([`WaveBatch`]): every lane's `iters` ring heads are gathered out of
 //!   the run arena's ring slab (`crate::arena`) into struct-of-arrays
 //!   rows (lane = process, one bounds decision per batch instead of one
@@ -62,10 +66,10 @@
 use crate::arena::RunArena;
 use crate::coop::RunStats;
 use crate::json::Json;
-use crate::process::Value;
-use crate::procir::{MovingLink, ProcIrModule};
+use crate::process::{ChanId, Value};
+use crate::procir::{MovingLink, ProcIrModule, ProcOp};
 use crate::step::Port;
-use crate::wavefront::{WaveState, WavefrontPlan, Window};
+use crate::wavefront::{op_runs, WaveState, WavefrontPlan, Window};
 use std::sync::Arc;
 
 /// The longest tape a wave batch takes. Every stream op of a batch holds
@@ -576,6 +580,32 @@ impl WaveBatch {
         &mut self.input[(link * self.lanes + lane) * self.iters..][..self.iters]
     }
 
+    /// What every lane receives on link `link`, `[lane][iter]`.
+    pub(crate) fn input_row(&mut self, link: usize) -> &mut [Value] {
+        let n = self.lanes * self.iters;
+        &mut self.input[link * n..][..n]
+    }
+
+    /// Local `slot` of every lane.
+    pub(crate) fn local_row(&mut self, slot: usize) -> &mut [Value] {
+        &mut self.locals[slot * self.lanes..][..self.lanes]
+    }
+
+    /// What every lane sends on link `link`, `[lane][iter]`.
+    pub(crate) fn sent_row(&self, split: &TapeSplit, link: usize) -> &[Value] {
+        let n = self.lanes * self.iters;
+        let (row, rows) = self.sent_rows(split, link);
+        &rows[row * n..][..n]
+    }
+
+    /// The row link `link` sends, and the rows it is one of.
+    fn sent_rows(&self, split: &TapeSplit, link: usize) -> (usize, &[Value]) {
+        match split.sends[link] {
+            Sent::Stream(r) => (r as usize, &self.stream),
+            Sent::Snapshot(r) => (r as usize, &self.snapshots),
+        }
+    }
+
     /// Local `slot` (below [`TapeSplit::rows`]) of `lane`: before the
     /// batch, and after [`WaveBatch::run`].
     pub fn local(&mut self, slot: usize, lane: usize) -> &mut Value {
@@ -594,11 +624,8 @@ impl WaveBatch {
 
     /// The values `lane` sends on link `link`, one per iteration.
     pub fn sent(&self, split: &TapeSplit, link: usize, lane: usize) -> &[Value] {
-        let (row, rows) = match split.sends[link] {
-            Sent::Stream(r) => (r, &self.stream),
-            Sent::Snapshot(r) => (r, &self.snapshots),
-        };
-        &rows[(row as usize * self.lanes + lane) * self.iters..][..self.iters]
+        let (row, rows) = self.sent_rows(split, link);
+        &rows[(row * self.lanes + lane) * self.iters..][..self.iters]
     }
 
     /// Run every iteration of every lane: `iters` receive / statement /
@@ -685,7 +712,7 @@ pub struct KernelPlan {
     /// kernel-eligible compute window — the form the executor's per-wave
     /// filter reads.
     pub chunk_ok: Vec<bool>,
-    /// Chunks with `chunk_ok[k]`.
+    /// Chunks with `chunk_ok[k]`, and the cycles with a firing schedule.
     pub eligible_chunks: usize,
     /// Compute chunks that are not eligible, plus transport processes.
     pub scalar_chunks: usize,
@@ -698,6 +725,8 @@ pub struct KernelPlan {
     /// The tape cut for the eligible chunks' moving-slot layout; `None`
     /// when no chunk is eligible.
     split: Option<TapeSplit>,
+    /// The firing schedule of every eligible cyclic chunk, by chunk.
+    cycles: Vec<CycleSchedule>,
 }
 
 impl KernelPlan {
@@ -715,9 +744,16 @@ impl KernelPlan {
         &self.fallback_counts
     }
 
+    /// The firing schedule of chunk `k`, when it is a cycle that has one.
+    fn cycle(&self, k: usize) -> Option<&CycleSchedule> {
+        let at = self.cycles.binary_search_by_key(&k, |c| c.chunk).ok()?;
+        Some(&self.cycles[at])
+    }
+
     /// The `kernels` section of the metrics report: the static
     /// eligibility split and the tape split a batch runs, with `split`,
-    /// `reject` and `fallbacks` only when set.
+    /// `cycles` (each scheduled cyclic chunk's windows, fires, rounds and
+    /// value slots), `reject` and `fallbacks` only when set.
     pub fn json(&self) -> Json {
         let mut fields = vec![
             ("compiled", self.compiled.into()),
@@ -727,6 +763,10 @@ impl KernelPlan {
         ];
         if let Some(split) = &self.split {
             fields.push(("split", split.json()));
+        }
+        if !self.cycles.is_empty() {
+            let cycles = self.cycles.iter().map(CycleSchedule::json);
+            fields.push(("cycles", Json::arr(cycles)));
         }
         if let Some(r) = &self.reject {
             fields.push(("reject", r.as_str().into()));
@@ -802,6 +842,7 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
         };
     let mut computes = vec![false; module.procs.len()];
     let mut layout: Option<&[MovingLink]> = None;
+    let mut cycles = Vec::new();
     let (mut eligible, mut scalar, mut waves_fusable) = (0usize, 0usize, 0usize);
     for w in 0..plan.n_waves() {
         let before = eligible;
@@ -815,12 +856,22 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
             if n_compute == 0 {
                 continue;
             }
-            match chunk_eligibility(module, windows, n_compute, &module_reject, &mut layout) {
-                None => {
-                    chunk_ok[k] = true;
+            let verdict = match &module_reject {
+                Some(r) => Err(r.clone()),
+                None => chunk_links(module, windows, n_compute, layout).and_then(|links| {
+                    if windows.len() > 1 {
+                        cycles.push(derive_cycle(module, plan, k, links.len())?);
+                    }
+                    Ok(links)
+                }),
+            };
+            match verdict {
+                Ok(links) => {
+                    layout.get_or_insert(links);
+                    chunk_ok[k] = windows.len() == 1;
                     eligible += 1;
                 }
-                Some(reason) => {
+                Err(reason) => {
                     scalar += 1;
                     fall_back(reason, 1);
                 }
@@ -845,54 +896,293 @@ pub fn analyze_kernels(module: &ProcIrModule, plan: &WavefrontPlan) -> KernelPla
         waves_fusable,
         fallback_counts: fallback_counts.into(),
         split: layout.map(|links| TapeSplit::new(&module.kernel, &slots(links))),
+        cycles,
     }
 }
 
-/// Why a chunk holding `n_compute` compute windows must stay scalar;
-/// `None` when it is one window the kernel batch can take. The first
-/// such window's moving links set the batch `layout`; a later one whose
-/// links move through other slots stays scalar.
-fn chunk_eligibility<'m>(
+/// The moving links of a chunk holding `n_compute` compute windows when
+/// the kernel can take it — one compute window, or a cycle of compute
+/// windows alone, each moving values over pairwise-distinct rings through
+/// one slot layout, and that the batch's (`layout`, the first eligible
+/// chunk's, when set); otherwise why it must stay scalar.
+fn chunk_links<'m>(
     module: &'m ProcIrModule,
     windows: &[Window],
     n_compute: usize,
-    module_reject: &Option<String>,
-    layout: &mut Option<&'m [MovingLink]>,
-) -> Option<String> {
-    if let Some(r) = module_reject {
-        return Some(r.clone());
+    layout: Option<&[MovingLink]>,
+) -> Result<&'m [MovingLink], String> {
+    if n_compute != windows.len() {
+        return Err(format!("cyclic chunk ({n_compute} compute windows)"));
     }
-    if windows.len() != 1 {
-        return Some(format!("cyclic chunk ({n_compute} compute windows)"));
+    let layout = layout.unwrap_or(module.moving_of(windows[0].pid as usize));
+    for w in windows {
+        let pid = w.pid as usize;
+        let links = module.moving_of(pid);
+        if links.is_empty() {
+            return Err("repeater without moving links".into());
+        }
+        let distinct = links
+            .iter()
+            .enumerate()
+            .all(|(i, a)| links[..i].iter().all(|b| a.inp != b.inp && a.out != b.out));
+        if !distinct {
+            return Err("aliased moving rings".into());
+        }
+        let slots = links.iter().map(|mc| mc.slot + 1);
+        if slots.fold(module.kernel.n_slots, u32::max) > module.procs[pid].n_locals {
+            return Err("kernel slots exceed process locals".into());
+        }
+        if module.kernel.n_dims as usize > module.first_of(pid).len() {
+            return Err("kernel index rank exceeds repeater rank".into());
+        }
+        let same =
+            layout.len() == links.len() && layout.iter().zip(links).all(|(a, b)| a.slot == b.slot);
+        if !same {
+            return Err("moving-slot layout differs from the batch's".into());
+        }
     }
-    let pid = windows[0].pid as usize;
-    let links = module.moving_of(pid);
-    if links.is_empty() {
-        return Some("repeater without moving links".into());
+    Ok(module.moving_of(windows[0].pid as usize))
+}
+
+/// The iteration count of the repeater that compute window `w` is.
+fn count_of(module: &ProcIrModule, w: &Window) -> u64 {
+    match module.ops[w.start as usize] {
+        ProcOp::Compute { count } => count,
+        _ => 0,
     }
-    let distinct = links
-        .iter()
-        .enumerate()
-        .all(|(i, a)| links[..i].iter().all(|b| a.inp != b.inp && a.out != b.out));
-    if !distinct {
-        return Some("aliased moving rings".into());
+}
+
+/// One ring a cyclic chunk touches: at entry `take` values are popped
+/// into the next value slots, at exit the `give` values of slots
+/// `leftovers[at..at + give]` are pushed.
+#[derive(Debug)]
+struct CycleRing {
+    chan: ChanId,
+    take: u32,
+    give: u32,
+    at: u32,
+}
+
+/// The firing schedule of a cyclic chunk of compute windows, derived once
+/// per module ([`analyze_kernels`]). The paper's `step` orders every
+/// iteration after the iterations it reads from, so a cycle that closes
+/// window by window has none iteration by iteration; the schedule is that
+/// order, found once by counting: a window fires one iteration when every
+/// ring it reads holds a value, and the windows ready together form a
+/// round. [`kernel_wave`] runs each round as one wave batch of one
+/// iteration per lane.
+///
+/// Every value the chunk moves has a slot in one dense array
+/// (`KernelScratch::vals`): first the values popped at entry, ring by
+/// ring, then the values each round sends, link-major: in the round of
+/// fires `f0..f0 + m`, lane `l`'s send on link `j` is slot `entry +
+/// f0 × links + j × m + l`. The inputs are laid out alike, so a round
+/// gathers and scatters whole rows.
+#[derive(Debug)]
+pub(crate) struct CycleSchedule {
+    /// The chunk, numbered like the wavefront plan's, and its windows.
+    chunk: usize,
+    windows: usize,
+    rings: Vec<CycleRing>,
+    /// Slots filled at entry.
+    entry: u32,
+    /// Moving links per window (the batch layout's).
+    links: u32,
+    /// The fires, round by round: round `r` is `fires[round_start[r]..
+    /// round_start[r + 1]]`, each the pid of its window.
+    fires: Vec<u32>,
+    round_start: Vec<u32>,
+    /// Per fire and link, the slot its received value is read from, in
+    /// the sends' layout.
+    inputs: Vec<u32>,
+    /// Per ring, the slots pushed at exit ([`CycleRing::at`]).
+    leftovers: Vec<u32>,
+}
+
+impl CycleSchedule {
+    fn rounds(&self) -> usize {
+        self.round_start.len() - 1
     }
-    let slots = links.iter().map(|mc| mc.slot + 1);
-    if slots.fold(module.kernel.n_slots, u32::max) > module.procs[pid].n_locals {
-        return Some("kernel slots exceed process locals".into());
+
+    /// Slots of the value array a run fills.
+    fn value_slots(&self) -> usize {
+        self.entry as usize + self.fires.len() * self.links as usize
     }
-    if module.kernel.n_dims as usize > module.first_of(pid).len() {
-        return Some("kernel index rank exceeds repeater rank".into());
+
+    /// The chunk's entry in the `cycles` member of the `kernels` report.
+    fn json(&self) -> Json {
+        Json::obj([
+            ("chunk", self.chunk.into()),
+            ("windows", self.windows.into()),
+            ("fires", self.fires.len().into()),
+            ("rounds", self.rounds().into()),
+            ("value_slots", self.value_slots().into()),
+        ])
     }
-    let same = |other: &[MovingLink]| {
-        other.len() == links.len() && other.iter().zip(links).all(|(a, b)| a.slot == b.slot)
+}
+
+/// Values process `pid` has sent on and received from `chan` when its pc
+/// reaches `pc`.
+fn moved_before(module: &ProcIrModule, pid: usize, pc: u32, chan: ChanId) -> (u64, u64) {
+    let (mut sent, mut received) = (0u64, 0u64);
+    for at in module.procs[pid].ops.0..pc {
+        op_runs(
+            module,
+            pid,
+            module.ops[at as usize],
+            |c, n| received += if c == chan { n } else { 0 },
+            |c, n| sent += if c == chan { n } else { 0 },
+        );
+    }
+    (sent, received)
+}
+
+/// Derive the firing schedule of chunk `k`, a cycle of compute windows
+/// that each move `links` values per iteration; why not, when it cannot
+/// have one. The derivation counts, it runs no statement: it starts from
+/// the occupancy every ring inside the cycle has when each window stands
+/// at its repeater — what the producer sent before its repeater less what
+/// the consumer received before its — and assumes every ring from
+/// outside holds what the cycle reads of it.
+fn derive_cycle(
+    module: &ProcIrModule,
+    plan: &WavefrontPlan,
+    k: usize,
+    links: usize,
+) -> Result<CycleSchedule, String> {
+    let windows = plan.chunk(k);
+    let n = windows.len();
+    let reject = |why: &str| Err(format!("cyclic chunk ({n} compute windows): {why}"));
+    let counts: Vec<u64> = windows.iter().map(|w| count_of(module, w)).collect();
+
+    // The rings, in the order the windows first touch them, and per
+    // window and link the ring it reads and the one it sends on.
+    struct Touch {
+        chan: ChanId,
+        producer: Option<usize>,
+        consumer: Option<usize>,
+    }
+    let mut touches: Vec<Touch> = Vec::new();
+    let mut index: std::collections::HashMap<ChanId, usize> = Default::default();
+    let mut win_rings: Vec<(usize, usize)> = Vec::with_capacity(n * links);
+    for (i, w) in windows.iter().enumerate() {
+        for mc in module.moving_of(w.pid as usize) {
+            let mut touch = |chan: ChanId, consumer: bool| {
+                let r = *index.entry(chan).or_insert_with(|| {
+                    touches.push(Touch {
+                        chan,
+                        producer: None,
+                        consumer: None,
+                    });
+                    touches.len() - 1
+                });
+                let end = match consumer {
+                    true => &mut touches[r].consumer,
+                    false => &mut touches[r].producer,
+                };
+                end.replace(i).is_none().then_some(r)
+            };
+            match (touch(mc.inp, true), touch(mc.out, false)) {
+                (Some(inp), Some(out)) => win_rings.push((inp, out)),
+                _ => return reject("two windows share a ring end"),
+            }
+        }
+    }
+
+    // What each ring gives the cycle at entry.
+    let mut takes = Vec::with_capacity(touches.len());
+    for t in &touches {
+        let take = match (t.producer, t.consumer) {
+            (_, None) => 0,
+            (None, Some(q)) => counts[q],
+            (Some(p), Some(q)) => {
+                let (wp, wq) = (&windows[p], &windows[q]);
+                let (sent, _) = moved_before(module, wp.pid as usize, wp.start, t.chan);
+                let (_, received) = moved_before(module, wq.pid as usize, wq.start, t.chan);
+                let Some(held) = sent.checked_sub(received) else {
+                    return reject("a ring inside it starts short");
+                };
+                // The producer never blocks on a ring the cycle cannot
+                // drain before its own repeater ends.
+                if plan.capacities[t.chan] < held.saturating_add(counts[p]) {
+                    return reject("a ring inside it is narrower than its traffic");
+                }
+                held.min(counts[q])
+            }
+        };
+        takes.push(take);
+    }
+    let entry: u64 = takes.iter().fold(0, |a, &t| a.saturating_add(t));
+    let fires: u64 = counts.iter().fold(0, |a, &c| a.saturating_add(c));
+    let slots = fires.saturating_mul(links as u64).saturating_add(entry);
+    if slots > KERNEL_BATCH_VALUES as u64 {
+        return reject(&format!(
+            "{slots} value slots exceed the {KERNEL_BATCH_VALUES}-value cap"
+        ));
+    }
+
+    // Count the rounds: per ring, the slots queued on it.
+    let mut queues: Vec<std::collections::VecDeque<u32>> = Vec::with_capacity(touches.len());
+    let mut next = 0u32;
+    for &take in &takes {
+        queues.push((next..next + take as u32).collect());
+        next += take as u32;
+    }
+    let mut schedule = CycleSchedule {
+        chunk: k,
+        windows: n,
+        rings: Vec::with_capacity(touches.len()),
+        entry: entry as u32,
+        links: links as u32,
+        fires: Vec::with_capacity(fires as usize),
+        round_start: vec![0],
+        inputs: Vec::with_capacity(fires as usize * links),
+        leftovers: Vec::new(),
     };
-    match layout {
-        None => *layout = Some(links),
-        Some(first) if same(first) => {}
-        Some(_) => return Some("moving-slot layout differs from the batch's".into()),
+    let mut done = vec![0u64; n];
+    let mut live: Vec<usize> = (0..n).collect();
+    let mut ready: Vec<usize> = Vec::with_capacity(n);
+    let reads = |i: usize| &win_rings[i * links..(i + 1) * links];
+    while !live.is_empty() {
+        ready.clear();
+        ready.extend(
+            live.iter()
+                .copied()
+                .filter(|&i| reads(i).iter().all(|&(inp, _)| !queues[inp].is_empty())),
+        );
+        if ready.is_empty() {
+            return reject("its firing schedule is incomplete");
+        }
+        let (first, m) = (schedule.fires.len(), ready.len());
+        schedule.fires.extend(ready.iter().map(|&i| windows[i].pid));
+        for j in 0..links {
+            for &i in &ready {
+                let (inp, _) = reads(i)[j];
+                schedule.inputs.extend(queues[inp].pop_front());
+            }
+        }
+        for j in 0..links {
+            for (l, &i) in ready.iter().enumerate() {
+                let (_, out) = reads(i)[j];
+                queues[out].push_back(entry as u32 + (first * links + j * m + l) as u32);
+            }
+        }
+        for &i in &ready {
+            done[i] += 1;
+        }
+        live.retain(|&i| done[i] < counts[i]);
+        schedule.round_start.push(schedule.fires.len() as u32);
     }
-    None
+    for ((t, &take), queue) in touches.iter().zip(&takes).zip(queues) {
+        schedule.rings.push(CycleRing {
+            chan: t.chan,
+            take: take as u32,
+            give: queue.len() as u32,
+            at: schedule.leftovers.len() as u32,
+        });
+        schedule.leftovers.extend(queue);
+    }
+    Ok(schedule)
 }
 
 /// The kernel path's reusable scratch, part of the thread's `RunArena`,
@@ -905,26 +1195,148 @@ pub(crate) struct KernelScratch {
     batch: WaveBatch,
     /// The chunks batched this round, each with its remaining iterations.
     lanes: Vec<(usize, u64)>,
-    /// The candidates for the next round's phase 1.
+    /// The candidates for the next round's phase 1; in a cyclic chunk's
+    /// round, each lane's locals offset.
     cand: Vec<usize>,
+    /// A cyclic chunk's value array ([`CycleSchedule`]).
+    vals: Vec<Value>,
 }
 
 impl KernelScratch {
     /// Bytes held (capacities), for `RunArena::footprint_bytes`.
     pub(crate) fn footprint_bytes(&self) -> usize {
-        self.regs.capacity() * std::mem::size_of::<Value>()
+        (self.regs.capacity() + self.vals.capacity()) * std::mem::size_of::<Value>()
             + self.batch.footprint_bytes()
             + self.lanes.capacity() * std::mem::size_of::<(usize, u64)>()
             + self.cand.capacity() * std::mem::size_of::<usize>()
     }
 }
 
-/// Execute one wave's kernel-eligible dirty chunks as struct-of-arrays
-/// batches, then leave them for the ordinary chunk sweep (which steps
-/// each process past its exhausted repeater and certifies the wave
-/// fixpoint). Returns whether any batch retired work.
+/// Run the cyclic chunk of `windows` through its firing schedule, when
+/// every window stands at its repeater's first iteration and every ring
+/// holds what the schedule takes from it and has room for what it gives:
+/// pop what it takes into the value array, run each round as wave
+/// batches of one iteration per lane — received values gathered by slot,
+/// sent values written to their own — and push what it gives. Returns
+/// the ring touches (`moved`) when it ran, accounted like the scalar op
+/// step's; `None` leaves the chunk to the sweep's fixpoint. Out of line,
+/// so that the batch loop of [`kernel_wave`] it would be inlined into
+/// runs as before on modules without a cycle.
+#[inline(never)]
+fn run_cycle(
+    cycle: &CycleSchedule,
+    windows: &[Window],
+    module: &ProcIrModule,
+    split: &TapeSplit,
+    arena: &mut RunArena,
+    stats: &mut RunStats,
+    report: &mut KernelReport,
+) -> Option<u64> {
+    let RunArena {
+        regs: vm,
+        locals: vm_locals,
+        x: vm_x,
+        rings,
+        scratch,
+        ..
+    } = arena;
+    let at_entry = |w: &Window| {
+        let pid = w.pid as usize;
+        vm[pid].kernel_point(module, pid, w.start) == Some(count_of(module, w))
+    };
+    let fits = |r: &CycleRing| {
+        let (take, give) = (r.take as usize, r.give as usize);
+        rings.len(r.chan) >= take && rings.free(r.chan) + take >= give
+    };
+    if !windows.iter().all(at_entry) || !cycle.rings.iter().all(fits) {
+        return None;
+    }
+    let KernelScratch {
+        batch, vals, cand, ..
+    } = scratch;
+    let links = cycle.links as usize;
+    vals.resize(cycle.value_slots(), 0);
+    let mut at = 0;
+    for r in &cycle.rings {
+        rings.pop_many(r.chan, &mut vals[at..at + r.take as usize]);
+        at += r.take as usize;
+    }
+    let (rows, dims) = (split.rows(), module.kernel.n_dims as usize);
+    let fit = (KERNEL_BATCH_VALUES / split.row_values()).max(1);
+    for round in cycle.round_start.windows(2) {
+        let (f0, end) = (round[0] as usize, round[1] as usize);
+        // The round's inputs, and its sends after the entry slots.
+        let (m, first) = (end - f0, f0 * links);
+        let sends = cycle.entry as usize + first;
+        // Lanes `a..b` of the round, at most a batch's worth at a time.
+        let mut a = 0;
+        while a < m {
+            let b = m.min(a + fit);
+            let pids = &cycle.fires[f0 + a..f0 + b];
+            batch.begin(split, b - a, 1);
+            // Each lane's locals offset, then the rows.
+            cand.clear();
+            cand.extend(pids.iter().map(|&pid| vm[pid as usize].locals as usize));
+            for s in 0..rows {
+                let row = batch.local_row(s);
+                for (v, &o) in row.iter_mut().zip(cand.iter()) {
+                    *v = vm_locals[o + s];
+                }
+            }
+            // The index point at iteration `t`: the schedule leaves `x`
+            // at the first point until the repeater exits.
+            for (li, &pid) in pids.iter().enumerate().filter(|_| dims > 0) {
+                let (pid, r) = (pid as usize, &vm[pid as usize]);
+                let points = vm_x[r.x as usize..].iter().zip(module.increment_of(pid));
+                for (d, (&x0, &inc)) in points.take(dims).enumerate() {
+                    batch.set_point(d, li, x0.wrapping_add(inc.wrapping_mul(r.t)), inc);
+                }
+            }
+            for j in 0..links {
+                let from = &cycle.inputs[first + j * m..][a..b];
+                for (v, &slot) in batch.input_row(j).iter_mut().zip(from) {
+                    *v = vals[slot as usize];
+                }
+            }
+            batch.run(split);
+            for j in 0..links {
+                vals[sends + j * m..][a..b].copy_from_slice(batch.sent_row(split, j));
+            }
+            for s in 0..rows {
+                let row = batch.local_row(s);
+                for (&v, &o) in row.iter().zip(cand.iter()) {
+                    vm_locals[o + s] = v;
+                }
+            }
+            for &pid in pids {
+                vm[pid as usize].t += 1;
+            }
+            report.batches += 1;
+            a = b;
+        }
+    }
+    for r in &cycle.rings {
+        for &slot in &cycle.leftovers[r.at as usize..][..r.give as usize] {
+            let pushed = rings.push(r.chan, vals[slot as usize]);
+            assert!(pushed, "the precondition leaves room for every leftover");
+        }
+    }
+    let fired = cycle.fires.len() as u64;
+    stats.steps += 2 * fired;
+    stats.messages += links as u64 * fired;
+    report.lanes += fired;
+    report.iterations += fired;
+    Some(2 * links as u64 * fired)
+}
+
+/// Execute one wave's kernel-eligible dirty chunks, then leave them for
+/// the ordinary chunk sweep (which steps each process past its exhausted
+/// repeater and certifies the wave fixpoint). Returns whether any batch
+/// retired work.
 ///
-/// The loop alternates two phases until no lane can advance: find the
+/// A cyclic chunk runs its firing schedule ([`run_cycle`]). The single
+/// compute windows batch together: the loop alternates two phases until
+/// no lane can advance: find the
 /// lanes standing at their kernel point — the compute window is
 /// startable (its load window retired in an earlier wave) and at a fresh
 /// iteration boundary — then batch them over the minimum number of
@@ -945,6 +1357,21 @@ pub(crate) fn kernel_wave(
     let split = kernels
         .split()
         .expect("a plan with an eligible chunk has a split");
+    let mut ran = false;
+    let WaveState { chunks, work } = waves;
+    // Most modules have no cycle: one test, not one search per chunk.
+    if !kernels.cycles.is_empty() {
+        for &k in work.iter() {
+            let Some(cycle) = kernels.cycle(k) else {
+                continue;
+            };
+            let windows = plan.chunk(k);
+            if let Some(moved) = run_cycle(cycle, windows, module, split, arena, stats, report) {
+                chunks[k].moved += moved;
+                ran = true;
+            }
+        }
+    }
     let RunArena {
         regs: vm,
         locals: vm_locals,
@@ -956,20 +1383,18 @@ pub(crate) fn kernel_wave(
     let KernelScratch {
         batch, lanes, cand, ..
     } = scratch;
-    let WaveState { chunks, work } = waves;
     let pid_of = |k: usize| plan.chunk(k)[0].pid as usize;
     let (rows, dims) = (split.rows(), module.kernel.n_dims as usize);
     // Lane-iterations a batch may hold.
     let fit = (KERNEL_BATCH_VALUES / split.row_values()).max(1);
-    // Round 1 considers the wave's eligible chunks; later rounds revisit
-    // only the lanes that batched with iterations left, and those the
+    // Round 1 considers the wave's eligible single windows; later rounds
+    // revisit only the lanes that batched with iterations left, and those the
     // bound left out. Another lane of the wave advances with them only if
     // it shares a ring with one (their value runs do not overlap, or an
     // edge would have put them in different waves) and stood blocked on
     // it; the scalar sweep behind this call picks that lane up.
     cand.clear();
     cand.extend(work.iter().copied().filter(|&k| kernels.chunk_ok[k]));
-    let mut ran = false;
     while !cand.is_empty() {
         // Phase 1: the lanes at their kernel point, and the joint batch
         // size.

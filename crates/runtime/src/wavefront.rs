@@ -67,8 +67,8 @@ use crate::batch::BatchPlan;
 use crate::coop::{RunError, RunStats};
 use crate::json::Json;
 use crate::kernel::{kernel_wave, KernelPlan, KernelReport};
-use crate::process::Value;
-use crate::procir::{ProcIrModule, ProcOp};
+use crate::process::{ChanId, Value};
+use crate::procir::{ProcId, ProcIrModule, ProcOp};
 use std::sync::Arc;
 
 /// The widest ring the wavefront plan will grant a channel. Sized so a
@@ -202,8 +202,10 @@ impl WavefrontPlan {
         self.neighbors.row(k)
     }
 
-    /// Chunks of more than one window: the cycles the sweep must
-    /// fixpoint and no kernel batch can take.
+    /// Chunks of more than one window: the cycles whose members feed
+    /// each other. A cycle of compute windows alone may run a firing
+    /// schedule derived with the kernel plan (`crate::kernel`); the sweep
+    /// fixpoints any other.
     pub fn cyclic_chunks(&self) -> usize {
         (0..self.n_chunks())
             .filter(|&k| self.chunk(k).len() > 1)
@@ -269,6 +271,31 @@ struct Run {
     n: u64,
 }
 
+/// The runs of values op `op` of process `pid` moves: `recv(chan, n)` for
+/// each run it receives and `send(chan, n)` for each it sends.
+pub(crate) fn op_runs(
+    module: &ProcIrModule,
+    pid: ProcId,
+    op: ProcOp,
+    mut recv: impl FnMut(ChanId, u64),
+    mut send: impl FnMut(ChanId, u64),
+) {
+    match op {
+        ProcOp::Emit { chan } | ProcOp::Eject { chan, .. } => send(chan, 1),
+        ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => recv(chan, 1),
+        ProcOp::Pass { inp, out, n } => {
+            recv(inp, n);
+            send(out, n);
+        }
+        ProcOp::Compute { count } => {
+            for mc in module.moving_of(pid) {
+                recv(mc.inp, count);
+                send(mc.out, count);
+            }
+        }
+    }
+}
+
 /// Derive the wave structure from a module and its batch analysis. A
 /// module the batch proof rejects is ineligible with the same reason and
 /// every other module is eligible — the wavefront executor inherits
@@ -316,22 +343,13 @@ pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan, needs: &[u64])
                 });
             }
             let node = nodes.len() as u32 - is_repeater(op) as u32;
-            let mut send = |chan: usize, n: u64| sends.push((chan as u32, Run { node, n }));
-            let mut recv = |chan: usize, n: u64| recvs.push((chan as u32, Run { node, n }));
-            match op {
-                ProcOp::Emit { chan } | ProcOp::Eject { chan, .. } => send(chan, 1),
-                ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => recv(chan, 1),
-                ProcOp::Pass { inp, out, n } => {
-                    recv(inp, n);
-                    send(out, n);
-                }
-                ProcOp::Compute { count } => {
-                    for mc in module.moving_of(pid as usize) {
-                        recv(mc.inp, count);
-                        send(mc.out, count);
-                    }
-                }
-            }
+            op_runs(
+                module,
+                pid as usize,
+                op,
+                |chan, n| recvs.push((chan as u32, Run { node, n })),
+                |chan, n| sends.push((chan as u32, Run { node, n })),
+            );
         }
         if start < rec.ops.1 || nodes.len() == first {
             nodes.push(Window {
@@ -1202,6 +1220,182 @@ mod tests {
         let (outs, report) = kernel_path_is_invisible(&m, "wrapping point");
         assert_eq!(report.iterations, 3);
         assert_eq!(outs[2], [by_hand]);
+    }
+
+    /// Three cells in a ring, `N_RING` iterations each: link 0 moves `a`
+    /// from cell `c` to cell `c + 1` over channel `c`, link 1 each cell's
+    /// own `b` from a source to a sink, through the slots `slots(c)`
+    /// names; slot 2 is kept, accumulated and ejected (`a := a + b;
+    /// b := b + x0; s2 := s2 + a·b`). The cells feed each other iteration
+    /// by iteration, so their repeaters are one chunk. With `in_flight`,
+    /// cell 0 first passes two values onto the ring and cell 1 drains two
+    /// after its repeater.
+    fn compute_ring(in_flight: bool, slots: impl Fn(usize) -> [u32; 2]) -> Arc<ProcIrModule> {
+        use crate::kernel::{Kernel, KernelOp::*};
+        use crate::procir::MovingLink;
+        const N_RING: usize = 4;
+        let mut b = ProcIrBuilder::new();
+        for c in 0..3 {
+            let (own, v) = (3 + 4 * c, c as Value);
+            b.begin(format!("cell{c}"));
+            b.op(ProcOp::Keep {
+                chan: own + 2,
+                slot: 2,
+            });
+            if in_flight && c == 0 {
+                b.op(ProcOp::Pass {
+                    inp: 15,
+                    out: 0,
+                    n: 2,
+                });
+            }
+            b.op(ProcOp::Compute {
+                count: N_RING as u64,
+            });
+            if in_flight && c == 1 {
+                b.op(ProcOp::Pass {
+                    inp: 0,
+                    out: 16,
+                    n: 2,
+                });
+            }
+            b.op(ProcOp::Eject {
+                chan: own + 3,
+                slot: 2,
+            });
+            let [ring, stream] = slots(c);
+            let links = [
+                MovingLink {
+                    slot: ring,
+                    inp: (c + 2) % 3,
+                    out: c,
+                },
+                MovingLink {
+                    slot: stream,
+                    inp: own,
+                    out: own + 1,
+                },
+            ];
+            b.repeater(&links, &[10 * v], &[v + 1], 3);
+            b.finish();
+            b.source(own, &[v + 2, 5 - v, -v, 7], "b-in");
+            b.sink(own + 1, N_RING, "b-out");
+            b.source(own + 2, &[100 * v], "s-in");
+            b.sink(own + 3, 1, "s-out");
+        }
+        if in_flight {
+            b.source(15, &[7, -3], "ring-in");
+            b.sink(16, 2, "ring-out");
+        }
+        b.set_kernel(Arc::new(Kernel {
+            ops: vec![
+                Slot(0),
+                Slot(1),
+                Add(0, 1),
+                Index(0),
+                Add(1, 3),
+                Slot(2),
+                Mul(0, 1),
+                Add(5, 6),
+            ],
+            writes: vec![(0, 2), (1, 4), (2, 7)],
+            n_slots: 3,
+            n_dims: 1,
+        }));
+        b.build()
+    }
+
+    /// The one cyclic chunk of `wf`.
+    fn the_cycle(wf: &WavefrontPlan) -> usize {
+        assert_eq!(wf.cyclic_chunks(), 1);
+        (0..wf.n_chunks()).find(|&k| wf.chunk(k).len() > 1).unwrap()
+    }
+
+    #[test]
+    fn a_compute_ring_runs_its_schedule_bit_for_bit_like_the_fixpoint() {
+        let m = compute_ring(true, |_| [0, 1]);
+        let (outs, report) = kernel_path_is_invisible(&m, "compute ring");
+        let wf = analyze_wavefront(&m, &analyze(&m), &[]);
+        assert_eq!(wf.chunk(the_cycle(&wf)).len(), 3, "the three repeaters");
+        // The three repeaters are the one eligible chunk, and every
+        // iteration ran on the schedule: cell 1 first, on the values in
+        // flight, then around the ring.
+        assert_eq!(report.eligible_chunks, 1, "{report:?}");
+        assert_eq!((report.iterations, report.lanes), (12, 12), "{report:?}");
+        let kp = crate::kernel::analyze_kernels(&m, &wf);
+        let cycles = kp.json().get("cycles").unwrap().to_string();
+        assert!(cycles.contains(r#""fires":12"#), "{cycles}");
+        assert_eq!(outs.len(), 3 * 2 + 1, "every sink");
+        assert_eq!(outs[6].len(), 2, "the values drained off the ring");
+    }
+
+    #[test]
+    fn a_boundary_ring_narrower_than_its_traffic_leaves_the_ring_to_the_fixpoint() {
+        let m = compute_ring(true, |_| [0, 1]);
+        let mut wf = analyze_wavefront(&m, &analyze(&m), &[]);
+        let kp = crate::kernel::analyze_kernels(&m, &wf);
+        assert_eq!(kp.eligible_chunks, 1, "{:?}", kp.fallbacks());
+        // Cell 0's own stream holds one of the four values its repeater
+        // reads when the chunk is reached: the precondition fails.
+        wf.capacities[3] = 1;
+        let (scalar, _) = against_the_oracle(&m, &wf, None);
+        let (kernel, report) = against_the_oracle(&m, &wf, Some(&kp));
+        assert_eq!(kernel, scalar, "the same answer and counts");
+        assert_eq!((report.eligible_chunks, report.iterations), (1, 0));
+        let wide = analyze_wavefront(&m, &analyze(&m), &[]);
+        let ((_, wide), _) = against_the_oracle(&m, &wide, None);
+        assert_eq!(scalar.1, wide, "the narrow ring changes no stream");
+    }
+
+    #[test]
+    fn a_compute_ring_with_nothing_in_flight_deadlocks_as_before() {
+        use crate::kernel::analyze_kernels;
+        let m = compute_ring(false, |_| [0, 1]);
+        let plan = analyze(&m);
+        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let wf = analyze_wavefront(&m, &plan, &[]);
+        the_cycle(&wf);
+        let kp = analyze_kernels(&m, &wf);
+        let incomplete = "cyclic chunk (3 compute windows): its firing schedule is incomplete";
+        assert!(
+            kp.fallbacks().contains(&(incomplete.into(), 1)),
+            "{:?}",
+            kp.fallbacks()
+        );
+        let blocked = |kernels| {
+            let err = run_wavefront(&m, &wf, kernels, false).unwrap_err();
+            err.as_deadlock().expect("a deadlock").blocked.clone()
+        };
+        // Each cell has taken its own stream's value and waits on the
+        // ring, on either path; the rendezvous run blocks its sources too.
+        let today = blocked(None);
+        assert_eq!(blocked(Some(&kp)), today);
+        let cells: Vec<_> = today.iter().filter(|b| b.starts_with("cell")).collect();
+        assert_eq!(
+            cells,
+            ["cell0 [recv@2]", "cell1 [recv@0]", "cell2 [recv@1]"]
+        );
+        let oracle = run_plain(&m)
+            .unwrap_err()
+            .as_deadlock()
+            .unwrap()
+            .blocked
+            .clone();
+        assert!(cells.iter().all(|c| oracle.contains(c)), "{oracle:?}");
+    }
+
+    #[test]
+    fn a_cycle_whose_windows_differ_in_slot_layout_stays_scalar() {
+        use crate::kernel::analyze_kernels;
+        let m = compute_ring(true, |c| if c == 2 { [1, 0] } else { [0, 1] });
+        let wf = analyze_wavefront(&m, &analyze(&m), &[]);
+        the_cycle(&wf);
+        let kp = analyze_kernels(&m, &wf);
+        assert_eq!(kp.eligible_chunks, 0);
+        let layout = ("moving-slot layout differs from the batch's".to_string(), 1);
+        assert!(kp.fallbacks().contains(&layout), "{:?}", kp.fallbacks());
+        assert!(kp.json().get("cycles").is_none());
+        kernel_path_is_invisible(&m, "mixed layouts");
     }
 
     #[test]

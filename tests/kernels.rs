@@ -18,12 +18,17 @@
 //! `fir_filter`, `tensor_contraction`, and the shipped `fir.sys` and
 //! `matmul.sys` — the product is the stream section and the accumulator
 //! one `add` fold per lane, and every moving link sends what it received.
-//! Where the accumulator moves — `c` in D.1 and in the derived polynomial
-//! product — the whole tape is stream and `c`'s link sends the sum's row.
-//! E.2 has no eligible chunk. No corpus tape reads an index coordinate;
+//! Where the accumulator moves — `c` in D.1, in the derived polynomial
+//! product and in E.2 — the whole tape is stream and `c`'s link sends the
+//! sum's row. E.2's repeaters close a cycle, which runs as a firing
+//! schedule (`docs/kernels.md` "Cycles"): one round per value of its
+//! `step = i + j + k`, each round one batch of one iteration per lane,
+//! pinned against the scalar sweep at every size up to the benchmark's
+//! n = 16. No corpus tape reads an index coordinate;
 //! an `Index`-reading tape, a guarded (not folded) accumulator, a written
 //! *and* an untouched link in one batch, batches of one and of three
-//! lanes and batches cut at the scratch bound are pinned on hand-built
+//! lanes, batches cut at the scratch bound and a scheduled compute ring
+//! (and the three ways a ring falls back) are pinned on hand-built
 //! modules in `crates/runtime/src/kernel.rs` and
 //! `crates/runtime/src/wavefront.rs`.
 
@@ -46,26 +51,21 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
         let run = agree(&ctx, ModuleStore::global(), &prepared(design, 4, 17));
         let k = run.kernel.as_ref().expect("wavefront runs carry a report");
         assert!(k.compiled, "{ctx}: corpus bodies all kernelize");
-        if k.eligible_chunks > 0 {
-            // Eligible chunks exist, so the kernel path must actually
-            // run, not vacuously match through the fallback.
-            assert!(
-                k.waves_fused > 0 && k.iterations > 0,
-                "{ctx}: eligible but idle (report: {k:?})"
-            );
-            engaged += 1;
-        } else {
-            // E.2 alone: its three flows sum to zero — a step along `a`,
-            // one along `b` and one along `c` return to the cell they
-            // left — so the repeaters themselves close a cycle and sit
-            // in one chunk. The report must say so rather than silently
-            // fusing nothing.
-            assert_eq!(design, 3, "only E.2 keeps a compute-phase cycle");
-            assert!(
-                k.fallbacks.iter().any(|(r, _)| r.contains("cyclic chunk")),
-                "{ctx}: {:?}",
-                k.fallbacks
-            );
+        // Eligible chunks exist, so the kernel path must actually run,
+        // not vacuously match through the fallback.
+        assert!(k.eligible_chunks > 0, "{ctx}: no eligible chunk ({k:?})");
+        assert!(
+            k.waves_fused > 0 && k.iterations > 0,
+            "{ctx}: eligible but idle (report: {k:?})"
+        );
+        engaged += 1;
+        if design == 3 {
+            // E.2: its three flows sum to zero — a step along `a`, one
+            // along `b` and one along `c` return to the cell they left —
+            // so the repeaters close a cycle and sit in one chunk. That
+            // chunk runs its firing schedule: every iteration of the
+            // module on the kernel path, and no cyclic fallback.
+            assert_e2_scheduled(&ctx, 4, k);
         }
         // Sources and sinks are transport processes; they always stay
         // scalar, and the report says why.
@@ -77,11 +77,53 @@ fn kernel_path_matches_macro_step_and_the_oracle_on_every_design() {
             k.fallbacks
         );
     }
-    // 8 of 9: the plan cuts every process at its repeater, so a channel
+    // 9 of 9: the plan cuts every process at its repeater, so a channel
     // that loads a stationary stream one way while a moving one flows the
-    // other way (the derived matmuls) no longer closes a cycle; E.2's
-    // cycle runs through the repeaters themselves.
-    assert_eq!(engaged, 8, "every design but E.2 takes the kernel path");
+    // other way (the derived matmuls) closes no cycle, and E.2's cycle,
+    // which runs through the repeaters themselves, runs its schedule.
+    assert_eq!(engaged, CORPUS, "every design takes the kernel path");
+}
+
+/// E.2's report at size `n`: all (n+1)³ iterations ran on the kernel
+/// path, and no chunk fell back as a cycle.
+fn assert_e2_scheduled(ctx: &str, n: u64, k: &systolizer::interp::KernelReport) {
+    assert_eq!(k.iterations, (n + 1).pow(3), "{ctx}: {k:?}");
+    assert!(
+        !k.fallbacks.iter().any(|(r, _)| r.contains("cyclic chunk")),
+        "{ctx}: {:?}",
+        k.fallbacks
+    );
+}
+
+/// E.2's cyclic chunk on its firing schedule, at every size from the
+/// smallest to the benchmark's: stores, `messages`, `steps` and
+/// `processes` identical to the scalar sweep's, the plain rung's and the
+/// oracle's (`assert_kernels_match_the_scalar_sweep`), every iteration
+/// scheduled.
+#[test]
+fn e2_cycle_schedule_matches_the_scalar_sweep_at_every_size() {
+    for n in [1, 2, 3, 4, 5, 8, 16] {
+        let ctx = format!("E.2 n={n}");
+        let problem = prepared(3, n, 29);
+        let run = agree(&ctx, ModuleStore::global(), &problem);
+        let k = run.kernel.expect("wavefront runs carry a report");
+        assert_eq!(k.eligible_chunks, 1, "{ctx}: one chunk, the cycle");
+        assert_e2_scheduled(&ctx, n as u64, &k);
+        // One round per value of `step = i + j + k`: 3n + 1 of them.
+        let (plan, env, store) = &problem;
+        let cm = ModuleStore::global()
+            .module(plan, env, store, &Default::default())
+            .unwrap();
+        let report = cm.fast_plan().kernels.json();
+        let cycles = report.get("cycles").and_then(|c| c.as_arr());
+        let [cycle] = cycles.expect("a scheduled cycle") else {
+            panic!("{ctx}: {report}");
+        };
+        let field = |name| cycle.get(name).and_then(|v| v.as_i64()).unwrap();
+        assert_eq!(field("rounds"), 3 * n + 1, "{ctx}: {cycle}");
+        assert_eq!(field("fires"), (n + 1).pow(3), "{ctx}: {cycle}");
+        assert_eq!(k.batches, 3 * n as u64 + 1, "{ctx}: a batch per round");
+    }
 }
 
 /// The same contract through the optimizer: delay-ring fusion rewrites
