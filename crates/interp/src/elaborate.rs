@@ -125,7 +125,7 @@ impl std::error::Error for ElabError {}
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutputSpec {
     pub variable: String,
-    /// Index into [`systolic_runtime::Instance::outputs`].
+    /// Index into the output buffers a run returns.
     pub output: u32,
     /// This buffer's range of [`Elaborated::host_words`], in arrival
     /// order — equally the range of the module's data segment its input

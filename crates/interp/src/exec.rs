@@ -29,7 +29,7 @@ use systolic_core::SystolicProgram;
 use systolic_ir::{seq, HostStore};
 use systolic_math::{Affine, Env};
 use systolic_runtime::{
-    lock, BatchMode, KernelReport, Network, OptReport, RunError, RunStats, SchedulePolicy,
+    BatchMode, KernelReport, Network, OptReport, RunError, RunStats, SchedulePolicy,
     SharedRecorder, Value,
 };
 
@@ -268,21 +268,15 @@ pub fn simulate(
             systolic_runtime::run_wavefront(module, &fast_plan.wavefront, kernels, false)?;
         (stats, sinks, fast_plan.opt_report().cloned(), Some(report))
     } else {
-        let inst = el.module.with_data(data).instantiate_recorded(&recorders);
-        let mut net = Network::default();
+        let mut net = Network::of(&el.module.with_data(data));
         if let Some(s) = sched {
             net.set_schedule_policy(s);
         }
         for r in recorders {
             net.add_recorder(r);
         }
-        for p in inst.procs {
-            net.add(p);
-        }
-        let stats = net.run()?;
-        // The run is over: every sink is taken once, not locked per value.
-        let take = |sink: &systolic_runtime::SinkBuffer| std::mem::take(&mut *lock(sink));
-        (stats, inst.outputs.iter().map(take).collect(), None, None)
+        let (stats, sinks) = net.run_with_outputs()?;
+        (stats, sinks, None, None)
     };
 
     let mut result = store.clone();

@@ -1,10 +1,12 @@
-//! The run arena: everything a fast-engine run mutates, in flat tables.
+//! The run arena: everything a run mutates, in flat tables.
 //!
 //! The paper's process is a handful of scalars plus one local per stream
 //! (Sec. 4), and its channels carry a number of values the derivation
 //! knows in advance — so the whole mutable state of a run is a
-//! fixed-size block known when the module is built. The cooperative fast
-//! engine (`run_wavefront`) keeps it as one:
+//! fixed-size block known when the module is built. Both engines keep
+//! it as one — the fast engine (`run_wavefront`) all of it, the
+//! rendezvous engine (`crate::coop`, whose channels hold no values) all
+//! but the rings:
 //!
 //! - one [`Regs`] record per process (program counter, data cursor, pass
 //!   counter, parked par-set, repeater iteration) and one finished flag,
@@ -26,11 +28,11 @@
 //! `reset` does not overwrite (an unwound run never hands the arena
 //! back; the next one starts from an empty arena and grows it again).
 //!
-//! The engine's visit to a process, [`RunArena::macro_step_window`], is
-//! the one op step (`crate::step`, shared with the rendezvous `ProcVm`)
-//! run against the rings: it retires as many ops of one process as the
-//! rings allow, without returning to the engine (see `crate::batch` and
-//! `docs/scheduler.md`). The rings override the step's slice methods,
+//! The fast engine's visit to a process, [`RunArena::macro_step_window`],
+//! is the one op step (`crate::step`, which the rendezvous engine runs
+//! over its completed sets) run against the rings: it retires as many
+//! ops of one process as the rings allow, without returning to the
+//! engine (see `crate::batch` and `docs/scheduler.md`). The rings override the step's slice methods,
 //! so transport moves slices, not values: a `Pass` moves as many values
 //! as its count and both rings allow with one [`Port::transfer`], and a
 //! run of identical `Emit`s (`Collect`s) at the pc is one
@@ -216,7 +218,7 @@ pub(crate) struct RunArena {
     /// Per process: the terminal empty step has been accounted. Dense and
     /// apart from the registers — the sweep skips retired windows by it,
     /// pass after pass.
-    done: Vec<bool>,
+    pub(crate) done: Vec<bool>,
     /// One local per stream of the source program, per process.
     pub(crate) locals: Vec<Value>,
     /// Current index point of every repeater.
@@ -253,6 +255,13 @@ impl RunArena {
     /// allocates only the output buffers it hands away at the end.
     pub(crate) fn reset(&mut self, module: &ProcIrModule, caps: &[u64]) {
         debug_assert_eq!(caps.len(), module.n_chans, "one capacity per channel");
+        self.reset_procs(module);
+        self.rings.reset(caps);
+    }
+
+    /// [`RunArena::reset`] less the rings: the per-process tables, what
+    /// the rendezvous engine, whose channels hold no values, runs on.
+    pub(crate) fn reset_procs(&mut self, module: &ProcIrModule) {
         self.regs.clear();
         self.done.clear();
         self.done.resize(module.procs.len(), false);
@@ -276,7 +285,6 @@ impl RunArena {
         );
         self.locals.clear();
         self.locals.resize(n_locals, 0);
-        self.rings.reset(caps);
         // The one-lane register file; a wave batch never leaves it
         // shorter than that.
         let tape = module.kernel.ops.len();

@@ -7,6 +7,12 @@
 //! one **round** completes every rendezvous that is enabled at its start,
 //! mirroring the global clock tick of the hardware array.
 //!
+//! The engine runs one [`ProcIrModule`]: each process is stepped by the
+//! one op step (`crate::step`) over the communication set it blocked
+//! on, now complete, and its registers, stream locals, index point and
+//! output live in the thread's run arena (`crate::arena`), the tables
+//! the fast engine runs on too.
+//!
 //! The engine is event-driven: channel endpoints live in a persistent
 //! dense table (`Vec<ChanSlot>` indexed by [`ChanId`]) updated
 //! incrementally as processes register and complete comm sets, and each
@@ -17,19 +23,22 @@
 //! ## Reuse invariant (zero steady-state allocation)
 //!
 //! After warm-up, a round performs **no heap allocation**: the worklists
-//! (`worklist`/`work_scratch`), the ready queue, the receive/request
-//! scratch buffers, and each process's `pending`/`inbox` vectors are
-//! cleared and refilled in place, never dropped; the channel table grows
-//! to a high-water mark and stays there. The only exception is the
-//! optional trace log, which grows by design. Process `step_into`
-//! implementations uphold the same rule (see [`Process::step_into`]).
+//! (`worklist`/`work_scratch`), the ready queue and the request scratch
+//! buffer are cleared and refilled in place, never dropped; every
+//! process's communication set has a fixed span of one `pending`/`inbox`
+//! table, and the channel table is sized once. The only exception is
+//! an attached recorder that logs, which grows by design.
 //!
 //! Deadlock is detected exactly: unfinished processes with no enabled
 //! rendezvous.
 
-use crate::process::{lock, ChanId, CommReq, Process, Value};
+use crate::arena::{with_arena, RunArena};
+use crate::process::{lock, ChanId, CommReq, Value};
+use crate::procir::ProcIrModule;
 use crate::record::{SharedRecorder, Transfer};
 use crate::schedule::{SchedulePolicy, STARVATION_LIMIT};
+use crate::step::{blocked_on, step_window, Completed, ProcView};
+use std::sync::Arc;
 
 // Spelled by the frozen `benchmark/src/stages.rs:16,71`; goes with ROADMAP 2(b).
 #[doc(hidden)]
@@ -170,22 +179,22 @@ pub(crate) fn blocked_line<'a>(label: &str, waits: impl Iterator<Item = &'a Comm
     )
 }
 
-struct ProcState {
-    proc: Box<dyn Process>,
-    /// Pending requests with completion marks.
-    pending: Vec<(CommReq, bool)>,
-    /// Values received for pending `Recv`s, by request index.
-    inbox: Vec<Option<Value>>,
-    /// Count of not-yet-completed requests in `pending`.
-    remaining: usize,
-    finished: bool,
+/// One process's communication set: `len` requests of the network's
+/// `pending` table from `off`, `remaining` of them not yet complete.
+/// A set holds at most `max(1, moving links)` requests, so every
+/// process's span is fixed when the run starts.
+#[derive(Clone, Copy, Default)]
+struct CommSet {
+    off: u32,
+    len: u32,
+    remaining: u32,
 }
 
 /// One channel's persistent endpoint state. `ChanId`s are dense, so the
 /// whole channel table is a flat `Vec<ChanSlot>` — registration,
 /// matching, and completion are all O(1) indexed accesses with no
 /// hashing anywhere on the round path.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ChanSlot {
     /// The at-most-one pending sender: (process, request index, value).
     sender: Option<(usize, usize, Value)>,
@@ -195,13 +204,14 @@ struct ChanSlot {
     in_worklist: bool,
 }
 
-/// A network of processes plus channel state, run to completion by
-/// [`Network::run`]. Every channel is a synchronous rendezvous (the
-/// paper's model, Sec. 4); `Network::default()` is the empty network.
+/// The processes of one [`ProcIrModule`] plus channel state, run to
+/// completion by [`Network::run`]. Every channel is a synchronous
+/// rendezvous (the paper's model, Sec. 4); `Network::default()` runs the
+/// empty module.
 #[derive(Default)]
 pub struct Network {
-    procs: Vec<ProcState>,
-    /// Dense persistent channel table, indexed by `ChanId`.
+    module: Arc<ProcIrModule>,
+    /// Dense channel table, indexed by `ChanId`.
     chans: Vec<ChanSlot>,
     /// Channels that may fire next round (deduplicated via
     /// `ChanSlot::in_worklist`).
@@ -210,12 +220,16 @@ pub struct Network {
     work_scratch: Vec<ChanId>,
     /// Processes whose comm set completed this round.
     ready: Vec<usize>,
-    /// Reused buffer of received values handed to `step_into`.
-    recv_scratch: Vec<Value>,
-    /// Reused buffer of requests produced by `step_into`.
+    /// Every process's pending requests with completion marks, at the
+    /// offsets of `sets`; a request index is absolute into this table.
+    pending: Vec<(CommReq, bool)>,
+    /// The value each completed receive delivered, indexed like `pending`.
+    inbox: Vec<Value>,
+    sets: Vec<CommSet>,
+    /// Reused buffer of the requests a step blocks on.
     req_scratch: Vec<CommReq>,
     /// Processes not yet finished, so the run loop never re-scans
-    /// `procs` for termination.
+    /// the processes for termination.
     unfinished: usize,
     stats: RunStats,
     /// Attached observability sinks (see `crate::record`). Empty in the
@@ -243,10 +257,26 @@ pub struct Network {
 }
 
 impl Network {
+    /// The rendezvous network of `module`'s processes.
+    pub fn of(module: &Arc<ProcIrModule>) -> Network {
+        Network {
+            module: module.clone(),
+            ..Network::default()
+        }
+    }
+
     // Spelled by the frozen `benchmark/src/stages.rs:71`; goes with ROADMAP 2(b).
     #[doc(hidden)]
     pub fn new(_: ChannelPolicy) -> Network {
         Network::default()
+    }
+
+    // Spelled by the frozen `benchmark/src/stages.rs:72–74`, which adds
+    // the one module `ProcIrModule::instantiate` hands it; goes with
+    // ROADMAP 2(b).
+    #[doc(hidden)]
+    pub fn add(&mut self, module: Arc<ProcIrModule>) {
+        self.module = module;
     }
 
     /// Attach a schedule policy (see `crate::schedule`); the engine hands
@@ -259,38 +289,61 @@ impl Network {
     }
 
     /// Attach an observability sink; every recorder receives the full
-    /// event stream (transfers with wait attribution, steps, process
-    /// terminations, run start/end). Attach before [`Network::run`].
+    /// event stream (transfers with wait attribution, steps, retired op
+    /// effects, process terminations, run start/end). Attach before
+    /// [`Network::run`].
     pub fn add_recorder(&mut self, recorder: SharedRecorder) {
         self.recorders.push(recorder);
     }
 
-    /// Add a process; returns its index.
-    pub fn add(&mut self, proc: Box<dyn Process>) -> usize {
-        self.procs.push(ProcState {
-            proc,
-            pending: Vec::new(),
-            inbox: Vec::new(),
-            remaining: 0,
-            finished: false,
-        });
-        self.procs.len() - 1
-    }
-
     /// Run all processes to completion. Returns statistics, or the
     /// deadlock / protocol violation if progress stops.
-    pub fn run(mut self) -> Result<RunStats, RunError> {
-        self.stats.processes = self.procs.len();
-        self.unfinished = self.procs.len();
+    pub fn run(self) -> Result<RunStats, RunError> {
+        self.run_with_outputs().map(|(stats, _)| stats)
+    }
+
+    /// [`Network::run`], with the output buffers the `Collect` ops
+    /// filled, by output id. Every process's registers, locals, index
+    /// point and output live in the thread's run arena (`crate::arena`),
+    /// the fast engine's; the network adds its channel table and each
+    /// process's communication set.
+    pub fn run_with_outputs(mut self) -> Result<(RunStats, Vec<Vec<Value>>), RunError> {
+        with_arena(|arena| {
+            arena.reset_procs(&self.module);
+            let stats = self.run_in(arena)?;
+            Ok((stats, std::mem::take(&mut arena.outputs)))
+        })
+    }
+
+    fn run_in(&mut self, arena: &mut RunArena) -> Result<RunStats, RunError> {
+        let module = self.module.clone();
+        let n = module.procs.len();
+        let mut off = 0u32;
+        self.sets.clear();
+        self.sets.extend((0..n).map(|pid| {
+            let set = CommSet {
+                off,
+                ..CommSet::default()
+            };
+            off += module.moving_of(pid).len().max(1) as u32;
+            set
+        }));
+        let unused = (CommReq::Recv { chan: 0 }, false);
+        self.pending.resize(off as usize, unused);
+        self.inbox.resize(off as usize, 0);
+        self.chans.resize(module.n_chans, ChanSlot::default());
+        self.stats.processes = n;
+        self.unfinished = n;
         if !self.recorders.is_empty() {
-            let labels: Vec<String> = self.procs.iter().map(|p| p.proc.label()).collect();
+            self.since.resize(module.n_chans, (0, 0));
+            let labels: Vec<String> = module.procs.iter().map(|p| p.label.clone()).collect();
             for r in &self.recorders {
                 lock(r).start(&labels);
             }
         }
         // Prime every process.
-        for i in 0..self.procs.len() {
-            self.advance(i)?;
+        for pid in 0..n {
+            self.advance(arena, pid)?;
         }
         loop {
             if self.unfinished == 0 {
@@ -299,7 +352,7 @@ impl Network {
                 }
                 return Ok(self.stats.clone());
             }
-            let fired = self.round()?;
+            let fired = self.round(arena)?;
             if fired == 0 {
                 // A round that moved nothing is a deadlock — unless an
                 // attached policy deferred enabled rendezvous, in which
@@ -308,7 +361,7 @@ impl Network {
                 // the deadlock it is hiding.
                 self.starved += 1;
                 if self.deferred == 0 || self.starved > STARVATION_LIMIT {
-                    return Err(self.deadlock_report().into());
+                    return Err(self.deadlock_report(arena).into());
                 }
             } else {
                 self.starved = 0;
@@ -317,123 +370,134 @@ impl Network {
         }
     }
 
-    fn deadlock_report(&self) -> Deadlock {
-        let blocked = self
-            .procs
-            .iter()
-            .filter(|p| !p.finished)
-            .map(|p| {
-                let waits = p.pending.iter().filter(|&&(_, done)| !done);
-                blocked_line(&p.proc.label(), waits.map(|(r, _)| r))
-            })
-            .collect();
-        Deadlock { blocked }
+    fn deadlock_report(&self, arena: &RunArena) -> Deadlock {
+        let blocked = (0..self.sets.len()).filter(|&pid| !arena.done[pid]);
+        let blocked = blocked.map(|pid| {
+            let CommSet { off, len, .. } = self.sets[pid];
+            let set = &self.pending[off as usize..(off + len) as usize];
+            let waits = set.iter().filter(|&&(_, done)| !done);
+            blocked_line(self.module.label_of(pid), waits.map(|(r, _)| r))
+        });
+        Deadlock {
+            blocked: blocked.collect(),
+        }
     }
 
-    /// Collect received values for process `i`'s completed set, step it,
-    /// and register its next comm set in the channel table. All buffers
-    /// involved are reused (see the module-level reuse invariant).
-    fn advance(&mut self, pi: usize) -> Result<(), ProtocolViolation> {
-        self.recv_scratch.clear();
-        self.req_scratch.clear();
-        {
-            let p = &mut self.procs[pi];
-            for i in 0..p.pending.len() {
-                if !p.pending[i].0.is_send() {
-                    self.recv_scratch
-                        .push(p.inbox[i].take().expect("recv completed without value"));
-                }
-            }
-            p.proc.step_into(&self.recv_scratch, &mut self.req_scratch);
+    /// Step process `pid` past its completed set — the op step
+    /// ([`step_window`]) over that set, then the set it blocks on next
+    /// ([`blocked_on`]) — and register the new set in the channel table.
+    /// All buffers involved are reused (see the module-level reuse
+    /// invariant).
+    fn advance(&mut self, arena: &mut RunArena, pid: usize) -> Result<(), ProtocolViolation> {
+        let module = &*self.module;
+        let rec = &module.procs[pid];
+        let CommSet { off, len, .. } = self.sets[pid];
+        let span = off as usize..(off + len) as usize;
+        // A set is all receives or all sends (`blocked_on`); a completed
+        // receive set delivers its values in request order.
+        let receives = len > 0 && !self.pending[off as usize].0.is_send();
+        let received = if receives { &self.inbox[span] } else { &[] };
+        let mut port = Completed::new(len as usize, received);
+        let p = ProcView {
+            regs: &mut arena.regs[pid],
+            locals: &mut arena.locals,
+            x: &mut arena.x,
+            tape: &mut arena.scratch.regs,
+            out: rec.output.map(|o| &mut arena.outputs[o as usize]),
+            recorders: &self.recorders,
+        };
+        // The engine counts steps and messages itself.
+        let (mut counted, mut moved) = (RunStats::default(), 0);
+        let (ops, recording) = (rec.ops, !self.recorders.is_empty());
+        let left = if recording {
+            step_window::<_, true>(module, pid, ops, p, &mut port, &mut counted, &mut moved)
+        } else {
+            step_window::<_, false>(module, pid, ops, p, &mut port, &mut counted, &mut moved)
+        };
+        debug_assert!(port.consumed(), "a step retires the whole completed set");
+        let next = &mut self.req_scratch;
+        next.clear();
+        if !left {
+            blocked_on(module, pid, &arena.regs[pid], &arena.locals, next);
         }
         self.stats.steps += 1;
-        let recording = !self.recorders.is_empty();
         if recording {
             for r in &self.recorders {
-                lock(r).step(self.stats.rounds, pi);
+                lock(r).step(self.stats.rounds, pid);
             }
         }
 
-        let p = &mut self.procs[pi];
-        p.pending.clear();
-        p.inbox.clear();
-        if self.req_scratch.is_empty() {
-            p.finished = true;
-            p.remaining = 0;
+        let n = self.req_scratch.len();
+        debug_assert!(n <= module.moving_of(pid).len().max(1), "set past its span");
+        self.sets[pid].len = n as u32;
+        self.sets[pid].remaining = n as u32;
+        if n == 0 {
+            arena.done[pid] = true;
             self.unfinished -= 1;
             if recording {
                 for r in &self.recorders {
-                    lock(r).finished(self.stats.rounds, pi);
+                    lock(r).finished(self.stats.rounds, pid);
                 }
             }
             return Ok(());
         }
-        p.pending
-            .extend(self.req_scratch.drain(..).map(|r| (r, false)));
-        p.inbox.resize(p.pending.len(), None);
-        p.remaining = p.pending.len();
 
         // Register each endpoint; a channel that became transfer-ready
         // joins the worklist for the next round.
-        for ri in 0..self.procs[pi].pending.len() {
-            let (req, _) = self.procs[pi].pending[ri];
-            let (chan, conflict) = match req {
-                CommReq::Send { chan, value } => {
-                    let slot = slot_mut(&mut self.chans, chan);
-                    match slot.sender {
-                        Some((prev, _, _)) => (chan, Some(("sender", prev))),
-                        None => {
-                            slot.sender = Some((pi, ri, value));
-                            if recording {
-                                since_mut(&mut self.since, chan).0 = self.stats.rounds;
-                            }
-                            (chan, None)
+        for (i, &req) in self.req_scratch.iter().enumerate() {
+            let at = off as usize + i;
+            self.pending[at] = (req, false);
+            let slot = &mut self.chans[req.chan()];
+            let conflict = match req {
+                CommReq::Send { chan, value } => match slot.sender {
+                    Some((prev, _, _)) => Some(("sender", prev)),
+                    None => {
+                        slot.sender = Some((pid, at, value));
+                        if recording {
+                            self.since[chan].0 = self.stats.rounds;
                         }
+                        None
                     }
-                }
-                CommReq::Recv { chan } => {
-                    let slot = slot_mut(&mut self.chans, chan);
-                    match slot.receiver {
-                        Some((prev, _)) => (chan, Some(("receiver", prev))),
-                        None => {
-                            slot.receiver = Some((pi, ri));
-                            if recording {
-                                since_mut(&mut self.since, chan).1 = self.stats.rounds;
-                            }
-                            (chan, None)
+                },
+                CommReq::Recv { chan } => match slot.receiver {
+                    Some((prev, _)) => Some(("receiver", prev)),
+                    None => {
+                        slot.receiver = Some((pid, at));
+                        if recording {
+                            self.since[chan].1 = self.stats.rounds;
                         }
+                        None
                     }
-                }
+                },
             };
             if let Some((endpoint, prev)) = conflict {
                 return Err(ProtocolViolation {
-                    chan,
+                    chan: req.chan(),
                     endpoint,
-                    first: self.procs[prev].proc.label(),
-                    second: self.procs[pi].proc.label(),
+                    first: module.label_of(prev).to_string(),
+                    second: module.label_of(pid).to_string(),
                 });
             }
-            let slot = &mut self.chans[chan];
             if !slot.in_worklist && slot.sender.is_some() && slot.receiver.is_some() {
                 slot.in_worklist = true;
-                self.worklist.push(chan);
+                self.worklist.push(req.chan());
             }
         }
         Ok(())
     }
 
-    /// Mark request `ri` of process `pi` complete (optionally delivering
+    /// Mark request `at` of process `pid` complete (optionally delivering
     /// a received value); queues the process when its whole set is done.
-    fn complete(&mut self, pi: usize, ri: usize, value: Option<Value>) {
-        let p = &mut self.procs[pi];
-        debug_assert!(!p.pending[ri].1, "request completed twice");
-        p.pending[ri].1 = true;
+    fn complete(&mut self, pid: usize, at: usize, value: Option<Value>) {
+        debug_assert!(!self.pending[at].1, "request completed twice");
+        self.pending[at].1 = true;
         if let Some(v) = value {
-            p.inbox[ri] = Some(v);
+            self.inbox[at] = v;
         }
-        p.remaining -= 1;
-        if p.remaining == 0 {
-            self.ready.push(pi);
+        let set = &mut self.sets[pid];
+        set.remaining -= 1;
+        if set.remaining == 0 {
+            self.ready.push(pid);
         }
     }
 
@@ -446,7 +510,7 @@ impl Network {
     /// scan-all-channels scheduler. Registrations performed by the
     /// end-of-round `advance` calls land in the *next* round's worklist,
     /// preserving the snapshot-at-round-start semantics.
-    fn round(&mut self) -> Result<u64, ProtocolViolation> {
+    fn round(&mut self, arena: &mut RunArena) -> Result<u64, ProtocolViolation> {
         std::mem::swap(&mut self.worklist, &mut self.work_scratch);
         self.work_scratch.sort_unstable();
         if self.sched.is_some() {
@@ -467,7 +531,7 @@ impl Network {
                 continue;
             };
             if !self.recorders.is_empty() {
-                let (s_since, r_since) = *since_mut(&mut self.since, chan);
+                let (s_since, r_since) = self.since[chan];
                 let now = self.stats.rounds;
                 let ev = Transfer {
                     time: now,
@@ -497,9 +561,9 @@ impl Network {
         if let Some(sched) = self.sched.as_mut() {
             sched.order_ready(self.stats.rounds, &mut ready);
         }
-        for &pi in &ready {
-            debug_assert!(!self.procs[pi].finished && self.procs[pi].remaining == 0);
-            self.advance(pi)?;
+        for &pid in &ready {
+            debug_assert!(!arena.done[pid] && self.sets[pid].remaining == 0);
+            self.advance(arena, pid)?;
         }
         ready.clear();
         self.ready = ready;
@@ -523,57 +587,15 @@ impl Network {
     }
 }
 
-/// Index into the dense channel table, growing it on first touch.
-fn slot_mut(chans: &mut Vec<ChanSlot>, chan: ChanId) -> &mut ChanSlot {
-    if chan >= chans.len() {
-        chans.resize_with(chan + 1, ChanSlot::default);
-    }
-    &mut chans[chan]
-}
-
-/// The recording-only companion of [`slot_mut`]: grows the side table of
-/// endpoint registration rounds on demand. Never called on an unobserved
-/// run, so `Network::since` stays empty there.
-fn since_mut(since: &mut Vec<(u64, u64)>, chan: ChanId) -> &mut (u64, u64) {
-    if chan >= since.len() {
-        since.resize(chan + 1, (0, 0));
-    }
-    &mut since[chan]
-}
-
-/// The rendezvous oracle on a bytecode module: one fresh [`Network`] run
-/// of its instance, with the stats and every output buffer — what the
-/// fast engine's unit tests hold it to.
-#[cfg(test)]
-pub(crate) fn run_plain(
-    module: &std::sync::Arc<crate::procir::ProcIrModule>,
-) -> Result<(RunStats, Vec<Vec<Value>>), RunError> {
-    let inst = module.instantiate();
-    let mut net = Network::default();
-    for p in inst.procs {
-        net.add(p);
-    }
-    let stats = net.run()?;
-    let take = |sink: &crate::process::SinkBuffer| std::mem::take(&mut *lock(sink));
-    Ok((stats, inst.outputs.iter().map(take).collect()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{sink_buffer, SinkBuffer};
-    use crate::procir::ProcIrBuilder;
+    use crate::kernel::{Kernel, KernelOp};
+    use crate::procir::{MovingLink, ProcIrBuilder, ProcOp};
 
-    /// Instantiate a builder's module into a fresh network, returning the
-    /// output buffers in sink-declaration order.
-    fn net_of(b: ProcIrBuilder) -> (Network, Vec<SinkBuffer>) {
-        let module = b.build();
-        let inst = module.instantiate();
-        let mut net = Network::default();
-        for p in inst.procs {
-            net.add(p);
-        }
-        (net, inst.outputs)
+    /// A fresh network over a builder's module.
+    fn net_of(b: ProcIrBuilder) -> Network {
+        Network::of(&b.build())
     }
 
     #[test]
@@ -582,9 +604,8 @@ mod tests {
         b.source(0, &[1, 2, 3], "src");
         b.relay(0, 1, 3, "relay");
         b.sink(1, 3, "sink");
-        let (net, outs) = net_of(b);
-        let stats = net.run().unwrap();
-        assert_eq!(*lock(&outs[0]), vec![1, 2, 3]);
+        let (stats, outs) = net_of(b).run_with_outputs().unwrap();
+        assert_eq!(outs[0], vec![1, 2, 3]);
         assert_eq!(stats.messages, 6, "3 values over 2 hops");
         assert_eq!(stats.processes, 3);
     }
@@ -594,8 +615,7 @@ mod tests {
         // A sink waiting on a channel nobody sends on.
         let mut b = ProcIrBuilder::new();
         b.sink(9, 1, "lonely-sink");
-        let (net, _) = net_of(b);
-        let err = net.run().unwrap_err();
+        let err = net_of(b).run().unwrap_err();
         let deadlock = err.as_deadlock().expect("deadlock, not protocol error");
         assert_eq!(deadlock.blocked.len(), 1);
         assert!(deadlock.blocked[0].contains("recv@9"));
@@ -608,8 +628,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2, 3], "src");
         b.sink(0, 4, "sink");
-        let (net, _) = net_of(b);
-        assert!(net.run().is_err());
+        assert!(net_of(b).run().is_err());
     }
 
     #[test]
@@ -618,8 +637,7 @@ mod tests {
         b.source(0, &[1], "src-a");
         b.source(0, &[2], "src-b");
         b.sink(0, 2, "sink");
-        let (net, _) = net_of(b);
-        let err = net.run().unwrap_err();
+        let err = net_of(b).run().unwrap_err();
         let RunError::Protocol(v) = err else {
             panic!("expected protocol violation, got {err}");
         };
@@ -636,8 +654,7 @@ mod tests {
         b.source(0, &[1, 2], "src");
         b.sink(0, 1, "sink-a");
         b.sink(0, 1, "sink-b");
-        let (net, _) = net_of(b);
-        let err = net.run().unwrap_err();
+        let err = net_of(b).run().unwrap_err();
         let RunError::Protocol(v) = err else {
             panic!("expected protocol violation, got {err}");
         };
@@ -655,8 +672,7 @@ mod tests {
         b.source(1, &[8], "src-upstream");
         b.relay(1, 0, 1, "relay");
         b.sink(0, 3, "sink");
-        let (net, _) = net_of(b);
-        let err = net.run().unwrap_err();
+        let err = net_of(b).run().unwrap_err();
         let RunError::Protocol(v) = err else {
             panic!("expected protocol violation, got {err}");
         };
@@ -679,9 +695,8 @@ mod tests {
             b.relay(i, i + 1, n, format!("relay{i}"));
         }
         b.sink(k, n, "sink");
-        let (net, outs) = net_of(b);
-        let stats = net.run().unwrap();
-        assert_eq!(lock(&outs[0]).len(), n);
+        let (stats, outs) = net_of(b).run_with_outputs().unwrap();
+        assert_eq!(outs[0].len(), n);
         // Pipelined: rounds ~ n + k, not n * k.
         assert!(
             stats.rounds <= (2 * (n + k)) as u64,
@@ -698,58 +713,34 @@ mod tests {
         b.source(1, &[2], "s2");
         b.sink(0, 1, "k1");
         b.sink(1, 1, "k2");
-        let (net, outs) = net_of(b);
-        let stats = net.run().unwrap();
+        let (stats, outs) = net_of(b).run_with_outputs().unwrap();
         assert_eq!(stats.rounds, 1, "independent channels fire simultaneously");
-        assert_eq!(*lock(&outs[0]), vec![1]);
-        assert_eq!(*lock(&outs[1]), vec![2]);
-    }
-
-    /// An ad-hoc process exercising par-sets: receives from two channels
-    /// at once (also checks that hand-written [`Process`] impls compose
-    /// with module-instantiated VMs in one network).
-    struct Join {
-        a: ChanId,
-        b: ChanId,
-        out: SinkBuffer,
-        rounds: usize,
-    }
-
-    impl crate::process::Process for Join {
-        fn step(&mut self, received: &[Value]) -> Vec<CommReq> {
-            if received.len() == 2 {
-                lock(&self.out).push(received[0] + received[1]);
-            }
-            if self.rounds == 0 {
-                return vec![];
-            }
-            self.rounds -= 1;
-            vec![
-                CommReq::Recv { chan: self.a },
-                CommReq::Recv { chan: self.b },
-            ]
-        }
-
-        fn label(&self) -> String {
-            "join".into()
-        }
+        assert_eq!(outs, [[1], [2]]);
     }
 
     #[test]
     fn par_set_completes_in_any_order() {
+        // A two-link compute cell receives from both channels at once
+        // and sends their sum: a par-set whose receives complete in
+        // whatever order the rounds offer them.
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 10], "sa");
         b.source(1, &[2, 20], "sb");
-        let (mut net, _) = net_of(b);
-        let buf = sink_buffer();
-        net.add(Box::new(Join {
-            a: 0,
-            b: 1,
-            out: buf.clone(),
-            rounds: 2,
+        b.begin("join");
+        b.op(ProcOp::Compute { count: 2 });
+        let link = |slot, inp, out| MovingLink { slot, inp, out };
+        b.repeater(&[link(0, 0, 2), link(1, 1, 3)], &[0], &[1], 2);
+        b.finish();
+        b.sink(2, 2, "sum");
+        b.sink(3, 2, "b-out");
+        b.set_kernel(Arc::new(Kernel {
+            ops: vec![KernelOp::Slot(0), KernelOp::Slot(1), KernelOp::Add(0, 1)],
+            writes: vec![(0, 2)],
+            n_slots: 2,
+            n_dims: 0,
         }));
-        net.run().unwrap();
-        assert_eq!(*lock(&buf), vec![3, 30]);
+        let (_, outs) = net_of(b).run_with_outputs().unwrap();
+        assert_eq!(outs[0], vec![3, 30]);
     }
 
     /// Reverses the firing order and the ready order every round — the
@@ -794,13 +785,12 @@ mod tests {
         b.source(0, &[1, 2, 3, 4], "src");
         b.relay(0, 1, 4, "relay");
         b.sink(1, 4, "sink");
-        let (mut net, outs) = net_of(b);
+        let mut net = net_of(b);
         if let Some(p) = policy {
             net.set_schedule_policy(p);
         }
-        let stats = net.run().unwrap();
-        let out = lock(&outs[0]).clone();
-        (stats, out)
+        let (stats, mut outs) = net.run_with_outputs().unwrap();
+        (stats, outs.remove(0))
     }
 
     #[test]
@@ -838,7 +828,7 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1], "src");
         b.sink(0, 1, "sink");
-        let (mut net, _) = net_of(b);
+        let mut net = net_of(b);
         net.set_schedule_policy(Box::new(StarveEverything));
         let err = net.run().unwrap_err();
         assert!(err.as_deadlock().is_some(), "{err}");
@@ -853,7 +843,7 @@ mod tests {
         b.source(0, &[10], "s-lo");
         b.sink(1, 1, "k-hi");
         b.sink(0, 1, "k-lo");
-        let (mut net, _) = net_of(b);
+        let mut net = net_of(b);
         let (log, erased) = crate::record::shared(crate::record::EventLogRecorder::new());
         net.add_recorder(erased);
         let stats = net.run().unwrap();

@@ -5,22 +5,24 @@
 //! processes, synchronous point-to-point channels, `par` communication
 //! sets, host-side sources and sinks.
 //!
-//! - [`process`] — the [`Process`] coroutine trait and the channel
-//!   vocabulary ([`CommReq`], [`ChanId`], [`Value`]), and [`lock`], the
-//!   one poison-tolerant way into the mutexes the engines share;
+//! - [`process`] — the channel vocabulary ([`CommReq`], [`ChanId`],
+//!   [`Value`]), and [`lock`], the one poison-tolerant way into the
+//!   mutexes the engines share;
 //! - [`procir`] — the flat process bytecode ([`ProcIrModule`]) that every
-//!   elaborated process lowers to, and the VM ([`ProcVm`]) that runs it
-//!   for the rendezvous engine; every engine gives the ops their meaning
-//!   through one op step (`step.rs`), generic over its channels;
+//!   elaborated process lowers to, the one runtime form of a process:
+//!   every engine gives the ops their meaning through one op step
+//!   (`step.rs`), generic over its channels, with every process's state
+//!   in one per-thread run arena (`arena.rs`);
 //! - [`batch`] — the steady-state batching proof ([`analyze`]) that
 //!   gates the cooperative executor's macro-stepping fast path (see
 //!   `docs/scheduler.md`), which runs on one per-thread run arena — flat
 //!   register, local and index tables and a single ring slab, reset per
 //!   run (`arena.rs`);
 //! - [`coop`] — the deterministic cooperative scheduler with rendezvous
-//!   rounds (the virtual systolic clock) and exact deadlock detection;
+//!   rounds (the virtual systolic clock) and exact deadlock detection,
+//!   running one module ([`Network`]);
 //! - [`record`] — the observability layer: the [`Recorder`] event sink
-//!   threaded through the VM and the rendezvous engine, with metrics
+//!   threaded through the op step and the rendezvous engine, with metrics
 //!   aggregation ([`MetricsRecorder`]) and Chrome-trace export
 //!   ([`PerfettoRecorder`]); zero cost when no recorder is attached.
 //! - [`json`] — the workspace's one JSON model ([`Json`]: value, compact
@@ -58,10 +60,8 @@ pub use kernel::{
     KERNEL_MAX_OPS,
 };
 pub use opt::{optimize, ChainRecord, OptReport, OptimizedModule};
-pub use process::{lock, sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
-pub use procir::{
-    Instance, MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord, ProcVm,
-};
+pub use process::{lock, ChanId, CommReq, Value};
+pub use procir::{MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord};
 pub use record::{
     canonicalize_transfers, first_divergence, shared, ChanMetrics, EventLogRecorder,
     MetricsRecorder, MetricsReport, OpKind, PerfettoEvent, PerfettoRecorder, Phase, ProcMetrics,

@@ -556,7 +556,7 @@ fn rebuild(
 mod tests {
     use super::*;
     use crate::batch::analyze;
-    use crate::coop::run_plain;
+    use crate::coop::Network;
     use crate::procir::ProcIrBuilder;
     use crate::wavefront::{analyze_wavefront, run_wavefront};
 
@@ -568,7 +568,7 @@ mod tests {
         assert!(plan.batchable(), "{:?}", plan.reject_reason());
         let wf = analyze_wavefront(module, &plan, needs);
         let (fs, fouts, _) = run_wavefront(module, &wf, None, false).unwrap();
-        let (ps, pouts) = run_plain(module).unwrap();
+        let (ps, pouts) = Network::of(module).run_with_outputs().unwrap();
         assert_eq!((fs.messages, fs.steps), (ps.messages, ps.steps));
         assert_eq!(fouts, pouts);
         fouts
@@ -722,7 +722,7 @@ mod tests {
             assert!(ch.capacity <= ch.traffic, "{ctx}");
             let wf = analyze_wavefront(&o.module, &analyze(&o.module), &o.ring_needs);
             assert!(wf.capacities[ch.surviving] >= ch.capacity, "{ctx}");
-            let (_, elaborated) = run_plain(&m).unwrap();
+            let (_, elaborated) = Network::of(&m).run_with_outputs().unwrap();
             assert_eq!(elaborated[0], vals, "{ctx}");
             assert_eq!(run_fused(&o.module, &o.ring_needs), elaborated, "{ctx}");
         }

@@ -9,10 +9,11 @@
 //! channel endpoints already resolved to dense [`ChanId`]s at lowering
 //! time. One op step (`crate::step`) gives the ops their meaning on every
 //! engine — there is no per-executor (or per-role) process behaviour
-//! anywhere else. [`ProcVm`] runs it as a [`Process`] coroutine against
-//! rendezvous channels, for the cooperative rendezvous executor; the
-//! fast engine, the wavefront executor, runs it against the rings of its
-//! run arena (`crate::arena`).
+//! anywhere else, and no second runtime form of a process: the
+//! rendezvous engine (`crate::coop`) steps the module's processes over
+//! their completed communication sets, the fast engine, the wavefront
+//! executor, against the rings of its run arena (`crate::arena`); both
+//! keep every process's state in that arena's flat tables.
 //!
 //! The op set covers the canonical program shape of Appendix C–E
 //! (`load` / soak / repeater / drain / `recover`) plus the host fringe:
@@ -29,21 +30,17 @@
 //!
 //! A module is immutable after lowering and carries no per-run state, so
 //! an elaborated network is a cacheable, shareable artifact
-//! (`Arc<ProcIrModule>`): [`ProcIrModule::instantiate`] builds fresh VMs
-//! and output buffers for each rendezvous run, and a fast-engine run
-//! resets the thread's run arena to it. Its **code tables** (ops, moving
-//! links, repeater points, process records) depend on the program and the
-//! problem size only and are `Arc<[T]>`-shared; the **data segment** — the
-//! values the host's input processes inject (Sec. 4.2) — is the one table
-//! that depends on the host store, and [`ProcIrModule::with_data`] binds
-//! another one to the same code. See `docs/process-ir.md` for the
-//! lowering rules and the VM's invariants.
+//! (`Arc<ProcIrModule>`): a run of either engine resets the thread's run
+//! arena to it. Its **code tables** (ops, moving links, repeater points,
+//! process records) depend on the program and the problem size only and
+//! are `Arc<[T]>`-shared; the **data segment** — the values the host's
+//! input processes inject (Sec. 4.2) — is the one table that depends on
+//! the host store, and [`ProcIrModule::with_data`] binds another one to
+//! the same code. See `docs/process-ir.md` for the lowering rules and
+//! the op step's invariants.
 
-use crate::coop::RunStats;
 use crate::kernel::Kernel;
-use crate::process::{lock, sink_buffer, ChanId, CommReq, Process, SinkBuffer, Value};
-use crate::record::SharedRecorder;
-use crate::step::{blocked_on, step_window, Completed, ProcView, Regs};
+use crate::process::{ChanId, Value};
 use std::sync::Arc;
 
 /// Index of a process in its module's arena.
@@ -112,10 +109,11 @@ pub struct ProcRecord {
 
 /// The arena of lowered processes: the single post-elaboration artifact
 /// every executor and code generator consumes. Immutable and free of
-/// per-run state — share it with `Arc` and [`ProcIrModule::instantiate`]
-/// per run. The code tables are `Arc<[T]>` (one indirection from the VM,
-/// like the `Vec`s they replace) so that [`ProcIrModule::with_data`] is a
-/// handful of reference-count bumps.
+/// per-run state — share it with `Arc` and run it as often as needed.
+/// The code tables are `Arc<[T]>` (one indirection from the op step,
+/// like the `Vec`s they replace) so that [`ProcIrModule::with_data`] is
+/// a handful of reference-count bumps. The default is the empty module.
+#[derive(Default)]
 pub struct ProcIrModule {
     pub ops: Arc<[ProcOp]>,
     /// The data segment: every [`ProcOp::Emit`] script, in process order.
@@ -127,7 +125,7 @@ pub struct ProcIrModule {
     /// Channel ids are dense: every `ChanId` in `ops`/`moving` is
     /// `< n_chans`.
     pub n_chans: usize,
-    /// Number of output buffers [`ProcIrModule::instantiate`] creates.
+    /// Number of output buffers a run fills.
     pub n_outputs: usize,
     /// The basic statement (identical at every computation process),
     /// compiled to the kernel tape every engine runs (`crate::kernel`);
@@ -203,37 +201,21 @@ impl ProcIrModule {
         &self.procs[pid].label
     }
 
-    /// Build fresh VMs and output buffers for one run.
+    // Spelled by the frozen `benchmark/src/stages.rs:70`, whose
+    // `inst.procs` hands the module to `Network::add`; goes with
+    // ROADMAP 2(b).
+    #[doc(hidden)]
     pub fn instantiate(self: &Arc<Self>) -> Instance {
-        self.instantiate_recorded(&[])
-    }
-
-    /// The one instantiation, for the rendezvous engines: one [`ProcVm`]
-    /// per process plus the output buffers their sinks fill, every VM
-    /// reporting its retired op effects to `recorders` (see
-    /// `crate::record`; with an empty slice the VMs carry no recording
-    /// state and pay no per-step cost). The wavefront executor
-    /// instantiates nothing: it resets the thread's run arena
-    /// (`crate::arena`) and interprets the module there.
-    pub fn instantiate_recorded(self: &Arc<Self>, recorders: &[SharedRecorder]) -> Instance {
-        let outputs: Vec<SinkBuffer> = (0..self.n_outputs).map(|_| sink_buffer()).collect();
-        let procs = (0..self.procs.len())
-            .map(|pid| {
-                let out = self.procs[pid].output.map(|o| outputs[o as usize].clone());
-                let vm = ProcVm::with_recorders(self.clone(), pid, out, recorders.to_vec());
-                Box::new(vm) as Box<dyn Process>
-            })
-            .collect();
-        Instance { procs, outputs }
+        Instance {
+            procs: [self.clone()],
+        }
     }
 }
 
-/// One run's worth of VMs plus the output buffers their
-/// [`ProcOp::Collect`] ops fill (indexed by the output ids the builder
-/// assigned).
+// Spelled by the frozen `benchmark/src/stages.rs:70–74`; goes with ROADMAP 2(b).
+#[doc(hidden)]
 pub struct Instance {
-    pub procs: Vec<Box<dyn Process>>,
-    pub outputs: Vec<SinkBuffer>,
+    pub procs: [Arc<ProcIrModule>; 1],
 }
 
 /// Builds a [`ProcIrModule`]: open a process with [`ProcIrBuilder::begin`],
@@ -365,36 +347,52 @@ impl ProcIrBuilder {
     /// An output process: receives `count` values from one channel into
     /// a fresh output buffer. Returns (process, output index).
     pub fn sink(&mut self, chan: ChanId, count: usize, label: impl Into<String>) -> (ProcId, u32) {
-        self.begin(label);
-        let mut out = 0;
-        for _ in 0..count {
-            out = self.collect(chan);
-        }
-        if count == 0 {
-            // Zero-length pipes still bind an (empty) output buffer.
-            let rec = self.open.as_mut().unwrap();
-            out = self.n_outputs;
-            rec.output = Some(out);
-            self.n_outputs += 1;
-        }
-        (self.finish(), out)
+        let out = self.new_output();
+        let chans = std::iter::repeat_n(chan, count);
+        (self.collector(chans, out, label), out)
+    }
+
+    /// An output process receiving `count` values from one channel into
+    /// the existing output buffer `out`: sinks that share a buffer fill
+    /// it in the order the engine steps them.
+    pub fn sink_into(
+        &mut self,
+        chan: ChanId,
+        count: usize,
+        out: u32,
+        label: impl Into<String>,
+    ) -> ProcId {
+        assert!(out < self.n_outputs, "no output buffer {out}");
+        self.collector(std::iter::repeat_n(chan, count), out, label)
     }
 
     /// The merged host output: receives from `chans` in order into one
     /// buffer.
     pub fn scripted_sink(&mut self, chans: &[ChanId], label: impl Into<String>) -> (ProcId, u32) {
+        let out = self.new_output();
+        (self.collector(chans.iter().copied(), out, label), out)
+    }
+
+    fn new_output(&mut self) -> u32 {
+        self.n_outputs += 1;
+        self.n_outputs - 1
+    }
+
+    /// A process collecting from `chans` in order into output `out`
+    /// (bound even when `chans` is empty: a zero-length pipe still has
+    /// its buffer).
+    fn collector(
+        &mut self,
+        chans: impl IntoIterator<Item = ChanId>,
+        out: u32,
+        label: impl Into<String>,
+    ) -> ProcId {
         self.begin(label);
-        let mut out = 0;
-        for &chan in chans {
-            out = self.collect(chan);
+        self.open.as_mut().unwrap().output = Some(out);
+        for chan in chans {
+            self.collect(chan);
         }
-        if chans.is_empty() {
-            let rec = self.open.as_mut().unwrap();
-            out = self.n_outputs;
-            rec.output = Some(out);
-            self.n_outputs += 1;
-        }
-        (self.finish(), out)
+        self.finish()
     }
 
     /// A buffer process: `n` receive-forward cycles (`pass s, n` — the
@@ -482,108 +480,71 @@ impl ProcIrBuilder {
     }
 }
 
-/// The rendezvous VM: one process's ops as a [`Process`] coroutine. Each
-/// step is the op step (`crate::step`) against the set the VM blocked
-/// on, now complete; where it blocks again, the set it waits on is the
-/// next. All state — registers, stream locals, index point, one-lane
-/// kernel registers — is sized at construction, so stepping allocates
-/// nothing (the scheduler's reuse invariant, `docs/scheduler.md`).
-pub struct ProcVm {
-    module: Arc<ProcIrModule>,
-    pid: ProcId,
-    regs: Regs,
-    /// Requests in the set the next step completes (0 before the first).
-    issued: usize,
-    locals: Box<[Value]>,
-    x: Box<[i64]>,
-    tape: Box<[Value]>,
-    /// Output buffer for [`ProcOp::Collect`].
-    out: Option<SinkBuffer>,
-    /// With none, the VM runs the unobserved step.
-    recorders: Vec<SharedRecorder>,
-}
-
-impl ProcVm {
-    /// A VM reporting retired op effects ([`crate::record::Recorder::vm_op`])
-    /// to the given recorders.
-    pub fn with_recorders(
-        module: Arc<ProcIrModule>,
-        pid: ProcId,
-        out: Option<SinkBuffer>,
-        recorders: Vec<SharedRecorder>,
-    ) -> ProcVm {
-        ProcVm {
-            regs: Regs::start(&module, pid, 0, 0),
-            issued: 0,
-            locals: vec![0; module.procs[pid].n_locals as usize].into(),
-            x: module.first_of(pid).into(),
-            tape: vec![0; module.kernel.ops.len()].into(),
-            module,
-            pid,
-            out,
-            recorders,
-        }
-    }
-}
-
-impl Process for ProcVm {
-    // `step_into` (not `step`) so every elaborated process upholds the
-    // scheduler's zero-allocation round invariant.
-    fn step_into(&mut self, received: &[Value], out: &mut Vec<CommReq>) {
-        let (module, pid) = (&*self.module, self.pid);
-        let mut port = Completed::new(self.issued, received);
-        let mut sink = self.out.as_ref().map(|b| lock(b));
-        let p = ProcView {
-            regs: &mut self.regs,
-            locals: &mut self.locals,
-            x: &mut self.x,
-            tape: &mut self.tape,
-            out: sink.as_deref_mut(),
-            recorders: &self.recorders,
-        };
-        // The engine counts steps and messages itself.
-        let (mut stats, mut moved) = (RunStats::default(), 0);
-        let whole = module.procs[pid].ops;
-        let left = if self.recorders.is_empty() {
-            step_window::<_, false>(module, pid, whole, p, &mut port, &mut stats, &mut moved)
-        } else {
-            step_window::<_, true>(module, pid, whole, p, &mut port, &mut stats, &mut moved)
-        };
-        debug_assert!(port.consumed(), "a step retires the whole completed set");
-        if !left {
-            blocked_on(module, pid, &self.regs, &self.locals, out);
-        }
-        self.issued = out.len();
-    }
-
-    fn label(&self) -> String {
-        self.module.procs[self.pid].label.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coop::{Network, RunStats};
     use crate::kernel::KernelOp;
+    use crate::process::CommReq;
+    use crate::step::{blocked_on, step_window, Completed, ProcView, Regs};
 
-    fn vm_of(build: impl FnOnce(&mut ProcIrBuilder)) -> (ProcVm, Vec<SinkBuffer>) {
+    /// The one process of a one-process module, stepped by hand as the
+    /// rendezvous engine steps it: the op step over the set it blocked
+    /// on, now complete, then the set it blocks on next (empty once it
+    /// has finished).
+    struct Stepper {
+        module: Arc<ProcIrModule>,
+        regs: Regs,
+        issued: usize,
+        locals: Vec<Value>,
+        x: Vec<i64>,
+        tape: Vec<Value>,
+        out: Vec<Value>,
+    }
+
+    impl Stepper {
+        fn step(&mut self, received: &[Value]) -> Vec<CommReq> {
+            let m = &*self.module;
+            let mut port = Completed::new(self.issued, received);
+            let p = ProcView {
+                regs: &mut self.regs,
+                locals: &mut self.locals,
+                x: &mut self.x,
+                tape: &mut self.tape,
+                out: Some(&mut self.out),
+                recorders: &[],
+            };
+            let (mut stats, mut moved) = (RunStats::default(), 0);
+            let mut set = Vec::new();
+            let ops = m.procs[0].ops;
+            if !step_window::<_, false>(m, 0, ops, p, &mut port, &mut stats, &mut moved) {
+                blocked_on(m, 0, &self.regs, &self.locals, &mut set);
+            }
+            assert!(port.consumed(), "a step retires the whole completed set");
+            self.issued = set.len();
+            set
+        }
+    }
+
+    fn vm_of(build: impl FnOnce(&mut ProcIrBuilder)) -> Stepper {
         let mut b = ProcIrBuilder::new();
         build(&mut b);
         let module = b.build();
-        let inst = module.instantiate();
-        assert_eq!(inst.procs.len(), 1);
-        let out = module.procs[0]
-            .output
-            .map(|o| inst.outputs[o as usize].clone());
-        (
-            ProcVm::with_recorders(module, 0, out, Vec::new()),
-            inst.outputs,
-        )
+        assert_eq!(module.procs.len(), 1);
+        Stepper {
+            regs: Regs::start(&module, 0, 0, 0),
+            issued: 0,
+            locals: vec![0; module.procs[0].n_locals as usize],
+            x: module.first_of(0).to_vec(),
+            tape: vec![0; module.kernel.ops.len()],
+            out: Vec::new(),
+            module,
+        }
     }
 
     #[test]
     fn source_emits_in_order() {
-        let (mut s, _) = vm_of(|b| {
+        let mut s = vm_of(|b| {
             b.source(0, &[1, 2], "src");
         });
         assert_eq!(s.step(&[]), vec![CommReq::Send { chan: 0, value: 1 }]);
@@ -593,18 +554,18 @@ mod tests {
 
     #[test]
     fn sink_collects() {
-        let (mut s, outs) = vm_of(|b| {
+        let mut s = vm_of(|b| {
             b.sink(3, 2, "sink");
         });
         assert_eq!(s.step(&[]), vec![CommReq::Recv { chan: 3 }]);
         assert_eq!(s.step(&[10]), vec![CommReq::Recv { chan: 3 }]);
         assert!(s.step(&[20]).is_empty());
-        assert_eq!(*lock(&outs[0]), vec![10, 20]);
+        assert_eq!(s.out, vec![10, 20]);
     }
 
     #[test]
     fn relay_alternates_recv_send() {
-        let (mut r, _) = vm_of(|b| {
+        let mut r = vm_of(|b| {
             b.relay(0, 1, 2, "relay");
         });
         assert_eq!(r.step(&[]), vec![CommReq::Recv { chan: 0 }]);
@@ -618,7 +579,7 @@ mod tests {
     fn segment_relay_switches_channels() {
         // Segments: 2 from chan 0 -> 10, 1 from chan 1 -> 11, skip a
         // zero segment, 1 from chan 0 -> 10.
-        let (mut r, _) = vm_of(|b| {
+        let mut r = vm_of(|b| {
             b.segment_relay(&[(0, 10, 2), (1, 11, 1), (2, 12, 0), (0, 10, 1)], "seg");
         });
         assert_eq!(r.step(&[]), vec![CommReq::Recv { chan: 0 }]);
@@ -638,7 +599,7 @@ mod tests {
 
     #[test]
     fn scripted_source_and_sink_round_robin() {
-        let (mut src, _) = vm_of(|b| {
+        let mut src = vm_of(|b| {
             b.scripted_source(&[(0, 10), (1, 20), (0, 11)], "host-in");
         });
         assert_eq!(src.step(&[]), vec![CommReq::Send { chan: 0, value: 10 }]);
@@ -646,31 +607,26 @@ mod tests {
         assert_eq!(src.step(&[]), vec![CommReq::Send { chan: 0, value: 11 }]);
         assert!(src.step(&[]).is_empty());
 
-        let (mut sink, outs) = vm_of(|b| {
+        let mut sink = vm_of(|b| {
             b.scripted_sink(&[2, 3, 2], "host-out");
         });
         assert_eq!(sink.step(&[]), vec![CommReq::Recv { chan: 2 }]);
         assert_eq!(sink.step(&[5]), vec![CommReq::Recv { chan: 3 }]);
         assert_eq!(sink.step(&[6]), vec![CommReq::Recv { chan: 2 }]);
         assert!(sink.step(&[7]).is_empty());
-        assert_eq!(*lock(&outs[0]), vec![5, 6, 7]);
+        assert_eq!(sink.out, vec![5, 6, 7]);
     }
 
     #[test]
     fn module_is_reinstantiable() {
-        // Two instantiations of one module run independently.
+        // Two runs of one module run independently.
         let mut b = ProcIrBuilder::new();
         b.source(0, &[4, 5], "src");
         b.sink(0, 2, "sink");
         let module = b.build();
         for _ in 0..2 {
-            let inst = module.instantiate();
-            let mut net = crate::Network::default();
-            for p in inst.procs {
-                net.add(p);
-            }
-            net.run().unwrap();
-            assert_eq!(*lock(&inst.outputs[0]), vec![4, 5]);
+            let (_, outs) = Network::of(&module).run_with_outputs().unwrap();
+            assert_eq!(outs[0], vec![4, 5]);
         }
     }
 
@@ -704,15 +660,9 @@ mod tests {
             n_slots: 2,
             n_dims: 0,
         }));
-        let module = b.build();
-        let inst = module.instantiate();
-        let mut net = crate::Network::default();
-        for p in inst.procs {
-            net.add(p);
-        }
-        net.run().unwrap();
-        assert_eq!(*lock(&inst.outputs[0]), vec![2, 3, 4], "a passes through");
-        assert_eq!(*lock(&inst.outputs[1]), vec![10 + 2 + 3 + 4]);
+        let (_, outs) = Network::of(&b.build()).run_with_outputs().unwrap();
+        assert_eq!(outs[0], vec![2, 3, 4], "a passes through");
+        assert_eq!(outs[1], vec![10 + 2 + 3 + 4]);
     }
 
     #[test]
@@ -762,15 +712,9 @@ mod tests {
             n_slots: 2,
             n_dims: 1,
         }));
-        let module = b.build();
-        let inst = module.instantiate();
-        let mut net = crate::Network::default();
-        for p in inst.procs {
-            net.add(p);
-        }
-        net.run().unwrap();
-        assert_eq!(*lock(&inst.outputs[0]), vec![100, 2, 3, 100], "FIFO order");
+        let (_, outs) = Network::of(&b.build()).run_with_outputs().unwrap();
+        assert_eq!(outs[0], vec![100, 2, 3, 100], "FIFO order");
         // Iterations see x = 5 then 6: 2*5 + 3*6 = 28.
-        assert_eq!(*lock(&inst.outputs[1]), vec![28]);
+        assert_eq!(outs[1], vec![28]);
     }
 }

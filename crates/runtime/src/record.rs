@@ -1,5 +1,5 @@
 //! The observability layer: a [`Recorder`] sink for execution events,
-//! threaded through the [`crate::procir::ProcVm`] and the rendezvous
+//! threaded through the op step (`crate::step`) and the rendezvous
 //! engine ([`crate::coop`]).
 //!
 //! Every process on every executor runs through one op step
@@ -9,8 +9,8 @@
 //! - **transfers** — one event per completed channel rendezvous,
 //!   carrying the virtual time, channel, value, both endpoint processes,
 //!   and how long each endpoint waited parked on the channel (in rounds);
-//! - **steps** — one event per [`crate::Process::step_into`] invocation,
-//!   mirroring `RunStats.steps`;
+//! - **steps** — one event per process step of the rendezvous engine
+//!   (the op step over one completed set), mirroring `RunStats.steps`;
 //! - **vm ops** — one event per retired ProcIR op effect, classified by
 //!   [`OpKind`] and by the canonical-program [`Phase`] it belongs to
 //!   (load / soak / compute / drain / recover, plus host fringe and pure
@@ -20,7 +20,8 @@
 //!   `finished`, and `end` (the final virtual time, in rounds).
 //!
 //! Recorders are shared as [`SharedRecorder`] (`Arc<Mutex<dyn Recorder>>`)
-//! so one recorder can observe a VM *and* its scheduler. Every hook in the runtime is behind an "any recorder
+//! so a caller keeps a handle on what the engine fills; the engine holds
+//! each once and hands it to the op step and its own hooks alike. Every hook in the runtime is behind an "any recorder
 //! attached?" branch: with no recorder the hot paths gain one predictable
 //! branch and allocate nothing (the zero-cost-when-off contract: the
 //! goldens of `tests/determinism.rs` pin the counts with and without a
@@ -77,7 +78,7 @@ impl OpKind {
 }
 
 /// Which phase of the canonical program shape (App. C) an op effect
-/// belongs to. The VM classifies `Pass` cycles positionally: before the
+/// belongs to. The op step classifies `Pass` cycles positionally: before the
 /// process's `Compute` op they are on the soak side (soak proper plus the
 /// load drain-passes), after it on the drain side (drain proper plus the
 /// recover soak-passes). Processes with no `Compute` op are pure
@@ -170,7 +171,7 @@ pub trait Recorder: Send {
     }
 }
 
-/// How recorders are shared with executors and VMs. Constructed by
+/// How recorders are shared with the engines. Constructed by
 /// [`shared`] (unsize-coercing a concrete recorder); keep the typed
 /// `Arc` to read results back after the run.
 pub type SharedRecorder = Arc<Mutex<dyn Recorder>>;
@@ -724,14 +725,9 @@ mod tests {
 
     /// Run a builder's module under the given recorders.
     fn run_recorded(b: ProcIrBuilder, recorders: &[SharedRecorder]) -> crate::RunStats {
-        let module = b.build();
-        let inst = module.instantiate_recorded(recorders);
-        let mut net = Network::default();
+        let mut net = Network::of(&b.build());
         for r in recorders {
             net.add_recorder(r.clone());
-        }
-        for p in inst.procs {
-            net.add(p);
         }
         net.run().unwrap()
     }
@@ -762,7 +758,7 @@ mod tests {
         assert_eq!(first_divergence(&a, &a[..2]), Some(2));
     }
 
-    /// Metrics totals reconcile with the VM step-count contract of
+    /// Metrics totals reconcile with the step-count contract of
     /// docs/process-ir.md: source n+1, relay 2n+1, sink count+1.
     #[test]
     fn metrics_reconcile_with_step_count_contract() {
@@ -851,14 +847,9 @@ mod tests {
             n_slots: 2,
             n_dims: 1,
         }));
-        let module = b.build();
         let (metrics, erased) = shared(MetricsRecorder::new());
-        let inst = module.instantiate_recorded(std::slice::from_ref(&erased));
-        let mut net = Network::default();
+        let mut net = Network::of(&b.build());
         net.add_recorder(erased);
-        for p in inst.procs {
-            net.add(p);
-        }
         let stats = net.run().unwrap();
         let report = lock(&metrics).report();
         let comp = &report.processes[0];

@@ -3,9 +3,9 @@
 //! registers does not depend on how its channels are realized: one
 //! interpreter, [`step_window`], runs against a channel trait, [`Port`],
 //! and each engine instantiates it for its own channels — the run
-//! arena's rings (`crate::arena`), and the rendezvous VM's completed
-//! communication set ([`Completed`]; the VM then issues what
-//! [`blocked_on`] reads off the registers as its next set).
+//! arena's rings (`crate::arena`), and the rendezvous engine's completed
+//! communication set ([`Completed`]; the engine then registers what
+//! [`blocked_on`] reads off the registers as the process's next set).
 
 use crate::coop::RunStats;
 use crate::process::{lock, ChanId, CommReq, Value};
@@ -54,8 +54,8 @@ pub(crate) trait Port {
 /// a `par` set independently: completing them atomically on rings would
 /// deadlock bidirectional-stream designs (matmul E.2). Links past the
 /// 64th have no bit ([`link_bit`]), so only a port that completes whole
-/// sets serves them — the VM's; the batch gate admits at most 64 to the
-/// rings.
+/// sets serves them — the rendezvous engine's; the batch gate admits at
+/// most 64 to the rings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MacroState {
     /// At an op boundary (or mid-`Pass` before its next pop).
@@ -440,8 +440,9 @@ fn repeater<P: Port, const OBSERVE: bool>(
 
 /// The communication set process `pid` waits on, blocked in
 /// [`step_window`] with registers `r` over the locals table `locals`,
-/// appended to `set`: what the rendezvous VM issues next, and what every
-/// deadlock report names. The process must not have finished.
+/// appended to `set`: what the rendezvous engine registers next, and
+/// what the fast engine's deadlock report names. The process must not
+/// have finished.
 #[inline]
 pub(crate) fn blocked_on(
     module: &ProcIrModule,
@@ -485,7 +486,7 @@ pub(crate) fn blocked_on(
     }
 }
 
-/// The rendezvous port: the communication set a VM blocked on, now
+/// The rendezvous port: the communication set a process blocked on, now
 /// complete — `sends` sends taken, `received` delivered in request order.
 /// The step retires a set in the order [`blocked_on`] issued it, so the
 /// port needs no channel ids: `len` counts the values not yet taken,
@@ -540,7 +541,7 @@ mod tests {
     use super::*;
     use crate::arena::RunArena;
     use crate::batch::analyze;
-    use crate::coop::{run_plain, Network};
+    use crate::coop::Network;
     use crate::kernel::{Kernel, KernelOp};
     use crate::procir::{MovingLink, ProcIrBuilder};
     use crate::record::{shared, MetricsRecorder};
@@ -550,11 +551,8 @@ mod tests {
     /// Every process's steps on the rendezvous engine, by pid.
     fn rendezvous_steps(m: &Arc<ProcIrModule>) -> Vec<u64> {
         let (metrics, rec) = shared(MetricsRecorder::new());
-        let mut net = Network::default();
-        net.add_recorder(rec.clone());
-        for p in m.instantiate_recorded(&[rec]).procs {
-            net.add(p);
-        }
+        let mut net = Network::of(m);
+        net.add_recorder(rec);
         net.run().unwrap();
         let report = lock(&metrics).report();
         report.processes.iter().map(|p| p.steps).collect()
@@ -687,9 +685,9 @@ mod tests {
     }
 
     /// A par-set of 65 links — one past the step's par-set mask — runs on
-    /// the rendezvous VM, whose port completes whole sets.
+    /// the rendezvous engine, whose port completes whole sets.
     #[test]
-    fn a_par_set_past_the_mask_runs_on_the_rendezvous_vm() {
+    fn a_par_set_past_the_mask_runs_on_the_rendezvous_engine() {
         let mut b = ProcIrBuilder::new();
         let links: Vec<MovingLink> = (0..65)
             .map(|i| MovingLink {
@@ -707,7 +705,7 @@ mod tests {
             b.sink(l.out, 2, "out");
         }
         let m = b.build();
-        let (stats, outs) = run_plain(&m).unwrap();
+        let (stats, outs) = Network::of(&m).run_with_outputs().unwrap();
         let want: Vec<Vec<Value>> = (0..65).map(|i| vec![i, -i]).collect();
         assert_eq!(outs, want);
         assert_eq!(stats.steps, (2 * 2 + 1) + 65 * (3 + 3));

@@ -755,7 +755,7 @@ fn sweep_waves(
 mod tests {
     use super::*;
     use crate::batch::analyze;
-    use crate::coop::run_plain;
+    use crate::coop::Network;
     use crate::procir::ProcIrBuilder;
     use crate::step::Port;
 
@@ -770,7 +770,7 @@ mod tests {
         kernels: Option<&KernelPlan>,
     ) -> (Outcome, KernelReport) {
         let (ws, wouts, report) = run_wavefront(m, wf, kernels, false).unwrap();
-        let (ps, pouts) = run_plain(m).unwrap();
+        let (ps, pouts) = Network::of(m).run_with_outputs().unwrap();
         let logical = |s: &RunStats| (s.messages, s.steps, s.processes);
         assert_eq!(logical(&ws), logical(&ps), "wavefront vs rendezvous");
         assert_eq!(wouts, pouts, "wavefront vs rendezvous");
@@ -810,7 +810,7 @@ mod tests {
         // stream flows source->sink in the first grand sweep, where the
         // rendezvous engine takes a round per hop and value.
         assert_eq!(ws.rounds, 1, "one grand sweep drains the pipeline");
-        let (ps, _) = run_plain(&m).unwrap();
+        let (ps, _) = Network::of(&m).run_with_outputs().unwrap();
         assert!(ps.rounds > 200, "{} rendezvous rounds", ps.rounds);
     }
 
@@ -834,7 +834,7 @@ mod tests {
         let chans: Vec<_> = alternate.iter().map(|&(chan, _)| chan).collect();
         b.scripted_sink(&chans, "alt-sink");
         let m = b.build();
-        let (plain, plain_outs) = run_plain(&m).unwrap();
+        let (plain, plain_outs) = Network::of(&m).run_with_outputs().unwrap();
         // Every channel is pushed by one process and popped by another,
         // so what a visit moved is how far it changed the rings.
         let lens = |a: &RunArena| (0..m.n_chans).map(|c| a.rings.len(c)).collect::<Vec<_>>();
@@ -908,7 +908,7 @@ mod tests {
         let err = run_wavefront(&m, &wf, None, false).unwrap_err();
         let d = err.as_deadlock().expect("deadlock, not another error");
         assert_eq!(d.blocked, ["fwd [recv@0]", "bwd [recv@1]"]);
-        let oracle = run_plain(&m).unwrap_err();
+        let oracle = Network::of(&m).run().unwrap_err();
         assert_eq!(oracle.as_deadlock().unwrap().blocked, d.blocked);
     }
 
@@ -932,7 +932,7 @@ mod tests {
         let wf = analyze_wavefront(&m, &plan, &[]);
         let err = run_wavefront(&m, &wf, None, false).unwrap_err();
         let d = err.as_deadlock().expect("deadlock, not another error");
-        let oracle = run_plain(&m).unwrap_err();
+        let oracle = Network::of(&m).run().unwrap_err();
         assert_eq!(d.blocked, oracle.as_deadlock().unwrap().blocked);
         assert_eq!(d.blocked[0], "cell [recv@0,recv@2]");
     }
@@ -1375,7 +1375,8 @@ mod tests {
             cells,
             ["cell0 [recv@2]", "cell1 [recv@0]", "cell2 [recv@1]"]
         );
-        let oracle = run_plain(&m)
+        let oracle = Network::of(&m)
+            .run()
             .unwrap_err()
             .as_deadlock()
             .unwrap()

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use systolic_runtime::{lock, Network, ProcIrBuilder, ProcIrModule};
+use systolic_runtime::{Network, ProcIrBuilder, ProcIrModule};
 
 /// Build `k` independent pipelines with the given relay counts and
 /// payload lengths as one ProcIR module. Returns (module, expected values
@@ -45,15 +45,8 @@ proptest! {
         specs in proptest::collection::vec((0usize..6, 0usize..12), 1..6),
     ) {
         let (module, expected) = build(&specs);
-        let inst = module.instantiate();
-        let mut net = Network::default();
-        for p in inst.procs {
-            net.add(p);
-        }
-        let stats = net.run().unwrap();
-        for (b, e) in inst.outputs.iter().zip(&expected) {
-            prop_assert_eq!(&*lock(b), e);
-        }
+        let (stats, outputs) = Network::of(&module).run_with_outputs().unwrap();
+        prop_assert_eq!(&outputs, &expected);
         let expect: u64 = specs.iter().map(|&(r, l)| ((r + 1) * l) as u64).sum();
         prop_assert_eq!(stats.messages, expect);
     }

@@ -16,9 +16,8 @@ use std::sync::Arc;
 use systolic_core::{systolize, CompileError, Options, PlaceChoice, SystolicProgram};
 use systolic_interp::{ElabError, ElabOptions, ModuleStore, Problem, ProblemError};
 use systolic_runtime::{
-    canonicalize_transfers, first_divergence, lock, shared, sink_buffer, ChanId, CommReq,
-    EventLogRecorder, Network, ProcIrModule, Process, RunError, RunStats, SchedulePolicy, Transfer,
-    Value,
+    canonicalize_transfers, first_divergence, lock, shared, EventLogRecorder, Network,
+    ProcIrBuilder, ProcIrModule, RunError, RunStats, SchedulePolicy, Transfer, Value,
 };
 
 /// What one run produced: everything a schedule may not change.
@@ -84,25 +83,7 @@ impl PlanSubject {
 
 impl DstSubject for PlanSubject {
     fn run(&self, sched: Option<Box<dyn SchedulePolicy>>) -> Result<Outcome, RunError> {
-        let (handle, rec) = shared(EventLogRecorder::new());
-        let inst = self.module.instantiate_recorded(std::slice::from_ref(&rec));
-        let mut net = Network::default();
-        if let Some(s) = sched {
-            net.set_schedule_policy(s);
-        }
-        net.add_recorder(rec.clone());
-        for p in inst.procs {
-            net.add(p);
-        }
-        let stats = net.run()?;
-        let outputs = inst.outputs.iter().map(|b| lock(b).clone()).collect();
-        let mut transfers = lock(&handle).take_transfers();
-        canonicalize_transfers(&mut transfers);
-        Ok(Outcome {
-            outputs,
-            stats,
-            transfers,
-        })
+        run_logged(&self.module, sched)
     }
 
     fn schedule_stub(&self) -> ScheduleFile {
@@ -110,59 +91,26 @@ impl DstSubject for PlanSubject {
     }
 }
 
-/// An input process: sends `values` on `chan`, in order.
-struct ValueSource {
-    chan: ChanId,
-    values: Vec<Value>,
-    next: usize,
-}
-
-impl Process for ValueSource {
-    fn step(&mut self, _received: &[Value]) -> Vec<CommReq> {
-        if self.next == self.values.len() {
-            return Vec::new();
-        }
-        let value = self.values[self.next];
-        self.next += 1;
-        vec![CommReq::Send {
-            chan: self.chan,
-            value,
-        }]
+/// One run of `module` under `sched`, with its canonicalized transfer
+/// stream.
+fn run_logged(
+    module: &Arc<ProcIrModule>,
+    sched: Option<Box<dyn SchedulePolicy>>,
+) -> Result<Outcome, RunError> {
+    let (handle, rec) = shared(EventLogRecorder::new());
+    let mut net = Network::of(module);
+    if let Some(s) = sched {
+        net.set_schedule_policy(s);
     }
-
-    fn label(&self) -> String {
-        format!("source@{}", self.chan)
-    }
-}
-
-/// A sink that pushes into a buffer *shared with another sink* — the
-/// seeded interleaving bug. Its merged output order is exactly the order
-/// the scheduler re-steps the two sinks, so any policy that perturbs the
-/// ready order diverges from the FIFO baseline.
-struct RacingSink {
-    chan: ChanId,
-    remaining: usize,
-    primed: bool,
-    buf: systolic_runtime::SinkBuffer,
-}
-
-impl Process for RacingSink {
-    fn step(&mut self, received: &[Value]) -> Vec<CommReq> {
-        if self.primed {
-            lock(&self.buf).push(received[0]);
-            self.remaining -= 1;
-        }
-        if !self.primed || self.remaining > 0 {
-            self.primed = true;
-            vec![CommReq::Recv { chan: self.chan }]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn label(&self) -> String {
-        format!("race-sink@{}", self.chan)
-    }
+    net.add_recorder(rec);
+    let (stats, outputs) = net.run_with_outputs()?;
+    let mut transfers = lock(&handle).take_transfers();
+    canonicalize_transfers(&mut transfers);
+    Ok(Outcome {
+        outputs,
+        stats,
+        transfers,
+    })
 }
 
 /// The built-in mutation subject: two sources feed two sinks that merge
@@ -179,47 +127,20 @@ pub const RACE_SINK: &str = "race-sink";
 
 impl DstSubject for RaceSubject {
     fn run(&self, sched: Option<Box<dyn SchedulePolicy>>) -> Result<Outcome, RunError> {
-        let buf = sink_buffer();
+        // Two sources, and two sinks whose `Collect`s fill one shared
+        // output: the seeded interleaving bug. The merged order is
+        // exactly the order the scheduler re-steps the two sinks, so any
+        // policy that perturbs the ready order diverges from the FIFO
+        // baseline.
         let k = self.k;
-        let a: Vec<Value> = (0..k as i64).map(|i| 100 + i).collect();
-        let b: Vec<Value> = (0..k as i64).map(|i| 200 + i).collect();
-        let (handle, rec) = shared(EventLogRecorder::new());
-        let mut net = Network::default();
-        if let Some(s) = sched {
-            net.set_schedule_policy(s);
+        let mut b = ProcIrBuilder::new();
+        for (chan, base) in [(0, 100), (1, 200)] {
+            let values: Vec<Value> = (0..k as Value).map(|i| base + i).collect();
+            b.source(chan, &values, format!("source@{chan}"));
         }
-        net.add_recorder(rec);
-        net.add(Box::new(ValueSource {
-            chan: 0,
-            values: a,
-            next: 0,
-        }));
-        net.add(Box::new(ValueSource {
-            chan: 1,
-            values: b,
-            next: 0,
-        }));
-        net.add(Box::new(RacingSink {
-            chan: 0,
-            remaining: k,
-            primed: false,
-            buf: buf.clone(),
-        }));
-        net.add(Box::new(RacingSink {
-            chan: 1,
-            remaining: k,
-            primed: false,
-            buf: buf.clone(),
-        }));
-        let stats = net.run()?;
-        let mut transfers = lock(&handle).take_transfers();
-        canonicalize_transfers(&mut transfers);
-        let merged = lock(&buf).clone();
-        Ok(Outcome {
-            outputs: vec![merged],
-            stats,
-            transfers,
-        })
+        let (_, merged) = b.sink(0, k, "race-sink@0");
+        b.sink_into(1, k, merged, "race-sink@1");
+        run_logged(&b.build(), sched)
     }
 
     fn schedule_stub(&self) -> ScheduleFile {

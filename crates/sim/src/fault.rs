@@ -10,7 +10,8 @@
 //!   poison channel nobody serves. The run must fail *diagnosably*: the
 //!   cooperative engine's exact deadlock report names the victim.
 
-use systolic_runtime::{ChanId, CommReq, Process, SchedulePolicy, Value};
+use std::sync::Arc;
+use systolic_runtime::{ChanId, ProcIrModule, ProcOp, SchedulePolicy};
 
 /// One injected fault.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,29 +42,44 @@ impl FaultPlan {
         }
     }
 
-    /// Rewrite an instantiated process vector, applying the abort
-    /// faults. `poison_base` must be a channel range nobody uses
-    /// (pass the module's `n_chans`): victim `i` blocks on
-    /// `poison_base + i`, so even multiple aborts stay point-to-point.
-    pub fn apply(
-        &self,
-        mut procs: Vec<Box<dyn Process>>,
-        poison_base: ChanId,
-    ) -> Vec<Box<dyn Process>> {
+    /// `module` with this plan's abort faults applied: each victim's ops
+    /// become one `Keep` on poison channel `n_chans + victim`, which
+    /// nobody serves (so even multiple aborts stay point-to-point), under
+    /// the label `{label} (aborted)`, so deadlock reports stay
+    /// attributable. A victim the module does not have is refused.
+    pub fn apply(&self, module: &ProcIrModule) -> Result<Arc<ProcIrModule>, String> {
+        let n = module.procs.len();
+        let (mut ops, mut procs) = (module.ops.to_vec(), module.procs.to_vec());
+        let mut n_chans = module.n_chans;
         for fault in &self.faults {
-            match *fault {
-                Fault::Abort { victim } if victim < procs.len() => {
-                    let label = procs[victim].label();
-                    procs[victim] = Box::new(AbortProc {
-                        label,
-                        poison: poison_base + victim,
-                        started: false,
-                    });
-                }
-                _ => {}
-            }
+            let Fault::Abort { victim } = *fault else {
+                continue;
+            };
+            let Some(rec) = procs.get_mut(victim) else {
+                return Err(format!(
+                    "abort fault names process {victim}, but the module has {n} processes"
+                ));
+            };
+            let (at, poison) = (ops.len() as u32, module.n_chans + victim);
+            ops.push(ProcOp::Keep {
+                chan: poison,
+                slot: 0,
+            });
+            n_chans = n_chans.max(poison + 1);
+            rec.label.push_str(" (aborted)");
+            rec.ops = (at, at + 1);
+            rec.n_locals = rec.n_locals.max(1);
         }
-        procs
+        Ok(Arc::new(ProcIrModule {
+            ops: ops.into(),
+            data: module.data.clone(),
+            moving: module.moving.clone(),
+            points: module.points.clone(),
+            procs: procs.into(),
+            n_chans,
+            n_outputs: module.n_outputs,
+            kernel: module.kernel.clone(),
+        }))
     }
 
     /// The schedule policy realizing this plan's delay faults (identity
@@ -79,30 +95,6 @@ impl FaultPlan {
                 })
                 .collect(),
         }
-    }
-}
-
-/// The aborted process: asks once for a value nobody will ever send and
-/// keeps its victim's label so deadlock reports stay attributable.
-struct AbortProc {
-    label: String,
-    poison: ChanId,
-    started: bool,
-}
-
-impl Process for AbortProc {
-    fn step(&mut self, _received: &[Value]) -> Vec<CommReq> {
-        if self.started {
-            // Unreachable in a well-formed network (nobody sends on the
-            // poison channel); terminate defensively if replayed oddly.
-            return Vec::new();
-        }
-        self.started = true;
-        vec![CommReq::Recv { chan: self.poison }]
-    }
-
-    fn label(&self) -> String {
-        format!("{} (aborted)", self.label)
     }
 }
 
@@ -139,8 +131,7 @@ impl SchedulePolicy for DelayPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use systolic_runtime::{lock, Network, ProcIrBuilder, ProcIrModule, RunError};
+    use systolic_runtime::{Network, ProcIrBuilder, RunError};
 
     /// source -> relay -> sink over 4 values; returns the sealed module.
     fn pipeline_module() -> Arc<ProcIrModule> {
@@ -156,18 +147,12 @@ mod tests {
         plan: &FaultPlan,
         with_delay: bool,
     ) -> Result<(Vec<i64>, systolic_runtime::RunStats), RunError> {
-        let inst = module.instantiate();
-        let procs = plan.apply(inst.procs, module.n_chans);
-        let mut net = Network::default();
+        let mut net = Network::of(&plan.apply(module).unwrap());
         if with_delay {
             net.set_schedule_policy(Box::new(plan.delay_policy()));
         }
-        for p in procs {
-            net.add(p);
-        }
-        let stats = net.run()?;
-        let values = lock(&inst.outputs[0]).clone();
-        Ok((values, stats))
+        let (stats, mut outputs) = net.run_with_outputs()?;
+        Ok((outputs.remove(0), stats))
     }
 
     #[test]
@@ -203,17 +188,12 @@ mod tests {
 
     #[test]
     fn multiple_aborts_block_on_distinct_poison_channels() {
-        let module = pipeline_module();
-        let inst = module.instantiate();
         let plan = FaultPlan {
             faults: vec![Fault::Abort { victim: 0 }, Fault::Abort { victim: 1 }],
         };
-        let procs = plan.apply(inst.procs, module.n_chans);
-        let mut net = Network::default();
-        for p in procs {
-            net.add(p);
-        }
-        let err = net.run().unwrap_err();
+        let err = Network::of(&plan.apply(&pipeline_module()).unwrap())
+            .run()
+            .unwrap_err();
         let dl = err.as_deadlock().unwrap();
         // Both victims present, blocked on different channels.
         let aborted: Vec<&String> = dl
@@ -223,5 +203,27 @@ mod tests {
             .collect();
         assert_eq!(aborted.len(), 2, "{dl:?}");
         assert_ne!(aborted[0], aborted[1]);
+    }
+
+    #[test]
+    fn an_abort_of_a_process_the_module_lacks_is_refused() {
+        let err = FaultPlan::abort(3).apply(&pipeline_module()).err();
+        assert_eq!(
+            err.as_deref(),
+            Some("abort fault names process 3, but the module has 3 processes")
+        );
+        assert!(FaultPlan::abort(2).apply(&pipeline_module()).is_ok());
+    }
+
+    #[test]
+    fn an_aborted_victim_keeps_its_label_and_blocks_on_its_poison_channel() {
+        let module = pipeline_module();
+        let faulted = FaultPlan::abort(2).apply(&module).unwrap();
+        assert_eq!(faulted.label_of(2), "snk (aborted)");
+        assert_eq!(faulted.n_chans, module.n_chans + 3);
+        let err = Network::of(&faulted).run().unwrap_err();
+        let blocked = &err.as_deadlock().unwrap().blocked;
+        let expected = ["src [send@0]", "relay [send@1]", "snk (aborted) [recv@4]"];
+        assert_eq!(blocked, &expected);
     }
 }

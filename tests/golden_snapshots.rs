@@ -122,3 +122,26 @@ fn report_snapshots() {
         check(name, &design(idx).report());
     }
 }
+
+/// The DST file contract: the shrunk `systolic-schedule-v1`
+/// counterexample the explorer writes for the race-sink canary at k = 6
+/// is pinned byte for byte, and the binary replays the committed file.
+#[test]
+fn race_sink_counterexample_file() {
+    use systolizer::sim::{explore, ExploreConfig, RaceSubject};
+    let ce = explore(&RaceSubject { k: 6 }, &ExploreConfig::matrix(4))
+        .unwrap()
+        .counterexample
+        .expect("the seeded race is caught");
+    check("race_sink_k6.json", &ce.schedule.to_json());
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_systolizer"))
+        .arg("replay")
+        .arg("--schedule")
+        .arg(golden_dir().join("race_sink_k6.json"))
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let reproduced = "REPRODUCED: design race-sink diverges";
+    assert!(stdout.starts_with(reproduced), "{stdout}");
+}

@@ -220,12 +220,7 @@ fn protocol_violation_names_both_claimants_and_the_channel() {
     b.source(0, &[1], "src-one");
     b.source(0, &[2], "src-two");
     b.sink(0, 2, "sink");
-    let module = b.build();
-    let mut net = Network::default();
-    for p in module.instantiate().procs {
-        net.add(p);
-    }
-    let err = net.run().unwrap_err();
+    let err = Network::of(&b.build()).run().unwrap_err();
     let RunError::Protocol(v) = &err else {
         panic!("expected a protocol violation, got {err}");
     };

@@ -802,15 +802,10 @@ fn fault_plans_keep_stores_and_error_classification_under_the_pool() {
                 b.source(0, &[10, 20, 30, 40], "src");
                 b.relay(0, 1, 4, "relay");
                 b.sink(1, 4, "snk");
-                let module = b.build();
-                let inst = module.instantiate();
-                let procs = FaultPlan::abort(1).apply(inst.procs, module.n_chans);
-                let mut net = Network::default();
+                let faulted = FaultPlan::abort(1).apply(&b.build()).unwrap();
+                let mut net = Network::of(&faulted);
                 if adversarial {
                     net.set_schedule_policy(policy_by_name("lifo", 7).unwrap());
-                }
-                for p in procs {
-                    net.add(p);
                 }
                 match net.run() {
                     Ok(_) => (500, "abort fault failed to fail".into()),
