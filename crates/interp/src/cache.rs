@@ -34,6 +34,7 @@
 use crate::elaborate::{ElabError, ElabOptions, Elaborated};
 use crate::skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use systolic_core::SystolicProgram;
@@ -66,6 +67,10 @@ pub struct CacheStats {
     pub skeleton_build_ns: u64,
     /// Total time in phase 2 (`instantiate`) across misses.
     pub instantiate_ns: u64,
+    /// Total time building fast plans ([`CachedModule::fast_plan`]: the
+    /// batch proof, the optimizer, the wavefront and kernel plans), once
+    /// per cached module that a fast run or a report asked for.
+    pub fast_plan_ns: u64,
     /// Skeletons dropped by FIFO capacity management.
     pub skeleton_evictions: u64,
     /// Modules dropped by FIFO capacity management.
@@ -82,6 +87,7 @@ impl CacheStats {
             ("module_misses", self.module_misses.into()),
             ("skeleton_build_ns", self.skeleton_build_ns.into()),
             ("instantiate_ns", self.instantiate_ns.into()),
+            ("fast_plan_ns", self.fast_plan_ns.into()),
             ("skeleton_evictions", self.skeleton_evictions.into()),
             ("module_evictions", self.module_evictions.into()),
         ])
@@ -96,6 +102,9 @@ pub struct CachedModule {
     pub elab: Elaborated,
     batch: OnceLock<BatchPlan>,
     fast: OnceLock<FastPlan>,
+    /// The store's [`CacheStats::fast_plan_ns`], charged when `fast` is
+    /// built: the plan is built on first use, outside the store's lock.
+    fast_plan_ns: Arc<AtomicU64>,
 }
 
 /// The module the wavefront engine runs and every plan a run of it
@@ -148,11 +157,12 @@ fn run_optimizer(module: &Arc<ProcIrModule>) -> Option<Arc<(OptimizedModule, Bat
 }
 
 impl CachedModule {
-    fn new(elab: Elaborated) -> CachedModule {
+    fn new(elab: Elaborated, fast_plan_ns: Arc<AtomicU64>) -> CachedModule {
         CachedModule {
             elab,
             batch: OnceLock::new(),
             fast: OnceLock::new(),
+            fast_plan_ns,
         }
     }
 
@@ -169,6 +179,7 @@ impl CachedModule {
     /// module the elaborated module's wave structure is never built.
     pub fn fast_plan(&self) -> &FastPlan {
         self.fast.get_or_init(|| {
+            let t = Instant::now();
             let batch = self.batch_plan();
             let optimized = if batch.batchable() {
                 run_optimizer(&self.elab.module)
@@ -181,6 +192,8 @@ impl CachedModule {
             };
             let wavefront = Arc::new(analyze_wavefront(module, batch, needs));
             let kernels = Arc::new(analyze_kernels(module, &wavefront));
+            let ns = t.elapsed().as_nanos() as u64;
+            self.fast_plan_ns.fetch_add(ns, Ordering::Relaxed);
             FastPlan {
                 module: Arc::clone(module),
                 optimized,
@@ -307,6 +320,9 @@ impl Inner {
 #[derive(Default)]
 pub struct ModuleStore {
     inner: Mutex<Inner>,
+    /// [`CacheStats::fast_plan_ns`], shared with every module of the
+    /// store.
+    fast_plan_ns: Arc<AtomicU64>,
 }
 
 impl ModuleStore {
@@ -367,7 +383,7 @@ impl ModuleStore {
         let t = Instant::now();
         let elab = instantiate(&skel, env, store)?;
         g.stats.instantiate_ns += t.elapsed().as_nanos() as u64;
-        let m = Arc::new(CachedModule::new(elab));
+        let m = Arc::new(CachedModule::new(elab, self.fast_plan_ns.clone()));
         if g.modules.len() >= g.mod_cap {
             if let Some(old) = g.mod_order.pop_front() {
                 g.modules.remove(&old);
@@ -381,7 +397,10 @@ impl ModuleStore {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        lock(&self.inner).stats.clone()
+        CacheStats {
+            fast_plan_ns: self.fast_plan_ns.load(Ordering::Relaxed),
+            ..lock(&self.inner).stats.clone()
+        }
     }
 }
 
@@ -414,6 +433,25 @@ mod tests {
         let s = ms.stats();
         assert_eq!((s.module_hits, s.module_misses), (1, 1));
         assert_eq!((s.skeleton_hits, s.skeleton_misses), (0, 1));
+    }
+
+    /// A miss's whole cost is in the counters: the fast plan is timed
+    /// when it is built, once per module, beside `instantiate`.
+    #[test]
+    fn the_fast_plan_is_timed_once_per_module() {
+        let (plan, env) = plan_and_env(4);
+        let store = HostStore::allocate(&plan.source, &env);
+        let ms = ModuleStore::new();
+        let cm = ms
+            .module(&plan, &env, &store, &ElabOptions::default())
+            .unwrap();
+        assert_eq!(ms.stats().fast_plan_ns, 0, "not built yet");
+        cm.fast_plan();
+        let built = ms.stats().fast_plan_ns;
+        assert!(built > 0);
+        cm.fast_plan();
+        assert_eq!(ms.stats().fast_plan_ns, built, "a hit costs nothing");
+        assert!(ms.stats().json().to_string().contains("\"fast_plan_ns\":"));
     }
 
     #[test]

@@ -150,13 +150,62 @@ pub struct Elaborated {
     /// Per (stream index, process-space point): the channel into and out
     /// of the process at that point — the map behind `s_chan[y]`
     /// (Appendix C). Used by the space-time tracer.
-    pub endpoints: Vec<(usize, Vec<i64>, ChanId, ChanId)>,
-    /// The computation process lowered at each CS point, for consumers
-    /// that align plan-derived shapes with the bytecode (`runtime_gen`).
-    pub comp_at: Vec<(Vec<i64>, ProcId)>,
+    pub endpoints: Endpoints,
+    /// The computation processes, CS point by CS point in row-major
+    /// order: `comp_coords` holds each point's coordinates back to back.
+    pub(crate) comp_coords: Vec<i64>,
+    pub(crate) comp_pids: Vec<ProcId>,
+}
+
+/// The channel pair at every (stream, process-space point), as flat rows
+/// over the PS box rather than a point per entry.
+pub struct Endpoints {
+    pub(crate) ps: PsIndex,
+    /// Stream ids in the plan's order; each is also its row.
+    pub(crate) streams: Vec<usize>,
+    /// `chans[stream id * ps.len() + PS offset]` = (in, out).
+    pub(crate) chans: Vec<(ChanId, ChanId)>,
+}
+
+impl Endpoints {
+    /// Entries: every stream at every PS point.
+    pub fn len(&self) -> usize {
+        self.streams.len() * self.ps.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `f(stream id, point, in, out)` for every entry, stream by stream,
+    /// points in row-major order.
+    pub fn for_each(&self, mut f: impl FnMut(usize, &[i64], ChanId, ChanId)) {
+        let volume = self.ps.len();
+        for &sid in &self.streams {
+            let row = &self.chans[sid * volume..(sid + 1) * volume];
+            let mut walk = self.ps.walk();
+            while let Some((at, y)) = walk.next() {
+                let (ic, oc) = row[at];
+                f(sid, y, ic, oc);
+            }
+        }
+    }
 }
 
 impl Elaborated {
+    /// The computation process lowered at each CS point, in row-major
+    /// order, for consumers that align plan-derived shapes with the
+    /// bytecode (`runtime_gen`).
+    pub fn comp_at(&self) -> impl ExactSizeIterator<Item = (&[i64], ProcId)> + '_ {
+        let dim = self.endpoints.ps.dim();
+        let coords = &self.comp_coords;
+        let at = move |k: usize| &coords[k * dim..(k + 1) * dim];
+        self.comp_pids
+            .iter()
+            .enumerate()
+            .map(move |(k, &pid)| (at(k), pid))
+    }
+
     /// The host words of one output buffer, in arrival order.
     pub fn words_of(&self, out: &OutputSpec) -> &[u32] {
         &self.host_words[out.words.0 as usize..out.words.1 as usize]
@@ -218,8 +267,28 @@ impl PsIndex {
         }
     }
 
+    /// The box's dimensionality.
+    pub(crate) fn dim(&self) -> usize {
+        self.dims.len()
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.dims.iter().product()
+    }
+
+    /// Whether `p` lies inside the box.
+    pub(crate) fn contains(&self, p: &[i64]) -> bool {
+        let inside = |((&x, &lo), &d): ((&i64, &i64), &usize)| x >= lo && x - lo < d as i64;
+        p.iter().zip(&self.lo).zip(&self.dims).all(inside)
+    }
+
+    /// Write the point at `offset` into `out` (the inverse of
+    /// [`PsIndex::at`]).
+    pub(crate) fn point_of(&self, mut offset: usize, out: &mut [i64]) {
+        for ((x, &lo), &d) in out.iter_mut().zip(&self.lo).zip(&self.dims).rev() {
+            *x = lo + (offset % d) as i64;
+            offset /= d;
+        }
     }
 
     /// Offset of a point known to lie inside the box.
@@ -230,6 +299,45 @@ impl PsIndex {
             idx = idx * d + (x - lo) as usize;
         }
         idx
+    }
+
+    /// The box's points with their offsets, in row-major (offset) order,
+    /// through one scratch point.
+    pub(crate) fn walk(&self) -> BoxWalk<'_> {
+        BoxWalk {
+            ps: self,
+            p: self.lo.clone(),
+            at: 0,
+        }
+    }
+}
+
+/// A lending walk over a [`PsIndex`] box:
+/// `while let Some((offset, y)) = w.next()`.
+pub(crate) struct BoxWalk<'a> {
+    ps: &'a PsIndex,
+    p: Vec<i64>,
+    /// The offset of the next point.
+    at: usize,
+}
+
+impl BoxWalk<'_> {
+    pub(crate) fn next(&mut self) -> Option<(usize, &[i64])> {
+        if self.at == self.ps.len() {
+            return None;
+        }
+        if self.at > 0 {
+            // Advance the odometer: the last coordinate fastest.
+            for d in (0..self.p.len()).rev() {
+                self.p[d] += 1;
+                if self.p[d] - self.ps.lo[d] < self.ps.dims[d] as i64 {
+                    break;
+                }
+                self.p[d] = self.ps.lo[d];
+            }
+        }
+        self.at += 1;
+        Some((self.at - 1, &self.p))
     }
 }
 
@@ -323,7 +431,8 @@ mod tests {
                 "{label}: every (stream, PS point) has channel endpoints"
             );
             // Channel ids are unique across endpoints per side.
-            let mut ins: Vec<_> = el.endpoints.iter().map(|(_, _, i, _)| *i).collect();
+            let mut ins = Vec::new();
+            el.endpoints.for_each(|_, _, i, _| ins.push(i));
             ins.sort_unstable();
             ins.dedup();
             assert_eq!(ins.len(), el.endpoints.len(), "{label}: in-channels unique");
@@ -340,10 +449,10 @@ mod tests {
                 "{label}"
             );
             // Every comp point's bytecode ends in exactly one Compute op.
-            for (y, pid) in &el.comp_at {
+            for (y, pid) in el.comp_at() {
                 let computes = el
                     .module
-                    .ops_of(*pid)
+                    .ops_of(pid)
                     .iter()
                     .filter(|op| matches!(op, ProcOp::Compute { .. }))
                     .count();

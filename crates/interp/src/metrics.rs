@@ -75,20 +75,20 @@ impl Observed {
 /// wires, inserted buffers).
 pub fn channel_names(plan: &SystolicProgram, el: &Elaborated) -> Vec<String> {
     let mut names = vec![String::new(); el.module.n_chans];
-    for (sid, y, ic, oc) in &el.endpoints {
-        let stream = &plan.streams[*sid].name;
+    el.endpoints.for_each(|sid, y, ic, oc| {
+        let stream = &plan.streams[sid].name;
         let coord = y
             .iter()
             .map(|c| c.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        if names[*ic].is_empty() {
-            names[*ic] = format!("{stream}@({coord}):in");
+        if names[ic].is_empty() {
+            names[ic] = format!("{stream}@({coord}):in");
         }
-        if names[*oc].is_empty() {
-            names[*oc] = format!("{stream}@({coord}):out");
+        if names[oc].is_empty() {
+            names[oc] = format!("{stream}@({coord}):out");
         }
-    }
+    });
     for (i, n) in names.iter_mut().enumerate() {
         if n.is_empty() {
             *n = format!("chan {i}");
@@ -198,11 +198,11 @@ mod tests {
         let el = crate::elaborate::elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
         let names = channel_names(&plan, &el);
         assert_eq!(names.len(), el.module.n_chans);
-        for (sid, _, ic, oc) in &el.endpoints {
-            let stream = &plan.streams[*sid].name;
-            assert!(names[*ic].starts_with(stream.as_str()), "{}", names[*ic]);
-            assert!(names[*oc].starts_with(stream.as_str()), "{}", names[*oc]);
-        }
+        el.endpoints.for_each(|sid, _, ic, oc| {
+            let stream = &plan.streams[sid].name;
+            assert!(names[ic].starts_with(stream.as_str()), "{}", names[ic]);
+            assert!(names[oc].starts_with(stream.as_str()), "{}", names[oc]);
+        });
         // Stream-and-coordinate names reach the Perfetto document.
         let obs = observe_plan_in(
             ModuleStore::global(),

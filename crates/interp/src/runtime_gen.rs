@@ -165,12 +165,12 @@ pub fn agree_with_procir(
     let (scanned, _) = scan(plan, env);
     let module = &el.module;
     let mut compared = 0;
-    for (y, pid) in &el.comp_at {
+    for (y, pid) in el.comp_at() {
         let sp = scanned
             .get(y)
             .ok_or_else(|| format!("comp process at {y:?} missing from the scan"))?;
-        let ops = module.ops_of(*pid);
-        let moving = module.moving_of(*pid);
+        let ops = module.ops_of(pid);
+        let moving = module.moving_of(pid);
         // Decode the op list: pass totals per input channel, split at the
         // repeater, plus the keep channel of each stationary slot.
         let mut keep_chan: HashMap<u32, ChanId> = HashMap::new();
@@ -330,8 +330,8 @@ pub fn agree_with_opt(
     }
 
     // Every computation process survives, repeater intact.
-    for (y, pid) in &el.comp_at {
-        let q = r.proc_map[*pid]
+    for (y, pid) in el.comp_at() {
+        let q = r.proc_map[pid]
             .ok_or_else(|| format!("computation process at {y:?} was fused away"))?;
         let count = |ops: &[ProcOp]| {
             ops.iter()
@@ -341,7 +341,7 @@ pub fn agree_with_opt(
                 })
                 .sum::<u64>()
         };
-        let (a, b) = (count(pre.ops_of(*pid)), count(post.ops_of(q)));
+        let (a, b) = (count(pre.ops_of(pid)), count(post.ops_of(q)));
         if a != b {
             return Err(format!("comp at {y:?}: repeater {a} became {b}"));
         }
@@ -392,7 +392,7 @@ mod tests {
                 let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
                 let compared = agree_with_procir(&plan, &env, &el)
                     .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
-                assert_eq!(compared, el.comp_at.len());
+                assert_eq!(compared, el.comp_at().len());
                 assert!(compared > 0);
             }
         }
@@ -414,7 +414,7 @@ mod tests {
                 optimized_somewhere = true;
                 let compared = agree_with_opt(&plan, &env, &el, &o)
                     .unwrap_or_else(|e| panic!("{label} n={n}: {e}"));
-                assert_eq!(compared, el.comp_at.len());
+                assert_eq!(compared, el.comp_at().len());
             }
         }
         assert!(
@@ -434,7 +434,7 @@ mod tests {
         let mut o = systolic_runtime::optimize(&el.module).expect("E.2 has relay chains");
         assert!(agree_with_opt(&plan, &env, &el, &o).is_ok());
         // Claim a computation process was fused away.
-        let victim = el.comp_at[0].1;
+        let victim = el.comp_pids[0];
         std::sync::Arc::make_mut(&mut o.report).proc_map[victim] = None;
         let err = agree_with_opt(&plan, &env, &el, &o).unwrap_err();
         assert!(err.contains("has no preimage"), "{err}");

@@ -42,7 +42,7 @@
 //! [`crate::elaborate::elaborate`] is their uncached composition.
 
 use crate::elaborate::{
-    Census, ChanAlloc, ElabError, ElabOptions, Elaborated, OutputSpec, PsIndex,
+    Census, ChanAlloc, ElabError, ElabOptions, Elaborated, Endpoints, OutputSpec, PsIndex,
 };
 use std::sync::Arc;
 use systolic_core::{StreamKind, SystolicProgram};
@@ -159,7 +159,9 @@ pub fn elaborate_skeleton(plan: &SystolicProgram, opts: &ElabOptions) -> Arc<Ske
 /// `store` — and recording, in the same pass, where in `store` each word
 /// came from ([`Elaborated::host_words`]), so that a later run reads its
 /// own data into the same network. Every symbolic query is a prebaked
-/// integer form evaluated at `[y ++ sizes]`.
+/// integer form evaluated at `[y ++ sizes]`, and the sweep walks the PS
+/// box through scratch points: nothing is allocated per point but the
+/// process labels.
 pub fn instantiate(
     skel: &SkeletonModule,
     env: &Env,
@@ -179,32 +181,41 @@ pub fn instantiate(
         .zip(&skel.ps_max)
         .map(|(lo, hi)| (lo.eval_int(&yx), hi.eval_int(&yx)))
         .collect();
-    let in_ps = |p: &[i64]| p.iter().zip(&ps).all(|(&x, &(lo, hi))| x >= lo && x <= hi);
-    let ps_points = point::box_points(&ps);
     let psidx = PsIndex::new(&ps);
+    let volume = psidx.len();
     let opts = &skel.opts;
 
     let mut chans = ChanAlloc(0);
-    let mut b = ProcIrBuilder::new();
+    let mut b = builder_for(skel, store, &ps);
     let mut outputs = Vec::new();
     let mut host_words: Vec<u32> = Vec::new();
     let mut census = Census::default();
-    // [stream][PS offset] -> (in_chan, out_chan); every in-PS point of
-    // every stream lies on exactly one pipe chain, so both tables are
-    // fully populated by the pipe walks below.
-    let mut endpoint: Vec<Vec<(ChanId, ChanId)>> =
-        vec![vec![(ChanId::MAX, ChanId::MAX); psidx.len()]; skel.n_streams];
-    // [stream][PS offset] -> pipe element count
-    let mut pipe_n: Vec<Vec<i64>> = vec![vec![0; psidx.len()]; skel.n_streams];
+    // [stream id * volume + PS offset] -> (in_chan, out_chan); every
+    // in-PS point of every stream lies on exactly one pipe chain, so the
+    // table is fully populated by the pipe walks below.
+    let mut endpoint = vec![(ChanId::MAX, ChanId::MAX); skel.n_streams * volume];
+    // [stream id * volume + PS offset] -> pipe element count
+    let mut pipe_n = vec![0usize; skel.n_streams * volume];
 
     struct PipeIo {
         entry: ChanId,
         exit: ChanId,
-        head: Vec<i64>,
-        tail: Vec<i64>,
-        /// Flat offset into the variable's array of each pipe element.
-        words: Vec<u32>,
+        /// PS offsets of the pipe's first and last process.
+        head: usize,
+        tail: usize,
+        /// The pipe's range of the stream's `words`.
+        words: (usize, usize),
     }
+    // Scratch, reused for every pipe of every stream: a PS point, a
+    // stream element, the pipe's end elements, the flat offset into the
+    // variable's array of each pipe element (pipe after pipe), and a
+    // decoded point for labels.
+    let mut z = vec![0i64; nc];
+    let mut e: Vec<i64> = Vec::new();
+    let (mut first_s, mut last_s) = (Vec::new(), Vec::new());
+    let mut words: Vec<u32> = Vec::new();
+    let mut pipe_ios: Vec<PipeIo> = Vec::new();
+    let mut at_point = vec![0i64; nc];
 
     for sp in &skel.streams {
         let u = &sp.unit_flow;
@@ -213,79 +224,79 @@ pub fn instantiate(
             .ok_or_else(|| ElabError::MissingVariable {
                 variable: sp.name.clone(),
             })?;
-        let mut pipe_ios: Vec<PipeIo> = Vec::new();
-        for head in &ps_points {
-            if in_ps(&point::sub(head, u)) {
+        let row = sp.id * volume;
+        words.clear();
+        pipe_ios.clear();
+        let mut walk = psidx.walk();
+        while let Some((head_at, head)) = walk.next() {
+            for ((x, &h), &d) in z.iter_mut().zip(head).zip(u) {
+                *x = h - d;
+            }
+            if psidx.contains(&z) {
                 continue; // not the upstream end of a pipe
             }
-            let mut chain = Vec::new();
-            let mut z = head.clone();
-            while in_ps(&z) {
-                chain.push(z.clone());
-                z = point::add(&z, u);
-            }
             yx[..nc].copy_from_slice(head);
-            let first_s = sp.first_s.point_at(&yx);
-            let last_s = sp.last_s.point_at(&yx);
-            let words = match (first_s, last_s) {
-                (Some(f), Some(l)) => {
-                    let k = point::exact_div(&point::sub(&l, &f), &sp.increment_s).ok_or_else(
-                        || ElabError::MisalignedPipe {
-                            stream: sp.name.clone(),
-                            head: head.clone(),
-                        },
-                    )?;
-                    if k < 0 {
-                        return Err(ElabError::ReversedPipe {
-                            stream: sp.name.clone(),
-                            head: head.clone(),
-                        });
-                    }
-                    (0..=k)
-                        .map(|t| {
-                            let e = point::add(&f, &point::scale(t, &sp.increment_s));
-                            var.flat_offset(&e).map(|at| at as u32).ok_or_else(|| {
-                                ElabError::ElementOutOfBounds {
-                                    variable: sp.name.clone(),
-                                    element: e,
-                                }
-                            })
-                        })
-                        .collect::<Result<Vec<u32>, ElabError>>()?
+            let from = words.len();
+            if sp.first_s.point_into(&yx, &mut first_s) && sp.last_s.point_into(&yx, &mut last_s) {
+                for (l, &f) in last_s.iter_mut().zip(&first_s) {
+                    *l -= f;
                 }
-                _ => Vec::new(),
-            };
-            let n = words.len() as i64;
-            for z in &chain {
-                pipe_n[sp.id][psidx.at(z)] = n;
+                let k = point::exact_div(&last_s, &sp.increment_s).ok_or_else(|| {
+                    ElabError::MisalignedPipe {
+                        stream: sp.name.clone(),
+                        head: head.to_vec(),
+                    }
+                })?;
+                if k < 0 {
+                    return Err(ElabError::ReversedPipe {
+                        stream: sp.name.clone(),
+                        head: head.to_vec(),
+                    });
+                }
+                e.clone_from(&first_s);
+                for _ in 0..=k {
+                    let at = var
+                        .flat_offset(&e)
+                        .ok_or_else(|| ElabError::ElementOutOfBounds {
+                            variable: sp.name.clone(),
+                            element: e.clone(),
+                        })?;
+                    words.push(at as u32);
+                    for (x, &i) in e.iter_mut().zip(&sp.increment_s) {
+                        *x += i;
+                    }
+                }
             }
+            let n = words.len() - from;
 
             // Pipe entry channel and chain with relays ahead of every
             // process.
             let entry = chans.next();
             let mut prev = entry;
-            for z in &chain {
+            let mut tail = 0;
+            z.copy_from_slice(head);
+            while psidx.contains(&z) {
+                tail = psidx.at(&z);
+                pipe_n[row + tail] = n;
                 for r in 0..sp.relays {
                     let nxt = chans.next();
-                    b.relay(
-                        prev,
-                        nxt,
-                        n.max(0) as usize,
-                        format!("buf{r}:{}@{}", sp.name, point::fmt_point(z)),
-                    );
+                    b.relay(prev, nxt, n, label(format_args!("buf{r}:{}", sp.name), &z));
                     census.internal_buffers += 1;
                     prev = nxt;
                 }
                 let out = chans.next();
-                endpoint[sp.id][psidx.at(z)] = (prev, out);
+                endpoint[row + tail] = (prev, out);
                 prev = out;
+                for (x, &d) in z.iter_mut().zip(u) {
+                    *x += d;
+                }
             }
             pipe_ios.push(PipeIo {
                 entry,
                 exit: prev,
-                head: head.clone(),
-                tail: chain.last().unwrap().clone(),
-                words,
+                head: head_at,
+                tail,
+                words: (from, words.len()),
             });
         }
 
@@ -295,14 +306,19 @@ pub fn instantiate(
         // process collects, in order: `host_words` grows in step with
         // the module's data segment.
         let raw = var.raw();
+        let words_of = |p: &PipeIo| &words[p.words.0..p.words.1];
         if opts.merge_io {
-            let max_len = pipe_ios.iter().map(|p| p.words.len()).max().unwrap_or(0);
+            let max_len = pipe_ios
+                .iter()
+                .map(|p| words_of(p).len())
+                .max()
+                .unwrap_or(0);
             let mut sends = Vec::new();
             let mut recvs = Vec::new();
             let from = host_words.len() as u32;
             for t in 0..max_len {
                 for p in &pipe_ios {
-                    if let Some(&at) = p.words.get(t) {
+                    if let Some(&at) = words_of(p).get(t) {
                         sends.push((p.entry, raw[at as usize]));
                         recvs.push(p.exit);
                         host_words.push(at);
@@ -319,22 +335,21 @@ pub fn instantiate(
                 words: (from, host_words.len() as u32),
             });
         } else {
-            for p in pipe_ios {
-                let values: Vec<i64> = p.words.iter().map(|&at| raw[at as usize]).collect();
-                b.source(
-                    p.entry,
-                    &values,
-                    format!("in:{}@{}", sp.name, point::fmt_point(&p.head)),
-                );
+            for p in &pipe_ios {
+                let ws = words_of(p);
+                psidx.point_of(p.head, &mut at_point);
+                b.begin(label(format_args!("in:{}", sp.name), &at_point));
+                for &at in ws {
+                    b.emit(p.entry, raw[at as usize]);
+                }
+                b.finish();
                 census.inputs += 1;
-                let (_, out) = b.sink(
-                    p.exit,
-                    p.words.len(),
-                    format!("out:{}@{}", sp.name, point::fmt_point(&p.tail)),
-                );
+                psidx.point_of(p.tail, &mut at_point);
+                let out_label = label(format_args!("out:{}", sp.name), &at_point);
+                let (_, out) = b.sink(p.exit, ws.len(), out_label);
                 census.outputs += 1;
                 let from = host_words.len() as u32;
-                host_words.extend_from_slice(&p.words);
+                host_words.extend_from_slice(ws);
                 outputs.push(OutputSpec {
                     variable: sp.name.clone(),
                     output: out,
@@ -343,46 +358,48 @@ pub fn instantiate(
             }
         }
     }
+    // Every pipe channel exists, even one only a zero-length pipe's
+    // relays connect (and no op names): the endpoint table holds it.
+    b.declare_chans(chans.0);
 
     // Processes at every PS point, querying the prebaked integer forms.
-    let mut comp_at = Vec::new();
-    for y in &ps_points {
-        let yi = psidx.at(y);
+    let mut comp_coords = Vec::new();
+    let mut comp_pids = Vec::new();
+    let mut first = Vec::new();
+    let mut moving: Vec<MovingLink> = Vec::new();
+    let mut soaks: Vec<ProcOp> = Vec::new();
+    let mut walk = psidx.walk();
+    while let Some((yi, y)) = walk.next() {
         yx[..nc].copy_from_slice(y);
-        if let Some(first) = skel.first.point_at(&yx) {
+        let ends = |sp: &StreamSkeleton| endpoint[sp.id * volume + yi];
+        if skel.first.point_into(&yx, &mut first) {
             // Computation process: the canonical load / soak / repeater /
-            // drain / recover shape of Appendix C–E.
+            // drain / recover shape of Appendix C–E, less every pass of
+            // count 0.
             let count = skel.count.at(&yx);
             // Pre-pass over the moving streams: split propagation's escort
             // relays are separate processes and lower before the
             // computation process opens; the paper protocol's soaks are
             // ops queued for it.
-            let mut moving: Vec<MovingLink> = Vec::new();
-            let mut soaks: Vec<ProcOp> = Vec::new();
+            moving.clear();
+            soaks.clear();
             for sp in &skel.streams {
                 if sp.kind == StreamKind::Moving {
-                    let (ic, oc) = endpoint[sp.id][yi];
-                    let soak = sp.soak.at(&yx);
-                    let drain = sp.drain.at(&yx);
+                    let (ic, oc) = ends(sp);
+                    let soak = sp.soak.at(&yx).max(0) as usize;
+                    let drain = sp.drain.at(&yx).max(0) as usize;
                     if opts.split_propagation {
                         let cs = chans.next(); // splitter -> comp
                         let cm = chans.next(); // comp -> merger
                         let sm = chans.next(); // splitter -> merger
+                        let count = count.max(0) as usize;
                         b.segment_relay(
-                            &[
-                                (ic, sm, soak.max(0) as usize),
-                                (ic, cs, count.max(0) as usize),
-                                (ic, sm, drain.max(0) as usize),
-                            ],
-                            format!("split:{}@{}", sp.name, point::fmt_point(y)),
+                            &[(ic, sm, soak), (ic, cs, count), (ic, sm, drain)],
+                            label(format_args!("split:{}", sp.name), y),
                         );
                         b.segment_relay(
-                            &[
-                                (sm, oc, soak.max(0) as usize),
-                                (cm, oc, count.max(0) as usize),
-                                (sm, oc, drain.max(0) as usize),
-                            ],
-                            format!("merge:{}@{}", sp.name, point::fmt_point(y)),
+                            &[(sm, oc, soak), (cm, oc, count), (sm, oc, drain)],
+                            label(format_args!("merge:{}", sp.name), y),
                         );
                         census.escorts += 2;
                         moving.push(MovingLink {
@@ -391,11 +408,7 @@ pub fn instantiate(
                             out: cm,
                         });
                     } else {
-                        soaks.push(ProcOp::Pass {
-                            inp: ic,
-                            out: oc,
-                            n: soak.max(0) as u64,
-                        });
+                        soaks.extend(pass(ic, oc, soak));
                         moving.push(MovingLink {
                             slot: sp.id as u32,
                             inp: ic,
@@ -404,28 +417,21 @@ pub fn instantiate(
                     }
                 }
             }
-            b.begin(format!("comp@{}", point::fmt_point(y)));
+            b.begin(label(format_args!("comp"), y));
             // Loads.
             for sp in &skel.streams {
                 if let StreamKind::Stationary { .. } = sp.kind {
-                    let (ic, oc) = endpoint[sp.id][yi];
-                    let drain = sp.drain.at(&yx);
+                    let (ic, oc) = ends(sp);
                     b.op(ProcOp::Keep {
                         chan: ic,
                         slot: sp.id as u32,
                     });
-                    b.op(ProcOp::Pass {
-                        inp: ic,
-                        out: oc,
-                        n: drain.max(0) as u64,
-                    });
+                    b.ops(pass(ic, oc, sp.drain.at(&yx).max(0) as usize));
                 }
             }
             // Soaks (paper protocol; escorts already handle them under
             // split propagation).
-            for op in &soaks {
-                b.op(*op);
-            }
+            b.ops(soaks.iter().copied());
             b.op(ProcOp::Compute {
                 count: count.max(0) as u64,
             });
@@ -433,26 +439,16 @@ pub fn instantiate(
             if !opts.split_propagation {
                 for sp in &skel.streams {
                     if sp.kind == StreamKind::Moving {
-                        let (ic, oc) = endpoint[sp.id][yi];
-                        let drain = sp.drain.at(&yx);
-                        b.op(ProcOp::Pass {
-                            inp: ic,
-                            out: oc,
-                            n: drain.max(0) as u64,
-                        });
+                        let (ic, oc) = ends(sp);
+                        b.ops(pass(ic, oc, sp.drain.at(&yx).max(0) as usize));
                     }
                 }
             }
             // Recoveries.
             for sp in &skel.streams {
                 if let StreamKind::Stationary { .. } = sp.kind {
-                    let (ic, oc) = endpoint[sp.id][yi];
-                    let soak = sp.soak.at(&yx);
-                    b.op(ProcOp::Pass {
-                        inp: ic,
-                        out: oc,
-                        n: soak.max(0) as u64,
-                    });
+                    let (ic, oc) = ends(sp);
+                    b.ops(pass(ic, oc, sp.soak.at(&yx).max(0) as usize));
                     b.op(ProcOp::Eject {
                         chan: oc,
                         slot: sp.id as u32,
@@ -460,40 +456,23 @@ pub fn instantiate(
                 }
             }
             b.repeater(&moving, &first, &skel.increment, skel.n_slots);
-            let pid = b.finish();
-            comp_at.push((y.clone(), pid));
+            comp_pids.push(b.finish());
+            comp_coords.extend_from_slice(y);
             census.computation += 1;
         } else {
             // Null process: external buffer, one relay per stream
             // (the paper composes the passes in `par`; independent relay
             // processes are the same composition).
             for sp in &skel.streams {
-                let (ic, oc) = endpoint[sp.id][yi];
-                let n = pipe_n[sp.id][yi];
-                b.relay(
-                    ic,
-                    oc,
-                    n.max(0) as usize,
-                    format!("extbuf:{}@{}", sp.name, point::fmt_point(y)),
-                );
+                let (ic, oc) = ends(sp);
+                let n = pipe_n[sp.id * volume + yi];
+                b.relay(ic, oc, n, label(format_args!("extbuf:{}", sp.name), y));
                 census.external_buffers += 1;
             }
         }
     }
 
     census.channels = chans.0;
-    let endpoints = skel
-        .streams
-        .iter()
-        .flat_map(|sp| {
-            let row = &endpoint[sp.id];
-            let psidx = &psidx;
-            ps_points.iter().map(move |y| {
-                let (ic, oc) = row[psidx.at(y)];
-                (sp.id, y.clone(), ic, oc)
-            })
-        })
-        .collect();
     b.set_kernel(skel.kernel.clone());
     let module = b.build();
     debug_assert_eq!(host_words.len(), module.data.len());
@@ -502,7 +481,59 @@ pub fn instantiate(
         outputs,
         host_words,
         census,
-        endpoints,
-        comp_at,
+        endpoints: Endpoints {
+            ps: psidx,
+            streams: skel.streams.iter().map(|sp| sp.id).collect(),
+            chans: endpoint,
+        },
+        comp_coords,
+        comp_pids,
     })
+}
+
+/// `pass s, n` — or nothing for `n = 0`, which has nothing to run (a
+/// zero pass retires no communication set on any engine).
+fn pass(inp: ChanId, out: ChanId, n: usize) -> Option<ProcOp> {
+    (n > 0).then_some(ProcOp::Pass {
+        inp,
+        out,
+        n: n as u64,
+    })
+}
+
+/// A process label, `{head}@{y}`, written into one string.
+fn label(head: std::fmt::Arguments<'_>, y: &[i64]) -> String {
+    use std::fmt::Write as _;
+    let mut s = String::with_capacity(24);
+    let _ = s.write_fmt(head);
+    s.push('@');
+    point::write_point(&mut s, y);
+    s
+}
+
+/// A builder sized from what is known before the sweep: every PS point
+/// holds a process (a computation process, or an external buffer per
+/// stream) behind its internal relays, every pipe has a source and a
+/// sink, and every word of a stream's array travels once — emitted,
+/// then collected.
+fn builder_for(skel: &SkeletonModule, store: &HostStore, ps: &[(i64, i64)]) -> ProcIrBuilder {
+    let len = |(lo, hi): (i64, i64)| (hi - lo + 1).max(0) as usize;
+    let volume: usize = ps.iter().map(|&d| len(d)).product();
+    // Points whose upstream neighbour along `u` leaves the box head a pipe.
+    let heads = |u: &[i64]| {
+        let inner = ps
+            .iter()
+            .zip(u)
+            .map(|(&(lo, hi), &d)| len((lo, hi - d.abs())));
+        volume - inner.product::<usize>()
+    };
+    let (mut procs, mut ops, mut data) = (volume, 0, 0);
+    for sp in &skel.streams {
+        let words = store.try_get(&sp.name).map_or(0, |v| v.raw().len());
+        let relays = volume * sp.relays.max(0) as usize;
+        procs += relays + 2 * heads(&sp.unit_flow);
+        ops += relays + 2 * words + 2 * volume;
+        data += words;
+    }
+    ProcIrBuilder::with_capacity(procs, ops + volume, data)
 }

@@ -49,9 +49,9 @@ pub fn run_traced(
     // chan -> (stream name, coords) for the *incoming* channel of each
     // process.
     let mut incoming: HashMap<usize, (String, Vec<i64>)> = HashMap::new();
-    for (sid, y, ic, _oc) in &cm.elab.endpoints {
-        incoming.insert(*ic, (plan.streams[*sid].name.clone(), y.clone()));
-    }
+    cm.elab.endpoints.for_each(|sid, y, ic, _| {
+        incoming.insert(ic, (plan.streams[sid].name.clone(), y.to_vec()));
+    });
     let located = lock(&log)
         .transfers()
         .iter()

@@ -199,14 +199,33 @@ pub fn fmt_rat_point(x: &[Rational]) -> String {
     fmt_tuple(x.iter())
 }
 
-fn fmt_tuple<T: fmt::Display>(items: impl ExactSizeIterator<Item = T>) -> String {
-    let n = items.len();
-    let inner: Vec<String> = items.map(|v| v.to_string()).collect();
-    if n == 1 {
-        inner.into_iter().next().unwrap()
-    } else {
-        format!("({})", inner.join(","))
+/// Append `x` to `out` in the notation of [`fmt_point`], without an
+/// intermediate string per coordinate.
+pub fn write_point(out: &mut String, x: &[i64]) {
+    write_tuple(out, x.iter())
+}
+
+fn write_tuple<T: fmt::Display>(out: &mut String, items: impl ExactSizeIterator<Item = T>) {
+    use fmt::Write as _;
+    let paren = items.len() != 1;
+    if paren {
+        out.push('(');
     }
+    for (i, v) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{v}");
+    }
+    if paren {
+        out.push(')');
+    }
+}
+
+fn fmt_tuple<T: fmt::Display>(items: impl ExactSizeIterator<Item = T>) -> String {
+    let mut out = String::new();
+    write_tuple(&mut out, items);
+    out
 }
 
 #[cfg(test)]

@@ -203,12 +203,17 @@ impl SpecPoint {
         })
     }
 
-    /// The selected clause's point at `y`, or `None` (a null process /
-    /// empty pipe).
+    /// The selected clause's point at `y`, written into `out` (which it
+    /// overwrites): whether a clause was selected — none is a null
+    /// process or an empty pipe, and leaves `out` empty.
     #[inline]
-    pub fn point_at(&self, y: &[i64]) -> Option<Vec<i64>> {
-        self.select(y)
-            .map(|p| p.iter().map(|a| a.eval_int(y)).collect())
+    pub fn point_into(&self, y: &[i64], out: &mut Vec<i64>) -> bool {
+        out.clear();
+        let Some(p) = self.select(y) else {
+            return false;
+        };
+        out.extend(p.iter().map(|a| a.eval_int(y)));
+        true
     }
 }
 

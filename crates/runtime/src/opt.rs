@@ -48,7 +48,10 @@
 //! `Keep`/`Eject` pair into a `Pass` when the local is dead), because
 //! they can turn a process *into* a pure relay that chain fusion then
 //! consumes. The peepholes alone are stat-invariant; only chain
-//! deletion changes counts.
+//! deletion changes counts. The elaborator emits no zero-iteration op,
+//! so that peephole serves hand-built modules; and a module none of the
+//! passes could touch is declined by a read-only scan before anything is
+//! copied.
 
 use crate::batch::{analyze_ops, BatchPlan};
 use crate::json::Json;
@@ -189,7 +192,27 @@ pub struct OptimizedModule {
 /// traffic, an over-wide process) — the shapes `crate::batch` rejects,
 /// by the same walk, so the caller's fallback is the same rendezvous
 /// path.
+///
+/// A read-only scan decides the first case before anything is copied:
+/// a module with no process a peephole applies to and no pure relay —
+/// every module the elaborator builds without relay buffers — costs one
+/// walk over its ops.
 pub fn optimize(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
+    let rewritable = |pid| {
+        let ops = module.ops_of(pid);
+        peephole_applies(ops) || pure_relay(module, ops, pid).is_some()
+    };
+    if !(0..module.procs.len()).any(rewritable) {
+        return None;
+    }
+    optimize_without_scan(module)
+}
+
+/// [`optimize`] without its early decline: every pass over every
+/// process. The oracle the scan is held to (`tests/optimizer.rs`): where
+/// the scan declines, this returns `None` too.
+#[doc(hidden)]
+pub fn optimize_without_scan(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
     let mut report = OptReport {
         processes_before: module.procs.len(),
         channels_before: module.n_chans,
@@ -199,34 +222,58 @@ pub fn optimize(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
         ..OptReport::default()
     };
 
-    // Phase 1: op peepholes, per process, on copies of the op lists.
-    let cleaned: Vec<Vec<ProcOp>> = (0..module.procs.len())
+    // Phase 1: op peepholes, per process, on copies of the op lists of
+    // the processes they change.
+    let cleaned: Vec<Option<Vec<ProcOp>>> = (0..module.procs.len())
         .map(|pid| peephole(module, pid, &mut report))
         .collect();
+    let ops_of = |pid: ProcId| cleaned[pid].as_deref().unwrap_or(module.ops_of(pid));
     let touched_ops = report.zero_ops_dropped + report.passes_merged + report.keep_eject_fused > 0;
 
     // Phase 2: the batch analysis, over the cleaned ops. A shape it
     // cannot prove rejects the whole module.
-    let ends = analyze_ops(module, |pid| &cleaned[pid]);
+    let ends = analyze_ops(module, ops_of);
     if !ends.batchable() {
         return None;
     }
 
     // Phase 3: chain discovery over pure relays.
-    let chains = find_chains(module, &cleaned, &ends);
+    let chains = find_chains(module, ops_of, &ends);
     if chains.is_empty() && !touched_ops {
         return None;
     }
 
     // Phase 4: rebuild the module without the fused relays.
-    Some(rebuild(module, cleaned, chains, report))
+    Some(rebuild(module, ops_of, chains, report))
+}
+
+/// Whether a peephole below rewrites anything in `ops`: a zero-iteration
+/// op, an adjacent `Keep`/`Eject` pair of one slot, or two consecutive
+/// passes over one channel pair.
+fn peephole_applies(ops: &[ProcOp]) -> bool {
+    let zero = |op: &ProcOp| matches!(op, ProcOp::Pass { n: 0, .. } | ProcOp::Compute { count: 0 });
+    let adjacent = |w: &[ProcOp]| match (w[0], w[1]) {
+        (ProcOp::Keep { chan: ci, slot: a }, ProcOp::Eject { chan: co, slot: b }) => {
+            a == b && ci != co
+        }
+        (ProcOp::Pass { inp: a, out: b, .. }, ProcOp::Pass { inp: c, out: d, .. }) => {
+            (a, b) == (c, d)
+        }
+        _ => false,
+    };
+    ops.iter().any(zero) || ops.windows(2).any(adjacent)
 }
 
 /// The op peepholes for one process: drop zero-iteration ops, fuse an
 /// adjacent dead `Keep`/`Eject` pair into a `Pass`, merge consecutive
 /// same-pair `Pass` repetitions. Each rewrite is stat-invariant (the
-/// rewritten ops retire the same logical sets and transfers).
-fn peephole(module: &ProcIrModule, pid: ProcId, report: &mut OptReport) -> Vec<ProcOp> {
+/// rewritten ops retire the same logical sets and transfers). `None`
+/// when none applies: the process keeps its ops, uncopied.
+fn peephole(module: &ProcIrModule, pid: ProcId, report: &mut OptReport) -> Option<Vec<ProcOp>> {
+    if !peephole_applies(module.ops_of(pid)) {
+        return None;
+    }
+
     // Pass A: zero-iteration ops retire no sets; deleting them is
     // invisible (and can make a keep/eject pair adjacent).
     let mut ops: Vec<ProcOp> = Vec::with_capacity(module.ops_of(pid).len());
@@ -317,7 +364,7 @@ fn peephole(module: &ProcIrModule, pid: ProcId, report: &mut OptReport) -> Vec<P
         }
         out.push(op);
     }
-    out
+    Some(out)
 }
 
 /// A process is a pure relay when, after cleanup, it is exactly one
@@ -325,12 +372,8 @@ fn peephole(module: &ProcIrModule, pid: ProcId, report: &mut OptReport) -> Vec<P
 /// moving links, no output buffer. Such a process computes the identity
 /// stream function, so it (and only it) is a fusion candidate; in
 /// particular a `Keep`/`Eject` endpoint can never be fused away.
-fn pure_relay(
-    module: &ProcIrModule,
-    cleaned: &[Vec<ProcOp>],
-    pid: ProcId,
-) -> Option<(ChanId, ChanId, u64)> {
-    match cleaned[pid][..] {
+fn pure_relay(module: &ProcIrModule, ops: &[ProcOp], pid: ProcId) -> Option<(ChanId, ChanId, u64)> {
+    match *ops {
         [ProcOp::Pass { inp, out, n }]
             if inp != out
                 && n > 0
@@ -347,11 +390,12 @@ fn pure_relay(
 /// real (non-relay) producer feeding its entry channel and a real
 /// consumer on its exit channel — a cycle of pure relays has neither
 /// and is left alone.
-fn find_chains(
+fn find_chains<'a>(
     module: &ProcIrModule,
-    cleaned: &[Vec<ProcOp>],
+    ops_of: impl Fn(ProcId) -> &'a [ProcOp],
     ends: &BatchPlan,
 ) -> Vec<ChainRecord> {
+    let relay = |pid| pure_relay(module, ops_of(pid), pid);
     let n = module.procs.len();
     let mut in_chain = vec![false; n];
     let mut chains = Vec::new();
@@ -359,7 +403,7 @@ fn find_chains(
         if in_chain[seed] {
             continue;
         }
-        let Some((mut inp, _, traffic)) = pure_relay(module, cleaned, seed) else {
+        let Some((mut inp, _, traffic)) = relay(seed) else {
             continue;
         };
         // Walk upstream to the chain's head, guarding against relay
@@ -370,7 +414,7 @@ fn find_chains(
             if in_chain[p] || members.contains(&p) {
                 break;
             }
-            let Some((pi, _, pn)) = pure_relay(module, cleaned, p) else {
+            let Some((pi, _, pn)) = relay(p) else {
                 break;
             };
             if pn != traffic {
@@ -381,12 +425,12 @@ fn find_chains(
             inp = pi;
         }
         // Walk downstream from the tail.
-        let (_, mut out, _) = pure_relay(module, cleaned, *members.last().unwrap()).unwrap();
+        let (_, mut out, _) = relay(*members.last().unwrap()).unwrap();
         while let Some(c) = ends.consumer_of[out] {
             if in_chain[c] || members.contains(&c) {
                 break;
             }
-            let Some((_, co, cn)) = pure_relay(module, cleaned, c) else {
+            let Some((_, co, cn)) = relay(c) else {
                 break;
             };
             if cn != traffic {
@@ -395,7 +439,7 @@ fn find_chains(
             members.push(c);
             out = co;
         }
-        let (entry, _, _) = pure_relay(module, cleaned, head).unwrap();
+        let (entry, _, _) = relay(head).unwrap();
         let exit = out;
         // Both external endpoints must exist outside the chain, and the
         // entry/exit channels must be distinct (a closed relay loop is
@@ -424,9 +468,9 @@ fn find_chains(
 /// Rebuild the arena without the fused relays: rewire every reference
 /// to a chain's exit channel onto its entry channel, drop the interior
 /// channels, and renumber processes and channels densely.
-fn rebuild(
+fn rebuild<'a>(
     module: &Arc<ProcIrModule>,
-    cleaned: Vec<Vec<ProcOp>>,
+    ops_of: impl Fn(ProcId) -> &'a [ProcOp],
     mut chains: Vec<ChainRecord>,
     mut report: OptReport,
 ) -> OptimizedModule {
@@ -442,7 +486,7 @@ fn rebuild(
         dropped_chan[ch.exit] = true;
         // Interior channels: every relay's input except the entry.
         for &pid in &ch.relays[1..] {
-            if let [ProcOp::Pass { inp, .. }] = cleaned[pid][..] {
+            if let [ProcOp::Pass { inp, .. }] = *ops_of(pid) {
                 dropped_chan[inp] = true;
             }
         }
@@ -481,7 +525,7 @@ fn rebuild(
         }
         report.proc_map[pid] = Some(procs.len());
         let o0 = ops.len() as u32;
-        for op in &cleaned[pid] {
+        for op in ops_of(pid) {
             ops.push(match *op {
                 ProcOp::Emit { chan } => ProcOp::Emit { chan: remap(chan) },
                 ProcOp::Collect { chan } => ProcOp::Collect { chan: remap(chan) },
@@ -759,6 +803,43 @@ mod tests {
         let seg_ops = o.module.ops_of(o.report.proc_map[0].unwrap());
         assert_eq!(seg_ops.len(), 2);
         assert!(matches!(seg_ops[0], ProcOp::Pass { n: 5, .. }));
+    }
+
+    /// The peepholes copy only the processes they rewrite, and a module
+    /// with nothing to rewrite — no peephole applies, no process is a
+    /// pure relay — is declined by the scan alone.
+    #[test]
+    fn peepholes_copy_only_what_they_rewrite() {
+        let mut b = ProcIrBuilder::new();
+        b.source(0, &[1, 2], "src");
+        b.begin("cell");
+        b.op(ProcOp::Pass {
+            inp: 0,
+            out: 1,
+            n: 1,
+        });
+        b.op(ProcOp::Compute { count: 0 });
+        b.op(ProcOp::Pass {
+            inp: 0,
+            out: 1,
+            n: 1,
+        });
+        b.finish();
+        b.sink(1, 2, "sink");
+        let m = b.build();
+        let mut report = OptReport::default();
+        let copied: Vec<bool> = (0..3)
+            .map(|pid| peephole(&m, pid, &mut report).is_some())
+            .collect();
+        assert_eq!(copied, [false, true, false]);
+        assert_eq!((report.zero_ops_dropped, report.passes_merged), (1, 1));
+
+        let mut b = ProcIrBuilder::new();
+        b.source(0, &[1, 2], "src");
+        b.sink(0, 2, "sink");
+        let m = b.build();
+        assert!(!(0..2).any(|pid| peephole_applies(m.ops_of(pid))));
+        assert!(optimize(&m).is_none() && optimize_without_scan(&m).is_none());
     }
 
     /// A closed loop of pure relays has no external endpoints and must

@@ -231,11 +231,31 @@ pub struct ProcIrBuilder {
     n_outputs: u32,
     open: Option<ProcRecord>,
     kernel: Arc<Kernel>,
+    /// Channels `0..n_chans` exist whether or not an op names them.
+    n_chans: usize,
 }
 
 impl ProcIrBuilder {
     pub fn new() -> ProcIrBuilder {
         ProcIrBuilder::default()
+    }
+
+    /// A builder with room for `procs` processes, `ops` ops and `data`
+    /// scripted values, for callers that know the counts up front.
+    pub fn with_capacity(procs: usize, ops: usize, data: usize) -> ProcIrBuilder {
+        ProcIrBuilder {
+            ops: Vec::with_capacity(ops),
+            data: Vec::with_capacity(data),
+            procs: Vec::with_capacity(procs),
+            ..ProcIrBuilder::default()
+        }
+    }
+
+    /// Channels `0..n` belong to the module even where no op names one:
+    /// a zero-length pipe's channels carry nothing, yet a caller's
+    /// per-channel tables index them.
+    pub fn declare_chans(&mut self, n: usize) {
+        self.n_chans = self.n_chans.max(n);
     }
 
     /// Open a new process. Ops pushed until [`ProcIrBuilder::finish`]
@@ -262,6 +282,13 @@ impl ProcIrBuilder {
             rec.n_locals = rec.n_locals.max(slot + 1);
         }
         self.ops.push(op);
+    }
+
+    /// Append ops to the open process, in order.
+    pub fn ops(&mut self, ops: impl IntoIterator<Item = ProcOp>) {
+        for op in ops {
+            self.op(op);
+        }
     }
 
     /// Append an [`ProcOp::Emit`] with its scripted value.
@@ -397,7 +424,7 @@ impl ProcIrBuilder {
 
     /// A buffer process: `n` receive-forward cycles (`pass s, n` — the
     /// internal buffers of Sec. 7.6 and the external buffers of
-    /// `PS \ CS`).
+    /// `PS \ CS`); the one-segment [`ProcIrBuilder::segment_relay`].
     pub fn relay(
         &mut self,
         inp: ChanId,
@@ -405,19 +432,13 @@ impl ProcIrBuilder {
         n: usize,
         label: impl Into<String>,
     ) -> ProcId {
-        self.begin(label);
-        self.op(ProcOp::Pass {
-            inp,
-            out,
-            n: n as u64,
-        });
-        self.finish()
+        self.segment_relay(&[(inp, out, n)], label)
     }
 
     /// A relay forwarding consecutive *segments*, each with its own
-    /// channel pair and count (the split-propagation escorts). Folds the
-    /// former `RelayProc`/`SegmentRelay` pair into one lowering: a
-    /// single-segment call is exactly [`ProcIrBuilder::relay`].
+    /// channel pair and count (the split-propagation escorts). A segment
+    /// of count 0 has nothing to run and lowers to no op, so the relay of
+    /// a zero-length pipe is a process without ops.
     pub fn segment_relay(
         &mut self,
         segments: &[(ChanId, ChanId, usize)],
@@ -445,10 +466,10 @@ impl ProcIrBuilder {
     }
 
     /// Seal the module. Channel density (`n_chans`) is derived from the
-    /// ops and moving links.
+    /// ops and moving links, and covers every declared channel.
     pub fn build(self) -> Arc<ProcIrModule> {
         assert!(self.open.is_none(), "unfinished process at build");
-        let mut n_chans = 0usize;
+        let mut n_chans = self.n_chans;
         let mut see = |c: ChanId| n_chans = n_chans.max(c + 1);
         for op in &self.ops {
             match *op {
@@ -595,6 +616,22 @@ mod tests {
         );
         assert_eq!(r.step(&[8]), vec![CommReq::Send { chan: 10, value: 8 }]);
         assert!(r.step(&[]).is_empty());
+    }
+
+    /// A zero-length pipe's relay has nothing to run: one lowering for
+    /// `relay` and `segment_relay`, and no op for a count of 0. Its
+    /// channels still count when declared.
+    #[test]
+    fn a_zero_count_relay_is_a_process_without_ops() {
+        let mut b = ProcIrBuilder::new();
+        let empty = b.relay(0, 1, 0, "empty");
+        let one = b.relay(2, 3, 1, "one");
+        let seg = b.segment_relay(&[(2, 3, 1)], "seg");
+        b.declare_chans(5);
+        let m = b.build();
+        assert!(m.ops_of(empty).is_empty());
+        assert_eq!(m.ops_of(one), m.ops_of(seg));
+        assert_eq!(m.n_chans, 5, "declared channels count without an op");
     }
 
     #[test]

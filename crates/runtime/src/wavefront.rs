@@ -296,6 +296,19 @@ pub(crate) fn op_runs(
     }
 }
 
+/// Record that window `node` moves `n` more values of `chan`: one run with
+/// the run just recorded when that was the same window on the same
+/// channel (a source's `Emit`s are one run). Channel by channel the runs
+/// then cover the same values with the same windows, so the edges come
+/// out the same.
+fn push_run(runs: &mut Vec<(u32, Run)>, chan: ChanId, node: u32, n: u64) {
+    let chan = chan as u32;
+    match runs.last_mut() {
+        Some((c, run)) if *c == chan && run.node == node => run.n = run.n.saturating_add(n),
+        _ => runs.push((chan, Run { node, n })),
+    }
+}
+
 /// Derive the wave structure from a module and its batch analysis. A
 /// module the batch proof rejects is ineligible with the same reason and
 /// every other module is eligible — the wavefront executor inherits
@@ -320,8 +333,11 @@ pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan, needs: &[u64])
     // the window still open, which will be pushed under the index
     // `nodes.len()` has now.
     let mut nodes: Vec<Window> = Vec::with_capacity(module.procs.len() * 3);
-    let mut sends: Vec<(u32, Run)> = Vec::with_capacity(module.ops.len() * 2);
-    let mut recvs: Vec<(u32, Run)> = Vec::with_capacity(module.ops.len() * 2);
+    // A starting size: a process's script (a source's `Emit`s, a sink's
+    // `Collect`s) is one run, a repeater one per moving link.
+    let runs = module.procs.len() + module.moving.len();
+    let mut sends: Vec<(u32, Run)> = Vec::with_capacity(runs);
+    let mut recvs: Vec<(u32, Run)> = Vec::with_capacity(runs);
     for (pid, rec) in module.procs.iter().enumerate() {
         let pid = pid as u32;
         let (first, mut start) = (nodes.len(), rec.ops.0);
@@ -347,8 +363,8 @@ pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan, needs: &[u64])
                 module,
                 pid as usize,
                 op,
-                |chan, n| recvs.push((chan as u32, Run { node, n })),
-                |chan, n| sends.push((chan as u32, Run { node, n })),
+                |chan, n| push_run(&mut recvs, chan, node, n),
+                |chan, n| push_run(&mut sends, chan, node, n),
             );
         }
         if start < rec.ops.1 || nodes.len() == first {

@@ -21,6 +21,34 @@ use systolizer::synthesis::{derive_array, placement::paper};
 /// long relay pipes make it a second witness for chain fusion.
 pub const CORPUS: usize = 9;
 
+/// Every elaboration-options variant the executors can request.
+pub fn option_variants() -> Vec<(&'static str, ElabOptions)> {
+    vec![
+        ("default", ElabOptions::default()),
+        (
+            "split_propagation",
+            ElabOptions {
+                split_propagation: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "merge_io",
+            ElabOptions {
+                merge_io: true,
+                ..Default::default()
+            },
+        ),
+        (
+            "no_internal_buffers",
+            ElabOptions {
+                internal_buffers: false,
+                ..Default::default()
+            },
+        ),
+    ]
+}
+
 /// A compiled design at one size with its seeded input data.
 pub type Prepared = (SystolicProgram, Env, HostStore);
 

@@ -16,6 +16,10 @@ const METRICS_KEYS: &str = "schema processes transfers end_time makespan critica
     optimizer elab_cache wavefront kernels";
 const OPT_KEYS: &str = "schema processes_before processes_after channels_before \
     channels_after ops_before ops_after zero_ops_dropped passes_merged keep_eject_fused chains";
+/// The `elab_cache` section of the metrics document and of `/stats`: a
+/// miss's whole cost, phase by phase, beside the counters.
+const ELAB_CACHE_KEYS: &str = "skeleton_hits skeleton_misses module_hits module_misses \
+    skeleton_build_ns instantiate_ns fast_plan_ns skeleton_evictions module_evictions";
 const SCHEDULE_KEYS: &str = "schema design sizes input_seed policy policy_seed reason rounds";
 const RUN_KEYS: &str = "schema design engine stats verified stores";
 
@@ -53,10 +57,9 @@ fn cli_artifacts(program: &str, sizes: &str, artifacts: &[&str]) -> (String, Vec
 
 #[test]
 fn every_document_parses_and_carries_its_schema_and_keys() {
-    // Every shipped program is rewritten at every size (zero-iteration
-    // ops dropped at the least), so the optimizer report always carries
-    // its full keys here; its schema-alone form belongs to a module the
-    // batch proof rejects, where the optimizer never runs.
+    // `fir.sys` fuses relay chains at these sizes, so the optimizer
+    // report carries its full keys here; its schema-alone form belongs to
+    // a module the optimizer leaves untouched.
     let (_, cli) = cli_artifacts(
         "fir.sys",
         "3,6",
@@ -110,6 +113,18 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
         assert_eq!(got, keys.split_whitespace().collect::<Vec<_>>(), "{name}");
         docs.push(doc);
     }
+
+    for (name, doc) in [("metrics", &docs[0]), ("/stats", &docs[3])] {
+        let Some(Json::Obj(members)) = doc.get("elab_cache") else {
+            panic!("{name}: no elab_cache section");
+        };
+        let got: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let want: Vec<&str> = ELAB_CACHE_KEYS.split_whitespace().collect();
+        assert_eq!(got, want, "{name}: elab_cache");
+    }
+    // The run above built its fast plan before the metrics snapshot.
+    let fast_ns = docs[0].get("elab_cache").unwrap().get("fast_plan_ns");
+    assert!(fast_ns.and_then(Json::as_i64).unwrap() > 0);
 
     // One writer, one shape: the metrics document embeds the optimizer's
     // report member for member, and both reports carry the same

@@ -7,43 +7,15 @@
 
 mod common;
 
-use common::{assert_kernels_match_the_scalar_sweep, prepared, CORPUS};
+use common::{assert_kernels_match_the_scalar_sweep, option_variants, prepared, CORPUS};
 use proptest::prelude::*;
 use systolizer::core::{compile, Options, StreamKind};
 use systolizer::interp::runtime_gen::agree_with_procir;
 use systolizer::interp::{elaborate, simulate, BatchMode, ElabOptions, ModuleStore, SimSpec};
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
-use systolizer::runtime::ProcOp;
+use systolizer::runtime::{optimize, ProcOp};
 use systolizer::synthesis::placement::paper;
-
-/// Every elaboration-options variant the executors can request.
-fn option_variants() -> Vec<(&'static str, ElabOptions)> {
-    vec![
-        ("default", ElabOptions::default()),
-        (
-            "split_propagation",
-            ElabOptions {
-                split_propagation: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "merge_io",
-            ElabOptions {
-                merge_io: true,
-                ..Default::default()
-            },
-        ),
-        (
-            "no_internal_buffers",
-            ElabOptions {
-                internal_buffers: false,
-                ..Default::default()
-            },
-        ),
-    ]
-}
 
 #[test]
 fn elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus() {
@@ -71,24 +43,24 @@ fn elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus() {
                 if !opts.split_propagation {
                     assert_eq!(
                         agree_with_procir(&plan, &env, &el),
-                        Ok(el.comp_at.len()),
+                        Ok(el.comp_at().len()),
                         "{ctx}: scan"
                     );
                 }
 
                 // (b) CS membership, `first` and `count` against the
                 // plan's rational piecewise evaluators.
-                let points: Vec<Vec<i64>> = el.comp_at.iter().map(|(y, _)| y.clone()).collect();
+                let points: Vec<Vec<i64>> = el.comp_at().map(|(y, _)| y.to_vec()).collect();
                 assert_eq!(points, cs, "{ctx}: CS points");
-                for (y, pid) in &el.comp_at {
+                for (y, pid) in el.comp_at() {
                     assert_eq!(
-                        Some(el.module.first_of(*pid)),
+                        Some(el.module.first_of(pid)),
                         plan.first_at(&env, y).as_deref(),
                         "{ctx}: first at {y:?}"
                     );
                     let counts: Vec<u64> = el
                         .module
-                        .ops_of(*pid)
+                        .ops_of(pid)
                         .iter()
                         .filter_map(|op| match op {
                             ProcOp::Compute { count } => Some(*count),
@@ -128,6 +100,32 @@ fn elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus() {
                 if opts.merge_io {
                     assert_eq!(c.inputs, plan.streams.len(), "{ctx}: one source per stream");
                     assert_eq!(c.outputs, plan.streams.len(), "{ctx}: one sink per stream");
+                }
+            }
+        }
+    }
+}
+
+/// A zero-count pass has nothing to run, and the elaborator emits none:
+/// not for a soak, drain, load or recover count of 0, nor for the relays
+/// of a zero-length pipe, which stay processes without ops. So the
+/// optimizer finds no zero-count op to drop in any elaborated module.
+#[test]
+fn no_elaborated_module_holds_a_zero_count_pass() {
+    for design in 0..=CORPUS {
+        for n in [0i64, 1, 2, 3, 5] {
+            let (plan, env, store) = prepared(design, n, 7);
+            for (opts_label, opts) in option_variants() {
+                let ctx = format!("design {design} ({}) n={n} {opts_label}", plan.source.name);
+                let el =
+                    elaborate(&plan, &env, &store, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                for pid in 0..el.module.procs.len() {
+                    let zero = |op: &&ProcOp| matches!(op, ProcOp::Pass { n: 0, .. });
+                    let found = el.module.ops_of(pid).iter().find(zero);
+                    assert_eq!(found, None, "{ctx}: {}", el.module.label_of(pid));
+                }
+                if let Some(o) = optimize(&el.module) {
+                    assert_eq!(o.report.zero_ops_dropped, 0, "{ctx}");
                 }
             }
         }

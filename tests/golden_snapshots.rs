@@ -6,8 +6,12 @@
 //! Regenerate after an intentional change with:
 //! `UPDATE_GOLDEN=1 cargo test --test golden_snapshots`
 
+mod common;
+
+use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use systolizer::interp::{elaborate, seeded_store, ElabOptions, ModuleStore};
 use systolizer::synthesis::placement::paper;
 use systolizer::{systolize, PlaceChoice, SystolizeOptions};
 
@@ -144,4 +148,109 @@ fn race_sink_counterexample_file() {
     assert!(out.status.success(), "{stdout}");
     let reproduced = "REPRODUCED: design race-sink diverges";
     assert!(stdout.starts_with(reproduced), "{stdout}");
+}
+
+/// 64-bit FNV-1a: a digest that is the same on every build and platform
+/// (unlike `DefaultHasher`), so a golden of digests stays valid.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The hit path's contract: the module the fast engine runs (every
+/// table, labels included, with its channel count) and every plan a run
+/// of it reads (the wave structure with its ring capacities, and the
+/// kernel plan), for each corpus design and shipped program at
+/// n ∈ {0, 1, 2, 3, 5}. A change to how a module is elaborated or
+/// optimized must leave these bytes alone unless it means to move them.
+#[test]
+fn fast_plan_digests() {
+    let mut problems: Vec<(String, common::Prepared)> = Vec::new();
+    for n in [0i64, 1, 2, 3, 5] {
+        for design in 0..=common::CORPUS {
+            let prepared = common::prepared(design, n, 3);
+            problems.push((
+                format!("design {design} ({})", prepared.0.source.name),
+                prepared,
+            ));
+        }
+        for (name, src, inputs) in [
+            (
+                "matmul.sys",
+                include_str!("../programs/matmul.sys"),
+                &["a", "b", "c"][..],
+            ),
+            (
+                "polyprod.sys",
+                include_str!("../programs/polyprod.sys"),
+                &["a", "b"][..],
+            ),
+        ] {
+            let sys = systolizer::systolize_source(src, &Default::default()).unwrap();
+            let env = sys.size_env(&vec![n; sys.plan.source.sizes.len()]).unwrap();
+            let store = seeded_store(&sys.plan, &env, inputs, 3);
+            problems.push((name.to_string(), (sys.plan, env, store)));
+        }
+    }
+    let mut golden = String::new();
+    for (name, (plan, env, store)) in &problems {
+        let n = env.expect(plan.source.sizes[0]);
+        let _ = write!(golden, "{name} n={n}: ");
+        let cm = match ModuleStore::new().module(plan, env, store, &ElabOptions::default()) {
+            Ok(cm) => cm,
+            Err(e) => {
+                let _ = writeln!(golden, "error {e}");
+                continue;
+            }
+        };
+        let fast = cm.fast_plan();
+        let m = &*fast.module;
+        let module = format!(
+            "{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{} {}",
+            m.ops, m.data, m.moving, m.points, m.procs, m.n_chans, m.n_outputs
+        );
+        let wf = &*fast.wavefront;
+        let mut plan_text = format!("{:?} {:?}\n", wf.reject_reason(), wf.capacities);
+        for w in 0..wf.n_waves() {
+            for k in wf.wave(w) {
+                let _ = writeln!(plan_text, "{w} {k} {:?} {:?}", wf.chunk(k), wf.neighbors(k));
+            }
+        }
+        plan_text.push_str(&fast.kernels.json().to_string());
+        let _ = writeln!(
+            golden,
+            "{} procs, {} chans, {} chunks, module {:016x}, plans {:016x}",
+            m.procs.len(),
+            m.n_chans,
+            wf.n_chunks(),
+            fnv1a(&module),
+            fnv1a(&plan_text)
+        );
+    }
+    check("fast_plans.txt", &golden);
+}
+
+/// Every process label of `programs/polyprod.sys` at n = 2 as
+/// elaborated under each options variant: internal buffers, external
+/// buffers, per-pipe and merged host processes, split-propagation
+/// escorts and computation processes, by their text.
+#[test]
+fn polyprod_process_labels() {
+    let sys = systolizer::systolize_source(
+        include_str!("../programs/polyprod.sys"),
+        &Default::default(),
+    )
+    .unwrap();
+    let env = sys.size_env(&[2]).unwrap();
+    let store = seeded_store(&sys.plan, &env, &["a", "b"], 3);
+    let mut golden = String::new();
+    for (name, opts) in common::option_variants() {
+        let el = elaborate(&sys.plan, &env, &store, &opts).unwrap();
+        let _ = writeln!(golden, "# {name}");
+        for pid in 0..el.module.procs.len() {
+            let _ = writeln!(golden, "{pid} {}", el.module.label_of(pid));
+        }
+    }
+    check("polyprod_labels.txt", &golden);
 }

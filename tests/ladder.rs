@@ -189,7 +189,10 @@ fn the_shipped_matmul_takes_the_kernels_where_one_channel_carries_two_phases() {
         let ms = ModuleStore::new();
         let problem = (sys.plan.clone(), env, store);
         let label = format!("matmul.sys n={n}");
-        assert_eq!(check_wavefront_plans(&label, &ms, &problem), 2, "{label}");
+        // One plan: the elaborator emits no zero-count pass, and with no
+        // relay to fuse the optimizer declines, so the fast plan is the
+        // elaborated module's own.
+        assert_eq!(check_wavefront_plans(&label, &ms, &problem), 1, "{label}");
         let (plan, env, store) = &problem;
         let base = simulate_verified(&ms, plan, env, store, SimSpec::plain()).unwrap();
         for rung in rungs() {

@@ -12,11 +12,33 @@
 
 mod common;
 
-use common::{assert_count_law, prepared, run};
+use common::{assert_count_law, option_variants, prepared, run, CORPUS};
 use proptest::prelude::*;
 use std::sync::Arc;
-use systolizer::interp::{ElabOptions, SimSpec};
-use systolizer::runtime::{optimize, ProcIrBuilder, ProcIrModule, ProcOp};
+use systolizer::interp::{elaborate, ElabOptions, SimSpec};
+use systolizer::runtime::{
+    optimize, optimize_without_scan, OptimizedModule, ProcIrBuilder, ProcIrModule, ProcOp,
+};
+
+/// `optimize` against the whole pipeline run without its early decline:
+/// both decline, or both return the same module, needs and report.
+/// Returns whether they rewrote it.
+fn same_as_without_scan(ctx: &str, module: &Arc<ProcIrModule>) -> bool {
+    let same = |a: &OptimizedModule, b: &OptimizedModule| {
+        a.module.same_structure(&b.module)
+            && a.ring_needs == b.ring_needs
+            && a.report.json() == b.report.json()
+    };
+    match (optimize(module), optimize_without_scan(module)) {
+        (None, None) => false,
+        (Some(a), Some(b)) if same(&a, &b) => true,
+        (a, b) => panic!(
+            "{ctx}: the scan says {}, the whole pipeline {}",
+            a.is_some(),
+            b.is_some()
+        ),
+    }
+}
 
 /// Case count override (see `tests/random_programs.rs`).
 fn env_cases(default: u32) -> u32 {
@@ -141,6 +163,7 @@ proptest! {
         let module = build(&nodes);
         let fan = fan(&module);
         let multi = fan.iter().any(|&(p, c)| p > 1 || c > 1);
+        same_as_without_scan(&format!("{nodes:?}"), &module);
         let Some(o) = optimize(&module) else { return Ok(()) };
         let r = &o.report;
         if multi {
@@ -184,6 +207,33 @@ proptest! {
         let survivors = r.proc_map.iter().filter(|m| m.is_some()).count();
         prop_assert_eq!(survivors, r.processes_after);
     }
+}
+
+/// Wherever `optimize` declines after its read-only scan, running the
+/// peepholes and the chain search anyway changes nothing; wherever it
+/// rewrites, it is the whole pipeline. On the corpus both happen: E.1
+/// has nothing to rewrite, the designs with relay buffers fuse them.
+#[test]
+fn the_early_decline_loses_no_rewrite_across_the_corpus() {
+    let (mut declined, mut rewritten) = (0, 0);
+    for design in 0..=CORPUS {
+        for n in [0i64, 1, 2, 3, 5] {
+            let (plan, env, store) = prepared(design, n, 7);
+            for (opts_label, opts) in option_variants() {
+                let ctx = format!("design {design} n={n} {opts_label}");
+                let el = elaborate(&plan, &env, &store, &opts).unwrap();
+                if same_as_without_scan(&ctx, &el.module) {
+                    rewritten += 1;
+                } else {
+                    declined += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        declined > 0 && rewritten > 0,
+        "{declined} declined, {rewritten} rewritten"
+    );
 }
 
 #[test]
