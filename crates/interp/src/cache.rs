@@ -21,9 +21,10 @@
 //!
 //! Each cached module also lazily memoizes the downstream per-module
 //! analyses the executors would otherwise repeat — all functions of the
-//! code alone: the batch plan (`systolic_runtime::analyze`) and one
-//! [`FastPlan`] — the module the optimizer returns, with its wavefront
-//! and kernel plans — so a warm `run` pays for none of them.
+//! code alone: one [`FastPlan`] — the module the optimizer returns, with
+//! its channel tables and its wavefront and kernel plans — so a warm
+//! `run` pays for none of them. The elaborated module's channel tables
+//! come with it from `instantiate` ([`Elaborated::channels`]).
 //!
 //! Entries never go stale silently: the plan fingerprint
 //! (`SystolicProgram::fingerprint`, taken once by `compile`) covers the
@@ -68,8 +69,8 @@ pub struct CacheStats {
     /// Total time in phase 2 (`instantiate`) across misses.
     pub instantiate_ns: u64,
     /// Total time building fast plans ([`CachedModule::fast_plan`]: the
-    /// batch proof, the optimizer, the wavefront and kernel plans), once
-    /// per cached module that a fast run or a report asked for.
+    /// optimizer, the wavefront and kernel plans), once per cached module
+    /// that a fast run or a report asked for.
     pub fast_plan_ns: u64,
     /// Skeletons dropped by FIFO capacity management.
     pub skeleton_evictions: u64,
@@ -100,7 +101,6 @@ impl CacheStats {
 /// is the gathered data segment and the run arena.
 pub struct CachedModule {
     pub elab: Elaborated,
-    batch: OnceLock<BatchPlan>,
     fast: OnceLock<FastPlan>,
     /// The store's [`CacheStats::fast_plan_ns`], charged when `fast` is
     /// built: the plan is built on first use, outside the store's lock.
@@ -118,12 +118,11 @@ pub struct FastPlan {
     /// module's data segment, word for word, so one gather binds it.
     pub module: Arc<ProcIrModule>,
     /// The optimizer's rewrite — `module` with its delay rings' needs
-    /// and `systolic-opt-v1` report — and the rewritten module's batch
-    /// plan; `None` when the optimizer declined.
+    /// and `systolic-opt-v1` report — and the rewritten module's channel
+    /// tables; `None` when the optimizer declined.
     pub optimized: Option<Arc<(OptimizedModule, BatchPlan)>>,
-    /// The wave structure of `module`: ineligible, with the batch proof's
-    /// reason, exactly when the batch analysis rejects the elaborated
-    /// module (the optimizer then never runs).
+    /// The wave structure of `module`; empty for a program the fast
+    /// engine never runs ([`Elaborated::wide`]).
     pub wavefront: Arc<WavefrontPlan>,
     /// Kernel eligibility of those waves.
     pub kernels: Arc<KernelPlan>,
@@ -136,61 +135,45 @@ impl FastPlan {
     }
 }
 
-/// The ProcIR optimizer applied to a module the batch analysis admits,
-/// with the fused module's batch re-analysis. `None` when the module is
-/// already optimal, or (defensively) when the fused module fails
-/// re-analysis — fusion preserves endpoint uniqueness and traffic
-/// balance, so that case indicates an optimizer bug rather than a legal
-/// decline.
-fn run_optimizer(module: &Arc<ProcIrModule>) -> Option<Arc<(OptimizedModule, BatchPlan)>> {
-    let o = systolic_runtime::optimize(module)?;
-    let oplan = systolic_runtime::analyze(&o.module);
-    if !oplan.batchable() {
-        debug_assert!(
-            false,
-            "fused module failed re-analysis: {:?}",
-            oplan.reject_reason()
-        );
-        return None;
-    }
-    Some(Arc::new((o, oplan)))
-}
-
 impl CachedModule {
     fn new(elab: Elaborated, fast_plan_ns: Arc<AtomicU64>) -> CachedModule {
         CachedModule {
             elab,
-            batch: OnceLock::new(),
             fast: OnceLock::new(),
             fast_plan_ns,
         }
     }
 
-    /// The batch analysis of the elaborated module, computed once per
-    /// cached module rather than once per run.
+    /// The elaborated module's channel tables, as `instantiate` recorded
+    /// them.
     pub fn batch_plan(&self) -> &BatchPlan {
-        self.batch
-            .get_or_init(|| systolic_runtime::analyze(&self.elab.module))
+        &self.elab.channels
     }
 
-    /// The fast plan, built once: the optimizer over a module the batch
-    /// analysis admits, then the wavefront and kernel plans of the module
-    /// it returns — and of no other, so when the optimizer rewrites the
-    /// module the elaborated module's wave structure is never built.
+    /// The fast plan, built once: the optimizer over the elaborated
+    /// module and its tables, then the wavefront and kernel plans of the
+    /// module it returns — and of no other, so when the optimizer
+    /// rewrites the module the elaborated module's wave structure is
+    /// never built. A program the fast engine never runs
+    /// ([`Elaborated::wide`]) gets the empty plan.
     pub fn fast_plan(&self) -> &FastPlan {
         self.fast.get_or_init(|| {
             let t = Instant::now();
-            let batch = self.batch_plan();
-            let optimized = if batch.batchable() {
-                run_optimizer(&self.elab.module)
-            } else {
-                None
-            };
+            let el = &self.elab;
+            let runs = el.wide.is_none();
+            let optimized = runs
+                .then(|| systolic_runtime::optimize(&el.module, &el.channels))
+                .flatten()
+                .map(Arc::new);
             let (module, batch, needs) = match &optimized {
                 Some(o) => (&o.0.module, &o.1, &o.0.ring_needs[..]),
-                None => (&self.elab.module, batch, &[][..]),
+                None => (&el.module, &el.channels, &[][..]),
             };
-            let wavefront = Arc::new(analyze_wavefront(module, batch, needs));
+            let wavefront = Arc::new(if runs {
+                analyze_wavefront(module, batch, needs)
+            } else {
+                WavefrontPlan::default()
+            });
             let kernels = Arc::new(analyze_kernels(module, &wavefront));
             let ns = t.elapsed().as_nanos() as u64;
             self.fast_plan_ns.fetch_add(ns, Ordering::Relaxed);
@@ -205,11 +188,15 @@ impl CachedModule {
 
     /// The `wavefront` section of the metrics document and of
     /// `--opt-report`: the fast plan's staging shape over its module, or
-    /// the batch proof's reject reason and every channel it disqualifies.
+    /// why the fast engine never runs the program.
     pub fn wavefront_json(&self) -> Json {
-        let fast = self.fast_plan();
-        let batch = fast.optimized.as_ref().map_or(self.batch_plan(), |o| &o.1);
-        fast.wavefront.json(&fast.module, batch)
+        match &self.elab.wide {
+            Some(why) => Json::obj([("eligible", false.into()), ("reason", why.as_str().into())]),
+            None => {
+                let fast = self.fast_plan();
+                fast.wavefront.json(&fast.module)
+            }
+        }
     }
 
     // Spelled by the frozen `benchmark/src/stages.rs:86`; goes with ROADMAP 2(b).

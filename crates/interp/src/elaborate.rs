@@ -22,7 +22,7 @@ use std::sync::Arc;
 use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::{point, Env};
-use systolic_runtime::{ChanId, ProcId, ProcIrModule, Value};
+use systolic_runtime::{BatchPlan, ChanId, ProcId, ProcIrModule, Value};
 
 /// Census of the elaborated network, for reports and experiments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -87,6 +87,16 @@ pub enum ElabError {
     MissingVariable { variable: String },
     /// A pipe element falls outside its variable's array bounds.
     ElementOutOfBounds { variable: String, element: Vec<i64> },
+    /// The process at `point` handles `handled` elements of a stream
+    /// whose pipe holds `pipe` (soak + count + drain for a moving
+    /// stream, 1 + drain + soak for a stationary one): the pipe's
+    /// traffic would not balance.
+    UnbalancedPipe {
+        stream: String,
+        point: Vec<i64>,
+        handled: usize,
+        pipe: usize,
+    },
 }
 
 impl fmt::Display for ElabError {
@@ -109,6 +119,16 @@ impl fmt::Display for ElabError {
                 f,
                 "element {} outside the bounds of host array {variable}",
                 point::fmt_point(element)
+            ),
+            ElabError::UnbalancedPipe {
+                stream,
+                point: at,
+                handled,
+                pipe,
+            } => write!(
+                f,
+                "stream {stream}: the process at {} handles {handled} of its pipe's {pipe} elements",
+                point::fmt_point(at)
             ),
         }
     }
@@ -151,6 +171,15 @@ pub struct Elaborated {
     /// of the process at that point — the map behind `s_chan[y]`
     /// (Appendix C). Used by the space-time tracer.
     pub endpoints: Endpoints,
+    /// Per channel: its one producer, its one consumer and its traffic,
+    /// recorded as the channel is allocated (`systolic_runtime::batch`
+    /// states the law and holds these to the ops).
+    pub channels: BatchPlan,
+    /// Why the fast engine cannot run this program, when it has more
+    /// moving streams than a par-set mask has links
+    /// ([`systolic_runtime::MAX_MOVING_LINKS`]): a fact of the program,
+    /// decided once per skeleton.
+    pub wide: Option<String>,
     /// The computation processes, CS point by CS point in row-major
     /// order: `comp_coords` holds each point's coordinates back to back.
     pub(crate) comp_coords: Vec<i64>,
@@ -238,13 +267,50 @@ impl Elaborated {
     }
 }
 
-pub(crate) struct ChanAlloc(pub(crate) ChanId);
+/// The channels as the elaborator allocates them, with their tables:
+/// a channel's traffic is fixed when it is allocated, its ends as the
+/// processes at them are built. A channel that carries nothing has no
+/// ends (no op of either moves a value on it).
+pub(crate) struct ChanAlloc(pub(crate) BatchPlan);
 
 impl ChanAlloc {
-    pub(crate) fn next(&mut self) -> ChanId {
-        let c = self.0;
-        self.0 += 1;
-        c
+    pub(crate) fn with_capacity(n: usize) -> ChanAlloc {
+        ChanAlloc(BatchPlan {
+            producer_of: Vec::with_capacity(n),
+            consumer_of: Vec::with_capacity(n),
+            traffic: Vec::with_capacity(n),
+        })
+    }
+
+    /// A new channel carrying `traffic` values.
+    pub(crate) fn next(&mut self, traffic: usize) -> ChanId {
+        let t = &mut self.0;
+        t.producer_of.push(None);
+        t.consumer_of.push(None);
+        t.traffic.push(traffic as u64);
+        t.traffic.len() - 1
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.traffic.len()
+    }
+
+    /// Process `pid` receives from `inp` and sends on `out`.
+    pub(crate) fn link(&mut self, pid: ProcId, inp: ChanId, out: ChanId) {
+        self.recv(pid, inp);
+        self.send(pid, out);
+    }
+
+    pub(crate) fn send(&mut self, pid: ProcId, chan: ChanId) {
+        if self.0.traffic[chan] > 0 {
+            self.0.producer_of[chan] = Some(pid);
+        }
+    }
+
+    pub(crate) fn recv(&mut self, pid: ProcId, chan: ChanId) {
+        if self.0.traffic[chan] > 0 {
+            self.0.consumer_of[chan] = Some(pid);
+        }
     }
 }
 

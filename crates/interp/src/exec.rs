@@ -13,8 +13,8 @@
 //! module lookup ─ gate closed ─► plain     coop Network (rendezvous)
 //!       │
 //!       └─ gate open ──────────► wavefront run_wavefront (+ kernels)
-//!          the batch analysis admits the module — whose wavefront plan
-//!          is then eligible too
+//!          no recorder, a FIFO schedule, and the program within the
+//!          par-set mask (`Elaborated::wide`)
 //! ```
 //!
 //! Both engines run on the calling thread. The wavefront engine runs the
@@ -75,8 +75,9 @@ const ENGINE: &str = "coop";
 pub struct SimSpec {
     /// The fast-path gate (`--batch auto|off`, see
     /// `systolic_runtime::batch`). `Auto` runs the wavefront engine
-    /// whenever the batch analysis admits the module; `Off` pins the
-    /// plain engine, the exactness oracle for everything above it.
+    /// unless an observer, a non-FIFO schedule or a program past the
+    /// par-set mask closes the gate; `Off` pins the plain engine, the
+    /// exactness oracle for everything above it.
     pub batch: BatchMode,
     // Spelled by the frozen `benchmark/src/layers.rs:107,115`; goes with ROADMAP 2(b).
     #[doc(hidden)]
@@ -251,16 +252,15 @@ pub fn simulate(
     let el = &cm.elab;
     let data = el.gather(store)?;
     // The one gate: every observable feature wins over speed, and the
-    // module itself must pass `systolic_runtime::analyze`.
+    // program must fit the par-set mask (a fact of its skeleton).
     let fast = batch == BatchMode::Auto
         && recorders.is_empty()
         && sched.as_ref().is_none_or(|s| s.is_fifo())
-        && cm.batch_plan().batchable();
+        && el.wide.is_none();
 
     let (stats, sinks, opt_report, kernel_report) = if fast {
-        // The wavefront plan inherits the batch proof's reject, so past
-        // the gate it is eligible. The optimizer keeps the data segment
-        // word for word, so one gather serves whichever module runs.
+        // The optimizer keeps the data segment word for word, so one
+        // gather serves whichever module runs.
         let fast_plan = cm.fast_plan();
         let module = &fast_plan.module.with_data(data);
         let kernels = Some(&*fast_plan.kernels);

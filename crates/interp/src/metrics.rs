@@ -53,8 +53,8 @@ impl Observed {
     /// section per plan of the module's fast plan, each the owning type's
     /// own value — `optimizer` (the `systolic-opt-v1` mapping report;
     /// absent when the optimizer leaves the module untouched),
-    /// `elab_cache`, `wavefront` (staging shape or reject reason, and
-    /// every disqualified channel) and `kernels` (eligibility split and
+    /// `elab_cache`, `wavefront` (staging shape, or why the fast engine
+    /// never runs the program) and `kernels` (eligibility split and
     /// scalar-fallback reasons).
     pub fn metrics_json(&self) -> String {
         let fast = self.module.fast_plan();

@@ -408,7 +408,7 @@ mod tests {
                 env.bind(p.sizes[0], n);
                 let store = HostStore::allocate(&p, &env);
                 let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-                let Some(o) = systolic_runtime::optimize(&el.module) else {
+                let Some((o, _)) = systolic_runtime::optimize(&el.module, &el.channels) else {
                     continue;
                 };
                 optimized_somewhere = true;
@@ -431,7 +431,8 @@ mod tests {
         env.bind(p.sizes[0], 4);
         let store = HostStore::allocate(&p, &env);
         let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-        let mut o = systolic_runtime::optimize(&el.module).expect("E.2 has relay chains");
+        let (mut o, _) =
+            systolic_runtime::optimize(&el.module, &el.channels).expect("E.2 has relay chains");
         assert!(agree_with_opt(&plan, &env, &el, &o).is_ok());
         // Claim a computation process was fused away.
         let victim = el.comp_pids[0];

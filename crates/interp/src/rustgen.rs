@@ -385,7 +385,8 @@ mod tests {
         env.bind(p.sizes[0], 4);
         let store = HostStore::allocate(&p, &env);
         let el = elaborate(&plan, &env, &store, &ElabOptions::default()).unwrap();
-        let o = systolic_runtime::optimize(&el.module).expect("E.2 has relay chains to fuse");
+        let (o, _) = systolic_runtime::optimize(&el.module, &el.channels)
+            .expect("E.2 has relay chains to fuse");
         let src = generate_rust(&plan, &env, 7);
         assert!(src.contains("//! Optimized:"));
         assert!(src.contains("const CAPS: [usize; NCHAN]"));

@@ -35,7 +35,10 @@
 //! evaluator `systolic_ir::seq` (every executor's stores), and
 //! `systolic_math::speceval`'s unit test that size-parametric and
 //! size-bound specialization agree; `tests/elaboration.rs` holds the
-//! first two against every corpus design, size and options variant.
+//! first two against every corpus design, size and options variant. The
+//! channel tables the sweep records are held to the module's ops by
+//! `systolic_runtime::check` (on every instantiation in debug builds, and
+//! in `tests/batching.rs`).
 //!
 //! Skeletons are immutable and `Arc`-shared; the module cache
 //! (`crate::cache`) sits in front of both phases, and
@@ -49,7 +52,7 @@ use systolic_core::{StreamKind, SystolicProgram};
 use systolic_ir::HostStore;
 use systolic_math::speceval::{SpecCount, SpecPoint};
 use systolic_math::{point, Env, Var};
-use systolic_runtime::{ChanId, Kernel, MovingLink, ProcIrBuilder, ProcOp};
+use systolic_runtime::{ChanId, Kernel, MovingLink, ProcIrBuilder, ProcOp, MAX_MOVING_LINKS};
 
 /// Everything phase 2 needs about one stream, with every schedule
 /// quantity specialized over the extended dimension vector.
@@ -92,6 +95,8 @@ pub struct SkeletonModule {
     /// The basic statement's kernel tape, compiled once per plan
     /// (size-independent), carried into every instantiated module.
     kernel: Arc<Kernel>,
+    /// [`Elaborated::wide`], the same at every size.
+    wide: Option<String>,
 }
 
 impl SkeletonModule {
@@ -110,6 +115,17 @@ pub fn elaborate_skeleton(plan: &SystolicProgram, opts: &ElabOptions) -> Arc<Ske
     let mut dims: Vec<Var> = plan.coords.clone();
     dims.extend(plan.source.sizes.iter().copied());
     let env = Env::new();
+    let moving = plan
+        .streams
+        .iter()
+        .filter(|s| s.kind == StreamKind::Moving)
+        .count();
+    let wide = (moving > MAX_MOVING_LINKS).then(|| {
+        format!(
+            "{moving} moving streams exceed the {MAX_MOVING_LINKS}-link par-set mask \
+             (runs on the rendezvous engine)"
+        )
+    });
     let streams = plan
         .streams
         .iter()
@@ -151,6 +167,7 @@ pub fn elaborate_skeleton(plan: &SystolicProgram, opts: &ElabOptions) -> Arc<Ske
         n_streams: plan.streams.iter().map(|s| s.id.0 + 1).max().unwrap_or(0),
         streams,
         kernel: Arc::new(crate::kernelize::kernelize(&plan.source.body)),
+        wide,
     })
 }
 
@@ -158,10 +175,17 @@ pub fn elaborate_skeleton(plan: &SystolicProgram, opts: &ElabOptions) -> Arc<Ske
 /// concrete size bound in `env`, reading initial stream data from
 /// `store` — and recording, in the same pass, where in `store` each word
 /// came from ([`Elaborated::host_words`]), so that a later run reads its
-/// own data into the same network. Every symbolic query is a prebaked
+/// own data into the same network, and each channel's ends and traffic
+/// ([`Elaborated::channels`]). Every symbolic query is a prebaked
 /// integer form evaluated at `[y ++ sizes]`, and the sweep walks the PS
 /// box through scratch points: nothing is allocated per point but the
 /// process labels.
+///
+/// The channel tables rest on one law, checked here on the values
+/// emitted: every process on a pipe handles every element of it — a
+/// relay all `n` (eq. 10), a computation process soak + count + drain
+/// of a moving stream (eqs. 8–9) and 1 + drain + soak of a stationary
+/// one. A point that breaks it is [`ElabError::UnbalancedPipe`].
 pub fn instantiate(
     skel: &SkeletonModule,
     env: &Env,
@@ -185,8 +209,8 @@ pub fn instantiate(
     let volume = psidx.len();
     let opts = &skel.opts;
 
-    let mut chans = ChanAlloc(0);
-    let mut b = builder_for(skel, store, &ps);
+    let (mut b, n_chans) = builder_for(skel, store, &ps);
+    let mut chans = ChanAlloc::with_capacity(n_chans);
     let mut outputs = Vec::new();
     let mut host_words: Vec<u32> = Vec::new();
     let mut census = Census::default();
@@ -270,8 +294,8 @@ pub fn instantiate(
             let n = words.len() - from;
 
             // Pipe entry channel and chain with relays ahead of every
-            // process.
-            let entry = chans.next();
+            // process; every channel of the pipe carries all `n`.
+            let entry = chans.next(n);
             let mut prev = entry;
             let mut tail = 0;
             z.copy_from_slice(head);
@@ -279,12 +303,13 @@ pub fn instantiate(
                 tail = psidx.at(&z);
                 pipe_n[row + tail] = n;
                 for r in 0..sp.relays {
-                    let nxt = chans.next();
-                    b.relay(prev, nxt, n, label(format_args!("buf{r}:{}", sp.name), &z));
+                    let nxt = chans.next(n);
+                    let buf = label(format_args!("buf{r}:{}", sp.name), &z);
+                    chans.link(b.relay(prev, nxt, n, buf), prev, nxt);
                     census.internal_buffers += 1;
                     prev = nxt;
                 }
-                let out = chans.next();
+                let out = chans.next(n);
                 endpoint[row + tail] = (prev, out);
                 prev = out;
                 for (x, &d) in z.iter_mut().zip(u) {
@@ -325,8 +350,12 @@ pub fn instantiate(
                     }
                 }
             }
-            b.scripted_source(&sends, format!("in:{}", sp.name));
-            let (_, out) = b.scripted_sink(&recvs, format!("out:{}", sp.name));
+            let input = b.scripted_source(&sends, format!("in:{}", sp.name));
+            let (output, out) = b.scripted_sink(&recvs, format!("out:{}", sp.name));
+            for p in &pipe_ios {
+                chans.send(input, p.entry);
+                chans.recv(output, p.exit);
+            }
             census.inputs += 1;
             census.outputs += 1;
             outputs.push(OutputSpec {
@@ -342,11 +371,12 @@ pub fn instantiate(
                 for &at in ws {
                     b.emit(p.entry, raw[at as usize]);
                 }
-                b.finish();
+                chans.send(b.finish(), p.entry);
                 census.inputs += 1;
                 psidx.point_of(p.tail, &mut at_point);
                 let out_label = label(format_args!("out:{}", sp.name), &at_point);
-                let (_, out) = b.sink(p.exit, ws.len(), out_label);
+                let (output, out) = b.sink(p.exit, ws.len(), out_label);
+                chans.recv(output, p.exit);
                 census.outputs += 1;
                 let from = host_words.len() as u32;
                 host_words.extend_from_slice(ws);
@@ -358,9 +388,6 @@ pub fn instantiate(
             }
         }
     }
-    // Every pipe channel exists, even one only a zero-length pipe's
-    // relays connect (and no op names): the endpoint table holds it.
-    b.declare_chans(chans.0);
 
     // Processes at every PS point, querying the prebaked integer forms.
     let mut comp_coords = Vec::new();
@@ -368,6 +395,8 @@ pub fn instantiate(
     let mut first = Vec::new();
     let mut moving: Vec<MovingLink> = Vec::new();
     let mut soaks: Vec<ProcOp> = Vec::new();
+    // Per stream at the current point: (soak, drain), clamped.
+    let mut passes: Vec<(usize, usize)> = Vec::with_capacity(skel.streams.len());
     let mut walk = psidx.walk();
     while let Some((yi, y)) = walk.next() {
         yx[..nc].copy_from_slice(y);
@@ -375,32 +404,52 @@ pub fn instantiate(
         if skel.first.point_into(&yx, &mut first) {
             // Computation process: the canonical load / soak / repeater /
             // drain / recover shape of Appendix C–E, less every pass of
-            // count 0.
-            let count = skel.count.at(&yx);
+            // count 0. The law first, on the clamped counts it emits.
+            let count = skel.count.at(&yx).max(0) as usize;
+            passes.clear();
+            for sp in &skel.streams {
+                let soak = sp.soak.at(&yx).max(0) as usize;
+                let drain = sp.drain.at(&yx).max(0) as usize;
+                let used = match sp.kind {
+                    StreamKind::Moving => count,
+                    StreamKind::Stationary { .. } => 1,
+                };
+                let (handled, pipe) = (soak + used + drain, pipe_n[sp.id * volume + yi]);
+                if handled != pipe {
+                    return Err(ElabError::UnbalancedPipe {
+                        stream: sp.name.clone(),
+                        point: y.to_vec(),
+                        handled,
+                        pipe,
+                    });
+                }
+                passes.push((soak, drain));
+            }
             // Pre-pass over the moving streams: split propagation's escort
             // relays are separate processes and lower before the
             // computation process opens; the paper protocol's soaks are
             // ops queued for it.
             moving.clear();
             soaks.clear();
-            for sp in &skel.streams {
+            for (sp, &(soak, drain)) in skel.streams.iter().zip(&passes) {
                 if sp.kind == StreamKind::Moving {
                     let (ic, oc) = ends(sp);
-                    let soak = sp.soak.at(&yx).max(0) as usize;
-                    let drain = sp.drain.at(&yx).max(0) as usize;
                     if opts.split_propagation {
-                        let cs = chans.next(); // splitter -> comp
-                        let cm = chans.next(); // comp -> merger
-                        let sm = chans.next(); // splitter -> merger
-                        let count = count.max(0) as usize;
-                        b.segment_relay(
+                        let cs = chans.next(count); // splitter -> comp
+                        let cm = chans.next(count); // comp -> merger
+                        let sm = chans.next(soak + drain); // splitter -> merger
+                        let split = b.segment_relay(
                             &[(ic, sm, soak), (ic, cs, count), (ic, sm, drain)],
                             label(format_args!("split:{}", sp.name), y),
                         );
-                        b.segment_relay(
+                        chans.link(split, ic, cs);
+                        chans.send(split, sm);
+                        let merge = b.segment_relay(
                             &[(sm, oc, soak), (cm, oc, count), (sm, oc, drain)],
                             label(format_args!("merge:{}", sp.name), y),
                         );
+                        chans.link(merge, sm, oc);
+                        chans.recv(merge, cm);
                         census.escorts += 2;
                         moving.push(MovingLink {
                             slot: sp.id as u32,
@@ -419,36 +468,36 @@ pub fn instantiate(
             }
             b.begin(label(format_args!("comp"), y));
             // Loads.
-            for sp in &skel.streams {
+            for (sp, &(_, drain)) in skel.streams.iter().zip(&passes) {
                 if let StreamKind::Stationary { .. } = sp.kind {
                     let (ic, oc) = ends(sp);
                     b.op(ProcOp::Keep {
                         chan: ic,
                         slot: sp.id as u32,
                     });
-                    b.ops(pass(ic, oc, sp.drain.at(&yx).max(0) as usize));
+                    b.ops(pass(ic, oc, drain));
                 }
             }
             // Soaks (paper protocol; escorts already handle them under
             // split propagation).
             b.ops(soaks.iter().copied());
             b.op(ProcOp::Compute {
-                count: count.max(0) as u64,
+                count: count as u64,
             });
             // Drains (paper protocol only; escorts already handle them).
             if !opts.split_propagation {
-                for sp in &skel.streams {
+                for (sp, &(_, drain)) in skel.streams.iter().zip(&passes) {
                     if sp.kind == StreamKind::Moving {
                         let (ic, oc) = ends(sp);
-                        b.ops(pass(ic, oc, sp.drain.at(&yx).max(0) as usize));
+                        b.ops(pass(ic, oc, drain));
                     }
                 }
             }
             // Recoveries.
-            for sp in &skel.streams {
+            for (sp, &(soak, _)) in skel.streams.iter().zip(&passes) {
                 if let StreamKind::Stationary { .. } = sp.kind {
                     let (ic, oc) = ends(sp);
-                    b.ops(pass(ic, oc, sp.soak.at(&yx).max(0) as usize));
+                    b.ops(pass(ic, oc, soak));
                     b.op(ProcOp::Eject {
                         chan: oc,
                         slot: sp.id as u32,
@@ -456,7 +505,17 @@ pub fn instantiate(
                 }
             }
             b.repeater(&moving, &first, &skel.increment, skel.n_slots);
-            comp_pids.push(b.finish());
+            let comp = b.finish();
+            for mc in &moving {
+                chans.link(comp, mc.inp, mc.out);
+            }
+            for sp in &skel.streams {
+                if let StreamKind::Stationary { .. } = sp.kind {
+                    let (ic, oc) = ends(sp);
+                    chans.link(comp, ic, oc);
+                }
+            }
+            comp_pids.push(comp);
             comp_coords.extend_from_slice(y);
             census.computation += 1;
         } else {
@@ -466,16 +525,22 @@ pub fn instantiate(
             for sp in &skel.streams {
                 let (ic, oc) = ends(sp);
                 let n = pipe_n[sp.id * volume + yi];
-                b.relay(ic, oc, n, label(format_args!("extbuf:{}", sp.name), y));
+                let buf = label(format_args!("extbuf:{}", sp.name), y);
+                chans.link(b.relay(ic, oc, n, buf), ic, oc);
                 census.external_buffers += 1;
             }
         }
     }
 
-    census.channels = chans.0;
+    // Every channel allocated exists, even one no op names — a
+    // zero-length pipe's, or an escort's that carries nothing: the
+    // endpoint and channel tables hold it.
+    b.declare_chans(chans.len());
+    census.channels = chans.len();
     b.set_kernel(skel.kernel.clone());
     let module = b.build();
     debug_assert_eq!(host_words.len(), module.data.len());
+    debug_assert_eq!(systolic_runtime::check(&module, &chans.0), Ok(()));
     Ok(Elaborated {
         module,
         outputs,
@@ -486,6 +551,8 @@ pub fn instantiate(
             streams: skel.streams.iter().map(|sp| sp.id).collect(),
             chans: endpoint,
         },
+        channels: chans.0,
+        wide: skel.wide.clone(),
         comp_coords,
         comp_pids,
     })
@@ -516,7 +583,11 @@ fn label(head: std::fmt::Arguments<'_>, y: &[i64]) -> String {
 /// stream) behind its internal relays, every pipe has a source and a
 /// sink, and every word of a stream's array travels once — emitted,
 /// then collected.
-fn builder_for(skel: &SkeletonModule, store: &HostStore, ps: &[(i64, i64)]) -> ProcIrBuilder {
+fn builder_for(
+    skel: &SkeletonModule,
+    store: &HostStore,
+    ps: &[(i64, i64)],
+) -> (ProcIrBuilder, usize) {
     let len = |(lo, hi): (i64, i64)| (hi - lo + 1).max(0) as usize;
     let volume: usize = ps.iter().map(|&d| len(d)).product();
     // Points whose upstream neighbour along `u` leaves the box head a pipe.
@@ -527,13 +598,15 @@ fn builder_for(skel: &SkeletonModule, store: &HostStore, ps: &[(i64, i64)]) -> P
             .map(|(&(lo, hi), &d)| len((lo, hi - d.abs())));
         volume - inner.product::<usize>()
     };
-    let (mut procs, mut ops, mut data) = (volume, 0, 0);
+    let (mut procs, mut ops, mut data, mut chans) = (volume, 0, 0, 0);
     for sp in &skel.streams {
         let words = store.try_get(&sp.name).map_or(0, |v| v.raw().len());
         let relays = volume * sp.relays.max(0) as usize;
         procs += relays + 2 * heads(&sp.unit_flow);
         ops += relays + 2 * words + 2 * volume;
         data += words;
+        chans += relays + volume + heads(&sp.unit_flow);
     }
-    ProcIrBuilder::with_capacity(procs, ops + volume, data)
+    let b = ProcIrBuilder::with_capacity(procs, ops + volume, data);
+    (b, chans)
 }

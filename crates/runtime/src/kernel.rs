@@ -29,7 +29,7 @@
 //!   transport window or without a schedule, aliased rings) runs on
 //!   the scalar macro-step, and the report counts what a reader counts:
 //!   compute chunks and whole transport processes, each scalar one with
-//!   its reason — the wavefront/batch reject-reason ladder one rung down.
+//!   its reason.
 //! - [`TapeSplit`] is the tape cut once per module against the batch's
 //!   moving-slot layout (loop summarization): the *stream* ops, which
 //!   depend only on received values, index points, constants and slots

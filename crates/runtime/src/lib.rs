@@ -13,11 +13,13 @@
 //!   every engine gives the ops their meaning through one op step
 //!   (`step.rs`), generic over its channels, with every process's state
 //!   in one per-thread run arena (`arena.rs`);
-//! - [`batch`] — the steady-state batching proof ([`analyze`]) that
-//!   gates the cooperative executor's macro-stepping fast path (see
-//!   `docs/scheduler.md`), which runs on one per-thread run arena — flat
-//!   register, local and index tables and a single ring slab, reset per
-//!   run (`arena.rs`);
+//! - [`batch`] — the channel tables ([`BatchPlan`]: one producer, one
+//!   consumer and the traffic of every channel), which the elaborator
+//!   derives as a law of the construction and the fast path's rings are
+//!   sized from, with the walk that checks them ([`check`]; see
+//!   `docs/scheduler.md`). The fast path runs on one per-thread run
+//!   arena — flat register, local and index tables and a single ring
+//!   slab, reset per run (`arena.rs`);
 //! - [`coop`] — the deterministic cooperative scheduler with rendezvous
 //!   rounds (the virtual systolic clock) and exact deadlock detection,
 //!   running one module ([`Network`]);
@@ -50,7 +52,7 @@ pub mod schedule;
 mod step;
 pub mod wavefront;
 
-pub use batch::{analyze, BatchMode, BatchPlan};
+pub use batch::{analyze, check, BatchMode, BatchPlan};
 #[doc(hidden)]
 pub use coop::ChannelPolicy;
 pub use coop::{Deadlock, Network, ProtocolViolation, RunError, RunStats};
@@ -68,6 +70,7 @@ pub use record::{
     Recorder, SharedRecorder, Transfer,
 };
 pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, STARVATION_LIMIT};
+pub use step::MAX_MOVING_LINKS;
 #[doc(hidden)]
 pub use wavefront::run_coop_batched;
 pub use wavefront::{analyze_wavefront, run_wavefront, WavefrontPlan, Window, WAVEFRONT_RING_CAP};

@@ -5,15 +5,19 @@
 //! processes that exist only to *delay* values: the `d - 1` internal
 //! buffers of fractional flow and the external relay pipes between
 //! non-adjacent cells. Each is a single `pass s, n` — a pure FIFO of
-//! depth 1 with a rendezvous handshake on both sides. After batching
-//! (`crate::batch`) they still cost a VM, two ring endpoints, and a
-//! scheduler visit per value. This pass erases them: a maximal linear
-//! chain of `Pass`-only processes with unique endpoints and balanced
-//! traffic collapses into a single **delay ring** — the chain's entry
-//! channel survives, the consumer is rewired onto it, and the relay
-//! processes and interior channels are deleted outright.
+//! depth 1 with a rendezvous handshake on both sides. On rings they
+//! still cost a VM, two ring endpoints, and a scheduler visit per value.
+//! This pass erases them: a maximal linear chain of `Pass`-only
+//! processes of one traffic, found through the channel tables
+//! (`crate::batch`: each channel's one producer, one consumer and
+//! traffic, which the elaborator derives), collapses into a single
+//! **delay ring** — the chain's entry channel survives, the consumer is
+//! rewired onto it, and the relay processes and interior channels are
+//! deleted outright. The tables come out mapped through the rewrite: a
+//! surviving channel keeps its ends and traffic, and a ring takes the
+//! chain's traffic and consumer.
 //!
-//! Legality is the Kahn-network argument one level up from batching
+//! Legality is the Kahn-network argument one level up from the rings
 //! (`docs/scheduler.md`): a pure relay computes the identity stream
 //! function, so fusing a chain changes neither the value sequence any
 //! surviving process reads nor the order it reads it in — only the
@@ -39,9 +43,10 @@
 //! ```
 //!
 //! The contract is: stores bit-identical, counts changed by exactly that
-//! law (the peepholes below change none), and every structural decision
-//! written into the report (`systolic-opt-v1`) the caller can thread
-//! into metrics, the CLI, and the codegen agreement check.
+//! law (the peepholes below change none, nor any channel's ends or
+//! traffic), and every structural decision written into the report
+//! (`systolic-opt-v1`) the caller can thread into metrics, the CLI, and
+//! the codegen agreement check.
 //!
 //! Pass ordering: op peepholes run **first** (drop zero-iteration ops,
 //! merge consecutive same-pair `Pass` repetitions, fuse an adjacent
@@ -53,7 +58,7 @@
 //! passes could touch is declined by a read-only scan before anything is
 //! copied.
 
-use crate::batch::{analyze_ops, BatchPlan};
+use crate::batch::BatchPlan;
 use crate::json::Json;
 use crate::process::ChanId;
 use crate::procir::{MovingLink, ProcId, ProcIrModule, ProcOp, ProcRecord};
@@ -186,18 +191,18 @@ pub struct OptimizedModule {
     pub report: Arc<OptReport>,
 }
 
-/// Run the pass pipeline. Returns `None` when the module is left
-/// untouched: nothing to rewrite, or a shape the legality analysis
-/// cannot prove (two producers or consumers on a channel, unbalanced
-/// traffic, an over-wide process) — the shapes `crate::batch` rejects,
-/// by the same walk, so the caller's fallback is the same rendezvous
-/// path.
+/// Run the pass pipeline over `module` and its channel tables `ends`,
+/// returning the rewrite with the tables mapped through it, or `None`
+/// when there is nothing to rewrite.
 ///
-/// A read-only scan decides the first case before anything is copied:
-/// a module with no process a peephole applies to and no pure relay —
-/// every module the elaborator builds without relay buffers — costs one
-/// walk over its ops.
-pub fn optimize(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
+/// A read-only scan decides that before anything is copied: a module
+/// with no process a peephole applies to and no pure relay — every
+/// module the elaborator builds without relay buffers — costs one walk
+/// over its ops.
+pub fn optimize(
+    module: &Arc<ProcIrModule>,
+    ends: &BatchPlan,
+) -> Option<(OptimizedModule, BatchPlan)> {
     let rewritable = |pid| {
         let ops = module.ops_of(pid);
         peephole_applies(ops) || pure_relay(module, ops, pid).is_some()
@@ -205,14 +210,17 @@ pub fn optimize(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
     if !(0..module.procs.len()).any(rewritable) {
         return None;
     }
-    optimize_without_scan(module)
+    optimize_without_scan(module, ends)
 }
 
 /// [`optimize`] without its early decline: every pass over every
 /// process. The oracle the scan is held to (`tests/optimizer.rs`): where
 /// the scan declines, this returns `None` too.
 #[doc(hidden)]
-pub fn optimize_without_scan(module: &Arc<ProcIrModule>) -> Option<OptimizedModule> {
+pub fn optimize_without_scan(
+    module: &Arc<ProcIrModule>,
+    ends: &BatchPlan,
+) -> Option<(OptimizedModule, BatchPlan)> {
     let mut report = OptReport {
         processes_before: module.procs.len(),
         channels_before: module.n_chans,
@@ -230,21 +238,15 @@ pub fn optimize_without_scan(module: &Arc<ProcIrModule>) -> Option<OptimizedModu
     let ops_of = |pid: ProcId| cleaned[pid].as_deref().unwrap_or(module.ops_of(pid));
     let touched_ops = report.zero_ops_dropped + report.passes_merged + report.keep_eject_fused > 0;
 
-    // Phase 2: the batch analysis, over the cleaned ops. A shape it
-    // cannot prove rejects the whole module.
-    let ends = analyze_ops(module, ops_of);
-    if !ends.batchable() {
-        return None;
-    }
-
-    // Phase 3: chain discovery over pure relays.
-    let chains = find_chains(module, ops_of, &ends);
+    // Phase 2: chain discovery over pure relays, through the tables (the
+    // peepholes keep every channel's ends and traffic).
+    let chains = find_chains(module, ops_of, ends);
     if chains.is_empty() && !touched_ops {
         return None;
     }
 
-    // Phase 4: rebuild the module without the fused relays.
-    Some(rebuild(module, ops_of, chains, report))
+    // Phase 3: rebuild the module without the fused relays.
+    Some(rebuild(module, ops_of, ends, chains, report))
 }
 
 /// Whether a peephole below rewrites anything in `ops`: a zero-iteration
@@ -467,13 +469,15 @@ fn find_chains<'a>(
 
 /// Rebuild the arena without the fused relays: rewire every reference
 /// to a chain's exit channel onto its entry channel, drop the interior
-/// channels, and renumber processes and channels densely.
+/// channels, and renumber processes and channels densely — the tables
+/// with them.
 fn rebuild<'a>(
     module: &Arc<ProcIrModule>,
     ops_of: impl Fn(ProcId) -> &'a [ProcOp],
+    ends: &BatchPlan,
     mut chains: Vec<ChainRecord>,
     mut report: OptReport,
-) -> OptimizedModule {
+) -> (OptimizedModule, BatchPlan) {
     let nc = module.n_chans;
     let mut removed_proc = vec![false; module.procs.len()];
     let mut redirect: Vec<ChanId> = (0..nc).collect();
@@ -569,10 +573,23 @@ fn rebuild<'a>(
         });
     }
 
+    // The tables, renumbered: a survivor keeps its ends and traffic, and
+    // a ring takes its chain's traffic and the consumer of its exit.
+    let mut fused = BatchPlan::new(new_nc);
+    let proc_of = |p: Option<ProcId>| p.and_then(|p| report.proc_map[p]);
+    for (c, &at) in report.chan_map.iter().enumerate() {
+        if let Some(at) = at {
+            fused.producer_of[at] = proc_of(ends.producer_of[c]);
+            fused.consumer_of[at] = proc_of(ends.consumer_of[c]);
+            fused.traffic[at] = ends.traffic[c];
+        }
+    }
     let mut ring_needs = vec![0u64; new_nc];
     for ch in &mut chains {
         ch.surviving = report.chan_map[ch.entry].expect("entry channel survives");
         ring_needs[ch.surviving] = ring_needs[ch.surviving].max(ch.capacity);
+        fused.consumer_of[ch.surviving] = proc_of(ends.consumer_of[ch.exit]);
+        fused.traffic[ch.surviving] = ch.traffic;
     }
 
     report.processes_after = procs.len();
@@ -589,11 +606,13 @@ fn rebuild<'a>(
         n_outputs: module.n_outputs,
         kernel: module.kernel.clone(),
     });
-    OptimizedModule {
+    debug_assert_eq!(crate::batch::check(&module, &fused), Ok(()), "fused tables");
+    let optimized = OptimizedModule {
         module,
         ring_needs,
         report: Arc::new(report),
-    }
+    };
+    (optimized, fused)
 }
 
 #[cfg(test)]
@@ -604,12 +623,17 @@ mod tests {
     use crate::procir::ProcIrBuilder;
     use crate::wavefront::{analyze_wavefront, run_wavefront};
 
+    /// The optimizer over a hand-built module and the tables its walk
+    /// derives.
+    fn opt(m: &Arc<ProcIrModule>) -> Option<(OptimizedModule, BatchPlan)> {
+        optimize(m, &analyze(m).unwrap())
+    }
+
     /// The outputs of a fused module on the fast engine, over its delay
     /// rings, held to the rendezvous engine on the same module (outputs,
     /// messages, steps).
     fn run_fused(module: &Arc<ProcIrModule>, needs: &[u64]) -> Vec<Vec<crate::Value>> {
-        let plan = analyze(module);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let plan = analyze(module).unwrap();
         let wf = analyze_wavefront(module, &plan, needs);
         let (fs, fouts, _) = run_wavefront(module, &wf, None, false).unwrap();
         let (ps, pouts) = Network::of(module).run_with_outputs().unwrap();
@@ -631,7 +655,7 @@ mod tests {
         b.relay(2, 3, 10, "buf2");
         b.sink(3, 10, "sink");
         let m = b.build();
-        let o = optimize(&m).expect("chain should fuse");
+        let (o, ends) = opt(&m).expect("chain should fuse");
         assert_eq!(o.module.procs.len(), 2, "only src and sink survive");
         assert_eq!(o.module.n_chans, 1, "one delay ring channel");
         assert_eq!(o.report.chains.len(), 1);
@@ -640,6 +664,10 @@ mod tests {
         assert_eq!((ch.entry, ch.exit, ch.traffic), (0, 3, 10));
         assert_eq!(ch.capacity, 3, "one held value per relay");
         assert_eq!(o.ring_needs[ch.surviving], ch.capacity);
+        // The ring takes the chain's traffic and its consumer, renumbered.
+        assert_eq!(ends.producer_of, [Some(0)]);
+        assert_eq!(ends.consumer_of, [Some(1)]);
+        assert_eq!(ends.traffic, [10]);
         // The fused module actually runs and the sink sees the stream.
         assert_eq!(run_fused(&o.module, &o.ring_needs)[0], vals);
     }
@@ -663,7 +691,7 @@ mod tests {
         b.source(5, &[600], "src-c");
         b.sink(5, 1, "sink-c");
         let m = b.build();
-        let o = optimize(&m).expect("both chains fuse");
+        let (o, _) = opt(&m).expect("both chains fuse");
         assert_eq!(o.report.fused_relays(), 3);
         assert_eq!(o.module.data, m.data);
         for (pid, mapped) in o.report.proc_map.iter().enumerate() {
@@ -678,20 +706,6 @@ mod tests {
         assert_eq!(outs[0], vec![7, 8, 9]);
         assert_eq!(outs[1], vec![-1, -2]);
         assert_eq!(outs[2], vec![0]);
-    }
-
-    /// A channel with two consumers (or producers) defeats the unique-
-    /// endpoint analysis: the module is left alone.
-    #[test]
-    fn multi_consumer_chains_are_rejected() {
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[1, 2], "src");
-        b.relay(0, 1, 1, "buf-a");
-        b.relay(0, 2, 1, "buf-b");
-        b.sink(1, 1, "sink-a");
-        b.sink(2, 1, "sink-b");
-        let m = b.build();
-        assert!(optimize(&m).is_none(), "two consumers on channel 0");
     }
 
     /// Keep/Eject endpoints are never relay-fused: the keeping process
@@ -711,7 +725,7 @@ mod tests {
         b.sink(1, 1, "sink");
         b.sink(2, 1, "sink2");
         let m = b.build();
-        let o = optimize(&m).expect("the zero Compute is dropped");
+        let (o, _) = opt(&m).expect("the zero Compute is dropped");
         assert_eq!(o.report.zero_ops_dropped, 1);
         assert_eq!(o.report.keep_eject_fused, 0, "live local is kept");
         assert!(o.report.chains.is_empty());
@@ -733,7 +747,7 @@ mod tests {
         b.finish();
         b.sink(2, 2, "sink");
         let m = b.build();
-        let o = optimize(&m).expect("should rewrite and fuse");
+        let (o, _) = opt(&m).expect("should rewrite and fuse");
         assert_eq!(o.report.keep_eject_fused, 2);
         assert_eq!(o.report.passes_merged, 1, "the two pass 1s merge");
         assert_eq!(o.report.fused_relays(), 2, "relay and keeper both fuse");
@@ -755,7 +769,7 @@ mod tests {
             }
             b.sink(relays, traffic, "sink");
             let m = b.build();
-            let o = optimize(&m).expect("the chain fuses");
+            let (o, ends) = opt(&m).expect("the chain fuses");
             let ch = &o.report.chains[0];
             let ctx = format!("{relays} relays, traffic {traffic}");
             assert_eq!(ch.relays.len(), relays, "{ctx}");
@@ -764,7 +778,7 @@ mod tests {
                 "{ctx}"
             );
             assert!(ch.capacity <= ch.traffic, "{ctx}");
-            let wf = analyze_wavefront(&o.module, &analyze(&o.module), &o.ring_needs);
+            let wf = analyze_wavefront(&o.module, &ends, &o.ring_needs);
             assert!(wf.capacities[ch.surviving] >= ch.capacity, "{ctx}");
             let (_, elaborated) = Network::of(&m).run_with_outputs().unwrap();
             assert_eq!(elaborated[0], vals, "{ctx}");
@@ -798,7 +812,7 @@ mod tests {
         b.sink(1, 5, "k1");
         b.sink(3, 1, "k3");
         let m = b.build();
-        let o = optimize(&m).expect("passes merge");
+        let (o, _) = opt(&m).expect("passes merge");
         assert_eq!(o.report.passes_merged, 1);
         let seg_ops = o.module.ops_of(o.report.proc_map[0].unwrap());
         assert_eq!(seg_ops.len(), 2);
@@ -839,7 +853,8 @@ mod tests {
         b.sink(0, 2, "sink");
         let m = b.build();
         assert!(!(0..2).any(|pid| peephole_applies(m.ops_of(pid))));
-        assert!(optimize(&m).is_none() && optimize_without_scan(&m).is_none());
+        let ends = analyze(&m).unwrap();
+        assert!(optimize(&m, &ends).is_none() && optimize_without_scan(&m, &ends).is_none());
     }
 
     /// A closed loop of pure relays has no external endpoints and must
@@ -850,7 +865,7 @@ mod tests {
         b.relay(0, 1, 4, "r0");
         b.relay(1, 0, 4, "r1");
         let m = b.build();
-        assert!(optimize(&m).is_none());
+        assert!(opt(&m).is_none());
     }
 
     #[test]
@@ -860,7 +875,7 @@ mod tests {
         b.relay(0, 1, 3, "buf0");
         b.relay(1, 2, 3, "buf1");
         b.sink(2, 3, "sink");
-        let o = optimize(&b.build()).unwrap();
+        let (o, _) = opt(&b.build()).unwrap();
         let doc = crate::json::parse(&o.report.to_json()).expect("valid JSON");
         assert_eq!(doc, o.report.json());
         let num = |v: &Json, k: &str| v.get(k).and_then(Json::as_i64);

@@ -62,8 +62,8 @@ pub enum ProcOp {
     /// the bounded `Rep` counter of the op set — it covers soak, drain,
     /// the load/recover passes, internal (fractional-flow) buffers, and
     /// external buffers alike. The count is `u64`: per-channel traffic
-    /// sums feed the batch-width analysis (`crate::batch`), which must
-    /// not overflow at large problem sizes.
+    /// sums feed the channel tables (`crate::batch`), which must not
+    /// overflow at large problem sizes.
     Pass { inp: ChanId, out: ChanId, n: u64 },
     /// Send local `slot` on `chan` (the eject of `recover`).
     Eject { chan: ChanId, slot: u32 },

@@ -54,8 +54,8 @@ pub(crate) trait Port {
 /// a `par` set independently: completing them atomically on rings would
 /// deadlock bidirectional-stream designs (matmul E.2). Links past the
 /// 64th have no bit ([`link_bit`]), so only a port that completes whole
-/// sets serves them — the rendezvous engine's; the batch gate admits at
-/// most 64 to the rings.
+/// sets serves them — the rendezvous engine's; the fast-path gate admits
+/// a program to the rings only within [`MAX_MOVING_LINKS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum MacroState {
     /// At an op boundary (or mid-`Pass` before its next pop).
@@ -67,6 +67,12 @@ pub(crate) enum MacroState {
     /// Mid par-send; bit `i` set ⇔ moving link `i` already sent.
     ComputeSend { mask: u64 },
 }
+
+/// The most moving links a process may have on the rings: the width of
+/// a par-set mask. The elaborator gives every computation process one
+/// link per moving stream, so a program with more moving streams runs on
+/// the rendezvous engine (`systolic_interp::Elaborated::wide`).
+pub const MAX_MOVING_LINKS: usize = u64::BITS as usize;
 
 /// Bit `i` of a par-set mask; none past the 64th link.
 #[inline]
@@ -674,8 +680,7 @@ mod tests {
                 let want = expected(n as u64);
                 assert_eq!(rendezvous_steps(&m), want, "{ctx}: rendezvous");
                 let total: u64 = want.iter().sum();
-                let plan = analyze(&m);
-                assert!(plan.batchable(), "{ctx}: {:?}", plan.reject_reason());
+                let plan = analyze(&m).unwrap();
                 let wf = analyze_wavefront(&m, &plan, &[]);
                 let (stats, _, _) = run_wavefront(&m, &wf, None, false).unwrap();
                 assert_eq!(stats.steps, total, "{ctx}: rings of their traffic");

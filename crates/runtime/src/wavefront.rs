@@ -1,15 +1,16 @@
 //! The wavefront executor: the cooperative fast engine, which runs a
-//! batch-eligible module as a topologically staged sweep.
+//! module as a topologically staged sweep.
 //!
 //! The paper's step function assigns every elaborated operation a global
 //! time step, so in the steady state the whole array advances as a
 //! sequence of *wavefronts*: all sources fire, then every process one
-//! hop downstream, and so on. The batch proof (`crate::batch`) supplies
-//! the per-channel half of this — ring buffers let a producer run a whole
-//! batch ahead — and this module derives the wave structure once per
-//! module — a [`WavefrontPlan`] — and executes it directly, so a value
-//! reaches the far edge of the array in one pass instead of one
-//! pid-order sweep per hop:
+//! hop downstream, and so on. The channel tables (`crate::batch`: one
+//! producer, one consumer and the traffic of every channel, a law of the
+//! elaborator) supply the per-channel half of this — ring buffers let a
+//! producer run a whole batch ahead — and this module derives the wave
+//! structure once per module — a [`WavefrontPlan`] — and executes it
+//! directly, so a value reaches the far edge of the array in one pass
+//! instead of one pid-order sweep per hop:
 //!
 //! 1. **Graph**: the paper's computation process is a *sequence of
 //!    phases* — load, soak, the repeater, drain, recover (Sec. 4) — and
@@ -145,7 +146,9 @@ impl<T: Copy + Default> Csr<T> {
 
 /// The derived wave structure of one module: which windows of which
 /// processes advance together, in which order, over how much ring slack.
-#[derive(Debug, PartialEq, Eq)]
+/// The default plan is empty: the plan of a program the fast engine
+/// never runs (past [`crate::MAX_MOVING_LINKS`]).
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct WavefrontPlan {
     /// The windows, chunk by chunk in wave-major order (the executor's
     /// iteration order); within a chunk in ascending (pid, program)
@@ -164,18 +167,15 @@ pub struct WavefrontPlan {
     /// Ring capacity per channel: its traffic clamped to
     /// `1..=WAVEFRONT_RING_CAP`, raised to the need of a fused chain.
     pub capacities: Vec<u64>,
-    reject: Option<String>,
 }
 
 impl WavefrontPlan {
-    /// Whether the module may be wavefront-executed at all.
+    // Spelled by the frozen `benchmark/src/stages.rs:98`, which reads it as
+    // the plan's verdict: every plan is runnable now that the batch proof
+    // is a law of the elaborator. Goes with ROADMAP 2(b).
+    #[doc(hidden)]
     pub fn eligible(&self) -> bool {
-        self.reject.is_none()
-    }
-
-    /// Why not, when [`WavefrontPlan::eligible`] is false.
-    pub fn reject_reason(&self) -> Option<&str> {
-        self.reject.as_deref()
+        true
     }
 
     pub fn n_waves(&self) -> usize {
@@ -230,37 +230,22 @@ impl WavefrontPlan {
     }
 
     /// The `wavefront` section of the metrics and optimizer reports: the
-    /// staging shape of `module` — with what its run state costs, the
+    /// staging shape of `module`, with what its run state costs — the
     /// ring slab's length and the bytes a fresh run arena holds after
-    /// one reset — or the reject reason, then every channel that `batch`,
-    /// the analysis this plan was derived from, disqualifies.
-    pub fn json(&self, module: &ProcIrModule, batch: &BatchPlan) -> Json {
-        let mut fields = match self.reject_reason() {
-            None => {
-                let mut arena = RunArena::default();
-                arena.reset(module, &self.capacities);
-                vec![
-                    ("eligible", true.into()),
-                    ("waves", self.n_waves().into()),
-                    ("chunks", self.n_chunks().into()),
-                    ("cyclic_chunks", self.cyclic_chunks().into()),
-                    ("largest_chunk", self.largest_chunk().into()),
-                    ("max_ring_capacity", self.max_capacity().into()),
-                    ("ring_values", self.ring_values().into()),
-                    ("arena_bytes", arena.footprint_bytes().into()),
-                ]
-            }
-            Some(r) => vec![("eligible", false.into()), ("reason", r.into())],
-        };
-        let reasons = batch.channel_reasons.iter().enumerate();
-        let channels = reasons.filter_map(|(c, why)| {
-            Some(Json::obj([
-                ("chan", c.into()),
-                ("reason", why.as_deref()?.into()),
-            ]))
-        });
-        fields.push(("channels", Json::arr(channels)));
-        Json::obj(fields)
+    /// one reset.
+    pub fn json(&self, module: &ProcIrModule) -> Json {
+        let mut arena = RunArena::default();
+        arena.reset(module, &self.capacities);
+        Json::obj([
+            ("eligible", true.into()),
+            ("waves", self.n_waves().into()),
+            ("chunks", self.n_chunks().into()),
+            ("cyclic_chunks", self.cyclic_chunks().into()),
+            ("largest_chunk", self.largest_chunk().into()),
+            ("max_ring_capacity", self.max_capacity().into()),
+            ("ring_values", self.ring_values().into()),
+            ("arena_bytes", arena.footprint_bytes().into()),
+        ])
     }
 }
 
@@ -309,25 +294,13 @@ fn push_run(runs: &mut Vec<(u32, Run)>, chan: ChanId, node: u32, n: u64) {
     }
 }
 
-/// Derive the wave structure from a module and its batch analysis. A
-/// module the batch proof rejects is ineligible with the same reason and
-/// every other module is eligible — the wavefront executor inherits
-/// every safety obligation of the batch proof and adds the staging on
-/// top, so a module that passes the fast-path gate always has a plan.
-/// `needs` is the least ring capacity per channel the module requires
+/// Derive the wave structure from a module and its channel tables
+/// (`crate::batch`): the safety obligations are the tables' law, and
+/// this adds the staging on top, so every module has a plan. `needs` is
+/// the least ring capacity per channel the module requires
 /// (`OptimizedModule::ring_needs` for the optimizer's module; empty, or
 /// 0 for a channel, when there is none).
 pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan, needs: &[u64]) -> WavefrontPlan {
-    if let Some(r) = plan.reject_reason() {
-        return WavefrontPlan {
-            chunks: Csr::default(),
-            wave_start: Vec::new(),
-            neighbors: Csr::default(),
-            capacities: Vec::new(),
-            reject: Some(r.to_string()),
-        };
-    }
-
     // Windows in (pid, program) order, and per channel the runs of
     // values each window sends and receives. A transport op belongs to
     // the window still open, which will be pushed under the index
@@ -381,9 +354,9 @@ pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan, needs: &[u64])
 
     // Edges: program order between consecutive windows of a process,
     // then per channel the sender runs against the receiver runs — the
-    // batch proof's unique endpoints make each side one process's
-    // program order, and its balanced traffic makes the k-th value sent
-    // the k-th received.
+    // tables' unique endpoints make each side one process's program
+    // order, and their balanced traffic makes the k-th value sent the
+    // k-th received.
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n + sends.vals.len() + recvs.vals.len());
     for i in 1..n {
         if nodes[i].pid == nodes[i - 1].pid {
@@ -433,7 +406,7 @@ pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan, needs: &[u64])
         }
     }
 
-    // Ring capacities: every channel widens to its whole proven traffic
+    // Ring capacities: every channel widens to its whole traffic
     // (so one topological pass can drain a steady phase outright),
     // clamped for memory, and never below what a fused relay chain held
     // in flight under rendezvous, so every schedule of the elaborated
@@ -506,7 +479,6 @@ pub fn analyze_wavefront(module: &ProcIrModule, plan: &BatchPlan, needs: &[u64])
         wave_start,
         neighbors,
         capacities,
-        reject: None,
     }
 }
 
@@ -672,7 +644,6 @@ pub fn run_wavefront(
     // Ignored, spelled by the frozen `benchmark/src/stages.rs:106`; goes with ROADMAP 2(b).
     _parallel: bool,
 ) -> Result<(RunStats, Vec<Vec<Value>>, KernelReport), RunError> {
-    debug_assert!(plan.eligible(), "caller checks WavefrontPlan::eligible");
     with_arena(|arena| {
         let mut waves = std::mem::take(&mut arena.waves);
         let result = sweep_waves(module, plan, kernels, &mut waves, arena);
@@ -806,9 +777,8 @@ mod tests {
     #[test]
     fn plan_stages_a_pipeline_into_one_wave_chain() {
         let m = pipeline_module();
-        let plan = analyze(&m);
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
-        assert!(wf.eligible(), "{:?}", wf.reject_reason());
         assert_eq!(wf.n_waves(), 4, "src -> relay -> relay -> sink");
         assert_eq!(wf.n_chunks(), 4);
         // Traffic-wide rings: the whole stream fits in one pass.
@@ -818,7 +788,7 @@ mod tests {
     #[test]
     fn a_pipeline_drains_in_one_grand_sweep_with_the_rendezvous_answer() {
         let m = pipeline_module();
-        let plan = analyze(&m);
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
         let ((ws, wouts), _) = against_the_oracle(&m, &wf, None);
         assert_eq!(wouts, [(0..200).collect::<Vec<_>>()]);
@@ -897,8 +867,7 @@ mod tests {
         b.finish();
         b.relay(0, 1, 10, "pong");
         let m = b.build();
-        let plan = analyze(&m);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
         assert!(wf.eligible());
         assert_eq!(wf.n_waves(), 1);
@@ -908,8 +877,8 @@ mod tests {
 
     #[test]
     fn a_cycle_with_nothing_in_flight_deadlocks_like_the_rendezvous_run() {
-        // Two passes in a cycle: balanced traffic (so the batch proof
-        // accepts), but both start with a pop from an empty ring — the
+        // Two passes in a cycle: balanced traffic (so the walk derives
+        // its tables), but both start with a pop from an empty ring — the
         // sweep must diagnose, not spin, and name what the oracle names.
         let mut b = ProcIrBuilder::new();
         for (label, inp, out) in [("fwd", 0, 1), ("bwd", 1, 0)] {
@@ -918,8 +887,7 @@ mod tests {
             b.finish();
         }
         let m = b.build();
-        let plan = analyze(&m);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
         let err = run_wavefront(&m, &wf, None, false).unwrap_err();
         let d = err.as_deadlock().expect("deadlock, not another error");
@@ -943,27 +911,13 @@ mod tests {
         b.relay(1, 0, 1, "back-a");
         b.relay(3, 2, 1, "back-b");
         let m = b.build();
-        let plan = analyze(&m);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
         let err = run_wavefront(&m, &wf, None, false).unwrap_err();
         let d = err.as_deadlock().expect("deadlock, not another error");
         let oracle = Network::of(&m).run().unwrap_err();
         assert_eq!(d.blocked, oracle.as_deadlock().unwrap().blocked);
         assert_eq!(d.blocked[0], "cell [recv@0,recv@2]");
-    }
-
-    #[test]
-    fn ineligible_modules_carry_the_batch_reason() {
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[1], "src-a");
-        b.source(0, &[2], "src-b");
-        b.sink(0, 2, "sink");
-        let m = b.build();
-        let plan = analyze(&m);
-        let wf = analyze_wavefront(&m, &plan, &[]);
-        assert!(!wf.eligible());
-        assert!(wf.reject_reason().unwrap().contains("two producers"));
     }
 
     /// The cell of [`compute_module`] with its host fringe: `a` moving
@@ -1012,8 +966,7 @@ mod tests {
     fn kernel_path_matches_the_scalar_run_bit_for_bit() {
         use crate::kernel::analyze_kernels;
         let m = compute_module();
-        let plan = analyze(&m);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
         let kp = analyze_kernels(&m, &wf);
         assert!(kp.compiled, "{:?}", kp.reject);
@@ -1078,8 +1031,7 @@ mod tests {
         m: &Arc<ProcIrModule>,
         ctx: &str,
     ) -> (Vec<Vec<Value>>, KernelReport) {
-        let plan = analyze(m);
-        assert!(plan.batchable(), "{ctx}: {:?}", plan.reject_reason());
+        let plan = analyze(m).unwrap();
         let wf = analyze_wavefront(m, &plan, &[]);
         let kp = crate::kernel::analyze_kernels(m, &wf);
         let (scalar, _) = against_the_oracle(m, &wf, None);
@@ -1157,7 +1109,7 @@ mod tests {
 
     /// The lane-iterations one batch of `m`'s kernel plan may hold.
     fn batch_fit(m: &Arc<ProcIrModule>) -> usize {
-        let wf = analyze_wavefront(m, &analyze(m), &[]);
+        let wf = analyze_wavefront(m, &analyze(m).unwrap(), &[]);
         let kp = crate::kernel::analyze_kernels(m, &wf);
         crate::kernel::KERNEL_BATCH_VALUES / kp.split().expect("an eligible chunk").row_values()
     }
@@ -1331,7 +1283,7 @@ mod tests {
     fn a_compute_ring_runs_its_schedule_bit_for_bit_like_the_fixpoint() {
         let m = compute_ring(true, |_| [0, 1]);
         let (outs, report) = kernel_path_is_invisible(&m, "compute ring");
-        let wf = analyze_wavefront(&m, &analyze(&m), &[]);
+        let wf = analyze_wavefront(&m, &analyze(&m).unwrap(), &[]);
         assert_eq!(wf.chunk(the_cycle(&wf)).len(), 3, "the three repeaters");
         // The three repeaters are the one eligible chunk, and every
         // iteration ran on the schedule: cell 1 first, on the values in
@@ -1348,7 +1300,7 @@ mod tests {
     #[test]
     fn a_boundary_ring_narrower_than_its_traffic_leaves_the_ring_to_the_fixpoint() {
         let m = compute_ring(true, |_| [0, 1]);
-        let mut wf = analyze_wavefront(&m, &analyze(&m), &[]);
+        let mut wf = analyze_wavefront(&m, &analyze(&m).unwrap(), &[]);
         let kp = crate::kernel::analyze_kernels(&m, &wf);
         assert_eq!(kp.eligible_chunks, 1, "{:?}", kp.fallbacks());
         // Cell 0's own stream holds one of the four values its repeater
@@ -1358,7 +1310,7 @@ mod tests {
         let (kernel, report) = against_the_oracle(&m, &wf, Some(&kp));
         assert_eq!(kernel, scalar, "the same answer and counts");
         assert_eq!((report.eligible_chunks, report.iterations), (1, 0));
-        let wide = analyze_wavefront(&m, &analyze(&m), &[]);
+        let wide = analyze_wavefront(&m, &analyze(&m).unwrap(), &[]);
         let ((_, wide), _) = against_the_oracle(&m, &wide, None);
         assert_eq!(scalar.1, wide, "the narrow ring changes no stream");
     }
@@ -1367,8 +1319,7 @@ mod tests {
     fn a_compute_ring_with_nothing_in_flight_deadlocks_as_before() {
         use crate::kernel::analyze_kernels;
         let m = compute_ring(false, |_| [0, 1]);
-        let plan = analyze(&m);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
         the_cycle(&wf);
         let kp = analyze_kernels(&m, &wf);
@@ -1405,7 +1356,7 @@ mod tests {
     fn a_cycle_whose_windows_differ_in_slot_layout_stays_scalar() {
         use crate::kernel::analyze_kernels;
         let m = compute_ring(true, |c| if c == 2 { [1, 0] } else { [0, 1] });
-        let wf = analyze_wavefront(&m, &analyze(&m), &[]);
+        let wf = analyze_wavefront(&m, &analyze(&m).unwrap(), &[]);
         the_cycle(&wf);
         let kp = analyze_kernels(&m, &wf);
         assert_eq!(kp.eligible_chunks, 0);
@@ -1419,7 +1370,7 @@ mod tests {
     fn transport_chunks_fall_back_with_a_reason() {
         use crate::kernel::analyze_kernels;
         let m = compute_module();
-        let plan = analyze(&m);
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
         // comp is cut into keep / repeater / eject; with the two sources
         // and two sinks that is seven windows, none on a cycle.
@@ -1491,8 +1442,7 @@ mod tests {
     fn a_window_blocked_on_the_ring_clamp_wakes_its_successors_in_program_order() {
         for linked in [true, false] {
             let m = long_load_module(linked);
-            let plan = analyze(&m);
-            assert!(plan.batchable(), "{:?}", plan.reject_reason());
+            let plan = analyze(&m).unwrap();
             let wf = analyze_wavefront(&m, &plan, &[]);
             assert_eq!(wf.cyclic_chunks(), 0, "linked: {linked}");
             assert_eq!(wf.max_capacity(), WAVEFRONT_RING_CAP);
@@ -1558,8 +1508,7 @@ mod tests {
             n_dims: 1,
         }));
         let m = b.build();
-        let plan = analyze(&m);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let plan = analyze(&m).unwrap();
         let wf = analyze_wavefront(&m, &plan, &[]);
         assert_eq!(wf.cyclic_chunks(), 0);
         assert_eq!(wf.capacities[1], WAVEFRONT_RING_CAP, "one value short");
@@ -1574,7 +1523,7 @@ mod tests {
         // boundary the `Pass::n` widening regression pins, one layer up.
         // Named alongside `traffic_math_survives_u32_overflow`.
         let m = pipeline_module();
-        let mut plan = analyze(&m);
+        let mut plan = analyze(&m).unwrap();
         assert_eq!(plan.traffic, [200; 3]);
         assert_eq!(
             (plan.producer_of[1], plan.consumer_of[1]),
@@ -1584,7 +1533,6 @@ mod tests {
             *t = u64::MAX;
         }
         let wf = analyze_wavefront(&m, &plan, &[]);
-        assert!(wf.eligible());
         assert_eq!(wf.capacities, [WAVEFRONT_RING_CAP; 3]);
         // A need past the clamp raises its channel and no other.
         let wf = analyze_wavefront(&m, &plan, &[0, u64::MAX]);
@@ -1606,17 +1554,22 @@ mod tests {
     }
 
     /// A sink expecting more than the source sends: the run wedges with
-    /// the sink waiting on a recv. The plan is forced past the
-    /// (unbalanced-traffic) batch proof so the executor's own deadlock
-    /// reporting is exercised.
+    /// the sink waiting on a recv. No elaborated module has this shape
+    /// (the walk rejects it); the plan is built from tables that claim
+    /// the source's traffic, so the executor's own deadlock reporting is
+    /// exercised.
     fn deadlocking_module() -> (Arc<ProcIrModule>, WavefrontPlan) {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2], "src");
         b.sink(0, 3, "sink");
         let m = b.build();
-        let plan = analyze(&m);
-        assert!(!plan.batchable());
-        let wf = analyze_wavefront(&m, &plan.assume_proven(), &[]);
+        assert!(analyze(&m).unwrap_err().contains("unbalanced"));
+        let tables = BatchPlan {
+            producer_of: vec![Some(0)],
+            consumer_of: vec![Some(1)],
+            traffic: vec![2],
+        };
+        let wf = analyze_wavefront(&m, &tables, &[]);
         (m, wf)
     }
 
@@ -1633,8 +1586,7 @@ mod tests {
     /// `m` with its compiled kernels and without, on the calling thread
     /// (and so on its arena, whatever earlier runs left in it).
     fn both_paths(m: &Arc<ProcIrModule>) -> (Outcome, Outcome) {
-        let plan = analyze(m);
-        assert!(plan.batchable(), "{:?}", plan.reject_reason());
+        let plan = analyze(m).unwrap();
         let wf = analyze_wavefront(m, &plan, &[]);
         let kp = crate::kernel::analyze_kernels(m, &wf);
         let run = |kernels| {
@@ -1678,7 +1630,7 @@ mod tests {
             n_dims: 0,
         }));
         let bad = b.build();
-        let plan = analyze(&bad);
+        let plan = analyze(&bad).unwrap();
         let wf = analyze_wavefront(&bad, &plan, &[]);
         let kp = analyze_kernels(&bad, &wf);
         let slots = ("kernel slots exceed process locals".to_string(), 1);

@@ -914,11 +914,10 @@ mod tests {
         assert!(auto.contains("optimizer report: "), "{auto}");
         let j = std::fs::read_to_string(&report).unwrap();
         assert!(j.contains("\"schema\": \"systolic-opt-v1\""), "{j}");
-        // The wavefront staging facts ride along in the same document
-        // (with per-channel ineligibility reasons when any exist).
+        // The wavefront staging facts ride along in the same document.
         assert!(j.contains("\"wavefront\""), "{j}");
         assert!(j.contains("\"eligible\""), "{j}");
-        assert!(j.contains("\"channels\""), "{j}");
+        assert!(j.contains("\"ring_values\""), "{j}");
         let _ = std::fs::remove_file(&report);
     }
 

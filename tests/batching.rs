@@ -12,7 +12,7 @@
 mod common;
 
 use common::{
-    assert_count_law, assert_kernels_match_the_scalar_sweep, assert_one_fast_engine, prepared,
+    assert_channel_law, assert_count_law, assert_kernels_match_the_scalar_sweep, prepared,
     run as go, CORPUS,
 };
 use proptest::prelude::*;
@@ -147,16 +147,17 @@ fn the_elaborated_module_runs_exactly_on_the_wavefront_engine() {
     }
 }
 
-/// The law that leaves one cooperative fast engine: on every corpus
-/// design and `fir.sys`, at four sizes, under every protocol variant, the
-/// wavefront plan is eligible exactly when the batch proof holds (the
-/// optimized twin's too), and a default run takes the wavefront rung
-/// exactly then — so no module past the gate needs another fast rung.
+/// The channel law (`systolic_runtime::batch`): on every corpus design
+/// and `fir.sys`, at five sizes from 0, under every protocol variant, the
+/// channel tables `instantiate` recorded equal the walk of the module's
+/// ops field by field — the fused module's too — and the default run
+/// takes the fast engine. (Every compiled random program gets the same
+/// check in `tests/random_programs.rs`.)
 #[test]
-fn the_wavefront_plan_is_eligible_exactly_when_the_batch_proof_holds() {
-    let mut batchable = 0;
+fn the_channel_tables_are_the_walk_of_the_ops_and_every_row_runs_fast() {
+    let (mut cells, mut modules) = (0, 0);
     for design in 0..=CORPUS {
-        for n in [1i64, 2, 3, 5] {
+        for n in [0i64, 1, 2, 3, 5] {
             let problem = prepared(design, n, 13);
             for bits in 0..8 {
                 let elab = ElabOptions {
@@ -166,11 +167,13 @@ fn the_wavefront_plan_is_eligible_exactly_when_the_batch_proof_holds() {
                 };
                 let label = format!("design {design} n={n} {elab:?}");
                 let ms = ModuleStore::new();
-                batchable += assert_one_fast_engine(&label, &ms, &problem, &elab) as usize;
+                modules += assert_channel_law(&label, &ms, &problem, &elab);
+                cells += 1;
             }
         }
     }
-    assert!(batchable > 0, "no corpus module was batchable");
+    println!("channel law: {cells} cells, {modules} modules checked");
+    assert_eq!(cells, (CORPUS + 1) * 5 * 8);
 }
 
 /// Case count override (see `tests/random_programs.rs`).

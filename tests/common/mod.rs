@@ -10,8 +10,8 @@ use systolizer::interp::{
 use systolizer::ir::{gallery, seq, HostStore, SourceProgram, Value};
 use systolizer::math::Env;
 use systolizer::runtime::{
-    analyze_wavefront, run_wavefront, BatchPlan, ProcIrModule, ProcOp, RunStats, WavefrontPlan,
-    Window,
+    analyze_wavefront, check, run_wavefront, BatchPlan, ProcIrModule, ProcOp, RunStats,
+    WavefrontPlan, Window,
 };
 use systolizer::synthesis::{derive_array, placement::paper};
 
@@ -328,7 +328,6 @@ pub fn check_wavefront_plan(
     batch: &BatchPlan,
     wf: &WavefrontPlan,
 ) {
-    assert!(wf.eligible(), "{label}: {:?}", wf.reject_reason());
     // Every window with its chunk and wave, in (pid, program) order.
     let mut nodes: Vec<(Window, usize, usize)> = Vec::new();
     let mut next_chunk = 0;
@@ -459,16 +458,12 @@ pub fn check_wavefront_plan(
 /// [`check_wavefront_plan`] on the elaborated module's plan, built
 /// through the runtime API, and on the fast plan `simulate` takes for
 /// this problem off `ms` — one and the same plan unless the optimizer
-/// rewrote the module. Returns how many distinct plans it checked (none
-/// when the batch proof rejects the module).
+/// rewrote the module. Returns how many distinct plans it checked.
 pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared) -> usize {
     let (plan, env, store) = prepared;
     let cm = ms
         .module(plan, env, store, &ElabOptions::default())
         .unwrap();
-    if !cm.batch_plan().batchable() {
-        return 0;
-    }
     let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan(), &[]);
     check_wavefront_plan(
         &format!("{label}, as elaborated"),
@@ -493,38 +488,34 @@ pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared)
     2
 }
 
-/// The law that leaves the cooperative executor one fast engine: a
-/// module's wavefront plan is eligible exactly when its batch proof holds
-/// — the elaborated module's and the fast plan's — so a default run takes
-/// the wavefront rung exactly when the batch proof admits the module. The
-/// run may deadlock (the paper protocol on some random designs); the
-/// plans are checked anyway. Returns whether the module was batchable.
-pub fn assert_one_fast_engine(
+/// The channel law on one problem: the channel tables the elaborator
+/// recorded equal, field by field, the walk of the module's ops
+/// (`systolic_runtime::check`, called here so that release builds run it
+/// too), and so do the tables the optimizer mapped onto the fused
+/// module; and the default run takes the fast engine. The run may
+/// deadlock (the paper protocol on some random designs); the tables are
+/// checked anyway. Returns the modules checked: 2 when the optimizer
+/// rewrote the module, else 1.
+pub fn assert_channel_law(
     label: &str,
     ms: &ModuleStore,
     prepared: &Prepared,
     elab: &ElabOptions,
-) -> bool {
+) -> usize {
     let (plan, env, store) = prepared;
     let cm = ms.module(plan, env, store, elab).unwrap();
-    let batchable = cm.batch_plan().batchable();
-    let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan(), &[]);
-    assert_eq!(elaborated.eligible(), batchable, "{label}");
+    assert_eq!(check(&cm.elab.module, cm.batch_plan()), Ok(()), "{label}");
+    assert_eq!(cm.elab.wide, None, "{label}: within the par-set mask");
     let fast = cm.fast_plan();
-    assert_eq!(fast.wavefront.eligible(), batchable, "{label}, fast plan");
-    // The optimizer only ever sees a module the batch proof admits.
     if let Some(od) = &fast.optimized {
-        assert!(batchable && od.1.batchable(), "{label}, optimized");
+        assert_eq!(check(&od.0.module, &od.1), Ok(()), "{label}, fused");
     }
     let spec = SimSpec {
         elab: elab.clone(),
         ..SimSpec::default()
     };
     if let Ok(run) = simulate(ms, plan, env, store, spec) {
-        assert_eq!(
-            run.wavefront, batchable,
-            "{label}: the gate decides the rung"
-        );
+        assert!(run.wavefront, "{label}: the default run is a fast run");
     }
-    batchable
+    1 + fast.optimized.is_some() as usize
 }

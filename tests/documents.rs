@@ -128,7 +128,7 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
 
     // One writer, one shape: the metrics document embeds the optimizer's
     // report member for member, and both reports carry the same
-    // `wavefront` section — `channels` included — for the same module.
+    // `wavefront` section for the same module.
     let (metrics, fused) = (&docs[0], &docs[2]);
     let embedded = metrics.get("optimizer").unwrap();
     for key in OPT_KEYS.split_whitespace() {
@@ -143,7 +143,7 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     let shape: Vec<&str> = shape.iter().map(|(k, _)| k.as_str()).collect();
     let num = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap();
     let keys = "eligible waves chunks cyclic_chunks largest_chunk max_ring_capacity \
-                ring_values arena_bytes channels";
+                ring_values arena_bytes";
     assert_eq!(shape, keys.split_whitespace().collect::<Vec<_>>());
     // What the run state costs: the slab holds `ring_values` words, and
     // the arena is the slab plus the per-process and per-channel tables.
@@ -152,7 +152,6 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
         values > 0 && bytes > 8 * values,
         "{values} values in {bytes} bytes"
     );
-    assert_eq!(wavefront.get("channels"), Some(&Json::Arr(vec![])));
     let relays = |c: &Json| num(c, "relays");
     let chains = fused.get("chains").and_then(Json::as_arr).unwrap();
     assert!(!chains.is_empty(), "fir 3,6 fuses relay chains");
@@ -177,18 +176,17 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
 #[test]
 fn the_reports_describe_the_module_that_ran() {
     use systolizer::interp::{elaborate, ElabOptions, Problem};
-    use systolizer::runtime::{analyze, analyze_kernels, analyze_wavefront, optimize};
+    use systolizer::runtime::{analyze_kernels, analyze_wavefront, optimize};
     let (out, docs) = cli_artifacts("polyprod.sys", "8", &["--metrics", "--opt-report"]);
     let src = std::fs::read_to_string("programs/polyprod.sys").unwrap();
     let sys = systolizer::systolize_source(&src, &Default::default()).unwrap();
     let inputs = sys.source.variable_names();
     let Problem { env, store } = Problem::seeded(&sys.plan, &[8], &inputs, 42).unwrap();
     let el = elaborate(&sys.plan, &env, &store, &ElabOptions::default()).unwrap();
-    let fused = optimize(&el.module).expect("polyprod.sys n=8 fuses relays");
+    let (fused, batch) = optimize(&el.module, &el.channels).expect("polyprod.sys n=8 fuses relays");
     assert!(fused.report.fused_relays() > 0);
-    let batch = analyze(&fused.module);
     let waves = analyze_wavefront(&fused.module, &batch, &fused.ring_needs);
-    let ran = waves.json(&fused.module, &batch);
+    let ran = waves.json(&fused.module);
     let kernels = analyze_kernels(&fused.module, &waves).json();
     let processes = fused.module.procs.len();
     assert!(
@@ -199,25 +197,4 @@ fn the_reports_describe_the_module_that_ran() {
     assert_eq!(metrics.get("wavefront"), Some(&ran), "metrics");
     assert_eq!(report.get("wavefront"), Some(&ran), "--opt-report");
     assert_eq!(metrics.get("kernels"), Some(&kernels), "metrics");
-}
-
-/// A healthy corpus design has no channel the batch proof objects to —
-/// the reasons `--opt-report` and the metrics `wavefront` section list
-/// are all absent, and so is the module-wide one.
-#[test]
-fn a_corpus_design_has_no_disqualified_channel() {
-    use systolizer::interp::{seeded_store, ElabOptions, ModuleStore};
-    use systolizer::synthesis::placement::paper;
-    let (p, a) = paper::polyprod_d1();
-    let plan = systolizer::core::compile(&p, &a, &Default::default()).unwrap();
-    let mut env = systolizer::math::Env::new();
-    env.bind(p.sizes[0], 4);
-    let store = seeded_store(&plan, &env, &["a", "b"], 11);
-    let cm = ModuleStore::global()
-        .module(&plan, &env, &store, &ElabOptions::default())
-        .unwrap();
-    let batch = cm.batch_plan();
-    assert_eq!(batch.channel_reasons.len(), cm.elab.module.n_chans);
-    assert!(batch.channel_reasons.iter().all(Option::is_none));
-    assert_eq!(batch.reject_reason(), None);
 }

@@ -263,3 +263,60 @@ fn integer_overflow_wraps_alike_in_every_evaluator() {
     common::compile_and_run("overflow-opt", &program, true);
     common::compile_and_run("overflow-debug", &program, false);
 }
+
+/// `c[i] = c[i] + a0[j] + … + a{arrays-1}[j]` over `for i, j = 0..n`.
+fn wide_source(arrays: usize) -> String {
+    let names: Vec<String> = (0..arrays).map(|k| format!("a{k}")).collect();
+    let vars: String = names.iter().map(|a| format!(", {a}[0..n]")).collect();
+    let sum: String = names.iter().map(|a| format!(" + {a}[j]")).collect();
+    format!(
+        "program wide;\nsize n;\nvar c[0..n]{vars};\n\
+         for i = 0 <- 1 -> n\nfor j = 0 <- 1 -> n {{\n  c[i] = c[i]{sum};\n}}\n"
+    )
+}
+
+/// 65 moving streams give every computation process 65 moving links,
+/// one past the par-set mask of the fast engine's op step
+/// (`systolic_runtime::MAX_MOVING_LINKS`). The program is a working one:
+/// under both protocols `verify` runs it on the plain engine (no
+/// `[wavefront…]` marker) and its store equals the sequential oracle's,
+/// and the metrics document's `wavefront` section names the cap. The
+/// 64-array twin takes the fast path.
+#[test]
+fn a_program_past_the_par_set_mask_runs_on_the_plain_engine() {
+    use systolizer::cli::{execute, parse_args};
+    use systolizer::runtime::json::{parse, Json};
+    let verify_cli = |src: &str, protocol: &str, extra: &[&str]| {
+        let mut raw = vec!["verify", "wide.sys", "--sizes", "2", "--protocol", protocol];
+        raw.extend(extra);
+        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+        execute(&parse_args(&raw).unwrap(), src).unwrap()
+    };
+    let (wide, twin) = (wide_source(65), wide_source(64));
+    let metrics = std::env::temp_dir().join(format!("systolizer-wide-{}", std::process::id()));
+    let path = metrics.to_str().unwrap();
+    for protocol in ["paper", "split"] {
+        let out = verify_cli(&wide, protocol, &["--metrics", path]);
+        assert!(out.starts_with("OK:"), "{protocol}: {out}");
+        assert!(!out.contains("[wavefront"), "{protocol}: {out}");
+        let doc = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let _ = std::fs::remove_file(path);
+        let wavefront = doc.get("wavefront").unwrap();
+        assert_eq!(wavefront.get("eligible"), Some(&Json::Bool(false)));
+        let reason = wavefront.get("reason").and_then(Json::as_str).unwrap();
+        assert_eq!(
+            reason,
+            "65 moving streams exceed the 64-link par-set mask (runs on the rendezvous engine)"
+        );
+
+        let out = verify_cli(&twin, protocol, &[]);
+        assert!(out.contains("[wavefront"), "{protocol}, 64 arrays: {out}");
+    }
+
+    // The library gate says the same, and the store is the oracle's.
+    let sys = systolizer::systolize_source(&wide, &Default::default()).unwrap();
+    let env = sys.size_env(&[2]).unwrap();
+    let inputs = sys.source.variable_names();
+    let run = verify(&sys.plan, &env, &inputs, 5, SimSpec::default()).unwrap();
+    assert!(!run.wavefront, "the gate keeps it on the plain engine");
+}

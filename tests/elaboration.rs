@@ -124,7 +124,7 @@ fn no_elaborated_module_holds_a_zero_count_pass() {
                     let found = el.module.ops_of(pid).iter().find(zero);
                     assert_eq!(found, None, "{ctx}: {}", el.module.label_of(pid));
                 }
-                if let Some(o) = optimize(&el.module) {
+                if let Some((o, _)) = optimize(&el.module, &el.channels) {
                     assert_eq!(o.report.zero_ops_dropped, 0, "{ctx}");
                 }
             }

@@ -211,7 +211,9 @@ fn fast_plan_digests() {
             m.ops, m.data, m.moving, m.points, m.procs, m.n_chans, m.n_outputs
         );
         let wf = &*fast.wavefront;
-        let mut plan_text = format!("{:?} {:?}\n", wf.reject_reason(), wf.capacities);
+        // `None ` is what the plan's reject reason, since deleted, printed
+        // on every row: kept so that the pinned digests stay the same.
+        let mut plan_text = format!("None {:?}\n", wf.capacities);
         for w in 0..wf.n_waves() {
             for k in wf.wave(w) {
                 let _ = writeln!(plan_text, "{w} {k} {:?} {:?}", wf.chunk(k), wf.neighbors(k));

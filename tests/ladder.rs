@@ -164,7 +164,6 @@ fn the_wavefront_plan_keeps_its_invariants_on_every_design() {
             let label = format!("design {design} n={n}");
             let checked =
                 check_wavefront_plans(&label, &ModuleStore::new(), &prepared(design, n, 5));
-            assert!(checked >= 1, "{label}: the corpus is batchable");
             optimized += checked - 1;
         }
     }
@@ -245,8 +244,7 @@ fn the_wavefront_plan_wakes_a_sender_blocked_on_a_full_ring() {
     b.source(0, &vec![3; n as usize], "in");
     b.sink(2, n as usize + 1, "out");
     let m = b.build();
-    let batch = analyze(&m);
-    assert!(batch.batchable(), "{:?}", batch.reject_reason());
+    let batch = analyze(&m).unwrap();
     let wf = analyze_wavefront(&m, &batch, &[]);
     assert!(batch.traffic[1] > wf.capacities[1], "channel 1 can fill");
     check_wavefront_plan("full ring", &m, &batch, &wf);

@@ -6,9 +6,12 @@
 //! over random configurations of the design corpus (the whole-corpus
 //! sweep is the ladder matrix in `tests/ladder.rs`).
 //! A second proptest sweeps random synthetic transport networks through
-//! the fusion legality check: multi-producer/consumer topologies must
-//! reject chain fusion outright, and processes holding `Keep`/`Eject`
-//! endpoints (stationary stream ends) are never fused away.
+//! the fusion legality check: those whose walk derives channel tables
+//! (one producer and one consumer per channel, balanced traffic, as every
+//! elaborated module has) fuse only single-ended pure relays of one
+//! traffic, the tables come out mapped onto the fused module, and
+//! processes holding `Keep`/`Eject` endpoints (stationary stream ends)
+//! are never fused away.
 
 mod common;
 
@@ -17,19 +20,21 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use systolizer::interp::{elaborate, ElabOptions, SimSpec};
 use systolizer::runtime::{
-    optimize, optimize_without_scan, OptimizedModule, ProcIrBuilder, ProcIrModule, ProcOp,
+    analyze, check, optimize, optimize_without_scan, BatchPlan, OptimizedModule, ProcIrBuilder,
+    ProcIrModule, ProcOp,
 };
 
 /// `optimize` against the whole pipeline run without its early decline:
 /// both decline, or both return the same module, needs and report.
 /// Returns whether they rewrote it.
-fn same_as_without_scan(ctx: &str, module: &Arc<ProcIrModule>) -> bool {
-    let same = |a: &OptimizedModule, b: &OptimizedModule| {
+fn same_as_without_scan(ctx: &str, module: &Arc<ProcIrModule>, ends: &BatchPlan) -> bool {
+    let same = |(a, ta): &(OptimizedModule, BatchPlan), (b, tb): &(OptimizedModule, BatchPlan)| {
         a.module.same_structure(&b.module)
             && a.ring_needs == b.ring_needs
             && a.report.json() == b.report.json()
+            && ta == tb
     };
-    match (optimize(module), optimize_without_scan(module)) {
+    match (optimize(module, ends), optimize_without_scan(module, ends)) {
         (None, None) => false,
         (Some(a), Some(b)) if same(&a, &b) => true,
         (a, b) => panic!(
@@ -101,8 +106,8 @@ fn node() -> impl Strategy<Value = Node> {
 
 /// Assemble a [`ProcIrModule`] from node descriptors. The topology may
 /// be nonsensical as a program (dangling channels, unbalanced traffic);
-/// the optimizer's legality analysis must *reject* fusion there rather
-/// than misbehave.
+/// the walk then derives no tables, and the optimizer, whose input is a
+/// module with its tables, never sees it.
 fn build(nodes: &[Node]) -> Arc<ProcIrModule> {
     let mut b = ProcIrBuilder::new();
     for (i, node) in nodes.iter().enumerate() {
@@ -130,82 +135,152 @@ fn build(nodes: &[Node]) -> Arc<ProcIrModule> {
     b.build()
 }
 
-/// Per-channel (producer count, consumer count) in the pre-opt module.
+/// Per-channel (producer count, consumer count) in the pre-opt module:
+/// the processes with an op that sends on it, and that receive from it.
 fn fan(m: &ProcIrModule) -> Vec<(usize, usize)> {
     let mut fan = vec![(0usize, 0usize); m.n_chans];
     for pid in 0..m.procs.len() {
+        let (mut sends, mut recvs) = (vec![false; m.n_chans], vec![false; m.n_chans]);
         for op in m.ops_of(pid) {
             match *op {
-                ProcOp::Emit { chan } | ProcOp::Eject { chan, .. } => fan[chan].0 += 1,
-                ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => fan[chan].1 += 1,
+                ProcOp::Emit { chan } | ProcOp::Eject { chan, .. } => sends[chan] = true,
+                ProcOp::Collect { chan } | ProcOp::Keep { chan, .. } => recvs[chan] = true,
                 ProcOp::Pass { inp, out, .. } => {
-                    fan[inp].1 += 1;
-                    fan[out].0 += 1;
+                    recvs[inp] = true;
+                    sends[out] = true;
                 }
                 ProcOp::Compute { .. } => {}
             }
+        }
+        for (c, f) in fan.iter_mut().enumerate() {
+            f.0 += sends[c] as usize;
+            f.1 += recvs[c] as usize;
         }
     }
     fan
 }
 
+/// A transport network with channel tables by construction: per line
+/// of traffic `t`, a source of `t` values, a run of stages — a relay
+/// (`0`, `1`), or a stationary end (`2`, where `t` > 1) that keeps one
+/// value, ejects it to a sink of its own and passes the rest on — and a
+/// sink; the processes rotated so that chains are not numbered in flow
+/// order.
+fn balanced(lines: &[(u64, Vec<u8>)], rotate: usize) -> Vec<Node> {
+    let mut nodes = Vec::new();
+    let mut chans = 0..;
+    for (t, stages) in lines {
+        let (mut t, mut c) = (*t, chans.next().unwrap());
+        nodes.push(Node::Emitter {
+            chan: c,
+            count: t as usize,
+        });
+        for &stage in stages {
+            let out = chans.next().unwrap();
+            if stage == 2 && t > 1 {
+                let eject = chans.next().unwrap();
+                nodes.push(Node::Stationary {
+                    inp: c,
+                    thru: out,
+                    out: eject,
+                    n: t - 1,
+                });
+                nodes.push(Node::Sink {
+                    chan: eject,
+                    count: 1,
+                });
+                t -= 1;
+            } else {
+                nodes.push(Node::Relay { inp: c, out, n: t });
+            }
+            c = out;
+        }
+        nodes.push(Node::Sink {
+            chan: c,
+            count: t as usize,
+        });
+    }
+    let len = nodes.len();
+    nodes.rotate_left(rotate % len);
+    nodes
+}
+
+/// Fusion legality on a transport network: where its walk derives
+/// channel tables, only pure relays are ever deleted, chains demand
+/// single-producer / single-consumer channels end to end, and the mapped
+/// tables are the walk of the fused module.
+fn fusion_is_legal(nodes: &[Node]) -> Result<(), TestCaseError> {
+    let module = build(nodes);
+    let Ok(ends) = analyze(&module) else {
+        return Ok(());
+    };
+    let fan = fan(&module);
+    same_as_without_scan(&format!("{nodes:?}"), &module, &ends);
+    let Some((o, fused)) = optimize(&module, &ends) else {
+        return Ok(());
+    };
+    prop_assert_eq!(check(&o.module, &fused), Ok(()));
+    let r = &o.report;
+    for (pid, mapped) in r.proc_map.iter().enumerate() {
+        if mapped.is_none() {
+            prop_assert!(
+                matches!(nodes[pid], Node::Relay { .. }),
+                "fused process {pid} was {:?}, not a pure relay",
+                nodes[pid]
+            );
+        }
+    }
+    for ch in &r.chains {
+        prop_assert_eq!(fan[ch.entry], (1, 1), "chain entry channel is shared");
+        prop_assert_eq!(fan[ch.exit], (1, 1), "chain exit channel is shared");
+        prop_assert!(ch.capacity >= 1);
+        for &pid in &ch.relays {
+            prop_assert!(r.proc_map[pid].is_none(), "chain relay {pid} survives");
+            let &Node::Relay { inp, out, .. } = &nodes[pid] else {
+                prop_assert!(false, "chain relay {} is {:?}", pid, nodes[pid]);
+                unreachable!()
+            };
+            prop_assert_eq!(fan[inp], (1, 1));
+            prop_assert_eq!(fan[out], (1, 1));
+        }
+        // Balanced traffic along the chain.
+        for &pid in &ch.relays {
+            if let &Node::Relay { n, .. } = &nodes[pid] {
+                prop_assert_eq!(n, ch.traffic, "unbalanced relay fused");
+            }
+        }
+    }
+    // Bookkeeping is dense and consistent.
+    prop_assert_eq!(r.processes_before, module.procs.len());
+    prop_assert_eq!(r.processes_after, o.module.procs.len());
+    prop_assert_eq!(r.channels_after, o.module.n_chans);
+    let survivors = r.proc_map.iter().filter(|m| m.is_some()).count();
+    prop_assert_eq!(survivors, r.processes_after);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(256), ..ProptestConfig::default() })]
 
-    /// Fusion legality on arbitrary transport topologies: only pure
-    /// relays are ever deleted, chains demand single-producer /
-    /// single-consumer channels end to end, and a module with any
-    /// multi-endpoint channel grows no chains at all.
+    /// [`fusion_is_legal`] on arbitrary topologies, most of which have
+    /// no tables (dangling channels, unbalanced traffic).
     #[test]
     fn fusion_legality_on_random_transport_networks(
         nodes in proptest::collection::vec(node(), 1..12),
     ) {
-        let module = build(&nodes);
-        let fan = fan(&module);
-        let multi = fan.iter().any(|&(p, c)| p > 1 || c > 1);
-        same_as_without_scan(&format!("{nodes:?}"), &module);
-        let Some(o) = optimize(&module) else { return Ok(()) };
-        let r = &o.report;
-        if multi {
-            // Endpoint analysis bails module-wide on any shared channel:
-            // peephole rewrites may still fire, chains must not.
-            prop_assert!(r.chains.is_empty(), "chains on a multi-endpoint module");
-        }
-        for (pid, mapped) in r.proc_map.iter().enumerate() {
-            if mapped.is_none() {
-                prop_assert!(
-                    matches!(nodes[pid], Node::Relay { .. }),
-                    "fused process {pid} was {:?}, not a pure relay",
-                    nodes[pid]
-                );
-            }
-        }
-        for ch in &r.chains {
-            prop_assert_eq!(fan[ch.entry], (1, 1), "chain entry channel is shared");
-            prop_assert_eq!(fan[ch.exit], (1, 1), "chain exit channel is shared");
-            prop_assert!(ch.capacity >= 1);
-            for &pid in &ch.relays {
-                prop_assert!(r.proc_map[pid].is_none(), "chain relay {pid} survives");
-                let &Node::Relay { inp, out, .. } = &nodes[pid] else {
-                    prop_assert!(false, "chain relay {} is {:?}", pid, nodes[pid]);
-                    unreachable!()
-                };
-                prop_assert_eq!(fan[inp], (1, 1));
-                prop_assert_eq!(fan[out], (1, 1));
-            }
-            // Balanced traffic along the chain.
-            for &pid in &ch.relays {
-                if let &Node::Relay { n, .. } = &nodes[pid] {
-                    prop_assert_eq!(n, ch.traffic, "unbalanced relay fused");
-                }
-            }
-        }
-        // Bookkeeping is dense and consistent.
-        prop_assert_eq!(r.processes_before, module.procs.len());
-        prop_assert_eq!(r.processes_after, o.module.procs.len());
-        prop_assert_eq!(r.channels_after, o.module.n_chans);
-        let survivors = r.proc_map.iter().filter(|m| m.is_some()).count();
-        prop_assert_eq!(survivors, r.processes_after);
+        fusion_is_legal(&nodes)?;
+    }
+
+    /// [`fusion_is_legal`] on networks that have tables, as every
+    /// elaborated module does.
+    #[test]
+    fn fusion_legality_on_balanced_transport_networks(
+        lines in proptest::collection::vec((1u64..5, proptest::collection::vec(0u8..3, 0..5)), 1..5),
+        rotate in 0usize..64,
+    ) {
+        let nodes = balanced(&lines, rotate);
+        prop_assert!(analyze(&build(&nodes)).is_ok(), "{nodes:?}");
+        fusion_is_legal(&nodes)?;
     }
 }
 
@@ -222,7 +297,7 @@ fn the_early_decline_loses_no_rewrite_across_the_corpus() {
             for (opts_label, opts) in option_variants() {
                 let ctx = format!("design {design} n={n} {opts_label}");
                 let el = elaborate(&plan, &env, &store, &opts).unwrap();
-                if same_as_without_scan(&ctx, &el.module) {
+                if same_as_without_scan(&ctx, &el.module, &el.channels) {
                     rewritten += 1;
                 } else {
                     declined += 1;
@@ -242,7 +317,7 @@ fn mapping_report_round_trips_through_json() {
     let (plan, env, store) = prepared(3, 4, 7); // E.2 fuses
     let el = systolizer::interp::elaborate::elaborate(&plan, &env, &store, &ElabOptions::default())
         .unwrap();
-    let o = optimize(&el.module).expect("E.2 n=4 fuses");
+    let (o, _) = optimize(&el.module, &el.channels).expect("E.2 n=4 fuses");
     let j = o.report.to_json();
     assert!(j.contains("\"schema\": \"systolic-opt-v1\""));
     // The file parses with the one parser back to the value it was

@@ -4,13 +4,14 @@
 //! the Appendix B theorems, and execute equivalently to its own
 //! sequential semantics — on the reference engine and then on every rung
 //! of `simulate`'s ladder (`common::rungs`), whose wavefront plans must
-//! keep their invariants (`common::check_wavefront_plan`) and be eligible
-//! exactly when the batch proof holds (`common::assert_one_fast_engine`).
+//! keep their invariants (`common::check_wavefront_plan`), and whose
+//! channel tables must be the walk of their ops, fused module included
+//! (`common::assert_channel_law`).
 
 mod common;
 
 use common::{
-    assert_kernels_match_the_scalar_sweep, assert_one_fast_engine, assert_seq_matches_reference,
+    assert_channel_law, assert_kernels_match_the_scalar_sweep, assert_seq_matches_reference,
     check_wavefront_plans, plain_under, rungs, verify,
 };
 use proptest::prelude::*;
@@ -195,8 +196,7 @@ proptest! {
         let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
         let problem = (plan.clone(), env.clone(), store);
         let label = format!("{spec:?}");
-        let batchable =
-            assert_one_fast_engine(&label, ModuleStore::global(), &problem, &ElabOptions::default());
+        assert_channel_law(&label, ModuleStore::global(), &problem, &ElabOptions::default());
         // The paper's sequential-phase protocol is not deadlock-free for
         // every valid design (a reproduction finding; see EXPERIMENTS.md).
         // When it deadlocks, the split-propagation protocol must succeed
@@ -210,9 +210,7 @@ proptest! {
                     let res = verify(&plan, &env, &["a", "b"], seed, rung.spec());
                     prop_assert!(res.is_ok(), "{rung:?}: {:?} (spec {spec:?})", res.err());
                 }
-                if batchable {
-                    assert_kernels_match_the_scalar_sweep(&label, ModuleStore::global(), &problem);
-                }
+                assert_kernels_match_the_scalar_sweep(&label, ModuleStore::global(), &problem);
             }
             Err(e) if is_deadlock(&e) => {
                 let opts = ElabOptions {
