@@ -124,7 +124,8 @@ pub struct FastPlan {
     /// The wave structure of `module`; empty for a program the fast
     /// engine never runs ([`Elaborated::wide`]).
     pub wavefront: Arc<WavefrontPlan>,
-    /// Kernel eligibility of those waves.
+    /// Kernel eligibility of those waves; empty, like `wavefront`, for a
+    /// program the fast engine never runs.
     pub kernels: Arc<KernelPlan>,
 }
 
@@ -169,12 +170,14 @@ impl CachedModule {
                 Some(o) => (&o.0.module, &o.1, &o.0.ring_needs[..]),
                 None => (&el.module, &el.channels, &[][..]),
             };
-            let wavefront = Arc::new(if runs {
-                analyze_wavefront(module, batch, needs)
+            let (wavefront, kernels) = if runs {
+                let wavefront = analyze_wavefront(module, batch, needs);
+                let kernels = analyze_kernels(module, &wavefront);
+                (wavefront, kernels)
             } else {
-                WavefrontPlan::default()
-            });
-            let kernels = Arc::new(analyze_kernels(module, &wavefront));
+                (WavefrontPlan::default(), KernelPlan::default())
+            };
+            let (wavefront, kernels) = (Arc::new(wavefront), Arc::new(kernels));
             let ns = t.elapsed().as_nanos() as u64;
             self.fast_plan_ns.fetch_add(ns, Ordering::Relaxed);
             FastPlan {
@@ -190,12 +193,23 @@ impl CachedModule {
     /// `--opt-report`: the fast plan's staging shape over its module, or
     /// why the fast engine never runs the program.
     pub fn wavefront_json(&self) -> Json {
+        self.fast_section(|fast| fast.wavefront.json(&fast.module))
+    }
+
+    /// The `kernels` section of the metrics document: the fast plan's
+    /// eligibility split and scalar-fallback reasons, or why the fast
+    /// engine never runs the program.
+    pub fn kernels_json(&self) -> Json {
+        self.fast_section(|fast| fast.kernels.json())
+    }
+
+    /// A section describing one plan of the fast plan; for a program the
+    /// fast engine never runs ([`Elaborated::wide`]), `eligible: false`
+    /// and the reason instead.
+    fn fast_section(&self, section: impl FnOnce(&FastPlan) -> Json) -> Json {
         match &self.elab.wide {
             Some(why) => Json::obj([("eligible", false.into()), ("reason", why.as_str().into())]),
-            None => {
-                let fast = self.fast_plan();
-                fast.wavefront.json(&fast.module)
-            }
+            None => section(self.fast_plan()),
         }
     }
 

@@ -55,7 +55,7 @@ impl Observed {
     /// absent when the optimizer leaves the module untouched),
     /// `elab_cache`, `wavefront` (staging shape, or why the fast engine
     /// never runs the program) and `kernels` (eligibility split and
-    /// scalar-fallback reasons).
+    /// scalar-fallback reasons, or the same why).
     pub fn metrics_json(&self) -> String {
         let fast = self.module.fast_plan();
         let mut doc = self.report.json();
@@ -64,7 +64,7 @@ impl Observed {
         }
         doc.push("elab_cache", self.cache.json());
         doc.push("wavefront", self.module.wavefront_json());
-        doc.push("kernels", fast.kernels.json());
+        doc.push("kernels", self.module.kernels_json());
         doc.pretty()
     }
 }

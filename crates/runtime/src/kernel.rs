@@ -701,7 +701,9 @@ impl WaveBatch {
 /// windows is one unit (eligible, or scalar with a reason), a process
 /// without a repeater is one unit (scalar, "transport process"); the
 /// load and recover windows around a repeater are part of that process,
-/// not a fallback of their own.
+/// not a fallback of their own. The default is the plan of no module:
+/// nothing compiled, no chunk.
+#[derive(Default)]
 pub struct KernelPlan {
     /// Whether the module carries a statement (a non-empty tape).
     pub compiled: bool,

@@ -61,7 +61,7 @@ pub use kernel::{
     analyze_kernels, Kernel, KernelOp, KernelPlan, KernelReport, TapeSplit, WaveBatch,
     KERNEL_MAX_OPS,
 };
-pub use opt::{optimize, optimize_without_scan, ChainRecord, OptReport, OptimizedModule};
+pub use opt::{optimize, ChainRecord, OptReport, OptimizedModule};
 pub use process::{lock, ChanId, CommReq, Value};
 pub use procir::{MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord};
 pub use record::{

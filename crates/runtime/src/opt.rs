@@ -1,5 +1,4 @@
-//! The ProcIR optimizer: relay-chain fusion into delay rings, plus op
-//! peepholes that feed it.
+//! The ProcIR optimizer: relay-chain fusion into delay rings.
 //!
 //! Elaboration (Sec. 7.6 and `PS \ CS`) manufactures large numbers of
 //! processes that exist only to *delay* values: the `d - 1` internal
@@ -43,20 +42,14 @@
 //! ```
 //!
 //! The contract is: stores bit-identical, counts changed by exactly that
-//! law (the peepholes below change none, nor any channel's ends or
-//! traffic), and every structural decision written into the report
+//! law, and every structural decision written into the report
 //! (`systolic-opt-v1`) the caller can thread into metrics, the CLI, and
-//! the codegen agreement check.
-//!
-//! Pass ordering: op peepholes run **first** (drop zero-iteration ops,
-//! merge consecutive same-pair `Pass` repetitions, fuse an adjacent
-//! `Keep`/`Eject` pair into a `Pass` when the local is dead), because
-//! they can turn a process *into* a pure relay that chain fusion then
-//! consumes. The peepholes alone are stat-invariant; only chain
-//! deletion changes counts. The elaborator emits no zero-iteration op,
-//! so that peephole serves hand-built modules; and a module none of the
-//! passes could touch is declined by a read-only scan before anything is
-//! copied.
+//! the codegen agreement check. Fusion is the only rewrite: the
+//! elaborator emits no zero-count op, no two consecutive passes over one
+//! channel pair and no adjacent `Keep`/`Eject` of one slot, so no op list
+//! has anything to shorten (a law of the elaborator, asserted by the
+//! tier-1 suites on every corpus row and compiled random program). A
+//! module with no chain is declined before anything is copied.
 
 use crate::batch::BatchPlan;
 use crate::json::Json;
@@ -95,12 +88,6 @@ pub struct OptReport {
     pub channels_after: usize,
     pub ops_before: usize,
     pub ops_after: usize,
-    /// Zero-iteration `Pass`/`Compute` ops dropped.
-    pub zero_ops_dropped: u64,
-    /// Consecutive same-pair `Pass` ops merged away.
-    pub passes_merged: u64,
-    /// Adjacent `Keep`/`Eject` pairs rewritten to `Pass`.
-    pub keep_eject_fused: u64,
     /// Every fused chain, in discovery order.
     pub chains: Vec<ChainRecord>,
     /// Pre-opt `ProcId` → post-opt `ProcId`; `None` = deleted (fused
@@ -122,17 +109,13 @@ impl OptReport {
     /// One-line human summary for the CLI.
     pub fn summary(&self) -> String {
         format!(
-            "{} relays fused into {} delay rings, {}→{} processes, {}→{} channels, \
-             {} passes merged, {} keep/eject pairs fused, {} zero ops dropped",
+            "{} relays fused into {} delay rings, {}→{} processes, {}→{} channels",
             self.fused_relays(),
             self.chains.len(),
             self.processes_before,
             self.processes_after,
             self.channels_before,
             self.channels_after,
-            self.passes_merged,
-            self.keep_eject_fused,
-            self.zero_ops_dropped,
         )
     }
 
@@ -159,9 +142,6 @@ impl OptReport {
             ("channels_after", self.channels_after.into()),
             ("ops_before", self.ops_before.into()),
             ("ops_after", self.ops_after.into()),
-            ("zero_ops_dropped", self.zero_ops_dropped.into()),
-            ("passes_merged", self.passes_merged.into()),
-            ("keep_eject_fused", self.keep_eject_fused.into()),
             ("chains", Json::arr(self.chains.iter().map(chain))),
         ])
     }
@@ -191,191 +171,29 @@ pub struct OptimizedModule {
     pub report: Arc<OptReport>,
 }
 
-/// Run the pass pipeline over `module` and its channel tables `ends`,
-/// returning the rewrite with the tables mapped through it, or `None`
-/// when there is nothing to rewrite.
-///
-/// A read-only scan decides that before anything is copied: a module
-/// with no process a peephole applies to and no pure relay — every
-/// module the elaborator builds without relay buffers — costs one walk
-/// over its ops.
+/// Fuse the relay chains of `module`, found through its channel tables
+/// `ends`, returning the rewrite with the tables mapped through it, or
+/// `None` when there is no chain. The search reads the module in place,
+/// so a decline — any module without a relay, such as E.1's — copies
+/// nothing.
 pub fn optimize(
     module: &Arc<ProcIrModule>,
     ends: &BatchPlan,
 ) -> Option<(OptimizedModule, BatchPlan)> {
-    let rewritable = |pid| {
-        let ops = module.ops_of(pid);
-        peephole_applies(ops) || pure_relay(module, ops, pid).is_some()
-    };
-    if !(0..module.procs.len()).any(rewritable) {
+    let chains = find_chains(module, ends);
+    if chains.is_empty() {
         return None;
     }
-    optimize_without_scan(module, ends)
+    Some(rebuild(module, ends, chains))
 }
 
-/// [`optimize`] without its early decline: every pass over every
-/// process. The oracle the scan is held to (`tests/optimizer.rs`): where
-/// the scan declines, this returns `None` too.
-#[doc(hidden)]
-pub fn optimize_without_scan(
-    module: &Arc<ProcIrModule>,
-    ends: &BatchPlan,
-) -> Option<(OptimizedModule, BatchPlan)> {
-    let mut report = OptReport {
-        processes_before: module.procs.len(),
-        channels_before: module.n_chans,
-        ops_before: module.ops.len(),
-        proc_map: vec![None; module.procs.len()],
-        chan_map: vec![None; module.n_chans],
-        ..OptReport::default()
-    };
-
-    // Phase 1: op peepholes, per process, on copies of the op lists of
-    // the processes they change.
-    let cleaned: Vec<Option<Vec<ProcOp>>> = (0..module.procs.len())
-        .map(|pid| peephole(module, pid, &mut report))
-        .collect();
-    let ops_of = |pid: ProcId| cleaned[pid].as_deref().unwrap_or(module.ops_of(pid));
-    let touched_ops = report.zero_ops_dropped + report.passes_merged + report.keep_eject_fused > 0;
-
-    // Phase 2: chain discovery over pure relays, through the tables (the
-    // peepholes keep every channel's ends and traffic).
-    let chains = find_chains(module, ops_of, ends);
-    if chains.is_empty() && !touched_ops {
-        return None;
-    }
-
-    // Phase 3: rebuild the module without the fused relays.
-    Some(rebuild(module, ops_of, ends, chains, report))
-}
-
-/// Whether a peephole below rewrites anything in `ops`: a zero-iteration
-/// op, an adjacent `Keep`/`Eject` pair of one slot, or two consecutive
-/// passes over one channel pair.
-fn peephole_applies(ops: &[ProcOp]) -> bool {
-    let zero = |op: &ProcOp| matches!(op, ProcOp::Pass { n: 0, .. } | ProcOp::Compute { count: 0 });
-    let adjacent = |w: &[ProcOp]| match (w[0], w[1]) {
-        (ProcOp::Keep { chan: ci, slot: a }, ProcOp::Eject { chan: co, slot: b }) => {
-            a == b && ci != co
-        }
-        (ProcOp::Pass { inp: a, out: b, .. }, ProcOp::Pass { inp: c, out: d, .. }) => {
-            (a, b) == (c, d)
-        }
-        _ => false,
-    };
-    ops.iter().any(zero) || ops.windows(2).any(adjacent)
-}
-
-/// The op peepholes for one process: drop zero-iteration ops, fuse an
-/// adjacent dead `Keep`/`Eject` pair into a `Pass`, merge consecutive
-/// same-pair `Pass` repetitions. Each rewrite is stat-invariant (the
-/// rewritten ops retire the same logical sets and transfers). `None`
-/// when none applies: the process keeps its ops, uncopied.
-fn peephole(module: &ProcIrModule, pid: ProcId, report: &mut OptReport) -> Option<Vec<ProcOp>> {
-    if !peephole_applies(module.ops_of(pid)) {
-        return None;
-    }
-
-    // Pass A: zero-iteration ops retire no sets; deleting them is
-    // invisible (and can make a keep/eject pair adjacent).
-    let mut ops: Vec<ProcOp> = Vec::with_capacity(module.ops_of(pid).len());
-    for &op in module.ops_of(pid) {
-        match op {
-            ProcOp::Pass { n: 0, .. } | ProcOp::Compute { count: 0 } => {
-                report.zero_ops_dropped += 1;
-            }
-            _ => ops.push(op),
-        }
-    }
-
-    // Pass B: slot liveness. A slot is *live* — and its keep/eject
-    // pairs must stay — when a basic statement might read it (any
-    // surviving Compute: the body sees all locals), a moving link flows
-    // through it, or any Keep/Eject touches it outside an adjacent
-    // keep-then-eject pair. Dead slots exist only to forward one value,
-    // which is exactly `pass 1`.
-    let n_locals = module.procs[pid].n_locals as usize;
-    let mut slot_live = vec![false; n_locals];
-    if ops.iter().any(|o| matches!(o, ProcOp::Compute { .. })) {
-        slot_live.iter_mut().for_each(|l| *l = true);
-    }
-    for mc in module.moving_of(pid) {
-        slot_live[mc.slot as usize] = true;
-    }
-    let adjacent_pair = |i: usize| -> Option<(ChanId, ChanId, u32)> {
-        if let (
-            Some(&ProcOp::Keep { chan: c_in, slot }),
-            Some(&ProcOp::Eject {
-                chan: c_out,
-                slot: s2,
-            }),
-        ) = (ops.get(i), ops.get(i + 1))
-        {
-            if slot == s2 && c_in != c_out {
-                return Some((c_in, c_out, slot));
-            }
-        }
-        None
-    };
-    let mut i = 0;
-    while i < ops.len() {
-        if adjacent_pair(i).is_some() {
-            i += 2;
-        } else {
-            if let ProcOp::Keep { slot, .. } | ProcOp::Eject { slot, .. } = ops[i] {
-                slot_live[slot as usize] = true;
-            }
-            i += 1;
-        }
-    }
-
-    // Pass C: rewrite dead keep/eject pairs to `pass 1` and merge
-    // consecutive same-pair passes (the repetition counts simply add).
-    let mut out: Vec<ProcOp> = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        let op = match adjacent_pair(i) {
-            Some((c_in, c_out, slot)) if !slot_live[slot as usize] => {
-                report.keep_eject_fused += 1;
-                i += 2;
-                ProcOp::Pass {
-                    inp: c_in,
-                    out: c_out,
-                    n: 1,
-                }
-            }
-            _ => {
-                i += 1;
-                ops[i - 1]
-            }
-        };
-        if let (
-            Some(ProcOp::Pass {
-                inp: pi,
-                out: po,
-                n: pn,
-            }),
-            ProcOp::Pass { inp, out, n },
-        ) = (out.last_mut(), op)
-        {
-            if *pi == inp && *po == out {
-                *pn = pn.saturating_add(n);
-                report.passes_merged += 1;
-                continue;
-            }
-        }
-        out.push(op);
-    }
-    Some(out)
-}
-
-/// A process is a pure relay when, after cleanup, it is exactly one
-/// `Pass` between distinct channels and nothing else — no locals, no
-/// moving links, no output buffer. Such a process computes the identity
-/// stream function, so it (and only it) is a fusion candidate; in
-/// particular a `Keep`/`Eject` endpoint can never be fused away.
-fn pure_relay(module: &ProcIrModule, ops: &[ProcOp], pid: ProcId) -> Option<(ChanId, ChanId, u64)> {
-    match *ops {
+/// A process is a pure relay when it is exactly one `Pass` between
+/// distinct channels and nothing else — no `Keep`/`Eject`, no moving
+/// links, no output buffer. Such a process computes the identity stream
+/// function, so it (and only it) is a fusion candidate; in particular a
+/// `Keep`/`Eject` endpoint can never be fused away.
+fn pure_relay(module: &ProcIrModule, pid: ProcId) -> Option<(ChanId, ChanId, u64)> {
+    match *module.ops_of(pid) {
         [ProcOp::Pass { inp, out, n }]
             if inp != out
                 && n > 0
@@ -391,23 +209,20 @@ fn pure_relay(module: &ProcIrModule, ops: &[ProcOp], pid: ProcId) -> Option<(Cha
 /// Discover maximal linear chains of pure relays. Each chain needs a
 /// real (non-relay) producer feeding its entry channel and a real
 /// consumer on its exit channel — a cycle of pure relays has neither
-/// and is left alone.
-fn find_chains<'a>(
-    module: &ProcIrModule,
-    ops_of: impl Fn(ProcId) -> &'a [ProcOp],
-    ends: &BatchPlan,
-) -> Vec<ChainRecord> {
-    let relay = |pid| pure_relay(module, ops_of(pid), pid);
+/// and is left alone. Allocates nothing until it meets a relay.
+fn find_chains(module: &ProcIrModule, ends: &BatchPlan) -> Vec<ChainRecord> {
+    let relay = |pid| pure_relay(module, pid);
     let n = module.procs.len();
-    let mut in_chain = vec![false; n];
+    let mut in_chain = Vec::new();
     let mut chains = Vec::new();
     for seed in 0..n {
-        if in_chain[seed] {
+        if in_chain.get(seed) == Some(&true) {
             continue;
         }
         let Some((mut inp, _, traffic)) = relay(seed) else {
             continue;
         };
+        in_chain.resize(n, false);
         // Walk upstream to the chain's head, guarding against relay
         // cycles with a membership set.
         let mut members = vec![seed];
@@ -471,13 +286,19 @@ fn find_chains<'a>(
 /// to a chain's exit channel onto its entry channel, drop the interior
 /// channels, and renumber processes and channels densely — the tables
 /// with them.
-fn rebuild<'a>(
+fn rebuild(
     module: &Arc<ProcIrModule>,
-    ops_of: impl Fn(ProcId) -> &'a [ProcOp],
     ends: &BatchPlan,
     mut chains: Vec<ChainRecord>,
-    mut report: OptReport,
 ) -> (OptimizedModule, BatchPlan) {
+    let mut report = OptReport {
+        processes_before: module.procs.len(),
+        channels_before: module.n_chans,
+        ops_before: module.ops.len(),
+        proc_map: vec![None; module.procs.len()],
+        chan_map: vec![None; module.n_chans],
+        ..OptReport::default()
+    };
     let nc = module.n_chans;
     let mut removed_proc = vec![false; module.procs.len()];
     let mut redirect: Vec<ChanId> = (0..nc).collect();
@@ -490,7 +311,7 @@ fn rebuild<'a>(
         dropped_chan[ch.exit] = true;
         // Interior channels: every relay's input except the entry.
         for &pid in &ch.relays[1..] {
-            if let [ProcOp::Pass { inp, .. }] = *ops_of(pid) {
+            if let [ProcOp::Pass { inp, .. }] = *module.ops_of(pid) {
                 dropped_chan[inp] = true;
             }
         }
@@ -529,7 +350,7 @@ fn rebuild<'a>(
         }
         report.proc_map[pid] = Some(procs.len());
         let o0 = ops.len() as u32;
-        for op in ops_of(pid) {
+        for op in module.ops_of(pid) {
             ops.push(match *op {
                 ProcOp::Emit { chan } => ProcOp::Emit { chan: remap(chan) },
                 ProcOp::Collect { chan } => ProcOp::Collect { chan: remap(chan) },
@@ -709,50 +530,29 @@ mod tests {
     }
 
     /// Keep/Eject endpoints are never relay-fused: the keeping process
-    /// is not a pure relay, so the chain stops at its channel.
+    /// is not a pure relay, so the chains on either side of it stop at
+    /// its channels and it survives.
     #[test]
     fn keep_eject_endpoints_survive() {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[7], "src");
-        b.begin("keeper");
-        b.op(ProcOp::Keep { chan: 0, slot: 0 });
-        b.op(ProcOp::Compute { count: 0 });
-        b.op(ProcOp::Eject { chan: 1, slot: 0 });
-        // A second use of the slot, so the keep/eject peephole cannot
-        // rewrite it either (the dropped Compute makes it adjacent).
-        b.op(ProcOp::Eject { chan: 2, slot: 0 });
-        b.finish();
-        b.sink(1, 1, "sink");
-        b.sink(2, 1, "sink2");
-        let m = b.build();
-        let (o, _) = opt(&m).expect("the zero Compute is dropped");
-        assert_eq!(o.report.zero_ops_dropped, 1);
-        assert_eq!(o.report.keep_eject_fused, 0, "live local is kept");
-        assert!(o.report.chains.is_empty());
-        assert_eq!(o.module.procs.len(), m.procs.len());
-    }
-
-    /// keep s; eject s with a dead local becomes pass 1, which then
-    /// makes the process a pure relay the chain pass consumes.
-    #[test]
-    fn dead_keep_eject_becomes_a_relay_and_fuses() {
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[3, 4], "src");
-        b.relay(0, 1, 2, "buf");
+        b.relay(0, 1, 1, "in");
         b.begin("keeper");
         b.op(ProcOp::Keep { chan: 1, slot: 0 });
         b.op(ProcOp::Eject { chan: 2, slot: 0 });
-        b.op(ProcOp::Keep { chan: 1, slot: 0 });
-        b.op(ProcOp::Eject { chan: 2, slot: 0 });
         b.finish();
-        b.sink(2, 2, "sink");
+        b.relay(2, 3, 1, "out");
+        b.sink(3, 1, "sink");
         let m = b.build();
-        let (o, _) = opt(&m).expect("should rewrite and fuse");
-        assert_eq!(o.report.keep_eject_fused, 2);
-        assert_eq!(o.report.passes_merged, 1, "the two pass 1s merge");
-        assert_eq!(o.report.fused_relays(), 2, "relay and keeper both fuse");
-        assert_eq!(o.module.procs.len(), 2);
-        assert_eq!(run_fused(&o.module, &o.ring_needs)[0], vec![3, 4]);
+        let (o, _) = opt(&m).expect("the relays on either side fuse");
+        assert_eq!(o.report.chains.len(), 2);
+        assert_eq!(o.report.fused_relays(), 2);
+        let keeper = o.report.proc_map[2].expect("the keeper survives");
+        assert!(matches!(
+            o.module.ops_of(keeper),
+            [ProcOp::Keep { .. }, ProcOp::Eject { .. }]
+        ));
+        assert_eq!(run_fused(&o.module, &o.ring_needs)[0], vec![7]);
     }
 
     /// A chain's need is one slot per relay, at most its traffic; the
@@ -784,77 +584,6 @@ mod tests {
             assert_eq!(elaborated[0], vals, "{ctx}");
             assert_eq!(run_fused(&o.module, &o.ring_needs), elaborated, "{ctx}");
         }
-    }
-
-    /// Consecutive same-pair passes merge; different pairs do not.
-    #[test]
-    fn consecutive_passes_merge() {
-        let mut b = ProcIrBuilder::new();
-        b.begin("seg");
-        b.op(ProcOp::Pass {
-            inp: 0,
-            out: 1,
-            n: 2,
-        });
-        b.op(ProcOp::Pass {
-            inp: 0,
-            out: 1,
-            n: 3,
-        });
-        b.op(ProcOp::Pass {
-            inp: 2,
-            out: 3,
-            n: 1,
-        });
-        b.finish();
-        b.source(0, &[0; 5], "s0");
-        b.source(2, &[0; 1], "s2");
-        b.sink(1, 5, "k1");
-        b.sink(3, 1, "k3");
-        let m = b.build();
-        let (o, _) = opt(&m).expect("passes merge");
-        assert_eq!(o.report.passes_merged, 1);
-        let seg_ops = o.module.ops_of(o.report.proc_map[0].unwrap());
-        assert_eq!(seg_ops.len(), 2);
-        assert!(matches!(seg_ops[0], ProcOp::Pass { n: 5, .. }));
-    }
-
-    /// The peepholes copy only the processes they rewrite, and a module
-    /// with nothing to rewrite — no peephole applies, no process is a
-    /// pure relay — is declined by the scan alone.
-    #[test]
-    fn peepholes_copy_only_what_they_rewrite() {
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[1, 2], "src");
-        b.begin("cell");
-        b.op(ProcOp::Pass {
-            inp: 0,
-            out: 1,
-            n: 1,
-        });
-        b.op(ProcOp::Compute { count: 0 });
-        b.op(ProcOp::Pass {
-            inp: 0,
-            out: 1,
-            n: 1,
-        });
-        b.finish();
-        b.sink(1, 2, "sink");
-        let m = b.build();
-        let mut report = OptReport::default();
-        let copied: Vec<bool> = (0..3)
-            .map(|pid| peephole(&m, pid, &mut report).is_some())
-            .collect();
-        assert_eq!(copied, [false, true, false]);
-        assert_eq!((report.zero_ops_dropped, report.passes_merged), (1, 1));
-
-        let mut b = ProcIrBuilder::new();
-        b.source(0, &[1, 2], "src");
-        b.sink(0, 2, "sink");
-        let m = b.build();
-        assert!(!(0..2).any(|pid| peephole_applies(m.ops_of(pid))));
-        let ends = analyze(&m).unwrap();
-        assert!(optimize(&m, &ends).is_none() && optimize_without_scan(&m, &ends).is_none());
     }
 
     /// A closed loop of pure relays has no external endpoints and must

@@ -150,12 +150,21 @@ fn the_elaborated_module_runs_exactly_on_the_wavefront_engine() {
 /// The channel law (`systolic_runtime::batch`): on every corpus design
 /// and `fir.sys`, at five sizes from 0, under every protocol variant, the
 /// channel tables `instantiate` recorded equal the walk of the module's
-/// ops field by field — the fused module's too — and the default run
-/// takes the fast engine. (Every compiled random program gets the same
-/// check in `tests/random_programs.rs`.)
+/// ops field by field — the fused module's too — the module keeps the
+/// op law and the optimizer fuses every relay, and the default run takes
+/// the fast engine. (Every compiled random program gets the same check in
+/// `tests/random_programs.rs`.)
+///
+/// The same rows pin where the kernels do not reach (`docs/kernels.md`):
+/// every row runs some chunk on the kernels, and only transport processes
+/// take the scalar sweep, except on E.2 (design 3) under split
+/// propagation at n ≥ 1. There the escorts put transport windows into
+/// the one compute cycle, hexagonal in n, which therefore runs scalar —
+/// the one row shape the sweep's `Compute` arm still serves.
 #[test]
 fn the_channel_tables_are_the_walk_of_the_ops_and_every_row_runs_fast() {
-    let (mut cells, mut modules) = (0, 0);
+    const TRANSPORT: &str = "transport process (no compute op)";
+    let (mut cells, mut modules, mut cyclic) = (0, 0, 0);
     for design in 0..=CORPUS {
         for n in [0i64, 1, 2, 3, 5] {
             let problem = prepared(design, n, 13);
@@ -169,11 +178,31 @@ fn the_channel_tables_are_the_walk_of_the_ops_and_every_row_runs_fast() {
                 let ms = ModuleStore::new();
                 modules += assert_channel_law(&label, &ms, &problem, &elab);
                 cells += 1;
+
+                let (plan, env, store) = &problem;
+                let cm = ms.module(plan, env, store, &elab).unwrap();
+                let kernels = &cm.fast_plan().kernels;
+                let mut fallbacks: Vec<(&str, u64)> = kernels
+                    .fallbacks()
+                    .iter()
+                    .map(|(r, k)| (r.as_str(), *k))
+                    .collect();
+                fallbacks.retain(|&(reason, _)| reason != TRANSPORT);
+                if design == 3 && elab.split_propagation && n > 0 {
+                    let windows = format!("cyclic chunk ({} compute windows)", 3 * n * (n + 1) + 1);
+                    assert_eq!(fallbacks, [(windows.as_str(), 1)], "{label}");
+                    assert_eq!(kernels.eligible_chunks, 0, "{label}");
+                    cyclic += 1;
+                } else {
+                    assert_eq!(fallbacks, [], "{label}");
+                    assert!(kernels.eligible_chunks > 0, "{label}");
+                }
             }
         }
     }
-    println!("channel law: {cells} cells, {modules} modules checked");
+    println!("channel law: {cells} cells, {modules} modules checked, {cyclic} scalar cycles");
     assert_eq!(cells, (CORPUS + 1) * 5 * 8);
+    assert_eq!(cyclic, 16);
 }
 
 /// Case count override (see `tests/random_programs.rs`).

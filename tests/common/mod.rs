@@ -488,14 +488,47 @@ pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared)
     2
 }
 
+/// The op law of the elaborator: no process of an elaborated module
+/// holds a zero-count `Pass`/`Compute`, two consecutive `Pass` ops over
+/// one channel pair, or a `Keep` followed by an `Eject` of the same slot
+/// on another channel. Relay fusion is then the only rewrite the module
+/// admits, and the only one `systolic_runtime::optimize` makes. Returns
+/// the module's single-`Pass` processes: its relays.
+pub fn assert_lean_ops(label: &str, module: &ProcIrModule) -> usize {
+    let mut relays = 0;
+    for pid in 0..module.procs.len() {
+        let ops = module.ops_of(pid);
+        let at = |what: &str, i: usize| format!("{label}: {} op {i}: {what}", module.label_of(pid));
+        for (i, op) in ops.iter().enumerate() {
+            let zero = matches!(op, ProcOp::Pass { n: 0, .. } | ProcOp::Compute { count: 0 });
+            assert!(!zero, "{}", at("a zero-count op", i));
+        }
+        for (i, w) in ops.windows(2).enumerate() {
+            let shape = match (w[0], w[1]) {
+                (ProcOp::Pass { inp: a, out: b, .. }, ProcOp::Pass { inp: c, out: d, .. }) => {
+                    ((a, b) == (c, d)).then_some("two passes over one pair")
+                }
+                (ProcOp::Keep { chan: ci, slot: a }, ProcOp::Eject { chan: co, slot: b }) => {
+                    (a == b && ci != co).then_some("a keep/eject of one slot")
+                }
+                _ => None,
+            };
+            assert_eq!(shape.map(|what| at(what, i)), None);
+        }
+        relays += matches!(ops, [ProcOp::Pass { .. }]) as usize;
+    }
+    relays
+}
+
 /// The channel law on one problem: the channel tables the elaborator
 /// recorded equal, field by field, the walk of the module's ops
 /// (`systolic_runtime::check`, called here so that release builds run it
 /// too), and so do the tables the optimizer mapped onto the fused
-/// module; and the default run takes the fast engine. The run may
-/// deadlock (the paper protocol on some random designs); the tables are
-/// checked anyway. Returns the modules checked: 2 when the optimizer
-/// rewrote the module, else 1.
+/// module; the module keeps the op law ([`assert_lean_ops`]) and the
+/// optimizer fuses every relay in it; and the default run takes the fast
+/// engine. The run may deadlock (the paper protocol on some random
+/// designs); the tables are checked anyway. Returns the modules checked:
+/// 2 when the optimizer rewrote the module, else 1.
 pub fn assert_channel_law(
     label: &str,
     ms: &ModuleStore,
@@ -506,10 +539,13 @@ pub fn assert_channel_law(
     let cm = ms.module(plan, env, store, elab).unwrap();
     assert_eq!(check(&cm.elab.module, cm.batch_plan()), Ok(()), "{label}");
     assert_eq!(cm.elab.wide, None, "{label}: within the par-set mask");
+    let relays = assert_lean_ops(label, &cm.elab.module);
     let fast = cm.fast_plan();
     if let Some(od) = &fast.optimized {
         assert_eq!(check(&od.0.module, &od.1), Ok(()), "{label}, fused");
     }
+    let fused = fast.opt_report().map_or(0, |r| r.fused_relays());
+    assert_eq!(fused, relays, "{label}: every relay fuses");
     let spec = SimSpec {
         elab: elab.clone(),
         ..SimSpec::default()

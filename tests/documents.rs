@@ -15,7 +15,7 @@ const METRICS_KEYS: &str = "schema processes transfers end_time makespan critica
     phase_ops op_counts wait_hist msgs_per_time_hist per_process per_channel \
     optimizer elab_cache wavefront kernels";
 const OPT_KEYS: &str = "schema processes_before processes_after channels_before \
-    channels_after ops_before ops_after zero_ops_dropped passes_merged keep_eject_fused chains";
+    channels_after ops_before ops_after chains";
 /// The `elab_cache` section of the metrics document and of `/stats`: a
 /// miss's whole cost, phase by phase, beside the counters.
 const ELAB_CACHE_KEYS: &str = "skeleton_hits skeleton_misses module_hits module_misses \

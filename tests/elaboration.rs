@@ -7,14 +7,16 @@
 
 mod common;
 
-use common::{assert_kernels_match_the_scalar_sweep, option_variants, prepared, CORPUS};
+use common::{
+    assert_kernels_match_the_scalar_sweep, assert_lean_ops, option_variants, prepared, CORPUS,
+};
 use proptest::prelude::*;
 use systolizer::core::{compile, Options, StreamKind};
 use systolizer::interp::runtime_gen::agree_with_procir;
 use systolizer::interp::{elaborate, simulate, BatchMode, ElabOptions, ModuleStore, SimSpec};
 use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
-use systolizer::runtime::{optimize, ProcOp};
+use systolizer::runtime::ProcOp;
 use systolizer::synthesis::placement::paper;
 
 #[test]
@@ -108,8 +110,10 @@ fn elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus() {
 
 /// A zero-count pass has nothing to run, and the elaborator emits none:
 /// not for a soak, drain, load or recover count of 0, nor for the relays
-/// of a zero-length pipe, which stay processes without ops. So the
-/// optimizer finds no zero-count op to drop in any elaborated module.
+/// of a zero-length pipe, which stay processes without ops. Nor does it
+/// emit any other shape an op peephole would rewrite
+/// (`common::assert_lean_ops`), so relay fusion is the optimizer's one
+/// rewrite.
 #[test]
 fn no_elaborated_module_holds_a_zero_count_pass() {
     for design in 0..=CORPUS {
@@ -119,14 +123,7 @@ fn no_elaborated_module_holds_a_zero_count_pass() {
                 let ctx = format!("design {design} ({}) n={n} {opts_label}", plan.source.name);
                 let el =
                     elaborate(&plan, &env, &store, &opts).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                for pid in 0..el.module.procs.len() {
-                    let zero = |op: &&ProcOp| matches!(op, ProcOp::Pass { n: 0, .. });
-                    let found = el.module.ops_of(pid).iter().find(zero);
-                    assert_eq!(found, None, "{ctx}: {}", el.module.label_of(pid));
-                }
-                if let Some((o, _)) = optimize(&el.module, &el.channels) {
-                    assert_eq!(o.report.zero_ops_dropped, 0, "{ctx}");
-                }
+                assert_lean_ops(&ctx, &el.module);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Differential suite for the ProcIR optimizer (`systolic_runtime::opt`,
 //! see `docs/process-ir.md`): every fast run fuses relay chains into
-//! delay rings and rewrites ops, but the recovered store must stay
+//! delay rings, but the recovered store must stay
 //! bit-identical to the plain engine's, the exactness oracle, and the
 //! counts must follow the optimizer's count law,
 //! over random configurations of the design corpus (the whole-corpus
@@ -15,35 +15,11 @@
 
 mod common;
 
-use common::{assert_count_law, option_variants, prepared, run, CORPUS};
+use common::{assert_count_law, prepared, run};
 use proptest::prelude::*;
 use std::sync::Arc;
-use systolizer::interp::{elaborate, ElabOptions, SimSpec};
-use systolizer::runtime::{
-    analyze, check, optimize, optimize_without_scan, BatchPlan, OptimizedModule, ProcIrBuilder,
-    ProcIrModule, ProcOp,
-};
-
-/// `optimize` against the whole pipeline run without its early decline:
-/// both decline, or both return the same module, needs and report.
-/// Returns whether they rewrote it.
-fn same_as_without_scan(ctx: &str, module: &Arc<ProcIrModule>, ends: &BatchPlan) -> bool {
-    let same = |(a, ta): &(OptimizedModule, BatchPlan), (b, tb): &(OptimizedModule, BatchPlan)| {
-        a.module.same_structure(&b.module)
-            && a.ring_needs == b.ring_needs
-            && a.report.json() == b.report.json()
-            && ta == tb
-    };
-    match (optimize(module, ends), optimize_without_scan(module, ends)) {
-        (None, None) => false,
-        (Some(a), Some(b)) if same(&a, &b) => true,
-        (a, b) => panic!(
-            "{ctx}: the scan says {}, the whole pipeline {}",
-            a.is_some(),
-            b.is_some()
-        ),
-    }
-}
+use systolizer::interp::{ElabOptions, SimSpec};
+use systolizer::runtime::{analyze, check, optimize, ProcIrBuilder, ProcIrModule, ProcOp};
 
 /// Case count override (see `tests/random_programs.rs`).
 fn env_cases(default: u32) -> u32 {
@@ -215,7 +191,6 @@ fn fusion_is_legal(nodes: &[Node]) -> Result<(), TestCaseError> {
         return Ok(());
     };
     let fan = fan(&module);
-    same_as_without_scan(&format!("{nodes:?}"), &module, &ends);
     let Some((o, fused)) = optimize(&module, &ends) else {
         return Ok(());
     };
@@ -282,33 +257,6 @@ proptest! {
         prop_assert!(analyze(&build(&nodes)).is_ok(), "{nodes:?}");
         fusion_is_legal(&nodes)?;
     }
-}
-
-/// Wherever `optimize` declines after its read-only scan, running the
-/// peepholes and the chain search anyway changes nothing; wherever it
-/// rewrites, it is the whole pipeline. On the corpus both happen: E.1
-/// has nothing to rewrite, the designs with relay buffers fuse them.
-#[test]
-fn the_early_decline_loses_no_rewrite_across_the_corpus() {
-    let (mut declined, mut rewritten) = (0, 0);
-    for design in 0..=CORPUS {
-        for n in [0i64, 1, 2, 3, 5] {
-            let (plan, env, store) = prepared(design, n, 7);
-            for (opts_label, opts) in option_variants() {
-                let ctx = format!("design {design} n={n} {opts_label}");
-                let el = elaborate(&plan, &env, &store, &opts).unwrap();
-                if same_as_without_scan(&ctx, &el.module, &el.channels) {
-                    rewritten += 1;
-                } else {
-                    declined += 1;
-                }
-            }
-        }
-    }
-    assert!(
-        declined > 0 && rewritten > 0,
-        "{declined} declined, {rewritten} rewritten"
-    );
 }
 
 #[test]
