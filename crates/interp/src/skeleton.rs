@@ -34,11 +34,11 @@
 //! `Piecewise` evaluators (`first_at` / `count_at`), the sequential
 //! evaluator `systolic_ir::seq` (every executor's stores), and
 //! `systolic_math::speceval`'s unit test that size-parametric and
-//! size-bound specialization agree; `tests/elaboration.rs` holds the
-//! first two against every corpus design, size and options variant. The
+//! size-bound specialization agree; `tests/matrix.rs` holds the first
+//! two against every corpus design, size and options variant. The
 //! channel tables the sweep records are held to the module's ops by
 //! `systolic_runtime::check` (on every instantiation in debug builds, and
-//! in `tests/batching.rs`).
+//! in `tests/matrix.rs`).
 //!
 //! Skeletons are immutable and `Arc`-shared; the module cache
 //! (`crate::cache`) sits in front of both phases, and

@@ -27,7 +27,8 @@
 //! after-the-fact legality check of a fact computed symbolically. It
 //! runs on every module miss in debug builds (the elaborated module and
 //! the fused one) and over the corpus and every random program in
-//! tier-1 (`tests/batching.rs`); no release-build miss calls it.
+//! tier-1 (the `channel law` column of `tests/matrix.rs`); no
+//! release-build miss calls it.
 
 use crate::process::ChanId;
 use crate::procir::{ProcId, ProcIrModule, ProcOp};

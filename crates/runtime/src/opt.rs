@@ -498,7 +498,7 @@ mod tests {
     /// words, same order, same per-process ranges — so a segment gathered
     /// for one binds to the other. Sources sit before, between and after
     /// the fused chains here so a reordering would show. (The same on
-    /// the design corpus: `tests/binding.rs`.)
+    /// the design corpus: the `binding` column of `tests/matrix.rs`.)
     #[test]
     fn the_data_segment_survives_fusion_word_for_word() {
         let mut b = ProcIrBuilder::new();

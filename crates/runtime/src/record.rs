@@ -24,7 +24,7 @@
 //! each once and hands it to the op step and its own hooks alike. Every hook in the runtime is behind an "any recorder
 //! attached?" branch: with no recorder the hot paths gain one predictable
 //! branch and allocate nothing (the zero-cost-when-off contract: the
-//! goldens of `tests/determinism.rs` pin the counts with and without a
+//! goldens of `tests/matrix.rs` pin the counts with and without a
 //! recorder; the unobserved path is what `benchmark/` times, as
 //! `interp.simulate.us.*` beside `bench.trace_overhead_pct`).
 //!

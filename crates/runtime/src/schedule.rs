@@ -18,7 +18,7 @@
 //!   SchedulePolicy>>` that is `None` by default; the round path tests
 //!   one discriminant and otherwise runs the historical code unchanged.
 //!   [`FifoPolicy`] (the explicit identity policy) is pinned bit-identical
-//!   to the unhooked engine by `tests/determinism.rs`.
+//!   to the unhooked engine by the goldens of `tests/matrix.rs`.
 //! - **Permutations only, deferral bounded.** A policy may reorder a
 //!   round's candidates and may *defer* some of them to the next round
 //!   (modelling bounded rendezvous delays), but it must not invent or
@@ -79,7 +79,7 @@ pub trait SchedulePolicy: Send {
 
 /// The explicit identity policy: fires channels in ascending order,
 /// re-steps processes in ascending order, defers nothing — bit-identical
-/// to running with no policy attached (pinned by `tests/determinism.rs`).
+/// to running with no policy attached (pinned by `tests/matrix.rs`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FifoPolicy;
 

@@ -1,25 +1,31 @@
-//! Shared by the integration suites: the design corpus and the seeded
-//! equivalence experiment.
+//! Shared by the integration suites: the design corpus, the seeded
+//! equivalence experiment, and the differential matrix ([`matrix`]).
 #![allow(dead_code)]
 
-use systolizer::core::{compile, Options, SystolicProgram};
+pub mod matrix;
+
+use std::sync::{Arc, OnceLock};
+use systolizer::core::{compile, Options, StreamKind, SystolicProgram};
 use systolizer::interp::{
-    seeded_store, simulate, simulate_verified, BatchMode, ElabOptions, ModuleStore, SimSpec,
+    seeded_store, simulate, simulate_verified, CachedModule, ElabOptions, ModuleStore, SimSpec,
     SystolicRun, VerifyError,
 };
 use systolizer::ir::{gallery, seq, HostStore, SourceProgram, Value};
 use systolizer::math::Env;
 use systolizer::runtime::{
-    analyze_wavefront, check, run_wavefront, BatchPlan, ProcIrModule, ProcOp, RunStats,
-    WavefrontPlan, Window,
+    analyze_wavefront, run_wavefront, BatchPlan, ProcIrModule, ProcOp, RunStats, WavefrontPlan,
+    Window,
 };
 use systolizer::synthesis::{derive_array, placement::paper};
 
 /// Designs `0..CORPUS` of [`prepared`]: the 4 paper appendix designs
 /// followed by the 5 gallery programs on derived arrays. Index `CORPUS`
 /// is the shipped `programs/fir.sys` through the full front end — its
-/// long relay pipes make it a second witness for chain fusion.
+/// long relay pipes make it a second witness for chain fusion — and
+/// [`MATMUL_SYS`] and [`POLYPROD_SYS`] the other two shipped programs.
 pub const CORPUS: usize = 9;
+pub const MATMUL_SYS: usize = CORPUS + 1;
+pub const POLYPROD_SYS: usize = CORPUS + 2;
 
 /// Every elaboration-options variant the executors can request.
 pub fn option_variants() -> Vec<(&'static str, ElabOptions)> {
@@ -49,36 +55,106 @@ pub fn option_variants() -> Vec<(&'static str, ElabOptions)> {
     ]
 }
 
+/// A proptest's case count: `default`, or `PROPTEST_CASES` for a deeper
+/// run (CI's release jobs).
+pub fn env_cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
 /// A compiled design at one size with its seeded input data.
 pub type Prepared = (SystolicProgram, Env, HostStore);
+
+/// The same with the plan shared.
+pub type Problem = (Arc<SystolicProgram>, Env, HostStore);
+
+/// The compiled plan of design `design` (see [`CORPUS`]), compiled once
+/// per process.
+pub fn plan_of(design: usize) -> Arc<SystolicProgram> {
+    static PLANS: OnceLock<Vec<Arc<SystolicProgram>>> = OnceLock::new();
+    let plans = PLANS.get_or_init(|| {
+        let mut plans: Vec<SystolicProgram> = paper::all()
+            .into_iter()
+            .map(|(_, p, a)| compile(&p, &a, &Options::default()).unwrap())
+            .collect();
+        for p in gallery::all() {
+            let a = derive_array(&p, 2, 4).unwrap();
+            plans.push(compile(&p, &a, &Options::default()).unwrap());
+        }
+        for src in [
+            include_str!("../../programs/fir.sys"),
+            include_str!("../../programs/matmul.sys"),
+            include_str!("../../programs/polyprod.sys"),
+        ] {
+            let sys = systolizer::systolize_source(src, &Default::default()).unwrap();
+            plans.push(sys.plan);
+        }
+        plans.into_iter().map(Arc::new).collect()
+    });
+    Arc::clone(&plans[design])
+}
+
+/// Design `design` with its size parameters bound to `sizes` in order
+/// (one value binds them all), and its inputs seeded.
+pub fn problem(design: usize, sizes: &[i64], seed: u64) -> Problem {
+    let plan = plan_of(design);
+    let env = bind(&plan, sizes);
+    let store = seeded_store(&plan, &env, inputs_of(design), seed);
+    (plan, env, store)
+}
+
+/// `plan`'s size parameters bound to `sizes` in order; one value binds
+/// them all.
+pub fn bind(plan: &SystolicProgram, sizes: &[i64]) -> Env {
+    let mut env = Env::new();
+    for (i, &s) in plan.source.sizes.iter().enumerate() {
+        env.bind(s, sizes[i.min(sizes.len() - 1)]);
+    }
+    env
+}
+
+/// The input variables of design `design`.
+pub fn inputs_of(design: usize) -> &'static [&'static str] {
+    match design {
+        7 | CORPUS => &["h", "x"],
+        MATMUL_SYS => &["a", "b", "c"],
+        _ => &["a", "b"],
+    }
+}
 
 /// Compile one design of the corpus at size `n` (every size parameter),
 /// with seeded inputs.
 pub fn prepared(design: usize, n: i64, seed: u64) -> Prepared {
-    let plan = if design < 4 {
-        let (_, p, a) = paper::all().swap_remove(design);
-        compile(&p, &a, &Options::default()).unwrap()
-    } else if design < CORPUS {
-        let p = gallery::all().swap_remove(design - 4);
-        let a = derive_array(&p, 2, 4).unwrap();
-        compile(&p, &a, &Options::default()).unwrap()
-    } else {
-        let src = include_str!("../../programs/fir.sys");
-        systolizer::systolize_source(src, &Default::default())
-            .unwrap()
-            .plan
-    };
-    let mut env = Env::new();
-    for &s in &plan.source.sizes {
-        env.bind(s, n);
+    let (plan, env, store) = problem(design, &[n], seed);
+    ((*plan).clone(), env, store)
+}
+
+/// The committed golden file `tests/golden/<name>`.
+pub fn read_golden(name: &str) -> String {
+    let path = golden_dir().join(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|_| panic!("missing golden file {path:?}; run with UPDATE_GOLDEN=1"))
+}
+
+pub fn golden_dir() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
+}
+
+/// `actual` must be the golden file `name` byte for byte; with
+/// `UPDATE_GOLDEN` set it becomes it.
+pub fn check_golden(name: &str, actual: &str) {
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::create_dir_all(golden_dir()).unwrap();
+        std::fs::write(golden_dir().join(name), actual).unwrap();
+        return;
     }
-    let inputs: &[&str] = if plan.source.name.starts_with("fir") {
-        &["h", "x"]
-    } else {
-        &["a", "b"]
-    };
-    let store = seeded_store(&plan, &env, inputs, seed);
-    (plan, env, store)
+    assert_eq!(
+        actual,
+        read_golden(name),
+        "generated text for {name} changed; review and regenerate with UPDATE_GOLDEN=1"
+    );
 }
 
 /// The oracle's own oracle: the point-by-point sequential walker
@@ -123,7 +199,10 @@ pub fn assert_seq_matches_reference(
 
 /// Compile a `rustgen` program with `rustc` (`-O` when `optimized`, else
 /// the debug profile with its overflow checks), run it, and hold it to
-/// its embedded self-check against the sequential reference.
+/// its embedded self-check against the sequential reference. Two codegen
+/// units and no cross-unit LTO: the suites compile two programs at a
+/// time, and rustc's default of 16 units made each compile about a
+/// third slower on a 2-vCPU host.
 pub fn compile_and_run(name: &str, source: &str, optimized: bool) {
     use std::process::Command;
     let dir = std::env::temp_dir().join(format!("systolizer-gen-{name}-{}", std::process::id()));
@@ -134,6 +213,7 @@ pub fn compile_and_run(name: &str, source: &str, optimized: bool) {
 
     let out = Command::new("rustc")
         .args(optimized.then_some("-O"))
+        .args(["-Ccodegen-units=2", "-Clto=off"])
         .arg("-o")
         .arg(&bin_path)
         .arg(&src_path)
@@ -198,88 +278,6 @@ pub fn verify(
 ) -> Result<SystolicRun, VerifyError> {
     let store = seeded_store(plan, env, inputs, seed);
     simulate_verified(ModuleStore::global(), plan, env, &store, spec)
-}
-
-/// One rung of `simulate`'s ladder (see the diagram in
-/// `docs/scheduler.md`): what a [`SimSpec`] can choose besides the
-/// program, the data and the protocol variant.
-#[derive(Clone, Copy, Debug)]
-pub struct Rung {
-    pub batch: BatchMode,
-}
-
-impl Rung {
-    pub fn spec(self) -> SimSpec {
-        SimSpec {
-            batch: self.batch,
-            ..SimSpec::default()
-        }
-    }
-}
-
-/// Each distinct execution once: the plain rendezvous rung and the
-/// wavefront rung, whose eligible chunks always take the kernels
-/// ([`assert_kernels_match_the_scalar_sweep`] holds them to the sweep the
-/// rest take).
-pub fn rungs() -> Vec<Rung> {
-    vec![
-        Rung {
-            batch: BatchMode::Off,
-        },
-        Rung {
-            batch: BatchMode::Auto,
-        },
-    ]
-}
-
-/// The kernel path held to the runtime's scalar reference. The cached
-/// fast plan of `prepared` runs through `run_wavefront` with its kernel
-/// plan and without one — the scalar sweep every ineligible chunk takes —
-/// over the problem's own data. The two runs must have equal stats
-/// (rounds included) and sinks. Both must equal `simulate`'s default run:
-/// its stats and kernel report are the kernel run's, and its store is
-/// that of the plain rung, which `simulate_verified` holds to the
-/// sequential oracle. Its counts are the plain rung's by the optimizer's
-/// count law. Returns the default run.
-pub fn assert_kernels_match_the_scalar_sweep(
-    ctx: &str,
-    ms: &ModuleStore,
-    prepared: &Prepared,
-) -> SystolicRun {
-    let (plan, env, store) = prepared;
-    let plain = simulate_verified(ms, plan, env, store, SimSpec::plain())
-        .unwrap_or_else(|e| panic!("{ctx}: plain rung: {e}"));
-    let run = simulate(ms, plan, env, store, SimSpec::default())
-        .unwrap_or_else(|e| panic!("{ctx}: default run: {e}"));
-    assert!(run.wavefront, "{ctx}: the default run is a wavefront run");
-    assert_eq!(run.store, plain.store, "{ctx}: default run vs plain rung");
-    assert_count_law(ctx, &plain.stats, &run);
-
-    let cm = ms
-        .module(plan, env, store, &ElabOptions::default())
-        .unwrap();
-    let (el, fast) = (&cm.elab, cm.fast_plan());
-    let module = fast.module.with_data(el.gather(store).unwrap());
-    let (kstats, ksinks, report) =
-        run_wavefront(&module, &fast.wavefront, Some(&fast.kernels), false).unwrap();
-    let (sstats, ssinks, _) = run_wavefront(&module, &fast.wavefront, None, false).unwrap();
-    assert_eq!(kstats, sstats, "{ctx}: kernels vs scalar sweep");
-    assert_eq!(ksinks, ssinks, "{ctx}: kernels vs scalar sweep");
-    assert_eq!(
-        kstats, run.stats,
-        "{ctx}: the default run is the kernel run"
-    );
-    assert_eq!(Some(report), run.kernel, "{ctx}: kernel report");
-    for out in &el.outputs {
-        let raw = plain.store.get(&out.variable).raw();
-        let want: Vec<_> = el
-            .words_of(out)
-            .iter()
-            .map(|&at| raw[at as usize])
-            .collect();
-        assert_eq!(ksinks[out.output as usize], want, "{ctx}: {}", out.variable);
-    }
-    run
 }
 
 /// The optimizer's count law (`systolic_runtime::opt`): a run counts
@@ -457,13 +455,9 @@ pub fn check_wavefront_plan(
 
 /// [`check_wavefront_plan`] on the elaborated module's plan, built
 /// through the runtime API, and on the fast plan `simulate` takes for
-/// this problem off `ms` — one and the same plan unless the optimizer
-/// rewrote the module. Returns how many distinct plans it checked.
-pub fn check_wavefront_plans(label: &str, ms: &ModuleStore, prepared: &Prepared) -> usize {
-    let (plan, env, store) = prepared;
-    let cm = ms
-        .module(plan, env, store, &ElabOptions::default())
-        .unwrap();
+/// this module — one and the same plan unless the optimizer rewrote the
+/// module. Returns how many distinct plans it checked.
+pub fn check_wavefront_plans(label: &str, cm: &CachedModule) -> usize {
     let elaborated = analyze_wavefront(&cm.elab.module, cm.batch_plan(), &[]);
     check_wavefront_plan(
         &format!("{label}, as elaborated"),
@@ -518,40 +512,4 @@ pub fn assert_lean_ops(label: &str, module: &ProcIrModule) -> usize {
         relays += matches!(ops, [ProcOp::Pass { .. }]) as usize;
     }
     relays
-}
-
-/// The channel law on one problem: the channel tables the elaborator
-/// recorded equal, field by field, the walk of the module's ops
-/// (`systolic_runtime::check`, called here so that release builds run it
-/// too), and so do the tables the optimizer mapped onto the fused
-/// module; the module keeps the op law ([`assert_lean_ops`]) and the
-/// optimizer fuses every relay in it; and the default run takes the fast
-/// engine. The run may deadlock (the paper protocol on some random
-/// designs); the tables are checked anyway. Returns the modules checked:
-/// 2 when the optimizer rewrote the module, else 1.
-pub fn assert_channel_law(
-    label: &str,
-    ms: &ModuleStore,
-    prepared: &Prepared,
-    elab: &ElabOptions,
-) -> usize {
-    let (plan, env, store) = prepared;
-    let cm = ms.module(plan, env, store, elab).unwrap();
-    assert_eq!(check(&cm.elab.module, cm.batch_plan()), Ok(()), "{label}");
-    assert_eq!(cm.elab.wide, None, "{label}: within the par-set mask");
-    let relays = assert_lean_ops(label, &cm.elab.module);
-    let fast = cm.fast_plan();
-    if let Some(od) = &fast.optimized {
-        assert_eq!(check(&od.0.module, &od.1), Ok(()), "{label}, fused");
-    }
-    let fused = fast.opt_report().map_or(0, |r| r.fused_relays());
-    assert_eq!(fused, relays, "{label}: every relay fuses");
-    let spec = SimSpec {
-        elab: elab.clone(),
-        ..SimSpec::default()
-    };
-    if let Ok(run) = simulate(ms, plan, env, store, spec) {
-        assert!(run.wavefront, "{label}: the default run is a fast run");
-    }
-    1 + fast.optimized.is_some() as usize
 }

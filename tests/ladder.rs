@@ -1,173 +1,29 @@
-//! The ladder matrix: every rung `simulate` can take (see the diagram in
-//! `docs/scheduler.md`), on every design of the corpus, through
-//! `simulate_verified` — so each run is compared with the sequential
-//! reference — off one private `ModuleStore` per (design, size).
+//! The ladder: every rung `simulate` can take (see the diagram in
+//! `docs/scheduler.md`). Which rung engages, the oracle's store on each,
+//! the count law between them and one elaboration per (design, size,
+//! data, protocol variant) are columns of `tests/matrix.rs`, and so are
+//! the wavefront plan's own invariants (windows tile the processes,
+//! every edge stays in a chunk or climbs a wave, chunks are strongly
+//! connected); the tests of those names below run their columns on the
+//! rows their loops reached.
 //!
-//! Pinned per rung: which of `wavefront` /
-//! `kernel` / `opt` engaged; the logical `messages`/`steps`/`processes`
-//! of the plain engine less exactly what the optimizer's report itemizes
-//! (the count law, `common::assert_count_law`); one elaboration per
-//! (design, size, data, protocol variant) however many rungs ran.
-//!
-//! Beside it, the wavefront plan's own invariants (windows tile the
-//! processes, every edge stays in a chunk or climbs a wave, chunks are
-//! strongly connected) on every design, raw and optimized, and the
-//! shipped `programs/matmul.sys` at the sizes where one channel carries a
-//! load value and a recover value, and a hand-built channel busier than
-//! its ring.
+//! Beside them: the shipped `programs/matmul.sys` at the sizes where one
+//! channel carries a load value and a recover value, a hand-built
+//! channel busier than its ring, and the run arena reused across the
+//! corpus.
 
 mod common;
 
-use common::{
-    assert_count_law, assert_kernels_match_the_scalar_sweep, check_wavefront_plan,
-    check_wavefront_plans, prepared, rungs, CORPUS,
-};
-use systolizer::interp::{simulate_verified, BatchMode, ElabOptions, ModuleStore, SimSpec};
-use systolizer::runtime::{
-    analyze, analyze_wavefront, ChanId, FifoPolicy, ProcIrBuilder, ProcOp, SchedulePolicy,
-    WAVEFRONT_RING_CAP,
-};
+use common::matrix::{check_row, Case, KERNELS};
+use common::{assert_count_law, check_wavefront_plan, check_wavefront_plans, CORPUS};
+use std::sync::Arc;
+use systolizer::interp::{simulate_verified, ElabOptions, ModuleStore, SimSpec};
+use systolizer::runtime::{analyze, analyze_wavefront, ProcIrBuilder, ProcOp, WAVEFRONT_RING_CAP};
 
-/// Reverses each round's firing order and honestly reports
-/// `is_fifo() == false`.
-struct ReversePolicy;
-
-impl SchedulePolicy for ReversePolicy {
-    fn schedule_round(&mut self, _round: u64, fire: &mut Vec<ChanId>, _defer: &mut Vec<ChanId>) {
-        fire.reverse();
-    }
-
-    fn label(&self) -> String {
-        "reverse".into()
-    }
-}
-
-#[test]
-fn every_rung_matches_the_oracle_with_the_documented_engagement() {
-    let mut fused_somewhere = false;
-    // `..=`: the shipped `fir.sys` too, the second chain-fusion witness.
-    for design in 0..=CORPUS {
-        for n in [2i64, 4] {
-            let problem = prepared(design, n, 23);
-            let (plan, env, store) = &problem;
-            let ms = ModuleStore::new();
-            let verified = |ctx: &str, spec: SimSpec| {
-                simulate_verified(&ms, plan, env, store, spec)
-                    .unwrap_or_else(|e| panic!("design {design} n={n} {ctx}: {e}"))
-            };
-            let base = verified("plain", SimSpec::plain());
-            assert!(!base.wavefront && base.opt.is_none());
-            assert!(base.kernel.is_none());
-
-            // Whether the optimizer rewrites this module: the first
-            // rung that may say so decides, every later one must agree.
-            let mut fuses = None;
-            for rung in rungs() {
-                let ctx = format!("design {design} n={n} {rung:?}");
-                let run = verified(&format!("{rung:?}"), rung.spec());
-                let wavefront = rung.batch == BatchMode::Auto;
-                assert_eq!(run.wavefront, wavefront, "{ctx}: wavefront");
-                assert_eq!(run.kernel.is_some(), wavefront, "{ctx}: kernel report");
-                if wavefront {
-                    let fused = run.opt.is_some();
-                    assert_eq!(*fuses.get_or_insert(fused), fused, "{ctx}: opt flips");
-                    assert!(
-                        run.stats.rounds <= base.stats.rounds,
-                        "{ctx}: a fast path must not add scheduler rounds"
-                    );
-                } else {
-                    assert!(run.opt.is_none(), "{ctx}: the optimizer rides the gate");
-                }
-                if wavefront {
-                    // Its kernels against the scalar sweep of the same plan.
-                    let agreed = assert_kernels_match_the_scalar_sweep(&ctx, &ms, &problem);
-                    assert_eq!(agreed.kernel, run.kernel, "{ctx}");
-                }
-                // The plain engine's counts, less exactly what the
-                // optimizer's report itemizes.
-                assert_count_law(&ctx, &base.stats, &run);
-                if let Some(r) = &run.opt {
-                    fused_somewhere |= r.fused_relays() > 0;
-                    assert_eq!(run.stats.processes, r.processes_after, "{ctx}");
-                }
-            }
-
-            // What closes the gate besides `batch: Off`, and what does not.
-            let adversarial = verified(
-                "reverse",
-                SimSpec {
-                    sched: Some(Box::new(ReversePolicy)),
-                    ..SimSpec::default()
-                },
-            );
-            assert!(
-                !adversarial.wavefront,
-                "a non-FIFO schedule closes the gate"
-            );
-            assert_eq!(adversarial.stats.messages, base.stats.messages);
-            assert_eq!(adversarial.stats.steps, base.stats.steps);
-            let fifo = verified(
-                "fifo",
-                SimSpec {
-                    sched: Some(Box::new(FifoPolicy)),
-                    ..SimSpec::default()
-                },
-            );
-            assert!(fifo.wavefront, "the identity policy keeps the gate open");
-            assert_eq!(ms.stats().module_misses, 1, "design {design} n={n}");
-
-            // Protocol variants are different networks: one more
-            // elaboration each, shared by the plain and the default rung.
-            // Merged host i/o is pinned on the appendix designs only (the
-            // fuzz suite documents where it can deadlock elsewhere).
-            let split = ElabOptions {
-                split_propagation: true,
-                ..Default::default()
-            };
-            let merged = ElabOptions {
-                merge_io: true,
-                ..Default::default()
-            };
-            let variants = [Some(split), (design < 4).then_some(merged)];
-            for (i, elab) in variants.into_iter().flatten().enumerate() {
-                let plain = verified(
-                    "variant, plain",
-                    SimSpec {
-                        elab: elab.clone(),
-                        ..SimSpec::plain()
-                    },
-                );
-                let fast = verified(
-                    "variant, default",
-                    SimSpec {
-                        elab,
-                        ..SimSpec::default()
-                    },
-                );
-                let ctx = format!("design {design} n={n} variant {i}");
-                assert_count_law(&ctx, &plain.stats, &fast);
-                assert_eq!(ms.stats().module_misses, 2 + i as u64);
-            }
-        }
-    }
-    assert!(fused_somewhere, "no corpus design engaged the optimizer");
-}
-
-/// `tests/common::check_wavefront_plan` on every corpus design (and
-/// `fir.sys`) at four sizes, on the module as elaborated and on the
-/// optimized one.
-#[test]
-fn the_wavefront_plan_keeps_its_invariants_on_every_design() {
-    let mut optimized = 0;
-    for design in 0..=CORPUS {
-        for n in [1i64, 2, 3, 5] {
-            let label = format!("design {design} n={n}");
-            let checked =
-                check_wavefront_plans(&label, &ModuleStore::new(), &prepared(design, n, 5));
-            optimized += checked - 1;
-        }
-    }
-    assert!(optimized > 0, "no optimized module was checked");
+matrix_rows! {
+    every_rung_matches_the_oracle_with_the_documented_engagement:
+        ORACLE, COUNT_LAW, KERNELS, ENGAGEMENT, BINDING;
+    the_wavefront_plan_keeps_its_invariants_on_every_design: WAVEFRONT_PLAN;
 }
 
 /// `programs/matmul.sys` on the array `derive_array` picks loads and
@@ -186,26 +42,21 @@ fn the_shipped_matmul_takes_the_kernels_where_one_channel_carries_two_phases() {
         let env = sys.size_env(&[n]).unwrap();
         let store = systolizer::interp::seeded_store(&sys.plan, &env, &["a", "b", "c"], 31);
         let ms = ModuleStore::new();
-        let problem = (sys.plan.clone(), env, store);
-        let label = format!("matmul.sys n={n}");
+        let (plan, label) = (&sys.plan, format!("matmul.sys n={n}"));
         // One plan: the elaborator emits no zero-count pass, and with no
         // relay to fuse the optimizer declines, so the fast plan is the
         // elaborated module's own.
-        assert_eq!(check_wavefront_plans(&label, &ms, &problem), 1, "{label}");
-        let (plan, env, store) = &problem;
-        let base = simulate_verified(&ms, plan, env, store, SimSpec::plain()).unwrap();
-        for rung in rungs() {
-            let run = simulate_verified(&ms, plan, env, store, rung.spec())
-                .unwrap_or_else(|e| panic!("{label} {rung:?}: {e}"));
-            assert_count_law(&format!("{label} {rung:?}"), &base.stats, &run);
+        let cm = ms.module(plan, &env, &store, &ElabOptions::default());
+        assert_eq!(check_wavefront_plans(&label, &cm.unwrap()), 1);
+        let base = simulate_verified(&ms, plan, &env, &store, SimSpec::plain()).unwrap();
+        for rung in [SimSpec::plain(), SimSpec::default()] {
+            let run = simulate_verified(&ms, plan, &env, &store, rung)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_count_law(&label, &base.stats, &run);
             let Some(k) = run.kernel else {
                 continue;
             };
-            assert_eq!(
-                k.eligible_chunks,
-                ((n + 1) * (n + 1)) as u64,
-                "{label} {rung:?}"
-            );
+            assert_eq!(k.eligible_chunks, ((n + 1) * (n + 1)) as u64, "{label}");
             assert_eq!(
                 k.iterations,
                 ((n + 1) * (n + 1) * (n + 1)) as u64,
@@ -261,16 +112,16 @@ fn the_wavefront_plan_wakes_a_sender_blocked_on_a_full_ring() {
 fn a_reused_run_arena_is_indistinguishable_from_a_fresh_one() {
     for design in 0..=CORPUS {
         for n in [5i64, 1, 3] {
-            let problem = prepared(design, n, 17);
-            let ms = ModuleStore::new();
-            let ctx = format!("design {design} n={n}");
+            let ms = Arc::new(ModuleStore::new());
             let run = || {
-                let run = assert_kernels_match_the_scalar_sweep(&ctx, &ms, &problem);
-                (run.store, run.stats)
+                let case = Case::corpus(design, n, 17).sharing(&ms);
+                check_row(&case, &[&KERNELS]);
+                let fast = case.fast().unwrap();
+                (fast.store.clone(), fast.stats.clone())
             };
             let reused = run();
             let fresh = std::thread::scope(|s| s.spawn(run).join().unwrap());
-            assert!(reused == fresh, "{ctx}");
+            assert!(reused == fresh, "design {design} n={n}");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! bit-identical to the plain engine's, the exactness oracle, and the
 //! counts must follow the optimizer's count law,
 //! over random configurations of the design corpus (the whole-corpus
-//! sweep is the ladder matrix in `tests/ladder.rs`).
+//! sweep is `tests/matrix.rs`).
 //! A second proptest sweeps random synthetic transport networks through
 //! the fusion legality check: those whose walk derives channel tables
 //! (one producer and one consumer per channel, balanced traffic, as every
@@ -15,19 +15,12 @@
 
 mod common;
 
-use common::{assert_count_law, prepared, run};
+use common::matrix::{check_row, Case, COUNT_LAW, ORACLE};
+use common::{env_cases, prepared};
 use proptest::prelude::*;
 use std::sync::Arc;
-use systolizer::interp::{ElabOptions, SimSpec};
+use systolizer::interp::ElabOptions;
 use systolizer::runtime::{analyze, check, optimize, ProcIrBuilder, ProcIrModule, ProcOp};
-
-/// Case count override (see `tests/random_programs.rs`).
-fn env_cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(16), ..ProptestConfig::default() })]
@@ -39,11 +32,7 @@ proptest! {
         n in 1i64..=4,
         seed in 0u64..1000,
     ) {
-        let d = prepared(design, n, seed);
-        let oracle = run(&d, SimSpec::plain());
-        let auto = run(&d, SimSpec::default());
-        prop_assert_eq!(&auto.store, &oracle.store);
-        assert_count_law(&format!("design {design} n={n}"), &oracle.stats, &auto);
+        check_row(&Case::corpus(design, n, seed), &[&ORACLE, &COUNT_LAW]);
     }
 }
 

@@ -5,10 +5,11 @@
 
 mod common;
 
-use common::{assert_count_law, run, verify};
+use common::matrix::{check_row, Case, COUNT_LAW, ORACLE};
+use common::{env_cases, verify};
 use proptest::prelude::*;
 use systolizer::core::{compile, theorems, Options, StreamKind};
-use systolizer::interp::{seeded_store, SimSpec};
+use systolizer::interp::SimSpec;
 use systolizer::math::{point, Env};
 use systolizer::synthesis::SystolicArray;
 
@@ -58,14 +59,6 @@ fn check_pair(
     let res = verify(&plan, &env, inputs, seed, SimSpec::plain());
     prop_assert!(res.is_ok(), "equivalence: {:?}", res.err());
     Ok(())
-}
-
-/// Case count: default, overridable via PROPTEST_CASES for deep fuzzing.
-fn env_cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 proptest! {
@@ -153,56 +146,22 @@ proptest! {
         n in 0i64..=3,
         seed in 0u64..1000,
     ) {
-        let paper = systolizer::synthesis::placement::paper::all();
-        let (_, p, a) = &paper[design];
-        let plan = compile(p, a, &Options::default()).unwrap();
-        let mut env = Env::new();
-        env.bind(p.sizes[0], n);
-        let store = seeded_store(&plan, &env, &["a", "b"], seed);
-        let mut expected = store.clone();
-        systolizer::ir::seq::run(p, &env, &mut expected);
-
-        let d = (plan, env, store);
-        let plain = run(&d, SimSpec::plain());
-        let fast = run(&d, SimSpec::default());
-        for name in expected.names() {
-            prop_assert_eq!(plain.store.get(name), expected.get(name), "plain {}", name);
-            prop_assert_eq!(fast.store.get(name), expected.get(name), "wavefront {}", name);
-        }
-        // Messages and steps are network properties, not engine ones.
-        assert_count_law(&format!("design {design} n={n}"), &plain.stats, &fast);
+        check_row(&Case::corpus(design, n, seed), &[&ORACLE, &COUNT_LAW]);
     }
 }
 
 /// Named regressions for the degenerate corners the proptest above only
 /// samples: they must stay pinned even when the fuzz budget is tiny.
 mod degenerate_corners {
-    use super::common::run;
-    use systolizer::core::{compile, Options};
-    use systolizer::interp::{seeded_store, SimSpec};
-    use systolizer::math::Env;
-    use systolizer::synthesis::placement::paper;
+    use super::common::matrix::{check_row, Case, COUNT_LAW, ORACLE};
 
     /// `n = 0` collapses every loop to the single point 0 (bounds are
     /// inclusive). Both engines must still run the pipeline clean and
     /// agree with the sequential reference.
     #[test]
     fn empty_iteration_space_runs_clean_on_all_executors() {
-        for (label, p, a) in paper::all() {
-            let plan = compile(&p, &a, &Options::default()).unwrap();
-            let mut env = Env::new();
-            env.bind(p.sizes[0], 0);
-            let store = seeded_store(&plan, &env, &["a", "b"], 7);
-            let mut expected = store.clone();
-            systolizer::ir::seq::run(&p, &env, &mut expected);
-
-            let d = (plan, env, store);
-            let plain = run(&d, SimSpec::plain());
-            let fast = run(&d, SimSpec::default());
-            for name in expected.names() {
-                assert_eq!(plain.store.get(name), expected.get(name), "{label} {name}");
-                assert_eq!(fast.store.get(name), expected.get(name), "{label} {name}");
-            }
+        for design in 0..4 {
+            check_row(&Case::corpus(design, 0, 7), &[&ORACLE, &COUNT_LAW]);
         }
     }
 }

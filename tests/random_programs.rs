@@ -2,21 +2,20 @@
 //! nests, index maps, bodies, and loop directions — not just the fixed
 //! gallery. Every accepted (program, array) pair must compile, satisfy
 //! the Appendix B theorems, and execute equivalently to its own
-//! sequential semantics — on the reference engine and then on every rung
-//! of `simulate`'s ladder (`common::rungs`), whose wavefront plans must
-//! keep their invariants (`common::check_wavefront_plan`), and whose
-//! channel tables must be the walk of their ops, fused module included
-//! (`common::assert_channel_law`).
+//! sequential semantics — on the reference engine and then through the
+//! columns of `tests/matrix.rs` (`common::matrix`): every rung against
+//! the oracle, the wavefront plan's invariants, kernels against the
+//! scalar sweep, and the channel law (the channel tables are the walk of
+//! the ops, fused module included).
 
 mod common;
 
-use common::{
-    assert_channel_law, assert_kernels_match_the_scalar_sweep, assert_seq_matches_reference,
-    check_wavefront_plans, plain_under, rungs, verify,
-};
+use common::matrix::{check_row, Case, CHANNEL_LAW, KERNELS, ORACLE, WAVEFRONT_PLAN};
+use common::{assert_seq_matches_reference, env_cases, plain_under, verify};
 use proptest::prelude::*;
+use std::sync::Arc;
 use systolizer::core::{compile, theorems, Options};
-use systolizer::interp::{ElabOptions, ModuleStore, SimSpec, VerifyError};
+use systolizer::interp::{ElabOptions, SimSpec, VerifyError};
 use systolizer::ir::expr::build::*;
 use systolizer::ir::{
     program::covering_bounds, BasicStatement, HostStore, IndexedVar, Loop, SourceProgram, Stream,
@@ -144,14 +143,6 @@ fn build_program(spec: &Spec) -> Option<SourceProgram> {
     })
 }
 
-/// Case count: default, overridable via PROPTEST_CASES for deep fuzzing.
-fn env_cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
 fn is_deadlock(e: &VerifyError) -> bool {
     matches!(
         e,
@@ -194,9 +185,9 @@ proptest! {
         let audit = theorems::audit(&plan, &env);
         prop_assert!(audit.ok(), "theorems: {:?} (spec {spec:?})", audit.failures);
         let store = systolizer::interp::seeded_store(&plan, &env, &["a", "b"], seed);
-        let problem = (plan.clone(), env.clone(), store);
-        let label = format!("{spec:?}");
-        assert_channel_law(&label, ModuleStore::global(), &problem, &ElabOptions::default());
+        let problem = (Arc::new(plan.clone()), env.clone(), store);
+        let case = Case::new(format!("{spec:?}"), None, problem, seed);
+        check_row(&case, &[&CHANNEL_LAW]);
         // The paper's sequential-phase protocol is not deadlock-free for
         // every valid design (a reproduction finding; see EXPERIMENTS.md).
         // When it deadlocks, the split-propagation protocol must succeed
@@ -204,14 +195,7 @@ proptest! {
         match verify(&plan, &env, &["a", "b"], seed, SimSpec::plain()) {
             // What the reference engine completes, every rung of the
             // ladder must complete with the oracle's stores.
-            Ok(_) => {
-                check_wavefront_plans(&label, ModuleStore::global(), &problem);
-                for rung in rungs() {
-                    let res = verify(&plan, &env, &["a", "b"], seed, rung.spec());
-                    prop_assert!(res.is_ok(), "{rung:?}: {:?} (spec {spec:?})", res.err());
-                }
-                assert_kernels_match_the_scalar_sweep(&label, ModuleStore::global(), &problem);
-            }
+            Ok(_) => check_row(&case, &[&ORACLE, &WAVEFRONT_PLAN, &KERNELS]),
             Err(e) if is_deadlock(&e) => {
                 let opts = ElabOptions {
                     split_propagation: true,

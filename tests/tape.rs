@@ -16,6 +16,9 @@
 //!
 //! CI runs it at `PROPTEST_CASES=2000`.
 
+mod common;
+
+use common::env_cases;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use systolizer::interp::kernelize;
@@ -212,14 +215,6 @@ fn one_lane(kernel: &Kernel, slots: &[u32], lane: &Lane) -> (Vec<Value>, Vec<Vec
         }
     }
     (locals, sent)
-}
-
-/// Case count override (see `tests/random_programs.rs`).
-fn env_cases(default: u32) -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 proptest! {
