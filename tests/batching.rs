@@ -21,11 +21,11 @@ use proptest::prelude::*;
 use systolizer::interp::{BatchMode, SimSpec};
 use systolizer::runtime::{lock, shared, FifoPolicy, MetricsRecorder};
 
-matrix_rows! {
-    wavefront_gate_corners: ORACLE, COUNT_LAW, ENGAGEMENT;
-    the_elaborated_module_runs_exactly_on_the_wavefront_engine: COUNT_LAW;
-    the_channel_tables_are_the_walk_of_the_ops_and_every_row_runs_fast: CHANNEL_LAW, KERNEL_PLAN;
-}
+matrix_rows!(
+    wavefront_gate_corners,
+    the_elaborated_module_runs_exactly_on_the_wavefront_engine,
+    the_channel_tables_are_the_walk_of_the_ops_and_every_row_runs_fast,
+);
 
 /// The engagement gate, pinned feature by feature. Every configuration
 /// still produces the correct store; only the `wavefront` flag may change.

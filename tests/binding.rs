@@ -3,11 +3,12 @@
 //! gathers its own data segment into it (`crates/interp/src/cache.rs`,
 //! `docs/elaboration.md`).
 //!
-//! That N data sets of one shape are one instantiation per protocol
-//! variant on every rung, each result bit-equal to its own sequential
-//! oracle, and that the optimizer keeps the data segment, is the
-//! `binding` column of `tests/matrix.rs`; the tests of those names below
-//! run it on the rows their loops reached. Here by hand: another shape
+//! That N data sets of one shape through one `ModuleStore` are one
+//! instantiation per protocol variant on every rung, each result
+//! bit-equal to its own sequential oracle, and that the optimizer keeps
+//! the data segment, is the `binding` column of `tests/matrix.rs` (every
+//! row of one (design, sizes) shares one store); the tests of those names
+//! below run it on the rows their loops reached. Here by hand: another shape
 //! is another entry; a store that lacks a variable is a structured error
 //! on a warm store; and the counters stay exact when eight threads
 //! bring eight data sets at once.
@@ -22,10 +23,10 @@ use systolizer::interp::{
 };
 use systolizer::ir::{HostArray, HostStore};
 
-matrix_rows! {
-    data_sets_of_one_shape_share_one_module_on_every_rung: BINDING, ORACLE;
-    the_optimizer_keeps_the_data_segment_word_for_word_on_the_corpus: BINDING;
-}
+matrix_rows!(
+    data_sets_of_one_shape_share_one_module_on_every_rung,
+    the_optimizer_keeps_the_data_segment_word_for_word_on_the_corpus,
+);
 
 /// `store` with its first input array re-allocated one element wider in
 /// the last dimension, the old contents in place.

@@ -88,7 +88,7 @@ fn declares(file: &Path, name: &str) -> bool {
                         .is_some_and(|r| !r.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
                 })
         });
-        item || l.strip_prefix(name).is_some_and(|r| r.starts_with(':'))
+        item || l.strip_prefix(name).is_some_and(|r| r.starts_with(','))
     })
 }
 

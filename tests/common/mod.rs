@@ -199,10 +199,7 @@ pub fn assert_seq_matches_reference(
 
 /// Compile a `rustgen` program with `rustc` (`-O` when `optimized`, else
 /// the debug profile with its overflow checks), run it, and hold it to
-/// its embedded self-check against the sequential reference. Two codegen
-/// units and no cross-unit LTO: the suites compile two programs at a
-/// time, and rustc's default of 16 units made each compile about a
-/// third slower on a 2-vCPU host.
+/// its embedded self-check against the sequential reference.
 pub fn compile_and_run(name: &str, source: &str, optimized: bool) {
     use std::process::Command;
     let dir = std::env::temp_dir().join(format!("systolizer-gen-{name}-{}", std::process::id()));
@@ -213,7 +210,6 @@ pub fn compile_and_run(name: &str, source: &str, optimized: bool) {
 
     let out = Command::new("rustc")
         .args(optimized.then_some("-O"))
-        .args(["-Ccodegen-units=2", "-Clto=off"])
         .arg("-o")
         .arg(&bin_path)
         .arg(&src_path)

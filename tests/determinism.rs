@@ -13,10 +13,10 @@
 
 mod common;
 
-matrix_rows! {
-    paper_designs_are_deterministic_and_match_goldens: GOLDENS;
-    executors_agree_bit_for_bit_on_paper_designs: GOLDENS, COUNT_LAW;
-    coop_under_explicit_fifo_policy_matches_pre_hook_goldens: GOLDENS;
-    recorder_and_non_fifo_runs_stay_on_the_unbatched_goldens: GOLDENS, ENGAGEMENT;
-    gallery_programs_are_deterministic_and_match_goldens: GOLDENS;
-}
+matrix_rows!(
+    paper_designs_are_deterministic_and_match_goldens,
+    executors_agree_bit_for_bit_on_paper_designs,
+    coop_under_explicit_fifo_policy_matches_pre_hook_goldens,
+    recorder_and_non_fifo_runs_stay_on_the_unbatched_goldens,
+    gallery_programs_are_deterministic_and_match_goldens,
+);

@@ -4,10 +4,9 @@
 //! the way users get them — the CLI's artifact flags, the service's
 //! handlers, the explorer's counterexample file — so a writer that
 //! drifts from `docs/observability.md` / `docs/service.md` fails here.
-//! That the documents' plan sections describe the module a default run
-//! executes is the `reports` column of `tests/matrix.rs`.
-
-mod common;
+//! That the plan sections describe the module a default run executes
+//! is pinned here through the CLI on one program, and across the corpus
+//! by the `reports` column of `tests/matrix.rs`.
 
 use systolizer::cli::{execute, parse_args};
 use systolizer::runtime::json::{parse, Json};
@@ -171,6 +170,34 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     assert!(error.get("offenders").and_then(Json::as_arr).is_some());
 }
 
-matrix_rows! {
-    the_reports_describe_the_module_that_ran: REPORTS;
+/// Both documents describe the module the default run executed — the
+/// optimizer's, not the one it was elaborated as. On `polyprod.sys` at
+/// n = 8, where relays fuse, the `wavefront` section of `--metrics` and of
+/// `--opt-report` is the fused module's plan and `kernels` its kernel
+/// plan, both built here from the runtime API alone; and the run printed
+/// that module's process count.
+#[test]
+fn the_reports_describe_the_module_that_ran() {
+    use systolizer::interp::{elaborate, ElabOptions, Problem};
+    use systolizer::runtime::{analyze_kernels, analyze_wavefront, optimize};
+    let (out, docs) = cli_artifacts("polyprod.sys", "8", &["--metrics", "--opt-report"]);
+    let src = std::fs::read_to_string("programs/polyprod.sys").unwrap();
+    let sys = systolizer::systolize_source(&src, &Default::default()).unwrap();
+    let inputs = sys.source.variable_names();
+    let Problem { env, store } = Problem::seeded(&sys.plan, &[8], &inputs, 42).unwrap();
+    let el = elaborate(&sys.plan, &env, &store, &ElabOptions::default()).unwrap();
+    let (fused, batch) = optimize(&el.module, &el.channels).expect("polyprod.sys n=8 fuses relays");
+    assert!(fused.report.fused_relays() > 0);
+    let waves = analyze_wavefront(&fused.module, &batch, &fused.ring_needs);
+    let ran = waves.json(&fused.module);
+    let kernels = analyze_kernels(&fused.module, &waves).json();
+    let processes = fused.module.procs.len();
+    assert!(
+        out.starts_with(&format!("OK: {processes} processes")),
+        "{out}"
+    );
+    let (metrics, report) = (parse(&docs[0]).unwrap(), parse(&docs[1]).unwrap());
+    assert_eq!(metrics.get("wavefront"), Some(&ran), "metrics");
+    assert_eq!(report.get("wavefront"), Some(&ran), "--opt-report");
+    assert_eq!(metrics.get("kernels"), Some(&kernels), "metrics");
 }

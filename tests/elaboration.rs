@@ -16,11 +16,11 @@ use systolizer::ir::{seq, HostStore};
 use systolizer::math::Env;
 use systolizer::synthesis::placement::paper;
 
-matrix_rows! {
-    elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus: SCAN;
-    no_elaborated_module_holds_a_zero_count_pass: CHANNEL_LAW;
-    warm_cache_runs_bit_match_cold_runs_across_engine_modes: ORACLE, BINDING, KERNELS;
-}
+matrix_rows!(
+    elaboration_agrees_with_the_scan_and_the_symbolic_plan_across_the_corpus,
+    no_elaborated_module_holds_a_zero_count_pass,
+    warm_cache_runs_bit_match_cold_runs_across_engine_modes,
+);
 
 /// The store has no flush call: an entry leaves it by FIFO eviction, and
 /// the next lookup of that configuration re-instantiates it.

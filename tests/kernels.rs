@@ -41,11 +41,11 @@ use std::sync::Arc;
 use systolizer::interp::{seeded_store, SimSpec};
 use systolizer::{systolize_source, SystolizeOptions};
 
-matrix_rows! {
-    kernel_path_matches_macro_step_and_the_oracle_on_every_design: KERNELS, KERNEL_PLAN;
-    e2_cycle_schedule_matches_the_scalar_sweep_at_every_size: KERNELS, KERNEL_PLAN;
-    kernel_path_is_invisible_on_the_optimized_module: KERNELS, COUNT_LAW;
-}
+matrix_rows!(
+    kernel_path_matches_macro_step_and_the_oracle_on_every_design,
+    e2_cycle_schedule_matches_the_scalar_sweep_at_every_size,
+    kernel_path_is_invisible_on_the_optimized_module,
+);
 
 /// The triangular product `if i <= j -> c += a * b`: the guard lowers to
 /// a compare and a `select`, so the body is one tape like any other and

@@ -20,11 +20,10 @@ use std::sync::Arc;
 use systolizer::interp::{simulate_verified, ElabOptions, ModuleStore, SimSpec};
 use systolizer::runtime::{analyze, analyze_wavefront, ProcIrBuilder, ProcOp, WAVEFRONT_RING_CAP};
 
-matrix_rows! {
-    every_rung_matches_the_oracle_with_the_documented_engagement:
-        ORACLE, COUNT_LAW, KERNELS, ENGAGEMENT, BINDING;
-    the_wavefront_plan_keeps_its_invariants_on_every_design: WAVEFRONT_PLAN;
-}
+matrix_rows!(
+    every_rung_matches_the_oracle_with_the_documented_engagement,
+    the_wavefront_plan_keeps_its_invariants_on_every_design,
+);
 
 /// `programs/matmul.sys` on the array `derive_array` picks loads and
 /// recovers the stationary `c` over the links `b` flows against. At

@@ -1,88 +1,50 @@
-//! The differential matrix: every column of `tests/common/matrix.rs` on
-//! every row of its table. A row is a (design, sizes, data seed,
-//! `ElabOptions`) point — the appendix designs, the gallery on derived
-//! arrays, and `programs/{fir,matmul,polyprod}.sys` — with its runs made
-//! once and shared; a column is one property of the derived network.
-//! A failure names its (row, column); each column prints how many cells
-//! it ran (`cargo test --test matrix -- --nocapture`).
-//!
-//! To add a property: write its check in `tests/common/matrix.rs` as a
-//! `Column` and add one test here.
+//! The differential matrix: each column of `tests/common/matrix.rs` on
+//! its table (`run_table`; that module says which cells run here and
+//! which in the tests named after the loops it absorbed). A failure names
+//! its (row, column); each column prints its cell counts (`cargo test
+//! --test matrix -- --nocapture`). To add a property: write its check
+//! there as a `Column` and add one line here.
 
 mod common;
 
 use common::matrix::*;
 
-/// The sequential oracle against its reference walker.
-#[test]
-fn seq_walk_against_its_reference() {
-    run(&SEQ, table());
+/// One test per column, over the table; each column holds some row.
+macro_rules! columns {
+    ($($(#[$doc:meta])* $name:ident: $column:ident;)+) => {$(
+        $(#[$doc])*
+        #[test]
+        fn $name() {
+            assert!(run_table(&$column) > 0);
+        }
+    )+};
 }
 
-#[test]
-fn oracle_store_on_every_rung() {
-    run(&ORACLE, table());
-}
-
-#[test]
-fn count_law() {
-    run(&COUNT_LAW, table());
-}
-
-#[test]
-fn channel_law_and_lean_ops() {
-    run(&CHANNEL_LAW, table());
-}
-
-#[test]
-fn kernels_against_the_scalar_sweep() {
-    run(&KERNELS, table());
-}
-
-/// Where the kernels reach: every compute chunk but E.2's cycle under
-/// split propagation.
-#[test]
-fn kernel_plan_reaches_every_compute_chunk() {
-    run(&KERNEL_PLAN, table());
-}
-
-/// One module per store shape, whatever data set ran on it.
-#[test]
-fn one_module_per_store_shape() {
-    run(&BINDING, table());
-}
-
-/// `agree_with_procir` and the plan's piecewise forms.
-#[test]
-fn elaboration_agrees_with_the_scan() {
-    run(&SCAN, table());
-}
-
-#[test]
-fn reports_describe_the_module_that_ran() {
-    run(&REPORTS, table());
-}
-
-#[test]
-fn wavefront_plan_invariants() {
-    run(&WAVEFRONT_PLAN, table());
+columns! {
+    /// The sequential oracle against its reference walker.
+    seq_walk_against_its_reference: SEQ;
+    oracle_store_on_every_rung: ORACLE;
+    count_law: COUNT_LAW;
+    channel_law_and_lean_ops: CHANNEL_LAW;
+    kernels_against_the_scalar_sweep: KERNELS;
+    /// Where the kernels reach: every compute chunk but E.2's cycle
+    /// under split propagation.
+    kernel_plan_reaches_every_compute_chunk: KERNEL_PLAN;
+    /// One module per protocol variant, whatever data set ran on it.
+    one_module_per_store_shape: BINDING;
+    /// `agree_with_procir` and the plan's piecewise forms.
+    elaboration_agrees_with_the_scan: SCAN;
+    reports_describe_the_module_that_ran: REPORTS;
+    wavefront_plan_invariants: WAVEFRONT_PLAN;
+    determinism_goldens: GOLDENS;
+    fast_plan_digests: DIGESTS;
 }
 
 /// Which engine each rung takes; somewhere on the table the optimizer
 /// rewrites a module, so the fused rung is exercised too.
 #[test]
 fn rung_engagement() {
-    run(&ENGAGEMENT, table());
-    let fused = |c: &Case| c.fast().is_some_and(|r| r.opt.is_some());
+    run_table(&ENGAGEMENT);
+    let fused = |c: &Case| c.module().fast_plan().optimized.is_some();
     assert!(table().iter().any(fused), "no row engaged the optimizer");
-}
-
-#[test]
-fn determinism_goldens() {
-    assert!(run(&GOLDENS, table()) > 0);
-}
-
-#[test]
-fn fast_plan_digests() {
-    assert!(run(&DIGESTS, table()) > 0);
 }

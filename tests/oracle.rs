@@ -18,13 +18,13 @@ use systolizer::ir::{
 };
 use systolizer::math::{Affine, Env, Matrix, VarTable};
 
-matrix_rows! {
-    coop_matches_the_sequential_oracle_on_every_design: ORACLE;
-    executors_agree_on_stores_and_invariant_statistics: ORACLE, COUNT_LAW, BINDING;
-    observed_runs_match_the_oracle_too: REPORTS;
-    metrics_op_totals_are_the_modules_static_counts: REPORTS;
-    seq_run_matches_its_reference_on_the_whole_corpus: SEQ;
-}
+matrix_rows!(
+    coop_matches_the_sequential_oracle_on_every_design,
+    executors_agree_on_stores_and_invariant_statistics,
+    observed_runs_match_the_oracle_too,
+    metrics_op_totals_are_the_modules_static_counts,
+    seq_run_matches_its_reference_on_the_whole_corpus,
+);
 
 /// Order-sensitive checksum over a host array's backing values, used to
 /// pin golden stores without serializing whole arrays into the test.
