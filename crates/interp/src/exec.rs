@@ -22,7 +22,7 @@
 //! module when it rewrote the elaborated one, the elaborated one when it
 //! declined. [`simulate_verified`] is the one oracle comparison.
 
-use crate::cache::ModuleStore;
+use crate::cache::{CachedModule, ModuleStore};
 use crate::elaborate::{ElabError, ElabOptions, OutputSpec};
 use std::sync::Arc;
 use systolic_core::SystolicProgram;
@@ -95,8 +95,12 @@ pub struct SimSpec {
     /// Protocol variants and ablations; part of the module-cache key.
     pub elab: ElabOptions,
     /// Observers of every VM op, scheduler step and channel transfer
-    /// (see `systolic_runtime::record`). Any recorder closes the
-    /// fast-path gate: only the plain engine emits per-event streams.
+    /// (see `systolic_runtime::record`), attached to this run and no
+    /// other: `--metrics` adds a `MetricsRecorder`, `--trace-out` a
+    /// `PerfettoRecorder`, each only when asked for. Any recorder closes
+    /// the fast-path gate: only the plain engine emits per-event
+    /// streams, so an observed run is the plain run, and it is the one
+    /// that answers.
     pub recorders: Vec<SharedRecorder>,
 }
 
@@ -125,7 +129,9 @@ impl SimSpec {
     }
 }
 
-/// Outcome of a systolic run.
+/// Outcome of a systolic run, with the module that ran: the metrics
+/// document's plan sections, the trace's channel names and `--opt-report`
+/// read it from [`SystolicRun::module`].
 pub struct SystolicRun {
     /// The host store after recovery/extraction.
     pub store: HostStore,
@@ -146,6 +152,9 @@ pub struct SystolicRun {
     /// The compiled-kernel engagement report, `Some` exactly when
     /// `wavefront` is true. Kernels change wall-clock only.
     pub kernel: Option<KernelReport>,
+    /// The cached module this run was served: its elaboration, and the
+    /// fast plan a wavefront run executed (or a default run would).
+    pub module: Arc<CachedModule>,
 }
 
 /// Why executing an elaborated plan failed.
@@ -289,6 +298,7 @@ pub fn simulate(
         wavefront: fast,
         opt: opt_report,
         kernel: kernel_report,
+        module: cm,
     })
 }
 

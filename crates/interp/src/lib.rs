@@ -19,8 +19,9 @@
 //!   rung of the fast-path ladder a [`SimSpec`] selects, and
 //!   [`simulate_verified`], the one comparison against the sequential
 //!   reference;
-//! - [`metrics`] — observed runs: metrics reports and Perfetto traces
-//!   with channels named by stream and process-space point.
+//! - [`metrics`] — the documents of an observed run: the metrics
+//!   document, and Perfetto channel tracks named by stream and
+//!   process-space point.
 
 pub mod cache;
 pub mod describe;
@@ -45,6 +46,6 @@ pub use exec::{
 #[doc(hidden)]
 pub use exec::{ExecutorChoice, KernelMode, WavefrontMode};
 pub use kernelize::kernelize;
-pub use metrics::{channel_names, observe_plan_in, Observed};
+pub use metrics::{channel_names, metrics_json};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
 pub use systolic_runtime::{analyze_kernels, BatchMode, KernelPlan, KernelReport, OptReport};

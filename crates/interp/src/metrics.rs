@@ -1,5 +1,5 @@
-//! Plan-level observability: run an elaborated plan with the runtime's
-//! recorders attached and map the results back to source-level names.
+//! Plan-level observability: map what the runtime's recorders saw in a
+//! run back to source-level names.
 //!
 //! The runtime's `record` module speaks in process ids and dense channel
 //! ids; this module adds what only the elaboration knows — which stream
@@ -7,66 +7,48 @@
 //! [`MetricsReport`] and the Perfetto trace read in the paper's
 //! vocabulary (`a@(3):in` instead of `chan 17`).
 //!
-//! Two artifacts come out of one observed run:
+//! An observer is a recorder in the [`SimSpec`](crate::SimSpec) of the
+//! run that answers the request, attached only when its output is asked
+//! for:
 //!
-//! - a [`MetricsReport`] (`systolic-metrics-v1` JSON): per-process op and
-//!   phase counts, per-channel transfer/wait statistics, soak/compute/
-//!   drain makespan attribution, wait and occupancy histograms;
-//! - a Chrome `trace_event` JSON document for <https://ui.perfetto.dev>:
-//!   one track per process, one per channel.
+//! - a `MetricsRecorder` gives the [`MetricsReport`], which
+//!   [`metrics_json`] makes the `systolic-metrics-v1` document:
+//!   per-process op and phase counts, per-channel transfer/wait
+//!   statistics, soak/compute/drain makespan attribution, wait and
+//!   occupancy histograms, and the sections of the module that ran;
+//! - a `PerfettoRecorder` gives a Chrome `trace_event` document for
+//!   <https://ui.perfetto.dev>, one track per process and one per channel
+//!   named by [`channel_names`].
 //!
 //! The CLI exposes both as `run --metrics PATH --trace-out PATH`; see
 //! `docs/observability.md`.
 
-use crate::cache::{CacheStats, CachedModule, ModuleStore};
+use crate::cache::ModuleStore;
 use crate::elaborate::Elaborated;
-use crate::exec::{simulate, ExecError, SimSpec, SystolicRun};
-use std::sync::Arc;
+use crate::exec::SystolicRun;
 use systolic_core::SystolicProgram;
-use systolic_ir::HostStore;
-use systolic_math::Env;
-use systolic_runtime::{lock, shared, MetricsRecorder, MetricsReport, PerfettoRecorder};
+use systolic_runtime::MetricsReport;
 
-/// One observed run: the ordinary execution outcome plus the two
-/// observability artifacts.
-pub struct Observed {
-    pub run: SystolicRun,
-    /// The aggregated metrics (render with [`MetricsReport::to_json`]).
-    pub report: MetricsReport,
-    /// The rendered Chrome `trace_event` document.
-    pub perfetto_json: String,
-    /// Snapshot of the module-store counters ([`ModuleStore::stats`])
-    /// taken right after this run's elaboration, so the report shows
-    /// whether it was served warm.
-    pub cache: CacheStats,
-    /// The module that ran, with its memoized plans. Observed runs
-    /// always *execute* the exact rendezvous engine (recorders close the
-    /// fast-path gate), so the metrics above describe the elaborated
-    /// module; the fast plan is what an unobserved default run of it
-    /// executes, and [`Observed::metrics_json`] reports it beside the
-    /// metrics.
-    pub module: Arc<CachedModule>,
-}
-
-impl Observed {
-    /// What `run --metrics PATH` writes: the metrics document, then one
-    /// section per plan of the module's fast plan, each the owning type's
-    /// own value — `optimizer` (the `systolic-opt-v1` mapping report;
-    /// absent when the optimizer leaves the module untouched),
-    /// `elab_cache`, `wavefront` (staging shape, or why the fast engine
-    /// never runs the program) and `kernels` (eligibility split and
-    /// scalar-fallback reasons, or the same why).
-    pub fn metrics_json(&self) -> String {
-        let fast = self.module.fast_plan();
-        let mut doc = self.report.json();
-        if let Some(report) = fast.opt_report() {
-            doc.push("optimizer", report.json());
-        }
-        doc.push("elab_cache", self.cache.json());
-        doc.push("wavefront", self.module.wavefront_json());
-        doc.push("kernels", self.module.kernels_json());
-        doc.pretty()
+/// What `run --metrics PATH` writes: the metrics `report` of `run`, then
+/// one section per plan of its module's fast plan, each the owning type's
+/// own value — `optimizer` (the `systolic-opt-v1` mapping report; absent
+/// when the optimizer leaves the module untouched), `elab_cache`,
+/// `wavefront` (staging shape, or why the fast engine never runs the
+/// program) and `kernels` (eligibility split and scalar-fallback
+/// reasons, or the same why). An observed run is the plain engine, so
+/// the fast plan is what an unobserved default run of the module
+/// executes. The `elab_cache` counters of `ms` are read after the fast
+/// plan is built, so `fast_plan_ns` counts it.
+pub fn metrics_json(report: &MetricsReport, run: &SystolicRun, ms: &ModuleStore) -> String {
+    let cm = &run.module;
+    let mut doc = report.json();
+    if let Some(report) = cm.fast_plan().opt_report() {
+        doc.push("optimizer", report.json());
     }
+    doc.push("elab_cache", ms.stats().json());
+    doc.push("wavefront", cm.wavefront_json());
+    doc.push("kernels", cm.kernels_json());
+    doc.pretty()
 }
 
 /// Display names for every channel of an elaborated module, indexed by
@@ -97,45 +79,15 @@ pub fn channel_names(plan: &SystolicProgram, el: &Elaborated) -> Vec<String> {
     names
 }
 
-/// Run the plan with a [`MetricsRecorder`] and a [`PerfettoRecorder`]
-/// attached — [`simulate`] with the two recorders added to `spec` —
-/// returning the run outcome and both artifacts. Recorders close the
-/// fast-path gate, so this is the plain engine;
-/// timing differs from an unobserved plain run only in wall clock —
-/// rounds, messages, steps, and the result store are identical. The
-/// cache counters describe `ms`.
-pub fn observe_plan_in(
-    ms: &ModuleStore,
-    plan: &SystolicProgram,
-    env: &Env,
-    store: &HostStore,
-    mut spec: SimSpec,
-) -> Result<Observed, ExecError> {
-    let cm = ms.module(plan, env, store, &spec.elab)?;
-    let cache = ms.stats();
-    let el = &cm.elab;
-    let (metrics, m_erased) = shared(MetricsRecorder::new());
-    let (perfetto, p_erased) =
-        shared(PerfettoRecorder::new().with_channel_names(channel_names(plan, el)));
-    spec.recorders.extend([m_erased, p_erased]);
-    let run = simulate(ms, plan, env, store, spec)?;
-    let report = lock(&metrics).report();
-    let perfetto_json = lock(&perfetto).to_json();
-    Ok(Observed {
-        run,
-        report,
-        perfetto_json,
-        cache,
-        module: cm,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::elaborate::ElabOptions;
+    use crate::exec::{simulate, SimSpec};
     use systolic_core::{compile, Options};
-    use systolic_ir::seq;
+    use systolic_ir::{seq, HostStore};
+    use systolic_math::Env;
+    use systolic_runtime::{lock, shared, MetricsRecorder, PerfettoRecorder};
     use systolic_synthesis::placement::paper;
 
     fn setup(n: i64) -> (SystolicProgram, Env, HostStore) {
@@ -149,46 +101,54 @@ mod tests {
         (plan, env, store)
     }
 
+    /// The default spec with a metrics recorder attached, and its report.
+    fn metered(
+        (plan, env, store): &(SystolicProgram, Env, HostStore),
+    ) -> (SystolicRun, MetricsReport) {
+        let (metrics, recorder) = shared(MetricsRecorder::new());
+        let spec = SimSpec {
+            recorders: vec![recorder],
+            ..SimSpec::default()
+        };
+        let run = simulate(ModuleStore::global(), plan, env, store, spec).unwrap();
+        let report = lock(&metrics).report();
+        (run, report)
+    }
+
     #[test]
     fn observation_does_not_perturb_the_run() {
-        let (plan, env, store) = setup(4);
+        let problem = setup(4);
+        let (plan, env, store) = &problem;
         let ms = ModuleStore::global();
-        let plain = simulate(ms, &plan, &env, &store, SimSpec::plain()).unwrap();
-        let obs = observe_plan_in(ms, &plan, &env, &store, SimSpec::default()).unwrap();
-        assert_eq!(obs.run.stats, plain.stats);
+        let plain = simulate(ms, plan, env, store, SimSpec::plain()).unwrap();
+        let (run, _) = metered(&problem);
+        assert!(!run.wavefront, "a recorder closes the gate");
+        assert_eq!(run.stats, plain.stats);
         for name in plain.store.names() {
-            assert_eq!(obs.run.store.get(name), plain.store.get(name), "{name}");
+            assert_eq!(run.store.get(name), plain.store.get(name), "{name}");
         }
         // And the run is actually correct.
         let mut expected = store.clone();
-        seq::run(&plan.source, &env, &mut expected);
-        assert_eq!(obs.run.store.get("c"), expected.get("c"));
+        seq::run(&plan.source, env, &mut expected);
+        assert_eq!(run.store.get("c"), expected.get("c"));
     }
 
     #[test]
     fn report_reconciles_with_run_stats() {
-        let (plan, env, store) = setup(5);
-        let obs = observe_plan_in(
-            ModuleStore::global(),
-            &plan,
-            &env,
-            &store,
-            SimSpec::default(),
-        )
-        .unwrap();
-        let stats = &obs.run.stats;
-        assert_eq!(obs.report.transfers, stats.messages);
-        assert_eq!(obs.report.end_time, stats.rounds);
-        assert_eq!(obs.report.processes.len(), stats.processes);
-        let steps: u64 = obs.report.processes.iter().map(|p| p.steps).sum();
+        let (run, report) = metered(&setup(5));
+        let stats = &run.stats;
+        assert_eq!(report.transfers, stats.messages);
+        assert_eq!(report.end_time, stats.rounds);
+        assert_eq!(report.processes.len(), stats.processes);
+        let steps: u64 = report.processes.iter().map(|p| p.steps).sum();
         assert_eq!(steps, stats.steps);
         // Makespan attribution partitions the rounds.
         assert_eq!(
-            obs.report.soak_lead_in() + obs.report.compute_window() + obs.report.drain_tail(),
+            report.soak_lead_in() + report.compute_window() + report.drain_tail(),
             stats.rounds
         );
         // The compute plateau is where the basic statements run.
-        let ops = obs.report.op_totals();
+        let ops = report.op_totals();
         assert!(ops[systolic_runtime::OpKind::Compute as usize] > 0);
     }
 
@@ -203,16 +163,16 @@ mod tests {
             assert!(names[ic].starts_with(stream.as_str()), "{}", names[ic]);
             assert!(names[oc].starts_with(stream.as_str()), "{}", names[oc]);
         });
-        // Stream-and-coordinate names reach the Perfetto document.
-        let obs = observe_plan_in(
-            ModuleStore::global(),
-            &plan,
-            &env,
-            &store,
-            SimSpec::default(),
-        )
-        .unwrap();
-        assert!(obs.perfetto_json.contains("a@("), "{}", obs.perfetto_json);
-        assert!(obs.perfetto_json.contains("\"traceEvents\""));
+        // Stream-and-coordinate names reach the Perfetto document of a
+        // traced run, read off the module that ran.
+        let (perfetto, recorder) = shared(PerfettoRecorder::new());
+        let spec = SimSpec {
+            recorders: vec![recorder],
+            ..SimSpec::default()
+        };
+        let run = simulate(ModuleStore::global(), &plan, &env, &store, spec).unwrap();
+        let trace = lock(&perfetto).to_json(&channel_names(&plan, &run.module.elab));
+        assert!(trace.contains("a@("), "{trace}");
+        assert!(trace.contains("\"traceEvents\""));
     }
 }

@@ -8,7 +8,6 @@
 //! designs) and per-round activity summaries for higher dimensions.
 
 use crate::cache::ModuleStore;
-use crate::elaborate::ElabOptions;
 use crate::exec::{simulate, ExecError, SimSpec};
 use std::collections::HashMap;
 use systolic_core::SystolicProgram;
@@ -38,18 +37,16 @@ pub fn run_traced(
     env: &Env,
     store: &HostStore,
 ) -> Result<(Vec<LocatedEvent>, u64), ExecError> {
-    let ms = ModuleStore::global();
-    let cm = ms.module(plan, env, store, &ElabOptions::default())?;
     let (log, erased) = shared(EventLogRecorder::new());
     let spec = SimSpec {
         recorders: vec![erased],
         ..SimSpec::plain()
     };
-    let stats = simulate(ms, plan, env, store, spec)?.stats;
+    let run = simulate(ModuleStore::global(), plan, env, store, spec)?;
     // chan -> (stream name, coords) for the *incoming* channel of each
     // process.
     let mut incoming: HashMap<usize, (String, Vec<i64>)> = HashMap::new();
-    cm.elab.endpoints.for_each(|sid, y, ic, _| {
+    run.module.elab.endpoints.for_each(|sid, y, ic, _| {
         incoming.insert(ic, (plan.streams[sid].name.clone(), y.to_vec()));
     });
     let located = lock(&log)
@@ -64,7 +61,7 @@ pub fn run_traced(
             })
         })
         .collect();
-    Ok((located, stats.rounds))
+    Ok((located, run.stats.rounds))
 }
 
 /// Render an ASCII space–time diagram for a 1-D process space: one row

@@ -562,9 +562,6 @@ pub struct PerfettoEvent {
 /// (its transfers, with value, endpoints, and waits as args).
 pub struct PerfettoRecorder {
     labels: Vec<String>,
-    /// Channel display names (`chan N` when unset) — the interp layer
-    /// installs stream-and-coordinate names.
-    chan_names: Vec<String>,
     events: Vec<PerfettoEvent>,
     n_chans: usize,
     end_ts: u64,
@@ -588,17 +585,10 @@ impl PerfettoRecorder {
     pub fn new() -> PerfettoRecorder {
         PerfettoRecorder {
             labels: Vec::new(),
-            chan_names: Vec::new(),
             events: Vec::new(),
             n_chans: 0,
             end_ts: 0,
         }
-    }
-
-    /// Install display names for channel tracks (index = [`ChanId`]).
-    pub fn with_channel_names(mut self, names: Vec<String>) -> PerfettoRecorder {
-        self.chan_names = names;
-        self
     }
 
     /// The recorded events (metadata excluded), for tests and tooling.
@@ -608,8 +598,10 @@ impl PerfettoRecorder {
 
     /// Render the Chrome `trace_event` JSON document, one event per
     /// line: each is built and written on its own, so the document never
-    /// exists as a tree.
-    pub fn to_json(&self) -> String {
+    /// exists as a tree. `chan_names` names the channel tracks (index =
+    /// [`ChanId`]; `chan N` past its end) — the interp layer passes
+    /// stream-and-coordinate names.
+    pub fn to_json(&self, chan_names: &[String]) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("{\"traceEvents\": [");
         let mut sep = "\n  ";
@@ -634,7 +626,7 @@ impl PerfettoRecorder {
             push(meta("thread_name", procs, Some(pid), label));
         }
         for chan in 0..self.n_chans {
-            let name = match self.chan_names.get(chan) {
+            let name = match chan_names.get(chan) {
                 Some(name) => name.clone(),
                 None => format!("chan {chan}"),
             };
@@ -933,7 +925,7 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.pid == PerfettoRecorder::CHANNEL_TRACKS && e.name == "xfer"));
-        let json = rec.to_json();
+        let json = rec.to_json(&[]);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("thread_name"));
         let doc = crate::json::parse(&json).expect("valid JSON");

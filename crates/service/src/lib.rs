@@ -33,9 +33,9 @@ use api::{ApiError, OutputKind, ProgramRef, RunRequest};
 use pool::Pool;
 use systolic_core::SystolicProgram;
 use systolic_interp::{
-    observe_plan_in, simulate, simulate_verified, ModuleStore, Problem, SimSpec,
+    channel_names, metrics_json, simulate, simulate_verified, ModuleStore, Problem, SimSpec,
 };
-use systolic_runtime::lock;
+use systolic_runtime::{lock, shared, MetricsRecorder, PerfettoRecorder};
 use systolic_sim::{policy_by_name, Json, ScheduleFile};
 
 /// Capacity and policy knobs. Defaults suit a small box; `docs/service.md`
@@ -237,19 +237,19 @@ impl Service {
         let inputs = req.inputs.as_ref().unwrap_or(&resolved.default_inputs);
         let Problem { env, store } = Problem::seeded(plan, &req.sizes, inputs, req.seed)?;
 
-        // One spec for every output arm: the observed arms add their
-        // recorders to it, so a report describes the plain rung of the
-        // run the request named.
+        // One spec and one run for every output arm: an observed arm adds
+        // its own recorder, which closes the fast-path gate, so its
+        // document describes the plain rung of the run the request named.
         let sched = req.schedule.map(|(policy, seed)| {
             policy_by_name(policy, seed).expect("schedule policy validated at parse time")
         });
-        let spec = SimSpec {
+        let mut spec = SimSpec {
             batch: req.batch,
             sched,
             ..SimSpec::default()
         };
-        let observe = |spec| {
-            observe_plan_in(&self.modules, plan, &env, &store, spec)
+        let run = |spec| {
+            simulate(&self.modules, plan, &env, &store, spec)
                 .map_err(|e| ApiError::from_exec_error(&e))
         };
         match req.output {
@@ -258,8 +258,7 @@ impl Service {
                     simulate_verified(&self.modules, plan, &env, &store, spec)
                         .map_err(|e| ApiError::from_verify_error(&e))?
                 } else {
-                    simulate(&self.modules, plan, &env, &store, spec)
-                        .map_err(|e| ApiError::from_exec_error(&e))?
+                    run(spec)?
                 };
                 Ok(api::render_stores(
                     &resolved.label,
@@ -268,8 +267,20 @@ impl Service {
                     req.verify,
                 ))
             }
-            OutputKind::Metrics => Ok(observe(spec)?.metrics_json()),
-            OutputKind::Trace => Ok(observe(spec)?.perfetto_json),
+            OutputKind::Metrics => {
+                let (metrics, recorder) = shared(MetricsRecorder::new());
+                spec.recorders.push(recorder);
+                let run = run(spec)?;
+                let report = lock(&metrics).report();
+                Ok(metrics_json(&report, &run, &self.modules))
+            }
+            OutputKind::Trace => {
+                let (perfetto, recorder) = shared(PerfettoRecorder::new());
+                spec.recorders.push(recorder);
+                let run = run(spec)?;
+                let trace = lock(&perfetto).to_json(&channel_names(plan, &run.module.elab));
+                Ok(trace)
+            }
         }
     }
 

@@ -5,9 +5,10 @@
 
 use crate::{systolize_source, PlaceChoice, SystolizeOptions};
 use systolic_interp::{
-    simulate, simulate_verified, BatchMode, ElabOptions, ModuleStore, OptReport, Problem, SimSpec,
+    channel_names, metrics_json, simulate, simulate_verified, BatchMode, ElabOptions, ModuleStore,
+    OptReport, Problem, SimSpec,
 };
-use systolic_runtime::Json;
+use systolic_runtime::{lock, shared, Json, MetricsRecorder, PerfettoRecorder};
 
 /// Parsed command-line invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -429,14 +430,26 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
         }
         "run" | "verify" => {
             let opts = build_options(inv)?;
-            let spec = build_sim_spec(inv)?;
-            let elab = spec.elab.clone();
+            let mut spec = build_sim_spec(inv)?;
             let sizes = inv.sizes()?.ok_or("--sizes N[,M..] is required")?;
             let seed = inv.seed()?;
             let sys = systolize_source(src, &opts).map_err(|e| e.to_string())?;
             let Problem { env, store } =
                 Problem::seeded(&sys.plan, &sizes, &sys.source.variable_names(), seed)
                     .map_err(|e| e.to_string())?;
+            // Each observer asked for rides on the run that answers. A
+            // recorder closes the fast-path gate, so that run is the plain
+            // engine, checked against the oracle like any other.
+            let metrics = inv.flag("metrics").map(|path| {
+                let (metrics, recorder) = shared(MetricsRecorder::new());
+                spec.recorders.push(recorder);
+                (path, metrics)
+            });
+            let trace = inv.flag("trace-out").map(|path| {
+                let (perfetto, recorder) = shared(PerfettoRecorder::new());
+                spec.recorders.push(recorder);
+                (path, perfetto)
+            });
             let ms = ModuleStore::global();
             let run = simulate_verified(ms, &sys.plan, &env, &store, spec)
                 .map_err(|e| format!("FAILED: {e}"))?;
@@ -461,44 +474,35 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
             if let Some(report) = &run.opt {
                 out.push_str(&format!("\noptimizer: {}", report.summary()));
             }
+            let write = |path: &str, text: &str| {
+                std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+            };
             if let Some(path) = inv.flag("opt-report") {
                 // The optimizer's document (its schema id alone when it
                 // left the module untouched), plus the wavefront staging
                 // facts of the module it returned: the fast plan, as in
                 // the metrics document.
-                let cm = ms
-                    .module(&sys.plan, &env, &store, &elab)
-                    .map_err(|e| e.to_string())?;
-                let mut doc = match cm.fast_plan().opt_report() {
+                let mut doc = match run.module.fast_plan().opt_report() {
                     Some(r) => r.json(),
                     None => Json::obj([("schema", OptReport::SCHEMA.into())]),
                 };
-                doc.push("wavefront", cm.wavefront_json());
-                std::fs::write(path, doc.pretty())
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                doc.push("wavefront", run.module.wavefront_json());
+                write(path, &doc.pretty())?;
                 out.push_str(&format!("\noptimizer report: {path}"));
             }
-            // Observability artifacts: re-run the same seeded problem
-            // with recorders attached and write the requested files.
-            if inv.flag("metrics").is_some() || inv.flag("trace-out").is_some() {
-                let spec = SimSpec {
-                    elab,
-                    ..SimSpec::default()
-                };
-                let obs = systolic_interp::observe_plan_in(ms, &sys.plan, &env, &store, spec)
-                    .map_err(|e| format!("FAILED: {e}"))?;
-                if let Some(path) = inv.flag("metrics") {
-                    std::fs::write(path, obs.metrics_json())
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    out.push_str(&format!("\nmetrics report: {path}"));
-                }
-                if let Some(path) = inv.flag("trace-out") {
-                    std::fs::write(path, &obs.perfetto_json)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    out.push_str(&format!(
-                        "\nperfetto trace: {path} (open in ui.perfetto.dev)"
-                    ));
-                }
+            // The trace goes first: its events and text are an observed
+            // run's largest allocations, freed before the metrics
+            // sections build the fast plan.
+            if let Some((path, perfetto)) = trace {
+                let names = channel_names(&sys.plan, &run.module.elab);
+                write(path, &lock(&perfetto).to_json(&names))?;
+                out.push_str(&format!(
+                    "\nperfetto trace: {path} (open in ui.perfetto.dev)"
+                ));
+            }
+            if let Some((path, metrics)) = metrics {
+                write(path, &metrics_json(&lock(&metrics).report(), &run, ms))?;
+                out.push_str(&format!("\nmetrics report: {path}"));
             }
             Ok(out)
         }

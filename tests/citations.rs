@@ -1,10 +1,12 @@
-//! Every test a document cites exists. The documents are `README.md`,
-//! `DESIGN.md`, `EXPERIMENTS.md`, `docs/*.md`, the verify notes under
-//! `.claude/skills/`, and the `//!`/`///` docs of every `.rs` file under
-//! `crates/`, `src/` and `tests/`. In their backticked spans, a path
-//! under `tests/` must exist, and `tests/<file>.rs::<name>` and
-//! `tests/common::<name>` must name an item of that file (a test a
-//! `matrix_rows!` list declares counts).
+//! Every test and benchmark metric a document cites exists. The
+//! documents are `README.md`, `DESIGN.md`, `EXPERIMENTS.md`, `docs/*.md`,
+//! the verify notes under `.claude/skills/`, and the `//!`/`///` docs of
+//! every `.rs` file under `crates/`, `src/` and `tests/`. In their
+//! backticked spans, a path under `tests/` must exist, and
+//! `tests/<file>.rs::<name>` and `tests/common::<name>` must name an item
+//! of that file (a test a `matrix_rows!` list declares counts); a dotted
+//! name that begins like a `BENCHMARK.json` metric (`sim.steps.e2_n16`,
+//! `interp.simulate.us.*`, `warm_kernel.p50_ms`) must name one.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -134,4 +136,95 @@ fn every_cited_test_exists() {
         wrong.len(),
         wrong.join("\n")
     );
+}
+
+/// Every `"name"` member of `BENCHMARK.json`: its metrics, end to end
+/// and per layer, and its workloads. Read as text: the document's bounds
+/// are floats, which no schema of the workspace's JSON parser admits.
+fn metric_names(root: &Path) -> Vec<String> {
+    let text = fs::read_to_string(root.join("BENCHMARK.json")).unwrap();
+    let values = text.split("\"name\"").skip(1);
+    let value = |rest: &str| rest.split('"').nth(1).unwrap().to_string();
+    values.map(value).collect()
+}
+
+/// Every backticked span of `text` that is a dotted name starting with
+/// one of `heads` (the first segments of the dotted metric names), file
+/// names aside: `sim.*` is a citation, `sim.rs` is not.
+fn metric_citations(text: &str, heads: &[&str]) -> Vec<String> {
+    let word = |s: &str| {
+        let in_name = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || "_*".contains(c);
+        !s.is_empty() && s.chars().all(in_name)
+    };
+    let files = ["rs", "md", "sys", "json", "sh", "txt", "toml", "yml"];
+    let mut out = Vec::new();
+    for line in text.lines() {
+        for span in line.split('`').skip(1).step_by(2) {
+            let segments: Vec<&str> = span.split('.').collect();
+            let cited = segments.len() > 1
+                && segments.iter().all(|s| word(s))
+                && heads.contains(&segments[0])
+                && !files.contains(segments.last().unwrap());
+            if cited {
+                out.push(span.to_string());
+            }
+        }
+    }
+    out
+}
+
+/// Whether the dotted `pattern` names the dotted `name`: a `*` segment
+/// stands for one or more segments, a `*` inside a segment for any run
+/// of characters in it.
+fn names(pattern: &[&str], name: &[&str]) -> bool {
+    let segment = |p: &str, n: &str| match p.split_once('*') {
+        Some((pre, post)) => {
+            n.len() >= pre.len() + post.len() && n.starts_with(pre) && n.ends_with(post)
+        }
+        None => p == n,
+    };
+    match (pattern, name) {
+        ([], []) => true,
+        (["*", rest @ ..], _) => (1..=name.len()).any(|k| names(rest, &name[k..])),
+        ([p, rest @ ..], [n, more @ ..]) => segment(p, n) && names(rest, more),
+        _ => false,
+    }
+}
+
+#[test]
+fn every_cited_metric_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let metrics = metric_names(root);
+    let split: Vec<Vec<&str>> = metrics.iter().map(|m| m.split('.').collect()).collect();
+    let heads: Vec<&str> = split.iter().filter(|m| m.len() > 1).map(|m| m[0]).collect();
+    let mut checked = 0;
+    let mut wrong = Vec::new();
+    for (text, doc) in documents(root) {
+        for cite in metric_citations(&text, &heads) {
+            checked += 1;
+            let pattern: Vec<&str> = cite.split('.').collect();
+            if !split.iter().any(|m| names(&pattern, m)) {
+                let doc = doc.strip_prefix(root).unwrap().display();
+                wrong.push(format!("{doc}: `{cite}` names no BENCHMARK.json metric"));
+            }
+        }
+    }
+    println!("{checked} metric citations checked");
+    assert!(checked > 30, "only {checked} metric citations found");
+    assert!(
+        wrong.is_empty(),
+        "{} broken:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
+    assert!(names(&["sim", "*"], &["sim", "steps", "e2_n16"]));
+    assert!(
+        !names(&["sim", "*"], &["sim"]),
+        "`*` is one segment or more"
+    );
+    assert!(!names(&["sim", "steps"], &["sim", "steps", "e2_n16"]));
+    assert!(names(
+        &["service", "*_cache", "hit_ratio"],
+        &["service", "plan_cache", "hit_ratio"]
+    ));
 }

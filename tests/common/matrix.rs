@@ -22,9 +22,10 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use systolizer::interp::runtime_gen::agree_with_procir;
-use systolizer::interp::{observe_plan_in, CachedModule};
+use systolizer::interp::{channel_names, CachedModule};
 use systolizer::runtime::{
     analyze_kernels, optimize, ChanId, FifoPolicy, KernelPlan, KernelReport, OpKind,
+    PerfettoRecorder,
 };
 use systolizer::runtime::{check as tables, json, lock, shared, MetricsRecorder, MetricsReport};
 use systolizer::runtime::{SchedulePolicy, Value};
@@ -159,6 +160,10 @@ pub struct Case {
 
 type Ran = OnceLock<Result<SystolicRun, String>>;
 
+/// A metered run, its metrics report, and its Perfetto trace when it was
+/// traced too.
+type Metered = (SystolicRun, MetricsReport, Option<String>);
+
 /// A row's runs, each made on first use.
 #[derive(Default)]
 struct Runs {
@@ -168,7 +173,7 @@ struct Runs {
     reverse: Ran,
     again: Ran,
     module: OnceLock<Arc<CachedModule>>,
-    metered: OnceLock<Result<(SystolicRun, MetricsReport), String>>,
+    metered: OnceLock<Result<Metered, String>>,
     sweeps: OnceLock<Option<[WaveRun; 2]>>,
 }
 
@@ -323,16 +328,28 @@ impl Case {
     }
 
     /// The default spec with a metrics recorder attached, and its
-    /// report.
-    pub fn metered(&self) -> Option<&(SystolicRun, MetricsReport)> {
+    /// report; on a row of [`OBSERVED`] a Perfetto recorder rides on the
+    /// same run, and its trace comes too.
+    pub fn metered(&self) -> Option<&Metered> {
         self.plain()?;
         let run = self.runs.metered.get_or_init(|| {
+            let traced = self.origins.iter().any(|o| OBSERVED.contains(o));
             let (metrics, recorder) = shared(MetricsRecorder::new());
+            let (perfetto, tracer) = shared(PerfettoRecorder::new());
+            let mut recorders = vec![recorder];
+            recorders.extend(traced.then_some(tracer));
             let run = self.go(SimSpec {
-                recorders: vec![recorder],
+                recorders,
                 ..SimSpec::default()
             });
-            run.map(|run| (run, lock(&metrics).report()))
+            run.map(|run| {
+                let trace = traced.then(|| {
+                    let names = channel_names(&self.plan, &run.module.elab);
+                    lock(&perfetto).to_json(&names)
+                });
+                let report = lock(&metrics).report();
+                (run, report, trace)
+            })
         });
         Some(
             run.as_ref()
@@ -832,11 +849,12 @@ fn scan_module(c: &Case) {
     }
 }
 
-/// The loops whose rows are also observed as `run --metrics` and the
-/// service observe them (`observe_plan_in`). The rest of the table
-/// attaches the metrics recorder alone: with `observe_plan_in` on every
-/// row, the `reports` column took 10.9 s in a debug build on 2 vCPUs
-/// against 1.3 s.
+/// The loops whose rows are also traced as `run --trace-out` and the
+/// service trace them: their metered run carries a Perfetto recorder
+/// beside the metrics recorder, as `run --metrics --trace-out` does. The
+/// rest of the table attaches the metrics recorder alone: with the trace
+/// on every row, the table's `reports` column took 3.4 s in a debug build
+/// on 2 vCPUs against 0.56 s (medians of five alternated runs).
 const OBSERVED: [&str; 2] = [
     "observed_runs_match_the_oracle_too",
     "metrics_op_totals_are_the_modules_static_counts",
@@ -845,24 +863,21 @@ const OBSERVED: [&str; 2] = [
 /// A metered run (a recorder attached, so the plain engine) reports the
 /// run it made — the oracle's store, transfers, time and steps that
 /// reconcile with its stats, op totals that are the module's static
-/// counts — and so does `observe_plan_in` on the rows of [`OBSERVED`],
-/// on the row's cached module with a trace that parses; the sections the
-/// metrics document and `--opt-report` take from the cached module
-/// describe the module a default run executes: the `optimizer`,
-/// `wavefront` and `kernels` sections are those of the fast plan, derived
-/// here again from the elaborated module by the runtime API alone.
+/// counts — and on the rows of [`OBSERVED`] it ran the row's cached
+/// module and its trace parses; the sections the metrics document and
+/// `--opt-report` take from the cached module describe the module a
+/// default run executes: the `optimizer`, `wavefront` and `kernels`
+/// sections are those of the fast plan, derived here again from the
+/// elaborated module by the runtime API alone.
 fn reports(c: &Case) -> bool {
-    let Some((run, report)) = c.metered() else {
+    let Some((run, report, trace)) = c.metered() else {
         return false;
     };
     let cm = c.module();
-    let observed = c.origins.iter().any(|o| OBSERVED.contains(o)).then(|| {
-        let spec = c.spec(SimSpec::default());
-        let o = observe_plan_in(c.ms(), &c.plan, &c.env, c.store(), spec).unwrap();
-        assert!(Arc::ptr_eq(&o.module, &cm), "the row's module");
-        assert!(json::parse(&o.perfetto_json).is_ok(), "trace");
-        o
-    });
+    if let Some(trace) = trace {
+        assert!(Arc::ptr_eq(&run.module, &cm), "the row's module");
+        assert!(json::parse(trace).is_ok(), "trace");
+    }
     let m = &cm.elab.module;
     let mut want = [0u64; 6];
     for op in m.ops.iter() {
@@ -877,19 +892,16 @@ fn reports(c: &Case) -> bool {
         want[kind as usize] += n;
     }
     assert_eq!(want[OpKind::Emit as usize], m.data.len() as u64);
-    let observed = observed.iter().map(|o| (&o.run, &o.report));
-    for (run, report) in [(run, report)].into_iter().chain(observed) {
-        assert!(!run.wavefront, "a recorder closes the gate");
-        assert!(run.store == *c.oracle(), "metered store");
-        let stats = &run.stats;
-        assert_eq!(
-            (report.transfers, report.end_time),
-            (stats.messages, stats.rounds)
-        );
-        let steps: u64 = report.processes.iter().map(|p| p.steps).sum();
-        assert_eq!(steps, stats.steps);
-        assert_eq!(report.op_totals(), want, "op totals");
-    }
+    assert!(!run.wavefront, "a recorder closes the gate");
+    assert!(run.store == *c.oracle(), "metered store");
+    let stats = &run.stats;
+    assert_eq!(
+        (report.transfers, report.end_time),
+        (stats.messages, stats.rounds)
+    );
+    let steps: u64 = report.processes.iter().map(|p| p.steps).sum();
+    assert_eq!(steps, stats.steps);
+    assert_eq!(report.op_totals(), want, "op totals");
 
     c.per_shape("report sections", || report_sections(&cm));
     true

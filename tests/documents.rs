@@ -6,7 +6,8 @@
 //! drifts from `docs/observability.md` / `docs/service.md` fails here.
 //! That the plan sections describe the module a default run executes
 //! is pinned here through the CLI on one program, and across the corpus
-//! by the `reports` column of `tests/matrix.rs`.
+//! by the `reports` column of `tests/matrix.rs`; that the metrics
+//! describe the run that printed the answer, through the binary.
 
 use systolizer::cli::{execute, parse_args};
 use systolizer::runtime::json::{parse, Json};
@@ -170,17 +171,18 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     assert!(error.get("offenders").and_then(Json::as_arr).is_some());
 }
 
-/// Both documents describe the module the default run executed — the
+/// Both documents describe the module the default run executes — the
 /// optimizer's, not the one it was elaborated as. On `polyprod.sys` at
 /// n = 8, where relays fuse, the `wavefront` section of `--metrics` and of
 /// `--opt-report` is the fused module's plan and `kernels` its kernel
-/// plan, both built here from the runtime API alone; and the run printed
-/// that module's process count.
+/// plan, both built here from the runtime API alone; and a default run,
+/// with no observer attached, printed that module's process count.
 #[test]
 fn the_reports_describe_the_module_that_ran() {
     use systolizer::interp::{elaborate, ElabOptions, Problem};
     use systolizer::runtime::{analyze_kernels, analyze_wavefront, optimize};
-    let (out, docs) = cli_artifacts("polyprod.sys", "8", &["--metrics", "--opt-report"]);
+    let (out, report) = cli_artifacts("polyprod.sys", "8", &["--opt-report"]);
+    let (_, metrics) = cli_artifacts("polyprod.sys", "8", &["--metrics"]);
     let src = std::fs::read_to_string("programs/polyprod.sys").unwrap();
     let sys = systolizer::systolize_source(&src, &Default::default()).unwrap();
     let inputs = sys.source.variable_names();
@@ -196,8 +198,62 @@ fn the_reports_describe_the_module_that_ran() {
         out.starts_with(&format!("OK: {processes} processes")),
         "{out}"
     );
-    let (metrics, report) = (parse(&docs[0]).unwrap(), parse(&docs[1]).unwrap());
+    let (metrics, report) = (parse(&metrics[0]).unwrap(), parse(&report[0]).unwrap());
     assert_eq!(metrics.get("wavefront"), Some(&ran), "metrics");
     assert_eq!(report.get("wavefront"), Some(&ran), "--opt-report");
     assert_eq!(metrics.get("kernels"), Some(&kernels), "metrics");
+}
+
+/// The metrics document describes the run that printed the answer, and
+/// that run alone: from a cold process (the binary, so the module store
+/// starts empty), its `processes`, `transfers` and `end_time` are the
+/// `OK:` line's processes, messages and rounds, and its `elab_cache`
+/// counts one module lookup, a miss, whose fast plan the plan sections
+/// built before the counters were read.
+#[test]
+fn the_metrics_describe_the_run_that_answered() {
+    let tag = format!("systolizer-doc-{}-cold-metrics.json", std::process::id());
+    let path = std::env::temp_dir().join(tag);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_systolizer"))
+        .args([
+            "verify",
+            "programs/polyprod.sys",
+            "--sizes",
+            "8",
+            "--metrics",
+        ])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let text = std::fs::read_to_string(&path).expect("metrics written");
+    let _ = std::fs::remove_file(&path);
+    let doc = parse(&text).unwrap();
+    // `OK: P processes, R scheduler rounds, M logical messages, S steps`
+    let ok: Vec<&str> = stdout.split_whitespace().collect();
+    let units = [ok[0], ok[2], ok[5], ok[8]];
+    assert_eq!(
+        units,
+        ["OK:", "processes,", "rounds,", "messages,"],
+        "{stdout}"
+    );
+    let field = |at: usize| ok[at].parse::<i64>().unwrap();
+    let (processes, rounds, messages) = (field(1), field(3), field(6));
+    let num = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap();
+    assert_eq!(
+        (
+            num(&doc, "processes"),
+            num(&doc, "transfers"),
+            num(&doc, "end_time")
+        ),
+        (processes, messages, rounds),
+        "{stdout}"
+    );
+    let cache = doc.get("elab_cache").unwrap();
+    assert_eq!(
+        (num(cache, "module_misses"), num(cache, "module_hits")),
+        (1, 0)
+    );
+    assert!(num(cache, "fast_plan_ns") > 0);
 }

@@ -143,19 +143,24 @@ fn cli_renders_deadlock_as_a_message_not_a_panic() {
     use systolizer::cli::{execute, parse_args};
     // `--batch off`: the rendezvous engine is the deadlock oracle. The
     // fast engine's ring slack elides this protocol deadlock (see the
-    // companion test below and the caveat in docs/scheduler.md).
-    let raw: Vec<String> = [
-        "verify", "f.sys", "--sizes", "2", "--bound", "1", "--batch", "off",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let inv = parse_args(&raw).unwrap();
-    let err = execute(&inv, LOCKSTEP_SRC).expect_err("deadlocks under the paper protocol");
-    assert!(err.contains("FAILED"), "{err}");
-    assert!(err.contains("deadlock"), "{err}");
-    // The diagnosis names blocked processes and their channel endpoints.
-    assert!(err.contains("recv@") || err.contains("send@"), "{err}");
+    // companion test below and the caveat in docs/scheduler.md). A
+    // metrics recorder closes the same gate, and the run it observes is
+    // the run that answers: it fails, and writes no document.
+    let tag = format!("systolizer-lockstep-{}-metrics.json", std::process::id());
+    let metrics = std::env::temp_dir().join(tag);
+    let metrics = metrics.to_str().unwrap();
+    for flags in [["--batch", "off"], ["--metrics", metrics]] {
+        let mut raw = vec!["verify", "f.sys", "--sizes", "2", "--bound", "1"];
+        raw.extend(flags);
+        let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
+        let inv = parse_args(&raw).unwrap();
+        let err = execute(&inv, LOCKSTEP_SRC).expect_err("deadlocks under the paper protocol");
+        assert!(err.contains("FAILED"), "{err}");
+        assert!(err.contains("deadlock"), "{err}");
+        // The diagnosis names blocked processes and their channel endpoints.
+        assert!(err.contains("recv@") || err.contains("send@"), "{err}");
+    }
+    assert!(!std::path::Path::new(metrics).exists(), "no document");
 }
 
 /// The deliberate flip side: under the default full-auto modes, the ring

@@ -50,22 +50,28 @@ fn c_code_snapshots() {
     check("e2_c.txt", &design(3).c_code());
 }
 
-/// One observed run of polyprod D.1 at n=4 with seeded inputs — the
-/// fixture behind the observability snapshots below. Everything in the
-/// artifacts is virtual-time-based, so the bytes are deterministic.
-fn observed_d1() -> systolizer::interp::Observed {
-    use systolizer::interp::{observe_plan_in, seeded_store, ModuleStore, SimSpec};
+/// One run of polyprod D.1 at n=4 with seeded inputs, a metrics and a
+/// Perfetto recorder attached — the fixture behind the observability
+/// snapshots below: the metrics report and the rendered trace.
+/// Everything in them is virtual-time-based, so the bytes are
+/// deterministic.
+fn observed_d1() -> (String, String) {
+    use systolizer::interp::{channel_names, seeded_store, simulate, ModuleStore, SimSpec};
+    use systolizer::runtime::{lock, shared, MetricsRecorder, PerfettoRecorder};
     let sys = design(0);
     let env = sys.size_env(&[4]).unwrap();
     let store = seeded_store(&sys.plan, &env, &["a", "b"], 11);
-    observe_plan_in(
-        ModuleStore::global(),
-        &sys.plan,
-        &env,
-        &store,
-        SimSpec::default(),
-    )
-    .unwrap()
+    let (metrics, m) = shared(MetricsRecorder::new());
+    let (perfetto, p) = shared(PerfettoRecorder::new());
+    let spec = SimSpec {
+        recorders: vec![m, p],
+        ..SimSpec::default()
+    };
+    let run = simulate(ModuleStore::global(), &sys.plan, &env, &store, spec).unwrap();
+    let names = channel_names(&sys.plan, &run.module.elab);
+    let report = lock(&metrics).report().to_json();
+    let trace = lock(&perfetto).to_json(&names);
+    (report, trace)
 }
 
 /// Pins the `systolic-metrics-v1` JSON for D.1: schema drift (renamed
@@ -73,7 +79,7 @@ fn observed_d1() -> systolizer::interp::Observed {
 /// because downstream tooling parses this document.
 #[test]
 fn metrics_json_snapshot() {
-    check("d1_metrics.json", &observed_d1().report.to_json());
+    check("d1_metrics.json", &observed_d1().0);
 }
 
 /// Pins the Perfetto track names (the `thread_name`/`process_name`
@@ -83,9 +89,8 @@ fn metrics_json_snapshot() {
 /// metrics snapshot's counts.
 #[test]
 fn perfetto_track_names_snapshot() {
-    let obs = observed_d1();
-    let mut tracks: String = obs
-        .perfetto_json
+    let mut tracks: String = observed_d1()
+        .1
         .lines()
         .filter(|l| l.contains("\"process_name\"") || l.contains("\"thread_name\""))
         .map(|l| l.trim().trim_end_matches(','))
