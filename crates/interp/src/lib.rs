@@ -46,6 +46,6 @@ pub use exec::{
 #[doc(hidden)]
 pub use exec::{ExecutorChoice, KernelMode, WavefrontMode};
 pub use kernelize::kernelize;
-pub use metrics::{channel_names, metrics_json};
+pub use metrics::{metrics_json, trace_json};
 pub use skeleton::{elaborate_skeleton, instantiate, SkeletonModule};
 pub use systolic_runtime::{analyze_kernels, BatchMode, KernelPlan, KernelReport, OptReport};

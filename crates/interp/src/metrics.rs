@@ -17,8 +17,9 @@
 //!   statistics, soak/compute/drain makespan attribution, wait and
 //!   occupancy histograms, and the sections of the module that ran;
 //! - a `PerfettoRecorder` gives a Chrome `trace_event` document for
-//!   <https://ui.perfetto.dev>, one track per process and one per channel
-//!   named by [`channel_names`].
+//!   <https://ui.perfetto.dev>, which [`trace_json`] renders with one
+//!   track per process and one per channel, named after the stream and
+//!   process-space point it serves.
 //!
 //! The CLI exposes both as `run --metrics PATH --trace-out PATH`; see
 //! `docs/observability.md`.
@@ -27,7 +28,7 @@ use crate::cache::ModuleStore;
 use crate::elaborate::Elaborated;
 use crate::exec::SystolicRun;
 use systolic_core::SystolicProgram;
-use systolic_runtime::MetricsReport;
+use systolic_runtime::{MetricsReport, PerfettoRecorder};
 
 /// What `run --metrics PATH` writes: the metrics `report` of `run`, then
 /// one section per plan of its module's fast plan, each the owning type's
@@ -51,11 +52,21 @@ pub fn metrics_json(report: &MetricsReport, run: &SystolicRun, ms: &ModuleStore)
     doc.pretty()
 }
 
+/// What `run --trace-out PATH` writes: the Perfetto document of `run`,
+/// its channel tracks named by the module that ran.
+pub fn trace_json(
+    perfetto: &PerfettoRecorder,
+    plan: &SystolicProgram,
+    run: &SystolicRun,
+) -> String {
+    perfetto.to_json(&channel_names(plan, &run.module.elab))
+}
+
 /// Display names for every channel of an elaborated module, indexed by
 /// `ChanId`: `stream@(coords):in` / `:out` for the endpoints recorded in
 /// [`Elaborated::endpoints`], `chan N` for everything else (host fringe
 /// wires, inserted buffers).
-pub fn channel_names(plan: &SystolicProgram, el: &Elaborated) -> Vec<String> {
+fn channel_names(plan: &SystolicProgram, el: &Elaborated) -> Vec<String> {
     let mut names = vec![String::new(); el.module.n_chans];
     el.endpoints.for_each(|sid, y, ic, oc| {
         let stream = &plan.streams[sid].name;
@@ -171,7 +182,7 @@ mod tests {
             ..SimSpec::default()
         };
         let run = simulate(ModuleStore::global(), &plan, &env, &store, spec).unwrap();
-        let trace = lock(&perfetto).to_json(&channel_names(&plan, &run.module.elab));
+        let trace = trace_json(&lock(&perfetto), &plan, &run);
         assert!(trace.contains("a@("), "{trace}");
         assert!(trace.contains("\"traceEvents\""));
     }

@@ -33,7 +33,7 @@ use api::{ApiError, OutputKind, ProgramRef, RunRequest};
 use pool::Pool;
 use systolic_core::SystolicProgram;
 use systolic_interp::{
-    channel_names, metrics_json, simulate, simulate_verified, ModuleStore, Problem, SimSpec,
+    metrics_json, simulate, simulate_verified, trace_json, ModuleStore, Problem, SimSpec,
 };
 use systolic_runtime::{lock, shared, MetricsRecorder, PerfettoRecorder};
 use systolic_sim::{policy_by_name, Json, ScheduleFile};
@@ -278,7 +278,7 @@ impl Service {
                 let (perfetto, recorder) = shared(PerfettoRecorder::new());
                 spec.recorders.push(recorder);
                 let run = run(spec)?;
-                let trace = lock(&perfetto).to_json(&channel_names(plan, &run.module.elab));
+                let trace = trace_json(&lock(&perfetto), plan, &run);
                 Ok(trace)
             }
         }

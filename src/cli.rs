@@ -5,7 +5,7 @@
 
 use crate::{systolize_source, PlaceChoice, SystolizeOptions};
 use systolic_interp::{
-    channel_names, metrics_json, simulate, simulate_verified, BatchMode, ElabOptions, ModuleStore,
+    metrics_json, simulate, simulate_verified, trace_json, BatchMode, ElabOptions, ModuleStore,
     OptReport, Problem, SimSpec,
 };
 use systolic_runtime::{lock, shared, Json, MetricsRecorder, PerfettoRecorder};
@@ -490,12 +490,11 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 write(path, &doc.pretty())?;
                 out.push_str(&format!("\noptimizer report: {path}"));
             }
-            // The trace goes first: its events and text are an observed
-            // run's largest allocations, freed before the metrics
-            // sections build the fast plan.
+            // The trace goes first: its events and text, an observed run's
+            // largest allocations, are dropped before the metrics document
+            // is rendered.
             if let Some((path, perfetto)) = trace {
-                let names = channel_names(&sys.plan, &run.module.elab);
-                write(path, &lock(&perfetto).to_json(&names))?;
+                write(path, &trace_json(&lock(&perfetto), &sys.plan, &run))?;
                 out.push_str(&format!(
                     "\nperfetto trace: {path} (open in ui.perfetto.dev)"
                 ));

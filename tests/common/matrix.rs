@@ -22,7 +22,7 @@ use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use systolizer::interp::runtime_gen::agree_with_procir;
-use systolizer::interp::{channel_names, CachedModule};
+use systolizer::interp::{trace_json, CachedModule};
 use systolizer::runtime::{
     analyze_kernels, optimize, ChanId, FifoPolicy, KernelPlan, KernelReport, OpKind,
     PerfettoRecorder,
@@ -343,10 +343,7 @@ impl Case {
                 ..SimSpec::default()
             });
             run.map(|run| {
-                let trace = traced.then(|| {
-                    let names = channel_names(&self.plan, &run.module.elab);
-                    lock(&perfetto).to_json(&names)
-                });
+                let trace = traced.then(|| trace_json(&lock(&perfetto), &self.plan, &run));
                 let report = lock(&metrics).report();
                 (run, report, trace)
             })

@@ -7,7 +7,8 @@
 //! That the plan sections describe the module a default run executes
 //! is pinned here through the CLI on one program, and across the corpus
 //! by the `reports` column of `tests/matrix.rs`; that the metrics
-//! describe the run that printed the answer, through the binary.
+//! describe the run that printed the answer, through the binary and the
+//! service.
 
 use systolizer::cli::{execute, parse_args};
 use systolizer::runtime::json::{parse, Json};
@@ -77,6 +78,17 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     let (ok_status, ok_body) = svc.handle_run(r#"{"design":"E.1","sizes":[3],"verify":true}"#);
     let (err_status, err_body) = svc.handle_run(r#"{"design":"Z.9","sizes":[3]}"#);
     assert_eq!((ok_status, err_status), (200, 404));
+    // The observed outputs on a fresh service, so its store's counters
+    // are this request's own.
+    let observed = Service::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let (m_status, m_body) =
+        observed.handle_run(r#"{"design":"E.1","sizes":[3],"output":"metrics"}"#);
+    let (t_status, t_body) =
+        observed.handle_run(r#"{"design":"E.1","sizes":[3],"output":"trace"}"#);
+    assert_eq!((m_status, t_status), (200, 200), "{m_body}\n{t_body}");
 
     let ce = explore(&RaceSubject { k: 6 }, &ExploreConfig::matrix(4))
         .unwrap()
@@ -86,8 +98,10 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     let (metrics_v1, opt_v1) = (Some("systolic-metrics-v1"), Some("systolic-opt-v1"));
     let service_v1 = Some("systolic-service-v1");
     let fused_keys = format!("{OPT_KEYS} wavefront");
+    // E.1 has no relay to fuse, so its metrics carry no `optimizer`.
+    let unfused_metrics = METRICS_KEYS.replace(" optimizer", "");
     let (stats, schedule) = (svc.stats_json(), ce.schedule.to_json());
-    let table: [(&str, &str, Option<&str>, &str); 7] = [
+    let table: [(&str, &str, Option<&str>, &str); 9] = [
         ("metrics", &cli[0], metrics_v1, METRICS_KEYS),
         ("trace", &cli[1], None, "traceEvents displayTimeUnit"),
         ("opt report", &cli[2], opt_v1, &fused_keys),
@@ -99,6 +113,13 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
         ),
         ("/v1/run 200", &ok_body, service_v1, RUN_KEYS),
         ("/v1/run 404", &err_body, None, "error"),
+        ("/v1/run metrics", &m_body, metrics_v1, &unfused_metrics),
+        (
+            "/v1/run trace",
+            &t_body,
+            None,
+            "traceEvents displayTimeUnit",
+        ),
         (
             "schedule file",
             &schedule,
@@ -118,7 +139,12 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
         docs.push(doc);
     }
 
-    for (name, doc) in [("metrics", &docs[0]), ("/stats", &docs[3])] {
+    let metered = [
+        ("metrics", &docs[0]),
+        ("/stats", &docs[3]),
+        ("/v1/run metrics", &docs[6]),
+    ];
+    for (name, doc) in metered {
         let Some(Json::Obj(members)) = doc.get("elab_cache") else {
             panic!("{name}: no elab_cache section");
         };
@@ -129,6 +155,23 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
     // The run above built its fast plan before the metrics snapshot.
     let fast_ns = docs[0].get("elab_cache").unwrap().get("fast_plan_ns");
     assert!(fast_ns.and_then(Json::as_i64).unwrap() > 0);
+
+    // The service's metrics request ran once and looked its module up
+    // once. Its processes and messages are those of the default request;
+    // its rounds are the rendezvous rounds of the plain run it observed,
+    // not the fast engine's that answer the default request.
+    let num = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap();
+    let (m_doc, stores) = (&docs[6], docs[4].get("stats").unwrap());
+    let cache = m_doc.get("elab_cache").unwrap();
+    assert_eq!(
+        (num(cache, "module_misses"), num(cache, "module_hits")),
+        (1, 0)
+    );
+    assert!(num(cache, "fast_plan_ns") > 0);
+    assert_eq!(
+        [num(m_doc, "processes"), num(m_doc, "transfers")],
+        [num(stores, "processes"), num(stores, "messages")]
+    );
 
     // One writer, one shape: the metrics document embeds the optimizer's
     // report member for member, and both reports carry the same

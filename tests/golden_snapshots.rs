@@ -56,7 +56,7 @@ fn c_code_snapshots() {
 /// Everything in them is virtual-time-based, so the bytes are
 /// deterministic.
 fn observed_d1() -> (String, String) {
-    use systolizer::interp::{channel_names, seeded_store, simulate, ModuleStore, SimSpec};
+    use systolizer::interp::{seeded_store, simulate, trace_json, ModuleStore, SimSpec};
     use systolizer::runtime::{lock, shared, MetricsRecorder, PerfettoRecorder};
     let sys = design(0);
     let env = sys.size_env(&[4]).unwrap();
@@ -68,9 +68,8 @@ fn observed_d1() -> (String, String) {
         ..SimSpec::default()
     };
     let run = simulate(ModuleStore::global(), &sys.plan, &env, &store, spec).unwrap();
-    let names = channel_names(&sys.plan, &run.module.elab);
     let report = lock(&metrics).report().to_json();
-    let trace = lock(&perfetto).to_json(&names);
+    let trace = trace_json(&lock(&perfetto), &sys.plan, &run);
     (report, trace)
 }
 
