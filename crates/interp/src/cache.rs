@@ -23,8 +23,11 @@
 //! analyses the executors would otherwise repeat — all functions of the
 //! code alone: one [`FastPlan`] — the module the optimizer returns, with
 //! its channel tables and its wavefront and kernel plans — so a warm
-//! `run` pays for none of them. The elaborated module's channel tables
-//! come with it from `instantiate` ([`Elaborated::channels`]).
+//! `run` pays for none of them; and its rendezvous profile
+//! ([`CachedModule::profile`]), the timing half of the metrics document,
+//! built only when a metrics request asks for it. The elaborated
+//! module's channel tables come with it from `instantiate`
+//! ([`Elaborated::channels`]).
 //!
 //! Entries never go stale silently: the plan fingerprint
 //! (`SystolicProgram::fingerprint`, taken once by `compile`) covers the
@@ -42,8 +45,8 @@ use systolic_core::SystolicProgram;
 use systolic_ir::HostStore;
 use systolic_math::Env;
 use systolic_runtime::{
-    analyze_kernels, analyze_wavefront, lock, BatchPlan, Json, KernelPlan, OptReport,
-    OptimizedModule, ProcIrModule, WavefrontPlan,
+    analyze_kernels, analyze_wavefront, lock, shared, BatchPlan, Json, KernelPlan, MetricsRecorder,
+    MetricsReport, Network, OptReport, OptimizedModule, ProcIrModule, RunError, WavefrontPlan,
 };
 
 /// Retained skeletons (level 1). Skeletons are small — per-stream
@@ -102,6 +105,7 @@ impl CacheStats {
 pub struct CachedModule {
     pub elab: Elaborated,
     fast: OnceLock<FastPlan>,
+    profile: OnceLock<Result<MetricsReport, RunError>>,
     /// The store's [`CacheStats::fast_plan_ns`], charged when `fast` is
     /// built: the plan is built on first use, outside the store's lock.
     fast_plan_ns: Arc<AtomicU64>,
@@ -141,6 +145,7 @@ impl CachedModule {
         CachedModule {
             elab,
             fast: OnceLock::new(),
+            profile: OnceLock::new(),
             fast_plan_ns,
         }
     }
@@ -186,6 +191,23 @@ impl CachedModule {
                 wavefront,
                 kernels,
             }
+        })
+    }
+
+    /// The module's rendezvous profile, built once: the metrics of the
+    /// plain engine running the elaborated module — relays included —
+    /// under the FIFO clock, as the rendezvous members of the
+    /// `systolic-metrics-v1` document report them, or why that run
+    /// stopped. A module is data-free (no op's control flow reads a
+    /// value), so the profile is a fact of the code: it runs over the
+    /// data segment the module carries, and any data set gives the same
+    /// report. Only a metrics request builds it; no run reads it.
+    pub fn profile(&self) -> &Result<MetricsReport, RunError> {
+        self.profile.get_or_init(|| {
+            let (metrics, recorder) = shared(MetricsRecorder::new());
+            let mut net = Network::of(&self.elab.module);
+            net.add_recorder(recorder);
+            net.run().map(|_| lock(&metrics).report())
         })
     }
 

@@ -96,11 +96,12 @@ pub struct SimSpec {
     pub elab: ElabOptions,
     /// Observers of every VM op, scheduler step and channel transfer
     /// (see `systolic_runtime::record`), attached to this run and no
-    /// other: `--metrics` adds a `MetricsRecorder`, `--trace-out` a
-    /// `PerfettoRecorder`, each only when asked for. Any recorder closes
-    /// the fast-path gate: only the plain engine emits per-event
-    /// streams, so an observed run is the plain run, and it is the one
-    /// that answers.
+    /// other: `--trace-out` adds a `PerfettoRecorder`, only when asked
+    /// for. Any recorder closes the fast-path gate: only the plain engine
+    /// emits per-event streams, whose transfers carry values, so a traced
+    /// run is the plain run, and it is the one that answers. The metrics
+    /// document attaches none: its timing is the module's rendezvous
+    /// profile ([`CachedModule::profile`]).
     pub recorders: Vec<SharedRecorder>,
 }
 

@@ -19,9 +19,9 @@
 //!   rung of the fast-path ladder a [`SimSpec`] selects, and
 //!   [`simulate_verified`], the one comparison against the sequential
 //!   reference;
-//! - [`metrics`] — the documents of an observed run: the metrics
-//!   document, and Perfetto channel tracks named by stream and
-//!   process-space point.
+//! - [`metrics`] — the documents a run can be asked for: the metrics
+//!   document, a fact of the run's module, and the traced run's
+//!   Perfetto channel tracks named by stream and process-space point.
 
 pub mod cache;
 pub mod describe;

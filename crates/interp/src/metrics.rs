@@ -7,19 +7,21 @@
 //! [`MetricsReport`] and the Perfetto trace read in the paper's
 //! vocabulary (`a@(3):in` instead of `chan 17`).
 //!
-//! An observer is a recorder in the [`SimSpec`](crate::SimSpec) of the
-//! run that answers the request, attached only when its output is asked
-//! for:
+//! Two documents read a run this way:
 //!
-//! - a `MetricsRecorder` gives the [`MetricsReport`], which
-//!   [`metrics_json`] makes the `systolic-metrics-v1` document:
-//!   per-process op and phase counts, per-channel transfer/wait
-//!   statistics, soak/compute/drain makespan attribution, wait and
-//!   occupancy histograms, and the sections of the module that ran;
-//! - a `PerfettoRecorder` gives a Chrome `trace_event` document for
-//!   <https://ui.perfetto.dev>, which [`trace_json`] renders with one
-//!   track per process and one per channel, named after the stream and
-//!   process-space point it serves.
+//! - the `systolic-metrics-v1` document, which [`metrics_json`] builds
+//!   from the run's module alone: its rendezvous profile
+//!   ([`CachedModule::profile`](crate::CachedModule::profile), a
+//!   [`MetricsReport`]: per-process op and phase counts, per-channel
+//!   transfer/wait statistics, soak/compute/drain makespan attribution,
+//!   wait and occupancy histograms) and the sections of its fast plan.
+//!   No recorder rides on the run that answers, so asking for the
+//!   document leaves that run as it would be unasked;
+//! - a Chrome `trace_event` document for <https://ui.perfetto.dev>, from
+//!   a `PerfettoRecorder` in the [`SimSpec`](crate::SimSpec) of the run
+//!   that answers, attached only when the trace is asked for, which
+//!   [`trace_json`] renders with one track per process and one per
+//!   channel, named after the stream and process-space point it serves.
 //!
 //! The CLI exposes both as `run --metrics PATH --trace-out PATH`; see
 //! `docs/observability.md`.
@@ -28,21 +30,30 @@ use crate::cache::ModuleStore;
 use crate::elaborate::Elaborated;
 use crate::exec::SystolicRun;
 use systolic_core::SystolicProgram;
-use systolic_runtime::{MetricsReport, PerfettoRecorder};
+use systolic_runtime::{Json, MetricsReport, PerfettoRecorder};
 
-/// What `run --metrics PATH` writes: the metrics `report` of `run`, then
-/// one section per plan of its module's fast plan, each the owning type's
-/// own value — `optimizer` (the `systolic-opt-v1` mapping report; absent
-/// when the optimizer leaves the module untouched), `elab_cache`,
-/// `wavefront` (staging shape, or why the fast engine never runs the
-/// program) and `kernels` (eligibility split and scalar-fallback
-/// reasons, or the same why). An observed run is the plain engine, so
-/// the fast plan is what an unobserved default run of the module
-/// executes. The `elab_cache` counters of `ms` are read after the fast
-/// plan is built, so `fast_plan_ns` counts it.
-pub fn metrics_json(report: &MetricsReport, run: &SystolicRun, ms: &ModuleStore) -> String {
+/// What `run --metrics PATH` writes, all of it a fact of `run`'s module:
+/// the module's rendezvous profile ([`CachedModule::profile`]), then one
+/// section per plan of its fast plan, each the owning type's own value —
+/// `optimizer` (the `systolic-opt-v1` mapping report; absent when the
+/// optimizer leaves the module untouched), `elab_cache`, `wavefront`
+/// (staging shape, or why the fast engine never runs the program) and
+/// `kernels` (eligibility split and scalar-fallback reasons, or the same
+/// why). When the profile's rendezvous run stops early, one `deadlock`
+/// member holding its error text stands for the profile's members. The
+/// `elab_cache` counters of `ms` are read after the fast plan is built,
+/// so `fast_plan_ns` counts it.
+///
+/// [`CachedModule::profile`]: crate::CachedModule::profile
+pub fn metrics_json(run: &SystolicRun, ms: &ModuleStore) -> String {
     let cm = &run.module;
-    let mut doc = report.json();
+    let mut doc = match cm.profile() {
+        Ok(report) => report.json(),
+        Err(e) => Json::obj([
+            ("schema", MetricsReport::SCHEMA.into()),
+            ("deadlock", e.to_string().into()),
+        ]),
+    };
     if let Some(report) = cm.fast_plan().opt_report() {
         doc.push("optimizer", report.json());
     }
@@ -98,7 +109,7 @@ mod tests {
     use systolic_core::{compile, Options};
     use systolic_ir::{seq, HostStore};
     use systolic_math::Env;
-    use systolic_runtime::{lock, shared, MetricsRecorder, PerfettoRecorder};
+    use systolic_runtime::{lock, shared, PerfettoRecorder};
     use systolic_synthesis::placement::paper;
 
     fn setup(n: i64) -> (SystolicProgram, Env, HostStore) {
@@ -112,42 +123,16 @@ mod tests {
         (plan, env, store)
     }
 
-    /// The default spec with a metrics recorder attached, and its report.
-    fn metered(
-        (plan, env, store): &(SystolicProgram, Env, HostStore),
-    ) -> (SystolicRun, MetricsReport) {
-        let (metrics, recorder) = shared(MetricsRecorder::new());
-        let spec = SimSpec {
-            recorders: vec![recorder],
-            ..SimSpec::default()
-        };
-        let run = simulate(ModuleStore::global(), plan, env, store, spec).unwrap();
-        let report = lock(&metrics).report();
-        (run, report)
-    }
-
+    /// The profile is the plain engine's run of the module: its
+    /// transfers, clock, processes and steps are that run's stats, over
+    /// any data the module is run on.
     #[test]
-    fn observation_does_not_perturb_the_run() {
-        let problem = setup(4);
-        let (plan, env, store) = &problem;
-        let ms = ModuleStore::global();
-        let plain = simulate(ms, plan, env, store, SimSpec::plain()).unwrap();
-        let (run, _) = metered(&problem);
-        assert!(!run.wavefront, "a recorder closes the gate");
-        assert_eq!(run.stats, plain.stats);
-        for name in plain.store.names() {
-            assert_eq!(run.store.get(name), plain.store.get(name), "{name}");
-        }
-        // And the run is actually correct.
-        let mut expected = store.clone();
-        seq::run(&plan.source, env, &mut expected);
-        assert_eq!(run.store.get("c"), expected.get("c"));
-    }
-
-    #[test]
-    fn report_reconciles_with_run_stats() {
-        let (run, report) = metered(&setup(5));
-        let stats = &run.stats;
+    fn the_profile_is_the_plain_run_of_the_module() {
+        let (plan, env, store) = setup(5);
+        let ms = ModuleStore::new();
+        let plain = simulate(&ms, &plan, &env, &store, SimSpec::plain()).unwrap();
+        let report = plain.module.profile().as_ref().unwrap();
+        let stats = &plain.stats;
         assert_eq!(report.transfers, stats.messages);
         assert_eq!(report.end_time, stats.rounds);
         assert_eq!(report.processes.len(), stats.processes);
@@ -161,6 +146,31 @@ mod tests {
         // The compute plateau is where the basic statements run.
         let ops = report.op_totals();
         assert!(ops[systolic_runtime::OpKind::Compute as usize] > 0);
+        // Built once: a second request reads the same report.
+        assert!(std::ptr::eq(
+            report,
+            plain.module.profile().as_ref().unwrap()
+        ));
+    }
+
+    /// Asking for the document leaves the run that answers as it would be
+    /// unasked: the default run keeps the fast path, and the document
+    /// still reports the rendezvous clock.
+    #[test]
+    fn the_document_does_not_perturb_the_run() {
+        let (plan, env, store) = setup(4);
+        let ms = ModuleStore::new();
+        let run = simulate(&ms, &plan, &env, &store, SimSpec::default()).unwrap();
+        assert!(run.wavefront, "no recorder, the gate stays open");
+        let doc = systolic_runtime::json::parse(&metrics_json(&run, &ms)).unwrap();
+        let profile = run.module.profile().as_ref().unwrap();
+        let end_time = doc.get("end_time").and_then(Json::as_i64);
+        assert_eq!(end_time, Some(profile.end_time as i64));
+        assert!(doc.get("wavefront").is_some());
+        // And the run is actually correct.
+        let mut expected = store.clone();
+        seq::run(&plan.source, &env, &mut expected);
+        assert_eq!(run.store.get("c"), expected.get("c"));
     }
 
     #[test]

@@ -243,7 +243,7 @@ pub fn first_divergence(a: &[Transfer], b: &[Transfer]) -> Option<usize> {
 }
 
 /// Per-process aggregates of a [`MetricsReport`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProcMetrics {
     pub label: String,
     /// `step_into` invocations (sums to `RunStats.steps`).
@@ -260,7 +260,7 @@ pub struct ProcMetrics {
 }
 
 /// Per-channel aggregates of a [`MetricsReport`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChanMetrics {
     pub transfers: u64,
     pub sender_wait: u64,
@@ -271,7 +271,7 @@ pub struct ChanMetrics {
 }
 
 /// Everything [`MetricsRecorder`] aggregated over one run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsReport {
     pub processes: Vec<ProcMetrics>,
     pub channels: Vec<ChanMetrics>,
@@ -293,6 +293,9 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
+    /// The schema id of the metrics document.
+    pub const SCHEMA: &'static str = "systolic-metrics-v1";
+
     /// Rounds before the first basic-statement execution (the soak
     /// lead-in of the makespan).
     pub fn soak_lead_in(&self) -> u64 {
@@ -407,7 +410,7 @@ impl MetricsReport {
         ]);
         let per_channel = self.channels.iter().enumerate().map(channel);
         Json::obj([
-            ("schema", "systolic-metrics-v1".into()),
+            ("schema", Self::SCHEMA.into()),
             ("processes", self.processes.len().into()),
             ("transfers", self.transfers.into()),
             ("end_time", self.end_time.into()),

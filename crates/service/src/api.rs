@@ -180,9 +180,9 @@ pub enum ProgramRef {
 pub enum OutputKind {
     /// The post-run host store (the default).
     Stores,
-    /// The `systolic-metrics-v1` report of an observed run.
+    /// The `systolic-metrics-v1` report of the run's module.
     Metrics,
-    /// The Chrome `trace_event` document of an observed run.
+    /// The Chrome `trace_event` document of a traced run.
     Trace,
 }
 

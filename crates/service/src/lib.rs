@@ -35,7 +35,7 @@ use systolic_core::SystolicProgram;
 use systolic_interp::{
     metrics_json, simulate, simulate_verified, trace_json, ModuleStore, Problem, SimSpec,
 };
-use systolic_runtime::{lock, shared, MetricsRecorder, PerfettoRecorder};
+use systolic_runtime::{lock, shared, PerfettoRecorder};
 use systolic_sim::{policy_by_name, Json, ScheduleFile};
 
 /// Capacity and policy knobs. Defaults suit a small box; `docs/service.md`
@@ -237,9 +237,10 @@ impl Service {
         let inputs = req.inputs.as_ref().unwrap_or(&resolved.default_inputs);
         let Problem { env, store } = Problem::seeded(plan, &req.sizes, inputs, req.seed)?;
 
-        // One spec and one run for every output arm: an observed arm adds
-        // its own recorder, which closes the fast-path gate, so its
-        // document describes the plain rung of the run the request named.
+        // One spec and one run for every output arm. The trace arm adds
+        // its recorder, which closes the fast-path gate, so its document
+        // describes the plain rung of the run the request named; the
+        // metrics arm attaches nothing and reads the run's module.
         let sched = req.schedule.map(|(policy, seed)| {
             policy_by_name(policy, seed).expect("schedule policy validated at parse time")
         });
@@ -267,13 +268,7 @@ impl Service {
                     req.verify,
                 ))
             }
-            OutputKind::Metrics => {
-                let (metrics, recorder) = shared(MetricsRecorder::new());
-                spec.recorders.push(recorder);
-                let run = run(spec)?;
-                let report = lock(&metrics).report();
-                Ok(metrics_json(&report, &run, &self.modules))
-            }
+            OutputKind::Metrics => Ok(metrics_json(&run(spec)?, &self.modules)),
             OutputKind::Trace => {
                 let (perfetto, recorder) = shared(PerfettoRecorder::new());
                 spec.recorders.push(recorder);

@@ -8,7 +8,7 @@ use systolic_interp::{
     metrics_json, simulate, simulate_verified, trace_json, BatchMode, ElabOptions, ModuleStore,
     OptReport, Problem, SimSpec,
 };
-use systolic_runtime::{lock, shared, Json, MetricsRecorder, PerfettoRecorder};
+use systolic_runtime::{lock, shared, Json, PerfettoRecorder};
 
 /// Parsed command-line invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -437,14 +437,10 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
             let Problem { env, store } =
                 Problem::seeded(&sys.plan, &sizes, &sys.source.variable_names(), seed)
                     .map_err(|e| e.to_string())?;
-            // Each observer asked for rides on the run that answers. A
-            // recorder closes the fast-path gate, so that run is the plain
-            // engine, checked against the oracle like any other.
-            let metrics = inv.flag("metrics").map(|path| {
-                let (metrics, recorder) = shared(MetricsRecorder::new());
-                spec.recorders.push(recorder);
-                (path, metrics)
-            });
+            // A trace rides on the run that answers. Its recorder closes
+            // the fast-path gate, so that run is the plain engine, checked
+            // against the oracle like any other. The metrics document
+            // reads the run's module and attaches nothing.
             let trace = inv.flag("trace-out").map(|path| {
                 let (perfetto, recorder) = shared(PerfettoRecorder::new());
                 spec.recorders.push(recorder);
@@ -490,17 +486,14 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 write(path, &doc.pretty())?;
                 out.push_str(&format!("\noptimizer report: {path}"));
             }
-            // The trace goes first: its events and text, an observed run's
-            // largest allocations, are dropped before the metrics document
-            // is rendered.
             if let Some((path, perfetto)) = trace {
                 write(path, &trace_json(&lock(&perfetto), &sys.plan, &run))?;
                 out.push_str(&format!(
                     "\nperfetto trace: {path} (open in ui.perfetto.dev)"
                 ));
             }
-            if let Some((path, metrics)) = metrics {
-                write(path, &metrics_json(&lock(&metrics).report(), &run, ms))?;
+            if let Some(path) = inv.flag("metrics") {
+                write(path, &metrics_json(&run, ms))?;
                 out.push_str(&format!("\nmetrics report: {path}"));
             }
             Ok(out)

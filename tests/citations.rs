@@ -6,7 +6,8 @@
 //! `tests/<file>.rs::<name>` and `tests/common::<name>` must name an item
 //! of that file (a test a `matrix_rows!` list declares counts); a dotted
 //! name that begins like a `BENCHMARK.json` metric (`sim.steps.e2_n16`,
-//! `interp.simulate.us.*`, `warm_kernel.p50_ms`) must name one.
+//! `interp.simulate.us.*`, `warm_kernel.p50_ms`) must name one. And the
+//! command lines the user guides show run: see [`COMMAND_DOCS`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -227,4 +228,129 @@ fn every_cited_metric_exists() {
         &["service", "*_cache", "hit_ratio"],
         &["service", "plan_cache", "hit_ratio"]
     ));
+}
+
+/// The guides whose `sh`/`console` blocks show `systolizer` command lines
+/// (`cargo run -- …` or `systolizer …`), each of which must parse, and
+/// run where it simulates or compiles.
+const COMMAND_DOCS: [&str; 5] = [
+    "README.md",
+    "docs/TUTORIAL.md",
+    "docs/observability.md",
+    "docs/service.md",
+    "docs/testing.md",
+];
+
+/// One documented command: its argv (the shell line up to its first
+/// metacharacter) and the text of a `# OK:` comment on the line after
+/// it, if there is one.
+struct Documented {
+    argv: Vec<String>,
+    ok: Option<String>,
+}
+
+/// The `systolizer` argv of one shell line, or `None` for a line that
+/// runs something else (`curl`, `rustc`, `cargo run --example …`).
+fn systolizer_argv(line: &str) -> Option<Vec<String>> {
+    let line = line.strip_prefix("$ ").unwrap_or(line);
+    let rest = match line.split_once(" -- ") {
+        Some((cargo, rest)) if line.starts_with("cargo run") => {
+            let own = |w: &str| ["cargo", "run", "--release"].contains(&w);
+            cargo.split_whitespace().all(own).then_some(rest)?
+        }
+        _ => line.strip_prefix("systolizer ")?,
+    };
+    let meta = |w: &&str| !w.starts_with(['>', '<', '|', '&', ';', '#', '$']);
+    Some(
+        rest.split_whitespace()
+            .take_while(meta)
+            .map(String::from)
+            .collect(),
+    )
+}
+
+/// Every command line in the `sh`/`console` blocks of `text`, with
+/// `\`-continued lines joined.
+fn documented_commands(text: &str) -> Vec<Documented> {
+    let mut out = Vec::new();
+    let mut shell = false;
+    let mut lines = text.lines().map(str::trim).peekable();
+    while let Some(line) = lines.next() {
+        if let Some(lang) = line.strip_prefix("```") {
+            shell = !shell && ["sh", "console"].contains(&lang);
+            continue;
+        }
+        if !shell {
+            continue;
+        }
+        let mut line = line.to_string();
+        while let Some(head) = line.strip_suffix('\\') {
+            line = format!("{head} {}", lines.next().unwrap_or_default());
+        }
+        let Some(argv) = systolizer_argv(&line) else {
+            continue;
+        };
+        let ok = lines
+            .peek()
+            .and_then(|next| next.strip_prefix("# "))
+            .filter(|next| next.starts_with("OK:"))
+            .map(|next| next.split("...").next().unwrap().trim_end().to_string());
+        out.push(Documented { argv, ok });
+    }
+    out
+}
+
+/// Every `systolizer` command line the guides show parses, so no guide
+/// spells a deleted or misspelt flag; the ones that compile or simulate
+/// run, their artifacts written to a scratch directory; and where the
+/// guide shows the `OK:` line that follows, the run prints it.
+#[test]
+fn every_documented_command_runs() {
+    use systolizer::cli::{execute, parse_args};
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let scratch =
+        std::env::temp_dir().join(format!("systolizer-doc-commands-{}", std::process::id()));
+    fs::create_dir_all(&scratch).unwrap();
+    let (mut parsed, mut ran, mut printed) = (0, 0, 0);
+    for doc in COMMAND_DOCS {
+        let text = fs::read_to_string(root.join(doc)).unwrap();
+        for Documented { argv, ok } in documented_commands(&text) {
+            let shown = argv.join(" ");
+            let mut inv = parse_args(&argv).unwrap_or_else(|e| panic!("{doc}: `{shown}`: {e}"));
+            parsed += 1;
+            if !["run", "verify", "describe", "compile"].contains(&inv.command.as_str()) {
+                continue;
+            }
+            for (flag, value) in &mut inv.flags {
+                if ["metrics", "trace-out", "opt-report"].contains(&flag.as_str()) {
+                    *value = scratch.join(&*value).to_str().unwrap().to_string();
+                }
+            }
+            let src = fs::read_to_string(root.join(&inv.file)).unwrap();
+            let out = execute(&inv, &src).unwrap_or_else(|e| panic!("{doc}: `{shown}`: {e}"));
+            ran += 1;
+            if let Some(ok) = ok {
+                let first = out.lines().next().unwrap_or_default();
+                assert!(
+                    first.starts_with(&ok),
+                    "{doc}: `{shown}` printed\n{first}\nnot\n{ok}"
+                );
+                printed += 1;
+            }
+        }
+    }
+    let _ = fs::remove_dir_all(&scratch);
+    println!("{parsed} documented commands parsed, {ran} ran, {printed} printed their OK: line");
+    assert!(
+        parsed >= 10 && ran >= 6 && printed >= 1,
+        "{parsed} {ran} {printed}"
+    );
+    let sample = "```sh\ncargo run --release -- run f.sys \\\n  --sizes 2 > out.txt\n\
+                  # OK: 3 processes, ... [wavefront]\ncargo run --example x -- y\n```\n\
+                  ```console\n$ systolizer verify f.sys # note\n```\n";
+    let found = documented_commands(sample);
+    let argv: Vec<String> = found.iter().map(|d| d.argv.join(" ")).collect();
+    assert_eq!(argv, ["run f.sys --sizes 2", "verify f.sys"]);
+    assert_eq!(found[0].ok.as_deref(), Some("OK: 3 processes,"));
+    assert_eq!(found[1].ok, None);
 }

@@ -860,8 +860,11 @@ const OBSERVED: [&str; 2] = [
 /// A metered run (a recorder attached, so the plain engine) reports the
 /// run it made — the oracle's store, transfers, time and steps that
 /// reconcile with its stats, op totals that are the module's static
-/// counts — and on the rows of [`OBSERVED`] it ran the row's cached
-/// module and its trace parses; the sections the metrics document and
+/// counts — and that report is the row's module's rendezvous profile,
+/// which the metrics document prints (rows sharing a store with another
+/// data seed check that it does not read the data); on the rows of
+/// [`OBSERVED`] it ran the row's cached module and its trace parses;
+/// the sections the metrics document and
 /// `--opt-report` take from the cached module describe the module a
 /// default run executes: the `optimizer`, `wavefront` and `kernels`
 /// sections are those of the fast plan, derived here again from the
@@ -899,6 +902,11 @@ fn reports(c: &Case) -> bool {
     let steps: u64 = report.processes.iter().map(|p| p.steps).sum();
     assert_eq!(steps, stats.steps);
     assert_eq!(report.op_totals(), want, "op totals");
+    // The module's profile is this run's report, over whatever data
+    // instantiated the module: the metrics document is a fact of the
+    // module.
+    let profile = cm.profile().as_ref().expect("the profile completes");
+    assert!(profile == report, "profile");
 
     c.per_shape("report sections", || report_sections(&cm));
     true

@@ -6,9 +6,9 @@
 //! drifts from `docs/observability.md` / `docs/service.md` fails here.
 //! That the plan sections describe the module a default run executes
 //! is pinned here through the CLI on one program, and across the corpus
-//! by the `reports` column of `tests/matrix.rs`; that the metrics
-//! describe the run that printed the answer, through the binary and the
-//! service.
+//! by the `reports` column of `tests/matrix.rs`; that asking for the
+//! metrics leaves the answer as it is, and that they report the module's
+//! rendezvous clock, through the binary and the service.
 
 use systolizer::cli::{execute, parse_args};
 use systolizer::runtime::json::{parse, Json};
@@ -158,8 +158,8 @@ fn every_document_parses_and_carries_its_schema_and_keys() {
 
     // The service's metrics request ran once and looked its module up
     // once. Its processes and messages are those of the default request;
-    // its rounds are the rendezvous rounds of the plain run it observed,
-    // not the fast engine's that answer the default request.
+    // its rounds are the module's rendezvous profile's, not the fast
+    // engine's that answer the default request.
     let num = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap();
     let (m_doc, stores) = (&docs[6], docs[4].get("stats").unwrap());
     let cache = m_doc.get("elab_cache").unwrap();
@@ -247,42 +247,57 @@ fn the_reports_describe_the_module_that_ran() {
     assert_eq!(metrics.get("kernels"), Some(&kernels), "metrics");
 }
 
-/// The metrics document describes the run that printed the answer, and
-/// that run alone: from a cold process (the binary, so the module store
-/// starts empty), its `processes`, `transfers` and `end_time` are the
-/// `OK:` line's processes, messages and rounds, and its `elab_cache`
-/// counts one module lookup, a miss, whose fast plan the plan sections
-/// built before the counters were read.
+/// The metrics document leaves the run that answers as it would be
+/// unasked, and reports the module's rendezvous clock: from a cold
+/// process (the binary, so the module store starts empty), `--metrics`
+/// prints what the same command prints without it, fast-path marker and
+/// `optimizer:` line included; the document's `processes`, `transfers`
+/// and `end_time` are the processes, messages and rounds that `--batch
+/// off` prints, and its `elab_cache` counts one module lookup, a miss,
+/// whose fast plan the plan sections built before the counters were
+/// read.
 #[test]
 fn the_metrics_describe_the_run_that_answered() {
     let tag = format!("systolizer-doc-{}-cold-metrics.json", std::process::id());
     let path = std::env::temp_dir().join(tag);
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_systolizer"))
-        .args([
-            "verify",
-            "programs/polyprod.sys",
-            "--sizes",
-            "8",
-            "--metrics",
-        ])
-        .arg(&path)
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}");
+    let verify = |flags: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_systolizer"))
+            .args(["verify", "programs/polyprod.sys", "--sizes", "8"])
+            .args(flags)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(out.status.success(), "{flags:?}: {stdout}");
+        stdout
+    };
+    let observed = verify(&["--metrics", path.to_str().unwrap()]);
     let text = std::fs::read_to_string(&path).expect("metrics written");
     let _ = std::fs::remove_file(&path);
     let doc = parse(&text).unwrap();
+    let unobserved = verify(&[]);
+    assert!(
+        unobserved.starts_with("OK: 15 processes,") && unobserved.contains("\noptimizer: "),
+        "{unobserved}"
+    );
+    assert!(
+        unobserved.contains(" [wavefront+kernels+optimized]; "),
+        "{unobserved}"
+    );
+    let printed = format!("{unobserved}metrics report: {}\n", path.display());
+    assert_eq!(observed, printed);
+
     // `OK: P processes, R scheduler rounds, M logical messages, S steps`
-    let ok: Vec<&str> = stdout.split_whitespace().collect();
+    let plain = verify(&["--batch", "off"]);
+    let ok: Vec<&str> = plain.split_whitespace().collect();
     let units = [ok[0], ok[2], ok[5], ok[8]];
     assert_eq!(
         units,
         ["OK:", "processes,", "rounds,", "messages,"],
-        "{stdout}"
+        "{plain}"
     );
     let field = |at: usize| ok[at].parse::<i64>().unwrap();
     let (processes, rounds, messages) = (field(1), field(3), field(6));
+    assert_eq!((processes, messages, rounds), (24, 503, 99), "{plain}");
     let num = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_i64).unwrap();
     assert_eq!(
         (
@@ -290,8 +305,7 @@ fn the_metrics_describe_the_run_that_answered() {
             num(&doc, "transfers"),
             num(&doc, "end_time")
         ),
-        (processes, messages, rounds),
-        "{stdout}"
+        (processes, messages, rounds)
     );
     let cache = doc.get("elab_cache").unwrap();
     assert_eq!(

@@ -141,26 +141,45 @@ fn all_zero_inputs_roundtrip() {
 #[test]
 fn cli_renders_deadlock_as_a_message_not_a_panic() {
     use systolizer::cli::{execute, parse_args};
+    use systolizer::runtime::json::{parse, Json};
     // `--batch off`: the rendezvous engine is the deadlock oracle. The
     // fast engine's ring slack elides this protocol deadlock (see the
-    // companion test below and the caveat in docs/scheduler.md). A
-    // metrics recorder closes the same gate, and the run it observes is
-    // the run that answers: it fails, and writes no document.
-    let tag = format!("systolizer-lockstep-{}-metrics.json", std::process::id());
-    let metrics = std::env::temp_dir().join(tag);
-    let metrics = metrics.to_str().unwrap();
-    for flags in [["--batch", "off"], ["--metrics", metrics]] {
+    // companion test below and the caveat in docs/scheduler.md).
+    let verify = |flags: &[&str]| {
         let mut raw = vec!["verify", "f.sys", "--sizes", "2", "--bound", "1"];
         raw.extend(flags);
         let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
-        let inv = parse_args(&raw).unwrap();
-        let err = execute(&inv, LOCKSTEP_SRC).expect_err("deadlocks under the paper protocol");
-        assert!(err.contains("FAILED"), "{err}");
-        assert!(err.contains("deadlock"), "{err}");
-        // The diagnosis names blocked processes and their channel endpoints.
-        assert!(err.contains("recv@") || err.contains("send@"), "{err}");
-    }
-    assert!(!std::path::Path::new(metrics).exists(), "no document");
+        execute(&parse_args(&raw).unwrap(), LOCKSTEP_SRC)
+    };
+    let err = verify(&["--batch", "off"]).expect_err("deadlocks under the paper protocol");
+    assert!(err.contains("FAILED"), "{err}");
+    assert!(err.contains("deadlock"), "{err}");
+    // The diagnosis names blocked processes and their channel endpoints.
+    assert!(err.contains("recv@") || err.contains("send@"), "{err}");
+
+    // Asking for the metrics does not choose the engine: the answer is
+    // the unobserved one, and the document's rendezvous profile carries
+    // the same diagnosis in place of a makespan.
+    let tag = format!("systolizer-lockstep-{}-metrics.json", std::process::id());
+    let metrics = std::env::temp_dir().join(tag);
+    let metrics = metrics.to_str().unwrap();
+    let unobserved = verify(&[]).expect("ring slack completes the lockstep design");
+    let observed = verify(&["--metrics", metrics]).expect("the same answer");
+    assert_eq!(observed, format!("{unobserved}\nmetrics report: {metrics}"));
+    let text = std::fs::read_to_string(metrics).expect("metrics written");
+    let _ = std::fs::remove_file(metrics);
+    let doc = parse(&text).unwrap();
+    let deadlock = doc
+        .get("deadlock")
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(deadlock.starts_with("deadlock:"), "{text}");
+    assert!(
+        deadlock.contains("recv@") || deadlock.contains("send@"),
+        "{text}"
+    );
+    assert!(doc.get("makespan").is_none(), "{text}");
+    assert!(doc.get("wavefront").is_some(), "{text}");
 }
 
 /// The deliberate flip side: under the default full-auto modes, the ring

@@ -50,25 +50,24 @@ fn c_code_snapshots() {
     check("e2_c.txt", &design(3).c_code());
 }
 
-/// One run of polyprod D.1 at n=4 with seeded inputs, a metrics and a
-/// Perfetto recorder attached — the fixture behind the observability
-/// snapshots below: the metrics report and the rendered trace.
-/// Everything in them is virtual-time-based, so the bytes are
-/// deterministic.
+/// One run of polyprod D.1 at n=4 with seeded inputs and a Perfetto
+/// recorder attached, and its module's rendezvous profile — the fixture
+/// behind the observability snapshots below: the metrics report and the
+/// rendered trace. Everything in them is virtual-time-based, so the
+/// bytes are deterministic.
 fn observed_d1() -> (String, String) {
     use systolizer::interp::{seeded_store, simulate, trace_json, ModuleStore, SimSpec};
-    use systolizer::runtime::{lock, shared, MetricsRecorder, PerfettoRecorder};
+    use systolizer::runtime::{lock, shared, PerfettoRecorder};
     let sys = design(0);
     let env = sys.size_env(&[4]).unwrap();
     let store = seeded_store(&sys.plan, &env, &["a", "b"], 11);
-    let (metrics, m) = shared(MetricsRecorder::new());
     let (perfetto, p) = shared(PerfettoRecorder::new());
     let spec = SimSpec {
-        recorders: vec![m, p],
+        recorders: vec![p],
         ..SimSpec::default()
     };
     let run = simulate(ModuleStore::global(), &sys.plan, &env, &store, spec).unwrap();
-    let report = lock(&metrics).report().to_json();
+    let report = run.module.profile().as_ref().unwrap().to_json();
     let trace = trace_json(&lock(&perfetto), &sys.plan, &run);
     (report, trace)
 }
