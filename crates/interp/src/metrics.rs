@@ -7,11 +7,11 @@
 //! [`MetricsReport`] and the Perfetto trace read in the paper's
 //! vocabulary (`a@(3):in` instead of `chan 17`).
 //!
-//! Two documents read a run this way:
+//! Two documents are named this way:
 //!
 //! - the `systolic-metrics-v1` document, which [`metrics_json`] builds
-//!   from the run's module alone: its rendezvous profile
-//!   ([`CachedModule::profile`](crate::CachedModule::profile), a
+//!   from a cached module alone: its rendezvous profile
+//!   ([`CachedModule::profile`], a
 //!   [`MetricsReport`]: per-process op and phase counts, per-channel
 //!   transfer/wait statistics, soak/compute/drain makespan attribution,
 //!   wait and occupancy histograms) and the sections of its fast plan.
@@ -26,13 +26,13 @@
 //! The CLI exposes both as `run --metrics PATH --trace-out PATH`; see
 //! `docs/observability.md`.
 
-use crate::cache::ModuleStore;
+use crate::cache::{CachedModule, ModuleStore};
 use crate::elaborate::Elaborated;
 use crate::exec::SystolicRun;
 use systolic_core::SystolicProgram;
 use systolic_runtime::{Json, MetricsReport, PerfettoRecorder};
 
-/// What `run --metrics PATH` writes, all of it a fact of `run`'s module:
+/// What `run --metrics PATH` writes, all of it a fact of the module `cm`:
 /// the module's rendezvous profile ([`CachedModule::profile`]), then one
 /// section per plan of its fast plan, each the owning type's own value —
 /// `optimizer` (the `systolic-opt-v1` mapping report; absent when the
@@ -43,10 +43,7 @@ use systolic_runtime::{Json, MetricsReport, PerfettoRecorder};
 /// member holding its error text stands for the profile's members. The
 /// `elab_cache` counters of `ms` are read after the fast plan is built,
 /// so `fast_plan_ns` counts it.
-///
-/// [`CachedModule::profile`]: crate::CachedModule::profile
-pub fn metrics_json(run: &SystolicRun, ms: &ModuleStore) -> String {
-    let cm = &run.module;
+pub fn metrics_json(cm: &CachedModule, ms: &ModuleStore) -> String {
     let mut doc = match cm.profile() {
         Ok(report) => report.json(),
         Err(e) => Json::obj([
@@ -162,7 +159,7 @@ mod tests {
         let ms = ModuleStore::new();
         let run = simulate(&ms, &plan, &env, &store, SimSpec::default()).unwrap();
         assert!(run.wavefront, "no recorder, the gate stays open");
-        let doc = systolic_runtime::json::parse(&metrics_json(&run, &ms)).unwrap();
+        let doc = systolic_runtime::json::parse(&metrics_json(&run.module, &ms)).unwrap();
         let profile = run.module.profile().as_ref().unwrap();
         let end_time = doc.get("end_time").and_then(Json::as_i64);
         assert_eq!(end_time, Some(profile.end_time as i64));

@@ -361,6 +361,15 @@ pub fn parse_run_request(body: &str) -> Result<RunRequest, ApiError> {
     }
     let seed = u64_field(&doc, "seed")?.unwrap_or(42);
     let batch = choice(&doc, "batch", BatchMode::NAMES)?;
+    // The metrics document is the module's profile under the FIFO clock:
+    // a request naming another clock would be answered as if it had not.
+    let fifo = schedule.is_none_or(|(policy, _)| policy == POLICY_NAMES[0]);
+    if output == OutputKind::Metrics && (batch == BatchMode::Off || !fifo) {
+        return Err(ApiError::bad_request(
+            "'metrics' reports the module's rendezvous profile under the FIFO clock: \
+             it takes no 'batch' \"off\" and no 'schedule' but \"fifo\"",
+        ));
+    }
     choice(&doc, "executor", &executors)?;
     Ok(RunRequest {
         program,

@@ -237,10 +237,11 @@ impl Service {
         let inputs = req.inputs.as_ref().unwrap_or(&resolved.default_inputs);
         let Problem { env, store } = Problem::seeded(plan, &req.sizes, inputs, req.seed)?;
 
-        // One spec and one run for every output arm. The trace arm adds
-        // its recorder, which closes the fast-path gate, so its document
-        // describes the plain rung of the run the request named; the
-        // metrics arm attaches nothing and reads the run's module.
+        // One spec and one run for the stores and trace arms. The trace
+        // arm adds its recorder, which closes the fast-path gate, so its
+        // document describes the plain rung of the run the request named.
+        // The metrics document is a fact of the module, so that arm looks
+        // the module up and runs nothing but its memoized profile.
         let sched = req.schedule.map(|(policy, seed)| {
             policy_by_name(policy, seed).expect("schedule policy validated at parse time")
         });
@@ -268,7 +269,13 @@ impl Service {
                     req.verify,
                 ))
             }
-            OutputKind::Metrics => Ok(metrics_json(&run(spec)?, &self.modules)),
+            OutputKind::Metrics => {
+                let cm = self
+                    .modules
+                    .module(plan, &env, &store, &spec.elab)
+                    .map_err(|e| ApiError::from_exec_error(&e.into()))?;
+                Ok(metrics_json(&cm, &self.modules))
+            }
             OutputKind::Trace => {
                 let (perfetto, recorder) = shared(PerfettoRecorder::new());
                 spec.recorders.push(recorder);
@@ -443,5 +450,34 @@ mod tests {
         let beta = plans.get_or_build("source:bad", || compile_source(BETA));
         assert_eq!(beta.unwrap().plan.source.name, "beta", "nothing was cached");
         assert_eq!(plans.stats(), (0, 3, 0, 2));
+    }
+
+    /// A metrics request answers from the module alone: two requests with
+    /// different data share one cached module and one profile, so their
+    /// documents agree in every member but the store's own counters.
+    #[test]
+    fn a_metrics_request_is_answered_by_the_module() {
+        let svc = Arc::new(Service::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        }));
+        let ask = |seed: u64| {
+            let body =
+                format!(r#"{{"design":"E.1","sizes":[5],"seed":{seed},"output":"metrics"}}"#);
+            let (status, doc) = svc.handle_run(&body);
+            assert_eq!(status, 200, "{doc}");
+            match systolic_runtime::json::parse(&doc).unwrap() {
+                Json::Obj(members) => members
+                    .into_iter()
+                    .filter(|(k, _)| k != "elab_cache")
+                    .collect::<Vec<_>>(),
+                other => panic!("not an object: {other}"),
+            }
+        };
+        let first = ask(1);
+        assert!(first.iter().any(|(k, _)| k == "end_time"), "{first:?}");
+        assert_eq!(ask(2), first);
+        let stats = svc.modules.stats();
+        assert_eq!((stats.module_misses, stats.module_hits), (1, 1));
     }
 }

@@ -493,7 +493,7 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 ));
             }
             if let Some(path) = inv.flag("metrics") {
-                write(path, &metrics_json(&run, ms))?;
+                write(path, &metrics_json(&run.module, ms))?;
                 out.push_str(&format!("\nmetrics report: {path}"));
             }
             Ok(out)

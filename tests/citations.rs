@@ -300,6 +300,26 @@ fn documented_commands(text: &str) -> Vec<Documented> {
     out
 }
 
+/// The guides spell `cargo run -- …` without `--bin`, and the root
+/// `cargo run` builds the default members, which carry a second binary
+/// (`systolic-sim`'s `dst_explore`); the root package must name itself
+/// the one to run, or every such line stops with "could not determine
+/// which binary to run". The commands above run in-process, so they
+/// cannot see this.
+#[test]
+fn a_bare_cargo_run_runs_systolizer() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = fs::read_to_string(root.join("Cargo.toml")).unwrap();
+    let package = manifest.split("\n[package]\n").nth(1).unwrap();
+    let package = package.split("\n[").next().unwrap();
+    assert!(
+        package
+            .lines()
+            .any(|l| l.trim() == r#"default-run = "systolizer""#),
+        "the root [package] names no default-run:\n{package}"
+    );
+}
+
 /// Every `systolizer` command line the guides show parses, so no guide
 /// spells a deleted or misspelt flag; the ones that compile or simulate
 /// run, their artifacts written to a scratch directory; and where the

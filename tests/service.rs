@@ -390,6 +390,14 @@ fn every_failure_mode_is_a_distinct_structured_error_with_the_right_status() {
             "'verify' compares the stores of a run: it needs 'output'",
             r#""output":"trace","verify":true"#,
         ),
+        (
+            "'metrics' reports the module's rendezvous profile under the FIFO clock",
+            r#""output":"metrics","schedule":{"policy":"lifo","seed":3}"#,
+        ),
+        (
+            "'metrics' reports the module's rendezvous profile under the FIFO clock",
+            r#""output":"metrics","batch":"off""#,
+        ),
     ] {
         let (status, body) = post(
             addr,
