@@ -207,7 +207,9 @@ impl CachedModule {
             let (metrics, recorder) = shared(MetricsRecorder::new());
             let mut net = Network::of(&self.elab.module);
             net.add_recorder(recorder);
-            net.run().map(|_| lock(&metrics).report())
+            let stats = net.run()?;
+            let report = lock(&metrics).report(&self.elab.module, &stats);
+            Ok(report)
         })
     }
 

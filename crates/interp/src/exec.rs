@@ -68,9 +68,6 @@ impl KernelMode {
     pub const Off: KernelMode = KernelMode;
 }
 
-/// The executor label of every run ([`SystolicRun::engine`]).
-const ENGINE: &str = "coop";
-
 /// Everything about a simulation except the program and its data.
 pub struct SimSpec {
     /// The fast-path gate (`--batch auto|off`, see
@@ -96,12 +93,13 @@ pub struct SimSpec {
     pub elab: ElabOptions,
     /// Observers of every VM op, scheduler step and channel transfer
     /// (see `systolic_runtime::record`), attached to this run and no
-    /// other: `--trace-out` adds a `PerfettoRecorder`, only when asked
-    /// for. Any recorder closes the fast-path gate: only the plain engine
-    /// emits per-event streams, whose transfers carry values, so a traced
-    /// run is the plain run, and it is the one that answers. The metrics
-    /// document attaches none: its timing is the module's rendezvous
-    /// profile ([`CachedModule::profile`]).
+    /// other: `--trace-out` adds the event log with marks
+    /// (`EventLogRecorder::with_marks`), only when asked for, and renders
+    /// the trace from it. Any recorder closes the fast-path gate: only the
+    /// plain engine emits the per-transfer stream, whose transfers carry
+    /// values, so a traced run is the plain run, and it is the one that
+    /// answers. The metrics document attaches none: its timing is the
+    /// module's rendezvous profile ([`CachedModule::profile`]).
     pub recorders: Vec<SharedRecorder>,
 }
 
@@ -138,9 +136,6 @@ pub struct SystolicRun {
     pub store: HostStore,
     pub stats: RunStats,
     pub census: crate::elaborate::Census,
-    /// The label of the executor that ran: `coop`, plain or wavefront
-    /// alike (service responses and [`VerifyError`]s carry it).
-    pub engine: &'static str,
     /// Whether the fast-path gate opened, and so the wavefront executor
     /// ran this module (see `systolic_runtime::wavefront`).
     pub wavefront: bool,
@@ -295,7 +290,6 @@ pub fn simulate(
         store: result,
         stats,
         census: el.census.clone(),
-        engine: ENGINE,
         wavefront: fast,
         opt: opt_report,
         kernel: kernel_report,
@@ -431,47 +425,29 @@ impl Problem {
     }
 }
 
-/// Why a differential check failed, with the engine label preserved
-/// structurally: service-side checks key their diagnostics on *which*
-/// executor misbehaved, which a flat `String` loses.
+/// Why a differential check failed, kept structurally: service-side
+/// checks key their diagnostics on the kind of failure and the variable
+/// that diverged, which a flat `String` loses.
 #[derive(Clone, Debug)]
 pub enum VerifyError {
     /// Elaboration (or store writeback) failed before the run could be
     /// compared.
     Setup { message: String },
-    /// The named engine stopped with a runtime diagnosis.
-    Engine {
-        engine: &'static str,
-        error: RunError,
-    },
-    /// The named engine completed, but its store disagrees with the
-    /// sequential reference on `variable`.
-    Divergence {
-        engine: &'static str,
-        variable: String,
-    },
-}
-
-impl VerifyError {
-    /// The executor label the failure is attributed to, when one is.
-    pub fn engine(&self) -> Option<&'static str> {
-        match self {
-            VerifyError::Setup { .. } => None,
-            VerifyError::Engine { engine, .. } | VerifyError::Divergence { engine, .. } => {
-                Some(engine)
-            }
-        }
-    }
+    /// The run stopped with a runtime diagnosis.
+    Engine { error: RunError },
+    /// The run completed, but its store disagrees with the sequential
+    /// reference on `variable`.
+    Divergence { variable: String },
 }
 
 impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VerifyError::Setup { message } => write!(f, "{message}"),
-            VerifyError::Engine { engine, error } => write!(f, "{engine}: {error}"),
-            VerifyError::Divergence { engine, variable } => write!(
+            VerifyError::Engine { error } => write!(f, "{error}"),
+            VerifyError::Divergence { variable } => write!(
                 f,
-                "{engine}: variable {variable} differs between sequential and systolic execution"
+                "variable {variable} differs between sequential and systolic execution"
             ),
         }
     }
@@ -481,8 +457,7 @@ impl std::error::Error for VerifyError {}
 
 /// The end-to-end equivalence experiment: [`simulate`], then compare
 /// every variable of the resulting store against the sequential
-/// reference (`systolic_ir::seq`). Failures name the engine that
-/// actually ran.
+/// reference (`systolic_ir::seq`).
 pub fn simulate_verified(
     ms: &ModuleStore,
     plan: &SystolicProgram,
@@ -490,11 +465,10 @@ pub fn simulate_verified(
     store: &HostStore,
     spec: SimSpec,
 ) -> Result<SystolicRun, VerifyError> {
-    let engine = ENGINE;
     let run = simulate(ms, plan, env, store, spec).map_err(|e| match e {
-        ExecError::Run(error) => VerifyError::Engine { engine, error },
+        ExecError::Run(error) => VerifyError::Engine { error },
         other => VerifyError::Setup {
-            message: format!("{engine}: {other}"),
+            message: other.to_string(),
         },
     })?;
     let mut expected = store.clone();
@@ -502,7 +476,6 @@ pub fn simulate_verified(
     for name in expected.names() {
         if run.store.get(name) != expected.get(name) {
             return Err(VerifyError::Divergence {
-                engine,
                 variable: name.to_string(),
             });
         }
@@ -598,7 +571,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(run.engine, "coop");
         assert!(!run.wavefront, "a non-FIFO policy closes the gate");
     }
 

@@ -17,11 +17,12 @@
 //!   wait and occupancy histograms) and the sections of its fast plan.
 //!   No recorder rides on the run that answers, so asking for the
 //!   document leaves that run as it would be unasked;
-//! - a Chrome `trace_event` document for <https://ui.perfetto.dev>, from
-//!   a `PerfettoRecorder` in the [`SimSpec`](crate::SimSpec) of the run
-//!   that answers, attached only when the trace is asked for, which
-//!   [`trace_json`] renders with one track per process and one per
-//!   channel, named after the stream and process-space point it serves.
+//! - a Chrome `trace_event` document for <https://ui.perfetto.dev>: a
+//!   rendering of the event log (an `EventLogRecorder` with marks) in
+//!   the [`SimSpec`](crate::SimSpec) of the run that answers, attached
+//!   only when the trace is asked for. [`trace_json`] renders it with one
+//!   track per process of the module that ran and one per channel, named
+//!   after the stream and process-space point it serves.
 //!
 //! The CLI exposes both as `run --metrics PATH --trace-out PATH`; see
 //! `docs/observability.md`.
@@ -30,7 +31,7 @@ use crate::cache::{CachedModule, ModuleStore};
 use crate::elaborate::Elaborated;
 use crate::exec::SystolicRun;
 use systolic_core::SystolicProgram;
-use systolic_runtime::{Json, MetricsReport, PerfettoRecorder};
+use systolic_runtime::{EventLogRecorder, Json, MetricsReport};
 
 /// What `run --metrics PATH` writes, all of it a fact of the module `cm`:
 /// the module's rendezvous profile ([`CachedModule::profile`]), then one
@@ -61,13 +62,11 @@ pub fn metrics_json(cm: &CachedModule, ms: &ModuleStore) -> String {
 }
 
 /// What `run --trace-out PATH` writes: the Perfetto document of `run`,
-/// its channel tracks named by the module that ran.
-pub fn trace_json(
-    perfetto: &PerfettoRecorder,
-    plan: &SystolicProgram,
-    run: &SystolicRun,
-) -> String {
-    perfetto.to_json(&channel_names(plan, &run.module.elab))
+/// rendered from its event log (made [`EventLogRecorder::with_marks`]),
+/// its process and channel tracks named by the module that ran.
+pub fn trace_json(log: &EventLogRecorder, plan: &SystolicProgram, run: &SystolicRun) -> String {
+    let el = &run.module.elab;
+    log.perfetto_json(&el.module, &channel_names(plan, el))
 }
 
 /// Display names for every channel of an elaborated module, indexed by
@@ -106,7 +105,7 @@ mod tests {
     use systolic_core::{compile, Options};
     use systolic_ir::{seq, HostStore};
     use systolic_math::Env;
-    use systolic_runtime::{lock, shared, PerfettoRecorder};
+    use systolic_runtime::{lock, shared};
     use systolic_synthesis::placement::paper;
 
     fn setup(n: i64) -> (SystolicProgram, Env, HostStore) {
@@ -183,13 +182,13 @@ mod tests {
         });
         // Stream-and-coordinate names reach the Perfetto document of a
         // traced run, read off the module that ran.
-        let (perfetto, recorder) = shared(PerfettoRecorder::new());
+        let (log, recorder) = shared(EventLogRecorder::with_marks());
         let spec = SimSpec {
             recorders: vec![recorder],
             ..SimSpec::default()
         };
         let run = simulate(ModuleStore::global(), &plan, &env, &store, spec).unwrap();
-        let trace = trace_json(&lock(&perfetto), &plan, &run);
+        let trace = trace_json(&lock(&log), &plan, &run);
         assert!(trace.contains("a@("), "{trace}");
         assert!(trace.contains("\"traceEvents\""));
     }

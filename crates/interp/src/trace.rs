@@ -29,9 +29,9 @@ pub struct LocatedEvent {
 /// computation/buffer processes (i/o fringe and relay hops are omitted:
 /// the diagram shows cell activity, as the hardware figures do).
 ///
-/// The events are sourced from the runtime's recorder stream (an
-/// [`EventLogRecorder`] attached to the network) — the same stream the
-/// metrics and Perfetto exporters consume.
+/// The events are sourced from the runtime's one event log (an
+/// [`EventLogRecorder`] attached to the network, transfers only) — the
+/// log the Perfetto document renders, with step marks added.
 pub fn run_traced(
     plan: &SystolicProgram,
     env: &Env,

@@ -290,7 +290,7 @@ impl Network {
 
     /// Attach an observability sink; every recorder receives the full
     /// event stream (transfers with wait attribution, steps, retired op
-    /// effects, process terminations, run start/end). Attach before
+    /// effects, process terminations). Attach before
     /// [`Network::run`].
     pub fn add_recorder(&mut self, recorder: SharedRecorder) {
         self.recorders.push(recorder);
@@ -336,10 +336,6 @@ impl Network {
         self.unfinished = n;
         if !self.recorders.is_empty() {
             self.since.resize(module.n_chans, (0, 0));
-            let labels: Vec<String> = module.procs.iter().map(|p| p.label.clone()).collect();
-            for r in &self.recorders {
-                lock(r).start(&labels);
-            }
         }
         // Prime every process.
         for pid in 0..n {
@@ -347,9 +343,6 @@ impl Network {
         }
         loop {
             if self.unfinished == 0 {
-                for r in &self.recorders {
-                    lock(r).end(self.stats.rounds);
-                }
                 return Ok(self.stats.clone());
             }
             let fired = self.round(arena)?;

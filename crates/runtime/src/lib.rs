@@ -25,8 +25,9 @@
 //!   running one module ([`Network`]);
 //! - [`record`] — the observability layer: the [`Recorder`] event sink
 //!   threaded through the op step and the rendezvous engine, with metrics
-//!   aggregation ([`MetricsRecorder`]) and Chrome-trace export
-//!   ([`PerfettoRecorder`]); zero cost when no recorder is attached.
+//!   aggregation ([`MetricsRecorder`]) and the one event log
+//!   ([`EventLogRecorder`]), which the Chrome trace renders; zero cost
+//!   when no recorder is attached.
 //! - [`json`] — the workspace's one JSON model ([`Json`]: value, compact
 //!   and report renderers, parser); every report type here builds one.
 //! - [`wavefront`] — the wavefront executor, the one cooperative fast
@@ -65,9 +66,8 @@ pub use opt::{optimize, ChainRecord, OptReport, OptimizedModule};
 pub use process::{lock, ChanId, CommReq, Value};
 pub use procir::{MovingLink, ProcId, ProcIrBuilder, ProcIrModule, ProcOp, ProcRecord};
 pub use record::{
-    canonicalize_transfers, first_divergence, shared, ChanMetrics, EventLogRecorder,
-    MetricsRecorder, MetricsReport, OpKind, PerfettoEvent, PerfettoRecorder, Phase, ProcMetrics,
-    Recorder, SharedRecorder, Transfer,
+    canonicalize_transfers, first_divergence, shared, ChanMetrics, EventLogRecorder, Mark,
+    MetricsRecorder, MetricsReport, OpKind, Phase, ProcMetrics, Recorder, SharedRecorder, Transfer,
 };
 pub use schedule::{FifoPolicy, Pcg32, SchedulePolicy, STARVATION_LIMIT};
 pub use step::MAX_MOVING_LINKS;

@@ -16,8 +16,11 @@
 //!   (load / soak / compute / drain / recover, plus host fringe and pure
 //!   transport), which is what the soak-vs-compute makespan attribution
 //!   is built from;
-//! - **lifecycle** — `start` (with every process label), per-process
-//!   `finished`, and `end` (the final virtual time, in rounds).
+//! - **finishes** — one event per process termination.
+//!
+//! The hooks carry only what the run alone knows. A process's label is
+//! the module's, and the final virtual time is `RunStats::rounds`, so a
+//! recorder reads both after the run.
 //!
 //! Recorders are shared as [`SharedRecorder`] (`Arc<Mutex<dyn Recorder>>`)
 //! so a caller keeps a handle on what the engine fills; the engine holds
@@ -28,19 +31,23 @@
 //! recorder; the unobserved path is what `benchmark/` times, as
 //! `interp.simulate.us.*` beside `bench.trace_overhead_pct`).
 //!
-//! Three recorders are provided:
+//! Two recorders are provided:
 //!
-//! - [`EventLogRecorder`] — a plain transfer log; `crates/interp`'s
-//!   space–time diagrams are sourced from it;
+//! - [`EventLogRecorder`] — the one per-transfer stream: a transfer log,
+//!   optionally with the step and finish marks interleaved. The
+//!   schedule explorer and `crates/interp`'s space–time diagrams read its
+//!   transfers; the Chrome `trace_event` document for
+//!   <https://ui.perfetto.dev> ([`EventLogRecorder::perfetto_json`]) is a
+//!   rendering of a log with marks;
 //! - [`MetricsRecorder`] — aggregates everything into a [`MetricsReport`],
-//!   whose stable document (`systolic-metrics-v1`) is a [`Json`] value;
-//! - [`PerfettoRecorder`] — Chrome `trace_event` JSON for
-//!   <https://ui.perfetto.dev>: one track per process, one per channel.
+//!   whose stable document (`systolic-metrics-v1`) is a [`Json`] value.
 //!
 //! See `docs/observability.md` for the schema and a how-to.
 
+use crate::coop::RunStats;
 use crate::json::Json;
 use crate::process::{ChanId, Value};
+use crate::procir::ProcIrModule;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -144,10 +151,6 @@ pub struct Transfer {
 /// `Send`: a run's recorders travel with its spec, which the service
 /// builds on one thread and runs on a pool worker.
 pub trait Recorder: Send {
-    /// The run is starting; `labels[pid]` names each process.
-    fn start(&mut self, labels: &[String]) {
-        let _ = labels;
-    }
     /// A channel transfer completed.
     fn transfer(&mut self, ev: &Transfer) {
         let _ = ev;
@@ -165,10 +168,6 @@ pub trait Recorder: Send {
     fn finished(&mut self, time: u64, pid: usize) {
         let _ = (time, pid);
     }
-    /// The run completed at virtual time `time`.
-    fn end(&mut self, time: u64) {
-        let _ = time;
-    }
 }
 
 /// How recorders are shared with the engines. Constructed by
@@ -185,31 +184,183 @@ pub fn shared<R: Recorder + 'static>(rec: R) -> (Arc<Mutex<R>>, SharedRecorder) 
     (typed, erased)
 }
 
-/// The minimal recorder: an append-only log of transfers. The interp
-/// layer's space–time diagrams (`crates/interp/src/trace.rs`) are
-/// sourced from it.
+/// A process step, or a process's termination, as a log with marks
+/// holds it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mark {
+    pub time: u64,
+    pub pid: usize,
+    /// Transfers logged before this mark, so a reader interleaves the
+    /// two streams in the order the engine reported them.
+    pub transfers: usize,
+    /// A termination (`Recorder::finished`) rather than a step.
+    pub finished: bool,
+}
+
+/// The append-only log of a run's transfers. [`EventLogRecorder::new`]
+/// keeps transfers only, as the schedule explorer and the space–time
+/// diagrams (`crates/interp/src/trace.rs`) need;
+/// [`EventLogRecorder::with_marks`] keeps the step and finish marks too,
+/// which the Perfetto document draws.
 #[derive(Default)]
 pub struct EventLogRecorder {
     transfers: Vec<Transfer>,
+    marks: Vec<Mark>,
+    marking: bool,
 }
 
 impl EventLogRecorder {
+    /// Chrome pid hosting the per-process tracks.
+    const PROCESS_TRACKS: u64 = 1;
+    /// Chrome pid hosting the per-channel tracks.
+    const CHANNEL_TRACKS: u64 = 2;
+    /// Trace microseconds per unit of virtual time: stretches
+    /// cooperative rounds so slices are visible.
+    const TIME_SCALE: u64 = 10;
+
+    /// A transfer log.
     pub fn new() -> EventLogRecorder {
         EventLogRecorder::default()
+    }
+
+    /// A transfer log that also keeps the step and finish marks.
+    pub fn with_marks() -> EventLogRecorder {
+        EventLogRecorder {
+            marking: true,
+            ..EventLogRecorder::default()
+        }
     }
 
     pub fn transfers(&self) -> &[Transfer] {
         &self.transfers
     }
 
+    /// The step and finish marks, in the order the engine reported them
+    /// (empty unless the log was made [`EventLogRecorder::with_marks`]).
+    pub fn marks(&self) -> &[Mark] {
+        &self.marks
+    }
+
     pub fn take_transfers(&mut self) -> Vec<Transfer> {
         std::mem::take(&mut self.transfers)
+    }
+
+    /// The Chrome `trace_event` document of the run this log recorded,
+    /// loadable in <https://ui.perfetto.dev> (or `chrome://tracing`): one
+    /// track per process of `module`, the one that ran (its steps and
+    /// termination), and one per channel up to the highest that carried
+    /// a transfer (its transfers, with value, endpoints and waits as
+    /// args). `chan_names` names the channel tracks (index = [`ChanId`];
+    /// `chan N` past its end) — the interp layer passes
+    /// stream-and-coordinate names. One event per line: each is built and
+    /// written on its own, so the document never exists as a tree.
+    pub fn perfetto_json(&self, module: &ProcIrModule, chan_names: &[String]) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::from("{\"traceEvents\": [");
+        let mut sep = "\n  ";
+        let mut push = |event: Json| {
+            let _ = write!(s, "{sep}{event:#}");
+            sep = ",\n  ";
+        };
+        let meta = |name: &str, pid: u64, tid: Option<usize>, label: &str| {
+            let mut fields = vec![
+                ("ph", "M".into()),
+                ("name", name.into()),
+                ("pid", pid.into()),
+            ];
+            fields.extend(tid.map(|t| ("tid", t.into())));
+            fields.push(("args", Json::obj([("name", label.into())])));
+            Json::obj(fields)
+        };
+        let (procs, chans) = (Self::PROCESS_TRACKS, Self::CHANNEL_TRACKS);
+        push(meta("process_name", procs, None, "processes"));
+        push(meta("process_name", chans, None, "channels"));
+        for (pid, p) in module.procs.iter().enumerate() {
+            push(meta("thread_name", procs, Some(pid), &p.label));
+        }
+        let n_chans = self.transfers.iter().map(|t| t.chan + 1).max().unwrap_or(0);
+        for chan in 0..n_chans {
+            let name = match chan_names.get(chan) {
+                Some(name) => name.clone(),
+                None => format!("chan {chan}"),
+            };
+            push(meta("thread_name", chans, Some(chan), &name));
+        }
+        // A step and a transfer are complete slices; a termination is an
+        // instant, which wants a scope instead of a duration.
+        let slice =
+            |name: &str, pid: u64, tid: usize, time: u64, dur: Option<u64>, args: Vec<_>| {
+                Json::obj([
+                    ("ph", if dur.is_some() { "X" } else { "i" }.into()),
+                    ("name", name.into()),
+                    ("cat", "systolic".into()),
+                    ("pid", pid.into()),
+                    ("tid", tid.into()),
+                    ("ts", (time * Self::TIME_SCALE).into()),
+                    match dur {
+                        Some(dur) => ("dur", dur.into()),
+                        None => ("s", "t".into()),
+                    },
+                    ("args", Json::obj(args)),
+                ])
+            };
+        let xfer = |t: &Transfer| {
+            let args = vec![
+                ("value", t.value.into()),
+                ("sender", t.sender.into()),
+                ("receiver", t.receiver.into()),
+                ("sender_wait", t.sender_wait.into()),
+                ("receiver_wait", t.receiver_wait.into()),
+            ];
+            let dur = Some(Self::TIME_SCALE * 4 / 5);
+            slice("xfer", chans, t.chan, t.time, dur, args)
+        };
+        let mark = |m: &Mark| {
+            let (name, dur) = if m.finished {
+                ("finished", None)
+            } else {
+                ("step", Some(Self::TIME_SCALE / 2))
+            };
+            slice(name, procs, m.pid, m.time, dur, Vec::new())
+        };
+        let mut logged = 0;
+        for m in &self.marks {
+            for t in &self.transfers[logged..m.transfers] {
+                push(xfer(t));
+            }
+            logged = m.transfers;
+            push(mark(m));
+        }
+        for t in &self.transfers[logged..] {
+            push(xfer(t));
+        }
+        s.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
+        s
+    }
+
+    fn mark(&mut self, time: u64, pid: usize, finished: bool) {
+        if self.marking {
+            self.marks.push(Mark {
+                time,
+                pid,
+                transfers: self.transfers.len(),
+                finished,
+            });
+        }
     }
 }
 
 impl Recorder for EventLogRecorder {
     fn transfer(&mut self, ev: &Transfer) {
         self.transfers.push(*ev);
+    }
+
+    fn step(&mut self, time: u64, pid: usize) {
+        self.mark(time, pid, false);
+    }
+
+    fn finished(&mut self, time: u64, pid: usize) {
+        self.mark(time, pid, true);
     }
 }
 
@@ -442,7 +593,6 @@ pub struct MetricsRecorder {
     procs: Vec<ProcMetrics>,
     chans: Vec<ChanMetrics>,
     transfers: u64,
-    end_time: u64,
     first_compute: Option<u64>,
     last_compute: Option<u64>,
     wait_hist: BTreeMap<u64, u64>,
@@ -462,19 +612,25 @@ impl MetricsRecorder {
         &mut self.procs[pid]
     }
 
-    /// Snapshot the aggregates (call after the run).
-    pub fn report(&self) -> MetricsReport {
+    /// Snapshot the aggregates of a completed run of `module`, which
+    /// names the processes; its `stats` give the final virtual time.
+    pub fn report(&self, module: &ProcIrModule, stats: &RunStats) -> MetricsReport {
         let mut hist: Vec<(u64, u64)> = self.wait_hist.iter().map(|(&k, &v)| (k, v)).collect();
         hist.sort_unstable();
         let mut per_tick: BTreeMap<u64, u64> = BTreeMap::new();
         for &msgs in self.time_msgs.values() {
             *per_tick.entry(msgs).or_default() += 1;
         }
+        let mut processes = self.procs.clone();
+        processes.resize_with(module.procs.len(), ProcMetrics::default);
+        for (p, proc) in processes.iter_mut().zip(module.procs.iter()) {
+            p.label = proc.label.clone();
+        }
         MetricsReport {
-            processes: self.procs.clone(),
+            processes,
             channels: self.chans.clone(),
             transfers: self.transfers,
-            end_time: self.end_time,
+            end_time: stats.rounds,
             first_compute: self.first_compute,
             last_compute: self.last_compute,
             wait_hist: hist,
@@ -484,15 +640,6 @@ impl MetricsRecorder {
 }
 
 impl Recorder for MetricsRecorder {
-    fn start(&mut self, labels: &[String]) {
-        if self.procs.len() < labels.len() {
-            self.procs.resize_with(labels.len(), ProcMetrics::default);
-        }
-        for (p, l) in self.procs.iter_mut().zip(labels) {
-            p.label = l.clone();
-        }
-    }
-
     fn transfer(&mut self, ev: &Transfer) {
         self.now = self.now.max(ev.time);
         self.transfers += 1;
@@ -534,181 +681,6 @@ impl Recorder for MetricsRecorder {
         self.now = self.now.max(time);
         self.proc_mut(pid).finished_at = Some(time);
     }
-
-    fn end(&mut self, time: u64) {
-        self.end_time = time;
-    }
-}
-
-/// One event of a Perfetto trace, pre-rendering. Tracks are Chrome
-/// (pid, tid) pairs: pid [`PerfettoRecorder::PROCESS_TRACKS`] hosts one
-/// tid per process, pid [`PerfettoRecorder::CHANNEL_TRACKS`] one tid per
-/// channel.
-#[derive(Clone, Debug)]
-pub struct PerfettoEvent {
-    /// Chrome phase: `'X'` complete, `'i'` instant.
-    pub ph: char,
-    pub name: &'static str,
-    pub pid: u32,
-    pub tid: u64,
-    /// Timestamp in trace microseconds (virtual time × time scale).
-    pub ts: u64,
-    /// Duration for `'X'` events.
-    pub dur: u64,
-    /// Numeric args rendered into the event's `args` object.
-    pub args: Vec<(&'static str, i64)>,
-}
-
-/// Records the event stream as Chrome `trace_event` JSON, loadable in
-/// <https://ui.perfetto.dev> (or `chrome://tracing`): one track per
-/// process (its scheduler steps and termination) and one per channel
-/// (its transfers, with value, endpoints, and waits as args).
-pub struct PerfettoRecorder {
-    labels: Vec<String>,
-    events: Vec<PerfettoEvent>,
-    n_chans: usize,
-    end_ts: u64,
-}
-
-impl Default for PerfettoRecorder {
-    fn default() -> Self {
-        PerfettoRecorder::new()
-    }
-}
-
-impl PerfettoRecorder {
-    /// Chrome pid hosting the per-process tracks.
-    pub const PROCESS_TRACKS: u32 = 1;
-    /// Chrome pid hosting the per-channel tracks.
-    pub const CHANNEL_TRACKS: u32 = 2;
-    /// Trace microseconds per unit of virtual time: stretches
-    /// cooperative rounds so slices are visible.
-    const TIME_SCALE: u64 = 10;
-
-    pub fn new() -> PerfettoRecorder {
-        PerfettoRecorder {
-            labels: Vec::new(),
-            events: Vec::new(),
-            n_chans: 0,
-            end_ts: 0,
-        }
-    }
-
-    /// The recorded events (metadata excluded), for tests and tooling.
-    pub fn events(&self) -> &[PerfettoEvent] {
-        &self.events
-    }
-
-    /// Render the Chrome `trace_event` JSON document, one event per
-    /// line: each is built and written on its own, so the document never
-    /// exists as a tree. `chan_names` names the channel tracks (index =
-    /// [`ChanId`]; `chan N` past its end) — the interp layer passes
-    /// stream-and-coordinate names.
-    pub fn to_json(&self, chan_names: &[String]) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::from("{\"traceEvents\": [");
-        let mut sep = "\n  ";
-        let mut push = |event: Json| {
-            let _ = write!(s, "{sep}{event:#}");
-            sep = ",\n  ";
-        };
-        let meta = |name: &str, pid: u32, tid: Option<usize>, label: &str| {
-            let mut fields = vec![
-                ("ph", "M".into()),
-                ("name", name.into()),
-                ("pid", (pid as u64).into()),
-            ];
-            fields.extend(tid.map(|t| ("tid", t.into())));
-            fields.push(("args", Json::obj([("name", label.into())])));
-            Json::obj(fields)
-        };
-        let (procs, chans) = (Self::PROCESS_TRACKS, Self::CHANNEL_TRACKS);
-        push(meta("process_name", procs, None, "processes"));
-        push(meta("process_name", chans, None, "channels"));
-        for (pid, label) in self.labels.iter().enumerate() {
-            push(meta("thread_name", procs, Some(pid), label));
-        }
-        for chan in 0..self.n_chans {
-            let name = match chan_names.get(chan) {
-                Some(name) => name.clone(),
-                None => format!("chan {chan}"),
-            };
-            push(meta("thread_name", chans, Some(chan), &name));
-        }
-        for e in &self.events {
-            let args = Json::obj(e.args.iter().map(|&(k, v)| (k, v.into())));
-            push(Json::obj([
-                ("ph", e.ph.to_string().into()),
-                ("name", e.name.into()),
-                ("cat", "systolic".into()),
-                ("pid", (e.pid as u64).into()),
-                ("tid", e.tid.into()),
-                ("ts", e.ts.into()),
-                // Instant events want a scope instead of a duration.
-                match e.ph {
-                    'X' => ("dur", e.dur.into()),
-                    _ => ("s", "t".into()),
-                },
-                ("args", args),
-            ]));
-        }
-        s.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
-        s
-    }
-}
-
-impl Recorder for PerfettoRecorder {
-    fn start(&mut self, labels: &[String]) {
-        self.labels = labels.to_vec();
-    }
-
-    fn transfer(&mut self, ev: &Transfer) {
-        self.n_chans = self.n_chans.max(ev.chan + 1);
-        let args = vec![
-            ("value", ev.value),
-            ("sender", ev.sender as i64),
-            ("receiver", ev.receiver as i64),
-            ("sender_wait", ev.sender_wait as i64),
-            ("receiver_wait", ev.receiver_wait as i64),
-        ];
-        self.events.push(PerfettoEvent {
-            ph: 'X',
-            name: "xfer",
-            pid: Self::CHANNEL_TRACKS,
-            tid: ev.chan as u64,
-            ts: ev.time * Self::TIME_SCALE,
-            dur: Self::TIME_SCALE * 4 / 5,
-            args,
-        });
-    }
-
-    fn step(&mut self, time: u64, pid: usize) {
-        self.events.push(PerfettoEvent {
-            ph: 'X',
-            name: "step",
-            pid: Self::PROCESS_TRACKS,
-            tid: pid as u64,
-            ts: time * Self::TIME_SCALE,
-            dur: Self::TIME_SCALE / 2,
-            args: Vec::new(),
-        });
-    }
-
-    fn finished(&mut self, time: u64, pid: usize) {
-        self.events.push(PerfettoEvent {
-            ph: 'i',
-            name: "finished",
-            pid: Self::PROCESS_TRACKS,
-            tid: pid as u64,
-            ts: time * Self::TIME_SCALE,
-            dur: 0,
-            args: Vec::new(),
-        });
-    }
-
-    fn end(&mut self, time: u64) {
-        self.end_ts = time * Self::TIME_SCALE;
-    }
 }
 
 #[cfg(test)]
@@ -718,13 +690,21 @@ mod tests {
     use crate::process::lock;
     use crate::procir::ProcIrBuilder;
 
-    /// Run a builder's module under the given recorders.
-    fn run_recorded(b: ProcIrBuilder, recorders: &[SharedRecorder]) -> crate::RunStats {
-        let mut net = Network::of(&b.build());
-        for r in recorders {
-            net.add_recorder(r.clone());
-        }
-        net.run().unwrap()
+    /// Run a builder's module under `rec`, which the caller reads back.
+    fn run_recorded(b: ProcIrBuilder, rec: SharedRecorder) -> (Arc<ProcIrModule>, RunStats) {
+        let module = b.build();
+        let mut net = Network::of(&module);
+        net.add_recorder(rec);
+        let stats = net.run().unwrap();
+        (module, stats)
+    }
+
+    /// Run a builder's module under a metrics recorder.
+    fn run_metered(b: ProcIrBuilder) -> (MetricsReport, RunStats) {
+        let (metrics, erased) = shared(MetricsRecorder::new());
+        let (module, stats) = run_recorded(b, erased);
+        let report = lock(&metrics).report(&module, &stats);
+        (report, stats)
     }
 
     #[test]
@@ -763,9 +743,7 @@ mod tests {
         b.source(0, &values, "src");
         b.relay(0, 1, n, "relay");
         b.sink(1, n, "sink");
-        let (metrics, erased) = shared(MetricsRecorder::new());
-        let stats = run_recorded(b, &[erased]);
-        let report = lock(&metrics).report();
+        let (report, stats) = run_metered(b);
 
         let steps: Vec<u64> = report.processes.iter().map(|p| p.steps).collect();
         assert_eq!(steps, vec![n as u64 + 1, 2 * n as u64 + 1, n as u64 + 1]);
@@ -789,7 +767,7 @@ mod tests {
         // Per-channel totals cover every message.
         let chan_total: u64 = report.channels.iter().map(|c| c.transfers).sum();
         assert_eq!(chan_total, stats.messages);
-        // Labels came through `start`.
+        // Labels are the module's.
         assert_eq!(report.processes[0].label, "src");
         // Every process finished no later than the final round.
         for p in &report.processes {
@@ -842,11 +820,7 @@ mod tests {
             n_slots: 2,
             n_dims: 1,
         }));
-        let (metrics, erased) = shared(MetricsRecorder::new());
-        let mut net = Network::of(&b.build());
-        net.add_recorder(erased);
-        let stats = net.run().unwrap();
-        let report = lock(&metrics).report();
+        let (report, stats) = run_metered(b);
         let comp = &report.processes[0];
         assert_eq!(comp.phases[Phase::Load as usize], 1, "one keep");
         assert_eq!(comp.phases[Phase::Soak as usize], 1, "one soak pass");
@@ -873,9 +847,7 @@ mod tests {
         b.relay(0, 1, 3, "r0");
         b.relay(1, 2, 3, "r1");
         b.sink(2, 3, "sink");
-        let (metrics, erased) = shared(MetricsRecorder::new());
-        let stats = run_recorded(b, &[erased]);
-        let report = lock(&metrics).report();
+        let (report, stats) = run_metered(b);
         // The sink parks on channel 2 in round 0 but the first value
         // arrives only after crossing both relays.
         assert!(report.channels[2].max_receiver_wait >= 1);
@@ -891,15 +863,11 @@ mod tests {
         let mut b = ProcIrBuilder::new();
         b.source(0, &[1, 2], "src");
         b.sink(0, 2, "sink \"quoted\"");
-        let (metrics, erased) = shared(MetricsRecorder::new());
-        run_recorded(b, &[erased]);
-        let json = lock(&metrics).report().to_json();
+        let report = run_metered(b).0;
+        let json = report.to_json();
         assert!(json.contains("\"schema\": \"systolic-metrics-v1\""));
         assert!(json.contains("\\\"quoted\\\""), "labels are escaped");
-        assert_eq!(
-            crate::json::parse(&json),
-            Ok(lock(&metrics).report().json())
-        );
+        assert_eq!(crate::json::parse(&json), Ok(report.json()));
     }
 
     #[test]
@@ -908,31 +876,29 @@ mod tests {
         b.source(0, &[1, 2, 3, 4], "src");
         b.relay(0, 1, 4, "relay");
         b.sink(1, 4, "sink");
-        let (perfetto, erased) = shared(PerfettoRecorder::new());
-        run_recorded(b, &[erased]);
-        let rec = lock(&perfetto);
-        // Per-track timestamps are monotone non-decreasing.
-        let mut last: std::collections::BTreeMap<(u32, u64), u64> = Default::default();
-        assert!(!rec.events().is_empty());
-        for e in rec.events() {
-            let prev = last.entry((e.pid, e.tid)).or_insert(0);
-            assert!(e.ts >= *prev, "track ({}, {}) went backwards", e.pid, e.tid);
-            *prev = e.ts;
-        }
-        // Both track families are present, and transfers carry values.
-        assert!(rec
-            .events()
-            .iter()
-            .any(|e| e.pid == PerfettoRecorder::PROCESS_TRACKS));
-        assert!(rec
-            .events()
-            .iter()
-            .any(|e| e.pid == PerfettoRecorder::CHANNEL_TRACKS && e.name == "xfer"));
-        let json = rec.to_json(&[]);
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("thread_name"));
+        let (log, erased) = shared(EventLogRecorder::with_marks());
+        let (module, stats) = run_recorded(b, erased);
+        let json = lock(&log).perfetto_json(&module, &[]);
         let doc = crate::json::parse(&json).expect("valid JSON");
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_eq!(events.len(), 2 + 3 + 2 + rec.events().len());
+        let field = |e: &Json, k| e.get(k).and_then(Json::as_i64).unwrap_or(-1);
+        // Two process tracks, three process labels, two channels, then
+        // one slice per step, termination and transfer.
+        let slices: Vec<&Json> = events.iter().filter(|e| field(e, "ts") >= 0).collect();
+        assert_eq!(events.len() - slices.len(), 2 + 3 + 2);
+        let (steps, ends) = (stats.steps as usize, stats.processes);
+        assert_eq!(slices.len(), steps + ends + stats.messages as usize);
+        assert!(json.contains("thread_name"));
+        // Per-track timestamps are monotone non-decreasing.
+        let mut last: BTreeMap<(i64, i64), i64> = BTreeMap::new();
+        for e in slices {
+            let (track, ts) = ((field(e, "pid"), field(e, "tid")), field(e, "ts"));
+            let prev = last.entry(track).or_insert(0);
+            assert!(ts >= *prev, "track {track:?} went backwards");
+            *prev = ts;
+        }
+        // Both track families are present.
+        assert!(last.keys().any(|&(pid, _)| pid == 1));
+        assert!(last.keys().any(|&(pid, _)| pid == 2));
     }
 }

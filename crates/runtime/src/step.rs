@@ -559,8 +559,8 @@ mod tests {
         let (metrics, rec) = shared(MetricsRecorder::new());
         let mut net = Network::of(m);
         net.add_recorder(rec);
-        net.run().unwrap();
-        let report = lock(&metrics).report();
+        let stats = net.run().unwrap();
+        let report = lock(&metrics).report(m, &stats);
         report.processes.iter().map(|p| p.steps).collect()
     }
 

@@ -98,20 +98,16 @@ impl ApiError {
         }
     }
 
-    /// Differential-mode failures keep the engine label structurally:
-    /// the diverging executor leads the offender list.
+    /// Differential-mode failures: a stopped run as its runtime
+    /// diagnosis, a divergence naming the variable that differs.
     pub fn from_verify_error(e: &VerifyError) -> ApiError {
         match e {
-            VerifyError::Engine { engine, error } => {
-                let mut api = ApiError::from_run_error(error);
-                api.offenders.insert(0, (*engine).to_string());
-                api
-            }
-            VerifyError::Divergence { engine, variable } => ApiError {
+            VerifyError::Engine { error } => ApiError::from_run_error(error),
+            VerifyError::Divergence { variable } => ApiError {
                 status: 500,
                 kind: "divergence",
                 message: e.to_string(),
-                offenders: vec![(*engine).to_string(), variable.clone()],
+                offenders: vec![variable.clone()],
             },
             VerifyError::Setup { message } => ApiError::internal(message.clone()),
         }

@@ -35,7 +35,7 @@ use systolic_core::SystolicProgram;
 use systolic_interp::{
     metrics_json, simulate, simulate_verified, trace_json, ModuleStore, Problem, SimSpec,
 };
-use systolic_runtime::{lock, shared, PerfettoRecorder};
+use systolic_runtime::{lock, shared, EventLogRecorder};
 use systolic_sim::{policy_by_name, Json, ScheduleFile};
 
 /// Capacity and policy knobs. Defaults suit a small box; `docs/service.md`
@@ -264,7 +264,8 @@ impl Service {
                 };
                 Ok(api::render_stores(
                     &resolved.label,
-                    run.engine,
+                    // The one executor a request can name.
+                    "coop",
                     &run,
                     req.verify,
                 ))
@@ -277,10 +278,10 @@ impl Service {
                 Ok(metrics_json(&cm, &self.modules))
             }
             OutputKind::Trace => {
-                let (perfetto, recorder) = shared(PerfettoRecorder::new());
+                let (log, recorder) = shared(EventLogRecorder::with_marks());
                 spec.recorders.push(recorder);
                 let run = run(spec)?;
-                let trace = trace_json(&lock(&perfetto), plan, &run);
+                let trace = trace_json(&lock(&log), plan, &run);
                 Ok(trace)
             }
         }

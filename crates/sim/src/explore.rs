@@ -92,7 +92,7 @@ impl DstSubject for PlanSubject {
 }
 
 /// One run of `module` under `sched`, with its canonicalized transfer
-/// stream.
+/// stream: a log made without marks, since only transfers are compared.
 fn run_logged(
     module: &Arc<ProcIrModule>,
     sched: Option<Box<dyn SchedulePolicy>>,

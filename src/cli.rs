@@ -8,7 +8,7 @@ use systolic_interp::{
     metrics_json, simulate, simulate_verified, trace_json, BatchMode, ElabOptions, ModuleStore,
     OptReport, Problem, SimSpec,
 };
-use systolic_runtime::{lock, shared, Json, PerfettoRecorder};
+use systolic_runtime::{lock, shared, EventLogRecorder, Json};
 
 /// Parsed command-line invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -437,14 +437,14 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
             let Problem { env, store } =
                 Problem::seeded(&sys.plan, &sizes, &sys.source.variable_names(), seed)
                     .map_err(|e| e.to_string())?;
-            // A trace rides on the run that answers. Its recorder closes
-            // the fast-path gate, so that run is the plain engine, checked
-            // against the oracle like any other. The metrics document
-            // reads the run's module and attaches nothing.
+            // A trace rides on the run that answers: an event log with
+            // marks, which closes the fast-path gate, so that run is the
+            // plain engine, checked against the oracle like any other. The
+            // metrics document reads the run's module and attaches nothing.
             let trace = inv.flag("trace-out").map(|path| {
-                let (perfetto, recorder) = shared(PerfettoRecorder::new());
+                let (log, recorder) = shared(EventLogRecorder::with_marks());
                 spec.recorders.push(recorder);
-                (path, perfetto)
+                (path, log)
             });
             let ms = ModuleStore::global();
             let run = simulate_verified(ms, &sys.plan, &env, &store, spec)
@@ -486,8 +486,8 @@ pub fn execute(inv: &Invocation, src: &str) -> Result<String, String> {
                 write(path, &doc.pretty())?;
                 out.push_str(&format!("\noptimizer report: {path}"));
             }
-            if let Some((path, perfetto)) = trace {
-                write(path, &trace_json(&lock(&perfetto), &sys.plan, &run))?;
+            if let Some((path, log)) = trace {
+                write(path, &trace_json(&lock(&log), &sys.plan, &run))?;
                 out.push_str(&format!(
                     "\nperfetto trace: {path} (open in ui.perfetto.dev)"
                 ));

@@ -76,7 +76,10 @@ fn gate_closes_for_every_observable_feature() {
     assert!(!observed.wavefront, "a recorder closes the gate");
     assert_eq!(observed.store, base.store);
     assert!(
-        lock(&metrics).report().transfers > 0,
+        lock(&metrics)
+            .report(&observed.module.elab.module, &observed.stats)
+            .transfers
+            > 0,
         "the recorder really observed the run"
     );
 }

@@ -24,8 +24,8 @@ use std::sync::{Arc, OnceLock};
 use systolizer::interp::runtime_gen::agree_with_procir;
 use systolizer::interp::{trace_json, CachedModule};
 use systolizer::runtime::{
-    analyze_kernels, optimize, ChanId, FifoPolicy, KernelPlan, KernelReport, OpKind,
-    PerfettoRecorder,
+    analyze_kernels, optimize, ChanId, EventLogRecorder, FifoPolicy, Json, KernelPlan,
+    KernelReport, OpKind,
 };
 use systolizer::runtime::{check as tables, json, lock, shared, MetricsRecorder, MetricsReport};
 use systolizer::runtime::{SchedulePolicy, Value};
@@ -160,9 +160,13 @@ pub struct Case {
 
 type Ran = OnceLock<Result<SystolicRun, String>>;
 
-/// A metered run, its metrics report, and its Perfetto trace when it was
-/// traced too.
-type Metered = (SystolicRun, MetricsReport, Option<String>);
+/// A metered run, its metrics report, and, when it was traced too, its
+/// Perfetto trace and the default (transfers-only) log beside it.
+type Metered = (
+    SystolicRun,
+    MetricsReport,
+    Option<(String, EventLogRecorder)>,
+);
 
 /// A row's runs, each made on first use.
 #[derive(Default)]
@@ -328,23 +332,30 @@ impl Case {
     }
 
     /// The default spec with a metrics recorder attached, and its
-    /// report; on a row of [`OBSERVED`] a Perfetto recorder rides on the
-    /// same run, and its trace comes too.
+    /// report; on a row of [`OBSERVED`] an event log with marks rides on
+    /// the same run, as `--trace-out` attaches it, and so does a default
+    /// one: the trace and that log come too.
     pub fn metered(&self) -> Option<&Metered> {
         self.plain()?;
         let run = self.runs.metered.get_or_init(|| {
             let traced = self.origins.iter().any(|o| OBSERVED.contains(o));
             let (metrics, recorder) = shared(MetricsRecorder::new());
-            let (perfetto, tracer) = shared(PerfettoRecorder::new());
+            let (marked, tracer) = shared(EventLogRecorder::with_marks());
+            let (plain, logger) = shared(EventLogRecorder::new());
             let mut recorders = vec![recorder];
-            recorders.extend(traced.then_some(tracer));
+            if traced {
+                recorders.extend([tracer, logger]);
+            }
             let run = self.go(SimSpec {
                 recorders,
                 ..SimSpec::default()
             });
             run.map(|run| {
-                let trace = traced.then(|| trace_json(&lock(&perfetto), &self.plan, &run));
-                let report = lock(&metrics).report();
+                let trace = traced.then(|| {
+                    let trace = trace_json(&lock(&marked), &self.plan, &run);
+                    (trace, std::mem::take(&mut *lock(&plain)))
+                });
+                let report = lock(&metrics).report(&run.module.elab.module, &run.stats);
                 (run, report, trace)
             })
         });
@@ -863,7 +874,10 @@ const OBSERVED: [&str; 2] = [
 /// counts — and that report is the row's module's rendezvous profile,
 /// which the metrics document prints (rows sharing a store with another
 /// data seed check that it does not read the data); on the rows of
-/// [`OBSERVED`] it ran the row's cached module and its trace parses;
+/// [`OBSERVED`] it ran the row's cached module, and its trace is the run
+/// (one `xfer` per message, one `step` per step, one `finished` per
+/// process) while a default log beside it keeps its transfers and no
+/// marks;
 /// the sections the metrics document and
 /// `--opt-report` take from the cached module describe the module a
 /// default run executes: the `optimizer`, `wavefront` and `kernels`
@@ -874,9 +888,22 @@ fn reports(c: &Case) -> bool {
         return false;
     };
     let cm = c.module();
-    if let Some(trace) = trace {
+    let stats = &run.stats;
+    if let Some((trace, log)) = trace {
         assert!(Arc::ptr_eq(&run.module, &cm), "the row's module");
-        assert!(json::parse(trace).is_ok(), "trace");
+        let doc = json::parse(trace).expect("trace");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let count = |name: &str| {
+            let named = |e: &&Json| e.get("name").and_then(Json::as_str) == Some(name);
+            events.iter().filter(named).count() as u64
+        };
+        assert_eq!(
+            (count("xfer"), count("step"), count("finished")),
+            (stats.messages, stats.steps, stats.processes as u64),
+            "the trace is the run"
+        );
+        assert_eq!(log.transfers().len() as u64, stats.messages, "log");
+        assert!(log.marks().is_empty(), "a default log keeps no marks");
     }
     let m = &cm.elab.module;
     let mut want = [0u64; 6];
@@ -894,7 +921,6 @@ fn reports(c: &Case) -> bool {
     assert_eq!(want[OpKind::Emit as usize], m.data.len() as u64);
     assert!(!run.wavefront, "a recorder closes the gate");
     assert!(run.store == *c.oracle(), "metered store");
-    let stats = &run.stats;
     assert_eq!(
         (report.transfers, report.end_time),
         (stats.messages, stats.rounds)

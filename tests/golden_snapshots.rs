@@ -50,25 +50,25 @@ fn c_code_snapshots() {
     check("e2_c.txt", &design(3).c_code());
 }
 
-/// One run of polyprod D.1 at n=4 with seeded inputs and a Perfetto
-/// recorder attached, and its module's rendezvous profile — the fixture
+/// One run of polyprod D.1 at n=4 with seeded inputs and an event log
+/// with marks attached, and its module's rendezvous profile — the fixture
 /// behind the observability snapshots below: the metrics report and the
 /// rendered trace. Everything in them is virtual-time-based, so the
 /// bytes are deterministic.
 fn observed_d1() -> (String, String) {
     use systolizer::interp::{seeded_store, simulate, trace_json, ModuleStore, SimSpec};
-    use systolizer::runtime::{lock, shared, PerfettoRecorder};
+    use systolizer::runtime::{lock, shared, EventLogRecorder};
     let sys = design(0);
     let env = sys.size_env(&[4]).unwrap();
     let store = seeded_store(&sys.plan, &env, &["a", "b"], 11);
-    let (perfetto, p) = shared(PerfettoRecorder::new());
+    let (log, p) = shared(EventLogRecorder::with_marks());
     let spec = SimSpec {
         recorders: vec![p],
         ..SimSpec::default()
     };
     let run = simulate(ModuleStore::global(), &sys.plan, &env, &store, spec).unwrap();
     let report = run.module.profile().as_ref().unwrap().to_json();
-    let trace = trace_json(&lock(&perfetto), &sys.plan, &run);
+    let trace = trace_json(&lock(&log), &sys.plan, &run);
     (report, trace)
 }
 
@@ -80,11 +80,17 @@ fn metrics_json_snapshot() {
     check("d1_metrics.json", &observed_d1().0);
 }
 
+/// Pins the whole Perfetto document for D.1: event order, timestamps,
+/// durations and args, byte for byte.
+#[test]
+fn perfetto_trace_snapshot() {
+    check("d1_perfetto.json", &observed_d1().1);
+}
+
 /// Pins the Perfetto track names (the `thread_name`/`process_name`
 /// metadata) for D.1: the stream-and-coordinate naming (`a@(3):in`) is
 /// the contract that makes traces readable in the paper's vocabulary.
-/// Only metadata lines are pinned — slice events are covered by the
-/// metrics snapshot's counts.
+/// The whole document, slices included, is `d1_perfetto.json`.
 #[test]
 fn perfetto_track_names_snapshot() {
     let mut tracks: String = observed_d1()

@@ -147,8 +147,7 @@ fn is_deadlock(e: &VerifyError) -> bool {
     matches!(
         e,
         VerifyError::Engine {
-            error: RunError::Deadlock(_),
-            ..
+            error: RunError::Deadlock(_)
         }
     )
 }
