@@ -13,7 +13,8 @@
 use std::fmt;
 
 /// The deepest expression the front end accepts, in tree levels. Every
-/// recursive walk of a statement (`eval`, the kernel compiler, `Debug`,
+/// recursive walk of a statement (`eval`, the kernel compiler, the
+/// sequential oracle's compiler and the closures it builds, `Debug`,
 /// `Drop`) recurses once per level, so this bounds their stack. The
 /// `.sys` parser counts parentheses, unary minus, `not`, `min`/`max` and
 /// the length of an operator chain against it as it builds;
@@ -84,10 +85,13 @@ pub struct BasicStatement {
 
 impl ScalarExpr {
     /// Arithmetic on [`Value`]s is two's-complement wrapping, in every
-    /// build profile. This is the sequential oracle's evaluator; the
-    /// systolic side executes the statement only as its compiled kernel
-    /// tape (`systolic_runtime::Kernel::run`) and prints only that tape
-    /// (`systolic_interp::rustgen`), which state the same law.
+    /// build profile. This is the definition of the statement's
+    /// arithmetic, not what runs: the sequential oracle executes the
+    /// statement as the closures [`crate::seq`] compiles from it, the
+    /// systolic side only as its compiled kernel tape
+    /// (`systolic_runtime::Kernel::run`), and `systolic_interp::rustgen`
+    /// prints only that tape. Each states the same law, and each is held
+    /// to [`BasicStatement::execute`] by a property test.
     pub fn eval(&self, locals: &[Value], index: &[i64]) -> Value {
         match self {
             ScalarExpr::Stream(s) => locals[s.0],

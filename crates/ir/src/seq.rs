@@ -7,19 +7,28 @@
 //! this execution; every end-to-end experiment compares against it.
 //!
 //! The walk is an address generator. Index maps are linear and the
-//! arrays are row-major, so each stream's position in
-//! [`HostArray::raw`](crate::host::HostArray::raw) is affine in the loop
-//! indices: it is computed once at the first point and from then on
-//! only added to, by one constant per loop level. Every access is proven
-//! in bounds before the first element is written, at the `2^r` vertices
-//! of the index space (a linear image of a box lies in a box iff its
-//! vertices do). The evaluator knows nothing of arrays, plans or
-//! processes — all it shares with the system it checks is
-//! [`BasicStatement::execute`](crate::expr::BasicStatement::execute) —
+//! arrays are row-major, so each stream's position in one flat copy of
+//! the arrays it uses is affine in the loop indices: it is computed once
+//! at the first point and from then on only added to — by the stream's
+//! innermost stride on every iteration of the innermost loop, which runs
+//! as a counted loop, and by one constant per outer loop level when that
+//! loop steps. Every access is proven in bounds before the first element
+//! is written, at the `2^r` vertices of the index space (a linear image
+//! of a box lies in a box iff its vertices do), and the flat copy is
+//! written back only at the end.
+//!
+//! The basic statement is compiled once per call into a tree of closures
+//! (`Statement`) whose stream, index and constant operands are read in
+//! place by the node above them. The walk gathers only the streams whose
+//! element the statement can see and scatters only those it writes. The
+//! evaluator knows nothing of plans, processes or kernels and shares no
+//! code with the system it checks: its compiled statement is held to
+//! [`BasicStatement::execute`](crate::expr::BasicStatement::execute),
+//! the definition the systolic side's kernel tape is held to as well,
 //! and its own reference is the point-by-point walker
 //! `tests/common::seq_reference`.
 
-use crate::expr::Value;
+use crate::expr::{BasicStatement, BoolExpr, CmpOp, ScalarExpr, Value};
 use crate::host::HostStore;
 use crate::program::SourceProgram;
 use systolic_math::Env;
@@ -34,27 +43,36 @@ pub fn run(program: &SourceProgram, env: &Env, store: &mut HostStore) -> usize {
         return 0;
     }
     let r = bounds.len();
-    let n_streams = program.streams.len();
     let step: Vec<i64> = program.loops.iter().map(|l| l.step).collect();
-    // The first and last value of each loop index, in execution order.
-    let (first, last): (Vec<i64>, Vec<i64>) = bounds
+    // Per loop, in execution order: its first index value and its number
+    // of iterations.
+    let (first, trips): (Vec<i64>, Vec<i64>) = bounds
         .iter()
         .zip(&step)
-        .map(|(&(lb, rb), &st)| {
-            let first = if st > 0 { lb } else { rb };
-            (first, first + (rb - lb) / st.abs() * st)
-        })
+        .map(|(&(lb, rb), &st)| (if st > 0 { lb } else { rb }, (rb - lb) / st.abs() + 1))
         .unzip();
+    let last: Vec<i64> = (0..r)
+        .map(|d| first[d] + (trips[d] - 1) * step[d])
+        .collect();
+    let n = program.streams.len();
+    let body = Statement::compile(&program.body, n);
 
-    // Every array of the store, by (sorted) name: streams on one variable
-    // share a slot, so they alias as they do in the store.
+    // Every array of the store, by (sorted) name, and the flat copy: each
+    // array the statement touches, once, from `base[slot]` on. Streams on
+    // one variable share a slot, and their elements one place in `flat`,
+    // so they alias as they do in the store.
     let mut arrays: Vec<_> = store.arrays_mut().collect();
-    // Per stream: its slot and its flat offset at the current point.
-    let mut slot = Vec::with_capacity(n_streams);
-    let mut off = Vec::with_capacity(n_streams);
-    // `advance[d * n_streams + k]`: what stream k's offset changes by when
-    // loop d steps and every loop inside it returns to its first value.
-    let mut advance = vec![0i64; r * n_streams];
+    let mut flat: Vec<Value> = Vec::new();
+    let mut base: Vec<Option<usize>> = vec![None; arrays.len()];
+    // Per stream the statement touches: its slot, where its element is in
+    // `flat` at the first point, and `advance[d * n + k]`, what that
+    // position changes by when loop d steps — wrapping, so a negative
+    // change is an addition too. The innermost loop steps after each of
+    // its iterations, so its advance is the stream's stride; an outer
+    // loop steps once every loop inside it has run its course.
+    let mut slot = vec![0; n];
+    let mut start = vec![0usize; n];
+    let mut advance = vec![0usize; r * n];
     for (k, s) in program.streams.iter().enumerate() {
         let name = &program.variables[s.variable].name;
         let at = arrays
@@ -68,6 +86,13 @@ pub fn run(program: &SourceProgram, env: &Env, store: &mut HostStore) -> usize {
                 .collect();
             arr.get(&s.index_map.apply_int(&x));
         }
+        if !body.touches(k) {
+            continue;
+        }
+        let origin = *base[at].get_or_insert_with(|| {
+            flat.extend_from_slice(arr.raw());
+            flat.len() - arr.len()
+        });
         // The offset is affine in the loop indices, so one step of loop d
         // moves it by the same `delta` wherever it is taken; the layout
         // itself stays `flat_offset`'s alone.
@@ -75,43 +100,66 @@ pub fn run(program: &SourceProgram, env: &Env, store: &mut HostStore) -> usize {
             let at = arr.flat_offset(&s.index_map.apply_int(x));
             at.expect("on an edge of the index space, proven in bounds") as i64
         };
-        let start = offset(&first);
+        let first_offset = offset(&first);
         let mut rewind = 0;
         for d in (0..r).rev() {
-            // A loop of one iteration never steps: its delta is unused.
+            // A loop of one iteration steps only as the innermost one,
+            // past its end: its delta is never taken.
             let mut x = first.clone();
-            if first[d] != last[d] {
+            if trips[d] > 1 {
                 x[d] += step[d];
             }
-            let delta = offset(&x) - start;
-            advance[d * n_streams + k] = delta - rewind;
-            rewind += (last[d] - first[d]) / step[d] * delta;
+            let delta = offset(&x) - first_offset;
+            advance[d * n + k] = (delta - rewind) as usize;
+            let steps = if d + 1 == r { trips[d] } else { trips[d] - 1 };
+            rewind += steps * delta;
         }
-        slot.push(at);
-        off.push(start);
+        slot[k] = at;
+        start[k] = origin + first_offset as usize;
     }
+    let inner = r.saturating_sub(1) * n;
+    let accesses = |streams: &[usize]| -> Vec<Access> {
+        streams
+            .iter()
+            .map(|&k| Access {
+                local: k,
+                at: start[k],
+                stride: advance.get(inner + k).copied().unwrap_or(0),
+            })
+            .collect()
+    };
+    let mut gathers = accesses(&body.gathered);
+    let mut scatters = accesses(&body.written);
 
-    let mut data: Vec<&mut [Value]> = arrays.iter_mut().map(|(_, a)| a.raw_mut()).collect();
-    let written: Vec<usize> = program.body.streams_written().iter().map(|s| s.0).collect();
-    let mut locals: Vec<Value> = vec![0; n_streams];
+    let mut locals: Vec<Value> = vec![0; n];
+    let (inner_trips, inner_step) = match r {
+        0 => (1, 0),
+        _ => (trips[r - 1], step[r - 1]),
+    };
     let mut x = first.clone();
     let mut count = 0;
-    loop {
-        // Gather the element of each stream selected by its index map.
-        for k in 0..n_streams {
-            locals[k] = data[slot[k]][off[k] as usize];
+    'walk: loop {
+        // The innermost loop, counted.
+        for _ in 0..inner_trips {
+            for g in &mut gathers {
+                locals[g.local] = flat[g.at];
+                g.at = g.at.wrapping_add(g.stride);
+            }
+            body.execute(&mut locals, &x);
+            for s in &mut scatters {
+                flat[s.at] = locals[s.local];
+                s.at = s.at.wrapping_add(s.stride);
+            }
+            if let Some(xi) = x.last_mut() {
+                *xi += inner_step;
+            }
         }
-        program.body.execute(&mut locals, &x);
-        // Scatter back the streams the body writes.
-        for &k in &written {
-            data[slot[k]][off[k] as usize] = locals[k];
-        }
-        count += 1;
-        // Advance like an odometer from the innermost loop.
-        let mut d = r;
+        count += inner_trips as usize;
+        // Advance the outer loops like an odometer, from the innermost.
+        let mut d = r.saturating_sub(1);
         loop {
             if d == 0 {
-                return count;
+                break 'walk;
             }
             d -= 1;
             if x[d] != last[d] {
@@ -120,9 +168,229 @@ pub fn run(program: &SourceProgram, env: &Env, store: &mut HostStore) -> usize {
             }
             x[d] = first[d];
         }
-        for (o, a) in off.iter_mut().zip(&advance[d * n_streams..]) {
-            *o += a;
+        x[r - 1] = first[r - 1];
+        for a in gathers.iter_mut().chain(&mut scatters) {
+            a.at = a.at.wrapping_add(advance[d * n + a.local]);
         }
+    }
+    let mut written: Vec<usize> = scatters.iter().map(|s| slot[s.local]).collect();
+    written.sort_unstable();
+    written.dedup();
+    for at in written {
+        let b = base[at].expect("a written stream's array is in the flat copy");
+        let raw = arrays[at].1.raw_mut();
+        raw.copy_from_slice(&flat[b..b + raw.len()]);
+    }
+    count
+}
+
+/// One gather or scatter of the walk: a stream local, and where its
+/// element is in the flat copy at the current point.
+struct Access {
+    local: usize,
+    at: usize,
+    stride: usize,
+}
+
+/// The basic statement compiled for one run: each guarded update's guard
+/// and value as a tree of closures, in update order, and which stream
+/// locals the walk must gather before an instance and scatter after it.
+struct Statement {
+    updates: Vec<Update>,
+    /// Streams whose gathered element the statement can see: read before
+    /// an unguarded update assigns them, or written only under guards
+    /// (a disabled update leaves the gathered value to be scattered).
+    gathered: Vec<usize>,
+    /// Streams some update writes, in the order of their first write —
+    /// the scatter order, which decides between aliased streams.
+    written: Vec<usize>,
+}
+
+struct Update {
+    guard: Option<Guard>,
+    target: usize,
+    value: Node,
+}
+
+/// A compiled expression over the stream locals and the index point: a
+/// scalar [`Node`] or a [`Guard`].
+type Compiled<T> = Box<dyn Fn(&[Value], &[i64]) -> T>;
+type Node = Compiled<Value>;
+type Guard = Compiled<bool>;
+
+impl Statement {
+    fn compile(body: &BasicStatement, n_streams: usize) -> Statement {
+        let mut assigned = vec![false; n_streams];
+        let mut seen = vec![false; n_streams];
+        for u in &body.updates {
+            let mut reads = Vec::new();
+            if let Some(g) = &u.guard {
+                g.collect_streams(&mut reads);
+            }
+            u.value.collect_streams(&mut reads);
+            for s in reads {
+                seen[s.0] |= !assigned[s.0];
+            }
+            assigned[u.target.0] |= u.guard.is_none();
+        }
+        let written: Vec<usize> = body.streams_written().iter().map(|s| s.0).collect();
+        for &k in &written {
+            seen[k] |= !assigned[k];
+        }
+        Statement {
+            updates: body
+                .updates
+                .iter()
+                .map(|u| Update {
+                    guard: u.guard.as_ref().map(guard),
+                    target: u.target.0,
+                    value: scalar(&u.value),
+                })
+                .collect(),
+            gathered: (0..n_streams).filter(|&k| seen[k]).collect(),
+            written,
+        }
+    }
+
+    /// Whether the walk must move stream `k`'s offset: it is gathered or
+    /// scattered.
+    fn touches(&self, k: usize) -> bool {
+        self.gathered.contains(&k) || self.written.contains(&k)
+    }
+
+    /// One instance, as [`BasicStatement::execute`] runs it.
+    fn execute(&self, locals: &mut [Value], x: &[i64]) {
+        for u in &self.updates {
+            if u.guard.as_ref().is_none_or(|g| g(locals, x)) {
+                locals[u.target] = (u.value)(locals, x);
+            }
+        }
+    }
+}
+
+/// An operand a node reads in place: a leaf of the expression tree, or
+/// the node compiled for a subtree.
+trait Read: 'static {
+    fn read(&self, locals: &[Value], x: &[i64]) -> Value;
+}
+
+struct Local(usize);
+struct Index(usize);
+struct Const(Value);
+
+impl Read for Local {
+    #[inline]
+    fn read(&self, locals: &[Value], _: &[i64]) -> Value {
+        locals[self.0]
+    }
+}
+
+impl Read for Index {
+    #[inline]
+    fn read(&self, _: &[Value], x: &[i64]) -> Value {
+        x[self.0]
+    }
+}
+
+impl Read for Const {
+    #[inline]
+    fn read(&self, _: &[Value], _: &[i64]) -> Value {
+        self.0
+    }
+}
+
+impl Read for Node {
+    #[inline]
+    fn read(&self, locals: &[Value], x: &[i64]) -> Value {
+        self(locals, x)
+    }
+}
+
+/// `$body` with `$a` bound to expression `$e` as a [`Read`]: a leaf by
+/// its own type, so the closure `$body` builds reads it without a call
+/// or a match, and anything else as its compiled [`Node`].
+macro_rules! with_operand {
+    ($e:expr, |$a:ident| $body:expr) => {
+        match $e {
+            ScalarExpr::Stream(s) => {
+                let $a = Local(s.0);
+                $body
+            }
+            ScalarExpr::Index(d) => {
+                let $a = Index(*d);
+                $body
+            }
+            ScalarExpr::Const(c) => {
+                let $a = Const(*c);
+                $body
+            }
+            e => {
+                let $a = scalar(e);
+                $body
+            }
+        }
+    };
+}
+
+/// [`ScalarExpr::eval`], compiled: the same arithmetic, wrapping
+/// included.
+fn scalar(e: &ScalarExpr) -> Node {
+    match e {
+        ScalarExpr::Add(a, b) => binary(a, b, Value::wrapping_add),
+        ScalarExpr::Sub(a, b) => binary(a, b, Value::wrapping_sub),
+        ScalarExpr::Mul(a, b) => binary(a, b, Value::wrapping_mul),
+        ScalarExpr::Min(a, b) => binary(a, b, Value::min),
+        ScalarExpr::Max(a, b) => binary(a, b, Value::max),
+        ScalarExpr::Neg(a) => {
+            with_operand!(&**a, |a| Box::new(move |l, x| a.read(l, x).wrapping_neg()))
+        }
+        ScalarExpr::Stream(s) => leaf(Local(s.0)),
+        ScalarExpr::Index(d) => leaf(Index(*d)),
+        ScalarExpr::Const(c) => leaf(Const(*c)),
+    }
+}
+
+/// A leaf alone, as a whole update's value.
+fn leaf(a: impl Read) -> Node {
+    Box::new(move |l, x| a.read(l, x))
+}
+
+/// `op` over two operands, each read in place.
+fn binary<T: 'static>(
+    a: &ScalarExpr,
+    b: &ScalarExpr,
+    op: impl Fn(Value, Value) -> T + Copy + 'static,
+) -> Compiled<T> {
+    with_operand!(a, |a| with_operand!(b, |b| Box::new(move |l, x| op(
+        a.read(l, x),
+        b.read(l, x)
+    ))))
+}
+
+/// [`BoolExpr::eval`], compiled: `and`/`or` short-circuit as there.
+fn guard(g: &BoolExpr) -> Guard {
+    match g {
+        BoolExpr::Cmp(op, a, b) => match op {
+            CmpOp::Eq => binary(a, b, |a, b| a == b),
+            CmpOp::Ne => binary(a, b, |a, b| a != b),
+            CmpOp::Lt => binary(a, b, |a, b| a < b),
+            CmpOp::Le => binary(a, b, |a, b| a <= b),
+            CmpOp::Gt => binary(a, b, |a, b| a > b),
+            CmpOp::Ge => binary(a, b, |a, b| a >= b),
+        },
+        BoolExpr::And(p, q) => {
+            let (p, q) = (guard(p), guard(q));
+            Box::new(move |l, x| p(l, x) && q(l, x))
+        }
+        BoolExpr::Or(p, q) => {
+            let (p, q) = (guard(p), guard(q));
+            Box::new(move |l, x| p(l, x) || q(l, x))
+        }
+        BoolExpr::Not(p) => {
+            let p = guard(p);
+            Box::new(move |l, x| !p(l, x))
+        }
+        BoolExpr::True => Box::new(|_, _| true),
     }
 }
 

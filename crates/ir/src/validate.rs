@@ -6,8 +6,9 @@
 
 use crate::expr::{GuardedUpdate, MAX_EXPR_DEPTH};
 use crate::program::SourceProgram;
+use std::collections::HashSet;
 use std::fmt;
-use systolic_math::Env;
+use systolic_math::{Env, Matrix};
 
 /// A diagnosed violation of Appendix A.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -188,21 +189,23 @@ pub fn validate(program: &SourceProgram, sample_size: i64) -> Result<(), Vec<Vio
     // touch every declared element (only checkable when shapes are
     // consistent, hence gated on `out` so far being clean for streams).
     if out.is_empty() {
+        let space = program.concrete_bounds(&env);
         for (k, s) in program.streams.iter().enumerate() {
-            let declared: i64 = program.variables[s.variable]
+            let declared: Vec<(i64, i64)> = program.variables[s.variable]
                 .bounds
                 .iter()
-                .map(|(lb, rb)| (rb.eval_int(&env) - lb.eval_int(&env) + 1).max(0))
+                .map(|(lb, rb)| (lb.eval_int(&env), rb.eval_int(&env)))
+                .collect();
+            let elements: i64 = declared
+                .iter()
+                .map(|&(lb, rb)| (rb - lb + 1).max(0))
                 .product();
-            let mut touched = std::collections::HashSet::new();
-            for x in program.index_space_seq(&env) {
-                touched.insert(s.index_map.apply_int(&x));
-            }
-            if (touched.len() as i64) != declared {
+            let accessed = distinct_images(&s.index_map, &space, &declared);
+            if (accessed as i64) != elements {
                 out.push(Violation::ElementsNotCovered {
                     stream: k,
-                    accessed: touched.len(),
-                    declared: declared.max(0) as usize,
+                    accessed,
+                    declared: elements.max(0) as usize,
                 });
             }
         }
@@ -212,6 +215,56 @@ pub fn validate(program: &SourceProgram, sample_size: i64) -> Result<(), Vec<Vio
     } else {
         Err(out)
     }
+}
+
+/// How many distinct points `map` sends the points of the box `space` to.
+/// An image inside the box `declared` is counted by its row-major offset
+/// there, so a covering map costs one integer per point and no
+/// allocation per point; an image outside it, as the point itself.
+fn distinct_images(map: &Matrix, space: &[(i64, i64)], declared: &[(i64, i64)]) -> usize {
+    if space.iter().any(|&(lb, rb)| lb > rb) {
+        return 0;
+    }
+    let coefficients: Vec<i64> = (0..map.rows())
+        .flat_map(|row| map.row(row))
+        .map(|c| c.to_integer().expect("non-integral matrix application"))
+        .collect();
+    let mut inside: Vec<i64> = Vec::new();
+    let mut outside: HashSet<Vec<i64>> = HashSet::new();
+    let mut x: Vec<i64> = space.iter().map(|&(lb, _)| lb).collect();
+    let mut image = vec![0; map.rows()];
+    loop {
+        for (y, row) in image.iter_mut().zip(coefficients.chunks(x.len())) {
+            *y = row.iter().zip(&x).fold(0i64, |acc, (&c, &xi)| {
+                c.checked_mul(xi)
+                    .and_then(|t| acc.checked_add(t))
+                    .expect("index map overflows at the sample size")
+            });
+        }
+        let mut offset = Some(0);
+        for (&y, &(lb, rb)) in image.iter().zip(declared) {
+            offset = offset
+                .filter(|_| lb <= y && y <= rb)
+                .map(|o| o * (rb - lb + 1) + y - lb);
+        }
+        match offset {
+            Some(o) => inside.push(o),
+            None => {
+                outside.insert(image.clone());
+            }
+        }
+        // The next point, like an odometer; the order is immaterial.
+        let Some(d) = (0..x.len()).rev().find(|&d| x[d] < space[d].1) else {
+            break;
+        };
+        x[d] += 1;
+        for (xi, &(lb, _)) in x.iter_mut().zip(space).skip(d + 1) {
+            *xi = lb;
+        }
+    }
+    inside.sort_unstable();
+    inside.dedup();
+    inside.len() + outside.len()
 }
 
 #[cfg(test)]
@@ -298,6 +351,27 @@ mod tests {
         let errs = validate(&p, 4).unwrap_err();
         assert_eq!(errs, vec![Violation::ExpressionTooDeep { update: 0 }]);
         assert!(errs[0].to_string().contains("deeper than 256"));
+    }
+
+    #[test]
+    fn coverage_counts_each_touched_element_once_inside_the_box_or_out() {
+        // Polynomial product at n = 4: `c[i+j]` touches 0..8, nine
+        // elements, from 25 points.
+        let mut p = gallery::polynomial_product();
+        let n = systolic_math::Affine::var(p.sizes[0]);
+        let zero = systolic_math::Affine::zero();
+        let not_covered = |accessed, declared| {
+            vec![Violation::ElementsNotCovered {
+                stream: 2,
+                accessed,
+                declared,
+            }]
+        };
+        p.variables[2].bounds = vec![(zero.clone(), n.clone() + n.clone() + n.clone())];
+        assert_eq!(validate(&p, 4).unwrap_err(), not_covered(9, 13));
+        // Five of the nine inside `0..n`, four past it.
+        p.variables[2].bounds = vec![(zero, n)];
+        assert_eq!(validate(&p, 4).unwrap_err(), not_covered(9, 5));
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Shared by the integration suites: the design corpus, the seeded
-//! equivalence experiment, and the differential matrix ([`matrix`]).
+//! equivalence experiment, the differential matrix ([`matrix`]) and
+//! random basic statements ([`statements`]).
 #![allow(dead_code)]
 
 pub mod matrix;
+pub mod statements;
 
 use std::sync::{Arc, OnceLock};
 use systolizer::core::{compile, Options, StreamKind, SystolicProgram};

@@ -5,11 +5,15 @@
 //! corpus — is columns of `tests/matrix.rs`; the tests of those names
 //! below run their columns on the rows their loops reached. What stays
 //! here by hand: the shipped `polyprod.sys` pinned by checksum, and
-//! `seq::run` on hand-built corners.
+//! `seq::run` on hand-built corners and on random statements in small
+//! loop nests (CI runs that law at `PROPTEST_CASES=2000`).
 
 mod common;
 
-use common::assert_seq_matches_reference;
+use common::statements::{pick, value, Statements};
+use common::{assert_seq_matches_reference, env_cases, seq_reference};
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use systolizer::interp::{seeded_store, simulate_verified, ModuleStore, SimSpec};
 use systolizer::ir::expr::build::*;
 use systolizer::ir::program::covering_bounds;
@@ -167,6 +171,42 @@ fn seq_run_matches_its_reference_on_hand_built_corners() {
             ),
         ),
         (
+            // The guard never holds, so the second `a` local keeps the
+            // element it gathered, and its scatter, after the first's,
+            // puts the old value back.
+            "a disabled write on the variable another stream writes",
+            corner(
+                &[1, -1],
+                &[("a", &[&[1, 0]]), ("a", &[&[1, 0]]), ("b", &[&[0, 1]])],
+                vec![
+                    assign(0, add(s(0), s(2))),
+                    guarded(cmp(CmpOp::Lt, idx(0), c(0)), 1, s(2)),
+                ],
+            ),
+        ),
+        (
+            // `c` is assigned before it is read, so it needs no gather.
+            "a stream assigned before it is read",
+            corner(
+                &[-1, 1],
+                &[("a", &[&[1, 0]]), ("b", &[&[0, 1]]), ("c", &[&[1, 1]])],
+                vec![assign(2, mul(s(0), s(1))), assign(2, add(s(2), idx(1)))],
+            ),
+        ),
+        (
+            // One level deeper than the random nests reach.
+            "four loops",
+            corner(
+                &[1, -1, 1, -1],
+                &[
+                    ("a", &[&[1, 0, 0, 0], &[0, 1, 0, 0], &[0, 0, 0, 1]]),
+                    ("b", &[&[0, 1, 0, 0], &[0, 0, 1, 0], &[0, 0, 0, 1]]),
+                    ("c", &[&[1, 0, 0, 0], &[0, 0, 1, 0], &[0, 0, 0, 1]]),
+                ],
+                vec![assign(2, sub(mul(c(3), s(2)), mul(s(0), s(1))))],
+            ),
+        ),
+        (
             // `a[i-j]` and `b[j-i, i]` live in -n..n.
             "variables with negative lower bounds",
             corner(
@@ -208,4 +248,103 @@ fn seq_run_matches_its_reference_on_hand_built_corners() {
     let before = store.clone();
     assert_eq!(seq::run(program, &env, &mut store), 0);
     assert_eq!(store, before);
+}
+
+/// A random statement (`common::statements`) in a small loop nest, with
+/// its size bound and its store filled: r = 2 or 3 loops of step ±1 over
+/// `0..n` for n ≤ 3, now and then a loop of one iteration or of none;
+/// two to four streams whose index maps have entries in -1..=1, the
+/// first two on one variable, so the statement reads and writes it
+/// through both; every element drawn by `value`, the ends of `i64`
+/// among them.
+struct Nests;
+
+impl Strategy for Nests {
+    type Value = (SourceProgram, Env, HostStore);
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        let (r, slots) = (2 + pick(rng, 2), 2 + pick(rng, 3));
+        let mut vars = VarTable::new();
+        let size = vars.size("n");
+        let mut env = Env::new();
+        env.bind(size, pick(rng, 4) as i64);
+        let loops: Vec<Loop> = (0..r)
+            .map(|d| {
+                let (lb, rb) = match pick(rng, 8) {
+                    0 => (Affine::int(2), Affine::int(2)),
+                    1 => (Affine::int(1), Affine::zero()),
+                    _ => (Affine::zero(), Affine::var(size)),
+                };
+                let step = [1, -1][pick(rng, 2)];
+                Loop {
+                    index_name: format!("x{d}"),
+                    lb,
+                    rb,
+                    step,
+                }
+            })
+            .collect();
+        let streams: Vec<Stream> = (0..slots)
+            .map(|k| {
+                let rows: Vec<Vec<i64>> = (0..r - 1)
+                    .map(|_| (0..r).map(|_| pick(rng, 3) as i64 - 1).collect())
+                    .collect();
+                Stream {
+                    variable: k.saturating_sub(1),
+                    index_map: Matrix::from_rows(&rows),
+                }
+            })
+            .collect();
+        // Each variable's box at this size: the hull of its streams'
+        // images, so every access lies inside it.
+        let mut boxes = vec![vec![(i64::MAX, i64::MIN); r - 1]; slots - 1];
+        for s in &streams {
+            let cover = covering_bounds(&s.index_map, &loops);
+            for ((lo, hi), (lb, rb)) in boxes[s.variable].iter_mut().zip(cover) {
+                *lo = (*lo).min(lb.eval_int(&env));
+                *hi = (*hi).max(rb.eval_int(&env));
+            }
+        }
+        let variables = boxes
+            .iter()
+            .enumerate()
+            .map(|(v, bounds)| IndexedVar {
+                name: format!("v{v}"),
+                bounds: bounds
+                    .iter()
+                    .map(|&(lo, hi)| (Affine::int(lo), Affine::int(hi)))
+                    .collect(),
+            })
+            .collect();
+        let body = Statements { slots, dims: r }.generate(rng);
+        let program = SourceProgram {
+            name: "nest".into(),
+            vars,
+            sizes: vec![size],
+            loops,
+            variables,
+            streams,
+            body,
+        };
+        let mut store = HostStore::allocate(&program, &env);
+        for v in &program.variables {
+            store.get_mut(&v.name).raw_mut().fill_with(|| value(rng));
+        }
+        (program, env, store)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: env_cases(256), ..ProptestConfig::default() })]
+
+    /// The oracle's compiled statement and its walk, against the
+    /// point-by-point reference that runs `BasicStatement::execute`.
+    #[test]
+    fn seq_run_is_its_reference_on_random_statements((program, env, store) in Nests) {
+        let (mut fast, mut reference) = (store.clone(), store.clone());
+        let count = seq::run(&program, &env, &mut fast);
+        let context = || format!("{:?} over {:?}", program.body, program.streams);
+        prop_assert_eq!(count, seq_reference(&program, &env, &mut reference), "{}", context());
+        prop_assert_eq!(count, program.index_space_size(&env), "{}", context());
+        prop_assert_eq!(&fast, &reference, "{}", context());
+    }
 }

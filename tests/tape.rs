@@ -1,13 +1,11 @@
 //! The kernel tape is the statement. Every engine executes the basic
 //! statement only as its compiled tape (`Kernel::run`): one lane wide in
 //! the rendezvous VM and the scalar macro-step, many lanes and
-//! iterations in a wave batch. Over random statements — guarded updates
-//! with nested `and`/`or`/`not` over all six comparisons, index reads,
-//! `min`/`max`/negation, accumulators, constants at the ends of `i64` —
-//! three things hold:
+//! iterations in a wave batch. Over random statements
+//! (`common::statements`) three things hold:
 //!
 //! - one lane of the tape equals `BasicStatement::execute`, the
-//!   sequential oracle's evaluator, on every input;
+//!   definition of the statement, on every input;
 //! - a run of L lanes equals L one-lane runs;
 //! - a wave batch — the tape split into its stream and carried sections
 //!   (`TapeSplit`) and run over I iterations of L lanes (`WaveBatch`) —
@@ -19,110 +17,22 @@
 mod common;
 
 use common::env_cases;
+use common::statements::{pick, value, Statements};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use systolizer::interp::kernelize;
-use systolizer::ir::{BasicStatement, BoolExpr, CmpOp, GuardedUpdate, ScalarExpr, StreamId, Value};
+use systolizer::ir::Value;
 use systolizer::runtime::{Kernel, TapeSplit, WaveBatch};
 
 const SLOTS: usize = 4;
 const DIMS: usize = 3;
 const MAX_LANES: usize = 6;
 
-fn pick(rng: &mut TestRng, n: usize) -> usize {
-    rng.below(n as u128) as usize
-}
-
-/// Small values, with the ends of `i64` and their neighbours often
-/// enough that every op meets them.
-fn value(rng: &mut TestRng) -> Value {
-    const EDGES: [Value; 6] = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX];
-    match pick(rng, 3) {
-        0 => EDGES[pick(rng, EDGES.len())],
-        _ => pick(rng, 21) as Value - 10,
-    }
-}
-
-fn scalar(rng: &mut TestRng, depth: usize) -> ScalarExpr {
-    if depth == 0 || pick(rng, 4) == 0 {
-        return match pick(rng, 3) {
-            0 => ScalarExpr::Stream(StreamId(pick(rng, SLOTS))),
-            1 => ScalarExpr::Index(pick(rng, DIMS)),
-            _ => ScalarExpr::Const(value(rng)),
-        };
-    }
-    let sub = |rng: &mut TestRng| Box::new(scalar(rng, depth - 1));
-    match pick(rng, 6) {
-        0 => ScalarExpr::Add(sub(rng), sub(rng)),
-        1 => ScalarExpr::Sub(sub(rng), sub(rng)),
-        2 => ScalarExpr::Mul(sub(rng), sub(rng)),
-        3 => ScalarExpr::Min(sub(rng), sub(rng)),
-        4 => ScalarExpr::Max(sub(rng), sub(rng)),
-        _ => ScalarExpr::Neg(sub(rng)),
-    }
-}
-
-fn boolean(rng: &mut TestRng, depth: usize) -> BoolExpr {
-    if depth == 0 || pick(rng, 3) == 0 {
-        const OPS: [CmpOp; 6] = [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ];
-        return match pick(rng, 8) {
-            0 => BoolExpr::True,
-            _ => BoolExpr::Cmp(OPS[pick(rng, 6)], scalar(rng, 2), scalar(rng, 2)),
-        };
-    }
-    let sub = |rng: &mut TestRng| Box::new(boolean(rng, depth - 1));
-    match pick(rng, 3) {
-        0 => BoolExpr::And(sub(rng), sub(rng)),
-        1 => BoolExpr::Or(sub(rng), sub(rng)),
-        _ => BoolExpr::Not(sub(rng)),
-    }
-}
-
-/// `s ⊕ e` or `e ⊕ s` for ⊕ one of `+`, `min`, `max`: an accumulator,
-/// which a wave batch may fold.
-fn accumulate(rng: &mut TestRng, s: StreamId) -> ScalarExpr {
-    let (mut acc, mut e) = (Box::new(ScalarExpr::Stream(s)), Box::new(scalar(rng, 3)));
-    if pick(rng, 2) == 0 {
-        std::mem::swap(&mut acc, &mut e);
-    }
-    match pick(rng, 3) {
-        0 => ScalarExpr::Add(acc, e),
-        1 => ScalarExpr::Min(acc, e),
-        _ => ScalarExpr::Max(acc, e),
-    }
-}
-
-/// Zero to four updates, half of them guarded and a third of them
-/// accumulators; targets may repeat, so later updates read and
-/// overwrite earlier ones.
-struct Statements;
-
-impl Strategy for Statements {
-    type Value = BasicStatement;
-    fn generate(&self, rng: &mut TestRng) -> BasicStatement {
-        let updates = (0..pick(rng, 5))
-            .map(|_| {
-                let target = StreamId(pick(rng, SLOTS));
-                GuardedUpdate {
-                    guard: (pick(rng, 2) == 0).then(|| boolean(rng, 3)),
-                    target,
-                    value: match pick(rng, 3) {
-                        0 => accumulate(rng, target),
-                        _ => scalar(rng, 4),
-                    },
-                }
-            })
-            .collect();
-        BasicStatement { updates }
-    }
-}
+/// Statements over the lanes' locals and index points.
+const STATEMENTS: Statements = Statements {
+    slots: SLOTS,
+    dims: DIMS,
+};
 
 /// One to `MAX_LANES` lanes, each its locals and its index point.
 struct Lanes;
@@ -221,7 +131,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: env_cases(256), ..ProptestConfig::default() })]
 
     #[test]
-    fn the_tape_is_the_statement(body in Statements, lanes in Lanes) {
+    fn the_tape_is_the_statement(body in STATEMENTS, lanes in Lanes) {
         let kernel = kernelize(&body);
         let n = lanes.len();
         let mut regs = vec![0; kernel.ops.len() * n];
@@ -247,7 +157,7 @@ proptest! {
     }
 
     #[test]
-    fn the_split_batch_is_the_statement(body in Statements, batch in Batches) {
+    fn the_split_batch_is_the_statement(body in STATEMENTS, batch in Batches) {
         let kernel = kernelize(&body);
         let split = TapeSplit::new(&kernel, &batch.slots);
         let mut wave = WaveBatch::default();
